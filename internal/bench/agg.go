@@ -40,18 +40,18 @@ func (h *Harness) AggKernelProfile() (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		partials, fanout, fastRows, fallbackRows := res.Run.AggKernels()
-		total := fastRows + fallbackRows
+		k := res.Run.Kernels()
+		total := k.AggFastRows + k.AggFallbackRows
 		fastPct := "-"
 		if total > 0 {
-			fastPct = fmt.Sprintf("%.1f", 100*float64(fastRows)/float64(total))
+			fastPct = fmt.Sprintf("%.1f", 100*float64(k.AggFastRows)/float64(total))
 		}
 		r.AddRow(
 			fmt.Sprintf("Q%02d", q),
 			fmt.Sprintf("%d", total),
 			fastPct,
-			fmt.Sprintf("%d", partials),
-			fmt.Sprintf("%d", fanout),
+			fmt.Sprintf("%d", k.AggPartials),
+			fmt.Sprintf("%d", k.AggMergeFanout),
 			fmt.Sprintf("%.2f", float64(res.Run.WallTime())/float64(time.Millisecond)),
 		)
 	}

@@ -39,25 +39,25 @@ func (h *Harness) ContentionProfile() (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			locks, batched, scratch := res.Run.Contention()
+			k := res.Run.Kernels()
 			var rowsIn, wos int64
 			for _, t := range res.Run.PerOp() {
 				rowsIn += t.Rows
 				wos += int64(t.Count)
 			}
 			perK := "-"
-			if batched > 0 {
-				perK = fmt.Sprintf("%.2f", float64(locks)/float64(batched)*1000)
+			if k.BatchedRows > 0 {
+				perK = fmt.Sprintf("%.2f", float64(k.ShardLocks)/float64(k.BatchedRows)*1000)
 			}
 			hitPct := "-"
 			if wos > 0 {
-				hitPct = fmt.Sprintf("%.1f", 100*float64(scratch)/float64(wos))
+				hitPct = fmt.Sprintf("%.1f", 100*float64(k.ScratchHits)/float64(wos))
 			}
 			r.AddRow(
 				fmt.Sprintf("Q%02d", q), uotLabel(low),
 				fmt.Sprintf("%d", rowsIn),
-				fmt.Sprintf("%d", batched),
-				fmt.Sprintf("%d", locks),
+				fmt.Sprintf("%d", k.BatchedRows),
+				fmt.Sprintf("%d", k.ShardLocks),
 				perK, hitPct,
 			)
 		}

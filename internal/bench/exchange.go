@@ -319,14 +319,13 @@ func (h *Harness) ExchangeProfile() (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		locks, _, _ := run.Contention()
-		rows, fanout, skew := run.ExchangeKernels()
+		k := run.Kernels()
 		r.AddRow(
 			mode.name, fmt.Sprintf("%d", mode.parts), ms(wall),
-			fmt.Sprintf("%d", locks),
-			fmt.Sprintf("%d", rows),
-			fmt.Sprintf("%d", fanout),
-			fmt.Sprintf("%d", skew),
+			fmt.Sprintf("%d", k.ShardLocks),
+			fmt.Sprintf("%d", k.ExchangeRows),
+			fmt.Sprintf("%d", k.RepartitionFanout),
+			fmt.Sprintf("%d", k.PartitionSkew),
 		)
 	}
 
@@ -361,15 +360,14 @@ func (h *Harness) ExchangeProfile() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	locks, _, _ := res.Run.Contention()
-	rows, fanout, skew := res.Run.ExchangeKernels()
+	k := res.Run.Kernels()
 	r.AddRow(
 		"skewed(const key)", fmt.Sprintf("%d", parts),
 		fmt.Sprintf("%.2f", float64(res.Run.WallTime())/float64(time.Millisecond)),
-		fmt.Sprintf("%d", locks),
-		fmt.Sprintf("%d", rows),
-		fmt.Sprintf("%d", fanout),
-		fmt.Sprintf("%d", skew),
+		fmt.Sprintf("%d", k.ShardLocks),
+		fmt.Sprintf("%d", k.ExchangeRows),
+		fmt.Sprintf("%d", k.RepartitionFanout),
+		fmt.Sprintf("%d", k.PartitionSkew),
 	)
 	r.Note("partitioned build clones own their hash tables (InsertBlockOwned): shard_locks ~0; skew counts partitions where one partition held >50%% of scattered rows")
 	return r, nil

@@ -39,19 +39,19 @@ func (h *Harness) SortKernelProfile() (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		runs, fanout, fastRows, fallbackRows, pruned := res.Run.SortKernels()
-		total := fastRows + fallbackRows
+		k := res.Run.Kernels()
+		total := k.SortFastRows + k.SortFallbackRows
 		fastPct := "-"
 		if total > 0 {
-			fastPct = fmt.Sprintf("%.1f", 100*float64(fastRows)/float64(total))
+			fastPct = fmt.Sprintf("%.1f", 100*float64(k.SortFastRows)/float64(total))
 		}
 		r.AddRow(
 			fmt.Sprintf("Q%02d", q),
 			fmt.Sprintf("%d", total),
 			fastPct,
-			fmt.Sprintf("%d", runs),
-			fmt.Sprintf("%d", fanout),
-			fmt.Sprintf("%d", pruned),
+			fmt.Sprintf("%d", k.SortRuns),
+			fmt.Sprintf("%d", k.SortMergeFanout),
+			fmt.Sprintf("%d", k.TopKPruned),
 			fmt.Sprintf("%.2f", float64(res.Run.WallTime())/float64(time.Millisecond)),
 		)
 	}

@@ -122,7 +122,7 @@ func TestLegacyPressureSnapEmitsDistinctMarkAndCounter(t *testing.T) {
 	e.self = eid
 	c := &slowSink{}
 	cid := plan.AddOp(c)
-	plan.Pipe(eid, cid, 0, maxRaisedUoT)
+	plan.Pipe(eid, cid, 0, uotctl.DefaultCeiling)
 	ctx, tr := newTracedCtx(2, "snap")
 	ctx.MemoryBudget = 1
 	if err := Run(plan, ctx, 1); err != nil {

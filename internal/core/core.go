@@ -172,69 +172,18 @@ func (c *ExecCtx) FaultAt(site faults.Site) error {
 }
 
 // Output collects what one work-order execution produced: sealed full output
-// blocks, simulated ticks, row counts, and hot-path contention counters
-// (recorded into stats so cmd/uotbench can report lock traffic before/after
-// batching changes).
+// blocks, simulated ticks, row counts, and the hot-path kernel counters
+// (recorded into stats and the tracer so cmd/uotbench and /metrics can report
+// lock traffic and fast/fallback splits).
 type Output struct {
 	Blocks  []*storage.Block
 	Sim     int64
 	RowsIn  int64
 	RowsOut int64
 
-	// ShardLocks counts hash-table shard-lock acquisitions performed by the
-	// work order (the batch insert kernels take each shard lock once per
-	// block instead of once per row).
-	ShardLocks int64
-	// BatchedRows counts rows that went through a block-granular batch
-	// kernel (InsertBlock, AddMany, vectorized probe) rather than a
-	// row-at-a-time reference path.
-	BatchedRows int64
-	// ScratchHits counts scratch-buffer pool hits: work orders that reused
-	// a previous work order's buffers instead of allocating fresh ones.
-	ScratchHits int64
-
-	// AggPartials counts thread-local partial aggregation tables created by
-	// the work order (free-list misses; the steady state reuses partials
-	// across blocks, so totals approach the worker count).
-	AggPartials int64
-	// AggMergeFanout counts radix-partition merge work orders: the
-	// parallelism of the aggregation merge that replaced the global-mutex
-	// merge.
-	AggMergeFanout int64
-	// AggFastRows counts rows aggregated through the vectorized fixed-width
-	// path; AggFallbackRows counts rows through the reference map path
-	// (mixed-type keys, CountDistinct, char min/max).
-	AggFastRows     int64
-	AggFallbackRows int64
-
-	// SortRuns counts sorted runs produced by run-generation work orders
-	// (one per fed block on the sort fast path).
-	SortRuns int64
-	// SortMergeFanout counts range-partitioned merge work orders: the
-	// parallelism of the k-way merge that replaced the single blocking sort.
-	SortMergeFanout int64
-	// SortFastRows counts rows sorted through the normalized-key path;
-	// SortFallbackRows counts rows through the reference Datum-comparator
-	// path (non-column keys, forced reference, demotion).
-	SortFastRows     int64
-	SortFallbackRows int64
-	// TopKPruned counts rows discarded by the bounded top-k heap without
-	// ever being materialized into a run (ORDER BY ... LIMIT pruning).
-	TopKPruned int64
-
-	// ExchangeRows counts rows scattered by exchange repartition work
-	// orders into partition-local output streams.
-	ExchangeRows int64
-	// RepartitionFanout counts distinct partition streams the work order
-	// scattered into (the realized fan-out of the exchange).
-	RepartitionFanout int64
-	// PartitionSkew counts skew-guard trips: exchanges where one partition
-	// received more than half of all scattered rows.
-	PartitionSkew int64
-
-	// Demotions counts fast-path → reference-path demotions this work order
-	// triggered (at most one per operator per run).
-	Demotions int64
+	// Kernel is bumped by operator code through the promoted fields
+	// (out.ShardLocks++, out.AggFastRows += n, ...).
+	stats.Kernel
 
 	// partTags maps sealed blocks to the output partition that produced
 	// them (set by partition emitters). Blocks absent from the map are
@@ -258,8 +207,10 @@ type Output struct {
 // rolled back — fresh blocks are released, resumed partials truncated to
 // their pre-attempt row count — and the output cleared, so a retry (or a
 // concurrent work order of the same operator) never observes the failed
-// attempt's rows. The scheduler calls Finish from the worker goroutine; code
-// that runs work orders by hand (tests, benchmarks) must call it too.
+// attempt's rows; of the kernel counters only Demotions survives, since a
+// demotion outlives the attempt that triggered it. The scheduler calls Finish
+// from the worker goroutine; code that runs work orders by hand (tests,
+// benchmarks) must call it too.
 func (o *Output) Finish(err error) {
 	for _, e := range o.emitters {
 		if err != nil {
@@ -274,6 +225,7 @@ func (o *Output) Finish(err error) {
 		o.partTags = nil
 		o.RowsIn = 0
 		o.RowsOut = 0
+		o.Kernel = stats.Kernel{Demotions: o.Demotions}
 	}
 }
 
@@ -595,19 +547,20 @@ func (e *Emitter) seal() {
 }
 
 // AppendRow appends a materialized row, sealing and replacing full blocks.
+// Like every appender it retries until the row lands: a resumed partial from
+// the pool may itself be exactly full (Close checks it in as a partial), so
+// one seal-and-retry is not enough.
 func (e *Emitter) AppendRow(vals ...types.Datum) {
-	if !e.ensure().AppendRow(vals...) {
+	for !e.ensure().AppendRow(vals...) {
 		e.seal()
-		e.ensure().AppendRow(vals...)
 	}
 	e.out.RowsOut++
 }
 
 // AppendFrom appends a projection of a source row (see Block.AppendFrom).
 func (e *Emitter) AppendFrom(src *storage.Block, srcRow int, projIdx []int) {
-	if !e.ensure().AppendFrom(src, srcRow, projIdx) {
+	for !e.ensure().AppendFrom(src, srcRow, projIdx) {
 		e.seal()
-		e.ensure().AppendFrom(src, srcRow, projIdx)
 	}
 	e.out.RowsOut++
 }
@@ -629,9 +582,8 @@ func (e *Emitter) AppendMany(src *storage.Block, rows []int32, projIdx []int) {
 
 // AppendRaw appends a two-sided join row (see Block.AppendRaw).
 func (e *Emitter) AppendRaw(l *storage.Block, lrow int, lproj []int, r *storage.Block, rrow int, rproj []int) {
-	if !e.ensure().AppendRaw(l, lrow, lproj, r, rrow, rproj) {
+	for !e.ensure().AppendRaw(l, lrow, lproj, r, rrow, rproj) {
 		e.seal()
-		e.ensure().AppendRaw(l, lrow, lproj, r, rrow, rproj)
 	}
 	e.out.RowsOut++
 }

@@ -116,3 +116,45 @@ func TestEmitterAppendVariantsRoundTrip(t *testing.T) {
 		t.Fatalf("rows out = %d", out.RowsOut)
 	}
 }
+
+// Two work orders of one operator, interleaved the way two workers interleave
+// them: B holds a nearly-full block, A fills a block exactly and closes (an
+// exactly full block checks in as a "partial"), then B overflows — its
+// re-checkout resumes A's full block. Every appender must keep sealing until
+// the row lands; a single seal-and-retry dropped B's row while still counting
+// it in RowsOut.
+func TestEmitterOverflowIntoFullPartialKeepsRow(t *testing.T) {
+	src := storage.NewBlock(testSchema, storage.RowStore, 64)
+	src.AppendRow(types.NewInt64(-1))
+	appenders := map[string]func(*Emitter, int64){
+		"AppendRow":  func(e *Emitter, v int64) { e.AppendRow(types.NewInt64(v)) },
+		"AppendFrom": func(e *Emitter, _ int64) { e.AppendFrom(src, 0, []int{0}) },
+		"AppendRaw":  func(e *Emitter, _ int64) { e.AppendRaw(src, 0, []int{0}, nil, 0, nil) },
+		"AppendMany": func(e *Emitter, _ int64) { e.AppendMany(src, []int32{0}, []int{0}) },
+	}
+	for name, appendOne := range appenders {
+		ctx := newCtx(2)
+		ctx.TempBlockBytes = 64 // 8 rows
+		outA, outB := &Output{}, &Output{}
+		a := NewEmitter(ctx, outA, 4, testSchema)
+		b := NewEmitter(ctx, outB, 4, testSchema)
+		for i := 0; i < 7; i++ {
+			appendOne(b, int64(i))
+		}
+		for i := 0; i < 8; i++ {
+			appendOne(a, int64(100+i))
+		}
+		outA.Finish(nil) // A's exactly full block goes back to the pool
+		appendOne(b, 7)  // fills B's own block
+		appendOne(b, 8)  // seals it, resumes A's full block, must seal that too
+		outB.Finish(nil)
+
+		found := 0
+		for _, blk := range append(append(outA.Blocks, outB.Blocks...), ctx.Pool.TakePartials(4)...) {
+			found += blk.NumRows()
+		}
+		if emitted := outA.RowsOut + outB.RowsOut; emitted != 17 || int64(found) != emitted {
+			t.Errorf("%s: RowsOut = %d, rows materialized = %d, want 17 of each", name, emitted, found)
+		}
+	}
+}

@@ -41,9 +41,6 @@ func Run(plan *Plan, ctx *ExecCtx, defaultUoT int) error {
 // producer's out-edge UoTs are raised and the job dispatched anyway.
 const memHoldLimit = 8
 
-// maxRaisedUoT caps degradation-raised UoTs before snapping to UoTTable.
-const maxRaisedUoT = 1 << 20
-
 type job struct {
 	op OpID
 	wo WorkOrder
@@ -61,20 +58,16 @@ type job struct {
 	edge      int32
 }
 
+// wres is one finished attempt of a job: the job itself (op, work order,
+// and the tracing/attribution annotations carried through) plus what the
+// worker observed. attempt is bumped to count this execution (1-based).
 type wres struct {
-	op      OpID
-	wo      WorkOrder
-	out     *Output
-	start   time.Time
-	end     time.Time
-	worker  int
-	attempt int // 1-based: attempts completed including this one
-	err     error
-	// enqueueNS/batch/edge are carried through from the job for span events
-	// and service-time attribution.
-	enqueueNS int64
-	batch     int64
-	edge      int32
+	job
+	out    *Output
+	start  time.Time
+	end    time.Time
+	worker int
+	err    error
 }
 
 type edgeState struct {
@@ -500,24 +493,19 @@ func (s *sched) pickJob() int {
 // pressureRaise raises the UoT of st's outgoing pipelined edges under
 // sustained memory pressure: the scheduler trades transfer granularity for
 // forward progress — the spectrum of Fig. 1 used as a degradation knob.
-// Adaptive edges route through the controller (which doubles immediately,
-// bypassing hysteresis, and arms a hold against re-lowering right after);
-// static edges double inline, snapping to UoTTable past maxRaisedUoT.
+// Adaptive edges route through the controller (which bypasses hysteresis and
+// arms a hold against re-lowering right after); static edges take the same
+// uotctl.PressureStep directly.
 func (s *sched) pressureRaise(st *opState) {
 	for _, es := range st.out {
 		if es.e.Kind != Pipelined || es.uot == UoTTable {
 			continue
 		}
-		var a uotctl.Action
-		switch {
-		case es.ctl >= 0:
-			a = s.ctx.Adapt.Pressure(es.ctl)
-		case es.uot >= maxRaisedUoT:
-			a = uotctl.Action{Dir: uotctl.Snap, UoT: UoTTable}
-		default:
-			a = uotctl.Action{Dir: uotctl.Raise, UoT: es.uot * 2}
+		if es.ctl >= 0 {
+			s.applyUoT(es, s.ctx.Adapt.Pressure(es.ctl), true)
+		} else {
+			s.applyUoT(es, uotctl.PressureStep(es.uot, uotctl.DefaultCeiling), true)
 		}
-		s.applyUoT(es, a, true)
 	}
 }
 
@@ -551,37 +539,32 @@ func (s *sched) adapt(es *edgeState, delivered int, stallNS, nowNS int64) {
 // pressure marks decisions born from the memory-pressure path: only those
 // count as UoTRaises, matching the counter's pre-adaptive meaning.
 func (s *sched) applyUoT(es *edgeState, a uotctl.Action, pressure bool) {
+	var mark trace.MarkCode
 	switch a.Dir {
 	case uotctl.Raise:
-		es.uot = a.UoT
 		es.raises++
+		mark = trace.MarkUoTRaise
 		if pressure && s.ctx.Run != nil {
 			s.ctx.Run.AddUoTRaise()
 		}
-		s.ctx.Trace.MarkIn(s.ctx.TraceRun, trace.MarkUoTRaise, trace.Event{
-			Op: int32(es.e.From), Edge: es.id, UoT: int64(es.uot),
-			StartNS: s.ctx.Trace.Now(),
-		})
 	case uotctl.Lower:
-		es.uot = a.UoT
 		es.lowers++
-		s.ctx.Trace.MarkIn(s.ctx.TraceRun, trace.MarkUoTLower, trace.Event{
-			Op: int32(es.e.From), Edge: es.id, UoT: int64(es.uot),
-			StartNS: s.ctx.Trace.Now(),
-		})
+		mark = trace.MarkUoTLower
 	case uotctl.Snap:
-		es.uot = UoTTable
 		es.snaps++
+		mark = trace.MarkUoTSnap
 		if s.ctx.Run != nil {
 			s.ctx.Run.AddUoTSnap()
 		}
-		s.ctx.Trace.MarkIn(s.ctx.TraceRun, trace.MarkUoTSnap, trace.Event{
-			Op: int32(es.e.From), Edge: es.id, UoT: int64(es.uot),
-			StartNS: s.ctx.Trace.Now(),
-		})
 	default:
 		es.holds++
+		return
 	}
+	es.uot = a.UoT
+	s.ctx.Trace.MarkIn(s.ctx.TraceRun, mark, trace.Event{
+		Op: int32(es.e.From), Edge: es.id, UoT: int64(es.uot),
+		StartNS: s.ctx.Trace.Now(),
+	})
 }
 
 func (s *sched) overBudget() bool {
@@ -634,8 +617,8 @@ func (s *sched) runJob(j job, worker int, simSwitch bool) {
 	} else {
 		err = runSafely(j.wo, s.ctx, out, start)
 	}
-	s.results <- wres{op: j.op, wo: j.wo, out: out, start: start, end: now(), worker: worker,
-		attempt: j.attempt + 1, err: err, enqueueNS: j.enqueueNS, batch: j.batch, edge: j.edge}
+	j.attempt++
+	s.results <- wres{job: j, out: out, start: start, end: now(), worker: worker, err: err}
 }
 
 // runSafely executes one work-order attempt. Panics are recovered into
@@ -718,36 +701,17 @@ func (s *sched) onComplete(r wres) {
 	}
 	if s.ctx.Run != nil {
 		s.ctx.Run.Record(stats.WorkOrder{
-			OpID:        int(r.op),
-			OpName:      st.op.Name(),
-			Worker:      r.worker,
-			Start:       r.start,
-			End:         r.end,
-			Sim:         r.out.Sim,
-			Rows:        r.out.RowsIn,
-			RowsOut:     r.out.RowsOut,
-			ShardLocks:  r.out.ShardLocks,
-			BatchedRows: r.out.BatchedRows,
-			ScratchHits: r.out.ScratchHits,
-
-			AggPartials:     r.out.AggPartials,
-			AggMergeFanout:  r.out.AggMergeFanout,
-			AggFastRows:     r.out.AggFastRows,
-			AggFallbackRows: r.out.AggFallbackRows,
-
-			SortRuns:         r.out.SortRuns,
-			SortMergeFanout:  r.out.SortMergeFanout,
-			SortFastRows:     r.out.SortFastRows,
-			SortFallbackRows: r.out.SortFallbackRows,
-			TopKPruned:       r.out.TopKPruned,
-
-			ExchangeRows:      r.out.ExchangeRows,
-			RepartitionFanout: r.out.RepartitionFanout,
-			PartitionSkew:     r.out.PartitionSkew,
-
-			Attempt:   r.attempt,
-			Failed:    r.err != nil,
-			Demotions: r.out.Demotions,
+			OpID:    int(r.op),
+			OpName:  st.op.Name(),
+			Worker:  r.worker,
+			Start:   r.start,
+			End:     r.end,
+			Sim:     r.out.Sim,
+			Rows:    r.out.RowsIn,
+			RowsOut: r.out.RowsOut,
+			Kernel:  r.out.Kernel,
+			Attempt: r.attempt,
+			Failed:  r.err != nil,
 		})
 	}
 	if tr := s.ctx.Trace; tr.Enabled() {
@@ -769,17 +733,7 @@ func (s *sched) onComplete(r wres) {
 			EndNS:     tr.Since(r.end),
 			Rows:      r.out.RowsIn,
 			RowsOut:   r.out.RowsOut,
-			Demotions: r.out.Demotions,
-
-			SortRuns:         r.out.SortRuns,
-			SortMergeFanout:  r.out.SortMergeFanout,
-			SortFastRows:     r.out.SortFastRows,
-			SortFallbackRows: r.out.SortFallbackRows,
-			TopKPruned:       r.out.TopKPruned,
-
-			ExchangeRows:      r.out.ExchangeRows,
-			RepartitionFanout: r.out.RepartitionFanout,
-			PartitionSkew:     r.out.PartitionSkew,
+			Kernel:    r.out.Kernel,
 		})
 	}
 	if retry {
@@ -792,14 +746,10 @@ func (s *sched) onComplete(r wres) {
 			Op: int32(r.op), Attempt: int32(r.attempt), Batch: r.batch,
 			StartNS: s.ctx.Trace.Now(),
 		})
-		s.queue = append(s.queue, job{
-			op: r.op, wo: r.wo,
-			attempt:   r.attempt,
-			notBefore: now().Add(s.retryBackoff(r.attempt)),
-			enqueueNS: s.ctx.Trace.Now(),
-			batch:     r.batch,
-			edge:      r.edge,
-		})
+		j := r.job
+		j.notBefore = now().Add(s.retryBackoff(r.attempt))
+		j.enqueueNS = s.ctx.Trace.Now()
+		s.queue = append(s.queue, j)
 		st.queued++
 		return
 	}
@@ -827,7 +777,7 @@ func (s *sched) onComplete(r wres) {
 		// A straggler that completed after the run failed: its output
 		// will never be delivered, so reclaim it here.
 		for _, b := range r.out.Blocks {
-			s.ctx.Pool.Release(b)
+			s.release(b)
 		}
 	}
 	s.check(st)
@@ -867,10 +817,7 @@ func (s *sched) emit(st *opState, blocks []*storage.Block, tags map[*storage.Blo
 			// block whose partition no edge carries, or output of an operator
 			// with only blocking/gate consumers (e.g. a scalar provider,
 			// whose value travels via ScalarValue, not blocks). Reclaim it.
-			s.ctx.Pool.Release(b)
-			if s.ctx.Sim != nil {
-				s.ctx.Sim.Evict(b)
-			}
+			s.release(b)
 			continue
 		}
 		if refs > 0 {
@@ -1020,10 +967,7 @@ func (s *sched) deliver(c *opState, es *edgeState, blocks []*storage.Block) {
 		if err != nil {
 			for _, rb := range blocks {
 				if _, ok := s.rc[rb]; !ok {
-					s.ctx.Pool.Release(rb)
-					if s.ctx.Sim != nil {
-						s.ctx.Sim.Evict(rb)
-					}
+					s.release(rb)
 				}
 			}
 			s.fail(fmt.Errorf("core: delivering %d block(s) to %s: %w", len(blocks), c.op.Name(), err))
@@ -1199,10 +1143,7 @@ func (s *sched) cleanup() {
 			return
 		}
 		released[b] = struct{}{}
-		s.ctx.Pool.Release(b)
-		if s.ctx.Sim != nil {
-			s.ctx.Sim.Evict(b)
-		}
+		s.release(b)
 	}
 	for b := range s.rc {
 		release(b)
@@ -1282,6 +1223,12 @@ func (s *sched) decRef(b *storage.Block) {
 		return
 	}
 	delete(s.rc, b)
+	s.release(b)
+}
+
+// release is the one way a block leaves the run: back to the pool, and out of
+// the cache model.
+func (s *sched) release(b *storage.Block) {
 	s.ctx.Pool.Release(b)
 	if s.ctx.Sim != nil {
 		s.ctx.Sim.Evict(b)

@@ -42,9 +42,6 @@ type Options struct {
 	// MaxDOP, if non-nil, caps per-operator concurrency (scheduler policy
 	// hook).
 	MaxDOP map[core.OpID]int
-	// NoPoolRecycle disables temp-block reuse (fresh allocation per
-	// intermediate block — the MonetDB-style materialization model).
-	NoPoolRecycle bool
 	// MemoryBudget, if positive, softly caps live temporary-block bytes:
 	// block-producing work orders are held while consumers drain (a
 	// Section III-C scheduler policy). Under sustained pressure the
@@ -119,8 +116,8 @@ type Options struct {
 	Exec core.Executor
 	// SharedPool, if non-nil, is the global temp-block pool this execution
 	// draws from through a per-query Subpool view (isolated partial-block
-	// namespace and per-query gauge, shared freelist). NoPoolRecycle is
-	// ignored in this mode — recycling policy belongs to the pool's owner.
+	// namespace and per-query gauge, shared freelist). Recycling policy
+	// belongs to the pool's owner (see storage.Pool.DisableRecycling).
 	SharedPool *storage.Pool
 	// QueryID identifies the query among concurrent executions sharing
 	// Exec, SharedPool, or Trace: it labels the run's stats snapshot, its
@@ -165,9 +162,6 @@ func Execute(b *Builder, opts Options) (*Result, error) {
 		pool = opts.SharedPool.Subpool(&run.Intermediates, run.AddCheckout)
 	} else {
 		pool = storage.NewPool(&run.Intermediates, run.AddCheckout)
-		if opts.NoPoolRecycle {
-			pool.DisableRecycling()
-		}
 	}
 	spillOn := opts.SpillDir != "" && opts.SharedPool == nil
 	if spillOn {

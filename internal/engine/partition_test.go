@@ -68,12 +68,12 @@ func TestPartitionedJoinAggEquivalence(t *testing.T) {
 				}
 				checkJoinAgg(t, res, label)
 				if parts > 1 {
-					if locks, _, _ := res.Run.Contention(); locks != 0 {
-						t.Errorf("%s: partition-local build took %d shard locks, want 0", label, locks)
+					k := res.Run.Kernels()
+					if k.ShardLocks != 0 {
+						t.Errorf("%s: partition-local build took %d shard locks, want 0", label, k.ShardLocks)
 					}
-					rows, fanout, _ := res.Run.ExchangeKernels()
-					if rows == 0 || fanout == 0 {
-						t.Errorf("%s: exchange counters not recorded (rows=%d fanout=%d)", label, rows, fanout)
+					if k.ExchangeRows == 0 || k.RepartitionFanout == 0 {
+						t.Errorf("%s: exchange counters not recorded (rows=%d fanout=%d)", label, k.ExchangeRows, k.RepartitionFanout)
 					}
 				}
 			}
@@ -135,7 +135,7 @@ func TestPartitionSkewCounterReachesRunStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, skew := res.Run.ExchangeKernels(); skew == 0 {
+	if res.Run.Kernels().PartitionSkew == 0 {
 		t.Fatal("constant-key exchange did not record a PartitionSkew trip")
 	}
 	rows := Rows(res.Table)
@@ -153,7 +153,7 @@ func TestPartitionedFallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkJoinAgg(t, res, "parts=1 fallback")
-	if rows, _, _ := res.Run.ExchangeKernels(); rows != 0 {
+	if rows := res.Run.Kernels().ExchangeRows; rows != 0 {
 		t.Fatalf("fan-out 1 still built an exchange (%d rows)", rows)
 	}
 }
@@ -182,8 +182,7 @@ func TestSetPartitionsDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _, _ := res.Run.ExchangeKernels()
-	if rows == 0 {
+	if res.Run.Kernels().ExchangeRows == 0 {
 		t.Fatal("SetPartitions default did not partition the aggregation")
 	}
 	if got := len(Rows(res.Table)); got != 5 {

@@ -39,11 +39,14 @@ func Execute(b *engine.Builder, o Options) (*engine.Result, error) {
 	if o.TempBlockBytes <= 0 {
 		o.TempBlockBytes = 2 << 20
 	}
+	// BAT materialization: a pool of its own that never recycles a block.
+	pool := storage.NewPool(nil, nil)
+	pool.DisableRecycling()
 	return engine.Execute(b, engine.Options{
 		Workers:        o.Workers,
 		UoTBlocks:      core.UoTTable,
 		TempBlockBytes: o.TempBlockBytes,
 		TempFormat:     storage.ColumnStore,
-		NoPoolRecycle:  true,
+		SharedPool:     pool,
 	})
 }

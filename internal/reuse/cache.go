@@ -155,14 +155,9 @@ func (c *Cache) Lookup(fp Fingerprint) *Entry {
 	if ok && c.closed {
 		ok = false
 	}
-	if ok {
-		for _, d := range e.deps {
-			if d.Table.Version() != d.Version {
-				c.dropLocked(e, &c.ctr.Invalidations)
-				ok = false
-				break
-			}
-		}
+	if ok && stale(e.deps) {
+		c.dropLocked(e, &c.ctr.Invalidations)
+		ok = false
 	}
 	if !ok {
 		c.ctr.Misses++
@@ -209,10 +204,17 @@ func (c *Cache) Admit(fp Fingerprint, t *storage.Table, deps []Dep, measuredTick
 		c.ctr.RejectedAdmissions++ // a concurrent fill won the race
 		return false
 	}
-	for _, d := range deps {
-		if d.Table.Version() != d.Version {
-			c.ctr.RejectedAdmissions++ // base table moved during the fill
-			return false
+	if stale(deps) {
+		c.ctr.RejectedAdmissions++ // base table moved during the fill
+		return false
+	}
+	// Fingerprints cover base-table versions, so an entry with a stale dep
+	// can never be looked up again (Lookup's lazy check cannot reach it):
+	// free those first instead of letting them hold budget at their old
+	// benefit until eviction happens to pick them.
+	for _, e := range c.entries {
+		if e.pins == 0 && stale(e.deps) {
+			c.dropLocked(e, &c.ctr.Invalidations)
 		}
 	}
 	if !c.makeRoomLocked(bytes, benefit) {
@@ -227,6 +229,17 @@ func (c *Cache) Admit(fp Fingerprint, t *storage.Table, deps []Dep, measuredTick
 	c.ram += bytes
 	c.ctr.Admissions++
 	return true
+}
+
+// stale reports whether any dep's base table has moved past the version the
+// result was computed against.
+func stale(deps []Dep) bool {
+	for _, d := range deps {
+		if d.Table.Version() != d.Version {
+			return true
+		}
+	}
+	return false
 }
 
 // makeRoomLocked frees RAM for an incoming entry of the given size and

@@ -177,6 +177,43 @@ func TestCacheInvalidation(t *testing.T) {
 	}
 }
 
+// A version bump changes the fingerprint of every later submission, so the
+// old entry can never be looked up (and lazily dropped) again: the next Admit
+// must free it rather than leave it holding budget.
+func TestCacheAdmitFreesUnreachableStaleEntries(t *testing.T) {
+	base := mkTable(t, "base", 1)
+	c := New(Config{Budget: 1 << 20})
+	if !c.Admit(fpN(1), mkTable(t, "r1", 300), depsOf(base), 0, 1) {
+		t.Fatal("admit rejected")
+	}
+	pinned := mkTable(t, "r2", 5)
+	if !c.Admit(fpN(2), pinned, depsOf(base), 0, 1) {
+		t.Fatal("admit rejected")
+	}
+	held := c.Lookup(fpN(2)) // a run still reading the old version
+	base.BumpVersion()
+	r3 := mkTable(t, "r3", 5)
+	if !c.Admit(fpN(3), r3, depsOf(base), 0, 1) {
+		t.Fatal("admit after bump rejected")
+	}
+	if c.Has(fpN(1)) {
+		t.Error("stale unpinned entry survived the next Admit")
+	}
+	if !c.Has(fpN(2)) {
+		t.Error("stale entry dropped while pinned")
+	}
+	if _, ram, _ := c.Occupancy(); ram != pinned.AllocBytes()+r3.AllocBytes() {
+		t.Errorf("ram = %d, want %d (pinned stale + fresh entry only)", ram, pinned.AllocBytes()+r3.AllocBytes())
+	}
+	if got := c.Counters().Invalidations; got != 1 {
+		t.Errorf("Invalidations = %d, want 1", got)
+	}
+	held.Release()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCacheCoolAndFaultIn(t *testing.T) {
 	dir := t.TempDir()
 	cold := mkTable(t, "cold", 30)

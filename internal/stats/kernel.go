@@ -1,0 +1,128 @@
+package stats
+
+// Kernel is the set of hot-path counters one work order reports. It is
+// declared here once and embedded wherever the counters travel — core.Output
+// (where operators bump them), WorkOrder and OpTotals (per-run stats),
+// trace.Event and trace.OpMetrics (the tracer and its JSON/Prometheus
+// exports) — so field promotion keeps `out.AggFastRows++` and
+// `op.AggFastRows` spelled as before while every copy is a struct assignment
+// or Add. Adding a counter is a field here plus its line in KernelCounters
+// and in Add.
+//
+// A rolled-back attempt reports only Demotions (core.Output.Finish clears the
+// rest), so sums over attempts need no failed/succeeded case split.
+type Kernel struct {
+	// ShardLocks counts hash-table shard-lock acquisitions performed by the
+	// work order (the batch insert kernels take each shard lock once per
+	// block instead of once per row).
+	ShardLocks int64 `json:"shard_locks,omitempty"`
+	// BatchedRows counts rows that went through a block-granular batch
+	// kernel (InsertBlock, AddMany, vectorized probe) rather than a
+	// row-at-a-time reference path.
+	BatchedRows int64 `json:"batched_rows,omitempty"`
+	// ScratchHits counts scratch-buffer pool hits: work orders that reused
+	// a previous work order's buffers instead of allocating fresh ones.
+	ScratchHits int64 `json:"scratch_hits,omitempty"`
+
+	// AggPartials counts thread-local partial aggregation tables created by
+	// the work order (free-list misses; the steady state reuses partials
+	// across blocks, so totals approach the worker count).
+	AggPartials int64 `json:"agg_partials,omitempty"`
+	// AggMergeFanout counts radix-partition merge work orders: the
+	// parallelism of the aggregation merge that replaced the global-mutex
+	// merge.
+	AggMergeFanout int64 `json:"agg_merge_fanout,omitempty"`
+	// AggFastRows counts rows aggregated through the vectorized fixed-width
+	// path; AggFallbackRows counts rows through the reference map path
+	// (mixed-type keys, CountDistinct, char min/max).
+	AggFastRows     int64 `json:"agg_fast_rows,omitempty"`
+	AggFallbackRows int64 `json:"agg_fallback_rows,omitempty"`
+
+	// SortRuns counts sorted runs produced by run-generation work orders
+	// (one per fed block on the sort fast path).
+	SortRuns int64 `json:"sort_runs,omitempty"`
+	// SortMergeFanout counts range-partitioned merge work orders: the
+	// parallelism of the k-way merge that replaced the single blocking sort.
+	SortMergeFanout int64 `json:"sort_merge_fanout,omitempty"`
+	// SortFastRows counts rows sorted through the normalized-key path;
+	// SortFallbackRows counts rows through the reference Datum-comparator
+	// path (non-column keys, forced reference, demotion).
+	SortFastRows     int64 `json:"sort_fast_rows,omitempty"`
+	SortFallbackRows int64 `json:"sort_fallback_rows,omitempty"`
+	// TopKPruned counts rows discarded by the bounded top-k heap without
+	// ever being materialized into a run (ORDER BY ... LIMIT pruning).
+	TopKPruned int64 `json:"topk_pruned,omitempty"`
+
+	// ExchangeRows counts rows scattered by exchange repartition work
+	// orders into partition-local output streams.
+	ExchangeRows int64 `json:"exchange_rows,omitempty"`
+	// RepartitionFanout counts distinct partition streams the work order
+	// scattered into (the realized fan-out of the exchange).
+	RepartitionFanout int64 `json:"repartition_fanout,omitempty"`
+	// PartitionSkew counts skew-guard trips: exchanges where one partition
+	// received more than half of all scattered rows.
+	PartitionSkew int64 `json:"partition_skew,omitempty"`
+
+	// Demotions counts fast-path → reference-path demotions this work order
+	// triggered (at most one per operator per run).
+	Demotions int64 `json:"demotions"`
+}
+
+// KernelCounter names one Kernel field: Name is its snake_case export name
+// (the field's JSON key, and uot_<Name>_total in Prometheus text), Help the
+// Prometheus HELP line, Of the field accessor.
+type KernelCounter struct {
+	Name, Help string
+	Of         func(*Kernel) *int64
+}
+
+// KernelCounters is the single name table behind Each and the per-operator
+// Prometheus counters, in Kernel field order. A reflection test fails if a
+// Kernel field is missing here or in Add.
+var KernelCounters = []KernelCounter{
+	{"shard_locks", "Hash-table shard-lock acquisitions per operator.", func(k *Kernel) *int64 { return &k.ShardLocks }},
+	{"batched_rows", "Rows through block-granular batch kernels per operator.", func(k *Kernel) *int64 { return &k.BatchedRows }},
+	{"scratch_hits", "Scratch-buffer pool reuse hits per operator.", func(k *Kernel) *int64 { return &k.ScratchHits }},
+	{"agg_partials", "Thread-local partial aggregation tables created per operator.", func(k *Kernel) *int64 { return &k.AggPartials }},
+	{"agg_merge_fanout", "Radix-partition aggregation merge work orders per operator.", func(k *Kernel) *int64 { return &k.AggMergeFanout }},
+	{"agg_fast_rows", "Rows aggregated through the vectorized fixed-width path per operator.", func(k *Kernel) *int64 { return &k.AggFastRows }},
+	{"agg_fallback_rows", "Rows aggregated through the reference map path per operator.", func(k *Kernel) *int64 { return &k.AggFallbackRows }},
+	{"sort_runs", "Sorted runs generated per operator (sort fast path).", func(k *Kernel) *int64 { return &k.SortRuns }},
+	{"sort_merge_fanout", "Range-partitioned sort merge work orders per operator.", func(k *Kernel) *int64 { return &k.SortMergeFanout }},
+	{"sort_fast_rows", "Rows sorted through the normalized-key path per operator.", func(k *Kernel) *int64 { return &k.SortFastRows }},
+	{"sort_fallback_rows", "Rows sorted through the reference Datum path per operator.", func(k *Kernel) *int64 { return &k.SortFallbackRows }},
+	{"topk_pruned", "Rows pruned by the bounded top-k heap per operator.", func(k *Kernel) *int64 { return &k.TopKPruned }},
+	{"exchange_rows", "Rows scattered into partition-local streams per exchange operator.", func(k *Kernel) *int64 { return &k.ExchangeRows }},
+	{"repartition_fanout", "Partition streams scattered into per exchange operator.", func(k *Kernel) *int64 { return &k.RepartitionFanout }},
+	{"partition_skew", "Exchange skew-guard trips (more than half of all rows in one partition).", func(k *Kernel) *int64 { return &k.PartitionSkew }},
+	{"demotions", "Fast-path to reference-path demotions per operator.", func(k *Kernel) *int64 { return &k.Demotions }},
+}
+
+// Add sums o's counters into k. Spelled out rather than looped over
+// KernelCounters: an accessor call through the table would move o to the
+// heap, and the tracer's recording path must stay allocation-free.
+func (k *Kernel) Add(o Kernel) {
+	k.ShardLocks += o.ShardLocks
+	k.BatchedRows += o.BatchedRows
+	k.ScratchHits += o.ScratchHits
+	k.AggPartials += o.AggPartials
+	k.AggMergeFanout += o.AggMergeFanout
+	k.AggFastRows += o.AggFastRows
+	k.AggFallbackRows += o.AggFallbackRows
+	k.SortRuns += o.SortRuns
+	k.SortMergeFanout += o.SortMergeFanout
+	k.SortFastRows += o.SortFastRows
+	k.SortFallbackRows += o.SortFallbackRows
+	k.TopKPruned += o.TopKPruned
+	k.ExchangeRows += o.ExchangeRows
+	k.RepartitionFanout += o.RepartitionFanout
+	k.PartitionSkew += o.PartitionSkew
+	k.Demotions += o.Demotions
+}
+
+// Each calls fn with every counter's export name and value, in table order.
+func (k Kernel) Each(fn func(name string, v int64)) {
+	for _, c := range KernelCounters {
+		fn(c.Name, *c.Of(&k))
+	}
+}

@@ -54,7 +54,7 @@ func TestConcurrentSnapshotNoTornReads(t *testing.T) {
 				return
 			}
 			_ = r.TotalSim()
-			_, _, _ = r.Contention()
+			_ = r.Kernels()
 		}
 	}()
 
@@ -70,7 +70,7 @@ func TestConcurrentSnapshotNoTornReads(t *testing.T) {
 					OpID: w % 3, OpName: "op", Worker: w,
 					Start: now, End: now.Add(time.Microsecond),
 					Rows: 10, RowsOut: 5, Sim: 7,
-					Demotions: int64(i % 2),
+					Kernel: Kernel{Demotions: int64(i % 2)},
 				})
 				r.AddCheckout()
 				r.AddRetry()

@@ -56,39 +56,15 @@ type WorkOrder struct {
 	Rows    int64 // input rows processed
 	RowsOut int64 // output rows produced
 
-	// Contention counters from the batch kernels (see core.Output).
-	ShardLocks  int64 // hash-table shard-lock acquisitions
-	BatchedRows int64 // rows processed by block-granular batch kernels
-	ScratchHits int64 // scratch-buffer pool reuse hits
-
-	// Aggregation-kernel counters (see core.Output).
-	AggPartials     int64 // thread-local partial aggregation tables created
-	AggMergeFanout  int64 // radix-partition merge work orders
-	AggFastRows     int64 // rows through the vectorized fixed-width path
-	AggFallbackRows int64 // rows through the reference map path
-
-	// Sort-kernel counters (see core.Output).
-	SortRuns         int64 // sorted runs produced by run generation
-	SortMergeFanout  int64 // range-partitioned merge work orders
-	SortFastRows     int64 // rows sorted through the normalized-key path
-	SortFallbackRows int64 // rows sorted through the reference Datum path
-	TopKPruned       int64 // rows pruned by the bounded top-k heap
-
-	// Exchange-kernel counters (see core.Output).
-	ExchangeRows      int64 // rows scattered into partition-local streams
-	RepartitionFanout int64 // distinct partition streams scattered into
-	PartitionSkew     int64 // skew-guard trips (>50% of rows in one partition)
+	// Kernel holds the work order's hot-path counters (zero but for
+	// Demotions on a failed attempt).
+	Kernel
 
 	// Robustness fields: which execution attempt this record is (1 = first)
 	// and whether the attempt failed. Failed attempts are rolled back by the
-	// scheduler, so their row and kernel counters are excluded from operator
-	// totals.
+	// scheduler, so their row counters are excluded from operator totals.
 	Attempt int
 	Failed  bool
-
-	// Demotions counts fast-path → reference-path operator demotions
-	// triggered by this work order.
-	Demotions int64
 }
 
 // Wall returns the wall-clock duration of the work order.
@@ -104,28 +80,12 @@ type OpTotals struct {
 	Rows      int64
 	RowsOut   int64
 
-	ShardLocks  int64
-	BatchedRows int64
-	ScratchHits int64
-
-	AggPartials     int64
-	AggMergeFanout  int64
-	AggFastRows     int64
-	AggFallbackRows int64
-
-	SortRuns         int64
-	SortMergeFanout  int64
-	SortFastRows     int64
-	SortFallbackRows int64
-	TopKPruned       int64
-
-	ExchangeRows      int64
-	RepartitionFanout int64
-	PartitionSkew     int64
+	// Kernel sums the hot-path counters of every attempt.
+	Kernel
 
 	// FailedAttempts counts rolled-back work-order attempts of the operator
 	// (they are included in Count and WallTotal — the time was spent — but
-	// not in the row or kernel counters).
+	// not in the row counters).
 	FailedAttempts int
 }
 
@@ -456,29 +416,15 @@ func (r *Run) PerOp() []OpTotals {
 		t.Count++
 		t.WallTotal += w.Wall()
 		t.SimTotal += w.Sim
+		t.Kernel.Add(w.Kernel)
 		if w.Failed {
 			// The attempt was rolled back: its time was spent but its
-			// output (and kernel work) does not count.
+			// output does not count.
 			t.FailedAttempts++
 			continue
 		}
 		t.Rows += w.Rows
 		t.RowsOut += w.RowsOut
-		t.ShardLocks += w.ShardLocks
-		t.BatchedRows += w.BatchedRows
-		t.ScratchHits += w.ScratchHits
-		t.AggPartials += w.AggPartials
-		t.AggMergeFanout += w.AggMergeFanout
-		t.AggFastRows += w.AggFastRows
-		t.AggFallbackRows += w.AggFallbackRows
-		t.SortRuns += w.SortRuns
-		t.SortMergeFanout += w.SortMergeFanout
-		t.SortFastRows += w.SortFastRows
-		t.SortFallbackRows += w.SortFallbackRows
-		t.TopKPruned += w.TopKPruned
-		t.ExchangeRows += w.ExchangeRows
-		t.RepartitionFanout += w.RepartitionFanout
-		t.PartitionSkew += w.PartitionSkew
 	}
 	out := make([]OpTotals, 0, len(m))
 	for _, t := range m {
@@ -507,56 +453,15 @@ func (r *Run) TotalSim() int64 {
 	return s
 }
 
-// Contention sums the batch-kernel contention counters across all work
-// orders: shard-lock acquisitions, rows processed through batch kernels,
-// and scratch-buffer reuse hits.
-func (r *Run) Contention() (shardLocks, batchedRows, scratchHits int64) {
-	for _, t := range r.PerOp() {
-		shardLocks += t.ShardLocks
-		batchedRows += t.BatchedRows
-		scratchHits += t.ScratchHits
+// Kernels sums the kernel counters across all work orders.
+func (r *Run) Kernels() Kernel {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var k Kernel
+	for i := range r.orders {
+		k.Add(r.orders[i].Kernel)
 	}
-	return
-}
-
-// AggKernels sums the aggregation-kernel counters across all work orders:
-// partial tables created, merge work orders run (the merge fan-out), and
-// rows aggregated through the vectorized vs the reference path.
-func (r *Run) AggKernels() (partials, mergeFanout, fastRows, fallbackRows int64) {
-	for _, t := range r.PerOp() {
-		partials += t.AggPartials
-		mergeFanout += t.AggMergeFanout
-		fastRows += t.AggFastRows
-		fallbackRows += t.AggFallbackRows
-	}
-	return
-}
-
-// SortKernels sums the sort-kernel counters across all work orders: sorted
-// runs generated, merge work orders run (the merge fan-out), rows sorted
-// through the normalized-key vs the reference path, and rows pruned by the
-// top-k heap.
-func (r *Run) SortKernels() (runs, mergeFanout, fastRows, fallbackRows, topkPruned int64) {
-	for _, t := range r.PerOp() {
-		runs += t.SortRuns
-		mergeFanout += t.SortMergeFanout
-		fastRows += t.SortFastRows
-		fallbackRows += t.SortFallbackRows
-		topkPruned += t.TopKPruned
-	}
-	return
-}
-
-// ExchangeKernels sums the exchange-kernel counters across all work orders:
-// rows scattered into partition-local streams, the realized repartition
-// fan-out, and skew-guard trips.
-func (r *Run) ExchangeKernels() (rows, fanout, skew int64) {
-	for _, t := range r.PerOp() {
-		rows += t.ExchangeRows
-		fanout += t.RepartitionFanout
-		skew += t.PartitionSkew
-	}
-	return
+	return k
 }
 
 // TotalWallWork returns the sum of wall-clock work-order durations (CPU work,

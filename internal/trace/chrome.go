@@ -108,9 +108,11 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			if e.Flags&FlagRetried != 0 {
 				args["retried"] = true
 			}
-			if e.Demotions > 0 {
-				args["demotions"] = e.Demotions
-			}
+			e.Kernel.Each(func(name string, v int64) {
+				if v > 0 {
+					args[name] = v
+				}
+			})
 			out.TraceEvents = append(out.TraceEvents, chromeEvent{
 				Name: name, Cat: "workorder", Ph: "X",
 				Ts: us(e.StartNS), Dur: us(e.EndNS - e.StartNS),

@@ -6,6 +6,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 func readFile(t *testing.T, path string) string {
@@ -246,5 +248,125 @@ func TestPromEscape(t *testing.T) {
 	got := promEscape("a\\b\"c\nd")
 	if got != `a\\b\"c\nd` {
 		t.Fatalf("promEscape = %q", got)
+	}
+}
+
+// kernelFixture is one section whose operators each touched a different slice
+// of the kernel counters.
+func kernelFixture() *Tracer {
+	tr := New(64)
+	tr.StartRun("q")
+	for id, name := range []string{"build(orders)", "agg(lineitem)", "sort", "exchange"} {
+		tr.RegisterOp(id, name)
+	}
+	tr.RegisterEdge(0, EdgeInfo{From: 1, To: 2, FromName: "agg(lineitem)", ToName: "sort", Pipelined: true, UoT: 1})
+	tr.Span(Event{Op: 0, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{ShardLocks: 3, BatchedRows: 100}})
+	tr.Span(Event{Op: 1, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{AggFastRows: 40, AggFallbackRows: 2}})
+	tr.Span(Event{Op: 1, StartNS: 2, EndNS: 3, Flags: FlagFailed, Kernel: stats.Kernel{Demotions: 1}})
+	tr.Span(Event{Op: 2, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{SortRuns: 4, TopKPruned: 9}})
+	tr.Span(Event{Op: 3, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{ExchangeRows: 50, PartitionSkew: 1}})
+	tr.EndRun(false)
+	return tr
+}
+
+// Every kernel counter reaches both exports under its stats.KernelCounters
+// name — not only the sort/exchange half the tracer used to copy by hand.
+func TestKernelCountersReachBothExports(t *testing.T) {
+	m := kernelFixture().Snapshot()
+	var js, prom bytes.Buffer
+	if err := m.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	var ops struct {
+		Runs []struct {
+			Ops []map[string]any `json:"ops"`
+		} `json:"runs"`
+	}
+	if err := json.Unmarshal(js.Bytes(), &ops); err != nil {
+		t.Fatal(err)
+	}
+	build, agg := ops.Runs[0].Ops[0], ops.Runs[0].Ops[1]
+	if build["shard_locks"] != 3.0 || agg["agg_fast_rows"] != 40.0 || agg["demotions"] != 1.0 {
+		t.Fatalf("JSON ops: build=%v agg=%v", build, agg)
+	}
+	if _, ok := build["agg_fast_rows"]; ok {
+		t.Error("zero kernel counter not omitted from JSON")
+	}
+	if _, ok := build["demotions"]; !ok {
+		t.Error("demotions must stay present when zero")
+	}
+	for _, want := range []string{
+		`uot_shard_locks_total{run="q",op="build(orders)"} 3`,
+		`uot_agg_fast_rows_total{run="q",op="agg(lineitem)"} 40`,
+		`uot_demotions_total{run="q",op="agg(lineitem)"} 1`,
+		// The four families that predate the name table, help text included.
+		"# HELP uot_sort_runs_total Sorted runs generated per operator (sort fast path).\n# TYPE uot_sort_runs_total counter\n" +
+			`uot_sort_runs_total{run="q",op="sort"} 4`,
+		"# HELP uot_topk_pruned_total Rows pruned by the bounded top-k heap per operator.\n# TYPE uot_topk_pruned_total counter\n" +
+			`uot_topk_pruned_total{run="q",op="sort"} 9`,
+		"# HELP uot_exchange_rows_total Rows scattered into partition-local streams per exchange operator.\n# TYPE uot_exchange_rows_total counter\n" +
+			`uot_exchange_rows_total{run="q",op="exchange"} 50`,
+		"# HELP uot_partition_skew_total Exchange skew-guard trips (more than half of all rows in one partition).\n# TYPE uot_partition_skew_total counter\n" +
+			`uot_partition_skew_total{run="q",op="exchange"} 1`,
+	} {
+		if !strings.Contains(prom.String(), want) {
+			t.Errorf("Prometheus text missing %q", want)
+		}
+	}
+	if strings.Contains(prom.String(), `uot_shard_locks_total{run="q",op="sort"}`) {
+		t.Error("operator with a zero kernel counter still emits a sample")
+	}
+}
+
+// The metric families and label sets that existed before the kernel counters
+// became table-driven, in exposition order.
+func TestPrometheusFamiliesAndLabelsUnchanged(t *testing.T) {
+	want := []string{
+		"uot_trace_dropped_events{}",
+		"uot_workorders_total{run,op}", "uot_workorder_failures_total{run,op}", "uot_workorder_retries_total{run,op}",
+		"uot_op_busy_nanoseconds_total{run,op}", "uot_op_queue_nanoseconds_total{run,op}", "uot_op_rows_out_total{run,op}",
+		"uot_sort_runs_total{run,op}", "uot_topk_pruned_total{run,op}",
+		"uot_exchange_rows_total{run,op}", "uot_partition_skew_total{run,op}",
+		"uot_edge_batches_total{run,edge}", "uot_edge_blocks_total{run,edge}", "uot_edge_buffered_max_blocks{run,edge}",
+		"uot_edge_stall_nanoseconds_total{run,edge}", "uot_edge_uot_blocks{run,edge}",
+		"uot_spill_blocks_total{run,dir}", "uot_spill_bytes_total{run,dir}", "uot_spill_stall_nanoseconds_total{run,kind}",
+		"uot_reuse_hits_total{run,kind}", "uot_reuse_spliced_ops_total{run,kind}",
+		"uot_reuse_bytes_total{run,dir}", "uot_reuse_evictions_total{run,kind}",
+	}
+	var buf bytes.Buffer
+	if err := kernelFixture().Snapshot().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	seen := map[string]bool{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		series, _, _ := strings.Cut(line, " ")
+		name, labels, _ := strings.Cut(series, "{")
+		var keys []string
+		for _, kv := range strings.Split(strings.TrimSuffix(labels, "}"), `",`) {
+			if k, _, ok := strings.Cut(kv, "="); ok {
+				keys = append(keys, k)
+			}
+		}
+		fam := name + "{" + strings.Join(keys, ",") + "}"
+		if !seen[fam] {
+			seen[fam] = true
+			got = append(got, fam)
+		}
+	}
+	i := 0
+	for _, fam := range got {
+		if i < len(want) && fam == want[i] {
+			i++
+		}
+	}
+	if i != len(want) {
+		t.Fatalf("pre-existing family %q missing or out of order in %v", want[i], got)
 	}
 }

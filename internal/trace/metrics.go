@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"repro/internal/stats"
 )
 
 // Metrics is a machine-readable snapshot of the tracer's aggregates. Unlike
@@ -52,28 +54,20 @@ type RunMetrics struct {
 
 // OpMetrics aggregates one operator's work-order spans.
 type OpMetrics struct {
-	Op        int    `json:"op"`
-	Name      string `json:"name"`
-	Spans     int64  `json:"spans"`     // completed attempts, failures included
-	Failed    int64  `json:"failed"`    // rolled-back attempts
-	Retries   int64  `json:"retries"`   // failed attempts that were re-dispatched
-	Rows      int64  `json:"rows_in"`   // input rows of successful attempts
-	RowsOut   int64  `json:"rows_out"`  // output rows of successful attempts
-	BusyNS    int64  `json:"busy_ns"`   // summed attempt wall time
-	QueueNS   int64  `json:"queue_ns"`  // summed enqueue→start latency
-	Demotions int64  `json:"demotions"` // fast-path → reference-path demotions
+	Op      int    `json:"op"`
+	Name    string `json:"name"`
+	Spans   int64  `json:"spans"`    // completed attempts, failures included
+	Failed  int64  `json:"failed"`   // rolled-back attempts
+	Retries int64  `json:"retries"`  // failed attempts that were re-dispatched
+	Rows    int64  `json:"rows_in"`  // input rows of successful attempts
+	RowsOut int64  `json:"rows_out"` // output rows of successful attempts
+	BusyNS  int64  `json:"busy_ns"`  // summed attempt wall time
+	QueueNS int64  `json:"queue_ns"` // summed enqueue→start latency
 
-	// Sort-kernel counters (zero for non-sort operators).
-	SortRuns         int64 `json:"sort_runs,omitempty"`          // sorted runs generated
-	SortMergeFanout  int64 `json:"sort_merge_fanout,omitempty"`  // parallel merge work orders
-	SortFastRows     int64 `json:"sort_fast_rows,omitempty"`     // rows via normalized keys
-	SortFallbackRows int64 `json:"sort_fallback_rows,omitempty"` // rows via the reference path
-	TopKPruned       int64 `json:"topk_pruned,omitempty"`        // rows pruned by the top-k heap
-
-	// Exchange-kernel counters (zero for non-exchange operators).
-	ExchangeRows      int64 `json:"exchange_rows,omitempty"`      // rows scattered to partitions
-	RepartitionFanout int64 `json:"repartition_fanout,omitempty"` // partition streams scattered into
-	PartitionSkew     int64 `json:"partition_skew,omitempty"`     // skew-guard trips
+	// Kernel sums the attempts' hot-path counters; its fields marshal inline
+	// under their stats.KernelCounters names (zero ones omitted, demotions
+	// always present).
+	stats.Kernel
 }
 
 // EdgeMetrics aggregates one pipelined edge's gauge samples.
@@ -113,28 +107,8 @@ func (t *Tracer) Snapshot() Metrics {
 		if r.endNS > r.beginNS {
 			rm.WallNS = r.endNS - r.beginNS
 		}
-		for id, name := range r.ops {
-			a := r.opAggs[id]
-			rm.Ops = append(rm.Ops, OpMetrics{
-				Op: id, Name: name, Spans: a.spans, Failed: a.failed, Retries: a.retries,
-				Rows: a.rows, RowsOut: a.rowsOut, BusyNS: a.busyNS, QueueNS: a.queueNS,
-				Demotions: a.demotions,
-				SortRuns:  a.sortRuns, SortMergeFanout: a.sortMergeFanout,
-				SortFastRows: a.sortFastRows, SortFallbackRows: a.sortFallbackRows,
-				TopKPruned:   a.topkPruned,
-				ExchangeRows: a.exchangeRows, RepartitionFanout: a.repartitionFanout,
-				PartitionSkew: a.partitionSkew,
-			})
-		}
-		for id, info := range r.edges {
-			a := r.edgeAgg[id]
-			rm.Edges = append(rm.Edges, EdgeMetrics{
-				Edge: id, From: info.FromName, To: info.ToName, Input: info.Input,
-				Pipelined: info.Pipelined, UoT: a.lastUoT, Samples: a.samples,
-				Batches: a.batches, Blocks: a.blocks, MaxBuffered: a.maxBuffered,
-				StallNS: a.stallNS,
-			})
-		}
+		rm.Ops = append(rm.Ops, r.opAggs...)
+		rm.Edges = append(rm.Edges, r.edgeAgg...)
 		m.Runs = append(m.Runs, rm)
 	}
 	return m
@@ -170,117 +144,57 @@ func (m Metrics) WritePrometheus(w io.Writer) error {
 			})
 		}
 	}
-	emit("uot_workorders_total", "Completed work-order attempts per operator.", "counter",
-		func(run RunMetrics, add func(string, int64)) {
+	opLabel := func(o OpMetrics) string { return fmt.Sprintf("op=%q", promEscape(o.Name)) }
+	for _, c := range []struct {
+		name, help string
+		of         func(OpMetrics) int64
+	}{
+		{"uot_workorders_total", "Completed work-order attempts per operator.", func(o OpMetrics) int64 { return o.Spans }},
+		{"uot_workorder_failures_total", "Rolled-back work-order attempts per operator.", func(o OpMetrics) int64 { return o.Failed }},
+		{"uot_workorder_retries_total", "Re-dispatched transient failures per operator.", func(o OpMetrics) int64 { return o.Retries }},
+		{"uot_op_busy_nanoseconds_total", "Summed work-order wall time per operator.", func(o OpMetrics) int64 { return o.BusyNS }},
+		{"uot_op_queue_nanoseconds_total", "Summed enqueue-to-start latency per operator.", func(o OpMetrics) int64 { return o.QueueNS }},
+		{"uot_op_rows_out_total", "Output rows of successful attempts per operator.", func(o OpMetrics) int64 { return o.RowsOut }},
+	} {
+		emit(c.name, c.help, "counter", func(run RunMetrics, add func(string, int64)) {
 			for _, o := range run.Ops {
-				add(fmt.Sprintf("op=%q", promEscape(o.Name)), o.Spans)
+				add(opLabel(o), c.of(o))
 			}
 		})
-	emit("uot_workorder_failures_total", "Rolled-back work-order attempts per operator.", "counter",
-		func(run RunMetrics, add func(string, int64)) {
-			for _, o := range run.Ops {
-				add(fmt.Sprintf("op=%q", promEscape(o.Name)), o.Failed)
-			}
-		})
-	emit("uot_workorder_retries_total", "Re-dispatched transient failures per operator.", "counter",
-		func(run RunMetrics, add func(string, int64)) {
-			for _, o := range run.Ops {
-				add(fmt.Sprintf("op=%q", promEscape(o.Name)), o.Retries)
-			}
-		})
-	emit("uot_op_busy_nanoseconds_total", "Summed work-order wall time per operator.", "counter",
-		func(run RunMetrics, add func(string, int64)) {
-			for _, o := range run.Ops {
-				add(fmt.Sprintf("op=%q", promEscape(o.Name)), o.BusyNS)
-			}
-		})
-	emit("uot_op_queue_nanoseconds_total", "Summed enqueue-to-start latency per operator.", "counter",
-		func(run RunMetrics, add func(string, int64)) {
-			for _, o := range run.Ops {
-				add(fmt.Sprintf("op=%q", promEscape(o.Name)), o.QueueNS)
-			}
-		})
-	emit("uot_op_rows_out_total", "Output rows of successful attempts per operator.", "counter",
-		func(run RunMetrics, add func(string, int64)) {
-			for _, o := range run.Ops {
-				add(fmt.Sprintf("op=%q", promEscape(o.Name)), o.RowsOut)
-			}
-		})
-	emit("uot_sort_runs_total", "Sorted runs generated per operator (sort fast path).", "counter",
-		func(run RunMetrics, add func(string, int64)) {
-			for _, o := range run.Ops {
-				if o.SortRuns > 0 {
-					add(fmt.Sprintf("op=%q", promEscape(o.Name)), o.SortRuns)
+	}
+	// The kernel counters come straight from the stats name table, one
+	// uot_<name>_total family each; operators that never touched a counter
+	// emit no sample for it.
+	for _, c := range stats.KernelCounters {
+		emit("uot_"+c.Name+"_total", c.Help, "counter", func(run RunMetrics, add func(string, int64)) {
+			for i := range run.Ops {
+				if v := *c.Of(&run.Ops[i].Kernel); v > 0 {
+					add(opLabel(run.Ops[i]), v)
 				}
 			}
 		})
-	emit("uot_topk_pruned_total", "Rows pruned by the bounded top-k heap per operator.", "counter",
-		func(run RunMetrics, add func(string, int64)) {
-			for _, o := range run.Ops {
-				if o.TopKPruned > 0 {
-					add(fmt.Sprintf("op=%q", promEscape(o.Name)), o.TopKPruned)
-				}
-			}
-		})
-	emit("uot_exchange_rows_total", "Rows scattered into partition-local streams per exchange operator.", "counter",
-		func(run RunMetrics, add func(string, int64)) {
-			for _, o := range run.Ops {
-				if o.ExchangeRows > 0 {
-					add(fmt.Sprintf("op=%q", promEscape(o.Name)), o.ExchangeRows)
-				}
-			}
-		})
-	emit("uot_partition_skew_total", "Exchange skew-guard trips (more than half of all rows in one partition).", "counter",
-		func(run RunMetrics, add func(string, int64)) {
-			for _, o := range run.Ops {
-				if o.PartitionSkew > 0 {
-					add(fmt.Sprintf("op=%q", promEscape(o.Name)), o.PartitionSkew)
-				}
-			}
-		})
+	}
 	edgeLabel := func(e EdgeMetrics) string {
 		return fmt.Sprintf("edge=%q", promEscape(fmt.Sprintf("%s->%s#%d", e.From, e.To, e.Input)))
 	}
-	emit("uot_edge_batches_total", "UoT-sized deliveries per pipelined edge.", "counter",
-		func(run RunMetrics, add func(string, int64)) {
+	for _, c := range []struct {
+		name, help, typ string
+		of              func(EdgeMetrics) int64
+	}{
+		{"uot_edge_batches_total", "UoT-sized deliveries per pipelined edge.", "counter", func(e EdgeMetrics) int64 { return e.Batches }},
+		{"uot_edge_blocks_total", "Blocks delivered per pipelined edge.", "counter", func(e EdgeMetrics) int64 { return e.Blocks }},
+		{"uot_edge_buffered_max_blocks", "High-water buffered blocks per pipelined edge.", "gauge", func(e EdgeMetrics) int64 { return int64(e.MaxBuffered) }},
+		{"uot_edge_stall_nanoseconds_total", "Summed buffered-wait before delivery per pipelined edge.", "counter", func(e EdgeMetrics) int64 { return e.StallNS }},
+		{"uot_edge_uot_blocks", "Current UoT threshold per pipelined edge (raises observable).", "gauge", func(e EdgeMetrics) int64 { return e.UoT }},
+	} {
+		emit(c.name, c.help, c.typ, func(run RunMetrics, add func(string, int64)) {
 			for _, e := range run.Edges {
 				if e.Pipelined {
-					add(edgeLabel(e), e.Batches)
+					add(edgeLabel(e), c.of(e))
 				}
 			}
 		})
-	emit("uot_edge_blocks_total", "Blocks delivered per pipelined edge.", "counter",
-		func(run RunMetrics, add func(string, int64)) {
-			for _, e := range run.Edges {
-				if e.Pipelined {
-					add(edgeLabel(e), e.Blocks)
-				}
-			}
-		})
-	emit("uot_edge_buffered_max_blocks", "High-water buffered blocks per pipelined edge.", "gauge",
-		func(run RunMetrics, add func(string, int64)) {
-			for _, e := range run.Edges {
-				if e.Pipelined {
-					add(edgeLabel(e), int64(e.MaxBuffered))
-				}
-			}
-		})
-	emit("uot_edge_stall_nanoseconds_total", "Summed buffered-wait before delivery per pipelined edge.", "counter",
-		func(run RunMetrics, add func(string, int64)) {
-			for _, e := range run.Edges {
-				if e.Pipelined {
-					add(edgeLabel(e), e.StallNS)
-				}
-			}
-		})
-	emit("uot_edge_uot_blocks", "Current UoT threshold per pipelined edge (raises observable).", "gauge",
-		func(run RunMetrics, add func(string, int64)) {
-			for _, e := range run.Edges {
-				if e.Pipelined {
-					add(edgeLabel(e), e.UoT)
-				}
-			}
-		})
+	}
 	emit("uot_spill_blocks_total", "Temp blocks moved between RAM and the spill tier, by direction.", "counter",
 		func(run RunMetrics, add func(string, int64)) {
 			add(`dir="out"`, run.SpillBlocksOut)

@@ -32,6 +32,8 @@ package trace
 import (
 	"sync"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // Kind classifies a recorded event.
@@ -122,21 +124,13 @@ type Event struct {
 	StartNS   int64 // when the attempt started on a worker (sample time for KindEdge/KindMark)
 	EndNS     int64 // when the attempt finished
 
-	Rows      int64 // input rows consumed by the attempt
-	RowsOut   int64 // output rows produced by the attempt
-	Demotions int64 // fast-path → reference-path demotions it triggered
+	Rows    int64 // input rows consumed by the attempt
+	RowsOut int64 // output rows produced by the attempt
 
-	// Sort-kernel counters (KindSpan; see core.Output).
-	SortRuns         int64 // sorted runs produced by run generation
-	SortMergeFanout  int64 // range-partitioned merge work orders
-	SortFastRows     int64 // rows sorted through the normalized-key path
-	SortFallbackRows int64 // rows sorted through the reference Datum path
-	TopKPruned       int64 // rows pruned by the bounded top-k heap
-
-	// Exchange-kernel counters (KindSpan; see core.Output).
-	ExchangeRows      int64 // rows scattered into partition-local streams
-	RepartitionFanout int64 // distinct partition streams scattered into
-	PartitionSkew     int64 // skew-guard trips
+	// Kernel is the attempt's hot-path counters (KindSpan). They are summed
+	// for failed attempts too: core.Output.Finish leaves a rolled-back
+	// attempt only the counters that outlive it.
+	stats.Kernel
 
 	// Edge-sample gauges (KindEdge).
 	Buffered   int32 // blocks buffered on the edge after the transition
@@ -157,39 +151,17 @@ type EdgeInfo struct {
 	UoT       int    // the edge's initial UoT in blocks (0 for blocking edges)
 }
 
-// opAgg accumulates per-operator metrics outside the ring.
-type opAgg struct {
-	spans, failed, retries int64
-	rows, rowsOut          int64
-	busyNS, queueNS        int64
-	demotions              int64
-
-	sortRuns, sortMergeFanout      int64
-	sortFastRows, sortFallbackRows int64
-	topkPruned                     int64
-
-	exchangeRows, repartitionFanout int64
-	partitionSkew                   int64
-}
-
-// edgeAgg accumulates per-edge metrics outside the ring.
-type edgeAgg struct {
-	samples, batches, blocks int64
-	maxBuffered              int32
-	stallNS                  int64
-	lastUoT                  int64
-}
-
 // runMeta is one traced execution section: its label, registered operators
-// and edges, and their aggregates.
+// and edges, and their aggregates — kept outside the ring, directly in the
+// form Snapshot exports them.
 type runMeta struct {
 	pid     int32
 	query   int32 // query id span label (-1 when the section has none)
 	label   string
 	ops     []string
-	opAggs  []opAgg
+	opAggs  []OpMetrics
 	edges   []EdgeInfo
-	edgeAgg []edgeAgg
+	edgeAgg []EdgeMetrics
 	beginNS int64
 	endNS   int64
 	failed  bool
@@ -360,9 +332,10 @@ func (t *Tracer) RegisterOpIn(h int32, id int, name string) {
 	r := t.sectionOrOpen(h)
 	for len(r.ops) <= id {
 		r.ops = append(r.ops, "")
-		r.opAggs = append(r.opAggs, opAgg{})
+		r.opAggs = append(r.opAggs, OpMetrics{Op: len(r.opAggs)})
 	}
 	r.ops[id] = name
+	r.opAggs[id].Name = name
 	t.mu.Unlock()
 }
 
@@ -378,10 +351,11 @@ func (t *Tracer) RegisterEdgeIn(h int32, id int, info EdgeInfo) {
 	r := t.sectionOrOpen(h)
 	for len(r.edges) <= id {
 		r.edges = append(r.edges, EdgeInfo{})
-		r.edgeAgg = append(r.edgeAgg, edgeAgg{})
+		r.edgeAgg = append(r.edgeAgg, EdgeMetrics{Edge: len(r.edgeAgg)})
 	}
 	r.edges[id] = info
-	r.edgeAgg[id].lastUoT = int64(info.UoT)
+	a := &r.edgeAgg[id]
+	a.From, a.To, a.Input, a.Pipelined, a.UoT = info.FromName, info.ToName, info.Input, info.Pipelined, int64(info.UoT)
 	t.mu.Unlock()
 }
 
@@ -400,28 +374,20 @@ func (t *Tracer) SpanIn(h int32, e Event) {
 	r := t.section(h)
 	if r != nil && int(e.Op) < len(r.opAggs) {
 		a := &r.opAggs[e.Op]
-		a.spans++
-		a.busyNS += e.EndNS - e.StartNS
+		a.Spans++
+		a.BusyNS += e.EndNS - e.StartNS
 		if e.EnqueueNS > 0 && e.StartNS > e.EnqueueNS {
-			a.queueNS += e.StartNS - e.EnqueueNS
+			a.QueueNS += e.StartNS - e.EnqueueNS
 		}
-		a.demotions += e.Demotions
+		a.Kernel.Add(e.Kernel)
 		if e.Flags&FlagFailed != 0 {
-			a.failed++
+			a.Failed++
 			if e.Flags&FlagRetried != 0 {
-				a.retries++
+				a.Retries++
 			}
 		} else {
-			a.rows += e.Rows
-			a.rowsOut += e.RowsOut
-			a.sortRuns += e.SortRuns
-			a.sortMergeFanout += e.SortMergeFanout
-			a.sortFastRows += e.SortFastRows
-			a.sortFallbackRows += e.SortFallbackRows
-			a.topkPruned += e.TopKPruned
-			a.exchangeRows += e.ExchangeRows
-			a.repartitionFanout += e.RepartitionFanout
-			a.partitionSkew += e.PartitionSkew
+			a.Rows += e.Rows
+			a.RowsOut += e.RowsOut
 		}
 	}
 	t.recordLocked(r, e)
@@ -443,16 +409,16 @@ func (t *Tracer) EdgeIn(h int32, e Event, delivered int) {
 	r := t.section(h)
 	if r != nil && int(e.Edge) < len(r.edgeAgg) {
 		a := &r.edgeAgg[e.Edge]
-		a.samples++
+		a.Samples++
 		if delivered > 0 {
-			a.batches++
-			a.blocks += int64(delivered)
+			a.Batches++
+			a.Blocks += int64(delivered)
 		}
-		if e.Buffered > a.maxBuffered {
-			a.maxBuffered = e.Buffered
+		if e.Buffered > a.MaxBuffered {
+			a.MaxBuffered = e.Buffered
 		}
-		a.stallNS += e.StallNS
-		a.lastUoT = e.UoT
+		a.StallNS += e.StallNS
+		a.UoT = e.UoT
 	}
 	t.recordLocked(r, e)
 	t.mu.Unlock()

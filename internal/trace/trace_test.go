@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // TestNilTracerIsNoOp exercises every method on a nil *Tracer: the disabled
@@ -92,7 +94,7 @@ func TestSpanAggregates(t *testing.T) {
 
 	// Two successful attempts and one failed+retried attempt on op 0.
 	tr.Span(Event{Op: 0, Worker: 0, Attempt: 1, Batch: -1, EnqueueNS: 10, StartNS: 100, EndNS: 300, Rows: 5, RowsOut: 3})
-	tr.Span(Event{Op: 0, Worker: 1, Attempt: 1, Batch: 0, EnqueueNS: 50, StartNS: 60, EndNS: 90, Rows: 7, RowsOut: 7, Demotions: 1})
+	tr.Span(Event{Op: 0, Worker: 1, Attempt: 1, Batch: 0, EnqueueNS: 50, StartNS: 60, EndNS: 90, Rows: 7, RowsOut: 7, Kernel: stats.Kernel{Demotions: 1}})
 	tr.Span(Event{Op: 0, Worker: 0, Attempt: 1, Batch: -1, Flags: FlagFailed | FlagRetried, StartNS: 400, EndNS: 450, Rows: 99, RowsOut: 99})
 	tr.EndRun(false)
 

@@ -132,7 +132,7 @@ func (c Config) withDefaults() Config {
 		c.Floor = 1
 	}
 	if c.Ceiling <= 0 {
-		c.Ceiling = 1 << 20
+		c.Ceiling = DefaultCeiling
 	}
 	if c.Ceiling < c.Floor {
 		c.Ceiling = c.Floor
@@ -281,26 +281,40 @@ func (c *Controller) Observe(i int, s Signals) Action {
 	return c.hold(e)
 }
 
+// DefaultCeiling is Config.Ceiling's default, and the ceiling the scheduler
+// applies to static (controller-less) edges under memory pressure.
+const DefaultCeiling = 1 << 20
+
+// PressureStep is the memory-degradation rule, pure: double the UoT (the PR3
+// semantics), snap to Table once it has reached the ceiling, hold at Table.
+func PressureStep(uot, ceiling int) Action {
+	switch {
+	case uot == Table:
+		return Action{Dir: Hold, UoT: Table}
+	case uot >= ceiling:
+		return Action{Dir: Snap, UoT: Table}
+	}
+	return Action{Dir: Raise, UoT: uot * 2}
+}
+
 // Pressure is the scheduler's memory-degradation entry point for edge i: an
-// emergency that bypasses hysteresis and cooldown, doubles the UoT (the PR3
-// semantics), snaps to Table past the ceiling, and suppresses Lower votes
-// for the next PressureHold observations.
+// emergency that bypasses hysteresis and cooldown, takes one PressureStep,
+// and suppresses Lower votes for the next PressureHold observations.
 func (c *Controller) Pressure(i int) Action {
 	e := &c.edges[i]
 	e.pressureHold = c.cfg.PressureHold
-	if e.uot == Table {
+	a := PressureStep(e.uot, c.cfg.Ceiling)
+	switch a.Dir {
+	case Hold:
 		return c.hold(e)
-	}
-	if e.uot >= c.cfg.Ceiling {
-		e.uot = Table
-		c.afterAct(e)
+	case Snap:
 		c.tot.Snaps++
-		return Action{Dir: Snap, UoT: Table}
+	default:
+		c.tot.Raises++
 	}
-	e.uot *= 2
+	e.uot = a.UoT
 	c.afterAct(e)
-	c.tot.Raises++
-	return Action{Dir: Raise, UoT: e.uot}
+	return a
 }
 
 // vote classifies one observation. Raise wins ties: degrading to coarser
