@@ -25,7 +25,7 @@ const chaosSeed = 7
 // seeded fault schedule — errors, panics, latency, and allocation failures
 // at every injection site — and asserts three things per query: the result
 // is identical to the fault-free run (float aggregates within 1e-6, since
-// retries and demotions may reorder summation), nothing leaked (blocks or
+// retries may reorder summation), nothing leaked (blocks or
 // references), and re-running at one worker with the same seed fires the
 // identical fault schedule. Any violation fails the experiment.
 func (h *Harness) Chaos() (*Report, error) {
@@ -33,7 +33,7 @@ func (h *Harness) Chaos() (*Report, error) {
 		ID:    "CHAOS",
 		Title: "Fault injection under retry/rollback (results vs fault-free runs)",
 		Header: []string{
-			"query", "faults", "retries", "demotions", "deadline_hits", "result", "replay", "leaks", "wall_ms",
+			"query", "faults", "retries", "deadline_hits", "result", "replay", "leaks", "wall_ms",
 		},
 	}
 	d := h.Dataset(128<<10, storage.ColumnStore)
@@ -75,7 +75,6 @@ func (h *Harness) Chaos() (*Report, error) {
 			fmt.Sprintf("Q%02d", q),
 			fmt.Sprintf("%d", rb.FaultsInjected),
 			fmt.Sprintf("%d", rb.Retries),
-			fmt.Sprintf("%d", rb.Demotions),
 			fmt.Sprintf("%d", rb.DeadlineHits),
 			pass(resultOK),
 			pass(replayOK),
@@ -138,7 +137,7 @@ func (h *Harness) chaosReplayIdentical(d *tpch.Dataset, q int) (bool, error) {
 }
 
 // chaosSameRows compares sorted result sets, allowing 1e-6 relative drift on
-// Float64 columns (retried/demoted runs may sum in a different order).
+// Float64 columns (retried runs may sum in a different order).
 func chaosSameRows(a, b [][]types.Datum) bool {
 	if len(a) != len(b) {
 		return false

@@ -351,7 +351,7 @@ func (h *Harness) ConcurrentChaos() (*Report, error) {
 		}
 		switch {
 		case o.err == nil && o.faulted:
-			// Retried/demoted runs may reorder float summation: tolerance.
+			// Retried runs may reorder float summation: tolerance.
 			rows := engine.Rows(o.resp.Table)
 			engine.SortRows(rows)
 			q := mixQuery(o.label)

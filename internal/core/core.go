@@ -207,10 +207,9 @@ type Output struct {
 // rolled back — fresh blocks are released, resumed partials truncated to
 // their pre-attempt row count — and the output cleared, so a retry (or a
 // concurrent work order of the same operator) never observes the failed
-// attempt's rows; of the kernel counters only Demotions survives, since a
-// demotion outlives the attempt that triggered it. The scheduler calls Finish
-// from the worker goroutine; code that runs work orders by hand (tests,
-// benchmarks) must call it too.
+// attempt's rows or kernel counters. The scheduler calls Finish from the
+// worker goroutine; code that runs work orders by hand (tests, benchmarks)
+// must call it too.
 func (o *Output) Finish(err error) {
 	for _, e := range o.emitters {
 		if err != nil {
@@ -225,7 +224,7 @@ func (o *Output) Finish(err error) {
 		o.partTags = nil
 		o.RowsIn = 0
 		o.RowsOut = 0
-		o.Kernel = stats.Kernel{Demotions: o.Demotions}
+		o.Kernel = stats.Kernel{}
 	}
 }
 

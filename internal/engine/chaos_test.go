@@ -1,14 +1,18 @@
 package engine
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/faults"
+	"repro/internal/stats"
 	"repro/internal/storage"
+	"repro/internal/trace"
 	"repro/internal/types"
 )
 
@@ -46,8 +50,8 @@ func mustRows(t *testing.T, b *Builder, opts Options, label string) ([][]types.D
 }
 
 // sameRows compares result sets exactly, except Float64 columns, which get a
-// small relative tolerance: retried and demoted runs may legitimately sum
-// float aggregates in a different order than the fault-free baseline.
+// small relative tolerance: retried runs may legitimately sum float
+// aggregates in a different order than the fault-free baseline.
 func sameRows(a, b [][]types.Datum) bool {
 	if len(a) != len(b) {
 		return false
@@ -98,10 +102,10 @@ func buildSelectPlan(fact *storage.Table) *Builder {
 }
 
 // TestRetryIdempotence is the satellite-4 contract: a plan executed under
-// injected faults — work orders failing, rolling back, and retrying; fast
-// paths demoting — produces results identical to the fault-free run, for a
-// pure select, a build+probe join with aggregation, and across several
-// seeds. Nothing may leak.
+// injected faults — work orders failing, rolling back, and retrying —
+// produces results identical to the fault-free run, for a pure select, a
+// build+probe join with aggregation, and across several seeds. Nothing may
+// leak.
 func TestRetryIdempotence(t *testing.T) {
 	_, fact, dim := fixture(t, storage.ColumnStore, 4<<10)
 
@@ -147,33 +151,124 @@ func TestRetryIdempotence(t *testing.T) {
 	}
 }
 
-// TestDemotionPreservesResults drives the demotable fast-path sites at rate
-// 1.0: the very first fast-path attempt faults, the operator demotes to its
-// reference path, and the retried work orders must still produce the exact
-// fault-free result.
-func TestDemotionPreservesResults(t *testing.T) {
-	_, fact, dim := fixture(t, storage.ColumnStore, 4<<10)
-	base, _ := mustRows(t, buildJoinAggPlan(fact, dim), Options{
-		Workers: 2, UoTBlocks: 1, TempBlockBytes: 4 << 10,
-	}, "fault-free")
+// sitePlan is a fault site and a plan that consults it.
+type sitePlan struct {
+	site  faults.Site
+	build func() *Builder
+}
 
-	for _, site := range []faults.Site{faults.HashInsert, faults.AggUpsert} {
-		t.Run(site.String(), func(t *testing.T) {
-			inj := faults.New(faults.Config{
-				Seed:  7,
-				Rates: map[faults.Site]float64{site: 1},
-				Kinds: []faults.Kind{faults.KindError},
+// preMutationSites pairs every operator fault site that fires before the
+// first shared-state mutation with a plan that consults it from dozens of
+// work orders (512-byte blocks; a 2000-row build side), so a 25 % rate is
+// certain to fire.
+func preMutationSites(t *testing.T) []sitePlan {
+	db, fact, _ := fixture(t, storage.ColumnStore, 512)
+	dim := db.CreateTable("dim_wide", storage.NewSchema(
+		storage.Column{Name: "k", Type: types.Int64},
+		storage.Column{Name: "w", Type: types.Int64},
+	))
+	ld := storage.NewLoader(dim)
+	for i := 0; i < 2000; i++ {
+		ld.Append(types.NewInt64(int64(i%50)), types.NewInt64(int64(i)))
+	}
+	ld.Close()
+	joinAgg := func() *Builder { return buildJoinAggPlanBloom(fact, dim, true) }
+	orderBy := func() *Builder {
+		b := NewBuilder()
+		fs := fact.Schema()
+		sel := b.ScanSelect(exec.SelectSpec{
+			Name: "sel_fact", Base: fact,
+			Proj:      []expr.Expr{expr.C(fs, "k"), expr.C(fs, "v")},
+			ProjNames: []string{"k", "v"},
+		})
+		b.Collect(b.Sort(sel, exec.SortSpec{
+			Name:  "sort",
+			Terms: []exec.SortTerm{{Key: expr.C(sel.Schema, "v"), Desc: true}},
+		}))
+		return b
+	}
+	return []sitePlan{
+		{faults.HashInsert, joinAgg},
+		{faults.BloomBuild, joinAgg},
+		{faults.AggUpsert, joinAgg},
+		{faults.SortRun, orderBy},
+		{faults.Repartition, func() *Builder { return buildPartitionedJoinAggPlan(fact, dim, 4) }},
+	}
+}
+
+// preMutationOpts is chaosOpts at the 512-byte block size of
+// preMutationSites, faulting one site at the given rate.
+func preMutationOpts(site faults.Site, rate float64, kind faults.Kind, attempts int) Options {
+	opts := chaosOpts(faults.New(faults.Config{
+		Seed:  7,
+		Rates: map[faults.Site]float64{site: rate},
+		Kinds: []faults.Kind{kind},
+	}), 2)
+	opts.TempBlockBytes, opts.MaxAttempts = 512, attempts
+	return opts
+}
+
+// TestRetryRecoversPreMutationFaults: a fault at a pre-mutation site — as an
+// error, a panic, or an allocation failure — is recovered by rollback and
+// retry alone, on the same kernel: the rows equal the fault-free run and
+// nothing leaks. At rate 0.25 a work order exhausts 12 attempts with
+// probability ~6e-8.
+func TestRetryRecoversPreMutationFaults(t *testing.T) {
+	for _, sp := range preMutationSites(t) {
+		base, _ := mustRows(t, sp.build(), Options{
+			Workers: 2, UoTBlocks: 1, TempBlockBytes: 512,
+		}, "fault-free")
+		for _, kind := range []faults.Kind{faults.KindError, faults.KindPanic, faults.KindAlloc} {
+			t.Run(sp.site.String()+"/"+kind.String(), func(t *testing.T) {
+				rows, res := mustRows(t, sp.build(), preMutationOpts(sp.site, 0.25, kind, 12), "faulted")
+				if !sameRows(base, rows) {
+					t.Fatal("retried run result differs from fault-free baseline")
+				}
+				r := res.Run.Robust()
+				if r.Retries == 0 {
+					t.Fatal("no work order was retried; the site never fired")
+				}
+				if r.LeakedBlocks+r.OutstandingRefs != 0 {
+					t.Fatalf("leaks after retried run: %+v", r)
+				}
 			})
-			rows, res := mustRows(t, buildJoinAggPlan(fact, dim), chaosOpts(inj, 2), "demotion")
-			if !sameRows(base, rows) {
-				t.Fatal("demoted run result differs from fault-free baseline")
+		}
+	}
+}
+
+// TestPersistentFaultFailsTyped: a site that always faults fails the query
+// with the typed exhaustion error after exactly MaxAttempts attempts — there
+// is no second kernel to finish on. Execute returns no Result on failure, so
+// retries are read from the tracer and leaks from a shared pool's root gauge
+// (which counts every block the failed run still owns).
+func TestPersistentFaultFailsTyped(t *testing.T) {
+	for _, sp := range preMutationSites(t) {
+		t.Run(sp.site.String(), func(t *testing.T) {
+			var live stats.MemGauge
+			tr := trace.New(1 << 12)
+			opts := preMutationOpts(sp.site, 1, faults.KindError, 4)
+			opts.SharedPool, opts.Trace = storage.NewPool(&live, nil), tr
+			_, err := Execute(sp.build(), opts)
+			if err == nil {
+				t.Fatal("query completed although the site faults on every attempt")
 			}
-			r := res.Run.Robust()
-			if r.Demotions == 0 {
-				t.Fatal("fast path was never demoted despite rate-1.0 faults")
+			if !errors.As(err, new(*faults.Fault)) {
+				t.Fatalf("error does not wrap *faults.Fault: %v", err)
 			}
-			if r.Retries == 0 {
-				t.Fatal("demotion did not go through the retry path")
+			if !strings.Contains(err.Error(), "after 4 attempts") {
+				t.Fatalf("error does not report the attempt bound: %v", err)
+			}
+			var retries int64
+			for _, run := range tr.Snapshot().Runs {
+				for _, op := range run.Ops {
+					retries += op.Retries
+				}
+			}
+			if retries < 3 {
+				t.Fatalf("retries = %d, want >= 3 before giving up", retries)
+			}
+			if live.Live() != 0 {
+				t.Fatalf("failed run left %d live temp bytes", live.Live())
 			}
 		})
 	}

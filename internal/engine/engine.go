@@ -6,6 +6,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -52,9 +53,9 @@ type Options struct {
 	// buffers are evicted to extent files in a per-run subdirectory whenever
 	// live temp bytes exceed SpillThreshold, and faulted back in on delivery
 	// (Section V-C's persistent-store regime as a memory-pressure valve).
-	// Ignored when SharedPool is set — the pool's owner (the session) owns
-	// spill policy there. The directory is removed when Execute returns,
-	// success or failure.
+	// Rejected (ErrSpillWithSharedPool) when SharedPool is set — the pool's
+	// owner (the session) owns spill policy there. The directory is removed
+	// when Execute returns, success or failure.
 	SpillDir string
 	// SpillThreshold is the live-byte level above which eviction runs. 0
 	// inherits MemoryBudget; if that is also 0, every cooled block is
@@ -148,11 +149,20 @@ type Result struct {
 	Run   *stats.Run
 }
 
+// ErrSpillWithSharedPool is returned by Execute when Options sets both
+// SpillDir and SharedPool: a shared pool's spill tier belongs to its owner,
+// so a per-execution directory could only be silently ignored.
+var ErrSpillWithSharedPool = errors.New("engine: SpillDir cannot be combined with SharedPool (the pool's owner configures its spill tier)")
+
 // Execute runs a built plan and returns the collected result.
 func Execute(b *Builder, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if b.collect == nil {
 		return nil, fmt.Errorf("engine: plan has no Collect sink")
+	}
+	spillOn := opts.SpillDir != ""
+	if spillOn && opts.SharedPool != nil {
+		return nil, ErrSpillWithSharedPool
 	}
 	rs := prepareReuse(b, opts)
 	run := stats.NewRun()
@@ -163,7 +173,6 @@ func Execute(b *Builder, opts Options) (*Result, error) {
 	} else {
 		pool = storage.NewPool(&run.Intermediates, run.AddCheckout)
 	}
-	spillOn := opts.SpillDir != "" && opts.SharedPool == nil
 	if spillOn {
 		scfg := storage.SpillConfig{Dir: opts.SpillDir, Threshold: opts.SpillThreshold}
 		if scfg.Threshold <= 0 {

@@ -56,6 +56,12 @@ func expectedJoinAgg() map[int64][2]float64 {
 }
 
 func buildJoinAggPlan(fact, dim *storage.Table) *Builder {
+	return buildJoinAggPlanBloom(fact, dim, false)
+}
+
+// buildJoinAggPlanBloom is buildJoinAggPlan with the build optionally
+// populating a LIP bloom filter (so the BloomBuild fault site is consulted).
+func buildJoinAggPlanBloom(fact, dim *storage.Table, bloom bool) *Builder {
 	b := NewBuilder()
 	fs, ds := fact.Schema(), dim.Schema()
 
@@ -66,6 +72,7 @@ func buildJoinAggPlan(fact, dim *storage.Table) *Builder {
 	})
 	bld, _ := b.Build(selDim, exec.BuildSpec{
 		Name: "build_dim", KeyCols: []int{0}, Payload: []int{1}, ExpectedRows: 50,
+		BuildBloom: bloom,
 	})
 	selFact := b.ScanSelect(exec.SelectSpec{
 		Name: "sel_fact", Base: fact,

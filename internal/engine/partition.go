@@ -54,7 +54,7 @@ func (b *Builder) Exchange(from *Node, name string, keyCols []int, parts int) (*
 // clone — PartitionLocal, MaxDOP 1, so inserts take the unlocked kernel — and
 // its own probe clone reading that build's table. parts == 0 uses the builder
 // default; a resolved fan-out of ≤ 1 falls back to the ordinary shared-table
-// Build+Probe, which is the demotion target the equivalence tests compare
+// Build+Probe, which is the baseline the equivalence tests compare
 // against.
 func (b *Builder) PartitionedHashJoin(buildFrom, probeFrom *Node, bspec exec.BuildSpec, pspec exec.ProbeSpec, parts int) *Node {
 	parts = b.resolveParts(parts)

@@ -81,20 +81,20 @@ func TestPartitionedJoinAggEquivalence(t *testing.T) {
 	}
 }
 
-// TestPartitionedPlanFaultDemotionEquivalence: Repartition faults demote the
-// scatter to its reference path mid-run; retried work orders must leave
-// results bit-identical.
-func TestPartitionedPlanFaultDemotionEquivalence(t *testing.T) {
+// TestPartitionedPlanFaultRetryEquivalence: Repartition faults roll scatter
+// work orders back mid-run; the retried work orders must leave results
+// bit-identical.
+func TestPartitionedPlanFaultRetryEquivalence(t *testing.T) {
 	_, fact, dim := fixture(t, storage.ColumnStore, 512)
 	for _, seed := range []uint64{1, 7, 23} {
 		inj := faults.New(faults.Config{
 			Seed:  seed,
-			Rates: map[faults.Site]float64{faults.Repartition: 0.4},
+			Rates: map[faults.Site]float64{faults.Repartition: 0.2},
 			Kinds: []faults.Kind{faults.KindError},
 		})
 		res, err := Execute(buildPartitionedJoinAggPlan(fact, dim, 4), Options{
 			Workers: 4, UoTBlocks: 1, TempBlockBytes: 512,
-			Faults: inj, MaxAttempts: 6,
+			Faults: inj, MaxAttempts: 10,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

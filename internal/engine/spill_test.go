@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"os"
 	"strings"
 	"testing"
@@ -161,6 +162,19 @@ func TestSpillPersistentReadFaultFailsCleanly(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "spill fault-in failed") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+	assertSpillDirEmpty(t, opts.SpillDir)
+}
+
+// TestSpillDirWithSharedPoolIsRejected: a shared pool's spill tier belongs to
+// its owner, so a per-execution SpillDir beside it is a configuration error
+// reported before anything is created — not a silently ignored option.
+func TestSpillDirWithSharedPoolIsRejected(t *testing.T) {
+	_, fact, _ := fixture(t, storage.ColumnStore, 4<<10)
+	opts := spillOpts(t, 1)
+	opts.SharedPool = storage.NewPool(nil, nil)
+	if _, err := Execute(buildSelectPlan(fact), opts); !errors.Is(err, ErrSpillWithSharedPool) {
+		t.Fatalf("Execute error = %v, want ErrSpillWithSharedPool", err)
 	}
 	assertSpillDirEmpty(t, opts.SpillDir)
 }

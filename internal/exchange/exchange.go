@@ -57,7 +57,6 @@ type Op struct {
 	// rowsPart counts scattered rows per partition (atomically updated by
 	// concurrent scatter work orders; read by Final's skew guard).
 	rowsPart []int64
-	demoted  atomic.Bool
 	skewed   bool
 }
 
@@ -199,11 +198,9 @@ type repartWO struct {
 // Inputs implements core.WorkOrder.
 func (w *repartWO) Inputs() []*storage.Block { return w.in }
 
-// Run implements core.WorkOrder. The fast path counting-sorts row indexes by
-// partition (one vectorized hash pass, one permutation pass) and bulk-appends
-// each partition's run of rows into that partition's emitter; the demoted
-// reference path routes rows one at a time with the same partition function,
-// so a demotion changes the kernel, never the data placement.
+// Run implements core.WorkOrder: it counting-sorts row indexes by partition
+// (one vectorized hash pass, one permutation pass) and bulk-appends each
+// partition's run of rows into that partition's emitter.
 func (w *repartWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	o := w.op
 	b := w.b
@@ -215,17 +212,9 @@ func (w *repartWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	if n == 0 {
 		return nil
 	}
-	// The demoted reference path consults no fault sites (like every other
-	// operator's degradation target), so a demoted run always terminates.
-	if o.demoted.Load() {
-		return o.runRef(ctx, out, b)
-	}
 	// The fault site fires strictly before any partition stream is touched,
-	// so a failed attempt needs no operator-state rollback.
+	// so a failed attempt needs no operator-state rollback before its retry.
 	if err := ctx.FaultAt(faults.Repartition); err != nil {
-		if o.demoted.CompareAndSwap(false, true) {
-			out.Demotions++
-		}
 		return err
 	}
 
@@ -289,51 +278,6 @@ func (w *repartWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	out.RepartitionFanout += fan
 	o.scratch.Put(sc)
 	return nil
-}
-
-// runRef is the demoted reference scatter: row-at-a-time hashing and
-// appending with the identical partition function. Kept simple rather than
-// fast — it is the degradation target of the Repartition fault site.
-func (o *Op) runRef(ctx *core.ExecCtx, out *core.Output, b *storage.Block) error {
-	parts := o.pr.Parts()
-	ems := make([]*core.Emitter, parts)
-	counts := make([]int64, parts)
-	n := b.NumRows()
-	for r := 0; r < n; r++ {
-		k0 := o.keyAt(b, 0, r)
-		var k1 int64
-		if len(o.keyCols) == 2 {
-			k1 = o.keyAt(b, 1, r)
-		}
-		h := types.HashPair(k0, k1)
-		if h == 0 {
-			h = 1 // match HashPairVec's non-zero forcing
-		}
-		p := o.pr.Of(h)
-		if ems[p] == nil {
-			ems[p] = core.NewPartEmitter(ctx, out, o.self, p, o.schema)
-		}
-		ems[p].AppendFrom(b, r, o.proj)
-		counts[p]++
-	}
-	fan := int64(0)
-	for p, c := range counts {
-		if c > 0 {
-			atomic.AddInt64(&o.rowsPart[p], c)
-			fan++
-		}
-	}
-	out.ExchangeRows += int64(n)
-	out.RepartitionFanout += fan
-	return nil
-}
-
-// keyAt reads key column i of row r, widening Date values like gather does.
-func (o *Op) keyAt(b *storage.Block, i, r int) int64 {
-	if o.dateKey[i] {
-		return int64(b.DateAt(o.keyCols[i], r))
-	}
-	return b.Int64At(o.keyCols[i], r)
 }
 
 // skewWO records one skew-guard trip into the stats pipeline.

@@ -53,7 +53,6 @@ func runScatter(t *testing.T, ctx *core.ExecCtx, op *Op, blocks []*storage.Block
 		out := &core.Output{}
 		if err := wo.Run(ctx, out); err != nil {
 			// Simulate the scheduler's rollback + retry of a transient fault.
-			agg.Demotions += out.Demotions
 			out.Finish(err)
 			out = &core.Output{}
 			if err := wo.Run(ctx, out); err != nil {
@@ -70,7 +69,6 @@ func runScatter(t *testing.T, ctx *core.ExecCtx, op *Op, blocks []*storage.Block
 		}
 		agg.ExchangeRows += out.ExchangeRows
 		agg.RepartitionFanout += out.RepartitionFanout
-		agg.Demotions += out.Demotions
 		agg.ScratchHits += out.ScratchHits
 	}
 	for p := 0; p < op.OutputPartitions(); p++ {
@@ -111,34 +109,44 @@ func TestScatterMatchesPartitioner(t *testing.T) {
 	}
 }
 
-func TestDemotedScatterPlacesRowsIdentically(t *testing.T) {
+// TestRetriedScatterMatchesScalarOracle: with a faulted-and-retried work
+// order in the run, the vectorized scatter still places every row where the
+// row-at-a-time definition says — Partitioner.Of(HashPair(k0, k1)), zero
+// hashes forced to 1 — and emits each input row exactly once.
+func TestRetriedScatterMatchesScalarOracle(t *testing.T) {
 	const nblocks, rows = 6, 29
-	key := func(r int) int64 { return int64(r*7 + 3) }
+	blocks := makeBlocks(nblocks, rows, func(r int) int64 { return int64(r*7 + 3) })
 
-	ref := New(Spec{Name: "ref", InputSchema: scatterSchema, KeyCols: []int{0}, Partitions: 8})
-	ref.SetID(0)
-	ctxRef := newCtx(1)
-	ref.Init(ctxRef)
-	want, _ := runScatter(t, ctxRef, ref, makeBlocks(nblocks, rows, key))
-
-	// The first Repartition consultation fires, demoting the operator; the
-	// retried attempt and all later blocks take the reference path.
-	op := New(Spec{Name: "dem", InputSchema: scatterSchema, KeyCols: []int{0}, Partitions: 8})
+	op := New(Spec{Name: "two-key", InputSchema: scatterSchema, KeyCols: []int{0, 1}, Partitions: 8})
 	op.SetID(0)
+	want := map[[3]int64]int{}
+	for _, b := range blocks {
+		for r := 0; r < b.NumRows(); r++ {
+			k0, k1 := b.Int64At(0, r), b.Int64At(1, r)
+			h := types.HashPair(k0, k1)
+			if h == 0 {
+				h = 1
+			}
+			want[[3]int64{int64(op.Partitioner().Of(h)), k0, k1}]++
+		}
+	}
+
 	ctx := newCtx(1)
 	ctx.Faults = faults.Replay([]faults.Event{{Site: faults.Repartition, Seq: 0, Kind: faults.KindError}})
 	op.Init(ctx)
-	got, out := runScatter(t, ctx, op, makeBlocks(nblocks, rows, key))
-
-	if out.Demotions != 1 {
-		t.Fatalf("Demotions = %d, want 1", out.Demotions)
+	got, out := runScatter(t, ctx, op, blocks)
+	if ctx.Faults.Injected() != 1 {
+		t.Fatalf("%d faults fired, want 1", ctx.Faults.Injected())
+	}
+	if out.ExchangeRows != nblocks*rows {
+		t.Fatalf("ExchangeRows = %d, want %d (a rolled-back attempt must not count)", out.ExchangeRows, nblocks*rows)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("demoted scatter produced %d distinct rows, reference %d", len(got), len(want))
+		t.Fatalf("scatter produced %d distinct placements, oracle %d", len(got), len(want))
 	}
 	for kv, n := range want {
 		if got[kv] != n {
-			t.Fatalf("row %v: demoted count %d, reference %d", kv, got[kv], n)
+			t.Fatalf("row %v: scattered %d times, oracle %d", kv, got[kv], n)
 		}
 	}
 }

@@ -67,9 +67,10 @@ var aggPartitioner = types.NewPartitioner(aggParts)
 // instead of serializing on an operator mutex.
 //
 // The reference map path (per-row Eval, serialized group keys, one shared
-// map behind a mutex) is retained for mixed-type keys, CountDistinct, char
-// min/max, and as the correctness oracle the equivalence tests compare
-// against.
+// map behind a mutex) serves mixed-type keys, CountDistinct, char min/max,
+// and ForceReference (the correctness oracle the equivalence tests compare
+// against). The choice is made once, in NewAgg, from what the spec shows;
+// fast is immutable afterwards.
 type AggOp struct {
 	core.Base
 	self     core.OpID
@@ -92,13 +93,6 @@ type AggOp struct {
 	keyCols   []int
 	keyIsDate []bool
 	fAggs     []fastAgg
-
-	// demoted flips (permanently, for the run) when a fault fires on the
-	// vectorized path: subsequent work orders — including the retry of the
-	// failed one — take the reference map path, which consults no fault
-	// sites, and Final folds the already-built fast partials into the
-	// reference groups before emitting.
-	demoted atomic.Bool
 
 	// Fast-path runtime state: the free-list of thread-local partials. pall
 	// tracks every partial ever created (for the merge); pfree holds the
@@ -311,98 +305,24 @@ func (o *AggOp) Feed(_ *core.ExecCtx, _ int, blocks []*storage.Block) []core.Wor
 // out one merge work order per radix partition, so merging partial tables
 // parallelizes across workers; otherwise a single work order emits the
 // merged groups.
-func (o *AggOp) Final(ctx *core.ExecCtx) []core.WorkOrder {
-	if o.fast && !o.demoted.Load() {
-		if len(o.groupBy) == 0 {
-			return []core.WorkOrder{&aggScalarFinalWO{op: o}}
-		}
-		if o.partLocal {
-			// Partition-local clone: a single merge with the identity
-			// partitioner (every group maps to partition 0) — the exchange
-			// already split the group space across clones.
-			return []core.WorkOrder{&aggMergeWO{op: o, part: 0, pr: types.NewPartitioner(1)}}
-		}
-		wos := make([]core.WorkOrder, aggParts)
-		for p := 0; p < aggParts; p++ {
-			wos[p] = &aggMergeWO{op: o, part: p, pr: aggPartitioner}
-		}
-		return wos
+func (o *AggOp) Final(*core.ExecCtx) []core.WorkOrder {
+	if !o.fast {
+		return []core.WorkOrder{&aggFinalWO{op: o}}
 	}
-	if o.fast {
-		// Demoted mid-run: earlier blocks accumulated into fast partials,
-		// later ones into the reference map. Fold the partials into the map
-		// here, on the scheduler goroutine — Final runs exactly once, so the
-		// fold can never double-apply, which it could if it lived inside a
-		// retryable work order.
-		o.foldPartials(ctx)
+	if len(o.groupBy) == 0 {
+		return []core.WorkOrder{&aggScalarFinalWO{op: o}}
 	}
-	return []core.WorkOrder{&aggFinalWO{op: o}}
-}
-
-// foldPartials converts every fast-path partial (grouped tables and scalar
-// cell rows) into reference-path groups and merges them into o.groups.
-func (o *AggOp) foldPartials(ctx *core.ExecCtx) {
-	local := make(map[string]*aggGroup)
-	var keyBuf []byte
-	for _, p := range o.pall {
-		if t := p.tab; t != nil {
-			for g := 0; g < t.Len(); g++ {
-				k0, k1 := t.Key(g)
-				keys := make([]types.Datum, len(o.keyCols))
-				keyBuf = keyBuf[:0]
-				keys[0] = o.keyDatum(0, k0)
-				keyBuf = appendKey(keyBuf, keys[0])
-				if len(o.keyCols) == 2 {
-					keys[1] = o.keyDatum(1, k1)
-					keyBuf = appendKey(keyBuf, keys[1])
-				}
-				grp := local[string(keyBuf)]
-				if grp == nil {
-					grp = &aggGroup{keys: keys, acc: make([]accCell, len(o.aggs))}
-					local[string(keyBuf)] = grp
-				}
-				for j := range o.aggs {
-					o.mergeCellInto(j, t.CellAt(int32(g), j), &grp.acc[j])
-				}
-			}
-		}
-		if p.cells != nil {
-			grp := local[""]
-			if grp == nil {
-				grp = &aggGroup{acc: make([]accCell, len(o.aggs))}
-				local[""] = grp
-			}
-			for j := range o.aggs {
-				o.mergeCellInto(j, &p.cells[j], &grp.acc[j])
-			}
-		}
+	if o.partLocal {
+		// Partition-local clone: a single merge with the identity
+		// partitioner (every group maps to partition 0) — the exchange
+		// already split the group space across clones.
+		return []core.WorkOrder{&aggMergeWO{op: o, part: 0, pr: types.NewPartitioner(1)}}
 	}
-	o.merge(ctx, local)
-}
-
-// mergeCellInto folds one fixed-width fast-path accumulator into a
-// reference-path cell, field by field: both paths track Count on every kind,
-// Sum/Avg mirror SumI/SumF, and Min/Max rebuild the comparable datum from
-// the fixed-width view exactly as finishFastCell would.
-func (o *AggOp) mergeCellInto(i int, c *aggtable.Cell, dst *accCell) {
-	a := o.aggs[i]
-	dst.count += c.Count
-	dst.sumI += c.SumI
-	dst.sumF += c.SumF
-	if c.Set {
-		var d types.Datum
-		if a.Arg.Type() == types.Float64 {
-			d = types.NewFloat64(c.MMF)
-		} else {
-			d = types.Datum{Ty: a.Arg.Type(), I: c.MMI}
-		}
-		if !dst.set ||
-			(a.Func == Min && types.Compare(d, dst.minmax) < 0) ||
-			(a.Func == Max && types.Compare(d, dst.minmax) > 0) {
-			dst.minmax = d
-			dst.set = true
-		}
+	wos := make([]core.WorkOrder, aggParts)
+	for p := 0; p < aggParts; p++ {
+		wos[p] = &aggMergeWO{op: o, part: p, pr: aggPartitioner}
 	}
+	return wos
 }
 
 // ScalarValue implements core.Operator: valid for scalar aggregates after
@@ -459,16 +379,11 @@ func (w *aggWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	if ctx.Sim != nil {
 		out.Sim += ctx.Sim.ConsumedSeq(b, readBytes(b, o.readCols))
 	}
-	switch {
-	case o.fast && !o.demoted.Load():
+	if o.fast {
 		// The fault site fires before the partial is checked out, so a
-		// faulted attempt touches no accumulator state — the scheduler
-		// rolls it back and the retry lands on the (now demoted)
-		// reference path.
+		// faulted attempt touches no accumulator state: the scheduler rolls
+		// it back and retries it.
 		if err := ctx.FaultAt(faults.AggUpsert); err != nil {
-			if o.demoted.CompareAndSwap(false, true) {
-				out.Demotions++
-			}
 			return err
 		}
 		if len(o.keyCols) > 0 {
@@ -476,7 +391,7 @@ func (w *aggWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 		} else {
 			o.runScalarFast(ctx, b, out)
 		}
-	default:
+	} else {
 		o.runRef(ctx, b, out)
 	}
 	if ctx.Sim != nil {
@@ -603,7 +518,7 @@ func (o *AggOp) accountGrowth(ctx *core.ExecCtx, p *aggPartial, nowBytes int64) 
 	}
 }
 
-// runRef is the retained row-at-a-time reference path: per-row Eval into a
+// runRef is the row-at-a-time reference path: per-row Eval into a
 // local map keyed by serialized group keys, merged into the shared map under
 // the operator mutex. The group-key Datum slice is hoisted out of the row
 // loop and CountDistinct serializes into a reusable scratch buffer, so the

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bloom"
 	"repro/internal/core"
@@ -42,12 +41,6 @@ type BuildHashOp struct {
 	scratch   sync.Pool // *hashtable.InsertScratch
 	readCols  []int
 	partLocal bool
-
-	// demoted flips (permanently, for the run) when a fault fires on the
-	// batch insert path: subsequent work orders — including the retry of the
-	// failed one — take the row-at-a-time reference path, which consults no
-	// fault sites. Graceful degradation instead of repeated failure.
-	demoted atomic.Bool
 }
 
 // BuildSpec configures NewBuildHash.
@@ -157,14 +150,7 @@ func (w *buildWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 		out.Sim += ctx.Sim.ConsumedSeq(b, readBytes(b, o.readCols))
 	}
 	if n > 0 {
-		if o.demoted.Load() {
-			o.insertRef(b)
-		} else if err := w.runBatch(ctx, out); err != nil {
-			// Fault sites fire before any table or filter mutation, so
-			// returning here leaves shared state untouched — the scheduler
-			// rolls the attempt back and re-dispatches it, and the retry
-			// lands on the (now demoted) reference path.
-			o.demote(out)
+		if err := w.runBatch(ctx, out); err != nil {
 			return err
 		}
 	}
@@ -178,7 +164,8 @@ func (w *buildWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 
 // runBatch inserts the block through the vectorized kernels. Both fault
 // sites are consulted up front, strictly before the first shared-state
-// mutation, so a faulted attempt has zero side effects to undo.
+// mutation, so a faulted attempt has zero side effects to undo before the
+// scheduler retries it.
 func (w *buildWO) runBatch(ctx *core.ExecCtx, out *core.Output) error {
 	o := w.op
 	b := w.block
@@ -217,35 +204,6 @@ func (w *buildWO) runBatch(ctx *core.ExecCtx, out *core.Output) error {
 	}
 	o.scratch.Put(sc)
 	return nil
-}
-
-// demote permanently switches the operator to the reference insert path and
-// records the transition once.
-func (o *BuildHashOp) demote(out *core.Output) {
-	if o.demoted.CompareAndSwap(false, true) {
-		out.Demotions++
-	}
-}
-
-// insertRef is the row-at-a-time reference insert path used after demotion;
-// it consults no fault sites.
-func (o *BuildHashOp) insertRef(b *storage.Block) {
-	n := b.NumRows()
-	for r := 0; r < n; r++ {
-		k0 := b.Int64At(o.keyCols[0], r)
-		var k1 int64
-		if len(o.keyCols) == 2 {
-			k1 = b.Int64At(o.keyCols[1], r)
-		}
-		if o.keyOnly {
-			o.ht.InsertKeyOnly(k0, k1)
-		} else {
-			o.ht.Insert(k0, k1, b, r, o.payloadIdx)
-		}
-		if o.filter != nil {
-			o.filter.Add(k0)
-		}
-	}
 }
 
 // String renders the operator.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/expr"
@@ -38,10 +37,11 @@ const (
 // keys, a bounded top-k heap when Limit > 0), then k-way-merges the runs in
 // range-partitioned parallel work orders and emits through a columnar gather
 // kernel in one deterministic emit stage. The reference row-at-a-time path
-// is kept for non-column keys, ForceReference, and fault demotion; both
-// paths order ties by arrival, so their results are bit-identical (the lone
-// exception is data mixing -0.0 and +0.0 float keys, which the reference
-// comparator cannot distinguish but normalized keys can).
+// serves non-column keys and ForceReference: NewSort picks one path from the
+// spec, and fast is immutable afterwards. Both paths order ties by arrival,
+// so their results are bit-identical (the lone exception is data mixing -0.0
+// and +0.0 float keys, which the reference comparator cannot distinguish but
+// normalized keys can).
 type SortOp struct {
 	core.Base
 	self   core.OpID
@@ -60,10 +60,6 @@ type SortOp struct {
 	fast   bool
 	layout sorter.Layout
 	cols   []int // source column per term
-
-	// demoted flips (permanently, for the run) when a fault fires on the
-	// fast path; Final then sorts everything through the reference path.
-	demoted atomic.Bool
 
 	mu      sync.Mutex
 	runs    []sortRun      // one per fed block, indexed by run sequence
@@ -272,15 +268,9 @@ func (w *sortRunWO) Inputs() []*storage.Block { return nil }
 
 func (w *sortRunWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	o := w.op
-	if o.demoted.Load() {
-		return nil // Final re-sorts everything on the reference path
-	}
 	// The fault site fires before any run state exists, so a faulted attempt
-	// mutates nothing; the retry lands here again and no-ops via demoted.
+	// mutates nothing: the scheduler rolls it back and retries it.
 	if err := ctx.FaultAt(faults.SortRun); err != nil {
-		if o.demoted.CompareAndSwap(false, true) {
-			out.Demotions++
-		}
 		return err
 	}
 	b := w.block
@@ -361,10 +351,9 @@ func (w *sortRunWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 // sample splitters over the sorted runs and fan out one range-partitioned
 // merge work order per partition (a single partition when a LIMIT bounds the
 // output or an approximate layout prevents word-only range comparison). The
-// reference path — and a demoted fast path — sorts everything in one work
-// order as before.
+// reference path sorts everything in one work order.
 func (o *SortOp) Final(ctx *core.ExecCtx) []core.WorkOrder {
-	if !o.fast || o.demoted.Load() {
+	if !o.fast {
 		return []core.WorkOrder{&sortWO{op: o}}
 	}
 	total := 0

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/faults"
+	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
@@ -232,66 +233,75 @@ func TestSortTopKParallel(t *testing.T) {
 	}
 }
 
-// TestSortFaultDemotionMatchesReference: a fault at the SortRun site demotes
-// the operator permanently; completed runs are discarded and Final re-sorts
-// everything on the reference path, so the output is still exact.
-func TestSortFaultDemotionMatchesReference(t *testing.T) {
-	s, blocks := sortTestBlocks(5, 4, 128)
+// TestSortFaultedRunRetriesOnFastPath: a fault at the SortRun site fails the
+// attempt before any run state exists. Re-running the same work order after
+// the rollback — what the scheduler's retry does — keeps the operator on the
+// fast path: Final still fans out merge work orders and the output is
+// bit-identical to an unfaulted fast sort.
+func TestSortFaultedRunRetriesOnFastPath(t *testing.T) {
+	s, blocks := sortTestBlocks(5, 8, 1024) // 8192 rows: multi-partition merge at 4 workers
 	terms := []SortTerm{{Key: expr.C(s, "d")}, {Key: expr.C(s, "i"), Desc: true}}
 
-	refOp := NewSort(SortSpec{Name: "ref", InputSchema: s, Terms: terms, ForceReference: true})
-	refOp.setID(2)
-	ref := allRows(runOp(t, execCtx(), refOp, 2, blocks...))
+	cleanCtx := execCtx()
+	cleanCtx.Workers = 4
+	cleanOp := NewSort(SortSpec{Name: "clean", InputSchema: s, Terms: terms})
+	cleanOp.setID(2)
+	want := allRows(runOp(t, cleanCtx, cleanOp, 2, blocks...))
 
 	ctx := execCtx()
+	ctx.Workers = 4
 	// Fire exactly once, at the third run-generation work order.
 	ctx.Faults = faults.Replay([]faults.Event{{Site: faults.SortRun, Seq: 2, Kind: faults.KindError}})
 	op := NewSort(SortSpec{Name: "fast", InputSchema: s, Terms: terms})
 	op.setID(1)
-	if !op.FastPath() {
-		t.Fatal("fast path not taken")
-	}
 	op.Init(ctx)
-	var emitted []*storage.Block
-	demotions := int64(0)
-	for _, b := range blocks {
-		for _, wo := range op.Feed(ctx, 0, []*storage.Block{b}) {
-			out := &core.Output{}
-			err := wo.Run(ctx, out)
-			demotions += out.Demotions
-			if err != nil {
-				// The scheduler would roll back and retry; the retry hits
-				// the demoted check and no-ops.
-				out = &core.Output{}
-				if err := wo.Run(ctx, out); err != nil {
-					t.Fatalf("retried work order failed: %v", err)
-				}
-				demotions += out.Demotions
+	faulted := 0
+	for _, wo := range op.Feed(ctx, 0, blocks) {
+		out := &core.Output{}
+		err := wo.Run(ctx, out)
+		out.Finish(err)
+		if err != nil {
+			faulted++
+			if out.Kernel != (stats.Kernel{}) {
+				t.Fatalf("rolled-back attempt reported counters: %+v", out.Kernel)
 			}
+			out = &core.Output{}
+			if err := wo.Run(ctx, out); err != nil {
+				t.Fatalf("retried work order failed: %v", err)
+			}
+			out.Finish(nil)
+		}
+		if out.SortRuns != 1 || out.SortFastRows != 1024 {
+			t.Fatalf("run work order reported runs=%d fast rows=%d, want 1/1024", out.SortRuns, out.SortFastRows)
+		}
+	}
+	if faulted != 1 {
+		t.Fatalf("%d work orders faulted, want 1", faulted)
+	}
+	var emitted []*storage.Block
+	runAll := func(wos []core.WorkOrder) {
+		for _, wo := range wos {
+			out := &core.Output{}
+			if err := wo.Run(ctx, out); err != nil {
+				t.Fatalf("work order failed: %v", err)
+			}
+			out.Finish(nil)
+			emitted = append(emitted, out.Blocks...)
 		}
 	}
 	finals := op.Final(ctx)
-	if len(finals) != 1 {
-		t.Fatalf("demoted Final fanned out %d work orders, want 1 reference sort", len(finals))
+	if len(finals) < 2 {
+		t.Fatalf("Final issued %d work orders, want a merge fan-out", len(finals))
 	}
-	out := &core.Output{}
-	if err := finals[0].Run(ctx, out); err != nil {
-		t.Fatalf("reference sort failed: %v", err)
+	for _, wo := range finals {
+		if _, ok := wo.(*sortMergeWO); !ok {
+			t.Fatalf("Final issued %T, want *sortMergeWO", wo)
+		}
 	}
-	out.Finish(nil)
-	emitted = append(emitted, out.Blocks...)
-	if wos := op.NextStage(ctx, 0); wos != nil {
-		t.Fatalf("demoted sort has no emit stage, got %d work orders", len(wos))
-	}
-	emitted = append(emitted, ctx.Pool.TakePartials(1)...)
-	if demotions != 1 {
-		t.Fatalf("demotions = %d, want 1", demotions)
-	}
-	if out.SortFallbackRows != int64(4*128) {
-		t.Fatalf("SortFallbackRows = %d, want %d", out.SortFallbackRows, 4*128)
-	}
-	if !rowsEqual(allRows(emitted), ref) {
-		t.Fatal("demoted sort diverges from reference")
+	runAll(finals)
+	runAll(op.NextStage(ctx, 0))
+	if !rowsEqual(allRows(emitted), want) {
+		t.Fatal("retried sort diverges from the unfaulted fast sort")
 	}
 }
 

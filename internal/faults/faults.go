@@ -43,12 +43,12 @@ const (
 	// order may already be sealed and must be rolled back).
 	BlockMaterialize
 	// SortRun fires at the start of a normalized-key run-generation work
-	// order, before the run is stored (pre-mutation; demotes the sort to the
-	// reference path like AggUpsert does for aggregation).
+	// order, before the run is stored (pre-mutation; the attempt is rolled
+	// back and retried).
 	SortRun
 	// Repartition fires at the start of an exchange scatter work order,
-	// before any partition stream is touched (pre-mutation; demotes the
-	// vectorized scatter to the row-at-a-time reference path).
+	// before any partition stream is touched (pre-mutation; the attempt is
+	// rolled back and retried).
 	Repartition
 	// SpillWrite fires before the spill tier writes an evicted block to an
 	// extent file. Any fired kind — panics included — demotes the eviction

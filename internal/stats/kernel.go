@@ -9,8 +9,8 @@ package stats
 // or Add. Adding a counter is a field here plus its line in KernelCounters
 // and in Add.
 //
-// A rolled-back attempt reports only Demotions (core.Output.Finish clears the
-// rest), so sums over attempts need no failed/succeeded case split.
+// A rolled-back attempt reports all zeros (core.Output.Finish clears them),
+// so sums over attempts need no failed/succeeded case split.
 type Kernel struct {
 	// ShardLocks counts hash-table shard-lock acquisitions performed by the
 	// work order (the batch insert kernels take each shard lock once per
@@ -46,7 +46,7 @@ type Kernel struct {
 	SortMergeFanout int64 `json:"sort_merge_fanout,omitempty"`
 	// SortFastRows counts rows sorted through the normalized-key path;
 	// SortFallbackRows counts rows through the reference Datum-comparator
-	// path (non-column keys, forced reference, demotion).
+	// path (non-column keys, forced reference).
 	SortFastRows     int64 `json:"sort_fast_rows,omitempty"`
 	SortFallbackRows int64 `json:"sort_fallback_rows,omitempty"`
 	// TopKPruned counts rows discarded by the bounded top-k heap without
@@ -62,10 +62,6 @@ type Kernel struct {
 	// PartitionSkew counts skew-guard trips: exchanges where one partition
 	// received more than half of all scattered rows.
 	PartitionSkew int64 `json:"partition_skew,omitempty"`
-
-	// Demotions counts fast-path → reference-path demotions this work order
-	// triggered (at most one per operator per run).
-	Demotions int64 `json:"demotions"`
 }
 
 // KernelCounter names one Kernel field: Name is its snake_case export name
@@ -95,7 +91,6 @@ var KernelCounters = []KernelCounter{
 	{"exchange_rows", "Rows scattered into partition-local streams per exchange operator.", func(k *Kernel) *int64 { return &k.ExchangeRows }},
 	{"repartition_fanout", "Partition streams scattered into per exchange operator.", func(k *Kernel) *int64 { return &k.RepartitionFanout }},
 	{"partition_skew", "Exchange skew-guard trips (more than half of all rows in one partition).", func(k *Kernel) *int64 { return &k.PartitionSkew }},
-	{"demotions", "Fast-path to reference-path demotions per operator.", func(k *Kernel) *int64 { return &k.Demotions }},
 }
 
 // Add sums o's counters into k. Spelled out rather than looped over
@@ -117,7 +112,6 @@ func (k *Kernel) Add(o Kernel) {
 	k.ExchangeRows += o.ExchangeRows
 	k.RepartitionFanout += o.RepartitionFanout
 	k.PartitionSkew += o.PartitionSkew
-	k.Demotions += o.Demotions
 }
 
 // Each calls fn with every counter's export name and value, in table order.

@@ -41,7 +41,7 @@ func TestConcurrentSnapshotNoTornReads(t *testing.T) {
 				}
 			}
 			rb := r.Robust()
-			if rb.Retries < 0 || rb.Demotions < 0 {
+			if rb.Retries < 0 || rb.FailedAttempts < 0 {
 				t.Error("negative robustness counter")
 				return
 			}
@@ -70,7 +70,7 @@ func TestConcurrentSnapshotNoTornReads(t *testing.T) {
 					OpID: w % 3, OpName: "op", Worker: w,
 					Start: now, End: now.Add(time.Microsecond),
 					Rows: 10, RowsOut: 5, Sim: 7,
-					Kernel: Kernel{Demotions: int64(i % 2)},
+					Kernel: Kernel{ScratchHits: int64(i % 2)},
 				})
 				r.AddCheckout()
 				r.AddRetry()
@@ -114,8 +114,8 @@ func TestConcurrentSnapshotNoTornReads(t *testing.T) {
 		rb.UoTRaises != total || rb.Cancellations != total || rb.FaultsInjected != total {
 		t.Fatalf("robustness counters = %+v, want all %d", rb, total)
 	}
-	if rb.Demotions != total/2 {
-		t.Fatalf("demotions = %d, want %d", rb.Demotions, total/2)
+	if got := r.Kernels().ScratchHits; got != total/2 {
+		t.Fatalf("summed kernel counter = %d, want %d", got, total/2)
 	}
 	if r.HashTables.Live() != 0 || r.HashTables.High() < bytesPerOrder {
 		t.Fatalf("hash-table gauge live=%d high=%d", r.HashTables.Live(), r.HashTables.High())

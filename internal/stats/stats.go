@@ -56,8 +56,8 @@ type WorkOrder struct {
 	Rows    int64 // input rows processed
 	RowsOut int64 // output rows produced
 
-	// Kernel holds the work order's hot-path counters (zero but for
-	// Demotions on a failed attempt).
+	// Kernel holds the work order's hot-path counters (zero on a failed
+	// attempt).
 	Kernel
 
 	// Robustness fields: which execution attempt this record is (1 = first)
@@ -194,7 +194,9 @@ type Robustness struct {
 	FailedAttempts int64
 	// Retries counts transient failures that were re-dispatched.
 	Retries int64
-	// Demotions counts fast-path → reference-path operator demotions.
+	// Demotions is always 0: operators pick their kernel at plan time and
+	// retry is the only fault recovery. Declared only because
+	// benchmark/layers.go reads it; drop both in the next [benchmark] PR.
 	Demotions int64
 	// DeadlineHits counts attempts that exceeded the per-work-order
 	// deadline.
@@ -364,7 +366,6 @@ func NewRun() *Run { return &Run{start: time.Now(), query: -1} }
 func (r *Run) Record(w WorkOrder) {
 	r.mu.Lock()
 	r.orders = append(r.orders, w)
-	r.robust.Demotions += w.Demotions
 	r.mu.Unlock()
 }
 

@@ -262,7 +262,7 @@ func kernelFixture() *Tracer {
 	tr.RegisterEdge(0, EdgeInfo{From: 1, To: 2, FromName: "agg(lineitem)", ToName: "sort", Pipelined: true, UoT: 1})
 	tr.Span(Event{Op: 0, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{ShardLocks: 3, BatchedRows: 100}})
 	tr.Span(Event{Op: 1, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{AggFastRows: 40, AggFallbackRows: 2}})
-	tr.Span(Event{Op: 1, StartNS: 2, EndNS: 3, Flags: FlagFailed, Kernel: stats.Kernel{Demotions: 1}})
+	tr.Span(Event{Op: 1, StartNS: 2, EndNS: 3, Flags: FlagFailed})
 	tr.Span(Event{Op: 2, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{SortRuns: 4, TopKPruned: 9}})
 	tr.Span(Event{Op: 3, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{ExchangeRows: 50, PartitionSkew: 1}})
 	tr.EndRun(false)
@@ -289,19 +289,15 @@ func TestKernelCountersReachBothExports(t *testing.T) {
 		t.Fatal(err)
 	}
 	build, agg := ops.Runs[0].Ops[0], ops.Runs[0].Ops[1]
-	if build["shard_locks"] != 3.0 || agg["agg_fast_rows"] != 40.0 || agg["demotions"] != 1.0 {
+	if build["shard_locks"] != 3.0 || agg["agg_fast_rows"] != 40.0 {
 		t.Fatalf("JSON ops: build=%v agg=%v", build, agg)
 	}
 	if _, ok := build["agg_fast_rows"]; ok {
 		t.Error("zero kernel counter not omitted from JSON")
 	}
-	if _, ok := build["demotions"]; !ok {
-		t.Error("demotions must stay present when zero")
-	}
 	for _, want := range []string{
 		`uot_shard_locks_total{run="q",op="build(orders)"} 3`,
 		`uot_agg_fast_rows_total{run="q",op="agg(lineitem)"} 40`,
-		`uot_demotions_total{run="q",op="agg(lineitem)"} 1`,
 		// The four families that predate the name table, help text included.
 		"# HELP uot_sort_runs_total Sorted runs generated per operator (sort fast path).\n# TYPE uot_sort_runs_total counter\n" +
 			`uot_sort_runs_total{run="q",op="sort"} 4`,

@@ -65,8 +65,7 @@ type OpMetrics struct {
 	QueueNS int64  `json:"queue_ns"` // summed enqueue→start latency
 
 	// Kernel sums the attempts' hot-path counters; its fields marshal inline
-	// under their stats.KernelCounters names (zero ones omitted, demotions
-	// always present).
+	// under their stats.KernelCounters names (zero ones omitted).
 	stats.Kernel
 }
 

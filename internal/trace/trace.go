@@ -7,7 +7,7 @@
 //
 //   - spans: one per completed work-order attempt, carrying the operator,
 //     worker, attempt number, UoT batch id, and the enqueue/start/finish
-//     timestamps, plus the retry/demotion annotations of the fault path;
+//     timestamps, plus the failed/retried annotations of the fault path;
 //   - edge samples: per-pipelined-edge gauges taken on scheduler
 //     transitions — buffered blocks vs. the UoT threshold, scheduler queue
 //     depth, accumulated stall time, and memory-pool occupancy;

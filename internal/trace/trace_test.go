@@ -94,7 +94,7 @@ func TestSpanAggregates(t *testing.T) {
 
 	// Two successful attempts and one failed+retried attempt on op 0.
 	tr.Span(Event{Op: 0, Worker: 0, Attempt: 1, Batch: -1, EnqueueNS: 10, StartNS: 100, EndNS: 300, Rows: 5, RowsOut: 3})
-	tr.Span(Event{Op: 0, Worker: 1, Attempt: 1, Batch: 0, EnqueueNS: 50, StartNS: 60, EndNS: 90, Rows: 7, RowsOut: 7, Kernel: stats.Kernel{Demotions: 1}})
+	tr.Span(Event{Op: 0, Worker: 1, Attempt: 1, Batch: 0, EnqueueNS: 50, StartNS: 60, EndNS: 90, Rows: 7, RowsOut: 7, Kernel: stats.Kernel{ScratchHits: 1}})
 	tr.Span(Event{Op: 0, Worker: 0, Attempt: 1, Batch: -1, Flags: FlagFailed | FlagRetried, StartNS: 400, EndNS: 450, Rows: 99, RowsOut: 99})
 	tr.EndRun(false)
 
@@ -120,8 +120,8 @@ func TestSpanAggregates(t *testing.T) {
 	if o.QueueNS != (100-10)+(60-50) {
 		t.Fatalf("select queueNS = %d", o.QueueNS)
 	}
-	if o.Demotions != 1 {
-		t.Fatalf("select demotions = %d", o.Demotions)
+	if o.ScratchHits != 1 {
+		t.Fatalf("select scratch hits = %d", o.ScratchHits)
 	}
 	if ops[1].Spans != 0 {
 		t.Fatalf("probe spans = %d, want 0", ops[1].Spans)

@@ -155,7 +155,7 @@ var Rows = engine.Rows
 // Fault-injection support (chaos testing): a deterministic, seeded injector
 // wired into Options.Faults fires errors, panics, latency, and allocation
 // failures at named execution sites; the scheduler rolls back and retries
-// transient failures, and operators degrade to their reference paths.
+// transient failures up to MaxAttempts, then fails the run with a typed error.
 type (
 	// FaultInjector decides, purely from (seed, site, sequence number),
 	// whether each consultation fires.
