@@ -25,9 +25,9 @@
 // adjust at delivery boundaries instead of using the experiment's static
 // setting.
 //
-// -micro runs the hot-path micro-benchmark suite instead (row-at-a-time
-// reference paths vs. the block-granular batch, aggregation, and
-// normalized-key sort kernels) and, with -json, writes the machine-readable
+// -micro runs the hot-path micro-benchmark suite instead (the row-at-a-time
+// build/probe/bloom paths vs. their block-granular batch kernels, plus the
+// aggregation, exchange and normalized-key sort kernels) and, with -json, writes the machine-readable
 // perf artifact that tracks kernel throughput across PRs (BENCH_PR1.json,
 // BENCH_PR2.json).
 //

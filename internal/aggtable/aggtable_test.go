@@ -1,6 +1,7 @@
 package aggtable
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -212,5 +213,159 @@ func TestRadixBits(t *testing.T) {
 	}
 	if types.Radix(1<<60, 4) != 1 {
 		t.Fatal("Radix partition wrong")
+	}
+}
+
+// UpdateInt and UpdateFloat fold one value into a cell: the per-value oracle
+// the columnar Accum kernels are checked against.
+func UpdateInt(c *Cell, a Agg, v int64) {
+	c.Count++
+	switch a.Kind {
+	case Sum, Avg:
+		c.SumI += v
+		c.SumF += float64(v)
+	case Min:
+		if !c.Set || v < c.MMI {
+			c.MMI = v
+			c.Set = true
+		}
+	case Max:
+		if !c.Set || v > c.MMI {
+			c.MMI = v
+			c.Set = true
+		}
+	}
+}
+
+func UpdateFloat(c *Cell, a Agg, v float64) {
+	c.Count++
+	switch a.Kind {
+	case Sum, Avg:
+		c.SumF += v
+	case Min:
+		if !c.Set || v < c.MMF {
+			c.MMF = v
+			c.Set = true
+		}
+	case Max:
+		if !c.Set || v > c.MMF {
+			c.MMF = v
+			c.Set = true
+		}
+	}
+}
+
+// byteAggs are the aggregates of the byte-keyed fixtures: MIN(value),
+// MAX(value), COUNT(DISTINCT value), COUNT(*).
+var byteAggs = []Agg{{Kind: Min, Bytes: true}, {Kind: Max, Bytes: true}, {Kind: CountDistinct}, {Kind: Count}}
+
+type byteRef struct {
+	min, max string
+	distinct map[string]bool
+	count    int64
+}
+
+// byteKeyed builds a byte-keyed table with side state over n random rows of
+// (one of 300 group keys, a two-letter value) and records what a single pass
+// would compute in ref.
+func byteKeyed(seed int64, n int, ref map[string]*byteRef) *Table {
+	rng := rand.New(rand.NewSource(seed))
+	tab := NewBytes(len(byteAggs), 4).WithSide() // tiny capacity forces growth
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("group-%d", rng.Intn(300))
+		val := string([]byte{byte('a' + rng.Intn(6)), byte('a' + rng.Intn(6))})
+		g := tab.UpsertBytes(types.HashBytes([]byte(key))|1, []byte(key))
+		tab.UpdateBytes(g, 0, byteAggs[0], []byte(val))
+		tab.UpdateBytes(g, 1, byteAggs[1], []byte(val))
+		tab.AddDistinct(g, 2, []byte(val))
+		tab.AccumCount(3, []int32{g})
+		r := ref[key]
+		if r == nil {
+			r = &byteRef{min: val, max: val, distinct: map[string]bool{}}
+			ref[key] = r
+		}
+		r.min, r.max = min(r.min, val), max(r.max, val)
+		r.distinct[val] = true
+		r.count++
+	}
+	return tab
+}
+
+func requireByteGroups(t *testing.T, tab *Table, ref map[string]*byteRef) {
+	t.Helper()
+	if tab.Len() != len(ref) {
+		t.Fatalf("groups = %d, want %d", tab.Len(), len(ref))
+	}
+	for g := 0; g < tab.Len(); g++ {
+		key := string(tab.KeyBytes(g))
+		r := ref[key]
+		if r == nil {
+			t.Fatalf("unexpected group %q", key)
+		}
+		gi := int32(g)
+		if got := string(tab.SideAt(gi, 0).MM); got != r.min {
+			t.Errorf("%s: min = %q, want %q", key, got, r.min)
+		}
+		if got := string(tab.SideAt(gi, 1).MM); got != r.max {
+			t.Errorf("%s: max = %q, want %q", key, got, r.max)
+		}
+		if got := len(tab.SideAt(gi, 2).Distinct); got != len(r.distinct) {
+			t.Errorf("%s: distinct = %d, want %d", key, got, len(r.distinct))
+		}
+		if got := tab.CellAt(gi, 3).Count; got != r.count {
+			t.Errorf("%s: count = %d, want %d", key, got, r.count)
+		}
+	}
+}
+
+func TestByteKeysAndSideState(t *testing.T) {
+	ref := map[string]*byteRef{}
+	requireByteGroups(t, byteKeyed(5, 4000, ref), ref)
+}
+
+// TestMergePartitionByteKeysAndSides: the radix merge of two byte-keyed
+// partials with side state covers every group exactly once and folds the
+// char min/max and distinct sets like a single pass over both inputs.
+func TestMergePartitionByteKeysAndSides(t *testing.T) {
+	ref := map[string]*byteRef{}
+	a, b := byteKeyed(1, 3000, ref), byteKeyed(2, 3000, ref)
+	pr := types.NewPartitioner(16)
+	whole := a.NewLike(8)
+	for p := 0; p < pr.Parts(); p++ {
+		dst := a.NewLike(8)
+		dst.MergePartition(a, p, pr, byteAggs)
+		dst.MergePartition(b, p, pr, byteAggs)
+		whole.MergePartition(dst, 0, types.NewPartitioner(1), byteAggs)
+	}
+	requireByteGroups(t, whole, ref)
+}
+
+// TestBytesCountsArenaAndSides: the footprint of a byte-keyed table with
+// side state covers its key arena and what the sides own, not only the
+// fixed-width arrays.
+func TestBytesCountsArenaAndSides(t *testing.T) {
+	fixed := NewBytes(1, 16)
+	sided := NewBytes(1, 16).WithSide()
+	var keyBytes, valBytes int64
+	for i := 0; i < 1000; i++ {
+		key := []byte(fmt.Sprintf("a-rather-long-group-key-%04d", i))
+		val := []byte(fmt.Sprintf("value-%04d", i))
+		h := types.HashBytes(key) | 1
+		fixed.UpsertBytes(h, key)
+		sided.AddDistinct(sided.UpsertBytes(h, key), 0, val)
+		keyBytes += int64(len(key))
+		valBytes += int64(len(val))
+	}
+	plain := New(1, false, 16)
+	k0 := make([]int64, 1000)
+	for i := range k0 {
+		k0[i] = int64(i)
+	}
+	plain.UpsertBlock(k0, nil, types.HashPairVec(k0, nil, nil), nil)
+	if fixed.Bytes() < plain.Bytes()+keyBytes {
+		t.Errorf("arena not counted: byte-keyed %d, inline %d, key bytes %d", fixed.Bytes(), plain.Bytes(), keyBytes)
+	}
+	if sided.Bytes() < fixed.Bytes()+valBytes+1000*sideBytes {
+		t.Errorf("sides not counted: with sides %d, without %d, value bytes %d", sided.Bytes(), fixed.Bytes(), valBytes)
 	}
 }

@@ -16,20 +16,18 @@ import (
 	"repro/internal/types"
 )
 
-// AggKernelProfile reports the vectorized-aggregation counters for the
-// aggregation-heavy TPC-H queries at the configured worker count: rows routed
-// through the fixed-width fast path versus the reference map path, partial
-// tables created (free-list misses — the steady state approaches the worker
-// count), and the radix merge fan-out that replaced the global-mutex merge.
-// Q1 groups by char columns and Q16 needs count(distinct), so they exercise
-// the retained fallback; the int-keyed aggregations (Q13, Q15, Q18) run
-// entirely vectorized.
+// AggKernelProfile reports the aggregation-kernel counters for the
+// aggregation-heavy TPC-H queries at the configured worker count: rows
+// aggregated, partial tables created (free-list misses — the steady state
+// approaches the worker count), and the radix merge fan-out. Q1 groups by
+// char columns (byte-keyed table) and Q16 needs count(distinct) (side
+// array); Q13, Q15 and Q18 use inline int keys.
 func (h *Harness) AggKernelProfile() (*Report, error) {
 	r := &Report{
 		ID:    "AGG",
-		Title: "Aggregation-kernel profile (vectorized vs fallback rows, merge fan-out)",
+		Title: "Aggregation-kernel profile (rows, partial tables, merge fan-out)",
 		Header: []string{
-			"query", "agg_rows", "fast_%", "partials", "merge_fanout", "wall_ms",
+			"query", "agg_rows", "partials", "merge_fanout", "wall_ms",
 		},
 	}
 	d := h.Dataset(128<<10, storage.ColumnStore)
@@ -41,21 +39,14 @@ func (h *Harness) AggKernelProfile() (*Report, error) {
 			return nil, err
 		}
 		k := res.Run.Kernels()
-		total := k.AggFastRows + k.AggFallbackRows
-		fastPct := "-"
-		if total > 0 {
-			fastPct = fmt.Sprintf("%.1f", 100*float64(k.AggFastRows)/float64(total))
-		}
 		r.AddRow(
 			fmt.Sprintf("Q%02d", q),
-			fmt.Sprintf("%d", total),
-			fastPct,
+			fmt.Sprintf("%d", k.AggFastRows),
 			fmt.Sprintf("%d", k.AggPartials),
 			fmt.Sprintf("%d", k.AggMergeFanout),
 			fmt.Sprintf("%.2f", float64(res.Run.WallTime())/float64(time.Millisecond)),
 		)
 	}
-	r.Note("fast_%% is the share of aggregated rows on the fixed-width vectorized path; char group keys (Q1) and count(distinct) (Q16) keep the reference map path")
 	return r, nil
 }
 
@@ -123,11 +114,9 @@ func runAggWOs(ctx *core.ExecCtx, wos []core.WorkOrder, g int) {
 }
 
 // benchAgg aggregates the 64K-row input into ~512 groups per op with g
-// goroutines: the reference path evaluates per row into a local map and
-// merges it into the shared map behind the operator mutex; the vectorized
-// path gathers + hashes the key column per block into thread-local
-// fixed-width tables and merges via the parallel radix fan-out.
-func benchAgg(g int, vectorized bool) func(b *testing.B) {
+// goroutines: gather + hash the key column per block into thread-local
+// fixed-width tables, then merge via the parallel radix fan-out.
+func benchAgg(g int) func(b *testing.B) {
 	return func(b *testing.B) {
 		blocks, schema := microAggData()
 		b.ReportAllocs()
@@ -144,7 +133,6 @@ func benchAgg(g int, vectorized bool) func(b *testing.B) {
 					{Func: exec.Count, Name: "c"},
 					{Func: exec.Min, Arg: expr.C(schema, "v"), Name: "mn"},
 				},
-				ForceReference: !vectorized,
 			})
 			plan := &core.Plan{}
 			exec.AddOp(plan, op)

@@ -32,7 +32,7 @@ func Experiments() []Experiment {
 		{"ABL-UOT", "ablation: full UoT spectrum sweep", (*Harness).AblationUoTSweep},
 		{"ABL-BLOCK", "ablation: block-size sweep", (*Harness).AblationBlockSize},
 		{"CONTEND", "batch-kernel contention profile (shard locks, scratch reuse)", (*Harness).ContentionProfile},
-		{"AGG", "aggregation-kernel profile (vectorized vs fallback, merge fan-out)", (*Harness).AggKernelProfile},
+		{"AGG", "aggregation-kernel profile (rows, partial tables, merge fan-out)", (*Harness).AggKernelProfile},
 		{"SORT", "sort-kernel profile (normalized-key runs, merge fan-out, top-k pruning)", (*Harness).SortKernelProfile},
 		{"EXCH", "exchange profile (partition-local pipelines vs shared-state join+agg)", (*Harness).ExchangeProfile},
 		{"CHAOS", "robustness: seeded fault injection vs fault-free results", (*Harness).Chaos},

@@ -307,20 +307,15 @@ func microBenchmarks() []struct {
 		{"probe/vectorized/g=8", buildRows, benchProbe(8, true)},
 		{"expr/filterblock/alloc", 0, benchFilterBlock(false)},
 		{"expr/filterblock/scratch", 0, benchFilterBlock(true)},
-		{"agg/group/reference/g=1", buildRows, benchAgg(1, false)},
-		{"agg/group/vectorized/g=1", buildRows, benchAgg(1, true)},
-		{"agg/group/reference/g=8", buildRows, benchAgg(8, false)},
-		{"agg/group/vectorized/g=8", buildRows, benchAgg(8, true)},
+		{"agg/group/vectorized/g=1", buildRows, benchAgg(1)},
+		{"agg/group/vectorized/g=8", buildRows, benchAgg(8)},
 		{"exchange/scatter/g=1", buildRows, benchScatter(1)},
 		{"exchange/scatter/g=8", buildRows, benchScatter(8)},
 		{"hashtable/insert/partitioned/g=8", buildRows, benchPartInsert(8)},
 		{"agg/group/partitioned/g=8", buildRows, benchPartAgg(8)},
-		{"sort/reference/g=1", sortRows, benchSort(1, false, 0, microSortBlocks)},
-		{"sort/fast/g=1", sortRows, benchSort(1, true, 0, microSortBlocks)},
-		{"sort/reference/g=8", sortRows, benchSort(8, false, 0, microSortBlocks)},
-		{"sort/fast/g=8", sortRows, benchSort(8, true, 0, microSortBlocks)},
-		{"topk/reference/limit=100/g=8", sortRows, benchSort(8, false, 100, microSortBlocks)},
-		{"topk/fast/limit=100/g=8", sortRows, benchSort(8, true, 100, microSortBlocks)},
+		{"sort/fast/g=1", sortRows, benchSort(1, 0, microSortBlocks)},
+		{"sort/fast/g=8", sortRows, benchSort(8, 0, microSortBlocks)},
+		{"topk/fast/limit=100/g=8", sortRows, benchSort(8, 100, microSortBlocks)},
 		{"uotctl/observe", 0, benchUoTObserve},
 		{"uotctl/prior", 0, benchUoTPrior},
 		{"engine/q1/static/g=8", 0, benchAdaptQuery(8, false)},
@@ -378,13 +373,8 @@ func RunMicro() *MicroReport {
 	speedup("bloom_batch_speedup_g8", "bloom/add/mutex/g=8", "bloom/add/atomic-batch/g=8")
 	speedup("probe_vectorized_speedup_g8", "probe/row/g=8", "probe/vectorized/g=8")
 	speedup("filterblock_scratch_speedup", "expr/filterblock/alloc", "expr/filterblock/scratch")
-	speedup("agg_vectorized_speedup_g1", "agg/group/reference/g=1", "agg/group/vectorized/g=1")
-	speedup("agg_vectorized_speedup_g8", "agg/group/reference/g=8", "agg/group/vectorized/g=8")
 	speedup("insert_partitioned_speedup_g8", "hashtable/insert/block/g=8", "hashtable/insert/partitioned/g=8")
 	speedup("agg_partitioned_speedup_g8", "agg/group/vectorized/g=8", "agg/group/partitioned/g=8")
-	speedup("sort_fast_speedup_g1", "sort/reference/g=1", "sort/fast/g=1")
-	speedup("sort_fast_speedup_g8", "sort/reference/g=8", "sort/fast/g=8")
-	speedup("topk_fast_speedup_g8", "topk/reference/limit=100/g=8", "topk/fast/limit=100/g=8")
 	// Overhead ratio of the adaptive decision path: pinned-controller Q1
 	// over static Q1, identical schedules (1.01 = 1% overhead). Measured by
 	// interleaved alternation rather than from the two engine/q1 entries

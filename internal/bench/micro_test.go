@@ -15,10 +15,8 @@ func BenchmarkMicroProbeRowG8(b *testing.B)    { benchProbe(8, false)(b) }
 func BenchmarkMicroProbeVecG8(b *testing.B)    { benchProbe(8, true)(b) }
 func BenchmarkMicroFilterAlloc(b *testing.B)   { benchFilterBlock(false)(b) }
 func BenchmarkMicroFilterScratch(b *testing.B) { benchFilterBlock(true)(b) }
-func BenchmarkMicroAggRefG1(b *testing.B)      { benchAgg(1, false)(b) }
-func BenchmarkMicroAggVecG1(b *testing.B)      { benchAgg(1, true)(b) }
-func BenchmarkMicroAggRefG8(b *testing.B)      { benchAgg(8, false)(b) }
-func BenchmarkMicroAggVecG8(b *testing.B)      { benchAgg(8, true)(b) }
+func BenchmarkMicroAggVecG1(b *testing.B)      { benchAgg(1)(b) }
+func BenchmarkMicroAggVecG8(b *testing.B)      { benchAgg(8)(b) }
 
 // Exchange suite: the scatter kernel plus the partition-local build and agg
 // pipelines it feeds (owned tables, no shard locks, no radix merge).
@@ -30,11 +28,9 @@ func BenchmarkMicroAggPartitionedG8(b *testing.B)    { benchPartAgg(8)(b) }
 // The sort smoke wrappers run a 128-block (131072-row) prefix of the micro
 // dataset so CI's -benchtime 10x pass stays fast; the full 1M-row shape runs
 // through cmd/uotbench -micro.
-func BenchmarkMicroSortRefG1(b *testing.B)  { benchSort(1, false, 0, 128)(b) }
-func BenchmarkMicroSortFastG1(b *testing.B) { benchSort(1, true, 0, 128)(b) }
-func BenchmarkMicroSortRefG8(b *testing.B)  { benchSort(8, false, 0, 128)(b) }
-func BenchmarkMicroSortFastG8(b *testing.B) { benchSort(8, true, 0, 128)(b) }
-func BenchmarkMicroSortTopKG8(b *testing.B) { benchSort(8, true, 100, 128)(b) }
+func BenchmarkMicroSortFastG1(b *testing.B) { benchSort(1, 0, 128)(b) }
+func BenchmarkMicroSortFastG8(b *testing.B) { benchSort(8, 0, 128)(b) }
+func BenchmarkMicroSortTopKG8(b *testing.B) { benchSort(8, 100, 128)(b) }
 
 // Adaptive-UoT suite: the controller's per-decision and prior costs plus the
 // end-to-end static-vs-adaptive overhead pair (BENCH_PR7's target ratio).

@@ -146,11 +146,11 @@ func TestShapeFig9SmallHashTableScalesBetter(t *testing.T) {
 	}
 }
 
-// TestShapeAggKernelRouting asserts the AGG experiment's routing claim: the
-// int-keyed aggregations (Q13, Q15, Q18) run entirely on the vectorized
-// fixed-width path, while char group keys (Q1) and count(distinct) (Q16)
-// keep at least one aggregation on the reference fallback.
-func TestShapeAggKernelRouting(t *testing.T) {
+// TestShapeAggKernel asserts the AGG experiment's claim: every aggregation —
+// int keys (Q13, Q15, Q18), char keys (Q1) and count(distinct) (Q16) alike —
+// aggregates its rows through the kernel, from thread-local partials, and
+// finishes through merge work orders.
+func TestShapeAggKernel(t *testing.T) {
 	rep, err := tiny().AggKernelProfile()
 	if err != nil {
 		t.Fatal(err)
@@ -159,20 +159,8 @@ func TestShapeAggKernelRouting(t *testing.T) {
 		t.Fatalf("AGG rows = %d, want 5", len(rep.Rows))
 	}
 	for i, row := range rep.Rows {
-		fastPct := cell(t, rep, i, 2)
-		fanout := cell(t, rep, i, 4)
-		switch row[0] {
-		case "Q13", "Q15", "Q18":
-			if fastPct != 100 {
-				t.Errorf("%s: fast_%% = %v, want 100 (all int keys)", row[0], fastPct)
-			}
-			if fanout == 0 {
-				t.Errorf("%s: merge fan-out = 0, want parallel radix merges", row[0])
-			}
-		case "Q01", "Q16":
-			if fastPct >= 100 {
-				t.Errorf("%s: fast_%% = %v, want a fallback share", row[0], fastPct)
-			}
+		if rows, partials, fanout := cell(t, rep, i, 1), cell(t, rep, i, 2), cell(t, rep, i, 3); rows == 0 || partials == 0 || fanout == 0 {
+			t.Errorf("%s: agg_rows %v, partials %v, merge fan-out %v; want all non-zero", row[0], rows, partials, fanout)
 		}
 	}
 }

@@ -18,17 +18,16 @@ import (
 )
 
 // SortKernelProfile reports the parallel-sort counters for the ORDER BY
-// TPC-H queries at the configured worker count: rows routed through the
-// normalized-key run sort versus the row-at-a-time reference path, the
-// number of run-generation work orders, the range-partitioned merge fan-out,
-// and the rows the dedicated top-k path pruned before materialization (the
-// LIMIT queries Q3/Q10/Q21).
+// TPC-H queries at the configured worker count: rows sorted, the number of
+// run-generation work orders, the range-partitioned merge fan-out, and the
+// rows the dedicated top-k path pruned before materialization (the LIMIT
+// queries Q3/Q10/Q21).
 func (h *Harness) SortKernelProfile() (*Report, error) {
 	r := &Report{
 		ID:    "SORT",
 		Title: "Sort-kernel profile (normalized-key runs, merge fan-out, top-k pruning)",
 		Header: []string{
-			"query", "sort_rows", "fast_%", "runs", "merge_fanout", "topk_pruned", "wall_ms",
+			"query", "sort_rows", "runs", "merge_fanout", "topk_pruned", "wall_ms",
 		},
 	}
 	d := h.Dataset(128<<10, storage.ColumnStore)
@@ -40,22 +39,16 @@ func (h *Harness) SortKernelProfile() (*Report, error) {
 			return nil, err
 		}
 		k := res.Run.Kernels()
-		total := k.SortFastRows + k.SortFallbackRows
-		fastPct := "-"
-		if total > 0 {
-			fastPct = fmt.Sprintf("%.1f", 100*float64(k.SortFastRows)/float64(total))
-		}
 		r.AddRow(
 			fmt.Sprintf("Q%02d", q),
-			fmt.Sprintf("%d", total),
-			fastPct,
+			fmt.Sprintf("%d", k.SortFastRows),
 			fmt.Sprintf("%d", k.SortRuns),
 			fmt.Sprintf("%d", k.SortMergeFanout),
 			fmt.Sprintf("%d", k.TopKPruned),
 			fmt.Sprintf("%.2f", float64(res.Run.WallTime())/float64(time.Millisecond)),
 		)
 	}
-	r.Note("every TPC-H ORDER BY key is a plain output column, so fast_%% is 100 when the sort input is non-empty; topk_pruned counts rows the LIMIT queries never materialized")
+	r.Note("topk_pruned counts rows the LIMIT queries never materialized")
 	return r, nil
 }
 
@@ -129,12 +122,10 @@ func runSortWOs(ctx *core.ExecCtx, wos []core.WorkOrder, g int) {
 }
 
 // benchSort sorts nblocks 1024-row blocks by the int64 key with g
-// goroutines: the reference path boxes every row into datums and
-// stable-sorts them in one work order; the fast path radix-sorts each block
-// into a normalized-key run in parallel, k-way-merges range partitions in
-// parallel, and gathers the output columnarly. limit > 0 engages the
-// per-run top-k heaps instead.
-func benchSort(g int, fast bool, limit, nblocks int) func(b *testing.B) {
+// goroutines: radix-sort each block into a normalized-key run in parallel,
+// k-way-merge range partitions in parallel, and gather the output
+// columnarly. limit > 0 engages the per-run top-k heaps instead.
+func benchSort(g, limit, nblocks int) func(b *testing.B) {
 	return func(b *testing.B) {
 		all, schema := microSortData()
 		blocks := all[:nblocks]
@@ -146,9 +137,8 @@ func benchSort(g int, fast bool, limit, nblocks int) func(b *testing.B) {
 			b.StopTimer()
 			op := exec.NewSort(exec.SortSpec{
 				Name: "sort", InputSchema: schema,
-				Terms:          []exec.SortTerm{{Key: expr.C(schema, "k")}},
-				Limit:          limit,
-				ForceReference: !fast,
+				Terms: []exec.SortTerm{{Key: expr.C(schema, "k")}},
+				Limit: limit,
 			})
 			plan := &core.Plan{}
 			id := exec.AddOp(plan, op)

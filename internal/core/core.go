@@ -174,7 +174,7 @@ func (c *ExecCtx) FaultAt(site faults.Site) error {
 // Output collects what one work-order execution produced: sealed full output
 // blocks, simulated ticks, row counts, and the hot-path kernel counters
 // (recorded into stats and the tracer so cmd/uotbench and /metrics can report
-// lock traffic and fast/fallback splits).
+// lock traffic and kernel row counts).
 type Output struct {
 	Blocks  []*storage.Block
 	Sim     int64

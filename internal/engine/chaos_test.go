@@ -153,6 +153,7 @@ func TestRetryIdempotence(t *testing.T) {
 
 // sitePlan is a fault site and a plan that consults it.
 type sitePlan struct {
+	name  string
 	site  faults.Site
 	build func() *Builder
 }
@@ -160,7 +161,9 @@ type sitePlan struct {
 // preMutationSites pairs every operator fault site that fires before the
 // first shared-state mutation with a plan that consults it from dozens of
 // work orders (512-byte blocks; a 2000-row build side), so a 25 % rate is
-// certain to fire.
+// certain to fire. The aggregation and sort sites are paired with both key
+// shapes their kernels resolve: inline int keys and a serialized char key,
+// a column term and a computed term.
 func preMutationSites(t *testing.T) []sitePlan {
 	db, fact, _ := fixture(t, storage.ColumnStore, 512)
 	dim := db.CreateTable("dim_wide", storage.NewSchema(
@@ -173,26 +176,49 @@ func preMutationSites(t *testing.T) []sitePlan {
 	}
 	ld.Close()
 	joinAgg := func() *Builder { return buildJoinAggPlanBloom(fact, dim, true) }
-	orderBy := func() *Builder {
-		b := NewBuilder()
+	scanFact := func(b *Builder) *Node {
 		fs := fact.Schema()
-		sel := b.ScanSelect(exec.SelectSpec{
+		return b.ScanSelect(exec.SelectSpec{
 			Name: "sel_fact", Base: fact,
-			Proj:      []expr.Expr{expr.C(fs, "k"), expr.C(fs, "v")},
-			ProjNames: []string{"k", "v"},
+			Proj:      []expr.Expr{expr.C(fs, "k"), expr.C(fs, "grp"), expr.C(fs, "v")},
+			ProjNames: []string{"k", "grp", "v"},
 		})
-		b.Collect(b.Sort(sel, exec.SortSpec{
-			Name:  "sort",
-			Terms: []exec.SortTerm{{Key: expr.C(sel.Schema, "v"), Desc: true}},
+	}
+	charAgg := func() *Builder {
+		b := NewBuilder()
+		sel := scanFact(b)
+		band := expr.Case(expr.Str("high"), expr.When{Cond: expr.Lt(expr.C(sel.Schema, "grp"), expr.Int(2)), Then: expr.Str("low")})
+		b.Collect(b.Agg(sel, exec.AggOpSpec{
+			Name:    "agg",
+			GroupBy: []expr.Expr{band}, GroupByNames: []string{"band"},
+			Aggs: []exec.AggSpec{
+				{Func: exec.Sum, Arg: expr.C(sel.Schema, "v"), Name: "sv"},
+				{Func: exec.CountDistinct, Arg: expr.C(sel.Schema, "k"), Name: "dk"},
+			},
 		}))
 		return b
 	}
+	orderBy := func(key func(*storage.Schema) expr.Expr) func() *Builder {
+		return func() *Builder {
+			b := NewBuilder()
+			sel := scanFact(b)
+			b.Collect(b.Sort(sel, exec.SortSpec{
+				Name:  "sort",
+				Terms: []exec.SortTerm{{Key: key(sel.Schema), Desc: true}},
+			}))
+			return b
+		}
+	}
 	return []sitePlan{
-		{faults.HashInsert, joinAgg},
-		{faults.BloomBuild, joinAgg},
-		{faults.AggUpsert, joinAgg},
-		{faults.SortRun, orderBy},
-		{faults.Repartition, func() *Builder { return buildPartitionedJoinAggPlan(fact, dim, 4) }},
+		{"HashInsert", faults.HashInsert, joinAgg},
+		{"BloomBuild", faults.BloomBuild, joinAgg},
+		{"AggUpsert/int-key", faults.AggUpsert, joinAgg},
+		{"AggUpsert/char-key", faults.AggUpsert, charAgg},
+		{"SortRun/column", faults.SortRun, orderBy(func(s *storage.Schema) expr.Expr { return expr.C(s, "v") })},
+		{"SortRun/computed", faults.SortRun, orderBy(func(s *storage.Schema) expr.Expr {
+			return expr.SubE(expr.C(s, "v"), expr.MulE(expr.C(s, "k"), expr.Float(0.5)))
+		})},
+		{"Repartition", faults.Repartition, func() *Builder { return buildPartitionedJoinAggPlan(fact, dim, 4) }},
 	}
 }
 
@@ -219,7 +245,7 @@ func TestRetryRecoversPreMutationFaults(t *testing.T) {
 			Workers: 2, UoTBlocks: 1, TempBlockBytes: 512,
 		}, "fault-free")
 		for _, kind := range []faults.Kind{faults.KindError, faults.KindPanic, faults.KindAlloc} {
-			t.Run(sp.site.String()+"/"+kind.String(), func(t *testing.T) {
+			t.Run(sp.name+"/"+kind.String(), func(t *testing.T) {
 				rows, res := mustRows(t, sp.build(), preMutationOpts(sp.site, 0.25, kind, 12), "faulted")
 				if !sameRows(base, rows) {
 					t.Fatal("retried run result differs from fault-free baseline")
@@ -243,7 +269,7 @@ func TestRetryRecoversPreMutationFaults(t *testing.T) {
 // (which counts every block the failed run still owns).
 func TestPersistentFaultFailsTyped(t *testing.T) {
 	for _, sp := range preMutationSites(t) {
-		t.Run(sp.site.String(), func(t *testing.T) {
+		t.Run(sp.name, func(t *testing.T) {
 			var live stats.MemGauge
 			tr := trace.New(1 << 12)
 			opts := preMutationOpts(sp.site, 1, faults.KindError, 4)

@@ -32,7 +32,6 @@ import (
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/exec"
 	"repro/internal/storage"
 	"repro/internal/tpch"
 	"repro/internal/types"
@@ -215,33 +214,6 @@ func TestGoldenTPCH(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Logf("rewrote %s with %d entries", goldenPath, len(updated))
-	}
-}
-
-// TestGoldenSortFastPath guards that the golden matrix actually exercises
-// the normalized-key sort: every TPC-H ORDER BY is over plain output
-// columns, so every sort operator in every plan must be on the fast path.
-// Combined with TestGoldenTPCH's unchanged checksums, this is the "fast sort
-// is bit-identical to the reference results" assertion.
-func TestGoldenSortFastPath(t *testing.T) {
-	d := tpch.Load(0.01, 128<<10, storage.ColumnStore)
-	sorts := 0
-	for _, q := range tpch.Numbers() {
-		b, err := tpch.Build(d, q, tpch.QueryOpts{})
-		if err != nil {
-			t.Fatalf("Q%02d: build: %v", q, err)
-		}
-		for _, op := range b.Plan().Ops {
-			if s, ok := op.(*exec.SortOp); ok {
-				sorts++
-				if !s.FastPath() {
-					t.Errorf("Q%02d: sort %q fell back to the reference path", q, s.Name())
-				}
-			}
-		}
-	}
-	if sorts == 0 {
-		t.Fatal("no sort operators found in any TPC-H plan")
 	}
 }
 

@@ -134,8 +134,8 @@ func (b *Builder) PartitionedAgg(from *Node, spec exec.AggOpSpec, parts int) *No
 }
 
 // aggExchangeKeys extracts the exchange key columns from an aggregation's
-// group-by: 1 or 2 plain int64/date column references, the same shape the
-// aggregation fast path requires.
+// group-by: 1 or 2 plain int64/date column references, which the exchange's
+// scatter kernel can hash.
 func aggExchangeKeys(spec exec.AggOpSpec) ([]int, bool) {
 	if len(spec.GroupBy) < 1 || len(spec.GroupBy) > 2 {
 		return nil, false

@@ -3,6 +3,7 @@ package exec
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -51,26 +52,25 @@ const (
 // fan-out and the merge work orders' filters).
 var aggPartitioner = types.NewPartitioner(aggParts)
 
-// AggOp is a hash aggregation operator with two execution paths.
+// AggOp is a hash aggregation operator. Every spec runs one pipeline: each
+// work order checks a thread-local partial out of a free-list, resolves the
+// block's rows to dense group ids in the partial's aggtable.Table, and folds
+// each aggregate's argument vector into the table's fixed-width cells with a
+// columnar kernel — no per-row map lookups, no Datum-boxed accumulators.
+// Partials persist across work orders, and Final fans out one merge work
+// order per radix partition of the group-hash space, so the merge
+// parallelizes across the scheduler's workers instead of serializing on an
+// operator mutex.
 //
-// The vectorized fast path handles the common TPC-H/SSB shape: at most two
-// int64/date group keys, aggregates over numeric arguments (no
-// CountDistinct, no char min/max). Work orders gather the key columns
-// (storage.Block.GatherInt64/GatherDate), hash them in one vectorized pass
-// (types.HashPairVec), and accumulate into a thread-local open-addressing
-// aggtable.Table — no string keys, no per-row Datum boxing. Column-ref-only
-// aggregate arguments accumulate through columnar kernels over gathered
-// vectors; computed arguments fall back to per-row Eval but still write
-// fixed-width cells. Partial tables persist across work orders on a
-// free-list, and Final fans out one merge work order per radix partition of
-// the hash space, so the merge parallelizes across the scheduler's workers
-// instead of serializing on an operator mutex.
-//
-// The reference map path (per-row Eval, serialized group keys, one shared
-// map behind a mutex) serves mixed-type keys, CountDistinct, char min/max,
-// and ForceReference (the correctness oracle the equivalence tests compare
-// against). The choice is made once, in NewAgg, from what the spec shows;
-// fast is immutable afterwards.
+// Only group-id resolution varies, and NewAgg picks it once from the key
+// types: no keys (every row is group 0), at most two keys of 8-byte types
+// (int64, date, float64 by canonical bits — gathered columns or computed
+// expressions evaluated into the key vectors, hashed in one vectorized pass
+// into the table's inline keys), or anything else (char keys, three or more
+// keys: the key tuple serialized by appendKey into the table's byte arena).
+// Argument loading is likewise compiled per aggregate: a columnar gather for
+// plain column references, a per-row Eval into the same vectors otherwise;
+// char min/max and CountDistinct fold per row into the table's side array.
 type AggOp struct {
 	core.Base
 	self     core.OpID
@@ -80,36 +80,110 @@ type AggOp struct {
 	out      *storage.Schema
 	readCols []int
 
-	// Reference-path state.
-	mu        sync.Mutex
-	groups    map[string]*aggGroup
-	memBytes  int64 // atomic: approximate live bytes of the aggregation table(s)
+	memBytes  int64 // atomic: approximate live bytes of the partial tables
 	scalarVal types.Datum
 	hasScalar bool
 
-	// Fast-path plan: filled by initFastPath when the operator qualifies.
-	fast      bool
+	// Plan, compiled by NewAgg.
 	partLocal bool
-	keyCols   []int
-	keyIsDate []bool
-	fAggs     []fastAgg
+	keys      aggKeys
+	args      []aggArg
+	descs     []aggtable.Agg  // args' accumulator descriptors, for merges
+	proto     *aggtable.Table // empty table of the plan's layout; partials and merges clone it
 
-	// Fast-path runtime state: the free-list of thread-local partials. pall
-	// tracks every partial ever created (for the merge); pfree holds the
-	// ones not currently owned by a running work order.
+	// Runtime state: the free-list of thread-local partials. pall tracks
+	// every partial ever created (for the merge); pfree holds the ones not
+	// currently owned by a running work order.
 	pmu   sync.Mutex
 	pfree []*aggPartial
 	pall  []*aggPartial
 }
 
-// fastAgg is the fast path's per-aggregate plan: the aggtable accumulator
-// descriptor plus how the argument is loaded (columnar gather of col, or
-// per-row Eval of arg; col < 0 and arg == nil for COUNT).
-type fastAgg struct {
-	desc      aggtable.Agg
-	col       int
-	colIsDate bool
-	arg       expr.Expr
+// aggKeys is the group-id resolver NewAgg picked: how a block's rows map to
+// dense group ids in a partial's table, and how a group's key datums are
+// rebuilt from the table at emission.
+type aggKeys interface {
+	// groupIDs fills p.groupIdx with the dense group id of each of the n
+	// rows of ec.B, creating groups in p.tab as needed.
+	groupIDs(ec *expr.Ctx, p *aggPartial, n int)
+	// datums writes group g's key values into row[:number of keys].
+	datums(t *aggtable.Table, g int, row []types.Datum)
+}
+
+// vecSrc loads one 8-byte value per row of a block into a vector: a columnar
+// gather when the expression is a plain column reference (col >= 0), a
+// per-row Eval otherwise. The aggregation keys and arguments and the sort
+// terms all load through it.
+type vecSrc struct {
+	e   expr.Expr
+	col int
+	ty  types.TypeID
+}
+
+// sized returns s with length n, reusing its backing array when it is large
+// enough. Callers overwrite every element.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+func newVecSrc(e expr.Expr) vecSrc {
+	s := vecSrc{e: e, col: -1, ty: e.Type()}
+	if c, ok := expr.AsPrimaryColRef(e); ok {
+		s.col = c.Col
+	}
+	return s
+}
+
+// ints loads an int64 or (widened) date expression.
+func (s vecSrc) ints(ec *expr.Ctx, n int, dst []int64) []int64 {
+	switch {
+	case s.col < 0:
+		dst = sized(dst, n)
+		for r := range dst {
+			ec.Row = r
+			dst[r] = s.e.Eval(ec).I
+		}
+		return dst
+	case s.ty == types.Date:
+		return ec.B.GatherDate(s.col, dst)
+	default:
+		return ec.B.GatherInt64(s.col, dst)
+	}
+}
+
+// floats loads a float64 expression.
+func (s vecSrc) floats(ec *expr.Ctx, n int, dst []float64) []float64 {
+	if s.col >= 0 {
+		return ec.B.GatherFloat64(s.col, dst)
+	}
+	dst = sized(dst, n)
+	for r := range dst {
+		ec.Row = r
+		dst[r] = s.e.Eval(ec).F
+	}
+	return dst
+}
+
+// aggLoad is how one aggregate's argument reaches its accumulator.
+type aggLoad uint8
+
+const (
+	loadNone     aggLoad = iota // COUNT: no argument to read
+	loadInt                     // int64/date vector → AccumInt
+	loadFloat                   // float64 vector → AccumFloat
+	loadBytes                   // char min/max: per-row Eval → UpdateBytes
+	loadDistinct                // CountDistinct: per-row Eval → AddDistinct
+)
+
+// aggArg is one aggregate's plan: the accumulator descriptor and how the
+// argument is loaded.
+type aggArg struct {
+	desc aggtable.Agg
+	load aggLoad
+	src  vecSrc
 }
 
 // aggPartial is one thread-local partial aggregation state plus its reusable
@@ -117,29 +191,15 @@ type fastAgg struct {
 // (free-list discipline), accumulates across all blocks it sees, and is
 // merged once by the Final merge work orders — there is no per-block merge.
 type aggPartial struct {
-	tab       *aggtable.Table // grouped fast path
-	cells     []aggtable.Cell // scalar fast path (no group keys)
+	tab       *aggtable.Table
 	k0        []int64
 	k1        []int64
+	keyBuf    []byte // one serialized key tuple or distinct value
 	hashes    []uint64
 	groupIdx  []int32
 	argI      []int64
 	argF      []float64
 	lastBytes int64
-}
-
-type aggGroup struct {
-	keys []types.Datum
-	acc  []accCell
-}
-
-type accCell struct {
-	sumF     float64
-	sumI     int64
-	count    int64
-	minmax   types.Datum
-	set      bool
-	distinct map[string]struct{} // CountDistinct only
 }
 
 // AggOpSpec configures NewAgg.
@@ -152,10 +212,6 @@ type AggOpSpec struct {
 	GroupByNames []string
 	// Aggs are the aggregates to compute.
 	Aggs []AggSpec
-	// ForceReference disables the vectorized fast path, keeping the
-	// row-at-a-time map path (the equivalence tests' oracle and the micro
-	// benchmarks' baseline).
-	ForceReference bool
 	// PartitionLocal marks a per-partition clone downstream of an exchange:
 	// the clone sees only its partition's groups, so Final issues a single
 	// merge work order instead of fanning out over the radix partitions —
@@ -163,7 +219,9 @@ type AggOpSpec struct {
 	PartitionLocal bool
 }
 
-// NewAgg builds an aggregation operator.
+// NewAgg builds an aggregation operator. It is the only place that looks at
+// key and argument types: it picks the group-id resolver with its table
+// layout, and compiles each aggregate's descriptor and argument loader.
 func NewAgg(spec AggOpSpec) *AggOp {
 	if len(spec.Aggs) == 0 {
 		panic("exec: aggregation needs at least one aggregate")
@@ -181,7 +239,6 @@ func NewAgg(spec AggOpSpec) *AggOp {
 		groupBy:   spec.GroupBy,
 		aggs:      spec.Aggs,
 		out:       storage.NewSchema(cols...),
-		groups:    make(map[string]*aggGroup),
 		partLocal: spec.PartitionLocal,
 	}
 	all := append([]expr.Expr{}, spec.GroupBy...)
@@ -191,69 +248,52 @@ func NewAgg(spec AggOpSpec) *AggOp {
 		}
 	}
 	op.readCols = expr.PrimaryCols(all...)
-	if !spec.ForceReference {
-		op.initFastPath()
+
+	tys := make([]types.TypeID, len(spec.GroupBy))
+	wide := len(tys) > 2
+	for i, g := range spec.GroupBy {
+		tys[i] = g.Type()
+		wide = wide || tys[i] == types.Char
+	}
+	switch {
+	case len(tys) == 0:
+		op.keys, op.proto = scalarKeys{}, aggtable.New(len(spec.Aggs), false, 1)
+	case wide:
+		op.keys, op.proto = byteKeys{exprs: spec.GroupBy, tys: tys}, aggtable.NewBytes(len(spec.Aggs), 1)
+	default:
+		var ik inlineKeys
+		for _, g := range spec.GroupBy {
+			ik.src = append(ik.src, newVecSrc(g))
+		}
+		op.keys, op.proto = ik, aggtable.New(len(spec.Aggs), len(tys) == 2, 1)
+	}
+
+	kinds := [...]aggtable.Kind{Sum: aggtable.Sum, Count: aggtable.Count, Avg: aggtable.Avg,
+		Min: aggtable.Min, Max: aggtable.Max, CountDistinct: aggtable.CountDistinct}
+	for _, a := range spec.Aggs {
+		arg := aggArg{desc: aggtable.Agg{Kind: kinds[a.Func]}}
+		switch {
+		case a.Func == Count || a.Arg == nil:
+		case a.Func == CountDistinct:
+			arg.load = loadDistinct
+		case a.Arg.Type() == types.Char:
+			arg.load, arg.desc.Bytes = loadBytes, true
+		case a.Arg.Type() == types.Float64:
+			arg.load, arg.desc.Float = loadFloat, true
+		default:
+			arg.load = loadInt
+		}
+		if arg.load != loadNone {
+			arg.src = newVecSrc(a.Arg)
+		}
+		if arg.load == loadBytes || arg.load == loadDistinct {
+			op.proto.WithSide()
+		}
+		op.args = append(op.args, arg)
+		op.descs = append(op.descs, arg.desc)
 	}
 	return op
 }
-
-// initFastPath decides fast-path eligibility and compiles the per-key and
-// per-aggregate plans. Requirements: ≤2 group keys, every key a plain
-// int64/date column reference, no CountDistinct, no char-typed aggregate
-// arguments.
-func (o *AggOp) initFastPath() {
-	if len(o.groupBy) > 2 {
-		return
-	}
-	keyCols := make([]int, 0, len(o.groupBy))
-	keyIsDate := make([]bool, 0, len(o.groupBy))
-	for _, g := range o.groupBy {
-		c, ok := expr.AsPrimaryColRef(g)
-		if !ok || (c.Ty != types.Int64 && c.Ty != types.Date) {
-			return
-		}
-		keyCols = append(keyCols, c.Col)
-		keyIsDate = append(keyIsDate, c.Ty == types.Date)
-	}
-	fAggs := make([]fastAgg, 0, len(o.aggs))
-	for _, a := range o.aggs {
-		if a.Func == CountDistinct {
-			return
-		}
-		if a.Arg != nil && a.Arg.Type() == types.Char {
-			return
-		}
-		fa := fastAgg{col: -1}
-		switch a.Func {
-		case Sum:
-			fa.desc.Kind = aggtable.Sum
-		case Count:
-			fa.desc.Kind = aggtable.Count
-		case Avg:
-			fa.desc.Kind = aggtable.Avg
-		case Min:
-			fa.desc.Kind = aggtable.Min
-		case Max:
-			fa.desc.Kind = aggtable.Max
-		}
-		if a.Func != Count && a.Arg != nil {
-			fa.desc.Float = a.Arg.Type() == types.Float64
-			if c, ok := expr.AsPrimaryColRef(a.Arg); ok {
-				fa.col = c.Col
-				fa.colIsDate = c.Ty == types.Date
-			} else {
-				fa.arg = a.Arg
-			}
-		}
-		fAggs = append(fAggs, fa)
-	}
-	o.keyCols, o.keyIsDate, o.fAggs = keyCols, keyIsDate, fAggs
-	o.fast = true
-}
-
-// FastPath reports whether the vectorized path is active (for tests and the
-// bench harness).
-func (o *AggOp) FastPath() bool { return o.fast }
 
 func aggType(a AggSpec) types.TypeID {
 	switch a.Func {
@@ -301,21 +341,13 @@ func (o *AggOp) Feed(_ *core.ExecCtx, _ int, blocks []*storage.Block) []core.Wor
 	return wos
 }
 
-// Final implements core.Operator. On the fast path with group keys it fans
-// out one merge work order per radix partition, so merging partial tables
-// parallelizes across workers; otherwise a single work order emits the
-// merged groups.
+// Final implements core.Operator: it fans out one merge work order per radix
+// partition, so merging partial tables parallelizes across workers. A scalar
+// aggregate has one group and a partition-local clone already owns a
+// disjoint share of the group space (the exchange split it), so both merge
+// in a single work order under the identity partitioner.
 func (o *AggOp) Final(*core.ExecCtx) []core.WorkOrder {
-	if !o.fast {
-		return []core.WorkOrder{&aggFinalWO{op: o}}
-	}
-	if len(o.groupBy) == 0 {
-		return []core.WorkOrder{&aggScalarFinalWO{op: o}}
-	}
-	if o.partLocal {
-		// Partition-local clone: a single merge with the identity
-		// partitioner (every group maps to partition 0) — the exchange
-		// already split the group space across clones.
+	if o.partLocal || len(o.groupBy) == 0 {
 		return []core.WorkOrder{&aggMergeWO{op: o, part: 0, pr: types.NewPartitioner(1)}}
 	}
 	wos := make([]core.WorkOrder, aggParts)
@@ -371,6 +403,8 @@ type aggWO struct {
 
 func (w *aggWO) Inputs() []*storage.Block { return []*storage.Block{w.block} }
 
+// Run resolves the block's rows to dense group ids in a thread-local partial
+// table, then folds each aggregate's argument vector with a columnar kernel.
 func (w *aggWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	o := w.op
 	b := w.block
@@ -379,77 +413,41 @@ func (w *aggWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	if ctx.Sim != nil {
 		out.Sim += ctx.Sim.ConsumedSeq(b, readBytes(b, o.readCols))
 	}
-	if o.fast {
-		// The fault site fires before the partial is checked out, so a
-		// faulted attempt touches no accumulator state: the scheduler rolls
-		// it back and retries it.
-		if err := ctx.FaultAt(faults.AggUpsert); err != nil {
-			return err
-		}
-		if len(o.keyCols) > 0 {
-			o.runFast(ctx, b, out)
-		} else {
-			o.runScalarFast(ctx, b, out)
-		}
-	} else {
-		o.runRef(ctx, b, out)
+	// The fault site fires before the partial is checked out, so a faulted
+	// attempt touches no accumulator state: the scheduler rolls it back and
+	// retries it.
+	if err := ctx.FaultAt(faults.AggUpsert); err != nil {
+		return err
 	}
-	if ctx.Sim != nil {
-		out.Sim += ctx.Sim.RandomProbes(int64(n), atomic.LoadInt64(&o.memBytes)+1)
-	}
-	return nil
-}
-
-// gatherKey loads a group-key or integer-argument column as int64s, widening
-// 4-byte date columns.
-func gatherKey(b *storage.Block, col int, isDate bool, dst []int64) []int64 {
-	if isDate {
-		return b.GatherDate(col, dst)
-	}
-	return b.GatherInt64(col, dst)
-}
-
-// runFast is the vectorized grouped path: gather + hash the key columns once
-// per block, map rows to dense group indexes in the thread-local partial
-// table, then fold each aggregate column with a columnar kernel.
-func (o *AggOp) runFast(ctx *core.ExecCtx, b *storage.Block, out *core.Output) {
-	n := b.NumRows()
 	if n == 0 {
-		return
+		return nil
 	}
 	p := o.getPartial(out)
-	p.k0 = gatherKey(b, o.keyCols[0], o.keyIsDate[0], p.k0)
-	var k1 []int64
-	if len(o.keyCols) == 2 {
-		p.k1 = gatherKey(b, o.keyCols[1], o.keyIsDate[1], p.k1)
-		k1 = p.k1
-	}
-	p.hashes = types.HashPairVec(p.k0, k1, p.hashes)
 	if p.tab == nil {
-		p.tab = aggtable.New(len(o.aggs), len(o.keyCols) == 2, 256)
+		p.tab = o.proto.NewLike(256)
 	}
-	p.groupIdx = p.tab.UpsertBlock(p.k0, k1, p.hashes, p.groupIdx)
-	for j, fa := range o.fAggs {
-		switch {
-		case fa.desc.Kind == aggtable.Count:
+	ec := expr.Ctx{B: b, Scalars: ctx.Scalars}
+	o.keys.groupIDs(&ec, p, n)
+	for j, a := range o.args {
+		switch a.load {
+		case loadNone:
 			p.tab.AccumCount(j, p.groupIdx)
-		case fa.col >= 0 && !fa.desc.Float:
-			p.argI = gatherKey(b, fa.col, fa.colIsDate, p.argI)
-			p.tab.AccumInt(j, fa.desc, p.groupIdx, p.argI)
-		case fa.col >= 0:
-			p.argF = b.GatherFloat64(fa.col, p.argF)
-			p.tab.AccumFloat(j, fa.desc, p.groupIdx, p.argF)
-		default: // computed argument: per-row Eval into fixed-width cells
-			ec := expr.Ctx{B: b, Scalars: ctx.Scalars}
-			for r := 0; r < n; r++ {
+		case loadInt:
+			p.argI = a.src.ints(&ec, n, p.argI)
+			p.tab.AccumInt(j, a.desc, p.groupIdx, p.argI)
+		case loadFloat:
+			p.argF = a.src.floats(&ec, n, p.argF)
+			p.tab.AccumFloat(j, a.desc, p.groupIdx, p.argF)
+		case loadBytes:
+			for r, g := range p.groupIdx {
 				ec.Row = r
-				v := fa.arg.Eval(&ec)
-				c := p.tab.CellAt(p.groupIdx[r], j)
-				if fa.desc.Float {
-					aggtable.UpdateFloat(c, fa.desc, v.F)
-				} else {
-					aggtable.UpdateInt(c, fa.desc, v.I)
-				}
+				p.tab.UpdateBytes(g, j, a.desc, a.src.e.Eval(&ec).Bytes())
+			}
+		case loadDistinct:
+			for r, g := range p.groupIdx {
+				ec.Row = r
+				p.keyBuf = appendKey(p.keyBuf[:0], a.src.e.Eval(&ec))
+				p.tab.AddDistinct(g, j, p.keyBuf)
 			}
 		}
 	}
@@ -457,51 +455,112 @@ func (o *AggOp) runFast(ctx *core.ExecCtx, b *storage.Block, out *core.Output) {
 	o.putPartial(p)
 	out.AggFastRows += int64(n)
 	out.BatchedRows += int64(n)
+	if ctx.Sim != nil {
+		out.Sim += ctx.Sim.RandomProbes(int64(n), atomic.LoadInt64(&o.memBytes)+1)
+	}
+	return nil
 }
 
-// runScalarFast is the vectorized scalar path (no group keys): one cell row
-// per partial, columnar folds, no hash table at all.
-func (o *AggOp) runScalarFast(ctx *core.ExecCtx, b *storage.Block, out *core.Output) {
-	n := b.NumRows()
-	if n == 0 {
-		return
+// scalarKeys resolves a scalar aggregate: every row belongs to group 0.
+type scalarKeys struct{}
+
+// seedScalarGroup creates the single group of a scalar aggregate's table.
+func seedScalarGroup(t *aggtable.Table) { t.UpsertBlock([]int64{0}, nil, []uint64{1}, nil) }
+
+func (scalarKeys) groupIDs(_ *expr.Ctx, p *aggPartial, n int) {
+	if p.tab.Len() == 0 {
+		seedScalarGroup(p.tab)
 	}
-	p := o.getPartial(out)
-	if p.cells == nil {
-		p.cells = make([]aggtable.Cell, len(o.aggs))
-		o.accountGrowth(ctx, p, int64(len(o.aggs))*64)
+	// Nothing ever writes a non-zero id into a scalar partial's vector.
+	p.groupIdx = sized(p.groupIdx, n)
+}
+
+func (scalarKeys) datums(*aggtable.Table, int, []types.Datum) {}
+
+// inlineKeys resolves one or two keys of 8-byte types: load each key's words
+// into a vector, hash them in one vectorized pass, and upsert into the
+// table's inline keys.
+type inlineKeys struct{ src []vecSrc }
+
+// words loads key i's 8-byte identities: the value of an int64 or date, the
+// canonical bits of a float64.
+func (k inlineKeys) words(i int, ec *expr.Ctx, p *aggPartial, n int, dst []int64) []int64 {
+	if k.src[i].ty != types.Float64 {
+		return k.src[i].ints(ec, n, dst)
 	}
-	for j, fa := range o.fAggs {
-		c := &p.cells[j]
-		switch {
-		case fa.desc.Kind == aggtable.Count:
-			c.Count += int64(n)
-		case fa.col >= 0 && !fa.desc.Float:
-			p.argI = gatherKey(b, fa.col, fa.colIsDate, p.argI)
-			for _, v := range p.argI {
-				aggtable.UpdateInt(c, fa.desc, v)
-			}
-		case fa.col >= 0:
-			p.argF = b.GatherFloat64(fa.col, p.argF)
-			for _, v := range p.argF {
-				aggtable.UpdateFloat(c, fa.desc, v)
-			}
-		default:
-			ec := expr.Ctx{B: b, Scalars: ctx.Scalars}
-			for r := 0; r < n; r++ {
-				ec.Row = r
-				v := fa.arg.Eval(&ec)
-				if fa.desc.Float {
-					aggtable.UpdateFloat(c, fa.desc, v.F)
-				} else {
-					aggtable.UpdateInt(c, fa.desc, v.I)
-				}
-			}
+	p.argF = k.src[i].floats(ec, n, p.argF)
+	dst = sized(dst, n)
+	for r, f := range p.argF {
+		dst[r] = int64(floatKeyBits(f))
+	}
+	return dst
+}
+
+func (k inlineKeys) groupIDs(ec *expr.Ctx, p *aggPartial, n int) {
+	p.k0 = k.words(0, ec, p, n, p.k0)
+	var k1 []int64
+	if len(k.src) == 2 {
+		p.k1 = k.words(1, ec, p, n, p.k1)
+		k1 = p.k1
+	}
+	p.hashes = types.HashPairVec(p.k0, k1, p.hashes)
+	p.groupIdx = p.tab.UpsertBlock(p.k0, k1, p.hashes, p.groupIdx)
+}
+
+func (k inlineKeys) datums(t *aggtable.Table, g int, row []types.Datum) {
+	k0, k1 := t.Key(g)
+	row[0] = wordDatum(k.src[0].ty, uint64(k0))
+	if len(k.src) == 2 {
+		row[1] = wordDatum(k.src[1].ty, uint64(k1))
+	}
+}
+
+// wordDatum rebuilds a key datum of an 8-byte type from its identity word.
+func wordDatum(ty types.TypeID, w uint64) types.Datum {
+	if ty == types.Float64 {
+		return types.NewFloat64(math.Float64frombits(w))
+	}
+	return types.Datum{Ty: ty, I: int64(w)}
+}
+
+// byteKeys resolves every other key shape (char keys, three or more keys):
+// each row's key tuple is serialized by appendKey and upserted into the
+// table's byte arena.
+type byteKeys struct {
+	exprs []expr.Expr
+	tys   []types.TypeID
+}
+
+func (k byteKeys) groupIDs(ec *expr.Ctx, p *aggPartial, n int) {
+	p.groupIdx = sized(p.groupIdx, n)
+	for r := range p.groupIdx {
+		ec.Row = r
+		p.keyBuf = p.keyBuf[:0]
+		for _, g := range k.exprs {
+			p.keyBuf = appendKey(p.keyBuf, g.Eval(ec))
 		}
+		h := types.HashBytes(p.keyBuf)
+		if h == 0 {
+			h = 1 // 0 marks an empty slot
+		}
+		p.groupIdx[r] = p.tab.UpsertBytes(h, p.keyBuf)
 	}
-	o.putPartial(p)
-	out.AggFastRows += int64(n)
-	out.BatchedRows += int64(n)
+}
+
+// datums decodes appendKey's encoding back into key values. Char values
+// alias the table's arena, which is stable once merging is done.
+func (k byteKeys) datums(t *aggtable.Table, g int, row []types.Datum) {
+	buf := t.KeyBytes(g)
+	for i, ty := range k.tys {
+		if ty == types.Char {
+			n := int(binary.LittleEndian.Uint32(buf[1:]))
+			row[i] = types.NewChar(buf[5 : 5+n])
+			buf = buf[5+n:]
+			continue
+		}
+		row[i] = wordDatum(ty, binary.LittleEndian.Uint64(buf[1:]))
+		buf = buf[9:]
+	}
 }
 
 // accountGrowth records a partial's footprint growth in the operator gauge
@@ -515,129 +574,6 @@ func (o *AggOp) accountGrowth(ctx *core.ExecCtx, p *aggPartial, nowBytes int64) 
 	atomic.AddInt64(&o.memBytes, d)
 	if ctx.Run != nil {
 		ctx.Run.HashTables.Add(d)
-	}
-}
-
-// runRef is the row-at-a-time reference path: per-row Eval into a
-// local map keyed by serialized group keys, merged into the shared map under
-// the operator mutex. The group-key Datum slice is hoisted out of the row
-// loop and CountDistinct serializes into a reusable scratch buffer, so the
-// per-row allocations are the map entries themselves.
-func (o *AggOp) runRef(ctx *core.ExecCtx, b *storage.Block, out *core.Output) {
-	n := b.NumRows()
-	local := make(map[string]*aggGroup)
-	ec := expr.Ctx{B: b, Scalars: ctx.Scalars}
-	var keyBuf, distBuf []byte
-	keys := make([]types.Datum, len(o.groupBy))
-	for r := 0; r < n; r++ {
-		ec.Row = r
-		keyBuf = keyBuf[:0]
-		for i, g := range o.groupBy {
-			keys[i] = g.Eval(&ec)
-			keyBuf = appendKey(keyBuf, keys[i])
-		}
-		g := local[string(keyBuf)]
-		if g == nil {
-			g = &aggGroup{keys: copyDatums(keys), acc: make([]accCell, len(o.aggs))}
-			local[string(keyBuf)] = g
-		}
-		for i, a := range o.aggs {
-			cell := &g.acc[i]
-			cell.count++
-			if a.Arg == nil {
-				continue
-			}
-			v := a.Arg.Eval(&ec)
-			switch a.Func {
-			case Sum, Avg:
-				cell.sumF += v.Float()
-				cell.sumI += v.I
-			case CountDistinct:
-				if cell.distinct == nil {
-					cell.distinct = make(map[string]struct{})
-				}
-				distBuf = appendKey(distBuf[:0], v)
-				if _, ok := cell.distinct[string(distBuf)]; !ok {
-					cell.distinct[string(distBuf)] = struct{}{}
-				}
-			case Min:
-				if !cell.set || types.Compare(v, cell.minmax) < 0 {
-					cell.minmax = copyDatum(v)
-					cell.set = true
-				}
-			case Max:
-				if !cell.set || types.Compare(v, cell.minmax) > 0 {
-					cell.minmax = copyDatum(v)
-					cell.set = true
-				}
-			}
-		}
-	}
-	o.merge(ctx, local)
-	out.AggFallbackRows += int64(n)
-}
-
-// datumBytes approximates a datum's in-memory footprint: the struct itself
-// plus any out-of-line char bytes.
-func datumBytes(d types.Datum) int64 {
-	const header = 48 // Datum struct: tag + int64 + float64 + slice header
-	if d.Ty == types.Char {
-		return header + int64(len(d.B))
-	}
-	return header
-}
-
-func (o *AggOp) merge(ctx *core.ExecCtx, local map[string]*aggGroup) {
-	var grew int64
-	o.mu.Lock()
-	for k, g := range local {
-		tgt := o.groups[k]
-		if tgt == nil {
-			o.groups[k] = g
-			grew += int64(len(k)) + int64(len(g.acc))*48 + 48
-			for i := range g.keys {
-				grew += datumBytes(g.keys[i])
-			}
-			for i := range g.acc {
-				if d := g.acc[i].distinct; d != nil {
-					grew += int64(len(d)) * 24
-				}
-			}
-			continue
-		}
-		for i := range g.acc {
-			src, dst := &g.acc[i], &tgt.acc[i]
-			dst.count += src.count
-			dst.sumF += src.sumF
-			dst.sumI += src.sumI
-			if src.distinct != nil {
-				if dst.distinct == nil {
-					dst.distinct = src.distinct
-					grew += int64(len(src.distinct)) * 24
-				} else {
-					before := len(dst.distinct)
-					for k := range src.distinct {
-						dst.distinct[k] = struct{}{}
-					}
-					grew += int64(len(dst.distinct)-before) * 24
-				}
-			}
-			if src.set {
-				f := o.aggs[i].Func
-				if !dst.set || (f == Min && types.Compare(src.minmax, dst.minmax) < 0) ||
-					(f == Max && types.Compare(src.minmax, dst.minmax) > 0) {
-					dst.minmax = src.minmax
-					dst.set = true
-				}
-			}
-		}
-	}
-	o.mu.Unlock()
-	if grew != 0 {
-		atomic.AddInt64(&o.memBytes, grew)
-		if ctx.Run != nil {
-			ctx.Run.HashTables.Add(grew)
-		}
 	}
 }
 
@@ -658,19 +594,21 @@ func (w *aggMergeWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	var tabs []*aggtable.Table
 	var groupsHint int
 	for _, p := range o.pall {
-		if p.tab != nil && p.tab.Len() > 0 {
+		if p.tab != nil {
 			tabs = append(tabs, p.tab)
 			groupsHint += p.tab.Len()
 		}
 	}
 	if len(tabs) == 0 {
-		return nil
+		if len(o.groupBy) > 0 {
+			return nil
+		}
+		// SQL: a scalar aggregate over empty input still yields one row.
+		t := o.proto.NewLike(1)
+		seedScalarGroup(t)
+		tabs = append(tabs, t)
 	}
 	em := core.NewEmitter(ctx, out, o.self, o.out)
-	descs := make([]aggtable.Agg, len(o.fAggs))
-	for j, fa := range o.fAggs {
-		descs[j] = fa.desc
-	}
 	row := make([]types.Datum, o.out.NumCols())
 	if len(tabs) == 1 {
 		// Single partial (one worker, or one busy one): emit its partition
@@ -678,159 +616,84 @@ func (w *aggMergeWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 		t := tabs[0]
 		for g := 0; g < t.Len(); g++ {
 			if w.pr.Of(t.Hash(g)) == w.part {
-				o.emitFastGroup(em, out, t, g, row)
+				o.emitGroup(em, out, t, g, row)
 			}
 		}
 		return nil
 	}
-	dst := aggtable.New(len(o.aggs), len(o.keyCols) == 2, groupsHint/w.pr.Parts()+16)
+	dst := o.proto.NewLike(groupsHint/w.pr.Parts() + 16)
 	for _, t := range tabs {
-		dst.MergePartition(t, w.part, w.pr, descs)
+		dst.MergePartition(t, w.part, w.pr, o.descs)
 	}
 	for g := 0; g < dst.Len(); g++ {
-		o.emitFastGroup(em, out, dst, g, row)
+		o.emitGroup(em, out, dst, g, row)
 	}
 	return nil
 }
 
-// emitFastGroup materializes one merged group as an output row into the
-// caller's reused row buffer.
-func (o *AggOp) emitFastGroup(em *core.Emitter, out *core.Output, t *aggtable.Table, g int, row []types.Datum) {
-	k0, k1 := t.Key(g)
-	row[0] = o.keyDatum(0, k0)
-	nk := 1
-	if len(o.keyCols) == 2 {
-		row[1] = o.keyDatum(1, k1)
-		nk = 2
-	}
-	for j := range o.aggs {
-		row[nk+j] = finishFastCell(o.aggs[j], t.CellAt(int32(g), j))
+// emitGroup materializes one merged group as an output row into the caller's
+// reused row buffer; a scalar aggregate also publishes its first value.
+func (o *AggOp) emitGroup(em *core.Emitter, out *core.Output, t *aggtable.Table, g int, row []types.Datum) {
+	o.keys.datums(t, g, row)
+	nk := len(o.groupBy)
+	for j, a := range o.args {
+		row[nk+j] = finishCell(o.out.Col(nk+j).Type, a, t, int32(g), j)
 	}
 	em.AppendRow(row...)
 	out.RowsIn++
+	if nk == 0 {
+		o.scalarVal, o.hasScalar = row[0], true
+	}
 }
 
-// keyDatum rebuilds group key i from its widened int64 representation.
-func (o *AggOp) keyDatum(i int, k int64) types.Datum {
-	if o.keyIsDate[i] {
-		return types.NewDate(int32(k))
-	}
-	return types.NewInt64(k)
-}
-
-// aggScalarFinalWO merges the scalar partials' cells and emits the single
-// result row (SQL: a scalar aggregate over empty input still yields one
-// row).
-type aggScalarFinalWO struct{ op *AggOp }
-
-func (w *aggScalarFinalWO) Inputs() []*storage.Block { return nil }
-
-func (w *aggScalarFinalWO) Run(ctx *core.ExecCtx, out *core.Output) error {
-	o := w.op
-	cells := make([]aggtable.Cell, len(o.aggs))
-	for _, p := range o.pall {
-		if p.cells == nil {
-			continue
-		}
-		for j := range cells {
-			aggtable.MergeCell(&cells[j], &p.cells[j], o.fAggs[j].desc)
-		}
-	}
-	em := core.NewEmitter(ctx, out, o.self, o.out)
-	row := make([]types.Datum, len(o.aggs))
-	for j := range o.aggs {
-		row[j] = finishFastCell(o.aggs[j], &cells[j])
-	}
-	em.AppendRow(row...)
-	out.RowsIn++
-	o.scalarVal = row[0]
-	o.hasScalar = true
-	return nil
-}
-
-// finishFastCell converts a fixed-width accumulator into the result datum,
-// mirroring finishCell on the reference path.
-func finishFastCell(a AggSpec, c *aggtable.Cell) types.Datum {
-	switch a.Func {
-	case Count:
+// finishCell converts group g's accumulator j into the result datum of the
+// output column's type ty.
+func finishCell(ty types.TypeID, a aggArg, t *aggtable.Table, g int32, j int) types.Datum {
+	c := t.CellAt(g, j)
+	switch a.desc.Kind {
+	case aggtable.Count:
 		return types.NewInt64(c.Count)
-	case Avg:
+	case aggtable.CountDistinct:
+		return types.NewInt64(int64(len(t.SideAt(g, j).Distinct)))
+	case aggtable.Avg:
 		if c.Count == 0 {
 			return types.NewFloat64(0)
 		}
 		return types.NewFloat64(c.SumF / float64(c.Count))
-	case Sum:
-		if a.Arg.Type() == types.Int64 {
+	case aggtable.Sum:
+		if ty == types.Int64 {
 			return types.NewInt64(c.SumI)
 		}
 		return types.NewFloat64(c.SumF)
 	default: // Min, Max
-		if !c.Set {
-			return types.Datum{Ty: a.Arg.Type()}
-		}
-		if a.Arg.Type() == types.Float64 {
+		switch {
+		case !c.Set:
+			return types.Datum{Ty: ty}
+		case a.desc.Bytes:
+			return types.NewChar(t.SideAt(g, j).MM)
+		case a.desc.Float:
 			return types.NewFloat64(c.MMF)
 		}
-		return types.Datum{Ty: a.Arg.Type(), I: c.MMI}
+		return types.Datum{Ty: ty, I: c.MMI}
 	}
 }
 
-type aggFinalWO struct{ op *AggOp }
-
-func (w *aggFinalWO) Inputs() []*storage.Block { return nil }
-
-func (w *aggFinalWO) Run(ctx *core.ExecCtx, out *core.Output) error {
-	o := w.op
-	if len(o.groupBy) == 0 && len(o.groups) == 0 {
-		// SQL: a scalar aggregate over empty input yields one row. (The
-		// insert is idempotent, so an attempt aborted mid-emit retries
-		// cleanly.)
-		o.groups[""] = &aggGroup{acc: make([]accCell, len(o.aggs))}
+// floatKeyBits is a float64's identity as a group key or distinct value: its
+// IEEE-754 bits, with -0.0 folded into +0.0 and every NaN into one, so keys
+// are equal exactly when the values are the same number.
+func floatKeyBits(f float64) uint64 {
+	switch {
+	case f == 0:
+		return 0
+	case f != f:
+		return math.Float64bits(math.NaN())
 	}
-	em := core.NewEmitter(ctx, out, o.self, o.out)
-	row := make([]types.Datum, o.out.NumCols())
-	for _, g := range o.groups {
-		copy(row, g.keys)
-		for i, a := range o.aggs {
-			row[len(g.keys)+i] = finishCell(a, &g.acc[i])
-		}
-		em.AppendRow(row...)
-		out.RowsIn++
-	}
-	if len(o.groupBy) == 0 {
-		for g := range o.groups {
-			o.scalarVal = finishCell(o.aggs[0], &o.groups[g].acc[0])
-			o.hasScalar = true
-		}
-	}
-	return nil
+	return math.Float64bits(f)
 }
 
-func finishCell(a AggSpec, c *accCell) types.Datum {
-	switch a.Func {
-	case Count:
-		return types.NewInt64(c.count)
-	case CountDistinct:
-		return types.NewInt64(int64(len(c.distinct)))
-	case Avg:
-		if c.count == 0 {
-			return types.NewFloat64(0)
-		}
-		return types.NewFloat64(c.sumF / float64(c.count))
-	case Sum:
-		if a.Arg.Type() == types.Int64 {
-			return types.NewInt64(c.sumI)
-		}
-		return types.NewFloat64(c.sumF)
-	default: // Min, Max
-		if !c.set {
-			return types.Datum{Ty: a.Arg.Type()}
-		}
-		return c.minmax
-	}
-}
-
-// appendKey serializes a datum into a group key, preserving equality.
+// appendKey serializes a datum into a group key, preserving equality: a type
+// tag, then the trimmed bytes of a char behind their length, or the 8-byte
+// identity word of any other type.
 func appendKey(buf []byte, d types.Datum) []byte {
 	switch d.Ty {
 	case types.Char:
@@ -842,7 +705,7 @@ func appendKey(buf []byte, d types.Datum) []byte {
 		return append(buf, b...)
 	case types.Float64:
 		var v [8]byte
-		binary.LittleEndian.PutUint64(v[:], uint64(int64(d.F*1e6))) // exact for TPC-H decimals
+		binary.LittleEndian.PutUint64(v[:], floatKeyBits(d.F))
 		buf = append(buf, 'f')
 		return append(buf, v[:]...)
 	default:
@@ -851,23 +714,6 @@ func appendKey(buf []byte, d types.Datum) []byte {
 		buf = append(buf, 'i')
 		return append(buf, v[:]...)
 	}
-}
-
-func copyDatum(d types.Datum) types.Datum {
-	if d.Ty == types.Char {
-		b := make([]byte, len(d.B))
-		copy(b, d.B)
-		d.B = b
-	}
-	return d
-}
-
-func copyDatums(ds []types.Datum) []types.Datum {
-	out := make([]types.Datum, len(ds))
-	for i, d := range ds {
-		out[i] = copyDatum(d)
-	}
-	return out
 }
 
 // String renders the operator.

@@ -102,8 +102,8 @@ func (o *ProbeOp) Canon() string {
 		canonInts(o.probeProj), canonInts(o.buildProj), o.out.String())
 }
 
-// Canon implements Canonical. ForceReference and PartitionLocal pick
-// equivalent execution paths and are excluded.
+// Canon implements Canonical. PartitionLocal only changes how partials are
+// merged and is excluded.
 func (o *AggOp) Canon() string {
 	var sb strings.Builder
 	sb.WriteString("agg|group=")

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -31,51 +30,36 @@ const (
 )
 
 // SortOp is a blocking sort with an optional LIMIT (sort is inherently
-// UoT = table, as the paper notes in Section V-B). The fast path encodes
-// ORDER BY keys into normalized uint64 words and sorts each fed block into a
-// run in its own work order as input arrives (radix sort for single-word
-// keys, a bounded top-k heap when Limit > 0), then k-way-merges the runs in
-// range-partitioned parallel work orders and emits through a columnar gather
-// kernel in one deterministic emit stage. The reference row-at-a-time path
-// serves non-column keys and ForceReference: NewSort picks one path from the
-// spec, and fast is immutable afterwards. Both paths order ties by arrival,
-// so their results are bit-identical (the lone exception is data mixing -0.0
-// and +0.0 float keys, which the reference comparator cannot distinguish but
-// normalized keys can).
+// UoT = table, as the paper notes in Section V-B). Every spec runs one
+// pipeline: ORDER BY terms — gathered columns, or computed expressions
+// evaluated into the same scratch vectors — are encoded into normalized
+// uint64 words, each fed block is sorted into a run in its own work order as
+// input arrives (radix sort for single-word keys, a bounded top-k heap when
+// Limit > 0), the runs are k-way-merged in range-partitioned parallel work
+// orders, and one deterministic emit stage hands the output over through a
+// columnar gather kernel. NewSort compiles the key layout from the term
+// types once. Ties keep arrival order. (Normalized keys order -0.0 before
+// +0.0, which a value comparison cannot distinguish.)
 type SortOp struct {
 	core.Base
-	self   core.OpID
-	name   string
-	terms  []SortTerm
-	desc   []bool // per-term Desc, for types.CompareRows
-	limit  int
-	schema *storage.Schema
-	blocks []*storage.Block // every fed block, arrival order (both paths)
-
-	// rowScratch pools the reference path's row slice across retries.
-	rowScratch []sortRow
-
-	// Fast-path plan: filled by initFastPath when every term is a plain
-	// column reference of a normalized-key type.
-	fast   bool
-	layout sorter.Layout
-	cols   []int // source column per term
+	self     core.OpID
+	name     string
+	terms    []SortTerm
+	limit    int
+	schema   *storage.Schema
+	blocks   []*storage.Block // every fed block, arrival order
+	layout   sorter.Layout
+	src      []vecSrc // per-term loader
+	readCols []int
 
 	mu      sync.Mutex
-	runs    []sortRun      // one per fed block, indexed by run sequence
+	runs    []sorter.Run   // each fed block's sorted run, indexed by run sequence
 	scratch []*sortScratch // run-generation scratch free list
 
-	// Merge state: built by Final on the scheduler goroutine, filled by the
-	// merge work orders, handed to the out-edges by the emit stage.
-	mruns []sorter.Run
+	// parts is the merge output: sized by Final on the scheduler goroutine,
+	// filled by the merge work orders, handed to the out-edges by the emit
+	// stage.
 	parts [][]*storage.Block
-}
-
-// sortRun is one block's sorted run: normalized key tuples in sorted order
-// and the matching block row ids.
-type sortRun struct {
-	keys []uint64
-	rows []int32
 }
 
 // sortScratch holds the reusable buffers of one run-generation work order.
@@ -97,42 +81,23 @@ type SortSpec struct {
 	Terms []SortTerm
 	// Limit truncates the output (0 = no limit).
 	Limit int
-	// ForceReference disables the normalized-key fast path, keeping the
-	// row-at-a-time reference sort (tests, benchmarks).
-	ForceReference bool
 }
 
-// NewSort builds a sort operator.
+// NewSort builds a sort operator, compiling the normalized-key layout from
+// the term types. Char columns wider than 8 bytes, and computed char terms
+// (no declared width), make the layout approximate — prefix words plus a
+// full-value tie-break — which disables range-partitioned merging but keeps
+// the vectorized run sort.
 func NewSort(spec SortSpec) *SortOp {
 	if len(spec.Terms) == 0 {
 		panic("exec: sort needs at least one term")
 	}
 	op := &SortOp{name: spec.Name, terms: spec.Terms, limit: spec.Limit, schema: spec.InputSchema}
-	op.desc = make([]bool, len(spec.Terms))
+	terms := make([]sorter.Term, len(spec.Terms))
+	keys := make([]expr.Expr, len(spec.Terms))
 	for i, t := range spec.Terms {
-		op.desc[i] = t.Desc
-	}
-	if !spec.ForceReference {
-		op.initFastPath()
-	}
-	return op
-}
-
-// initFastPath decides fast-path eligibility: every term must be a plain
-// column reference of a type with a normalized-key encoding. Char columns
-// wider than 8 bytes make the layout approximate (prefix words plus a
-// full-value tie-break), which disables range-partitioned merging but keeps
-// the vectorized run sort.
-func (o *SortOp) initFastPath() {
-	terms := make([]sorter.Term, 0, len(o.terms))
-	cols := make([]int, 0, len(o.terms))
-	for _, t := range o.terms {
-		c, ok := expr.AsPrimaryColRef(t.Key)
-		if !ok {
-			return
-		}
 		st := sorter.Term{Desc: t.Desc}
-		switch c.Ty {
+		switch t.Key.Type() {
 		case types.Int64:
 			st.Type = sorter.Int64
 		case types.Date:
@@ -141,21 +106,18 @@ func (o *SortOp) initFastPath() {
 			st.Type = sorter.Float64
 		case types.Char:
 			st.Type = sorter.Bytes
-			st.Width = c.Width
-		default:
-			return
+			st.Width = 9 // approximate unless a column declares a narrower width
+			if c, ok := expr.AsPrimaryColRef(t.Key); ok {
+				st.Width = c.Width
+			}
 		}
-		terms = append(terms, st)
-		cols = append(cols, c.Col)
+		terms[i], keys[i] = st, t.Key
+		op.src = append(op.src, newVecSrc(t.Key))
 	}
-	o.layout = sorter.NewLayout(terms)
-	o.cols = cols
-	o.fast = true
+	op.layout = sorter.NewLayout(terms)
+	op.readCols = expr.PrimaryCols(keys...)
+	return op
 }
-
-// FastPath reports whether the normalized-key path is active (for tests and
-// the bench harness).
-func (o *SortOp) FastPath() bool { return o.fast }
 
 func (o *SortOp) setID(id core.OpID) { o.self = id }
 
@@ -168,22 +130,20 @@ func (o *SortOp) NumInputs() int { return 1 }
 // OutSchema returns the output schema (same as input).
 func (o *SortOp) OutSchema() *storage.Schema { return o.schema }
 
-// Feed implements core.Operator. The reference path only buffers; the fast
-// path additionally issues one run-generation work order per block, so run
-// sorting overlaps with upstream production. Run work orders report nil
-// Inputs: the scheduler keeps the fed blocks held until the operator
-// finishes, which is exactly the lifetime the merge and emit stages need.
+// Feed implements core.Operator: it buffers each block and issues one
+// run-generation work order for it, so run sorting overlaps with upstream
+// production. Run work orders report nil Inputs: the scheduler keeps the fed
+// blocks held until the operator finishes, which is exactly the lifetime the
+// merge and emit stages need.
 func (o *SortOp) Feed(_ *core.ExecCtx, _ int, blocks []*storage.Block) []core.WorkOrder {
-	var wos []core.WorkOrder
-	for _, b := range blocks {
+	wos := make([]core.WorkOrder, len(blocks))
+	for i, b := range blocks {
 		o.mu.Lock()
 		seq := len(o.blocks)
 		o.blocks = append(o.blocks, b)
-		o.runs = append(o.runs, sortRun{})
+		o.runs = append(o.runs, sorter.Run{Seq: int32(seq)})
 		o.mu.Unlock()
-		if o.fast {
-			wos = append(wos, &sortRunWO{op: o, block: b, seq: seq})
-		}
+		wos[i] = &sortRunWO{op: o, block: b, seq: seq}
 	}
 	return wos
 }
@@ -209,46 +169,54 @@ func (o *SortOp) putScratch(sc *sortScratch) {
 	o.mu.Unlock()
 }
 
-// sortTie resolves approximate (wide Char) terms against source blocks; run
-// indexes select the block, so callers align blocks with run order.
+// sortTie resolves approximate (wide or computed Char) terms by evaluating
+// the term against the source blocks; run indexes select the block, so
+// callers align blocks with run order. One tie serves one work order.
 type sortTie struct {
 	op     *SortOp
 	blocks []*storage.Block
+	a, b   expr.Ctx
+}
+
+func (o *SortOp) newTie(ctx *core.ExecCtx, blocks []*storage.Block) sorter.Tie {
+	if o.layout.Exact {
+		return nil
+	}
+	return &sortTie{op: o, blocks: blocks, a: expr.Ctx{Scalars: ctx.Scalars}, b: expr.Ctx{Scalars: ctx.Scalars}}
 }
 
 func (t *sortTie) Compare(term int, runA int, rowA int32, runB int, rowB int32) int {
-	col := t.op.cols[term]
-	c := types.Compare(
-		t.blocks[runA].DatumAt(col, int(rowA)),
-		t.blocks[runB].DatumAt(col, int(rowB)))
+	t.a.B, t.a.Row = t.blocks[runA], int(rowA)
+	t.b.B, t.b.Row = t.blocks[runB], int(rowB)
+	key := t.op.terms[term].Key
+	c := types.Compare(key.Eval(&t.a), key.Eval(&t.b))
 	if t.op.terms[term].Desc {
 		c = -c
 	}
 	return c
 }
 
-// encodeBlock gathers and normalizes every term of one block into sc.keys
-// (row-major, layout stride) and returns the key array.
-func (o *SortOp) encodeBlock(b *storage.Block, sc *sortScratch, n int) []uint64 {
+// encodeBlock loads and normalizes every term of ec's n-row block into
+// sc.keys (row-major, layout stride) and returns the key array.
+func (o *SortOp) encodeBlock(ec *expr.Ctx, sc *sortScratch, n int) []uint64 {
 	words := o.layout.Words
 	if cap(sc.keys) < n*words {
 		sc.keys = make([]uint64, n*words)
 	}
 	keys := sc.keys[:n*words]
-	for t := range o.terms {
-		col := o.cols[t]
+	for t, src := range o.src {
 		switch o.layout.Terms[t].Type {
-		case sorter.Int64:
-			sc.i64 = b.GatherInt64(col, sc.i64)
-			o.layout.EncodeInt64(t, sc.i64, nil, keys)
-		case sorter.Date:
-			sc.i64 = b.GatherDate(col, sc.i64)
+		case sorter.Int64, sorter.Date:
+			sc.i64 = src.ints(ec, n, sc.i64)
 			o.layout.EncodeInt64(t, sc.i64, nil, keys)
 		case sorter.Float64:
-			sc.f64 = b.GatherFloat64(col, sc.f64)
+			sc.f64 = src.floats(ec, n, sc.f64)
 			o.layout.EncodeFloat64(t, sc.f64, nil, keys)
 		case sorter.Bytes:
-			o.layout.EncodeBytes(t, n, func(i int) []byte { return b.BytesAt(col, i) }, nil, keys)
+			o.layout.EncodeBytes(t, n, func(i int) []byte {
+				ec.Row = i
+				return src.e.Eval(ec).B
+			}, nil, keys)
 		}
 	}
 	return keys
@@ -277,17 +245,14 @@ func (w *sortRunWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	n := b.NumRows()
 	out.RowsIn = int64(n)
 	if ctx.Sim != nil {
-		out.Sim += ctx.Sim.ConsumedSeq(b, readBytes(b, o.cols))
+		out.Sim += ctx.Sim.ConsumedSeq(b, readBytes(b, o.readCols))
 	}
-	var run sortRun
+	run := sorter.Run{Seq: int32(w.seq)}
 	if n > 0 {
 		sc := o.getScratch(out)
 		words := o.layout.Words
-		var tie sorter.Tie
-		if !o.layout.Exact {
-			tie = &sortTie{op: o, blocks: []*storage.Block{b}}
-		}
-		keys := o.encodeBlock(b, sc, n)
+		tie := o.newTie(ctx, []*storage.Block{b})
+		keys := o.encodeBlock(&expr.Ctx{B: b, Scalars: ctx.Scalars}, sc, n)
 		switch {
 		case o.limit > 0:
 			// Dedicated top-k: the run never materializes more than Limit
@@ -299,7 +264,7 @@ func (w *sortRunWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 					pruned++
 				}
 			}
-			run.keys, run.rows = tk.Sorted()
+			run.Keys, run.Rows = tk.Sorted()
 			out.TopKPruned += pruned
 		case words == 1 && o.layout.Exact:
 			if cap(sc.kv) < n {
@@ -318,7 +283,7 @@ func (w *sortRunWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 			for i, it := range sorted {
 				rk[i], rr[i] = it.Key, it.ID
 			}
-			run.keys, run.rows = rk, rr
+			run.Keys, run.Rows = rk, rr
 		default:
 			if cap(sc.ids) < n {
 				sc.ids = make([]int32, n)
@@ -334,7 +299,7 @@ func (w *sortRunWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 				rk = append(rk, keys[int(id)*words:(int(id)+1)*words]...)
 				rr[i] = id
 			}
-			run.keys, run.rows = rk, rr
+			run.Keys, run.Rows = rk, rr
 		}
 		o.putScratch(sc)
 	}
@@ -347,20 +312,14 @@ func (w *sortRunWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	return nil
 }
 
-// Final implements core.Operator. On the fast path it plans the k-way merge:
-// sample splitters over the sorted runs and fan out one range-partitioned
-// merge work order per partition (a single partition when a LIMIT bounds the
-// output or an approximate layout prevents word-only range comparison). The
-// reference path sorts everything in one work order.
+// Final implements core.Operator. It plans the k-way merge: sample splitters
+// over the sorted runs and fan out one range-partitioned merge work order per
+// partition (a single partition when a LIMIT bounds the output or an
+// approximate layout prevents word-only range comparison).
 func (o *SortOp) Final(ctx *core.ExecCtx) []core.WorkOrder {
-	if !o.fast {
-		return []core.WorkOrder{&sortWO{op: o}}
-	}
 	total := 0
-	o.mruns = make([]sorter.Run, len(o.runs))
 	for i := range o.runs {
-		o.mruns[i] = sorter.Run{Keys: o.runs[i].keys, Rows: o.runs[i].rows, Seq: int32(i)}
-		total += len(o.runs[i].rows)
+		total += o.runs[i].Len()
 	}
 	parts := 1
 	if o.limit == 0 && o.layout.Exact && ctx.Workers > 1 {
@@ -372,7 +331,7 @@ func (o *SortOp) Final(ctx *core.ExecCtx) []core.WorkOrder {
 			parts = byRows
 		}
 	}
-	splits := sorter.Splitters(o.mruns, &o.layout, parts)
+	splits := sorter.Splitters(o.runs, &o.layout, parts)
 	bounds := make([][]uint64, 0, len(splits)+2)
 	bounds = append(bounds, nil)
 	bounds = append(bounds, splits...)
@@ -401,7 +360,7 @@ func (w *sortMergeWO) Inputs() []*storage.Block { return nil }
 func (w *sortMergeWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	o := w.op
 	out.SortMergeFanout++
-	runs := o.mruns
+	runs := o.runs
 	lo := make([]int, len(runs))
 	hi := make([]int, len(runs))
 	for i := range runs {
@@ -414,11 +373,7 @@ func (w *sortMergeWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 			hi[i] = runs[i].Len()
 		}
 	}
-	var tie sorter.Tie
-	if !o.layout.Exact {
-		tie = &sortTie{op: o, blocks: o.blocks}
-	}
-	m := sorter.NewMerge(runs, &o.layout, tie, lo, hi)
+	m := sorter.NewMerge(runs, &o.layout, o.newTie(ctx, o.blocks), lo, hi)
 
 	proj := make([]int, o.schema.NumCols())
 	for i := range proj {
@@ -525,78 +480,9 @@ func (w *sortEmitWO) Run(_ *core.ExecCtx, out *core.Output) error {
 	return nil
 }
 
-// sortWO is the reference path: a single work order that boxes every key
-// row into datums, stable-sorts with the shared multi-term comparator, and
-// emits row-at-a-time.
-type sortWO struct{ op *SortOp }
-
-func (w *sortWO) Inputs() []*storage.Block { return nil }
-
-type sortRow struct {
-	blk  int32
-	row  int32
-	keys []types.Datum
-}
-
-func (w *sortWO) Run(ctx *core.ExecCtx, out *core.Output) error {
-	o := w.op
-	total := 0
-	for _, b := range o.blocks {
-		total += b.NumRows()
-	}
-	rows := o.rowScratch
-	if cap(rows) < total {
-		rows = make([]sortRow, 0, total)
-	}
-	rows = rows[:0]
-	o.rowScratch = rows // pool the slice for a retried attempt
-	nt := len(o.terms)
-	// One flat backing array for every row's keys instead of a per-row make.
-	flat := make([]types.Datum, total*nt)
-	ec := expr.Ctx{Scalars: ctx.Scalars}
-	at := 0
-	for bi, b := range o.blocks {
-		ec.B = b
-		if ctx.Sim != nil {
-			out.Sim += ctx.Sim.ConsumedSeq(b, int64(b.UsedBytes()))
-		}
-		for r := 0; r < b.NumRows(); r++ {
-			ec.Row = r
-			keys := flat[at : at+nt : at+nt]
-			at += nt
-			for i, t := range o.terms {
-				keys[i] = copyDatum(t.Key.Eval(&ec))
-			}
-			rows = append(rows, sortRow{blk: int32(bi), row: int32(r), keys: keys})
-		}
-	}
-	out.RowsIn = int64(total)
-	sort.SliceStable(rows, func(i, j int) bool {
-		return types.CompareRows(rows[i].keys, rows[j].keys, o.desc) < 0
-	})
-	if o.limit > 0 && len(rows) > o.limit {
-		rows = rows[:o.limit]
-	}
-
-	ident := make([]int, o.schema.NumCols())
-	for i := range ident {
-		ident[i] = i
-	}
-	em := core.NewEmitter(ctx, out, o.self, o.schema)
-	for _, r := range rows {
-		em.AppendFrom(o.blocks[r.blk], int(r.row), ident)
-	}
-	out.SortFallbackRows += int64(total)
-	// Drop the buffered input only after the emit loop finished: an attempt
-	// aborted mid-emit (fault, deadline) keeps the blocks so the retry can
-	// re-read them.
-	o.blocks = nil
-	return nil
-}
-
 // Cleanup implements core.Operator.
 func (o *SortOp) Cleanup(*core.ExecCtx) {
-	o.blocks, o.runs, o.mruns, o.scratch, o.rowScratch = nil, nil, nil, nil, nil
+	o.blocks, o.runs, o.scratch = nil, nil, nil
 }
 
 // String renders the operator.

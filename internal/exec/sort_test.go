@@ -2,7 +2,6 @@ package exec
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -67,11 +66,11 @@ func rowsEqual(a, b [][]types.Datum) bool {
 	return true
 }
 
-// TestSortFastMatchesReference is the order-sensitive equivalence matrix:
-// for every term combination and limit, the normalized-key fast path must
-// produce bit-identical output to the reference row sort — including tie
-// order (both stable on arrival order).
-func TestSortFastMatchesReference(t *testing.T) {
+// TestSortMatchesOracle is the order-sensitive equivalence matrix: for every
+// term combination and limit, the normalized-key kernel must produce
+// bit-identical output to the oracle's row sort — including tie order (both
+// stable on arrival order).
+func TestSortMatchesOracle(t *testing.T) {
 	s, blocks := sortTestBlocks(42, 3, 301)
 	total := 3 * 301
 	cases := []struct {
@@ -91,157 +90,84 @@ func TestSortFastMatchesReference(t *testing.T) {
 			{Key: expr.C(s, "c12")},
 			{Key: expr.C(s, "i")},
 		}},
+		{"computed_float_desc", []SortTerm{{Key: expr.MulE(expr.C(s, "f"), expr.Float(-1)), Desc: true}}},
+		{"year_substr", []SortTerm{
+			{Key: expr.Year(expr.C(s, "d"))},
+			{Key: expr.Substr(expr.C(s, "c12"), 2, 7), Desc: true},
+		}},
 	}
 	limits := []int{0, 1, 7, total, total + 10}
 	for _, tc := range cases {
 		for _, limit := range limits {
-			fastOp := NewSort(SortSpec{Name: "fast", InputSchema: s, Terms: tc.terms, Limit: limit})
-			refOp := NewSort(SortSpec{Name: "ref", InputSchema: s, Terms: tc.terms, Limit: limit, ForceReference: true})
-			fastOp.setID(1)
-			refOp.setID(2)
-			if !fastOp.FastPath() {
-				t.Fatalf("%s: fast path not taken", tc.name)
-			}
-			if refOp.FastPath() {
-				t.Fatalf("%s: ForceReference ignored", tc.name)
-			}
-			fast := allRows(runOp(t, execCtx(), fastOp, 1, blocks...))
-			ref := allRows(runOp(t, execCtx(), refOp, 2, blocks...))
+			op := NewSort(SortSpec{Name: "sort", InputSchema: s, Terms: tc.terms, Limit: limit})
+			op.setID(1)
+			got := allRows(runOp(t, execCtx(), op, 1, blocks...))
+			ref := oracleSort(tc.terms, limit, blocks)
 			want := total
 			if limit > 0 && limit < total {
 				want = limit
 			}
 			if len(ref) != want {
-				t.Fatalf("%s limit=%d: reference rows = %d, want %d", tc.name, limit, len(ref), want)
+				t.Fatalf("%s limit=%d: oracle rows = %d, want %d", tc.name, limit, len(ref), want)
 			}
-			if !rowsEqual(fast, ref) {
-				t.Fatalf("%s limit=%d: fast path diverges from reference (%d vs %d rows)",
-					tc.name, limit, len(fast), len(ref))
+			if !rowsEqual(got, ref) {
+				t.Fatalf("%s limit=%d: kernel diverges from the oracle (%d vs %d rows)",
+					tc.name, limit, len(got), len(ref))
 			}
 		}
 	}
-}
-
-// TestSortComputedKeyUsesReference: a non-column key is ineligible for
-// normalized-key encoding, so NewSort must keep the reference path.
-func TestSortComputedKeyUsesReference(t *testing.T) {
-	s, blocks := sortTestBlocks(7, 1, 50)
-	op := NewSort(SortSpec{
-		Name: "sort", InputSchema: s,
-		Terms: []SortTerm{{Key: expr.MulE(expr.C(s, "f"), expr.Float(-1))}},
-	})
-	op.setID(3)
-	if op.FastPath() {
-		t.Fatal("computed key must not take the fast path")
-	}
-	rows := allRows(runOp(t, execCtx(), op, 3, blocks...))
-	if len(rows) != 50 {
-		t.Fatalf("rows = %d, want 50", len(rows))
-	}
-	for i := 1; i < len(rows); i++ {
-		if rows[i-1][2].F < rows[i][2].F {
-			t.Fatalf("row %d out of order: %v then %v", i, rows[i-1][2], rows[i][2])
-		}
-	}
-}
-
-// runSortConcurrent drives a sort operator the way the scheduler would with
-// `workers` goroutines: run-generation work orders race, then the merge
-// partition work orders race, then the staged emit runs alone.
-func runSortConcurrent(t *testing.T, ctx *core.ExecCtx, op *SortOp, blocks []*storage.Block, workers int) []*storage.Block {
-	t.Helper()
-	op.Init(ctx)
-	var mu sync.Mutex
-	var emitted []*storage.Block
-	runWave := func(wos []core.WorkOrder) {
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for _, wo := range wos {
-			wg.Add(1)
-			go func(wo core.WorkOrder) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				out := &core.Output{}
-				if err := wo.Run(ctx, out); err != nil {
-					t.Errorf("work order failed: %v", err)
-					return
-				}
-				out.Finish(nil)
-				mu.Lock()
-				emitted = append(emitted, out.Blocks...)
-				mu.Unlock()
-			}(wo)
-		}
-		wg.Wait()
-	}
-	var feedWOs []core.WorkOrder
-	for _, b := range blocks {
-		feedWOs = append(feedWOs, op.Feed(ctx, 0, []*storage.Block{b})...)
-	}
-	runWave(feedWOs)
-	runWave(op.Final(ctx))
-	for stage := 0; ; stage++ {
-		wos := op.NextStage(ctx, stage)
-		if wos == nil {
-			break
-		}
-		runWave(wos)
-	}
-	return emitted
 }
 
 // TestSortParallelMatchesSequential runs enough rows to fan the merge out
 // into several range partitions, races all work orders under -race, and
-// requires output identical to the single-threaded reference path.
+// requires output identical to the oracle's single sort.
 func TestSortParallelMatchesSequential(t *testing.T) {
 	s, blocks := sortTestBlocks(99, 20, 1024) // 20480 rows: multi-partition merge
 	terms := []SortTerm{{Key: expr.C(s, "i")}, {Key: expr.C(s, "seq"), Desc: true}}
 
-	refOp := NewSort(SortSpec{Name: "ref", InputSchema: s, Terms: terms, ForceReference: true})
-	refOp.setID(2)
-	ref := allRows(runOp(t, execCtx(), refOp, 2, blocks...))
-
 	ctx := execCtx()
 	ctx.Workers = 8
-	fastOp := NewSort(SortSpec{Name: "fast", InputSchema: s, Terms: terms})
-	fastOp.setID(1)
-	fast := allRows(runSortConcurrent(t, ctx, fastOp, blocks, 8))
-	if !rowsEqual(fast, ref) {
-		t.Fatalf("parallel fast sort diverges from reference (%d vs %d rows)", len(fast), len(ref))
+	op := NewSort(SortSpec{Name: "sort", InputSchema: s, Terms: terms})
+	op.setID(1)
+	emitted, _ := runOpConcurrent(t, ctx, op, 1, blocks, 8)
+	if got, ref := allRows(emitted), oracleSort(terms, 0, blocks); !rowsEqual(got, ref) {
+		t.Fatalf("parallel sort diverges from the oracle (%d vs %d rows)", len(got), len(ref))
 	}
 }
 
 // TestSortTopKParallel races the top-k path (per-run bounded heaps, single
-// merge partition) and checks the limit semantics against the reference.
+// merge partition) and checks the limit semantics against the oracle.
 func TestSortTopKParallel(t *testing.T) {
 	s, blocks := sortTestBlocks(123, 12, 512)
 	terms := []SortTerm{{Key: expr.C(s, "f"), Desc: true}, {Key: expr.C(s, "d")}}
 	limit := 37
 
-	refOp := NewSort(SortSpec{Name: "ref", InputSchema: s, Terms: terms, Limit: limit, ForceReference: true})
-	refOp.setID(2)
-	ref := allRows(runOp(t, execCtx(), refOp, 2, blocks...))
-
 	ctx := execCtx()
 	ctx.Workers = 8
-	fastOp := NewSort(SortSpec{Name: "fast", InputSchema: s, Terms: terms, Limit: limit})
-	fastOp.setID(1)
-	fast := allRows(runSortConcurrent(t, ctx, fastOp, blocks, 8))
-	if !rowsEqual(fast, ref) {
-		t.Fatalf("parallel top-k diverges from reference (%d vs %d rows)", len(fast), len(ref))
+	op := NewSort(SortSpec{Name: "sort", InputSchema: s, Terms: terms, Limit: limit})
+	op.setID(1)
+	emitted, _ := runOpConcurrent(t, ctx, op, 1, blocks, 8)
+	if got, ref := allRows(emitted), oracleSort(terms, limit, blocks); !rowsEqual(got, ref) {
+		t.Fatalf("parallel top-k diverges from the oracle (%d vs %d rows)", len(got), len(ref))
 	}
 }
 
 // TestSortFaultedRunRetriesOnFastPath: a fault at the SortRun site fails the
 // attempt before any run state exists. Re-running the same work order after
-// the rollback — what the scheduler's retry does — keeps the operator on the
-// fast path: Final still fans out merge work orders and the output is
-// bit-identical to an unfaulted fast sort.
+// the rollback — what the scheduler's retry does — changes nothing: Final
+// still fans out merge work orders and the output is bit-identical to an
+// unfaulted sort, for column terms and computed terms alike.
 func TestSortFaultedRunRetriesOnFastPath(t *testing.T) {
 	s, blocks := sortTestBlocks(5, 8, 1024) // 8192 rows: multi-partition merge at 4 workers
-	terms := []SortTerm{{Key: expr.C(s, "d")}, {Key: expr.C(s, "i"), Desc: true}}
+	for name, terms := range map[string][]SortTerm{
+		"columns":  {{Key: expr.C(s, "d")}, {Key: expr.C(s, "i"), Desc: true}},
+		"computed": {{Key: expr.Year(expr.C(s, "d"))}, {Key: expr.MulE(expr.C(s, "f"), expr.Float(-1)), Desc: true}},
+	} {
+		t.Run(name, func(t *testing.T) { testSortFaultedRunRetries(t, s, blocks, terms) })
+	}
+}
 
+func testSortFaultedRunRetries(t *testing.T, s *storage.Schema, blocks []*storage.Block, terms []SortTerm) {
 	cleanCtx := execCtx()
 	cleanCtx.Workers = 4
 	cleanOp := NewSort(SortSpec{Name: "clean", InputSchema: s, Terms: terms})
@@ -301,7 +227,7 @@ func TestSortFaultedRunRetriesOnFastPath(t *testing.T) {
 	runAll(finals)
 	runAll(op.NextStage(ctx, 0))
 	if !rowsEqual(allRows(emitted), want) {
-		t.Fatal("retried sort diverges from the unfaulted fast sort")
+		t.Fatal("retried sort diverges from the unfaulted sort")
 	}
 }
 

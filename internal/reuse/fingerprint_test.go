@@ -40,8 +40,7 @@ type planSpec struct {
 	predConst int64
 	agg       exec.AggFunc
 	limit     int
-	forceRef  bool // must NOT change the fingerprint
-	edgeUoT   int  // must NOT change the fingerprint
+	edgeUoT   int // must NOT change the fingerprint
 }
 
 func buildPlan(tab *storage.Table, s planSpec) *engine.Builder {
@@ -58,7 +57,6 @@ func buildPlan(tab *storage.Table, s planSpec) *engine.Builder {
 		GroupBy:      []expr.Expr{expr.C(scan.Schema, "a")},
 		GroupByNames: []string{"a"},
 		Aggs:         []exec.AggSpec{{Func: s.agg, Arg: expr.C(scan.Schema, "b"), Name: "v"}},
-		ForceReference: s.forceRef,
 	})
 	srt := b.Sort(agg, exec.SortSpec{
 		Name:        "sort",
@@ -88,10 +86,9 @@ func TestFingerprintInvariantToExecutionKnobs(t *testing.T) {
 	ref := rootFP(t, buildPlan(tab, base))
 
 	cases := map[string]planSpec{
-		"rebuild":         base,
-		"edge-uot-64":     {predConst: 50, agg: exec.Sum, edgeUoT: 64},
-		"edge-uot-table":  {predConst: 50, agg: exec.Sum, edgeUoT: core.UoTTable},
-		"force-reference": {predConst: 50, agg: exec.Sum, forceRef: true},
+		"rebuild":        base,
+		"edge-uot-64":    {predConst: 50, agg: exec.Sum, edgeUoT: 64},
+		"edge-uot-table": {predConst: 50, agg: exec.Sum, edgeUoT: core.UoTTable},
 	}
 	for name, s := range cases {
 		if got := rootFP(t, buildPlan(tab, s)); got != ref {

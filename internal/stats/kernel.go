@@ -28,27 +28,24 @@ type Kernel struct {
 	// the work order (free-list misses; the steady state reuses partials
 	// across blocks, so totals approach the worker count).
 	AggPartials int64 `json:"agg_partials,omitempty"`
-	// AggMergeFanout counts radix-partition merge work orders: the
-	// parallelism of the aggregation merge that replaced the global-mutex
-	// merge.
+	// AggMergeFanout counts aggregation merge work orders: one per radix
+	// partition of the group-hash space (one in all for a scalar aggregate
+	// or a partition-local clone).
 	AggMergeFanout int64 `json:"agg_merge_fanout,omitempty"`
-	// AggFastRows counts rows aggregated through the vectorized fixed-width
-	// path; AggFallbackRows counts rows through the reference map path
-	// (mixed-type keys, CountDistinct, char min/max).
-	AggFastRows     int64 `json:"agg_fast_rows,omitempty"`
-	AggFallbackRows int64 `json:"agg_fallback_rows,omitempty"`
+	// AggFastRows counts rows aggregated through the aggregation kernel:
+	// every input row of every aggregation (the name predates the removal
+	// of the row-at-a-time path and is kept for the export's sake).
+	AggFastRows int64 `json:"agg_fast_rows,omitempty"`
 
 	// SortRuns counts sorted runs produced by run-generation work orders
-	// (one per fed block on the sort fast path).
+	// (one per block fed to a sort).
 	SortRuns int64 `json:"sort_runs,omitempty"`
 	// SortMergeFanout counts range-partitioned merge work orders: the
-	// parallelism of the k-way merge that replaced the single blocking sort.
+	// parallelism of the k-way merge of the runs.
 	SortMergeFanout int64 `json:"sort_merge_fanout,omitempty"`
-	// SortFastRows counts rows sorted through the normalized-key path;
-	// SortFallbackRows counts rows through the reference Datum-comparator
-	// path (non-column keys, forced reference).
-	SortFastRows     int64 `json:"sort_fast_rows,omitempty"`
-	SortFallbackRows int64 `json:"sort_fallback_rows,omitempty"`
+	// SortFastRows counts rows sorted through the normalized-key kernel:
+	// every input row of every sort (named like AggFastRows).
+	SortFastRows int64 `json:"sort_fast_rows,omitempty"`
 	// TopKPruned counts rows discarded by the bounded top-k heap without
 	// ever being materialized into a run (ORDER BY ... LIMIT pruning).
 	TopKPruned int64 `json:"topk_pruned,omitempty"`
@@ -81,12 +78,10 @@ var KernelCounters = []KernelCounter{
 	{"scratch_hits", "Scratch-buffer pool reuse hits per operator.", func(k *Kernel) *int64 { return &k.ScratchHits }},
 	{"agg_partials", "Thread-local partial aggregation tables created per operator.", func(k *Kernel) *int64 { return &k.AggPartials }},
 	{"agg_merge_fanout", "Radix-partition aggregation merge work orders per operator.", func(k *Kernel) *int64 { return &k.AggMergeFanout }},
-	{"agg_fast_rows", "Rows aggregated through the vectorized fixed-width path per operator.", func(k *Kernel) *int64 { return &k.AggFastRows }},
-	{"agg_fallback_rows", "Rows aggregated through the reference map path per operator.", func(k *Kernel) *int64 { return &k.AggFallbackRows }},
-	{"sort_runs", "Sorted runs generated per operator (sort fast path).", func(k *Kernel) *int64 { return &k.SortRuns }},
+	{"agg_fast_rows", "Rows aggregated through the aggregation kernel per operator.", func(k *Kernel) *int64 { return &k.AggFastRows }},
+	{"sort_runs", "Sorted runs generated per operator.", func(k *Kernel) *int64 { return &k.SortRuns }},
 	{"sort_merge_fanout", "Range-partitioned sort merge work orders per operator.", func(k *Kernel) *int64 { return &k.SortMergeFanout }},
-	{"sort_fast_rows", "Rows sorted through the normalized-key path per operator.", func(k *Kernel) *int64 { return &k.SortFastRows }},
-	{"sort_fallback_rows", "Rows sorted through the reference Datum path per operator.", func(k *Kernel) *int64 { return &k.SortFallbackRows }},
+	{"sort_fast_rows", "Rows sorted through the normalized-key kernel per operator.", func(k *Kernel) *int64 { return &k.SortFastRows }},
 	{"topk_pruned", "Rows pruned by the bounded top-k heap per operator.", func(k *Kernel) *int64 { return &k.TopKPruned }},
 	{"exchange_rows", "Rows scattered into partition-local streams per exchange operator.", func(k *Kernel) *int64 { return &k.ExchangeRows }},
 	{"repartition_fanout", "Partition streams scattered into per exchange operator.", func(k *Kernel) *int64 { return &k.RepartitionFanout }},
@@ -103,11 +98,9 @@ func (k *Kernel) Add(o Kernel) {
 	k.AggPartials += o.AggPartials
 	k.AggMergeFanout += o.AggMergeFanout
 	k.AggFastRows += o.AggFastRows
-	k.AggFallbackRows += o.AggFallbackRows
 	k.SortRuns += o.SortRuns
 	k.SortMergeFanout += o.SortMergeFanout
 	k.SortFastRows += o.SortFastRows
-	k.SortFallbackRows += o.SortFallbackRows
 	k.TopKPruned += o.TopKPruned
 	k.ExchangeRows += o.ExchangeRows
 	k.RepartitionFanout += o.RepartitionFanout

@@ -82,6 +82,11 @@ type OpTotals struct {
 
 	// Kernel sums the hot-path counters of every attempt.
 	Kernel
+	// AggFallbackRows and SortFallbackRows are always 0: every aggregation
+	// and sort runs on its one kernel. Declared only because
+	// benchmark/layers.go reads them; drop them in the next [benchmark] PR
+	// together with Robustness.Demotions.
+	AggFallbackRows, SortFallbackRows int64
 
 	// FailedAttempts counts rolled-back work-order attempts of the operator
 	// (they are included in Count and WallTotal — the time was spent — but

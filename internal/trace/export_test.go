@@ -261,7 +261,7 @@ func kernelFixture() *Tracer {
 	}
 	tr.RegisterEdge(0, EdgeInfo{From: 1, To: 2, FromName: "agg(lineitem)", ToName: "sort", Pipelined: true, UoT: 1})
 	tr.Span(Event{Op: 0, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{ShardLocks: 3, BatchedRows: 100}})
-	tr.Span(Event{Op: 1, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{AggFastRows: 40, AggFallbackRows: 2}})
+	tr.Span(Event{Op: 1, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{AggFastRows: 40, AggPartials: 2}})
 	tr.Span(Event{Op: 1, StartNS: 2, EndNS: 3, Flags: FlagFailed})
 	tr.Span(Event{Op: 2, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{SortRuns: 4, TopKPruned: 9}})
 	tr.Span(Event{Op: 3, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{ExchangeRows: 50, PartitionSkew: 1}})
@@ -299,7 +299,7 @@ func TestKernelCountersReachBothExports(t *testing.T) {
 		`uot_shard_locks_total{run="q",op="build(orders)"} 3`,
 		`uot_agg_fast_rows_total{run="q",op="agg(lineitem)"} 40`,
 		// The four families that predate the name table, help text included.
-		"# HELP uot_sort_runs_total Sorted runs generated per operator (sort fast path).\n# TYPE uot_sort_runs_total counter\n" +
+		"# HELP uot_sort_runs_total Sorted runs generated per operator.\n# TYPE uot_sort_runs_total counter\n" +
 			`uot_sort_runs_total{run="q",op="sort"} 4`,
 		"# HELP uot_topk_pruned_total Rows pruned by the bounded top-k heap per operator.\n# TYPE uot_topk_pruned_total counter\n" +
 			`uot_topk_pruned_total{run="q",op="sort"} 9`,

@@ -163,7 +163,7 @@ func Equal(a, b Datum) bool { return Compare(a, b) == 0 }
 // CompareRows orders two same-arity datum rows term by term under Compare,
 // flipping term i when desc[i] is true (nil desc means all ascending). It is
 // the one multi-term ordering used by both the engine's final-result sort
-// and the sort operator's reference path.
+// and the sort operator's test oracle.
 func CompareRows(a, b []Datum, desc []bool) int {
 	for i := range a {
 		c := Compare(a[i], b[i])
