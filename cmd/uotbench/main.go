@@ -1,47 +1,28 @@
-// Command uotbench regenerates the paper's tables and figures.
+// Command uotbench regenerates the paper's tables and figures and runs the
+// robustness checks CI asserts.
 //
 // Usage:
 //
-//	uotbench [-sf 0.05] [-workers 20] [-runs 5] [-best 3] [-l3 8388608] [-adaptive] [IDs...]
-//	uotbench -micro [-json BENCH_PR1.json]
-//	uotbench -serve [-json BENCH_PR8.json]
-//	uotbench -spill [-json BENCH_PR9.json]
+//	uotbench [-sf 0.05] [-workers 20] [-runs 5] [-best 3] [-l3 8388608]
+//	         [-trace F] [-metrics F] [-prom F] [IDs...]
+//	uotbench -list
 //
-// With no IDs, every experiment runs in paper order. IDs are the experiment
-// identifiers from DESIGN.md (FIG2, FIG3, EQ1, SEC5C, TAB2, TAB3, TAB4,
-// SEC6C, FIG5, FIG6, FIG7, FIG8, FIG9, FIG10, TAB6, FIG11, plus CONTEND for
-// the batch-kernel contention profile, AGG for the aggregation-kernel
-// profile, SORT for the parallel-sort/top-k kernel profile, CHAOS for the
-// fault-injection robustness check — TPC-H under a seeded fault schedule
-// must match the fault-free results exactly — ADAPT for the adaptive
-// per-edge UoT controller vs. the static settings, SERVE for the concurrent
-// multi-query serving check — admission control, load shedding, and
-// bit-identical results under 16 concurrent clients — and CCHAOS for
-// serving under concurrent fault injection).
+// With no IDs, every experiment runs in paper order. The IDs (documented in
+// EXPERIMENTS.md and DESIGN.md) are
 //
-// -adaptive turns the per-edge adaptive UoT controller on for the wall-clock
-// experiments that execute real queries (FIG7, FIG8, FIG10, TAB6): their
-// per-query runs then start at the analytical model's predicted UoT and
-// adjust at delivery boundaries instead of using the experiment's static
-// setting.
+//   - the paper artifacts FIG2, FIG3, EQ1, SEC5C, TAB2, TAB3, TAB4, SEC6C,
+//     FIG5, FIG6, FIG7, FIG8, FIG9, FIG10, TAB6, FIG11 and SEC6B;
+//   - the ablations ABL-UOT (full UoT spectrum) and ABL-BLOCK (block size);
+//   - the self-failing robustness checks CHAOS (TPC-H under a seeded fault
+//     schedule must match the fault-free results exactly), ADAPT (the
+//     adaptive per-edge UoT controller must reproduce the UoT=1 results;
+//     times are reported against the static spectrum) and CCHAOS (eight
+//     queries served concurrently, half under faults, plus a cancellation and
+//     a deadline; non-faulted results bit-identical, zero leaks).
 //
-// -micro runs the hot-path micro-benchmark suite instead (the row-at-a-time
-// build/probe/bloom paths vs. their block-granular batch kernels, plus the
-// aggregation, exchange and normalized-key sort kernels) and, with -json, writes the machine-readable
-// perf artifact that tracks kernel throughput across PRs (BENCH_PR1.json,
-// BENCH_PR2.json).
-//
-// -serve runs the closed-loop serving sweep instead: 1, 4, and 16 clients
-// submitting the TPC-H mix through a shared session, reporting throughput
-// and latency percentiles (golden-checked against single-query results);
-// with -json it writes the machine-readable artifact (BENCH_PR8.json).
-//
-// -spill runs the spill-threshold sweep instead: each mix query at an
-// all-RAM baseline and then with resident temp bytes capped at ½, ¼, and ⅛
-// of its unconstrained peak, reporting wall time and extent I/O at each
-// point (every spilled result golden-checked bit-exactly); with -json it
-// writes the machine-readable artifact (BENCH_PR9.json). The SPILL
-// experiment ID runs the pass/fail variant instead.
+// Performance numbers for the kernels, serving, spill and reuse tiers come
+// from the fixed benchmark (`bash benchmark/run.sh`, see benchmark/README.md),
+// not from this command.
 //
 // -trace out.json attaches an execution tracer to the experiments that
 // support it (FIG2, FIG3) and writes the collected timeline as a Chrome
@@ -71,13 +52,7 @@ func main() {
 	runs := flag.Int("runs", 5, "wall-clock repetitions per configuration")
 	best := flag.Int("best", 3, "average the best K runs")
 	l3 := flag.Int64("l3", 8<<20, "simulated L3 bytes for the cache model")
-	adaptive := flag.Bool("adaptive", false, "run wall-clock query experiments with the adaptive per-edge UoT controller")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
-	micro := flag.Bool("micro", false, "run the hot-path micro-benchmark suite instead of the experiments")
-	serve := flag.Bool("serve", false, "run the closed-loop serving sweep (1/4/16 clients) instead of the experiments")
-	spill := flag.Bool("spill", false, "run the spill-threshold sweep (RAM at 1, 1/2, 1/4, 1/8 of peak) instead of the experiments")
-	reuseFlag := flag.Bool("reuse", false, "run the repeated-mix cross-query cache comparison (cache off vs on) instead of the experiments")
-	jsonPath := flag.String("json", "", "with -micro, -serve, -spill, or -reuse: write the machine-readable results to this file")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event timeline of the traced experiments (FIG2, FIG3) to this file")
 	metricsPath := flag.String("metrics", "", "write the tracer's aggregate metrics snapshot as JSON to this file")
 	promPath := flag.String("prom", "", "write the tracer's aggregate metrics snapshot as Prometheus text to this file")
@@ -90,70 +65,6 @@ func main() {
 		return
 	}
 
-	if *serve {
-		rep, err := bench.RunServe(bench.Config{SF: *sf, Workers: *workers})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Print(rep.String())
-		if *jsonPath != "" {
-			if err := rep.WriteJSON(*jsonPath); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *jsonPath)
-		}
-		return
-	}
-
-	if *spill {
-		rep, err := bench.RunSpill(bench.Config{SF: *sf, Workers: *workers})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Print(rep.String())
-		if *jsonPath != "" {
-			if err := rep.WriteJSON(*jsonPath); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *jsonPath)
-		}
-		return
-	}
-
-	if *reuseFlag {
-		rep, err := bench.RunReuse(bench.Config{SF: *sf, Workers: *workers})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Print(rep.String())
-		if *jsonPath != "" {
-			if err := rep.WriteJSON(*jsonPath); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *jsonPath)
-		}
-		return
-	}
-
-	if *micro {
-		rep := bench.RunMicro()
-		fmt.Print(rep.String())
-		if *jsonPath != "" {
-			if err := rep.WriteJSON(*jsonPath); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *jsonPath)
-		}
-		return
-	}
-
 	var tr *trace.Tracer
 	if *tracePath != "" || *metricsPath != "" || *promPath != "" {
 		tr = trace.New(0)
@@ -161,7 +72,7 @@ func main() {
 
 	h := bench.New(bench.Config{
 		SF: *sf, Workers: *workers, Runs: *runs, Best: *best, SimL3Bytes: *l3,
-		Trace: tr, Adaptive: *adaptive,
+		Trace: tr,
 	})
 
 	exps := bench.Experiments()

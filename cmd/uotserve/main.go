@@ -103,24 +103,17 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	deadlineMS, _ := strconv.Atoi(r.URL.Query().Get("deadline_ms"))
 	limit, _ := strconv.Atoi(r.URL.Query().Get("limit"))
 
+	b, err := tpch.Build(s.data, q, tpch.QueryOpts{LIP: s.lip})
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
 	req := session.Request{
-		Build: func() *engine.Builder {
-			b, err := tpch.Build(s.data, q, tpch.QueryOpts{LIP: s.lip})
-			if err != nil {
-				panic(err) // validated below before Submit
-			}
-			return b
-		},
+		Build:    func() *engine.Builder { return b },
 		Label:    fmt.Sprintf("Q%d", q),
 		Priority: priority,
 		Context:  r.Context(),
 		Deadline: time.Duration(deadlineMS) * time.Millisecond,
-	}
-	// Validate the query number up front so a bad request is a 400, not a
-	// panic inside Submit.
-	if _, err := tpch.Build(s.data, q, tpch.QueryOpts{LIP: s.lip}); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
 	}
 
 	resp, err := s.sess.Submit(req)

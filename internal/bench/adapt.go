@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
-	"testing"
 	"time"
 
 	"repro/internal/core"
@@ -11,7 +9,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/tpch"
-	"repro/internal/uotctl"
 )
 
 // adaptStatics is the static UoT spectrum the adaptive controller is judged
@@ -130,125 +127,4 @@ func (h *Harness) AdaptiveProfile() (*Report, error) {
 	r.Note("%d/%d queries within 5%% of best static; %d at least 20%% faster than worst static",
 		within5, len(tpch.Numbers()), faster20)
 	return r, nil
-}
-
-// Micro benchmarks for the adaptive decision path: the controller's raw
-// per-observation cost, the model-prior computation, and the end-to-end
-// overhead of running a query with the controller attached vs. a static run
-// in the same binary (the <1%-when-enabled acceptance target; the
-// disabled-path cost shows up as the static number tracking earlier BENCH
-// artifacts).
-
-var (
-	adaptMicroOnce sync.Once
-	adaptMicroTPCH *tpch.Dataset
-)
-
-// adaptMicroDataset loads (once) a tiny TPC-H dataset for the end-to-end
-// overhead benchmarks; SF 0.01 keeps one op in the low milliseconds so
-// testing.Benchmark's auto-scaling stays cheap.
-func adaptMicroDataset() *tpch.Dataset {
-	adaptMicroOnce.Do(func() {
-		adaptMicroTPCH = tpch.Load(0.01, 128<<10, storage.ColumnStore)
-	})
-	return adaptMicroTPCH
-}
-
-// benchAdaptQuery runs TPC-H Q1 end to end per op, static or adaptive. The
-// adaptive variant pins the controller to the static schedule (prior off,
-// Floor = Ceiling = the static UoT) so every decision is a Hold and the two
-// runs execute identical work orders: the ratio isolates the controller
-// mechanism — clock reads, service-time attribution, signal assembly, the
-// observe call — from schedule differences, which are ADAPT's subject.
-func benchAdaptQuery(workers int, adaptive bool) func(b *testing.B) {
-	return func(b *testing.B) {
-		d := adaptMicroDataset()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			bld, err := tpch.Build(d, 1, tpch.QueryOpts{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			opts := engine.Options{
-				Workers: workers, UoTBlocks: 1, TempBlockBytes: 128 << 10,
-			}
-			if adaptive {
-				opts.AdaptiveUoT = true
-				opts.AdaptiveConfig = uotctl.Config{
-					DisablePrior: true, DefaultUoT: 1, Floor: 1, Ceiling: 1,
-				}
-			}
-			if _, err := engine.Execute(bld, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// adaptQ1Overhead measures the controller's end-to-end mechanism cost as a
-// ratio: TPC-H Q1 with a pinned controller (every decision a Hold, identical
-// schedule to static — see benchAdaptQuery) over Q1 without one. Separate
-// testing.Benchmark batches drift by ±10% on this host over the minutes a
-// suite run takes, which swamps a sub-1% effect; alternating single
-// executions back to back exposes both sides to the same drift, and the
-// best-of-K on each side discards the GC/scheduling outliers.
-func adaptQ1Overhead() float64 {
-	d := adaptMicroDataset()
-	run := func(adaptive bool) time.Duration {
-		bld, err := tpch.Build(d, 1, tpch.QueryOpts{})
-		if err != nil {
-			panic(err)
-		}
-		opts := engine.Options{Workers: 8, UoTBlocks: 1, TempBlockBytes: 128 << 10}
-		if adaptive {
-			opts.AdaptiveUoT = true
-			opts.AdaptiveConfig = uotctl.Config{
-				DisablePrior: true, DefaultUoT: 1, Floor: 1, Ceiling: 1,
-			}
-		}
-		start := time.Now()
-		if _, err := engine.Execute(bld, opts); err != nil {
-			panic(err)
-		}
-		return time.Since(start)
-	}
-	run(false)
-	run(true)
-	best := [2]time.Duration{1 << 62, 1 << 62}
-	for i := 0; i < 15; i++ {
-		for j, adaptive := range [2]bool{false, true} {
-			if got := run(adaptive); got < best[j] {
-				best[j] = got
-			}
-		}
-	}
-	return float64(best[1]) / float64(best[0])
-}
-
-// benchUoTObserve measures one controller decision: the gauge pattern cycles
-// backlog pressure, starvation, and quiet intervals so hysteresis streaks
-// keep advancing instead of the controller settling into pure holds.
-func benchUoTObserve(b *testing.B) {
-	c := uotctl.New(uotctl.Config{Workers: 8, BlockBytes: 128 << 10, DefaultUoT: 4})
-	e := c.AddEdge(4)
-	sigs := []uotctl.Signals{
-		{Buffered: 64, Delivered: 4, IntervalNS: 1000, ServiceNS: 400},
-		{Buffered: 0, Delivered: 4, StallNS: 900, IntervalNS: 1000, ServiceNS: 100},
-		{Buffered: 2, Delivered: 4, IntervalNS: 1000, ServiceNS: 500},
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Observe(e, sigs[i%len(sigs)])
-	}
-}
-
-// benchUoTPrior measures the Section V model-prior computation that seeds
-// cold edges (runs once per undeclared edge per execution).
-func benchUoTPrior(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		uotctl.Prior(128<<10, 20)
-	}
 }

@@ -31,16 +31,9 @@ func Experiments() []Experiment {
 		{"SEC6B", "Section VI-B (SSB small hash tables)", (*Harness).Sec6BSSBFootprint},
 		{"ABL-UOT", "ablation: full UoT spectrum sweep", (*Harness).AblationUoTSweep},
 		{"ABL-BLOCK", "ablation: block-size sweep", (*Harness).AblationBlockSize},
-		{"CONTEND", "batch-kernel contention profile (shard locks, scratch reuse)", (*Harness).ContentionProfile},
-		{"AGG", "aggregation-kernel profile (rows, partial tables, merge fan-out)", (*Harness).AggKernelProfile},
-		{"SORT", "sort-kernel profile (normalized-key runs, merge fan-out, top-k pruning)", (*Harness).SortKernelProfile},
-		{"EXCH", "exchange profile (partition-local pipelines vs shared-state join+agg)", (*Harness).ExchangeProfile},
 		{"CHAOS", "robustness: seeded fault injection vs fault-free results", (*Harness).Chaos},
-		{"ADAPT", "adaptive per-edge UoT controller vs static settings", (*Harness).AdaptiveProfile},
-		{"SERVE", "concurrent serving: admission control, shedding, isolation", (*Harness).Serve},
-		{"CCHAOS", "concurrent serving under seeded fault injection", (*Harness).ConcurrentChaos},
-		{"SPILL", "disk-backed spill tier: goldens at 25% RAM, zero leaks", (*Harness).Spill},
-		{"REUSE", "cross-query result cache: warm-hit speedup, golden equivalence", (*Harness).ReuseCache},
+		{"ADAPT", "robustness: adaptive per-edge UoT controller vs static settings", (*Harness).AdaptiveProfile},
+		{"CCHAOS", "robustness: concurrent serving under seeded fault injection", (*Harness).ConcurrentChaos},
 	}
 }
 

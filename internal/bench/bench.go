@@ -49,11 +49,6 @@ type Config struct {
 	// traced execution becomes one labeled section of the tracer, and
 	// cmd/uotbench -trace writes the result as a Chrome trace-event file.
 	Trace *trace.Tracer
-	// Adaptive runs the wall-clock query experiments (FIG7, FIG8, FIG10,
-	// TAB6) with the adaptive per-edge UoT controller instead of each
-	// experiment's static setting. The dedicated ADAPT experiment compares
-	// adaptive against the static spectrum regardless of this flag.
-	Adaptive bool
 }
 
 func (c Config) withDefaults() Config {
@@ -257,9 +252,3 @@ func simMs(ticks int64) string  { return fmt.Sprintf("%.3f", float64(ticks)/1e6)
 func mib(b int64) string        { return fmt.Sprintf("%.2f", float64(b)/(1<<20)) }
 func pct(f float64) string      { return fmt.Sprintf("%.1f", 100*f) }
 func ratio2(f float64) string   { return fmt.Sprintf("%.2f", f) }
-func uotLabel(low bool) string {
-	if low {
-		return "low(1 block)"
-	}
-	return "high(table)"
-}

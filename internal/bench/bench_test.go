@@ -1,6 +1,11 @@
 package bench
 
 import (
+	"go/parser"
+	"go/token"
+	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -22,19 +27,45 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+// TestExperimentRegistry pins the registry by name — a paper artifact, an
+// ablation or a CI-asserted robustness check, nothing else — and keeps the
+// two places that document the IDs from drifting away from it.
 func TestExperimentRegistry(t *testing.T) {
-	exps := Experiments()
-	if len(exps) != 29 {
-		t.Fatalf("experiments = %d", len(exps))
+	want := strings.Fields(`FIG2 FIG3 EQ1 SEC5C TAB2 TAB3 TAB4 SEC6C FIG5 FIG6 FIG7 FIG8
+		FIG9 FIG10 TAB6 FIG11 SEC6B ABL-UOT ABL-BLOCK CHAOS ADAPT CCHAOS`)
+	var got []string
+	for _, e := range Experiments() {
+		got = append(got, e.ID)
 	}
-	seen := map[string]bool{}
-	for _, e := range exps {
-		if seen[e.ID] {
-			t.Fatalf("duplicate experiment id %s", e.ID)
+	if !slices.Equal(got, want) {
+		t.Fatalf("experiment IDs = %v, want %v", got, want)
+	}
+
+	experimentsMD, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "../../cmd/uotbench/main.go", nil,
+		parser.PackageClauseOnly|parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	usage := f.Doc.Text()
+
+	kind := regexp.MustCompile(`^(Fig\. \d+|Table [IVX]+|Section [IVX]+-[A-C]|ablation: |robustness: )`)
+	for _, e := range Experiments() {
+		if e.Run == nil {
+			t.Errorf("experiment %s has no runner", e.ID)
 		}
-		seen[e.ID] = true
-		if e.Run == nil || e.Paper == "" {
-			t.Fatalf("experiment %s incomplete", e.ID)
+		if !kind.MatchString(e.Paper) {
+			t.Errorf("experiment %s: %q names no paper figure/table/section, ablation or robustness check", e.ID, e.Paper)
+		}
+		word := regexp.MustCompile(`\b` + regexp.QuoteMeta(e.ID) + `\b`)
+		if !word.Match(experimentsMD) {
+			t.Errorf("experiment %s is not described in EXPERIMENTS.md", e.ID)
+		}
+		if !word.MatchString(usage) {
+			t.Errorf("experiment %s is not listed in uotbench's package comment", e.ID)
 		}
 	}
 	if _, err := Find("FIG7"); err != nil {
@@ -74,7 +105,7 @@ func TestDatasetCaching(t *testing.T) {
 // end-to-end at tiny scale and sanity-checks their structure.
 func TestCheapExperimentsProduceRows(t *testing.T) {
 	h := tiny()
-	for _, id := range []string{"EQ1", "SEC5C", "FIG2", "TAB3", "TAB4", "SEC6C", "SEC6B", "TAB2", "CHAOS", "EXCH"} {
+	for _, id := range []string{"EQ1", "SEC5C", "FIG2", "TAB3", "TAB4", "SEC6C", "SEC6B", "TAB2", "CHAOS"} {
 		e, err := Find(id)
 		if err != nil {
 			t.Fatal(err)

@@ -10,13 +10,8 @@ import (
 	"repro/internal/tpch"
 )
 
-// queryWall measures one query's wall-clock time (best-of policy). With
-// Config.Adaptive set, the run uses the adaptive per-edge UoT controller in
-// place of the caller's static UoTBlocks setting.
+// queryWall measures one query's wall-clock time (best-of policy).
 func (h *Harness) queryWall(d *tpch.Dataset, num int, opts engine.Options, qo tpch.QueryOpts) (string, error) {
-	if h.cfg.Adaptive {
-		opts.AdaptiveUoT = true
-	}
 	dur, _, err := h.bestOf(func() (*stats.Run, error) {
 		res, err := h.run(d, num, opts, qo)
 		if err != nil {

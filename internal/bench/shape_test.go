@@ -145,22 +145,3 @@ func TestShapeFig9SmallHashTableScalesBetter(t *testing.T) {
 		t.Errorf("large-HT probe speedup %v should be contention-capped", large)
 	}
 }
-
-// TestShapeAggKernel asserts the AGG experiment's claim: every aggregation —
-// int keys (Q13, Q15, Q18), char keys (Q1) and count(distinct) (Q16) alike —
-// aggregates its rows through the kernel, from thread-local partials, and
-// finishes through merge work orders.
-func TestShapeAggKernel(t *testing.T) {
-	rep, err := tiny().AggKernelProfile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 5 {
-		t.Fatalf("AGG rows = %d, want 5", len(rep.Rows))
-	}
-	for i, row := range rep.Rows {
-		if rows, partials, fanout := cell(t, rep, i, 1), cell(t, rep, i, 2), cell(t, rep, i, 3); rows == 0 || partials == 0 || fanout == 0 {
-			t.Errorf("%s: agg_rows %v, partials %v, merge fan-out %v; want all non-zero", row[0], rows, partials, fanout)
-		}
-	}
-}

@@ -164,7 +164,6 @@ func Execute(b *Builder, opts Options) (*Result, error) {
 	if spillOn && opts.SharedPool != nil {
 		return nil, ErrSpillWithSharedPool
 	}
-	rs := prepareReuse(b, opts)
 	run := stats.NewRun()
 	serving := opts.Exec != nil || opts.SharedPool != nil
 	var pool *storage.Pool
@@ -186,6 +185,9 @@ func Execute(b *Builder, opts Options) (*Result, error) {
 			return nil, err
 		}
 	}
+	// After the last early return: a hit pins its cache entry until
+	// rs.finalize, which only the path through core.Run reaches.
+	rs := prepareReuse(b, opts)
 	var traceRun int32
 	if serving {
 		// Concurrent executions each record into their own trace section;

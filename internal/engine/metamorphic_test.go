@@ -251,32 +251,32 @@ func (s *mmSpec) build(parts int) *engine.Builder {
 	return b
 }
 
-// runEncoded executes the spec under cfg and returns the canonicalized
+// runEncoded executes the spec under c and returns the canonicalized
 // result (int64-only, so equality is exact).
-func (s *mmSpec) runEncoded(cfg mmCfg) (string, error) {
+func (s *mmSpec) runEncoded(c mmCfg) (string, error) {
 	opts := engine.Options{
-		Workers: cfg.Workers, UoTBlocks: cfg.UoT, TempBlockBytes: cfg.Temp,
-		AdaptiveUoT: cfg.Adaptive,
+		Workers: c.Workers, UoTBlocks: c.UoT, TempBlockBytes: c.Temp,
+		AdaptiveUoT: c.Adaptive,
 	}
-	if cfg.Spill > 0 {
+	if c.Spill > 0 {
 		dir, err := os.MkdirTemp("", "mm-spill-")
 		if err != nil {
 			return "", err
 		}
 		defer os.RemoveAll(dir)
-		opts.SpillDir, opts.SpillThreshold = dir, cfg.Spill
+		opts.SpillDir, opts.SpillThreshold = dir, c.Spill
 	}
-	if cfg.Reuse {
+	if c.Reuse {
 		// Cold fill, then report the warm run: the result the cache serves is
 		// the one compared against every other configuration. (Partitioned
 		// plans bypass the cache; the warm run then just recomputes.)
 		cache := reuse.New(reuse.Config{Budget: 16 << 20})
 		opts.Reuse = cache
-		if _, err := engine.Execute(s.build(cfg.Parts), opts); err != nil {
+		if _, err := engine.Execute(s.build(c.Parts), opts); err != nil {
 			return "", err
 		}
 	}
-	res, err := engine.Execute(s.build(cfg.Parts), opts)
+	res, err := engine.Execute(s.build(c.Parts), opts)
 	if err != nil {
 		return "", err
 	}

@@ -6,6 +6,8 @@
 package engine_test
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/engine"
@@ -186,5 +188,42 @@ func TestReuseDisabledByDefault(t *testing.T) {
 	}
 	if u := res.Run.Reuse(); u.Hit || u.Captured != 0 || u.CaptureRej != 0 {
 		t.Errorf("reuse stats populated without a cache: %+v", u)
+	}
+}
+
+// TestReuseHitWithUnusableSpillDirReleasesPins pins the order of Execute's
+// set-up: a warm plan whose spill tier cannot come up must fail without
+// leaving its cache entry pinned (an entry pinned forever can never be
+// evicted, and Close reports the leak).
+func TestReuseHitWithUnusableSpillDirReleasesPins(t *testing.T) {
+	tab := reuseBaseTable(10_000)
+	cache := reuse.New(reuse.Config{Budget: 16 << 20})
+	opts := engine.Options{Workers: 1, UoTBlocks: 4, TempBlockBytes: 4 << 10, Reuse: cache}
+	if _, err := engine.Execute(buildAggPlan(tab, 0), opts); err != nil {
+		t.Fatal(err)
+	}
+
+	notADir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notADir, nil, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	bad := opts
+	bad.SpillDir, bad.SpillThreshold = notADir, 1<<20
+	if _, err := engine.Execute(buildAggPlan(tab, 0), bad); err == nil {
+		t.Fatal("Execute with SpillDir pointing at a regular file succeeded")
+	}
+	if ctr := cache.Counters(); ctr.Pins != 0 {
+		t.Errorf("%d pins outstanding after the failed run", ctr.Pins)
+	}
+
+	res, err := engine.Execute(buildAggPlan(tab, 0), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Run.Reuse().Hit {
+		t.Errorf("run after the failed one missed the warm root entry (reuse = %+v)", res.Run.Reuse())
+	}
+	if err := cache.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

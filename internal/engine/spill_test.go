@@ -38,16 +38,18 @@ func assertSpillDirEmpty(t *testing.T, dir string) {
 // TestSpillGoldenEquivalence: the same plan run entirely in RAM and run with
 // a spill tier evicting every cooled block must produce identical results —
 // eviction, codec round-trips, and fault-in reordering are storage mechanics,
-// not semantics. The spilled run must show real two-way disk traffic, leave
-// no live extent bytes, and remove its spill directory.
+// not semantics. The spilled run must show real two-way disk traffic, keep its
+// extent high-water within 4x the in-RAM peak (freed extents are reused, not
+// appended past), leave no live extent bytes, and remove its spill directory.
 func TestSpillGoldenEquivalence(t *testing.T) {
 	_, fact, dim := fixture(t, storage.ColumnStore, 4<<10)
-	base, _ := mustRows(t, buildJoinAggPlan(fact, dim), Options{
+	base, baseRes := mustRows(t, buildJoinAggPlan(fact, dim), Options{
 		Workers: 1, UoTBlocks: 1, TempBlockBytes: 4 << 10,
 	}, "in-RAM baseline")
 	if len(base) == 0 {
 		t.Fatal("baseline is empty")
 	}
+	peak := baseRes.Run.Intermediates.High()
 
 	for _, workers := range []int{1, 4} {
 		opts := spillOpts(t, workers)
@@ -61,6 +63,9 @@ func TestSpillGoldenEquivalence(t *testing.T) {
 		}
 		if sp.BytesOut == 0 || sp.BytesIn == 0 || sp.DiskPeak == 0 {
 			t.Fatalf("workers=%d: byte counters inconsistent: %+v", workers, sp)
+		}
+		if sp.DiskPeak > 4*peak {
+			t.Fatalf("workers=%d: extent high-water %d unbounded vs in-RAM peak %d", workers, sp.DiskPeak, peak)
 		}
 		if sp.DiskLive != 0 {
 			t.Fatalf("workers=%d: %d extent bytes still live after the run", workers, sp.DiskLive)
