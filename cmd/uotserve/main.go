@@ -6,7 +6,7 @@
 //
 //	uotserve [-addr :8080] [-sf 0.05] [-workers 8] [-concurrent 4]
 //	         [-queue 8] [-budget-mb 256] [-uot 1] [-lip]
-//	         [-reuse] [-reuse-dir DIR]
+//	         [-reuse]
 //
 // Endpoints:
 //
@@ -57,7 +57,6 @@ func main() {
 	uotBlocks := flag.Int("uot", 1, "default unit of transfer in blocks")
 	lip := flag.Bool("lip", false, "build plans with LIP bloom filters")
 	reuseOn := flag.Bool("reuse", false, "enable the cross-query result cache (budget: a quarter of -budget-mb)")
-	reuseDir := flag.String("reuse-dir", "", "with -reuse: directory for cooling cold cache entries to disk")
 	flag.Parse()
 
 	log.Printf("loading TPC-H SF=%g ...", *sf)
@@ -71,7 +70,6 @@ func main() {
 		UoTBlocks:     *uotBlocks,
 		Trace:         tr,
 		Reuse:         *reuseOn,
-		ReuseDir:      *reuseDir,
 	})
 	s := &server{data: data, sess: sess, tr: tr, lip: *lip, start: time.Now()}
 

@@ -115,14 +115,14 @@ type ExecCtx struct {
 	// scheduler takes no timestamps beyond what it already takes.
 	Trace *trace.Tracer
 
-	// Adapt, if non-nil, is the per-edge adaptive UoT controller: the
-	// scheduler registers every pipelined edge, seeds undeclared edges with
-	// the controller's model prior, observes each edge at delivery
-	// boundaries, and routes the memory-pressure degradation through
-	// Controller.Pressure so the PR3 raise is one policy input rather than
-	// a separate code path. Nil keeps the static UoT behavior bit-exact
-	// (and timestamp-free when tracing is also off).
-	Adapt *uotctl.Controller
+	// UoTCtl is the run's unit-of-transfer controller, the only writer of
+	// any edge's UoT: the scheduler registers every pipelined edge with it,
+	// reads the edge's current UoT from it, and routes the memory-pressure
+	// degradation through Controller.Pressure. An adaptive controller
+	// (uotctl.New) is also observed at every delivery boundary. Nil means a
+	// static run: Run makes a uotctl.NewStatic controller at its defaultUoT
+	// (timestamp-free when tracing is also off).
+	UoTCtl *uotctl.Controller
 
 	// Ctx, if non-nil, cancels the whole run: the scheduler stops
 	// dispatching, drops queued work orders, and emitters abort in-flight

@@ -18,22 +18,18 @@ import (
 
 // Run executes a plan: a single scheduler goroutine dispatches work orders
 // to ctx.Workers worker goroutines, routing producer output blocks to
-// consumers in groups of UoT blocks per pipelined edge (defaultUoT applies
-// to edges that do not override it). Run returns after every operator has
-// finished, after the run context is canceled, or after a work order fails
-// fatally (transient failures are rolled back and retried up to
-// ctx.MaxAttempts with exponential backoff). On any exit path the scheduler
-// reclaims every intermediate block and verifies the zero-leak invariants.
+// consumers in groups of UoT blocks per pipelined edge (edges that do not
+// declare one start at ctx.UoTCtl's prior, or at defaultUoT when the run
+// brings no controller). Run returns after every operator has finished, after
+// the run context is canceled, or after a work order fails fatally (transient
+// failures are rolled back and retried up to ctx.MaxAttempts with exponential
+// backoff). On any exit path the scheduler reclaims every intermediate block
+// and verifies the zero-leak invariants.
 func Run(plan *Plan, ctx *ExecCtx, defaultUoT int) error {
-	if defaultUoT <= 0 {
-		defaultUoT = 1
-	}
 	if ctx.Workers <= 0 {
 		ctx.Workers = 1
 	}
-	s := &sched{plan: plan, ctx: ctx}
-	s.build(defaultUoT)
-	return s.run()
+	return newSched(plan, ctx, defaultUoT).run()
 }
 
 // memHoldLimit is how many times a block-producing work order is held back
@@ -72,8 +68,6 @@ type wres struct {
 
 type edgeState struct {
 	e            Edge
-	uot          int
-	start        int // resolved starting UoT (see ResolveUoT)
 	buf          []*storage.Block
 	producerDone bool
 	delivered    bool // inputsOpen decremented at consumer
@@ -84,21 +78,17 @@ type edgeState struct {
 	id       int32
 	batches  int64
 	bufSince int64
-	// Adaptive-controller state: ctl is the edge's controller index (-1 for
-	// static edges), lastDelivery the clock at the previous delivery
+	// ctl is a pipelined edge's index in the run's UoT controller, which
+	// owns the edge's current UoT, its starting UoT and its decision counts.
+	// The rest is what the scheduler gathers between two observations of an
+	// adaptive controller: lastDelivery the clock at the previous delivery
 	// boundary, serviceNS the consumer work-order time attributed to this
-	// edge since the last observation, faultedIn the blocks this edge's
-	// deliveries had to fault back in from the spill tier since the last
-	// observation, and the counters record every decision for the stats
-	// snapshot.
+	// edge, faultedIn the blocks this edge's deliveries had to fault back in
+	// from the spill tier.
 	ctl          int
 	lastDelivery int64
 	serviceNS    int64
 	faultedIn    int
-	raises       int64
-	lowers       int64
-	holds        int64
-	snaps        int64
 }
 
 type opState struct {
@@ -123,6 +113,9 @@ type opState struct {
 type sched struct {
 	plan *Plan
 	ctx  *ExecCtx
+	// ctl is the run's UoT controller: ctx.UoTCtl, or a static one at the
+	// run default.
+	ctl *uotctl.Controller
 
 	states   []*opState
 	edges    []*edgeState
@@ -133,7 +126,7 @@ type sched struct {
 	runErr   error
 
 	// clock returns monotonic nanoseconds for edge stall/interval tracking:
-	// the tracer's clock when tracing, a run-local clock when only the
+	// the tracer's clock when tracing, a run-local clock when only an
 	// adaptive controller needs it, nil when neither does (the static
 	// untraced path stays timestamp-free).
 	clock func() int64
@@ -142,7 +135,11 @@ type sched struct {
 	results  chan wres
 }
 
-func (s *sched) build(defaultUoT int) {
+func newSched(plan *Plan, ctx *ExecCtx, defaultUoT int) *sched {
+	s := &sched{plan: plan, ctx: ctx, ctl: ctx.UoTCtl}
+	if s.ctl == nil {
+		s.ctl = uotctl.NewStatic(uotctl.Config{DefaultUoT: defaultUoT})
+	}
 	s.rc = make(map[*storage.Block]int)
 	s.states = make([]*opState, len(s.plan.Ops))
 	for i, op := range s.plan.Ops {
@@ -158,17 +155,12 @@ func (s *sched) build(defaultUoT int) {
 	for _, e := range s.plan.Edges {
 		switch e.Kind {
 		case Pipelined:
-			es := &edgeState{e: e, uot: ResolveUoT(e, defaultUoT, s.ctx.Adapt), ctl: -1}
-			if s.ctx.Adapt != nil && es.uot != UoTTable {
-				es.ctl = s.ctx.Adapt.AddEdge(es.uot)
-				es.uot = s.ctx.Adapt.UoT(es.ctl) // controller clamps to its floor
-			}
-			es.start = es.uot
+			es := &edgeState{e: e, ctl: s.ctl.AddEdge(ResolveUoT(e, s.ctl.Prior()))}
 			s.edges = append(s.edges, es)
 			s.states[e.From].out = append(s.states[e.From].out, es)
 			s.states[e.To].inputsOpen++
 		case Blocking:
-			es := &edgeState{e: e, ctl: -1}
+			es := &edgeState{e: e}
 			s.edges = append(s.edges, es)
 			s.states[e.From].out = append(s.states[e.From].out, es)
 			s.states[e.To].deps++
@@ -186,13 +178,17 @@ func (s *sched) build(defaultUoT int) {
 			tr.RegisterOpIn(s.ctx.TraceRun, i, st.op.Name())
 		}
 		for i, es := range s.edges {
+			uot := 0 // blocking edges transfer no pipelined blocks
+			if es.e.Kind == Pipelined {
+				uot = s.ctl.UoT(es.ctl)
+			}
 			tr.RegisterEdgeIn(s.ctx.TraceRun, i, trace.EdgeInfo{
 				From: int(es.e.From), To: int(es.e.To),
 				FromName:  s.states[es.e.From].op.Name(),
 				ToName:    s.states[es.e.To].op.Name(),
 				Input:     es.e.ToInput,
 				Pipelined: es.e.Kind == Pipelined,
-				UoT:       es.uot,
+				UoT:       uot,
 			})
 		}
 	}
@@ -216,32 +212,31 @@ func (s *sched) build(defaultUoT int) {
 			break
 		}
 	}
+	return s
 }
 
 // ResolveUoT is the single place the Edge.UoT==0 fallback is resolved: an
-// explicit per-edge value wins; otherwise an attached adaptive controller
-// supplies its analytical-model prior, and absent both the run default
-// applies. Blocking edges resolve to 0 (they transfer no pipelined blocks).
-func ResolveUoT(e Edge, defaultUoT int, ad *uotctl.Controller) int {
+// explicit per-edge value wins; otherwise the run's starting UoT applies —
+// the controller's Prior, which is the run default for a static run and the
+// analytical-model prior for an adaptive one. Blocking edges resolve to 0
+// (they transfer no pipelined blocks).
+func ResolveUoT(e Edge, startUoT int) int {
 	if e.Kind != Pipelined {
 		return 0
 	}
 	if e.UoT != 0 {
 		return e.UoT
 	}
-	if ad != nil {
-		return ad.Prior()
-	}
-	if defaultUoT <= 0 {
+	if startUoT <= 0 {
 		return 1
 	}
-	return defaultUoT
+	return startUoT
 }
 
 func (s *sched) run() error {
 	if tr := s.ctx.Trace; tr.Enabled() {
 		s.clock = tr.Now
-	} else if s.ctx.Adapt != nil {
+	} else if s.ctl.Adaptive() {
 		base := now()
 		s.clock = func() int64 { return now().Sub(base).Nanoseconds() }
 	}
@@ -344,8 +339,8 @@ func (s *sched) run() error {
 }
 
 // recordEdgeUoTs publishes each pipelined edge's UoT trajectory — the
-// resolved starting value, the final value, and per-decision counts — into
-// the run's stats snapshot.
+// resolved starting value, the final value, and per-decision counts, all as
+// the controller kept them — into the run's stats snapshot.
 func (s *sched) recordEdgeUoTs() {
 	if s.ctx.Run == nil {
 		return
@@ -355,18 +350,19 @@ func (s *sched) recordEdgeUoTs() {
 		if es.e.Kind != Pipelined {
 			continue
 		}
+		start, d := s.ctl.Edge(es.ctl)
 		out = append(out, stats.EdgeUoT{
 			From: int(es.e.From), To: int(es.e.To),
 			FromName: s.states[es.e.From].op.Name(),
 			ToName:   s.states[es.e.To].op.Name(),
 			Input:    es.e.ToInput,
 			Declared: es.e.UoT,
-			Start:    es.start,
-			Final:    es.uot,
-			Raises:   es.raises,
-			Lowers:   es.lowers,
-			Holds:    es.holds,
-			Snaps:    es.snaps,
+			Start:    start,
+			Final:    s.ctl.UoT(es.ctl),
+			Raises:   d.Raises,
+			Lowers:   d.Lowers,
+			Holds:    d.Holds,
+			Snaps:    d.Snaps,
 		})
 	}
 	s.ctx.Run.SetEdgeUoTs(out)
@@ -492,26 +488,19 @@ func (s *sched) pickJob() int {
 
 // pressureRaise raises the UoT of st's outgoing pipelined edges under
 // sustained memory pressure: the scheduler trades transfer granularity for
-// forward progress — the spectrum of Fig. 1 used as a degradation knob.
-// Adaptive edges route through the controller (which bypasses hysteresis and
-// arms a hold against re-lowering right after); static edges take the same
-// uotctl.PressureStep directly.
+// forward progress — the spectrum of Fig. 1 used as a degradation knob. The
+// controller decides the step (and, when adaptive, arms a hold against
+// re-lowering right after).
 func (s *sched) pressureRaise(st *opState) {
 	for _, es := range st.out {
-		if es.e.Kind != Pipelined || es.uot == UoTTable {
+		if es.e.Kind != Pipelined || s.ctl.UoT(es.ctl) == UoTTable {
 			continue
 		}
-		if es.ctl >= 0 {
-			s.applyUoT(es, s.ctx.Adapt.Pressure(es.ctl), true)
-		} else {
-			s.applyUoT(es, uotctl.PressureStep(es.uot, uotctl.DefaultCeiling), true)
-		}
+		s.noteUoT(es, s.ctl.Pressure(es.ctl), true)
 	}
 }
 
-// adapt feeds one delivery boundary's gauges to the adaptive controller and
-// applies its decision to the edge. Called only for controller-managed edges
-// (es.ctl >= 0) that just delivered.
+// adapt feeds one delivery boundary's gauges to an adaptive controller.
 func (s *sched) adapt(es *edgeState, delivered int, stallNS, nowNS int64) {
 	sig := uotctl.Signals{
 		Buffered:    len(es.buf),
@@ -528,41 +517,34 @@ func (s *sched) adapt(es *edgeState, delivered int, stallNS, nowNS int64) {
 	es.lastDelivery = nowNS
 	es.serviceNS = 0
 	es.faultedIn = 0
-	s.applyUoT(es, s.ctx.Adapt.Observe(es.ctl, sig), false)
+	s.noteUoT(es, s.ctl.Observe(es.ctl, sig), false)
 }
 
-// applyUoT applies one UoT decision — from the adaptive controller or the
-// legacy static degradation path — to an edge: the new value, the per-edge
-// decision counters behind the stats snapshot, the shared robustness
-// counters, and a trace mark distinguishing raises, lowers, and terminal
-// snaps (the mark's Edge/UoT fields name the edge and carry the new value).
-// pressure marks decisions born from the memory-pressure path: only those
-// count as UoTRaises, matching the counter's pre-adaptive meaning.
-func (s *sched) applyUoT(es *edgeState, a uotctl.Action, pressure bool) {
+// noteUoT publishes a decision the controller has already applied to an
+// edge: the shared robustness counters and a trace mark distinguishing
+// raises, lowers, and terminal snaps (the mark's Edge/UoT fields name the
+// edge and carry the new value). pressure marks decisions born from the
+// memory-pressure path: only those count as UoTRaises.
+func (s *sched) noteUoT(es *edgeState, a uotctl.Action, pressure bool) {
 	var mark trace.MarkCode
 	switch a.Dir {
 	case uotctl.Raise:
-		es.raises++
 		mark = trace.MarkUoTRaise
 		if pressure && s.ctx.Run != nil {
 			s.ctx.Run.AddUoTRaise()
 		}
 	case uotctl.Lower:
-		es.lowers++
 		mark = trace.MarkUoTLower
 	case uotctl.Snap:
-		es.snaps++
 		mark = trace.MarkUoTSnap
 		if s.ctx.Run != nil {
 			s.ctx.Run.AddUoTSnap()
 		}
 	default:
-		es.holds++
 		return
 	}
-	es.uot = a.UoT
 	s.ctx.Trace.MarkIn(s.ctx.TraceRun, mark, trace.Event{
-		Op: int32(es.e.From), Edge: es.id, UoT: int64(es.uot),
+		Op: int32(es.e.From), Edge: es.id, UoT: int64(a.UoT),
 		StartNS: s.ctx.Trace.Now(),
 	})
 }
@@ -681,11 +663,9 @@ func (s *sched) onComplete(r wres) {
 	s.inflight--
 
 	// Attribute the work order's wall time back to the edge whose delivery
-	// spawned it: the controller's consumer service-time signal.
+	// spawned it: the consumer service-time signal of the next observation.
 	if r.edge >= 0 {
-		if es := s.edges[r.edge]; es.ctl >= 0 {
-			es.serviceNS += r.end.Sub(r.start).Nanoseconds()
-		}
+		s.edges[r.edge].serviceNS += r.end.Sub(r.start).Nanoseconds()
 	}
 
 	retry := false
@@ -867,13 +847,14 @@ func edgeWants(e Edge, tag int) bool {
 // tryFlush hands buffered blocks to the consumer in UoT-sized groups. When
 // tracing is enabled every transition ends with a gauge sample of the edge
 // (buffered blocks vs. the UoT threshold, scheduler queue depth, stall time
-// of the drained blocks, and memory-pool occupancy). Controller-managed
-// edges additionally observe the adaptive controller at every delivery
-// boundary — the same stall/interval bookkeeping feeds both, so the fully
-// static untraced path stays timestamp-free.
+// of the drained blocks, and memory-pool occupancy). An adaptive controller
+// is additionally observed at every delivery boundary — the same
+// stall/interval bookkeeping feeds both, so the fully static untraced path
+// stays timestamp-free.
 func (s *sched) tryFlush(es *edgeState) {
 	traced := es.e.Kind == Pipelined && s.ctx.Trace.Enabled()
-	track := traced || es.ctl >= 0
+	observed := s.ctl.Adaptive()
+	track := traced || observed
 	delivered := 0
 	c := s.states[es.e.To]
 	if !c.started {
@@ -885,9 +866,10 @@ func (s *sched) tryFlush(es *edgeState) {
 		}
 		return
 	}
-	for es.uot != UoTTable && len(es.buf) >= es.uot {
-		chunk := es.buf[:es.uot:es.uot]
-		es.buf = es.buf[es.uot:]
+	uot := s.ctl.UoT(es.ctl) // decisions land between flushes, never inside one
+	for uot != UoTTable && len(es.buf) >= uot {
+		chunk := es.buf[:uot:uot]
+		es.buf = es.buf[uot:]
 		delivered += len(chunk)
 		s.deliver(c, es, chunk)
 		if s.runErr != nil {
@@ -923,7 +905,7 @@ func (s *sched) tryFlush(es *edgeState) {
 		} else if delivered > 0 || es.bufSince == 0 {
 			es.bufSince = nowNS
 		}
-		if es.ctl >= 0 && delivered > 0 && !es.producerDone {
+		if observed && delivered > 0 && !es.producerDone {
 			// Observe before the gauge sample so the sampled UoT threshold
 			// (and the Prometheus uot_edge_uot_blocks gauge behind it)
 			// reflects this boundary's decision.
@@ -945,7 +927,7 @@ func (s *sched) sampleEdge(es *edgeState, delivered int, stallNS int64) {
 		Edge:       es.id,
 		StartNS:    s.ctx.Trace.Now(),
 		Buffered:   int32(len(es.buf)),
-		UoT:        int64(es.uot),
+		UoT:        int64(s.ctl.UoT(es.ctl)),
 		QueueDepth: int32(len(s.queue)),
 		StallNS:    stallNS,
 		PoolBytes:  pool,

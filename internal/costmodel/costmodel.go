@@ -317,12 +317,3 @@ func RecomputeCost(bytes int64, nOps int) float64 {
 	lines := float64(bytes) / float64(p.LineBytes)
 	return float64(nOps) * lines * float64(p.ARL3Line+p.WMemLine)
 }
-
-// ReloadCost estimates the ticks to fault a cooled cache entry of the given
-// byte size back in from the persistent store (one store read per 128 KB
-// reference UoT — the REMOP rule: a cached block is priced by where it
-// lives, so internal/reuse discounts a cooled entry's benefit by this).
-func ReloadCost(bytes int64) float64 {
-	s := DefaultStore(1)
-	return float64(s.RStore) * float64(bytes) / float64(storeRefUoT)
-}

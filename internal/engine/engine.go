@@ -40,9 +40,6 @@ type Options struct {
 	// Sim, if non-nil, charges work orders with simulated memory-hierarchy
 	// costs.
 	Sim *cachesim.Sim
-	// MaxDOP, if non-nil, caps per-operator concurrency (scheduler policy
-	// hook).
-	MaxDOP map[core.OpID]int
 	// MemoryBudget, if positive, softly caps live temporary-block bytes:
 	// block-producing work orders are held while consumers drain (a
 	// Section III-C scheduler policy). Under sustained pressure the
@@ -81,19 +78,15 @@ type Options struct {
 	// point abort (transiently, so they retry); completed overruns are
 	// recorded in the run's robustness counters.
 	WorkOrderDeadline time.Duration
-	// AdaptiveUoT attaches a per-edge adaptive UoT controller (see
-	// internal/uotctl): pipelined edges without an explicit UoT start at the
-	// Section V model's predicted operating point instead of UoTBlocks, and
-	// every edge's UoT is adjusted AIMD-style at delivery boundaries from
-	// backlog, stall-time, and consumer service-time gauges. The PR3
-	// memory-pressure raise becomes one policy input of the controller
-	// rather than a separate code path. Off by default: a static run's
-	// schedule is untouched.
+	// AdaptiveUoT makes the run's UoT controller (see internal/uotctl)
+	// adaptive: pipelined edges without an explicit UoT start at the
+	// Section V model's predicted operating point for this run's Workers,
+	// TempBlockBytes and spill threshold instead of UoTBlocks, and every
+	// edge's UoT is adjusted AIMD-style at delivery boundaries from backlog,
+	// stall-time, and consumer service-time gauges. Off by default: a static
+	// run's controller is never observed, so its edges move only under
+	// memory pressure.
 	AdaptiveUoT bool
-	// AdaptiveConfig tunes the controller when AdaptiveUoT is set. Zero
-	// fields inherit the run's Workers/TempBlockBytes/UoTBlocks and the
-	// controller defaults (see uotctl.Config).
-	AdaptiveConfig uotctl.Config
 	// Trace, if non-nil, collects this execution's observability events —
 	// per-work-order spans, per-edge gauge samples, scheduler annotations —
 	// into the tracer's ring buffer (see internal/trace). One tracer may be
@@ -142,6 +135,28 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+// controller returns the run's UoT controller, sized from the options (after
+// withDefaults): adaptive at the model prior, or static at UoTBlocks.
+func (o Options) controller() *uotctl.Controller {
+	cc := uotctl.Config{Workers: o.Workers, BlockBytes: o.TempBlockBytes, DefaultUoT: o.UoTBlocks}
+	if !o.AdaptiveUoT {
+		return uotctl.NewStatic(cc)
+	}
+	if o.SpillDir != "" {
+		// Let the prior price the slow tier in: the RAM level eviction kicks
+		// in at is the M of costmodel.SpillCost.
+		if cc.SpillBudget = o.SpillThreshold; cc.SpillBudget <= 0 {
+			cc.SpillBudget = o.MemoryBudget
+		}
+	}
+	return uotctl.New(cc)
+}
+
+// StartUoT returns the UoT the run's pipelined edges start at unless they
+// declare their own — UoTBlocks for a static run, the model prior for an
+// adaptive one — so admission can price the buffers the run will hold.
+func (o Options) StartUoT() int { return o.withDefaults().controller().Prior() }
 
 // Result is the outcome of one execution.
 type Result struct {
@@ -220,37 +235,7 @@ func Execute(b *Builder, opts Options) (*Result, error) {
 		MaxAttempts:    opts.MaxAttempts,
 		RetryBackoff:   opts.RetryBackoff,
 		WODeadline:     opts.WorkOrderDeadline,
-	}
-	if opts.AdaptiveUoT {
-		ac := opts.AdaptiveConfig
-		if ac.Workers == 0 {
-			ac.Workers = opts.Workers
-		}
-		if ac.BlockBytes == 0 {
-			ac.BlockBytes = opts.TempBlockBytes
-		}
-		if ac.DefaultUoT == 0 {
-			ac.DefaultUoT = opts.UoTBlocks
-		}
-		if spillOn && ac.SpillBudget == 0 {
-			// Let the controller's prior price the slow tier in: the RAM
-			// level eviction kicks in at is the M of costmodel.SpillCost.
-			if ac.SpillBudget = opts.SpillThreshold; ac.SpillBudget <= 0 {
-				ac.SpillBudget = opts.MemoryBudget
-			}
-		}
-		ctx.Adapt = uotctl.New(ac)
-	}
-	// Merge (not overwrite): partitioned plans pre-seed MaxDOP with the
-	// per-partition build clones' cap of 1, which must survive execution
-	// options that don't mention those operators.
-	if opts.MaxDOP != nil {
-		if b.plan.MaxDOP == nil {
-			b.plan.MaxDOP = make(map[core.OpID]int, len(opts.MaxDOP))
-		}
-		for id, d := range opts.MaxDOP {
-			b.plan.MaxDOP[id] = d
-		}
+		UoTCtl:         opts.controller(),
 	}
 	err := core.Run(b.plan, ctx, opts.UoTBlocks)
 	run.Finish()
@@ -274,7 +259,7 @@ func Execute(b *Builder, opts Options) (*Result, error) {
 		}
 	}
 	if rs != nil {
-		rs.finalize(b, pool, run, err == nil)
+		rs.finalize(b, pool, run, opts.Trace, traceRun, err == nil)
 	}
 	if err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"repro/internal/reuse"
 	"repro/internal/stats"
 	"repro/internal/storage"
+	"repro/internal/trace"
 	"repro/internal/types"
 )
 
@@ -263,14 +264,23 @@ func spliceCachedScan(p *core.Plan, a *reuse.Plan, id core.OpID, t *storage.Tabl
 // finalize settles the run's reuse bookkeeping: pinned hit entries are
 // released, and on success the capture taps and the root result are offered
 // to the cache. Captured block sets that are admitted leave the run's pool
-// accounting (Disown); rejected ones are released back to it.
-func (rs *reuseState) finalize(b *Builder, pool *storage.Pool, run *stats.Run, success bool) {
+// accounting (Disown); rejected ones are released back to it. Entries the
+// offers evicted are marked in this run's trace section (traceRun): the cache
+// is shared across queries and cannot know whose section is whose.
+func (rs *reuseState) finalize(b *Builder, pool *storage.Pool, run *stats.Run, tr *trace.Tracer, traceRun int32, success bool) {
 	for _, e := range rs.pinned {
 		e.Release()
 	}
 	u := stats.Reuse{Hit: rs.hit, SplicedOps: rs.splicedOps, HitBytes: rs.hitBytes}
 	if success {
 		ticks := float64(run.WallTime().Nanoseconds())
+		admit := func(fp reuse.Fingerprint, t *storage.Table, deps []reuse.Dep, ops int) bool {
+			ok, evicted := rs.cache.Admit(fp, t, deps, ticks, ops)
+			for _, bytes := range evicted {
+				tr.MarkIn(traceRun, trace.MarkReuseEvict, trace.Event{RowsOut: bytes})
+			}
+			return ok
+		}
 		for _, tp := range rs.taps {
 			blocks, bytes, _ := tp.op.Take()
 			if blocks == nil {
@@ -281,7 +291,7 @@ func (rs *reuseState) finalize(b *Builder, pool *storage.Pool, run *stats.Run, s
 			for _, blk := range blocks {
 				t.Append(blk)
 			}
-			if rs.cache.Admit(tp.fp, t, tp.deps, ticks, tp.ops) {
+			if admit(tp.fp, t, tp.deps, tp.ops) {
 				pool.Disown(bytes)
 				u.Captured++
 				u.BytesPinned += bytes
@@ -298,7 +308,7 @@ func (rs *reuseState) finalize(b *Builder, pool *storage.Pool, run *stats.Run, s
 			// immutable, and the engine already disowns them from any
 			// shared pool).
 			res := b.collect.Result()
-			if rs.cache.Admit(rs.rootFP, res, rs.rootDeps, ticks, rs.rootOps) {
+			if admit(rs.rootFP, res, rs.rootDeps, rs.rootOps) {
 				u.Captured++
 				u.BytesPinned += res.AllocBytes()
 			} else {

@@ -2,15 +2,11 @@ package reuse
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"repro/internal/costmodel"
 	"repro/internal/storage"
-	"repro/internal/trace"
 )
 
 // Config sizes a Cache.
@@ -23,24 +19,6 @@ type Config struct {
 	// not admitted — a single huge entry that evicts everything else is
 	// rarely the benefit-optimal use of the budget.
 	MaxEntryBytes int64
-	// Dir, if non-empty, lets cold entries cool to disk through the block
-	// codec instead of being evicted outright; they fault back in on the
-	// next hit. The directory is created on demand and removed by Close.
-	Dir string
-	// DiskBudget bounds cooled bytes (default 8×Budget; only with Dir).
-	DiskBudget int64
-	// Trace, if non-nil, receives MarkReuseEvict annotations.
-	Trace *trace.Tracer
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxEntryBytes <= 0 {
-		c.MaxEntryBytes = c.Budget / 4
-	}
-	if c.Dir != "" && c.DiskBudget <= 0 {
-		c.DiskBudget = 8 * c.Budget
-	}
-	return c
 }
 
 // Counters is a snapshot of the cache's statistics.
@@ -50,30 +28,25 @@ type Counters struct {
 	RejectedAdmissions int64 // entries refused (size, benefit, or races)
 	Evictions          int64 // entries dropped to make room
 	Invalidations      int64 // entries dropped on a base-table version bump
-	Cooled, FaultedIn  int64 // tier transitions through the codec
 	FlightLeaders      int64 // single-flight computations started
 	FlightWaits        int64 // submissions that waited on a leader
 
-	Entries     int64 // current entry count (hot + cooled)
-	BytesPinned int64 // current RAM bytes held by hot entries
-	DiskBytes   int64 // current cooled bytes on disk
+	Entries     int64 // current entry count
+	BytesPinned int64 // current RAM bytes held by the entries
 	Pins        int64 // currently outstanding entry pins
 }
 
-// entry is one cached subplan result. Hot entries hold table; cooled
-// entries hold file instead (encoded blocks on disk).
+// entry is one cached subplan result, resident in RAM.
 type entry struct {
 	fp      Fingerprint
 	table   *storage.Table
 	deps    []Dep
-	bytes   int64 // RAM alloc bytes when hot
+	bytes   int64 // RAM alloc bytes
 	rows    int64
 	benefit float64 // recompute ticks per byte (admission/eviction rank)
 	ops     int
 	pins    int
-	clock   int64  // last-use tick for benefit ties
-	file    string // cooled block file ("" when hot)
-	fileLen int64
+	clock   int64 // last-use tick for benefit ties
 }
 
 // flight is one in-progress cold computation other submissions of the same
@@ -90,7 +63,6 @@ type Cache struct {
 	entries map[Fingerprint]*entry
 	flights map[Fingerprint]*flight
 	ram     int64
-	disk    int64
 	pins    int64
 	clock   int64
 	closed  bool
@@ -103,7 +75,9 @@ func New(cfg Config) *Cache {
 	if cfg.Budget <= 0 {
 		panic("reuse: cache needs a positive Budget")
 	}
-	cfg = cfg.withDefaults()
+	if cfg.MaxEntryBytes <= 0 {
+		cfg.MaxEntryBytes = cfg.Budget / 4
+	}
 	return &Cache{
 		cfg:     cfg,
 		entries: make(map[Fingerprint]*entry),
@@ -116,9 +90,8 @@ func New(cfg Config) *Cache {
 // abandoned early.
 func (c *Cache) MaxEntryBytes() int64 { return c.cfg.MaxEntryBytes }
 
-// Entry is a pinned handle on a cache hit: the entry cannot be evicted,
-// cooled, or invalidated away while pinned. Release it when the consuming
-// run is over.
+// Entry is a pinned handle on a cache hit: the entry cannot be evicted or
+// invalidated away while pinned. Release it when the consuming run is over.
 type Entry struct {
 	c  *Cache
 	e  *entry
@@ -146,8 +119,8 @@ func (h *Entry) Release() {
 }
 
 // Lookup probes the cache. On a hit the entry is validated against its base
-// table versions (stale entries are dropped and the probe misses), faulted
-// back in from disk if cooled, pinned, and returned; nil is a miss.
+// table versions (stale entries are dropped and the probe misses), pinned,
+// and returned; nil is a miss.
 func (c *Cache) Lookup(fp Fingerprint) *Entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -163,12 +136,6 @@ func (c *Cache) Lookup(fp Fingerprint) *Entry {
 		c.ctr.Misses++
 		return nil
 	}
-	if e.table == nil {
-		if !c.faultInLocked(e) {
-			c.ctr.Misses++
-			return nil
-		}
-	}
 	c.clock++
 	e.clock = c.clock
 	e.pins++
@@ -180,11 +147,13 @@ func (c *Cache) Lookup(fp Fingerprint) *Entry {
 // Admit offers a materialized result to the cache. The entry's rank is its
 // recompute cost per byte — the conservative costmodel floor for a
 // subtree of ops operators, or the measured recompute time in ticks if
-// larger. Admission may cool or evict strictly lower-benefit unpinned
-// entries to make room; if room cannot be made (everything resident is
-// pinned or more valuable), the candidate is rejected. Returns whether the
-// entry was admitted; rejected tables stay owned by the caller.
-func (c *Cache) Admit(fp Fingerprint, t *storage.Table, deps []Dep, measuredTicks float64, ops int) bool {
+// larger. Admission may evict strictly lower-benefit unpinned entries to make
+// room; if room cannot be made (everything resident is pinned or more
+// valuable), the candidate is rejected. Returns whether the entry was
+// admitted — rejected tables stay owned by the caller — and the byte size of
+// every entry evicted on the way, which a rejected candidate may also have
+// caused: the caller knows which run's trace section to attribute them to.
+func (c *Cache) Admit(fp Fingerprint, t *storage.Table, deps []Dep, measuredTicks float64, ops int) (admitted bool, evicted []int64) {
 	bytes := t.AllocBytes()
 	benefit := costmodel.RecomputeCost(bytes, ops)
 	if measuredTicks > benefit {
@@ -198,15 +167,15 @@ func (c *Cache) Admit(fp Fingerprint, t *storage.Table, deps []Dep, measuredTick
 	defer c.mu.Unlock()
 	if c.closed || bytes > c.cfg.MaxEntryBytes {
 		c.ctr.RejectedAdmissions++
-		return false
+		return false, nil
 	}
 	if _, ok := c.entries[fp]; ok {
 		c.ctr.RejectedAdmissions++ // a concurrent fill won the race
-		return false
+		return false, nil
 	}
 	if stale(deps) {
 		c.ctr.RejectedAdmissions++ // base table moved during the fill
-		return false
+		return false, nil
 	}
 	// Fingerprints cover base-table versions, so an entry with a stale dep
 	// can never be looked up again (Lookup's lazy check cannot reach it):
@@ -217,9 +186,10 @@ func (c *Cache) Admit(fp Fingerprint, t *storage.Table, deps []Dep, measuredTick
 			c.dropLocked(e, &c.ctr.Invalidations)
 		}
 	}
-	if !c.makeRoomLocked(bytes, benefit) {
+	ok, evicted := c.makeRoomLocked(bytes, benefit)
+	if !ok {
 		c.ctr.RejectedAdmissions++
-		return false
+		return false, evicted
 	}
 	c.clock++
 	c.entries[fp] = &entry{
@@ -228,7 +198,7 @@ func (c *Cache) Admit(fp Fingerprint, t *storage.Table, deps []Dep, measuredTick
 	}
 	c.ram += bytes
 	c.ctr.Admissions++
-	return true
+	return true, evicted
 }
 
 // stale reports whether any dep's base table has moved past the version the
@@ -243,52 +213,27 @@ func stale(deps []Dep) bool {
 }
 
 // makeRoomLocked frees RAM for an incoming entry of the given size and
-// benefit rank: coldest-first (lowest effective benefit, oldest use), each
-// victim is cooled to disk when a tier is configured and fits, else
-// evicted. A victim at least as valuable as the candidate stops the scan —
-// benefit-ranked admission means the newcomer loses instead.
-func (c *Cache) makeRoomLocked(bytes int64, benefit float64) bool {
+// benefit rank by evicting coldest-first (lowest benefit, oldest use), and
+// returns the sizes of the entries it evicted. A victim at least as valuable
+// as the candidate stops the scan — benefit-ranked admission means the
+// newcomer loses instead.
+func (c *Cache) makeRoomLocked(bytes int64, benefit float64) (ok bool, evicted []int64) {
 	for c.ram+bytes > c.cfg.Budget {
 		v := c.victimLocked()
-		if v == nil || c.effectiveBenefitLocked(v) >= benefit {
-			return false
+		if v == nil || v.benefit >= benefit {
+			return false, evicted
 		}
-		if !c.coolLocked(v) {
-			c.dropLocked(v, &c.ctr.Evictions)
-			if c.cfg.Trace != nil {
-				c.cfg.Trace.Mark(trace.MarkReuseEvict, trace.Event{RowsOut: v.bytes})
-			}
-		}
+		c.dropLocked(v, &c.ctr.Evictions)
+		evicted = append(evicted, v.bytes)
 	}
-	return true
+	return true, evicted
 }
 
-// effectiveBenefitLocked prices an entry by where it lives: a cooled
-// entry's recompute savings are discounted by the cost of faulting it back
-// from the store (REMOP's rule).
-func (c *Cache) effectiveBenefitLocked(e *entry) float64 {
-	if e.file == "" {
-		return e.benefit
-	}
-	b := e.benefit - costmodel.ReloadCost(e.bytes)/float64(maxInt64(e.bytes, 1))
-	if b < 0 {
-		return 0
-	}
-	return b
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// victimLocked returns the lowest-ranked unpinned HOT entry (nil if none).
+// victimLocked returns the lowest-ranked unpinned entry (nil if none).
 func (c *Cache) victimLocked() *entry {
 	var v *entry
 	for _, e := range c.entries {
-		if e.pins > 0 || e.table == nil {
+		if e.pins > 0 {
 			continue
 		}
 		if v == nil || e.benefit < v.benefit ||
@@ -302,13 +247,7 @@ func (c *Cache) victimLocked() *entry {
 // dropLocked removes an entry entirely, counting it against the given
 // counter.
 func (c *Cache) dropLocked(e *entry, counter *int64) {
-	if e.table != nil {
-		c.ram -= e.bytes
-	}
-	if e.file != "" {
-		os.Remove(e.file)
-		c.disk -= e.fileLen
-	}
+	c.ram -= e.bytes
 	delete(c.entries, e.fp)
 	*counter++
 }
@@ -385,21 +324,13 @@ func (c *Cache) Counters() Counters {
 	ctr := c.ctr
 	ctr.Entries = int64(len(c.entries))
 	ctr.BytesPinned = c.ram
-	ctr.DiskBytes = c.disk
 	ctr.Pins = c.pins
 	return ctr
 }
 
-// Occupancy reports current entry count and resident/cooled bytes.
-func (c *Cache) Occupancy() (entries int, ram, disk int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries), c.ram, c.disk
-}
-
-// Close drops every entry and removes cooled files. It returns an error if
-// any entry is still pinned — a leaked pin means a run kept a handle past
-// its lifetime, the reuse analogue of a leaked block.
+// Close drops every entry. It returns an error if any entry is still pinned
+// — a leaked pin means a run kept a handle past its lifetime, the reuse
+// analogue of a leaked block.
 func (c *Cache) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -407,101 +338,9 @@ func (c *Cache) Close() error {
 	if c.pins != 0 {
 		return fmt.Errorf("reuse: %d entry pins outstanding at Close", c.pins)
 	}
-	for _, e := range c.entries {
-		if e.file != "" {
-			os.Remove(e.file)
-		}
-		delete(c.entries, e.fp)
+	for fp := range c.entries {
+		delete(c.entries, fp)
 	}
-	c.ram, c.disk = 0, 0
+	c.ram = 0
 	return nil
-}
-
-// coolLocked writes a hot entry's blocks to disk through the storage block
-// codec and releases its RAM. Returns false (caller evicts instead) when no
-// tier is configured, the disk budget is exhausted, or the write fails.
-func (c *Cache) coolLocked(e *entry) bool {
-	if c.cfg.Dir == "" || e.pins > 0 {
-		return false
-	}
-	blocks := e.table.Blocks()
-	if len(blocks) == 0 {
-		return false // an empty entry holds no RAM; nothing to cool
-	}
-	var buf []byte
-	total := 0
-	for _, b := range blocks {
-		total += 8 + storage.EncodedLen(b)
-	}
-	if c.disk+int64(total) > c.cfg.DiskBudget {
-		return false
-	}
-	buf = make([]byte, 0, total)
-	var hdr [8]byte
-	for _, b := range blocks {
-		enc := storage.EncodeBlock(b, nil)
-		binary.BigEndian.PutUint64(hdr[:], uint64(len(enc)))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, enc...)
-	}
-	if err := os.MkdirAll(c.cfg.Dir, 0o755); err != nil {
-		return false
-	}
-	path := filepath.Join(c.cfg.Dir, e.fp.Hex()+".blk")
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		return false
-	}
-	c.ram -= e.bytes
-	c.disk += int64(len(buf))
-	e.file, e.fileLen = path, int64(len(buf))
-	e.table = nil
-	c.ctr.Cooled++
-	return true
-}
-
-// faultInLocked reloads a cooled entry's blocks from disk. On any decode
-// failure the entry is dropped (the next probe recomputes) — a damaged
-// tier must never surface a wrong result.
-func (c *Cache) faultInLocked(e *entry) bool {
-	data, err := os.ReadFile(e.file)
-	if err != nil {
-		c.dropLocked(e, &c.ctr.Evictions)
-		return false
-	}
-	var blocks []*storage.Block
-	var bytes int64
-	for len(data) >= 8 {
-		n := binary.BigEndian.Uint64(data[:8])
-		data = data[8:]
-		if uint64(len(data)) < n {
-			c.dropLocked(e, &c.ctr.Evictions)
-			return false
-		}
-		b, err := storage.DecodeBlock(data[:n])
-		if err != nil {
-			c.dropLocked(e, &c.ctr.Evictions)
-			return false
-		}
-		blocks = append(blocks, b)
-		bytes += int64(b.AllocBytes())
-		data = data[n:]
-	}
-	if len(data) != 0 || len(blocks) == 0 {
-		c.dropLocked(e, &c.ctr.Evictions)
-		return false
-	}
-	t := storage.NewTable("reuse", blocks[0].Schema(), blocks[0].Format(), blocks[0].AllocBytes())
-	for _, b := range blocks {
-		t.Append(b)
-	}
-	os.Remove(e.file)
-	c.disk -= e.fileLen
-	e.file, e.fileLen = "", 0
-	e.table = t
-	e.bytes = bytes
-	c.ram += bytes
-	c.ctr.FaultedIn++
-	// Fault-in can overshoot the budget; shed colder entries to settle.
-	c.makeRoomLocked(0, e.benefit)
-	return true
 }

@@ -1,8 +1,6 @@
 package reuse
 
 import (
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -42,11 +40,17 @@ func depsOf(tabs ...*storage.Table) []Dep {
 	return out
 }
 
+// admit is Cache.Admit for tests that only care whether the entry got in.
+func admit(c *Cache, fp Fingerprint, t *storage.Table, deps []Dep, ticks float64, ops int) bool {
+	ok, _ := c.Admit(fp, t, deps, ticks, ops)
+	return ok
+}
+
 func TestCacheAdmitLookup(t *testing.T) {
 	base := mkTable(t, "base", 1)
 	res := mkTable(t, "res", 10)
 	c := New(Config{Budget: 1 << 20})
-	if !c.Admit(fpN(1), res, depsOf(base), 0, 3) {
+	if !admit(c, fpN(1), res, depsOf(base), 0, 3) {
 		t.Fatal("admit rejected")
 	}
 	e := c.Lookup(fpN(1))
@@ -76,14 +80,14 @@ func TestCacheAdmitRejectsOversizeAndDuplicates(t *testing.T) {
 	res := mkTable(t, "res", 10)
 	bytes := res.AllocBytes()
 	c := New(Config{Budget: 4 * bytes, MaxEntryBytes: bytes - 1})
-	if c.Admit(fpN(1), res, nil, 0, 1) {
+	if admit(c, fpN(1), res, nil, 0, 1) {
 		t.Error("entry over MaxEntryBytes admitted")
 	}
 	c2 := New(Config{Budget: 4 * bytes})
-	if !c2.Admit(fpN(1), res, nil, 0, 1) {
+	if !admit(c2, fpN(1), res, nil, 0, 1) {
 		t.Fatal("admit rejected")
 	}
-	if c2.Admit(fpN(1), mkTable(t, "res2", 10), nil, 0, 1) {
+	if admit(c2, fpN(1), mkTable(t, "res2", 10), nil, 0, 1) {
 		t.Error("duplicate fingerprint admitted")
 	}
 	if got := c2.Counters().RejectedAdmissions; got != 1 {
@@ -96,19 +100,23 @@ func TestCacheBenefitRankedEviction(t *testing.T) {
 	high := mkTable(t, "high", 20)
 	bytes := low.AllocBytes()
 	c := New(Config{Budget: 2 * bytes, MaxEntryBytes: bytes})
-	if !c.Admit(fpN(1), low, nil, 1e6, 1) {
+	if !admit(c, fpN(1), low, nil, 1e6, 1) {
 		t.Fatal("low admit rejected")
 	}
-	if !c.Admit(fpN(2), high, nil, 1e12, 1) {
+	if !admit(c, fpN(2), high, nil, 1e12, 1) {
 		t.Fatal("high admit rejected")
 	}
 	// A newcomer worth less than everything resident is the one rejected.
-	if c.Admit(fpN(3), mkTable(t, "worst", 20), nil, 0, 1) {
+	if admit(c, fpN(3), mkTable(t, "worst", 20), nil, 0, 1) {
 		t.Error("lowest-benefit newcomer displaced a resident entry")
 	}
-	// A newcomer between the two evicts exactly the low entry.
-	if !c.Admit(fpN(4), mkTable(t, "mid", 20), nil, 1e9, 1) {
+	// A newcomer between the two evicts exactly the low entry, and says so.
+	ok, evicted := c.Admit(fpN(4), mkTable(t, "mid", 20), nil, 1e9, 1)
+	if !ok {
 		t.Fatal("mid admit rejected")
+	}
+	if len(evicted) != 1 || evicted[0] != bytes {
+		t.Errorf("Admit reported evictions %v, want [%d]", evicted, bytes)
 	}
 	if c.Lookup(fpN(1)) != nil {
 		t.Error("low-benefit entry survived")
@@ -128,7 +136,7 @@ func TestCachePinBlocksEviction(t *testing.T) {
 	a := mkTable(t, "a", 20)
 	bytes := a.AllocBytes()
 	c := New(Config{Budget: bytes, MaxEntryBytes: bytes})
-	if !c.Admit(fpN(1), a, nil, 1, 1) {
+	if !admit(c, fpN(1), a, nil, 1, 1) {
 		t.Fatal("admit rejected")
 	}
 	e := c.Lookup(fpN(1))
@@ -138,11 +146,11 @@ func TestCachePinBlocksEviction(t *testing.T) {
 	// The only resident entry is pinned: nothing can be evicted, so even a
 	// far more valuable newcomer is rejected rather than unpinning a live
 	// reader.
-	if c.Admit(fpN(2), mkTable(t, "b", 20), nil, 1e15, 1) {
+	if admit(c, fpN(2), mkTable(t, "b", 20), nil, 1e15, 1) {
 		t.Error("admission evicted a pinned entry")
 	}
 	e.Release()
-	if !c.Admit(fpN(2), mkTable(t, "b", 20), nil, 1e15, 1) {
+	if !admit(c, fpN(2), mkTable(t, "b", 20), nil, 1e15, 1) {
 		t.Error("admission still rejected after unpin")
 	}
 }
@@ -150,7 +158,7 @@ func TestCachePinBlocksEviction(t *testing.T) {
 func TestCacheInvalidation(t *testing.T) {
 	base := mkTable(t, "base", 1)
 	c := New(Config{Budget: 1 << 20})
-	if !c.Admit(fpN(1), mkTable(t, "r1", 5), depsOf(base), 0, 1) {
+	if !admit(c, fpN(1), mkTable(t, "r1", 5), depsOf(base), 0, 1) {
 		t.Fatal("admit rejected")
 	}
 	// Lazy: a version bump is caught at the next Lookup.
@@ -162,7 +170,7 @@ func TestCacheInvalidation(t *testing.T) {
 		t.Errorf("Invalidations = %d, want 1", got)
 	}
 	// Eager: Invalidate drops matching entries immediately.
-	if !c.Admit(fpN(2), mkTable(t, "r2", 5), depsOf(base), 0, 1) {
+	if !admit(c, fpN(2), mkTable(t, "r2", 5), depsOf(base), 0, 1) {
 		t.Fatal("re-admit rejected")
 	}
 	c.Invalidate(base)
@@ -172,7 +180,7 @@ func TestCacheInvalidation(t *testing.T) {
 	// Admission itself rejects when a dep moved between fingerprint and fill.
 	deps := depsOf(base)
 	base.BumpVersion()
-	if c.Admit(fpN(3), mkTable(t, "r3", 5), deps, 0, 1) {
+	if admit(c, fpN(3), mkTable(t, "r3", 5), deps, 0, 1) {
 		t.Error("admitted an entry whose dep moved during the fill")
 	}
 }
@@ -183,17 +191,17 @@ func TestCacheInvalidation(t *testing.T) {
 func TestCacheAdmitFreesUnreachableStaleEntries(t *testing.T) {
 	base := mkTable(t, "base", 1)
 	c := New(Config{Budget: 1 << 20})
-	if !c.Admit(fpN(1), mkTable(t, "r1", 300), depsOf(base), 0, 1) {
+	if !admit(c, fpN(1), mkTable(t, "r1", 300), depsOf(base), 0, 1) {
 		t.Fatal("admit rejected")
 	}
 	pinned := mkTable(t, "r2", 5)
-	if !c.Admit(fpN(2), pinned, depsOf(base), 0, 1) {
+	if !admit(c, fpN(2), pinned, depsOf(base), 0, 1) {
 		t.Fatal("admit rejected")
 	}
 	held := c.Lookup(fpN(2)) // a run still reading the old version
 	base.BumpVersion()
 	r3 := mkTable(t, "r3", 5)
-	if !c.Admit(fpN(3), r3, depsOf(base), 0, 1) {
+	if !admit(c, fpN(3), r3, depsOf(base), 0, 1) {
 		t.Fatal("admit after bump rejected")
 	}
 	if c.Has(fpN(1)) {
@@ -202,7 +210,7 @@ func TestCacheAdmitFreesUnreachableStaleEntries(t *testing.T) {
 	if !c.Has(fpN(2)) {
 		t.Error("stale entry dropped while pinned")
 	}
-	if _, ram, _ := c.Occupancy(); ram != pinned.AllocBytes()+r3.AllocBytes() {
+	if ram := c.Counters().BytesPinned; ram != pinned.AllocBytes()+r3.AllocBytes() {
 		t.Errorf("ram = %d, want %d (pinned stale + fresh entry only)", ram, pinned.AllocBytes()+r3.AllocBytes())
 	}
 	if got := c.Counters().Invalidations; got != 1 {
@@ -211,79 +219,6 @@ func TestCacheAdmitFreesUnreachableStaleEntries(t *testing.T) {
 	held.Release()
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCacheCoolAndFaultIn(t *testing.T) {
-	dir := t.TempDir()
-	cold := mkTable(t, "cold", 30)
-	bytes := cold.AllocBytes()
-	c := New(Config{Budget: bytes, MaxEntryBytes: bytes, Dir: dir})
-	if !c.Admit(fpN(1), cold, nil, 1, 1) {
-		t.Fatal("admit rejected")
-	}
-	// The second entry displaces the first, which cools to disk instead of
-	// being dropped.
-	if !c.Admit(fpN(2), mkTable(t, "hot", 30), nil, 1e9, 1) {
-		t.Fatal("second admit rejected")
-	}
-	ctr := c.Counters()
-	if ctr.Cooled != 1 || ctr.Evictions != 0 {
-		t.Fatalf("counters after cool = %+v", ctr)
-	}
-	files, _ := filepath.Glob(filepath.Join(dir, "*.blk"))
-	if len(files) != 1 {
-		t.Fatalf("cooled files = %d, want 1", len(files))
-	}
-	// The next hit faults it back in bit-exact.
-	e := c.Lookup(fpN(1))
-	if e == nil {
-		t.Fatal("cooled entry missed")
-	}
-	got := e.Table()
-	if got.NumRows() != cold.NumRows() {
-		t.Fatalf("faulted rows = %d, want %d", got.NumRows(), cold.NumRows())
-	}
-	want := cold.Blocks()
-	for i, b := range got.Blocks() {
-		for r := 0; r < b.NumRows(); r++ {
-			if b.Int64At(0, r) != want[i].Int64At(0, r) {
-				t.Fatalf("faulted row %d/%d differs", i, r)
-			}
-		}
-	}
-	e.Release()
-	if got := c.Counters().FaultedIn; got != 1 {
-		t.Errorf("FaultedIn = %d, want 1", got)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	files, _ = filepath.Glob(filepath.Join(dir, "*.blk"))
-	if len(files) != 0 {
-		t.Errorf("Close left %d cooled files", len(files))
-	}
-}
-
-func TestCacheFaultInRejectsDamage(t *testing.T) {
-	dir := t.TempDir()
-	cold := mkTable(t, "cold", 30)
-	bytes := cold.AllocBytes()
-	c := New(Config{Budget: bytes, MaxEntryBytes: bytes, Dir: dir})
-	c.Admit(fpN(1), cold, nil, 1, 1)
-	c.Admit(fpN(2), mkTable(t, "hot", 30), nil, 1e9, 1)
-	files, err := filepath.Glob(filepath.Join(dir, "*.blk"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("cooled files = %d (%v)", len(files), err)
-	}
-	if err := os.WriteFile(files[0], []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if c.Lookup(fpN(1)) != nil {
-		t.Fatal("damaged cooled entry served")
-	}
-	if c.Has(fpN(1)) {
-		t.Error("damaged entry not dropped")
 	}
 }
 
@@ -324,14 +259,14 @@ func TestCacheSingleFlight(t *testing.T) {
 
 func TestCacheCloseReportsPinLeaks(t *testing.T) {
 	c := New(Config{Budget: 1 << 20})
-	c.Admit(fpN(1), mkTable(t, "r", 5), nil, 0, 1)
+	admit(c, fpN(1), mkTable(t, "r", 5), nil, 0, 1)
 	e := c.Lookup(fpN(1))
 	if err := c.Close(); err == nil {
 		t.Error("Close ignored an outstanding pin")
 	}
 	e.Release()
 	c2 := New(Config{Budget: 1 << 20})
-	c2.Admit(fpN(1), mkTable(t, "r", 5), nil, 0, 1)
+	admit(c2, fpN(1), mkTable(t, "r", 5), nil, 0, 1)
 	e2 := c2.Lookup(fpN(1))
 	e2.Release()
 	if err := c2.Close(); err != nil {
@@ -346,16 +281,15 @@ func TestCacheOccupancyAccounting(t *testing.T) {
 	r1 := mkTable(t, "r1", 20)
 	r2 := mkTable(t, "r2", 20)
 	c := New(Config{Budget: r1.AllocBytes() + r2.AllocBytes(), MaxEntryBytes: r1.AllocBytes()})
-	c.Admit(fpN(1), r1, nil, 0, 1)
-	c.Admit(fpN(2), r2, nil, 0, 1)
-	entries, ram, disk := c.Occupancy()
-	if entries != 2 || ram != r1.AllocBytes()+r2.AllocBytes() || disk != 0 {
-		t.Errorf("occupancy = %d entries, %d ram, %d disk", entries, ram, disk)
+	admit(c, fpN(1), r1, nil, 0, 1)
+	admit(c, fpN(2), r2, nil, 0, 1)
+	if ctr := c.Counters(); ctr.Entries != 2 || ctr.BytesPinned != r1.AllocBytes()+r2.AllocBytes() {
+		t.Errorf("occupancy = %d entries, %d ram", ctr.Entries, ctr.BytesPinned)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if entries, ram, _ := c.Occupancy(); entries != 0 || ram != 0 {
-		t.Errorf("post-Close occupancy = %d entries, %d ram", entries, ram)
+	if ctr := c.Counters(); ctr.Entries != 0 || ctr.BytesPinned != 0 {
+		t.Errorf("post-Close occupancy = %d entries, %d ram", ctr.Entries, ctr.BytesPinned)
 	}
 }

@@ -5,10 +5,8 @@
 // delivery boundaries, and later queries whose subtrees fingerprint-match a
 // cached entry splice a scan of the pinned block set in place of the whole
 // subtree. Admission and eviction are ranked by recompute-cost-per-byte
-// (costmodel.RecomputeCost), entries can cool into an on-disk tier through
-// the storage block codec and fault back (priced per REMOP: a cooled entry's
-// benefit is discounted by its reload cost), and validity is keyed on base
-// table identity + data version.
+// (costmodel.RecomputeCost), entries live in RAM only, and validity is keyed
+// on base table identity + data version.
 package reuse
 
 import (
@@ -30,11 +28,8 @@ import (
 // adaptive-controller settings (none of which appear in any Canon).
 type Fingerprint [sha256.Size]byte
 
-// String renders a short hex prefix for logs and file names.
+// String renders a short hex prefix for logs and table names.
 func (f Fingerprint) String() string { return hex.EncodeToString(f[:8]) }
-
-// Hex renders the full fingerprint (cooled-entry file names).
-func (f Fingerprint) Hex() string { return hex.EncodeToString(f[:]) }
 
 // Dep is one base table a fingerprinted subtree reads, with the data
 // version observed at fingerprint time; a cached entry is valid only while

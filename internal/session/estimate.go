@@ -31,7 +31,7 @@ func planShape(b *engine.Builder, uotDefault int) (uots []int, stateful int) {
 	uots = make([]int, 0, len(p.Edges))
 	for _, e := range p.Edges {
 		if e.Kind == core.Pipelined {
-			uots = append(uots, core.ResolveUoT(e, uotDefault, nil))
+			uots = append(uots, core.ResolveUoT(e, uotDefault))
 		}
 	}
 	for _, op := range p.Ops {

@@ -1,13 +1,19 @@
 package session
 
 import (
+	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
+	"repro/internal/exec"
+	"repro/internal/expr"
 	"repro/internal/faults"
 	"repro/internal/reuse"
 	"repro/internal/storage"
+	"repro/internal/trace"
+	"repro/internal/types"
 )
 
 // TestReuseConcurrentSingleFlight submits identical queries concurrently
@@ -159,5 +165,64 @@ func TestReuseDisabledSessionHasNoCache(t *testing.T) {
 	}
 	if ctr := s.ReuseStats(); ctr != (reuse.Counters{}) {
 		t.Errorf("ReuseStats non-zero without a cache: %+v", ctr)
+	}
+}
+
+// slowExpr is a select predicate whose first evaluation stalls for d: it sets
+// a scan's measured recompute time, which is what the cache ranks entries by.
+// id keeps the fingerprints of otherwise identical scans apart.
+type slowExpr struct {
+	id   int
+	d    time.Duration
+	once *sync.Once
+}
+
+func (e slowExpr) Type() types.TypeID { return types.Int64 }
+func (e slowExpr) String() string     { return fmt.Sprintf("slow(%d)", e.id) }
+func (e slowExpr) Eval(*expr.Ctx) types.Datum {
+	e.once.Do(func() { time.Sleep(e.d) })
+	return types.NewInt64(1)
+}
+
+// TestReuseEvictionsAreTracedInTheEvictingQuery fills a cache that holds four
+// results with eight distinct scans, each costlier to recompute than the ones
+// before, so the later ones evict. Every eviction must show up in the trace
+// section of the query whose fill caused it: a session only opens per-query
+// sections, so a mark recorded without a section handle is counted nowhere.
+func TestReuseEvictionsAreTracedInTheEvictingQuery(t *testing.T) {
+	fact, _ := serveFixture()
+	tr := trace.New(0)
+	// A scan's result is one 128 KB collect block, the per-entry cap at this
+	// budget.
+	s := Open(Config{Workers: 2, MaxConcurrent: 1, Reuse: true, ReuseBudget: 4 * 128 << 10, Trace: tr})
+	defer s.Close()
+	fs := fact.Schema()
+	for i := 0; i < 8; i++ {
+		pred := slowExpr{id: i, d: time.Duration(i) * 3 * time.Millisecond, once: new(sync.Once)}
+		_, err := s.Submit(Request{Build: func() *engine.Builder {
+			b := engine.NewBuilder()
+			b.Collect(b.ScanSelect(exec.SelectSpec{
+				Name: "sel_slow", Base: fact, Pred: pred,
+				Proj: []expr.Expr{expr.C(fs, "k")}, ProjNames: []string{"k"},
+			}))
+			return b
+		}})
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+	ctr := s.ReuseStats()
+	if ctr.Evictions == 0 {
+		t.Fatalf("eight fills into a four-entry budget evicted nothing: %+v", ctr)
+	}
+	var marked int64
+	for _, run := range tr.Snapshot().Runs {
+		if run.ReuseEvictions > 0 && run.Query <= 4 {
+			t.Errorf("query %d is charged %d evictions before the cache was full", run.Query, run.ReuseEvictions)
+		}
+		marked += run.ReuseEvictions
+	}
+	if marked != ctr.Evictions {
+		t.Errorf("trace sections account for %d evictions, the cache counted %d", marked, ctr.Evictions)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/trace"
-	"repro/internal/uotctl"
 )
 
 // Config sizes a serving session. Zero fields take the documented defaults.
@@ -76,9 +75,6 @@ type Config struct {
 	// admission control stays truthful about what the cache holds (default
 	// MemoryBudget/4).
 	ReuseBudget int64
-	// ReuseDir, if non-empty, lets cold cache entries cool to disk through
-	// the block codec instead of being evicted (default off).
-	ReuseDir string
 }
 
 func (c Config) withDefaults() Config {
@@ -150,7 +146,6 @@ type Request struct {
 	RetryBackoff      time.Duration
 	WorkOrderDeadline time.Duration
 	AdaptiveUoT       bool
-	AdaptiveConfig    uotctl.Config
 }
 
 // Response is a completed query.
@@ -225,11 +220,7 @@ func Open(cfg Config) *Session {
 		if admBudget < cfg.MemoryBudget/8 {
 			admBudget = cfg.MemoryBudget / 8
 		}
-		s.reuse = reuse.New(reuse.Config{
-			Budget: cfg.ReuseBudget,
-			Dir:    cfg.ReuseDir,
-			Trace:  cfg.Trace,
-		})
+		s.reuse = reuse.New(reuse.Config{Budget: cfg.ReuseBudget})
 	}
 	s.adm.init(admBudget, diskBudget, cfg.MaxConcurrent, cfg.QueueDepth)
 	return s
@@ -248,24 +239,41 @@ func (s *Session) Submit(req Request) (*Response, error) {
 	}
 	b := req.Build()
 
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.cfg.PerQueryWorkers
+	opts := engine.Options{
+		Workers:           req.Workers,
+		UoTBlocks:         req.UoTBlocks,
+		TempBlockBytes:    s.cfg.BlockBytes,
+		TempFormat:        s.cfg.TempFormat,
+		Faults:            req.Faults,
+		MaxAttempts:       req.MaxAttempts,
+		RetryBackoff:      req.RetryBackoff,
+		WorkOrderDeadline: req.WorkOrderDeadline,
+		AdaptiveUoT:       req.AdaptiveUoT,
+		Trace:             s.cfg.Trace,
+		Reuse:             s.reuse,
+		Exec:              s.pool,
+		SharedPool:        s.blocks,
+		Priority:          req.Priority,
 	}
-	uot := req.UoTBlocks
-	if uot <= 0 {
-		uot = s.cfg.UoTBlocks
+	if opts.Workers <= 0 {
+		opts.Workers = s.cfg.PerQueryWorkers
 	}
-	// With a spill tier the estimate splits: the RAM-resident share competes
-	// for the memory budget, the spillable share for the disk budget. An
-	// explicit EstBytes override is taken as all-resident.
+	if opts.UoTBlocks <= 0 {
+		opts.UoTBlocks = s.cfg.UoTBlocks
+	}
+	// The estimate prices edge buffers at the UoT the run will start them at
+	// (the model prior when adaptive, not the static default). With a spill
+	// tier it splits: the RAM-resident share competes for the memory budget,
+	// the spillable share for the disk budget. An explicit EstBytes override
+	// is taken as all-resident.
 	est := req.EstBytes
 	var spillable int64
 	if est <= 0 {
+		uot, bb := opts.StartUoT(), int64(s.cfg.BlockBytes)
 		if s.cfg.SpillDir != "" {
-			est, spillable = EstimateBuilderSplit(b, workers, uot, int64(s.cfg.BlockBytes))
+			est, spillable = EstimateBuilderSplit(b, opts.Workers, uot, bb)
 		} else {
-			est = EstimateBuilder(b, workers, uot, int64(s.cfg.BlockBytes))
+			est = EstimateBuilder(b, opts.Workers, uot, bb)
 		}
 	}
 
@@ -305,36 +313,17 @@ func (s *Session) Submit(req Request) (*Response, error) {
 	atomic.AddInt64(&s.cAdmitted, 1)
 	defer s.adm.release(est, spillable)
 
-	perBudget := req.MemoryBudget
-	if perBudget <= 0 {
-		perBudget = est
+	opts.Context = ctx
+	opts.MemoryBudget = req.MemoryBudget
+	if opts.MemoryBudget <= 0 {
+		opts.MemoryBudget = est
 	}
-	id := int(atomic.AddInt64(&s.nextID, 1))
-	label := req.Label
-	if label == "" {
-		label = fmt.Sprintf("q%d", id)
+	opts.QueryID = int(atomic.AddInt64(&s.nextID, 1))
+	opts.TraceLabel = req.Label
+	if opts.TraceLabel == "" {
+		opts.TraceLabel = fmt.Sprintf("q%d", opts.QueryID)
 	}
-	res, err := engine.Execute(b, engine.Options{
-		Workers:           workers,
-		UoTBlocks:         uot,
-		TempBlockBytes:    s.cfg.BlockBytes,
-		TempFormat:        s.cfg.TempFormat,
-		MemoryBudget:      perBudget,
-		Context:           ctx,
-		Faults:            req.Faults,
-		MaxAttempts:       req.MaxAttempts,
-		RetryBackoff:      req.RetryBackoff,
-		WorkOrderDeadline: req.WorkOrderDeadline,
-		AdaptiveUoT:       req.AdaptiveUoT,
-		AdaptiveConfig:    req.AdaptiveConfig,
-		Trace:             s.cfg.Trace,
-		TraceLabel:        label,
-		Reuse:             s.reuse,
-		Exec:              s.pool,
-		SharedPool:        s.blocks,
-		QueryID:           id,
-		Priority:          req.Priority,
-	})
+	res, err := engine.Execute(b, opts)
 	if err != nil {
 		s.countRunErr(err)
 		return nil, err
@@ -343,7 +332,7 @@ func (s *Session) Submit(req Request) (*Response, error) {
 	return &Response{
 		Table:   res.Table,
 		Run:     res.Run,
-		Query:   id,
+		Query:   opts.QueryID,
 		Queued:  queued,
 		Elapsed: time.Since(start),
 	}, nil

@@ -8,9 +8,11 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/costmodel"
 	"repro/internal/engine"
 	"repro/internal/storage"
 	"repro/internal/trace"
+	"repro/internal/uotctl"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -351,5 +353,52 @@ func TestResultSurvivesPoolReuse(t *testing.T) {
 		if tableKey(tab) != want {
 			t.Fatalf("result %d differs", i)
 		}
+	}
+}
+
+// TestAdaptiveRequestReservesAtThePrior: an adaptive run starts its
+// undeclared edges at the controller's model prior, not at the session's
+// static default, so that is the UoT admission has to price its buffers at.
+func TestAdaptiveRequestReservesAtThePrior(t *testing.T) {
+	fact, _ := serveFixture()
+	const blockBytes = 16 << 10
+	s := Open(Config{Workers: 2, MaxConcurrent: 2, BlockBytes: blockBytes})
+	defer s.Close()
+
+	gate := make(chan struct{})
+	type result struct {
+		resp *Response
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		resp, err := s.Submit(Request{
+			Build:       func() *engine.Builder { return gatedPlan(fact, gate) },
+			AdaptiveUoT: true,
+		})
+		done <- result{resp, err}
+	}()
+	waitFor(t, "admission", func() bool {
+		inflight, _, _ := s.Occupancy()
+		return inflight == 1
+	})
+	_, _, reserved := s.Occupancy()
+	close(gate)
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+
+	// gatedPlan is scan → collect: one pipelined edge, no stateful operator.
+	prior := uotctl.Prior(blockBytes, 1)
+	want := costmodel.QueryMemory([]int{prior}, 1, blockBytes, 0, 0)
+	if static := costmodel.QueryMemory([]int{1}, 1, blockBytes, 0, 0); prior == 1 || want == static {
+		t.Fatalf("prior %d prices like the static default (%d bytes): the test cannot tell them apart", prior, static)
+	}
+	if reserved != want {
+		t.Errorf("reserved %d bytes, want QueryMemory at the prior UoT %d = %d", reserved, prior, want)
+	}
+	if e := r.resp.Run.EdgeUoTs()[0]; e.Start != prior {
+		t.Errorf("run started its edge at UoT %d, want the prior %d", e.Start, prior)
 	}
 }

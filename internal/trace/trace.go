@@ -57,9 +57,8 @@ const (
 	// MarkRetry: a transiently-failed work order was re-queued with backoff.
 	MarkRetry MarkCode = iota + 1
 	// MarkUoTRaise: an edge's UoT was raised — doubled under sustained
-	// memory pressure, or stepped up by the adaptive controller (Edge names
-	// the edge, UoT carries the new value; legacy pressure marks before the
-	// controller carried only Op).
+	// memory pressure, or stepped up by adaptive feedback (Edge names the
+	// edge, UoT carries the new value).
 	MarkUoTRaise
 	// MarkRunEnd: the run finished (FlagFailed set if it errored).
 	MarkRunEnd

@@ -7,21 +7,23 @@
 //
 // The policy is AIMD-shaped with hysteresis: consecutive same-direction
 // votes must reach a streak threshold before the controller acts, a cooldown
-// follows every action, and the resulting UoT is clamped to [Floor,
-// Ceiling]. Raising is the consumer-falling-behind / memory-pressure
+// follows every action, and the resulting UoT is clamped to [floor,
+// ceiling]. Raising is the consumer-falling-behind / memory-pressure
 // direction (coarser transfers, less scheduling churn — the high-UoT regime
 // of Figs. 9/10); lowering is the consumer-starved direction (finer
 // transfers so the consumer starts sooner — the low-UoT advantage of
-// Fig. 7 at small blocks). The PR3 memory-pressure raise is one input to
-// this policy rather than a separate code path: Pressure bypasses
-// hysteresis (it is an emergency), doubles like the legacy path did, snaps
-// to Table past the ceiling, and suppresses Lower votes for a while so the
-// controller does not immediately undo a degradation the scheduler needed.
+// Fig. 7 at small blocks). Pressure, the scheduler's memory-degradation
+// raise, bypasses hysteresis (it is an emergency), doubles, snaps to Table
+// past the ceiling, and suppresses Lower votes for a while so the controller
+// does not immediately undo a degradation the scheduler needed.
 //
-// Cold edges that do not declare a per-edge UoT start at the Section V
-// analytical model's prediction (see Prior) instead of the run default, so
-// the feedback loop starts near the regime the model expects rather than
-// discovering it from scratch.
+// Every run owns one controller, and it is the only code that computes a new
+// UoT. An adaptive run (New) starts cold edges that do not declare a per-edge
+// UoT at the Section V analytical model's prediction (see Prior), so the
+// feedback loop starts near the regime the model expects, and the scheduler
+// observes it at every delivery boundary. A static run (NewStatic) starts
+// them at the run default and is never observed: its edges move only through
+// Pressure.
 //
 // The controller is driven exclusively from the single scheduler goroutine
 // and holds no locks; decisions are pure functions of the signal sequence,
@@ -70,47 +72,16 @@ func (d Dir) String() string {
 	return "?"
 }
 
-// Config tunes the controller. The zero value gets sensible defaults from
-// withDefaults; engine.Execute fills Workers/BlockBytes/DefaultUoT from the
-// run's options when left zero.
+// Config sizes a controller from the run it belongs to. Non-positive fields
+// take defaults: one worker, 128 KB blocks, UoT 1, no spill tier.
 type Config struct {
 	// Workers (T) and BlockBytes (the temporary-block size) parameterize
 	// the Section V model prior and the queue-saturation raise signal.
 	Workers    int
 	BlockBytes int
-	// DefaultUoT is the run's static default; it becomes the starting UoT
-	// when DisablePrior is set.
+	// DefaultUoT is the run's static default: where a NewStatic
+	// controller's undeclared edges start.
 	DefaultUoT int
-
-	// Floor and Ceiling clamp feedback decisions. Defaults: 1 and 1<<20
-	// (the latter matching the scheduler's pre-snap degradation cap), so
-	// feedback raises never silently reach the terminal Table regime —
-	// only the memory-pressure path may snap.
-	Floor   int
-	Ceiling int
-	// Hysteresis is how many consecutive same-direction votes an edge needs
-	// before the controller acts (default 3). Mixed signals decay streaks
-	// instead of resetting them, so a noisy gauge does not lock the edge.
-	Hysteresis int
-	// Cooldown is how many observations after an action the edge holds
-	// regardless of votes (default 2), letting the new operating point show
-	// up in the gauges before it is judged.
-	Cooldown int
-	// BacklogFactor: a delivery that still leaves >= BacklogFactor×UoT
-	// blocks buffered votes Raise — the consumer is not keeping up with the
-	// producer at this granularity (default 3).
-	BacklogFactor int
-	// StallFrac: a delivery whose blocks spent more than StallFrac of the
-	// inter-delivery interval waiting behind the threshold — while the
-	// consumer had idle capacity — votes Lower (default 0.6).
-	StallFrac float64
-	// PressureHold is how many observations Lower votes stay suppressed
-	// after a memory-pressure raise (default 16): the degradation must not
-	// be undone while the run is still near its budget.
-	PressureHold int
-	// DisablePrior starts cold edges at DefaultUoT instead of the
-	// analytical-model prior.
-	DisablePrior bool
 	// SpillBudget, when positive, is the RAM threshold of an attached spill
 	// tier: the prior then prices the Section V-C persistent-store costs in
 	// (see PriorWithSpill), starting cold edges finer because a deep
@@ -118,41 +89,42 @@ type Config struct {
 	SpillBudget int64
 }
 
-func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
-	if c.BlockBytes <= 0 {
-		c.BlockBytes = 128 << 10
-	}
-	if c.DefaultUoT <= 0 {
-		c.DefaultUoT = 1
-	}
-	if c.Floor <= 0 {
-		c.Floor = 1
-	}
-	if c.Ceiling <= 0 {
-		c.Ceiling = DefaultCeiling
-	}
-	if c.Ceiling < c.Floor {
-		c.Ceiling = c.Floor
-	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = 3
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 2
-	}
-	if c.BacklogFactor <= 0 {
-		c.BacklogFactor = 3
-	}
-	if c.StallFrac <= 0 {
-		c.StallFrac = 0.6
-	}
-	if c.PressureHold <= 0 {
-		c.PressureHold = 16
-	}
-	return c
+// policy holds the feedback constants. Runs always use defaultPolicy; only
+// this package's tests substitute smaller values so decision sequences are
+// short enough to trace by hand.
+type policy struct {
+	// floor and ceiling clamp feedback decisions, so feedback raises never
+	// silently reach the terminal Table regime — only Pressure may snap.
+	floor, ceiling int
+	// hysteresis is how many consecutive same-direction votes an edge needs
+	// before the controller acts. Mixed signals decay streaks instead of
+	// resetting them, so a noisy gauge does not lock the edge.
+	hysteresis int
+	// cooldown is how many observations after an action the edge holds
+	// regardless of votes, letting the new operating point show up in the
+	// gauges before it is judged.
+	cooldown int
+	// backlogFactor: a delivery that still leaves >= backlogFactor×UoT
+	// blocks buffered votes Raise — the consumer is not keeping up with the
+	// producer at this granularity.
+	backlogFactor int
+	// stallFrac: a delivery whose blocks spent more than stallFrac of the
+	// inter-delivery interval waiting behind the threshold — while the
+	// consumer had idle capacity — votes Lower.
+	stallFrac float64
+	// pressureHold is how many observations Lower votes stay suppressed
+	// after a memory-pressure raise: the degradation must not be undone
+	// while the run is still near its budget.
+	pressureHold int
+}
+
+// DefaultCeiling is the UoT past which memory pressure snaps an edge to
+// Table instead of doubling it again.
+const DefaultCeiling = 1 << 20
+
+var defaultPolicy = policy{
+	floor: 1, ceiling: DefaultCeiling,
+	hysteresis: 3, cooldown: 2, backlogFactor: 3, stallFrac: 0.6, pressureHold: 16,
 }
 
 // Signals is one delivery-boundary observation of an edge, assembled by the
@@ -187,75 +159,99 @@ type Action struct {
 	UoT int
 }
 
-// edge is per-edge controller state.
+// Decisions counts the decisions taken on one edge.
+type Decisions struct {
+	Raises, Lowers, Holds, Snaps int64
+}
+
+// edge is per-edge controller state: the current UoT, where it started, every
+// decision taken on it, and the hysteresis bookkeeping.
 type edge struct {
-	uot          int
+	uot, start   int
+	dec          Decisions
 	raiseStreak  int
 	lowerStreak  int
 	cooldown     int
 	pressureHold int
 }
 
-// Totals counts decisions across all edges (tests and reports).
-type Totals struct {
-	Raises, Lowers, Holds, Snaps int64
-}
-
-// Controller adapts the UoT of registered edges. Not safe for concurrent
+// Controller owns the UoT of every registered edge. Not safe for concurrent
 // use: it belongs to the scheduler goroutine of one run.
 type Controller struct {
-	cfg   Config
-	prior int
-	edges []edge
-	tot   Totals
+	pol      policy
+	workers  int
+	adaptive bool
+	prior    int
+	edges    []edge
 }
 
-// New returns a controller for cfg.
+func newController(workers int) *Controller {
+	if workers <= 0 {
+		workers = 1
+	}
+	return &Controller{pol: defaultPolicy, workers: workers}
+}
+
+// New returns the controller of an adaptive run: undeclared edges start at
+// the Section V model prior for cfg, and the scheduler feeds Observe at every
+// delivery boundary.
 func New(cfg Config) *Controller {
-	cfg = cfg.withDefaults()
-	c := &Controller{cfg: cfg}
-	start := Prior(cfg.BlockBytes, cfg.Workers)
-	if cfg.SpillBudget > 0 {
-		start = PriorWithSpill(cfg.BlockBytes, cfg.Workers, cfg.SpillBudget)
-	}
-	if cfg.DisablePrior {
-		start = cfg.DefaultUoT
-	}
-	c.prior = clamp(start, cfg.Floor, cfg.Ceiling)
+	c := newController(cfg.Workers)
+	c.adaptive = true
+	c.prior = PriorWithSpill(cfg.BlockBytes, cfg.Workers, cfg.SpillBudget)
 	return c
 }
 
-// Prior returns the model-seeded starting UoT for edges that do not declare
-// their own (see the package-level Prior function).
+// NewStatic returns the controller of a static run: undeclared edges start at
+// cfg.DefaultUoT and stay there unless memory pressure degrades them
+// (Pressure); the scheduler never calls Observe.
+func NewStatic(cfg Config) *Controller {
+	c := newController(cfg.Workers)
+	c.prior = cfg.DefaultUoT
+	if c.prior <= 0 {
+		c.prior = 1
+	}
+	return c
+}
+
+// Adaptive reports whether the scheduler should feed Observe: false for a
+// NewStatic controller, whose run then needs no delivery timestamps at all.
+func (c *Controller) Adaptive() bool { return c.adaptive }
+
+// Prior returns the starting UoT for edges that do not declare their own.
 func (c *Controller) Prior() int { return c.prior }
 
 // AddEdge registers an edge starting at start and returns its index.
 func (c *Controller) AddEdge(start int) int {
-	c.edges = append(c.edges, edge{uot: clamp(start, c.cfg.Floor, Table)})
+	start = clamp(start, c.pol.floor, Table)
+	c.edges = append(c.edges, edge{uot: start, start: start})
 	return len(c.edges) - 1
 }
 
 // UoT returns edge i's current UoT.
 func (c *Controller) UoT(i int) int { return c.edges[i].uot }
 
-// Totals returns the decision counts so far.
-func (c *Controller) Totals() Totals { return c.tot }
+// Edge returns edge i's trajectory so far: the UoT it started at and the
+// decisions taken on it (UoT is where it stands now).
+func (c *Controller) Edge(i int) (start int, decisions Decisions) {
+	return c.edges[i].start, c.edges[i].dec
+}
 
 // Observe feeds one delivery-boundary observation for edge i and returns the
 // decision. Edges at Table are terminal and always hold.
 func (c *Controller) Observe(i int, s Signals) Action {
 	e := &c.edges[i]
 	if e.uot == Table {
-		return c.hold(e)
+		return hold(e)
 	}
 	if s.MemPressure {
-		e.pressureHold = c.cfg.PressureHold
+		e.pressureHold = c.pol.pressureHold
 	} else if e.pressureHold > 0 {
 		e.pressureHold--
 	}
 	if e.cooldown > 0 {
 		e.cooldown--
-		return c.hold(e)
+		return hold(e)
 	}
 	switch c.vote(e, s) {
 	case Raise:
@@ -272,49 +268,36 @@ func (c *Controller) Observe(i int, s Signals) Action {
 			e.lowerStreak--
 		}
 	}
-	if e.raiseStreak >= c.cfg.Hysteresis {
+	if e.raiseStreak >= c.pol.hysteresis {
 		return c.raise(e)
 	}
-	if e.lowerStreak >= c.cfg.Hysteresis {
+	if e.lowerStreak >= c.pol.hysteresis {
 		return c.lower(e)
 	}
-	return c.hold(e)
+	return hold(e)
 }
 
-// DefaultCeiling is Config.Ceiling's default, and the ceiling the scheduler
-// applies to static (controller-less) edges under memory pressure.
-const DefaultCeiling = 1 << 20
-
-// PressureStep is the memory-degradation rule, pure: double the UoT (the PR3
-// semantics), snap to Table once it has reached the ceiling, hold at Table.
-func PressureStep(uot, ceiling int) Action {
-	switch {
-	case uot == Table:
-		return Action{Dir: Hold, UoT: Table}
-	case uot >= ceiling:
-		return Action{Dir: Snap, UoT: Table}
-	}
-	return Action{Dir: Raise, UoT: uot * 2}
-}
-
-// Pressure is the scheduler's memory-degradation entry point for edge i: an
-// emergency that bypasses hysteresis and cooldown, takes one PressureStep,
-// and suppresses Lower votes for the next PressureHold observations.
+// Pressure is the scheduler's memory-degradation entry point for edge i —
+// the only way a static run's UoT moves. An emergency that bypasses
+// hysteresis and cooldown: double the UoT, snap to Table once it has reached
+// the ceiling, hold at Table; then suppress Lower votes for the next
+// pressureHold observations.
 func (c *Controller) Pressure(i int) Action {
 	e := &c.edges[i]
-	e.pressureHold = c.cfg.PressureHold
-	a := PressureStep(e.uot, c.cfg.Ceiling)
-	switch a.Dir {
-	case Hold:
-		return c.hold(e)
-	case Snap:
-		c.tot.Snaps++
-	default:
-		c.tot.Raises++
+	e.pressureHold = c.pol.pressureHold
+	switch {
+	case e.uot == Table:
+		return hold(e)
+	case e.uot >= c.pol.ceiling:
+		e.uot = Table
+		e.dec.Snaps++
+		c.afterAct(e)
+		return Action{Dir: Snap, UoT: Table}
 	}
-	e.uot = a.UoT
+	e.uot *= 2
+	e.dec.Raises++
 	c.afterAct(e)
-	return a
+	return Action{Dir: Raise, UoT: e.uot}
 }
 
 // vote classifies one observation. Raise wins ties: degrading to coarser
@@ -332,16 +315,16 @@ func (c *Controller) vote(e *edge, s Signals) Dir {
 	// the spill-rate gauge outvotes even memory pressure (a raise would
 	// deepen the very backlog that is spilling). Deliberately not gated by
 	// pressureHold: the pressure raise is usually what caused the spill.
-	if s.FaultedIn > 0 && e.uot > c.cfg.Floor {
+	if s.FaultedIn > 0 && e.uot > c.pol.floor {
 		return Lower
 	}
 	if s.MemPressure {
 		return Raise
 	}
-	if s.Buffered >= c.cfg.BacklogFactor*e.uot {
+	if s.Buffered >= c.pol.backlogFactor*e.uot {
 		return Raise
 	}
-	if s.QueueDepth >= 8*c.cfg.Workers {
+	if s.QueueDepth >= 8*c.workers {
 		return Raise
 	}
 	// Finer: the drained blocks spent most of the inter-delivery interval
@@ -349,11 +332,11 @@ func (c *Controller) vote(e *edge, s Signals) Dir {
 	// (service time below the interval) and no backlog remains — the
 	// consumer could have started sooner at a smaller UoT. Suppressed
 	// after a pressure raise.
-	if e.pressureHold > 0 || s.Delivered == 0 || e.uot <= c.cfg.Floor {
+	if e.pressureHold > 0 || s.Delivered == 0 || e.uot <= c.pol.floor {
 		return Hold
 	}
 	if s.Buffered < e.uot && s.IntervalNS > 0 &&
-		float64(s.StallNS) > c.cfg.StallFrac*float64(s.IntervalNS) &&
+		float64(s.StallNS) > c.pol.stallFrac*float64(s.IntervalNS) &&
 		s.ServiceNS <= s.IntervalNS {
 		return Lower
 	}
@@ -368,42 +351,42 @@ func (c *Controller) raise(e *edge) Action {
 		step = 1
 	}
 	nu := e.uot + step
-	if nu > c.cfg.Ceiling {
-		nu = c.cfg.Ceiling
+	if nu > c.pol.ceiling {
+		nu = c.pol.ceiling
 	}
 	if nu == e.uot {
-		return c.hold(e)
+		return hold(e)
 	}
 	e.uot = nu
 	c.afterAct(e)
-	c.tot.Raises++
+	e.dec.Raises++
 	return Action{Dir: Raise, UoT: nu}
 }
 
 // lower is the multiplicative decrease: halve, clamped to the floor.
 func (c *Controller) lower(e *edge) Action {
 	nu := e.uot / 2
-	if nu < c.cfg.Floor {
-		nu = c.cfg.Floor
+	if nu < c.pol.floor {
+		nu = c.pol.floor
 	}
 	if nu == e.uot {
-		return c.hold(e)
+		return hold(e)
 	}
 	e.uot = nu
 	c.afterAct(e)
-	c.tot.Lowers++
+	e.dec.Lowers++
 	return Action{Dir: Lower, UoT: nu}
 }
 
-func (c *Controller) hold(e *edge) Action {
-	c.tot.Holds++
+func hold(e *edge) Action {
+	e.dec.Holds++
 	return Action{Dir: Hold, UoT: e.uot}
 }
 
 // afterAct resets streaks and arms the post-action cooldown.
 func (c *Controller) afterAct(e *edge) {
 	e.raiseStreak, e.lowerStreak = 0, 0
-	e.cooldown = c.cfg.Cooldown
+	e.cooldown = c.pol.cooldown
 }
 
 // clamp bounds v to [lo, hi].
@@ -426,22 +409,18 @@ func clamp(v, lo, hi int) int {
 // blend saturates and larger groups stop paying, matching the paper's
 // "indistinguishable at 2 MB" observation.
 func Prior(blockBytes, workers int) int {
-	return priorScan(blockBytes, workers, 0)
+	return PriorWithSpill(blockBytes, workers, 0)
 }
 
-// PriorWithSpill is Prior with the Section V-C persistent store priced in:
-// each candidate group size additionally pays the expected spill penalty
-// (costmodel.SpillCost — eviction probability under the RAM budget times the
-// device round trip). Large groups that the in-memory model tolerates become
-// expensive once they risk touching the store, so the spill-aware prior is
-// never coarser than the in-memory one — the paper's "with a persistent
-// store, pipelining wins by orders of magnitude" translated into a starting
-// point.
+// PriorWithSpill is Prior with the Section V-C persistent store priced in
+// when spillBudget is positive: each candidate group size additionally pays
+// the expected spill penalty (costmodel.SpillCost — eviction probability
+// under the RAM budget times the device round trip). Large groups that the
+// in-memory model tolerates become expensive once they risk touching the
+// store, so the spill-aware prior is never coarser than the in-memory one —
+// the paper's "with a persistent store, pipelining wins by orders of
+// magnitude" translated into a starting point.
 func PriorWithSpill(blockBytes, workers int, spillBudget int64) int {
-	return priorScan(blockBytes, workers, spillBudget)
-}
-
-func priorScan(blockBytes, workers int, spillBudget int64) int {
 	if blockBytes <= 0 {
 		blockBytes = 128 << 10
 	}

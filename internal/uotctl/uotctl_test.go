@@ -2,23 +2,27 @@ package uotctl
 
 import "testing"
 
-// testCfg is a small, fully-explicit configuration so decisions are easy to
-// trace by hand: hysteresis 2, cooldown 1, backlog factor 2.
-func testCfg() Config {
-	return Config{
-		Workers: 4, BlockBytes: 128 << 10, DefaultUoT: 4,
-		Floor: 1, Ceiling: 64, Hysteresis: 2, Cooldown: 1,
-		BacklogFactor: 2, StallFrac: 0.5, PressureHold: 3,
-		DisablePrior: true,
+// newTest returns a 4-worker controller under a small, fully-explicit policy
+// so decisions are easy to trace by hand: hysteresis 2, cooldown 1, backlog
+// factor 2. Every test registers its edges with an explicit starting UoT.
+func newTest() *Controller {
+	c := New(Config{Workers: 4})
+	c.pol = policy{
+		floor: 1, ceiling: 64, hysteresis: 2, cooldown: 1,
+		backlogFactor: 2, stallFrac: 0.5, pressureHold: 3,
 	}
+	return c
 }
 
 func TestDefaults(t *testing.T) {
 	c := New(Config{})
-	cfg := c.cfg
-	if cfg.Floor != 1 || cfg.Ceiling != 1<<20 || cfg.Hysteresis != 3 ||
-		cfg.Cooldown != 2 || cfg.BacklogFactor != 3 || cfg.PressureHold != 16 {
-		t.Fatalf("unexpected defaults: %+v", cfg)
+	pol := c.pol
+	if pol.floor != 1 || pol.ceiling != 1<<20 || pol.hysteresis != 3 ||
+		pol.cooldown != 2 || pol.backlogFactor != 3 || pol.pressureHold != 16 {
+		t.Fatalf("unexpected defaults: %+v", pol)
+	}
+	if !c.Adaptive() || c.workers != 1 {
+		t.Fatalf("New(Config{}) = %+v, want an adaptive one-worker controller", c)
 	}
 	if p := c.Prior(); p < 1 || p > 1024 {
 		t.Fatalf("prior out of range: %d", p)
@@ -46,15 +50,30 @@ func TestPriorModelSeeded(t *testing.T) {
 	}
 }
 
-func TestDisablePriorUsesDefault(t *testing.T) {
-	c := New(Config{DefaultUoT: 7, DisablePrior: true})
-	if c.Prior() != 7 {
-		t.Fatalf("DisablePrior start = %d, want 7", c.Prior())
+func TestStaticStartsAtDefaultUoT(t *testing.T) {
+	c := NewStatic(Config{DefaultUoT: 7})
+	if c.Prior() != 7 || c.Adaptive() {
+		t.Fatalf("NewStatic: prior %d adaptive %v, want 7 and unobserved", c.Prior(), c.Adaptive())
+	}
+	// A blocking run's default is Table itself: no ceiling clamps it.
+	if p := NewStatic(Config{DefaultUoT: Table}).Prior(); p != Table {
+		t.Fatalf("NewStatic(Table) prior = %d, want Table", p)
+	}
+	if p := NewStatic(Config{}).Prior(); p != 1 {
+		t.Fatalf("NewStatic(Config{}) prior = %d, want 1", p)
+	}
+	// The memory-pressure ladder is the same policy either way.
+	e := c.AddEdge(c.Prior())
+	if a := c.Pressure(e); a.Dir != Raise || a.UoT != 14 {
+		t.Fatalf("static pressure step: %+v, want Raise to 14", a)
+	}
+	if start, d := c.Edge(e); start != 7 || d != (Decisions{Raises: 1}) {
+		t.Fatalf("edge trajectory: start %d decisions %+v", start, d)
 	}
 }
 
 func TestBacklogRaisesWithHysteresis(t *testing.T) {
-	c := New(testCfg())
+	c := newTest()
 	e := c.AddEdge(4)
 	backlog := Signals{Buffered: 20, Delivered: 4, IntervalNS: 1000}
 	if a := c.Observe(e, backlog); a.Dir != Hold {
@@ -74,7 +93,7 @@ func TestBacklogRaisesWithHysteresis(t *testing.T) {
 }
 
 func TestStallLowers(t *testing.T) {
-	c := New(testCfg())
+	c := newTest()
 	e := c.AddEdge(8)
 	// Blocks waited 90% of the interval; consumer service time well under
 	// the interval; nothing left buffered.
@@ -85,7 +104,7 @@ func TestStallLowers(t *testing.T) {
 		t.Fatalf("got %+v, want Lower to 4", a)
 	}
 	// At the floor, Lower votes become holds.
-	cf := New(testCfg())
+	cf := newTest()
 	ef := cf.AddEdge(1)
 	for i := 0; i < 5; i++ {
 		if a := cf.Observe(ef, starved); a.Dir != Hold {
@@ -95,7 +114,7 @@ func TestStallLowers(t *testing.T) {
 }
 
 func TestBusyConsumerDoesNotLower(t *testing.T) {
-	c := New(testCfg())
+	c := newTest()
 	e := c.AddEdge(8)
 	// Same stall shape, but the consumer was busy the whole interval: the
 	// transfers are not what limits it, so refining would only add churn.
@@ -108,7 +127,7 @@ func TestBusyConsumerDoesNotLower(t *testing.T) {
 }
 
 func TestQueueSaturationRaises(t *testing.T) {
-	c := New(testCfg())
+	c := newTest()
 	e := c.AddEdge(2)
 	deep := Signals{Delivered: 2, IntervalNS: 1000, QueueDepth: 64} // 8×Workers=32
 	c.Observe(e, deep)
@@ -118,7 +137,7 @@ func TestQueueSaturationRaises(t *testing.T) {
 }
 
 func TestPressureBypassesHysteresis(t *testing.T) {
-	c := New(testCfg())
+	c := newTest()
 	e := c.AddEdge(4)
 	a := c.Pressure(e)
 	if a.Dir != Raise || a.UoT != 8 {
@@ -140,7 +159,7 @@ func TestPressureBypassesHysteresis(t *testing.T) {
 }
 
 func TestPressureSnapsPastCeiling(t *testing.T) {
-	c := New(testCfg())
+	c := newTest()
 	e := c.AddEdge(64) // at the ceiling already
 	a := c.Pressure(e)
 	if a.Dir != Snap || a.UoT != Table {
@@ -153,14 +172,13 @@ func TestPressureSnapsPastCeiling(t *testing.T) {
 	if a := c.Observe(e, Signals{Buffered: 100, Delivered: 1}); a.Dir != Hold {
 		t.Fatalf("observe on a Table edge: %+v", a)
 	}
-	tot := c.Totals()
-	if tot.Snaps != 1 {
-		t.Fatalf("snaps = %d, want 1", tot.Snaps)
+	if _, d := c.Edge(e); d.Snaps != 1 {
+		t.Fatalf("snaps = %d, want 1", d.Snaps)
 	}
 }
 
 func TestFeedbackRaiseClampsAtCeilingWithoutSnap(t *testing.T) {
-	c := New(testCfg())
+	c := newTest()
 	e := c.AddEdge(60)
 	backlog := Signals{Buffered: 400, Delivered: 60, IntervalNS: 1000}
 	for i := 0; i < 12; i++ {
@@ -169,13 +187,13 @@ func TestFeedbackRaiseClampsAtCeilingWithoutSnap(t *testing.T) {
 	if got := c.UoT(e); got != 64 {
 		t.Fatalf("UoT = %d, want clamped to ceiling 64", got)
 	}
-	if c.Totals().Snaps != 0 {
-		t.Fatalf("feedback path snapped to Table: %+v", c.Totals())
+	if _, d := c.Edge(e); d.Snaps != 0 {
+		t.Fatalf("feedback path snapped to Table: %+v", d)
 	}
 }
 
 func TestMixedSignalsDecayStreaks(t *testing.T) {
-	c := New(testCfg())
+	c := newTest()
 	e := c.AddEdge(4)
 	backlog := Signals{Buffered: 20, Delivered: 4, IntervalNS: 1000}
 	quiet := Signals{Delivered: 4, IntervalNS: 1000}
@@ -195,7 +213,7 @@ func TestMixedSignalsDecayStreaks(t *testing.T) {
 // golden harness builds on. Decisions are pure functions of (config, signal
 // sequence); any change to the policy must consciously update this table.
 func TestDecisionGolden(t *testing.T) {
-	c := New(testCfg())
+	c := newTest()
 	e := c.AddEdge(4)
 	seq := []Signals{
 		{Delivered: 4, IntervalNS: 1000},                                 // quiet
@@ -229,13 +247,12 @@ func TestDecisionGolden(t *testing.T) {
 				i, got.Dir, got.UoT, want[i].Dir, want[i].UoT, s)
 		}
 	}
-	tot := c.Totals()
-	if tot.Raises != 3 || tot.Lowers != 2 || tot.Snaps != 0 {
-		t.Fatalf("totals = %+v, want 3 raises, 2 lowers, 0 snaps", tot)
+	if start, d := c.Edge(e); start != 4 || d != (Decisions{Raises: 3, Lowers: 2, Holds: 13}) {
+		t.Fatalf("edge trajectory: start %d, decisions %+v, want 4 with 3 raises, 2 lowers, 13 holds", start, d)
 	}
 	// Replaying the identical sequence on a fresh controller reproduces the
 	// identical decisions: the controller holds no hidden clock state.
-	c2 := New(testCfg())
+	c2 := newTest()
 	e2 := c2.AddEdge(4)
 	for i, s := range seq {
 		if got := c2.Observe(e2, s); got != want[i] {
@@ -253,7 +270,7 @@ func TestDirString(t *testing.T) {
 }
 
 func TestFaultedInVotesLower(t *testing.T) {
-	c := New(testCfg())
+	c := newTest()
 	e := c.AddEdge(16)
 	// Spill fault-ins vote Lower through the usual hysteresis (2 here).
 	spilled := Signals{Delivered: 4, FaultedIn: 2, IntervalNS: 1000}
@@ -266,7 +283,7 @@ func TestFaultedInVotesLower(t *testing.T) {
 }
 
 func TestFaultedInOutvotesPressureHold(t *testing.T) {
-	c := New(testCfg())
+	c := newTest()
 	e := c.AddEdge(16)
 	// A pressure raise arms the Lower suppression...
 	if a := c.Pressure(e); a.Dir != Raise || a.UoT != 32 {
@@ -284,7 +301,7 @@ func TestFaultedInOutvotesPressureHold(t *testing.T) {
 }
 
 func TestFaultedInHoldsAtFloor(t *testing.T) {
-	c := New(testCfg())
+	c := newTest()
 	e := c.AddEdge(1) // already at the floor: nothing finer to try
 	spilled := Signals{Delivered: 1, FaultedIn: 1, IntervalNS: 1000}
 	for i := 0; i < 5; i++ {
@@ -316,10 +333,7 @@ func TestPriorWithSpillNeverCoarser(t *testing.T) {
 		t.Fatalf("tight-budget spill prior = %d, want 1", p)
 	}
 	// New() with SpillBudget seeds from the spill-aware scan.
-	cfg := testCfg()
-	cfg.DisablePrior = false
-	cfg.SpillBudget = 1 << 20
-	if c := New(cfg); c.Prior() != 1 {
+	if c := New(Config{Workers: 4, BlockBytes: 128 << 10, SpillBudget: 1 << 20}); c.Prior() != 1 {
 		t.Fatalf("controller spill prior = %d, want 1", c.Prior())
 	}
 }

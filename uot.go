@@ -42,7 +42,6 @@ import (
 	"repro/internal/tpch"
 	"repro/internal/trace"
 	"repro/internal/types"
-	"repro/internal/uotctl"
 )
 
 // UoTTable is the UoT value meaning "the whole intermediate table" — the
@@ -197,26 +196,21 @@ type (
 //	tr.Snapshot().WritePrometheus(os.Stdout) // metrics scrape text
 func NewTracer(capacity int) *Tracer { return trace.New(capacity) }
 
-// Adaptive unit-of-transfer control: setting Options.AdaptiveUoT attaches a
-// per-edge controller (see internal/uotctl) that seeds undeclared edges with
-// the Section V analytical model's predicted operating point and then
-// adjusts each pipelined edge's UoT AIMD-style at delivery boundaries from
-// backlog, stall-time, and consumer service-time gauges — with hysteresis,
-// cooldown, and floor/ceiling clamps. The memory-pressure degradation raise
-// routes through the same controller, so pressure and feedback decisions
-// compose instead of fighting:
+// Adaptive unit-of-transfer control: every run owns one UoT controller (see
+// internal/uotctl), the only code that computes a new UoT. Setting
+// Options.AdaptiveUoT makes it adaptive: undeclared edges start at the
+// Section V analytical model's predicted operating point and each pipelined
+// edge's UoT is adjusted AIMD-style at delivery boundaries from backlog,
+// stall-time, and consumer service-time gauges — with hysteresis, cooldown,
+// and floor/ceiling clamps. The memory-pressure degradation raise goes
+// through the same controller in static and adaptive runs alike:
 //
 //	res, err := uot.Execute(b, uot.Options{Workers: 8, AdaptiveUoT: true})
 //	for _, e := range res.Run.EdgeUoTs() { ... } // per-edge UoT trajectory
-type (
-	// AdaptiveConfig tunes the adaptive controller (Options.AdaptiveConfig);
-	// the zero value inherits the run's workers/block-size/default-UoT and
-	// the controller defaults.
-	AdaptiveConfig = uotctl.Config
-	// EdgeUoT is one pipelined edge's recorded UoT trajectory: declared and
-	// resolved starting values, final value, and per-decision counts.
-	EdgeUoT = stats.EdgeUoT
-)
+//
+// EdgeUoT is one pipelined edge's recorded UoT trajectory: declared and
+// resolved starting values, final value, and per-decision counts.
+type EdgeUoT = stats.EdgeUoT
 
 // TPCH is a loaded TPC-H dataset.
 type TPCH = tpch.Dataset
@@ -340,8 +334,7 @@ func OpenSession(cfg SessionConfig) *Session { return session.Open(cfg) }
 type (
 	// ReuseCache is the benefit-ranked cross-query result cache.
 	ReuseCache = reuse.Cache
-	// ReuseConfig sizes a cache: RAM budget, per-entry cap, optional
-	// cool-to-disk tier.
+	// ReuseConfig sizes a cache: RAM budget and per-entry cap.
 	ReuseConfig = reuse.Config
 	// ReuseCounters snapshots hits, misses, admissions, evictions, and
 	// occupancy.

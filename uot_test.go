@@ -2,7 +2,10 @@ package uot
 
 import (
 	"math"
+	"reflect"
 	"testing"
+
+	"repro/internal/uotctl"
 )
 
 // TestFacadeEndToEnd drives the whole public API surface: DB/table creation,
@@ -106,5 +109,33 @@ func TestFacadeModels(t *testing.T) {
 	sim := NewCacheSim()
 	if sim.ScannedBase(1<<20) <= 0 {
 		t.Fatal("cache sim unusable through facade")
+	}
+}
+
+// TestSettableSurfaceIsPinned counts the exported fields of the five option
+// structs. Each independently settable value multiplies the configurations
+// the goldens, the metamorphic harness and the benchmark have to cover, so
+// adding one is a deliberate edit of these numbers, in a change that names
+// its non-test caller.
+func TestSettableSurfaceIsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		v    any
+		want int
+	}{
+		{Options{}, 21},
+		{SessionConfig{}, 15},
+		{Request{}, 14},
+		{uotctl.Config{}, 4},
+		{ReuseConfig{}, 2},
+	} {
+		typ, n := reflect.TypeOf(tc.v), 0
+		for i := 0; i < typ.NumField(); i++ {
+			if typ.Field(i).IsExported() {
+				n++
+			}
+		}
+		if n != tc.want {
+			t.Errorf("%v has %d exported fields, want %d", typ, n, tc.want)
+		}
 	}
 }
