@@ -35,9 +35,9 @@ const UoTTable = int(^uint(0) >> 1) // max int
 // OpID identifies an operator within a plan.
 type OpID int
 
-// Task is one unit of work a run submits to a shared Executor: a closure the
+// Task is one unit of work a run submits to its Executor: a closure the
 // executor must run exactly once on one of its workers, labeled with the
-// submitting query and its priority class so the executor can dispatch
+// submitting query and its priority class so a shared executor can dispatch
 // fairly across concurrent queries.
 type Task struct {
 	// Query identifies the submitting query (ExecCtx.Query).
@@ -50,12 +50,11 @@ type Task struct {
 	Run func(worker int)
 }
 
-// Executor runs tasks on a worker pool shared across concurrent runs. When
-// ExecCtx.Exec is set, the scheduler does not spawn its own workers: it
-// submits each dispatched work order as a Task and ExecCtx.Workers becomes
-// the run's in-flight cap (how many of its tasks may execute concurrently)
-// instead of a goroutine count. The session layer's WorkerPool is the
-// canonical implementation.
+// Executor runs tasks on a pool of workers. The scheduler submits every
+// dispatched work order to one as a Task; ExecCtx.Workers is the run's
+// in-flight cap (how many of its tasks may execute concurrently). WorkerPool
+// is the implementation: Run starts a private one when ExecCtx.Exec is nil,
+// and the session layer shares one across concurrent queries.
 type Executor interface {
 	// Submit enqueues the task; it must eventually run exactly once.
 	// Submit may block briefly for queue admission but must not wait for
@@ -82,25 +81,25 @@ type ExecCtx struct {
 	// base-table format (Section IV-B).
 	TempBlockBytes int
 	TempFormat     storage.Format
-	// Workers is the number of worker threads (T in the model). With a
-	// shared Executor attached it is the run's in-flight task cap instead
-	// of a goroutine count (see Executor).
+	// Workers is the number of worker threads (T in the model): the run's
+	// in-flight task cap, and the size of the pool Run starts when Exec is
+	// nil.
 	Workers int
-	// Exec, if non-nil, is a worker pool shared across concurrent runs: the
-	// scheduler spawns no workers of its own and submits work orders as
-	// Tasks. Nil keeps the single-query behavior (per-run goroutines).
+	// Exec, if non-nil, is a worker pool shared across concurrent runs. Nil
+	// means Run starts a WorkerPool of Workers goroutines for this run alone
+	// and closes it on return.
 	Exec Executor
 	// Query identifies this run among concurrent runs sharing an Executor,
-	// a storage pool, or a tracer; it labels submitted tasks and trace
-	// events. 0 is a valid id (the single-query default).
+	// a storage pool, or a tracer; it labels submitted tasks. 0 is a valid
+	// id (the single-query default).
 	Query int
 	// Priority is the run's dispatch priority class on a shared Executor;
 	// higher is served first. Within a class the executor is fair.
 	Priority int
-	// TraceRun is the tracer section handle this run records into: 0 (the
-	// default) means the tracer's current section — the single-query
-	// behavior — and a positive handle (from Tracer.OpenRun) pins the run
-	// to its own section so concurrent runs can share one tracer.
+	// TraceRun is the tracer section handle (from Tracer.OpenRun) this run
+	// records into, so concurrent runs can share one tracer. When Trace is
+	// set and TraceRun is 0, Run opens an unlabeled section and stores its
+	// handle here.
 	TraceRun int32
 	// MemoryBudget, if positive, caps live temporary-block bytes softly:
 	// while exceeded, the scheduler stops dispatching block-producing work

@@ -176,7 +176,7 @@ func TestMidQueryErrorCancelsQueuedWorkPromptly(t *testing.T) {
 	if r.LeakedBlocks != 0 || r.OutstandingRefs != 0 {
 		t.Fatalf("aborted run leaked blocks: %+v", r)
 	}
-	// Workers must exit once Run returns (dispatch channel closed).
+	// Workers must exit once Run returns (the run-local pool is closed).
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)

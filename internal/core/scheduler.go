@@ -1,12 +1,9 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"runtime/pprof"
-	"strconv"
 	"time"
 
 	"repro/internal/stats"
@@ -16,18 +13,22 @@ import (
 	"repro/internal/uotctl"
 )
 
-// Run executes a plan: a single scheduler goroutine dispatches work orders
-// to ctx.Workers worker goroutines, routing producer output blocks to
-// consumers in groups of UoT blocks per pipelined edge (edges that do not
-// declare one start at ctx.UoTCtl's prior, or at defaultUoT when the run
-// brings no controller). Run returns after every operator has finished, after
-// the run context is canceled, or after a work order fails fatally (transient
-// failures are rolled back and retried up to ctx.MaxAttempts with exponential
-// backoff). On any exit path the scheduler reclaims every intermediate block
-// and verifies the zero-leak invariants.
+// Run executes a plan: a single scheduler goroutine submits work orders to
+// an Executor — ctx.Exec, or a WorkerPool of ctx.Workers goroutines started
+// for this run alone — routing producer output blocks to consumers in groups
+// of UoT blocks per pipelined edge (edges that do not declare one start at
+// ctx.UoTCtl's prior, or at defaultUoT when the run brings no controller). Run
+// returns after every operator has finished, after the run context is
+// canceled, or after a work order fails fatally (transient failures are
+// rolled back and retried up to ctx.MaxAttempts with exponential backoff). On
+// any exit path the scheduler reclaims every intermediate block and verifies
+// the zero-leak invariants.
 func Run(plan *Plan, ctx *ExecCtx, defaultUoT int) error {
 	if ctx.Workers <= 0 {
 		ctx.Workers = 1
+	}
+	if ctx.TraceRun == 0 {
+		ctx.TraceRun = ctx.Trace.OpenRun("", -1)
 	}
 	return newSched(plan, ctx, defaultUoT).run()
 }
@@ -131,8 +132,10 @@ type sched struct {
 	// untraced path stays timestamp-free).
 	clock func() int64
 
-	dispatch chan job
-	results  chan wres
+	results chan wres
+	// lastOp is the operator of this run's previous job on each executor
+	// worker, for the IC term of the Section V model (Sim runs only).
+	lastOp []OpID
 }
 
 func newSched(plan *Plan, ctx *ExecCtx, defaultUoT int) *sched {
@@ -234,6 +237,12 @@ func ResolveUoT(e Edge, startUoT int) int {
 }
 
 func (s *sched) run() error {
+	exec := s.ctx.Exec
+	if exec == nil {
+		p := NewWorkerPool(s.ctx.Workers)
+		defer p.Close()
+		exec = p
+	}
 	if tr := s.ctx.Trace; tr.Enabled() {
 		s.clock = tr.Now
 	} else if s.ctl.Adaptive() {
@@ -252,19 +261,9 @@ func (s *sched) run() error {
 		}
 	}
 
-	// With a shared executor the run spawns no workers: dispatched jobs are
-	// submitted as tasks and complete through s.results, which is buffered
-	// at the in-flight cap so a completing task never blocks on the
-	// scheduler goroutine.
+	// Completions flow back through s.results, buffered at the in-flight cap
+	// so a completing task never blocks on the scheduler goroutine.
 	s.results = make(chan wres, s.ctx.Workers)
-	if s.ctx.Exec == nil {
-		s.dispatch = make(chan job)
-		for w := 0; w < s.ctx.Workers; w++ {
-			go s.worker(w)
-		}
-		defer close(s.dispatch)
-	}
-
 	for s.doneOps < len(s.states) {
 		if s.runErr == nil {
 			if err := s.ctx.Canceled(); err != nil {
@@ -300,32 +299,19 @@ func (s *sched) run() error {
 			}
 			break
 		}
+		// Submit may block for queue admission; completions of this run's
+		// other tasks accumulate in the buffered results channel meanwhile
+		// (at most Workers-1 of them are out).
 		j := s.queue[ji]
-		if s.ctx.Exec != nil {
-			// Shared-executor dispatch: hand the job to the cross-query
-			// pool. Submit may block for queue admission; completions of
-			// this run's other tasks accumulate in the buffered results
-			// channel meanwhile (at most Workers-1 of them are out).
-			s.queue = append(s.queue[:ji], s.queue[ji+1:]...)
-			s.states[j.op].queued--
-			s.states[j.op].inflight++
-			s.inflight++
-			s.ctx.Exec.Submit(Task{
-				Query:    s.ctx.Query,
-				Priority: s.ctx.Priority,
-				Run:      func(worker int) { s.runJob(j, worker, false) },
-			})
-			continue
-		}
-		select {
-		case s.dispatch <- j:
-			s.queue = append(s.queue[:ji], s.queue[ji+1:]...)
-			s.states[j.op].queued--
-			s.states[j.op].inflight++
-			s.inflight++
-		case r := <-s.results:
-			s.onComplete(r)
-		}
+		s.queue = append(s.queue[:ji], s.queue[ji+1:]...)
+		s.states[j.op].queued--
+		s.states[j.op].inflight++
+		s.inflight++
+		exec.Submit(Task{
+			Query:    s.ctx.Query,
+			Priority: s.ctx.Priority,
+			Run:      func(worker int) { s.runJob(j, worker) },
+		})
 	}
 	// Drain any stragglers (only possible after an error cleared the queue).
 	for s.inflight > 0 {
@@ -565,32 +551,11 @@ func (s *sched) producesBlocks(id OpID) bool {
 	return false
 }
 
-func (s *sched) worker(id int) {
-	// Label the worker goroutine so CPU/goroutine profiles attribute samples
-	// to scheduler workers (`go tool pprof` tag filter "uot_worker").
-	defer pprof.SetGoroutineLabels(context.Background())
-	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-		pprof.Labels("uot_worker", strconv.Itoa(id))))
-	lastOp := OpID(-1)
-	for j := range s.dispatch {
-		// A worker switching operators re-fills the instruction cache: the
-		// IC term of the Section V model. Dedicated-worker mode only —
-		// shared-executor workers interleave queries arbitrarily, so the
-		// per-worker operator-affinity model does not transfer there.
-		s.runJob(j, id, j.op != lastOp)
-		lastOp = j.op
-	}
-}
-
-// runJob executes one work-order attempt on the given worker and reports its
-// result on s.results. It is the body shared by dedicated workers and
-// shared-executor tasks; the results channel is buffered at the in-flight
+// runJob executes one work-order attempt on the given executor worker and
+// reports its result on s.results; the channel is buffered at the in-flight
 // cap, so the send never blocks.
-func (s *sched) runJob(j job, worker int, simSwitch bool) {
+func (s *sched) runJob(j job, worker int) {
 	out := &Output{}
-	if simSwitch && s.ctx.Sim != nil {
-		out.Sim += s.ctx.Sim.ContextSwitch()
-	}
 	start := now()
 	var err error
 	if cerr := s.ctx.Canceled(); cerr != nil {
@@ -661,6 +626,20 @@ func (s *sched) onComplete(r wres) {
 	st := s.states[r.op]
 	st.inflight--
 	s.inflight--
+
+	if s.ctx.Sim != nil {
+		// A worker switching operators re-fills the instruction cache: the IC
+		// term of the Section V model. Charged here, on the one goroutine
+		// that sees every completion, against this run's previous job on
+		// the same worker; per worker, completions arrive in execution order.
+		for len(s.lastOp) <= r.worker {
+			s.lastOp = append(s.lastOp, -1)
+		}
+		if s.lastOp[r.worker] != r.op {
+			r.out.Sim += s.ctx.Sim.ContextSwitch()
+		}
+		s.lastOp[r.worker] = r.op
+	}
 
 	// Attribute the work order's wall time back to the edge whose delivery
 	// spawned it: the consumer service-time signal of the next observation.

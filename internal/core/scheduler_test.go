@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cachesim"
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/types"
@@ -408,5 +409,26 @@ func TestFanOutDeliversToAllConsumers(t *testing.T) {
 	}
 	if len(c2.feedSizes) != 1 || c2.feedSizes[0] != 6 {
 		t.Fatalf("table-UoT consumer feeds = %v", c2.feedSizes)
+	}
+}
+
+// TestICTermChargesOperatorSwitches pins the Section V IC term at one worker:
+// a job is charged one instruction-cache miss when this run's previous job on
+// the same worker ran a different operator. Pipelining at UoT 1 alternates
+// producer and consumer on every block; blocking switches once each way.
+func TestICTermChargesOperatorSwitches(t *testing.T) {
+	const n = 5
+	for _, tc := range []struct {
+		uot      int
+		switches int64
+	}{{1, 2 * n}, {UoTTable, 2}} {
+		ctx := newCtx(1)
+		ctx.Sim = cachesim.New(cachesim.Default())
+		if err := Run(pipePlan(&producer{nblocks: n, rows: 2}, &consumer{}, tc.uot), ctx, 1); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := ctx.Run.TotalSim(), tc.switches*cachesim.Default().ICMiss; got != want {
+			t.Errorf("uot=%d: simulated ticks = %d, want %d (%d operator switches)", tc.uot, got, want, tc.switches)
+		}
 	}
 }

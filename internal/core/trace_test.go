@@ -8,13 +8,44 @@ import (
 )
 
 // newTracedCtx is newCtx with a tracer attached the way engine.Execute does
-// it: StartRun before the scheduler builds.
+// it: a labeled section opened before the scheduler builds.
 func newTracedCtx(workers int, label string) (*ExecCtx, *trace.Tracer) {
 	tr := trace.New(1 << 12)
-	tr.StartRun(label)
 	ctx := newCtx(workers)
 	ctx.Trace = tr
+	ctx.TraceRun = tr.OpenRun(label, -1)
 	return ctx, tr
+}
+
+// TestRunOpensTraceSectionForHandBuiltCtx: a ctx that brings a tracer but no
+// section handle still records its op and edge aggregates — Run opens an
+// unlabeled section (query -1) for it.
+func TestRunOpensTraceSectionForHandBuiltCtx(t *testing.T) {
+	p := &producer{nblocks: 4, rows: 2}
+	c := &consumer{}
+	tr := trace.New(1 << 12)
+	ctx := newCtx(1)
+	ctx.Trace = tr
+	if err := Run(pipePlan(p, c, 2), ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	if ctx.TraceRun == 0 {
+		t.Fatal("Run left the ctx without a section handle")
+	}
+	m := tr.Snapshot()
+	if len(m.Runs) != 1 {
+		t.Fatalf("runs = %d, want 1 opened by Run", len(m.Runs))
+	}
+	run := m.Runs[0]
+	if run.Label != "" || run.Query != -1 || run.WallNS <= 0 {
+		t.Fatalf("opened section = %+v, want unlabeled, query -1, ended", run)
+	}
+	if len(run.Ops) != 2 || run.Ops[0].Spans != 4 || run.Ops[1].Rows != 8 {
+		t.Fatalf("op aggregates = %+v", run.Ops)
+	}
+	if len(run.Edges) != 1 || run.Edges[0].Batches != 2 || run.Edges[0].Blocks != 4 {
+		t.Fatalf("edge aggregates = %+v", run.Edges)
+	}
 }
 
 func TestTraceRegistersPlanAndRecordsSpans(t *testing.T) {

@@ -265,7 +265,7 @@ func TestRetryRecoversPreMutationFaults(t *testing.T) {
 // TestPersistentFaultFailsTyped: a site that always faults fails the query
 // with the typed exhaustion error after exactly MaxAttempts attempts — there
 // is no second kernel to finish on. Execute returns no Result on failure, so
-// retries are read from the tracer and leaks from a shared pool's root gauge
+// retries are read from the tracer and leaks from a caller-owned pool's root gauge
 // (which counts every block the failed run still owns).
 func TestPersistentFaultFailsTyped(t *testing.T) {
 	for _, sp := range preMutationSites(t) {
@@ -273,7 +273,7 @@ func TestPersistentFaultFailsTyped(t *testing.T) {
 			var live stats.MemGauge
 			tr := trace.New(1 << 12)
 			opts := preMutationOpts(sp.site, 1, faults.KindError, 4)
-			opts.SharedPool, opts.Trace = storage.NewPool(&live, nil), tr
+			opts.Pool, opts.Trace = storage.NewPool(&live, nil), tr
 			_, err := Execute(sp.build(), opts)
 			if err == nil {
 				t.Fatal("query completed although the site faults on every attempt")

@@ -6,7 +6,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -45,20 +44,6 @@ type Options struct {
 	// Section III-C scheduler policy). Under sustained pressure the
 	// scheduler raises producer-edge UoTs instead of stalling.
 	MemoryBudget int64
-	// SpillDir, if non-empty, attaches a disk-backed spill tier to this
-	// execution's private temp-block pool: cold sealed blocks parked in edge
-	// buffers are evicted to extent files in a per-run subdirectory whenever
-	// live temp bytes exceed SpillThreshold, and faulted back in on delivery
-	// (Section V-C's persistent-store regime as a memory-pressure valve).
-	// Rejected (ErrSpillWithSharedPool) when SharedPool is set — the pool's
-	// owner (the session) owns spill policy there. The directory is removed
-	// when Execute returns, success or failure.
-	SpillDir string
-	// SpillThreshold is the live-byte level above which eviction runs. 0
-	// inherits MemoryBudget; if that is also 0, every cooled block is
-	// eligible immediately (maximal eviction — what the fault and
-	// golden-equivalence tests want).
-	SpillThreshold int64
 	// Context, if non-nil, cancels the whole run when done: queued work
 	// orders are dropped and Execute returns the cancellation error.
 	Context context.Context
@@ -81,11 +66,11 @@ type Options struct {
 	// AdaptiveUoT makes the run's UoT controller (see internal/uotctl)
 	// adaptive: pipelined edges without an explicit UoT start at the
 	// Section V model's predicted operating point for this run's Workers,
-	// TempBlockBytes and spill threshold instead of UoTBlocks, and every
-	// edge's UoT is adjusted AIMD-style at delivery boundaries from backlog,
-	// stall-time, and consumer service-time gauges. Off by default: a static
-	// run's controller is never observed, so its edges move only under
-	// memory pressure.
+	// TempBlockBytes and Pool's spill threshold instead of UoTBlocks, and
+	// every edge's UoT is adjusted AIMD-style at delivery boundaries from
+	// backlog, stall-time, and consumer service-time gauges. Off by default:
+	// a static run's controller is never observed, so its edges move only
+	// under memory pressure.
 	AdaptiveUoT bool
 	// Trace, if non-nil, collects this execution's observability events —
 	// per-work-order spans, per-edge gauge samples, scheduler annotations —
@@ -104,19 +89,23 @@ type Options struct {
 	Reuse *reuse.Cache
 
 	// Exec, if non-nil, runs this query's work orders on a worker pool
-	// shared across concurrent queries instead of per-query goroutines;
-	// Workers then caps the query's in-flight work orders. See
-	// internal/session for the serving layer built on it.
+	// shared across concurrent queries; Workers then caps the query's
+	// in-flight work orders. Nil runs them on a pool of Workers goroutines
+	// started for this execution alone. See internal/session for the serving
+	// layer built on it.
 	Exec core.Executor
-	// SharedPool, if non-nil, is the global temp-block pool this execution
-	// draws from through a per-query Subpool view (isolated partial-block
-	// namespace and per-query gauge, shared freelist). Recycling policy
-	// belongs to the pool's owner (see storage.Pool.DisableRecycling).
-	SharedPool *storage.Pool
+	// Pool, if non-nil, is the global temp-block pool this execution draws
+	// from through a per-query Subpool view (isolated partial-block
+	// namespace and per-query gauge, shared freelist). Nil gives the
+	// execution a private root pool. The pool's owner owns everything
+	// attached to it: recycling policy (storage.Pool.DisableRecycling) and
+	// the spill tier (storage.Pool.EnableSpill / CloseSpill), whose
+	// threshold the adaptive UoT prior reads.
+	Pool *storage.Pool
 	// QueryID identifies the query among concurrent executions sharing
-	// Exec, SharedPool, or Trace: it labels the run's stats snapshot, its
-	// trace section, and its submitted tasks. Only meaningful in serving
-	// mode (Exec or SharedPool set).
+	// Exec, Pool, or Trace: when positive it labels the run's stats snapshot
+	// and its trace section, and it labels its submitted tasks. 0 leaves the
+	// run unlabeled (trace query -1).
 	QueryID int
 	// Priority is the query's dispatch priority class on the shared
 	// executor (higher first; fair within a class).
@@ -137,18 +126,16 @@ func (o Options) withDefaults() Options {
 }
 
 // controller returns the run's UoT controller, sized from the options (after
-// withDefaults): adaptive at the model prior, or static at UoTBlocks.
+// withDefaults): adaptive at the model prior, or static at UoTBlocks. The
+// adaptive prior prices a spill tier attached to Pool in: the RAM level
+// eviction kicks in at is the M of costmodel.SpillCost.
 func (o Options) controller() *uotctl.Controller {
 	cc := uotctl.Config{Workers: o.Workers, BlockBytes: o.TempBlockBytes, DefaultUoT: o.UoTBlocks}
 	if !o.AdaptiveUoT {
 		return uotctl.NewStatic(cc)
 	}
-	if o.SpillDir != "" {
-		// Let the prior price the slow tier in: the RAM level eviction kicks
-		// in at is the M of costmodel.SpillCost.
-		if cc.SpillBudget = o.SpillThreshold; cc.SpillBudget <= 0 {
-			cc.SpillBudget = o.MemoryBudget
-		}
+	if o.Pool != nil {
+		cc.SpillBudget = o.Pool.EvictionThreshold()
 	}
 	return uotctl.New(cc)
 }
@@ -164,55 +151,28 @@ type Result struct {
 	Run   *stats.Run
 }
 
-// ErrSpillWithSharedPool is returned by Execute when Options sets both
-// SpillDir and SharedPool: a shared pool's spill tier belongs to its owner,
-// so a per-execution directory could only be silently ignored.
-var ErrSpillWithSharedPool = errors.New("engine: SpillDir cannot be combined with SharedPool (the pool's owner configures its spill tier)")
-
 // Execute runs a built plan and returns the collected result.
 func Execute(b *Builder, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if b.collect == nil {
 		return nil, fmt.Errorf("engine: plan has no Collect sink")
 	}
-	spillOn := opts.SpillDir != ""
-	if spillOn && opts.SharedPool != nil {
-		return nil, ErrSpillWithSharedPool
-	}
 	run := stats.NewRun()
-	serving := opts.Exec != nil || opts.SharedPool != nil
 	var pool *storage.Pool
-	if opts.SharedPool != nil {
-		pool = opts.SharedPool.Subpool(&run.Intermediates, run.AddCheckout)
+	if opts.Pool != nil {
+		pool = opts.Pool.Subpool(&run.Intermediates, run.AddCheckout)
 	} else {
 		pool = storage.NewPool(&run.Intermediates, run.AddCheckout)
 	}
-	if spillOn {
-		scfg := storage.SpillConfig{Dir: opts.SpillDir, Threshold: opts.SpillThreshold}
-		if scfg.Threshold <= 0 {
-			scfg.Threshold = opts.MemoryBudget
-		}
-		if inj := opts.Faults; inj != nil {
-			scfg.WriteFault = func() error { return inj.At(faults.SpillWrite) }
-			scfg.ReadFault = func() error { return inj.At(faults.SpillRead) }
-		}
-		if err := pool.EnableSpill(scfg); err != nil {
-			return nil, err
-		}
+	query := -1
+	if opts.QueryID > 0 {
+		query = opts.QueryID
+		run.SetQuery(query, opts.TraceLabel)
 	}
-	// After the last early return: a hit pins its cache entry until
-	// rs.finalize, which only the path through core.Run reaches.
+	traceRun := opts.Trace.OpenRun(opts.TraceLabel, query)
+	// A hit pins its cache entry until rs.finalize, which every path below
+	// reaches.
 	rs := prepareReuse(b, opts)
-	var traceRun int32
-	if serving {
-		// Concurrent executions each record into their own trace section;
-		// the sequential path keeps the current-section behavior so shared
-		// tracers (the FIG2 sweep) see sections in execution order.
-		run.SetQuery(opts.QueryID, opts.TraceLabel)
-		traceRun = opts.Trace.OpenRun(opts.TraceLabel, opts.QueryID)
-	} else {
-		opts.Trace.StartRun(opts.TraceLabel)
-	}
 	if rs != nil && rs.hit {
 		opts.Trace.MarkIn(traceRun, trace.MarkReuseHit,
 			trace.Event{Rows: rs.splicedOps, RowsOut: rs.hitBytes})
@@ -242,35 +202,17 @@ func Execute(b *Builder, opts Options) (*Result, error) {
 	if opts.Faults != nil {
 		run.AddFaults(opts.Faults.Injected())
 	}
-	if spillOn {
-		// The tier's own counters are the single source of truth; copy them
-		// into the run once, then tear the tier down (extent files and the
-		// per-run directory go with it, on failure paths too).
-		sc := pool.SpillCounters()
-		run.SetSpill(stats.Spill{
-			BlocksOut: sc.BlocksOut, BytesOut: sc.BytesOut,
-			BlocksIn: sc.BlocksIn, BytesIn: sc.BytesIn,
-			FaultStallNS: sc.FaultStallNS,
-			WriteFaults:  sc.WriteFaults, ReadFaults: sc.ReadFaults,
-			DiskLive: sc.DiskLive, DiskPeak: sc.DiskPeak,
-		})
-		if cerr := pool.CloseSpill(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
 	if rs != nil {
 		rs.finalize(b, pool, run, opts.Trace, traceRun, err == nil)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if opts.SharedPool != nil {
-		// The result table's blocks leave the shared pool with the client:
-		// stop counting them as live intermediates, globally and per query,
-		// or the serving layer's memory picture grows by every result ever
-		// returned. (Failed runs instead release adopted blocks in cleanup.)
-		pool.Disown(b.collect.Result().AllocBytes())
-	}
+	// The result table's blocks leave the pool with the client: stop counting
+	// them as live intermediates, or a shared pool's memory picture grows by
+	// every result ever returned. (Failed runs instead release adopted blocks
+	// in cleanup.)
+	pool.Disown(b.collect.Result().AllocBytes())
 	return &Result{Table: b.collect.Result(), Run: run}, nil
 }
 

@@ -19,6 +19,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/reuse"
+	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
@@ -264,7 +265,13 @@ func (s *mmSpec) runEncoded(c mmCfg) (string, error) {
 			return "", err
 		}
 		defer os.RemoveAll(dir)
-		opts.SpillDir, opts.SpillThreshold = dir, c.Spill
+		// The tier belongs to whoever owns the pool: here, this harness.
+		pool := storage.NewPool(new(stats.MemGauge), nil)
+		if err := pool.EnableSpill(storage.SpillConfig{Dir: dir, Threshold: c.Spill}); err != nil {
+			return "", err
+		}
+		defer pool.CloseSpill()
+		opts.Pool = pool
 	}
 	if c.Reuse {
 		// Cold fill, then report the warm run: the result the cache serves is

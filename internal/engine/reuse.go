@@ -33,9 +33,9 @@ type prunedOp struct {
 	name string
 }
 
-func (o *prunedOp) Name() string                      { return o.name }
-func (o *prunedOp) NumInputs() int                    { return 0 }
-func (o *prunedOp) ScalarValue() (types.Datum, bool)  { return types.NewInt64(0), true }
+func (o *prunedOp) Name() string                     { return o.name }
+func (o *prunedOp) NumInputs() int                   { return 0 }
+func (o *prunedOp) ScalarValue() (types.Datum, bool) { return types.NewInt64(0), true }
 
 // outSchemer is the operator output-schema hook (Select/Probe/Agg/Sort).
 type outSchemer interface{ OutSchema() *storage.Schema }
@@ -305,8 +305,7 @@ func (rs *reuseState) finalize(b *Builder, pool *storage.Pool, run *stats.Run, t
 		if rs.rootOK {
 			// The root result is captured for free: the cache shares the
 			// client's result table (both sides treat result blocks as
-			// immutable, and the engine already disowns them from any
-			// shared pool).
+			// immutable, and the engine disowns them from its pool).
 			res := b.collect.Result()
 			if admit(rs.rootFP, res, rs.rootDeps, rs.rootOps) {
 				u.Captured++

@@ -6,8 +6,8 @@
 package engine_test
 
 import (
-	"os"
-	"path/filepath"
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/engine"
@@ -191,11 +191,11 @@ func TestReuseDisabledByDefault(t *testing.T) {
 	}
 }
 
-// TestReuseHitWithUnusableSpillDirReleasesPins pins the order of Execute's
-// set-up: a warm plan whose spill tier cannot come up must fail without
-// leaving its cache entry pinned (an entry pinned forever can never be
-// evicted, and Close reports the leak).
-func TestReuseHitWithUnusableSpillDirReleasesPins(t *testing.T) {
+// TestReuseHitOnFailedRunReleasesPins: a warm plan whose run fails after the
+// reuse probe spliced a cached entry in must not leave that entry pinned (an
+// entry pinned forever can never be evicted, and Close reports the leak), and
+// the entry keeps serving later runs.
+func TestReuseHitOnFailedRunReleasesPins(t *testing.T) {
 	tab := reuseBaseTable(10_000)
 	cache := reuse.New(reuse.Config{Budget: 16 << 20})
 	opts := engine.Options{Workers: 1, UoTBlocks: 4, TempBlockBytes: 4 << 10, Reuse: cache}
@@ -203,17 +203,15 @@ func TestReuseHitWithUnusableSpillDirReleasesPins(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	notADir := filepath.Join(t.TempDir(), "file")
-	if err := os.WriteFile(notADir, nil, 0o600); err != nil {
-		t.Fatal(err)
-	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
 	bad := opts
-	bad.SpillDir, bad.SpillThreshold = notADir, 1<<20
-	if _, err := engine.Execute(buildAggPlan(tab, 0), bad); err == nil {
-		t.Fatal("Execute with SpillDir pointing at a regular file succeeded")
+	bad.Context = canceled
+	if _, err := engine.Execute(buildAggPlan(tab, 0), bad); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Execute under a canceled context: err = %v, want context.Canceled", err)
 	}
-	if ctr := cache.Counters(); ctr.Pins != 0 {
-		t.Errorf("%d pins outstanding after the failed run", ctr.Pins)
+	if ctr := cache.Counters(); ctr.Hits == 0 || ctr.Pins != 0 {
+		t.Errorf("failed warm run: hits %d, %d pins outstanding (want a hit and no pins)", ctr.Hits, ctr.Pins)
 	}
 
 	res, err := engine.Execute(buildAggPlan(tab, 0), opts)

@@ -1,37 +1,49 @@
 package engine
 
 import (
-	"errors"
 	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/stats"
 	"repro/internal/storage"
 )
 
-// spillOpts returns execution options with a spill tier whose threshold of 1
-// byte makes every cooled block spill-eligible — the maximal-traffic setting
-// the equivalence and crash tests want.
-func spillOpts(t *testing.T, workers int) Options {
+// spillPool returns a caller-owned root pool whose spill tier has a threshold
+// of 1 byte, making every cooled block spill-eligible — the maximal-traffic
+// setting the equivalence and crash tests want — plus the tier's parent
+// directory. inj, if non-nil, is consulted at the spill_write/spill_read
+// sites. The caller closes the tier, as any pool owner does.
+func spillPool(t *testing.T, inj *faults.Injector) (*storage.Pool, string) {
 	t.Helper()
-	return Options{
-		Workers: workers, UoTBlocks: 2, TempBlockBytes: 4 << 10,
-		SpillDir: t.TempDir(), SpillThreshold: 1,
+	dir := t.TempDir()
+	cfg := storage.SpillConfig{Dir: dir, Threshold: 1}
+	if inj != nil {
+		cfg.WriteFault = func() error { return inj.At(faults.SpillWrite) }
+		cfg.ReadFault = func() error { return inj.At(faults.SpillRead) }
 	}
+	pool := storage.NewPool(new(stats.MemGauge), nil)
+	if err := pool.EnableSpill(cfg); err != nil {
+		t.Fatal(err)
+	}
+	return pool, dir
 }
 
-// assertSpillDirEmpty verifies the per-run spill subdirectory (and with it
-// every extent file, orphaned or not) was removed when Execute returned.
-func assertSpillDirEmpty(t *testing.T, dir string) {
+// closeTier closes the pool's spill tier and verifies the per-tier
+// subdirectory (and with it every extent file, orphaned or not) is gone.
+func closeTier(t *testing.T, pool *storage.Pool, dir string) {
 	t.Helper()
+	if err := pool.CloseSpill(); err != nil {
+		t.Fatalf("CloseSpill: %v", err)
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("reading spill parent dir: %v", err)
 	}
 	if len(entries) != 0 {
-		t.Fatalf("spill files leaked past Execute: %d entries left in %s", len(entries), dir)
+		t.Fatalf("spill files leaked past CloseSpill: %d entries left in %s", len(entries), dir)
 	}
 }
 
@@ -52,12 +64,13 @@ func TestSpillGoldenEquivalence(t *testing.T) {
 	peak := baseRes.Run.Intermediates.High()
 
 	for _, workers := range []int{1, 4} {
-		opts := spillOpts(t, workers)
+		pool, dir := spillPool(t, nil)
+		opts := Options{Workers: workers, UoTBlocks: 2, TempBlockBytes: 4 << 10, Pool: pool}
 		rows, res := mustRows(t, buildJoinAggPlan(fact, dim), opts, "spilled")
 		if !sameRows(base, rows) {
 			t.Fatalf("workers=%d: spilled result differs from in-RAM baseline", workers)
 		}
-		sp := res.Run.Spill()
+		sp := pool.SpillCounters()
 		if sp.BlocksOut == 0 || sp.BlocksIn == 0 {
 			t.Fatalf("workers=%d: no two-way spill traffic (out=%d in=%d); equivalence is vacuous", workers, sp.BlocksOut, sp.BlocksIn)
 		}
@@ -73,7 +86,7 @@ func TestSpillGoldenEquivalence(t *testing.T) {
 		if r := res.Run.Robust(); r.LeakedBlocks != 0 || r.OutstandingRefs != 0 {
 			t.Fatalf("workers=%d: leaks after spilled run: %+v", workers, r)
 		}
-		assertSpillDirEmpty(t, opts.SpillDir)
+		closeTier(t, pool, dir)
 	}
 }
 
@@ -111,15 +124,16 @@ func TestSpillCrashConsistency(t *testing.T) {
 				Rates: map[faults.Site]float64{tc.site: tc.rate},
 				Kinds: []faults.Kind{tc.kind},
 			})
-			opts := spillOpts(t, 2)
-			opts.Faults = inj
-			opts.MaxAttempts = 10
-			opts.RetryBackoff = time.Microsecond
+			pool, dir := spillPool(t, inj)
+			opts := Options{
+				Workers: 2, UoTBlocks: 2, TempBlockBytes: 4 << 10, Pool: pool,
+				Faults: inj, MaxAttempts: 10, RetryBackoff: time.Microsecond,
+			}
 			rows, res := mustRows(t, buildJoinAggPlan(fact, dim), opts, "faulted spill")
 			if !sameRows(base, rows) {
 				t.Fatal("faulted spill run differs from fault-free baseline")
 			}
-			sp := res.Run.Spill()
+			sp := pool.SpillCounters()
 			switch tc.site {
 			case faults.SpillWrite:
 				if sp.WriteFaults == 0 {
@@ -142,7 +156,7 @@ func TestSpillCrashConsistency(t *testing.T) {
 			if r := res.Run.Robust(); r.LeakedBlocks != 0 || r.OutstandingRefs != 0 {
 				t.Fatalf("leaks after faulted spill run: %+v", r)
 			}
-			assertSpillDirEmpty(t, opts.SpillDir)
+			closeTier(t, pool, dir)
 		})
 	}
 }
@@ -159,27 +173,18 @@ func TestSpillPersistentReadFaultFailsCleanly(t *testing.T) {
 		Rates: map[faults.Site]float64{faults.SpillRead: 1},
 		Kinds: []faults.Kind{faults.KindError},
 	})
-	opts := spillOpts(t, 2)
-	opts.Faults = inj
-	_, err := Execute(buildJoinAggPlan(fact, dim), opts)
+	pool, dir := spillPool(t, inj)
+	_, err := Execute(buildJoinAggPlan(fact, dim), Options{
+		Workers: 2, UoTBlocks: 2, TempBlockBytes: 4 << 10, Pool: pool, Faults: inj,
+	})
 	if err == nil {
 		t.Fatal("run succeeded despite rate-1.0 persistent read faults")
 	}
 	if !strings.Contains(err.Error(), "spill fault-in failed") {
 		t.Fatalf("unexpected error: %v", err)
 	}
-	assertSpillDirEmpty(t, opts.SpillDir)
-}
-
-// TestSpillDirWithSharedPoolIsRejected: a shared pool's spill tier belongs to
-// its owner, so a per-execution SpillDir beside it is a configuration error
-// reported before anything is created — not a silently ignored option.
-func TestSpillDirWithSharedPoolIsRejected(t *testing.T) {
-	_, fact, _ := fixture(t, storage.ColumnStore, 4<<10)
-	opts := spillOpts(t, 1)
-	opts.SharedPool = storage.NewPool(nil, nil)
-	if _, err := Execute(buildSelectPlan(fact), opts); !errors.Is(err, ErrSpillWithSharedPool) {
-		t.Fatalf("Execute error = %v, want ErrSpillWithSharedPool", err)
+	if sp := pool.SpillCounters(); sp.DiskLive != 0 || sp.Outstanding != 0 {
+		t.Fatalf("failed run left the tier holding blocks: %+v", sp)
 	}
-	assertSpillDirEmpty(t, opts.SpillDir)
+	closeTier(t, pool, dir)
 }

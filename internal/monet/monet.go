@@ -47,6 +47,6 @@ func Execute(b *engine.Builder, o Options) (*engine.Result, error) {
 		UoTBlocks:      core.UoTTable,
 		TempBlockBytes: o.TempBlockBytes,
 		TempFormat:     storage.ColumnStore,
-		SharedPool:     pool,
+		Pool:           pool,
 	})
 }

@@ -1,3 +1,8 @@
+// Package session is the multi-query serving layer: N concurrent queries
+// share one worker pool and one global temporary-block pool, gated by an
+// admission controller that arbitrates a global memory budget (Section III-C
+// taken cross-query: the scheduler policies that trade memory for pipelining
+// inside one plan generalize to trading memory across plans).
 package session
 
 import (
@@ -179,7 +184,7 @@ type Counters struct {
 // temporary-block pool, and one admission-controlled memory budget.
 type Session struct {
 	cfg    Config
-	pool   *WorkerPool
+	pool   *core.WorkerPool
 	gauge  stats.MemGauge // global live temp bytes across all queries
 	blocks *storage.Pool  // shared root pool; queries run on Subpool views
 	adm    admission
@@ -197,7 +202,7 @@ type Session struct {
 func Open(cfg Config) *Session {
 	cfg = cfg.withDefaults()
 	s := &Session{cfg: cfg}
-	s.pool = NewWorkerPool(cfg.Workers)
+	s.pool = core.NewWorkerPool(cfg.Workers)
 	s.blocks = storage.NewPool(&s.gauge, nil)
 	var diskBudget int64
 	if cfg.SpillDir != "" {
@@ -252,7 +257,7 @@ func (s *Session) Submit(req Request) (*Response, error) {
 		Trace:             s.cfg.Trace,
 		Reuse:             s.reuse,
 		Exec:              s.pool,
-		SharedPool:        s.blocks,
+		Pool:              s.blocks,
 		Priority:          req.Priority,
 	}
 	if opts.Workers <= 0 {

@@ -3,6 +3,7 @@ package session
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/engine"
+	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/uotctl"
@@ -400,5 +402,105 @@ func TestAdaptiveRequestReservesAtThePrior(t *testing.T) {
 	}
 	if e := r.resp.Run.EdgeUoTs()[0]; e.Start != prior {
 		t.Errorf("run started its edge at UoT %d, want the prior %d", e.Start, prior)
+	}
+}
+
+// TestExecuteMatchesSessionSchedule: a single-query execution is the served
+// engine with one tenant. The same plan through engine.Execute at Workers 1
+// and through a session at PerQueryWorkers 1 runs the same work-order
+// sequence, records the same per-edge UoTs and kernel counters, returns the
+// same rows, and leaves no live intermediate bytes on either path.
+func TestExecuteMatchesSessionSchedule(t *testing.T) {
+	fact, dim := serveFixture()
+	direct, err := engine.Execute(joinAggPlan(fact, dim), engine.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Open(Config{PerQueryWorkers: 1})
+	defer s.Close()
+	served, err := s.Submit(Request{Build: func() *engine.Builder { return joinAggPlan(fact, dim) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if tableKey(direct.Table) != tableKey(served.Table) {
+		t.Error("served result differs from engine.Execute's")
+	}
+	opSeq := func(r *stats.Run) []int {
+		var seq []int
+		for _, w := range r.Orders() {
+			seq = append(seq, w.OpID)
+		}
+		return seq
+	}
+	if d, v := opSeq(direct.Run), opSeq(served.Run); !reflect.DeepEqual(d, v) {
+		t.Errorf("work-order operator sequence differs:\n  execute: %v\n  session: %v", d, v)
+	}
+	if d, v := direct.Run.EdgeUoTs(), served.Run.EdgeUoTs(); !reflect.DeepEqual(d, v) {
+		t.Errorf("edge UoTs differ:\n  execute: %+v\n  session: %+v", d, v)
+	}
+	// ScratchHits counts sync.Pool reuse, which the runtime may drop at any
+	// time (always under -race): not a property of the schedule.
+	d, v := direct.Run.Kernels(), served.Run.Kernels()
+	d.ScratchHits, v.ScratchHits = 0, 0
+	if d != v {
+		t.Errorf("kernel counters differ:\n  execute: %+v\n  session: %+v", d, v)
+	}
+	for name, r := range map[string]*stats.Run{"execute": direct.Run, "session": served.Run} {
+		if live := r.Intermediates.Live(); live != 0 {
+			t.Errorf("%s: %d intermediate bytes live after success, want 0", name, live)
+		}
+	}
+}
+
+// TestAdaptiveSpillSessionStartsAtTheSpillPrior: in a session whose pool has
+// a spill tier, an adaptive request's controller and its admission price the
+// tier in, as the pool's owner configured it: every undeclared edge starts at
+// the spill-aware prior, and the reservation is the estimate at that UoT.
+func TestAdaptiveSpillSessionStartsAtTheSpillPrior(t *testing.T) {
+	const blockBytes, threshold = 128 << 10, 8 << 20
+	prior := uotctl.PriorWithSpill(blockBytes, 1, threshold)
+	if ram := uotctl.Prior(blockBytes, 1); ram == prior {
+		t.Fatalf("spill prior %d equals the RAM-only prior: the test cannot tell them apart", prior)
+	}
+	fact, dim := serveFixture()
+	s := Open(Config{Workers: 1, SpillDir: t.TempDir(), SpillThreshold: threshold})
+	defer s.Close()
+
+	gate := make(chan struct{})
+	type result struct {
+		resp *Response
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		resp, err := s.Submit(Request{
+			Build:       func() *engine.Builder { return gatedJoinAggPlan(fact, dim, gate) },
+			AdaptiveUoT: true,
+		})
+		done <- result{resp, err}
+	}()
+	waitFor(t, "admission", func() bool {
+		inflight, _, _ := s.Occupancy()
+		return inflight == 1
+	})
+	_, _, reserved := s.Occupancy()
+	close(gate)
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+
+	if want, _ := EstimateBuilderSplit(joinAggPlan(fact, dim), 1, prior, blockBytes); reserved != want {
+		t.Errorf("reserved %d bytes, want the RAM share at the spill prior %d = %d", reserved, prior, want)
+	}
+	edges := r.resp.Run.EdgeUoTs()
+	if len(edges) != 5 {
+		t.Fatalf("edge records = %d, want 5", len(edges))
+	}
+	for _, e := range edges {
+		if e.Declared == 0 && e.Start != prior {
+			t.Errorf("edge %s->%s started at UoT %d, want the spill prior %d", e.FromName, e.ToName, e.Start, prior)
+		}
 	}
 }

@@ -133,7 +133,6 @@ type Run struct {
 	poolCheckouts int64
 
 	robust   Robustness
-	spill    Spill
 	reuse    Reuse
 	edgeUoTs []EdgeUoT
 
@@ -223,26 +222,10 @@ type Robustness struct {
 	OutstandingRefs int64
 }
 
-// Spill is one run's spill-tier activity: how many temp blocks the disk
-// tier absorbed and returned, the stall cost of the read-through path, the
-// disk high-water mark, and the stall-and-retry demotion counts of the
-// spill_write/spill_read fault sites. Copied once from the tier's own
-// counters at run end (engine.Execute), so there is no double counting with
-// the scheduler's trace marks.
-type Spill struct {
-	BlocksOut, BytesOut int64 // evictions: blocks written to extent files
-	BlocksIn, BytesIn   int64 // fault-ins: blocks read back before delivery
-	FaultStallNS        int64 // wall time deliveries blocked on fault-in
-	WriteFaults         int64 // evictions demoted to stall-and-retry
-	ReadFaults          int64 // fault-in read attempts that were retried
-	DiskLive            int64 // extent bytes still live at snapshot time
-	DiskPeak            int64 // extent-byte high-water mark
-}
-
 // Reuse is one run's result-cache activity: whether a cached entry was
 // spliced into the plan (and what that pruned), and what the run's cold side
 // contributed back (captures admitted or rejected). Copied once from the
-// engine's reuse bookkeeping at run end, like Spill.
+// engine's reuse bookkeeping at run end.
 type Reuse struct {
 	Hit         bool  // a cached result was spliced into the plan
 	SplicedOps  int64 // operators pruned from the plan by hit-splices
@@ -264,20 +247,6 @@ func (r *Run) Reuse() Reuse {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.reuse
-}
-
-// SetSpill records the run's spill-tier snapshot.
-func (r *Run) SetSpill(s Spill) {
-	r.mu.Lock()
-	r.spill = s
-	r.mu.Unlock()
-}
-
-// Spill returns the run's spill-tier snapshot (zero without a spill tier).
-func (r *Run) Spill() Spill {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.spill
 }
 
 // Robust returns a snapshot of the run's robustness counters.

@@ -59,7 +59,7 @@ func TestMemGaugeInvariantProperty(t *testing.T) {
 			if d >= 0 {
 				g.Add(int64(d))
 			} else {
-				g.Sub(int64(-d))
+				g.Sub(-int64(d)) // widen first: -d overflows int16 at -32768
 			}
 			h := g.High()
 			if h < prevHigh || h < g.Live() {

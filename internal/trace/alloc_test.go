@@ -20,24 +20,24 @@ func TestDisabledPathAllocatesNothing(t *testing.T) {
 	ev := Event{Op: 1, Worker: 2, StartNS: 3, EndNS: 4, Rows: 5}
 	assertZeroAllocs(t, "nil.Enabled", func() { _ = tr.Enabled() })
 	assertZeroAllocs(t, "nil.Now", func() { _ = tr.Now() })
-	assertZeroAllocs(t, "nil.Span", func() { tr.Span(ev) })
-	assertZeroAllocs(t, "nil.Edge", func() { tr.Edge(ev, 1) })
-	assertZeroAllocs(t, "nil.Mark", func() { tr.Mark(MarkRetry, ev) })
-	assertZeroAllocs(t, "nil.StartRun", func() { tr.StartRun("x") })
-	assertZeroAllocs(t, "nil.EndRun", func() { tr.EndRun(false) })
+	assertZeroAllocs(t, "nil.SpanIn", func() { tr.SpanIn(1, ev) })
+	assertZeroAllocs(t, "nil.EdgeIn", func() { tr.EdgeIn(1, ev, 1) })
+	assertZeroAllocs(t, "nil.MarkIn", func() { tr.MarkIn(1, MarkRetry, ev) })
+	assertZeroAllocs(t, "nil.OpenRun", func() { _ = tr.OpenRun("x", -1) })
+	assertZeroAllocs(t, "nil.EndRunIn", func() { tr.EndRunIn(1, false) })
 	assertZeroAllocs(t, "nil.Snapshot", func() { _ = tr.Snapshot() })
 }
 
 func TestEnabledRecordingAllocatesNothing(t *testing.T) {
 	tr := New(1 << 10)
-	tr.StartRun("alloc")
-	tr.RegisterOp(0, "op")
-	tr.RegisterEdge(0, EdgeInfo{FromName: "a", ToName: "b", Pipelined: true, UoT: 2})
+	h := tr.OpenRun("alloc", -1)
+	tr.RegisterOpIn(h, 0, "op")
+	tr.RegisterEdgeIn(h, 0, EdgeInfo{FromName: "a", ToName: "b", Pipelined: true, UoT: 2})
 	ev := Event{Op: 0, Worker: 1, EnqueueNS: 1, StartNS: 2, EndNS: 3, Rows: 4, RowsOut: 4, Batch: -1}
 	ee := Event{Edge: 0, Buffered: 1, UoT: 2, StartNS: 5, QueueDepth: 1, PoolBytes: 4096}
-	assertZeroAllocs(t, "Span", func() { tr.Span(ev) })
-	assertZeroAllocs(t, "Edge", func() { tr.Edge(ee, 2) })
-	assertZeroAllocs(t, "Mark", func() { tr.Mark(MarkRetry, ev) })
+	assertZeroAllocs(t, "SpanIn", func() { tr.SpanIn(h, ev) })
+	assertZeroAllocs(t, "EdgeIn", func() { tr.EdgeIn(h, ee, 2) })
+	assertZeroAllocs(t, "MarkIn", func() { tr.MarkIn(h, MarkRetry, ev) })
 	assertZeroAllocs(t, "Now", func() { _ = tr.Now() })
 }
 
@@ -51,7 +51,7 @@ func BenchmarkDisabledSpan(b *testing.B) {
 		if tr.Enabled() {
 			ev.EnqueueNS = tr.Now()
 		}
-		tr.Span(ev)
+		tr.SpanIn(1, ev)
 	}
 }
 
@@ -59,11 +59,11 @@ func BenchmarkDisabledSpan(b *testing.B) {
 // update + ring copy).
 func BenchmarkEnabledSpan(b *testing.B) {
 	tr := New(1 << 12)
-	tr.StartRun("bench")
-	tr.RegisterOp(0, "op")
+	h := tr.OpenRun("bench", -1)
+	tr.RegisterOpIn(h, 0, "op")
 	ev := Event{Op: 0, Worker: 1, StartNS: 2, EndNS: 3, Rows: 4, Batch: -1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Span(ev)
+		tr.SpanIn(h, ev)
 	}
 }

@@ -25,27 +25,27 @@ func readFile(t *testing.T, path string) string {
 func fixture() *Tracer {
 	tr := New(256)
 
-	tr.StartRun("uot=2")
-	tr.SetWorkers(2)
-	tr.RegisterOp(0, "select(lineitem)")
-	tr.RegisterOp(1, "probe(orders)")
-	tr.RegisterEdge(0, EdgeInfo{From: 0, To: 1, FromName: "select(lineitem)", ToName: "probe(orders)", Input: 0, Pipelined: true, UoT: 2})
-	tr.Span(Event{Op: 0, Worker: 0, Attempt: 1, Batch: -1, EnqueueNS: 0, StartNS: 100, EndNS: 200, Rows: 10, RowsOut: 8})
-	tr.Edge(Event{Edge: 0, Buffered: 0, UoT: 2, StartNS: 210, QueueDepth: 1, StallNS: 50, PoolBytes: 4096}, 2)
-	tr.Span(Event{Op: 1, Worker: 1, Attempt: 1, Batch: 0, EnqueueNS: 210, StartNS: 220, EndNS: 320, Rows: 8, RowsOut: 8})
-	tr.Span(Event{Op: 0, Worker: 0, Attempt: 1, Batch: -1, StartNS: 250, EndNS: 330, Rows: 10, RowsOut: 9})
-	tr.Mark(MarkRetry, Event{Op: 1, Attempt: 1, StartNS: 340})
-	tr.EndRun(false)
+	h := tr.OpenRun("uot=2", -1)
+	tr.SetWorkersIn(h, 2)
+	tr.RegisterOpIn(h, 0, "select(lineitem)")
+	tr.RegisterOpIn(h, 1, "probe(orders)")
+	tr.RegisterEdgeIn(h, 0, EdgeInfo{From: 0, To: 1, FromName: "select(lineitem)", ToName: "probe(orders)", Input: 0, Pipelined: true, UoT: 2})
+	tr.SpanIn(h, Event{Op: 0, Worker: 0, Attempt: 1, Batch: -1, EnqueueNS: 0, StartNS: 100, EndNS: 200, Rows: 10, RowsOut: 8})
+	tr.EdgeIn(h, Event{Edge: 0, Buffered: 0, UoT: 2, StartNS: 210, QueueDepth: 1, StallNS: 50, PoolBytes: 4096}, 2)
+	tr.SpanIn(h, Event{Op: 1, Worker: 1, Attempt: 1, Batch: 0, EnqueueNS: 210, StartNS: 220, EndNS: 320, Rows: 8, RowsOut: 8})
+	tr.SpanIn(h, Event{Op: 0, Worker: 0, Attempt: 1, Batch: -1, StartNS: 250, EndNS: 330, Rows: 10, RowsOut: 9})
+	tr.MarkIn(h, MarkRetry, Event{Op: 1, Attempt: 1, StartNS: 340})
+	tr.EndRunIn(h, false)
 
-	tr.StartRun("uot=table")
-	tr.SetWorkers(2)
-	tr.RegisterOp(0, "select(lineitem)")
-	tr.RegisterOp(1, "probe(orders)")
-	tr.RegisterEdge(0, EdgeInfo{From: 0, To: 1, FromName: "select(lineitem)", ToName: "probe(orders)", Input: 0, Pipelined: true, UoT: 1 << 60})
-	tr.Span(Event{Op: 0, Worker: 0, Attempt: 1, Batch: -1, StartNS: 100, EndNS: 400, Rows: 20, RowsOut: 17})
-	tr.Edge(Event{Edge: 0, Buffered: 0, UoT: 1 << 60, StartNS: 410, StallNS: 300}, 17)
-	tr.Span(Event{Op: 1, Worker: 1, Attempt: 1, Batch: 0, StartNS: 420, EndNS: 600, Rows: 17, RowsOut: 17})
-	tr.EndRun(false)
+	h = tr.OpenRun("uot=table", -1)
+	tr.SetWorkersIn(h, 2)
+	tr.RegisterOpIn(h, 0, "select(lineitem)")
+	tr.RegisterOpIn(h, 1, "probe(orders)")
+	tr.RegisterEdgeIn(h, 0, EdgeInfo{From: 0, To: 1, FromName: "select(lineitem)", ToName: "probe(orders)", Input: 0, Pipelined: true, UoT: 1 << 60})
+	tr.SpanIn(h, Event{Op: 0, Worker: 0, Attempt: 1, Batch: -1, StartNS: 100, EndNS: 400, Rows: 20, RowsOut: 17})
+	tr.EdgeIn(h, Event{Edge: 0, Buffered: 0, UoT: 1 << 60, StartNS: 410, StallNS: 300}, 17)
+	tr.SpanIn(h, Event{Op: 1, Worker: 1, Attempt: 1, Batch: 0, StartNS: 420, EndNS: 600, Rows: 17, RowsOut: 17})
+	tr.EndRunIn(h, false)
 	return tr
 }
 
@@ -174,10 +174,10 @@ func TestWriteChromeFileRoundTrip(t *testing.T) {
 
 func TestDroppedInstantEmitted(t *testing.T) {
 	tr := New(2)
-	tr.StartRun("tiny")
-	tr.RegisterOp(0, "op")
+	h := tr.OpenRun("tiny", -1)
+	tr.RegisterOpIn(h, 0, "op")
 	for i := 0; i < 10; i++ {
-		tr.Span(Event{Op: 0, StartNS: int64(i), EndNS: int64(i + 1)})
+		tr.SpanIn(h, Event{Op: 0, StartNS: int64(i), EndNS: int64(i + 1)})
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -255,17 +255,17 @@ func TestPromEscape(t *testing.T) {
 // of the kernel counters.
 func kernelFixture() *Tracer {
 	tr := New(64)
-	tr.StartRun("q")
+	h := tr.OpenRun("q", -1)
 	for id, name := range []string{"build(orders)", "agg(lineitem)", "sort", "exchange"} {
-		tr.RegisterOp(id, name)
+		tr.RegisterOpIn(h, id, name)
 	}
-	tr.RegisterEdge(0, EdgeInfo{From: 1, To: 2, FromName: "agg(lineitem)", ToName: "sort", Pipelined: true, UoT: 1})
-	tr.Span(Event{Op: 0, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{ShardLocks: 3, BatchedRows: 100}})
-	tr.Span(Event{Op: 1, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{AggFastRows: 40, AggPartials: 2}})
-	tr.Span(Event{Op: 1, StartNS: 2, EndNS: 3, Flags: FlagFailed})
-	tr.Span(Event{Op: 2, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{SortRuns: 4, TopKPruned: 9}})
-	tr.Span(Event{Op: 3, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{ExchangeRows: 50, PartitionSkew: 1}})
-	tr.EndRun(false)
+	tr.RegisterEdgeIn(h, 0, EdgeInfo{From: 1, To: 2, FromName: "agg(lineitem)", ToName: "sort", Pipelined: true, UoT: 1})
+	tr.SpanIn(h, Event{Op: 0, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{ShardLocks: 3, BatchedRows: 100}})
+	tr.SpanIn(h, Event{Op: 1, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{AggFastRows: 40, AggPartials: 2}})
+	tr.SpanIn(h, Event{Op: 1, StartNS: 2, EndNS: 3, Flags: FlagFailed})
+	tr.SpanIn(h, Event{Op: 2, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{SortRuns: 4, TopKPruned: 9}})
+	tr.SpanIn(h, Event{Op: 3, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{ExchangeRows: 50, PartitionSkew: 1}})
+	tr.EndRunIn(h, false)
 	return tr
 }
 

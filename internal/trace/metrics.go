@@ -23,12 +23,12 @@ type Metrics struct {
 // RunMetrics aggregates one traced section.
 type RunMetrics struct {
 	Run int `json:"run"`
-	// Query is the section's query-id span label (-1 when it has none; set
-	// by Tracer.OpenRun for concurrent serving sections).
+	// Query is the section's query-id span label (-1 when it has none), as
+	// passed to Tracer.OpenRun.
 	Query   int    `json:"query,omitempty"`
 	Label   string `json:"label,omitempty"`
 	Workers int    `json:"workers,omitempty"`
-	// WallNS is the section's duration (0 if EndRun was not called).
+	// WallNS is the section's duration (0 if EndRunIn was not called).
 	WallNS int64         `json:"wall_ns"`
 	Failed bool          `json:"failed,omitempty"`
 	Ops    []OpMetrics   `json:"ops"`
@@ -221,7 +221,7 @@ func (m Metrics) WritePrometheus(w io.Writer) error {
 			add(`dir="hit"`, run.ReuseHitBytes)
 			add(`dir="evicted"`, run.ReuseEvictedBytes)
 		})
-	emit("uot_reuse_evictions_total", "Reuse-cache entries evicted or cooled out of RAM.", "counter",
+	emit("uot_reuse_evictions_total", "Reuse-cache entries evicted.", "counter",
 		func(run RunMetrics, add func(string, int64)) {
 			add(`kind="evict"`, run.ReuseEvictions)
 		})

@@ -188,7 +188,6 @@ type Tracer struct {
 	n       int // events currently stored
 	dropped int64
 	runs    []*runMeta
-	cur     *runMeta
 }
 
 // DefaultCapacity is the ring size used when New is given capacity <= 0.
@@ -222,71 +221,35 @@ func (t *Tracer) Since(at time.Time) int64 {
 	return int64(at.Sub(t.base))
 }
 
-// StartRun begins a new trace section (one engine execution) and makes it
-// the tracer's *current* section: events recorded through the sectionless
-// methods (Span, Edge, Mark, ...) carry its run id; exports group by
-// section, so one tracer can hold several executions side by side (the
-// FIG2 sweep records one section per UoT value).
-func (t *Tracer) StartRun(label string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.startRunLocked(label)
-	t.mu.Unlock()
-}
-
-func (t *Tracer) startRunLocked(label string) *runMeta {
-	r := &runMeta{pid: int32(len(t.runs)), query: -1, label: label, beginNS: int64(time.Since(t.base))}
-	t.runs = append(t.runs, r)
-	t.cur = r
-	return r
-}
-
-// OpenRun begins a new trace section without making it current, returning a
-// section handle for the *In recording variants. Concurrent executions (the
-// serving layer) each open their own section and record into it explicitly,
-// so interleaved queries never corrupt each other's aggregates — the
-// single-current-section methods remain for sequential use. query is the
+// OpenRun begins a new trace section (one execution) and returns its handle
+// for the *In recording methods. Every execution records into a section it
+// opened, so concurrent executions sharing one tracer never corrupt each
+// other's aggregates, and sequential ones appear side by side in execution
+// order (the FIG2 sweep records one section per UoT value). query is the
 // section's query-id span label (use -1 for none); every event recorded into
-// the section carries it in Event.Query. Handle 0 is reserved for "the
-// current section", so the sectionless methods are exactly the *In methods
-// with handle 0.
+// the section carries it in Event.Query. The zero handle names no section:
+// recording into it is a no-op.
 func (t *Tracer) OpenRun(label string, query int) int32 {
 	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cur := t.cur
-	r := t.startRunLocked(label)
-	r.query = int32(query)
-	t.cur = cur // OpenRun does not steal the current section
+	r := &runMeta{pid: int32(len(t.runs)), query: int32(query), label: label, beginNS: int64(time.Since(t.base))}
+	t.runs = append(t.runs, r)
 	return r.pid + 1
 }
 
-// section resolves a handle under t.mu: 0 is the current section (possibly
-// nil), a positive handle an OpenRun section.
+// section resolves a handle under t.mu; nil for the zero or an unknown
+// handle.
 func (t *Tracer) section(h int32) *runMeta {
 	if h > 0 && int(h) <= len(t.runs) {
 		return t.runs[h-1]
 	}
-	return t.cur
+	return nil
 }
 
-// sectionOrOpen is section, auto-opening an unlabeled current section for
-// registration calls that may arrive before any StartRun.
-func (t *Tracer) sectionOrOpen(h int32) *runMeta {
-	if r := t.section(h); r != nil {
-		return r
-	}
-	return t.startRunLocked("")
-}
-
-// EndRun stamps the current section finished; failed marks an errored run.
-func (t *Tracer) EndRun(failed bool) { t.EndRunIn(0, failed) }
-
-// EndRunIn stamps section h finished.
+// EndRunIn stamps section h finished; failed marks an errored run.
 func (t *Tracer) EndRunIn(h int32, failed bool) {
 	if t == nil {
 		return
@@ -304,23 +267,17 @@ func (t *Tracer) EndRunIn(h int32, failed bool) {
 	t.MarkIn(h, MarkRunEnd, e)
 }
 
-// SetWorkers records the current section's worker count (thread naming in
-// exports).
-func (t *Tracer) SetWorkers(n int) { t.SetWorkersIn(0, n) }
-
-// SetWorkersIn records section h's worker count.
+// SetWorkersIn records section h's worker count (thread naming in exports).
 func (t *Tracer) SetWorkersIn(h int32, n int) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.sectionOrOpen(h).workers = n
+	if r := t.section(h); r != nil {
+		r.workers = n
+	}
 	t.mu.Unlock()
 }
-
-// RegisterOp names operator id within the current section (auto-opened if
-// StartRun was not called).
-func (t *Tracer) RegisterOp(id int, name string) { t.RegisterOpIn(0, id, name) }
 
 // RegisterOpIn names operator id within section h.
 func (t *Tracer) RegisterOpIn(h int32, id int, name string) {
@@ -328,18 +285,18 @@ func (t *Tracer) RegisterOpIn(h int32, id int, name string) {
 		return
 	}
 	t.mu.Lock()
-	r := t.sectionOrOpen(h)
+	defer t.mu.Unlock()
+	r := t.section(h)
+	if r == nil {
+		return
+	}
 	for len(r.ops) <= id {
 		r.ops = append(r.ops, "")
 		r.opAggs = append(r.opAggs, OpMetrics{Op: len(r.opAggs)})
 	}
 	r.ops[id] = name
 	r.opAggs[id].Name = name
-	t.mu.Unlock()
 }
-
-// RegisterEdge describes edge id within the current section.
-func (t *Tracer) RegisterEdge(id int, info EdgeInfo) { t.RegisterEdgeIn(0, id, info) }
 
 // RegisterEdgeIn describes edge id within section h.
 func (t *Tracer) RegisterEdgeIn(h int32, id int, info EdgeInfo) {
@@ -347,7 +304,11 @@ func (t *Tracer) RegisterEdgeIn(h int32, id int, info EdgeInfo) {
 		return
 	}
 	t.mu.Lock()
-	r := t.sectionOrOpen(h)
+	defer t.mu.Unlock()
+	r := t.section(h)
+	if r == nil {
+		return
+	}
 	for len(r.edges) <= id {
 		r.edges = append(r.edges, EdgeInfo{})
 		r.edgeAgg = append(r.edgeAgg, EdgeMetrics{Edge: len(r.edgeAgg)})
@@ -355,14 +316,10 @@ func (t *Tracer) RegisterEdgeIn(h int32, id int, info EdgeInfo) {
 	r.edges[id] = info
 	a := &r.edgeAgg[id]
 	a.From, a.To, a.Input, a.Pipelined, a.UoT = info.FromName, info.ToName, info.Input, info.Pipelined, int64(info.UoT)
-	t.mu.Unlock()
 }
 
-// Span records one completed work-order attempt into the current section.
-// Kind, Run, Query, and Edge are set by the tracer.
-func (t *Tracer) Span(e Event) { t.SpanIn(0, e) }
-
-// SpanIn records one completed work-order attempt into section h.
+// SpanIn records one completed work-order attempt into section h. Kind, Run,
+// Query, and Edge are set by the tracer.
 func (t *Tracer) SpanIn(h int32, e Event) {
 	if t == nil {
 		return
@@ -370,8 +327,12 @@ func (t *Tracer) SpanIn(h int32, e Event) {
 	e.Kind = KindSpan
 	e.Edge = -1
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	r := t.section(h)
-	if r != nil && int(e.Op) < len(r.opAggs) {
+	if r == nil {
+		return
+	}
+	if int(e.Op) < len(r.opAggs) {
 		a := &r.opAggs[e.Op]
 		a.Spans++
 		a.BusyNS += e.EndNS - e.StartNS
@@ -390,23 +351,23 @@ func (t *Tracer) SpanIn(h int32, e Event) {
 		}
 	}
 	t.recordLocked(r, e)
-	t.mu.Unlock()
 }
 
-// Edge records a per-edge gauge sample into the current section; delivered
-// is how many blocks this transition handed to the consumer (0 for a pure
-// buffering sample, in which case no batch is counted).
-func (t *Tracer) Edge(e Event, delivered int) { t.EdgeIn(0, e, delivered) }
-
-// EdgeIn records a per-edge gauge sample into section h.
+// EdgeIn records a per-edge gauge sample into section h; delivered is how
+// many blocks this transition handed to the consumer (0 for a pure buffering
+// sample, in which case no batch is counted).
 func (t *Tracer) EdgeIn(h int32, e Event, delivered int) {
 	if t == nil {
 		return
 	}
 	e.Kind = KindEdge
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	r := t.section(h)
-	if r != nil && int(e.Edge) < len(r.edgeAgg) {
+	if r == nil {
+		return
+	}
+	if int(e.Edge) < len(r.edgeAgg) {
 		a := &r.edgeAgg[e.Edge]
 		a.Samples++
 		if delivered > 0 {
@@ -420,11 +381,7 @@ func (t *Tracer) EdgeIn(h int32, e Event, delivered int) {
 		a.UoT = e.UoT
 	}
 	t.recordLocked(r, e)
-	t.mu.Unlock()
 }
-
-// Mark records an instant annotation into the current section.
-func (t *Tracer) Mark(code MarkCode, e Event) { t.MarkIn(0, code, e) }
 
 // MarkIn records an instant annotation into section h.
 func (t *Tracer) MarkIn(h int32, code MarkCode, e Event) {
@@ -434,34 +391,33 @@ func (t *Tracer) MarkIn(h int32, code MarkCode, e Event) {
 	e.Kind = KindMark
 	e.Mark = code
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	r := t.section(h)
-	if r != nil {
-		switch code {
-		case MarkSpill:
-			r.spillBlocksOut += e.Rows
-			r.spillBytesOut += e.RowsOut
-		case MarkSpillFaultIn:
-			r.spillBlocksIn += e.Rows
-			r.spillBytesIn += e.RowsOut
-			r.spillStallNS += e.StallNS
-		case MarkReuseHit:
-			r.reuseHits++
-			r.reuseSplicedOps += e.Rows
-			r.reuseHitBytes += e.RowsOut
-		case MarkReuseEvict:
-			r.reuseEvictions++
-			r.reuseEvictedBytes += e.RowsOut
-		}
+	if r == nil {
+		return
+	}
+	switch code {
+	case MarkSpill:
+		r.spillBlocksOut += e.Rows
+		r.spillBytesOut += e.RowsOut
+	case MarkSpillFaultIn:
+		r.spillBlocksIn += e.Rows
+		r.spillBytesIn += e.RowsOut
+		r.spillStallNS += e.StallNS
+	case MarkReuseHit:
+		r.reuseHits++
+		r.reuseSplicedOps += e.Rows
+		r.reuseHitBytes += e.RowsOut
+	case MarkReuseEvict:
+		r.reuseEvictions++
+		r.reuseEvictedBytes += e.RowsOut
 	}
 	t.recordLocked(r, e)
-	t.mu.Unlock()
 }
 
 func (t *Tracer) recordLocked(r *runMeta, e Event) {
-	if r != nil {
-		e.Run = r.pid
-		e.Query = r.query
-	}
+	e.Run = r.pid
+	e.Query = r.query
 	t.buf[t.next] = e
 	t.next++
 	if t.next == len(t.buf) {

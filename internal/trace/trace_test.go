@@ -21,14 +21,17 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	if got := tr.Since(time.Now()); got != 0 {
 		t.Fatalf("nil Since() = %d, want 0", got)
 	}
-	tr.StartRun("x")
-	tr.EndRun(true)
-	tr.SetWorkers(4)
-	tr.RegisterOp(0, "op")
-	tr.RegisterEdge(0, EdgeInfo{})
-	tr.Span(Event{})
-	tr.Edge(Event{}, 1)
-	tr.Mark(MarkRetry, Event{})
+	h := tr.OpenRun("x", -1)
+	if h != 0 {
+		t.Fatalf("nil OpenRun() = %d, want 0", h)
+	}
+	tr.EndRunIn(h, true)
+	tr.SetWorkersIn(h, 4)
+	tr.RegisterOpIn(h, 0, "op")
+	tr.RegisterEdgeIn(h, 0, EdgeInfo{})
+	tr.SpanIn(h, Event{})
+	tr.EdgeIn(h, Event{}, 1)
+	tr.MarkIn(h, MarkRetry, Event{})
 	if ev := tr.Events(); ev != nil {
 		t.Fatalf("nil Events() = %v, want nil", ev)
 	}
@@ -46,11 +49,11 @@ func TestNilTracerIsNoOp(t *testing.T) {
 
 func TestRegistrationAndOpName(t *testing.T) {
 	tr := New(16)
-	tr.StartRun("first")
-	tr.RegisterOp(0, "select")
-	tr.RegisterOp(2, "probe") // sparse ids must work
-	tr.StartRun("second")
-	tr.RegisterOp(0, "agg")
+	first := tr.OpenRun("first", -1)
+	tr.RegisterOpIn(first, 0, "select")
+	tr.RegisterOpIn(first, 2, "probe") // sparse ids must work
+	second := tr.OpenRun("second", -1)
+	tr.RegisterOpIn(second, 0, "agg")
 	if got := tr.OpName(0, 0); got != "select" {
 		t.Fatalf("OpName(0,0) = %q, want select", got)
 	}
@@ -68,35 +71,30 @@ func TestRegistrationAndOpName(t *testing.T) {
 	}
 }
 
-// TestAutoOpenRun checks RegisterOp/RegisterEdge/SetWorkers open an unlabeled
-// section when StartRun was not called first.
-func TestAutoOpenRun(t *testing.T) {
+// TestZeroHandleRecordsNothing: the zero handle names no section, so
+// recording into it neither opens one nor reaches the ring (core.Run opens a
+// section for a run that brings a tracer but no handle).
+func TestZeroHandleRecordsNothing(t *testing.T) {
 	tr := New(16)
-	tr.RegisterOp(0, "lone")
-	tr.Span(Event{Op: 0, StartNS: 1, EndNS: 2})
-	m := tr.Snapshot()
-	if len(m.Runs) != 1 {
-		t.Fatalf("got %d runs, want 1 auto-opened", len(m.Runs))
-	}
-	if m.Runs[0].Label != "" {
-		t.Fatalf("auto-opened run has label %q", m.Runs[0].Label)
-	}
-	if len(m.Runs[0].Ops) != 1 || m.Runs[0].Ops[0].Spans != 1 {
-		t.Fatalf("auto-opened run aggregates = %+v", m.Runs[0].Ops)
+	tr.RegisterOpIn(0, 0, "lone")
+	tr.SpanIn(0, Event{Op: 0, StartNS: 1, EndNS: 2})
+	tr.MarkIn(0, MarkRetry, Event{})
+	if m := tr.Snapshot(); len(m.Runs) != 0 || m.CapturedEvents != 0 {
+		t.Fatalf("zero handle recorded: %+v", m)
 	}
 }
 
 func TestSpanAggregates(t *testing.T) {
 	tr := New(64)
-	tr.StartRun("q")
-	tr.RegisterOp(0, "select")
-	tr.RegisterOp(1, "probe")
+	h := tr.OpenRun("q", -1)
+	tr.RegisterOpIn(h, 0, "select")
+	tr.RegisterOpIn(h, 1, "probe")
 
 	// Two successful attempts and one failed+retried attempt on op 0.
-	tr.Span(Event{Op: 0, Worker: 0, Attempt: 1, Batch: -1, EnqueueNS: 10, StartNS: 100, EndNS: 300, Rows: 5, RowsOut: 3})
-	tr.Span(Event{Op: 0, Worker: 1, Attempt: 1, Batch: 0, EnqueueNS: 50, StartNS: 60, EndNS: 90, Rows: 7, RowsOut: 7, Kernel: stats.Kernel{ScratchHits: 1}})
-	tr.Span(Event{Op: 0, Worker: 0, Attempt: 1, Batch: -1, Flags: FlagFailed | FlagRetried, StartNS: 400, EndNS: 450, Rows: 99, RowsOut: 99})
-	tr.EndRun(false)
+	tr.SpanIn(h, Event{Op: 0, Worker: 0, Attempt: 1, Batch: -1, EnqueueNS: 10, StartNS: 100, EndNS: 300, Rows: 5, RowsOut: 3})
+	tr.SpanIn(h, Event{Op: 0, Worker: 1, Attempt: 1, Batch: 0, EnqueueNS: 50, StartNS: 60, EndNS: 90, Rows: 7, RowsOut: 7, Kernel: stats.Kernel{ScratchHits: 1}})
+	tr.SpanIn(h, Event{Op: 0, Worker: 0, Attempt: 1, Batch: -1, Flags: FlagFailed | FlagRetried, StartNS: 400, EndNS: 450, Rows: 99, RowsOut: 99})
+	tr.EndRunIn(h, false)
 
 	m := tr.Snapshot()
 	if len(m.Runs) != 1 {
@@ -127,7 +125,7 @@ func TestSpanAggregates(t *testing.T) {
 		t.Fatalf("probe spans = %d, want 0", ops[1].Spans)
 	}
 	if m.Runs[0].WallNS <= 0 {
-		t.Fatalf("wallNS = %d, want > 0 after EndRun", m.Runs[0].WallNS)
+		t.Fatalf("wallNS = %d, want > 0 after EndRunIn", m.Runs[0].WallNS)
 	}
 
 	// The recorded span events carry the forced Kind/Edge.
@@ -140,13 +138,13 @@ func TestSpanAggregates(t *testing.T) {
 
 func TestEdgeAggregates(t *testing.T) {
 	tr := New(64)
-	tr.StartRun("q")
-	tr.RegisterEdge(0, EdgeInfo{From: 0, To: 1, FromName: "select", ToName: "probe", Pipelined: true, UoT: 4})
-	tr.RegisterEdge(1, EdgeInfo{From: 1, To: 2, FromName: "probe", ToName: "agg", Pipelined: true, UoT: 4})
+	h := tr.OpenRun("q", -1)
+	tr.RegisterEdgeIn(h, 0, EdgeInfo{From: 0, To: 1, FromName: "select", ToName: "probe", Pipelined: true, UoT: 4})
+	tr.RegisterEdgeIn(h, 1, EdgeInfo{From: 1, To: 2, FromName: "probe", ToName: "agg", Pipelined: true, UoT: 4})
 
-	tr.Edge(Event{Edge: 0, Buffered: 2, UoT: 4, StallNS: 0}, 0)   // buffering sample
-	tr.Edge(Event{Edge: 0, Buffered: 0, UoT: 4, StallNS: 500}, 4) // delivery
-	tr.Edge(Event{Edge: 0, Buffered: 3, UoT: 8, StallNS: 0}, 0)   // raised UoT observed
+	tr.EdgeIn(h, Event{Edge: 0, Buffered: 2, UoT: 4, StallNS: 0}, 0)   // buffering sample
+	tr.EdgeIn(h, Event{Edge: 0, Buffered: 0, UoT: 4, StallNS: 500}, 4) // delivery
+	tr.EdgeIn(h, Event{Edge: 0, Buffered: 3, UoT: 8, StallNS: 0}, 0)   // raised UoT observed
 
 	m := tr.Snapshot()
 	e := m.Runs[0].Edges[0]
@@ -174,11 +172,11 @@ func TestEdgeAggregates(t *testing.T) {
 func TestRingWraparound(t *testing.T) {
 	const cap = 8
 	tr := New(cap)
-	tr.StartRun("wrap")
-	tr.RegisterOp(0, "op")
+	h := tr.OpenRun("wrap", -1)
+	tr.RegisterOpIn(h, 0, "op")
 	const total = 20
 	for i := 0; i < total; i++ {
-		tr.Span(Event{Op: 0, StartNS: int64(i), EndNS: int64(i) + 1, Rows: 1})
+		tr.SpanIn(h, Event{Op: 0, StartNS: int64(i), EndNS: int64(i) + 1, Rows: 1})
 	}
 	ev := tr.Events()
 	if len(ev) != cap {
@@ -206,11 +204,11 @@ func TestRingWraparound(t *testing.T) {
 func TestMultipleRunSections(t *testing.T) {
 	tr := New(64)
 	for i, label := range []string{"uot=2", "uot=16"} {
-		tr.StartRun(label)
-		tr.SetWorkers(2)
-		tr.RegisterOp(0, "select")
-		tr.Span(Event{Op: 0, StartNS: 1, EndNS: 2})
-		tr.EndRun(i == 1) // second run "fails"
+		h := tr.OpenRun(label, -1)
+		tr.SetWorkersIn(h, 2)
+		tr.RegisterOpIn(h, 0, "select")
+		tr.SpanIn(h, Event{Op: 0, StartNS: 1, EndNS: 2})
+		tr.EndRunIn(h, i == 1) // second run "fails"
 	}
 	m := tr.Snapshot()
 	if len(m.Runs) != 2 {
@@ -225,7 +223,7 @@ func TestMultipleRunSections(t *testing.T) {
 	if m.Runs[0].Failed || !m.Runs[1].Failed {
 		t.Fatalf("failed = %v/%v", m.Runs[0].Failed, m.Runs[1].Failed)
 	}
-	// Events recorded in the second section carry run id 1; each EndRun also
+	// Events recorded in the second section carry run id 1; each EndRunIn also
 	// records a MarkRunEnd event in its own section.
 	var runEnds int
 	for _, e := range tr.Events() {
@@ -243,9 +241,9 @@ func TestMultipleRunSections(t *testing.T) {
 
 func TestMarkCodes(t *testing.T) {
 	tr := New(16)
-	tr.StartRun("m")
-	tr.Mark(MarkRetry, Event{Op: 3, Attempt: 2, StartNS: 10})
-	tr.Mark(MarkUoTRaise, Event{Op: 1, StartNS: 20})
+	h := tr.OpenRun("m", -1)
+	tr.MarkIn(h, MarkRetry, Event{Op: 3, Attempt: 2, StartNS: 10})
+	tr.MarkIn(h, MarkUoTRaise, Event{Op: 1, StartNS: 20})
 	ev := tr.Events()
 	if len(ev) != 2 {
 		t.Fatalf("events = %d, want 2", len(ev))
@@ -263,9 +261,9 @@ func TestMarkCodes(t *testing.T) {
 // tracer itself.
 func TestConcurrentRecording(t *testing.T) {
 	tr := New(256)
-	tr.StartRun("conc")
-	tr.RegisterOp(0, "op")
-	tr.RegisterEdge(0, EdgeInfo{FromName: "a", ToName: "b", Pipelined: true, UoT: 2})
+	h := tr.OpenRun("conc", -1)
+	tr.RegisterOpIn(h, 0, "op")
+	tr.RegisterEdgeIn(h, 0, EdgeInfo{FromName: "a", ToName: "b", Pipelined: true, UoT: 2})
 	const workers, perWorker = 8, 200
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -273,10 +271,10 @@ func TestConcurrentRecording(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				tr.Span(Event{Op: 0, Worker: int32(w), StartNS: int64(i), EndNS: int64(i) + 1, Rows: 1})
-				tr.Edge(Event{Edge: 0, Buffered: 1, UoT: 2}, 1)
+				tr.SpanIn(h, Event{Op: 0, Worker: int32(w), StartNS: int64(i), EndNS: int64(i) + 1, Rows: 1})
+				tr.EdgeIn(h, Event{Edge: 0, Buffered: 1, UoT: 2}, 1)
 				if i%50 == 0 {
-					tr.Mark(MarkRetry, Event{Op: 0})
+					tr.MarkIn(h, MarkRetry, Event{Op: 0})
 				}
 			}
 		}(w)

@@ -71,7 +71,9 @@ type (
 	// Node is a handle to a plan operator.
 	Node = engine.Node
 	// Options selects workers (T), the default UoT, temporary block size
-	// and format, and an optional cache simulator.
+	// and format, and an optional cache simulator. A run executes on its
+	// own worker and temp-block pools unless Options.Exec / Options.Pool
+	// hand it shared ones; the pool's owner attaches any spill tier.
 	Options = engine.Options
 	// Result is a finished execution: the result table plus run statistics
 	// (per-work-order timings, memory high-water marks).

@@ -122,7 +122,7 @@ func TestSettableSurfaceIsPinned(t *testing.T) {
 		v    any
 		want int
 	}{
-		{Options{}, 21},
+		{Options{}, 19},
 		{SessionConfig{}, 15},
 		{Request{}, 14},
 		{uotctl.Config{}, 4},
