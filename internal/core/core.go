@@ -184,12 +184,6 @@ type Output struct {
 	// (out.ShardLocks++, out.AggFastRows += n, ...).
 	stats.Kernel
 
-	// partTags maps sealed blocks to the output partition that produced
-	// them (set by partition emitters). Blocks absent from the map are
-	// unpartitioned and routed to every pipelined out-edge; tagged blocks
-	// are routed only to edges carrying their partition.
-	partTags map[*storage.Block]int
-
 	// emitters registers every Emitter the work order created, so Finish
 	// can close them on success or roll their blocks back on failure.
 	emitters []*Emitter
@@ -220,28 +214,10 @@ func (o *Output) Finish(err error) {
 	o.emitters = nil
 	if err != nil {
 		o.Blocks = nil
-		o.partTags = nil
 		o.RowsIn = 0
 		o.RowsOut = 0
 		o.Kernel = stats.Kernel{}
 	}
-}
-
-// TagPartition marks a sealed output block as belonging to partition part,
-// so the scheduler routes it only onto matching partitioned out-edges.
-func (o *Output) TagPartition(b *storage.Block, part int) {
-	if o.partTags == nil {
-		o.partTags = make(map[*storage.Block]int)
-	}
-	o.partTags[b] = part
-}
-
-// PartitionTag returns the partition tag of a block (-1 if untagged).
-func (o *Output) PartitionTag(b *storage.Block) int {
-	if p, ok := o.partTags[b]; ok {
-		return p
-	}
-	return -1
 }
 
 // WorkOrder is one schedulable unit of operator logic applied to specific
@@ -353,30 +329,6 @@ type AdoptingOperator interface {
 	AbandonAdopted() []*storage.Block
 }
 
-// PartitionedOutput is an optional Operator extension for operators that
-// scatter their output across partition-tagged out-edges (the exchange
-// operator). The scheduler drains each partition's pending partial block —
-// pooled under PartOwner(id, p) — when the operator finishes, tagging it so
-// it reaches only that partition's consumers.
-type PartitionedOutput interface {
-	Operator
-	// OutputPartitions returns the partition count P; the operator's
-	// partial blocks are pooled under PartOwner(id, 0..P-1) and its sealed
-	// blocks tagged with partitions 0..P-1.
-	OutputPartitions() int
-}
-
-// MaxPartitions bounds an exchange's fan-out; it sizes the PartOwner key
-// space, far above any cost-model choice (which caps at the worker count).
-const MaxPartitions = 1 << 10
-
-// PartOwner returns the pool owner key for partition part of operator op.
-// Keys are negative, so they can never collide with plain operator IDs
-// (which are non-negative plan indices) pooling unpartitioned partials.
-func PartOwner(op OpID, part int) int {
-	return -1 - int(op)*MaxPartitions - part
-}
-
 // EdgeKind distinguishes data-carrying from ordering-only edges.
 type EdgeKind uint8
 
@@ -398,16 +350,7 @@ type Edge struct {
 	// UoT is the per-edge unit of transfer in blocks; 0 means "use the
 	// run's default", UoTTable means the whole intermediate table.
 	UoT int
-	// part is the edge's partition selector stored as partition+1, so the
-	// zero value keeps plain edges unpartitioned. Set via PipePart, read
-	// via Partition.
-	part int
 }
-
-// Partition returns the edge's partition selector: -1 for an ordinary edge
-// that receives every block, p >= 0 for a partitioned edge that receives
-// only blocks tagged with partition p.
-func (e Edge) Partition() int { return e.part - 1 }
 
 // Plan is a DAG of operators. Operator IDs are indices into Ops.
 type Plan struct {
@@ -430,16 +373,6 @@ func (p *Plan) AddOp(op Operator) OpID {
 // per-edge UoT override (0 = run default).
 func (p *Plan) Pipe(from, to OpID, toInput, uot int) {
 	p.Edges = append(p.Edges, Edge{From: from, To: to, ToInput: toInput, Kind: Pipelined, UoT: uot})
-}
-
-// PipePart adds a partitioned pipelined edge: it behaves like Pipe, but the
-// consumer receives only producer blocks tagged with partition part. Every
-// partitioned edge is UoT-policed independently, so each partition stream is
-// its own operating point on the pipelining/blocking spectrum.
-func (p *Plan) PipePart(from, to OpID, toInput, uot, part int) {
-	p.Edges = append(p.Edges, Edge{
-		From: from, To: to, ToInput: toInput, Kind: Pipelined, UoT: uot, part: part + 1,
-	})
 }
 
 // Block adds a blocking (ordering-only) edge.
@@ -468,7 +401,6 @@ type Emitter struct {
 	ctx     *ExecCtx
 	out     *Output
 	owner   int
-	part    int // output partition tag; -1 for unpartitioned emitters
 	schema  *storage.Schema
 	cur     *storage.Block
 	curBase int // rows already in cur when it was checked out
@@ -486,18 +418,7 @@ type sealedBlock struct {
 // NewEmitter returns an emitter writing blocks of schema for operator owner,
 // registered in out for end-of-attempt finish/rollback.
 func NewEmitter(ctx *ExecCtx, out *Output, owner OpID, schema *storage.Schema) *Emitter {
-	e := &Emitter{ctx: ctx, out: out, owner: int(owner), part: -1, schema: schema}
-	out.emitters = append(out.emitters, e)
-	return e
-}
-
-// NewPartEmitter returns an emitter for one output partition of an exchange:
-// sealed blocks carry the partition tag (routing them only onto matching
-// partitioned edges) and partial blocks pool under PartOwner(owner, part), so
-// concurrent scatter work orders resume each partition's tail block without
-// ever mixing partitions.
-func NewPartEmitter(ctx *ExecCtx, out *Output, owner OpID, part int, schema *storage.Schema) *Emitter {
-	e := &Emitter{ctx: ctx, out: out, owner: PartOwner(owner, part), part: part, schema: schema}
+	e := &Emitter{ctx: ctx, out: out, owner: int(owner), schema: schema}
 	out.emitters = append(out.emitters, e)
 	return e
 }
@@ -536,9 +457,6 @@ func (e *Emitter) seal() {
 	e.sealed = append(e.sealed, sealedBlock{b: b, base: e.curBase})
 	e.cur, e.curBase = nil, 0
 	e.out.Blocks = append(e.out.Blocks, b)
-	if e.part >= 0 {
-		e.out.TagPartition(b, e.part)
-	}
 	if e.ctx.Sim != nil {
 		e.out.Sim += e.ctx.Sim.Produced(b, int64(b.UsedBytes()))
 	}

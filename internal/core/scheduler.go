@@ -731,7 +731,7 @@ func (s *sched) onComplete(r wres) {
 		}
 	}
 	if s.runErr == nil {
-		s.emit(st, r.out.Blocks, r.out.partTags)
+		s.emit(st, r.out.Blocks)
 	} else {
 		// A straggler that completed after the run failed: its output
 		// will never be delivered, so reclaim it here.
@@ -742,48 +742,38 @@ func (s *sched) onComplete(r wres) {
 	s.check(st)
 }
 
-// emit routes blocks produced by st into its outgoing pipelined edges. An
-// untagged block goes to every pipelined edge (the pre-exchange broadcast
-// semantics); a partition-tagged block goes only to edges carrying its
-// partition (plus any unpartitioned edges). A tagged block matching no edge
-// is reclaimed immediately, preserving the zero-leak invariants.
-func (s *sched) emit(st *opState, blocks []*storage.Block, tags map[*storage.Block]int) {
+// emit routes every block produced by st into each of its outgoing pipelined
+// edges.
+func (s *sched) emit(st *opState, blocks []*storage.Block) {
 	if len(blocks) == 0 {
 		return
 	}
-	touched := false
-	evicted := 0
-	var evictedBytes int64
-	for _, b := range blocks {
-		tag := -1
-		if t, ok := tags[b]; ok {
-			tag = t
-		}
-		// Reference count = number of non-adopting pipelined consumers the
-		// block is actually routed to.
-		refs, matched := 0, false
-		for _, es := range st.out {
-			if es.e.Kind != Pipelined || !edgeWants(es.e, tag) {
-				continue
-			}
-			matched = true
+	// Reference count = number of non-adopting pipelined consumers.
+	pipes, refs := 0, 0
+	for _, es := range st.out {
+		if es.e.Kind == Pipelined {
+			pipes++
 			if !s.states[es.e.To].op.AdoptsInputs() {
 				refs++
 			}
 		}
-		if !matched {
-			// No pipelined consumer takes this block — a partition-tagged
-			// block whose partition no edge carries, or output of an operator
-			// with only blocking/gate consumers (e.g. a scalar provider,
-			// whose value travels via ScalarValue, not blocks). Reclaim it.
+	}
+	if pipes == 0 {
+		// Output of an operator with only blocking/gate consumers (e.g. a
+		// scalar provider, whose value travels via ScalarValue, not blocks).
+		for _, b := range blocks {
 			s.release(b)
-			continue
 		}
+		return
+	}
+	evicted := 0
+	var evictedBytes int64
+	for _, b := range blocks {
 		if refs > 0 {
 			s.rc[b] = refs
 		}
 		for _, es := range st.out {
-			if es.e.Kind == Pipelined && edgeWants(es.e, tag) {
+			if es.e.Kind == Pipelined {
 				es.buf = append(es.buf, b)
 			}
 		}
@@ -794,16 +784,12 @@ func (s *sched) emit(st *opState, blocks []*storage.Block, tags map[*storage.Blo
 		eb, ebytes := s.ctx.Pool.Cool(b)
 		evicted += eb
 		evictedBytes += ebytes
-		touched = true
 	}
 	if evicted > 0 {
 		s.ctx.Trace.MarkIn(s.ctx.TraceRun, trace.MarkSpill, trace.Event{
 			Op: int32(st.id), Rows: int64(evicted), RowsOut: evictedBytes,
 			StartNS: s.ctx.Trace.Now(),
 		})
-	}
-	if !touched {
-		return
 	}
 	for _, es := range st.out {
 		if es.e.Kind == Pipelined {
@@ -813,14 +799,6 @@ func (s *sched) emit(st *opState, blocks []*storage.Block, tags map[*storage.Blo
 			}
 		}
 	}
-}
-
-// edgeWants reports whether a pipelined edge accepts a block with the given
-// partition tag (-1 = untagged): unpartitioned edges accept everything,
-// partitioned edges only their own partition. Untagged blocks broadcast.
-func edgeWants(e Edge, tag int) bool {
-	p := e.Partition()
-	return p < 0 || tag < 0 || p == tag
 }
 
 // tryFlush hands buffered blocks to the consumer in UoT-sized groups. When
@@ -1046,25 +1024,9 @@ func (s *sched) finish(st *opState) {
 		}
 	}
 
-	// Partially-filled output blocks are transferred at operator end. A
-	// partitioned producer additionally drains each partition's pending
-	// partial, tagged so it reaches only that partition's consumers.
+	// Partially-filled output blocks are transferred at operator end.
 	if s.runErr == nil {
-		parts := s.ctx.Pool.TakePartials(int(st.id))
-		s.emit(st, parts, nil)
-		if po, ok := st.op.(PartitionedOutput); ok {
-			for p := 0; p < po.OutputPartitions(); p++ {
-				pb := s.ctx.Pool.TakePartials(PartOwner(st.id, p))
-				if len(pb) == 0 {
-					continue
-				}
-				tags := make(map[*storage.Block]int, len(pb))
-				for _, b := range pb {
-					tags[b] = p
-				}
-				s.emit(st, pb, tags)
-			}
-		}
+		s.emit(st, s.ctx.Pool.TakePartials(int(st.id)))
 	}
 
 	st.op.Cleanup(s.ctx)
@@ -1122,13 +1084,6 @@ func (s *sched) cleanup() {
 		}
 		for _, b := range s.ctx.Pool.TakePartials(int(st.id)) {
 			release(b)
-		}
-		if po, ok := st.op.(PartitionedOutput); ok {
-			for p := 0; p < po.OutputPartitions(); p++ {
-				for _, b := range s.ctx.Pool.TakePartials(PartOwner(st.id, p)) {
-					release(b)
-				}
-			}
 		}
 		// Blocks materialized for an emit stage that will never run are in
 		// no refcount, edge, or partial structure — only the operator knows

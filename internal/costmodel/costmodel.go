@@ -129,27 +129,6 @@ func (p Params) LowRegime() Params {
 	return p
 }
 
-// Partitions picks a default exchange fan-out for a partitioned pipeline
-// stage: the smallest power of two that gives every worker thread its own
-// partition (so partition-local clones keep all T workers busy), capped at 64
-// (beyond that, per-partition hash tables get too small to amortize the
-// scatter pass). Tiny inputs short-circuit to 1 — an exchange over a few
-// thousand rows costs more in scatter and per-partition block overhead than
-// shared-table locking ever would.
-func Partitions(rows int64, workers int) int {
-	if rows > 0 && rows < 4096 {
-		return 1
-	}
-	if workers <= 1 {
-		return 1
-	}
-	p := 1
-	for p < workers && p < 64 {
-		p <<= 1
-	}
-	return p
-}
-
 // DefaultStatefulBytes is the admission estimator's default footprint for
 // one stateful operator (hash-table build, aggregation, sort) when nothing
 // better is known. Deliberately conservative for the small-to-medium scale

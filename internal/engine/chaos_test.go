@@ -218,7 +218,6 @@ func preMutationSites(t *testing.T) []sitePlan {
 		{"SortRun/computed", faults.SortRun, orderBy(func(s *storage.Schema) expr.Expr {
 			return expr.SubE(expr.C(s, "v"), expr.MulE(expr.C(s, "k"), expr.Float(0.5)))
 		})},
-		{"Repartition", faults.Repartition, func() *Builder { return buildPartitionedJoinAggPlan(fact, dim, 4) }},
 	}
 }
 

@@ -84,8 +84,7 @@ type Options struct {
 	// Reuse, if non-nil, is the cross-query result cache (see internal/reuse):
 	// before the run, cached subplan results are spliced into the plan in
 	// place of the subtrees that would recompute them; after a successful
-	// run, results the plan materialized anyway are offered back. Partitioned
-	// plans bypass the cache entirely.
+	// run, results the plan materialized anyway are offered back.
 	Reuse *reuse.Cache
 
 	// Exec, if non-nil, runs this query's work orders on a worker pool
@@ -242,11 +241,6 @@ type Node struct {
 	ID     core.OpID
 	Schema *storage.Schema
 	op     core.Operator
-	// srcs, when non-empty, lists the operators that actually produce this
-	// node's output stream — a partitioned subplan ends in one clone per
-	// partition, and a downstream consumer must pipe from all of them. For
-	// ordinary single-operator nodes it is empty and ID is the sole source.
-	srcs []core.OpID
 }
 
 // Builder wires operators into a core.Plan, adding the pipelined and
@@ -254,10 +248,6 @@ type Node struct {
 type Builder struct {
 	plan    *core.Plan
 	collect *exec.CollectOp
-	// parts is the default exchange fan-out used when a Partitioned* helper
-	// is called with parts == 0 (set by SetPartitions; 0 means "let the
-	// helper consult costmodel.Partitions").
-	parts int
 }
 
 // NewBuilder returns an empty plan builder.
@@ -265,20 +255,6 @@ func NewBuilder() *Builder { return &Builder{plan: &core.Plan{}} }
 
 // Plan returns the underlying plan (for custom wiring).
 func (b *Builder) Plan() *core.Plan { return b.plan }
-
-// pipeFrom adds the pipelined edge(s) feeding operator `to` from node `from`:
-// one edge for an ordinary node, one per partition clone for a node produced
-// by a Partitioned* helper (the scheduler already merges multiple pipelined
-// edges into one consumer input).
-func (b *Builder) pipeFrom(from *Node, to core.OpID) {
-	if len(from.srcs) == 0 {
-		b.plan.Pipe(from.ID, to, 0, 0)
-		return
-	}
-	for _, src := range from.srcs {
-		b.plan.Pipe(src, to, 0, 0)
-	}
-}
 
 // Select adds a select operator. If spec.Base is nil, `from` must name the
 // pipelined input node (whose schema becomes spec.InputSchema).
@@ -292,7 +268,7 @@ func (b *Builder) Select(from *Node, spec exec.SelectSpec) *Node {
 	op := exec.NewSelect(spec)
 	id := exec.AddOp(b.plan, op)
 	if spec.Base == nil {
-		b.pipeFrom(from, id)
+		b.plan.Pipe(from.ID, id, 0, 0)
 	}
 	// LIP filters require the referenced builds to complete first.
 	for _, l := range spec.LIPs {
@@ -309,7 +285,7 @@ func (b *Builder) Build(from *Node, spec exec.BuildSpec) (*Node, *exec.BuildHash
 	spec.InputSchema = from.Schema
 	op := exec.NewBuildHash(spec)
 	id := exec.AddOp(b.plan, op)
-	b.pipeFrom(from, id)
+	b.plan.Pipe(from.ID, id, 0, 0)
 	return &Node{ID: id, Schema: from.Schema, op: op}, op
 }
 
@@ -320,7 +296,7 @@ func (b *Builder) Probe(from *Node, build *Node, spec exec.ProbeSpec) *Node {
 	spec.Build = build.op.(*exec.BuildHashOp)
 	op := exec.NewProbe(spec)
 	id := exec.AddOp(b.plan, op)
-	b.pipeFrom(from, id)
+	b.plan.Pipe(from.ID, id, 0, 0)
 	b.plan.Block(build.ID, id)
 	return &Node{ID: id, Schema: op.OutSchema(), op: op}
 }
@@ -330,7 +306,7 @@ func (b *Builder) Agg(from *Node, spec exec.AggOpSpec) *Node {
 	spec.InputSchema = from.Schema
 	op := exec.NewAgg(spec)
 	id := exec.AddOp(b.plan, op)
-	b.pipeFrom(from, id)
+	b.plan.Pipe(from.ID, id, 0, 0)
 	return &Node{ID: id, Schema: op.OutSchema(), op: op}
 }
 
@@ -348,7 +324,7 @@ func (b *Builder) Sort(from *Node, spec exec.SortSpec) *Node {
 	spec.InputSchema = from.Schema
 	op := exec.NewSort(spec)
 	id := exec.AddOp(b.plan, op)
-	b.pipeFrom(from, id)
+	b.plan.Pipe(from.ID, id, 0, 0)
 	return &Node{ID: id, Schema: op.OutSchema(), op: op}
 }
 
@@ -374,7 +350,7 @@ func (b *Builder) Collect(from *Node) *Node {
 	}
 	b.collect = exec.NewCollect(from.Schema, 128<<10, storage.RowStore)
 	id := exec.AddOp(b.plan, b.collect)
-	b.pipeFrom(from, id)
+	b.plan.Pipe(from.ID, id, 0, 0)
 	return &Node{ID: id, Schema: from.Schema, op: b.collect}
 }
 

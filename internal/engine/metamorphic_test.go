@@ -29,10 +29,6 @@ type mmCfg struct {
 	Workers int
 	UoT     int
 	Temp    int
-	// Parts > 1 rebuilds the plan with a partitioned join and aggregation
-	// (exchange + per-partition clones); like the other fields it must not
-	// change results — partitioning is a scheduling choice, not semantics.
-	Parts int
 	// Adaptive attaches the per-edge adaptive UoT controller: mid-run UoT
 	// changes regroup deliveries but must never change results (int64-only
 	// data makes the equality exact).
@@ -53,8 +49,8 @@ func (c mmCfg) String() string {
 	if c.UoT == core.UoTTable {
 		uot = "table"
 	}
-	return fmt.Sprintf("workers=%d uot=%s temp=%d parts=%d adaptive=%v spill=%d reuse=%v",
-		c.Workers, uot, c.Temp, c.Parts, c.Adaptive, c.Spill, c.Reuse)
+	return fmt.Sprintf("workers=%d uot=%s temp=%d adaptive=%v spill=%d reuse=%v",
+		c.Workers, uot, c.Temp, c.Adaptive, c.Spill, c.Reuse)
 }
 
 var mmBase = mmCfg{Workers: 1, UoT: 1, Temp: 16 << 10}
@@ -72,20 +68,18 @@ var mmVariants = []mmCfg{
 	{Workers: 1, UoT: 1, Temp: 128 << 10},
 	{Workers: 7, UoT: core.UoTTable, Temp: 4 << 10},
 	{Workers: 2, UoT: 3, Temp: 128 << 10},
-	{Workers: 1, UoT: 1, Temp: 16 << 10, Parts: 2},
-	{Workers: 7, UoT: 1, Temp: 16 << 10, Parts: 8},
-	{Workers: 4, UoT: 64, Temp: 4 << 10, Parts: 4},
-	{Workers: 7, UoT: core.UoTTable, Temp: 16 << 10, Parts: 2},
+	{Workers: 4, UoT: 64, Temp: 4 << 10},
+	{Workers: 7, UoT: core.UoTTable, Temp: 16 << 10},
 	{Workers: 1, UoT: 1, Temp: 16 << 10, Adaptive: true},
 	{Workers: 7, UoT: 1, Temp: 4 << 10, Adaptive: true},
-	{Workers: 4, UoT: 16, Temp: 16 << 10, Parts: 4, Adaptive: true},
+	{Workers: 4, UoT: 16, Temp: 16 << 10, Adaptive: true},
 	{Workers: 1, UoT: 3, Temp: 16 << 10, Spill: 1},
 	{Workers: 4, UoT: 16, Temp: 4 << 10, Spill: 32 << 10},
-	{Workers: 2, UoT: 8, Temp: 16 << 10, Parts: 2, Spill: 8 << 10},
+	{Workers: 2, UoT: 8, Temp: 16 << 10, Spill: 8 << 10},
 	{Workers: 7, UoT: 64, Temp: 16 << 10, Adaptive: true, Spill: 1},
 	{Workers: 1, UoT: 1, Temp: 16 << 10, Reuse: true},
 	{Workers: 7, UoT: 16, Temp: 4 << 10, Reuse: true},
-	{Workers: 2, UoT: 3, Temp: 16 << 10, Parts: 2, Reuse: true},
+	{Workers: 2, UoT: 3, Temp: 16 << 10, Reuse: true},
 	{Workers: 4, UoT: 64, Temp: 16 << 10, Adaptive: true, Reuse: true},
 }
 
@@ -170,9 +164,8 @@ func genSpec(seed int64) *mmSpec {
 	return s
 }
 
-// build constructs a fresh plan from the spec; parts > 1 uses the
-// partitioned join and aggregation helpers instead of the shared-state ones.
-func (s *mmSpec) build(parts int) *engine.Builder {
+// build constructs a fresh plan from the spec.
+func (s *mmSpec) build() *engine.Builder {
 	b := engine.NewBuilder()
 	fs, ds := s.fact.Schema(), s.dim.Schema()
 
@@ -220,12 +213,8 @@ func (s *mmSpec) build(parts int) *engine.Builder {
 			Name: "mm_probe", KeyCols: []int{0}, JoinType: jt,
 			ProbeProj: []int{0, 1, 2}, BuildProj: buildProj, Rename: rename,
 		}
-		if parts > 1 {
-			aggInput = b.PartitionedHashJoin(selDim, selFact, bspec, pspec, parts)
-		} else {
-			bld, _ := b.Build(selDim, bspec)
-			aggInput = b.Probe(selFact, bld, pspec)
-		}
+		bld, _ := b.Build(selDim, bspec)
+		aggInput = b.Probe(selFact, bld, pspec)
 	}
 
 	var aggSpecs []exec.AggSpec
@@ -242,7 +231,7 @@ func (s *mmSpec) build(parts int) *engine.Builder {
 		GroupByNames: []string{"g"},
 		Aggs:         aggSpecs,
 	}
-	agg := b.PartitionedAgg(aggInput, aggSpec, parts)
+	agg := b.Agg(aggInput, aggSpec)
 	srt := b.Sort(agg, exec.SortSpec{
 		Name:  "mm_sort",
 		Terms: []exec.SortTerm{{Key: expr.C(agg.Schema, "g"), Desc: s.sortDesc}},
@@ -275,15 +264,14 @@ func (s *mmSpec) runEncoded(c mmCfg) (string, error) {
 	}
 	if c.Reuse {
 		// Cold fill, then report the warm run: the result the cache serves is
-		// the one compared against every other configuration. (Partitioned
-		// plans bypass the cache; the warm run then just recomputes.)
+		// the one compared against every other configuration.
 		cache := reuse.New(reuse.Config{Budget: 16 << 20})
 		opts.Reuse = cache
-		if _, err := engine.Execute(s.build(c.Parts), opts); err != nil {
+		if _, err := engine.Execute(s.build(), opts); err != nil {
 			return "", err
 		}
 	}
-	res, err := engine.Execute(s.build(c.Parts), opts)
+	res, err := engine.Execute(s.build(), opts)
 	if err != nil {
 		return "", err
 	}
@@ -302,7 +290,6 @@ func (s *mmSpec) shrinkConfig(t *testing.T, failing mmCfg, want string) mmCfg {
 			func(c mmCfg) mmCfg { c.Workers = mmBase.Workers; return c },
 			func(c mmCfg) mmCfg { c.UoT = mmBase.UoT; return c },
 			func(c mmCfg) mmCfg { c.Temp = mmBase.Temp; return c },
-			func(c mmCfg) mmCfg { c.Parts = mmBase.Parts; return c },
 			func(c mmCfg) mmCfg { c.Adaptive = mmBase.Adaptive; return c },
 			func(c mmCfg) mmCfg { c.Spill = mmBase.Spill; return c },
 			func(c mmCfg) mmCfg { c.Reuse = mmBase.Reuse; return c },

@@ -73,17 +73,13 @@ type reuseState struct {
 const maxReuseTaps = 2
 
 // prepareReuse fingerprints the plan, splices cached results in, and
-// attaches capture taps. Returns nil when reuse is off or the plan is
-// outside the fingerprint machinery (partitioned plans).
+// attaches capture taps. Returns nil when reuse is off.
 func prepareReuse(b *Builder, opts Options) *reuseState {
 	if opts.Reuse == nil {
 		return nil
 	}
 	p := b.plan
-	a, ok := reuse.Analyze(p)
-	if !ok {
-		return nil
-	}
+	a := reuse.Analyze(p)
 	rs := &reuseState{cache: opts.Reuse}
 	scalarProvider := make(map[core.OpID]bool, len(p.ScalarSlots))
 	for _, id := range p.ScalarSlots {

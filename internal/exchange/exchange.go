@@ -1,31 +1,31 @@
-// Package exchange implements the hash-partitioning exchange operator: the
-// plan node that turns one block stream into P partition-local streams so
-// that downstream per-partition operator clones (join builds, aggregations)
-// own their state outright — no shard locks, no global radix merge.
+// Package exchange implements a hash-partitioning scatter kernel: it splits
+// one block stream into P per-partition block streams, rows with equal keys
+// always landing in the same partition.
 //
-// The operator follows the K9db/Pelton dataflow model: partitioned
-// parallelism is expressed in the plan as an explicit EXCHANGE node joined to
-// per-partition clones by partition-tagged edges, rather than hidden inside
-// operator state. Each partition edge is an independent UoT-policed
-// producer→consumer edge, so the paper's transfer-granularity spectrum
-// applies per partition stream.
+// It is not a plan operator. No plan builder wires it in, and the scheduler
+// routes every sealed block to every pipelined out-edge, so nothing downstream
+// could consume a partition on its own. The kernel is kept only because the
+// fixed benchmark times it as exchange.repartition_ns; it is deleted together
+// with that metric the next time the benchmark itself changes.
 package exchange
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/storage"
-	"repro/internal/trace"
 	"repro/internal/types"
 )
 
-// Spec configures an exchange operator.
+// maxParts bounds the fan-out; it also spaces the per-partition pool owner
+// keys of different exchanges apart.
+const maxParts = 1 << 10
+
+// Spec configures an exchange.
 type Spec struct {
-	// Name labels the operator ("exchange(orders)").
+	// Name labels the exchange for the caller; the kernel does not read it.
 	Name string
 	// InputSchema is the schema of fed blocks; output blocks pass every
 	// column through unchanged.
@@ -33,18 +33,15 @@ type Spec struct {
 	// KeyCols are the 1 or 2 partitioning key columns (Int64 or Date).
 	KeyCols []int
 	// Partitions is the requested fan-out; it is rounded up to a power of
-	// two and clamped to [1, core.MaxPartitions].
+	// two and clamped to [1, maxParts].
 	Partitions int
 }
 
-// Op hash-partitions its input blocks by key into P partition-local output
-// streams via Repartition work orders. Rows with equal keys always land in
-// the same partition, which is the only property downstream partition-local
-// joins and aggregations need for correctness.
+// Op hash-partitions its input blocks by key into P output streams via
+// Repartition work orders.
 type Op struct {
 	core.Base
 	self    core.OpID
-	name    string
 	schema  *storage.Schema
 	keyCols []int
 	dateKey []bool
@@ -53,22 +50,16 @@ type Op struct {
 	cols    []int // all column indexes, for cache-model read accounting
 
 	scratch sync.Pool // *scatterScratch
-
-	// rowsPart counts scattered rows per partition (atomically updated by
-	// concurrent scatter work orders; read by Final's skew guard).
-	rowsPart []int64
-	skewed   bool
 }
 
-// New returns an exchange operator for spec. It panics on invalid specs
-// (plan-construction errors): no key columns, more than two, or a key column
-// that is neither Int64 nor Date.
+// New returns an exchange for spec. It panics on invalid specs (caller
+// bugs): no key columns, more than two, or a key column that is neither Int64
+// nor Date.
 func New(spec Spec) *Op {
 	if len(spec.KeyCols) < 1 || len(spec.KeyCols) > 2 {
 		panic(fmt.Sprintf("exchange: %d key columns (want 1 or 2)", len(spec.KeyCols)))
 	}
 	o := &Op{
-		name:    spec.Name,
 		schema:  spec.InputSchema,
 		keyCols: spec.KeyCols,
 		dateKey: make([]bool, len(spec.KeyCols)),
@@ -84,11 +75,10 @@ func New(spec Spec) *Op {
 		}
 	}
 	parts := spec.Partitions
-	if parts > core.MaxPartitions {
-		parts = core.MaxPartitions
+	if parts > maxParts {
+		parts = maxParts
 	}
 	o.pr = types.NewPartitioner(parts)
-	o.rowsPart = make([]int64, o.pr.Parts())
 	o.proj = make([]int, spec.InputSchema.NumCols())
 	for i := range o.proj {
 		o.proj[i] = i
@@ -97,28 +87,16 @@ func New(spec Spec) *Op {
 	return o
 }
 
-// SetID hands the operator its plan ID (the plan builder calls this right
-// after AddOp; partition emitters key the temp-block pool with it).
+// SetID sets the ID the exchange's pool owner keys derive from.
 func (o *Op) SetID(id core.OpID) { o.self = id }
 
-// Name implements core.Operator.
-func (o *Op) Name() string { return "exchange(" + o.name + ")" }
+// owner is the temp-block pool key partition part's partial blocks live
+// under. Keys are negative, so they never collide with plan operator IDs.
+func (o *Op) owner(part int) core.OpID {
+	return core.OpID(-1 - int(o.self)*maxParts - part)
+}
 
-// NumInputs implements core.Operator.
-func (o *Op) NumInputs() int { return 1 }
-
-// OutputPartitions implements core.PartitionedOutput: the scheduler drains
-// each partition's pending partial block when the operator finishes.
-func (o *Op) OutputPartitions() int { return o.pr.Parts() }
-
-// OutSchema returns the pass-through output schema.
-func (o *Op) OutSchema() *storage.Schema { return o.schema }
-
-// Partitioner returns the operator's key→partition mapping (tests assert
-// routed blocks against it).
-func (o *Op) Partitioner() types.Partitioner { return o.pr }
-
-// Feed returns one Repartition work order per fed block, so the scatter
+// Feed returns one Repartition work order per block, so the scatter
 // parallelizes like any other block-granular kernel.
 func (o *Op) Feed(ctx *core.ExecCtx, input int, blocks []*storage.Block) []core.WorkOrder {
 	wos := make([]core.WorkOrder, len(blocks))
@@ -127,35 +105,6 @@ func (o *Op) Feed(ctx *core.ExecCtx, input int, blocks []*storage.Block) []core.
 	}
 	return wos
 }
-
-// Final runs the partition-skew guard: once every scatter completed, if one
-// partition received more than half of all rows, a trace mark is logged and
-// a follow-up work order records the PartitionSkew counter (so it flows
-// through the normal stats pipeline like every other kernel counter).
-func (o *Op) Final(ctx *core.ExecCtx) []core.WorkOrder {
-	if o.pr.Parts() <= 1 {
-		return nil
-	}
-	var total, max int64
-	for p := range o.rowsPart {
-		v := atomic.LoadInt64(&o.rowsPart[p])
-		total += v
-		if v > max {
-			max = v
-		}
-	}
-	if total == 0 || 2*max <= total {
-		return nil
-	}
-	o.skewed = true
-	ctx.Trace.MarkIn(ctx.TraceRun, trace.MarkPartitionSkew, trace.Event{
-		Op: int32(o.self), StartNS: ctx.Trace.Now(), Rows: max, RowsOut: total,
-	})
-	return []core.WorkOrder{&skewWO{op: o}}
-}
-
-// Skewed reports whether the skew guard tripped (valid after the run).
-func (o *Op) Skewed() bool { return o.skewed }
 
 // scatterScratch holds the reusable buffers of the scatter kernel: gathered
 // key columns, the hash vector, and the partition-grouped row permutation.
@@ -254,43 +203,21 @@ func (w *repartWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	}
 	// Emit each partition's contiguous run of row indexes. Emitter checkouts
 	// are interruption points (cancellation, deadline, block-materialize
-	// faults): if one fires, the attempt rolls back block-exactly and the
-	// shared per-partition row counters below were never touched.
+	// faults): if one fires, the attempt rolls back block-exactly.
 	start := int32(0)
-	fan := int64(0)
 	for p := 0; p < parts; p++ {
 		cnt := sc.counts[p]
 		if cnt == 0 {
 			continue
 		}
-		em := core.NewPartEmitter(ctx, out, o.self, p, o.schema)
+		em := core.NewEmitter(ctx, out, o.owner(p), o.schema)
 		em.AppendMany(b, sc.rows[start:start+cnt], o.proj)
 		start += cnt
-		fan++
 	}
-	for p := 0; p < parts; p++ {
-		if sc.counts[p] > 0 {
-			atomic.AddInt64(&o.rowsPart[p], int64(sc.counts[p]))
-		}
-	}
-	out.ExchangeRows += int64(n)
 	out.BatchedRows += int64(n)
-	out.RepartitionFanout += fan
 	o.scratch.Put(sc)
 	return nil
 }
-
-// skewWO records one skew-guard trip into the stats pipeline.
-type skewWO struct{ op *Op }
-
-// Run implements core.WorkOrder.
-func (w *skewWO) Run(ctx *core.ExecCtx, out *core.Output) error {
-	out.PartitionSkew = 1
-	return nil
-}
-
-// Inputs implements core.WorkOrder.
-func (w *skewWO) Inputs() []*storage.Block { return nil }
 
 // readBytes mirrors exec's cache-model accounting: referenced columns for
 // column-store blocks, full tuples for row-store blocks.

@@ -38,14 +38,35 @@ func makeBlocks(nblocks, rows int, keyFn func(r int) int64) []*storage.Block {
 	return out
 }
 
+// scalarPart is the row-at-a-time placement definition the vectorized
+// scatter must match: Partitioner.Of(HashPair(k0, k1)), zero hashes forced
+// to 1, with k1 = 0 for a one-key exchange.
+func scalarPart(op *Op, b *storage.Block, r int) int {
+	k0, k1 := b.Int64At(op.keyCols[0], r), int64(0)
+	if len(op.keyCols) == 2 {
+		k1 = b.Int64At(op.keyCols[1], r)
+	}
+	h := types.HashPair(k0, k1)
+	if h == 0 {
+		h = 1
+	}
+	return op.pr.Of(h)
+}
+
 // runScatter feeds blocks through op and returns every (partition, key, val)
-// triple it emitted, draining finish-time partials like the scheduler would.
+// triple it emitted, then drains each partition's partial blocks from the
+// pool under that partition's owner key. A sealed block carries no partition
+// label, so it is labelled by its first row and must hold no row of another
+// partition.
 func runScatter(t *testing.T, ctx *core.ExecCtx, op *Op, blocks []*storage.Block) (map[[3]int64]int, *core.Output) {
 	t.Helper()
 	got := map[[3]int64]int{}
 	agg := &core.Output{}
 	collect := func(p int, b *storage.Block) {
 		for r := 0; r < b.NumRows(); r++ {
+			if q := scalarPart(op, b, r); q != p {
+				t.Fatalf("row (%d, %d) of a partition-%d block belongs to partition %d", b.Int64At(0, r), b.Int64At(1, r), p, q)
+			}
 			got[[3]int64{int64(p), b.Int64At(0, r), b.Int64At(1, r)}]++
 		}
 	}
@@ -61,20 +82,18 @@ func runScatter(t *testing.T, ctx *core.ExecCtx, op *Op, blocks []*storage.Block
 		}
 		out.Finish(nil)
 		for _, b := range out.Blocks {
-			p := out.PartitionTag(b)
-			if p < 0 {
-				t.Fatal("exchange emitted an untagged block")
-			}
-			collect(p, b)
+			collect(scalarPart(op, b, 0), b)
 		}
-		agg.ExchangeRows += out.ExchangeRows
-		agg.RepartitionFanout += out.RepartitionFanout
+		agg.BatchedRows += out.BatchedRows
 		agg.ScratchHits += out.ScratchHits
 	}
-	for p := 0; p < op.OutputPartitions(); p++ {
-		for _, b := range ctx.Pool.TakePartials(core.PartOwner(0, p)) {
+	for p := 0; p < op.pr.Parts(); p++ {
+		for _, b := range ctx.Pool.TakePartials(int(op.owner(p))) {
 			collect(p, b)
 		}
+	}
+	if n := ctx.Pool.PendingPartials(); n != 0 {
+		t.Fatalf("%d partial blocks pooled under no partition's owner key", n)
 	}
 	return got, agg
 }
@@ -89,30 +108,25 @@ func TestScatterMatchesPartitioner(t *testing.T) {
 	got, out := runScatter(t, ctx, op, blocks)
 
 	total := 0
-	pr := op.Partitioner()
 	for kv, n := range got {
 		total += n
-		k := []int64{kv[1]}
-		h := types.HashPairVec(k, nil, nil)[0]
-		if want := pr.Of(h); int(kv[0]) != want {
+		h := types.HashPairVec([]int64{kv[1]}, nil, nil)[0]
+		if want := op.pr.Of(h); int(kv[0]) != want {
 			t.Fatalf("key %d routed to partition %d, want %d", kv[1], kv[0], want)
 		}
 	}
 	if total != nblocks*rows {
 		t.Fatalf("scattered %d rows, want %d", total, nblocks*rows)
 	}
-	if out.ExchangeRows != int64(nblocks*rows) {
-		t.Fatalf("ExchangeRows = %d, want %d", out.ExchangeRows, nblocks*rows)
-	}
-	if out.RepartitionFanout == 0 {
-		t.Fatal("RepartitionFanout not recorded")
+	if out.BatchedRows != int64(nblocks*rows) {
+		t.Fatalf("BatchedRows = %d, want %d", out.BatchedRows, nblocks*rows)
 	}
 }
 
 // TestRetriedScatterMatchesScalarOracle: with a faulted-and-retried work
 // order in the run, the vectorized scatter still places every row where the
-// row-at-a-time definition says — Partitioner.Of(HashPair(k0, k1)), zero
-// hashes forced to 1 — and emits each input row exactly once.
+// row-at-a-time definition (scalarPart) says, and emits each input row
+// exactly once.
 func TestRetriedScatterMatchesScalarOracle(t *testing.T) {
 	const nblocks, rows = 6, 29
 	blocks := makeBlocks(nblocks, rows, func(r int) int64 { return int64(r*7 + 3) })
@@ -122,12 +136,7 @@ func TestRetriedScatterMatchesScalarOracle(t *testing.T) {
 	want := map[[3]int64]int{}
 	for _, b := range blocks {
 		for r := 0; r < b.NumRows(); r++ {
-			k0, k1 := b.Int64At(0, r), b.Int64At(1, r)
-			h := types.HashPair(k0, k1)
-			if h == 0 {
-				h = 1
-			}
-			want[[3]int64{int64(op.Partitioner().Of(h)), k0, k1}]++
+			want[[3]int64{int64(scalarPart(op, b, r)), b.Int64At(0, r), b.Int64At(1, r)}]++
 		}
 	}
 
@@ -138,8 +147,8 @@ func TestRetriedScatterMatchesScalarOracle(t *testing.T) {
 	if ctx.Faults.Injected() != 1 {
 		t.Fatalf("%d faults fired, want 1", ctx.Faults.Injected())
 	}
-	if out.ExchangeRows != nblocks*rows {
-		t.Fatalf("ExchangeRows = %d, want %d (a rolled-back attempt must not count)", out.ExchangeRows, nblocks*rows)
+	if out.BatchedRows != nblocks*rows {
+		t.Fatalf("BatchedRows = %d, want %d (a rolled-back attempt must not count)", out.BatchedRows, nblocks*rows)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("scatter produced %d distinct placements, oracle %d", len(got), len(want))
@@ -148,43 +157,6 @@ func TestRetriedScatterMatchesScalarOracle(t *testing.T) {
 		if got[kv] != n {
 			t.Fatalf("row %v: scattered %d times, oracle %d", kv, got[kv], n)
 		}
-	}
-}
-
-func TestSkewGuardTripsOnConstantKey(t *testing.T) {
-	op := New(Spec{Name: "skew", InputSchema: scatterSchema, KeyCols: []int{0}, Partitions: 4})
-	op.SetID(0)
-	ctx := newCtx(1)
-	op.Init(ctx)
-	runScatter(t, ctx, op, makeBlocks(4, 32, func(int) int64 { return 42 }))
-
-	wos := op.Final(ctx)
-	if len(wos) != 1 {
-		t.Fatalf("Final returned %d work orders, want 1 (skew)", len(wos))
-	}
-	out := &core.Output{}
-	if err := wos[0].Run(ctx, out); err != nil {
-		t.Fatal(err)
-	}
-	if out.PartitionSkew != 1 {
-		t.Fatalf("PartitionSkew = %d, want 1", out.PartitionSkew)
-	}
-	if !op.Skewed() {
-		t.Fatal("Skewed() = false after constant-key scatter")
-	}
-}
-
-func TestSkewGuardQuietOnUniformKeys(t *testing.T) {
-	op := New(Spec{Name: "uniform", InputSchema: scatterSchema, KeyCols: []int{0}, Partitions: 4})
-	op.SetID(0)
-	ctx := newCtx(1)
-	op.Init(ctx)
-	runScatter(t, ctx, op, makeBlocks(8, 64, func(r int) int64 { return int64(r) }))
-	if wos := op.Final(ctx); len(wos) != 0 {
-		t.Fatalf("Final returned %d work orders on uniform keys, want 0", len(wos))
-	}
-	if op.Skewed() {
-		t.Fatal("Skewed() = true on uniform keys")
 	}
 }
 
@@ -206,11 +178,11 @@ func TestNewRejectsBadSpecs(t *testing.T) {
 
 func TestPartitionsRoundUpAndClamp(t *testing.T) {
 	op := New(Spec{Name: "r", InputSchema: scatterSchema, KeyCols: []int{0}, Partitions: 5})
-	if op.OutputPartitions() != 8 {
-		t.Fatalf("Partitions 5 rounded to %d, want 8", op.OutputPartitions())
+	if op.pr.Parts() != 8 {
+		t.Fatalf("Partitions 5 rounded to %d, want 8", op.pr.Parts())
 	}
-	op = New(Spec{Name: "c", InputSchema: scatterSchema, KeyCols: []int{0}, Partitions: core.MaxPartitions * 4})
-	if op.OutputPartitions() != core.MaxPartitions {
-		t.Fatalf("oversized fan-out clamped to %d, want %d", op.OutputPartitions(), core.MaxPartitions)
+	op = New(Spec{Name: "c", InputSchema: scatterSchema, KeyCols: []int{0}, Partitions: maxParts * 4})
+	if op.pr.Parts() != maxParts {
+		t.Fatalf("oversized fan-out clamped to %d, want %d", op.pr.Parts(), maxParts)
 	}
 }

@@ -85,11 +85,10 @@ type AggOp struct {
 	hasScalar bool
 
 	// Plan, compiled by NewAgg.
-	partLocal bool
-	keys      aggKeys
-	args      []aggArg
-	descs     []aggtable.Agg  // args' accumulator descriptors, for merges
-	proto     *aggtable.Table // empty table of the plan's layout; partials and merges clone it
+	keys  aggKeys
+	args  []aggArg
+	descs []aggtable.Agg  // args' accumulator descriptors, for merges
+	proto *aggtable.Table // empty table of the plan's layout; partials and merges clone it
 
 	// Runtime state: the free-list of thread-local partials. pall tracks
 	// every partial ever created (for the merge); pfree holds the ones not
@@ -212,11 +211,6 @@ type AggOpSpec struct {
 	GroupByNames []string
 	// Aggs are the aggregates to compute.
 	Aggs []AggSpec
-	// PartitionLocal marks a per-partition clone downstream of an exchange:
-	// the clone sees only its partition's groups, so Final issues a single
-	// merge work order instead of fanning out over the radix partitions —
-	// the cross-partition parallelism already comes from the exchange.
-	PartitionLocal bool
 }
 
 // NewAgg builds an aggregation operator. It is the only place that looks at
@@ -235,11 +229,10 @@ func NewAgg(spec AggOpSpec) *AggOp {
 		cols = append(cols, storage.Column{Name: a.Name, Type: aggType(a), Width: aggWidth(a)})
 	}
 	op := &AggOp{
-		name:      spec.Name,
-		groupBy:   spec.GroupBy,
-		aggs:      spec.Aggs,
-		out:       storage.NewSchema(cols...),
-		partLocal: spec.PartitionLocal,
+		name:    spec.Name,
+		groupBy: spec.GroupBy,
+		aggs:    spec.Aggs,
+		out:     storage.NewSchema(cols...),
 	}
 	all := append([]expr.Expr{}, spec.GroupBy...)
 	for _, a := range spec.Aggs {
@@ -343,11 +336,10 @@ func (o *AggOp) Feed(_ *core.ExecCtx, _ int, blocks []*storage.Block) []core.Wor
 
 // Final implements core.Operator: it fans out one merge work order per radix
 // partition, so merging partial tables parallelizes across workers. A scalar
-// aggregate has one group and a partition-local clone already owns a
-// disjoint share of the group space (the exchange split it), so both merge
-// in a single work order under the identity partitioner.
+// aggregate has one group, so it merges in a single work order under the
+// identity partitioner.
 func (o *AggOp) Final(*core.ExecCtx) []core.WorkOrder {
-	if o.partLocal || len(o.groupBy) == 0 {
+	if len(o.groupBy) == 0 {
 		return []core.WorkOrder{&aggMergeWO{op: o, part: 0, pr: types.NewPartitioner(1)}}
 	}
 	wos := make([]core.WorkOrder, aggParts)

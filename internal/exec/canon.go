@@ -21,7 +21,7 @@ import (
 //     adaptive-controller settings, expected-row hints, bloom/LIP sizing,
 //     fast-path-vs-reference switches, or display names.
 //
-// Operators that don't implement Canon (sinks, exchanges, partition clones)
+// Operators that don't implement Canon (sinks, capture taps)
 // make their subtree unfingerprintable, which the reuse layer treats as
 // "never cache, never splice" — conservative and always correct.
 
@@ -82,9 +82,8 @@ func (o *SelectOp) Canon() string {
 // reuse layer collects these as a cached entry's invalidation dependencies.
 func (o *SelectOp) BaseTable() *storage.Table { return o.base }
 
-// Canon implements Canonical. ExpectedRows, BuildBloom, and PartitionLocal
-// are sizing/perf knobs with no effect on join results, so they are
-// excluded.
+// Canon implements Canonical. ExpectedRows and BuildBloom are sizing/perf
+// knobs with no effect on join results, so they are excluded.
 func (o *BuildHashOp) Canon() string {
 	return fmt.Sprintf("build|keys=%s|payload=%s|keyonly=%t",
 		canonInts(o.keyCols), canonInts(o.payloadIdx), o.keyOnly)
@@ -102,8 +101,7 @@ func (o *ProbeOp) Canon() string {
 		canonInts(o.probeProj), canonInts(o.buildProj), o.out.String())
 }
 
-// Canon implements Canonical. PartitionLocal only changes how partials are
-// merged and is excluded.
+// Canon implements Canonical.
 func (o *AggOp) Canon() string {
 	var sb strings.Builder
 	sb.WriteString("agg|group=")

@@ -36,11 +36,10 @@ type BuildHashOp struct {
 	buildBloom bool
 	keyOnly    bool
 
-	ht        *hashtable.Table
-	filter    *bloom.Filter
-	scratch   sync.Pool // *hashtable.InsertScratch
-	readCols  []int
-	partLocal bool
+	ht       *hashtable.Table
+	filter   *bloom.Filter
+	scratch  sync.Pool // *hashtable.InsertScratch
+	readCols []int
 }
 
 // BuildSpec configures NewBuildHash.
@@ -58,12 +57,6 @@ type BuildSpec struct {
 	ExpectedRows int
 	// BuildBloom also builds a LIP bloom filter on KeyCols[0].
 	BuildBloom bool
-	// PartitionLocal marks a per-partition build clone downstream of an
-	// exchange: the clone owns its hash table outright, so inserts run the
-	// unlocked kernel (zero shard-lock acquisitions). The plan builder must
-	// cap such clones at MaxDOP 1 — the exchange guarantees key disjointness
-	// across clones, MaxDOP 1 guarantees exclusive table access within one.
-	PartitionLocal bool
 }
 
 // NewBuildHash builds a hash-table build operator.
@@ -79,7 +72,6 @@ func NewBuildHash(spec BuildSpec) *BuildHashOp {
 		expected:   spec.ExpectedRows,
 		buildBloom: spec.BuildBloom,
 		keyOnly:    len(spec.Payload) == 0,
-		partLocal:  spec.PartitionLocal,
 	}
 	op.readCols = append(append([]int{}, spec.KeyCols...), spec.Payload...)
 	return op
@@ -98,10 +90,7 @@ func (o *BuildHashOp) NumInputs() int { return 1 }
 // only the live join's table in memory — the accounting Table II of the
 // paper depends on.
 func (o *BuildHashOp) Start(ctx *core.ExecCtx) []core.WorkOrder {
-	cfg := hashtable.Config{
-		PayloadSchema: o.paySchema, InitialCapacity: o.expected,
-		Owned: o.partLocal,
-	}
+	cfg := hashtable.Config{PayloadSchema: o.paySchema, InitialCapacity: o.expected}
 	if ctx.Run != nil {
 		cfg.Gauge = &ctx.Run.HashTables
 	}
@@ -184,14 +173,9 @@ func (w *buildWO) runBatch(ctx *core.ExecCtx, out *core.Output) error {
 		sc = &hashtable.InsertScratch{}
 	}
 	var locks int
-	switch {
-	case o.partLocal && o.keyOnly:
-		locks = o.ht.InsertBlockOwnedKeyOnly(b, o.keyCols, sc)
-	case o.partLocal:
-		locks = o.ht.InsertBlockOwned(b, o.keyCols, o.payloadIdx, sc)
-	case o.keyOnly:
+	if o.keyOnly {
 		locks = o.ht.InsertBlockKeyOnly(b, o.keyCols, sc)
-	default:
+	} else {
 		locks = o.ht.InsertBlock(b, o.keyCols, o.payloadIdx, sc)
 	}
 	out.ShardLocks += int64(locks)

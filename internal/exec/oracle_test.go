@@ -361,9 +361,9 @@ func oracleAggPool(s *storage.Schema) []AggSpec {
 
 // TestOracleAggProperty: seeded random specs — 0–4 keys from the key pool,
 // 1–5 aggregates from the aggregate pool — over empty, one-row and
-// multi-block inputs, at 1 and 4 workers, shared and partition-local: the
-// kernel's groups equal the oracle's (ints, chars, dates and row counts
-// exactly, floats to 1e-9 relative).
+// multi-block inputs, at 1 and 4 workers: the kernel's groups equal the
+// oracle's (ints, chars, dates and row counts exactly, floats to 1e-9
+// relative).
 func TestOracleAggProperty(t *testing.T) {
 	s := oracleSchema()
 	rng := rand.New(rand.NewSource(14))
@@ -374,7 +374,7 @@ func TestOracleAggProperty(t *testing.T) {
 		"multi-block": oracleBlocks(rng, s, 9, 211),
 	}
 	for trial := 0; trial < 60; trial++ {
-		spec := AggOpSpec{Name: "agg", InputSchema: s, PartitionLocal: trial%3 == 0}
+		spec := AggOpSpec{Name: "agg", InputSchema: s}
 		for _, k := range rng.Perm(len(keyPool))[:rng.Intn(5)] {
 			spec.GroupBy = append(spec.GroupBy, keyPool[k])
 			spec.GroupByNames = append(spec.GroupByNames, fmt.Sprintf("k%d", k))

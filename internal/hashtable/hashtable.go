@@ -48,7 +48,6 @@ type shard struct {
 // Table is a concurrent join hash table keyed by one or two 64-bit integers.
 type Table struct {
 	shards      [numShards]shard
-	shardMask   uint64 // numShards-1, or 0 for owned single-region tables
 	payloadSch  *storage.Schema
 	loadFactor  float64
 	gauge       *stats.MemGauge // may be nil
@@ -64,13 +63,6 @@ type Config struct {
 	LoadFactor float64
 	// InitialCapacity is a hint of total entries. Defaults to 1024.
 	InitialCapacity int
-	// Owned declares the table single-writer for its whole build (a
-	// partition-local clone downstream of an exchange): it is laid out as
-	// one contiguous slot region and one payload chain instead of 64
-	// shards, so small per-partition tables skip the per-shard fixed costs
-	// (64 lazily allocated payload blocks, shard-scatter of every insert
-	// batch). Concurrency comes from partition fan-out, not sharding.
-	Owned bool
 	// Gauge, if non-nil, tracks the table's live bytes.
 	Gauge *stats.MemGauge
 }
@@ -85,27 +77,14 @@ func New(cfg Config) *Table {
 	}
 	t := &Table{payloadSch: cfg.PayloadSchema, loadFactor: cfg.LoadFactor, gauge: cfg.Gauge}
 	var total int64
-	if cfg.Owned {
-		// Single region: every hash maps to shard 0; the other shard
-		// structs stay empty and are never touched.
-		per := nextPow2(cfg.InitialCapacity + 1)
-		if per < 8 {
-			per = 8
-		}
-		t.shards[0].slots = make([]entry, per)
-		t.shards[0].mask = uint64(per - 1)
-		total = int64(per) * entryBytes
-	} else {
-		t.shardMask = numShards - 1
-		per := nextPow2(cfg.InitialCapacity/numShards + 1)
-		if per < 8 {
-			per = 8
-		}
-		for i := range t.shards {
-			t.shards[i].slots = make([]entry, per)
-			t.shards[i].mask = uint64(per - 1)
-			total += int64(per) * entryBytes
-		}
+	per := nextPow2(cfg.InitialCapacity/numShards + 1)
+	if per < 8 {
+		per = 8
+	}
+	for i := range t.shards {
+		t.shards[i].slots = make([]entry, per)
+		t.shards[i].mask = uint64(per - 1)
+		total += int64(per) * entryBytes
 	}
 	if t.gauge != nil {
 		t.gauge.Add(total)
@@ -123,15 +102,14 @@ func hashKey(k0, k1 int64) uint64 {
 }
 
 // shardOf selects the destination shard: hash bits 48–53 (independent of the
-// low slot-index bits and the aggregation radix's top bits), masked to 0 for
-// owned single-region tables.
-func (t *Table) shardOf(h uint64) uint64 { return (h >> 48) & t.shardMask }
+// low slot-index bits and the aggregation radix's top bits).
+func shardOf(h uint64) uint64 { return (h >> 48) & (numShards - 1) }
 
 // Insert adds one entry whose payload is the projection projIdx of row
 // srcRow of src. It is safe for concurrent use.
 func (t *Table) Insert(k0, k1 int64, src *storage.Block, srcRow int, projIdx []int) {
 	h := hashKey(k0, k1)
-	s := &t.shards[t.shardOf(h)]
+	s := &t.shards[shardOf(h)]
 	s.mu.Lock()
 	// Copy payload.
 	pb := t.payloadBlock(s)
@@ -188,9 +166,8 @@ func (sc *InsertScratch) gather(b *storage.Block, keyCols []int) {
 
 // partition counting-sorts row indexes 0..n-1 by destination shard. Within a
 // shard, rows keep block order, so a batched build lays payloads out exactly
-// like the row-at-a-time reference path. Owned single-region tables (mask 0)
-// skip the sort: every row targets shard 0 in block order.
-func (sc *InsertScratch) partition(mask uint64) {
+// like the row-at-a-time reference path.
+func (sc *InsertScratch) partition() {
 	n := len(sc.hashes)
 	if cap(sc.rows) < n {
 		sc.rows = make([]int32, n)
@@ -199,15 +176,8 @@ func (sc *InsertScratch) partition(mask uint64) {
 	for i := range sc.counts {
 		sc.counts[i] = 0
 	}
-	if mask == 0 {
-		sc.counts[0] = int32(n)
-		for r := range sc.rows {
-			sc.rows[r] = int32(r)
-		}
-		return
-	}
 	for _, h := range sc.hashes {
-		sc.counts[(h>>48)&mask]++
+		sc.counts[shardOf(h)]++
 	}
 	var offs [numShards]int32
 	var sum int32
@@ -216,7 +186,7 @@ func (sc *InsertScratch) partition(mask uint64) {
 		sum += c
 	}
 	for r, h := range sc.hashes {
-		s := (h >> 48) & mask
+		s := shardOf(h)
 		sc.rows[offs[s]] = int32(r)
 		offs[s]++
 	}
@@ -232,37 +202,22 @@ func (sc *InsertScratch) partition(mask uint64) {
 // other inserts; sc must be private to the caller (pass a pooled scratch).
 // It returns the number of shard-lock acquisitions performed.
 func (t *Table) InsertBlock(b *storage.Block, keyCols []int, projIdx []int, sc *InsertScratch) int {
-	return t.insertBlock(b, keyCols, projIdx, sc, false, true)
+	return t.insertBlock(b, keyCols, projIdx, sc, false)
 }
 
 // InsertBlockKeyOnly is InsertBlock for key-only entries (semi/anti builds):
 // no payload rows are stored, only key existence.
 func (t *Table) InsertBlockKeyOnly(b *storage.Block, keyCols []int, sc *InsertScratch) int {
-	return t.insertBlock(b, keyCols, nil, sc, true, true)
+	return t.insertBlock(b, keyCols, nil, sc, true)
 }
 
-// InsertBlockOwned is InsertBlock without shard locking, for partition-local
-// builds in which the table is owned outright by one partition pipeline: the
-// caller guarantees no other goroutine touches the table during the build
-// (the engine caps partition-local build clones at MaxDOP 1). Pair it with
-// Config.Owned so the table is laid out as one contiguous region. Returns 0:
-// a partition-owned build takes no shard locks at all.
-func (t *Table) InsertBlockOwned(b *storage.Block, keyCols []int, projIdx []int, sc *InsertScratch) int {
-	return t.insertBlock(b, keyCols, projIdx, sc, false, false)
-}
-
-// InsertBlockOwnedKeyOnly is InsertBlockOwned for key-only entries.
-func (t *Table) InsertBlockOwnedKeyOnly(b *storage.Block, keyCols []int, sc *InsertScratch) int {
-	return t.insertBlock(b, keyCols, nil, sc, true, false)
-}
-
-func (t *Table) insertBlock(b *storage.Block, keyCols []int, projIdx []int, sc *InsertScratch, keyOnly, locked bool) int {
+func (t *Table) insertBlock(b *storage.Block, keyCols []int, projIdx []int, sc *InsertScratch, keyOnly bool) int {
 	n := b.NumRows()
 	if n == 0 {
 		return 0
 	}
 	sc.gather(b, keyCols)
-	sc.partition(t.shardMask)
+	sc.partition()
 	locks := 0
 	start := int32(0)
 	for sIdx := 0; sIdx < numShards; sIdx++ {
@@ -273,10 +228,8 @@ func (t *Table) insertBlock(b *storage.Block, keyCols []int, projIdx []int, sc *
 		rows := sc.rows[start : start+cnt]
 		start += cnt
 		s := &t.shards[sIdx]
-		if locked {
-			s.mu.Lock()
-			locks++
-		}
+		s.mu.Lock()
+		locks++
 		// Pre-size the slot array for the whole batch: same final size as
 		// growing row-at-a-time, but at most log2 resizes under one lock.
 		for float64(s.count+int(cnt)) > t.loadFactor*float64(len(s.slots)) {
@@ -302,9 +255,7 @@ func (t *Table) insertBlock(b *storage.Block, keyCols []int, projIdx []int, sc *
 				pos += took
 			}
 		}
-		if locked {
-			s.mu.Unlock()
-		}
+		s.mu.Unlock()
 	}
 	return locks
 }
@@ -349,7 +300,7 @@ func (t *Table) payloadBlock(s *shard) *storage.Block {
 // zero-column schema is fine.
 func (t *Table) InsertKeyOnly(k0, k1 int64) {
 	h := hashKey(k0, k1)
-	s := &t.shards[t.shardOf(h)]
+	s := &t.shards[shardOf(h)]
 	s.mu.Lock()
 	if float64(s.count+1) > t.loadFactor*float64(len(s.slots)) {
 		t.grow(s)
@@ -399,7 +350,7 @@ func (t *Table) Lookup(k0, k1 int64, fn func(pb *storage.Block, row int) bool) {
 // The probe kernel hashes a whole block of keys in one vectorized pass and
 // probes with this to avoid re-hashing per row.
 func (t *Table) LookupHashed(h uint64, k0, k1 int64, fn func(pb *storage.Block, row int) bool) {
-	s := &t.shards[t.shardOf(h)]
+	s := &t.shards[shardOf(h)]
 	i := h & s.mask
 	for {
 		e := &s.slots[i]

@@ -395,50 +395,3 @@ func TestLookupMatchesReferenceProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestOwnedTableMatchesShared: an owned single-region table built with
-// InsertBlockOwned must hold exactly the entries of a shared sharded build of
-// the same blocks, and the owned build must take zero shard locks.
-func TestOwnedTableMatchesShared(t *testing.T) {
-	paySch := storage.NewSchema(
-		storage.Column{Name: "v", Type: types.Int64},
-		storage.Column{Name: "f", Type: types.Float64},
-	)
-	projIdx := []int{2, 3}
-	rng := rand.New(rand.NewSource(7))
-	shared := New(Config{PayloadSchema: paySch, InitialCapacity: 16})
-	owned := New(Config{PayloadSchema: paySch, InitialCapacity: 16, Owned: true})
-	sc1, sc2 := &InsertScratch{}, &InsertScratch{}
-	for blk := 0; blk < 8; blk++ {
-		b := randKeyedBlock(rng, 100+rng.Intn(400), 50)
-		shared.InsertBlock(b, []int{0}, projIdx, sc1)
-		if locks := owned.InsertBlockOwned(b, []int{0}, projIdx, sc2); locks != 0 {
-			t.Fatalf("owned insert took %d shard locks", locks)
-		}
-	}
-	if shared.Len() != owned.Len() {
-		t.Fatalf("Len: shared %d, owned %d", shared.Len(), owned.Len())
-	}
-	for k0 := int64(0); k0 < 50; k0++ {
-		sv := lookupPayloads(t, shared, k0, 0)
-		ov := lookupPayloads(t, owned, k0, 0)
-		if len(sv) != len(ov) {
-			t.Fatalf("key %d: shared %d entries, owned %d", k0, len(sv), len(ov))
-		}
-		seen := map[int64]int{}
-		for _, v := range sv {
-			seen[v]++
-		}
-		for _, v := range ov {
-			seen[v]--
-		}
-		for v, c := range seen {
-			if c != 0 {
-				t.Fatalf("key %d: payload multiset differs at %d", k0, v)
-			}
-		}
-	}
-	if ob, sb := owned.TotalBytes(), shared.TotalBytes(); ob <= 0 || ob >= sb {
-		t.Fatalf("owned TotalBytes %d not below shared %d", ob, sb)
-	}
-}

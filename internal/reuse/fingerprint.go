@@ -69,21 +69,8 @@ type Plan struct {
 	inBlock map[core.OpID][]int // op -> blocking in-edge indexes
 }
 
-// Analyze fingerprints a plan. It returns ok=false when the plan is outside
-// the reuse machinery entirely: partitioned (exchange) plans re-route
-// blocks by partition tag, which the splice surgery does not model, so they
-// are neither probed nor captured.
-func Analyze(p *core.Plan) (*Plan, bool) {
-	for _, e := range p.Edges {
-		if e.Partition() >= 0 {
-			return nil, false
-		}
-	}
-	for _, op := range p.Ops {
-		if _, ok := op.(core.PartitionedOutput); ok {
-			return nil, false
-		}
-	}
+// Analyze fingerprints a plan.
+func Analyze(p *core.Plan) *Plan {
 	a := &Plan{
 		FP:      make(map[core.OpID]Fingerprint),
 		Deps:    make(map[core.OpID][]Dep),
@@ -122,7 +109,7 @@ func Analyze(p *core.Plan) (*Plan, bool) {
 			break
 		}
 	}
-	return a, true
+	return a
 }
 
 // visit computes the subtree fingerprint of id bottom-up; ok=false marks
@@ -206,8 +193,8 @@ func dedupDeps(deps []Dep) []Dep {
 // RootFingerprint returns the fingerprint of the whole plan's result (the
 // subtree feeding the adopting sink), for submit-time single-flight keys.
 func RootFingerprint(p *core.Plan) (Fingerprint, bool) {
-	a, ok := Analyze(p)
-	if !ok || !a.RootOK {
+	a := Analyze(p)
+	if !a.RootOK {
 		return Fingerprint{}, false
 	}
 	return a.FP[a.Root], true

@@ -189,32 +189,6 @@ func TestFingerprintTPCHDistinct(t *testing.T) {
 	}
 }
 
-// TestAnalyzeRejectsPartitionedPlans pins the bypass: exchange plans are
-// outside the splice surgery's model and must not be probed or captured.
-func TestAnalyzeRejectsPartitionedPlans(t *testing.T) {
-	d := tpch.Load(0.01, 128<<10, storage.ColumnStore)
-	b := tpch.MustBuild(d, 1, tpch.QueryOpts{})
-	if _, ok := reuse.Analyze(b.Plan()); !ok {
-		t.Fatal("unpartitioned plan rejected")
-	}
-	tab := testTable("t")
-	pb := engine.NewBuilder()
-	sch := tab.Schema()
-	scan := pb.ScanSelect(exec.SelectSpec{
-		Name: "scan", Base: tab,
-		Proj:      []expr.Expr{expr.C(sch, "a"), expr.C(sch, "b")},
-		ProjNames: []string{"a", "b"},
-	})
-	agg := pb.PartitionedAgg(scan, exec.AggOpSpec{
-		Name: "agg", GroupBy: []expr.Expr{expr.C(scan.Schema, "a")}, GroupByNames: []string{"a"},
-		Aggs: []exec.AggSpec{{Func: exec.Sum, Arg: expr.C(scan.Schema, "b"), Name: "v"}},
-	}, 4)
-	pb.Collect(agg)
-	if _, ok := reuse.Analyze(pb.Plan()); ok {
-		t.Error("partitioned plan was not rejected")
-	}
-}
-
 func TestSpliceableEscapeCheck(t *testing.T) {
 	tab := testTable("t")
 	b := engine.NewBuilder()
@@ -240,10 +214,7 @@ func TestSpliceableEscapeCheck(t *testing.T) {
 	})
 	b.Collect(join)
 
-	a, ok := reuse.Analyze(b.Plan())
-	if !ok {
-		t.Fatal("plan not analyzable")
-	}
+	a := reuse.Analyze(b.Plan())
 	if !a.RootOK {
 		t.Fatal("root not fingerprintable")
 	}

@@ -168,6 +168,18 @@ func TestReuseDisabledSessionHasNoCache(t *testing.T) {
 	}
 }
 
+// TestReuseBudgetNeverOverpromisesMemory: a ReuseBudget as large as the whole
+// MemoryBudget is capped so the cache and admission together still fit in it.
+func TestReuseBudgetNeverOverpromisesMemory(t *testing.T) {
+	const budget = 8 << 20
+	s := Open(Config{MemoryBudget: budget, Reuse: true, ReuseBudget: budget})
+	defer s.Close()
+	if got := s.cfg.ReuseBudget + s.adm.budget; got > budget {
+		t.Fatalf("cache %d + admission %d = %d bytes, above MemoryBudget %d",
+			s.cfg.ReuseBudget, s.adm.budget, got, budget)
+	}
+}
+
 // slowExpr is a select predicate whose first evaluation stalls for d: it sets
 // a scan's measured recompute time, which is what the cache ranks entries by.
 // id keeps the fingerprints of otherwise identical scans apart.

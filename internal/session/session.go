@@ -78,7 +78,7 @@ type Config struct {
 	Reuse bool
 	// ReuseBudget is the cache's RAM budget, carved out of MemoryBudget so
 	// admission control stays truthful about what the cache holds (default
-	// MemoryBudget/4).
+	// MemoryBudget/4; capped so admission keeps at least MemoryBudget/8).
 	ReuseBudget int64
 }
 
@@ -115,6 +115,9 @@ func (c Config) withDefaults() Config {
 	if c.Reuse && c.ReuseBudget <= 0 {
 		c.ReuseBudget = c.MemoryBudget / 4
 	}
+	if maxReuse := c.MemoryBudget - c.MemoryBudget/8; c.ReuseBudget > maxReuse {
+		c.ReuseBudget = maxReuse
+	}
 	return c
 }
 
@@ -132,9 +135,6 @@ type Request struct {
 	Context context.Context
 	// Deadline, if positive, bounds queue wait + execution together.
 	Deadline time.Duration
-	// EstBytes overrides the admission memory estimate (0 = estimate from
-	// the plan via costmodel.QueryMemory).
-	EstBytes int64
 	// MemoryBudget overrides the per-query soft budget (0 = the admission
 	// reservation).
 	MemoryBudget int64
@@ -222,9 +222,6 @@ func Open(cfg Config) *Session {
 		// arbitrates what's left, so cached entries and live queries can
 		// never jointly promise more memory than the session has.
 		admBudget -= cfg.ReuseBudget
-		if admBudget < cfg.MemoryBudget/8 {
-			admBudget = cfg.MemoryBudget / 8
-		}
 		s.reuse = reuse.New(reuse.Config{Budget: cfg.ReuseBudget})
 	}
 	s.adm.init(admBudget, diskBudget, cfg.MaxConcurrent, cfg.QueueDepth)
@@ -269,17 +266,13 @@ func (s *Session) Submit(req Request) (*Response, error) {
 	// The estimate prices edge buffers at the UoT the run will start them at
 	// (the model prior when adaptive, not the static default). With a spill
 	// tier it splits: the RAM-resident share competes for the memory budget,
-	// the spillable share for the disk budget. An explicit EstBytes override
-	// is taken as all-resident.
-	est := req.EstBytes
-	var spillable int64
-	if est <= 0 {
-		uot, bb := opts.StartUoT(), int64(s.cfg.BlockBytes)
-		if s.cfg.SpillDir != "" {
-			est, spillable = EstimateBuilderSplit(b, opts.Workers, uot, bb)
-		} else {
-			est = EstimateBuilder(b, opts.Workers, uot, bb)
-		}
+	// the spillable share for the disk budget.
+	var est, spillable int64
+	uot, bb := opts.StartUoT(), int64(s.cfg.BlockBytes)
+	if s.cfg.SpillDir != "" {
+		est, spillable = EstimateBuilderSplit(b, opts.Workers, uot, bb)
+	} else {
+		est = EstimateBuilder(b, opts.Workers, uot, bb)
 	}
 
 	ctx := req.Context

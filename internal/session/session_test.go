@@ -153,13 +153,14 @@ func TestOverloadShedsTyped(t *testing.T) {
 
 // TestOverBudgetShedsTyped: an estimate larger than the whole budget can
 // never be admitted and is shed immediately with the memory-typed rejection.
+// The join+agg plan's estimate carries a costmodel.DefaultStatefulBytes
+// reserve per stateful operator, above the 1 MiB budget.
 func TestOverBudgetShedsTyped(t *testing.T) {
 	fact, dim := serveFixture()
 	s := Open(Config{Workers: 1, MemoryBudget: 1 << 20})
 	defer s.Close()
 	_, err := s.Submit(Request{
-		Build:    func() *engine.Builder { return joinAggPlan(fact, dim) },
-		EstBytes: 2 << 20,
+		Build: func() *engine.Builder { return joinAggPlan(fact, dim) },
 	})
 	if !errors.Is(err, ErrAdmissionRejected) || !errors.Is(err, core.ErrMemoryBudget) {
 		t.Fatalf("err = %v, want admission rejection matching core.ErrMemoryBudget", err)

@@ -29,8 +29,8 @@ type Kernel struct {
 	// across blocks, so totals approach the worker count).
 	AggPartials int64 `json:"agg_partials,omitempty"`
 	// AggMergeFanout counts aggregation merge work orders: one per radix
-	// partition of the group-hash space (one in all for a scalar aggregate
-	// or a partition-local clone).
+	// partition of the group-hash space (one in all for a scalar
+	// aggregate).
 	AggMergeFanout int64 `json:"agg_merge_fanout,omitempty"`
 	// AggFastRows counts rows aggregated through the aggregation kernel:
 	// every input row of every aggregation (the name predates the removal
@@ -49,16 +49,6 @@ type Kernel struct {
 	// TopKPruned counts rows discarded by the bounded top-k heap without
 	// ever being materialized into a run (ORDER BY ... LIMIT pruning).
 	TopKPruned int64 `json:"topk_pruned,omitempty"`
-
-	// ExchangeRows counts rows scattered by exchange repartition work
-	// orders into partition-local output streams.
-	ExchangeRows int64 `json:"exchange_rows,omitempty"`
-	// RepartitionFanout counts distinct partition streams the work order
-	// scattered into (the realized fan-out of the exchange).
-	RepartitionFanout int64 `json:"repartition_fanout,omitempty"`
-	// PartitionSkew counts skew-guard trips: exchanges where one partition
-	// received more than half of all scattered rows.
-	PartitionSkew int64 `json:"partition_skew,omitempty"`
 }
 
 // KernelCounter names one Kernel field: Name is its snake_case export name
@@ -83,9 +73,6 @@ var KernelCounters = []KernelCounter{
 	{"sort_merge_fanout", "Range-partitioned sort merge work orders per operator.", func(k *Kernel) *int64 { return &k.SortMergeFanout }},
 	{"sort_fast_rows", "Rows sorted through the normalized-key kernel per operator.", func(k *Kernel) *int64 { return &k.SortFastRows }},
 	{"topk_pruned", "Rows pruned by the bounded top-k heap per operator.", func(k *Kernel) *int64 { return &k.TopKPruned }},
-	{"exchange_rows", "Rows scattered into partition-local streams per exchange operator.", func(k *Kernel) *int64 { return &k.ExchangeRows }},
-	{"repartition_fanout", "Partition streams scattered into per exchange operator.", func(k *Kernel) *int64 { return &k.RepartitionFanout }},
-	{"partition_skew", "Exchange skew-guard trips (more than half of all rows in one partition).", func(k *Kernel) *int64 { return &k.PartitionSkew }},
 }
 
 // Add sums o's counters into k. Spelled out rather than looped over
@@ -102,9 +89,6 @@ func (k *Kernel) Add(o Kernel) {
 	k.SortMergeFanout += o.SortMergeFanout
 	k.SortFastRows += o.SortFastRows
 	k.TopKPruned += o.TopKPruned
-	k.ExchangeRows += o.ExchangeRows
-	k.RepartitionFanout += o.RepartitionFanout
-	k.PartitionSkew += o.PartitionSkew
 }
 
 // Each calls fn with every counter's export name and value, in table order.

@@ -256,7 +256,7 @@ func TestPromEscape(t *testing.T) {
 func kernelFixture() *Tracer {
 	tr := New(64)
 	h := tr.OpenRun("q", -1)
-	for id, name := range []string{"build(orders)", "agg(lineitem)", "sort", "exchange"} {
+	for id, name := range []string{"build(orders)", "agg(lineitem)", "sort", "probe"} {
 		tr.RegisterOpIn(h, id, name)
 	}
 	tr.RegisterEdgeIn(h, 0, EdgeInfo{From: 1, To: 2, FromName: "agg(lineitem)", ToName: "sort", Pipelined: true, UoT: 1})
@@ -264,13 +264,13 @@ func kernelFixture() *Tracer {
 	tr.SpanIn(h, Event{Op: 1, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{AggFastRows: 40, AggPartials: 2}})
 	tr.SpanIn(h, Event{Op: 1, StartNS: 2, EndNS: 3, Flags: FlagFailed})
 	tr.SpanIn(h, Event{Op: 2, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{SortRuns: 4, TopKPruned: 9}})
-	tr.SpanIn(h, Event{Op: 3, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{ExchangeRows: 50, PartitionSkew: 1}})
+	tr.SpanIn(h, Event{Op: 3, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{BatchedRows: 50, ScratchHits: 1}})
 	tr.EndRunIn(h, false)
 	return tr
 }
 
 // Every kernel counter reaches both exports under its stats.KernelCounters
-// name — not only the sort/exchange half the tracer used to copy by hand.
+// name — not only the sort half the tracer used to copy by hand.
 func TestKernelCountersReachBothExports(t *testing.T) {
 	m := kernelFixture().Snapshot()
 	var js, prom bytes.Buffer
@@ -298,15 +298,13 @@ func TestKernelCountersReachBothExports(t *testing.T) {
 	for _, want := range []string{
 		`uot_shard_locks_total{run="q",op="build(orders)"} 3`,
 		`uot_agg_fast_rows_total{run="q",op="agg(lineitem)"} 40`,
-		// The four families that predate the name table, help text included.
+		// The two families that predate the name table, help text included.
 		"# HELP uot_sort_runs_total Sorted runs generated per operator.\n# TYPE uot_sort_runs_total counter\n" +
 			`uot_sort_runs_total{run="q",op="sort"} 4`,
 		"# HELP uot_topk_pruned_total Rows pruned by the bounded top-k heap per operator.\n# TYPE uot_topk_pruned_total counter\n" +
 			`uot_topk_pruned_total{run="q",op="sort"} 9`,
-		"# HELP uot_exchange_rows_total Rows scattered into partition-local streams per exchange operator.\n# TYPE uot_exchange_rows_total counter\n" +
-			`uot_exchange_rows_total{run="q",op="exchange"} 50`,
-		"# HELP uot_partition_skew_total Exchange skew-guard trips (more than half of all rows in one partition).\n# TYPE uot_partition_skew_total counter\n" +
-			`uot_partition_skew_total{run="q",op="exchange"} 1`,
+		`uot_batched_rows_total{run="q",op="probe"} 50`,
+		`uot_scratch_hits_total{run="q",op="probe"} 1`,
 	} {
 		if !strings.Contains(prom.String(), want) {
 			t.Errorf("Prometheus text missing %q", want)
@@ -325,7 +323,6 @@ func TestPrometheusFamiliesAndLabelsUnchanged(t *testing.T) {
 		"uot_workorders_total{run,op}", "uot_workorder_failures_total{run,op}", "uot_workorder_retries_total{run,op}",
 		"uot_op_busy_nanoseconds_total{run,op}", "uot_op_queue_nanoseconds_total{run,op}", "uot_op_rows_out_total{run,op}",
 		"uot_sort_runs_total{run,op}", "uot_topk_pruned_total{run,op}",
-		"uot_exchange_rows_total{run,op}", "uot_partition_skew_total{run,op}",
 		"uot_edge_batches_total{run,edge}", "uot_edge_blocks_total{run,edge}", "uot_edge_buffered_max_blocks{run,edge}",
 		"uot_edge_stall_nanoseconds_total{run,edge}", "uot_edge_uot_blocks{run,edge}",
 		"uot_spill_blocks_total{run,dir}", "uot_spill_bytes_total{run,dir}", "uot_spill_stall_nanoseconds_total{run,kind}",

@@ -62,10 +62,6 @@ const (
 	MarkUoTRaise
 	// MarkRunEnd: the run finished (FlagFailed set if it errored).
 	MarkRunEnd
-	// MarkPartitionSkew: an exchange's skew guard tripped — one partition
-	// received more than half of all scattered rows (Rows carries the
-	// dominant partition's row count, RowsOut the total).
-	MarkPartitionSkew
 	// MarkUoTLower: the adaptive controller refined an edge's UoT (Edge
 	// names the edge, UoT carries the new value).
 	MarkUoTLower

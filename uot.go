@@ -165,7 +165,8 @@ type (
 	// fault kinds, and the maximum injected latency.
 	FaultConfig = faults.Config
 	// FaultSite names an injection point (hash insert, bloom build, agg
-	// upsert, block materialize, sort run, repartition).
+	// upsert, block materialize, sort run, repartition, spill write, spill
+	// read).
 	FaultSite = faults.Site
 	// FaultEvent is one fired fault in a replayable schedule.
 	FaultEvent = faults.Event

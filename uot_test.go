@@ -124,7 +124,7 @@ func TestSettableSurfaceIsPinned(t *testing.T) {
 	}{
 		{Options{}, 19},
 		{SessionConfig{}, 15},
-		{Request{}, 14},
+		{Request{}, 13},
 		{uotctl.Config{}, 4},
 		{ReuseConfig{}, 2},
 	} {
