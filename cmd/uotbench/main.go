@@ -14,9 +14,7 @@
 //     FIG5, FIG6, FIG7, FIG8, FIG9, FIG10, TAB6, FIG11 and SEC6B;
 //   - the ablations ABL-UOT (full UoT spectrum) and ABL-BLOCK (block size);
 //   - the self-failing robustness checks CHAOS (TPC-H under a seeded fault
-//     schedule must match the fault-free results exactly), ADAPT (the
-//     adaptive per-edge UoT controller must reproduce the UoT=1 results;
-//     times are reported against the static spectrum) and CCHAOS (eight
+//     schedule must match the fault-free results exactly) and CCHAOS (eight
 //     queries served concurrently, half under faults, plus a cancellation and
 //     a deadline; non-faulted results bit-identical, zero leaks).
 //

@@ -32,7 +32,6 @@ func Experiments() []Experiment {
 		{"ABL-UOT", "ablation: full UoT spectrum sweep", (*Harness).AblationUoTSweep},
 		{"ABL-BLOCK", "ablation: block-size sweep", (*Harness).AblationBlockSize},
 		{"CHAOS", "robustness: seeded fault injection vs fault-free results", (*Harness).Chaos},
-		{"ADAPT", "robustness: adaptive per-edge UoT controller vs static settings", (*Harness).AdaptiveProfile},
 		{"CCHAOS", "robustness: concurrent serving under seeded fault injection", (*Harness).ConcurrentChaos},
 	}
 }

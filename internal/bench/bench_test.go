@@ -32,7 +32,7 @@ func TestConfigDefaults(t *testing.T) {
 // two places that document the IDs from drifting away from it.
 func TestExperimentRegistry(t *testing.T) {
 	want := strings.Fields(`FIG2 FIG3 EQ1 SEC5C TAB2 TAB3 TAB4 SEC6C FIG5 FIG6 FIG7 FIG8
-		FIG9 FIG10 TAB6 FIG11 SEC6B ABL-UOT ABL-BLOCK CHAOS ADAPT CCHAOS`)
+		FIG9 FIG10 TAB6 FIG11 SEC6B ABL-UOT ABL-BLOCK CHAOS CCHAOS`)
 	var got []string
 	for _, e := range Experiments() {
 		got = append(got, e.ID)

@@ -25,7 +25,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/types"
-	"repro/internal/uotctl"
 )
 
 // UoTTable is the UoT value meaning "the entire intermediate table": the
@@ -113,15 +112,6 @@ type ExecCtx struct {
 	// is fully disabled: every recording call is a nil-check no-op and the
 	// scheduler takes no timestamps beyond what it already takes.
 	Trace *trace.Tracer
-
-	// UoTCtl is the run's unit-of-transfer controller, the only writer of
-	// any edge's UoT: the scheduler registers every pipelined edge with it,
-	// reads the edge's current UoT from it, and routes the memory-pressure
-	// degradation through Controller.Pressure. An adaptive controller
-	// (uotctl.New) is also observed at every delivery boundary. Nil means a
-	// static run: Run makes a uotctl.NewStatic controller at its defaultUoT
-	// (timestamp-free when tracing is also off).
-	UoTCtl *uotctl.Controller
 
 	// Ctx, if non-nil, cancels the whole run: the scheduler stops
 	// dispatching, drops queued work orders, and emitters abort in-flight

@@ -17,12 +17,12 @@ import (
 // an Executor — ctx.Exec, or a WorkerPool of ctx.Workers goroutines started
 // for this run alone — routing producer output blocks to consumers in groups
 // of UoT blocks per pipelined edge (edges that do not declare one start at
-// ctx.UoTCtl's prior, or at defaultUoT when the run brings no controller). Run
-// returns after every operator has finished, after the run context is
-// canceled, or after a work order fails fatally (transient failures are
-// rolled back and retried up to ctx.MaxAttempts with exponential backoff). On
-// any exit path the scheduler reclaims every intermediate block and verifies
-// the zero-leak invariants.
+// defaultUoT; only the memory-pressure ladder moves them). Run returns after
+// every operator has finished, after the run context is canceled, or after a
+// work order fails fatally (transient failures are rolled back and retried up
+// to ctx.MaxAttempts with exponential backoff). On any exit path the
+// scheduler reclaims every intermediate block and verifies the zero-leak
+// invariants.
 func Run(plan *Plan, ctx *ExecCtx, defaultUoT int) error {
 	if ctx.Workers <= 0 {
 		ctx.Workers = 1
@@ -47,16 +47,13 @@ type job struct {
 	notBefore time.Time
 	// Tracing annotations (zero when tracing is disabled): when the job
 	// entered the queue and which UoT delivery batch fed it (-1 for work
-	// orders not born from an edge delivery). edge is the pipelined edge
-	// whose delivery created the job (-1 otherwise); the adaptive controller
-	// uses it to attribute consumer service time back to the feeding edge.
+	// orders not born from an edge delivery).
 	enqueueNS int64
 	batch     int64
-	edge      int32
 }
 
 // wres is one finished attempt of a job: the job itself (op, work order,
-// and the tracing/attribution annotations carried through) plus what the
+// and the tracing annotations carried through) plus what the
 // worker observed. attempt is bumped to count this execution (1-based).
 type wres struct {
 	job
@@ -74,22 +71,14 @@ type edgeState struct {
 	delivered    bool // inputsOpen decremented at consumer
 	// id is the edge's index in sched.edges (doubles as its tracer id);
 	// batches counts UoT deliveries (batch ids); bufSince is when buf last
-	// went non-empty (stall-time tracking; 0 while empty), maintained when
-	// tracing or adaptation needs it.
+	// went non-empty (stall-time tracking; 0 while empty), maintained only
+	// when tracing.
 	id       int32
 	batches  int64
 	bufSince int64
 	// ctl is a pipelined edge's index in the run's UoT controller, which
 	// owns the edge's current UoT, its starting UoT and its decision counts.
-	// The rest is what the scheduler gathers between two observations of an
-	// adaptive controller: lastDelivery the clock at the previous delivery
-	// boundary, serviceNS the consumer work-order time attributed to this
-	// edge, faultedIn the blocks this edge's deliveries had to fault back in
-	// from the spill tier.
-	ctl          int
-	lastDelivery int64
-	serviceNS    int64
-	faultedIn    int
+	ctl int
 }
 
 type opState struct {
@@ -114,8 +103,7 @@ type opState struct {
 type sched struct {
 	plan *Plan
 	ctx  *ExecCtx
-	// ctl is the run's UoT controller: ctx.UoTCtl, or a static one at the
-	// run default.
+	// ctl is the run's UoT controller, the only writer of any edge's UoT.
 	ctl *uotctl.Controller
 
 	states   []*opState
@@ -126,12 +114,6 @@ type sched struct {
 	inflight int
 	runErr   error
 
-	// clock returns monotonic nanoseconds for edge stall/interval tracking:
-	// the tracer's clock when tracing, a run-local clock when only an
-	// adaptive controller needs it, nil when neither does (the static
-	// untraced path stays timestamp-free).
-	clock func() int64
-
 	results chan wres
 	// lastOp is the operator of this run's previous job on each executor
 	// worker, for the IC term of the Section V model (Sim runs only).
@@ -139,10 +121,7 @@ type sched struct {
 }
 
 func newSched(plan *Plan, ctx *ExecCtx, defaultUoT int) *sched {
-	s := &sched{plan: plan, ctx: ctx, ctl: ctx.UoTCtl}
-	if s.ctl == nil {
-		s.ctl = uotctl.NewStatic(uotctl.Config{DefaultUoT: defaultUoT})
-	}
+	s := &sched{plan: plan, ctx: ctx, ctl: uotctl.New(uotctl.Config{DefaultUoT: defaultUoT})}
 	s.rc = make(map[*storage.Block]int)
 	s.states = make([]*opState, len(s.plan.Ops))
 	for i, op := range s.plan.Ops {
@@ -158,7 +137,7 @@ func newSched(plan *Plan, ctx *ExecCtx, defaultUoT int) *sched {
 	for _, e := range s.plan.Edges {
 		switch e.Kind {
 		case Pipelined:
-			es := &edgeState{e: e, ctl: s.ctl.AddEdge(ResolveUoT(e, s.ctl.Prior()))}
+			es := &edgeState{e: e, ctl: s.ctl.AddEdge(e.UoT)}
 			s.edges = append(s.edges, es)
 			s.states[e.From].out = append(s.states[e.From].out, es)
 			s.states[e.To].inputsOpen++
@@ -218,11 +197,10 @@ func newSched(plan *Plan, ctx *ExecCtx, defaultUoT int) *sched {
 	return s
 }
 
-// ResolveUoT is the single place the Edge.UoT==0 fallback is resolved: an
-// explicit per-edge value wins; otherwise the run's starting UoT applies —
-// the controller's Prior, which is the run default for a static run and the
-// analytical-model prior for an adaptive one. Blocking edges resolve to 0
-// (they transfer no pipelined blocks).
+// ResolveUoT resolves an edge's starting UoT before a run exists (admission
+// prices edge buffers with it); a run's controller applies the same rule in
+// AddEdge. An explicit per-edge value wins; otherwise the run default
+// applies. Blocking edges resolve to 0 (they transfer no pipelined blocks).
 func ResolveUoT(e Edge, startUoT int) int {
 	if e.Kind != Pipelined {
 		return 0
@@ -242,12 +220,6 @@ func (s *sched) run() error {
 		p := NewWorkerPool(s.ctx.Workers)
 		defer p.Close()
 		exec = p
-	}
-	if tr := s.ctx.Trace; tr.Enabled() {
-		s.clock = tr.Now
-	} else if s.ctl.Adaptive() {
-		base := now()
-		s.clock = func() int64 { return now().Sub(base).Nanoseconds() }
 	}
 	if n := len(s.plan.ScalarSlots); len(s.ctx.Scalars) < n {
 		s.ctx.Scalars = make([]types.Datum, n)
@@ -346,8 +318,6 @@ func (s *sched) recordEdgeUoTs() {
 			Start:    start,
 			Final:    s.ctl.UoT(es.ctl),
 			Raises:   d.Raises,
-			Lowers:   d.Lowers,
-			Holds:    d.Holds,
 			Snaps:    d.Snaps,
 		})
 	}
@@ -475,52 +445,28 @@ func (s *sched) pickJob() int {
 // pressureRaise raises the UoT of st's outgoing pipelined edges under
 // sustained memory pressure: the scheduler trades transfer granularity for
 // forward progress — the spectrum of Fig. 1 used as a degradation knob. The
-// controller decides the step (and, when adaptive, arms a hold against
-// re-lowering right after).
+// controller decides the step.
 func (s *sched) pressureRaise(st *opState) {
 	for _, es := range st.out {
 		if es.e.Kind != Pipelined || s.ctl.UoT(es.ctl) == UoTTable {
 			continue
 		}
-		s.noteUoT(es, s.ctl.Pressure(es.ctl), true)
+		s.noteUoT(es, s.ctl.Pressure(es.ctl))
 	}
-}
-
-// adapt feeds one delivery boundary's gauges to an adaptive controller.
-func (s *sched) adapt(es *edgeState, delivered int, stallNS, nowNS int64) {
-	sig := uotctl.Signals{
-		Buffered:    len(es.buf),
-		Delivered:   delivered,
-		StallNS:     stallNS,
-		ServiceNS:   es.serviceNS,
-		QueueDepth:  len(s.queue),
-		MemPressure: s.overBudget(),
-		FaultedIn:   es.faultedIn,
-	}
-	if es.lastDelivery > 0 {
-		sig.IntervalNS = nowNS - es.lastDelivery
-	}
-	es.lastDelivery = nowNS
-	es.serviceNS = 0
-	es.faultedIn = 0
-	s.noteUoT(es, s.ctl.Observe(es.ctl, sig), false)
 }
 
 // noteUoT publishes a decision the controller has already applied to an
 // edge: the shared robustness counters and a trace mark distinguishing
-// raises, lowers, and terminal snaps (the mark's Edge/UoT fields name the
-// edge and carry the new value). pressure marks decisions born from the
-// memory-pressure path: only those count as UoTRaises.
-func (s *sched) noteUoT(es *edgeState, a uotctl.Action, pressure bool) {
+// raises from terminal snaps (the mark's Edge/UoT fields name the edge and
+// carry the new value).
+func (s *sched) noteUoT(es *edgeState, a uotctl.Action) {
 	var mark trace.MarkCode
 	switch a.Dir {
 	case uotctl.Raise:
 		mark = trace.MarkUoTRaise
-		if pressure && s.ctx.Run != nil {
+		if s.ctx.Run != nil {
 			s.ctx.Run.AddUoTRaise()
 		}
-	case uotctl.Lower:
-		mark = trace.MarkUoTLower
 	case uotctl.Snap:
 		mark = trace.MarkUoTSnap
 		if s.ctx.Run != nil {
@@ -639,12 +585,6 @@ func (s *sched) onComplete(r wres) {
 			r.out.Sim += s.ctx.Sim.ContextSwitch()
 		}
 		s.lastOp[r.worker] = r.op
-	}
-
-	// Attribute the work order's wall time back to the edge whose delivery
-	// spawned it: the consumer service-time signal of the next observation.
-	if r.edge >= 0 {
-		s.edges[r.edge].serviceNS += r.end.Sub(r.start).Nanoseconds()
 	}
 
 	retry := false
@@ -804,26 +744,22 @@ func (s *sched) emit(st *opState, blocks []*storage.Block) {
 // tryFlush hands buffered blocks to the consumer in UoT-sized groups. When
 // tracing is enabled every transition ends with a gauge sample of the edge
 // (buffered blocks vs. the UoT threshold, scheduler queue depth, stall time
-// of the drained blocks, and memory-pool occupancy). An adaptive controller
-// is additionally observed at every delivery boundary — the same
-// stall/interval bookkeeping feeds both, so the fully static untraced path
-// stays timestamp-free.
+// of the drained blocks, and memory-pool occupancy); the untraced path takes
+// no timestamps.
 func (s *sched) tryFlush(es *edgeState) {
 	traced := es.e.Kind == Pipelined && s.ctx.Trace.Enabled()
-	observed := s.ctl.Adaptive()
-	track := traced || observed
 	delivered := 0
 	c := s.states[es.e.To]
 	if !c.started {
-		if track && len(es.buf) > 0 && es.bufSince == 0 {
-			es.bufSince = s.clock()
-		}
 		if traced {
+			if len(es.buf) > 0 && es.bufSince == 0 {
+				es.bufSince = s.ctx.Trace.Now()
+			}
 			s.sampleEdge(es, 0, 0)
 		}
 		return
 	}
-	uot := s.ctl.UoT(es.ctl) // decisions land between flushes, never inside one
+	uot := s.ctl.UoT(es.ctl)
 	for uot != UoTTable && len(es.buf) >= uot {
 		chunk := es.buf[:uot:uot]
 		es.buf = es.buf[uot:]
@@ -849,9 +785,9 @@ func (s *sched) tryFlush(es *edgeState) {
 			s.check(c)
 		}
 	}
-	if track {
+	if traced {
 		var stall int64
-		nowNS := s.clock()
+		nowNS := s.ctx.Trace.Now()
 		if delivered > 0 && es.bufSince > 0 {
 			// How long the just-drained blocks waited buffered behind the
 			// UoT threshold before the consumer could see them.
@@ -862,15 +798,7 @@ func (s *sched) tryFlush(es *edgeState) {
 		} else if delivered > 0 || es.bufSince == 0 {
 			es.bufSince = nowNS
 		}
-		if observed && delivered > 0 && !es.producerDone {
-			// Observe before the gauge sample so the sampled UoT threshold
-			// (and the Prometheus uot_edge_uot_blocks gauge behind it)
-			// reflects this boundary's decision.
-			s.adapt(es, delivered, stall, nowNS)
-		}
-		if traced {
-			s.sampleEdge(es, delivered, stall)
-		}
+		s.sampleEdge(es, delivered, stall)
 	}
 }
 
@@ -919,7 +847,6 @@ func (s *sched) deliver(c *opState, es *edgeState, blocks []*storage.Block) {
 		}
 	}
 	if faulted > 0 {
-		es.faultedIn += faulted
 		s.ctx.Trace.MarkIn(s.ctx.TraceRun, trace.MarkSpillFaultIn, trace.Event{
 			Op: int32(es.e.To), Edge: es.id,
 			Rows: int64(faulted), RowsOut: faultBytes, StallNS: faultStall,
@@ -940,16 +867,16 @@ func (s *sched) deliver(c *opState, es *edgeState, blocks []*storage.Block) {
 		}
 	}
 	es.batches++
-	s.enqueueBatch(c, c.op.Feed(s.ctx, es.e.ToInput, blocks), es.batches-1, es.id)
+	s.enqueueBatch(c, c.op.Feed(s.ctx, es.e.ToInput, blocks), es.batches-1)
 }
 
 func (s *sched) enqueue(st *opState, wos []WorkOrder) {
-	s.enqueueBatch(st, wos, -1, -1)
+	s.enqueueBatch(st, wos, -1)
 }
 
-// enqueueBatch queues work orders annotated with the UoT delivery batch and
-// edge that produced them (-1/-1 for Start/Final work orders).
-func (s *sched) enqueueBatch(st *opState, wos []WorkOrder, batch int64, edge int32) {
+// enqueueBatch queues work orders annotated with the UoT delivery batch that
+// produced them (-1 for Start/Final work orders).
+func (s *sched) enqueueBatch(st *opState, wos []WorkOrder, batch int64) {
 	if s.runErr != nil {
 		return
 	}
@@ -958,7 +885,7 @@ func (s *sched) enqueueBatch(st *opState, wos []WorkOrder, batch int64, edge int
 		enq = s.ctx.Trace.Now()
 	}
 	for _, wo := range wos {
-		s.queue = append(s.queue, job{op: st.id, wo: wo, enqueueNS: enq, batch: batch, edge: edge})
+		s.queue = append(s.queue, job{op: st.id, wo: wo, enqueueNS: enq, batch: batch})
 	}
 	st.queued += len(wos)
 }

@@ -246,36 +246,6 @@ func (s StoreParams) LowUoTExtra() float64 {
 // cost — the factor by which pipelining wins in the disk setting.
 func (s StoreParams) Advantage() float64 { return s.HighUoTExtra() / s.LowUoTExtra() }
 
-// storeRefUoT is the UoT size DefaultStore's per-UoT device costs are quoted
-// at; SpillCost scales them linearly to other UoT sizes.
-const storeRefUoT = 128 << 10
-
-// SpillProb is the Section V-C analogue of P1Prime with the spill threshold
-// M in place of |L3|: the probability that a UoT buffered at size B by T
-// workers is evicted to the persistent store before its consumer reads it,
-// min(1, 2BT/M).
-func SpillProb(B int64, T int, M int64) float64 {
-	if M <= 0 {
-		return 1
-	}
-	v := 2 * float64(B) * float64(T) / float64(M)
-	if v > 1 {
-		return 1
-	}
-	return v
-}
-
-// SpillCost is the expected extra ticks per transferred UoT of size B under
-// a RAM threshold of M bytes with T workers: the eviction probability times
-// one store write (spill) plus one store read (fault-in), scaled from the
-// DefaultStore reference UoT. The adaptive controller adds this to its
-// high-UoT prior so UoT choices price the slow tier in (Section V-C: once
-// the store is in the loop, pipelining wins by orders of magnitude).
-func SpillCost(B int64, T int, M int64) float64 {
-	s := DefaultStore(1)
-	return SpillProb(B, T, M) * float64(s.RStore+s.WStore) * float64(B) / float64(storeRefUoT)
-}
-
 // RecomputeCost estimates the ticks to recompute a materialized
 // intermediate of the given byte size produced by a subplan of nOps
 // operators: every operator level at minimum streams its input in

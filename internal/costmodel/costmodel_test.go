@@ -165,21 +165,3 @@ func TestQueryMemorySplit(t *testing.T) {
 		}
 	}
 }
-
-func TestSpillCost(t *testing.T) {
-	// Below the threshold the probability — and the cost — scale with B.
-	lo := SpillCost(64<<10, 1, 1<<30)
-	hi := SpillCost(128<<10, 1, 1<<30)
-	if lo <= 0 || hi < 4*lo-1e-9 || hi > 4*lo+1e-9 {
-		t.Fatalf("SpillCost should be quadratic in B below saturation: lo=%g hi=%g", lo, hi)
-	}
-	// Saturated: probability 1, cost equals the scaled device round trip.
-	s := DefaultStore(1)
-	sat := SpillCost(256<<10, 8, 1) // M tiny → certain eviction
-	if want := float64(s.RStore+s.WStore) * 2; sat != want {
-		t.Fatalf("saturated SpillCost = %g, want %g", sat, want)
-	}
-	if SpillProb(1<<20, 4, 0) != 1 {
-		t.Fatal("zero budget must saturate the spill probability")
-	}
-}

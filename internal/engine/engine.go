@@ -19,7 +19,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/types"
-	"repro/internal/uotctl"
 )
 
 // Options configures one query execution.
@@ -29,7 +28,8 @@ type Options struct {
 	// UoTBlocks is the default unit of transfer in blocks for every
 	// pipelined edge that does not override it: 1 reproduces classic
 	// "pipelining", core.UoTTable reproduces classic "blocking", anything
-	// in between is a point on the paper's spectrum. Default 1.
+	// in between is a point on the paper's spectrum. Default 1. Only the
+	// memory-pressure ladder (see MemoryBudget) moves an edge off it.
 	UoTBlocks int
 	// TempBlockBytes is the temporary-block size. Default 128 KB.
 	TempBlockBytes int
@@ -58,20 +58,6 @@ type Options struct {
 	// RetryBackoff is the base re-dispatch delay after a transient failure,
 	// doubling per attempt (capped at 100ms). Default 1ms.
 	RetryBackoff time.Duration
-	// WorkOrderDeadline, if positive, bounds each work-order attempt:
-	// attempts catching themselves over the deadline at an interruption
-	// point abort (transiently, so they retry); completed overruns are
-	// recorded in the run's robustness counters.
-	WorkOrderDeadline time.Duration
-	// AdaptiveUoT makes the run's UoT controller (see internal/uotctl)
-	// adaptive: pipelined edges without an explicit UoT start at the
-	// Section V model's predicted operating point for this run's Workers,
-	// TempBlockBytes and Pool's spill threshold instead of UoTBlocks, and
-	// every edge's UoT is adjusted AIMD-style at delivery boundaries from
-	// backlog, stall-time, and consumer service-time gauges. Off by default:
-	// a static run's controller is never observed, so its edges move only
-	// under memory pressure.
-	AdaptiveUoT bool
 	// Trace, if non-nil, collects this execution's observability events —
 	// per-work-order spans, per-edge gauge samples, scheduler annotations —
 	// into the tracer's ring buffer (see internal/trace). One tracer may be
@@ -98,8 +84,7 @@ type Options struct {
 	// namespace and per-query gauge, shared freelist). Nil gives the
 	// execution a private root pool. The pool's owner owns everything
 	// attached to it: recycling policy (storage.Pool.DisableRecycling) and
-	// the spill tier (storage.Pool.EnableSpill / CloseSpill), whose
-	// threshold the adaptive UoT prior reads.
+	// the spill tier (storage.Pool.EnableSpill / CloseSpill).
 	Pool *storage.Pool
 	// QueryID identifies the query among concurrent executions sharing
 	// Exec, Pool, or Trace: when positive it labels the run's stats snapshot
@@ -123,26 +108,6 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
-
-// controller returns the run's UoT controller, sized from the options (after
-// withDefaults): adaptive at the model prior, or static at UoTBlocks. The
-// adaptive prior prices a spill tier attached to Pool in: the RAM level
-// eviction kicks in at is the M of costmodel.SpillCost.
-func (o Options) controller() *uotctl.Controller {
-	cc := uotctl.Config{Workers: o.Workers, BlockBytes: o.TempBlockBytes, DefaultUoT: o.UoTBlocks}
-	if !o.AdaptiveUoT {
-		return uotctl.NewStatic(cc)
-	}
-	if o.Pool != nil {
-		cc.SpillBudget = o.Pool.EvictionThreshold()
-	}
-	return uotctl.New(cc)
-}
-
-// StartUoT returns the UoT the run's pipelined edges start at unless they
-// declare their own — UoTBlocks for a static run, the model prior for an
-// adaptive one — so admission can price the buffers the run will hold.
-func (o Options) StartUoT() int { return o.withDefaults().controller().Prior() }
 
 // Result is the outcome of one execution.
 type Result struct {
@@ -193,8 +158,6 @@ func Execute(b *Builder, opts Options) (*Result, error) {
 		Faults:         opts.Faults,
 		MaxAttempts:    opts.MaxAttempts,
 		RetryBackoff:   opts.RetryBackoff,
-		WODeadline:     opts.WorkOrderDeadline,
-		UoTCtl:         opts.controller(),
 	}
 	err := core.Run(b.plan, ctx, opts.UoTBlocks)
 	run.Finish()

@@ -29,10 +29,11 @@ type mmCfg struct {
 	Workers int
 	UoT     int
 	Temp    int
-	// Adaptive attaches the per-edge adaptive UoT controller: mid-run UoT
-	// changes regroup deliveries but must never change results (int64-only
-	// data makes the equality exact).
-	Adaptive bool
+	// Budget is the engine MemoryBudget. 1 holds every block-producing work
+	// order, so the memory-pressure ladder raises UoTs mid-run: regrouped
+	// deliveries must never change results (int64-only data makes the
+	// equality exact).
+	Budget int64
 	// Spill, when positive, attaches a disk-backed spill tier with this
 	// eviction threshold in bytes (1 = evict every cooled block). Round-trips
 	// through the block codec and fault-in reordering are pure storage
@@ -49,8 +50,8 @@ func (c mmCfg) String() string {
 	if c.UoT == core.UoTTable {
 		uot = "table"
 	}
-	return fmt.Sprintf("workers=%d uot=%s temp=%d adaptive=%v spill=%d reuse=%v",
-		c.Workers, uot, c.Temp, c.Adaptive, c.Spill, c.Reuse)
+	return fmt.Sprintf("workers=%d uot=%s temp=%d budget=%d spill=%d reuse=%v",
+		c.Workers, uot, c.Temp, c.Budget, c.Spill, c.Reuse)
 }
 
 var mmBase = mmCfg{Workers: 1, UoT: 1, Temp: 16 << 10}
@@ -70,17 +71,17 @@ var mmVariants = []mmCfg{
 	{Workers: 2, UoT: 3, Temp: 128 << 10},
 	{Workers: 4, UoT: 64, Temp: 4 << 10},
 	{Workers: 7, UoT: core.UoTTable, Temp: 16 << 10},
-	{Workers: 1, UoT: 1, Temp: 16 << 10, Adaptive: true},
-	{Workers: 7, UoT: 1, Temp: 4 << 10, Adaptive: true},
-	{Workers: 4, UoT: 16, Temp: 16 << 10, Adaptive: true},
+	{Workers: 1, UoT: 1, Temp: 16 << 10, Budget: 1},
+	{Workers: 7, UoT: 1, Temp: 4 << 10, Budget: 1},
+	{Workers: 4, UoT: 16, Temp: 16 << 10, Budget: 1},
 	{Workers: 1, UoT: 3, Temp: 16 << 10, Spill: 1},
 	{Workers: 4, UoT: 16, Temp: 4 << 10, Spill: 32 << 10},
 	{Workers: 2, UoT: 8, Temp: 16 << 10, Spill: 8 << 10},
-	{Workers: 7, UoT: 64, Temp: 16 << 10, Adaptive: true, Spill: 1},
+	{Workers: 7, UoT: 64, Temp: 16 << 10, Budget: 1, Spill: 1},
 	{Workers: 1, UoT: 1, Temp: 16 << 10, Reuse: true},
 	{Workers: 7, UoT: 16, Temp: 4 << 10, Reuse: true},
 	{Workers: 2, UoT: 3, Temp: 16 << 10, Reuse: true},
-	{Workers: 4, UoT: 64, Temp: 16 << 10, Adaptive: true, Reuse: true},
+	{Workers: 4, UoT: 64, Temp: 16 << 10, Budget: 1, Reuse: true},
 }
 
 // mmSpec is a fully-resolved random plan: data shape and operator choices.
@@ -246,7 +247,7 @@ func (s *mmSpec) build() *engine.Builder {
 func (s *mmSpec) runEncoded(c mmCfg) (string, error) {
 	opts := engine.Options{
 		Workers: c.Workers, UoTBlocks: c.UoT, TempBlockBytes: c.Temp,
-		AdaptiveUoT: c.Adaptive,
+		MemoryBudget: c.Budget,
 	}
 	if c.Spill > 0 {
 		dir, err := os.MkdirTemp("", "mm-spill-")
@@ -290,7 +291,7 @@ func (s *mmSpec) shrinkConfig(t *testing.T, failing mmCfg, want string) mmCfg {
 			func(c mmCfg) mmCfg { c.Workers = mmBase.Workers; return c },
 			func(c mmCfg) mmCfg { c.UoT = mmBase.UoT; return c },
 			func(c mmCfg) mmCfg { c.Temp = mmBase.Temp; return c },
-			func(c mmCfg) mmCfg { c.Adaptive = mmBase.Adaptive; return c },
+			func(c mmCfg) mmCfg { c.Budget = mmBase.Budget; return c },
 			func(c mmCfg) mmCfg { c.Spill = mmBase.Spill; return c },
 			func(c mmCfg) mmCfg { c.Reuse = mmBase.Reuse; return c },
 		} {

@@ -18,7 +18,7 @@ import (
 //     base scans the scanned table's identity and data version.
 //   - Canon() must NOT capture anything the golden harness proves
 //     result-invariant: UoT values, worker counts, block sizes/formats,
-//     adaptive-controller settings, expected-row hints, bloom/LIP sizing,
+//     expected-row hints, bloom/LIP sizing,
 //     fast-path-vs-reference switches, or display names.
 //
 // Operators that don't implement Canon (sinks, capture taps)

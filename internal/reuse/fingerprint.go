@@ -24,8 +24,8 @@ import (
 // input order, and the fingerprints of its blocking children sorted — so a
 // fingerprint covers the operator, everything upstream of it, and the
 // identity+version of every base table underneath, while remaining
-// invariant to UoT values, worker counts, block sizes/formats, and
-// adaptive-controller settings (none of which appear in any Canon).
+// invariant to UoT values, worker counts, and block sizes/formats (none of
+// which appear in any Canon).
 type Fingerprint [sha256.Size]byte
 
 // String renders a short hex prefix for logs and table names.

@@ -41,21 +41,10 @@ func serveFixture() (fact, dim *storage.Table) {
 // engine package's reference plan, exercising a build, an agg, and a sort
 // through the shared pool.
 func joinAggPlan(fact, dim *storage.Table) *engine.Builder {
-	return gatedJoinAggPlan(fact, dim, nil)
-}
-
-// gatedJoinAggPlan is joinAggPlan whose dim scan, when gate is non-nil,
-// blocks on it (every dim row still passes): the query holds its admission
-// slot until the test closes the gate.
-func gatedJoinAggPlan(fact, dim *storage.Table, gate chan struct{}) *engine.Builder {
 	b := engine.NewBuilder()
 	fs, ds := fact.Schema(), dim.Schema()
-	var dimPred expr.Expr
-	if gate != nil {
-		dimPred = gateExpr{ch: gate}
-	}
 	selDim := b.ScanSelect(exec.SelectSpec{
-		Name: "sel_dim", Base: dim, Pred: dimPred,
+		Name: "sel_dim", Base: dim,
 		Proj:      []expr.Expr{expr.C(ds, "k"), expr.C(ds, "w")},
 		ProjNames: []string{"k", "w"},
 	})

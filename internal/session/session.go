@@ -144,13 +144,11 @@ type Request struct {
 	Workers int
 	// UoTBlocks overrides the default unit of transfer (0 = config default).
 	UoTBlocks int
-	// Faults, MaxAttempts, RetryBackoff, WorkOrderDeadline and AdaptiveUoT
-	// pass through to the engine (see engine.Options).
-	Faults            *faults.Injector
-	MaxAttempts       int
-	RetryBackoff      time.Duration
-	WorkOrderDeadline time.Duration
-	AdaptiveUoT       bool
+	// Faults, MaxAttempts and RetryBackoff pass through to the engine (see
+	// engine.Options).
+	Faults       *faults.Injector
+	MaxAttempts  int
+	RetryBackoff time.Duration
 }
 
 // Response is a completed query.
@@ -242,20 +240,18 @@ func (s *Session) Submit(req Request) (*Response, error) {
 	b := req.Build()
 
 	opts := engine.Options{
-		Workers:           req.Workers,
-		UoTBlocks:         req.UoTBlocks,
-		TempBlockBytes:    s.cfg.BlockBytes,
-		TempFormat:        s.cfg.TempFormat,
-		Faults:            req.Faults,
-		MaxAttempts:       req.MaxAttempts,
-		RetryBackoff:      req.RetryBackoff,
-		WorkOrderDeadline: req.WorkOrderDeadline,
-		AdaptiveUoT:       req.AdaptiveUoT,
-		Trace:             s.cfg.Trace,
-		Reuse:             s.reuse,
-		Exec:              s.pool,
-		Pool:              s.blocks,
-		Priority:          req.Priority,
+		Workers:        req.Workers,
+		UoTBlocks:      req.UoTBlocks,
+		TempBlockBytes: s.cfg.BlockBytes,
+		TempFormat:     s.cfg.TempFormat,
+		Faults:         req.Faults,
+		MaxAttempts:    req.MaxAttempts,
+		RetryBackoff:   req.RetryBackoff,
+		Trace:          s.cfg.Trace,
+		Reuse:          s.reuse,
+		Exec:           s.pool,
+		Pool:           s.blocks,
+		Priority:       req.Priority,
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = s.cfg.PerQueryWorkers
@@ -263,12 +259,11 @@ func (s *Session) Submit(req Request) (*Response, error) {
 	if opts.UoTBlocks <= 0 {
 		opts.UoTBlocks = s.cfg.UoTBlocks
 	}
-	// The estimate prices edge buffers at the UoT the run will start them at
-	// (the model prior when adaptive, not the static default). With a spill
-	// tier it splits: the RAM-resident share competes for the memory budget,
-	// the spillable share for the disk budget.
+	// The estimate prices edge buffers at the UoT the run will start them at.
+	// With a spill tier it splits: the RAM-resident share competes for the
+	// memory budget, the spillable share for the disk budget.
 	var est, spillable int64
-	uot, bb := opts.StartUoT(), int64(s.cfg.BlockBytes)
+	uot, bb := opts.UoTBlocks, int64(s.cfg.BlockBytes)
 	if s.cfg.SpillDir != "" {
 		est, spillable = EstimateBuilderSplit(b, opts.Workers, uot, bb)
 	} else {

@@ -9,12 +9,10 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/costmodel"
 	"repro/internal/engine"
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/trace"
-	"repro/internal/uotctl"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -359,53 +357,6 @@ func TestResultSurvivesPoolReuse(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRequestReservesAtThePrior: an adaptive run starts its
-// undeclared edges at the controller's model prior, not at the session's
-// static default, so that is the UoT admission has to price its buffers at.
-func TestAdaptiveRequestReservesAtThePrior(t *testing.T) {
-	fact, _ := serveFixture()
-	const blockBytes = 16 << 10
-	s := Open(Config{Workers: 2, MaxConcurrent: 2, BlockBytes: blockBytes})
-	defer s.Close()
-
-	gate := make(chan struct{})
-	type result struct {
-		resp *Response
-		err  error
-	}
-	done := make(chan result, 1)
-	go func() {
-		resp, err := s.Submit(Request{
-			Build:       func() *engine.Builder { return gatedPlan(fact, gate) },
-			AdaptiveUoT: true,
-		})
-		done <- result{resp, err}
-	}()
-	waitFor(t, "admission", func() bool {
-		inflight, _, _ := s.Occupancy()
-		return inflight == 1
-	})
-	_, _, reserved := s.Occupancy()
-	close(gate)
-	r := <-done
-	if r.err != nil {
-		t.Fatal(r.err)
-	}
-
-	// gatedPlan is scan → collect: one pipelined edge, no stateful operator.
-	prior := uotctl.Prior(blockBytes, 1)
-	want := costmodel.QueryMemory([]int{prior}, 1, blockBytes, 0, 0)
-	if static := costmodel.QueryMemory([]int{1}, 1, blockBytes, 0, 0); prior == 1 || want == static {
-		t.Fatalf("prior %d prices like the static default (%d bytes): the test cannot tell them apart", prior, static)
-	}
-	if reserved != want {
-		t.Errorf("reserved %d bytes, want QueryMemory at the prior UoT %d = %d", reserved, prior, want)
-	}
-	if e := r.resp.Run.EdgeUoTs()[0]; e.Start != prior {
-		t.Errorf("run started its edge at UoT %d, want the prior %d", e.Start, prior)
-	}
-}
-
 // TestExecuteMatchesSessionSchedule: a single-query execution is the served
 // engine with one tenant. The same plan through engine.Execute at Workers 1
 // and through a session at PerQueryWorkers 1 runs the same work-order
@@ -450,58 +401,6 @@ func TestExecuteMatchesSessionSchedule(t *testing.T) {
 	for name, r := range map[string]*stats.Run{"execute": direct.Run, "session": served.Run} {
 		if live := r.Intermediates.Live(); live != 0 {
 			t.Errorf("%s: %d intermediate bytes live after success, want 0", name, live)
-		}
-	}
-}
-
-// TestAdaptiveSpillSessionStartsAtTheSpillPrior: in a session whose pool has
-// a spill tier, an adaptive request's controller and its admission price the
-// tier in, as the pool's owner configured it: every undeclared edge starts at
-// the spill-aware prior, and the reservation is the estimate at that UoT.
-func TestAdaptiveSpillSessionStartsAtTheSpillPrior(t *testing.T) {
-	const blockBytes, threshold = 128 << 10, 8 << 20
-	prior := uotctl.PriorWithSpill(blockBytes, 1, threshold)
-	if ram := uotctl.Prior(blockBytes, 1); ram == prior {
-		t.Fatalf("spill prior %d equals the RAM-only prior: the test cannot tell them apart", prior)
-	}
-	fact, dim := serveFixture()
-	s := Open(Config{Workers: 1, SpillDir: t.TempDir(), SpillThreshold: threshold})
-	defer s.Close()
-
-	gate := make(chan struct{})
-	type result struct {
-		resp *Response
-		err  error
-	}
-	done := make(chan result, 1)
-	go func() {
-		resp, err := s.Submit(Request{
-			Build:       func() *engine.Builder { return gatedJoinAggPlan(fact, dim, gate) },
-			AdaptiveUoT: true,
-		})
-		done <- result{resp, err}
-	}()
-	waitFor(t, "admission", func() bool {
-		inflight, _, _ := s.Occupancy()
-		return inflight == 1
-	})
-	_, _, reserved := s.Occupancy()
-	close(gate)
-	r := <-done
-	if r.err != nil {
-		t.Fatal(r.err)
-	}
-
-	if want, _ := EstimateBuilderSplit(joinAggPlan(fact, dim), 1, prior, blockBytes); reserved != want {
-		t.Errorf("reserved %d bytes, want the RAM share at the spill prior %d = %d", reserved, prior, want)
-	}
-	edges := r.resp.Run.EdgeUoTs()
-	if len(edges) != 5 {
-		t.Fatalf("edge records = %d, want 5", len(edges))
-	}
-	for _, e := range edges {
-		if e.Declared == 0 && e.Start != prior {
-			t.Errorf("edge %s->%s started at UoT %d, want the spill prior %d", e.FromName, e.ToName, e.Start, prior)
 		}
 	}
 }

@@ -168,10 +168,10 @@ func (r *Run) Label() string {
 
 // EdgeUoT is the per-pipelined-edge UoT story of one run, recorded by the
 // scheduler at run end. Start is the *resolved* starting UoT (the declared
-// per-edge value, the run default, or the adaptive controller's model
-// prior), so experiments need not re-derive the Edge.UoT==0 fallback; Final
-// is where the edge ended up, and the counters attribute every controller
-// decision along the way.
+// per-edge value or the run default), so experiments need not re-derive the
+// Edge.UoT==0 fallback; Final is where the edge ended up after the
+// memory-pressure ladder's steps: Final == Start<<Raises, or UoTTable after
+// one snap.
 type EdgeUoT struct {
 	From, To         int    // operator IDs
 	FromName, ToName string // operator display names
@@ -179,9 +179,7 @@ type EdgeUoT struct {
 	Declared         int    // per-edge UoT from the plan (0 = run default)
 	Start            int    // resolved starting UoT
 	Final            int    // UoT when the run ended
-	Raises           int64  // UoT increases (feedback or memory pressure)
-	Lowers           int64  // UoT decreases (feedback)
-	Holds            int64  // observations that left the UoT unchanged
+	Raises           int64  // memory-pressure doublings
 	Snaps            int64  // snaps to UoTTable past the ceiling
 }
 

@@ -283,8 +283,7 @@ func TestSpillExtentRotationAndReclaim(t *testing.T) {
 }
 
 // TestEvictionThresholdSeenThroughViews: a subpool view reports its root tier's
-// threshold (what the adaptive UoT prior prices), and 0 once no tier is
-// attached.
+// threshold, and 0 once no tier is attached.
 func TestEvictionThresholdSeenThroughViews(t *testing.T) {
 	p, _ := newSpillPool(t, SpillConfig{Threshold: 8 << 20})
 	view := p.Subpool(nil, nil)

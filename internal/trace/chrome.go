@@ -153,8 +153,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 				name = "retry scheduled"
 			case MarkUoTRaise:
 				name = "uot raised"
-			case MarkUoTLower:
-				name = "uot lowered"
 			case MarkUoTSnap:
 				name = "uot snapped to table"
 			case MarkRunEnd:
@@ -169,7 +167,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 				name = "reuse evict"
 			}
 			args := map[string]any{"op": e.Op}
-			if e.Mark == MarkUoTRaise || e.Mark == MarkUoTLower || e.Mark == MarkUoTSnap {
+			if e.Mark == MarkUoTRaise || e.Mark == MarkUoTSnap {
 				args["edge"] = e.Edge
 				if e.UoT > 1<<40 {
 					args["uot"] = "table"

@@ -56,15 +56,11 @@ type MarkCode uint8
 const (
 	// MarkRetry: a transiently-failed work order was re-queued with backoff.
 	MarkRetry MarkCode = iota + 1
-	// MarkUoTRaise: an edge's UoT was raised — doubled under sustained
-	// memory pressure, or stepped up by adaptive feedback (Edge names the
-	// edge, UoT carries the new value).
+	// MarkUoTRaise: an edge's UoT was doubled under sustained memory
+	// pressure (Edge names the edge, UoT carries the new value).
 	MarkUoTRaise
 	// MarkRunEnd: the run finished (FlagFailed set if it errored).
 	MarkRunEnd
-	// MarkUoTLower: the adaptive controller refined an edge's UoT (Edge
-	// names the edge, UoT carries the new value).
-	MarkUoTLower
 	// MarkUoTSnap: an edge's UoT snapped to UoTTable past the degradation
 	// ceiling — the terminal blocking regime, distinct from MarkUoTRaise so
 	// plots can attribute regime switches.

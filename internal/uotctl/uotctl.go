@@ -1,44 +1,21 @@
-// Package uotctl closes the feedback loop on the paper's central knob: a
-// per-edge controller that adjusts each pipelined edge's unit of transfer
-// bidirectionally at delivery boundaries, from the gauges the scheduler
-// already maintains (buffered blocks vs. the UoT threshold, stall time of
-// the drained blocks, consumer work-order service time, scheduler queue
-// depth, memory pressure).
+// Package uotctl holds the UoT of every pipelined edge of a run. Every run
+// owns one Controller, and it is the only code that computes a new UoT: an
+// edge starts at its declared UoT, or at the run default when it declares
+// none, and moves only through Pressure, the scheduler's memory-degradation
+// ladder (double, snap to Table past the ceiling).
 //
-// The policy is AIMD-shaped with hysteresis: consecutive same-direction
-// votes must reach a streak threshold before the controller acts, a cooldown
-// follows every action, and the resulting UoT is clamped to [floor,
-// ceiling]. Raising is the consumer-falling-behind / memory-pressure
-// direction (coarser transfers, less scheduling churn — the high-UoT regime
-// of Figs. 9/10); lowering is the consumer-starved direction (finer
-// transfers so the consumer starts sooner — the low-UoT advantage of
-// Fig. 7 at small blocks). Pressure, the scheduler's memory-degradation
-// raise, bypasses hysteresis (it is an emergency), doubles, snaps to Table
-// past the ceiling, and suppresses Lower votes for a while so the controller
-// does not immediately undo a degradation the scheduler needed.
-//
-// Every run owns one controller, and it is the only code that computes a new
-// UoT. An adaptive run (New) starts cold edges that do not declare a per-edge
-// UoT at the Section V analytical model's prediction (see Prior), so the
-// feedback loop starts near the regime the model expects, and the scheduler
-// observes it at every delivery boundary. A static run (NewStatic) starts
-// them at the run default and is never observed: its edges move only through
-// Pressure.
+// Observe, Signals and the hysteresis policy behind them (an AIMD feedback
+// loop over delivery-boundary gauges) have no caller in the engine: the
+// scheduler never observes a controller. They stay only because the fixed
+// benchmark times one observe-decide step as uotctl.observe_ns
+// (benchmark/kernels.go), and they go when that metric does.
 //
 // The controller is driven exclusively from the single scheduler goroutine
-// and holds no locks; decisions are pure functions of the signal sequence,
-// which is what makes controller behavior pinnable by a golden test.
+// and holds no locks.
 package uotctl
 
-import (
-	"math"
-
-	"repro/internal/costmodel"
-)
-
 // Table mirrors core.UoTTable ("the whole intermediate table") without
-// importing core; an edge at Table is out of the feedback loop for the rest
-// of the run.
+// importing core; an edge at Table stays there for the rest of the run.
 const Table = int(^uint(0) >> 1)
 
 // Dir is a controller decision direction.
@@ -73,20 +50,15 @@ func (d Dir) String() string {
 }
 
 // Config sizes a controller from the run it belongs to. Non-positive fields
-// take defaults: one worker, 128 KB blocks, UoT 1, no spill tier.
+// take defaults: one worker, UoT 1.
 type Config struct {
-	// Workers (T) and BlockBytes (the temporary-block size) parameterize
-	// the Section V model prior and the queue-saturation raise signal.
+	// Workers (T) sizes Observe's queue-saturation raise signal. BlockBytes
+	// is read by nothing in this package; benchmark/kernels.go sets it.
 	Workers    int
 	BlockBytes int
-	// DefaultUoT is the run's static default: where a NewStatic
-	// controller's undeclared edges start.
+	// DefaultUoT is the run's default: where edges that declare no UoT of
+	// their own start. Table passes unclamped.
 	DefaultUoT int
-	// SpillBudget, when positive, is the RAM threshold of an attached spill
-	// tier: the prior then prices the Section V-C persistent-store costs in
-	// (see PriorWithSpill), starting cold edges finer because a deep
-	// backlog is no longer just cache misses but device round trips.
-	SpillBudget int64
 }
 
 // policy holds the feedback constants. Runs always use defaultPolicy; only
@@ -127,8 +99,7 @@ var defaultPolicy = policy{
 	hysteresis: 3, cooldown: 2, backlogFactor: 3, stallFrac: 0.6, pressureHold: 16,
 }
 
-// Signals is one delivery-boundary observation of an edge, assembled by the
-// scheduler from gauges it already tracks.
+// Signals is one delivery-boundary observation of an edge.
 type Signals struct {
 	// Buffered is how many blocks remain buffered on the edge after the
 	// delivery; Delivered is how many the delivery handed over.
@@ -147,9 +118,6 @@ type Signals struct {
 	QueueDepth int
 	// MemPressure reports whether live temporary bytes exceed the budget.
 	MemPressure bool
-	// FaultedIn is how many of the delivered blocks had to be read back
-	// from the spill tier's disk extents before this delivery could happen.
-	FaultedIn int
 }
 
 // Action is a controller decision: the direction taken and the edge's UoT
@@ -178,52 +146,29 @@ type edge struct {
 // Controller owns the UoT of every registered edge. Not safe for concurrent
 // use: it belongs to the scheduler goroutine of one run.
 type Controller struct {
-	pol      policy
-	workers  int
-	adaptive bool
-	prior    int
-	edges    []edge
+	pol        policy
+	workers    int
+	defaultUoT int
+	edges      []edge
 }
 
-func newController(workers int) *Controller {
-	if workers <= 0 {
-		workers = 1
-	}
-	return &Controller{pol: defaultPolicy, workers: workers}
-}
-
-// New returns the controller of an adaptive run: undeclared edges start at
-// the Section V model prior for cfg, and the scheduler feeds Observe at every
-// delivery boundary.
+// New returns a run's controller: edges that declare no UoT start at
+// cfg.DefaultUoT and stay there unless memory pressure degrades them.
 func New(cfg Config) *Controller {
-	c := newController(cfg.Workers)
-	c.adaptive = true
-	c.prior = PriorWithSpill(cfg.BlockBytes, cfg.Workers, cfg.SpillBudget)
-	return c
-}
-
-// NewStatic returns the controller of a static run: undeclared edges start at
-// cfg.DefaultUoT and stay there unless memory pressure degrades them
-// (Pressure); the scheduler never calls Observe.
-func NewStatic(cfg Config) *Controller {
-	c := newController(cfg.Workers)
-	c.prior = cfg.DefaultUoT
-	if c.prior <= 0 {
-		c.prior = 1
+	c := &Controller{pol: defaultPolicy, workers: max(cfg.Workers, 1), defaultUoT: cfg.DefaultUoT}
+	if c.defaultUoT <= 0 {
+		c.defaultUoT = 1
 	}
 	return c
 }
 
-// Adaptive reports whether the scheduler should feed Observe: false for a
-// NewStatic controller, whose run then needs no delivery timestamps at all.
-func (c *Controller) Adaptive() bool { return c.adaptive }
-
-// Prior returns the starting UoT for edges that do not declare their own.
-func (c *Controller) Prior() int { return c.prior }
-
-// AddEdge registers an edge starting at start and returns its index.
-func (c *Controller) AddEdge(start int) int {
-	start = clamp(start, c.pol.floor, Table)
+// AddEdge registers an edge that declares the given UoT (0 = the run
+// default) and returns its index.
+func (c *Controller) AddEdge(declared int) int {
+	start := c.defaultUoT
+	if declared != 0 {
+		start = clamp(declared, c.pol.floor, Table)
+	}
 	c.edges = append(c.edges, edge{uot: start, start: start})
 	return len(c.edges) - 1
 }
@@ -278,10 +223,10 @@ func (c *Controller) Observe(i int, s Signals) Action {
 }
 
 // Pressure is the scheduler's memory-degradation entry point for edge i —
-// the only way a static run's UoT moves. An emergency that bypasses
-// hysteresis and cooldown: double the UoT, snap to Table once it has reached
-// the ceiling, hold at Table; then suppress Lower votes for the next
-// pressureHold observations.
+// the only way a run's UoT moves: double the UoT, snap to Table once it has
+// reached the ceiling, hold at Table. It bypasses Observe's hysteresis and
+// cooldown and suppresses its Lower votes for the next pressureHold
+// observations.
 func (c *Controller) Pressure(i int) Action {
 	e := &c.edges[i]
 	e.pressureHold = c.pol.pressureHold
@@ -309,15 +254,6 @@ func (c *Controller) vote(e *edge, s Signals) Dir {
 	// at this granularity, or a scheduler queue saturated far past the
 	// worker count (the heavy-concurrency regime of Figs. 9/10, where
 	// per-delivery overhead dominates).
-	// Finest first: delivered blocks that had to be faulted in from disk
-	// mean this edge's backlog outgrew RAM, and Section V-C's answer is to
-	// pipeline — every buffered block is a potential device round trip, so
-	// the spill-rate gauge outvotes even memory pressure (a raise would
-	// deepen the very backlog that is spilling). Deliberately not gated by
-	// pressureHold: the pressure raise is usually what caused the spill.
-	if s.FaultedIn > 0 && e.uot > c.pol.floor {
-		return Lower
-	}
 	if s.MemPressure {
 		return Raise
 	}
@@ -398,48 +334,4 @@ func clamp(v, lo, hi int) int {
 		return hi
 	}
 	return v
-}
-
-// Prior consults the Section V analytical model for a cold edge's starting
-// UoT: it scans power-of-two block-group sizes and picks the one minimizing
-// the modeled per-byte transfer overhead, blending the low- and high-UoT
-// regime costs by p1' = min(1, 2BT/|L3|) — the model's own regime-switch
-// probability. Small B·T relative to the L3 keeps the low-UoT cost dominant
-// (pipelining wins, Fig. 7 at 128 KB); once B·T outgrows the cache the
-// blend saturates and larger groups stop paying, matching the paper's
-// "indistinguishable at 2 MB" observation.
-func Prior(blockBytes, workers int) int {
-	return PriorWithSpill(blockBytes, workers, 0)
-}
-
-// PriorWithSpill is Prior with the Section V-C persistent store priced in
-// when spillBudget is positive: each candidate group size additionally pays
-// the expected spill penalty (costmodel.SpillCost — eviction probability
-// under the RAM budget times the device round trip). Large groups that the
-// in-memory model tolerates become expensive once they risk touching the
-// store, so the spill-aware prior is never coarser than the in-memory one —
-// the paper's "with a persistent store, pipelining wins by orders of
-// magnitude" translated into a starting point.
-func PriorWithSpill(blockBytes, workers int, spillBudget int64) int {
-	if blockBytes <= 0 {
-		blockBytes = 128 << 10
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-	best, bestCost := 1, math.Inf(1)
-	for blocks := 1; blocks <= 1024; blocks <<= 1 {
-		p := costmodel.Default(int64(blocks)*int64(blockBytes), workers)
-		p.NProbeIn = 1
-		w := p.P1Prime()
-		cost := ((1-w)*p.LowRegime().LowUoTExtra() + w*p.HighRegime().HighUoTExtra()) /
-			float64(p.B)
-		if spillBudget > 0 {
-			cost += costmodel.SpillCost(p.B, workers, spillBudget) / float64(p.B)
-		}
-		if cost < bestCost {
-			best, bestCost = blocks, cost
-		}
-	}
-	return best
 }

@@ -21,53 +21,26 @@ func TestDefaults(t *testing.T) {
 		pol.cooldown != 2 || pol.backlogFactor != 3 || pol.pressureHold != 16 {
 		t.Fatalf("unexpected defaults: %+v", pol)
 	}
-	if !c.Adaptive() || c.workers != 1 {
-		t.Fatalf("New(Config{}) = %+v, want an adaptive one-worker controller", c)
-	}
-	if p := c.Prior(); p < 1 || p > 1024 {
-		t.Fatalf("prior out of range: %d", p)
-	}
-}
-
-func TestPriorModelSeeded(t *testing.T) {
-	// The model prior must prefer small groups while B·T fits the L3 (the
-	// Fig. 7 low-UoT advantage at 128 KB / T=20) and never exceed the scan
-	// range.
-	small := Prior(128<<10, 20)
-	if small > 4 {
-		t.Fatalf("128KB/T=20 prior = %d, want a small group (<=4)", small)
-	}
-	for _, bb := range []int{64 << 10, 128 << 10, 512 << 10, 2 << 20} {
-		for _, w := range []int{1, 4, 20} {
-			if p := Prior(bb, w); p < 1 || p > 1024 {
-				t.Fatalf("Prior(%d, %d) = %d out of range", bb, w, p)
-			}
-		}
-	}
-	// Degenerate inputs fall back to defaults instead of dividing by zero.
-	if p := Prior(0, 0); p < 1 {
-		t.Fatalf("Prior(0,0) = %d", p)
+	if c.workers != 1 || c.defaultUoT != 1 {
+		t.Fatalf("New(Config{}) = %+v, want one worker at UoT 1", c)
 	}
 }
 
 func TestStaticStartsAtDefaultUoT(t *testing.T) {
-	c := NewStatic(Config{DefaultUoT: 7})
-	if c.Prior() != 7 || c.Adaptive() {
-		t.Fatalf("NewStatic: prior %d adaptive %v, want 7 and unobserved", c.Prior(), c.Adaptive())
+	c := New(Config{DefaultUoT: 7})
+	undeclared, declared := c.AddEdge(0), c.AddEdge(3)
+	if c.UoT(undeclared) != 7 || c.UoT(declared) != 3 {
+		t.Fatalf("start UoTs %d/%d, want the default 7 and the declared 3", c.UoT(undeclared), c.UoT(declared))
 	}
 	// A blocking run's default is Table itself: no ceiling clamps it.
-	if p := NewStatic(Config{DefaultUoT: Table}).Prior(); p != Table {
-		t.Fatalf("NewStatic(Table) prior = %d, want Table", p)
+	if tc := New(Config{DefaultUoT: Table}); tc.UoT(tc.AddEdge(0)) != Table {
+		t.Fatal("New(Table) did not start an undeclared edge at Table")
 	}
-	if p := NewStatic(Config{}).Prior(); p != 1 {
-		t.Fatalf("NewStatic(Config{}) prior = %d, want 1", p)
+	// The memory-pressure ladder is the only way an edge moves.
+	if a := c.Pressure(undeclared); a.Dir != Raise || a.UoT != 14 {
+		t.Fatalf("pressure step: %+v, want Raise to 14", a)
 	}
-	// The memory-pressure ladder is the same policy either way.
-	e := c.AddEdge(c.Prior())
-	if a := c.Pressure(e); a.Dir != Raise || a.UoT != 14 {
-		t.Fatalf("static pressure step: %+v, want Raise to 14", a)
-	}
-	if start, d := c.Edge(e); start != 7 || d != (Decisions{Raises: 1}) {
+	if start, d := c.Edge(undeclared); start != 7 || d != (Decisions{Raises: 1}) {
 		t.Fatalf("edge trajectory: start %d decisions %+v", start, d)
 	}
 }
@@ -209,8 +182,7 @@ func TestMixedSignalsDecayStreaks(t *testing.T) {
 }
 
 // TestDecisionGolden pins the controller's full decision sequence for a
-// fixed gauge sequence — the determinism anchor the scheduler's Workers=1
-// golden harness builds on. Decisions are pure functions of (config, signal
+// fixed gauge sequence. Decisions are pure functions of (config, signal
 // sequence); any change to the policy must consciously update this table.
 func TestDecisionGolden(t *testing.T) {
 	c := newTest()
@@ -266,74 +238,5 @@ func TestDirString(t *testing.T) {
 		if d.String() != s {
 			t.Fatalf("Dir(%d).String() = %q, want %q", d, d.String(), s)
 		}
-	}
-}
-
-func TestFaultedInVotesLower(t *testing.T) {
-	c := newTest()
-	e := c.AddEdge(16)
-	// Spill fault-ins vote Lower through the usual hysteresis (2 here).
-	spilled := Signals{Delivered: 4, FaultedIn: 2, IntervalNS: 1000}
-	if a := c.Observe(e, spilled); a.Dir != Hold {
-		t.Fatalf("first spilled delivery acted immediately: %v", a.Dir)
-	}
-	if a := c.Observe(e, spilled); a.Dir != Lower || a.UoT != 8 {
-		t.Fatalf("streak of spilled deliveries: got %v/%d, want lower/8", a.Dir, a.UoT)
-	}
-}
-
-func TestFaultedInOutvotesPressureHold(t *testing.T) {
-	c := newTest()
-	e := c.AddEdge(16)
-	// A pressure raise arms the Lower suppression...
-	if a := c.Pressure(e); a.Dir != Raise || a.UoT != 32 {
-		t.Fatalf("pressure: %v/%d", a.Dir, a.UoT)
-	}
-	// ...but spill fault-ins lower anyway: the raise is what caused the
-	// spilling, so the stall-based suppression must not apply. One cooldown
-	// observation follows the pressure action, then hysteresis-2 votes.
-	spilled := Signals{Delivered: 4, FaultedIn: 1, IntervalNS: 1000, MemPressure: true}
-	c.Observe(e, spilled) // cooldown
-	c.Observe(e, spilled) // streak 1
-	if a := c.Observe(e, spilled); a.Dir != Lower || a.UoT != 16 {
-		t.Fatalf("spill under pressure hold: got %v/%d, want lower/16", a.Dir, a.UoT)
-	}
-}
-
-func TestFaultedInHoldsAtFloor(t *testing.T) {
-	c := newTest()
-	e := c.AddEdge(1) // already at the floor: nothing finer to try
-	spilled := Signals{Delivered: 1, FaultedIn: 1, IntervalNS: 1000}
-	for i := 0; i < 5; i++ {
-		if a := c.Observe(e, spilled); a.Dir != Hold {
-			t.Fatalf("obs %d: %v at the floor", i, a.Dir)
-		}
-	}
-}
-
-func TestPriorWithSpillNeverCoarser(t *testing.T) {
-	for _, bb := range []int{64 << 10, 128 << 10, 512 << 10} {
-		for _, w := range []int{1, 4, 20} {
-			base := Prior(bb, w)
-			for _, budget := range []int64{1 << 20, 32 << 20, 1 << 30} {
-				sp := PriorWithSpill(bb, w, budget)
-				if sp > base {
-					t.Fatalf("PriorWithSpill(%d,%d,%d) = %d coarser than Prior = %d",
-						bb, w, budget, sp, base)
-				}
-				if sp < 1 || sp > 1024 {
-					t.Fatalf("PriorWithSpill out of range: %d", sp)
-				}
-			}
-		}
-	}
-	// A tight budget must pin the prior to single blocks: every extra
-	// buffered block is a likely device round trip.
-	if p := PriorWithSpill(128<<10, 4, 1<<20); p != 1 {
-		t.Fatalf("tight-budget spill prior = %d, want 1", p)
-	}
-	// New() with SpillBudget seeds from the spill-aware scan.
-	if c := New(Config{Workers: 4, BlockBytes: 128 << 10, SpillBudget: 1 << 20}); c.Prior() != 1 {
-		t.Fatalf("controller spill prior = %d, want 1", c.Prior())
 	}
 }

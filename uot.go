@@ -199,20 +199,15 @@ type (
 //	tr.Snapshot().WritePrometheus(os.Stdout) // metrics scrape text
 func NewTracer(capacity int) *Tracer { return trace.New(capacity) }
 
-// Adaptive unit-of-transfer control: every run owns one UoT controller (see
-// internal/uotctl), the only code that computes a new UoT. Setting
-// Options.AdaptiveUoT makes it adaptive: undeclared edges start at the
-// Section V analytical model's predicted operating point and each pipelined
-// edge's UoT is adjusted AIMD-style at delivery boundaries from backlog,
-// stall-time, and consumer service-time gauges — with hysteresis, cooldown,
-// and floor/ceiling clamps. The memory-pressure degradation raise goes
-// through the same controller in static and adaptive runs alike:
+// EdgeUoT is one pipelined edge's recorded UoT trajectory: the declared and
+// resolved starting values, the final value, and how often the
+// memory-pressure ladder moved it. Every edge starts at its declared UoT or
+// Options.UoTBlocks; under Options.MemoryBudget a producer held back too
+// long has its out-edges doubled, and snapped to UoTTable past a ceiling, so
+// Final == Start<<Raises or, after one snap, UoTTable:
 //
-//	res, err := uot.Execute(b, uot.Options{Workers: 8, AdaptiveUoT: true})
+//	res, err := uot.Execute(b, uot.Options{Workers: 8, MemoryBudget: 64 << 10})
 //	for _, e := range res.Run.EdgeUoTs() { ... } // per-edge UoT trajectory
-//
-// EdgeUoT is one pipelined edge's recorded UoT trajectory: declared and
-// resolved starting values, final value, and per-decision counts.
 type EdgeUoT = stats.EdgeUoT
 
 // TPCH is a loaded TPC-H dataset.

@@ -122,10 +122,10 @@ func TestSettableSurfaceIsPinned(t *testing.T) {
 		v    any
 		want int
 	}{
-		{Options{}, 19},
+		{Options{}, 17},
 		{SessionConfig{}, 15},
-		{Request{}, 13},
-		{uotctl.Config{}, 4},
+		{Request{}, 11},
+		{uotctl.Config{}, 3},
 		{ReuseConfig{}, 2},
 	} {
 		typ, n := reflect.TypeOf(tc.v), 0
