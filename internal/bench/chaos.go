@@ -33,7 +33,7 @@ func (h *Harness) Chaos() (*Report, error) {
 		ID:    "CHAOS",
 		Title: "Fault injection under retry/rollback (results vs fault-free runs)",
 		Header: []string{
-			"query", "faults", "retries", "deadline_hits", "result", "replay", "leaks", "wall_ms",
+			"query", "faults", "retries", "result", "replay", "leaks", "wall_ms",
 		},
 	}
 	d := h.Dataset(128<<10, storage.ColumnStore)
@@ -75,7 +75,6 @@ func (h *Harness) Chaos() (*Report, error) {
 			fmt.Sprintf("Q%02d", q),
 			fmt.Sprintf("%d", rb.FaultsInjected),
 			fmt.Sprintf("%d", rb.Retries),
-			fmt.Sprintf("%d", rb.DeadlineHits),
 			pass(resultOK),
 			pass(replayOK),
 			fmt.Sprintf("%d", leaks),

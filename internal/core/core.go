@@ -128,12 +128,6 @@ type ExecCtx struct {
 	// RetryBackoff is the delay before the first re-dispatch of a failed
 	// work order; it doubles per attempt. Default 1ms when retry is on.
 	RetryBackoff time.Duration
-	// WODeadline, if positive, bounds each work-order attempt. Enforcement
-	// is cooperative: emitters check the deadline at block-materialization
-	// boundaries and abort the attempt (a transient, retryable failure);
-	// attempts that overrun but complete are recorded as deadline hits and
-	// their results kept.
-	WODeadline time.Duration
 }
 
 // Canceled returns the run-level cancellation error, if the context was
@@ -177,10 +171,6 @@ type Output struct {
 	// emitters registers every Emitter the work order created, so Finish
 	// can close them on success or roll their blocks back on failure.
 	emitters []*Emitter
-	// deadline, if nonzero, is when the current attempt times out; set by
-	// the worker from ExecCtx.WODeadline and checked at emitter
-	// block-materialization boundaries.
-	deadline time.Time
 }
 
 // Finish completes one work-order attempt's materialization and must be
@@ -253,7 +243,9 @@ type Operator interface {
 	// (valid only after the operator is done).
 	ScalarValue() (types.Datum, bool)
 	// AdoptsInputs reports whether the operator takes ownership of fed
-	// blocks (result collectors); adopted blocks are never recycled.
+	// blocks (result collectors). The scheduler then keeps the blocks out of
+	// recycling: they outlive a successful run, and cleanup releases them
+	// after a failed one.
 	AdoptsInputs() bool
 	// Cleanup releases operator-owned resources; called when the operator
 	// and all work orders are finished.
@@ -306,19 +298,6 @@ type StagedOperator interface {
 	AbandonStages() []*storage.Block
 }
 
-// AdoptingOperator is an optional extension for operators that adopt fed
-// blocks (AdoptsInputs() == true, e.g. the result collector). On an aborted
-// run the scheduler asks for the adopted blocks back so cleanup can release
-// them — a partial result is meaningless, and under a shared pool every block
-// of a failed query must return to the global accounting. Successful runs
-// are never asked; adopted blocks then belong to whoever reads the result.
-type AdoptingOperator interface {
-	Operator
-	// AbandonAdopted surrenders every block adopted so far and resets the
-	// operator's sink state.
-	AbandonAdopted() []*storage.Block
-}
-
 // EdgeKind distinguishes data-carrying from ordering-only edges.
 type EdgeKind uint8
 
@@ -348,9 +327,6 @@ type Plan struct {
 	Edges []Edge
 	// ScalarSlots maps scalar parameter slots to providing operators.
 	ScalarSlots []OpID
-	// MaxDOP, if non-zero for an operator ID, caps that operator's
-	// concurrent work orders (a scheduler policy hook, Section III-C).
-	MaxDOP map[OpID]int
 }
 
 // AddOp appends an operator and returns its ID.
@@ -385,8 +361,7 @@ func (p *Plan) AddScalar(op OpID) int {
 // the resumed block at checkout, plus every block it sealed — so a failed
 // attempt can be rolled back block-exactly (see Output.Finish). It is also
 // the work order's cooperative interruption point: each block checkout
-// observes run cancellation, the per-attempt deadline, and the
-// block-materialize fault site.
+// observes run cancellation and the block-materialize fault site.
 type Emitter struct {
 	ctx     *ExecCtx
 	out     *Output
@@ -426,16 +401,13 @@ func (e *Emitter) ensure() *storage.Block {
 }
 
 // interrupt aborts the work order at a block-materialization boundary when
-// the run is canceled, the attempt's deadline has passed, or the injector
-// fires at the block-materialize site. It unwinds through operator code via
-// a typed panic that runSafely converts back into the underlying error; the
-// attempt's blocks are then rolled back by Output.Finish.
+// the run is canceled or the injector fires at the block-materialize site.
+// It unwinds through operator code via a typed panic that runSafely converts
+// back into the underlying error; the attempt's blocks are then rolled back
+// by Output.Finish.
 func (e *Emitter) interrupt() {
 	if err := e.ctx.Canceled(); err != nil {
 		panic(&woAbort{err})
-	}
-	if !e.out.deadline.IsZero() && now().After(e.out.deadline) {
-		panic(&woAbort{&DeadlineError{Limit: e.ctx.WODeadline}})
 	}
 	if err := e.ctx.FaultAt(faults.BlockMaterialize); err != nil {
 		panic(&woAbort{err})
@@ -543,30 +515,6 @@ func (e *Emitter) undo(b *storage.Block, base int) {
 // without treating it as a programming-error panic.
 type woAbort struct{ err error }
 
-// DeadlineError reports a work-order attempt that exceeded
-// ExecCtx.WODeadline. It is transient: the scheduler rolls the attempt back
-// and retries it.
-type DeadlineError struct {
-	Limit   time.Duration
-	Elapsed time.Duration // 0 when detected mid-run at an interruption point
-}
-
-// Error implements error.
-func (e *DeadlineError) Error() string {
-	if e.Elapsed > 0 {
-		return fmt.Sprintf("core: work order exceeded deadline %v (ran %v)", e.Limit, e.Elapsed)
-	}
-	return fmt.Sprintf("core: work order exceeded deadline %v", e.Limit)
-}
-
-// Transient marks deadline misses retryable.
-func (e *DeadlineError) Transient() bool { return true }
-
-// Is maps work-order deadline misses onto the typed taxonomy: a run that
-// fails because an attempt exhausted its retry budget on deadline misses
-// matches ErrDeadlineExceeded.
-func (e *DeadlineError) Is(target error) bool { return target == ErrDeadlineExceeded }
-
 // PanicError is a recovered work-order panic with the goroutine stack
 // captured at the panic site (satisfying the "panics must be diagnosable"
 // requirement: the stack is attached, not lost).
@@ -588,8 +536,8 @@ func (e *PanicError) Unwrap() error {
 }
 
 // IsTransient reports whether err is safe to retry: some error in its chain
-// implements Transient() true. Injected faults and deadline misses are
-// transient; programming-error panics and context cancellation are not.
+// implements Transient() true. Injected faults are transient;
+// programming-error panics and context cancellation are not.
 func IsTransient(err error) bool {
 	for err != nil {
 		if t, ok := err.(interface{ Transient() bool }); ok && t.Transient() {

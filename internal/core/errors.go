@@ -16,20 +16,19 @@ import (
 //	switch {
 //	case errors.Is(err, session.ErrAdmissionRejected): // shed before running
 //	case errors.Is(err, core.ErrQueryCancelled):       // caller cancelled
-//	case errors.Is(err, core.ErrDeadlineExceeded):     // query or WO deadline
+//	case errors.Is(err, core.ErrDeadlineExceeded):     // query deadline
 //	case errors.Is(err, core.ErrMemoryBudget):         // cannot fit the budget
 //	}
 //
 // The concrete wrappers keep their full cause chains, so the pre-existing
-// checks (errors.Is(err, context.Canceled), errors.As(&DeadlineError{}))
-// continue to hold alongside the sentinels.
+// checks (errors.Is(err, context.Canceled)) continue to hold alongside the
+// sentinels.
 var (
 	// ErrQueryCancelled marks a query terminated by caller cancellation
 	// (context cancellation, session shutdown).
 	ErrQueryCancelled = errors.New("query cancelled")
-	// ErrDeadlineExceeded marks a query terminated by a deadline: the
-	// run context's deadline, or a work-order deadline that exhausted its
-	// retry budget.
+	// ErrDeadlineExceeded marks a query terminated by its run context's
+	// deadline.
 	ErrDeadlineExceeded = errors.New("deadline exceeded")
 	// ErrMemoryBudget marks a query that cannot be run within the
 	// configured memory budget (admission-time rejection of an estimate

@@ -207,17 +207,12 @@ func TestContextCancellationDropsQueuedWork(t *testing.T) {
 	}
 }
 
-// emitN emits rows through the pool-backed emitter (so cancellation,
-// deadline, and rollback paths see real pool blocks). sleep delays the
-// attempt before the first append; failFirst makes attempt 1 sleep and later
-// attempts run clean.
+// emitN emits rows through the pool-backed emitter (so cancellation and
+// rollback paths see real pool blocks).
 type emitN struct {
 	Base
-	self      OpID
-	rows      int
-	sleep     time.Duration
-	sleepOnce bool
-	runs      atomic.Int32
+	self OpID
+	rows int
 }
 
 func (e *emitN) Name() string   { return "emitN" }
@@ -231,10 +226,6 @@ type emitNWO struct{ op *emitN }
 func (w *emitNWO) Inputs() []*storage.Block { return nil }
 
 func (w *emitNWO) Run(ctx *ExecCtx, out *Output) error {
-	n := w.op.runs.Add(1)
-	if w.op.sleep > 0 && (!w.op.sleepOnce || n == 1) {
-		time.Sleep(w.op.sleep)
-	}
 	em := NewEmitter(ctx, out, w.op.self, testSchema)
 	for r := 0; r < w.op.rows; r++ {
 		em.AppendRow(types.NewInt64(int64(r)))
@@ -242,27 +233,66 @@ func (w *emitNWO) Run(ctx *ExecCtx, out *Output) error {
 	return nil
 }
 
-func TestDeadlineAbortsAttemptAndRetrySucceeds(t *testing.T) {
-	e := &emitN{rows: 3, sleep: 30 * time.Millisecond, sleepOnce: true}
-	c := &consumer{}
-	plan := &Plan{}
-	eid := plan.AddOp(e)
-	e.self = eid
-	cid := plan.AddOp(c)
-	plan.Pipe(eid, cid, 0, 1)
-	ctx := newCtx(1)
-	ctx.WODeadline = 5 * time.Millisecond
-	ctx.MaxAttempts = 3
-	ctx.RetryBackoff = time.Microsecond
-	if err := Run(plan, ctx, 1); err != nil {
-		t.Fatalf("run failed: %v", err)
-	}
-	if c.rows != 3 {
-		t.Fatalf("consumer rows = %d, want 3", c.rows)
-	}
-	r := ctx.Run.Robust()
-	if r.DeadlineHits == 0 || r.Retries == 0 {
-		t.Fatalf("deadline abort not recorded: %+v", r)
+// adopter is an adopting sink that keeps every fed block, as a result
+// collector does.
+type adopter struct {
+	Base
+	blocks []*storage.Block
+}
+
+func (a *adopter) Name() string       { return "adopter" }
+func (a *adopter) NumInputs() int     { return 1 }
+func (a *adopter) AdoptsInputs() bool { return true }
+func (a *adopter) Feed(_ *ExecCtx, _ int, blocks []*storage.Block) []WorkOrder {
+	a.blocks = append(a.blocks, blocks...)
+	return nil
+}
+
+// TestAdoptedBlocksOutliveTheirOtherConsumer: a producer feeds a refcounting
+// consumer and an adopting sink the same blocks. When the consumer drops its
+// last reference the blocks stay with the adopter, live and unrecycled, past
+// a successful run; when the consumer fails, cleanup releases the adopted set
+// and the pool drains to zero.
+func TestAdoptedBlocksOutliveTheirOtherConsumer(t *testing.T) {
+	for _, fail := range []bool{false, true} {
+		e := &emitN{rows: 40}
+		var c Operator = &consumer{}
+		if fail {
+			c = &failingConsumer{}
+		}
+		a := &adopter{}
+		plan := &Plan{}
+		e.self = plan.AddOp(e)
+		plan.Pipe(e.self, plan.AddOp(c), 0, 1)
+		plan.Pipe(e.self, plan.AddOp(a), 0, 1)
+		ctx := newCtx(1)
+		err := Run(plan, ctx, 1)
+		if r := ctx.Run.Robust(); r.LeakedBlocks+r.OutstandingRefs != 0 {
+			t.Fatalf("fail=%v: leak counters nonzero: %+v", fail, r)
+		}
+		if fail {
+			if err == nil {
+				t.Fatal("run with a failing consumer succeeded")
+			}
+			if n := ctx.Pool.Live(); n != 0 {
+				t.Fatalf("failed run left %d live bytes after adopting %d blocks", n, len(a.blocks))
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bytes, rows int64
+		for _, b := range a.blocks {
+			bytes += int64(b.AllocBytes())
+			rows += int64(b.NumRows())
+		}
+		if len(a.blocks) < 2 || rows != 40 {
+			t.Fatalf("adopter holds %d blocks, %d rows; want several blocks, 40 rows", len(a.blocks), rows)
+		}
+		if n := ctx.Pool.Live(); n != bytes {
+			t.Fatalf("pool counts %d live bytes, the adopted blocks hold %d (recycled under the adopter?)", n, bytes)
+		}
 	}
 }
 

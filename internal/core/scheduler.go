@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"runtime/debug"
 	"time"
@@ -93,7 +92,6 @@ type opState struct {
 	finalIssued bool
 	stage       int // next post-Final stage index (StagedOperator)
 	done        bool
-	maxDOP      int
 	memHolds    int // consecutive memory-budget holds (degradation trigger)
 	out         []*edgeState
 	held        map[*storage.Block]struct{}
@@ -106,10 +104,14 @@ type sched struct {
 	// ctl is the run's UoT controller, the only writer of any edge's UoT.
 	ctl *uotctl.Controller
 
-	states   []*opState
-	edges    []*edgeState
-	queue    []job
-	rc       map[*storage.Block]int
+	states []*opState
+	edges  []*edgeState
+	queue  []job
+	rc     map[*storage.Block]int
+	// adopted holds every block routed to an adopting consumer. Such a block
+	// is never recycled when its refcount drains: it outlives a successful
+	// run with its adopter, and cleanup releases it after a failed one.
+	adopted  map[*storage.Block]struct{}
 	doneOps  int
 	inflight int
 	runErr   error
@@ -123,15 +125,13 @@ type sched struct {
 func newSched(plan *Plan, ctx *ExecCtx, defaultUoT int) *sched {
 	s := &sched{plan: plan, ctx: ctx, ctl: uotctl.New(uotctl.Config{DefaultUoT: defaultUoT})}
 	s.rc = make(map[*storage.Block]int)
+	s.adopted = make(map[*storage.Block]struct{})
 	s.states = make([]*opState, len(s.plan.Ops))
 	for i, op := range s.plan.Ops {
 		s.states[i] = &opState{
 			id:   OpID(i),
 			op:   op,
 			held: make(map[*storage.Block]struct{}),
-		}
-		if s.plan.MaxDOP != nil {
-			s.states[i].maxDOP = s.plan.MaxDOP[OpID(i)]
 		}
 	}
 	for _, e := range s.plan.Edges {
@@ -419,9 +419,6 @@ func (s *sched) pickJob() int {
 			}
 		}
 		st := s.states[j.op]
-		if st.maxDOP != 0 && st.inflight >= st.maxDOP {
-			continue
-		}
 		if st.depth > bestDepth {
 			best, bestDepth = i, st.depth
 		}
@@ -508,7 +505,7 @@ func (s *sched) runJob(j job, worker int) {
 		// Canceled while queued: report without running at all.
 		err = cerr
 	} else {
-		err = runSafely(j.wo, s.ctx, out, start)
+		err = runSafely(j.wo, s.ctx, out)
 	}
 	j.attempt++
 	s.results <- wres{job: j, out: out, start: start, end: now(), worker: worker, err: err}
@@ -516,28 +513,17 @@ func (s *sched) runJob(j job, worker int) {
 
 // runSafely executes one work-order attempt. Panics are recovered into
 // PanicError with the goroutine stack captured at the panic site; typed
-// aborts from emitter interruption points (injected faults, cancellation,
-// deadline) unwind to their underlying error. On any failure the attempt's
+// aborts from emitter interruption points (injected faults, cancellation)
+// unwind to their underlying error. On any failure the attempt's
 // materialized blocks are rolled back via Output.Finish before the result is
 // reported, so a failed attempt leaves no trace in the temp-block pool.
-func runSafely(wo WorkOrder, ctx *ExecCtx, out *Output, start time.Time) (err error) {
-	if ctx.WODeadline > 0 {
-		out.deadline = start.Add(ctx.WODeadline)
-	}
+func runSafely(wo WorkOrder, ctx *ExecCtx, out *Output) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if a, ok := r.(*woAbort); ok {
 				err = a.err
 			} else {
 				err = &PanicError{Val: r, Stack: debug.Stack()}
-			}
-		}
-		if err == nil && ctx.WODeadline > 0 {
-			// The attempt overran but completed; keep its result (it may
-			// have mutated shared operator state, so a forced retry would
-			// not be sound) and record the hit.
-			if el := now().Sub(start); el > ctx.WODeadline && ctx.Run != nil {
-				ctx.Run.AddDeadlineHit()
 			}
 		}
 		out.Finish(err)
@@ -591,10 +577,6 @@ func (s *sched) onComplete(r wres) {
 	if r.err != nil {
 		if s.ctx.Run != nil {
 			s.ctx.Run.AddFailedAttempt()
-			var de *DeadlineError
-			if errors.As(r.err, &de) {
-				s.ctx.Run.AddDeadlineHit()
-			}
 		}
 		retry = s.runErr == nil && r.attempt < s.maxAttempts() && IsTransient(r.err)
 	}
@@ -688,12 +670,15 @@ func (s *sched) emit(st *opState, blocks []*storage.Block) {
 	if len(blocks) == 0 {
 		return
 	}
-	// Reference count = number of non-adopting pipelined consumers.
-	pipes, refs := 0, 0
+	// Reference count = number of non-adopting pipelined consumers; one
+	// adopting consumer makes the blocks adopted.
+	pipes, refs, adopts := 0, 0, false
 	for _, es := range st.out {
 		if es.e.Kind == Pipelined {
 			pipes++
-			if !s.states[es.e.To].op.AdoptsInputs() {
+			if s.states[es.e.To].op.AdoptsInputs() {
+				adopts = true
+			} else {
 				refs++
 			}
 		}
@@ -711,6 +696,9 @@ func (s *sched) emit(st *opState, blocks []*storage.Block) {
 	for _, b := range blocks {
 		if refs > 0 {
 			s.rc[b] = refs
+		}
+		if adopts {
+			s.adopted[b] = struct{}{}
 		}
 		for _, es := range st.out {
 			if es.e.Kind == Pipelined {
@@ -825,18 +813,14 @@ func (s *sched) sampleEdge(es *edgeState, delivered int, stallNS int64) {
 // back in synchronously — the read-through stall the delivery path pays in
 // the Section V-C persistent-store regime. A fault-in that fails past the
 // retry bound abandons the whole delivery: the consumer never sees the chunk,
-// non-refcounted blocks are reclaimed inline, refcounted ones by cleanup.
+// and cleanup reclaims it (every delivered block is refcounted, adopted, or
+// both).
 func (s *sched) deliver(c *opState, es *edgeState, blocks []*storage.Block) {
 	faulted := 0
 	var faultBytes, faultStall int64
 	for _, b := range blocks {
 		pr, err := s.ctx.Pool.Pin(b)
 		if err != nil {
-			for _, rb := range blocks {
-				if _, ok := s.rc[rb]; !ok {
-					s.release(rb)
-				}
-			}
 			s.fail(fmt.Errorf("core: delivering %d block(s) to %s: %w", len(blocks), c.op.Name(), err))
 			return
 		}
@@ -979,10 +963,13 @@ func (s *sched) finish(st *opState) {
 	}
 }
 
-// cleanup reclaims every intermediate block an aborted run left behind:
-// refcounted blocks, blocks buffered on edges awaiting delivery, and partial
-// blocks still checked into the pool. Successful runs release everything
-// through the normal flow, so this is a no-op for them.
+// cleanup is the one place an aborted run's blocks are reclaimed: refcounted
+// blocks, blocks buffered on edges awaiting delivery, partial blocks still
+// checked into the pool, a staged operator's parked blocks, and the adopted
+// set — a partial result is meaningless, and under a shared pool every block
+// of a failed query must return to the global accounting. Successful runs
+// release everything through the normal flow and hand the adopted set over
+// untouched, so this is a no-op for them.
 func (s *sched) cleanup() {
 	if s.runErr == nil {
 		return
@@ -1020,13 +1007,10 @@ func (s *sched) cleanup() {
 				release(b)
 			}
 		}
-		// Blocks an adopting sink already took (a partial result table) go
-		// back too — ownership only transfers on success.
-		if ao, ok := st.op.(AdoptingOperator); ok {
-			for _, b := range ao.AbandonAdopted() {
-				release(b)
-			}
-		}
+	}
+	for b := range s.adopted {
+		release(b)
+		delete(s.adopted, b)
 	}
 }
 
@@ -1066,6 +1050,9 @@ func (s *sched) decRef(b *storage.Block) {
 		return
 	}
 	delete(s.rc, b)
+	if _, ok := s.adopted[b]; ok {
+		return // the block stays with its adopter
+	}
 	s.release(b)
 }
 

@@ -316,62 +316,6 @@ func TestWorkOrderPanicBecomesError(t *testing.T) {
 	}
 }
 
-// dopOp tracks its own concurrency.
-type dopOp struct {
-	Base
-	cur, max atomic.Int64
-	n        int
-}
-
-func (d *dopOp) Name() string   { return "dop" }
-func (d *dopOp) NumInputs() int { return 0 }
-func (d *dopOp) Start(*ExecCtx) []WorkOrder {
-	wos := make([]WorkOrder, d.n)
-	for i := range wos {
-		wos[i] = &dopWO{d: d}
-	}
-	return wos
-}
-
-type dopWO struct{ d *dopOp }
-
-func (w *dopWO) Inputs() []*storage.Block { return nil }
-func (w *dopWO) Run(*ExecCtx, *Output) error {
-	c := w.d.cur.Add(1)
-	for {
-		m := w.d.max.Load()
-		if c <= m || w.d.max.CompareAndSwap(m, c) {
-			break
-		}
-	}
-	time.Sleep(time.Millisecond)
-	w.d.cur.Add(-1)
-	return nil
-}
-
-func TestMaxDOPCap(t *testing.T) {
-	plan := &Plan{}
-	d := &dopOp{n: 12}
-	id := plan.AddOp(d)
-	plan.MaxDOP = map[OpID]int{id: 2}
-	if err := Run(plan, newCtx(8), 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.max.Load(); got > 2 {
-		t.Fatalf("observed DOP %d exceeds cap 2", got)
-	}
-	// And without the cap, 8 workers should overlap more than 2.
-	plan2 := &Plan{}
-	d2 := &dopOp{n: 12}
-	plan2.AddOp(d2)
-	if err := Run(plan2, newCtx(8), 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := d2.max.Load(); got <= 2 {
-		t.Logf("uncapped DOP only reached %d (scheduler timing); not fatal", got)
-	}
-}
-
 func TestStatsRecorded(t *testing.T) {
 	p := &producer{nblocks: 4, rows: 2}
 	c := &consumer{}

@@ -51,7 +51,7 @@ type Options struct {
 	// operators and the block emitter at named sites (chaos testing).
 	Faults *faults.Injector
 	// MaxAttempts bounds executions per work order: a transient failure
-	// (injected fault, deadline) is rolled back and retried with
+	// (an injected fault) is rolled back and retried with
 	// exponential backoff up to MaxAttempts total attempts. 0 or 1 disables
 	// retry.
 	MaxAttempts int

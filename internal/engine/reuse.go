@@ -18,8 +18,8 @@ import (
 // and the scan re-feeds the surviving consumers over the same edges (same
 // ToInput, same UoT), so downstream of the splice point the schedule is the
 // one the plan would have had. A miss leaves the plan alone but may attach
-// capture taps to interior nodes (and always offers the root result) so the
-// work the run does anyway fills the cache for later queries.
+// taps to interior nodes (and always offers the root result) so the blocks
+// the run materializes anyway fill the cache for later queries.
 
 // prunedOp stands in for an operator removed by a hit-splice. It has no
 // edges, produces no work orders, and finishes immediately. If the pruned
@@ -40,10 +40,12 @@ func (o *prunedOp) ScalarValue() (types.Datum, bool) { return types.NewInt64(0),
 // outSchemer is the operator output-schema hook (Select/Probe/Agg/Sort).
 type outSchemer interface{ OutSchema() *storage.Schema }
 
-// reuseTap records one capture operator attached to a fingerprinted
-// interior node, to be offered to the cache after a successful run.
+// reuseTap records one collector attached to a fingerprinted interior node as
+// an extra pipelined consumer. It adopts the node's own output blocks, which
+// the scheduler then keeps out of recycling, and finalize offers them to the
+// cache after a successful run.
 type reuseTap struct {
-	op   *exec.CaptureOp
+	op   *exec.CollectOp
 	fp   reuse.Fingerprint
 	deps []reuse.Dep
 	ops  int
@@ -67,13 +69,13 @@ type reuseState struct {
 	rootOps  int
 }
 
-// maxReuseTaps bounds capture taps per run: each tap copies its node's full
-// output, so the cold-run tax is limited to the two largest cacheable
-// subtrees.
+// maxReuseTaps bounds taps per run: each tap keeps its node's full output
+// live until the run ends, so the cold-run tax is limited to the two largest
+// cacheable subtrees.
 const maxReuseTaps = 2
 
 // prepareReuse fingerprints the plan, splices cached results in, and
-// attaches capture taps. Returns nil when reuse is off.
+// attaches taps. Returns nil when reuse is off.
 func prepareReuse(b *Builder, opts Options) *reuseState {
 	if opts.Reuse == nil {
 		return nil
@@ -119,9 +121,6 @@ func prepareReuse(b *Builder, opts Options) *reuseState {
 		if scalarProvider[id] || !a.Spliceable(id) {
 			continue
 		}
-		if !tapSafe(p, id) {
-			continue
-		}
 		cands = append(cands, id)
 	}
 	for i := 0; i < len(cands); i++ { // selection sort: candidate lists are tiny
@@ -162,14 +161,9 @@ func prepareReuse(b *Builder, opts Options) *reuseState {
 		if !ok {
 			continue
 		}
-		cap := exec.NewCapture(os.OutSchema(), rs.cache.MaxEntryBytes())
-		capID := exec.AddOp(p, cap)
-		p.Pipe(id, capID, 0, 1)
-		if p.MaxDOP == nil {
-			p.MaxDOP = make(map[core.OpID]int)
-		}
-		p.MaxDOP[capID] = 1
-		rs.taps = append(rs.taps, reuseTap{op: cap, fp: fp, deps: a.Deps[id], ops: a.Ops[id]})
+		tap := exec.NewCollect(os.OutSchema(), opts.TempBlockBytes, opts.TempFormat)
+		p.Pipe(id, exec.AddOp(p, tap), 0, 1)
+		rs.taps = append(rs.taps, reuseTap{op: tap, fp: fp, deps: a.Deps[id], ops: a.Ops[id]})
 	}
 	return rs
 }
@@ -181,25 +175,6 @@ func dupTap(taps []reuseTap, fp reuse.Fingerprint) bool {
 		}
 	}
 	return false
-}
-
-// tapSafe rejects nodes whose output feeds an adopting consumer: adding a
-// non-adopting tap to such a producer would make the scheduler refcount
-// blocks the adopter owns outright, double-releasing them. (Only the collect
-// sink adopts today, and it is only fed by the root, but the check is
-// structural.)
-func tapSafe(p *core.Plan, id core.OpID) bool {
-	fed := false
-	for _, e := range p.Edges {
-		if e.Kind != core.Pipelined || e.From != id {
-			continue
-		}
-		fed = true
-		if p.Ops[e.To].AdoptsInputs() {
-			return false
-		}
-	}
-	return fed
 }
 
 // spliceOK is the defensive gate before surgery: the pinned table must carry
@@ -258,11 +233,14 @@ func spliceCachedScan(p *core.Plan, a *reuse.Plan, id core.OpID, t *storage.Tabl
 }
 
 // finalize settles the run's reuse bookkeeping: pinned hit entries are
-// released, and on success the capture taps and the root result are offered
-// to the cache. Captured block sets that are admitted leave the run's pool
-// accounting (Disown); rejected ones are released back to it. Entries the
-// offers evicted are marked in this run's trace section (traceRun): the cache
-// is shared across queries and cannot know whose section is whose.
+// released, and on success the taps' and the root's adopted results are
+// offered to the cache. An admitted tap result leaves the run's pool
+// accounting (Disown); a rejected one is released back to it block by block.
+// (The root result goes to the client either way; Execute disowns it.) After
+// a failed run the scheduler has already released every adopted block.
+// Entries the offers evicted are marked in this run's trace section
+// (traceRun): the cache is shared across queries and cannot know whose
+// section is whose.
 func (rs *reuseState) finalize(b *Builder, pool *storage.Pool, run *stats.Run, tr *trace.Tracer, traceRun int32, success bool) {
 	for _, e := range rs.pinned {
 		e.Release()
@@ -278,30 +256,21 @@ func (rs *reuseState) finalize(b *Builder, pool *storage.Pool, run *stats.Run, t
 			return ok
 		}
 		for _, tp := range rs.taps {
-			blocks, bytes, _ := tp.op.Take()
-			if blocks == nil {
-				continue // overflowed or abandoned
-			}
-			t := storage.NewTable("reuse:"+tp.fp.String(), blocks[0].Schema(),
-				blocks[0].Format(), blocks[0].AllocBytes())
-			for _, blk := range blocks {
-				t.Append(blk)
-			}
+			t := tp.op.Result()
 			if admit(tp.fp, t, tp.deps, tp.ops) {
-				pool.Disown(bytes)
+				pool.Disown(t.AllocBytes())
 				u.Captured++
-				u.BytesPinned += bytes
+				u.BytesPinned += t.AllocBytes()
 			} else {
-				for _, blk := range blocks {
+				for _, blk := range t.Blocks() {
 					pool.Release(blk)
 				}
 				u.CaptureRej++
 			}
 		}
 		if rs.rootOK {
-			// The root result is captured for free: the cache shares the
-			// client's result table (both sides treat result blocks as
-			// immutable, and the engine disowns them from its pool).
+			// The cache shares the client's result table: both sides treat
+			// result blocks as immutable.
 			res := b.collect.Result()
 			if admit(rs.rootFP, res, rs.rootDeps, rs.rootOps) {
 				u.Captured++

@@ -10,12 +10,16 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/expr"
+	"repro/internal/faults"
 	"repro/internal/reuse"
+	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/tpch"
+	"repro/internal/trace"
 	"repro/internal/types"
 )
 
@@ -175,6 +179,110 @@ func TestReuseInteriorSpliceAndCapture(t *testing.T) {
 	}
 	if err := cache.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReuseTapAddsNoCheckouts: the interior tap adopts the blocks its
+// aggregation emits instead of copying them. A cold run with a cache checks
+// out exactly as many pool blocks as a run without one, and the admitted
+// interior entry is the block set the aggregation delivered over its tap
+// edge.
+func TestReuseTapAddsNoCheckouts(t *testing.T) {
+	tab := reuseBaseTable(10_000)
+	opts := engine.Options{Workers: 1, UoTBlocks: 4, TempBlockBytes: 4 << 10}
+	plain, err := engine.Execute(buildAggPlan(tab, 0), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cache := reuse.New(reuse.Config{Budget: 16 << 20})
+	opts.Reuse = cache
+	b := buildAggPlan(tab, 0)
+	p := b.Plan()
+	aggID := core.OpID(-1)
+	for i, op := range p.Ops {
+		if _, ok := op.(*exec.AggOp); ok {
+			aggID = core.OpID(i)
+		}
+	}
+	fp := reuse.Analyze(p).FP[aggID]
+	cold, err := engine.Execute(b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cold.Run.Checkouts(), plain.Run.Checkouts(); got != want {
+		t.Fatalf("cold run with a cache checked out %d blocks, %d without one", got, want)
+	}
+
+	var tap *exec.CollectOp
+	for _, e := range p.Edges {
+		if c, ok := p.Ops[e.To].(*exec.CollectOp); ok && e.From == aggID && e.Kind == core.Pipelined {
+			tap = c
+		}
+	}
+	if tap == nil {
+		t.Fatal("no collector taps the aggregation")
+	}
+	entry := cache.Lookup(fp)
+	if entry == nil {
+		t.Fatalf("interior entry not admitted (reuse = %+v)", cold.Run.Reuse())
+	}
+	defer entry.Release()
+	got, want := entry.Table().Blocks(), tap.Result().Blocks()
+	if len(got) == 0 || len(got) != len(want) {
+		t.Fatalf("entry holds %d blocks, the tap adopted %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("entry block %d is not the block the aggregation emitted", i)
+		}
+	}
+	if rows := cold.Run.Op(int(aggID)).RowsOut; entry.Rows() != rows {
+		t.Errorf("entry holds %d rows, the aggregation emitted %d", entry.Rows(), rows)
+	}
+}
+
+// TestReuseTapFaultedRunReleasesAdopted: the sort below the root faults on its
+// only attempt, after the aggregation's output reached both the sort and the
+// interior tap. The failed run must hand every adopted block back to the
+// caller's pool and leave no cache entry behind.
+func TestReuseTapFaultedRunReleasesAdopted(t *testing.T) {
+	tab := reuseBaseTable(10_000)
+	var live stats.MemGauge
+	pool := storage.NewPool(&live, nil)
+	cache := reuse.New(reuse.Config{Budget: 16 << 20})
+	tr := trace.New(1 << 12)
+	_, err := engine.Execute(buildAggPlan(tab, 0), engine.Options{
+		Workers: 1, UoTBlocks: 4, TempBlockBytes: 4 << 10,
+		Reuse: cache, Pool: pool, Trace: tr, MaxAttempts: 1,
+		Faults: faults.New(faults.Config{
+			Seed:  1,
+			Rates: map[faults.Site]float64{faults.SortRun: 1},
+			Kinds: []faults.Kind{faults.KindError},
+		}),
+	})
+	if !errors.As(err, new(*faults.Fault)) {
+		t.Fatalf("err = %v, want the injected sort fault", err)
+	}
+	var tapped int64
+	for _, run := range tr.Snapshot().Runs {
+		for _, e := range run.Edges {
+			if e.From == "agg" && e.To == "collect" {
+				tapped += e.Blocks
+			}
+		}
+	}
+	if tapped == 0 {
+		t.Fatal("the tap adopted no blocks before the fault; the test covers nothing")
+	}
+	if n := pool.Live(); n != 0 {
+		t.Errorf("failed run left %d live temp bytes", n)
+	}
+	if n := pool.PendingPartials(); n != 0 {
+		t.Errorf("failed run left %d partial blocks", n)
+	}
+	if ctr := cache.Counters(); ctr.Entries != 0 || ctr.Pins != 0 {
+		t.Errorf("failed run left %d cache entries, %d pins", ctr.Entries, ctr.Pins)
 	}
 }
 

@@ -202,8 +202,8 @@ func (w *repartWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 		sc.offs[p]++
 	}
 	// Emit each partition's contiguous run of row indexes. Emitter checkouts
-	// are interruption points (cancellation, deadline, block-materialize
-	// faults): if one fires, the attempt rolls back block-exactly.
+	// are interruption points (cancellation, block-materialize faults): if
+	// one fires, the attempt rolls back block-exactly.
 	start := int32(0)
 	for p := 0; p < parts; p++ {
 		cnt := sc.counts[p]

@@ -21,7 +21,7 @@ import (
 //     expected-row hints, bloom/LIP sizing,
 //     fast-path-vs-reference switches, or display names.
 //
-// Operators that don't implement Canon (sinks, capture taps)
+// Operators that don't implement Canon (collect sinks, reuse taps included)
 // make their subtree unfingerprintable, which the reuse layer treats as
 // "never cache, never splice" — conservative and always correct.
 

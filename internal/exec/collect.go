@@ -5,9 +5,12 @@ import (
 	"repro/internal/storage"
 )
 
-// CollectOp is the plan sink: it adopts every block fed to it into a result
-// table. Adopted blocks are never recycled, so the result stays valid after
-// the run.
+// CollectOp is an adopting sink: it appends every block fed to it to a result
+// table, on the scheduler goroutine and without work orders. The scheduler
+// never recycles adopted blocks, so the result stays valid after a
+// successful run; after a failed one the scheduler has released them and the
+// table must not be read. It is the plan's result sink and, wired to an
+// interior node, the reuse cache's tap.
 type CollectOp struct {
 	core.Base
 	result *storage.Table
@@ -37,14 +40,3 @@ func (o *CollectOp) Feed(_ *core.ExecCtx, _ int, blocks []*storage.Block) []core
 
 // Result returns the collected result table.
 func (o *CollectOp) Result() *storage.Table { return o.result }
-
-// AbandonAdopted implements core.AdoptingOperator: when a run aborts, the
-// blocks already adopted into the result table are handed back to the
-// scheduler's cleanup for release (the partial result is meaningless, and a
-// serving layer must get every pool block back from a failed query). The
-// collector is left with a fresh empty table.
-func (o *CollectOp) AbandonAdopted() []*storage.Block {
-	t := o.result
-	o.result = storage.NewTable(t.Name(), t.Schema(), t.Format(), t.BlockBytes())
-	return t.Blocks()
-}

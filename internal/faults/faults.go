@@ -104,7 +104,7 @@ const (
 	KindPanic
 	// KindLatency makes At sleep (bounded by Config.MaxLatency) and return
 	// nil: the work order slows down but does not fail, exercising the
-	// deadline machinery.
+	// scheduler under slow work orders.
 	KindLatency
 	// KindAlloc models an allocation failure: At returns a *Fault error
 	// distinguished from KindError only for reporting.

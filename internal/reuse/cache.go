@@ -13,12 +13,9 @@ import (
 type Config struct {
 	// Budget is the RAM budget in bytes for pinned entries. The session
 	// layer carves it out of its MemoryBudget so admission control stays
-	// truthful about what the cache holds. Required > 0.
+	// truthful about what the cache holds. Required > 0. One entry may take
+	// at most a quarter of it (see Admit).
 	Budget int64
-	// MaxEntryBytes caps one entry (default Budget/4); larger results are
-	// not admitted — a single huge entry that evicts everything else is
-	// rarely the benefit-optimal use of the budget.
-	MaxEntryBytes int64
 }
 
 // Counters is a snapshot of the cache's statistics.
@@ -75,9 +72,6 @@ func New(cfg Config) *Cache {
 	if cfg.Budget <= 0 {
 		panic("reuse: cache needs a positive Budget")
 	}
-	if cfg.MaxEntryBytes <= 0 {
-		cfg.MaxEntryBytes = cfg.Budget / 4
-	}
 	return &Cache{
 		cfg:     cfg,
 		entries: make(map[Fingerprint]*entry),
@@ -85,10 +79,10 @@ func New(cfg Config) *Cache {
 	}
 }
 
-// MaxEntryBytes returns the per-entry admission cap; capture taps size
-// their overflow guard with it so a copy that can never be admitted is
-// abandoned early.
-func (c *Cache) MaxEntryBytes() int64 { return c.cfg.MaxEntryBytes }
+// maxEntryShare is the largest fraction of the budget one entry may take: a
+// single huge entry that evicts everything else is rarely the benefit-optimal
+// use of the budget.
+const maxEntryShare = 4
 
 // Entry is a pinned handle on a cache hit: the entry cannot be evicted or
 // invalidated away while pinned. Release it when the consuming run is over.
@@ -144,7 +138,8 @@ func (c *Cache) Lookup(fp Fingerprint) *Entry {
 	return &Entry{c: c, e: e, t: e.table, fp: fp}
 }
 
-// Admit offers a materialized result to the cache. The entry's rank is its
+// Admit offers a materialized result to the cache. A result over a quarter of
+// the budget is rejected outright. The entry's rank is its
 // recompute cost per byte — the conservative costmodel floor for a
 // subtree of ops operators, or the measured recompute time in ticks if
 // larger. Admission may evict strictly lower-benefit unpinned entries to make
@@ -165,7 +160,7 @@ func (c *Cache) Admit(fp Fingerprint, t *storage.Table, deps []Dep, measuredTick
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed || bytes > c.cfg.MaxEntryBytes {
+	if c.closed || bytes > c.cfg.Budget/maxEntryShare {
 		c.ctr.RejectedAdmissions++
 		return false, nil
 	}

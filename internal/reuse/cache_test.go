@@ -79,9 +79,9 @@ func TestCacheAdmitLookup(t *testing.T) {
 func TestCacheAdmitRejectsOversizeAndDuplicates(t *testing.T) {
 	res := mkTable(t, "res", 10)
 	bytes := res.AllocBytes()
-	c := New(Config{Budget: 4 * bytes, MaxEntryBytes: bytes - 1})
+	c := New(Config{Budget: 4*bytes - 1})
 	if admit(c, fpN(1), res, nil, 0, 1) {
-		t.Error("entry over MaxEntryBytes admitted")
+		t.Error("entry over a quarter of the budget admitted")
 	}
 	c2 := New(Config{Budget: 4 * bytes})
 	if !admit(c2, fpN(1), res, nil, 0, 1) {
@@ -99,7 +99,14 @@ func TestCacheBenefitRankedEviction(t *testing.T) {
 	low := mkTable(t, "low", 20)
 	high := mkTable(t, "high", 20)
 	bytes := low.AllocBytes()
-	c := New(Config{Budget: 2 * bytes, MaxEntryBytes: bytes})
+	c := New(Config{Budget: 4 * bytes})
+	// Two entries worth more than anything below take half the budget, so
+	// low and high fill it.
+	for _, fp := range []Fingerprint{fpN(8), fpN(9)} {
+		if !admit(c, fp, mkTable(t, "top", 20), nil, 1e15, 1) {
+			t.Fatal("top admit rejected")
+		}
+	}
 	if !admit(c, fpN(1), low, nil, 1e6, 1) {
 		t.Fatal("low admit rejected")
 	}
@@ -133,24 +140,28 @@ func TestCacheBenefitRankedEviction(t *testing.T) {
 }
 
 func TestCachePinBlocksEviction(t *testing.T) {
-	a := mkTable(t, "a", 20)
-	bytes := a.AllocBytes()
-	c := New(Config{Budget: bytes, MaxEntryBytes: bytes})
-	if !admit(c, fpN(1), a, nil, 1, 1) {
-		t.Fatal("admit rejected")
+	bytes := mkTable(t, "a", 20).AllocBytes()
+	c := New(Config{Budget: 4 * bytes})
+	var pinned []*Entry
+	for i := byte(1); i <= 4; i++ {
+		if !admit(c, fpN(i), mkTable(t, "a", 20), nil, 1, 1) {
+			t.Fatal("admit rejected")
+		}
+		e := c.Lookup(fpN(i))
+		if e == nil {
+			t.Fatal("lookup missed")
+		}
+		pinned = append(pinned, e)
 	}
-	e := c.Lookup(fpN(1))
-	if e == nil {
-		t.Fatal("lookup missed")
-	}
-	// The only resident entry is pinned: nothing can be evicted, so even a
-	// far more valuable newcomer is rejected rather than unpinning a live
-	// reader.
-	if admit(c, fpN(2), mkTable(t, "b", 20), nil, 1e15, 1) {
+	// Every resident entry is pinned: nothing can be evicted, so even a far
+	// more valuable newcomer is rejected rather than unpinning a live reader.
+	if admit(c, fpN(5), mkTable(t, "b", 20), nil, 1e15, 1) {
 		t.Error("admission evicted a pinned entry")
 	}
-	e.Release()
-	if !admit(c, fpN(2), mkTable(t, "b", 20), nil, 1e15, 1) {
+	for _, e := range pinned {
+		e.Release()
+	}
+	if !admit(c, fpN(5), mkTable(t, "b", 20), nil, 1e15, 1) {
 		t.Error("admission still rejected after unpin")
 	}
 }
@@ -280,7 +291,7 @@ func TestCacheCloseReportsPinLeaks(t *testing.T) {
 func TestCacheOccupancyAccounting(t *testing.T) {
 	r1 := mkTable(t, "r1", 20)
 	r2 := mkTable(t, "r2", 20)
-	c := New(Config{Budget: r1.AllocBytes() + r2.AllocBytes(), MaxEntryBytes: r1.AllocBytes()})
+	c := New(Config{Budget: 4 * r1.AllocBytes()})
 	admit(c, fpN(1), r1, nil, 0, 1)
 	admit(c, fpN(2), r2, nil, 0, 1)
 	if ctr := c.Counters(); ctr.Entries != 2 || ctr.BytesPinned != r1.AllocBytes()+r2.AllocBytes() {

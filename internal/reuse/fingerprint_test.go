@@ -95,13 +95,6 @@ func TestFingerprintInvariantToExecutionKnobs(t *testing.T) {
 			t.Errorf("%s: fingerprint changed: %s vs %s", name, got, ref)
 		}
 	}
-
-	// MaxDOP is plan state the scheduler reads but Canon must not.
-	b := buildPlan(tab, base)
-	b.Plan().MaxDOP = map[core.OpID]int{0: 1, 1: 3}
-	if got := rootFP(t, b); got != ref {
-		t.Errorf("maxdop: fingerprint changed: %s vs %s", got, ref)
-	}
 }
 
 func TestFingerprintSensitiveToSemantics(t *testing.T) {

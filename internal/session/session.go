@@ -42,10 +42,9 @@ type Config struct {
 	// per-run budget, so the PR3 pressure machinery (producer holds, UoT
 	// raises) operates per query within its slice.
 	MemoryBudget int64
-	// BlockBytes is the temporary-block size (default 128 KB).
+	// BlockBytes is the temporary-block size (default 128 KB). Temp blocks
+	// use the row store.
 	BlockBytes int
-	// TempFormat is the temp-block layout (default row store).
-	TempFormat storage.Format
 	// UoTBlocks is the default unit of transfer (default 1).
 	UoTBlocks int
 	// Trace, if non-nil, records every query into its own concurrent trace
@@ -57,15 +56,13 @@ type Config struct {
 	// evicted to extent files whenever global live temp bytes exceed
 	// SpillThreshold, and faulted back in at delivery. Admission then splits
 	// each query's estimate into a RAM-resident share (charged against
-	// MemoryBudget) and a spillable share (charged against DiskBudget), so an
-	// over-RAM query that fits RAM+disk is admitted instead of shed.
+	// MemoryBudget) and a spillable share (charged against a disk budget of
+	// 8× MemoryBudget), so an over-RAM query that fits RAM+disk is admitted
+	// instead of shed.
 	SpillDir string
 	// SpillThreshold is the live-byte level above which eviction runs
 	// (default: MemoryBudget).
 	SpillThreshold int64
-	// DiskBudget bounds the reserved spillable bytes (default 8× the memory
-	// budget). Only meaningful with SpillDir set.
-	DiskBudget int64
 	// SpillFaults, if non-nil, is consulted at the spill_write/spill_read
 	// sites (deterministic chaos testing of the spill tier).
 	SpillFaults *faults.Injector
@@ -104,13 +101,8 @@ func (c Config) withDefaults() Config {
 	if c.UoTBlocks <= 0 {
 		c.UoTBlocks = 1
 	}
-	if c.SpillDir != "" {
-		if c.SpillThreshold <= 0 {
-			c.SpillThreshold = c.MemoryBudget
-		}
-		if c.DiskBudget <= 0 {
-			c.DiskBudget = 8 * c.MemoryBudget
-		}
+	if c.SpillDir != "" && c.SpillThreshold <= 0 {
+		c.SpillThreshold = c.MemoryBudget
 	}
 	if c.Reuse && c.ReuseBudget <= 0 {
 		c.ReuseBudget = c.MemoryBudget / 4
@@ -194,6 +186,10 @@ type Session struct {
 	cRejQueue, cRejBudget, cRejDeadline, cCancel, cRunDead int64
 }
 
+// diskBudgetFactor sizes the reserved spillable bytes of a session with a
+// spill tier, as a multiple of its MemoryBudget.
+const diskBudgetFactor = 8
+
 // Open starts a serving session. It panics if a configured spill directory
 // cannot be set up — a server misconfiguration better surfaced at startup
 // than as shed queries later.
@@ -212,7 +208,7 @@ func Open(cfg Config) *Session {
 		if err := s.blocks.EnableSpill(scfg); err != nil {
 			panic(fmt.Sprintf("session: %v", err))
 		}
-		diskBudget = cfg.DiskBudget
+		diskBudget = diskBudgetFactor * cfg.MemoryBudget
 	}
 	admBudget := cfg.MemoryBudget
 	if cfg.Reuse {
@@ -243,7 +239,7 @@ func (s *Session) Submit(req Request) (*Response, error) {
 		Workers:        req.Workers,
 		UoTBlocks:      req.UoTBlocks,
 		TempBlockBytes: s.cfg.BlockBytes,
-		TempFormat:     s.cfg.TempFormat,
+		TempFormat:     storage.RowStore,
 		Faults:         req.Faults,
 		MaxAttempts:    req.MaxAttempts,
 		RetryBackoff:   req.RetryBackoff,

@@ -75,7 +75,6 @@ func TestConcurrentSnapshotNoTornReads(t *testing.T) {
 				r.AddCheckout()
 				r.AddRetry()
 				r.AddFailedAttempt()
-				r.AddDeadlineHit()
 				r.AddUoTRaise()
 				r.AddCancellations(1)
 				r.AddFaults(1)
@@ -110,7 +109,7 @@ func TestConcurrentSnapshotNoTornReads(t *testing.T) {
 		t.Fatalf("checkouts = %d, want %d", got, total)
 	}
 	rb := r.Robust()
-	if rb.Retries != total || rb.FailedAttempts != total || rb.DeadlineHits != total ||
+	if rb.Retries != total || rb.FailedAttempts != total ||
 		rb.UoTRaises != total || rb.Cancellations != total || rb.FaultsInjected != total {
 		t.Fatalf("robustness counters = %+v, want all %d", rb, total)
 	}

@@ -184,9 +184,8 @@ type EdgeUoT struct {
 }
 
 // Robustness aggregates the fault-tolerance counters of one run: what the
-// injector fired, how the scheduler reacted (retries, deadline hits,
-// cancellations, degradations), and what the post-run invariant checker
-// found.
+// injector fired, how the scheduler reacted (retries, cancellations,
+// degradations), and what the post-run invariant checker found.
 type Robustness struct {
 	// FaultsInjected is the number of faults the injector fired (all
 	// kinds, latency included).
@@ -200,9 +199,6 @@ type Robustness struct {
 	// retry is the only fault recovery. Declared only because
 	// benchmark/layers.go reads it; drop both in the next [benchmark] PR.
 	Demotions int64
-	// DeadlineHits counts attempts that exceeded the per-work-order
-	// deadline.
-	DeadlineHits int64
 	// Cancellations counts queued work orders dropped when the run failed
 	// or was canceled.
 	Cancellations int64
@@ -228,8 +224,8 @@ type Reuse struct {
 	Hit         bool  // a cached result was spliced into the plan
 	SplicedOps  int64 // operators pruned from the plan by hit-splices
 	HitBytes    int64 // cached bytes the spliced scans read
-	Captured    int64 // capture taps whose block sets were admitted
-	CaptureRej  int64 // capture taps taken but rejected by admission
+	Captured    int64 // results admitted: interior taps and the root
+	CaptureRej  int64 // results rejected by admission
 	BytesPinned int64 // bytes this run added to the cache
 }
 
@@ -273,13 +269,6 @@ func (r *Run) AddFailedAttempt() {
 func (r *Run) AddRetry() {
 	r.mu.Lock()
 	r.robust.Retries++
-	r.mu.Unlock()
-}
-
-// AddDeadlineHit records one attempt that exceeded the work-order deadline.
-func (r *Run) AddDeadlineHit() {
-	r.mu.Lock()
-	r.robust.DeadlineHits++
 	r.mu.Unlock()
 }
 

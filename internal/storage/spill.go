@@ -149,15 +149,6 @@ func (p *Pool) SpillDir() string {
 	return ""
 }
 
-// EvictionThreshold returns the attached spill tier's eviction threshold, or
-// 0 when no tier is attached.
-func (p *Pool) EvictionThreshold() int64 {
-	if t := p.root().spill.Load(); t != nil {
-		return t.cfg.Threshold
-	}
-	return 0
-}
-
 // CloseSpill detaches and shuts down the spill tier: every extent file is
 // closed and the per-run directory removed, orphaned spill files included.
 // Safe to call without a tier (no-op) and after a failed run.

@@ -282,22 +282,6 @@ func TestSpillExtentRotationAndReclaim(t *testing.T) {
 	}
 }
 
-// TestEvictionThresholdSeenThroughViews: a subpool view reports its root tier's
-// threshold, and 0 once no tier is attached.
-func TestEvictionThresholdSeenThroughViews(t *testing.T) {
-	p, _ := newSpillPool(t, SpillConfig{Threshold: 8 << 20})
-	view := p.Subpool(nil, nil)
-	if got := view.EvictionThreshold(); got != 8<<20 {
-		t.Fatalf("view threshold = %d, want %d", got, 8<<20)
-	}
-	if err := p.CloseSpill(); err != nil {
-		t.Fatal(err)
-	}
-	if got := view.EvictionThreshold(); got != 0 {
-		t.Fatalf("threshold after CloseSpill = %d, want 0", got)
-	}
-}
-
 func TestSpillCloseRemovesDirWithOrphans(t *testing.T) {
 	var g stats.MemGauge
 	p := NewPool(&g, nil)

@@ -332,7 +332,8 @@ func OpenSession(cfg SessionConfig) *Session { return session.Open(cfg) }
 type (
 	// ReuseCache is the benefit-ranked cross-query result cache.
 	ReuseCache = reuse.Cache
-	// ReuseConfig sizes a cache: RAM budget and per-entry cap.
+	// ReuseConfig sizes a cache: its RAM budget (one entry may take at
+	// most a quarter of it).
 	ReuseConfig = reuse.Config
 	// ReuseCounters snapshots hits, misses, admissions, evictions, and
 	// occupancy.

@@ -123,10 +123,10 @@ func TestSettableSurfaceIsPinned(t *testing.T) {
 		want int
 	}{
 		{Options{}, 17},
-		{SessionConfig{}, 15},
+		{SessionConfig{}, 13},
 		{Request{}, 11},
 		{uotctl.Config{}, 3},
-		{ReuseConfig{}, 2},
+		{ReuseConfig{}, 1},
 	} {
 		typ, n := reflect.TypeOf(tc.v), 0
 		for i := 0; i < typ.NumField(); i++ {
