@@ -444,8 +444,9 @@ func (e *Emitter) AppendFrom(src *storage.Block, srcRow int, projIdx []int) {
 }
 
 // AppendMany bulk-appends the projection projIdx of the given src rows,
-// sealing and replacing full blocks (the exchange scatter kernel's path; see
-// Block.AppendFromMany for the projection contract).
+// sealing and replacing full blocks exactly where per-row AppendFrom would
+// (the select operator's materialization; see Block.AppendFromMany for the
+// projection contract).
 func (e *Emitter) AppendMany(src *storage.Block, rows []int32, projIdx []int) {
 	for len(rows) > 0 {
 		took := e.ensure().AppendFromMany(src, rows, projIdx)

@@ -68,9 +68,10 @@ var aggPartitioner = types.NewPartitioner(aggParts)
 // expressions evaluated into the key vectors, hashed in one vectorized pass
 // into the table's inline keys), or anything else (char keys, three or more
 // keys: the key tuple serialized by appendKey into the table's byte arena).
-// Argument loading is likewise compiled per aggregate: a columnar gather for
-// plain column references, a per-row Eval into the same vectors otherwise;
-// char min/max and CountDistinct fold per row into the table's side array.
+// Argument loading is likewise compiled per aggregate: numeric arguments are
+// evaluated into the partial's vectors by expr.Vectors (a columnar gather for
+// plain column references, element-wise arithmetic for computed ones); char
+// min/max and CountDistinct fold per row into the table's side array.
 type AggOp struct {
 	core.Base
 	self     core.OpID
@@ -109,16 +110,6 @@ type aggKeys interface {
 	datums(t *aggtable.Table, g int, row []types.Datum)
 }
 
-// vecSrc loads one 8-byte value per row of a block into a vector: a columnar
-// gather when the expression is a plain column reference (col >= 0), a
-// per-row Eval otherwise. The aggregation keys and arguments and the sort
-// terms all load through it.
-type vecSrc struct {
-	e   expr.Expr
-	col int
-	ty  types.TypeID
-}
-
 // sized returns s with length n, reusing its backing array when it is large
 // enough. Callers overwrite every element.
 func sized[T any](s []T, n int) []T {
@@ -126,44 +117,6 @@ func sized[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-func newVecSrc(e expr.Expr) vecSrc {
-	s := vecSrc{e: e, col: -1, ty: e.Type()}
-	if c, ok := expr.AsPrimaryColRef(e); ok {
-		s.col = c.Col
-	}
-	return s
-}
-
-// ints loads an int64 or (widened) date expression.
-func (s vecSrc) ints(ec *expr.Ctx, n int, dst []int64) []int64 {
-	switch {
-	case s.col < 0:
-		dst = sized(dst, n)
-		for r := range dst {
-			ec.Row = r
-			dst[r] = s.e.Eval(ec).I
-		}
-		return dst
-	case s.ty == types.Date:
-		return ec.B.GatherDate(s.col, dst)
-	default:
-		return ec.B.GatherInt64(s.col, dst)
-	}
-}
-
-// floats loads a float64 expression.
-func (s vecSrc) floats(ec *expr.Ctx, n int, dst []float64) []float64 {
-	if s.col >= 0 {
-		return ec.B.GatherFloat64(s.col, dst)
-	}
-	dst = sized(dst, n)
-	for r := range dst {
-		ec.Row = r
-		dst[r] = s.e.Eval(ec).F
-	}
-	return dst
 }
 
 // aggLoad is how one aggregate's argument reaches its accumulator.
@@ -182,13 +135,14 @@ const (
 type aggArg struct {
 	desc aggtable.Agg
 	load aggLoad
-	src  vecSrc
+	arg  expr.Expr
 }
 
 // aggPartial is one thread-local partial aggregation state plus its reusable
-// scratch vectors. A partial is owned by at most one work order at a time
-// (free-list discipline), accumulates across all blocks it sees, and is
-// merged once by the Final merge work orders — there is no per-block merge.
+// scratch vectors, the vector evaluator's among them. A partial is owned by
+// at most one work order at a time (free-list discipline), accumulates across
+// all blocks it sees, and is merged once by the Final merge work orders —
+// there is no per-block merge.
 type aggPartial struct {
 	tab       *aggtable.Table
 	k0        []int64
@@ -198,6 +152,7 @@ type aggPartial struct {
 	groupIdx  []int32
 	argI      []int64
 	argF      []float64
+	vec       expr.Vectors
 	lastBytes int64
 }
 
@@ -254,17 +209,13 @@ func NewAgg(spec AggOpSpec) *AggOp {
 	case wide:
 		op.keys, op.proto = byteKeys{exprs: spec.GroupBy, tys: tys}, aggtable.NewBytes(len(spec.Aggs), 1)
 	default:
-		var ik inlineKeys
-		for _, g := range spec.GroupBy {
-			ik.src = append(ik.src, newVecSrc(g))
-		}
-		op.keys, op.proto = ik, aggtable.New(len(spec.Aggs), len(tys) == 2, 1)
+		op.keys, op.proto = inlineKeys{spec.GroupBy}, aggtable.New(len(spec.Aggs), len(tys) == 2, 1)
 	}
 
 	kinds := [...]aggtable.Kind{Sum: aggtable.Sum, Count: aggtable.Count, Avg: aggtable.Avg,
 		Min: aggtable.Min, Max: aggtable.Max, CountDistinct: aggtable.CountDistinct}
 	for _, a := range spec.Aggs {
-		arg := aggArg{desc: aggtable.Agg{Kind: kinds[a.Func]}}
+		arg := aggArg{desc: aggtable.Agg{Kind: kinds[a.Func]}, arg: a.Arg}
 		switch {
 		case a.Func == Count || a.Arg == nil:
 		case a.Func == CountDistinct:
@@ -275,9 +226,6 @@ func NewAgg(spec AggOpSpec) *AggOp {
 			arg.load, arg.desc.Float = loadFloat, true
 		default:
 			arg.load = loadInt
-		}
-		if arg.load != loadNone {
-			arg.src = newVecSrc(a.Arg)
 		}
 		if arg.load == loadBytes || arg.load == loadDistinct {
 			op.proto.WithSide()
@@ -425,20 +373,20 @@ func (w *aggWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 		case loadNone:
 			p.tab.AccumCount(j, p.groupIdx)
 		case loadInt:
-			p.argI = a.src.ints(&ec, n, p.argI)
+			p.argI = p.vec.Ints(a.arg, &ec, p.argI)
 			p.tab.AccumInt(j, a.desc, p.groupIdx, p.argI)
 		case loadFloat:
-			p.argF = a.src.floats(&ec, n, p.argF)
+			p.argF = p.vec.Floats(a.arg, &ec, p.argF)
 			p.tab.AccumFloat(j, a.desc, p.groupIdx, p.argF)
 		case loadBytes:
 			for r, g := range p.groupIdx {
 				ec.Row = r
-				p.tab.UpdateBytes(g, j, a.desc, a.src.e.Eval(&ec).Bytes())
+				p.tab.UpdateBytes(g, j, a.desc, a.arg.Eval(&ec).Bytes())
 			}
 		case loadDistinct:
 			for r, g := range p.groupIdx {
 				ec.Row = r
-				p.keyBuf = appendKey(p.keyBuf[:0], a.src.e.Eval(&ec))
+				p.keyBuf = appendKey(p.keyBuf[:0], a.arg.Eval(&ec))
 				p.tab.AddDistinct(g, j, p.keyBuf)
 			}
 		}
@@ -469,30 +417,30 @@ func (scalarKeys) groupIDs(_ *expr.Ctx, p *aggPartial, n int) {
 
 func (scalarKeys) datums(*aggtable.Table, int, []types.Datum) {}
 
-// inlineKeys resolves one or two keys of 8-byte types: load each key's words
-// into a vector, hash them in one vectorized pass, and upsert into the
+// inlineKeys resolves one or two keys of 8-byte types: evaluate each key's
+// words into a vector, hash them in one vectorized pass, and upsert into the
 // table's inline keys.
-type inlineKeys struct{ src []vecSrc }
+type inlineKeys struct{ keys []expr.Expr }
 
 // words loads key i's 8-byte identities: the value of an int64 or date, the
 // canonical bits of a float64.
-func (k inlineKeys) words(i int, ec *expr.Ctx, p *aggPartial, n int, dst []int64) []int64 {
-	if k.src[i].ty != types.Float64 {
-		return k.src[i].ints(ec, n, dst)
+func (k inlineKeys) words(i int, ec *expr.Ctx, p *aggPartial, dst []int64) []int64 {
+	if k.keys[i].Type() != types.Float64 {
+		return p.vec.Ints(k.keys[i], ec, dst)
 	}
-	p.argF = k.src[i].floats(ec, n, p.argF)
-	dst = sized(dst, n)
+	p.argF = p.vec.Floats(k.keys[i], ec, p.argF)
+	dst = sized(dst, len(p.argF))
 	for r, f := range p.argF {
 		dst[r] = int64(floatKeyBits(f))
 	}
 	return dst
 }
 
-func (k inlineKeys) groupIDs(ec *expr.Ctx, p *aggPartial, n int) {
-	p.k0 = k.words(0, ec, p, n, p.k0)
+func (k inlineKeys) groupIDs(ec *expr.Ctx, p *aggPartial, _ int) {
+	p.k0 = k.words(0, ec, p, p.k0)
 	var k1 []int64
-	if len(k.src) == 2 {
-		p.k1 = k.words(1, ec, p, n, p.k1)
+	if len(k.keys) == 2 {
+		p.k1 = k.words(1, ec, p, p.k1)
 		k1 = p.k1
 	}
 	p.hashes = types.HashPairVec(p.k0, k1, p.hashes)
@@ -501,9 +449,9 @@ func (k inlineKeys) groupIDs(ec *expr.Ctx, p *aggPartial, n int) {
 
 func (k inlineKeys) datums(t *aggtable.Table, g int, row []types.Datum) {
 	k0, k1 := t.Key(g)
-	row[0] = wordDatum(k.src[0].ty, uint64(k0))
-	if len(k.src) == 2 {
-		row[1] = wordDatum(k.src[1].ty, uint64(k1))
+	row[0] = wordDatum(k.keys[0].Type(), uint64(k0))
+	if len(k.keys) == 2 {
+		row[1] = wordDatum(k.keys[1].Type(), uint64(k1))
 	}
 }
 

@@ -37,8 +37,8 @@ type SelectOp struct {
 	scratch   sync.Pool // *selScratch
 }
 
-// selScratch is a pooled selection vector: filtered selects reuse one
-// buffer across work orders instead of allocating a fresh []int32 per block.
+// selScratch is a pooled selection vector: selects reuse one buffer across
+// work orders instead of allocating a fresh []int32 per block.
 type selScratch struct {
 	sel []int32
 }
@@ -151,19 +151,9 @@ func (w *selectWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 		}
 	}
 	em := core.NewEmitter(ctx, out, o.self, o.out)
-	if o.pred == nil && len(o.lips) == 0 {
-		// Dense path: pure projection, no selection vector needed.
-		for r := 0; r < n; r++ {
-			if o.projIdx != nil {
-				em.AppendFrom(b, r, o.projIdx)
-			} else {
-				em.AppendRow(expr.EvalRow(o.projExprs, b, r, ctx.Scalars)...)
-			}
-		}
-		return nil
-	}
-	// Vectorized path: build a selection vector in pooled scratch, refine it
-	// through the LIP bloom filters, then materialize the survivors.
+	// Build a selection vector in pooled scratch (the identity without a
+	// predicate), refine it through the LIP bloom filters, then materialize
+	// the survivors.
 	sp, _ := o.scratch.Get().(*selScratch)
 	if sp != nil {
 		out.ScratchHits++
@@ -188,10 +178,10 @@ func (w *selectWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 		}
 		sel = kept
 	}
-	for _, r := range sel {
-		if o.projIdx != nil {
-			em.AppendFrom(b, int(r), o.projIdx)
-		} else {
+	if o.projIdx != nil {
+		em.AppendMany(b, sel, o.projIdx)
+	} else {
+		for _, r := range sel {
 			em.AppendRow(expr.EvalRow(o.projExprs, b, int(r), ctx.Scalars)...)
 		}
 	}

@@ -49,7 +49,6 @@ type SortOp struct {
 	schema   *storage.Schema
 	blocks   []*storage.Block // every fed block, arrival order
 	layout   sorter.Layout
-	src      []vecSrc // per-term loader
 	readCols []int
 
 	mu      sync.Mutex
@@ -70,6 +69,7 @@ type sortScratch struct {
 	ids   []int32
 	kv    []sorter.KV
 	kvTmp []sorter.KV
+	vec   expr.Vectors
 }
 
 // SortSpec configures NewSort.
@@ -112,7 +112,6 @@ func NewSort(spec SortSpec) *SortOp {
 			}
 		}
 		terms[i], keys[i] = st, t.Key
-		op.src = append(op.src, newVecSrc(t.Key))
 	}
 	op.layout = sorter.NewLayout(terms)
 	op.readCols = expr.PrimaryCols(keys...)
@@ -204,18 +203,18 @@ func (o *SortOp) encodeBlock(ec *expr.Ctx, sc *sortScratch, n int) []uint64 {
 		sc.keys = make([]uint64, n*words)
 	}
 	keys := sc.keys[:n*words]
-	for t, src := range o.src {
+	for t, term := range o.terms {
 		switch o.layout.Terms[t].Type {
 		case sorter.Int64, sorter.Date:
-			sc.i64 = src.ints(ec, n, sc.i64)
+			sc.i64 = sc.vec.Ints(term.Key, ec, sc.i64)
 			o.layout.EncodeInt64(t, sc.i64, nil, keys)
 		case sorter.Float64:
-			sc.f64 = src.floats(ec, n, sc.f64)
+			sc.f64 = sc.vec.Floats(term.Key, ec, sc.f64)
 			o.layout.EncodeFloat64(t, sc.f64, nil, keys)
 		case sorter.Bytes:
 			o.layout.EncodeBytes(t, n, func(i int) []byte {
 				ec.Row = i
-				return src.e.Eval(ec).B
+				return term.Key.Eval(ec).B
 			}, nil, keys)
 		}
 	}

@@ -406,18 +406,11 @@ func (e *SubstrExpr) Type() types.TypeID { return types.Char }
 
 // Eval implements Expr.
 func (e *SubstrExpr) Eval(c *Ctx) types.Datum {
+	// The window [Start-1, Start-1+Len) is taken before clamping, so a start
+	// below 1 shortens the result as in SQL.
 	b := e.X.Eval(c).Bytes()
-	lo := e.Start - 1
-	if lo < 0 {
-		lo = 0
-	}
-	if lo > len(b) {
-		lo = len(b)
-	}
-	hi := lo + e.Len
-	if hi > len(b) {
-		hi = len(b)
-	}
+	lo := min(max(e.Start-1, 0), len(b))
+	hi := min(max(e.Start-1+e.Len, lo), len(b))
 	return types.NewChar(b[lo:hi])
 }
 

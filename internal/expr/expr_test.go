@@ -130,6 +130,23 @@ func TestYearSubstr(t *testing.T) {
 	}
 }
 
+// TestSubstrStartBelowOne checks SQL's window rule: positions before 1 count
+// toward the length, so SUBSTRING('abcdef' FROM 0 FOR 2) is 'a'.
+func TestSubstrStartBelowOne(t *testing.T) {
+	cases := []struct {
+		start, length int
+		want          string
+	}{
+		{0, 2, "a"}, {-1, 3, "a"}, {-5, 2, ""}, {0, 0, ""}, {1, 2, "ab"},
+		{5, 10, "ef"}, {7, 2, ""}, {10, 2, ""}, {2, -1, ""},
+	}
+	for _, c := range cases {
+		if got := string(Substr(Str("abcdef"), c.start, c.length).Eval(&Ctx{}).Bytes()); got != c.want {
+			t.Errorf("SUBSTRING('abcdef' FROM %d FOR %d) = %q, want %q", c.start, c.length, got, c.want)
+		}
+	}
+}
+
 func TestCase(t *testing.T) {
 	s, b := makeBlock(t)
 	// Q14-style: CASE WHEN name LIKE 'PROMO%' THEN price ELSE 0 END

@@ -10,13 +10,15 @@ import (
 
 // FuzzExprEval drives a typed stack machine over the fuzz input to build
 // arbitrary well-typed expression trees, then checks the evaluator's
-// invariants on every row of a block:
+// invariants on every row of a row-store and a column-store block:
 //
 //   - Eval never panics on a well-typed tree;
 //   - the evaluated datum's type matches the tree's static Type();
 //   - boolean-valued operators return exactly 0 or 1;
 //   - evaluation is deterministic (same row, same result);
-//   - FilterBlock agrees with row-at-a-time evaluation for predicates.
+//   - FilterBlock agrees with row-at-a-time evaluation for predicates;
+//   - the numeric vector evaluator agrees bitwise (NaN with any NaN) with
+//     row-at-a-time evaluation for numeric trees.
 //
 // Run as a fuzzer with `go test ./internal/expr -fuzz FuzzExprEval`; in
 // normal test runs it replays the seed corpus.
@@ -25,6 +27,8 @@ func FuzzExprEval(f *testing.F) {
 	f.Add([]byte{0, 1, 6, 0, 6, 1, 6, 2, 6, 3}, int64(7), 0.0)
 	f.Add([]byte{2, 14, 2, 7, 5, 12, 8, 9, 10}, int64(-9), math.MaxFloat64)
 	f.Add([]byte{13, 13, 7, 0, 3, 11, 15}, int64(0), math.NaN())
+	f.Add([]byte{2, 16, 3, 2, 16, 0, 17, 0, 7, 4, 8}, int64(3), 2.0)
+	f.Add([]byte{1, 17, 1, 6, 2, 0, 17, 0, 6, 1, 7, 5}, int64(-4), math.Inf(-1))
 	f.Fuzz(func(t *testing.T, program []byte, seedI int64, seedF float64) {
 		if len(program) > 256 {
 			program = program[:256]
@@ -34,55 +38,82 @@ func FuzzExprEval(f *testing.F) {
 			storage.Column{Name: "f", Type: types.Float64},
 			storage.Column{Name: "c", Type: types.Char, Width: 8},
 		)
-		b := storage.NewBlock(schema, storage.ColumnStore, 4*schema.RowWidth())
-		for r := 0; r < 4; r++ {
-			b.AppendRow(
-				types.NewInt64(seedI+int64(r)*3-1),
-				types.NewFloat64(seedF*float64(r)),
-				types.NewString(string(rune('a'+r))+"xyzw"),
-			)
-		}
-
+		scalars := []types.Datum{types.NewInt64(seedI), types.NewFloat64(seedF)}
 		exprs := interpret(program, schema)
-		for _, e := range exprs {
-			ty := e.Type()
-			_ = e.String() // must not panic either
-			c := Ctx{B: b}
-			for r := 0; r < b.NumRows(); r++ {
-				c.Row = r
-				d1 := e.Eval(&c)
-				d2 := e.Eval(&c)
-				if d1.Ty != ty {
-					t.Fatalf("%s: Eval type %v, static Type %v", e, d1.Ty, ty)
+		for _, format := range []storage.Format{storage.RowStore, storage.ColumnStore} {
+			b := storage.NewBlock(schema, format, 6*schema.RowWidth())
+			for r := 0; r < 6; r++ {
+				c := string(rune('a'+r)) + "xyzw"
+				if r == 5 {
+					c = "axyzwxyz" // fills the column width; "axyzw" is its prefix
 				}
-				if !sameDatum(d1, d2) {
-					t.Fatalf("%s: non-deterministic: %v then %v", e, d1, d2)
-				}
-				if isBoolean(e) && d1.I != 0 && d1.I != 1 {
-					t.Fatalf("%s: boolean value %d", e, d1.I)
-				}
+				b.AppendRow(
+					types.NewInt64(seedI+int64(r)*3-1),
+					types.NewFloat64(seedF*float64(r-2)),
+					types.NewString(c),
+				)
 			}
-			// Predicates: the vectorized filter must agree with Eval.
-			if ty == types.Int64 {
-				got := FilterBlock(e, b, nil, nil)
-				var want []int32
-				for r := 0; r < b.NumRows(); r++ {
-					c.Row = r
-					if e.Eval(&c).I != 0 {
-						want = append(want, int32(r))
-					}
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s: FilterBlock %v, row-at-a-time %v", e, got, want)
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s: FilterBlock %v, row-at-a-time %v", e, got, want)
-					}
-				}
+			for _, e := range exprs {
+				checkExpr(t, e, b, scalars)
 			}
 		}
 	})
+}
+
+func checkExpr(t *testing.T, e Expr, b *storage.Block, scalars []types.Datum) {
+	ty := e.Type()
+	_ = e.String() // must not panic either
+	c := Ctx{B: b, Scalars: scalars}
+	for r := 0; r < b.NumRows(); r++ {
+		c.Row = r
+		d1 := e.Eval(&c)
+		d2 := e.Eval(&c)
+		if d1.Ty != ty {
+			t.Fatalf("%s: Eval type %v, static Type %v", e, d1.Ty, ty)
+		}
+		if !sameDatum(d1, d2) {
+			t.Fatalf("%s: non-deterministic: %v then %v", e, d1, d2)
+		}
+		if isBoolean(e) && d1.I != 0 && d1.I != 1 {
+			t.Fatalf("%s: boolean value %d", e, d1.I)
+		}
+	}
+	if ty == types.Char {
+		return
+	}
+	// Predicates: the vectorized filter must agree with Eval.
+	if ty == types.Int64 {
+		got := FilterBlock(e, b, scalars, nil)
+		var want []int32
+		for r := 0; r < b.NumRows(); r++ {
+			c.Row = r
+			if e.Eval(&c).I != 0 {
+				want = append(want, int32(r))
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: FilterBlock %v, row-at-a-time %v", e, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: FilterBlock %v, row-at-a-time %v", e, got, want)
+			}
+		}
+	}
+	// Numeric vectors must match Eval's values exactly.
+	var vec Vectors
+	fs := vec.Floats(e, &c, nil)
+	is := vec.Ints(e, &c, nil)
+	for r := 0; r < b.NumRows(); r++ {
+		c.Row = r
+		d := e.Eval(&c)
+		if x, y := fs[r], d.Float(); math.Float64bits(x) != math.Float64bits(y) && !(math.IsNaN(x) && math.IsNaN(y)) {
+			t.Fatalf("%s row %d: Floats %v, Eval %v", e, r, x, y)
+		}
+		if ty != types.Float64 && is[r] != d.I {
+			t.Fatalf("%s row %d: Ints %d, Eval %d", e, r, is[r], d.I)
+		}
+	}
 }
 
 // interpret builds well-typed expressions from the program bytes with a
@@ -108,7 +139,7 @@ func interpret(program []byte, schema *storage.Schema) []Expr {
 	}
 	for i := 0; i < len(program); {
 		op := next(&i)
-		switch op % 16 {
+		switch op % 18 {
 		case 0:
 			stack = append(stack, ColIdx(schema, 0))
 		case 1:
@@ -186,6 +217,24 @@ func interpret(program []byte, schema *storage.Schema) []Expr {
 				els, then, cond := pop(), pop(), pop()
 				stack = append(stack, Case(els, When{Cond: cond, Then: then}))
 			}
+		case 16:
+			if len(stack) >= 1 && stack[len(stack)-1].Type() == types.Char {
+				pat := make([]byte, next(&i)%4)
+				for j := range pat {
+					pat[j] = "ax%_"[next(&i)%4]
+				}
+				if next(&i)%2 == 0 {
+					stack = append(stack, Like(pop(), string(pat)))
+				} else {
+					stack = append(stack, NotLike(pop(), string(pat)))
+				}
+			}
+		case 17:
+			if next(&i)%2 == 0 {
+				stack = append(stack, Param(0, types.Int64))
+			} else {
+				stack = append(stack, Param(1, types.Float64))
+			}
 		}
 		if len(stack) > 32 {
 			break
@@ -198,7 +247,7 @@ func interpret(program []byte, schema *storage.Schema) []Expr {
 // construction.
 func isBoolean(e Expr) bool {
 	switch e.(type) {
-	case *CmpExpr, *AndExpr, *OrExpr, *NotExpr, *InExpr:
+	case *CmpExpr, *AndExpr, *OrExpr, *NotExpr, *InExpr, *LikeExpr:
 		return true
 	}
 	return false

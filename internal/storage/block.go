@@ -106,14 +106,9 @@ func (b *Block) UsedBytes() int { return b.n * b.schema.RowWidth() }
 
 // cell returns the data slice holding column col of row row.
 func (b *Block) cell(col, row int) []byte {
-	w := b.schema.ColWidth(col)
-	var off int
-	if b.format == RowStore {
-		off = row*b.schema.RowWidth() + b.schema.ColOffset(col)
-	} else {
-		off = b.colOff[col] + row*w
-	}
-	return b.data[off : off+w]
+	off, stride := b.colLayout(col)
+	off += row * stride
+	return b.data[off : off+b.schema.ColWidth(col)]
 }
 
 // Int64At reads an Int64 column value.
@@ -226,31 +221,69 @@ func (b *Block) AppendRaw(left *Block, lrow int, lproj []int, right *Block, rrow
 	return true
 }
 
-// GatherInt64 copies every row of 8-byte integer column col into dst,
-// reusing dst's backing array when large enough. The column layout (stride,
-// base offset) is resolved once instead of per row, making this the batch
-// kernels' key-column load: a tight strided loop instead of n cell() calls.
-// The column must be 8 bytes wide (Int64/Float64 bits), as with Int64At.
-func (b *Block) GatherInt64(col int, dst []int64) []int64 {
-	n := b.n
-	if cap(dst) < n {
-		dst = make([]int64, n)
-	}
-	dst = dst[:n]
-	if b.schema.ColWidth(col) != 8 {
-		panic(fmt.Sprintf("storage: GatherInt64 on %d-byte column", b.schema.ColWidth(col)))
-	}
-	var off, stride int
+// colLayout returns where column col's cells sit in b.data: row r's cell
+// starts at off + r*stride. Every columnar kernel resolves it once per column
+// instead of once per cell.
+func (b *Block) colLayout(col int) (off, stride int) {
 	if b.format == RowStore {
-		off = b.schema.ColOffset(col)
-		stride = b.schema.RowWidth()
-	} else {
-		off = b.colOff[col]
-		stride = 8
+		return b.schema.ColOffset(col), b.schema.RowWidth()
 	}
-	data := b.data
-	for r := 0; r < n; r++ {
-		dst[r] = int64(binary.LittleEndian.Uint64(data[off+r*stride:]))
+	return b.colOff[col], b.schema.ColWidth(col)
+}
+
+// fixedLayout is colLayout for a kernel that needs a column of one width.
+func (b *Block) fixedLayout(col, width int, kernel string) (off, stride int) {
+	if w := b.schema.ColWidth(col); w != width {
+		panic(fmt.Sprintf("storage: %s on %d-byte column", kernel, w))
+	}
+	return b.colLayout(col)
+}
+
+// ColView reads one column's cells in place, with its layout resolved once:
+// the typed filter and arithmetic kernels of internal/expr load a cell per
+// row through it without building a Datum. It aliases block memory.
+type ColView struct {
+	Type               types.TypeID
+	data               []byte
+	off, stride, width int
+}
+
+// View returns the in-place view of column col.
+func (b *Block) View(col int) ColView {
+	off, stride := b.colLayout(col)
+	return ColView{Type: b.schema.Col(col).Type, data: b.data, off: off, stride: stride, width: b.schema.ColWidth(col)}
+}
+
+// Int returns row r of a numeric column as Datum.I holds it: an Int64's
+// value, a Date's day count.
+func (v ColView) Int(r int) int64 {
+	o := v.off + r*v.stride
+	if v.Type == types.Date {
+		return int64(int32(binary.LittleEndian.Uint32(v.data[o:])))
+	}
+	return int64(binary.LittleEndian.Uint64(v.data[o:]))
+}
+
+// Float returns row r of a numeric column as Datum.Float sees it.
+func (v ColView) Float(r int) float64 {
+	if v.Type == types.Float64 {
+		return float64frombits(binary.LittleEndian.Uint64(v.data[v.off+r*v.stride:]))
+	}
+	return float64(v.Int(r))
+}
+
+// Bytes returns row r of a Char column, zero padding included.
+func (v ColView) Bytes(r int) []byte { return v.data[v.off+r*v.stride:][:v.width] }
+
+// GatherInt64 copies every row of 8-byte integer column col into dst,
+// reusing dst's backing array when large enough: the batch kernels' key-column
+// load, a tight strided loop instead of n cell() calls. The column must be 8
+// bytes wide (Int64/Float64 bits), as with Int64At.
+func (b *Block) GatherInt64(col int, dst []int64) []int64 {
+	off, stride := b.fixedLayout(col, 8, "GatherInt64")
+	dst = sized(dst, b.n)
+	for r := range dst {
+		dst[r] = int64(binary.LittleEndian.Uint64(b.data[off+r*stride:]))
 	}
 	return dst
 }
@@ -260,25 +293,10 @@ func (b *Block) GatherInt64(col int, dst []int64) []int64 {
 // GatherInt64 this covers the fixed-width group-key types of the vectorized
 // aggregation path (date keys hash and compare as their day count).
 func (b *Block) GatherDate(col int, dst []int64) []int64 {
-	n := b.n
-	if cap(dst) < n {
-		dst = make([]int64, n)
-	}
-	dst = dst[:n]
-	if b.schema.ColWidth(col) != 4 {
-		panic(fmt.Sprintf("storage: GatherDate on %d-byte column", b.schema.ColWidth(col)))
-	}
-	var off, stride int
-	if b.format == RowStore {
-		off = b.schema.ColOffset(col)
-		stride = b.schema.RowWidth()
-	} else {
-		off = b.colOff[col]
-		stride = 4
-	}
-	data := b.data
-	for r := 0; r < n; r++ {
-		dst[r] = int64(int32(binary.LittleEndian.Uint32(data[off+r*stride:])))
+	off, stride := b.fixedLayout(col, 4, "GatherDate")
+	dst = sized(dst, b.n)
+	for r := range dst {
+		dst[r] = int64(int32(binary.LittleEndian.Uint32(b.data[off+r*stride:])))
 	}
 	return dst
 }
@@ -287,34 +305,27 @@ func (b *Block) GatherDate(col int, dst []int64) []int64 {
 // reusing dst's backing array when large enough — the aggregate-argument
 // load of the columnar accumulate kernels.
 func (b *Block) GatherFloat64(col int, dst []float64) []float64 {
-	n := b.n
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	if b.schema.ColWidth(col) != 8 {
-		panic(fmt.Sprintf("storage: GatherFloat64 on %d-byte column", b.schema.ColWidth(col)))
-	}
-	var off, stride int
-	if b.format == RowStore {
-		off = b.schema.ColOffset(col)
-		stride = b.schema.RowWidth()
-	} else {
-		off = b.colOff[col]
-		stride = 8
-	}
-	data := b.data
-	for r := 0; r < n; r++ {
-		dst[r] = float64frombits(binary.LittleEndian.Uint64(data[off+r*stride:]))
+	off, stride := b.fixedLayout(col, 8, "GatherFloat64")
+	dst = sized(dst, b.n)
+	for r := range dst {
+		dst[r] = float64frombits(binary.LittleEndian.Uint64(b.data[off+r*stride:]))
 	}
 	return dst
+}
+
+// sized returns s with length n, reusing its backing array when large enough.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // AppendFromMany appends the projection projIdx of the given src rows (in
 // order), stopping when the block fills, and returns how many rows were
 // appended. Column layouts are resolved once per column, not once per cell,
-// so bulk payload copies run a tight offset-stride loop — the batch insert
-// kernel's payload materialization.
+// and 8- and 4-byte cells move as one word load and store each — the select
+// operator's and the batch insert kernel's bulk materialization.
 func (b *Block) AppendFromMany(src *Block, rows []int32, projIdx []int) int {
 	free := b.capacity - b.n
 	if free <= 0 || len(rows) == 0 {
@@ -326,27 +337,26 @@ func (b *Block) AppendFromMany(src *Block, rows []int32, projIdx []int) int {
 	take := rows[:free]
 	for ci, sc := range projIdx {
 		w := b.schema.ColWidth(ci)
-		var dstOff, dstStride int
-		if b.format == RowStore {
-			dstOff = b.n*b.schema.RowWidth() + b.schema.ColOffset(ci)
-			dstStride = b.schema.RowWidth()
-		} else {
-			dstOff = b.colOff[ci] + b.n*w
-			dstStride = w
-		}
-		var srcOff, srcStride int
-		if src.format == RowStore {
-			srcOff = src.schema.ColOffset(sc)
-			srcStride = src.schema.RowWidth()
-		} else {
-			srcOff = src.colOff[sc]
-			srcStride = w
-		}
-		d := dstOff
-		for _, r := range take {
-			s := srcOff + int(r)*srcStride
-			copy(b.data[d:d+w], src.data[s:s+w])
-			d += dstStride
+		d, dStride := b.colLayout(ci)
+		d += b.n * dStride
+		sOff, sStride := src.colLayout(sc)
+		switch w {
+		case 8:
+			for _, r := range take {
+				binary.LittleEndian.PutUint64(b.data[d:], binary.LittleEndian.Uint64(src.data[sOff+int(r)*sStride:]))
+				d += dStride
+			}
+		case 4:
+			for _, r := range take {
+				binary.LittleEndian.PutUint32(b.data[d:], binary.LittleEndian.Uint32(src.data[sOff+int(r)*sStride:]))
+				d += dStride
+			}
+		default:
+			for _, r := range take {
+				s := sOff + int(r)*sStride
+				copy(b.data[d:d+w], src.data[s:s+w])
+				d += dStride
+			}
 		}
 	}
 	b.n += len(take)
@@ -373,33 +383,20 @@ func (b *Block) AppendGather(srcs []*Block, srcIdx []int32, rows []int32, projId
 	idx := srcIdx[:free]
 	for ci, sc := range projIdx {
 		w := b.schema.ColWidth(ci)
-		var dstOff, dstStride int
-		if b.format == RowStore {
-			dstOff = b.n*b.schema.RowWidth() + b.schema.ColOffset(ci)
-			dstStride = b.schema.RowWidth()
-		} else {
-			dstOff = b.colOff[ci] + b.n*w
-			dstStride = w
-		}
-		d := dstOff
+		d, dStride := b.colLayout(ci)
+		d += b.n * dStride
 		cur := int32(-1)
 		var src *Block
-		var srcOff, srcStride int
+		var sOff, sStride int
 		for i, r := range take {
 			if idx[i] != cur {
 				cur = idx[i]
 				src = srcs[cur]
-				if src.format == RowStore {
-					srcOff = src.schema.ColOffset(sc)
-					srcStride = src.schema.RowWidth()
-				} else {
-					srcOff = src.colOff[sc]
-					srcStride = w
-				}
+				sOff, sStride = src.colLayout(sc)
 			}
-			s := srcOff + int(r)*srcStride
+			s := sOff + int(r)*sStride
 			copy(b.data[d:d+w], src.data[s:s+w])
-			d += dstStride
+			d += dStride
 		}
 	}
 	b.n += len(take)

@@ -268,7 +268,7 @@ func TestAppendFromManyMatchesAppendFrom(t *testing.T) {
 			types.NewChar(str),
 		)
 	}
-	proj := []int{3, 0} // Char + Int64, out of order
+	proj := []int{3, 0, 2} // Char, Int64 and Date cells (memmove, 8- and 4-byte words), out of order
 	dstSch := src.Schema().Project(proj)
 	rows := make([]int32, 0, src.NumRows())
 	for r := src.NumRows() - 1; r >= 0; r-- { // scattered (reverse) row order
@@ -364,6 +364,34 @@ func TestGatherFloat64MatchesFloat64At(t *testing.T) {
 		dst = b.GatherFloat64(1, dst)
 		if &dst[:1][0] != before {
 			t.Errorf("%v: GatherFloat64 reallocated a sufficient dst", format)
+		}
+	}
+}
+
+// TestColViewMatchesDatumAt checks the in-place column view against DatumAt:
+// Int and Float give a cell's Datum.I and Datum.Float, Bytes its padded char
+// cell, in both formats.
+func TestColViewMatchesDatumAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, format := range []Format{RowStore, ColumnStore} {
+		b := NewBlock(testSchema(), format, 4096)
+		for !b.Full() {
+			b.AppendRow(types.NewInt64(rng.Int63()-rng.Int63()), types.NewFloat64(rng.NormFloat64()),
+				types.NewDate(int32(rng.Uint32())), types.NewString(string(rune('a'+rng.Intn(26)))))
+		}
+		for col := 0; col < 3; col++ {
+			v := b.View(col)
+			for r := 0; r < b.NumRows(); r++ {
+				d := b.DatumAt(col, r)
+				if v.Float(r) != d.Float() || (d.Ty != types.Float64 && v.Int(r) != d.I) {
+					t.Fatalf("%v col %d row %d: view (%d, %v), datum %v", format, col, r, v.Int(r), v.Float(r), d)
+				}
+			}
+		}
+		for r, v := 0, b.View(3); r < b.NumRows(); r++ {
+			if got, want := v.Bytes(r), b.BytesAt(3, r); string(got) != string(want) {
+				t.Fatalf("%v row %d: view %q, BytesAt %q", format, r, got, want)
+			}
 		}
 	}
 }
