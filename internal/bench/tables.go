@@ -7,6 +7,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/engine"
 	"repro/internal/exec"
+	"repro/internal/hashtable"
 	"repro/internal/memmodel"
 	"repro/internal/stats"
 	"repro/internal/storage"
@@ -172,9 +173,9 @@ func (h *Harness) Tab2MemoryFootprint() (*Report, error) {
 		if !ok {
 			return nil, fmt.Errorf("q7 missing %s", name)
 		}
-		// Model input: rows inserted, 16-byte payload tuples, 40-byte
-		// buckets at the engine's 0.75 load factor.
-		htModel += memmodel.HashTableSize(t.RowsOut*16, 16, 40, 0.75)
+		// Model input: rows inserted, 16-byte payload tuples, and the
+		// engine table's own bucket size c and maximum load f.
+		htModel += memmodel.HashTableSize(t.RowsOut*16, 16, hashtable.EntryBytes(), hashtable.MaxLoad)
 	}
 	selSt, selBytes, err := h.selectStats(d, 7, "select(lineitem)", tpch.LineitemSchema.RowWidth())
 	if err != nil {

@@ -459,12 +459,19 @@ func (e *Emitter) AppendMany(src *storage.Block, rows []int32, projIdx []int) {
 	}
 }
 
-// AppendRaw appends a two-sided join row (see Block.AppendRaw).
-func (e *Emitter) AppendRaw(l *storage.Block, lrow int, lproj []int, r *storage.Block, rrow int, rproj []int) {
-	for !e.ensure().AppendRaw(l, lrow, lproj, r, rrow, rproj) {
-		e.seal()
+// AppendPairs bulk-appends joined tuples (see Block.AppendPairs), sealing
+// and replacing full blocks exactly where appending them one at a time
+// would.
+func (e *Emitter) AppendPairs(l *storage.Block, lrows []int32, lproj []int, rs []*storage.Block, rrows []int32, rproj []int) {
+	for len(lrows) > 0 {
+		took := e.ensure().AppendPairs(l, lrows, lproj, rs, rrows, rproj)
+		if took == 0 {
+			e.seal()
+			continue
+		}
+		lrows, rs, rrows = lrows[took:], rs[took:], rrows[took:]
+		e.out.RowsOut += int64(took)
 	}
-	e.out.RowsOut++
 }
 
 // Close checks the current partial block back into the pool. Called by

@@ -99,7 +99,7 @@ func TestEmitterAppendVariantsRoundTrip(t *testing.T) {
 	out := &Output{}
 	em := NewEmitter(ctx, out, 5, twoCol)
 	em.AppendFrom(src, 0, []int{0, 1})
-	em.AppendRaw(src, 0, []int{1}, src, 0, []int{0})
+	em.AppendPairs(src, []int32{0}, []int{1}, []*storage.Block{src}, []int32{0}, []int{0})
 	em.Close()
 	parts := ctx.Pool.TakePartials(5)
 	if len(parts) != 1 || parts[0].NumRows() != 2 {
@@ -110,7 +110,7 @@ func TestEmitterAppendVariantsRoundTrip(t *testing.T) {
 		t.Fatal("AppendFrom row wrong")
 	}
 	if b.Int64At(0, 1) != 2 || b.Int64At(1, 1) != 1 {
-		t.Fatal("AppendRaw row wrong")
+		t.Fatal("AppendPairs row wrong")
 	}
 	if out.RowsOut != 2 {
 		t.Fatalf("rows out = %d", out.RowsOut)
@@ -129,8 +129,10 @@ func TestEmitterOverflowIntoFullPartialKeepsRow(t *testing.T) {
 	appenders := map[string]func(*Emitter, int64){
 		"AppendRow":  func(e *Emitter, v int64) { e.AppendRow(types.NewInt64(v)) },
 		"AppendFrom": func(e *Emitter, _ int64) { e.AppendFrom(src, 0, []int{0}) },
-		"AppendRaw":  func(e *Emitter, _ int64) { e.AppendRaw(src, 0, []int{0}, nil, 0, nil) },
 		"AppendMany": func(e *Emitter, _ int64) { e.AppendMany(src, []int32{0}, []int{0}) },
+		"AppendPairs": func(e *Emitter, _ int64) {
+			e.AppendPairs(src, []int32{0}, []int{0}, []*storage.Block{nil}, []int32{0}, nil)
+		},
 	}
 	for name, appendOne := range appenders {
 		ctx := newCtx(2)

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -430,5 +431,61 @@ func TestConcurrentBuildWorkOrdersWithBloom(t *testing.T) {
 	wg2.Wait()
 	if got := ko.HT().Len(); got != blocks*rowsPer {
 		t.Fatalf("key-only table has %d entries, want %d", got, blocks*rowsPer)
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestProbeAllocs: with its scratch warm, a probe work order allocates the
+// same number of times for a 100-row and an 8K-row block — the per-block
+// bookkeeping (emitter, output block checkout), nothing per row or per match
+// — for inner, semi and anti joins.
+func TestProbeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race; the Zero-alloc CI step runs this without it")
+	}
+	bs, ps := joinSchemas()
+	rng := rand.New(rand.NewSource(3))
+	var keys [][2]int64
+	for k := int64(0); k < 200; k++ {
+		keys = append(keys, [2]int64{k, 0})
+	}
+	build := joinBlocks(rng, bs, []storage.Format{storage.ColumnStore}, keys[:100], 1, 100)
+	small := joinBlocks(rng, ps, []storage.Format{storage.ColumnStore}, keys, 1, 100)[0]
+	large := joinBlocks(rng, ps, []storage.Format{storage.ColumnStore}, keys, 1, 8<<10)[0]
+	for _, jt := range []JoinType{Inner, LeftSemi, LeftAnti} {
+		ctx := execCtx()
+		ctx.TempBlockBytes = 1 << 20 // an 8K-row block's output fits one block
+		spec := BuildSpec{Name: "build", InputSchema: bs, KeyCols: []int{0}, ExpectedRows: 100}
+		pspec := ProbeSpec{Name: "probe", InputSchema: ps, KeyCols: []int{0}, JoinType: jt, ProbeProj: []int{4, 2}}
+		if jt == Inner {
+			spec.Payload = []int{4, 2}
+			pspec.BuildProj = []int{0, 1}
+		}
+		bop := NewBuildHash(spec)
+		bop.setID(20)
+		runOp(t, ctx, bop, 20, build...)
+		pspec.Build = bop
+		pop := NewProbe(pspec)
+		pop.setID(21)
+		pop.Init(ctx)
+		allocs := func(b *storage.Block) float64 {
+			wo := pop.Feed(ctx, 0, []*storage.Block{b})[0]
+			return testing.AllocsPerRun(50, func() {
+				var out core.Output
+				if err := wo.Run(ctx, &out); err != nil {
+					t.Fatal(err)
+				}
+				out.Finish(nil)
+				for _, p := range append(out.Blocks, ctx.Pool.TakePartials(21)...) {
+					ctx.Pool.Release(p)
+				}
+			})
+		}
+		allocs(large) // size the pooled scratch for the large block
+		if s, l := allocs(small), allocs(large); s != l {
+			t.Errorf("%s: %v allocations for a 100-row block, %v for an 8K-row block", jt, s, l)
+		}
 	}
 }

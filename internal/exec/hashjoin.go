@@ -229,11 +229,13 @@ func (j JoinType) String() string {
 // The plan must add a blocking edge build→probe; the probe releases the hash
 // table when it finishes.
 //
-// Probe work orders run vectorized: the probe-side key columns are gathered
-// and hashed in one pass (types.HashPairVec) into pooled scratch buffers,
-// and each row probes with hashtable.LookupHashed, so per-row work is one
-// table walk with no re-hashing and the steady state allocates nothing per
-// block.
+// Probe work orders run a block at a time: the probe-side key columns are
+// gathered and hashed in one pass (types.HashPairVec), hashtable.Match
+// collects every (probe row, payload row) pair of the block, the residual
+// filters the pairs, and the output is materialized column at a time
+// (Emitter.AppendPairs for inner and outer joins, Emitter.AppendMany over a
+// selection vector for semi and anti joins). All vectors live in a pooled
+// scratch, so the steady state allocates nothing per block.
 type ProbeOp struct {
 	core.Base
 	self      core.OpID
@@ -249,11 +251,20 @@ type ProbeOp struct {
 	scratch   sync.Pool // *probeScratch
 }
 
-// probeScratch holds one probe work order's reusable key and hash vectors.
+// probeScratch holds one probe work order's reusable vectors: keys and
+// hashes, the table's matches, and the pairs (or rows) to emit.
 type probeScratch struct {
 	k0 []int64
 	k1 []int64
 	h  []uint64
+	m  hashtable.Matches
+	// The pairs inner and outer joins emit: probe row, payload block (nil:
+	// zero-filled build columns) and payload row. sel is the probe-row
+	// selection semi and anti joins emit.
+	lrows []int32
+	rbs   []*storage.Block
+	rrows []int32
+	sel   []int32
 }
 
 // gather pulls the probe key columns of b into the scratch and hashes them.
@@ -265,6 +276,54 @@ func (sc *probeScratch) gather(b *storage.Block, keyCols []int) {
 		sc.k1 = nil
 	}
 	sc.h = types.HashPairVec(sc.k0, sc.k1, sc.h)
+}
+
+// resolve turns the matches of an n-row probe block into the pairs to emit,
+// in probe-row order; with nullExtend (left outer join) each probe row
+// without a match gets one pair with a nil payload block.
+func (sc *probeScratch) resolve(ht *hashtable.Table, n int, nullExtend bool) {
+	next := int32(0) // first probe row not yet emitted
+	for i, ref := range sc.m.Ref {
+		r := sc.m.Probe[i]
+		for ; nullExtend && next < r; next++ {
+			sc.addPair(next, nil, 0)
+		}
+		next = r + 1
+		pb, prow := ht.Payload(ref)
+		sc.addPair(r, pb, int32(prow))
+	}
+	for ; nullExtend && next < int32(n); next++ {
+		sc.addPair(next, nil, 0)
+	}
+}
+
+func (sc *probeScratch) addPair(l int32, rb *storage.Block, r int32) {
+	sc.lrows = append(sc.lrows, l)
+	sc.rbs = append(sc.rbs, rb)
+	sc.rrows = append(sc.rrows, r)
+}
+
+// existence selects the probe rows of an n-row block that have a match
+// (semi join) or have none (anti join).
+func (sc *probeScratch) existence(n int, semi bool) {
+	probe := sc.m.Probe
+	for r := int32(0); r < int32(n); r++ {
+		hit := len(probe) > 0 && probe[0] == r
+		for len(probe) > 0 && probe[0] == r {
+			probe = probe[1:]
+		}
+		if hit == semi {
+			sc.sel = append(sc.sel, r)
+		}
+	}
+}
+
+// reset empties the pair and selection vectors; the payload-block vector is
+// cleared to its capacity so a pooled scratch never keeps a released table
+// alive.
+func (sc *probeScratch) reset() {
+	clear(sc.rbs[:cap(sc.rbs)])
+	sc.lrows, sc.rbs, sc.rrows, sc.sel = sc.lrows[:0], sc.rbs[:0], sc.rrows[:0], sc.sel[:0]
 }
 
 // ProbeSpec configures NewProbe.
@@ -368,8 +427,6 @@ func (w *probeWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	if ctx.Sim != nil {
 		out.Sim += ctx.Sim.ConsumedSeq(b, readBytes(b, o.readCols))
 	}
-	em := core.NewEmitter(ctx, out, o.self, o.out)
-	ec := expr.Ctx{B: b, Scalars: ctx.Scalars}
 	sc, _ := o.scratch.Get().(*probeScratch)
 	if sc != nil {
 		out.ScratchHits++
@@ -378,49 +435,41 @@ func (w *probeWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	}
 	sc.gather(b, o.keyCols)
 	out.BatchedRows += int64(n)
-	for r := 0; r < n; r++ {
-		k0 := sc.k0[r]
-		var k1 int64
-		if sc.k1 != nil {
-			k1 = sc.k1[r]
-		}
-		matched := false
-		ht.LookupHashed(sc.h[r], k0, k1, func(pb *storage.Block, prow int) bool {
-			if o.residual != nil {
-				ec.Row, ec.B2, ec.Row2 = r, pb, prow
-				if o.residual.Eval(&ec).I == 0 {
-					return true // keep scanning duplicates
-				}
-			}
-			matched = true
-			switch o.joinType {
-			case Inner, LeftOuter:
-				em.AppendRaw(b, r, o.probeProj, pb, prow, o.buildProj)
-				return true
-			default: // semi/anti need only existence
-				return false
-			}
-		})
-		switch o.joinType {
-		case LeftSemi:
-			if matched {
-				em.AppendFrom(b, r, o.probeProj)
-			}
-		case LeftAnti:
-			if !matched {
-				em.AppendFrom(b, r, o.probeProj)
-			}
-		case LeftOuter:
-			if !matched {
-				em.AppendRaw(b, r, o.probeProj, nil, 0, o.buildProj)
-			}
-		}
+	existence := o.joinType == LeftSemi || o.joinType == LeftAnti
+	ht.Match(sc.h, sc.k0, sc.k1, existence && o.residual == nil, &sc.m)
+	if o.residual != nil {
+		w.filter(ctx, ht, &sc.m)
 	}
+	em := core.NewEmitter(ctx, out, o.self, o.out)
+	if existence {
+		sc.existence(n, o.joinType == LeftSemi)
+		em.AppendMany(b, sc.sel, o.probeProj)
+	} else {
+		sc.resolve(ht, n, o.joinType == LeftOuter)
+		em.AppendPairs(b, sc.lrows, o.probeProj, sc.rbs, sc.rrows, o.buildProj)
+	}
+	sc.reset()
 	o.scratch.Put(sc)
 	if ctx.Sim != nil {
 		out.Sim += ctx.Sim.RandomProbes(int64(n), ht.UsedBytes())
 	}
 	return nil
+}
+
+// filter keeps the matches whose (probe row, payload row) pair passes the
+// residual, in order.
+func (w *probeWO) filter(ctx *core.ExecCtx, ht *hashtable.Table, m *hashtable.Matches) {
+	ec := expr.Ctx{B: w.block, Scalars: ctx.Scalars}
+	keep := 0
+	for i, ref := range m.Ref {
+		ec.Row = int(m.Probe[i])
+		ec.B2, ec.Row2 = ht.Payload(ref)
+		if w.op.residual.Eval(&ec).I != 0 {
+			m.Probe[keep], m.Ref[keep] = m.Probe[i], ref
+			keep++
+		}
+	}
+	m.Probe, m.Ref = m.Probe[:keep], m.Ref[:keep]
 }
 
 // String renders the operator.

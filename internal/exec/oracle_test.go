@@ -454,3 +454,209 @@ func TestOracleSortProperty(t *testing.T) {
 		}
 	}
 }
+
+// Join oracle: a nested loop over the build rows in arrival order for every
+// probe row in arrival order, with the residual as plain Go — nothing shared
+// with the hash table, Match or the pair emitters.
+
+// joinSchemas are the build input (keys, a float and a char payload column,
+// arrival number) and the probe input (keys, a float and a char column,
+// arrival number).
+func joinSchemas() (build, probe *storage.Schema) {
+	build = storage.NewSchema(
+		storage.Column{Name: "k0", Type: types.Int64},
+		storage.Column{Name: "k1", Type: types.Int64},
+		storage.Column{Name: "bv", Type: types.Float64},
+		storage.Column{Name: "bc", Type: types.Char, Width: 5},
+		storage.Column{Name: "bseq", Type: types.Int64},
+	)
+	probe = storage.NewSchema(
+		storage.Column{Name: "k0", Type: types.Int64},
+		storage.Column{Name: "k1", Type: types.Int64},
+		storage.Column{Name: "pv", Type: types.Float64},
+		storage.Column{Name: "pc", Type: types.Char, Width: 3},
+		storage.Column{Name: "pseq", Type: types.Int64},
+	)
+	return build, probe
+}
+
+// collidingKeys returns n keys (k0, k1) whose hashes share one 7-bit tag and
+// one shard, so they crowd the same groups and every tag compare also hits
+// rows of other keys; k1 is zero unless twoKeys.
+func collidingKeys(n int, twoKeys bool) [][2]int64 {
+	var keys [][2]int64
+	var want uint64
+	for k := int64(0); len(keys) < n; k++ {
+		key := [2]int64{k, 0}
+		if twoKeys {
+			key = [2]int64{k / 3, k % 3}
+		}
+		h := types.HashPairVec([]int64{key[0]}, []int64{key[1]}, nil)[0]
+		sig := h&0x7f | (h>>48&63)<<7
+		if len(keys) == 0 {
+			want = sig
+		}
+		if sig == want {
+			keys = append(keys, key)
+		}
+	}
+	return keys
+}
+
+// joinBlocks fills nBlocks blocks of rowsPer rows of s whose keys are drawn
+// from keys (so there are duplicates on both sides and, with extra keys in
+// the pool, misses).
+func joinBlocks(rng *rand.Rand, s *storage.Schema, formats []storage.Format, keys [][2]int64, nBlocks, rowsPer int) []*storage.Block {
+	blocks := make([]*storage.Block, nBlocks)
+	seq := int64(0)
+	for bi := range blocks {
+		b := storage.NewBlock(s, formats[bi%len(formats)], rowsPer*s.RowWidth()+64)
+		for r := 0; r < rowsPer; r++ {
+			k := keys[rng.Intn(len(keys))]
+			b.AppendRow(types.NewInt64(k[0]), types.NewInt64(k[1]),
+				types.NewFloat64(float64(rng.Intn(8))), types.NewString(string(rune('a'+rng.Intn(26)))),
+				types.NewInt64(seq))
+			seq++
+		}
+		blocks[bi] = b
+	}
+	return blocks
+}
+
+// oracleJoin joins probe rows to build rows by nested loops. keyCols are the
+// key columns of both inputs; residual, if set, is pv < bv. Output columns:
+// probeProj of the probe row, then buildProj of the build row (zeros for a
+// left outer row without a match).
+func oracleJoin(jt JoinType, build, probe []*storage.Block, keyCols, probeProj, buildProj []int, residual bool) [][]types.Datum {
+	type row []types.Datum
+	var buildRows []row
+	for _, b := range build {
+		for r := 0; r < b.NumRows(); r++ {
+			buildRows = append(buildRows, b.Row(r))
+		}
+	}
+	var out [][]types.Datum
+	for _, pb := range probe {
+		for r := 0; r < pb.NumRows(); r++ {
+			p := pb.Row(r)
+			var probeOut []types.Datum
+			for _, c := range probeProj {
+				probeOut = append(probeOut, p[c])
+			}
+			matched := false
+			for _, b := range buildRows {
+				same := true
+				for _, k := range keyCols {
+					same = same && p[k].I == b[k].I
+				}
+				if !same || residual && !(p[2].F < b[2].F) {
+					continue
+				}
+				matched = true
+				if jt == Inner || jt == LeftOuter {
+					o := append([]types.Datum(nil), probeOut...)
+					for _, c := range buildProj {
+						o = append(o, b[c])
+					}
+					out = append(out, o)
+				}
+			}
+			switch {
+			case jt == LeftSemi && matched, jt == LeftAnti && !matched:
+				out = append(out, probeOut)
+			case jt == LeftOuter && !matched:
+				o := append([]types.Datum(nil), probeOut...)
+				for _, c := range buildProj {
+					o = append(o, zeroDatum(build[0].Schema().Col(c)))
+				}
+				out = append(out, o)
+			}
+		}
+	}
+	return out
+}
+
+// zeroDatum is an all-zero cell of column c, as an outer join pads it.
+func zeroDatum(c storage.Column) types.Datum {
+	switch c.Type {
+	case types.Float64:
+		return types.NewFloat64(0)
+	case types.Date:
+		return types.NewDate(0)
+	case types.Char:
+		return types.NewChar(make([]byte, c.Width))
+	default:
+		return types.NewInt64(0)
+	}
+}
+
+// TestOracleProbeProperty: the four join types, with and without a
+// residual, over one and two key columns whose keys collide on tag and
+// shard, with duplicates on both sides, misses, and row- and column-store
+// probe input: ProbeOp's output equals the nested-loop oracle's row for row,
+// in order. Two probe blocks end in a miss, so rows left unmatched after a
+// block's last match are covered too.
+func TestOracleProbeProperty(t *testing.T) {
+	bs, ps := joinSchemas()
+	for _, twoKeys := range []bool{false, true} {
+		keyCols := []int{0}
+		if twoKeys {
+			keyCols = []int{0, 1}
+		}
+		keys := collidingKeys(24, twoKeys)
+		rng := rand.New(rand.NewSource(29))
+		build := joinBlocks(rng, bs, []storage.Format{storage.ColumnStore}, keys[:16], 3, 150)
+		probe := joinBlocks(rng, ps, []storage.Format{storage.RowStore, storage.ColumnStore}, keys, 4, 333)
+		for _, b := range probe[:2] { // a block that ends in a miss
+			miss := keys[len(keys)-1]
+			b.AppendRow(types.NewInt64(miss[0]), types.NewInt64(miss[1]),
+				types.NewFloat64(0), types.NewString("m"), types.NewInt64(-1))
+		}
+		for _, jt := range []JoinType{Inner, LeftOuter, LeftSemi, LeftAnti} {
+			for _, residual := range []bool{false, true} {
+				name := fmt.Sprintf("keys=%d/%s/residual=%v", len(keyCols), jt, residual)
+				t.Run(name, func(t *testing.T) {
+					ctx := execCtx()
+					spec := BuildSpec{Name: "build", InputSchema: bs, KeyCols: keyCols, ExpectedRows: 64}
+					if jt == Inner || jt == LeftOuter || residual {
+						spec.Payload = []int{4, 2, 3} // bseq, bv, bc
+					}
+					bop := NewBuildHash(spec)
+					bop.setID(20)
+					runOp(t, ctx, bop, 20, build...)
+					pspec := ProbeSpec{
+						Name: "probe", Build: bop, InputSchema: ps, KeyCols: keyCols, JoinType: jt,
+						ProbeProj: []int{4, 3, 2}, // pseq, pc, pv
+					}
+					var buildProj []int
+					if jt == Inner || jt == LeftOuter {
+						pspec.BuildProj = []int{0, 2, 1} // bseq, bc, bv of the payload
+						buildProj = []int{4, 3, 2}
+					}
+					if residual {
+						pspec.Residual = expr.Lt(expr.C(ps, "pv"), expr.C2(bop.PayloadSchema(), "bv"))
+					}
+					pop := NewProbe(pspec)
+					pop.setID(21)
+					got := allRows(runOp(t, ctx, pop, 21, probe...))
+					want := oracleJoin(jt, build, probe, keyCols, []int{4, 3, 2}, buildProj, residual)
+					if len(want) == 0 {
+						t.Fatal("oracle emits nothing; the case tests nothing")
+					}
+					if !rowsEqual(got, want) {
+						for i := range got {
+							if i >= len(want) || !rowsEqual(got[i:i+1], want[i:i+1]) {
+								t.Fatalf("%d rows, oracle %d; first difference at row %d: %v vs %v", len(got), len(want), i, got[i], want[min(i, len(want)-1)])
+							}
+						}
+						t.Fatalf("%d rows, oracle %d", len(got), len(want))
+					}
+					pop.Cleanup(ctx)
+					if live := ctx.Run.HashTables.Live(); live != 0 {
+						t.Errorf("hash-table gauge after Cleanup = %d, want 0", live)
+					}
+				})
+			}
+		}
+	}
+}

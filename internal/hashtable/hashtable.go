@@ -1,31 +1,60 @@
 // Package hashtable implements the non-partitioned join hash table used by
-// the engine: sharded for concurrent build, linear probing with fixed-size
-// bucket entries and a configurable load factor (the c/f memory model of
-// Section VI-B of the paper), duplicate keys, and payload tuples stored in
+// the engine: sharded for concurrent build, with buckets in groups of eight
+// slots behind one 64-bit control word of 7-bit hash tags (the c/f memory
+// model of Section VI-B of the paper is c = EntryBytes(), f = MaxLoad),
+// duplicate keys returned in insertion order, and payload tuples stored in
 // row-store blocks so probe residual predicates can evaluate directly over
 // build-side rows.
 package hashtable
 
 import (
+	"math/bits"
 	"sync"
+	"unsafe"
 
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
 
-// entry is one bucket slot. The fixed entry size plays the role of the
-// paper's bucket size c.
+// entry is one bucket slot's key and payload reference.
 type entry struct {
-	hash uint64 // 0 means empty (hashes are forced non-zero)
-	k0   int64
-	k1   int64
-	blk  uint32 // payload block index within the shard
-	row  uint32 // payload row within that block
+	k0, k1 int64
+	blk    uint32 // payload block index within the shard (keyOnly for none)
+	row    uint32 // payload row within that block
 }
 
-// entryBytes is the in-memory size of one bucket slot (c in Section VI-B).
-const entryBytes = 40
+// group is eight slots: a control word of one byte per slot (ctrlEmpty, or
+// the slot's 7-bit hash tag) stored beside the slots' entries, so a lookup
+// tests all eight tags with one word compare and then reads entries from
+// the same few cache lines.
+type group struct {
+	ctrl uint64
+	ents [groupSlots]entry
+}
+
+const (
+	groupSlots = 8
+	groupBytes = int64(unsafe.Sizeof(group{}))
+	// entryBytes is the bucket size c of Section VI-B: one control byte plus
+	// one entry.
+	entryBytes = groupBytes / groupSlots
+	// maxLoadSlots is how many of a group's slots a shard may fill on
+	// average before it grows.
+	maxLoadSlots = 7
+
+	ctrlEmpty = 0x80
+	lsbs      = 0x0101010101010101
+	msbs      = 0x8080808080808080
+	allEmpty  = ctrlEmpty * lsbs
+
+	// keyOnly marks an entry with no payload row.
+	keyOnly = ^uint32(0)
+)
+
+// MaxLoad is the load factor f of Section VI-B: a shard grows before more
+// than 7 of every 8 slots are full.
+const MaxLoad = float64(maxLoadSlots) / groupSlots
 
 // Payload tuples live in per-shard row-store blocks: the first block of a
 // shard is small so tiny dimension tables stay cheap, later blocks are large
@@ -39,8 +68,8 @@ const numShards = 64
 
 type shard struct {
 	mu      sync.Mutex
-	slots   []entry
-	mask    uint64
+	groups  []group
+	mask    uint64 // len(groups) - 1
 	count   int
 	payload []*storage.Block
 }
@@ -49,7 +78,6 @@ type shard struct {
 type Table struct {
 	shards      [numShards]shard
 	payloadSch  *storage.Schema
-	loadFactor  float64
 	gauge       *stats.MemGauge // may be nil
 	releaseOnce sync.Once
 }
@@ -58,41 +86,41 @@ type Table struct {
 type Config struct {
 	// PayloadSchema describes the build-side columns stored per entry.
 	PayloadSchema *storage.Schema
-	// LoadFactor is the occupancy threshold that triggers shard resize
-	// (f in Section VI-B). Defaults to 0.75.
-	LoadFactor float64
 	// InitialCapacity is a hint of total entries. Defaults to 1024.
 	InitialCapacity int
 	// Gauge, if non-nil, tracks the table's live bytes.
 	Gauge *stats.MemGauge
 }
 
-// New returns an empty table.
+// New returns an empty table in which each shard has the fewest groups that
+// give one slot per entry of its share of InitialCapacity, plus one. Sizing
+// by slots, not by MaxLoad, keeps an overestimated build from starting with
+// groups it never fills; an exact estimate grows its shards once.
 func New(cfg Config) *Table {
-	if cfg.LoadFactor <= 0 || cfg.LoadFactor > 1 {
-		cfg.LoadFactor = 0.75
-	}
 	if cfg.InitialCapacity <= 0 {
 		cfg.InitialCapacity = 1024
 	}
-	t := &Table{payloadSch: cfg.PayloadSchema, loadFactor: cfg.LoadFactor, gauge: cfg.Gauge}
-	var total int64
-	per := nextPow2(cfg.InitialCapacity/numShards + 1)
-	if per < 8 {
-		per = 8
-	}
+	t := &Table{payloadSch: cfg.PayloadSchema, gauge: cfg.Gauge}
+	groups := nextPow2((cfg.InitialCapacity/numShards + groupSlots) / groupSlots)
 	for i := range t.shards {
-		t.shards[i].slots = make([]entry, per)
-		t.shards[i].mask = uint64(per - 1)
-		total += int64(per) * entryBytes
+		t.shards[i].setGroups(groups)
 	}
 	if t.gauge != nil {
-		t.gauge.Add(total)
+		t.gauge.Add(numShards * int64(groups) * groupBytes)
 	}
 	return t
 }
 
-// hashKey produces a non-zero hash for (k0, k1).
+// setGroups replaces the shard's groups with n empty ones.
+func (s *shard) setGroups(n int) {
+	s.groups = make([]group, n)
+	for i := range s.groups {
+		s.groups[i].ctrl = allEmpty
+	}
+	s.mask = uint64(n - 1)
+}
+
+// hashKey produces the hash of (k0, k1), identical to types.HashPairVec's.
 func hashKey(k0, k1 int64) uint64 {
 	h := types.HashPair(k0, k1)
 	if h == 0 {
@@ -101,9 +129,50 @@ func hashKey(k0, k1 int64) uint64 {
 	return h
 }
 
-// shardOf selects the destination shard: hash bits 48–53 (independent of the
-// low slot-index bits and the aggregation radix's top bits).
+// shardOf selects the destination shard: hash bits 48–53, independent of the
+// tag (bits 0–6), the group index (bits 7 and up, masked far below 48 in
+// practice) and the aggregation radix's top bits.
 func shardOf(h uint64) uint64 { return (h >> 48) & (numShards - 1) }
+
+// tagOf returns h's 7-bit control tag broadcast to all eight bytes.
+func tagOf(h uint64) uint64 { return (h & 0x7f) * lsbs }
+
+// matchTag returns a word with the high bit set in each byte of ctrl equal to
+// the broadcast tag. A borrow can also flag a full byte just above a true
+// match; callers compare keys anyway. Empty bytes are never flagged.
+func matchTag(ctrl, tag uint64) uint64 {
+	x := ctrl ^ tag
+	return (x - lsbs) &^ x & msbs
+}
+
+// slotOf turns the lowest flagged byte of a match word into a slot index.
+func slotOf(m uint64) int { return bits.TrailingZeros64(m) >> 3 }
+
+// reserve grows s until it holds n more entries within MaxLoad; caller holds
+// the shard lock.
+func (t *Table) reserve(s *shard, n int) {
+	for s.count+n > len(s.groups)*maxLoadSlots {
+		t.grow(s)
+	}
+}
+
+// put stores e in the first free slot of h's group sequence. Groups fill
+// slot 0 first and nothing is deleted, so the order of (group, slot) along a
+// sequence is insertion order. Caller holds the lock and has reserved room.
+func (s *shard) put(h uint64, e entry) {
+	g := (h >> 7) & s.mask
+	for {
+		grp := &s.groups[g]
+		if free := grp.ctrl & msbs; free != 0 {
+			i := slotOf(free)
+			grp.ctrl ^= (ctrlEmpty ^ h&0x7f) << (8 * i)
+			grp.ents[i] = e
+			s.count++
+			return
+		}
+		g = (g + 1) & s.mask
+	}
+}
 
 // Insert adds one entry whose payload is the projection projIdx of row
 // srcRow of src. It is safe for concurrent use.
@@ -111,20 +180,23 @@ func (t *Table) Insert(k0, k1 int64, src *storage.Block, srcRow int, projIdx []i
 	h := hashKey(k0, k1)
 	s := &t.shards[shardOf(h)]
 	s.mu.Lock()
-	// Copy payload.
 	pb := t.payloadBlock(s)
 	prow := pb.NumRows()
 	pb.AppendFrom(src, srcRow, projIdx)
+	t.reserve(s, 1)
+	s.put(h, entry{k0: k0, k1: k1, blk: uint32(len(s.payload) - 1), row: uint32(prow)})
+	s.mu.Unlock()
+}
 
-	if float64(s.count+1) > t.loadFactor*float64(len(s.slots)) {
-		t.grow(s)
-	}
-	i := h & s.mask
-	for s.slots[i].hash != 0 {
-		i = (i + 1) & s.mask
-	}
-	s.slots[i] = entry{hash: h, k0: k0, k1: k1, blk: uint32(len(s.payload) - 1), row: uint32(prow)}
-	s.count++
+// InsertKeyOnly adds an entry with no payload columns (semi/anti join builds
+// that need only key existence). PayloadSchema must still be non-nil; a
+// zero-column schema is fine.
+func (t *Table) InsertKeyOnly(k0, k1 int64) {
+	h := hashKey(k0, k1)
+	s := &t.shards[shardOf(h)]
+	s.mu.Lock()
+	t.reserve(s, 1)
+	s.put(h, entry{k0: k0, k1: k1, blk: keyOnly})
 	s.mu.Unlock()
 }
 
@@ -211,7 +283,7 @@ func (t *Table) InsertBlockKeyOnly(b *storage.Block, keyCols []int, sc *InsertSc
 	return t.insertBlock(b, keyCols, nil, sc, true)
 }
 
-func (t *Table) insertBlock(b *storage.Block, keyCols []int, projIdx []int, sc *InsertScratch, keyOnly bool) int {
+func (t *Table) insertBlock(b *storage.Block, keyCols []int, projIdx []int, sc *InsertScratch, noPayload bool) int {
 	n := b.NumRows()
 	if n == 0 {
 		return 0
@@ -230,14 +302,12 @@ func (t *Table) insertBlock(b *storage.Block, keyCols []int, projIdx []int, sc *
 		s := &t.shards[sIdx]
 		s.mu.Lock()
 		locks++
-		// Pre-size the slot array for the whole batch: same final size as
+		// Size the shard for the whole batch: the same final size as
 		// growing row-at-a-time, but at most log2 resizes under one lock.
-		for float64(s.count+int(cnt)) > t.loadFactor*float64(len(s.slots)) {
-			t.grow(s)
-		}
-		if keyOnly {
+		t.reserve(s, int(cnt))
+		if noPayload {
 			for _, r := range rows {
-				t.insertSlot(s, sc, r, ^uint32(0), 0)
+				sc.put(s, r, keyOnly, 0)
 			}
 		} else {
 			// Bulk-copy payload rows block-at-a-time (AppendFromMany
@@ -250,7 +320,7 @@ func (t *Table) insertBlock(b *storage.Block, keyCols []int, projIdx []int, sc *
 				took := pb.AppendFromMany(b, rows[pos:], projIdx)
 				blk := uint32(len(s.payload) - 1)
 				for j := 0; j < took; j++ {
-					t.insertSlot(s, sc, rows[pos+j], blk, uint32(base+j))
+					sc.put(s, rows[pos+j], blk, uint32(base+j))
 				}
 				pos += took
 			}
@@ -260,21 +330,14 @@ func (t *Table) insertBlock(b *storage.Block, keyCols []int, projIdx []int, sc *
 	return locks
 }
 
-// insertSlot writes the bucket entry for scratch row r; caller holds the
-// shard lock and has pre-grown the slot array for the batch.
-func (t *Table) insertSlot(s *shard, sc *InsertScratch, r int32, blk, prow uint32) {
-	h := sc.hashes[r]
-	i := h & s.mask
-	for s.slots[i].hash != 0 {
-		i = (i + 1) & s.mask
-	}
-	k0 := sc.k0[r]
+// put stores the entry of scratch row r in s; caller holds the shard lock
+// and has reserved room for the batch.
+func (sc *InsertScratch) put(s *shard, r int32, blk, prow uint32) {
 	var k1 int64
 	if sc.k1 != nil {
 		k1 = sc.k1[r]
 	}
-	s.slots[i] = entry{hash: h, k0: k0, k1: k1, blk: blk, row: prow}
-	s.count++
+	s.put(sc.hashes[r], entry{k0: sc.k0[r], k1: k1, blk: blk, row: prow})
 }
 
 // payloadBlock returns the shard's current non-full payload block,
@@ -295,79 +358,128 @@ func (t *Table) payloadBlock(s *shard) *storage.Block {
 	return pb
 }
 
-// InsertKeyOnly adds an entry with no payload columns (semi/anti join builds
-// that need only key existence). PayloadSchema must still be non-nil; a
-// zero-column schema is fine.
-func (t *Table) InsertKeyOnly(k0, k1 int64) {
-	h := hashKey(k0, k1)
-	s := &t.shards[shardOf(h)]
-	s.mu.Lock()
-	if float64(s.count+1) > t.loadFactor*float64(len(s.slots)) {
-		t.grow(s)
-	}
-	i := h & s.mask
-	for s.slots[i].hash != 0 {
-		i = (i + 1) & s.mask
-	}
-	s.slots[i] = entry{hash: h, k0: k0, k1: k1, blk: ^uint32(0)}
-	s.count++
-	s.mu.Unlock()
-}
-
-// grow doubles a shard's slot array; caller holds the shard lock.
+// grow doubles a shard's groups; caller holds the shard lock. Old groups are
+// rehashed in sequence order starting just past a group with a free slot. No
+// group sequence runs through a free slot, so every sequence is re-inserted
+// front to back and duplicates keep their insertion order.
 func (t *Table) grow(s *shard) {
-	old := s.slots
-	ns := make([]entry, len(old)*2)
-	mask := uint64(len(ns) - 1)
-	for _, e := range old {
-		if e.hash == 0 {
-			continue
+	old := s.groups
+	start := 0
+	for i := range old {
+		if old[i].ctrl&msbs != 0 {
+			start = i + 1
+			break
 		}
-		i := e.hash & mask
-		for ns[i].hash != 0 {
-			i = (i + 1) & mask
-		}
-		ns[i] = e
 	}
-	s.slots = ns
-	s.mask = mask
+	s.setGroups(2 * len(old))
+	s.count = 0
+	for j := range old {
+		grp := &old[(start+j)%len(old)]
+		for full := ^grp.ctrl & msbs; full != 0; full &= full - 1 {
+			e := grp.ents[slotOf(full)]
+			s.put(hashKey(e.k0, e.k1), e)
+		}
+	}
 	if t.gauge != nil {
-		t.gauge.Add(int64(len(old)) * entryBytes) // net growth = old size
+		t.gauge.Add(int64(len(old)) * groupBytes) // net growth = old size
 	}
 }
 
-// Lookup calls fn for every entry matching (k0, k1), passing the payload
-// block and row (nil block for key-only entries). fn returns false to stop
-// early (semi-join existence checks). Lookup is safe for concurrent use with
-// other lookups; the table must not be built concurrently with probing — the
-// scheduler's blocking build→probe edge guarantees that.
+// Lookup calls fn for every entry matching (k0, k1), in insertion order,
+// passing the payload block and row (nil block for key-only entries). fn
+// returns false to stop early (semi-join existence checks). Lookup is safe
+// for concurrent use with other lookups; the table must not be built
+// concurrently with probing — the scheduler's blocking build→probe edge
+// guarantees that.
 func (t *Table) Lookup(k0, k1 int64, fn func(pb *storage.Block, row int) bool) {
 	t.LookupHashed(hashKey(k0, k1), k0, k1, fn)
 }
 
 // LookupHashed is Lookup with the key hash precomputed (h must come from the
 // same hash family, i.e. types.HashPairVec or HashPair forced non-zero).
-// The probe kernel hashes a whole block of keys in one vectorized pass and
-// probes with this to avoid re-hashing per row.
+// It is the row-at-a-time reference for Match.
 func (t *Table) LookupHashed(h uint64, k0, k1 int64, fn func(pb *storage.Block, row int) bool) {
 	s := &t.shards[shardOf(h)]
-	i := h & s.mask
-	for {
-		e := &s.slots[i]
-		if e.hash == 0 {
-			return
-		}
-		if e.hash == h && e.k0 == k0 && e.k1 == k1 {
-			var pb *storage.Block
-			if e.blk != ^uint32(0) {
-				pb = s.payload[e.blk]
-			}
-			if !fn(pb, int(e.row)) {
+	tag := tagOf(h)
+	for g := (h >> 7) & s.mask; ; g = (g + 1) & s.mask {
+		grp := &s.groups[g]
+		for m := matchTag(grp.ctrl, tag); m != 0; m &= m - 1 {
+			e := &grp.ents[slotOf(m)]
+			if e.k0 == k0 && e.k1 == k1 && !fn(s.block(e.blk), int(e.row)) {
 				return
 			}
 		}
-		i = (i + 1) & s.mask
+		if grp.ctrl&msbs != 0 {
+			return
+		}
 	}
+}
+
+// block resolves a payload block index (nil for key-only entries).
+func (s *shard) block(blk uint32) *storage.Block {
+	if blk == keyOnly {
+		return nil
+	}
+	return s.payload[blk]
+}
+
+// Ref locates one matched entry's payload row by index: shard, payload
+// block within the shard, row within the block.
+type Ref struct {
+	Shard uint32
+	Blk   uint32
+	Row   uint32
+}
+
+// Matches is the output of Match: the i-th match pairs probe row Probe[i]
+// with the entry at Ref[i]. It holds indexes, not blocks, so a pooled
+// Matches never keeps a released table's payload alive.
+type Matches struct {
+	Probe []int32
+	Ref   []Ref
+}
+
+// Match probes the table with a block of pre-hashed keys (k1 nil for
+// single-key tables) and fills m with every matching entry, ordered by probe
+// row and, within a row, by insertion — the pairs LookupHashed would report
+// row by row. With firstOnly it stops at each row's first match (existence
+// probes). m's vectors are reused across calls.
+func (t *Table) Match(hashes []uint64, k0, k1 []int64, firstOnly bool, m *Matches) {
+	m.Probe, m.Ref = m.Probe[:0], m.Ref[:0]
+rows:
+	for r, h := range hashes {
+		a := k0[r]
+		var b int64
+		if k1 != nil {
+			b = k1[r]
+		}
+		sIdx := shardOf(h)
+		s := &t.shards[sIdx]
+		tag := tagOf(h)
+		for g := (h >> 7) & s.mask; ; g = (g + 1) & s.mask {
+			grp := &s.groups[g]
+			for hit := matchTag(grp.ctrl, tag); hit != 0; hit &= hit - 1 {
+				e := &grp.ents[slotOf(hit)]
+				if e.k0 != a || e.k1 != b {
+					continue
+				}
+				m.Probe = append(m.Probe, int32(r))
+				m.Ref = append(m.Ref, Ref{Shard: uint32(sIdx), Blk: e.blk, Row: e.row})
+				if firstOnly {
+					continue rows
+				}
+			}
+			if grp.ctrl&msbs != 0 {
+				continue rows
+			}
+		}
+	}
+}
+
+// Payload resolves a Ref from Match to its payload block and row (nil block
+// for key-only entries).
+func (t *Table) Payload(r Ref) (*storage.Block, int) {
+	return t.shards[r.Shard].block(r.Blk), int(r.Row)
 }
 
 // Contains reports whether any entry matches (k0, k1).
@@ -391,34 +503,28 @@ func (t *Table) Len() int {
 	return n
 }
 
-// TotalBytes returns the table's current memory footprint: bucket slots plus
-// payload blocks. This is the |H| of Section VI.
+// TotalBytes returns the table's current memory footprint: bucket groups
+// plus payload blocks. This is the |H| of Section VI.
 func (t *Table) TotalBytes() int64 {
-	var n int64
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		n += int64(len(s.slots)) * entryBytes
-		for _, pb := range s.payload {
-			n += int64(pb.AllocBytes())
-		}
-		s.mu.Unlock()
-	}
-	return n
+	return t.bytes((*storage.Block).AllocBytes)
 }
 
-// UsedBytes returns the table's randomly-accessed working set: bucket slots
+// UsedBytes returns the table's randomly-accessed working set: bucket groups
 // plus payload bytes actually occupied by tuples. The cache model sizes
 // probe-miss probabilities with this (allocation slack in payload blocks is
 // never touched by probes).
 func (t *Table) UsedBytes() int64 {
+	return t.bytes((*storage.Block).UsedBytes)
+}
+
+func (t *Table) bytes(payloadBytes func(*storage.Block) int) int64 {
 	var n int64
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		n += int64(len(s.slots)) * entryBytes
+		n += int64(len(s.groups)) * groupBytes
 		for _, pb := range s.payload {
-			n += int64(pb.UsedBytes())
+			n += int64(payloadBytes(pb))
 		}
 		s.mu.Unlock()
 	}
@@ -439,8 +545,9 @@ func (t *Table) Release() {
 // PayloadSchema returns the build-side payload schema.
 func (t *Table) PayloadSchema() *storage.Schema { return t.payloadSch }
 
-// EntryBytes returns the fixed bucket size c used by this implementation.
-func EntryBytes() int { return entryBytes }
+// EntryBytes returns the bucket size c of this layout: one control byte plus
+// one 24-byte entry.
+func EntryBytes() int { return int(entryBytes) }
 
 func nextPow2(n int) int {
 	p := 1

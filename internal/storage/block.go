@@ -193,34 +193,6 @@ func (b *Block) AppendFrom(src *Block, srcRow int, projIdx []int) bool {
 	return true
 }
 
-// AppendRaw appends a tuple assembled from cells of two source blocks: the
-// first lp columns come from left row lrow, the rest from right row rrow
-// (used by probe to emit joined tuples). Pass a nil right block to zero-fill
-// the right-hand columns (left outer join).
-func (b *Block) AppendRaw(left *Block, lrow int, lproj []int, right *Block, rrow int, rproj []int) bool {
-	if b.Full() {
-		return false
-	}
-	k := 0
-	for _, sc := range lproj {
-		copy(b.cell(k, b.n), left.cell(sc, lrow))
-		k++
-	}
-	for _, sc := range rproj {
-		c := b.cell(k, b.n)
-		if right == nil {
-			for i := range c {
-				c[i] = 0
-			}
-		} else {
-			copy(c, right.cell(sc, rrow))
-		}
-		k++
-	}
-	b.n++
-	return true
-}
-
 // colLayout returns where column col's cells sit in b.data: row r's cell
 // starts at off + r*stride. Every columnar kernel resolves it once per column
 // instead of once per cell.
@@ -327,40 +299,90 @@ func sized[T any](s []T, n int) []T {
 // and 8- and 4-byte cells move as one word load and store each — the select
 // operator's and the batch insert kernel's bulk materialization.
 func (b *Block) AppendFromMany(src *Block, rows []int32, projIdx []int) int {
-	free := b.capacity - b.n
-	if free <= 0 || len(rows) == 0 {
+	take := rows[:b.room(len(rows))]
+	if len(take) == 0 {
 		return 0
 	}
-	if len(rows) < free {
-		free = len(rows)
-	}
-	take := rows[:free]
 	for ci, sc := range projIdx {
-		w := b.schema.ColWidth(ci)
-		d, dStride := b.colLayout(ci)
-		d += b.n * dStride
-		sOff, sStride := src.colLayout(sc)
-		switch w {
-		case 8:
-			for _, r := range take {
-				binary.LittleEndian.PutUint64(b.data[d:], binary.LittleEndian.Uint64(src.data[sOff+int(r)*sStride:]))
-				d += dStride
-			}
-		case 4:
-			for _, r := range take {
-				binary.LittleEndian.PutUint32(b.data[d:], binary.LittleEndian.Uint32(src.data[sOff+int(r)*sStride:]))
-				d += dStride
-			}
-		default:
-			for _, r := range take {
-				s := sOff + int(r)*sStride
-				copy(b.data[d:d+w], src.data[s:s+w])
-				d += dStride
-			}
-		}
+		b.copyColumn(ci, src, sc, take)
 	}
 	b.n += len(take)
 	return len(take)
+}
+
+// room returns how many of n rows still fit in the block.
+func (b *Block) room(n int) int {
+	return max(0, min(n, b.capacity-b.n))
+}
+
+// copyColumn writes column sc of the given src rows into column ci of the
+// rows after the block's last one.
+func (b *Block) copyColumn(ci int, src *Block, sc int, rows []int32) {
+	w := b.schema.ColWidth(ci)
+	d, dStride := b.colLayout(ci)
+	d += b.n * dStride
+	sOff, sStride := src.colLayout(sc)
+	switch w {
+	case 8:
+		for _, r := range rows {
+			binary.LittleEndian.PutUint64(b.data[d:], binary.LittleEndian.Uint64(src.data[sOff+int(r)*sStride:]))
+			d += dStride
+		}
+	case 4:
+		for _, r := range rows {
+			binary.LittleEndian.PutUint32(b.data[d:], binary.LittleEndian.Uint32(src.data[sOff+int(r)*sStride:]))
+			d += dStride
+		}
+	default:
+		for _, r := range rows {
+			s := sOff + int(r)*sStride
+			copy(b.data[d:d+w], src.data[s:s+w])
+			d += dStride
+		}
+	}
+}
+
+// AppendPairs appends joined tuples, column at a time: tuple i is the
+// projection lproj of row lrows[i] of left followed by the projection rproj
+// of row rrows[i] of rights[i], or zeros where rights[i] is nil (left outer
+// join). It stops when the block fills and returns how many tuples were
+// appended. All non-nil rights must share one schema.
+func (b *Block) AppendPairs(left *Block, lrows []int32, lproj []int, rights []*Block, rrows []int32, rproj []int) int {
+	n := b.room(len(lrows))
+	if n == 0 {
+		return 0
+	}
+	lrows, rights, rrows = lrows[:n], rights[:n], rrows[:n]
+	for ci, sc := range lproj {
+		b.copyColumn(ci, left, sc, lrows)
+	}
+	for j, sc := range rproj {
+		ci := len(lproj) + j
+		w := b.schema.ColWidth(ci)
+		d, dStride := b.colLayout(ci)
+		d += b.n * dStride
+		var cur *Block
+		var sOff, sStride int
+		for i, r := range rrows {
+			if src := rights[i]; src == nil {
+				clear(b.data[d : d+w])
+			} else {
+				if src != cur {
+					cur = src
+					sOff, sStride = src.colLayout(sc)
+				}
+				s := sOff + int(r)*sStride
+				if w == 8 {
+					binary.LittleEndian.PutUint64(b.data[d:], binary.LittleEndian.Uint64(src.data[s:]))
+				} else {
+					copy(b.data[d:d+w], src.data[s:s+w])
+				}
+			}
+			d += dStride
+		}
+	}
+	b.n += n
+	return n
 }
 
 // AppendGather appends rows gathered from multiple source blocks — row i of
@@ -372,15 +394,11 @@ func (b *Block) AppendFromMany(src *Block, rows []int32, projIdx []int) int {
 // copies in tight offset-stride segments; this is the sort emit kernel that
 // replaces per-row AppendFrom.
 func (b *Block) AppendGather(srcs []*Block, srcIdx []int32, rows []int32, projIdx []int) int {
-	free := b.capacity - b.n
-	if free <= 0 || len(rows) == 0 {
+	take := rows[:b.room(len(rows))]
+	if len(take) == 0 {
 		return 0
 	}
-	if len(rows) < free {
-		free = len(rows)
-	}
-	take := rows[:free]
-	idx := srcIdx[:free]
+	idx := srcIdx[:len(take)]
 	for ci, sc := range projIdx {
 		w := b.schema.ColWidth(ci)
 		d, dStride := b.colLayout(ci)

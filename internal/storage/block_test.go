@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -141,28 +142,47 @@ func TestAppendFromProjection(t *testing.T) {
 	}
 }
 
-func TestAppendRawJoinRow(t *testing.T) {
+// TestAppendPairsJoinRows: each tuple is its left row's projection followed
+// by its right row's, a nil right block zero-fills (left outer join
+// padding), right blocks may change from pair to pair, and the append stops
+// where the block fills, in both destination layouts.
+func TestAppendPairsJoinRows(t *testing.T) {
 	ls := NewSchema(Column{Name: "a", Type: types.Int64}, Column{Name: "b", Type: types.Float64})
-	rs := NewSchema(Column{Name: "c", Type: types.Int64})
+	rs := NewSchema(Column{Name: "c", Type: types.Int64}, Column{Name: "d", Type: types.Char, Width: 3})
 	l := NewBlock(ls, ColumnStore, 1024)
-	r := NewBlock(rs, RowStore, 1024)
-	l.AppendRow(types.NewInt64(1), types.NewFloat64(0.5))
-	r.AppendRow(types.NewInt64(42))
+	for i := 0; i < 4; i++ {
+		l.AppendRow(types.NewInt64(int64(i)), types.NewFloat64(float64(i)+0.5))
+	}
+	r1 := NewBlock(rs, RowStore, 1024)
+	r1.AppendRow(types.NewInt64(42), types.NewString("x"))
+	r2 := NewBlock(rs, RowStore, 1024)
+	r2.AppendRow(types.NewInt64(7), types.NewString("yz"))
+	r2.AppendRow(types.NewInt64(8), types.NewString("w"))
 
-	out := NewBlock(NewSchema(ls.Col(0), ls.Col(1), rs.Col(0)), RowStore, 1024)
-	if !out.AppendRaw(l, 0, []int{0, 1}, r, 0, []int{0}) {
-		t.Fatal("AppendRaw failed")
-	}
-	if out.Int64At(0, 0) != 1 || out.Float64At(1, 0) != 0.5 || out.Int64At(2, 0) != 42 {
-		t.Fatalf("joined row wrong: %v", out.Row(0))
-	}
-
-	// nil right block zero-fills (left outer join padding).
-	if !out.AppendRaw(l, 0, []int{0, 1}, nil, 0, []int{0}) {
-		t.Fatal("AppendRaw outer failed")
-	}
-	if out.Int64At(2, 1) != 0 {
-		t.Fatal("outer padding should be zero")
+	outSch := NewSchema(ls.Col(1), ls.Col(0), rs.Col(1), rs.Col(0))
+	for _, format := range []Format{RowStore, ColumnStore} {
+		out := NewBlock(outSch, format, 4*outSch.RowWidth())
+		for !out.Full() { // stale cells a zero fill must overwrite
+			out.AppendRow(types.NewFloat64(9), types.NewInt64(9), types.NewString("zzz"), types.NewInt64(9))
+		}
+		out.Reset()
+		lrows := []int32{3, 1, 1, 0, 2}
+		rights := []*Block{r1, r2, nil, r2, r1}
+		rrows := []int32{0, 1, 0, 0, 0}
+		if got := out.AppendPairs(l, lrows, []int{1, 0}, rights, rrows, []int{1, 0}); got != 4 {
+			t.Fatalf("%s: appended %d pairs into a 4-row block", format, got)
+		}
+		want := []string{"[3.5 3 x 42]", "[1.5 1 w 8]", "[1.5 1  0]", "[0.5 0 yz 7]"}
+		for i, w := range want {
+			row := out.Row(i)
+			got := fmt.Sprintf("[%v %v %s %v]", row[0].F, row[1].I, types.TrimPad(row[2].B), row[3].I)
+			if got != w {
+				t.Errorf("%s: row %d = %s, want %s", format, i, got, w)
+			}
+		}
+		if out.AppendPairs(l, lrows[4:], []int{1, 0}, rights[4:], rrows[4:], []int{1, 0}) != 0 {
+			t.Errorf("%s: appended into a full block", format)
+		}
 	}
 }
 
