@@ -34,32 +34,19 @@ const UoTTable = int(^uint(0) >> 1) // max int
 // OpID identifies an operator within a plan.
 type OpID int
 
-// Task is one unit of work a run submits to its Executor: a closure the
-// executor must run exactly once on one of its workers, labeled with the
-// submitting query and its priority class so a shared executor can dispatch
-// fairly across concurrent queries.
+// Task is one unit of work a run submits to a WorkerPool: a closure the pool
+// runs exactly once on one of its workers, labeled with the submitting query
+// and its priority class so a shared pool can dispatch fairly across
+// concurrent queries.
 type Task struct {
 	// Query identifies the submitting query (ExecCtx.Query).
 	Query int
 	// Priority is the query's priority class; higher runs first
 	// (ExecCtx.Priority).
 	Priority int
-	// Run executes the work; worker is the executor worker index it landed
-	// on (for worker-attributed tracing).
+	// Run executes the work; worker is the pool worker index it landed on
+	// (for worker-attributed tracing).
 	Run func(worker int)
-}
-
-// Executor runs tasks on a pool of workers. The scheduler submits every
-// dispatched work order to one as a Task; ExecCtx.Workers is the run's
-// in-flight cap (how many of its tasks may execute concurrently). WorkerPool
-// is the implementation: Run starts a private one when ExecCtx.Exec is nil,
-// and the session layer shares one across concurrent queries.
-type Executor interface {
-	// Submit enqueues the task; it must eventually run exactly once.
-	// Submit may block briefly for queue admission but must not wait for
-	// the task itself — the scheduler submits from its coordination
-	// goroutine and relies on completions flowing back concurrently.
-	Submit(t Task)
 }
 
 // ExecCtx carries the per-run execution environment into work orders.
@@ -87,13 +74,13 @@ type ExecCtx struct {
 	// Exec, if non-nil, is a worker pool shared across concurrent runs. Nil
 	// means Run starts a WorkerPool of Workers goroutines for this run alone
 	// and closes it on return.
-	Exec Executor
-	// Query identifies this run among concurrent runs sharing an Executor,
+	Exec *WorkerPool
+	// Query identifies this run among concurrent runs sharing a worker pool,
 	// a storage pool, or a tracer; it labels submitted tasks. 0 is a valid
 	// id (the single-query default).
 	Query int
-	// Priority is the run's dispatch priority class on a shared Executor;
-	// higher is served first. Within a class the executor is fair.
+	// Priority is the run's dispatch priority class on a shared worker pool;
+	// higher is served first. Within a class the pool is fair.
 	Priority int
 	// TraceRun is the tracer section handle (from Tracer.OpenRun) this run
 	// records into, so concurrent runs can share one tracer. When Trace is
@@ -220,8 +207,8 @@ type WorkOrder interface {
 }
 
 // Operator is a relational operator node driven by the scheduler. All
-// methods except work-order Run are invoked from the single scheduler
-// goroutine, so implementations need no locking for their own state.
+// methods except work-order Run are invoked under the run's lock, so
+// implementations need no locking for their own state.
 type Operator interface {
 	// Name returns a short display name ("select(lineitem)").
 	Name() string
@@ -284,7 +271,7 @@ func (Base) Cleanup(*ExecCtx) {}
 // completion in completion order, which would scramble ordered output.
 type StagedOperator interface {
 	Operator
-	// NextStage is called on the scheduler goroutine each time the operator
+	// NextStage is called under the run's lock each time the operator
 	// quiesces after Final (all issued work orders done). Returning a
 	// non-empty wave enqueues it and calls NextStage again with the next
 	// stage index once the wave completes; returning an empty non-nil slice
@@ -555,6 +542,3 @@ func IsTransient(err error) bool {
 	}
 	return false
 }
-
-// now is indirected for tests.
-var now = time.Now

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"repro/internal/stats"
@@ -12,16 +13,18 @@ import (
 	"repro/internal/uotctl"
 )
 
-// Run executes a plan: a single scheduler goroutine submits work orders to
-// an Executor — ctx.Exec, or a WorkerPool of ctx.Workers goroutines started
-// for this run alone — routing producer output blocks to consumers in groups
-// of UoT blocks per pipelined edge (edges that do not declare one start at
-// defaultUoT; only the memory-pressure ladder moves them). Run returns after
-// every operator has finished, after the run context is canceled, or after a
-// work order fails fatally (transient failures are rolled back and retried up
-// to ctx.MaxAttempts with exponential backoff). On any exit path the
-// scheduler reclaims every intermediate block and verifies the zero-leak
-// invariants.
+// Run executes a plan on ctx.Exec, or on a WorkerPool of ctx.Workers
+// goroutines started for this run alone, routing producer output blocks to
+// consumers in groups of UoT blocks per pipelined edge (edges that do not
+// declare one start at defaultUoT; only the memory-pressure ladder moves
+// them). The run has no goroutine of its own: its scheduling state is guarded
+// by one lock, and whoever changes it — Run's caller at start, the worker
+// that just finished a work order, or a retry timer — dispatches the next
+// work orders. Run returns after every operator has finished, after the run
+// context is canceled, or after a work order fails fatally (transient
+// failures are rolled back and retried up to ctx.MaxAttempts with
+// exponential backoff). On any exit path the scheduler reclaims every
+// intermediate block and verifies the zero-leak invariants.
 func Run(plan *Plan, ctx *ExecCtx, defaultUoT int) error {
 	if ctx.Workers <= 0 {
 		ctx.Workers = 1
@@ -41,9 +44,8 @@ type job struct {
 	op OpID
 	wo WorkOrder
 	// attempt counts completed executions of wo (0 for the first
-	// dispatch); notBefore delays re-dispatch for retry backoff.
-	attempt   int
-	notBefore time.Time
+	// dispatch).
+	attempt int
 	// Tracing annotations (zero when tracing is disabled): when the job
 	// entered the queue and which UoT delivery batch fed it (-1 for work
 	// orders not born from an edge delivery).
@@ -101,6 +103,11 @@ type opState struct {
 type sched struct {
 	plan *Plan
 	ctx  *ExecCtx
+	exec *WorkerPool
+
+	// mu guards every field below and the operators' own state: Operator
+	// methods other than work-order Run are called only under it.
+	mu sync.Mutex
 	// ctl is the run's UoT controller, the only writer of any edge's UoT.
 	ctl *uotctl.Controller
 
@@ -115,9 +122,13 @@ type sched struct {
 	doneOps  int
 	inflight int
 	runErr   error
-
-	results chan wres
-	// lastOp is the operator of this run's previous job on each executor
+	// retries holds the armed backoff timers of transient failures whose
+	// work order is not yet back in the queue (st.queued counts it meanwhile).
+	retries map[*time.Timer]struct{}
+	// done is closed once nothing is in flight, nothing can be dispatched and
+	// no retry is pending.
+	done chan struct{}
+	// lastOp is the operator of this run's previous job on each pool
 	// worker, for the IC term of the Section V model (Sim runs only).
 	lastOp []OpID
 }
@@ -126,6 +137,8 @@ func newSched(plan *Plan, ctx *ExecCtx, defaultUoT int) *sched {
 	s := &sched{plan: plan, ctx: ctx, ctl: uotctl.New(uotctl.Config{DefaultUoT: defaultUoT})}
 	s.rc = make(map[*storage.Block]int)
 	s.adopted = make(map[*storage.Block]struct{})
+	s.retries = make(map[*time.Timer]struct{})
+	s.done = make(chan struct{})
 	s.states = make([]*opState, len(s.plan.Ops))
 	for i, op := range s.plan.Ops {
 		s.states[i] = &opState{
@@ -215,15 +228,15 @@ func ResolveUoT(e Edge, startUoT int) int {
 }
 
 func (s *sched) run() error {
-	exec := s.ctx.Exec
-	if exec == nil {
-		p := NewWorkerPool(s.ctx.Workers)
-		defer p.Close()
-		exec = p
+	s.exec = s.ctx.Exec
+	if s.exec == nil {
+		s.exec = NewWorkerPool(s.ctx.Workers)
+		defer s.exec.Close()
 	}
 	if n := len(s.plan.ScalarSlots); len(s.ctx.Scalars) < n {
 		s.ctx.Scalars = make([]types.Datum, n)
 	}
+	s.mu.Lock()
 	for _, st := range s.states {
 		st.op.Init(s.ctx)
 	}
@@ -232,68 +245,52 @@ func (s *sched) run() error {
 			s.startOp(st)
 		}
 	}
-
-	// Completions flow back through s.results, buffered at the in-flight cap
-	// so a completing task never blocks on the scheduler goroutine.
-	s.results = make(chan wres, s.ctx.Workers)
-	for s.doneOps < len(s.states) {
-		if s.runErr == nil {
-			if err := s.ctx.Canceled(); err != nil {
-				s.fail(&CancelError{Cause: err})
-			}
-		}
-		// Drain pending results before dispatching: pickJob then decides
-		// on a fresh queue, and with one worker the schedule becomes fully
-		// deterministic (what makes a seeded fault schedule replayable).
-		select {
-		case r := <-s.results:
-			s.onComplete(r)
-			continue
-		default:
-		}
-		if s.inflight >= s.ctx.Workers {
-			s.onComplete(<-s.results)
-			continue
-		}
-		ji := s.pickJob()
-		if ji < 0 {
-			if s.inflight > 0 {
-				s.onComplete(<-s.results)
-				continue
-			}
-			if w, ok := s.backoffWait(); ok {
-				// Every queued job is a retry waiting out its backoff.
-				time.Sleep(w)
-				continue
-			}
-			if s.runErr == nil {
-				s.failStalled()
-			}
-			break
-		}
-		// Submit may block for queue admission; completions of this run's
-		// other tasks accumulate in the buffered results channel meanwhile
-		// (at most Workers-1 of them are out).
-		j := s.queue[ji]
-		s.queue = append(s.queue[:ji], s.queue[ji+1:]...)
-		s.states[j.op].queued--
-		s.states[j.op].inflight++
-		s.inflight++
-		exec.Submit(Task{
-			Query:    s.ctx.Query,
-			Priority: s.ctx.Priority,
-			Run:      func(worker int) { s.runJob(j, worker) },
-		})
-	}
-	// Drain any stragglers (only possible after an error cleared the queue).
-	for s.inflight > 0 {
-		s.onComplete(<-s.results)
-	}
+	s.step()
+	s.mu.Unlock()
+	<-s.done
 	s.cleanup()
 	s.checkInvariants()
 	s.recordEdgeUoTs()
 	s.ctx.Trace.EndRunIn(s.ctx.TraceRun, s.runErr != nil)
 	return s.runErr
+}
+
+// step advances the run; it is called under s.mu by whoever just changed the
+// scheduling state. It observes cancellation, dispatches queued jobs in
+// pickJob order up to the in-flight cap, and closes done once the run is
+// over: nothing in flight, nothing dispatchable, no retry pending. With one
+// worker every dispatch decision is taken on a fresh queue right after the
+// previous completion, so the schedule is fully deterministic (what makes a
+// seeded fault schedule replayable).
+func (s *sched) step() {
+	if s.runErr == nil {
+		if err := s.ctx.Canceled(); err != nil {
+			s.fail(&CancelError{Cause: err})
+		}
+	}
+	for s.inflight < s.ctx.Workers {
+		ji := s.pickJob()
+		if ji < 0 {
+			break
+		}
+		j := s.queue[ji]
+		s.queue = append(s.queue[:ji], s.queue[ji+1:]...)
+		s.states[j.op].queued--
+		s.states[j.op].inflight++
+		s.inflight++
+		s.exec.Submit(Task{
+			Query:    s.ctx.Query,
+			Priority: s.ctx.Priority,
+			Run:      func(worker int) { s.runJob(j, worker) },
+		})
+	}
+	if s.inflight > 0 || len(s.retries) > 0 {
+		return
+	}
+	if s.doneOps < len(s.states) && s.runErr == nil {
+		s.failStalled()
+	}
+	close(s.done)
 }
 
 // recordEdgeUoTs publishes each pipelined edge's UoT trajectory — the
@@ -325,16 +322,20 @@ func (s *sched) recordEdgeUoTs() {
 }
 
 // fail records the first fatal error and cancels all remaining queued work
-// orders.
+// orders, including retries still waiting out their backoff.
 func (s *sched) fail(err error) {
 	if s.runErr != nil {
 		return
 	}
 	s.runErr = err
-	if dropped := len(s.queue); dropped > 0 && s.ctx.Run != nil {
+	if dropped := len(s.queue) + len(s.retries); dropped > 0 && s.ctx.Run != nil {
 		s.ctx.Run.AddCancellations(int64(dropped))
 	}
 	s.queue = nil
+	for t := range s.retries {
+		t.Stop()
+		delete(s.retries, t)
+	}
 	for _, o := range s.states {
 		o.queued = 0
 	}
@@ -368,32 +369,9 @@ func (s *sched) failStalled() {
 	s.fail(fmt.Errorf("%s", msg))
 }
 
-// backoffWait returns how long to sleep until the earliest backoff-delayed
-// job becomes dispatchable; ok is false only when the queue is empty (a
-// genuine stall). A job that came due between pickJob's clock sample and
-// this one returns a zero wait so the loop re-picks immediately — with no
-// work in flight a due job is always dispatchable, so this cannot livelock.
-func (s *sched) backoffWait() (time.Duration, bool) {
-	if s.runErr != nil || len(s.queue) == 0 {
-		return 0, false
-	}
-	t := now()
-	var earliest time.Time
-	for _, j := range s.queue {
-		if !j.notBefore.After(t) {
-			return 0, true
-		}
-		if earliest.IsZero() || j.notBefore.Before(earliest) {
-			earliest = j.notBefore
-		}
-	}
-	return earliest.Sub(t), true
-}
-
 // pickJob returns the index of the dispatchable queued job belonging to the
 // deepest operator (consumer priority), breaking ties by queue order; -1 if
-// nothing is dispatchable. After an error, nothing is dispatchable. Jobs in
-// retry backoff are skipped until due.
+// nothing is dispatchable. After an error, nothing is dispatchable.
 //
 // When a temp-memory budget is set (a Section III-C scheduler policy) and
 // live intermediate bytes exceed it, producer work orders — jobs of
@@ -407,17 +385,8 @@ func (s *sched) pickJob() int {
 	if s.runErr != nil {
 		return -1
 	}
-	var t time.Time
 	best, bestDepth := -1, -1
 	for i, j := range s.queue {
-		if !j.notBefore.IsZero() {
-			if t.IsZero() {
-				t = now()
-			}
-			if j.notBefore.After(t) {
-				continue
-			}
-		}
 		st := s.states[j.op]
 		if st.depth > bestDepth {
 			best, bestDepth = i, st.depth
@@ -494,12 +463,11 @@ func (s *sched) producesBlocks(id OpID) bool {
 	return false
 }
 
-// runJob executes one work-order attempt on the given executor worker and
-// reports its result on s.results; the channel is buffered at the in-flight
-// cap, so the send never blocks.
+// runJob executes one work-order attempt on the given pool worker, then,
+// under the run's lock, records its result and dispatches what it unblocked.
 func (s *sched) runJob(j job, worker int) {
 	out := &Output{}
-	start := now()
+	start := time.Now()
 	var err error
 	if cerr := s.ctx.Canceled(); cerr != nil {
 		// Canceled while queued: report without running at all.
@@ -508,7 +476,11 @@ func (s *sched) runJob(j job, worker int) {
 		err = runSafely(j.wo, s.ctx, out)
 	}
 	j.attempt++
-	s.results <- wres{job: j, out: out, start: start, end: now(), worker: worker, err: err}
+	r := wres{job: j, out: out, start: start, end: time.Now(), worker: worker, err: err}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.onComplete(r)
+	s.step()
 }
 
 // runSafely executes one work-order attempt. Panics are recovered into
@@ -561,9 +533,9 @@ func (s *sched) onComplete(r wres) {
 
 	if s.ctx.Sim != nil {
 		// A worker switching operators re-fills the instruction cache: the IC
-		// term of the Section V model. Charged here, on the one goroutine
-		// that sees every completion, against this run's previous job on
-		// the same worker; per worker, completions arrive in execution order.
+		// term of the Section V model. Charged here, under the run's lock,
+		// against this run's previous job on the same worker; per worker,
+		// completions arrive in execution order.
 		for len(s.lastOp) <= r.worker {
 			s.lastOp = append(s.lastOp, -1)
 		}
@@ -619,7 +591,7 @@ func (s *sched) onComplete(r wres) {
 	}
 	if retry {
 		// The attempt was rolled back by runSafely; the inputs stay held
-		// and the same work order re-dispatches after backoff.
+		// and the same work order re-queues when its backoff timer fires.
 		if s.ctx.Run != nil {
 			s.ctx.Run.AddRetry()
 		}
@@ -628,9 +600,19 @@ func (s *sched) onComplete(r wres) {
 			StartNS: s.ctx.Trace.Now(),
 		})
 		j := r.job
-		j.notBefore = now().Add(s.retryBackoff(r.attempt))
 		j.enqueueNS = s.ctx.Trace.Now()
-		s.queue = append(s.queue, j)
+		var t *time.Timer
+		t = time.AfterFunc(s.retryBackoff(r.attempt), func() {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			if _, ok := s.retries[t]; !ok {
+				return // dropped by fail
+			}
+			delete(s.retries, t)
+			s.queue = append(s.queue, j)
+			s.step()
+		})
+		s.retries[t] = struct{}{}
 		st.queued++
 		return
 	}
@@ -707,8 +689,8 @@ func (s *sched) emit(st *opState, blocks []*storage.Block) {
 		}
 		// The block is now sealed and parked awaiting delivery: cool it so
 		// the spill tier may evict it under memory pressure (no-op without a
-		// tier). Cool rebalances, so eviction rounds happen right here on the
-		// scheduler goroutine; mark them on the trace.
+		// tier). Cool rebalances, so eviction rounds happen right here under
+		// the run's lock; mark them on the trace.
 		eb, ebytes := s.ctx.Pool.Cool(b)
 		evicted += eb
 		evictedBytes += ebytes
@@ -927,9 +909,7 @@ func (s *sched) finish(st *opState) {
 	for _, slot := range st.scalarSlots {
 		v, ok := st.op.ScalarValue()
 		if !ok {
-			if s.runErr == nil {
-				s.runErr = fmt.Errorf("core: operator %q registered for scalar slot %d produced no scalar", st.op.Name(), slot)
-			}
+			s.fail(fmt.Errorf("core: operator %q registered for scalar slot %d produced no scalar", st.op.Name(), slot))
 		} else {
 			s.ctx.Scalars[slot] = v
 		}

@@ -17,8 +17,8 @@ type qstate struct {
 	lastSeq  uint64 // global dispatch sequence of its most recent pick
 }
 
-// WorkerPool implements Executor: a fixed set of worker goroutines shared by
-// every run submitting to it — one run's own pool, or a session's pool shared
+// WorkerPool is a fixed set of worker goroutines shared by every run
+// submitting to it — one run's own pool, or a session's pool shared
 // by every admitted query. Dispatch is fair across queries — the next
 // task comes from the highest priority class, breaking ties toward the query
 // with the fewest tasks already running, then the least recently dispatched
@@ -48,10 +48,11 @@ func NewWorkerPool(n int) *WorkerPool {
 	return p
 }
 
-// Submit implements Executor. It never blocks on task execution: the
-// per-query in-flight cap (ExecCtx.Workers) bounds how many tasks a query
-// can have here, and admission bounds the number of queries, so the internal
-// queue is naturally bounded.
+// Submit enqueues a task to run exactly once. It never waits for task
+// execution — a run submits under its own lock, which the finishing task
+// takes to report back. The per-query in-flight cap (ExecCtx.Workers) bounds
+// how many tasks a query can have here, and admission bounds the number of
+// queries, so the internal queue is naturally bounded.
 func (p *WorkerPool) Submit(t Task) {
 	p.mu.Lock()
 	q := p.queues[t.Query]
@@ -133,9 +134,9 @@ func (p *WorkerPool) worker(id int) {
 	}
 }
 
-// Close drains the queue — submitted tasks still run, since a query's
-// scheduler would otherwise wait forever on their completions — then stops
-// the workers and returns.
+// Close drains the queue — submitted tasks still run, since a query's run
+// would otherwise wait forever on their completions — then stops the workers
+// and returns.
 func (p *WorkerPool) Close() {
 	p.mu.Lock()
 	p.closed = true

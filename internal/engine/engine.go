@@ -76,9 +76,11 @@ type Options struct {
 	// Exec, if non-nil, runs this query's work orders on a worker pool
 	// shared across concurrent queries; Workers then caps the query's
 	// in-flight work orders. Nil runs them on a pool of Workers goroutines
-	// started for this execution alone. See internal/session for the serving
-	// layer built on it.
-	Exec core.Executor
+	// started for this execution alone. Either way the query's work orders
+	// are dispatched under the run's lock, by the caller at start and then
+	// by the worker that finished the previous one. See internal/session for
+	// the serving layer built on it.
+	Exec *core.WorkerPool
 	// Pool, if non-nil, is the global temp-block pool this execution draws
 	// from through a per-query Subpool view (isolated partial-block
 	// namespace and per-query gauge, shared freelist). Nil gives the
@@ -92,7 +94,7 @@ type Options struct {
 	// run unlabeled (trace query -1).
 	QueryID int
 	// Priority is the query's dispatch priority class on the shared
-	// executor (higher first; fair within a class).
+	// worker pool (higher first; fair within a class).
 	Priority int
 }
 

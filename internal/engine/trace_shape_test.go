@@ -31,19 +31,25 @@ func spanWindows(tr *trace.Tracer, run int32, aName, bName string) (a, b [][2]in
 // TestTraceShapeInterleavingVsBlocking is the Fig. 2 acceptance check at the
 // trace level: with a low UoT the consumer's probe spans interleave with the
 // producer's select spans; with UoT=table every probe span starts after the
-// last select span ends.
+// last select span ends. The interleaving is asserted at Workers 1, where
+// consumer-priority dispatch makes it deterministic; at Workers 2 it is a
+// timing outcome (the fact selects may all finish while the other worker is
+// still building), so that run checks only its results. The UoT=table
+// ordering holds at any worker count and is asserted at Workers 2.
 func TestTraceShapeInterleavingVsBlocking(t *testing.T) {
 	_, fact, dim := fixture(t, storage.ColumnStore, 512)
 	tr := trace.New(1 << 14)
 	for _, tc := range []struct {
-		label string
-		uot   int
+		label   string
+		uot     int
+		workers int
 	}{
-		{"uot=1", 1},
-		{"uot=table", core.UoTTable},
+		{"uot=1", 1, 1},
+		{"uot=table", core.UoTTable, 2},
+		{"uot=1 workers=2", 1, 2},
 	} {
 		res, err := Execute(buildJoinAggPlan(fact, dim), Options{
-			Workers: 2, UoTBlocks: tc.uot, TempBlockBytes: 512,
+			Workers: tc.workers, UoTBlocks: tc.uot, TempBlockBytes: 512,
 			Trace: tr, TraceLabel: tc.label,
 		})
 		if err != nil {

@@ -6,7 +6,7 @@ import (
 )
 
 // CollectOp is an adopting sink: it appends every block fed to it to a result
-// table, on the scheduler goroutine and without work orders. The scheduler
+// table, under the run's lock and without work orders. The scheduler
 // never recycles adopted blocks, so the result stays valid after a
 // successful run; after a failed one the scheduler has released them and the
 // table must not be read. It is the plan's result sink and, wired to an

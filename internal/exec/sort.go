@@ -55,7 +55,7 @@ type SortOp struct {
 	runs    []sorter.Run   // each fed block's sorted run, indexed by run sequence
 	scratch []*sortScratch // run-generation scratch free list
 
-	// parts is the merge output: sized by Final on the scheduler goroutine,
+	// parts is the merge output: sized by Final under the run's lock,
 	// filled by the merge work orders, handed to the out-edges by the emit
 	// stage.
 	parts [][]*storage.Block

@@ -10,8 +10,8 @@
 // benchmark times one observe-decide step as uotctl.observe_ns
 // (benchmark/kernels.go), and they go when that metric does.
 //
-// The controller is driven exclusively from the single scheduler goroutine
-// and holds no locks.
+// The controller is driven exclusively under its run's lock and holds no
+// locks of its own.
 package uotctl
 
 // Table mirrors core.UoTTable ("the whole intermediate table") without
@@ -144,7 +144,7 @@ type edge struct {
 }
 
 // Controller owns the UoT of every registered edge. Not safe for concurrent
-// use: it belongs to the scheduler goroutine of one run.
+// use: it belongs to one run and is used only under that run's lock.
 type Controller struct {
 	pol        policy
 	workers    int

@@ -73,7 +73,9 @@ type (
 	// Options selects workers (T), the default UoT, temporary block size
 	// and format, and an optional cache simulator. A run executes on its
 	// own worker and temp-block pools unless Options.Exec / Options.Pool
-	// hand it shared ones; the pool's owner attaches any spill tier.
+	// hand it shared ones; the pool's owner attaches any spill tier. Work
+	// orders are dispatched under the run's lock, by whichever worker
+	// finished the previous one.
 	Options = engine.Options
 	// Result is a finished execution: the result table plus run statistics
 	// (per-work-order timings, memory high-water marks).
