@@ -12,6 +12,7 @@ import (
 	"log"
 
 	uot "repro"
+	"repro/internal/hashtable"
 )
 
 func main() {
@@ -57,9 +58,10 @@ func main() {
 	// The closed-form side of the same story (Section VI-B): the hash-table
 	// size model (M/w)(c/f) and the Table II overheads.
 	fmt.Println("\nmodel check (Section VI-B):")
-	// c = 25 B and f = 7/8 are the engine join table's bucket size and
-	// maximum load.
-	ordersHT := uot.HashTableSize(d.Orders.UsedBytes(), d.Orders.Schema().RowWidth(), 25, 0.875)
+	// c and f are the engine join table's bucket size (one key, as on
+	// o_orderkey) and maximum load.
+	ordersHT := uot.HashTableSize(d.Orders.UsedBytes(), d.Orders.Schema().RowWidth(),
+		hashtable.EntryBytes(1), hashtable.MaxLoad)
 	fmt.Printf("  (M/w)(c/f) for a hash table on all of orders: %.2f MiB\n", mib(ordersHT))
 	fmt.Printf("  Table II low-UoT overhead for tables of 1, %.0f, 2 MiB: %.2f MiB (all but the first stay live)\n",
 		mib(ordersHT), mib(uot.LowUoTOverhead([]int64{1 << 20, ordersHT, 2 << 20})))

@@ -42,7 +42,7 @@ func (h *Harness) Sec6BSSBFootprint() (*Report, error) {
 		}
 		r.AddRow(append([]string{name}, cells...)...)
 	}
-	r.Note("compare with TAB2: on TPC-H Q7 the hash tables dwarf the materialization; on SSB the relation inverts")
+	r.Note("compare with TAB2: on TPC-H Q7 the orders hash table alone outweighs the materialized selection; on SSB the relation inverts")
 	return r, nil
 }
 

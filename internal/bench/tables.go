@@ -175,7 +175,7 @@ func (h *Harness) Tab2MemoryFootprint() (*Report, error) {
 		}
 		// Model input: rows inserted, 16-byte payload tuples, and the
 		// engine table's own bucket size c and maximum load f.
-		htModel += memmodel.HashTableSize(t.RowsOut*16, 16, hashtable.EntryBytes(), hashtable.MaxLoad)
+		htModel += memmodel.HashTableSize(t.RowsOut*16, 16, hashtable.EntryBytes(1), hashtable.MaxLoad)
 	}
 	selSt, selBytes, err := h.selectStats(d, 7, "select(lineitem)", tpch.LineitemSchema.RowWidth())
 	if err != nil {

@@ -1,0 +1,79 @@
+package engine_test
+
+import (
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/storage"
+	"repro/internal/tpch"
+)
+
+// hashTablesHigh pins HashTables.High() in bytes — join tables plus
+// aggregation tables — of every TPC-H query at SF 0.05, Workers 1, for UoT 1
+// and UoT = table. Workers 1 makes each run deterministic, so any change to
+// the tables' layout or sizing moves a cell. After an intended change,
+// replace the cells with the values the failures print and say why in the
+// change's notes.
+var hashTablesHigh = map[int][2]int64{
+	1:  {9888, 9888},
+	2:  {1066510, 1066510},
+	3:  {483840, 483840},
+	4:  {8912896, 8912896},
+	5:  {382720, 382720},
+	6:  {8256, 8256},
+	7:  {3934424, 3934424},
+	8:  {685736, 685736},
+	9:  {6783952, 6783952},
+	10: {1840025, 1602624},
+	11: {135216, 135216},
+	12: {3538624, 3538624},
+	13: {598016, 598016},
+	14: {801328, 801328},
+	15: {57856, 57856},
+	16: {535994, 510785},
+	17: {45568, 45568},
+	18: {7964640, 7964640},
+	19: {334528, 334528},
+	20: {322752, 322752},
+	21: {20050262, 20050262},
+	22: {2236480, 2236480},
+}
+
+// q21Ceiling is the bound on Q21's hash-table peak, the largest of any
+// query: its one-key lineitem tables at c = 17 B and their payload blocks.
+const q21Ceiling = 21 << 20
+
+// TestHashTablesHighIsPinned runs the 22 queries × UoT {1, table} and
+// checks each run's hash-table high-water against hashTablesHigh.
+func TestHashTablesHighIsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("pinned at SF 0.05")
+	}
+	d := tpch.Load(goldenSF, 128<<10, storage.ColumnStore)
+	for _, q := range tpch.Numbers() {
+		want, ok := hashTablesHigh[q]
+		if !ok {
+			t.Errorf("Q%02d: no pinned cell", q)
+			continue
+		}
+		var got [2]int64
+		for i, uot := range []int{1, core.UoTTable} {
+			b, err := tpch.Build(d, q, tpch.QueryOpts{})
+			if err != nil {
+				t.Fatalf("Q%02d: build: %v", q, err)
+			}
+			res, err := engine.Execute(b, engine.Options{Workers: 1, UoTBlocks: uot, TempBlockBytes: 128 << 10})
+			if err != nil {
+				t.Fatalf("Q%02d uot=%d: execute: %v", q, uot, err)
+			}
+			got[i] = res.Run.HashTables.High()
+		}
+		if got != want {
+			t.Errorf("Q%02d: HashTables.High() {uot 1, table} = %v, pinned %v; new cell: %d: {%d, %d},", q, got, want, q, got[0], got[1])
+		}
+		if q == 21 && max(got[0], got[1]) > q21Ceiling {
+			t.Errorf("Q21: hash tables peak at %.2f MiB, above %d MiB", float64(max(got[0], got[1]))/(1<<20), q21Ceiling>>20)
+		}
+	}
+}

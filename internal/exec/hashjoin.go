@@ -90,7 +90,7 @@ func (o *BuildHashOp) NumInputs() int { return 1 }
 // only the live join's table in memory — the accounting Table II of the
 // paper depends on.
 func (o *BuildHashOp) Start(ctx *core.ExecCtx) []core.WorkOrder {
-	cfg := hashtable.Config{PayloadSchema: o.paySchema, InitialCapacity: o.expected}
+	cfg := hashtable.Config{PayloadSchema: o.paySchema, Keys: len(o.keyCols), InitialCapacity: o.expected}
 	if ctx.Run != nil {
 		cfg.Gauge = &ctx.Run.HashTables
 	}

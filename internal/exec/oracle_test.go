@@ -594,8 +594,10 @@ func zeroDatum(c storage.Column) types.Datum {
 // residual, over one and two key columns whose keys collide on tag and
 // shard, with duplicates on both sides, misses, and row- and column-store
 // probe input: ProbeOp's output equals the nested-loop oracle's row for row,
-// in order. Two probe blocks end in a miss, so rows left unmatched after a
-// block's last match are covered too.
+// in order. With two keys, each key also has a twin that shares its k0 and
+// differs only in k1, and the build grows its table several times. Two
+// probe blocks end in a miss, so rows left unmatched after a block's last
+// match are covered too.
 func TestOracleProbeProperty(t *testing.T) {
 	bs, ps := joinSchemas()
 	for _, twoKeys := range []bool{false, true} {
@@ -603,9 +605,16 @@ func TestOracleProbeProperty(t *testing.T) {
 		if twoKeys {
 			keyCols = []int{0, 1}
 		}
-		keys := collidingKeys(24, twoKeys)
+		keys, nBuild := collidingKeys(24, twoKeys), 16
+		if twoKeys {
+			var twins [][2]int64
+			for _, k := range keys {
+				twins = append(twins, k, [2]int64{k[0], k[1] + 3})
+			}
+			keys, nBuild = twins, 32
+		}
 		rng := rand.New(rand.NewSource(29))
-		build := joinBlocks(rng, bs, []storage.Format{storage.ColumnStore}, keys[:16], 3, 150)
+		build := joinBlocks(rng, bs, []storage.Format{storage.ColumnStore}, keys[:nBuild], 3, 150)
 		probe := joinBlocks(rng, ps, []storage.Format{storage.RowStore, storage.ColumnStore}, keys, 4, 333)
 		for _, b := range probe[:2] { // a block that ends in a miss
 			miss := keys[len(keys)-1]

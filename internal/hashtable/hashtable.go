@@ -1,13 +1,14 @@
 // Package hashtable implements the non-partitioned join hash table used by
 // the engine: sharded for concurrent build, with buckets in groups of eight
 // slots behind one 64-bit control word of 7-bit hash tags (the c/f memory
-// model of Section VI-B of the paper is c = EntryBytes(), f = MaxLoad),
+// model of Section VI-B of the paper is c = EntryBytes(keys), f = MaxLoad),
 // duplicate keys returned in insertion order, and payload tuples stored in
 // row-store blocks so probe residual predicates can evaluate directly over
 // build-side rows.
 package hashtable
 
 import (
+	"fmt"
 	"math/bits"
 	"sync"
 	"unsafe"
@@ -17,11 +18,13 @@ import (
 	"repro/internal/types"
 )
 
-// entry is one bucket slot's key and payload reference.
+// entry is one bucket slot's first key and payload reference. A two-key
+// table keeps the second key in its shard's k1 array, indexed like the
+// slots, so a one-key table pays nothing for it.
 type entry struct {
-	k0, k1 int64
-	blk    uint32 // payload block index within the shard (keyOnly for none)
-	row    uint32 // payload row within that block
+	k0  int64
+	blk uint32 // payload block index within the shard (keyOnly for none)
+	row uint32 // payload row within that block
 }
 
 // group is eight slots: a control word of one byte per slot (ctrlEmpty, or
@@ -36,9 +39,8 @@ type group struct {
 const (
 	groupSlots = 8
 	groupBytes = int64(unsafe.Sizeof(group{}))
-	// entryBytes is the bucket size c of Section VI-B: one control byte plus
-	// one entry.
-	entryBytes = groupBytes / groupSlots
+	// k1GroupBytes is one group's share of a two-key table's k1 array.
+	k1GroupBytes = groupSlots * 8
 	// maxLoadSlots is how many of a group's slots a shard may fill on
 	// average before it grows.
 	maxLoadSlots = 7
@@ -56,12 +58,13 @@ const (
 // than 7 of every 8 slots are full.
 const MaxLoad = float64(maxLoadSlots) / groupSlots
 
-// Payload tuples live in per-shard row-store blocks: the first block of a
-// shard is small so tiny dimension tables stay cheap, later blocks are large
-// so big builds amortize allocation.
+// Payload tuples live in per-shard row-store blocks. Only a shard's last
+// block has free rows, so a shard leaves less than one block unused: the
+// first block is small so tiny dimension tables stay cheap, later blocks are
+// a little larger so big builds allocate less often.
 const (
 	payloadBlockBytesFirst = 4 << 10
-	payloadBlockBytes      = 64 << 10
+	payloadBlockBytes      = 16 << 10
 )
 
 const numShards = 64
@@ -69,7 +72,8 @@ const numShards = 64
 type shard struct {
 	mu      sync.Mutex
 	groups  []group
-	mask    uint64 // len(groups) - 1
+	k1      []int64 // two-key tables: the second key of slot g*groupSlots+i; nil for one key
+	mask    uint64  // len(groups) - 1
 	count   int
 	payload []*storage.Block
 }
@@ -77,6 +81,7 @@ type shard struct {
 // Table is a concurrent join hash table keyed by one or two 64-bit integers.
 type Table struct {
 	shards      [numShards]shard
+	keys        int // 1 or 2
 	payloadSch  *storage.Schema
 	gauge       *stats.MemGauge // may be nil
 	releaseOnce sync.Once
@@ -86,6 +91,9 @@ type Table struct {
 type Config struct {
 	// PayloadSchema describes the build-side columns stored per entry.
 	PayloadSchema *storage.Schema
+	// Keys is the number of key columns, 1 or 2; zero means 1. A one-key
+	// table stores no second key, so inserting one panics.
+	Keys int
 	// InitialCapacity is a hint of total entries. Defaults to 1024.
 	InitialCapacity int
 	// Gauge, if non-nil, tracks the table's live bytes.
@@ -100,24 +108,55 @@ func New(cfg Config) *Table {
 	if cfg.InitialCapacity <= 0 {
 		cfg.InitialCapacity = 1024
 	}
-	t := &Table{payloadSch: cfg.PayloadSchema, gauge: cfg.Gauge}
+	switch cfg.Keys {
+	case 0:
+		cfg.Keys = 1
+	case 1, 2:
+	default:
+		panic("hashtable: a table has 1 or 2 keys")
+	}
+	t := &Table{keys: cfg.Keys, payloadSch: cfg.PayloadSchema, gauge: cfg.Gauge}
 	groups := nextPow2((cfg.InitialCapacity/numShards + groupSlots) / groupSlots)
 	for i := range t.shards {
-		t.shards[i].setGroups(groups)
+		t.shards[i].setGroups(groups, t.keys == 2)
 	}
 	if t.gauge != nil {
-		t.gauge.Add(numShards * int64(groups) * groupBytes)
+		t.gauge.Add(numShards * int64(groups) * t.perGroup())
 	}
 	return t
 }
 
-// setGroups replaces the shard's groups with n empty ones.
-func (s *shard) setGroups(n int) {
+// perGroup is the bytes one group costs: its control word and entries, plus
+// its second keys in a two-key table.
+func (t *Table) perGroup() int64 { return int64(EntryBytes(t.keys)) * groupSlots }
+
+// setGroups replaces the shard's groups (and, with twoKeys, its k1 array)
+// with n empty ones.
+func (s *shard) setGroups(n int, twoKeys bool) {
 	s.groups = make([]group, n)
 	for i := range s.groups {
 		s.groups[i].ctrl = allEmpty
 	}
+	s.k1 = nil
+	if twoKeys {
+		s.k1 = make([]int64, n*groupSlots)
+	}
 	s.mask = uint64(n - 1)
+}
+
+// key1 returns the second key of slot i of group g: 0 in a one-key table.
+func (s *shard) key1(g uint64, i int) int64 {
+	if s.k1 == nil {
+		return 0
+	}
+	return s.k1[g*groupSlots+uint64(i)]
+}
+
+// checkKey1 panics on a second key a one-key table cannot store.
+func (t *Table) checkKey1(k1 int64) {
+	if t.keys == 1 && k1 != 0 {
+		panic("hashtable: two-key insert into a one-key table")
+	}
 }
 
 // hashKey produces the hash of (k0, k1), identical to types.HashPairVec's.
@@ -156,10 +195,11 @@ func (t *Table) reserve(s *shard, n int) {
 	}
 }
 
-// put stores e in the first free slot of h's group sequence. Groups fill
-// slot 0 first and nothing is deleted, so the order of (group, slot) along a
-// sequence is insertion order. Caller holds the lock and has reserved room.
-func (s *shard) put(h uint64, e entry) {
+// put stores e, and k1 in a two-key table, in the first free slot of h's
+// group sequence. Groups fill slot 0 first and nothing is deleted, so the
+// order of (group, slot) along a sequence is insertion order. Caller holds
+// the lock and has reserved room.
+func (s *shard) put(h uint64, e entry, k1 int64) {
 	g := (h >> 7) & s.mask
 	for {
 		grp := &s.groups[g]
@@ -167,6 +207,9 @@ func (s *shard) put(h uint64, e entry) {
 			i := slotOf(free)
 			grp.ctrl ^= (ctrlEmpty ^ h&0x7f) << (8 * i)
 			grp.ents[i] = e
+			if s.k1 != nil {
+				s.k1[g*groupSlots+uint64(i)] = k1
+			}
 			s.count++
 			return
 		}
@@ -177,6 +220,7 @@ func (s *shard) put(h uint64, e entry) {
 // Insert adds one entry whose payload is the projection projIdx of row
 // srcRow of src. It is safe for concurrent use.
 func (t *Table) Insert(k0, k1 int64, src *storage.Block, srcRow int, projIdx []int) {
+	t.checkKey1(k1)
 	h := hashKey(k0, k1)
 	s := &t.shards[shardOf(h)]
 	s.mu.Lock()
@@ -184,7 +228,7 @@ func (t *Table) Insert(k0, k1 int64, src *storage.Block, srcRow int, projIdx []i
 	prow := pb.NumRows()
 	pb.AppendFrom(src, srcRow, projIdx)
 	t.reserve(s, 1)
-	s.put(h, entry{k0: k0, k1: k1, blk: uint32(len(s.payload) - 1), row: uint32(prow)})
+	s.put(h, entry{k0: k0, blk: uint32(len(s.payload) - 1), row: uint32(prow)}, k1)
 	s.mu.Unlock()
 }
 
@@ -192,11 +236,12 @@ func (t *Table) Insert(k0, k1 int64, src *storage.Block, srcRow int, projIdx []i
 // that need only key existence). PayloadSchema must still be non-nil; a
 // zero-column schema is fine.
 func (t *Table) InsertKeyOnly(k0, k1 int64) {
+	t.checkKey1(k1)
 	h := hashKey(k0, k1)
 	s := &t.shards[shardOf(h)]
 	s.mu.Lock()
 	t.reserve(s, 1)
-	s.put(h, entry{k0: k0, k1: k1, blk: keyOnly})
+	s.put(h, entry{k0: k0, blk: keyOnly}, k1)
 	s.mu.Unlock()
 }
 
@@ -284,6 +329,9 @@ func (t *Table) InsertBlockKeyOnly(b *storage.Block, keyCols []int, sc *InsertSc
 }
 
 func (t *Table) insertBlock(b *storage.Block, keyCols []int, projIdx []int, sc *InsertScratch, noPayload bool) int {
+	if len(keyCols) != t.keys {
+		panic(fmt.Sprintf("hashtable: %d-key insert into a %d-key table", len(keyCols), t.keys))
+	}
 	n := b.NumRows()
 	if n == 0 {
 		return 0
@@ -337,7 +385,7 @@ func (sc *InsertScratch) put(s *shard, r int32, blk, prow uint32) {
 	if sc.k1 != nil {
 		k1 = sc.k1[r]
 	}
-	s.put(sc.hashes[r], entry{k0: sc.k0[r], k1: k1, blk: blk, row: prow})
+	s.put(sc.hashes[r], entry{k0: sc.k0[r], blk: blk, row: prow}, k1)
 }
 
 // payloadBlock returns the shard's current non-full payload block,
@@ -363,7 +411,7 @@ func (t *Table) payloadBlock(s *shard) *storage.Block {
 // group sequence runs through a free slot, so every sequence is re-inserted
 // front to back and duplicates keep their insertion order.
 func (t *Table) grow(s *shard) {
-	old := s.groups
+	old, oldK1 := s.groups, s.k1
 	start := 0
 	for i := range old {
 		if old[i].ctrl&msbs != 0 {
@@ -371,17 +419,22 @@ func (t *Table) grow(s *shard) {
 			break
 		}
 	}
-	s.setGroups(2 * len(old))
+	s.setGroups(2*len(old), oldK1 != nil)
 	s.count = 0
 	for j := range old {
-		grp := &old[(start+j)%len(old)]
+		g := (start + j) % len(old)
+		grp := &old[g]
 		for full := ^grp.ctrl & msbs; full != 0; full &= full - 1 {
-			e := grp.ents[slotOf(full)]
-			s.put(hashKey(e.k0, e.k1), e)
+			i := slotOf(full)
+			var k1 int64
+			if oldK1 != nil {
+				k1 = oldK1[g*groupSlots+i]
+			}
+			s.put(hashKey(grp.ents[i].k0, k1), grp.ents[i], k1)
 		}
 	}
 	if t.gauge != nil {
-		t.gauge.Add(int64(len(old)) * groupBytes) // net growth = old size
+		t.gauge.Add(int64(len(old)) * t.perGroup()) // net growth = old size
 	}
 }
 
@@ -400,12 +453,16 @@ func (t *Table) Lookup(k0, k1 int64, fn func(pb *storage.Block, row int) bool) {
 // It is the row-at-a-time reference for Match.
 func (t *Table) LookupHashed(h uint64, k0, k1 int64, fn func(pb *storage.Block, row int) bool) {
 	s := &t.shards[shardOf(h)]
+	if s.k1 == nil && k1 != 0 {
+		return // a one-key table holds no second key
+	}
 	tag := tagOf(h)
 	for g := (h >> 7) & s.mask; ; g = (g + 1) & s.mask {
 		grp := &s.groups[g]
 		for m := matchTag(grp.ctrl, tag); m != 0; m &= m - 1 {
-			e := &grp.ents[slotOf(m)]
-			if e.k0 == k0 && e.k1 == k1 && !fn(s.block(e.blk), int(e.row)) {
+			i := slotOf(m)
+			e := &grp.ents[i]
+			if e.k0 == k0 && s.key1(g, i) == k1 && !fn(s.block(e.blk), int(e.row)) {
 				return
 			}
 		}
@@ -455,12 +512,16 @@ rows:
 		}
 		sIdx := shardOf(h)
 		s := &t.shards[sIdx]
+		if s.k1 == nil && b != 0 {
+			continue // a one-key table holds no second key
+		}
 		tag := tagOf(h)
 		for g := (h >> 7) & s.mask; ; g = (g + 1) & s.mask {
 			grp := &s.groups[g]
 			for hit := matchTag(grp.ctrl, tag); hit != 0; hit &= hit - 1 {
-				e := &grp.ents[slotOf(hit)]
-				if e.k0 != a || e.k1 != b {
+				i := slotOf(hit)
+				e := &grp.ents[i]
+				if e.k0 != a || s.key1(g, i) != b {
 					continue
 				}
 				m.Probe = append(m.Probe, int32(r))
@@ -504,15 +565,16 @@ func (t *Table) Len() int {
 }
 
 // TotalBytes returns the table's current memory footprint: bucket groups
-// plus payload blocks. This is the |H| of Section VI.
+// (with a two-key table's k1 arrays) plus payload blocks. This is the |H| of
+// Section VI; the gauge holds the same sum.
 func (t *Table) TotalBytes() int64 {
 	return t.bytes((*storage.Block).AllocBytes)
 }
 
 // UsedBytes returns the table's randomly-accessed working set: bucket groups
-// plus payload bytes actually occupied by tuples. The cache model sizes
-// probe-miss probabilities with this (allocation slack in payload blocks is
-// never touched by probes).
+// (and k1 arrays) plus payload bytes actually occupied by tuples. The cache
+// model sizes probe-miss probabilities with this (allocation slack in
+// payload blocks is never touched by probes).
 func (t *Table) UsedBytes() int64 {
 	return t.bytes((*storage.Block).UsedBytes)
 }
@@ -522,7 +584,7 @@ func (t *Table) bytes(payloadBytes func(*storage.Block) int) int64 {
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		n += int64(len(s.groups)) * groupBytes
+		n += int64(len(s.groups)) * t.perGroup()
 		for _, pb := range s.payload {
 			n += int64(payloadBytes(pb))
 		}
@@ -545,9 +607,16 @@ func (t *Table) Release() {
 // PayloadSchema returns the build-side payload schema.
 func (t *Table) PayloadSchema() *storage.Schema { return t.payloadSch }
 
-// EntryBytes returns the bucket size c of this layout: one control byte plus
-// one 24-byte entry.
-func EntryBytes() int { return int(entryBytes) }
+// EntryBytes returns the bucket size c of Section VI-B for a table with the
+// given number of keys: one control byte plus one 16-byte entry (17 B), plus
+// the 8-byte second key of a two-key table (25 B).
+func EntryBytes(keys int) int {
+	c := groupBytes / groupSlots
+	if keys == 2 {
+		c += k1GroupBytes / groupSlots
+	}
+	return int(c)
+}
 
 func nextPow2(n int) int {
 	p := 1

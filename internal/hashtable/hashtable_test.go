@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/stats"
 	"repro/internal/storage"
@@ -81,7 +82,7 @@ func TestDuplicateKeys(t *testing.T) {
 }
 
 func TestCompositeKeys(t *testing.T) {
-	ht := New(Config{PayloadSchema: payloadSchema()})
+	ht := New(Config{PayloadSchema: payloadSchema(), Keys: 2})
 	src := srcBlock(2)
 	ht.Insert(1, 2, src, 0, []int{0, 1})
 	ht.Insert(2, 1, src, 1, []int{0, 1})
@@ -90,6 +91,18 @@ func TestCompositeKeys(t *testing.T) {
 	}
 	if ht.Contains(1, 1) || ht.Contains(2, 2) {
 		t.Fatal("composite key confusion")
+	}
+	// Keys that share k0 and differ only in k1, probed with one key's hash
+	// and the other's k1: the probe reaches the stored entry's slot, so
+	// only the k1 compare can reject it.
+	ht.Insert(1, 3, src, 1, []int{0, 1})
+	h := hashKey(1, 2)
+	n := 0
+	ht.LookupHashed(h, 1, 3, func(*storage.Block, int) bool { n++; return true })
+	var m Matches
+	ht.Match([]uint64{h, h}, []int64{1, 1}, []int64{3, 2}, false, &m)
+	if n != 0 || !reflect.DeepEqual(m.Probe, []int32{1}) {
+		t.Fatalf("(1, 3) probed on (1, 2)'s hash: LookupHashed found %d, Match rows %v; want 0 and [1]", n, m.Probe)
 	}
 }
 
@@ -221,8 +234,10 @@ func lookupPayloads(t *testing.T, ht *Table, k0, k1 int64) []int64 {
 // TestInsertBlockEquivalence proves the batch kernel is a drop-in for the
 // row-at-a-time reference path: identical Lookup results (duplicates in the
 // same order), Len, TotalBytes and slot placement — every group's control
-// word and entries — on randomized blocks with duplicate keys, for
-// single-key, two-key, and key-only tables.
+// word and entries, and a two-key table's k1 array — on randomized blocks
+// with duplicate keys, for single-key, two-key, and key-only tables. The
+// two-key blocks hold pairs that share k0 and differ only in k1, and every
+// table grows several times.
 func TestInsertBlockEquivalence(t *testing.T) {
 	paySch := storage.NewSchema(
 		storage.Column{Name: "v", Type: types.Int64},
@@ -245,8 +260,8 @@ func TestInsertBlockEquivalence(t *testing.T) {
 			if tc.keyOnly {
 				sch = storage.NewSchema()
 			}
-			ref := New(Config{PayloadSchema: sch, InitialCapacity: 16})
-			bat := New(Config{PayloadSchema: sch, InitialCapacity: 16})
+			cfg := Config{PayloadSchema: sch, Keys: len(tc.keyCols), InitialCapacity: 16}
+			ref, bat := New(cfg), New(cfg)
 			sc := &InsertScratch{}
 			for blk := 0; blk < 8; blk++ {
 				b := randKeyedBlock(rng, 100+rng.Intn(400), 50)
@@ -291,8 +306,12 @@ func TestInsertBlockEquivalence(t *testing.T) {
 				}
 			}
 			for i := range ref.shards {
-				if !reflect.DeepEqual(ref.shards[i].groups, bat.shards[i].groups) {
+				rs, bs := &ref.shards[i], &bat.shards[i]
+				if !reflect.DeepEqual(rs.groups, bs.groups) || !reflect.DeepEqual(rs.k1, bs.k1) {
 					t.Fatalf("shard %d: slot placement differs", i)
+				}
+				if (rs.k1 != nil) != (len(tc.keyCols) == 2) {
+					t.Fatalf("shard %d: k1 array %v for %d keys", i, rs.k1 != nil, len(tc.keyCols))
 				}
 			}
 		})
@@ -340,7 +359,7 @@ func TestInsertBlockConcurrent(t *testing.T) {
 
 // TestLookupHashed checks the pre-hashed probe entry point against Lookup.
 func TestLookupHashed(t *testing.T) {
-	ht := New(Config{PayloadSchema: payloadSchema()})
+	ht := New(Config{PayloadSchema: payloadSchema(), Keys: 2})
 	src := srcBlock(10)
 	for i := 0; i < 10; i++ {
 		ht.Insert(int64(i), int64(i%2), src, i, []int{0, 1})
@@ -429,44 +448,58 @@ func TestDuplicatesInInsertionOrder(t *testing.T) {
 
 // TestDuplicatesKeepOrderAcrossWrap fills one small shard so a key's group
 // sequence wraps from the last group to the first, then grows it: the
-// duplicates must still come back in insertion order.
+// duplicates must still come back in insertion order. The one-key table
+// alternates k0; the two-key table keeps k0 fixed and alternates k1, so
+// only the k1 array tells its two keys apart.
 func TestDuplicatesKeepOrderAcrossWrap(t *testing.T) {
-	var s shard
-	s.setGroups(4)
-	tb := &Table{}
-	last := uint64(3) << 7 // home group 3, the last one
-	for i := 0; i < 20; i++ {
-		h := last | uint64(i%2) // two tags, one sequence
-		tb.reserve(&s, 1)
-		s.put(h, entry{k0: int64(i % 2), row: uint32(i)})
-	}
-	// Rows 0–7 filled group 3; the sequence wrapped into groups 0 and 1.
-	if s.count != 20 || s.groups[0].ents[0].row != 8 {
-		t.Fatalf("set-up: %d entries, group 0 starts at row %d", s.count, s.groups[0].ents[0].row)
-	}
-	// grow re-inserts by the real hash: each key's rows must stay ascending.
-	tb.grow(&s)
-	for k := int64(0); k < 2; k++ {
-		h := hashKey(k, 0)
-		prev := -1
-		for g := (h >> 7) & s.mask; ; g = (g + 1) & s.mask {
-			grp := &s.groups[g]
-			for m := matchTag(grp.ctrl, tagOf(h)); m != 0; m &= m - 1 {
-				e := grp.ents[slotOf(m)]
-				if e.k0 != k {
-					continue
-				}
-				if int(e.row) <= prev {
-					t.Fatalf("key %d: row %d after row %d", k, e.row, prev)
-				}
-				prev = int(e.row)
+	for _, keys := range []int{1, 2} {
+		key := func(i int) (k0, k1 int64) {
+			if keys == 2 {
+				return 7, int64(i % 2)
 			}
-			if grp.ctrl&msbs != 0 {
-				break
-			}
+			return int64(i % 2), 0
 		}
-		if prev < 0 {
-			t.Fatalf("key %d lost in grow", k)
+		var s shard
+		s.setGroups(4, keys == 2)
+		tb := &Table{keys: keys}
+		last := uint64(3) << 7 // home group 3, the last one
+		for i := 0; i < 20; i++ {
+			h := last | uint64(i%2) // two tags, one sequence
+			k0, k1 := key(i)
+			tb.reserve(&s, 1)
+			s.put(h, entry{k0: k0, row: uint32(i)}, k1)
+		}
+		// Rows 0–7 filled group 3; the sequence wrapped into groups 0 and 1.
+		if s.count != 20 || s.groups[0].ents[0].row != 8 {
+			t.Fatalf("keys %d set-up: %d entries, group 0 starts at row %d", keys, s.count, s.groups[0].ents[0].row)
+		}
+		// grow re-inserts by the real hash: each key's rows must stay
+		// ascending.
+		tb.grow(&s)
+		for i := 0; i < 2; i++ {
+			k0, k1 := key(i)
+			h := hashKey(k0, k1)
+			var rows []int
+			for g := (h >> 7) & s.mask; ; g = (g + 1) & s.mask {
+				grp := &s.groups[g]
+				for m := matchTag(grp.ctrl, tagOf(h)); m != 0; m &= m - 1 {
+					j := slotOf(m)
+					if grp.ents[j].k0 == k0 && s.key1(g, j) == k1 {
+						rows = append(rows, int(grp.ents[j].row))
+					}
+				}
+				if grp.ctrl&msbs != 0 {
+					break
+				}
+			}
+			if len(rows) != 10 {
+				t.Fatalf("keys %d, key (%d,%d): %d rows after grow, want 10", keys, k0, k1, len(rows))
+			}
+			for j, r := range rows {
+				if r != i+2*j {
+					t.Fatalf("keys %d, key (%d,%d): rows %v, want ascending from %d", keys, k0, k1, rows, i)
+				}
+			}
 		}
 	}
 }
@@ -493,7 +526,7 @@ func matchByLookup(ht *Table, hashes []uint64, k0, k1 []int64, firstOnly bool) (
 func TestMatchEqualsLookupHashed(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, keyCols := range [][]int{{0}, {0, 1}} {
-		ht := New(Config{PayloadSchema: payloadSchema(), InitialCapacity: 16})
+		ht := New(Config{PayloadSchema: payloadSchema(), Keys: len(keyCols), InitialCapacity: 16})
 		sc := &InsertScratch{}
 		for i := 0; i < 6; i++ {
 			ht.InsertBlock(randKeyedBlock(rng, 300, 120), keyCols, []int{2, 3}, sc)
@@ -529,8 +562,17 @@ func TestMatchEqualsLookupHashed(t *testing.T) {
 // each shard starts with the fewest groups that give one slot per entry of
 // its share of the capacity hint, plus one.
 func TestLayoutConstants(t *testing.T) {
-	if EntryBytes() != 25 || MaxLoad != 0.875 {
-		t.Fatalf("c = %d B, f = %v; want 25 B, 7/8", EntryBytes(), MaxLoad)
+	if EntryBytes(1) != 17 || EntryBytes(2) != 25 || MaxLoad != 0.875 {
+		t.Fatalf("c = %d B (one key), %d B (two keys), f = %v; want 17 B, 25 B, 7/8", EntryBytes(1), EntryBytes(2), MaxLoad)
+	}
+	if n := unsafe.Sizeof(entry{}); n != 16 {
+		t.Fatalf("entry is %d B, want 16", n)
+	}
+	for keys, per := range map[int]int64{1: 8 * 17, 2: 8 * 25} {
+		ht := New(Config{PayloadSchema: storage.NewSchema(), Keys: keys, InitialCapacity: 1})
+		if got := ht.TotalBytes(); got != numShards*per {
+			t.Errorf("%d keys: empty table holds %d B, want %d", keys, got, numShards*per)
+		}
 	}
 	for _, n := range []int{1, 64 * 7, 64*7 + 64, 64 * 56, 100000} {
 		ht := New(Config{PayloadSchema: storage.NewSchema(), InitialCapacity: n})
@@ -542,14 +584,27 @@ func TestLayoutConstants(t *testing.T) {
 	}
 }
 
-// FuzzHashTable: random inserts over one or two keys (Insert, InsertKeyOnly
-// and InsertBlock mixed) against a map oracle; every key's lookups return
-// its payloads in insertion order, and absent keys return nothing.
+// FuzzHashTable: random inserts over one or two keys (Insert and
+// InsertBlock mixed) against a map oracle; every key's lookups return its
+// payloads in insertion order, and absent keys return nothing. Two-key
+// inputs map bytes to (b%61, b/61), so many keys share k0 and differ only
+// in k1.
 func FuzzHashTable(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 1, 2, 3}, false, uint8(4))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 255, 128}, true, uint8(1))
+	// Keys sharing k0 = 5 and differing only in k1, enough of them that a
+	// shard grows.
+	twins := make([]byte, 48)
+	for i := range twins {
+		twins[i] = byte(5 + 61*(i%4))
+	}
+	f.Add(twins, true, uint8(1))
 	f.Fuzz(func(t *testing.T, ops []byte, twoKeys bool, initial uint8) {
-		ht := New(Config{PayloadSchema: payloadSchema(), InitialCapacity: int(initial)})
+		cfg := Config{PayloadSchema: payloadSchema(), Keys: 1, InitialCapacity: int(initial)}
+		if twoKeys {
+			cfg.Keys = 2
+		}
+		ht := New(cfg)
 		oracle := map[[2]int64][]int{}
 		key := func(b byte) [2]int64 {
 			k := [2]int64{int64(b % 61), 0}
@@ -615,6 +670,111 @@ func TestMatchAllocs(t *testing.T) {
 	for _, firstOnly := range []bool{false, true} {
 		if n := testing.AllocsPerRun(20, func() { ht.Match(hashes, k0, nil, firstOnly, &m) }); n != 0 {
 			t.Errorf("firstOnly %v: Match allocated %v times per block", firstOnly, n)
+		}
+	}
+}
+
+// TestKeyCountIsEnforced: a one-key table stores no second key, so a
+// two-key insert into it panics (row, key-only and block paths), a block
+// insert must bring as many key columns as the table has, and a lookup of a
+// second key a one-key table cannot hold finds nothing.
+func TestKeyCountIsEnforced(t *testing.T) {
+	b := storage.NewBlock(keyedSchema(), storage.ColumnStore, 4*32)
+	b.AppendRow(types.NewInt64(1), types.NewInt64(0), types.NewInt64(10), types.NewFloat64(0))
+	one := func() *Table { return New(Config{PayloadSchema: payloadSchema()}) }
+	two := func() *Table { return New(Config{PayloadSchema: payloadSchema(), Keys: 2}) }
+	for name, insert := range map[string]func(){
+		"Insert":               func() { one().Insert(1, 2, b, 0, []int{2, 3}) },
+		"InsertKeyOnly":        func() { one().InsertKeyOnly(1, 2) },
+		"InsertBlock two keys": func() { one().InsertBlock(b, []int{0, 1}, []int{2, 3}, &InsertScratch{}) },
+		"InsertBlockKeyOnly":   func() { one().InsertBlockKeyOnly(b, []int{0, 1}, &InsertScratch{}) },
+		"InsertBlock one key":  func() { two().InsertBlock(b, []int{0}, []int{2, 3}, &InsertScratch{}) },
+		"New with three keys":  func() { New(Config{PayloadSchema: payloadSchema(), Keys: 3}) },
+		"InsertBlock empty block": func() {
+			one().InsertBlock(storage.NewBlock(keyedSchema(), storage.ColumnStore, 64), []int{0, 1}, []int{2, 3}, &InsertScratch{})
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			insert()
+		}()
+	}
+	ht := one()
+	ht.Insert(1, 0, b, 0, []int{2, 3})
+	if !ht.Contains(1, 0) || ht.Contains(1, 5) {
+		t.Fatal("one-key table: (1, 0) must match and (1, 5) must not")
+	}
+	var m Matches
+	k0, k1 := []int64{1, 1}, []int64{0, 5}
+	ht.Match(types.HashPairVec(k0, k1, nil), k0, k1, false, &m)
+	if !reflect.DeepEqual(m.Probe, []int32{0}) {
+		t.Fatalf("one-key table probed with second keys: matches %v, want [0]", m.Probe)
+	}
+}
+
+// TestPayloadSlackAndAccounting builds tables of 0 to 300k rows with payload
+// rows of 1 to 133 bytes, one and two keys. In every shard only the last
+// payload block may have free rows, so allocated minus used payload bytes
+// stays under one 16 KB block; and the gauge holds exactly TotalBytes, which is
+// the groups, the k1 arrays and the payload blocks.
+func TestPayloadSlackAndAccounting(t *testing.T) {
+	sizes := []int{0, 1, 100, 4097, 30000, 300000}
+	if testing.Short() {
+		sizes = sizes[:5]
+	}
+	for _, width := range []int{1, 8, 24, 133} {
+		for _, keys := range []int{1, 2} {
+			for _, n := range sizes {
+				in := storage.NewSchema(
+					storage.Column{Name: "k0", Type: types.Int64},
+					storage.Column{Name: "k1", Type: types.Int64},
+					storage.Column{Name: "p", Type: types.Char, Width: width},
+				)
+				pay := in.Project([]int{2})
+				var g stats.MemGauge
+				ht := New(Config{PayloadSchema: pay, Keys: keys, InitialCapacity: n / 2, Gauge: &g})
+				sc := &InsertScratch{}
+				keyCols := []int{0, 1}[:keys]
+				cell := make([]byte, width)
+				for lo := 0; lo < n; lo += 8192 {
+					b := storage.NewBlock(in, storage.ColumnStore, 8192*in.RowWidth())
+					for r := lo; r < min(n, lo+8192); r++ {
+						b.AppendRow(types.NewInt64(int64(r/3)), types.NewInt64(int64(r%3*(keys-1))), types.NewChar(cell))
+					}
+					ht.InsertBlock(b, keyCols, []int{2}, sc)
+				}
+				if ht.Len() != n {
+					t.Fatalf("width %d, %d keys, %d rows: Len = %d", width, keys, n, ht.Len())
+				}
+				var want int64
+				for i := range ht.shards {
+					s := &ht.shards[i]
+					want += int64(len(s.groups))*groupBytes + int64(len(s.k1))*8
+					alloc, used := 0, 0
+					for j, pb := range s.payload {
+						if j < len(s.payload)-1 && !pb.Full() {
+							t.Fatalf("width %d, %d keys, %d rows, shard %d: block %d of %d is not full", width, keys, n, i, j, len(s.payload))
+						}
+						alloc += pb.AllocBytes()
+						used += pb.UsedBytes()
+					}
+					if alloc-used > 16<<10 {
+						t.Fatalf("width %d, %d keys, %d rows, shard %d: %d payload bytes allocated for %d used", width, keys, n, i, alloc, used)
+					}
+					want += int64(alloc)
+				}
+				if got := ht.TotalBytes(); got != want || g.Live() != got {
+					t.Fatalf("width %d, %d keys, %d rows: TotalBytes %d, gauge %d, groups + k1 + payload %d", width, keys, n, got, g.Live(), want)
+				}
+				ht.Release()
+				if g.Live() != 0 {
+					t.Fatalf("width %d, %d keys, %d rows: gauge %d after Release", width, keys, n, g.Live())
+				}
+			}
 		}
 	}
 }
