@@ -83,10 +83,12 @@ type Options struct {
 	Exec *core.WorkerPool
 	// Pool, if non-nil, is the global temp-block pool this execution draws
 	// from through a per-query Subpool view (isolated partial-block
-	// namespace and per-query gauge, shared freelist). Nil gives the
-	// execution a private root pool. The pool's owner owns everything
-	// attached to it: recycling policy (storage.Pool.DisableRecycling) and
-	// the spill tier (storage.Pool.EnableSpill / CloseSpill).
+	// namespace and per-query gauge, shared global gauge). Nil gives the
+	// execution a private root pool for its partials and gauge. Either way
+	// block allocations recycle through the process-wide freelist. The
+	// pool's owner owns everything attached to it: recycling policy
+	// (storage.Pool.DisableRecycling) and the spill tier
+	// (storage.Pool.EnableSpill / CloseSpill).
 	Pool *storage.Pool
 	// QueryID identifies the query among concurrent executions sharing
 	// Exec, Pool, or Trace: when positive it labels the run's stats snapshot

@@ -172,10 +172,19 @@ var cmpNames = [...]string{"=", "<>", "<", "<=", ">", ">="}
 type CmpExpr struct {
 	Op   CmpOp
 	L, R Expr
+	// pad is R's char constant zero-padded to the width of L's char column,
+	// built by Cmp for the filter kernel (nil if it does not apply).
+	pad []byte
 }
 
 // Cmp builds a comparison.
-func Cmp(op CmpOp, l, r Expr) *CmpExpr { return &CmpExpr{Op: op, L: l, R: r} }
+func Cmp(op CmpOp, l, r Expr) *CmpExpr {
+	e := &CmpExpr{Op: op, L: l, R: r}
+	if k, ok := r.(*ConstExpr); ok && padWidth(l) > 0 {
+		e.pad = padTo(k.D.B, padWidth(l))
+	}
+	return e
+}
 
 // Eq builds l = r.
 func Eq(l, r Expr) *CmpExpr { return Cmp(EQ, l, r) }
@@ -462,10 +471,25 @@ func (e *CaseExpr) String() string {
 type InExpr struct {
 	X    Expr
 	List []types.Datum
+	// pads is List zero-padded to padW, the width of X's char column, built
+	// by In for the filter kernel; values longer than padW, which no cell can
+	// equal, are left out. padW is 0 if X is not a char column.
+	pads [][]byte
+	padW int
 }
 
 // In builds x IN (list).
-func In(x Expr, list ...types.Datum) *InExpr { return &InExpr{X: x, List: list} }
+func In(x Expr, list ...types.Datum) *InExpr {
+	e := &InExpr{X: x, List: list, padW: padWidth(x)}
+	if e.padW > 0 {
+		for _, d := range list {
+			if pad := padTo(d.B, e.padW); pad != nil {
+				e.pads = append(e.pads, pad)
+			}
+		}
+	}
+	return e
+}
 
 // InStrings builds x IN ('a','b',...).
 func InStrings(x Expr, ss ...string) *InExpr {

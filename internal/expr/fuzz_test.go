@@ -2,6 +2,8 @@ package expr
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -29,6 +31,9 @@ func FuzzExprEval(f *testing.F) {
 	f.Add([]byte{13, 13, 7, 0, 3, 11, 15}, int64(0), math.NaN())
 	f.Add([]byte{2, 16, 3, 2, 16, 0, 17, 0, 7, 4, 8}, int64(3), 2.0)
 	f.Add([]byte{1, 17, 1, 6, 2, 0, 17, 0, 6, 1, 7, 5}, int64(-4), math.Inf(-1))
+	f.Add([]byte{18, 13, 9, 7, 4, 18, 19, 1, 7, 5, 18, 18, 7, 2}, int64(math.MaxInt64), math.NaN())
+	f.Add([]byte{0, 17, 0, 7, 3, 1, 17, 1, 7, 1, 0, 3, 1, 7, 2}, int64(math.MinInt64), math.Copysign(0, -1))
+	f.Add([]byte{2, 5, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 7, 1, 2, 12, 2, 9, 0, 2, 1, 2, 3}, int64(0), 0.0)
 	f.Fuzz(func(t *testing.T, program []byte, seedI int64, seedF float64) {
 		if len(program) > 256 {
 			program = program[:256]
@@ -37,20 +42,25 @@ func FuzzExprEval(f *testing.F) {
 			storage.Column{Name: "i", Type: types.Int64},
 			storage.Column{Name: "f", Type: types.Float64},
 			storage.Column{Name: "c", Type: types.Char, Width: 8},
+			storage.Column{Name: "d", Type: types.Date},
 		)
-		scalars := []types.Datum{types.NewInt64(seedI), types.NewFloat64(seedF)}
+		scalars := []types.Datum{types.NewInt64(seedI), types.NewFloat64(seedF), types.NewDate(int32(seedI))}
 		exprs := interpret(program, schema)
 		for _, format := range []storage.Format{storage.RowStore, storage.ColumnStore} {
 			b := storage.NewBlock(schema, format, 6*schema.RowWidth())
 			for r := 0; r < 6; r++ {
 				c := string(rune('a'+r)) + "xyzw"
-				if r == 5 {
+				switch r {
+				case 4:
+					c = "ax\x00" // an interior zero byte
+				case 5:
 					c = "axyzwxyz" // fills the column width; "axyzw" is its prefix
 				}
 				b.AppendRow(
 					types.NewInt64(seedI+int64(r)*3-1),
 					types.NewFloat64(seedF*float64(r-2)),
 					types.NewString(c),
+					types.NewDate(int32(seedI)+int32(r)-2),
 				)
 			}
 			for _, e := range exprs {
@@ -139,7 +149,7 @@ func interpret(program []byte, schema *storage.Schema) []Expr {
 	}
 	for i := 0; i < len(program); {
 		op := next(&i)
-		switch op % 18 {
+		switch op % 20 {
 		case 0:
 			stack = append(stack, ColIdx(schema, 0))
 		case 1:
@@ -151,7 +161,13 @@ func interpret(program []byte, schema *storage.Schema) []Expr {
 		case 4:
 			stack = append(stack, Float(float64(int8(next(&i)))/4))
 		case 5:
-			stack = append(stack, Str(string([]byte{next(&i)%26 + 'a', 'x'})))
+			// Up to 9 bytes, so some constants are longer than the 8-byte
+			// column, some hold zero bytes.
+			str := make([]byte, next(&i)%10)
+			for j := range str {
+				str[j] = "ax\x00z"[next(&i)%4]
+			}
+			stack = append(stack, Str(string(str)))
 		case 6:
 			if len(stack) >= 2 && numeric(stack[len(stack)-1]) && numeric(stack[len(stack)-2]) {
 				r, l := pop(), pop()
@@ -235,6 +251,10 @@ func interpret(program []byte, schema *storage.Schema) []Expr {
 			} else {
 				stack = append(stack, Param(1, types.Float64))
 			}
+		case 18:
+			stack = append(stack, ColIdx(schema, 3))
+		case 19:
+			stack = append(stack, Param(2, types.Date))
 		}
 		if len(stack) > 32 {
 			break
@@ -263,4 +283,38 @@ func sameDatum(a, b types.Datum) bool {
 		return false
 	}
 	return string(a.B) == string(b.B)
+}
+
+// FuzzLike checks the compiled LIKE matcher against likeMatch, the
+// backtracking reference, on every pattern it compiles (those without '_'),
+// and — where it claims to allow it — on the text followed by zero padding.
+// Run as a fuzzer with `go test ./internal/expr -fuzz FuzzLike`.
+func FuzzLike(f *testing.F) {
+	for _, seed := range []struct{ p, s string }{
+		{"", ""}, {"", "a"}, {"%", ""}, {"%%", "a"}, {"a%a", "a"}, {"a%a", "aa"},
+		{"_", "a"}, {"a_%", "ab"}, {"%special%requests%", "xspecialyrequests"},
+		{"%BRASS", "SMALL BRASS"}, {"PROMO%", "PROMO X"}, {"%a\x00%", "ba\x00c"},
+	} {
+		f.Add(seed.p, []byte(seed.s))
+	}
+	f.Fuzz(func(t *testing.T, pattern string, text []byte) {
+		m := compileLike(pattern)
+		if m == nil {
+			if strings.IndexByte(pattern, '_') < 0 {
+				t.Fatalf("%q has no '_' but did not compile", pattern)
+			}
+			return
+		}
+		s := types.TrimPad(text)
+		want := likeMatch(s, pattern)
+		if got := m.match(s); got != want {
+			t.Fatalf("%q on %q: compiled %v, likeMatch %v", pattern, s, got, want)
+		}
+		if m.padded {
+			padded := append(slices.Clip(s), 0, 0, 0)
+			if got := m.match(padded); got != want {
+				t.Fatalf("%q on padded %q: compiled %v, likeMatch %v", pattern, s, got, want)
+			}
+		}
+	})
 }

@@ -1,8 +1,6 @@
 package expr
 
 import (
-	"bytes"
-
 	"repro/internal/storage"
 	"repro/internal/types"
 )
@@ -75,24 +73,12 @@ func refine(pred Expr, b *storage.Block, scalars []types.Datum, sel []int32) []i
 			return out
 		}
 	case *InExpr:
-		if col, ok := charCol(p.X, b); ok {
-			out := sel[:0]
-			for _, r := range sel {
-				if inList(types.TrimPad(col.Bytes(int(r))), p.List) {
-					out = append(out, r)
-				}
-			}
-			return out
+		if col, ok := charCol(p.X, b); ok && p.padW == col.Width() {
+			return inPadded(sel, col, p.pads)
 		}
 	case *LikeExpr:
 		if col, ok := charCol(p.X, b); ok {
-			out := sel[:0]
-			for _, r := range sel {
-				if likeMatch(types.TrimPad(col.Bytes(int(r))), p.Pattern) != p.Negate {
-					out = append(out, r)
-				}
-			}
-			return out
+			return likeCells(sel, col, p)
 		}
 	}
 	return FilterRows(pred, b, sel, scalars)
@@ -108,47 +94,14 @@ func charCol(x Expr, b *storage.Block) (storage.ColView, bool) {
 	return b.View(c.Col), true
 }
 
-// inList is InExpr.Eval's membership test for a trimmed char value: Equal on
-// char datums is bytewise equality with padding stripped.
-func inList(v []byte, list []types.Datum) bool {
-	for _, d := range list {
-		if bytes.Equal(v, types.TrimPad(d.B)) {
-			return true
-		}
-	}
-	return false
-}
-
-// cmpMask is the set of comparison outcomes a CmpOp accepts.
-type cmpMask uint8
-
-const (
-	maskLT cmpMask = 1 << iota
-	maskEQ
-	maskGT
-)
-
-var opMasks = [...]cmpMask{EQ: maskEQ, NE: maskLT | maskGT, LT: maskLT, LE: maskLT | maskEQ, GT: maskGT, GE: maskGT | maskEQ}
-
-// keep reports whether an outcome passes; neither lt nor gt means equal,
-// which is also what an unordered (NaN) float comparison gives, as in
-// types.Compare.
-func (m cmpMask) keep(lt, gt bool) bool {
-	switch {
-	case lt:
-		return m&maskLT != 0
-	case gt:
-		return m&maskGT != 0
-	}
-	return m&maskEQ != 0
-}
-
 // refineCmp is the comparison kernel: a Primary column on the left, and on
 // the right a constant, a scalar parameter or another Primary column of the
 // same kind (char or numeric). It mirrors types.Compare with the column's
 // datum on the left: char values compare bytewise with padding stripped;
 // numbers compare as floats when either side is a Float64, as integers
-// otherwise. It reports false for any other shape.
+// otherwise. A column and a value of its own kind, or two columns of one
+// kind, get a typed loop per op (kernels.go); the other numeric pairings
+// share one loop. It reports false for any other shape.
 func refineCmp(p *CmpExpr, b *storage.Block, scalars []types.Datum, sel []int32) ([]int32, bool) {
 	l, ok := AsPrimaryColRef(p.L)
 	if !ok {
@@ -176,44 +129,25 @@ func refineCmp(p *CmpExpr, b *storage.Block, scalars []types.Datum, sel []int32)
 	default:
 		return nil, false
 	}
-	m := opMasks[p.Op]
-	out := sel[:0]
+	op := opPrims[p.Op]
 	switch {
 	case lv.Type == types.Char:
-		kb := types.TrimPad(k.B)
-		for _, r := range sel {
-			if rcol {
-				kb = types.TrimPad(rv.Bytes(int(r)))
-			}
-			c := bytes.Compare(types.TrimPad(lv.Bytes(int(r))), kb)
-			if m.keep(c < 0, c > 0) {
-				out = append(out, r)
-			}
+		// Padded cells order as trimmed ones (zero sorts lowest), so a
+		// column compares in place against a column of its width or against
+		// the constant Cmp padded to it; anything else compares trimmed.
+		y, trim := p.pad, false
+		if rcol {
+			trim = rv.Width() != lv.Width()
+		} else if len(y) != lv.Width() {
+			y, trim = types.TrimPad(k.B), true
 		}
-	case lv.Type == types.Float64 || k.Ty == types.Float64:
-		y := k.Float()
-		for _, r := range sel {
-			x := lv.Float(int(r))
-			if rcol {
-				y = rv.Float(int(r))
-			}
-			if m.keep(x < y, x > y) {
-				out = append(out, r)
-			}
-		}
-	default:
-		y := k.I
-		for _, r := range sel {
-			x := lv.Int(int(r))
-			if rcol {
-				y = rv.Int(int(r))
-			}
-			if m.keep(x < y, x > y) {
-				out = append(out, r)
-			}
-		}
+		return cmpChars(sel, lv, rv, y, rcol, trim, op), true
+	case rcol && lv.Type == rv.Type:
+		return cmpCols(sel, lv, rv, op), true
+	case rcol || (k.Ty == types.Float64 && lv.Type != types.Float64):
+		return cmpMixed(sel, lv, rv, k, rcol, op), true
 	}
-	return out, true
+	return cmpValue(sel, lv, k, op), true
 }
 
 // Vectors is caller-owned scratch for the numeric vector evaluator: the

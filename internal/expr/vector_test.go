@@ -3,6 +3,7 @@ package expr
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/storage"
@@ -24,14 +25,16 @@ var vecSchema = storage.NewSchema(
 
 const vecCap = 64 // rows per full test block
 
-// Value pools: NaN and both zeros, integers that equal float constants, char
-// values that fill the column width and values that are prefixes of others.
+// Value pools: NaN, both zeros and both infinities, the int64 extremes,
+// integers that equal float constants, char values that fill the column
+// width, are prefixes of others or hold an interior zero byte, and constants
+// longer than the width.
 var (
-	vecInts   = []int64{-3, -1, 0, 1, 2, 3, 7, 1 << 40}
-	vecFloats = []float64{math.NaN(), 0, math.Copysign(0, -1), -1, 1, 2, 2.5, 3, -7.25, math.Inf(1)}
+	vecInts   = []int64{math.MinInt64, -3, -1, 0, 1, 2, 3, 7, 1 << 40, math.MaxInt64}
+	vecFloats = []float64{math.NaN(), 0, math.Copysign(0, -1), -1, 1, 2, 2.5, 3, -7.25, math.Inf(1), math.Inf(-1)}
 	vecDates  = []int32{-40, 0, 9000, 9001, 10000}
-	vecChars  = []string{"", "a", "ab", "abc", "abcdef", "abd", "b", "zzzzzz"}
-	vecLikes  = []string{"%", "a%", "%b%", "ab_", "_b%", "abcdef", "%c", ""}
+	vecChars  = []string{"", "a", "ab", "abc", "abcdef", "abd", "b", "zzzzzz", "a\x00b", "ab\x00", "abcdefg", "abcdeg"}
+	vecLikes  = []string{"%", "%%", "a%", "%b%", "ab_", "_b%", "abcdef", "%c", "", "a%a", "a%b%", "%\x00%", "%abcdefg%"}
 )
 
 func vecBlock(rng *rand.Rand, format storage.Format, n int) *storage.Block {
@@ -51,8 +54,10 @@ func vecBlock(rng *rand.Rand, format storage.Format, n int) *storage.Block {
 	return b
 }
 
-// vecScalars are the scalar-parameter slots: an Int64, a Float64, a Date.
-var vecScalars = []types.Datum{types.NewInt64(2), types.NewFloat64(2.5), types.NewDate(9000)}
+// vecScalars are the scalar-parameter slots: an Int64, a Float64, a Date, a
+// NaN, the largest Int64 and a char constant.
+var vecScalars = []types.Datum{types.NewInt64(2), types.NewFloat64(2.5), types.NewDate(9000),
+	types.NewFloat64(math.NaN()), types.NewInt64(math.MaxInt64), types.NewString("ab")}
 
 func col(name string) *ColRef { return C(vecSchema, name) }
 
@@ -73,7 +78,7 @@ func numLeaf(rng *rand.Rand) Expr {
 	case 5:
 		return Const(types.NewDate(vecDates[rng.Intn(len(vecDates))]))
 	default:
-		slot := rng.Intn(len(vecScalars))
+		slot := rng.Intn(len(vecScalars) - 1) // the numeric slots
 		return Param(slot, vecScalars[slot].Ty)
 	}
 }
@@ -203,6 +208,50 @@ func TestVectorMatchesEval(t *testing.T) {
 					}
 					if e.Type() != types.Float64 && is[r] != d.I {
 						t.Fatalf("%v %s row %d: Ints %d, Eval %d", format, e, r, is[r], d.I)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCmpKernelsMatchEval walks every comparison kernel shape — each column
+// kind against a constant, a scalar parameter and a column of every kind,
+// under all six ops — and checks FilterBlock against per-row Eval.
+func TestCmpKernelsMatchEval(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	cols := []string{"i", "d", "f", "c"}
+	rights := func(kind string) []Expr {
+		if kind == "c" {
+			out := []Expr{col("c2"), Param(5, types.Char)}
+			for _, v := range vecChars {
+				out = append(out, Str(v))
+			}
+			return out
+		}
+		out := []Expr{col("i2"), col("d2"), col("f2"), Param(0, types.Int64), Param(1, types.Float64),
+			Param(2, types.Date), Param(3, types.Float64), Param(4, types.Int64)}
+		for _, v := range vecInts {
+			out = append(out, Int(v))
+		}
+		for _, v := range vecFloats {
+			out = append(out, Float(v))
+		}
+		for _, v := range vecDates {
+			out = append(out, Const(types.NewDate(v)))
+		}
+		return out
+	}
+	sel := make([]int32, vecCap)
+	for _, format := range []storage.Format{storage.RowStore, storage.ColumnStore} {
+		b := vecBlock(rng, format, vecCap)
+		for _, l := range cols {
+			for _, r := range rights(l) {
+				for op := EQ; op <= GE; op++ {
+					pred := Cmp(op, col(l), r)
+					got := FilterBlock(pred, b, vecScalars, sel[:0])
+					if want := evalRows(pred, b); !slices.Equal(got, want) {
+						t.Fatalf("%v %s: FilterBlock %v, Eval %v", format, pred, got, want)
 					}
 				}
 			}

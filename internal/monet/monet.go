@@ -39,7 +39,8 @@ func Execute(b *engine.Builder, o Options) (*engine.Result, error) {
 	if o.TempBlockBytes <= 0 {
 		o.TempBlockBytes = 2 << 20
 	}
-	// BAT materialization: a pool of its own that never recycles a block.
+	// BAT materialization: a pool of its own that never recycles an
+	// allocation, so every intermediate gets fresh memory.
 	pool := storage.NewPool(nil, nil)
 	pool.DisableRecycling()
 	return engine.Execute(b, engine.Options{

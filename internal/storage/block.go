@@ -44,15 +44,23 @@ type Block struct {
 // NewBlock allocates a block with the given byte budget. Capacity is
 // blockBytes / rowWidth, at least 1 row.
 func NewBlock(schema *Schema, format Format, blockBytes int) *Block {
-	cap := blockBytes / schema.RowWidth()
-	if cap < 1 {
-		cap = 1
+	return newBlockOver(schema, format, blockBytes, nil)
+}
+
+// newBlockOver lays an empty block with the given byte budget over buf, whose
+// capacity must hold capacity*rowWidth bytes (nil allocates exactly that).
+// The pool lays checkouts over recycled allocations this way.
+func newBlockOver(schema *Schema, format Format, blockBytes int, buf []byte) *Block {
+	cap := max(1, blockBytes/schema.RowWidth())
+	size := cap * schema.RowWidth()
+	if buf == nil {
+		buf = make([]byte, size)
 	}
 	b := &Block{
 		schema:   schema,
 		format:   format,
 		capacity: cap,
-		data:     make([]byte, cap*schema.RowWidth()),
+		data:     buf[:size],
 	}
 	if format == ColumnStore {
 		b.colOff = make([]int, schema.NumCols())
@@ -215,37 +223,62 @@ func (b *Block) fixedLayout(col, width int, kernel string) (off, stride int) {
 // the typed filter and arithmetic kernels of internal/expr load a cell per
 // row through it without building a Datum. It aliases block memory.
 type ColView struct {
-	Type               types.TypeID
-	data               []byte
-	off, stride, width int
+	Type types.TypeID
+	Cells
+	width int
+}
+
+// Cells is a column's cells in place: row r's cell starts at r*stride in
+// data. It is small enough for the compiler to keep in registers across a
+// kernel's loop, which a whole ColView is not. Int64, Date and Float64 load a
+// cell without looking at the column's type: the typed kernels pick one per
+// column, not per row.
+type Cells struct {
+	data   []byte
+	stride int
 }
 
 // View returns the in-place view of column col.
 func (b *Block) View(col int) ColView {
 	off, stride := b.colLayout(col)
-	return ColView{Type: b.schema.Col(col).Type, data: b.data, off: off, stride: stride, width: b.schema.ColWidth(col)}
+	return ColView{Type: b.schema.Col(col).Type, Cells: Cells{b.data[off:], stride}, width: b.schema.ColWidth(col)}
 }
 
 // Int returns row r of a numeric column as Datum.I holds it: an Int64's
 // value, a Date's day count.
 func (v ColView) Int(r int) int64 {
-	o := v.off + r*v.stride
 	if v.Type == types.Date {
-		return int64(int32(binary.LittleEndian.Uint32(v.data[o:])))
+		return v.Date(r)
 	}
-	return int64(binary.LittleEndian.Uint64(v.data[o:]))
+	return v.Int64(r)
 }
 
 // Float returns row r of a numeric column as Datum.Float sees it.
 func (v ColView) Float(r int) float64 {
 	if v.Type == types.Float64 {
-		return float64frombits(binary.LittleEndian.Uint64(v.data[v.off+r*v.stride:]))
+		return v.Float64(r)
 	}
 	return float64(v.Int(r))
 }
 
 // Bytes returns row r of a Char column, zero padding included.
-func (v ColView) Bytes(r int) []byte { return v.data[v.off+r*v.stride:][:v.width] }
+func (v ColView) Bytes(r int) []byte { return v.data[r*v.stride:][:v.width] }
+
+// Width returns the column's cell width in bytes.
+func (v ColView) Width() int { return v.width }
+
+// Int64 returns row r of an Int64 column.
+func (c Cells) Int64(r int) int64 { return int64(binary.LittleEndian.Uint64(c.data[r*c.stride:])) }
+
+// Date returns row r of a Date column as its day count.
+func (c Cells) Date(r int) int64 {
+	return int64(int32(binary.LittleEndian.Uint32(c.data[r*c.stride:])))
+}
+
+// Float64 returns row r of a Float64 column.
+func (c Cells) Float64(r int) float64 {
+	return float64frombits(binary.LittleEndian.Uint64(c.data[r*c.stride:]))
+}
 
 // GatherInt64 copies every row of 8-byte integer column col into dst,
 // reusing dst's backing array when large enough: the batch kernels' key-column

@@ -219,7 +219,7 @@ func decodeHeader(data []byte) (codecHeader, error) {
 }
 
 // copyPayload scatters the encoded live-row payload into b.data, which must
-// already be sized for b's capacity. Bytes past the live rows are zero.
+// already be sized for b's capacity. Bytes past the live rows are scratch.
 func (h codecHeader) copyPayload(b *Block, data []byte) {
 	payload := data[h.payloadOff:]
 	if b.format == RowStore {
@@ -244,30 +244,18 @@ func DecodeBlock(data []byte) (*Block, error) {
 		return nil, err
 	}
 	schema := NewSchema(h.cols...)
-	b := &Block{
-		schema:   schema,
-		format:   h.format,
-		capacity: h.capacity,
-		n:        h.nrows,
-		data:     make([]byte, h.capacity*schema.RowWidth()),
-	}
-	if h.format == ColumnStore {
-		b.colOff = make([]int, schema.NumCols())
-		off := 0
-		for i := 0; i < schema.NumCols(); i++ {
-			b.colOff[i] = off
-			off += h.capacity * schema.ColWidth(i)
-		}
-	}
+	b := NewBlock(schema, h.format, h.capacity*schema.RowWidth())
+	b.n = h.nrows
 	h.copyPayload(b, data)
 	return b, nil
 }
 
 // decodeInto deserializes data into b, which must be an evicted block
-// (data dropped) whose schema, format, and capacity produced the encoding.
-// The block keeps its original *Schema — the pool's freelist matches schemas
-// by pointer identity, so fault-in must not substitute a reconstructed copy.
-func decodeInto(b *Block, data []byte) error {
+// (data dropped) whose schema, format, and capacity produced the encoding,
+// laying it over buf (dirty bytes are fine; nil or too small allocates).
+// The block keeps its original *Schema: operators hold the block, and
+// everything they resolved against its schema stays valid.
+func decodeInto(b *Block, data, buf []byte) error {
 	h, err := decodeHeader(data)
 	if err != nil {
 		return err
@@ -280,13 +268,18 @@ func decodeInto(b *Block, data []byte) error {
 			return fmt.Errorf("%w: column %d mismatch on fault-in", ErrCodecHeader, i)
 		}
 	}
-	b.data = make([]byte, b.capacity*b.schema.RowWidth())
+	size := b.capacity * b.schema.RowWidth()
+	if cap(buf) < size {
+		buf = make([]byte, size)
+	}
+	b.data = buf[:size]
 	b.n = h.nrows
 	h.copyPayload(b, data)
 	return nil
 }
 
 // dropData frees the block's backing allocation after its contents were
-// spilled. Reads would fault until decodeInto restores it; the spill tier
+// spilled. The allocation goes to the GC, not the freelist: the spill tier
+// exists to give RAM back. Reads would fault until decodeInto restores it; the spill tier
 // guarantees that happens before the scheduler hands the block to a consumer.
 func (b *Block) dropData() { b.data = nil }

@@ -105,11 +105,11 @@ func TestCodecDecodeIntoKeepsSchemaPointer(t *testing.T) {
 
 	enc := EncodeBlock(b, nil)
 	b.dropData()
-	if err := decodeInto(b, enc); err != nil {
+	if err := decodeInto(b, enc, nil); err != nil {
 		t.Fatalf("decodeInto: %v", err)
 	}
 	if b.Schema() != schema {
-		t.Fatal("decodeInto replaced the schema pointer; freelist matching would break")
+		t.Fatal("decodeInto replaced the schema pointer")
 	}
 	sameRows(t, want, b)
 }
@@ -119,11 +119,11 @@ func TestCodecDecodeIntoShapeMismatch(t *testing.T) {
 	fillTestBlock(b, 3)
 	enc := EncodeBlock(b, nil)
 	other := NewBlock(codecTestSchema(), ColumnStore, 1<<10)
-	if err := decodeInto(other, enc); !errors.Is(err, ErrCodecHeader) {
+	if err := decodeInto(other, enc, nil); !errors.Is(err, ErrCodecHeader) {
 		t.Fatalf("format mismatch: got %v, want ErrCodecHeader", err)
 	}
 	small := NewBlock(codecTestSchema(), RowStore, 128)
-	if err := decodeInto(small, enc); !errors.Is(err, ErrCodecHeader) {
+	if err := decodeInto(small, enc, nil); !errors.Is(err, ErrCodecHeader) {
 		t.Fatalf("capacity mismatch: got %v, want ErrCodecHeader", err)
 	}
 }

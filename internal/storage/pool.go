@@ -18,38 +18,79 @@ import (
 // Concurrent queries share one pool through Subpool views: each query gets
 // its own partial-block namespace (owner tags are plan-local operator
 // indices, which would collide across queries) and its own live-bytes gauge,
-// while empty recycled blocks and the global gauge stay shared at the root —
-// so block allocations amortize across the whole workload but accounting and
-// the per-query zero-leak invariant stay exact per query.
+// while the global gauge and the spill tier stay at the root. Released
+// allocations go to one process-wide freelist (freeBufs), shared by every
+// root, so block allocations amortize across queries and runs while
+// accounting and the per-query zero-leak invariant stay exact per query.
 type Pool struct {
 	mu sync.Mutex
 	// partial holds partially-filled blocks keyed by owner tag (one slot
 	// per operator instance), so a block is only ever resumed by the
 	// operator that started filling it. Each Subpool has its own map.
 	partial map[int][]*Block
-	// free holds empty recycled blocks keyed by allocation size. Only the
-	// root pool has one; subpools recycle through their root.
-	free map[int][]*Block
 	// parent is the root pool for a Subpool view, nil for a root.
 	parent *Pool
 
 	gauge     *stats.MemGauge // live-bytes gauge of this view, may be nil
 	checkouts func()          // per-checkout hook of this view, may be nil
-	noRecycle bool
+	noRecycle atomic.Bool     // root only: bypass freeBufs both ways
 
 	// spill is the optional disk tier (spill.go). Root only; subpool views
 	// reach it through root(). Atomic so the nil check on hot paths is free.
 	spill atomic.Pointer[spillTier]
 }
 
-// DisableRecycling makes Release drop block allocations instead of keeping
-// them on the freelist. The MonetDB-style baseline uses it to model full
+// freeBufs is the process-wide freelist of temp-block allocations, keyed by
+// the byte budget they were cut from (bufKey). Any schema and format can be
+// laid over a recycled allocation, so a released block's bytes serve the next
+// checkout of the same budget whatever it stores. At most maxFreePerSize
+// allocations are kept per budget; beyond that the GC takes them.
+var freeBufs = struct {
+	mu sync.Mutex
+	m  map[int][][]byte
+}{m: make(map[int][][]byte)}
+
+const maxFreePerSize = 256
+
+// bufKey is the size of the allocation a block of schema cut from a
+// blockBytes budget lives in: the budget, or one row when the budget holds
+// less (NewBlock's minimum capacity).
+func bufKey(schema *Schema, blockBytes int) int { return max(blockBytes, schema.RowWidth()) }
+
+// DisableRecycling makes the root neither take allocations from the freelist
+// nor return them to it. The MonetDB-style baseline uses it to model full
 // materialization with fresh allocations per intermediate.
-func (p *Pool) DisableRecycling() {
-	r := p.root()
-	r.mu.Lock()
-	r.noRecycle = true
-	r.mu.Unlock()
+func (p *Pool) DisableRecycling() { p.root().noRecycle.Store(true) }
+
+// takeBuf returns an allocation of size key: a recycled one from freeBufs
+// unless the root disables recycling, else a new one. Recycled bytes are
+// dirty; every block kernel writes a cell before anyone reads it.
+func (p *Pool) takeBuf(key int) []byte {
+	if !p.root().noRecycle.Load() {
+		freeBufs.mu.Lock()
+		if fs := freeBufs.m[key]; len(fs) > 0 {
+			buf := fs[len(fs)-1]
+			fs[len(fs)-1] = nil
+			freeBufs.m[key] = fs[:len(fs)-1]
+			freeBufs.mu.Unlock()
+			return buf
+		}
+		freeBufs.mu.Unlock()
+	}
+	return make([]byte, key)
+}
+
+// putBuf files buf on the freelist under its capacity, the key takeBuf cut
+// it at, unless the root disables recycling or the bound is reached.
+func (p *Pool) putBuf(buf []byte) {
+	if cap(buf) == 0 || p.root().noRecycle.Load() {
+		return
+	}
+	freeBufs.mu.Lock()
+	if fs := freeBufs.m[cap(buf)]; len(fs) < maxFreePerSize {
+		freeBufs.m[cap(buf)] = append(fs, buf[:cap(buf)])
+	}
+	freeBufs.mu.Unlock()
 }
 
 // NewPool returns an empty pool. gauge (optional) receives allocation sizes
@@ -58,7 +99,6 @@ func (p *Pool) DisableRecycling() {
 func NewPool(gauge *stats.MemGauge, onCheckout func()) *Pool {
 	return &Pool{
 		partial:   make(map[int][]*Block),
-		free:      make(map[int][]*Block),
 		gauge:     gauge,
 		checkouts: onCheckout,
 	}
@@ -66,8 +106,9 @@ func NewPool(gauge *stats.MemGauge, onCheckout func()) *Pool {
 
 // Subpool returns a per-query view of the pool: an isolated partial-block
 // namespace with its own gauge and checkout hook, sharing the root's
-// freelist (and the root's gauge, which keeps counting every view's live
-// bytes — the global memory picture the admission controller arbitrates).
+// recycling policy, spill tier and gauge (which keeps counting every view's
+// live bytes — the global memory picture the admission controller
+// arbitrates).
 // Subpools of a subpool attach to the same root.
 func (p *Pool) Subpool(gauge *stats.MemGauge, onCheckout func()) *Pool {
 	return &Pool{
@@ -78,7 +119,8 @@ func (p *Pool) Subpool(gauge *stats.MemGauge, onCheckout func()) *Pool {
 	}
 }
 
-// root returns the pool owning the shared freelist (p itself for a root).
+// root returns the pool owning the recycling policy, spill tier and global
+// gauge (p itself for a root).
 func (p *Pool) root() *Pool {
 	if p.parent != nil {
 		return p.parent
@@ -109,8 +151,8 @@ func (p *Pool) subLive(n int64) {
 
 // CheckOut returns a block for owner (an operator instance tag) with the
 // given schema, format, and byte budget: a previously checked-in partial
-// block of that owner if one exists, else a recycled empty block from the
-// root freelist, else a new allocation.
+// block of that owner if one exists, else a new block laid over a recycled
+// allocation of that budget, else over a fresh one.
 func (p *Pool) CheckOut(owner int, schema *Schema, format Format, blockBytes int) *Block {
 	p.mu.Lock()
 	if p.checkouts != nil {
@@ -123,10 +165,7 @@ func (p *Pool) CheckOut(owner int, schema *Schema, format Format, blockBytes int
 		return b
 	}
 	p.mu.Unlock()
-	b := p.root().takeFree(schema, format, blockBytes)
-	if b == nil {
-		b = NewBlock(schema, format, blockBytes)
-	}
+	b := newBlockOver(schema, format, blockBytes, p.takeBuf(bufKey(schema, blockBytes)))
 	p.addLive(int64(b.AllocBytes()))
 	// A fresh checkout is the allocation edge that can push the pool over
 	// its RAM threshold; let the spill tier shed cold blocks right here, on
@@ -135,24 +174,6 @@ func (p *Pool) CheckOut(owner int, schema *Schema, format Format, blockBytes int
 		t.balance()
 	}
 	return b
-}
-
-// takeFree pops a schema/format-matching recycled block of the given size
-// from the freelist (nil if none). Called on the root only.
-func (p *Pool) takeFree(schema *Schema, format Format, blockBytes int) *Block {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	fs := p.free[blockBytes]
-	for i := len(fs) - 1; i >= 0; i-- {
-		b := fs[i]
-		if b.Schema() == schema && b.Format() == format {
-			fs[i] = fs[len(fs)-1]
-			p.free[blockBytes] = fs[:len(fs)-1]
-			b.Reset()
-			return b
-		}
-	}
-	return nil
 }
 
 // CheckIn returns a partially-filled block to the pool for later resumption
@@ -205,23 +226,21 @@ func (p *Pool) Live() int64 {
 // client. The blocks themselves stay valid and are never reused.
 func (p *Pool) Disown(n int64) { p.subLive(n) }
 
-// Release recycles a block whose contents are no longer needed (its consumer
-// operator finished). The allocation is kept for reuse on the root freelist
-// but no longer counts as live intermediate memory. A block the spill tier
-// evicted has no RAM allocation and was uncredited at eviction time, so it
-// is dropped outright — its disk record is reclaimed, nothing is recycled.
+// Release ends a block whose contents are no longer needed (its consumer
+// operator finished). Its allocation goes back to the freelist and no longer
+// counts as live intermediate memory; the block itself is dead — its data is
+// nil'd, so a stale reader panics instead of reading the rows of whichever
+// block is laid over the allocation next. A block the spill tier evicted has
+// no RAM allocation and was uncredited at eviction time, so only its disk
+// record is reclaimed.
 func (p *Pool) Release(b *Block) {
-	r := p.root()
-	if t := r.spill.Load(); t != nil {
+	if t := p.root().spill.Load(); t != nil {
 		if t.drop(b) {
 			return // spilled: gauge already settled, data lives on disk only
 		}
 	}
 	p.subLive(int64(b.AllocBytes()))
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	sz := b.AllocBytes()
-	if !r.noRecycle && len(r.free[sz]) < 256 { // bound the freelist; beyond that let GC take it
-		r.free[sz] = append(r.free[sz], b)
-	}
+	buf := b.data
+	b.data = nil
+	p.putBuf(buf)
 }

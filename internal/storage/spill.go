@@ -87,6 +87,7 @@ type spillEntry struct {
 	off     int64
 	len     int
 	alloc   int64         // AllocBytes at cool time (gauge credit moved on evict/fault-in)
+	bufCap  int           // capacity of the allocation, its freelist key, for fault-in
 	elem    *list.Element // LRU position; nil once pinned or spilled
 }
 
@@ -218,7 +219,7 @@ func (t *spillTier) cool(view *Pool, b *Block) {
 	if _, ok := t.entries[b]; ok {
 		return // already tracked (block re-emitted after a rollback)
 	}
-	ent := &spillEntry{view: view, alloc: int64(b.AllocBytes())}
+	ent := &spillEntry{view: view, alloc: int64(b.AllocBytes()), bufCap: cap(b.data)}
 	ent.elem = t.lru.PushBack(b)
 	t.entries[b] = ent
 }
@@ -322,6 +323,7 @@ func (t *spillTier) pin(b *Block) (PinResult, error) {
 	}
 
 	buf := make([]byte, ent.len)
+	alloc := t.root.takeBuf(ent.bufCap)
 	var lastErr error
 	for attempt := 0; attempt < spillReadRetries; attempt++ {
 		if t.cfg.ReadFault != nil {
@@ -336,7 +338,7 @@ func (t *spillTier) pin(b *Block) (PinResult, error) {
 			lastErr = err
 			continue
 		}
-		if err := decodeInto(b, buf); err != nil {
+		if err := decodeInto(b, buf, alloc); err != nil {
 			t.c.ReadFaults++
 			lastErr = err
 			continue

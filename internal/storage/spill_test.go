@@ -365,3 +365,33 @@ func TestSpillConcurrentPinEvict(t *testing.T) {
 		t.Fatalf("no concurrent spill traffic: %+v", c)
 	}
 }
+
+// Fault-in lays the block over a recycled allocation of its budget; eviction
+// hands its allocation to the GC rather than to the freelist.
+func TestSpillFaultInRecycles(t *testing.T) {
+	p, _ := newSpillPool(t, SpillConfig{Threshold: 0})
+	schema := codecTestSchema()
+	const budget = 1<<10 + 3
+	spare := p.CheckOut(1, schema, RowStore, budget)
+	b := p.CheckOut(0, schema, RowStore, budget)
+	fillTestBlock(b, 5)
+	want := NewBlock(schema, RowStore, budget)
+	fillTestBlock(want, 5)
+	evicted := bufOf(b)
+	p.Cool(b)
+	if b.data != nil {
+		t.Fatal("not evicted")
+	}
+	if got := bufOf(p.CheckOut(2, schema, RowStore, budget)); got == evicted {
+		t.Fatal("eviction returned its allocation to the freelist")
+	}
+	buf := bufOf(spare)
+	p.Release(spare)
+	if _, err := p.Pin(b); err != nil {
+		t.Fatalf("pin: %v", err)
+	}
+	if bufOf(b) != buf {
+		t.Fatal("fault-in did not take its allocation from the freelist")
+	}
+	sameRows(t, want, b)
+}
