@@ -28,8 +28,8 @@ var serveQueries = []int{1, 13, 15, 18}
 
 // serveBudget is the per-query soft memory budget used by both the
 // single-query golden runs and the served runs. Pinning it on both sides
-// keeps the memory-pressure machinery's decisions (producer holds, UoT
-// raises) identical, which the bit-identical result check depends on.
+// keeps the scheduler's producer holds identical, which the bit-identical
+// result check depends on.
 const serveBudget = 32 << 20
 
 // serveChecksum fingerprints a result bit-exactly: floats in the hex 'x'

@@ -90,8 +90,8 @@ type ExecCtx struct {
 	// MemoryBudget, if positive, caps live temporary-block bytes softly:
 	// while exceeded, the scheduler stops dispatching block-producing work
 	// orders until in-flight consumers drain (a Section III-C scheduler
-	// policy). Under sustained pressure the scheduler raises the UoT on the
-	// held producer's out-edges instead of stalling indefinitely.
+	// policy). A producer held memHoldLimit times in a row is dispatched
+	// anyway; no edge's UoT changes.
 	MemoryBudget int64
 
 	// Trace, if non-nil, receives work-order span events, per-edge gauge

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/storage"
+	"repro/internal/trace"
 	"repro/internal/types"
 )
 
@@ -422,11 +423,12 @@ func (w *slowSinkWO) Run(_ *ExecCtx, out *Output) error {
 	return nil
 }
 
-func TestSustainedMemoryPressureRaisesUoT(t *testing.T) {
+func TestSustainedMemoryPressureHoldsThenDispatches(t *testing.T) {
 	// Pool-backed producer under a 1-byte budget: every dispatch decision
 	// sees the budget exceeded, so producer work orders keep getting held
 	// while sink work orders run — past the hold limit the scheduler must
-	// raise the edge UoT and keep going rather than crawl.
+	// dispatch the producer anyway and keep going, with the edge's UoT
+	// untouched: every edge sample and the run-end record carry UoT 1.
 	e := &emitN{rows: 8}
 	plan := &Plan{}
 	eid := plan.AddOp(&multiEmit{op: e, n: 40}) // 40 independent producer WOs
@@ -434,7 +436,7 @@ func TestSustainedMemoryPressureRaisesUoT(t *testing.T) {
 	c := &slowSink{}
 	cid := plan.AddOp(c)
 	plan.Pipe(eid, cid, 0, 1)
-	ctx := newCtx(2)
+	ctx, tr := newTracedCtx(2, "holds")
 	ctx.MemoryBudget = 1
 	if err := Run(plan, ctx, 1); err != nil {
 		t.Fatalf("run failed: %v", err)
@@ -442,10 +444,22 @@ func TestSustainedMemoryPressureRaisesUoT(t *testing.T) {
 	if got := atomic.LoadInt64(&c.rows); got != 40*8 {
 		t.Fatalf("sink rows = %d, want %d", got, 40*8)
 	}
-	r := ctx.Run.Robust()
-	if r.UoTRaises == 0 {
-		t.Fatal("sustained memory pressure never raised the UoT")
+	samples := 0
+	for _, ev := range tr.Events() {
+		if ev.Kind == trace.KindEdge {
+			samples++
+			if ev.UoT != 1 {
+				t.Fatalf("edge sample carries UoT %d, want 1: %+v", ev.UoT, ev)
+			}
+		}
 	}
+	if samples == 0 {
+		t.Fatal("no edge samples recorded")
+	}
+	if got := ctx.Run.EdgeUoTs(); len(got) != 1 || got[0].UoT != 1 {
+		t.Fatalf("edge UoTs = %+v, want one edge at UoT 1", got)
+	}
+	r := ctx.Run.Robust()
 	if r.LeakedBlocks != 0 || r.OutstandingRefs != 0 {
 		t.Fatalf("run leaked blocks: %+v", r)
 	}

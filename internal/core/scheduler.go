@@ -10,21 +10,19 @@ import (
 	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/types"
-	"repro/internal/uotctl"
 )
 
 // Run executes a plan on ctx.Exec, or on a WorkerPool of ctx.Workers
 // goroutines started for this run alone, routing producer output blocks to
-// consumers in groups of UoT blocks per pipelined edge (edges that do not
-// declare one start at defaultUoT; only the memory-pressure ladder moves
-// them). The run has no goroutine of its own: its scheduling state is guarded
-// by one lock, and whoever changes it — Run's caller at start, the worker
-// that just finished a work order, or a retry timer — dispatches the next
-// work orders. Run returns after every operator has finished, after the run
-// context is canceled, or after a work order fails fatally (transient
-// failures are rolled back and retried up to ctx.MaxAttempts with
-// exponential backoff). On any exit path the scheduler reclaims every
-// intermediate block and verifies the zero-leak invariants.
+// consumers in groups of UoT blocks per pipelined edge (ResolveUoT against
+// defaultUoT, fixed for the whole run). The run has no goroutine of its own:
+// its scheduling state is guarded by one lock, and whoever changes it — Run's
+// caller at start, the worker that just finished a work order, or a retry
+// timer — dispatches the next work orders. Run returns after every operator
+// has finished, after the run context is canceled, or after a work order
+// fails fatally (transient failures are rolled back and retried up to
+// ctx.MaxAttempts with exponential backoff). On any exit path the scheduler
+// reclaims every intermediate block and verifies the zero-leak invariants.
 func Run(plan *Plan, ctx *ExecCtx, defaultUoT int) error {
 	if ctx.Workers <= 0 {
 		ctx.Workers = 1
@@ -35,9 +33,8 @@ func Run(plan *Plan, ctx *ExecCtx, defaultUoT int) error {
 	return newSched(plan, ctx, defaultUoT).run()
 }
 
-// memHoldLimit is how many times a block-producing work order is held back
-// under memory pressure before the scheduler degrades: past it, the
-// producer's out-edge UoTs are raised and the job dispatched anyway.
+// memHoldLimit is how many times in a row a block-producing work order is
+// held back under memory pressure before it is dispatched anyway.
 const memHoldLimit = 8
 
 type job struct {
@@ -77,9 +74,8 @@ type edgeState struct {
 	id       int32
 	batches  int64
 	bufSince int64
-	// ctl is a pipelined edge's index in the run's UoT controller, which
-	// owns the edge's current UoT, its starting UoT and its decision counts.
-	ctl int
+	// uot is a pipelined edge's ResolveUoT value, fixed for the run.
+	uot int
 }
 
 type opState struct {
@@ -94,7 +90,7 @@ type opState struct {
 	finalIssued bool
 	stage       int // next post-Final stage index (StagedOperator)
 	done        bool
-	memHolds    int // consecutive memory-budget holds (degradation trigger)
+	memHolds    int // consecutive memory-budget holds (see memHoldLimit)
 	out         []*edgeState
 	held        map[*storage.Block]struct{}
 	scalarSlots []int
@@ -108,8 +104,6 @@ type sched struct {
 	// mu guards every field below and the operators' own state: Operator
 	// methods other than work-order Run are called only under it.
 	mu sync.Mutex
-	// ctl is the run's UoT controller, the only writer of any edge's UoT.
-	ctl *uotctl.Controller
 
 	states []*opState
 	edges  []*edgeState
@@ -134,7 +128,7 @@ type sched struct {
 }
 
 func newSched(plan *Plan, ctx *ExecCtx, defaultUoT int) *sched {
-	s := &sched{plan: plan, ctx: ctx, ctl: uotctl.New(uotctl.Config{DefaultUoT: defaultUoT})}
+	s := &sched{plan: plan, ctx: ctx}
 	s.rc = make(map[*storage.Block]int)
 	s.adopted = make(map[*storage.Block]struct{})
 	s.retries = make(map[*time.Timer]struct{})
@@ -150,7 +144,7 @@ func newSched(plan *Plan, ctx *ExecCtx, defaultUoT int) *sched {
 	for _, e := range s.plan.Edges {
 		switch e.Kind {
 		case Pipelined:
-			es := &edgeState{e: e, ctl: s.ctl.AddEdge(e.UoT)}
+			es := &edgeState{e: e, uot: ResolveUoT(e, defaultUoT)}
 			s.edges = append(s.edges, es)
 			s.states[e.From].out = append(s.states[e.From].out, es)
 			s.states[e.To].inputsOpen++
@@ -173,17 +167,13 @@ func newSched(plan *Plan, ctx *ExecCtx, defaultUoT int) *sched {
 			tr.RegisterOpIn(s.ctx.TraceRun, i, st.op.Name())
 		}
 		for i, es := range s.edges {
-			uot := 0 // blocking edges transfer no pipelined blocks
-			if es.e.Kind == Pipelined {
-				uot = s.ctl.UoT(es.ctl)
-			}
 			tr.RegisterEdgeIn(s.ctx.TraceRun, i, trace.EdgeInfo{
 				From: int(es.e.From), To: int(es.e.To),
 				FromName:  s.states[es.e.From].op.Name(),
 				ToName:    s.states[es.e.To].op.Name(),
 				Input:     es.e.ToInput,
 				Pipelined: es.e.Kind == Pipelined,
-				UoT:       uot,
+				UoT:       es.uot, // 0 for blocking edges
 			})
 		}
 	}
@@ -210,16 +200,16 @@ func newSched(plan *Plan, ctx *ExecCtx, defaultUoT int) *sched {
 	return s
 }
 
-// ResolveUoT resolves an edge's starting UoT before a run exists (admission
-// prices edge buffers with it); a run's controller applies the same rule in
-// AddEdge. An explicit per-edge value wins; otherwise the run default
-// applies. Blocking edges resolve to 0 (they transfer no pipelined blocks).
+// ResolveUoT is an edge's UoT for a whole run, and admission prices edge
+// buffers with it before the run exists. An explicit per-edge value wins,
+// clamped to at least 1; otherwise the run default applies. Blocking edges
+// resolve to 0 (they transfer no pipelined blocks).
 func ResolveUoT(e Edge, startUoT int) int {
 	if e.Kind != Pipelined {
 		return 0
 	}
 	if e.UoT != 0 {
-		return e.UoT
+		return max(e.UoT, 1)
 	}
 	if startUoT <= 0 {
 		return 1
@@ -293,9 +283,8 @@ func (s *sched) step() {
 	close(s.done)
 }
 
-// recordEdgeUoTs publishes each pipelined edge's UoT trajectory — the
-// resolved starting value, the final value, and per-decision counts, all as
-// the controller kept them — into the run's stats snapshot.
+// recordEdgeUoTs publishes each pipelined edge's declared and resolved UoT
+// into the run's stats snapshot.
 func (s *sched) recordEdgeUoTs() {
 	if s.ctx.Run == nil {
 		return
@@ -305,17 +294,13 @@ func (s *sched) recordEdgeUoTs() {
 		if es.e.Kind != Pipelined {
 			continue
 		}
-		start, d := s.ctl.Edge(es.ctl)
 		out = append(out, stats.EdgeUoT{
 			From: int(es.e.From), To: int(es.e.To),
 			FromName: s.states[es.e.From].op.Name(),
 			ToName:   s.states[es.e.To].op.Name(),
 			Input:    es.e.ToInput,
 			Declared: es.e.UoT,
-			Start:    start,
-			Final:    s.ctl.UoT(es.ctl),
-			Raises:   d.Raises,
-			Snaps:    d.Snaps,
+			UoT:      es.uot,
 		})
 	}
 	s.ctx.Run.SetEdgeUoTs(out)
@@ -378,9 +363,8 @@ func (s *sched) failStalled() {
 // operators that are not at maximal depth among the queued jobs — are held
 // back so consumers can drain buffered blocks first; if the queue holds only
 // producers, one is dispatched anyway to guarantee progress. A producer held
-// back more than memHoldLimit times in a row degrades instead of stalling
-// further: the UoT on its out-edges is raised (coarser transfers, less
-// scheduling churn) and the job dispatched.
+// back more than memHoldLimit times in a row is dispatched anyway. Holding is
+// the budget's only mechanism: no edge's UoT moves.
 func (s *sched) pickJob() int {
 	if s.runErr != nil {
 		return -1
@@ -403,48 +387,8 @@ func (s *sched) pickJob() int {
 			return -1
 		}
 		st.memHolds = 0
-		s.pressureRaise(st)
 	}
 	return best
-}
-
-// pressureRaise raises the UoT of st's outgoing pipelined edges under
-// sustained memory pressure: the scheduler trades transfer granularity for
-// forward progress — the spectrum of Fig. 1 used as a degradation knob. The
-// controller decides the step.
-func (s *sched) pressureRaise(st *opState) {
-	for _, es := range st.out {
-		if es.e.Kind != Pipelined || s.ctl.UoT(es.ctl) == UoTTable {
-			continue
-		}
-		s.noteUoT(es, s.ctl.Pressure(es.ctl))
-	}
-}
-
-// noteUoT publishes a decision the controller has already applied to an
-// edge: the shared robustness counters and a trace mark distinguishing
-// raises from terminal snaps (the mark's Edge/UoT fields name the edge and
-// carry the new value).
-func (s *sched) noteUoT(es *edgeState, a uotctl.Action) {
-	var mark trace.MarkCode
-	switch a.Dir {
-	case uotctl.Raise:
-		mark = trace.MarkUoTRaise
-		if s.ctx.Run != nil {
-			s.ctx.Run.AddUoTRaise()
-		}
-	case uotctl.Snap:
-		mark = trace.MarkUoTSnap
-		if s.ctx.Run != nil {
-			s.ctx.Run.AddUoTSnap()
-		}
-	default:
-		return
-	}
-	s.ctx.Trace.MarkIn(s.ctx.TraceRun, mark, trace.Event{
-		Op: int32(es.e.From), Edge: es.id, UoT: int64(a.UoT),
-		StartNS: s.ctx.Trace.Now(),
-	})
 }
 
 func (s *sched) overBudget() bool {
@@ -729,7 +673,7 @@ func (s *sched) tryFlush(es *edgeState) {
 		}
 		return
 	}
-	uot := s.ctl.UoT(es.ctl)
+	uot := es.uot
 	for uot != UoTTable && len(es.buf) >= uot {
 		chunk := es.buf[:uot:uot]
 		es.buf = es.buf[uot:]
@@ -782,7 +726,7 @@ func (s *sched) sampleEdge(es *edgeState, delivered int, stallNS int64) {
 		Edge:       es.id,
 		StartNS:    s.ctx.Trace.Now(),
 		Buffered:   int32(len(es.buf)),
-		UoT:        int64(s.ctl.UoT(es.ctl)),
+		UoT:        int64(es.uot),
 		QueueDepth: int32(len(s.queue)),
 		StallNS:    stallNS,
 		PoolBytes:  pool,

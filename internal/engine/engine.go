@@ -28,8 +28,8 @@ type Options struct {
 	// UoTBlocks is the default unit of transfer in blocks for every
 	// pipelined edge that does not override it: 1 reproduces classic
 	// "pipelining", core.UoTTable reproduces classic "blocking", anything
-	// in between is a point on the paper's spectrum. Default 1. Only the
-	// memory-pressure ladder (see MemoryBudget) moves an edge off it.
+	// in between is a point on the paper's spectrum. Default 1. Every edge
+	// keeps its UoT for the whole run.
 	UoTBlocks int
 	// TempBlockBytes is the temporary-block size. Default 128 KB.
 	TempBlockBytes int
@@ -41,8 +41,8 @@ type Options struct {
 	Sim *cachesim.Sim
 	// MemoryBudget, if positive, softly caps live temporary-block bytes:
 	// block-producing work orders are held while consumers drain (a
-	// Section III-C scheduler policy). Under sustained pressure the
-	// scheduler raises producer-edge UoTs instead of stalling.
+	// Section III-C scheduler policy). A producer held too often in a row
+	// is dispatched anyway; the budget never changes an edge's UoT.
 	MemoryBudget int64
 	// Context, if non-nil, cancels the whole run when done: queued work
 	// orders are dropped and Execute returns the cancellation error.

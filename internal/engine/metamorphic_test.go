@@ -30,9 +30,9 @@ type mmCfg struct {
 	UoT     int
 	Temp    int
 	// Budget is the engine MemoryBudget. 1 holds every block-producing work
-	// order, so the memory-pressure ladder raises UoTs mid-run: regrouped
-	// deliveries must never change results (int64-only data makes the
-	// equality exact).
+	// order while another job is in flight, and dispatches it anyway after
+	// eight holds in a row: the reordered schedule must never change results
+	// (int64-only data makes the equality exact).
 	Budget int64
 	// Spill, when positive, attaches a disk-backed spill tier with this
 	// eviction threshold in bytes (1 = evict every cooled block). Round-trips

@@ -117,6 +117,34 @@ func TestMemoryBudgetDoesNotDeadlockWithBlockedConsumers(t *testing.T) {
 	}
 }
 
+// TestNegativeEdgeUoTClampsToOne: a negative per-edge UoT runs as UoT 1 — same
+// rows, and the run records the resolved UoT 1 beside the declared value.
+func TestNegativeEdgeUoTClampsToOne(t *testing.T) {
+	tbl := wideFixture(t)
+	run := func(uot int) *Result {
+		t.Helper()
+		b := NewBuilder()
+		sel := b.ScanSelect(exec.SelectSpec{
+			Name: "scan", Base: tbl,
+			Proj: []expr.Expr{expr.C(tbl.Schema(), "k")}, ProjNames: []string{"k"},
+		})
+		b.SetEdgeUoT(sel, b.Collect(sel), uot)
+		res, err := Execute(b, Options{Workers: 1, UoTBlocks: 4, TempBlockBytes: 4 << 10})
+		if err != nil {
+			t.Fatalf("UoT %d: %v", uot, err)
+		}
+		return res
+	}
+	neg, one := run(-3), run(1)
+	if !sameRows(Rows(one.Table), Rows(neg.Table)) {
+		t.Fatal("UoT -3 rows differ from UoT 1")
+	}
+	edges := neg.Run.EdgeUoTs()
+	if len(edges) != 1 || edges[0].Declared != -3 || edges[0].UoT != 1 {
+		t.Fatalf("edge UoTs = %+v, want declared -3 resolved to 1", edges)
+	}
+}
+
 func TestPerEdgeUoTOverride(t *testing.T) {
 	tbl := wideFixture(t)
 	b := NewBuilder()

@@ -39,8 +39,8 @@ type Config struct {
 	// MemoryBudget is the global temporary-block budget in bytes arbitrated
 	// across queries (default 256 MB). Admission reserves each query's
 	// estimate against it; the reservation also becomes the query's soft
-	// per-run budget, so the PR3 pressure machinery (producer holds, UoT
-	// raises) operates per query within its slice.
+	// per-run budget, so the scheduler's producer holds operate per query
+	// within its slice.
 	MemoryBudget int64
 	// BlockBytes is the temporary-block size (default 128 KB). Temp blocks
 	// use the row store.

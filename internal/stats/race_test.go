@@ -75,7 +75,6 @@ func TestConcurrentSnapshotNoTornReads(t *testing.T) {
 				r.AddCheckout()
 				r.AddRetry()
 				r.AddFailedAttempt()
-				r.AddUoTRaise()
 				r.AddCancellations(1)
 				r.AddFaults(1)
 				r.HashTables.Add(bytesPerOrder)
@@ -110,7 +109,7 @@ func TestConcurrentSnapshotNoTornReads(t *testing.T) {
 	}
 	rb := r.Robust()
 	if rb.Retries != total || rb.FailedAttempts != total ||
-		rb.UoTRaises != total || rb.Cancellations != total || rb.FaultsInjected != total {
+		rb.Cancellations != total || rb.FaultsInjected != total {
 		t.Fatalf("robustness counters = %+v, want all %d", rb, total)
 	}
 	if got := r.Kernels().ScratchHits; got != total/2 {

@@ -166,26 +166,21 @@ func (r *Run) Label() string {
 	return r.label
 }
 
-// EdgeUoT is the per-pipelined-edge UoT story of one run, recorded by the
-// scheduler at run end. Start is the *resolved* starting UoT (the declared
-// per-edge value or the run default), so experiments need not re-derive the
-// Edge.UoT==0 fallback; Final is where the edge ended up after the
-// memory-pressure ladder's steps: Final == Start<<Raises, or UoTTable after
-// one snap.
+// EdgeUoT is one pipelined edge's UoT in a run, recorded by the scheduler at
+// run end. UoT is the *resolved* value (the declared per-edge value or the
+// run default), fixed for the whole run, so experiments need not re-derive
+// the Edge.UoT==0 fallback.
 type EdgeUoT struct {
 	From, To         int    // operator IDs
 	FromName, ToName string // operator display names
 	Input            int    // consumer input index
 	Declared         int    // per-edge UoT from the plan (0 = run default)
-	Start            int    // resolved starting UoT
-	Final            int    // UoT when the run ended
-	Raises           int64  // memory-pressure doublings
-	Snaps            int64  // snaps to UoTTable past the ceiling
+	UoT              int    // resolved UoT
 }
 
 // Robustness aggregates the fault-tolerance counters of one run: what the
-// injector fired, how the scheduler reacted (retries, cancellations,
-// degradations), and what the post-run invariant checker found.
+// injector fired, how the scheduler reacted (retries, cancellations), and
+// what the post-run invariant checker found.
 type Robustness struct {
 	// FaultsInjected is the number of faults the injector fired (all
 	// kinds, latency included).
@@ -202,12 +197,6 @@ type Robustness struct {
 	// Cancellations counts queued work orders dropped when the run failed
 	// or was canceled.
 	Cancellations int64
-	// UoTRaises counts producer-edge UoT raises under sustained memory
-	// pressure (the degradation ladder's last rung). UoTSnaps counts the
-	// terminal step separately: edges snapped all the way to UoTTable past
-	// the degradation ceiling.
-	UoTRaises int64
-	UoTSnaps  int64
 	// LeakedBlocks is the invariant checker's count of blocks still
 	// buffered on edges, held by operators, or checked in as partials
 	// after the run; OutstandingRefs is its count of live refcount
@@ -277,21 +266,6 @@ func (r *Run) AddRetry() {
 func (r *Run) AddCancellations(n int64) {
 	r.mu.Lock()
 	r.robust.Cancellations += n
-	r.mu.Unlock()
-}
-
-// AddUoTRaise records one producer-edge UoT raise under memory pressure.
-func (r *Run) AddUoTRaise() {
-	r.mu.Lock()
-	r.robust.UoTRaises++
-	r.mu.Unlock()
-}
-
-// AddUoTSnap records one edge snapped to UoTTable past the degradation
-// ceiling.
-func (r *Run) AddUoTSnap() {
-	r.mu.Lock()
-	r.robust.UoTSnaps++
 	r.mu.Unlock()
 }
 

@@ -151,10 +151,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			switch e.Mark {
 			case MarkRetry:
 				name = "retry scheduled"
-			case MarkUoTRaise:
-				name = "uot raised"
-			case MarkUoTSnap:
-				name = "uot snapped to table"
 			case MarkRunEnd:
 				name = "run end"
 			case MarkSpill:
@@ -167,14 +163,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 				name = "reuse evict"
 			}
 			args := map[string]any{"op": e.Op}
-			if e.Mark == MarkUoTRaise || e.Mark == MarkUoTSnap {
-				args["edge"] = e.Edge
-				if e.UoT > 1<<40 {
-					args["uot"] = "table"
-				} else if e.UoT > 0 {
-					args["uot"] = e.UoT
-				}
-			}
 			if e.Attempt > 0 {
 				args["attempt"] = e.Attempt
 			}

@@ -76,7 +76,7 @@ type EdgeMetrics struct {
 	To          string `json:"to"`
 	Input       int    `json:"input"`
 	Pipelined   bool   `json:"pipelined"`
-	UoT         int64  `json:"uot"`          // current threshold (raises observable here)
+	UoT         int64  `json:"uot"`          // UoT threshold in blocks
 	Samples     int64  `json:"samples"`      // gauge samples taken
 	Batches     int64  `json:"batches"`      // UoT deliveries to the consumer
 	Blocks      int64  `json:"blocks"`       // blocks delivered
@@ -184,7 +184,7 @@ func (m Metrics) WritePrometheus(w io.Writer) error {
 		{"uot_edge_blocks_total", "Blocks delivered per pipelined edge.", "counter", func(e EdgeMetrics) int64 { return e.Blocks }},
 		{"uot_edge_buffered_max_blocks", "High-water buffered blocks per pipelined edge.", "gauge", func(e EdgeMetrics) int64 { return int64(e.MaxBuffered) }},
 		{"uot_edge_stall_nanoseconds_total", "Summed buffered-wait before delivery per pipelined edge.", "counter", func(e EdgeMetrics) int64 { return e.StallNS }},
-		{"uot_edge_uot_blocks", "Current UoT threshold per pipelined edge (raises observable).", "gauge", func(e EdgeMetrics) int64 { return e.UoT }},
+		{"uot_edge_uot_blocks", "UoT threshold per pipelined edge.", "gauge", func(e EdgeMetrics) int64 { return e.UoT }},
 	} {
 		emit(c.name, c.help, c.typ, func(run RunMetrics, add func(string, int64)) {
 			for _, e := range run.Edges {

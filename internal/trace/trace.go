@@ -11,8 +11,8 @@
 //   - edge samples: per-pipelined-edge gauges taken on scheduler
 //     transitions — buffered blocks vs. the UoT threshold, scheduler queue
 //     depth, accumulated stall time, and memory-pool occupancy;
-//   - marks: instant annotations (retry scheduled, UoT raised under memory
-//     pressure, run finished).
+//   - marks: instant annotations (retry scheduled, run finished, spill and
+//     reuse events).
 //
 // The sink must never perturb what it measures: every recording method is
 // safe on a nil *Tracer and allocates nothing — events are fixed-width
@@ -56,15 +56,8 @@ type MarkCode uint8
 const (
 	// MarkRetry: a transiently-failed work order was re-queued with backoff.
 	MarkRetry MarkCode = iota + 1
-	// MarkUoTRaise: an edge's UoT was doubled under sustained memory
-	// pressure (Edge names the edge, UoT carries the new value).
-	MarkUoTRaise
 	// MarkRunEnd: the run finished (FlagFailed set if it errored).
 	MarkRunEnd
-	// MarkUoTSnap: an edge's UoT snapped to UoTTable past the degradation
-	// ceiling — the terminal blocking regime, distinct from MarkUoTRaise so
-	// plots can attribute regime switches.
-	MarkUoTSnap
 	// MarkSpill: the spill tier evicted cold temp blocks to disk after a
 	// scheduler-side pressure event (Rows carries the blocks written in the
 	// round, RowsOut the bytes). Worker-side evictions triggered from
@@ -125,7 +118,7 @@ type Event struct {
 
 	// Edge-sample gauges (KindEdge).
 	Buffered   int32 // blocks buffered on the edge after the transition
-	UoT        int64 // the edge's current UoT threshold in blocks
+	UoT        int64 // the edge's UoT threshold in blocks
 	QueueDepth int32 // scheduler queue depth at the sample
 	StallNS    int64 // time the drained blocks waited buffered (0 while filling)
 	PoolBytes  int64 // live temporary-block bytes at the sample

@@ -144,7 +144,7 @@ func TestEdgeAggregates(t *testing.T) {
 
 	tr.EdgeIn(h, Event{Edge: 0, Buffered: 2, UoT: 4, StallNS: 0}, 0)   // buffering sample
 	tr.EdgeIn(h, Event{Edge: 0, Buffered: 0, UoT: 4, StallNS: 500}, 4) // delivery
-	tr.EdgeIn(h, Event{Edge: 0, Buffered: 3, UoT: 8, StallNS: 0}, 0)   // raised UoT observed
+	tr.EdgeIn(h, Event{Edge: 0, Buffered: 3, UoT: 8, StallNS: 0}, 0)   // the last sample's UoT wins
 
 	m := tr.Snapshot()
 	e := m.Runs[0].Edges[0]
@@ -243,7 +243,7 @@ func TestMarkCodes(t *testing.T) {
 	tr := New(16)
 	h := tr.OpenRun("m", -1)
 	tr.MarkIn(h, MarkRetry, Event{Op: 3, Attempt: 2, StartNS: 10})
-	tr.MarkIn(h, MarkUoTRaise, Event{Op: 1, StartNS: 20})
+	tr.MarkIn(h, MarkSpill, Event{Op: 1, Rows: 4, StartNS: 20})
 	ev := tr.Events()
 	if len(ev) != 2 {
 		t.Fatalf("events = %d, want 2", len(ev))
@@ -251,8 +251,8 @@ func TestMarkCodes(t *testing.T) {
 	if ev[0].Kind != KindMark || ev[0].Mark != MarkRetry || ev[0].Op != 3 || ev[0].Attempt != 2 {
 		t.Fatalf("retry mark = %+v", ev[0])
 	}
-	if ev[1].Mark != MarkUoTRaise || ev[1].Op != 1 {
-		t.Fatalf("raise mark = %+v", ev[1])
+	if ev[1].Mark != MarkSpill || ev[1].Op != 1 || ev[1].Rows != 4 {
+		t.Fatalf("spill mark = %+v", ev[1])
 	}
 }
 

@@ -1,21 +1,15 @@
-// Package uotctl holds the UoT of every pipelined edge of a run. Every run
-// owns one Controller, and it is the only code that computes a new UoT: an
-// edge starts at its declared UoT, or at the run default when it declares
-// none, and moves only through Pressure, the scheduler's memory-degradation
-// ladder (double, snap to Table past the ceiling).
+// Package uotctl is an AIMD feedback controller over delivery-boundary
+// gauges that would move a pipelined edge's UoT. The engine does not use it:
+// every edge keeps core.ResolveUoT's value for the whole run. The only
+// caller left is benchmark/kernels.go, which times one observe-decide step
+// as uotctl.observe_ns; the package goes in the next change to the
+// benchmark.
 //
-// Observe, Signals and the hysteresis policy behind them (an AIMD feedback
-// loop over delivery-boundary gauges) have no caller in the engine: the
-// scheduler never observes a controller. They stay only because the fixed
-// benchmark times one observe-decide step as uotctl.observe_ns
-// (benchmark/kernels.go), and they go when that metric does.
-//
-// The controller is driven exclusively under its run's lock and holds no
-// locks of its own.
+// A Controller holds no locks of its own.
 package uotctl
 
 // Table mirrors core.UoTTable ("the whole intermediate table") without
-// importing core; an edge at Table stays there for the rest of the run.
+// importing core; an edge at Table always holds.
 const Table = int(^uint(0) >> 1)
 
 // Dir is a controller decision direction.
@@ -29,9 +23,6 @@ const (
 	Raise
 	// Lower refines the edge (smaller UoT).
 	Lower
-	// Snap sets the edge to Table — the terminal blocking regime, reached
-	// only through the memory-pressure path past the ceiling.
-	Snap
 )
 
 // String implements fmt.Stringer.
@@ -43,8 +34,6 @@ func (d Dir) String() string {
 		return "raise"
 	case Lower:
 		return "lower"
-	case Snap:
-		return "snap"
 	}
 	return "?"
 }
@@ -66,7 +55,7 @@ type Config struct {
 // short enough to trace by hand.
 type policy struct {
 	// floor and ceiling clamp feedback decisions, so feedback raises never
-	// silently reach the terminal Table regime — only Pressure may snap.
+	// reach the terminal Table regime.
 	floor, ceiling int
 	// hysteresis is how many consecutive same-direction votes an edge needs
 	// before the controller acts. Mixed signals decay streaks instead of
@@ -84,19 +73,14 @@ type policy struct {
 	// inter-delivery interval waiting behind the threshold — while the
 	// consumer had idle capacity — votes Lower.
 	stallFrac float64
-	// pressureHold is how many observations Lower votes stay suppressed
-	// after a memory-pressure raise: the degradation must not be undone
-	// while the run is still near its budget.
-	pressureHold int
 }
 
-// DefaultCeiling is the UoT past which memory pressure snaps an edge to
-// Table instead of doubling it again.
-const DefaultCeiling = 1 << 20
+// defaultCeiling is the largest UoT a feedback raise reaches.
+const defaultCeiling = 1 << 20
 
 var defaultPolicy = policy{
-	floor: 1, ceiling: DefaultCeiling,
-	hysteresis: 3, cooldown: 2, backlogFactor: 3, stallFrac: 0.6, pressureHold: 16,
+	floor: 1, ceiling: defaultCeiling,
+	hysteresis: 3, cooldown: 2, backlogFactor: 3, stallFrac: 0.6,
 }
 
 // Signals is one delivery-boundary observation of an edge.
@@ -116,8 +100,6 @@ type Signals struct {
 	ServiceNS int64
 	// QueueDepth is the scheduler queue depth at the delivery.
 	QueueDepth int
-	// MemPressure reports whether live temporary bytes exceed the budget.
-	MemPressure bool
 }
 
 // Action is a controller decision: the direction taken and the edge's UoT
@@ -127,24 +109,17 @@ type Action struct {
 	UoT int
 }
 
-// Decisions counts the decisions taken on one edge.
-type Decisions struct {
-	Raises, Lowers, Holds, Snaps int64
-}
-
-// edge is per-edge controller state: the current UoT, where it started, every
-// decision taken on it, and the hysteresis bookkeeping.
+// edge is per-edge controller state: the current UoT and the hysteresis
+// bookkeeping.
 type edge struct {
-	uot, start   int
-	dec          Decisions
-	raiseStreak  int
-	lowerStreak  int
-	cooldown     int
-	pressureHold int
+	uot         int
+	raiseStreak int
+	lowerStreak int
+	cooldown    int
 }
 
 // Controller owns the UoT of every registered edge. Not safe for concurrent
-// use: it belongs to one run and is used only under that run's lock.
+// use.
 type Controller struct {
 	pol        policy
 	workers    int
@@ -152,8 +127,8 @@ type Controller struct {
 	edges      []edge
 }
 
-// New returns a run's controller: edges that declare no UoT start at
-// cfg.DefaultUoT and stay there unless memory pressure degrades them.
+// New returns a controller: edges that declare no UoT start at
+// cfg.DefaultUoT.
 func New(cfg Config) *Controller {
 	c := &Controller{pol: defaultPolicy, workers: max(cfg.Workers, 1), defaultUoT: cfg.DefaultUoT}
 	if c.defaultUoT <= 0 {
@@ -169,18 +144,12 @@ func (c *Controller) AddEdge(declared int) int {
 	if declared != 0 {
 		start = clamp(declared, c.pol.floor, Table)
 	}
-	c.edges = append(c.edges, edge{uot: start, start: start})
+	c.edges = append(c.edges, edge{uot: start})
 	return len(c.edges) - 1
 }
 
 // UoT returns edge i's current UoT.
 func (c *Controller) UoT(i int) int { return c.edges[i].uot }
-
-// Edge returns edge i's trajectory so far: the UoT it started at and the
-// decisions taken on it (UoT is where it stands now).
-func (c *Controller) Edge(i int) (start int, decisions Decisions) {
-	return c.edges[i].start, c.edges[i].dec
-}
 
 // Observe feeds one delivery-boundary observation for edge i and returns the
 // decision. Edges at Table are terminal and always hold.
@@ -188,11 +157,6 @@ func (c *Controller) Observe(i int, s Signals) Action {
 	e := &c.edges[i]
 	if e.uot == Table {
 		return hold(e)
-	}
-	if s.MemPressure {
-		e.pressureHold = c.pol.pressureHold
-	} else if e.pressureHold > 0 {
-		e.pressureHold--
 	}
 	if e.cooldown > 0 {
 		e.cooldown--
@@ -222,41 +186,14 @@ func (c *Controller) Observe(i int, s Signals) Action {
 	return hold(e)
 }
 
-// Pressure is the scheduler's memory-degradation entry point for edge i —
-// the only way a run's UoT moves: double the UoT, snap to Table once it has
-// reached the ceiling, hold at Table. It bypasses Observe's hysteresis and
-// cooldown and suppresses its Lower votes for the next pressureHold
-// observations.
-func (c *Controller) Pressure(i int) Action {
-	e := &c.edges[i]
-	e.pressureHold = c.pol.pressureHold
-	switch {
-	case e.uot == Table:
-		return hold(e)
-	case e.uot >= c.pol.ceiling:
-		e.uot = Table
-		e.dec.Snaps++
-		c.afterAct(e)
-		return Action{Dir: Snap, UoT: Table}
-	}
-	e.uot *= 2
-	e.dec.Raises++
-	c.afterAct(e)
-	return Action{Dir: Raise, UoT: e.uot}
-}
-
 // vote classifies one observation. Raise wins ties: degrading to coarser
 // transfers is recoverable, starving the consumer of a backlogged edge is
 // not.
 func (c *Controller) vote(e *edge, s Signals) Dir {
-	// Coarser: memory pressure (fewer, larger transfers reduce scheduling
-	// churn while consumers drain), a backlog the consumer is not clearing
-	// at this granularity, or a scheduler queue saturated far past the
-	// worker count (the heavy-concurrency regime of Figs. 9/10, where
-	// per-delivery overhead dominates).
-	if s.MemPressure {
-		return Raise
-	}
+	// Coarser: a backlog the consumer is not clearing at this granularity,
+	// or a scheduler queue saturated far past the worker count (the
+	// heavy-concurrency regime of Figs. 9/10, where per-delivery overhead
+	// dominates).
 	if s.Buffered >= c.pol.backlogFactor*e.uot {
 		return Raise
 	}
@@ -266,9 +203,8 @@ func (c *Controller) vote(e *edge, s Signals) Dir {
 	// Finer: the drained blocks spent most of the inter-delivery interval
 	// waiting behind the threshold while the consumer had idle capacity
 	// (service time below the interval) and no backlog remains — the
-	// consumer could have started sooner at a smaller UoT. Suppressed
-	// after a pressure raise.
-	if e.pressureHold > 0 || s.Delivered == 0 || e.uot <= c.pol.floor {
+	// consumer could have started sooner at a smaller UoT.
+	if s.Delivered == 0 || e.uot <= c.pol.floor {
 		return Hold
 	}
 	if s.Buffered < e.uot && s.IntervalNS > 0 &&
@@ -280,7 +216,7 @@ func (c *Controller) vote(e *edge, s Signals) Dir {
 }
 
 // raise is the additive-ish feedback step: +50% (at least +1), clamped to
-// the ceiling. Feedback never snaps to Table — only Pressure may.
+// the ceiling.
 func (c *Controller) raise(e *edge) Action {
 	step := e.uot / 2
 	if step < 1 {
@@ -295,7 +231,6 @@ func (c *Controller) raise(e *edge) Action {
 	}
 	e.uot = nu
 	c.afterAct(e)
-	e.dec.Raises++
 	return Action{Dir: Raise, UoT: nu}
 }
 
@@ -310,14 +245,10 @@ func (c *Controller) lower(e *edge) Action {
 	}
 	e.uot = nu
 	c.afterAct(e)
-	e.dec.Lowers++
 	return Action{Dir: Lower, UoT: nu}
 }
 
-func hold(e *edge) Action {
-	e.dec.Holds++
-	return Action{Dir: Hold, UoT: e.uot}
-}
+func hold(e *edge) Action { return Action{Dir: Hold, UoT: e.uot} }
 
 // afterAct resets streaks and arms the post-action cooldown.
 func (c *Controller) afterAct(e *edge) {

@@ -9,7 +9,7 @@ func newTest() *Controller {
 	c := New(Config{Workers: 4})
 	c.pol = policy{
 		floor: 1, ceiling: 64, hysteresis: 2, cooldown: 1,
-		backlogFactor: 2, stallFrac: 0.5, pressureHold: 3,
+		backlogFactor: 2, stallFrac: 0.5,
 	}
 	return c
 }
@@ -18,7 +18,7 @@ func TestDefaults(t *testing.T) {
 	c := New(Config{})
 	pol := c.pol
 	if pol.floor != 1 || pol.ceiling != 1<<20 || pol.hysteresis != 3 ||
-		pol.cooldown != 2 || pol.backlogFactor != 3 || pol.pressureHold != 16 {
+		pol.cooldown != 2 || pol.backlogFactor != 3 {
 		t.Fatalf("unexpected defaults: %+v", pol)
 	}
 	if c.workers != 1 || c.defaultUoT != 1 {
@@ -32,16 +32,19 @@ func TestStaticStartsAtDefaultUoT(t *testing.T) {
 	if c.UoT(undeclared) != 7 || c.UoT(declared) != 3 {
 		t.Fatalf("start UoTs %d/%d, want the default 7 and the declared 3", c.UoT(undeclared), c.UoT(declared))
 	}
-	// A blocking run's default is Table itself: no ceiling clamps it.
-	if tc := New(Config{DefaultUoT: Table}); tc.UoT(tc.AddEdge(0)) != Table {
+	// A blocking run's default is Table itself: no ceiling clamps it, and
+	// an edge at Table always holds.
+	tc := New(Config{DefaultUoT: Table})
+	te := tc.AddEdge(0)
+	if tc.UoT(te) != Table {
 		t.Fatal("New(Table) did not start an undeclared edge at Table")
 	}
-	// The memory-pressure ladder is the only way an edge moves.
-	if a := c.Pressure(undeclared); a.Dir != Raise || a.UoT != 14 {
-		t.Fatalf("pressure step: %+v, want Raise to 14", a)
+	if a := tc.Observe(te, Signals{Buffered: 100, Delivered: 1}); a != (Action{Hold, Table}) {
+		t.Fatalf("observe on a Table edge: %+v", a)
 	}
-	if start, d := c.Edge(undeclared); start != 7 || d != (Decisions{Raises: 1}) {
-		t.Fatalf("edge trajectory: start %d decisions %+v", start, d)
+	// A negative declaration clamps to the floor.
+	if got := c.UoT(c.AddEdge(-3)); got != 1 {
+		t.Fatalf("AddEdge(-3) starts at %d, want 1", got)
 	}
 }
 
@@ -109,47 +112,6 @@ func TestQueueSaturationRaises(t *testing.T) {
 	}
 }
 
-func TestPressureBypassesHysteresis(t *testing.T) {
-	c := newTest()
-	e := c.AddEdge(4)
-	a := c.Pressure(e)
-	if a.Dir != Raise || a.UoT != 8 {
-		t.Fatalf("pressure raise: got %+v, want Raise to 8", a)
-	}
-	// Lower votes stay suppressed while the pressure hold decays (one
-	// cooldown observation, then two with the hold still armed).
-	starved := Signals{Delivered: 8, StallNS: 900, IntervalNS: 1000, ServiceNS: 100}
-	for i := 0; i < 3; i++ {
-		if a := c.Observe(e, starved); a.Dir != Hold {
-			t.Fatalf("observation %d during pressure hold acted: %+v", i, a)
-		}
-	}
-	// Hold decayed (the last suppressed observation already cast a stall
-	// vote): sustained starvation refines again once hysteresis is met.
-	if a := c.Observe(e, starved); a.Dir != Lower || a.UoT != 4 {
-		t.Fatalf("post-hold starvation did not lower: %+v", a)
-	}
-}
-
-func TestPressureSnapsPastCeiling(t *testing.T) {
-	c := newTest()
-	e := c.AddEdge(64) // at the ceiling already
-	a := c.Pressure(e)
-	if a.Dir != Snap || a.UoT != Table {
-		t.Fatalf("got %+v, want Snap to Table", a)
-	}
-	// Terminal: every further decision is a hold.
-	if a := c.Pressure(e); a.Dir != Hold {
-		t.Fatalf("pressure on a Table edge: %+v", a)
-	}
-	if a := c.Observe(e, Signals{Buffered: 100, Delivered: 1}); a.Dir != Hold {
-		t.Fatalf("observe on a Table edge: %+v", a)
-	}
-	if _, d := c.Edge(e); d.Snaps != 1 {
-		t.Fatalf("snaps = %d, want 1", d.Snaps)
-	}
-}
-
 func TestFeedbackRaiseClampsAtCeilingWithoutSnap(t *testing.T) {
 	c := newTest()
 	e := c.AddEdge(60)
@@ -158,10 +120,7 @@ func TestFeedbackRaiseClampsAtCeilingWithoutSnap(t *testing.T) {
 		c.Observe(e, backlog)
 	}
 	if got := c.UoT(e); got != 64 {
-		t.Fatalf("UoT = %d, want clamped to ceiling 64", got)
-	}
-	if _, d := c.Edge(e); d.Snaps != 0 {
-		t.Fatalf("feedback path snapped to Table: %+v", d)
+		t.Fatalf("UoT = %d, want clamped to ceiling 64, never Table", got)
 	}
 }
 
@@ -188,29 +147,29 @@ func TestDecisionGolden(t *testing.T) {
 	c := newTest()
 	e := c.AddEdge(4)
 	seq := []Signals{
-		{Delivered: 4, IntervalNS: 1000},                                 // quiet
-		{Buffered: 9, Delivered: 4, IntervalNS: 1000},                    // backlog vote 1
-		{Buffered: 12, Delivered: 4, IntervalNS: 1000},                   // backlog vote 2 -> raise
-		{Buffered: 14, Delivered: 6, IntervalNS: 1000},                   // cooldown
-		{Buffered: 13, Delivered: 6, IntervalNS: 1000},                   // backlog vote 1
-		{Buffered: 14, Delivered: 6, IntervalNS: 1000},                   // backlog vote 2 -> raise
-		{Delivered: 9, IntervalNS: 1000},                                 // cooldown
-		{Delivered: 9, StallNS: 800, IntervalNS: 1000, ServiceNS: 100},   // stall vote 1
-		{Delivered: 9, StallNS: 900, IntervalNS: 1000, ServiceNS: 50},    // stall vote 2 -> lower
-		{Delivered: 4, StallNS: 900, IntervalNS: 1000, ServiceNS: 50},    // cooldown
-		{Delivered: 4, StallNS: 100, IntervalNS: 1000, ServiceNS: 900},   // quiet
-		{Buffered: 1, Delivered: 4, IntervalNS: 1000, MemPressure: true}, // pressure vote 1
-		{Buffered: 1, Delivered: 4, IntervalNS: 1000, MemPressure: true}, // pressure vote 2 -> raise
-		{Delivered: 6, StallNS: 950, IntervalNS: 1000, ServiceNS: 10},    // cooldown; hold 3->2
-		{Delivered: 6, StallNS: 950, IntervalNS: 1000, ServiceNS: 10},    // pressure hold 2->1
-		{Delivered: 6, StallNS: 950, IntervalNS: 1000, ServiceNS: 10},    // hold 1->0; stall vote 1
-		{Delivered: 6, StallNS: 950, IntervalNS: 1000, ServiceNS: 10},    // stall vote 2 -> lower
-		{Delivered: 3, StallNS: 950, IntervalNS: 1000, ServiceNS: 10},    // cooldown
+		{Delivered: 4, IntervalNS: 1000},                               // quiet
+		{Buffered: 9, Delivered: 4, IntervalNS: 1000},                  // backlog vote 1
+		{Buffered: 12, Delivered: 4, IntervalNS: 1000},                 // backlog vote 2 -> raise
+		{Buffered: 14, Delivered: 6, IntervalNS: 1000},                 // cooldown
+		{Buffered: 13, Delivered: 6, IntervalNS: 1000},                 // backlog vote 1
+		{Buffered: 14, Delivered: 6, IntervalNS: 1000},                 // backlog vote 2 -> raise
+		{Delivered: 9, IntervalNS: 1000},                               // cooldown
+		{Delivered: 9, StallNS: 800, IntervalNS: 1000, ServiceNS: 100}, // stall vote 1
+		{Delivered: 9, StallNS: 900, IntervalNS: 1000, ServiceNS: 50},  // stall vote 2 -> lower
+		{Delivered: 4, StallNS: 900, IntervalNS: 1000, ServiceNS: 50},  // cooldown
+		{Delivered: 4, StallNS: 100, IntervalNS: 1000, ServiceNS: 900}, // quiet
+		{Buffered: 9, Delivered: 4, IntervalNS: 1000},                  // backlog vote 1
+		{Buffered: 9, Delivered: 4, IntervalNS: 1000},                  // backlog vote 2 -> raise
+		{Delivered: 6, StallNS: 950, IntervalNS: 1000, ServiceNS: 10},  // cooldown
+		{Delivered: 6, StallNS: 950, IntervalNS: 1000, ServiceNS: 10},  // stall vote 1
+		{Delivered: 6, StallNS: 950, IntervalNS: 1000, ServiceNS: 10},  // stall vote 2 -> lower
+		{Delivered: 3, StallNS: 950, IntervalNS: 1000, ServiceNS: 10},  // cooldown
+		{Delivered: 3, StallNS: 950, IntervalNS: 1000, ServiceNS: 10},  // stall vote 1
 	}
 	want := []Action{
 		{Hold, 4}, {Hold, 4}, {Raise, 6}, {Hold, 6}, {Hold, 6}, {Raise, 9},
 		{Hold, 9}, {Hold, 9}, {Lower, 4}, {Hold, 4}, {Hold, 4}, {Hold, 4},
-		{Raise, 6}, {Hold, 6}, {Hold, 6}, {Hold, 6}, {Lower, 3}, {Hold, 3},
+		{Raise, 6}, {Hold, 6}, {Hold, 6}, {Lower, 3}, {Hold, 3}, {Hold, 3},
 	}
 	for i, s := range seq {
 		got := c.Observe(e, s)
@@ -218,9 +177,6 @@ func TestDecisionGolden(t *testing.T) {
 			t.Fatalf("step %d: got %s->%d, want %s->%d (signals %+v)",
 				i, got.Dir, got.UoT, want[i].Dir, want[i].UoT, s)
 		}
-	}
-	if start, d := c.Edge(e); start != 4 || d != (Decisions{Raises: 3, Lowers: 2, Holds: 13}) {
-		t.Fatalf("edge trajectory: start %d, decisions %+v, want 4 with 3 raises, 2 lowers, 13 holds", start, d)
 	}
 	// Replaying the identical sequence on a fresh controller reproduces the
 	// identical decisions: the controller holds no hidden clock state.
@@ -234,7 +190,7 @@ func TestDecisionGolden(t *testing.T) {
 }
 
 func TestDirString(t *testing.T) {
-	for d, s := range map[Dir]string{Hold: "hold", Raise: "raise", Lower: "lower", Snap: "snap", Dir(9): "?"} {
+	for d, s := range map[Dir]string{Hold: "hold", Raise: "raise", Lower: "lower", Dir(9): "?"} {
 		if d.String() != s {
 			t.Fatalf("Dir(%d).String() = %q, want %q", d, d.String(), s)
 		}

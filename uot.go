@@ -201,15 +201,13 @@ type (
 //	tr.Snapshot().WritePrometheus(os.Stdout) // metrics scrape text
 func NewTracer(capacity int) *Tracer { return trace.New(capacity) }
 
-// EdgeUoT is one pipelined edge's recorded UoT trajectory: the declared and
-// resolved starting values, the final value, and how often the
-// memory-pressure ladder moved it. Every edge starts at its declared UoT or
-// Options.UoTBlocks; under Options.MemoryBudget a producer held back too
-// long has its out-edges doubled, and snapped to UoTTable past a ceiling, so
-// Final == Start<<Raises or, after one snap, UoTTable:
+// EdgeUoT is one pipelined edge's recorded UoT: the value the plan declared
+// (0 = the run default) and the resolved UoT, which is its declared value
+// (at least 1) or Options.UoTBlocks. An edge keeps that UoT for the whole
+// run, Options.MemoryBudget included:
 //
 //	res, err := uot.Execute(b, uot.Options{Workers: 8, MemoryBudget: 64 << 10})
-//	for _, e := range res.Run.EdgeUoTs() { ... } // per-edge UoT trajectory
+//	for _, e := range res.Run.EdgeUoTs() { ... } // per-edge resolved UoT
 type EdgeUoT = stats.EdgeUoT
 
 // TPCH is a loaded TPC-H dataset.
