@@ -461,6 +461,21 @@ func (e *Emitter) AppendPairs(l *storage.Block, lrows []int32, lproj []int, rs [
 	}
 }
 
+// AppendColumns bulk-appends the given rows of computed columns (see
+// Block.AppendColumns), sealing and replacing full blocks exactly where
+// appending them one at a time would.
+func (e *Emitter) AppendColumns(srcs []storage.ColSource, rows []int32) {
+	for len(rows) > 0 {
+		took := e.ensure().AppendColumns(srcs, rows)
+		if took == 0 {
+			e.seal()
+			continue
+		}
+		rows = rows[took:]
+		e.out.RowsOut += int64(took)
+	}
+}
+
 // Close checks the current partial block back into the pool. Called by
 // Output.Finish at the end of every successful work-order attempt (operator
 // code no longer calls it directly, so that a failed attempt rolls back

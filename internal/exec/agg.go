@@ -63,15 +63,14 @@ var aggPartitioner = types.NewPartitioner(aggParts)
 // operator mutex.
 //
 // Only group-id resolution varies, and NewAgg picks it once from the key
-// types: no keys (every row is group 0), at most two keys of 8-byte types
-// (int64, date, float64 by canonical bits — gathered columns or computed
-// expressions evaluated into the key vectors, hashed in one vectorized pass
-// into the table's inline keys), or anything else (char keys, three or more
-// keys: the key tuple serialized by appendKey into the table's byte arena).
-// Argument loading is likewise compiled per aggregate: numeric arguments are
-// evaluated into the partial's vectors by expr.Vectors (a columnar gather for
-// plain column references, element-wise arithmetic for computed ones); char
-// min/max and CountDistinct fold per row into the table's side array.
+// widths: no keys (every row is group 0), a key tuple of at most 16 bytes
+// (each key a fixed-width slot — an 8-byte identity word, or a char value
+// zero-padded to its width — packed into the table's one or two inline
+// words and hashed in one vectorized pass), or a wider tuple (serialized
+// into the table's byte arena, one key column at a time). Argument loading
+// is likewise compiled per aggregate. Keys and arguments are evaluated a
+// block at a time by expr.Vectors: a columnar gather or an in-place char
+// view for plain column references, vector kernels for computed ones.
 type AggOp struct {
 	core.Base
 	self     core.OpID
@@ -106,8 +105,9 @@ type aggKeys interface {
 	// groupIDs fills p.groupIdx with the dense group id of each of the n
 	// rows of ec.B, creating groups in p.tab as needed.
 	groupIDs(ec *expr.Ctx, p *aggPartial, n int)
-	// datums writes group g's key values into row[:number of keys].
-	datums(t *aggtable.Table, g int, row []types.Datum)
+	// datums writes group g's key values into row[:number of keys]. Char
+	// values may alias buf or the table, and are read before the next call.
+	datums(t *aggtable.Table, g int, row []types.Datum, buf *[16]byte)
 }
 
 // sized returns s with length n, reusing its backing array when it is large
@@ -126,8 +126,8 @@ const (
 	loadNone     aggLoad = iota // COUNT: no argument to read
 	loadInt                     // int64/date vector → AccumInt
 	loadFloat                   // float64 vector → AccumFloat
-	loadBytes                   // char min/max: per-row Eval → UpdateBytes
-	loadDistinct                // CountDistinct: per-row Eval → AddDistinct
+	loadBytes                   // char min/max: bytes vector → UpdateBytes
+	loadDistinct                // CountDistinct: encoded values → AddDistinct
 )
 
 // aggArg is one aggregate's plan: the accumulator descriptor and how the
@@ -147,7 +147,9 @@ type aggPartial struct {
 	tab       *aggtable.Table
 	k0        []int64
 	k1        []int64
-	keyBuf    []byte // one serialized key tuple or distinct value
+	keyBuf    []byte // a block's serialized key tuples, or one distinct value
+	offs      []int  // where each row's tuple starts in keyBuf, and its end
+	pos       []int  // where each row's next key goes in keyBuf
 	hashes    []uint64
 	groupIdx  []int32
 	argI      []int64
@@ -197,19 +199,14 @@ func NewAgg(spec AggOpSpec) *AggOp {
 	}
 	op.readCols = expr.PrimaryCols(all...)
 
-	tys := make([]types.TypeID, len(spec.GroupBy))
-	wide := len(tys) > 2
-	for i, g := range spec.GroupBy {
-		tys[i] = g.Type()
-		wide = wide || tys[i] == types.Char
-	}
+	wk := newWordKeys(spec.GroupBy)
 	switch {
-	case len(tys) == 0:
+	case len(spec.GroupBy) == 0:
 		op.keys, op.proto = scalarKeys{}, aggtable.New(len(spec.Aggs), false, 1)
-	case wide:
-		op.keys, op.proto = byteKeys{exprs: spec.GroupBy, tys: tys}, aggtable.NewBytes(len(spec.Aggs), 1)
+	case wk.width > 16:
+		op.keys, op.proto = byteKeys(spec.GroupBy), aggtable.NewBytes(len(spec.Aggs), 1)
 	default:
-		op.keys, op.proto = inlineKeys{spec.GroupBy}, aggtable.New(len(spec.Aggs), len(tys) == 2, 1)
+		op.keys, op.proto = wk, aggtable.New(len(spec.Aggs), wk.width > 8, 1)
 	}
 
 	kinds := [...]aggtable.Kind{Sum: aggtable.Sum, Count: aggtable.Count, Avg: aggtable.Avg,
@@ -253,11 +250,8 @@ func aggType(a AggSpec) types.TypeID {
 }
 
 func aggWidth(a AggSpec) int {
-	if (a.Func == Min || a.Func == Max) && a.Arg.Type() == types.Char {
-		if c, ok := a.Arg.(*expr.ColRef); ok {
-			return c.Width
-		}
-		return 32
+	if a.Func == Min || a.Func == Max {
+		return expr.CharWidth(a.Arg)
 	}
 	return 0
 }
@@ -379,16 +373,12 @@ func (w *aggWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 			p.argF = p.vec.Floats(a.arg, &ec, p.argF)
 			p.tab.AccumFloat(j, a.desc, p.groupIdx, p.argF)
 		case loadBytes:
+			v := p.vec.Bytes(a.arg, &ec)
 			for r, g := range p.groupIdx {
-				ec.Row = r
-				p.tab.UpdateBytes(g, j, a.desc, a.arg.Eval(&ec).Bytes())
+				p.tab.UpdateBytes(g, j, a.desc, types.TrimPad(v.Bytes(r)))
 			}
 		case loadDistinct:
-			for r, g := range p.groupIdx {
-				ec.Row = r
-				p.keyBuf = appendKey(p.keyBuf[:0], a.arg.Eval(&ec))
-				p.tab.AddDistinct(g, j, p.keyBuf)
-			}
+			p.addDistinct(j, a.arg, &ec)
 		}
 	}
 	o.accountGrowth(ctx, p, p.tab.Bytes())
@@ -415,20 +405,34 @@ func (scalarKeys) groupIDs(_ *expr.Ctx, p *aggPartial, n int) {
 	p.groupIdx = sized(p.groupIdx, n)
 }
 
-func (scalarKeys) datums(*aggtable.Table, int, []types.Datum) {}
+func (scalarKeys) datums(*aggtable.Table, int, []types.Datum, *[16]byte) {}
 
-// inlineKeys resolves one or two keys of 8-byte types: evaluate each key's
-// words into a vector, hash them in one vectorized pass, and upsert into the
-// table's inline keys.
-type inlineKeys struct{ keys []expr.Expr }
-
-// words loads key i's 8-byte identities: the value of an int64 or date, the
-// canonical bits of a float64.
-func (k inlineKeys) words(i int, ec *expr.Ctx, p *aggPartial, dst []int64) []int64 {
-	if k.keys[i].Type() != types.Float64 {
-		return p.vec.Ints(k.keys[i], ec, dst)
+// addDistinct records argument arg of every row in its group's
+// CountDistinct aggregate j, each value serialized (keyTag).
+func (p *aggPartial) addDistinct(j int, arg expr.Expr, ec *expr.Ctx) {
+	if arg.Type() == types.Char {
+		v := p.vec.Bytes(arg, ec)
+		for r, g := range p.groupIdx {
+			p.keyBuf = appendChars(p.keyBuf[:0], types.TrimPad(v.Bytes(r)))
+			p.tab.AddDistinct(g, j, p.keyBuf)
+		}
+		return
 	}
-	p.argF = p.vec.Floats(k.keys[i], ec, p.argF)
+	p.argI = p.words(arg, ec, p.argI)
+	tag := keyTag(arg.Type())
+	for r, g := range p.groupIdx {
+		p.keyBuf = binary.LittleEndian.AppendUint64(append(p.keyBuf[:0], tag), uint64(p.argI[r]))
+		p.tab.AddDistinct(g, j, p.keyBuf)
+	}
+}
+
+// words loads e's 8-byte identities into dst: the value of an int64 or
+// date, the canonical bits of a float64.
+func (p *aggPartial) words(e expr.Expr, ec *expr.Ctx, dst []int64) []int64 {
+	if e.Type() != types.Float64 {
+		return p.vec.Ints(e, ec, dst)
+	}
+	p.argF = p.vec.Floats(e, ec, p.argF)
 	dst = sized(dst, len(p.argF))
 	for r, f := range p.argF {
 		dst[r] = int64(floatKeyBits(f))
@@ -436,22 +440,109 @@ func (k inlineKeys) words(i int, ec *expr.Ctx, p *aggPartial, dst []int64) []int
 	return dst
 }
 
-func (k inlineKeys) groupIDs(ec *expr.Ctx, p *aggPartial, _ int) {
-	p.k0 = k.words(0, ec, p, p.k0)
+// wordKeys resolves a key tuple of at most 16 bytes. Each key takes a
+// fixed-width slot — the 8-byte identity word of an int64, date or float64,
+// or a char value zero-padded to its expression's width — and the slots,
+// in key order, pack little-endian into the table's inline words: bytes 0–7
+// into k0, bytes 8–15 into k1, a tuple of at most 8 bytes into k0 alone.
+// One or two 8-byte keys are exactly their words.
+type wordKeys struct {
+	keys    []expr.Expr
+	slots   []keySlot
+	width   int  // the tuple's bytes
+	aligned bool // every slot is a whole 8-byte word: nothing to pack
+}
+
+// keySlot is where one key lies in the packed tuple.
+type keySlot struct {
+	off, width int
+	ty         types.TypeID
+}
+
+func newWordKeys(keys []expr.Expr) wordKeys {
+	k := wordKeys{keys: keys, aligned: true}
+	for _, e := range keys {
+		s := keySlot{off: k.width, width: 8, ty: e.Type()}
+		if s.ty == types.Char {
+			s.width = expr.CharWidth(e)
+		}
+		k.aligned = k.aligned && s.width == 8 && s.ty != types.Char
+		k.slots = append(k.slots, s)
+		k.width += s.width
+	}
+	return k
+}
+
+func (k wordKeys) groupIDs(ec *expr.Ctx, p *aggPartial, n int) {
+	p.k0 = sized(p.k0, n)
 	var k1 []int64
-	if len(k.keys) == 2 {
-		p.k1 = k.words(1, ec, p, p.k1)
+	if k.width > 8 {
+		p.k1 = sized(p.k1, n)
 		k1 = p.k1
+	}
+	if !k.aligned {
+		clear(p.k0)
+		clear(k1)
+	}
+	for i, s := range k.slots {
+		switch {
+		case s.ty == types.Char:
+			orChars(p.k0, k1, s.off, s.width, p.vec.Bytes(k.keys[i], ec))
+		case s.off == 0:
+			p.k0 = p.words(k.keys[i], ec, p.k0)
+		case s.off == 8:
+			k1 = p.words(k.keys[i], ec, k1)
+		default: // a word across k0 and k1
+			p.argI = p.words(k.keys[i], ec, p.argI)
+			sh := 8 * uint(s.off)
+			for r, w := range p.argI {
+				p.k0[r] |= int64(uint64(w) << sh)
+				k1[r] |= int64(uint64(w) >> (64 - sh))
+			}
+		}
 	}
 	p.hashes = types.HashPairVec(p.k0, k1, p.hashes)
 	p.groupIdx = p.tab.UpsertBlock(p.k0, k1, p.hashes, p.groupIdx)
 }
 
-func (k inlineKeys) datums(t *aggtable.Table, g int, row []types.Datum) {
+// orChars ORs each row's char value, cut or zero-padded to width bytes, into
+// the packed tuples at byte offset off.
+func orChars(k0, k1 []int64, off, width int, v storage.ColView) {
+	w := min(width, v.Width())
+	split := min(max(8-off, 0), w) // the bytes that land in k0
+	for r := range k0 {
+		cell := v.Bytes(r)[:w]
+		if split > 0 {
+			k0[r] |= int64(loadLE(cell[:split]) << (8 * uint(off)))
+		}
+		if split < w {
+			k1[r] |= int64(loadLE(cell[split:]) << (8 * uint(off+split-8)))
+		}
+	}
+}
+
+// loadLE reads up to 8 bytes as a little-endian word.
+func loadLE(b []byte) uint64 {
+	if len(b) == 8 {
+		return binary.LittleEndian.Uint64(b)
+	}
+	var u uint64
+	for i, c := range b {
+		u |= uint64(c) << (8 * uint(i))
+	}
+	return u
+}
+
+func (k wordKeys) datums(t *aggtable.Table, g int, row []types.Datum, buf *[16]byte) {
 	k0, k1 := t.Key(g)
-	row[0] = wordDatum(k.keys[0].Type(), uint64(k0))
-	if len(k.keys) == 2 {
-		row[1] = wordDatum(k.keys[1].Type(), uint64(k1))
+	binary.LittleEndian.PutUint64(buf[:8], uint64(k0))
+	binary.LittleEndian.PutUint64(buf[8:], uint64(k1))
+	for i, s := range k.slots {
+		if s.ty == types.Char {
+			row[i] = types.NewChar(buf[s.off : s.off+s.width])
+			continue
+		}
+		row[i] = wordDatum(s.ty, binary.LittleEndian.Uint64(buf[s.off:]))
 	}
 }
 
@@ -463,42 +554,77 @@ func wordDatum(ty types.TypeID, w uint64) types.Datum {
 	return types.Datum{Ty: ty, I: int64(w)}
 }
 
-// byteKeys resolves every other key shape (char keys, three or more keys):
-// each row's key tuple is serialized by appendKey and upserted into the
-// table's byte arena.
-type byteKeys struct {
-	exprs []expr.Expr
-	tys   []types.TypeID
-}
+// byteKeys resolves a key tuple wider than 16 bytes: each row's tuple is
+// serialized (keyTag) into the table's byte arena. The
+// tuples of a block are built one key column at a time: their lengths
+// first, then each key's bytes with one typed loop, so a char key's vector
+// is evaluated twice.
+type byteKeys []expr.Expr
 
 func (k byteKeys) groupIDs(ec *expr.Ctx, p *aggPartial, n int) {
+	p.offs = sized(p.offs, n+1)
+	clear(p.offs)
+	fixed := 0 // the bytes of the 8-byte keys, the same in every tuple
+	for _, e := range k {
+		if e.Type() != types.Char {
+			fixed += 9
+			continue
+		}
+		v := p.vec.Bytes(e, ec)
+		for r := range n {
+			p.offs[r+1] += 5 + len(types.TrimPad(v.Bytes(r)))
+		}
+	}
+	for r := range n {
+		p.offs[r+1] += p.offs[r] + fixed
+	}
+	buf := sized(p.keyBuf, p.offs[n])
+	p.keyBuf = buf
+	// pos is where each row's next key goes.
+	p.pos = append(p.pos[:0], p.offs[:n]...)
+	pos := p.pos
+	for _, e := range k {
+		if e.Type() == types.Char {
+			v := p.vec.Bytes(e, ec)
+			for r, at := range pos {
+				s := types.TrimPad(v.Bytes(r))
+				buf[at] = 'c'
+				binary.LittleEndian.PutUint32(buf[at+1:], uint32(len(s)))
+				pos[r] += 5 + copy(buf[at+5:], s)
+			}
+			continue
+		}
+		tag := keyTag(e.Type())
+		p.k0 = p.words(e, ec, p.k0)
+		for r, at := range pos {
+			buf[at] = tag
+			binary.LittleEndian.PutUint64(buf[at+1:], uint64(p.k0[r]))
+			pos[r] += 9
+		}
+	}
 	p.groupIdx = sized(p.groupIdx, n)
 	for r := range p.groupIdx {
-		ec.Row = r
-		p.keyBuf = p.keyBuf[:0]
-		for _, g := range k.exprs {
-			p.keyBuf = appendKey(p.keyBuf, g.Eval(ec))
-		}
-		h := types.HashBytes(p.keyBuf)
+		key := buf[p.offs[r]:p.offs[r+1]]
+		h := types.HashBytes(key)
 		if h == 0 {
 			h = 1 // 0 marks an empty slot
 		}
-		p.groupIdx[r] = p.tab.UpsertBytes(h, p.keyBuf)
+		p.groupIdx[r] = p.tab.UpsertBytes(h, key)
 	}
 }
 
-// datums decodes appendKey's encoding back into key values. Char values
+// datums decodes the serialized tuple back into key values. Char values
 // alias the table's arena, which is stable once merging is done.
-func (k byteKeys) datums(t *aggtable.Table, g int, row []types.Datum) {
+func (k byteKeys) datums(t *aggtable.Table, g int, row []types.Datum, _ *[16]byte) {
 	buf := t.KeyBytes(g)
-	for i, ty := range k.tys {
-		if ty == types.Char {
+	for i, e := range k {
+		if e.Type() == types.Char {
 			n := int(binary.LittleEndian.Uint32(buf[1:]))
 			row[i] = types.NewChar(buf[5 : 5+n])
 			buf = buf[5+n:]
 			continue
 		}
-		row[i] = wordDatum(ty, binary.LittleEndian.Uint64(buf[1:]))
+		row[i] = wordDatum(e.Type(), binary.LittleEndian.Uint64(buf[1:]))
 		buf = buf[9:]
 	}
 }
@@ -548,16 +674,15 @@ func (w *aggMergeWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 		seedScalarGroup(t)
 		tabs = append(tabs, t)
 	}
-	em := core.NewEmitter(ctx, out, o.self, o.out)
-	row := make([]types.Datum, o.out.NumCols())
+	e := groupEmitter{em: core.NewEmitter(ctx, out, o.self, o.out), out: out,
+		row: make([]types.Datum, o.out.NumCols())}
 	if len(tabs) == 1 {
-		// Single partial (one worker, or one busy one): emit its partition
-		// directly without building a merge table.
+		// Single partial (one worker, or one busy one): nothing to merge, so
+		// each merge work order emits a dense slice of its groups.
 		t := tabs[0]
-		for g := 0; g < t.Len(); g++ {
-			if w.pr.Of(t.Hash(g)) == w.part {
-				o.emitGroup(em, out, t, g, row)
-			}
+		lo, hi := denseRange(w.part, w.pr.Parts(), t.Len())
+		for g := lo; g < hi; g++ {
+			o.emitGroup(&e, t, g)
 		}
 		return nil
 	}
@@ -566,20 +691,35 @@ func (w *aggMergeWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 		dst.MergePartition(t, w.part, w.pr, o.descs)
 	}
 	for g := 0; g < dst.Len(); g++ {
-		o.emitGroup(em, out, dst, g, row)
+		o.emitGroup(&e, dst, g)
 	}
 	return nil
 }
 
-// emitGroup materializes one merged group as an output row into the caller's
-// reused row buffer; a scalar aggregate also publishes its first value.
-func (o *AggOp) emitGroup(em *core.Emitter, out *core.Output, t *aggtable.Table, g int, row []types.Datum) {
-	o.keys.datums(t, g, row)
+// denseRange is the slice [lo, hi) of n groups that part of parts emits;
+// the parts' slices cover every group exactly once.
+func denseRange(part, parts, n int) (lo, hi int) {
+	return part * n / parts, (part + 1) * n / parts
+}
+
+// groupEmitter is one merge work order's output and its reused buffers.
+type groupEmitter struct {
+	em  *core.Emitter
+	out *core.Output
+	row []types.Datum
+	key [16]byte
+}
+
+// emitGroup materializes one merged group as an output row; a scalar
+// aggregate also publishes its first value.
+func (o *AggOp) emitGroup(e *groupEmitter, t *aggtable.Table, g int) {
+	row, out := e.row, e.out
+	o.keys.datums(t, g, row, &e.key)
 	nk := len(o.groupBy)
 	for j, a := range o.args {
 		row[nk+j] = finishCell(o.out.Col(nk+j).Type, a, t, int32(g), j)
 	}
-	em.AppendRow(row...)
+	e.em.AppendRow(row...)
 	out.RowsIn++
 	if nk == 0 {
 		o.scalarVal, o.hasScalar = row[0], true
@@ -631,29 +771,26 @@ func floatKeyBits(f float64) uint64 {
 	return math.Float64bits(f)
 }
 
-// appendKey serializes a datum into a group key, preserving equality: a type
-// tag, then the trimmed bytes of a char behind their length, or the 8-byte
-// identity word of any other type.
-func appendKey(buf []byte, d types.Datum) []byte {
-	switch d.Ty {
+// Wide key tuples and distinct values are serialized so that equal values
+// are equal byte strings: per value a type tag (keyTag), then the 8-byte
+// identity word of an int64, date or float64, or a char's bytes without
+// padding behind their uint32 length.
+
+// keyTag is a type's tag in the serialized encoding.
+func keyTag(ty types.TypeID) byte {
+	switch ty {
 	case types.Char:
-		b := types.TrimPad(d.B)
-		var l [4]byte
-		binary.LittleEndian.PutUint32(l[:], uint32(len(b)))
-		buf = append(buf, 'c')
-		buf = append(buf, l[:]...)
-		return append(buf, b...)
+		return 'c'
 	case types.Float64:
-		var v [8]byte
-		binary.LittleEndian.PutUint64(v[:], floatKeyBits(d.F))
-		buf = append(buf, 'f')
-		return append(buf, v[:]...)
-	default:
-		var v [8]byte
-		binary.LittleEndian.PutUint64(v[:], uint64(d.I))
-		buf = append(buf, 'i')
-		return append(buf, v[:]...)
+		return 'f'
 	}
+	return 'i'
+}
+
+// appendChars serializes a char value whose padding is stripped.
+func appendChars(buf, b []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(append(buf, 'c'), uint32(len(b)))
+	return append(buf, b...)
 }
 
 // String renders the operator.

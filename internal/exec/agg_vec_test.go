@@ -182,11 +182,14 @@ func TestAggResolverChoice(t *testing.T) {
 		storage.Column{Name: "g1", Type: types.Int64},
 		storage.Column{Name: "tag", Type: types.Char, Width: 4},
 		storage.Column{Name: "v", Type: types.Float64},
+		storage.Column{Name: "c8", Type: types.Char, Width: 8},
+		storage.Column{Name: "c9", Type: types.Char, Width: 9},
 	)
 	csBlocks := func() []*storage.Block {
-		b := storage.NewBlock(cs, storage.ColumnStore, 16<<10)
+		b := storage.NewBlock(cs, storage.ColumnStore, 32<<10)
 		for i := 0; i < 300; i++ {
-			b.AppendRow(types.NewInt64(int64(i%7)), types.NewString([]string{"aa", "b", "cccc"}[i%3]), types.NewFloat64(float64(i)/4))
+			b.AppendRow(types.NewInt64(int64(i%7)), types.NewString([]string{"aa", "b", "cccc"}[i%3]), types.NewFloat64(float64(i)/4),
+				types.NewString([]string{"abcdefgh", "abcdefg", "x"}[i%3]), types.NewString([]string{"abcdefghi", "abcdefgh", ""}[i%5%3]))
 		}
 		return []*storage.Block{b}
 	}
@@ -199,23 +202,27 @@ func TestAggResolverChoice(t *testing.T) {
 	}{
 		{"no keys", AggOpSpec{InputSchema: s, Aggs: count}, nil, scalarKeys{}},
 		{"one int key", AggOpSpec{InputSchema: s,
-			GroupBy: []expr.Expr{expr.C(s, "g1")}, GroupByNames: []string{"g1"}, Aggs: count}, nil, inlineKeys{}},
+			GroupBy: []expr.Expr{expr.C(s, "g1")}, GroupByNames: []string{"g1"}, Aggs: count}, nil, wordKeys{}},
 		{"computed float key", AggOpSpec{InputSchema: s,
-			GroupBy: []expr.Expr{expr.MulE(expr.C(s, "v"), expr.Float(2))}, GroupByNames: []string{"v2"}, Aggs: count}, nil, inlineKeys{}},
+			GroupBy: []expr.Expr{expr.MulE(expr.C(s, "v"), expr.Float(2))}, GroupByNames: []string{"v2"}, Aggs: count}, nil, wordKeys{}},
 		{"year and date keys", AggOpSpec{InputSchema: s,
 			GroupBy:      []expr.Expr{expr.Year(expr.C(s, "d")), expr.C(s, "d")},
-			GroupByNames: []string{"y", "d"}, Aggs: count}, nil, inlineKeys{}},
+			GroupByNames: []string{"y", "d"}, Aggs: count}, nil, wordKeys{}},
 		{"three keys", AggOpSpec{InputSchema: s,
 			GroupBy:      []expr.Expr{expr.C(s, "g1"), expr.C(s, "g2"), expr.C(s, "d")},
 			GroupByNames: []string{"g1", "g2", "d"}, Aggs: count}, nil, byteKeys{}},
 		{"char key", AggOpSpec{InputSchema: cs,
-			GroupBy: []expr.Expr{expr.C(cs, "tag")}, GroupByNames: []string{"tag"}, Aggs: count}, csBlocks(), byteKeys{}},
+			GroupBy: []expr.Expr{expr.C(cs, "tag")}, GroupByNames: []string{"tag"}, Aggs: count}, csBlocks(), wordKeys{}},
+		{"char and int keys of 16 bytes", AggOpSpec{InputSchema: cs,
+			GroupBy: []expr.Expr{expr.C(cs, "c8"), expr.C(cs, "g1")}, GroupByNames: []string{"c8", "g1"}, Aggs: count}, csBlocks(), wordKeys{}},
+		{"char and int keys of 17 bytes", AggOpSpec{InputSchema: cs,
+			GroupBy: []expr.Expr{expr.C(cs, "c9"), expr.C(cs, "g1")}, GroupByNames: []string{"c9", "g1"}, Aggs: count}, csBlocks(), byteKeys{}},
 		{"count distinct", AggOpSpec{InputSchema: s,
 			GroupBy: []expr.Expr{expr.C(s, "g1")}, GroupByNames: []string{"g1"},
-			Aggs: []AggSpec{{Func: CountDistinct, Arg: expr.C(s, "i"), Name: "cd"}}}, nil, inlineKeys{}},
+			Aggs: []AggSpec{{Func: CountDistinct, Arg: expr.C(s, "i"), Name: "cd"}}}, nil, wordKeys{}},
 		{"char agg arg", AggOpSpec{InputSchema: cs,
 			GroupBy: []expr.Expr{expr.C(cs, "g1")}, GroupByNames: []string{"g1"},
-			Aggs: []AggSpec{{Func: Min, Arg: expr.C(cs, "tag"), Name: "mn"}}}, csBlocks(), inlineKeys{}},
+			Aggs: []AggSpec{{Func: Min, Arg: expr.C(cs, "tag"), Name: "mn"}}}, csBlocks(), wordKeys{}},
 	}
 	for _, tc := range cases {
 		tc.spec.Name = "agg"

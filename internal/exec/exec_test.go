@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -454,7 +456,9 @@ func TestProbeAllocs(t *testing.T) {
 	build := joinBlocks(rng, bs, []storage.Format{storage.ColumnStore}, keys[:100], 1, 100)
 	small := joinBlocks(rng, ps, []storage.Format{storage.ColumnStore}, keys, 1, 100)[0]
 	large := joinBlocks(rng, ps, []storage.Format{storage.ColumnStore}, keys, 1, 8<<10)[0]
-	for _, jt := range []JoinType{Inner, LeftSemi, LeftAnti} {
+	// The last case filters its matches through an OR residual over both
+	// sides, gathered into the probe's scratch block.
+	for i, jt := range []JoinType{Inner, LeftSemi, LeftAnti, Inner} {
 		ctx := execCtx()
 		ctx.TempBlockBytes = 1 << 20 // an 8K-row block's output fits one block
 		spec := BuildSpec{Name: "build", InputSchema: bs, KeyCols: []int{0}, ExpectedRows: 100}
@@ -463,10 +467,18 @@ func TestProbeAllocs(t *testing.T) {
 			spec.Payload = []int{4, 2}
 			pspec.BuildProj = []int{0, 1}
 		}
+		residual := i == 3
+		if residual {
+			spec.Payload = []int{4, 2, 3}
+		}
 		bop := NewBuildHash(spec)
 		bop.setID(20)
 		runOp(t, ctx, bop, 20, build...)
 		pspec.Build = bop
+		if residual {
+			pspec.Residual = expr.Or(expr.Lt(expr.C(ps, "pv"), expr.C2(bop.PayloadSchema(), "bv")),
+				expr.InStrings(expr.C2(bop.PayloadSchema(), "bc"), "a", "e"))
+		}
 		pop := NewProbe(pspec)
 		pop.setID(21)
 		pop.Init(ctx)
@@ -485,7 +497,99 @@ func TestProbeAllocs(t *testing.T) {
 		}
 		allocs(large) // size the pooled scratch for the large block
 		if s, l := allocs(small), allocs(large); s != l {
-			t.Errorf("%s: %v allocations for a 100-row block, %v for an 8K-row block", jt, s, l)
+			t.Errorf("%s (residual %v): %v allocations for a 100-row block, %v for an 8K-row block", jt, residual, s, l)
+		}
+	}
+}
+
+// A CASE char column is as wide as its widest branch: with the ELSE
+// branch's width alone, a longer THEN value was cut.
+func TestSelectCaseCharKeepsLongestBranch(t *testing.T) {
+	s, b := inputBlock(1, 2, 3)
+	op := NewSelect(SelectSpec{
+		Name: "sel", InputSchema: s,
+		Proj: []expr.Expr{expr.Case(expr.Str("x"),
+			expr.When{Cond: expr.Gt(expr.C(s, "v"), expr.Float(1)), Then: expr.Str("long")})},
+		ProjNames: []string{"c"},
+	})
+	op.setID(8)
+	if w := op.OutSchema().ColWidth(0); w != 4 {
+		t.Fatalf("CASE column width %d, want 4", w)
+	}
+	rows := allRows(runOp(t, execCtx(), op, 8, b))
+	var got []string
+	for _, r := range rows {
+		got = append(got, string(r[0].Bytes()))
+	}
+	if fmt.Sprint(got) != "[x long long]" {
+		t.Fatalf("CASE projection = %q", got)
+	}
+}
+
+// A computed char sort term wider than 8 bytes would need its ties broken
+// by evaluating it again per run; NewSort rejects it with a typed error.
+func TestSortRejectsWideComputedCharTerm(t *testing.T) {
+	s := storage.NewSchema(storage.Column{Name: "c", Type: types.Char, Width: 12})
+	spec := func(key expr.Expr) SortSpec {
+		return SortSpec{Name: "sort", InputSchema: s, Terms: []SortTerm{{Key: key}}}
+	}
+	NewSort(spec(expr.Substr(expr.C(s, "c"), 2, 8))) // 8 bytes: one exact word
+	NewSort(spec(expr.C(s, "c")))                    // a wide column ties in place
+	defer func() {
+		var ute *UnsortableTermError
+		if err, _ := recover().(error); !errors.As(err, &ute) || ute.Term != 0 {
+			t.Fatalf("NewSort of a 9-byte computed char term: recovered %v, want *UnsortableTermError", err)
+		}
+	}()
+	NewSort(spec(expr.Substr(expr.C(s, "c"), 2, 9)))
+}
+
+// With one partial, merge work order p emits the dense slice of groups
+// denseRange gives it; the slices cover every group exactly once.
+func TestAggDenseRangesCoverEveryGroupOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 5, 15, 16, 17, 37, 1000} {
+		seen := make([]int, n)
+		prev := 0
+		for p := 0; p < aggParts; p++ {
+			lo, hi := denseRange(p, aggParts, n)
+			if lo != prev || hi < lo {
+				t.Fatalf("n=%d: part %d covers [%d,%d) after %d", n, p, lo, hi, prev)
+			}
+			for g := lo; g < hi; g++ {
+				seen[g]++
+			}
+			prev = hi
+		}
+		for g, c := range seen {
+			if c != 1 {
+				t.Fatalf("n=%d: group %d emitted %d times", n, g, c)
+			}
+		}
+	}
+	// End to end: groups 0..n-1 in one block, so one partial holds them.
+	s, _ := inputBlock()
+	for _, n := range []int{0, 5, 37} {
+		b := storage.NewBlock(s, storage.ColumnStore, 64<<10)
+		for i := 0; i < 3*n; i++ {
+			b.AppendRow(types.NewInt64(int64(i%n)), types.NewFloat64(1), types.NewString("a"))
+		}
+		op := NewAgg(AggOpSpec{Name: "agg", InputSchema: s,
+			GroupBy: []expr.Expr{expr.C(s, "g")}, GroupByNames: []string{"g"},
+			Aggs: []AggSpec{{Func: Count, Name: "c"}}})
+		op.setID(4)
+		ctx := execCtx()
+		rows := allRows(runOp(t, ctx, op, 4, b))
+		if len(rows) != n {
+			t.Fatalf("n=%d: %d groups emitted", n, len(rows))
+		}
+		got := map[int64]int64{}
+		for _, r := range rows {
+			got[r[0].I] += r[1].I
+		}
+		for g := int64(0); g < int64(n); g++ {
+			if got[g] != 3 {
+				t.Fatalf("n=%d: group %d counted %d rows, want 3", n, g, got[g])
+			}
 		}
 	}
 }

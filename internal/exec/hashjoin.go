@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/bloom"
@@ -232,7 +233,9 @@ func (j JoinType) String() string {
 // Probe work orders run a block at a time: the probe-side key columns are
 // gathered and hashed in one pass (types.HashPairVec), hashtable.Match
 // collects every (probe row, payload row) pair of the block, the residual
-// filters the pairs, and the output is materialized column at a time
+// filters the pairs through the block kernels (the columns it reads are
+// gathered for the pairs into one scratch block), and the output is
+// materialized column at a time
 // (Emitter.AppendPairs for inner and outer joins, Emitter.AppendMany over a
 // selection vector for semi and anti joins). All vectors live in a pooled
 // scratch, so the steady state allocates nothing per block.
@@ -245,6 +248,12 @@ type ProbeOp struct {
 	joinType  JoinType
 	residual  expr.Expr // over Ctx{B: probe row, B2: build payload row}
 	probeProj []int
+	// The residual rebound to its scratch block: the probe columns it reads
+	// (resProbe), then the payload columns (resBuild), in resSchema.
+	resPred   expr.Expr
+	resProbe  []int
+	resBuild  []int
+	resSchema *storage.Schema
 	buildProj []int
 	out       *storage.Schema
 	readCols  []int
@@ -265,6 +274,11 @@ type probeScratch struct {
 	rbs   []*storage.Block
 	rrows []int32
 	sel   []int32
+	// The residual's scratch block of gathered pairs, its evaluator and the
+	// pairs that pass. The block is the probe's own, not a pool checkout.
+	res  *storage.Block
+	vec  expr.Vectors
+	rsel []int32
 }
 
 // gather pulls the probe key columns of b into the scratch and hashes them.
@@ -384,7 +398,44 @@ func NewProbe(spec ProbeSpec) *ProbeOp {
 	}
 	op.readCols = append(append([]int{}, spec.KeyCols...), spec.ProbeProj...)
 	op.readCols = append(op.readCols, expr.PrimaryCols(spec.Residual)...)
+	if spec.Residual != nil {
+		op.bindResidual(spec.InputSchema, pay)
+	}
 	return op
+}
+
+// residualBlockBytes sizes a probe's residual scratch block; a probe block
+// with more matches than it holds is filtered a block's capacity at a time.
+const residualBlockBytes = 64 << 10
+
+// bindResidual lays out the residual's scratch block — the probe columns
+// the residual reads, then the payload columns — and rebinds the residual
+// to it, once per plan.
+func (o *ProbeOp) bindResidual(probe, pay *storage.Schema) {
+	var side [2][]int // columns read, indexed by expr.Side
+	expr.Walk(o.residual, func(x expr.Expr) {
+		if c, ok := x.(*expr.ColRef); ok && !slices.Contains(side[c.S], c.Col) {
+			side[c.S] = append(side[c.S], c.Col)
+		}
+	})
+	slices.Sort(side[expr.Primary])
+	slices.Sort(side[expr.Secondary])
+	o.resProbe, o.resBuild = side[expr.Primary], side[expr.Secondary]
+	var cols []storage.Column
+	for _, c := range o.resProbe {
+		cols = append(cols, probe.Col(c))
+	}
+	for _, c := range o.resBuild {
+		cols = append(cols, pay.Col(c))
+	}
+	o.resSchema = storage.NewSchema(cols...)
+	o.resPred = expr.Rebind(o.residual, func(c *expr.ColRef) *expr.ColRef {
+		at := slices.Index(side[c.S], c.Col)
+		if c.S == expr.Secondary {
+			at += len(o.resProbe)
+		}
+		return &expr.ColRef{S: expr.Primary, Col: at, Ty: c.Ty, Width: c.Width, Name: c.Name}
+	})
 }
 
 func (o *ProbeOp) setID(id core.OpID) { o.self = id }
@@ -438,7 +489,7 @@ func (w *probeWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	existence := o.joinType == LeftSemi || o.joinType == LeftAnti
 	ht.Match(sc.h, sc.k0, sc.k1, existence && o.residual == nil, &sc.m)
 	if o.residual != nil {
-		w.filter(ctx, ht, &sc.m)
+		sc.filter(o, ht, b, ctx.Scalars)
 	}
 	em := core.NewEmitter(ctx, out, o.self, o.out)
 	if existence {
@@ -457,15 +508,28 @@ func (w *probeWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 }
 
 // filter keeps the matches whose (probe row, payload row) pair passes the
-// residual, in order.
-func (w *probeWO) filter(ctx *core.ExecCtx, ht *hashtable.Table, m *hashtable.Matches) {
-	ec := expr.Ctx{B: w.block, Scalars: ctx.Scalars}
+// residual, in order. A block's capacity of matches at a time, it gathers
+// the columns the residual reads for the pairs into the scratch block,
+// filters that block, and compacts the matches in place.
+func (sc *probeScratch) filter(o *ProbeOp, ht *hashtable.Table, b *storage.Block, scalars []types.Datum) {
+	if sc.res == nil {
+		sc.res = storage.NewBlock(o.resSchema, storage.ColumnStore, residualBlockBytes)
+	}
+	m := &sc.m
+	ec := expr.Ctx{B: sc.res, Scalars: scalars}
 	keep := 0
-	for i, ref := range m.Ref {
-		ec.Row = int(m.Probe[i])
-		ec.B2, ec.Row2 = ht.Payload(ref)
-		if w.op.residual.Eval(&ec).I != 0 {
-			m.Probe[keep], m.Ref[keep] = m.Probe[i], ref
+	for lo := 0; lo < len(m.Ref); lo += sc.res.Capacity() {
+		hi := min(lo+sc.res.Capacity(), len(m.Ref))
+		for _, ref := range m.Ref[lo:hi] {
+			pb, prow := ht.Payload(ref)
+			sc.rbs, sc.rrows = append(sc.rbs, pb), append(sc.rrows, int32(prow))
+		}
+		sc.res.Reset()
+		sc.res.AppendPairs(b, m.Probe[lo:hi], o.resProbe, sc.rbs, sc.rrows, o.resBuild)
+		sc.rbs, sc.rrows = sc.rbs[:0], sc.rrows[:0]
+		sc.rsel = sc.vec.Filter(o.resPred, &ec, sc.rsel)
+		for _, i := range sc.rsel {
+			m.Probe[keep], m.Ref[keep] = m.Probe[lo+int(i)], m.Ref[lo+int(i)]
 			keep++
 		}
 	}

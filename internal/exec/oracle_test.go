@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -524,10 +525,11 @@ func joinBlocks(rng *rand.Rand, s *storage.Schema, formats []storage.Format, key
 }
 
 // oracleJoin joins probe rows to build rows by nested loops. keyCols are the
-// key columns of both inputs; residual, if set, is pv < bv. Output columns:
+// key columns of both inputs; residual, if set, is the residual in plain Go
+// over the probe and build rows. Output columns:
 // probeProj of the probe row, then buildProj of the build row (zeros for a
 // left outer row without a match).
-func oracleJoin(jt JoinType, build, probe []*storage.Block, keyCols, probeProj, buildProj []int, residual bool) [][]types.Datum {
+func oracleJoin(jt JoinType, build, probe []*storage.Block, keyCols, probeProj, buildProj []int, residual func(p, b []types.Datum) bool) [][]types.Datum {
 	type row []types.Datum
 	var buildRows []row
 	for _, b := range build {
@@ -549,7 +551,7 @@ func oracleJoin(jt JoinType, build, probe []*storage.Block, keyCols, probeProj, 
 				for _, k := range keyCols {
 					same = same && p[k].I == b[k].I
 				}
-				if !same || residual && !(p[2].F < b[2].F) {
+				if !same || residual != nil && !residual(p, b) {
 					continue
 				}
 				matched = true
@@ -590,8 +592,39 @@ func zeroDatum(c storage.Column) types.Datum {
 	}
 }
 
-// TestOracleProbeProperty: the four join types, with and without a
-// residual, over one and two key columns whose keys collide on tag and
+// probeResiduals are the residuals TestOracleProbeProperty joins under, each
+// as an expression over the probe input and the payload (bseq, bv, bc) and
+// in plain Go over a probe row (k0, k1, pv, pc, pseq) and a build row (k0,
+// k1, bv, bc, bseq). "true" is pv < bv; the others add OR, NOT, IN, LIKE and
+// a comparison of two char columns of different widths.
+var probeResiduals = []struct {
+	name  string
+	expr  func(ps, pay *storage.Schema) expr.Expr
+	holds func(p, b []types.Datum) bool
+}{
+	{"false", nil, nil},
+	{"true", func(ps, pay *storage.Schema) expr.Expr { return expr.Lt(expr.C(ps, "pv"), expr.C2(pay, "bv")) },
+		func(p, b []types.Datum) bool { return p[2].F < b[2].F }},
+	{"or", func(ps, pay *storage.Schema) expr.Expr {
+		return expr.Or(expr.Lt(expr.C(ps, "pv"), expr.C2(pay, "bv")), expr.InStrings(expr.C(ps, "pc"), "a", "b", "c", "d"))
+	}, func(p, b []types.Datum) bool { return p[2].F < b[2].F || p[3].Bytes()[0] <= 'd' }},
+	{"not", func(ps, pay *storage.Schema) expr.Expr {
+		return expr.Not(expr.Lt(expr.C(ps, "pv"), expr.C2(pay, "bv")))
+	},
+		func(p, b []types.Datum) bool { return !(p[2].F < b[2].F) }},
+	{"in", func(ps, pay *storage.Schema) expr.Expr {
+		return expr.InStrings(expr.C2(pay, "bc"), "a", "e", "i", "o", "u")
+	},
+		func(p, b []types.Datum) bool { return strings.Contains("aeiou", string(b[3].Bytes())) }},
+	{"like", func(ps, pay *storage.Schema) expr.Expr {
+		return expr.Or(expr.Like(expr.C(ps, "pc"), "a%"), expr.NotLike(expr.C2(pay, "bc"), "%m%"))
+	}, func(p, b []types.Datum) bool { return string(p[3].Bytes()) == "a" || string(b[3].Bytes()) != "m" }},
+	{"chars", func(ps, pay *storage.Schema) expr.Expr { return expr.Lt(expr.C(ps, "pc"), expr.C2(pay, "bc")) },
+		func(p, b []types.Datum) bool { return string(p[3].Bytes()) < string(b[3].Bytes()) }},
+}
+
+// TestOracleProbeProperty: the four join types, without a residual and
+// under each of probeResiduals, over one and two key columns whose keys collide on tag and
 // shard, with duplicates on both sides, misses, and row- and column-store
 // probe input: ProbeOp's output equals the nested-loop oracle's row for row,
 // in order. With two keys, each key also has a twin that shares its k0 and
@@ -622,12 +655,12 @@ func TestOracleProbeProperty(t *testing.T) {
 				types.NewFloat64(0), types.NewString("m"), types.NewInt64(-1))
 		}
 		for _, jt := range []JoinType{Inner, LeftOuter, LeftSemi, LeftAnti} {
-			for _, residual := range []bool{false, true} {
-				name := fmt.Sprintf("keys=%d/%s/residual=%v", len(keyCols), jt, residual)
+			for _, res := range probeResiduals {
+				name := fmt.Sprintf("keys=%d/%s/residual=%s", len(keyCols), jt, res.name)
 				t.Run(name, func(t *testing.T) {
 					ctx := execCtx()
 					spec := BuildSpec{Name: "build", InputSchema: bs, KeyCols: keyCols, ExpectedRows: 64}
-					if jt == Inner || jt == LeftOuter || residual {
+					if jt == Inner || jt == LeftOuter || res.expr != nil {
 						spec.Payload = []int{4, 2, 3} // bseq, bv, bc
 					}
 					bop := NewBuildHash(spec)
@@ -642,13 +675,13 @@ func TestOracleProbeProperty(t *testing.T) {
 						pspec.BuildProj = []int{0, 2, 1} // bseq, bc, bv of the payload
 						buildProj = []int{4, 3, 2}
 					}
-					if residual {
-						pspec.Residual = expr.Lt(expr.C(ps, "pv"), expr.C2(bop.PayloadSchema(), "bv"))
+					if res.expr != nil {
+						pspec.Residual = res.expr(ps, bop.PayloadSchema())
 					}
 					pop := NewProbe(pspec)
 					pop.setID(21)
 					got := allRows(runOp(t, ctx, pop, 21, probe...))
-					want := oracleJoin(jt, build, probe, keyCols, []int{4, 3, 2}, buildProj, residual)
+					want := oracleJoin(jt, build, probe, keyCols, []int{4, 3, 2}, buildProj, res.holds)
 					if len(want) == 0 {
 						t.Fatal("oracle emits nothing; the case tests nothing")
 					}
@@ -666,6 +699,197 @@ func TestOracleProbeProperty(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// charKeySchema has char columns at the widths where the packed key layout
+// changes (1, 8, 9, 16 and 17 bytes) beside an int, a float and a date.
+func charKeySchema() *storage.Schema {
+	return storage.NewSchema(
+		storage.Column{Name: "c1", Type: types.Char, Width: 1},
+		storage.Column{Name: "c1b", Type: types.Char, Width: 1},
+		storage.Column{Name: "c8", Type: types.Char, Width: 8},
+		storage.Column{Name: "c9", Type: types.Char, Width: 9},
+		storage.Column{Name: "c16", Type: types.Char, Width: 16},
+		storage.Column{Name: "c17", Type: types.Char, Width: 17},
+		storage.Column{Name: "i", Type: types.Int64},
+		storage.Column{Name: "f", Type: types.Float64},
+		storage.Column{Name: "d", Type: types.Date},
+	)
+}
+
+// charKeyBlocks draws each char cell from values that fill the column,
+// are prefixes of each other, differ only past byte 8 or 16, hold interior
+// zero bytes, or are empty; f holds both zeros.
+func charKeyBlocks(rng *rand.Rand, s *storage.Schema, nBlocks, rowsPer int) []*storage.Block {
+	pools := map[int][]string{
+		1:  {"", "a", "b", "\xff"},
+		8:  {"", "a", "a\x00b", "ab", "abcdefgh", "abcdefgi"},
+		9:  {"", "a", "abcdefgh", "abcdefghi", "abcdefghj", "\x00\x00x"},
+		16: {"", "a", "abcdefghijklmnop", "abcdefghijklmnoq", "abcdefgh", "abcdefgh\x00z"},
+		17: {"", "b", "abcdefghijklmnopq", "abcdefghijklmnopr", "abcdefghijklmnop"},
+	}
+	floats := []float64{0, math.Copysign(0, -1), 1.5, -2}
+	formats := []storage.Format{storage.ColumnStore, storage.RowStore}
+	blocks := make([]*storage.Block, nBlocks)
+	for bi := range blocks {
+		b := storage.NewBlock(s, formats[bi%2], rowsPer*s.RowWidth()+256)
+		for r := 0; r < rowsPer; r++ {
+			row := make([]types.Datum, 0, s.NumCols())
+			for c := 0; c < 6; c++ {
+				p := pools[s.ColWidth(c)]
+				row = append(row, types.NewString(p[rng.Intn(len(p))]))
+			}
+			row = append(row, types.NewInt64(int64(rng.Intn(5)-2)),
+				types.NewFloat64(floats[rng.Intn(len(floats))]), types.NewDate(int32(9000+rng.Intn(3))))
+			b.AppendRow(row...)
+		}
+		blocks[bi] = b
+	}
+	return blocks
+}
+
+// TestOracleAggCharKeys: key tuples around the packed layout's limits —
+// char keys of 1, 8, 9, 16 and 17 bytes, char and 8-byte keys summing to at
+// most and to more than 16 bytes, a word across both packed words, SUBSTR
+// and CASE keys — with char min/max and COUNT(DISTINCT) over computed
+// arguments, at 1 and 4 workers: the kernel's groups equal the oracle's.
+func TestOracleAggCharKeys(t *testing.T) {
+	s := charKeySchema()
+	c := func(name string) expr.Expr { return expr.C(s, name) }
+	keySets := [][]expr.Expr{
+		{c("c1")}, {c("c8")}, {c("c9")}, {c("c16")}, {c("c17")},
+		{c("c1"), c("c1b")},
+		{c("c8"), c("i")}, {c("i"), c("c8")}, {c("c9"), c("i")},
+		{c("c1"), c("i")}, {c("c1"), c("f")}, {c("c1"), c("d"), c("c1b")},
+		{c("c16"), c("c1")},
+		{expr.Substr(c("c16"), 3, 5)},
+		{expr.Substr(c("c17"), 0, 9), c("c8")},
+		{expr.Case(expr.Substr(c("c9"), 1, 2), expr.When{Cond: expr.Gt(c("i"), expr.Int(0)), Then: c("c8")})},
+		// Values that differ only by trailing zero bytes are one group; an
+		// interior zero byte makes another.
+		{expr.Case(expr.Str("ab"), expr.When{Cond: expr.Gt(c("i"), expr.Int(0)), Then: expr.Str("ab\x00")},
+			expr.When{Cond: expr.Lt(c("i"), expr.Int(-1)), Then: expr.Str("a\x00b")}), c("c1")},
+	}
+	aggs := []AggSpec{
+		{Func: Count, Name: "n"},
+		{Func: Min, Arg: expr.Substr(c("c17"), 2, 6), Name: "mn"},
+		{Func: Max, Arg: expr.Case(c("c1"), expr.When{Cond: expr.Lt(c("i"), expr.Int(0)), Then: c("c9")}), Name: "mx"},
+		{Func: CountDistinct, Arg: expr.Substr(c("c16"), 1, 9), Name: "cd_s"},
+		{Func: CountDistinct, Arg: expr.AddE(c("i"), expr.Int(1)), Name: "cd_i"},
+		{Func: CountDistinct, Arg: expr.MulE(c("f"), expr.Float(2)), Name: "cd_f"},
+	}
+	blocks := charKeyBlocks(rand.New(rand.NewSource(34)), s, 6, 173)
+	for ki, keys := range keySets {
+		spec := AggOpSpec{Name: "agg", InputSchema: s, GroupBy: keys, Aggs: aggs}
+		for i := range keys {
+			spec.GroupByNames = append(spec.GroupByNames, fmt.Sprintf("k%d", i))
+		}
+		want := oracleAgg(spec, blocks)
+		for _, workers := range []int{1, 4} {
+			op := NewAgg(spec)
+			op.setID(10)
+			ctx := execCtx()
+			ctx.Workers = workers
+			emitted, _ := runOpConcurrent(t, ctx, op, 10, blocks, workers)
+			t.Run(fmt.Sprintf("%d/w%d/%T/%s", ki, workers, op.keys, canonExprs(keys)), func(t *testing.T) {
+				requireSameRows(t, allRows(emitted), want, len(keys))
+			})
+		}
+	}
+}
+
+// TestOracleAggFloatKeyBesideChar: -0 and +0 are one group, and so is
+// every NaN, beside a char key in the packed layout.
+func TestOracleAggFloatKeyBesideChar(t *testing.T) {
+	s := storage.NewSchema(
+		storage.Column{Name: "c", Type: types.Char, Width: 3},
+		storage.Column{Name: "f", Type: types.Float64},
+	)
+	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) | 1)
+	vals := []float64{0, math.Copysign(0, -1), math.NaN(), nan2, 1.5}
+	want := map[string]int64{}
+	b := storage.NewBlock(s, storage.ColumnStore, 16<<10)
+	for i := 0; i < 60; i++ {
+		tag, f := []string{"x", "x\x00y", "zz"}[i%3], vals[i%len(vals)]
+		b.AppendRow(types.NewString(tag), types.NewFloat64(f))
+		want[fmt.Sprintf("%q/%x", tag, floatKeyBits(f))]++
+	}
+	for _, workers := range []int{1, 4} {
+		spec := AggOpSpec{Name: "agg", InputSchema: s, GroupBy: []expr.Expr{expr.C(s, "c"), expr.C(s, "f")},
+			GroupByNames: []string{"c", "f"}, Aggs: []AggSpec{{Func: Count, Name: "n"}}}
+		op := NewAgg(spec)
+		if _, ok := op.keys.(wordKeys); !ok {
+			t.Fatalf("resolver %T, want wordKeys", op.keys)
+		}
+		op.setID(10)
+		ctx := execCtx()
+		ctx.Workers = workers
+		emitted, _ := runOpConcurrent(t, ctx, op, 10, []*storage.Block{b}, workers)
+		got := map[string]int64{}
+		for _, r := range allRows(emitted) {
+			got[fmt.Sprintf("%q/%x", r[0].Bytes(), floatKeyBits(r[1].F))] += r[2].I
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("w%d: groups %v, want %v", workers, got, want)
+		}
+	}
+}
+
+// evalRow evaluates a list of expressions for one row of b: the
+// row-at-a-time oracle for the select's computed projections.
+func evalRow(exprs []expr.Expr, b *storage.Block, row int, scalars []types.Datum) []types.Datum {
+	c := expr.Ctx{B: b, Row: row, Scalars: scalars}
+	out := make([]types.Datum, len(exprs))
+	for i, e := range exprs {
+		out[i] = e.Eval(&c)
+	}
+	return out
+}
+
+// TestOracleSelectProjections: computed projections of every output type —
+// arithmetic, YEAR, a date column among computed ones, SUBSTR, CASE over
+// chars and numbers, a boolean — under an OR predicate, written a column at
+// a time into row- and column-store output: each output row equals evalRow
+// over the input row, cut to the output column's width as AppendRow does.
+func TestOracleSelectProjections(t *testing.T) {
+	s := oracleSchema()
+	c := func(name string) expr.Expr { return expr.C(s, name) }
+	proj := []expr.Expr{
+		expr.AddE(c("n"), expr.Int(7)), expr.MulE(c("v"), c("f")), expr.Year(c("d")), c("d"), c("c12"),
+		expr.Substr(c("c12"), 3, 8),
+		expr.Case(c("c4"), expr.When{Cond: expr.Gt(c("i"), expr.Int(0)), Then: expr.Str("positive")}),
+		expr.Case(expr.Float(-1), expr.When{Cond: expr.Lt(c("f"), expr.Float(0.5)), Then: c("v")}),
+		expr.Lt(c("n"), c("i")),
+	}
+	names := make([]string, len(proj))
+	for i := range names {
+		names[i] = fmt.Sprintf("p%d", i)
+	}
+	pred := expr.Or(expr.Gt(c("n"), expr.Int(100)), expr.Not(expr.InStrings(c("c4"), "a", "b")))
+	blocks := oracleBlocks(rand.New(rand.NewSource(35)), s, 4, 257)
+	for _, format := range []storage.Format{storage.RowStore, storage.ColumnStore} {
+		op := NewSelect(SelectSpec{Name: "sel", InputSchema: s, Pred: pred, Proj: proj, ProjNames: names})
+		op.setID(12)
+		ctx := execCtx()
+		ctx.TempFormat = format
+		got := allRows(runOp(t, ctx, op, 12, blocks...))
+		var want [][]types.Datum
+		out := storage.NewBlock(op.OutSchema(), storage.RowStore, op.OutSchema().RowWidth())
+		for _, b := range blocks {
+			for _, r := range expr.FilterBlock(pred, b, nil, nil) {
+				out.Reset()
+				out.AppendRow(evalRow(proj, b, int(r), nil)...)
+				row := out.Row(0)
+				for i := range row {
+					row[i] = copyDatum(row[i])
+				}
+				want = append(want, row)
+			}
+		}
+		if len(want) == 0 || !rowsEqual(got, want) {
+			t.Fatalf("%v: %d rows, oracle %d; kernel and oracle differ", format, len(got), len(want))
 		}
 	}
 }

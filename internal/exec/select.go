@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/storage"
+	"repro/internal/types"
 )
 
 // LIPRef attaches a lookahead-information-passing bloom filter to a select
@@ -37,10 +38,44 @@ type SelectOp struct {
 	scratch   sync.Pool // *selScratch
 }
 
-// selScratch is a pooled selection vector: selects reuse one buffer across
-// work orders instead of allocating a fresh []int32 per block.
+// selScratch is one work order's reusable vectors: the selection, the
+// predicate's intermediate vectors, and each computed projection's values,
+// so selects allocate nothing per block.
 type selScratch struct {
-	sel []int32
+	sel  []int32
+	vec  expr.Vectors
+	cols []projVec
+	srcs []storage.ColSource
+}
+
+// projVec holds one computed projection's vector and its evaluator.
+type projVec struct {
+	vec expr.Vectors
+	i   []int64
+	f   []float64
+}
+
+// project evaluates every projection over the block as a vector; the
+// sources alias sp and the block until the next call.
+func (sp *selScratch) project(exprs []expr.Expr, ec *expr.Ctx) []storage.ColSource {
+	if len(sp.cols) < len(exprs) {
+		sp.cols = make([]projVec, len(exprs))
+		sp.srcs = make([]storage.ColSource, len(exprs))
+	}
+	for i, e := range exprs {
+		p := &sp.cols[i]
+		switch e.Type() {
+		case types.Float64:
+			p.f = p.vec.Floats(e, ec, p.f)
+			sp.srcs[i] = storage.ColSource{F: p.f}
+		case types.Char:
+			sp.srcs[i] = storage.ColSource{C: p.vec.Bytes(e, ec)}
+		default:
+			p.i = p.vec.Ints(e, ec, p.i)
+			sp.srcs[i] = storage.ColSource{I: p.i}
+		}
+	}
+	return sp.srcs[:len(exprs)]
 }
 
 // SelectSpec configures NewSelect.
@@ -160,9 +195,10 @@ func (w *selectWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	} else {
 		sp = &selScratch{}
 	}
+	ec := expr.Ctx{B: b, Scalars: ctx.Scalars}
 	var sel []int32
 	if o.pred != nil {
-		sel = expr.FilterBlock(o.pred, b, ctx.Scalars, sp.sel)
+		sel = sp.vec.Filter(o.pred, &ec, sp.sel)
 	} else {
 		sel = expr.SelectAll(b, sp.sel)
 	}
@@ -181,9 +217,8 @@ func (w *selectWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	if o.projIdx != nil {
 		em.AppendMany(b, sel, o.projIdx)
 	} else {
-		for _, r := range sel {
-			em.AppendRow(expr.EvalRow(o.projExprs, b, int(r), ctx.Scalars)...)
-		}
+		em.AppendColumns(sp.project(o.projExprs, &ec), sel)
+		clear(sp.srcs) // a pooled scratch keeps no block alive
 	}
 	out.BatchedRows += int64(n)
 	sp.sel = sel[:0] // keep the (possibly re-grown) backing array

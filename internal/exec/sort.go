@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -49,6 +50,7 @@ type SortOp struct {
 	schema   *storage.Schema
 	blocks   []*storage.Block // every fed block, arrival order
 	layout   sorter.Layout
+	tieCols  []int // each approximate term's column, read in place by ties
 	readCols []int
 
 	mu      sync.Mutex
@@ -83,11 +85,25 @@ type SortSpec struct {
 	Limit int
 }
 
+// UnsortableTermError rejects an ORDER BY term: a computed char term wider
+// than 8 bytes, whose ties the sort could only break by evaluating the term
+// again for every run. No TPC-H or SSB plan has one; sort on a projected
+// column instead.
+type UnsortableTermError struct {
+	Term int
+	Key  string
+}
+
+func (e *UnsortableTermError) Error() string {
+	return fmt.Sprintf("exec: sort term %d (%s) is a computed char wider than 8 bytes", e.Term, e.Key)
+}
+
 // NewSort builds a sort operator, compiling the normalized-key layout from
-// the term types. Char columns wider than 8 bytes, and computed char terms
-// (no declared width), make the layout approximate — prefix words plus a
-// full-value tie-break — which disables range-partitioned merging but keeps
-// the vectorized run sort.
+// the term types. Char columns wider than 8 bytes make the layout
+// approximate — prefix words plus a tie-break on the cells in place — which
+// disables range-partitioned merging but keeps the vectorized run sort. It
+// panics with an *UnsortableTermError on a computed char term wider than 8
+// bytes.
 func NewSort(spec SortSpec) *SortOp {
 	if len(spec.Terms) == 0 {
 		panic("exec: sort needs at least one term")
@@ -95,6 +111,7 @@ func NewSort(spec SortSpec) *SortOp {
 	op := &SortOp{name: spec.Name, terms: spec.Terms, limit: spec.Limit, schema: spec.InputSchema}
 	terms := make([]sorter.Term, len(spec.Terms))
 	keys := make([]expr.Expr, len(spec.Terms))
+	op.tieCols = make([]int, len(spec.Terms))
 	for i, t := range spec.Terms {
 		st := sorter.Term{Desc: t.Desc}
 		switch t.Key.Type() {
@@ -105,10 +122,13 @@ func NewSort(spec SortSpec) *SortOp {
 		case types.Float64:
 			st.Type = sorter.Float64
 		case types.Char:
-			st.Type = sorter.Bytes
-			st.Width = 9 // approximate unless a column declares a narrower width
-			if c, ok := expr.AsPrimaryColRef(t.Key); ok {
-				st.Width = c.Width
+			st.Type, st.Width = sorter.Bytes, expr.CharWidth(t.Key)
+			c, ok := expr.AsPrimaryColRef(t.Key)
+			switch {
+			case ok:
+				op.tieCols[i] = c.Col
+			case st.Width > 8:
+				panic(&UnsortableTermError{Term: i, Key: t.Key.String()})
 			}
 		}
 		terms[i], keys[i] = st, t.Key
@@ -168,27 +188,25 @@ func (o *SortOp) putScratch(sc *sortScratch) {
 	o.mu.Unlock()
 }
 
-// sortTie resolves approximate (wide or computed Char) terms by evaluating
-// the term against the source blocks; run indexes select the block, so
-// callers align blocks with run order. One tie serves one work order.
+// sortTie resolves approximate terms, char columns wider than 8 bytes, by
+// comparing the cells in place: padded cells of one width order as their
+// values do. Run indexes select the block, so callers align blocks with run
+// order.
 type sortTie struct {
 	op     *SortOp
 	blocks []*storage.Block
-	a, b   expr.Ctx
 }
 
-func (o *SortOp) newTie(ctx *core.ExecCtx, blocks []*storage.Block) sorter.Tie {
+func (o *SortOp) newTie(blocks []*storage.Block) sorter.Tie {
 	if o.layout.Exact {
 		return nil
 	}
-	return &sortTie{op: o, blocks: blocks, a: expr.Ctx{Scalars: ctx.Scalars}, b: expr.Ctx{Scalars: ctx.Scalars}}
+	return &sortTie{op: o, blocks: blocks}
 }
 
 func (t *sortTie) Compare(term int, runA int, rowA int32, runB int, rowB int32) int {
-	t.a.B, t.a.Row = t.blocks[runA], int(rowA)
-	t.b.B, t.b.Row = t.blocks[runB], int(rowB)
-	key := t.op.terms[term].Key
-	c := types.Compare(key.Eval(&t.a), key.Eval(&t.b))
+	col := t.op.tieCols[term]
+	c := bytes.Compare(t.blocks[runA].BytesAt(col, int(rowA)), t.blocks[runB].BytesAt(col, int(rowB)))
 	if t.op.terms[term].Desc {
 		c = -c
 	}
@@ -212,10 +230,7 @@ func (o *SortOp) encodeBlock(ec *expr.Ctx, sc *sortScratch, n int) []uint64 {
 			sc.f64 = sc.vec.Floats(term.Key, ec, sc.f64)
 			o.layout.EncodeFloat64(t, sc.f64, nil, keys)
 		case sorter.Bytes:
-			o.layout.EncodeBytes(t, n, func(i int) []byte {
-				ec.Row = i
-				return term.Key.Eval(ec).B
-			}, nil, keys)
+			o.layout.EncodeBytes(t, n, sc.vec.Bytes(term.Key, ec).Bytes, nil, keys)
 		}
 	}
 	return keys
@@ -250,7 +265,7 @@ func (w *sortRunWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	if n > 0 {
 		sc := o.getScratch(out)
 		words := o.layout.Words
-		tie := o.newTie(ctx, []*storage.Block{b})
+		tie := o.newTie([]*storage.Block{b})
 		keys := o.encodeBlock(&expr.Ctx{B: b, Scalars: ctx.Scalars}, sc, n)
 		switch {
 		case o.limit > 0:
@@ -372,7 +387,7 @@ func (w *sortMergeWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 			hi[i] = runs[i].Len()
 		}
 	}
-	m := sorter.NewMerge(runs, &o.layout, o.newTie(ctx, o.blocks), lo, hi)
+	m := sorter.NewMerge(runs, &o.layout, o.newTie(o.blocks), lo, hi)
 
 	proj := make([]int, o.schema.NumCols())
 	for i := range proj {

@@ -14,9 +14,10 @@ import (
 	"repro/internal/types"
 )
 
-// Ctx is the evaluation context: a primary block/row, an optional secondary
-// block/row (the build side during probe residual evaluation), and runtime
-// scalar parameters.
+// Ctx is the evaluation context: a primary block and, for per-row Eval, a
+// row; for Eval, an optional secondary block/row (a join residual's build
+// side, before the probe rebinds the residual to one block); and runtime
+// scalar parameters. Block evaluation (Vectors) reads B and Scalars only.
 type Ctx struct {
 	B    *storage.Block
 	Row  int
@@ -33,7 +34,8 @@ type Expr interface {
 	// Type returns the result type.
 	Type() types.TypeID
 	// Eval evaluates the expression for one row. Boolean expressions
-	// return Int64 0/1.
+	// return Int64 0/1. It defines the semantics the block kernels
+	// (Vectors) must match; the engine itself never calls it.
 	Eval(c *Ctx) types.Datum
 	// String renders the expression for plan display.
 	String() string
@@ -77,9 +79,9 @@ func ColIdx(s *storage.Schema, i int) *ColRef {
 }
 
 // AsPrimaryColRef returns e as a plain Primary-side column reference, if it
-// is one. Operators use this to detect expressions they can satisfy with a
-// direct columnar gather instead of per-row Eval (the select fast-copy path,
-// the aggregation group-key and argument kernels).
+// is one. Operators use this to detect expressions they can satisfy by
+// copying or reading the column in place (the select fast-copy path, the
+// sort's tie-break on wide char columns).
 func AsPrimaryColRef(e Expr) (*ColRef, bool) {
 	c, ok := e.(*ColRef)
 	if !ok || c.S != Primary {
@@ -471,17 +473,19 @@ func (e *CaseExpr) String() string {
 type InExpr struct {
 	X    Expr
 	List []types.Datum
-	// pads is List zero-padded to padW, the width of X's char column, built
-	// by In for the filter kernel; values longer than padW, which no cell can
-	// equal, are left out. padW is 0 if X is not a char column.
+	// pads is List zero-padded to padW, the width of X's char values
+	// (CharWidth), built by In for the filter kernel; values longer than
+	// padW, which no value can equal, are left out. padW is 0 if X is not a
+	// char expression.
 	pads [][]byte
 	padW int
 }
 
 // In builds x IN (list).
 func In(x Expr, list ...types.Datum) *InExpr {
-	e := &InExpr{X: x, List: list, padW: padWidth(x)}
-	if e.padW > 0 {
+	e := &InExpr{X: x, List: list}
+	if x.Type() == types.Char {
+		e.padW = CharWidth(x)
 		for _, d := range list {
 			if pad := padTo(d.B, e.padW); pad != nil {
 				e.pads = append(e.pads, pad)

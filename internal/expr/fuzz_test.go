@@ -18,9 +18,11 @@ import (
 //   - the evaluated datum's type matches the tree's static Type();
 //   - boolean-valued operators return exactly 0 or 1;
 //   - evaluation is deterministic (same row, same result);
-//   - FilterBlock agrees with row-at-a-time evaluation for predicates;
-//   - the numeric vector evaluator agrees bitwise (NaN with any NaN) with
-//     row-at-a-time evaluation for numeric trees.
+//   - FilterBlock agrees with row-at-a-time evaluation for every Int64 tree
+//     (a predicate, or any value read as a boolean);
+//   - the numeric vectors agree bitwise (NaN with any NaN) with row-at-a-time
+//     evaluation for every non-char tree, and the bytes vector holds each
+//     row's char value zero-padded for every char tree.
 //
 // Run as a fuzzer with `go test ./internal/expr -fuzz FuzzExprEval`; in
 // normal test runs it replays the seed corpus.
@@ -34,6 +36,9 @@ func FuzzExprEval(f *testing.F) {
 	f.Add([]byte{18, 13, 9, 7, 4, 18, 19, 1, 7, 5, 18, 18, 7, 2}, int64(math.MaxInt64), math.NaN())
 	f.Add([]byte{0, 17, 0, 7, 3, 1, 17, 1, 7, 1, 0, 3, 1, 7, 2}, int64(math.MinInt64), math.Copysign(0, -1))
 	f.Add([]byte{2, 5, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 7, 1, 2, 12, 2, 9, 0, 2, 1, 2, 3}, int64(0), 0.0)
+	// Dozens of nested INs: the block evaluator must evaluate each operand
+	// once, not once per list value.
+	f.Add([]byte("bbb7777"+strings.Repeat("\xe8", 200)), int64(1), 0.5)
 	f.Fuzz(func(t *testing.T, program []byte, seedI int64, seedF float64) {
 		if len(program) > 256 {
 			program = program[:256]
@@ -44,7 +49,8 @@ func FuzzExprEval(f *testing.F) {
 			storage.Column{Name: "c", Type: types.Char, Width: 8},
 			storage.Column{Name: "d", Type: types.Date},
 		)
-		scalars := []types.Datum{types.NewInt64(seedI), types.NewFloat64(seedF), types.NewDate(int32(seedI))}
+		scalars := []types.Datum{types.NewInt64(seedI), types.NewFloat64(seedF), types.NewDate(int32(seedI)),
+			types.NewString(strings.Repeat("ax", int(uint64(seedI)%5)))}
 		exprs := interpret(program, schema)
 		for _, format := range []storage.Format{storage.RowStore, storage.ColumnStore} {
 			b := storage.NewBlock(schema, format, 6*schema.RowWidth())
@@ -89,6 +95,16 @@ func checkExpr(t *testing.T, e Expr, b *storage.Block, scalars []types.Datum) {
 		}
 	}
 	if ty == types.Char {
+		var vec Vectors
+		v := vec.Bytes(e, &c)
+		for r := 0; r < b.NumRows(); r++ {
+			c.Row = r
+			d := e.Eval(&c)
+			cell := v.Bytes(r)
+			if len(d.B) > len(cell) || !slices.Equal(cell[:len(d.B)], d.B) || strings.Trim(string(cell[len(d.B):]), "\x00") != "" {
+				t.Fatalf("%s row %d: Bytes %q, Eval %q", e, r, cell, d.B)
+			}
+		}
 		return
 	}
 	// Predicates: the vectorized filter must agree with Eval.
@@ -246,10 +262,13 @@ func interpret(program []byte, schema *storage.Schema) []Expr {
 				}
 			}
 		case 17:
-			if next(&i)%2 == 0 {
+			switch next(&i) % 3 {
+			case 0:
 				stack = append(stack, Param(0, types.Int64))
-			} else {
+			case 1:
 				stack = append(stack, Param(1, types.Float64))
+			default:
+				stack = append(stack, Param(3, types.Char))
 			}
 		case 18:
 			stack = append(stack, ColIdx(schema, 3))

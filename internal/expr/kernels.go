@@ -268,6 +268,37 @@ func cmpChars(sel []int32, x, ycol storage.ColView, y []byte, rcol, trim bool, o
 	return sel[:k]
 }
 
+// cmpVecs keeps the rows where x compares to y element-wise: values of two
+// computed operands of one kind.
+func cmpVecs[T int64 | float64](sel []int32, x, y []T, op primOp) []int32 {
+	k, neg := 0, op.neg
+	switch op.p {
+	case primLT:
+		for _, r := range sel {
+			sel[k] = r
+			if (x[r] < y[r]) != neg {
+				k++
+			}
+		}
+	case primGT:
+		for _, r := range sel {
+			sel[k] = r
+			if (x[r] > y[r]) != neg {
+				k++
+			}
+		}
+	default:
+		for _, r := range sel {
+			u, v := x[r], y[r]
+			sel[k] = r
+			if ((u < v) != (u > v)) != neg {
+				k++
+			}
+		}
+	}
+	return sel[:k]
+}
+
 // inPadded keeps the rows whose char cell equals one of pads, the IN list
 // zero-padded to the column's width.
 func inPadded(sel []int32, x storage.ColView, pads [][]byte) []int32 {
@@ -278,6 +309,74 @@ func inPadded(sel []int32, x storage.ColView, pads [][]byte) []int32 {
 		for _, c := range pads {
 			if string(u) == string(c) {
 				hit = true
+				break
+			}
+		}
+		sel[k] = r
+		if hit {
+			k++
+		}
+	}
+	return sel[:k]
+}
+
+// inTrimmed keeps the rows whose char value, without its padding, equals
+// one of list's (a vector of another width than In padded the list to).
+func inTrimmed(sel []int32, x storage.ColView, list []types.Datum) []int32 {
+	k := 0
+	for _, r := range sel {
+		u := types.TrimPad(x.Bytes(int(r)))
+		hit := false
+		for _, d := range list {
+			if string(u) == string(types.TrimPad(d.B)) {
+				hit = true
+				break
+			}
+		}
+		sel[k] = r
+		if hit {
+			k++
+		}
+	}
+	return sel[:k]
+}
+
+// inFloats keeps the rows whose float value types.Compare finds equal to one
+// of list's: an unordered (NaN) pair counts as equal.
+func inFloats(sel []int32, x []float64, list []types.Datum) []int32 {
+	k := 0
+	for _, r := range sel {
+		u := x[r]
+		hit := false
+		for _, d := range list {
+			if c := d.Float(); !(u < c || u > c) {
+				hit = true
+				break
+			}
+		}
+		sel[k] = r
+		if hit {
+			k++
+		}
+	}
+	return sel[:k]
+}
+
+// inInts keeps the rows whose integer value equals one of list's: as floats
+// against a Float64, as integers otherwise.
+func inInts(sel []int32, x []int64, list []types.Datum) []int32 {
+	k := 0
+	for _, r := range sel {
+		u := x[r]
+		hit := false
+		for _, d := range list {
+			if d.Ty == types.Float64 {
+				f := float64(u)
+				hit = !(f < d.F || f > d.F)
+			} else {
+				hit = u == d.I
+			}
+			if hit {
 				break
 			}
 		}

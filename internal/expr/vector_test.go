@@ -101,10 +101,33 @@ func numExpr(rng *rand.Rand, depth int) Expr {
 	}
 }
 
+// charExpr builds a char tree: columns, constants (some longer than the
+// columns, some with zero bytes), the char scalar parameter, substrings
+// (windows that start before the value or run past it) and CASE over them.
+func charExpr(rng *rand.Rand, depth int) Expr {
+	k := rng.Intn(5)
+	if depth <= 0 {
+		k %= 3
+	}
+	switch k {
+	case 0:
+		return col([]string{"c", "c2"}[rng.Intn(2)])
+	case 1:
+		if rng.Intn(4) == 0 {
+			return Param(5, types.Char)
+		}
+		return Str(vecChars[rng.Intn(len(vecChars))])
+	case 2, 3:
+		return Substr(charExpr(rng, depth-1), rng.Intn(8)-1, rng.Intn(8))
+	}
+	return Case(charExpr(rng, depth-1), When{Cond: predExpr(rng, 1), Then: charExpr(rng, depth-1)},
+		When{Cond: predExpr(rng, 0), Then: charExpr(rng, depth-1)})
+}
+
 // predExpr builds a predicate tree mixing the kernel shapes (column vs
 // constant, scalar parameter or column; IN and LIKE over a char column) with
-// shapes that refine per row (reversed operands, arithmetic operands,
-// substrings) under AND/OR/NOT nesting.
+// the shapes that compare computed vectors (reversed operands, arithmetic
+// operands, substrings, CASE) under AND/OR/NOT nesting.
 func predExpr(rng *rand.Rand, depth int) Expr {
 	if depth > 0 {
 		switch rng.Intn(6) {
@@ -118,7 +141,13 @@ func predExpr(rng *rand.Rand, depth int) Expr {
 	}
 	op := CmpOp(rng.Intn(6))
 	chars := []string{"c", "c2"}
-	switch rng.Intn(9) {
+	switch rng.Intn(12) {
+	case 9:
+		return Cmp(op, charExpr(rng, 2), charExpr(rng, 2))
+	case 10:
+		return InStrings(charExpr(rng, 2), vecChars[rng.Intn(len(vecChars))], vecChars[rng.Intn(len(vecChars))])
+	case 11:
+		return Like(charExpr(rng, 2), vecLikes[rng.Intn(len(vecLikes))])
 	case 0, 1:
 		return Cmp(op, numLeaf(rng), numLeaf(rng))
 	case 2:
@@ -191,8 +220,18 @@ func TestVectorMatchesEval(t *testing.T) {
 					}
 				}
 
-				e := numExpr(rng, 3)
 				c := Ctx{B: b, Scalars: vecScalars}
+				ce := charExpr(rng, 3)
+				cv := vec.Bytes(ce, &c)
+				for r := 0; r < n; r++ {
+					c.Row = r
+					d := ce.Eval(&c)
+					if want := string(padTo(d.B, cv.Width())); string(cv.Bytes(r)) != want || len(d.B) > cv.Width() {
+						t.Fatalf("%v %s row %d: Bytes %q, Eval %q", format, ce, r, cv.Bytes(r), d.B)
+					}
+				}
+
+				e := numExpr(rng, 3)
 				fs = vec.Floats(e, &c, fs)
 				if e.Type() != types.Float64 {
 					is = vec.Ints(e, &c, is)
@@ -272,6 +311,16 @@ func TestFilterBlockAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { sel = FilterBlock(pred, b, vecScalars, sel) }); allocs != 0 {
 		t.Fatalf("FilterBlock allocates %v per block with warm scratch", allocs)
 	}
+	// OR, NOT and comparisons of computed values need intermediate vectors:
+	// a warm Vectors holds them.
+	or := Or(And(Lt(col("i"), Int(0)), Not(Eq(Substr(col("c"), 1, 2), Str("ab")))),
+		Gt(AddE(col("f"), col("f2")), Float(1)), Like(Case(col("c2"), When{Cond: Gt(col("i"), Int(2)), Then: col("c")}), "a%"))
+	c := &Ctx{B: b, Scalars: vecScalars}
+	var vec Vectors
+	sel = vec.Filter(or, c, sel)
+	if allocs := testing.AllocsPerRun(100, func() { sel = vec.Filter(or, c, sel) }); allocs != 0 {
+		t.Fatalf("Vectors.Filter of an OR allocates %v per block with warm scratch", allocs)
+	}
 }
 
 // TestEvalVectorAllocs checks that the numeric vector evaluator allocates
@@ -281,13 +330,20 @@ func TestEvalVectorAllocs(t *testing.T) {
 	// Q1's charge, and an integer expression over a date.
 	charge := MulE(MulE(col("f"), SubE(Float(1), col("f2"))), AddE(Float(1), Param(1, types.Float64)))
 	days := AddE(MulE(col("i"), Int(3)), SubE(col("i2"), Param(0, types.Int64)))
+	// A CASE over YEAR, and a char CASE over a substring, as bytes.
+	year := Case(Int(0), When{Cond: Ge(col("d"), Const(types.NewDate(9000))), Then: Year(col("d"))})
+	chars := Case(Substr(col("c"), 2, 3), When{Cond: Lt(col("i"), Int(0)), Then: col("c2")})
 	c := &Ctx{B: b, Scalars: vecScalars}
 	var vec Vectors
 	fs := vec.Floats(charge, c, nil)
 	is := vec.Ints(days, c, nil)
+	ys := vec.Ints(year, c, nil)
+	vec.Bytes(chars, c)
 	allocs := testing.AllocsPerRun(100, func() {
 		fs = vec.Floats(charge, c, fs)
 		is = vec.Ints(days, c, is)
+		ys = vec.Ints(year, c, ys)
+		vec.Bytes(chars, c)
 	})
 	if allocs != 0 {
 		t.Fatalf("vector evaluation allocates %v per block with warm scratch", allocs)

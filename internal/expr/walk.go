@@ -66,3 +66,50 @@ func PrimaryCols(exprs ...Expr) []int {
 	sort.Ints(out)
 	return out
 }
+
+// Rebind returns a copy of e with every column reference replaced by
+// col(ref). The copy is rebuilt through the constructors, so what they
+// precompute from a column's width (the char paddings of comparisons and IN
+// lists) follows the new references. A join residual is rebound this way to
+// one block holding the columns of both sides.
+func Rebind(e Expr, col func(*ColRef) *ColRef) Expr {
+	rb := func(x Expr) Expr { return Rebind(x, col) }
+	all := func(xs []Expr) []Expr {
+		out := make([]Expr, len(xs))
+		for i, x := range xs {
+			out[i] = rb(x)
+		}
+		return out
+	}
+	switch x := e.(type) {
+	case *ColRef:
+		return col(x)
+	case *CmpExpr:
+		return Cmp(x.Op, rb(x.L), rb(x.R))
+	case *ArithExpr:
+		return Arith(x.Op, rb(x.L), rb(x.R))
+	case *AndExpr:
+		return &AndExpr{Kids: all(x.Kids)}
+	case *OrExpr:
+		return &OrExpr{Kids: all(x.Kids)}
+	case *NotExpr:
+		return Not(rb(x.X))
+	case *YearExpr:
+		return Year(rb(x.X))
+	case *SubstrExpr:
+		return Substr(rb(x.X), x.Start, x.Len)
+	case *LikeExpr:
+		y := *x
+		y.X = rb(x.X)
+		return &y
+	case *InExpr:
+		return In(rb(x.X), x.List...)
+	case *CaseExpr:
+		whens := make([]When, len(x.Whens))
+		for i, w := range x.Whens {
+			whens[i] = When{Cond: rb(w.Cond), Then: rb(w.Then)}
+		}
+		return Case(rb(x.Else), whens...)
+	}
+	return e
+}

@@ -99,6 +99,12 @@ type gateExpr struct{ ch chan struct{} }
 func (g gateExpr) Type() types.TypeID         { return types.Int64 }
 func (g gateExpr) Eval(*expr.Ctx) types.Datum { <-g.ch; return types.NewInt64(1) }
 func (g gateExpr) String() string             { return "gate" }
+func (g gateExpr) EvalBlock(_ *expr.Ctx, dst []int64) {
+	<-g.ch
+	for r := range dst {
+		dst[r] = 1
+	}
+}
 
 // gatedPlan scans fact under a gate predicate and collects the result.
 func gatedPlan(fact *storage.Table, gate chan struct{}) *engine.Builder {

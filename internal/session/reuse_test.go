@@ -195,6 +195,12 @@ func (e slowExpr) Eval(*expr.Ctx) types.Datum {
 	e.once.Do(func() { time.Sleep(e.d) })
 	return types.NewInt64(1)
 }
+func (e slowExpr) EvalBlock(_ *expr.Ctx, dst []int64) {
+	e.once.Do(func() { time.Sleep(e.d) })
+	for r := range dst {
+		dst[r] = 1
+	}
+}
 
 // TestReuseEvictionsAreTracedInTheEvictingQuery fills a cache that holds four
 // results with eight distinct scans, each costlier to recompute than the ones

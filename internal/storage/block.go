@@ -244,6 +244,14 @@ func (b *Block) View(col int) ColView {
 	return ColView{Type: b.schema.Col(col).Type, Cells: Cells{b.data[off:], stride}, width: b.schema.ColWidth(col)}
 }
 
+// CharView is a char vector laid out like a column: row r's value is
+// data[r*stride:][:width], zero-padded to width. A stride of 0 repeats one
+// value for every row. The expression evaluator hands out computed char
+// vectors, and constants, this way.
+func CharView(data []byte, stride, width int) ColView {
+	return ColView{Type: types.Char, Cells: Cells{data, stride}, width: width}
+}
+
 // Int returns row r of a numeric column as Datum.I holds it: an Int64's
 // value, a Date's day count.
 func (v ColView) Int(r int) int64 {
@@ -416,6 +424,55 @@ func (b *Block) AppendPairs(left *Block, lrows []int32, lproj []int, rights []*B
 	}
 	b.n += n
 	return n
+}
+
+// ColSource is one column of computed values for AppendColumns: I for an
+// Int64 or Date column, F for a Float64 column, C for a Char column, whose
+// cells are cut or zero-padded to the column's width as AppendRow does.
+type ColSource struct {
+	I []int64
+	F []float64
+	C ColView
+}
+
+// AppendColumns appends the given rows of computed columns, column at a
+// time: column ci of tuple i is row rows[i] of srcs[ci]. It stops when the
+// block fills and returns how many tuples were appended.
+func (b *Block) AppendColumns(srcs []ColSource, rows []int32) int {
+	take := rows[:b.room(len(rows))]
+	if len(take) == 0 {
+		return 0
+	}
+	for ci, s := range srcs {
+		d, stride := b.colLayout(ci)
+		d += b.n * stride
+		switch b.schema.Col(ci).Type {
+		case types.Int64:
+			for _, r := range take {
+				binary.LittleEndian.PutUint64(b.data[d:], uint64(s.I[r]))
+				d += stride
+			}
+		case types.Date:
+			for _, r := range take {
+				binary.LittleEndian.PutUint32(b.data[d:], uint32(int32(s.I[r])))
+				d += stride
+			}
+		case types.Float64:
+			for _, r := range take {
+				binary.LittleEndian.PutUint64(b.data[d:], float64bits(s.F[r]))
+				d += stride
+			}
+		default:
+			w := b.schema.ColWidth(ci)
+			for _, r := range take {
+				cell := b.data[d : d+w]
+				clear(cell[copy(cell, s.C.Bytes(int(r))):])
+				d += stride
+			}
+		}
+	}
+	b.n += len(take)
+	return len(take)
 }
 
 // AppendGather appends rows gathered from multiple source blocks — row i of
