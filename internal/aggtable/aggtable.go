@@ -174,9 +174,6 @@ func (t *Table) NewLike(capHint int) *Table {
 // Len returns the number of distinct groups.
 func (t *Table) Len() int { return t.nGroups }
 
-// NAggs returns the number of accumulator columns per group.
-func (t *Table) NAggs() int { return t.nAggs }
-
 // Key returns group g's inline keys (k1 is 0 for single-key tables).
 func (t *Table) Key(g int) (k0, k1 int64) {
 	if t.twoKeys {

@@ -142,8 +142,6 @@ func (h *Harness) ConcurrentChaos() (*Report, error) {
 			req.Label = label
 			if inj != nil {
 				req.Faults = inj
-				req.MaxAttempts = 8
-				req.RetryBackoff = 100 * time.Microsecond
 			}
 			if mutate != nil {
 				mutate(&req)

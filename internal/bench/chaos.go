@@ -112,8 +112,6 @@ func chaosOptions(inj *faults.Injector, workers int) engine.Options {
 		UoTBlocks:      1,
 		TempBlockBytes: 128 << 10,
 		Faults:         inj,
-		MaxAttempts:    8,
-		RetryBackoff:   100 * time.Microsecond,
 	}
 }
 

@@ -91,9 +91,6 @@ type Sim struct {
 	res   map[any]*list.Element // resident blocks
 	order *list.List            // front = most recent
 	used  int64
-
-	hotReads  int64 // ConsumedSeq calls served hot
-	coldReads int64 // ConsumedSeq calls served cold
 }
 
 type resEntry struct {
@@ -135,13 +132,6 @@ func (s *Sim) SetPrefetch(on bool) {
 	s.mu.Lock()
 	s.prefetch = on
 	s.mu.Unlock()
-}
-
-// Prefetch reports whether the modeled prefetcher is on.
-func (s *Sim) Prefetch() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.prefetch
 }
 
 // Params returns the hardware model.
@@ -252,11 +242,6 @@ func (s *Sim) ConsumedSeq(key any, bytes int64) int64 {
 	wasHot := s.hot(key)
 	pf := s.prefetch
 	s.retain(key, bytes)
-	if wasHot {
-		s.hotReads++
-	} else {
-		s.coldReads++
-	}
 	s.mu.Unlock()
 
 	n := s.lines(bytes)
@@ -344,13 +329,6 @@ func (s *Sim) ResidentBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.used
-}
-
-// Reads reports how many ConsumedSeq calls were served hot vs. cold.
-func (s *Sim) Reads() (hot, cold int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hotReads, s.coldReads
 }
 
 // IsHot reports (without refreshing) whether key is resident.

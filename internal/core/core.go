@@ -17,7 +17,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/cachesim"
 	"repro/internal/faults"
@@ -107,14 +106,6 @@ type ExecCtx struct {
 	// Faults, if non-nil, is the deterministic fault injector operators
 	// consult at named sites (see internal/faults).
 	Faults *faults.Injector
-	// MaxAttempts bounds executions of one work order: after a transient
-	// failure the scheduler rolls the attempt back and re-dispatches until
-	// the work order succeeded or ran MaxAttempts times. 0 or 1 disables
-	// retry.
-	MaxAttempts int
-	// RetryBackoff is the delay before the first re-dispatch of a failed
-	// work order; it doubles per attempt. Default 1ms when retry is on.
-	RetryBackoff time.Duration
 }
 
 // Canceled returns the run-level cancellation error, if the context was
@@ -193,7 +184,8 @@ type WorkOrder interface {
 	// Run executes the work order. It must be safe to run concurrently
 	// with other work orders (of this and other operators). A returned
 	// error fails the attempt; errors classified transient (see
-	// IsTransient) are rolled back and retried up to ExecCtx.MaxAttempts.
+	// IsTransient) are rolled back and re-queued, up to maxAttempts
+	// executions.
 	// The retry contract: a work order must not mutate shared operator
 	// state before a point where it can still fail transiently —
 	// fault-injection sites fire first, and emitter output is rolled back
@@ -262,28 +254,6 @@ func (Base) AdoptsInputs() bool { return false }
 
 // Cleanup implements Operator.
 func (Base) Cleanup(*ExecCtx) {}
-
-// StagedOperator is an optional Operator extension for operators whose
-// finishing work splits into sequential waves after Final — e.g. the
-// parallel sort, whose range-partitioned merge work orders (from Final) must
-// all complete before a single emit work order hands the partitions to the
-// out-edges in order. Without staging, block routing happens at work-order
-// completion in completion order, which would scramble ordered output.
-type StagedOperator interface {
-	Operator
-	// NextStage is called under the run's lock each time the operator
-	// quiesces after Final (all issued work orders done). Returning a
-	// non-empty wave enqueues it and calls NextStage again with the next
-	// stage index once the wave completes; returning an empty non-nil slice
-	// skips to the next stage immediately; returning nil finishes the
-	// operator.
-	NextStage(ctx *ExecCtx, stage int) []WorkOrder
-	// AbandonStages surrenders blocks the operator materialized for a later
-	// stage that will never run (failed or canceled query). The scheduler
-	// releases them during cleanup; after a successful emit the operator
-	// must return nil, since ownership moved to the out-edges.
-	AbandonStages() []*storage.Block
-}
 
 // EdgeKind distinguishes data-carrying from ordering-only edges.
 type EdgeKind uint8
@@ -380,9 +350,6 @@ func (e *Emitter) ensure() *storage.Block {
 		e.interrupt()
 		e.cur = e.ctx.Pool.CheckOut(e.owner, e.schema, e.ctx.TempFormat, e.ctx.TempBlockBytes)
 		e.curBase = e.cur.NumRows()
-		if e.ctx.Run != nil {
-			e.ctx.Run.AddCheckout()
-		}
 	}
 	return e.cur
 }

@@ -42,6 +42,22 @@ func TestEmitterSealsFullBlocksAndChecksInPartials(t *testing.T) {
 	}
 }
 
+// TestEmitterCountsEachCheckoutOnce: the pool's checkout hook is the only
+// counter, so 12 rows at 4 rows per block are 3 checkouts, not 6.
+func TestEmitterCountsEachCheckoutOnce(t *testing.T) {
+	ctx := newCtx(1)
+	ctx.TempBlockBytes = 32 // 4 rows of the 8-byte test schema
+	out := &Output{}
+	em := NewEmitter(ctx, out, 7, testSchema)
+	for i := 0; i < 12; i++ {
+		em.AppendRow(types.NewInt64(int64(i)))
+	}
+	em.Close()
+	if got := ctx.Run.Checkouts(); got != 3 {
+		t.Fatalf("checkouts = %d, want 3", got)
+	}
+}
+
 func TestEmitterResumesPartialAcrossWorkOrders(t *testing.T) {
 	ctx := newCtx(1)
 	ctx.TempBlockBytes = 64 // 8 rows

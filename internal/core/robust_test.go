@@ -65,8 +65,6 @@ func TestTransientFailureRetriesUntilSuccess(t *testing.T) {
 	cid := plan.AddOp(c)
 	plan.Pipe(fid, cid, 0, 1)
 	ctx := newCtx(2)
-	ctx.MaxAttempts = 5
-	ctx.RetryBackoff = time.Microsecond
 	if err := Run(plan, ctx, 1); err != nil {
 		t.Fatalf("run failed despite retries: %v", err)
 	}
@@ -86,19 +84,28 @@ func TestTransientFailureRetriesUntilSuccess(t *testing.T) {
 	}
 }
 
+// TestRetryExhaustionReportsAttempts: a work order that keeps failing
+// transiently runs maxAttempts times, and the run's retries leave no goroutine
+// behind (a retry is a re-queue, not a timer).
 func TestRetryExhaustionReportsAttempts(t *testing.T) {
 	f := &flaky{failN: 100, rows: 1}
 	plan := &Plan{}
 	plan.AddOp(f)
 	ctx := newCtx(1)
-	ctx.MaxAttempts = 3
-	ctx.RetryBackoff = time.Microsecond
+	before := runtime.NumGoroutine()
 	err := Run(plan, ctx, 1)
-	if err == nil || !strings.Contains(err.Error(), "failed after 3 attempts") {
+	if err == nil || !strings.Contains(err.Error(), "failed after 8 attempts") {
 		t.Fatalf("want attempt-count error, got %v", err)
 	}
-	if got := f.runs.Load(); got != 3 {
-		t.Fatalf("work order ran %d times, want 3", got)
+	if got := f.runs.Load(); got != 8 {
+		t.Fatalf("work order ran %d times, want 8", got)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("goroutines leaked: %d before, %d after", before, got)
 	}
 }
 
@@ -107,7 +114,6 @@ func TestFatalErrorIsNotRetried(t *testing.T) {
 	plan := &Plan{}
 	plan.AddOp(f)
 	ctx := newCtx(1)
-	ctx.MaxAttempts = 5
 	err := Run(plan, ctx, 1)
 	if err == nil || !strings.Contains(err.Error(), "corrupt input") {
 		t.Fatalf("want fatal error, got %v", err)
@@ -480,94 +486,4 @@ func (m *multiEmit) Start(*ExecCtx) []WorkOrder {
 		wos[i] = &emitNWO{op: m.op}
 	}
 	return wos
-}
-
-// TestRetryBackoffIsATimer pins how a transient failure waits out its
-// backoff: on a timer that re-queues the work order, not on a run that sleeps.
-func TestRetryBackoffIsATimer(t *testing.T) {
-	t.Run("fatal failure stops a pending retry", func(t *testing.T) {
-		// At one worker, the flaky op runs first (same depth, earlier in the
-		// queue) and arms a 100ms retry; the consumer's only work order then
-		// fails fatally with nothing else queued.
-		const backoff = 100 * time.Millisecond
-		a := &flaky{failN: 100, rows: 1}
-		e := &emitN{rows: 2}
-		c := &failingConsumer{}
-		plan := &Plan{}
-		plan.AddOp(a)
-		e.self = plan.AddOp(e)
-		plan.Pipe(e.self, plan.AddOp(c), 0, 1)
-		ctx := newCtx(1)
-		ctx.MaxAttempts = 5
-		ctx.RetryBackoff = backoff
-
-		before := runtime.NumGoroutine()
-		start := time.Now()
-		err := Run(plan, ctx, 1)
-		elapsed := time.Since(start)
-		if err == nil || !strings.Contains(err.Error(), "consumer exploded") {
-			t.Fatalf("want consumer error, got %v", err)
-		}
-		if elapsed > backoff/2 {
-			t.Fatalf("failed run took %v; it waited out the pending retry's %v backoff", elapsed, backoff)
-		}
-		time.Sleep(backoff + 50*time.Millisecond)
-		if got := a.runs.Load(); got != 1 {
-			t.Fatalf("flaky work order ran %d times, want 1 (its retry must be dropped)", got)
-		}
-		r := ctx.Run.Robust()
-		if r.Cancellations != 1 {
-			t.Fatalf("cancellations = %d, want 1 (the stopped retry)", r.Cancellations)
-		}
-		if r.LeakedBlocks != 0 || r.OutstandingRefs != 0 || ctx.Run.Intermediates.Live() != 0 {
-			t.Fatalf("failed run leaked: %+v, live bytes %d", r, ctx.Run.Intermediates.Live())
-		}
-		if got := runtime.NumGoroutine(); got > before {
-			t.Fatalf("goroutines leaked: %d before, %d after", before, got)
-		}
-	})
-
-	t.Run("queued work runs during the backoff", func(t *testing.T) {
-		const backoff = 50 * time.Millisecond
-		a := &flaky{failN: 1, rows: 1}
-		p := &producer{nblocks: 20, rows: 1}
-		c := &consumer{}
-		plan := &Plan{}
-		aid := plan.AddOp(a)
-		pid := plan.AddOp(p)
-		plan.Pipe(pid, plan.AddOp(c), 0, 1)
-		ctx := newCtx(1)
-		ctx.MaxAttempts = 3
-		ctx.RetryBackoff = backoff
-		if err := Run(plan, ctx, 1); err != nil {
-			t.Fatalf("run failed despite retries: %v", err)
-		}
-		if c.rows != 20 {
-			t.Fatalf("consumer rows = %d, want 20", c.rows)
-		}
-		var failed, retried time.Time
-		for _, w := range ctx.Run.Orders() {
-			if w.OpID == int(aid) && w.Attempt == 1 {
-				failed = w.End
-			}
-			if w.OpID == int(aid) && w.Attempt == 2 {
-				retried = w.Start
-			}
-		}
-		if failed.IsZero() || retried.IsZero() {
-			t.Fatal("missing the flaky op's failed attempt or its retry")
-		}
-		if gap := retried.Sub(failed); gap < backoff {
-			t.Fatalf("retry dispatched %v after the failure, before its %v backoff", gap, backoff)
-		}
-		during := 0
-		for _, w := range ctx.Run.Orders() {
-			if w.OpID == int(pid) && w.Start.After(failed) && w.End.Before(retried) {
-				during++
-			}
-		}
-		if during == 0 {
-			t.Fatal("no producer work order ran while the retry waited out its backoff")
-		}
-	})
 }

@@ -17,12 +17,12 @@ import (
 // consumers in groups of UoT blocks per pipelined edge (ResolveUoT against
 // defaultUoT, fixed for the whole run). The run has no goroutine of its own:
 // its scheduling state is guarded by one lock, and whoever changes it — Run's
-// caller at start, the worker that just finished a work order, or a retry
-// timer — dispatches the next work orders. Run returns after every operator
-// has finished, after the run context is canceled, or after a work order
-// fails fatally (transient failures are rolled back and retried up to
-// ctx.MaxAttempts with exponential backoff). On any exit path the scheduler
-// reclaims every intermediate block and verifies the zero-leak invariants.
+// caller at start, or the worker that just finished a work order — dispatches
+// the next work orders. Run returns after every operator has finished, after
+// the run context is canceled, or after a work order fails fatally (a
+// transient failure is rolled back and re-queued at once, up to maxAttempts
+// executions). On any exit path the scheduler reclaims every intermediate
+// block and verifies the zero-leak invariants.
 func Run(plan *Plan, ctx *ExecCtx, defaultUoT int) error {
 	if ctx.Workers <= 0 {
 		ctx.Workers = 1
@@ -37,12 +37,21 @@ func Run(plan *Plan, ctx *ExecCtx, defaultUoT int) error {
 // held back under memory pressure before it is dispatched anyway.
 const memHoldLimit = 8
 
+// maxAttempts bounds executions of one work order: a transient failure (see
+// IsTransient) is rolled back and re-queued until the work order succeeds or
+// has run maxAttempts times. Injected faults fire by per-site sequence
+// number, not by time, so a retry waits for nothing.
+const maxAttempts = 8
+
 type job struct {
 	op OpID
 	wo WorkOrder
 	// attempt counts completed executions of wo (0 for the first
 	// dispatch).
 	attempt int
+	// final is the work order's index in its operator's Final wave, -1 for
+	// every other work order.
+	final int
 	// Tracing annotations (zero when tracing is disabled): when the job
 	// entered the queue and which UoT delivery batch fed it (-1 for work
 	// orders not born from an edge delivery).
@@ -88,7 +97,13 @@ type opState struct {
 	inflight    int
 	queued      int
 	finalIssued bool
-	stage       int // next post-Final stage index (StagedOperator)
+	// finalOut parks each completed Final work order's output in its issue
+	// slot (finalDone marks the slot filled); finalNext is the first slot
+	// not yet emitted. Final output routes in issue order, whatever order
+	// the wave completes in.
+	finalOut    [][]*storage.Block
+	finalDone   []bool
+	finalNext   int
 	done        bool
 	memHolds    int // consecutive memory-budget holds (see memHoldLimit)
 	out         []*edgeState
@@ -116,11 +131,7 @@ type sched struct {
 	doneOps  int
 	inflight int
 	runErr   error
-	// retries holds the armed backoff timers of transient failures whose
-	// work order is not yet back in the queue (st.queued counts it meanwhile).
-	retries map[*time.Timer]struct{}
-	// done is closed once nothing is in flight, nothing can be dispatched and
-	// no retry is pending.
+	// done is closed once nothing is in flight and nothing can be dispatched.
 	done chan struct{}
 	// lastOp is the operator of this run's previous job on each pool
 	// worker, for the IC term of the Section V model (Sim runs only).
@@ -131,7 +142,6 @@ func newSched(plan *Plan, ctx *ExecCtx, defaultUoT int) *sched {
 	s := &sched{plan: plan, ctx: ctx}
 	s.rc = make(map[*storage.Block]int)
 	s.adopted = make(map[*storage.Block]struct{})
-	s.retries = make(map[*time.Timer]struct{})
 	s.done = make(chan struct{})
 	s.states = make([]*opState, len(s.plan.Ops))
 	for i, op := range s.plan.Ops {
@@ -248,10 +258,10 @@ func (s *sched) run() error {
 // step advances the run; it is called under s.mu by whoever just changed the
 // scheduling state. It observes cancellation, dispatches queued jobs in
 // pickJob order up to the in-flight cap, and closes done once the run is
-// over: nothing in flight, nothing dispatchable, no retry pending. With one
-// worker every dispatch decision is taken on a fresh queue right after the
-// previous completion, so the schedule is fully deterministic (what makes a
-// seeded fault schedule replayable).
+// over: nothing in flight, nothing dispatchable. With one worker every
+// dispatch decision is taken on a fresh queue right after the previous
+// completion, so the schedule is fully deterministic (what makes a seeded
+// fault schedule replayable).
 func (s *sched) step() {
 	if s.runErr == nil {
 		if err := s.ctx.Canceled(); err != nil {
@@ -274,7 +284,7 @@ func (s *sched) step() {
 			Run:      func(worker int) { s.runJob(j, worker) },
 		})
 	}
-	if s.inflight > 0 || len(s.retries) > 0 {
+	if s.inflight > 0 {
 		return
 	}
 	if s.doneOps < len(s.states) && s.runErr == nil {
@@ -307,20 +317,16 @@ func (s *sched) recordEdgeUoTs() {
 }
 
 // fail records the first fatal error and cancels all remaining queued work
-// orders, including retries still waiting out their backoff.
+// orders.
 func (s *sched) fail(err error) {
 	if s.runErr != nil {
 		return
 	}
 	s.runErr = err
-	if dropped := len(s.queue) + len(s.retries); dropped > 0 && s.ctx.Run != nil {
+	if dropped := len(s.queue); dropped > 0 && s.ctx.Run != nil {
 		s.ctx.Run.AddCancellations(int64(dropped))
 	}
 	s.queue = nil
-	for t := range s.retries {
-		t.Stop()
-		delete(s.retries, t)
-	}
 	for _, o := range s.states {
 		o.queued = 0
 	}
@@ -447,29 +453,6 @@ func runSafely(wo WorkOrder, ctx *ExecCtx, out *Output) (err error) {
 	return wo.Run(ctx, out)
 }
 
-// maxAttempts returns the per-work-order attempt bound (>= 1).
-func (s *sched) maxAttempts() int {
-	if s.ctx.MaxAttempts > 1 {
-		return s.ctx.MaxAttempts
-	}
-	return 1
-}
-
-// retryBackoff returns the delay before re-dispatching a work order that
-// failed `attempt` times: exponential from RetryBackoff (default 1ms),
-// capped at 100ms.
-func (s *sched) retryBackoff(attempt int) time.Duration {
-	base := s.ctx.RetryBackoff
-	if base <= 0 {
-		base = time.Millisecond
-	}
-	d := base << (attempt - 1)
-	if maxB := 100 * time.Millisecond; d > maxB || d <= 0 {
-		d = 100 * time.Millisecond
-	}
-	return d
-}
-
 func (s *sched) onComplete(r wres) {
 	st := s.states[r.op]
 	st.inflight--
@@ -494,7 +477,7 @@ func (s *sched) onComplete(r wres) {
 		if s.ctx.Run != nil {
 			s.ctx.Run.AddFailedAttempt()
 		}
-		retry = s.runErr == nil && r.attempt < s.maxAttempts() && IsTransient(r.err)
+		retry = s.runErr == nil && r.attempt < maxAttempts && IsTransient(r.err)
 	}
 	if s.ctx.Run != nil {
 		s.ctx.Run.Record(stats.WorkOrder{
@@ -535,7 +518,8 @@ func (s *sched) onComplete(r wres) {
 	}
 	if retry {
 		// The attempt was rolled back by runSafely; the inputs stay held
-		// and the same work order re-queues when its backoff timer fires.
+		// and the same work order goes straight back on the queue, where
+		// pickJob orders it like any other job.
 		if s.ctx.Run != nil {
 			s.ctx.Run.AddRetry()
 		}
@@ -545,18 +529,7 @@ func (s *sched) onComplete(r wres) {
 		})
 		j := r.job
 		j.enqueueNS = s.ctx.Trace.Now()
-		var t *time.Timer
-		t = time.AfterFunc(s.retryBackoff(r.attempt), func() {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			if _, ok := s.retries[t]; !ok {
-				return // dropped by fail
-			}
-			delete(s.retries, t)
-			s.queue = append(s.queue, j)
-			s.step()
-		})
-		s.retries[t] = struct{}{}
+		s.queue = append(s.queue, j)
 		st.queued++
 		return
 	}
@@ -578,16 +551,33 @@ func (s *sched) onComplete(r wres) {
 			s.decRef(b)
 		}
 	}
-	if s.runErr == nil {
-		s.emit(st, r.out.Blocks)
-	} else {
+	switch {
+	case s.runErr != nil:
 		// A straggler that completed after the run failed: its output
 		// will never be delivered, so reclaim it here.
 		for _, b := range r.out.Blocks {
 			s.release(b)
 		}
+	case r.final >= 0:
+		s.emitFinal(st, r.final, r.out.Blocks)
+	default:
+		s.emit(st, r.out.Blocks)
 	}
 	s.check(st)
+}
+
+// emitFinal parks a completed Final work order's output in its issue slot and
+// emits the longest completed prefix of the wave, so ordered output (a sort's
+// range partitions) reaches the out-edges in partition order. Parked blocks
+// are the scheduler's until emitted; cleanup releases them on a failed run.
+func (s *sched) emitFinal(st *opState, slot int, blocks []*storage.Block) {
+	st.finalOut[slot], st.finalDone[slot] = blocks, true
+	for st.finalNext < len(st.finalDone) && st.finalDone[st.finalNext] && s.runErr == nil {
+		blocks := st.finalOut[st.finalNext]
+		st.finalOut[st.finalNext] = nil
+		st.finalNext++
+		s.emit(st, blocks)
+	}
 }
 
 // emit routes every block produced by st into each of its outgoing pipelined
@@ -777,16 +767,17 @@ func (s *sched) deliver(c *opState, es *edgeState, blocks []*storage.Block) {
 		}
 	}
 	es.batches++
-	s.enqueueBatch(c, c.op.Feed(s.ctx, es.e.ToInput, blocks), es.batches-1)
+	s.enqueueBatch(c, c.op.Feed(s.ctx, es.e.ToInput, blocks), es.batches-1, false)
 }
 
 func (s *sched) enqueue(st *opState, wos []WorkOrder) {
-	s.enqueueBatch(st, wos, -1)
+	s.enqueueBatch(st, wos, -1, false)
 }
 
 // enqueueBatch queues work orders annotated with the UoT delivery batch that
-// produced them (-1 for Start/Final work orders).
-func (s *sched) enqueueBatch(st *opState, wos []WorkOrder, batch int64) {
+// produced them (-1 for Start/Final work orders). A Final wave's jobs carry
+// their issue index (see emitFinal).
+func (s *sched) enqueueBatch(st *opState, wos []WorkOrder, batch int64, final bool) {
 	if s.runErr != nil {
 		return
 	}
@@ -794,8 +785,12 @@ func (s *sched) enqueueBatch(st *opState, wos []WorkOrder, batch int64) {
 	if s.ctx.Trace.Enabled() {
 		enq = s.ctx.Trace.Now()
 	}
-	for _, wo := range wos {
-		s.queue = append(s.queue, job{op: st.id, wo: wo, enqueueNS: enq, batch: batch})
+	for i, wo := range wos {
+		j := job{op: st.id, wo: wo, final: -1, enqueueNS: enq, batch: batch}
+		if final {
+			j.final = i
+		}
+		s.queue = append(s.queue, j)
 	}
 	st.queued += len(wos)
 }
@@ -822,24 +817,10 @@ func (s *sched) check(st *opState) {
 	if !st.finalIssued {
 		st.finalIssued = true
 		if wos := st.op.Final(s.ctx); len(wos) > 0 {
-			s.enqueue(st, wos)
+			st.finalOut = make([][]*storage.Block, len(wos))
+			st.finalDone = make([]bool, len(wos))
+			s.enqueueBatch(st, wos, -1, true)
 			return
-		}
-	}
-	// Staged operators run post-Final waves: each wave must fully complete
-	// before the next stage is asked for, which is what lets a later stage
-	// hand ordered blocks to the out-edges in one deterministic work order.
-	if so, ok := st.op.(StagedOperator); ok {
-		for {
-			wos := so.NextStage(s.ctx, st.stage)
-			if wos == nil {
-				break
-			}
-			st.stage++
-			if len(wos) > 0 {
-				s.enqueue(st, wos)
-				return
-			}
 		}
 	}
 	s.finish(st)
@@ -889,7 +870,7 @@ func (s *sched) finish(st *opState) {
 
 // cleanup is the one place an aborted run's blocks are reclaimed: refcounted
 // blocks, blocks buffered on edges awaiting delivery, partial blocks still
-// checked into the pool, a staged operator's parked blocks, and the adopted
+// checked into the pool, a Final wave's parked outputs, and the adopted
 // set — a partial result is meaningless, and under a shared pool every block
 // of a failed query must return to the global accounting. Successful runs
 // release everything through the normal flow and hand the adopted set over
@@ -923,14 +904,12 @@ func (s *sched) cleanup() {
 		for _, b := range s.ctx.Pool.TakePartials(int(st.id)) {
 			release(b)
 		}
-		// Blocks materialized for an emit stage that will never run are in
-		// no refcount, edge, or partial structure — only the operator knows
-		// about them.
-		if so, ok := st.op.(StagedOperator); ok {
-			for _, b := range so.AbandonStages() {
+		for _, bs := range st.finalOut {
+			for _, b := range bs {
 				release(b)
 			}
 		}
+		st.finalOut = nil
 	}
 	for b := range s.adopted {
 		release(b)

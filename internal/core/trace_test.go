@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/trace"
 )
@@ -154,8 +153,6 @@ func TestTraceRecordsRetriesAndFailedRun(t *testing.T) {
 	cid := plan.AddOp(c)
 	plan.Pipe(fid, cid, 0, 1)
 	ctx, tr := newTracedCtx(2, "flaky")
-	ctx.MaxAttempts = 5
-	ctx.RetryBackoff = time.Microsecond
 	if err := Run(plan, ctx, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -16,16 +16,15 @@ import (
 	"repro/internal/types"
 )
 
-// chaosOpts returns execution options with the given injector and generous
-// retry headroom, so transient injected faults never fail the query.
+// chaosOpts returns execution options with the given injector; the
+// scheduler's 8-attempt retry bound keeps transient injected faults at
+// chaos rates from failing the query.
 func chaosOpts(inj *faults.Injector, workers int) Options {
 	return Options{
 		Workers:        workers,
 		UoTBlocks:      1,
 		TempBlockBytes: 4 << 10,
 		Faults:         inj,
-		MaxAttempts:    10,
-		RetryBackoff:   time.Microsecond,
 	}
 }
 
@@ -223,21 +222,21 @@ func preMutationSites(t *testing.T) []sitePlan {
 
 // preMutationOpts is chaosOpts at the 512-byte block size of
 // preMutationSites, faulting one site at the given rate.
-func preMutationOpts(site faults.Site, rate float64, kind faults.Kind, attempts int) Options {
+func preMutationOpts(site faults.Site, rate float64, kind faults.Kind) Options {
 	opts := chaosOpts(faults.New(faults.Config{
 		Seed:  7,
 		Rates: map[faults.Site]float64{site: rate},
 		Kinds: []faults.Kind{kind},
 	}), 2)
-	opts.TempBlockBytes, opts.MaxAttempts = 512, attempts
+	opts.TempBlockBytes = 512
 	return opts
 }
 
 // TestRetryRecoversPreMutationFaults: a fault at a pre-mutation site — as an
 // error, a panic, or an allocation failure — is recovered by rollback and
 // retry alone, on the same kernel: the rows equal the fault-free run and
-// nothing leaks. At rate 0.25 a work order exhausts 12 attempts with
-// probability ~6e-8.
+// nothing leaks. At rate 0.25 a work order exhausts its 8 attempts with
+// probability ~1.5e-5.
 func TestRetryRecoversPreMutationFaults(t *testing.T) {
 	for _, sp := range preMutationSites(t) {
 		base, _ := mustRows(t, sp.build(), Options{
@@ -245,7 +244,7 @@ func TestRetryRecoversPreMutationFaults(t *testing.T) {
 		}, "fault-free")
 		for _, kind := range []faults.Kind{faults.KindError, faults.KindPanic, faults.KindAlloc} {
 			t.Run(sp.name+"/"+kind.String(), func(t *testing.T) {
-				rows, res := mustRows(t, sp.build(), preMutationOpts(sp.site, 0.25, kind, 12), "faulted")
+				rows, res := mustRows(t, sp.build(), preMutationOpts(sp.site, 0.25, kind), "faulted")
 				if !sameRows(base, rows) {
 					t.Fatal("retried run result differs from fault-free baseline")
 				}
@@ -262,7 +261,7 @@ func TestRetryRecoversPreMutationFaults(t *testing.T) {
 }
 
 // TestPersistentFaultFailsTyped: a site that always faults fails the query
-// with the typed exhaustion error after exactly MaxAttempts attempts — there
+// with the typed exhaustion error after exactly 8 attempts — there
 // is no second kernel to finish on. Execute returns no Result on failure, so
 // retries are read from the tracer and leaks from a caller-owned pool's root gauge
 // (which counts every block the failed run still owns).
@@ -271,7 +270,7 @@ func TestPersistentFaultFailsTyped(t *testing.T) {
 		t.Run(sp.name, func(t *testing.T) {
 			var live stats.MemGauge
 			tr := trace.New(1 << 12)
-			opts := preMutationOpts(sp.site, 1, faults.KindError, 4)
+			opts := preMutationOpts(sp.site, 1, faults.KindError)
 			opts.Pool, opts.Trace = storage.NewPool(&live, nil), tr
 			_, err := Execute(sp.build(), opts)
 			if err == nil {
@@ -280,7 +279,7 @@ func TestPersistentFaultFailsTyped(t *testing.T) {
 			if !errors.As(err, new(*faults.Fault)) {
 				t.Fatalf("error does not wrap *faults.Fault: %v", err)
 			}
-			if !strings.Contains(err.Error(), "after 4 attempts") {
+			if !strings.Contains(err.Error(), "after 8 attempts") {
 				t.Fatalf("error does not report the attempt bound: %v", err)
 			}
 			var retries int64
@@ -289,8 +288,8 @@ func TestPersistentFaultFailsTyped(t *testing.T) {
 					retries += op.Retries
 				}
 			}
-			if retries < 3 {
-				t.Fatalf("retries = %d, want >= 3 before giving up", retries)
+			if retries < 7 {
+				t.Fatalf("retries = %d, want >= 7 before giving up", retries)
 			}
 			if live.Live() != 0 {
 				t.Fatalf("failed run left %d live temp bytes", live.Live())

@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/cachesim"
 	"repro/internal/core"
@@ -50,14 +49,6 @@ type Options struct {
 	// Faults, if non-nil, is a deterministic fault injector consulted by
 	// operators and the block emitter at named sites (chaos testing).
 	Faults *faults.Injector
-	// MaxAttempts bounds executions per work order: a transient failure
-	// (an injected fault) is rolled back and retried with
-	// exponential backoff up to MaxAttempts total attempts. 0 or 1 disables
-	// retry.
-	MaxAttempts int
-	// RetryBackoff is the base re-dispatch delay after a transient failure,
-	// doubling per attempt (capped at 100ms). Default 1ms.
-	RetryBackoff time.Duration
 	// Trace, if non-nil, collects this execution's observability events —
 	// per-work-order spans, per-edge gauge samples, scheduler annotations —
 	// into the tracer's ring buffer (see internal/trace). One tracer may be
@@ -160,8 +151,6 @@ func Execute(b *Builder, opts Options) (*Result, error) {
 		Trace:          opts.Trace,
 		Ctx:            opts.Context,
 		Faults:         opts.Faults,
-		MaxAttempts:    opts.MaxAttempts,
-		RetryBackoff:   opts.RetryBackoff,
 	}
 	err := core.Run(b.plan, ctx, opts.UoTBlocks)
 	run.Finish()

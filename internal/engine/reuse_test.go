@@ -242,8 +242,8 @@ func TestReuseTapAddsNoCheckouts(t *testing.T) {
 	}
 }
 
-// TestReuseTapFaultedRunReleasesAdopted: the sort below the root faults on its
-// only attempt, after the aggregation's output reached both the sort and the
+// TestReuseTapFaultedRunReleasesAdopted: the sort below the root faults on
+// every attempt, after the aggregation's output reached both the sort and the
 // interior tap. The failed run must hand every adopted block back to the
 // caller's pool and leave no cache entry behind.
 func TestReuseTapFaultedRunReleasesAdopted(t *testing.T) {
@@ -254,7 +254,7 @@ func TestReuseTapFaultedRunReleasesAdopted(t *testing.T) {
 	tr := trace.New(1 << 12)
 	_, err := engine.Execute(buildAggPlan(tab, 0), engine.Options{
 		Workers: 1, UoTBlocks: 4, TempBlockBytes: 4 << 10,
-		Reuse: cache, Pool: pool, Trace: tr, MaxAttempts: 1,
+		Reuse: cache, Pool: pool, Trace: tr,
 		Faults: faults.New(faults.Config{
 			Seed:  1,
 			Rates: map[faults.Site]float64{faults.SortRun: 1},

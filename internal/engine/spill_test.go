@@ -4,7 +4,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/faults"
 	"repro/internal/stats"
@@ -127,7 +126,7 @@ func TestSpillCrashConsistency(t *testing.T) {
 			pool, dir := spillPool(t, inj)
 			opts := Options{
 				Workers: 2, UoTBlocks: 2, TempBlockBytes: 4 << 10, Pool: pool,
-				Faults: inj, MaxAttempts: 10, RetryBackoff: time.Microsecond,
+				Faults: inj,
 			}
 			rows, res := mustRows(t, buildJoinAggPlan(fact, dim), opts, "faulted spill")
 			if !sameRows(base, rows) {

@@ -60,15 +60,6 @@ func runOp(t *testing.T, ctx *core.ExecCtx, op core.Operator, id core.OpID, bloc
 		runWOs(op.Feed(ctx, 0, blocks))
 	}
 	runWOs(op.Final(ctx))
-	if so, ok := op.(core.StagedOperator); ok {
-		for stage := 0; ; stage++ {
-			wos := so.NextStage(ctx, stage)
-			if wos == nil {
-				break
-			}
-			runWOs(wos)
-		}
-	}
 	emitted = append(emitted, ctx.Pool.TakePartials(int(id))...)
 	return emitted
 }

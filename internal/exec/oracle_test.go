@@ -238,8 +238,9 @@ func requireAggMatchesOracle(t *testing.T, spec AggOpSpec, blocks []*storage.Blo
 }
 
 // runOpConcurrent drives an operator the way the scheduler would with
-// `workers` goroutines: the work orders of each wave (feed, final, then each
-// stage) race, waves run in sequence. A failed work order fails the test.
+// `workers` goroutines: the work orders of each wave (feed, then final) race,
+// waves run in sequence, and a wave's output is collected in issue order. A
+// failed work order fails the test.
 func runOpConcurrent(t *testing.T, ctx *core.ExecCtx, op core.Operator, id core.OpID, blocks []*storage.Block, workers int) ([]*storage.Block, []core.Output) {
 	t.Helper()
 	op.Init(ctx)
@@ -274,15 +275,6 @@ func runOpConcurrent(t *testing.T, ctx *core.ExecCtx, op core.Operator, id core.
 	}
 	runWave(feed)
 	runWave(op.Final(ctx))
-	if so, ok := op.(core.StagedOperator); ok {
-		for stage := 0; ; stage++ {
-			wos := so.NextStage(ctx, stage)
-			if wos == nil {
-				break
-			}
-			runWave(wos)
-		}
-	}
 	return append(emitted, ctx.Pool.TakePartials(int(id))...), outs
 }
 

@@ -36,11 +36,12 @@ const (
 // evaluated into the same scratch vectors — are encoded into normalized
 // uint64 words, each fed block is sorted into a run in its own work order as
 // input arrives (radix sort for single-word keys, a bounded top-k heap when
-// Limit > 0), the runs are k-way-merged in range-partitioned parallel work
-// orders, and one deterministic emit stage hands the output over through a
-// columnar gather kernel. NewSort compiles the key layout from the term
-// types once. Ties keep arrival order. (Normalized keys order -0.0 before
-// +0.0, which a value comparison cannot distinguish.)
+// Limit > 0), and the runs are k-way-merged through a columnar gather kernel
+// in range-partitioned parallel work orders, whose outputs the scheduler
+// routes in partition order (a Final wave routes in issue order). NewSort
+// compiles the key layout from the term types once. Ties keep arrival order.
+// (Normalized keys order -0.0 before +0.0, which a value comparison cannot
+// distinguish.)
 type SortOp struct {
 	core.Base
 	self     core.OpID
@@ -56,11 +57,6 @@ type SortOp struct {
 	mu      sync.Mutex
 	runs    []sorter.Run   // each fed block's sorted run, indexed by run sequence
 	scratch []*sortScratch // run-generation scratch free list
-
-	// parts is the merge output: sized by Final under the run's lock,
-	// filled by the merge work orders, handed to the out-edges by the emit
-	// stage.
-	parts [][]*storage.Block
 }
 
 // sortScratch holds the reusable buffers of one run-generation work order.
@@ -153,7 +149,7 @@ func (o *SortOp) OutSchema() *storage.Schema { return o.schema }
 // run-generation work order for it, so run sorting overlaps with upstream
 // production. Run work orders report nil Inputs: the scheduler keeps the fed
 // blocks held until the operator finishes, which is exactly the lifetime the
-// merge and emit stages need.
+// merge work orders need.
 func (o *SortOp) Feed(_ *core.ExecCtx, _ int, blocks []*storage.Block) []core.WorkOrder {
 	wos := make([]core.WorkOrder, len(blocks))
 	for i, b := range blocks {
@@ -351,21 +347,18 @@ func (o *SortOp) Final(ctx *core.ExecCtx) []core.WorkOrder {
 	bounds = append(bounds, splits...)
 	bounds = append(bounds, nil)
 	np := len(bounds) - 1
-	o.parts = make([][]*storage.Block, np)
 	wos := make([]core.WorkOrder, np)
 	for p := 0; p < np; p++ {
-		wos[p] = &sortMergeWO{op: o, part: p, lo: bounds[p], hi: bounds[p+1]}
+		wos[p] = &sortMergeWO{op: o, lo: bounds[p], hi: bounds[p+1]}
 	}
 	return wos
 }
 
 // sortMergeWO merges one key range of every run and materializes it into
-// temporary blocks via the columnar gather kernel. The blocks are parked on
-// the operator; the emit stage hands them to the out-edges in partition
-// order once every partition completed.
+// temporary blocks via the columnar gather kernel. As a Final work order its
+// blocks reach the out-edges in partition order.
 type sortMergeWO struct {
 	op     *SortOp
-	part   int
 	lo, hi []uint64 // partition bounds as key tuples; nil = open end
 }
 
@@ -446,51 +439,8 @@ func (w *sortMergeWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 		out.Sim += ctx.Sim.Produced(cur, int64(cur.UsedBytes()))
 	}
 	out.BatchedRows += rows
-	o.mu.Lock()
-	o.parts[w.part] = blocks
-	o.mu.Unlock()
-	return nil
-}
-
-// NextStage implements core.StagedOperator: once every merge partition
-// completed, a single emit work order transfers the partition blocks to the
-// out-edges in partition order — one deterministic hand-off instead of
-// completion-order routing, which is what keeps the output ordered.
-func (o *SortOp) NextStage(_ *core.ExecCtx, stage int) []core.WorkOrder {
-	if stage > 0 || len(o.parts) == 0 {
-		return nil
-	}
-	return []core.WorkOrder{&sortEmitWO{op: o}}
-}
-
-// AbandonStages implements core.StagedOperator: on a failed run the merged
-// partition blocks live only here, so the scheduler reclaims them.
-func (o *SortOp) AbandonStages() []*storage.Block {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	var bs []*storage.Block
-	for _, p := range o.parts {
-		bs = append(bs, p...)
-	}
-	o.parts = nil
-	return bs
-}
-
-type sortEmitWO struct{ op *SortOp }
-
-func (w *sortEmitWO) Inputs() []*storage.Block { return nil }
-
-func (w *sortEmitWO) Run(_ *core.ExecCtx, out *core.Output) error {
-	o := w.op
-	o.mu.Lock()
-	for _, bs := range o.parts {
-		for _, b := range bs {
-			out.Blocks = append(out.Blocks, b)
-			out.RowsOut += int64(b.NumRows())
-		}
-	}
-	o.parts = nil
-	o.mu.Unlock()
+	out.RowsOut += rows
+	out.Blocks = append(out.Blocks, blocks...)
 	return nil
 }
 

@@ -225,7 +225,6 @@ func testSortFaultedRunRetries(t *testing.T, s *storage.Schema, blocks []*storag
 		}
 	}
 	runAll(finals)
-	runAll(op.NextStage(ctx, 0))
 	if !rowsEqual(allRows(emitted), want) {
 		t.Fatal("retried sort diverges from the unfaulted sort")
 	}
@@ -264,13 +263,6 @@ func TestSortCounters(t *testing.T) {
 		drive(op.Feed(ctx, 0, []*storage.Block{b}))
 	}
 	drive(op.Final(ctx))
-	for stage := 0; ; stage++ {
-		wos := op.NextStage(ctx, stage)
-		if wos == nil {
-			break
-		}
-		drive(wos)
-	}
 	if runs != 3 {
 		t.Fatalf("SortRuns = %d, want 3", runs)
 	}

@@ -289,9 +289,6 @@ func (in *Injector) At(site Site) error {
 // included).
 func (in *Injector) Injected() int64 { return in.injected.Load() }
 
-// Consulted returns how many times site has been consulted.
-func (in *Injector) Consulted(site Site) uint64 { return in.seq[site].Load() }
-
 // Schedule returns a copy of the fired-fault log in firing order. Two
 // single-worker runs with the same seed over the same plan produce equal
 // schedules; the log can be fed to Replay to reproduce the run's faults

@@ -265,10 +265,6 @@ type InsertScratch struct {
 // k0 instead of re-gathering the column. Valid until the next kernel call.
 func (sc *InsertScratch) Keys() (k0, k1 []int64) { return sc.k0, sc.k1 }
 
-// Hashes returns the hash vector of the last kernel call (same lifetime as
-// Keys).
-func (sc *InsertScratch) Hashes() []uint64 { return sc.hashes }
-
 // gather pulls the key columns of b into the scratch (one strided
 // GatherInt64 pass per column, not n cell lookups) and hashes them.
 func (sc *InsertScratch) gather(b *storage.Block, keyCols []int) {

@@ -136,11 +136,8 @@ type Request struct {
 	Workers int
 	// UoTBlocks overrides the default unit of transfer (0 = config default).
 	UoTBlocks int
-	// Faults, MaxAttempts and RetryBackoff pass through to the engine (see
-	// engine.Options).
-	Faults       *faults.Injector
-	MaxAttempts  int
-	RetryBackoff time.Duration
+	// Faults passes through to the engine (see engine.Options).
+	Faults *faults.Injector
 }
 
 // Response is a completed query.
@@ -241,8 +238,6 @@ func (s *Session) Submit(req Request) (*Response, error) {
 		TempBlockBytes: s.cfg.BlockBytes,
 		TempFormat:     storage.RowStore,
 		Faults:         req.Faults,
-		MaxAttempts:    req.MaxAttempts,
-		RetryBackoff:   req.RetryBackoff,
 		Trace:          s.cfg.Trace,
 		Reuse:          s.reuse,
 		Exec:           s.pool,

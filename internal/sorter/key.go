@@ -81,12 +81,6 @@ func NewLayout(terms []Term) Layout {
 	return l
 }
 
-// TermStart returns the index of term t's first key word.
-func (l *Layout) TermStart(t int) int { return l.starts[t] }
-
-// Approx reports whether term t needs a tie-break on equal words.
-func (l *Layout) Approx(t int) bool { return l.approx[t] }
-
 // NormInt64 maps a signed integer to a uint64 with the same order.
 func NormInt64(v int64) uint64 { return uint64(v) ^ (1 << 63) }
 

@@ -54,7 +54,7 @@ type MarkCode uint8
 
 // Mark codes.
 const (
-	// MarkRetry: a transiently-failed work order was re-queued with backoff.
+	// MarkRetry: a transiently-failed work order was re-queued.
 	MarkRetry MarkCode = iota + 1
 	// MarkRunEnd: the run finished (FlagFailed set if it errored).
 	MarkRunEnd

@@ -75,7 +75,9 @@ type (
 	// own worker and temp-block pools unless Options.Exec / Options.Pool
 	// hand it shared ones; the pool's owner attaches any spill tier. Work
 	// orders are dispatched under the run's lock, by whichever worker
-	// finished the previous one.
+	// finished the previous one; the pool workers are the run's only
+	// concurrency. Retry has no option: a transient failure re-queues at
+	// once, up to 8 executions per work order.
 	Options = engine.Options
 	// Result is a finished execution: the result table plus run statistics
 	// (per-work-order timings, memory high-water marks).
@@ -157,8 +159,9 @@ var Rows = engine.Rows
 
 // Fault-injection support (chaos testing): a deterministic, seeded injector
 // wired into Options.Faults fires errors, panics, latency, and allocation
-// failures at named execution sites; the scheduler rolls back and retries
-// transient failures up to MaxAttempts, then fails the run with a typed error.
+// failures at named execution sites; the scheduler rolls back a transient
+// failure and re-queues its work order at once, and after 8 failed executions
+// fails the run with a typed error.
 type (
 	// FaultInjector decides, purely from (seed, site, sequence number),
 	// whether each consultation fires.

@@ -122,9 +122,9 @@ func TestSettableSurfaceIsPinned(t *testing.T) {
 		v    any
 		want int
 	}{
-		{Options{}, 17},
+		{Options{}, 15},
 		{SessionConfig{}, 13},
-		{Request{}, 11},
+		{Request{}, 9},
 		{uotctl.Config{}, 3},
 		{ReuseConfig{}, 1},
 	} {
