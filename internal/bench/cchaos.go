@@ -26,12 +26,6 @@ import (
 // scalar subquery, large join + agg).
 var serveQueries = []int{1, 13, 15, 18}
 
-// serveBudget is the per-query soft memory budget used by both the
-// single-query golden runs and the served runs. Pinning it on both sides
-// keeps the scheduler's producer holds identical, which the bit-identical
-// result check depends on.
-const serveBudget = 32 << 20
-
 // serveChecksum fingerprints a result bit-exactly: floats in the hex 'x'
 // format (all 64 bits), rows sorted, SHA-256 — the golden harness's
 // canonicalization.
@@ -72,7 +66,7 @@ func (h *Harness) serveGolden(d *tpch.Dataset) (map[int]string, map[int][][]type
 	rows := make(map[int][][]types.Datum, len(serveQueries))
 	for _, q := range serveQueries {
 		res, err := h.run(d, q, engine.Options{
-			Workers: 1, UoTBlocks: 1, TempBlockBytes: 128 << 10, MemoryBudget: serveBudget,
+			Workers: 1, UoTBlocks: 1, TempBlockBytes: 128 << 10,
 		}, tpch.QueryOpts{})
 		if err != nil {
 			return nil, nil, fmt.Errorf("golden Q%d: %w", q, err)
@@ -87,9 +81,8 @@ func (h *Harness) serveGolden(d *tpch.Dataset) (map[int]string, map[int][][]type
 
 func serveRequest(d *tpch.Dataset, q int) session.Request {
 	return session.Request{
-		Build:        func() *engine.Builder { return tpch.MustBuild(d, q, tpch.QueryOpts{}) },
-		Label:        fmt.Sprintf("Q%d", q),
-		MemoryBudget: serveBudget,
+		Build: func() *engine.Builder { return tpch.MustBuild(d, q, tpch.QueryOpts{}) },
+		Label: fmt.Sprintf("Q%d", q),
 	}
 }
 

@@ -323,18 +323,3 @@ func (s *Sim) Evict(key any) {
 	}
 	s.mu.Unlock()
 }
-
-// ResidentBytes returns the bytes currently tracked as L3-resident.
-func (s *Sim) ResidentBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.used
-}
-
-// IsHot reports (without refreshing) whether key is resident.
-func (s *Sim) IsHot(key any) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.res[key]
-	return ok
-}

@@ -11,6 +11,21 @@ func small() Params {
 	return p
 }
 
+// isHot reports (without refreshing) whether key is resident.
+func isHot(s *Sim, key any) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.res[key]
+	return ok
+}
+
+// residentBytes returns the bytes currently tracked as L3-resident.
+func residentBytes(s *Sim) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.used
+}
+
 func TestHotBeatsCold(t *testing.T) {
 	s := New(small())
 	const sz = 128 << 10
@@ -30,13 +45,13 @@ func TestLRUEviction(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Produced(i, 128<<10)
 	}
-	if s.ResidentBytes() > small().L3Bytes {
-		t.Fatalf("resident %d exceeds capacity", s.ResidentBytes())
+	if residentBytes(s) > small().L3Bytes {
+		t.Fatalf("resident %d exceeds capacity", residentBytes(s))
 	}
-	if s.IsHot(0) || s.IsHot(1) {
+	if isHot(s, 0) || isHot(s, 1) {
 		t.Fatal("oldest blocks should be evicted")
 	}
-	if !s.IsHot(9) {
+	if !isHot(s, 9) {
 		t.Fatal("newest block should be hot")
 	}
 }
@@ -44,7 +59,7 @@ func TestLRUEviction(t *testing.T) {
 func TestOversizeBlockNotRetained(t *testing.T) {
 	s := New(small())
 	s.Produced("huge", 4<<20) // 2*4MB > 1MB L3: cannot stay resident
-	if s.IsHot("huge") {
+	if isHot(s, "huge") {
 		t.Fatal("a block that cannot fit under 2B <= L3 must not be retained")
 	}
 }
@@ -58,17 +73,17 @@ func TestConcurrencyCrowdingMatchesP1Prime(t *testing.T) {
 	s := New(p)
 	s.SetThreads(20)
 	s.Produced("small", 128<<10)
-	if !s.IsHot("small") {
+	if !isHot(s, "small") {
 		t.Fatal("128KB block with T=20 should survive (2BT < L3)")
 	}
 	s.Produced("big", 2<<20)
-	if s.IsHot("big") {
+	if isHot(s, "big") {
 		t.Fatal("2MB block with T=20 must be evicted (2BT > L3)")
 	}
 	// And the same producer/consumer pair at T=1 keeps the 2MB block hot.
 	s1 := New(p)
 	s1.Produced("big", 2<<20)
-	if !s1.IsHot("big") {
+	if !isHot(s1, "big") {
 		t.Fatal("2MB block with T=1 should survive")
 	}
 }
@@ -83,10 +98,10 @@ func TestPeerPressureEvictsOlderBlocks(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.Produced(i, 128<<10)
 	}
-	if s.IsHot(0) || s.IsHot(50) {
+	if isHot(s, 0) || isHot(s, 50) {
 		t.Fatal("old blocks should be crowded out under concurrency pressure")
 	}
-	if !s.IsHot(99) {
+	if !isHot(s, 99) {
 		t.Fatal("the newest block should remain hot")
 	}
 }
@@ -145,7 +160,7 @@ func TestEvictRemovesResidency(t *testing.T) {
 	s := New(Default())
 	s.Produced("b", 1<<20)
 	s.Evict("b")
-	if s.IsHot("b") || s.ResidentBytes() != 0 {
+	if isHot(s, "b") || residentBytes(s) != 0 {
 		t.Fatal("evict should clear residency")
 	}
 }
@@ -188,7 +203,7 @@ func TestConcurrentUseDoesNotRace(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if s.ResidentBytes() > small().L3Bytes {
+	if residentBytes(s) > small().L3Bytes {
 		t.Fatal("capacity violated under concurrency")
 	}
 }

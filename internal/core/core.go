@@ -86,12 +86,6 @@ type ExecCtx struct {
 	// set and TraceRun is 0, Run opens an unlabeled section and stores its
 	// handle here.
 	TraceRun int32
-	// MemoryBudget, if positive, caps live temporary-block bytes softly:
-	// while exceeded, the scheduler stops dispatching block-producing work
-	// orders until in-flight consumers drain (a Section III-C scheduler
-	// policy). A producer held memHoldLimit times in a row is dispatched
-	// anyway; no edge's UoT changes.
-	MemoryBudget int64
 
 	// Trace, if non-nil, receives work-order span events, per-edge gauge
 	// samples, and scheduler annotations (see internal/trace). A nil tracer

@@ -160,7 +160,6 @@ func TestRandomDAGsConserveRows(t *testing.T) {
 			}
 
 			ctx := newCtx(rng.Intn(8) + 1)
-			ctx.MemoryBudget = []int64{0, 0, 256}[rng.Intn(3)]
 			if err := Run(plan, ctx, rng.Intn(4)+1); err != nil {
 				t.Fatalf("run failed: %v", err)
 			}

@@ -402,7 +402,7 @@ func TestRollbackRestoresResumedPartialAndReleasesFreshBlocks(t *testing.T) {
 	}
 }
 
-// slowSink consumes slowly so memory pressure persists while producers queue.
+// slowSink consumes slowly, so producer work orders queue up behind it.
 type slowSink struct {
 	consumer
 }
@@ -429,12 +429,11 @@ func (w *slowSinkWO) Run(_ *ExecCtx, out *Output) error {
 	return nil
 }
 
-func TestSustainedMemoryPressureHoldsThenDispatches(t *testing.T) {
-	// Pool-backed producer under a 1-byte budget: every dispatch decision
-	// sees the budget exceeded, so producer work orders keep getting held
-	// while sink work orders run — past the hold limit the scheduler must
-	// dispatch the producer anyway and keep going, with the edge's UoT
-	// untouched: every edge sample and the run-end record carry UoT 1.
+// TestSlowSinkDrainsProducersAtUoT1: at Workers 2, 40 pool-backed producer
+// work orders feed a slow sink. Every row reaches the sink, the edge's UoT is
+// untouched (every edge sample and the run-end record carry UoT 1), and no
+// block leaks.
+func TestSlowSinkDrainsProducersAtUoT1(t *testing.T) {
 	e := &emitN{rows: 8}
 	plan := &Plan{}
 	eid := plan.AddOp(&multiEmit{op: e, n: 40}) // 40 independent producer WOs
@@ -442,8 +441,7 @@ func TestSustainedMemoryPressureHoldsThenDispatches(t *testing.T) {
 	c := &slowSink{}
 	cid := plan.AddOp(c)
 	plan.Pipe(eid, cid, 0, 1)
-	ctx, tr := newTracedCtx(2, "holds")
-	ctx.MemoryBudget = 1
+	ctx, tr := newTracedCtx(2, "slow-sink")
 	if err := Run(plan, ctx, 1); err != nil {
 		t.Fatalf("run failed: %v", err)
 	}

@@ -33,10 +33,6 @@ func Run(plan *Plan, ctx *ExecCtx, defaultUoT int) error {
 	return newSched(plan, ctx, defaultUoT).run()
 }
 
-// memHoldLimit is how many times in a row a block-producing work order is
-// held back under memory pressure before it is dispatched anyway.
-const memHoldLimit = 8
-
 // maxAttempts bounds executions of one work order: a transient failure (see
 // IsTransient) is rolled back and re-queued until the work order succeeds or
 // has run maxAttempts times. Injected faults fire by per-site sequence
@@ -105,7 +101,6 @@ type opState struct {
 	finalDone   []bool
 	finalNext   int
 	done        bool
-	memHolds    int // consecutive memory-budget holds (see memHoldLimit)
 	out         []*edgeState
 	held        map[*storage.Block]struct{}
 	scalarSlots []int
@@ -122,7 +117,10 @@ type sched struct {
 
 	states []*opState
 	edges  []*edgeState
-	queue  []job
+	// levels holds the queued jobs in one FIFO per operator depth; queued
+	// counts them all.
+	levels [][]job
+	queued int
 	rc     map[*storage.Block]int
 	// adopted holds every block routed to an adopting consumer. Such a block
 	// is never recycled when its refcount drains: it outlives a successful
@@ -207,6 +205,11 @@ func newSched(plan *Plan, ctx *ExecCtx, defaultUoT int) *sched {
 			break
 		}
 	}
+	maxDepth := 0
+	for _, st := range s.states {
+		maxDepth = max(maxDepth, st.depth)
+	}
+	s.levels = make([][]job, maxDepth+1)
 	return s
 }
 
@@ -269,13 +272,10 @@ func (s *sched) step() {
 		}
 	}
 	for s.inflight < s.ctx.Workers {
-		ji := s.pickJob()
-		if ji < 0 {
+		j, ok := s.pickJob()
+		if !ok {
 			break
 		}
-		j := s.queue[ji]
-		s.queue = append(s.queue[:ji], s.queue[ji+1:]...)
-		s.states[j.op].queued--
 		s.states[j.op].inflight++
 		s.inflight++
 		s.exec.Submit(Task{
@@ -323,10 +323,11 @@ func (s *sched) fail(err error) {
 		return
 	}
 	s.runErr = err
-	if dropped := len(s.queue); dropped > 0 && s.ctx.Run != nil {
-		s.ctx.Run.AddCancellations(int64(dropped))
+	if s.queued > 0 && s.ctx.Run != nil {
+		s.ctx.Run.AddCancellations(int64(s.queued))
 	}
-	s.queue = nil
+	clear(s.levels)
+	s.queued = 0
 	for _, o := range s.states {
 		o.queued = 0
 	}
@@ -360,57 +361,32 @@ func (s *sched) failStalled() {
 	s.fail(fmt.Errorf("%s", msg))
 }
 
-// pickJob returns the index of the dispatchable queued job belonging to the
-// deepest operator (consumer priority), breaking ties by queue order; -1 if
-// nothing is dispatchable. After an error, nothing is dispatchable.
-//
-// When a temp-memory budget is set (a Section III-C scheduler policy) and
-// live intermediate bytes exceed it, producer work orders — jobs of
-// operators that are not at maximal depth among the queued jobs — are held
-// back so consumers can drain buffered blocks first; if the queue holds only
-// producers, one is dispatched anyway to guarantee progress. A producer held
-// back more than memHoldLimit times in a row is dispatched anyway. Holding is
-// the budget's only mechanism: no edge's UoT moves.
-func (s *sched) pickJob() int {
-	if s.runErr != nil {
-		return -1
+// pickJob dequeues the head of the deepest non-empty depth FIFO: consumer
+// priority, ties broken by queue order. It reports false when the queue is
+// empty or the run has failed.
+func (s *sched) pickJob() (job, bool) {
+	if s.runErr != nil || s.queued == 0 {
+		return job{}, false
 	}
-	best, bestDepth := -1, -1
-	for i, j := range s.queue {
-		st := s.states[j.op]
-		if st.depth > bestDepth {
-			best, bestDepth = i, st.depth
-		}
+	d := len(s.levels) - 1
+	for len(s.levels[d]) == 0 {
+		d--
 	}
-	if best >= 0 && s.overBudget() && s.inflight > 0 && s.producesBlocks(s.queue[best].op) {
-		st := s.states[s.queue[best].op]
-		st.memHolds++
-		if st.memHolds <= memHoldLimit {
-			// Hold back block-producing work while over budget; the
-			// in-flight work orders (consumers, by depth priority) will
-			// complete, release their input blocks, and unblock the
-			// queue. inflight > 0 guarantees progress.
-			return -1
-		}
-		st.memHolds = 0
-	}
-	return best
+	q := s.levels[d]
+	j := q[0]
+	q[0] = job{} // drop the backing array's reference to the work order
+	s.levels[d] = q[1:]
+	s.states[j.op].queued--
+	s.queued--
+	return j, true
 }
 
-func (s *sched) overBudget() bool {
-	return s.ctx.MemoryBudget > 0 && s.ctx.Run != nil &&
-		s.ctx.Run.Intermediates.Live() > s.ctx.MemoryBudget
-}
-
-// producesBlocks reports whether an operator feeds pipelined consumers (its
-// output occupies temp-block memory until drained).
-func (s *sched) producesBlocks(id OpID) bool {
-	for _, es := range s.states[id].out {
-		if es.e.Kind == Pipelined {
-			return true
-		}
-	}
-	return false
+// push appends a job to its operator's depth FIFO.
+func (s *sched) push(j job) {
+	st := s.states[j.op]
+	s.levels[st.depth] = append(s.levels[st.depth], j)
+	st.queued++
+	s.queued++
 }
 
 // runJob executes one work-order attempt on the given pool worker, then,
@@ -529,8 +505,7 @@ func (s *sched) onComplete(r wres) {
 		})
 		j := r.job
 		j.enqueueNS = s.ctx.Trace.Now()
-		s.queue = append(s.queue, j)
-		st.queued++
+		s.push(j)
 		return
 	}
 	if r.err != nil && s.runErr == nil {
@@ -717,7 +692,7 @@ func (s *sched) sampleEdge(es *edgeState, delivered int, stallNS int64) {
 		StartNS:    s.ctx.Trace.Now(),
 		Buffered:   int32(len(es.buf)),
 		UoT:        int64(es.uot),
-		QueueDepth: int32(len(s.queue)),
+		QueueDepth: int32(s.queued),
 		StallNS:    stallNS,
 		PoolBytes:  pool,
 	}, delivered)
@@ -790,9 +765,8 @@ func (s *sched) enqueueBatch(st *opState, wos []WorkOrder, batch int64, final bo
 		if final {
 			j.final = i
 		}
-		s.queue = append(s.queue, j)
+		s.push(j)
 	}
-	st.queued += len(wos)
 }
 
 func (s *sched) startOp(st *opState) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -374,5 +375,101 @@ func TestICTermChargesOperatorSwitches(t *testing.T) {
 		if got, want := ctx.Run.TotalSim(), tc.switches*cachesim.Default().ICMiss; got != want {
 			t.Errorf("uot=%d: simulated ticks = %d, want %d (%d operator switches)", tc.uot, got, want, tc.switches)
 		}
+	}
+}
+
+// tagOp queues tagged work orders: one per start tag, and one per fed block
+// tagged feedBase+n for its n-th fed block. A work order reports its tag as
+// RowsIn and, when emits is set, outputs one block. The first attempt of the
+// work order tagged failTag fails transiently.
+type tagOp struct {
+	Base
+	name     string
+	inputs   int
+	start    []int64
+	feedBase int64
+	fed      int64
+	emits    bool
+	failTag  int64
+	failed   bool
+}
+
+func (o *tagOp) Name() string   { return o.name }
+func (o *tagOp) NumInputs() int { return o.inputs }
+
+func (o *tagOp) Start(*ExecCtx) []WorkOrder {
+	wos := make([]WorkOrder, len(o.start))
+	for i, tag := range o.start {
+		wos[i] = &tagWO{op: o, tag: tag}
+	}
+	return wos
+}
+
+func (o *tagOp) Feed(_ *ExecCtx, _ int, blocks []*storage.Block) []WorkOrder {
+	wos := make([]WorkOrder, len(blocks))
+	for i, b := range blocks {
+		o.fed++
+		wos[i] = &tagWO{op: o, tag: o.feedBase + o.fed, in: []*storage.Block{b}}
+	}
+	return wos
+}
+
+type tagWO struct {
+	op  *tagOp
+	tag int64
+	in  []*storage.Block
+}
+
+func (w *tagWO) Inputs() []*storage.Block { return w.in }
+
+func (w *tagWO) Run(_ *ExecCtx, out *Output) error {
+	if w.tag == w.op.failTag && !w.op.failed {
+		w.op.failed = true
+		return &transientErr{"tagged failure"}
+	}
+	out.RowsIn = w.tag
+	if w.op.emits {
+		b := storage.NewBlock(testSchema, storage.RowStore, 8)
+		b.AppendRow(types.NewInt64(w.tag))
+		out.Blocks = append(out.Blocks, b)
+	}
+	return nil
+}
+
+// TestPickJobDeepestFirstInQueueOrder pins the dispatch order at Workers 1:
+// the head of the deepest non-empty depth FIFO goes first. p (depth 0) feeds
+// q and u (depth 1), and q feeds r (depth 2); every edge is at UoT 1. u is
+// added before q, but p's edge to q is declared first, so a p block queues
+// q's work order ahead of u's. u's start work order 30 fails once and
+// re-queues behind q's start work orders, already queued at depth 1.
+func TestPickJobDeepestFirstInQueueOrder(t *testing.T) {
+	p := &tagOp{name: "p", start: []int64{1, 2}, emits: true}
+	u := &tagOp{name: "u", inputs: 1, start: []int64{30}, feedBase: 40, failTag: 30}
+	q := &tagOp{name: "q", inputs: 1, start: []int64{10, 11}, feedBase: 20, emits: true}
+	r := &tagOp{name: "r", inputs: 1, start: []int64{50}, feedBase: 60}
+	plan := &Plan{}
+	pid, uid, qid, rid := plan.AddOp(p), plan.AddOp(u), plan.AddOp(q), plan.AddOp(r)
+	plan.Pipe(pid, qid, 0, 1)
+	plan.Pipe(pid, uid, 0, 1)
+	plan.Pipe(qid, rid, 0, 1)
+	ctx := newCtx(1)
+	if err := Run(plan, ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	// A failed attempt reports no rows; it reads as its operator's name and "!".
+	want := "r50 u! q10 r61 q11 r62 u30 p1 q21 r63 u41 p2 q22 r64 u42"
+	var got []string
+	for _, w := range ctx.Run.Orders() {
+		if w.Failed {
+			got = append(got, w.OpName+"!")
+		} else {
+			got = append(got, fmt.Sprintf("%s%d", w.OpName, w.Rows))
+		}
+	}
+	if g := strings.Join(got, " "); g != want {
+		t.Fatalf("dispatch order:\n got %s\nwant %s", g, want)
+	}
+	if r := ctx.Run.Robust(); r.LeakedBlocks != 0 || r.OutstandingRefs != 0 {
+		t.Fatalf("run leaked blocks: %+v", r)
 	}
 }

@@ -38,11 +38,6 @@ type Options struct {
 	// Sim, if non-nil, charges work orders with simulated memory-hierarchy
 	// costs.
 	Sim *cachesim.Sim
-	// MemoryBudget, if positive, softly caps live temporary-block bytes:
-	// block-producing work orders are held while consumers drain (a
-	// Section III-C scheduler policy). A producer held too often in a row
-	// is dispatched anyway; the budget never changes an edge's UoT.
-	MemoryBudget int64
 	// Context, if non-nil, cancels the whole run when done: queued work
 	// orders are dropped and Execute returns the cancellation error.
 	Context context.Context
@@ -147,7 +142,6 @@ func Execute(b *Builder, opts Options) (*Result, error) {
 		Query:          opts.QueryID,
 		Priority:       opts.Priority,
 		TraceRun:       traceRun,
-		MemoryBudget:   opts.MemoryBudget,
 		Trace:          opts.Trace,
 		Ctx:            opts.Context,
 		Faults:         opts.Faults,

@@ -59,8 +59,3 @@ func Measure(rowsIn, rowsOut int64, inWidth, outWidth int) SelectStats {
 // Total is the materialized-intermediate size relative to the base table:
 // s·p (the "Total" column of Tables III and IV).
 func (s SelectStats) Total() float64 { return s.Selectivity * s.Projectivity }
-
-// IntermediateBytes scales a base-table size by the stats.
-func (s SelectStats) IntermediateBytes(baseBytes int64) int64 {
-	return int64(s.Total() * float64(baseBytes))
-}

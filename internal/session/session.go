@@ -38,9 +38,9 @@ type Config struct {
 	QueueDepth int
 	// MemoryBudget is the global temporary-block budget in bytes arbitrated
 	// across queries (default 256 MB). Admission reserves each query's
-	// estimate against it; the reservation also becomes the query's soft
-	// per-run budget, so the scheduler's producer holds operate per query
-	// within its slice.
+	// estimate against it before the query runs; a running query is not
+	// held to its reservation (cap it inside the run with a spill tier, see
+	// SpillDir).
 	MemoryBudget int64
 	// BlockBytes is the temporary-block size (default 128 KB). Temp blocks
 	// use the row store.
@@ -127,8 +127,11 @@ type Request struct {
 	Context context.Context
 	// Deadline, if positive, bounds queue wait + execution together.
 	Deadline time.Duration
-	// MemoryBudget overrides the per-query soft budget (0 = the admission
-	// reservation).
+	// MemoryBudget has no effect.
+	//
+	// Deprecated: a run has no per-query soft budget; admission and the
+	// spill tier are the memory caps. ROADMAP item 1(i) deletes the field
+	// together with the benchmark driver's one assignment to it.
 	MemoryBudget int64
 	// Workers overrides the per-query in-flight cap (0 = config default).
 	// Values above 1 trade the bit-identical-schedule guarantee for
@@ -298,10 +301,6 @@ func (s *Session) Submit(req Request) (*Response, error) {
 	defer s.adm.release(est, spillable)
 
 	opts.Context = ctx
-	opts.MemoryBudget = req.MemoryBudget
-	if opts.MemoryBudget <= 0 {
-		opts.MemoryBudget = est
-	}
 	opts.QueryID = int(atomic.AddInt64(&s.nextID, 1))
 	opts.TraceLabel = req.Label
 	if opts.TraceLabel == "" {

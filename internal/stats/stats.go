@@ -94,14 +94,6 @@ type OpTotals struct {
 	FailedAttempts int
 }
 
-// AvgWall returns the mean wall-clock work-order time.
-func (o OpTotals) AvgWall() time.Duration {
-	if o.Count == 0 {
-		return 0
-	}
-	return o.WallTotal / time.Duration(o.Count)
-}
-
 // AvgSim returns the mean simulated work-order time in ticks.
 func (o OpTotals) AvgSim() int64 {
 	if o.Count == 0 {
@@ -398,14 +390,4 @@ func (r *Run) Kernels() Kernel {
 		k.Add(r.orders[i].Kernel)
 	}
 	return k
-}
-
-// TotalWallWork returns the sum of wall-clock work-order durations (CPU work,
-// not makespan).
-func (r *Run) TotalWallWork() time.Duration {
-	var s time.Duration
-	for _, t := range r.PerOp() {
-		s += t.WallTotal
-	}
-	return s
 }

@@ -433,16 +433,6 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// Dropped returns how many events were overwritten after the ring filled.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // OpName resolves an operator id within a run id ("" if unknown).
 func (t *Tracer) OpName(run, op int32) string {
 	if t == nil {

@@ -35,8 +35,8 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	if ev := tr.Events(); ev != nil {
 		t.Fatalf("nil Events() = %v, want nil", ev)
 	}
-	if d := tr.Dropped(); d != 0 {
-		t.Fatalf("nil Dropped() = %d, want 0", d)
+	if d := tr.Snapshot().DroppedEvents; d != 0 {
+		t.Fatalf("nil Snapshot().DroppedEvents = %d, want 0", d)
 	}
 	if n := tr.OpName(0, 0); n != "" {
 		t.Fatalf("nil OpName() = %q, want empty", n)
@@ -182,7 +182,7 @@ func TestRingWraparound(t *testing.T) {
 	if len(ev) != cap {
 		t.Fatalf("retained %d events, want %d", len(ev), cap)
 	}
-	if got := tr.Dropped(); got != total-cap {
+	if got := tr.Snapshot().DroppedEvents; got != total-cap {
 		t.Fatalf("dropped = %d, want %d", got, total-cap)
 	}
 	// Oldest-first: the survivors are the last cap spans in order.
@@ -285,7 +285,6 @@ func TestConcurrentRecording(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			_ = tr.Snapshot()
 			_ = tr.Events()
-			_ = tr.Dropped()
 			_ = tr.OpName(0, 0)
 		}
 	}()

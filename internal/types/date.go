@@ -63,47 +63,3 @@ func Year(days int32) int {
 	y, _, _ := FromDays(days)
 	return y
 }
-
-// AddYears shifts a civil date by n years (clamping Feb 29 to Feb 28 when the
-// target year is not a leap year), returning a day count.
-func AddYears(days int32, n int) int32 {
-	y, m, d := FromDays(days)
-	y += n
-	if m == 2 && d == 29 && !isLeap(y) {
-		d = 28
-	}
-	return ToDays(y, m, d)
-}
-
-// AddMonths shifts a civil date by n months, clamping the day to the target
-// month's length.
-func AddMonths(days int32, n int) int32 {
-	y, m, d := FromDays(days)
-	mm := (m - 1) + n
-	y += mm / 12
-	m = mm%12 + 1
-	if m <= 0 {
-		m += 12
-		y--
-	}
-	if dm := daysInMonth(y, m); d > dm {
-		d = dm
-	}
-	return ToDays(y, m, d)
-}
-
-func isLeap(y int) bool { return y%4 == 0 && (y%100 != 0 || y%400 == 0) }
-
-func daysInMonth(y, m int) int {
-	switch m {
-	case 1, 3, 5, 7, 8, 10, 12:
-		return 31
-	case 4, 6, 9, 11:
-		return 30
-	default:
-		if isLeap(y) {
-			return 29
-		}
-		return 28
-	}
-}

@@ -1,7 +1,5 @@
 package types
 
-import "math"
-
 // Hashing for join keys and group-by keys. The engine keys hash tables on
 // 64-bit mixes; splitmix64 is fast, stateless, and has full avalanche, which
 // keeps linear-probing clusters short.
@@ -117,22 +115,4 @@ func HashBytes(b []byte) uint64 {
 		h *= prime64
 	}
 	return Mix64(h)
-}
-
-// HashDatum hashes a datum consistently with Equal: equal datums hash equal.
-// Int64 and Date hash by integer value; Float64 by its exact bit-equal
-// integer when integral, else by bits (group-by floats in TPC-H are exact
-// decimals, so this is stable).
-func HashDatum(d Datum) uint64 {
-	switch d.Ty {
-	case Char:
-		return HashBytes(TrimPad(d.B))
-	case Float64:
-		if f := d.F; f == float64(int64(f)) {
-			return Mix64(uint64(int64(f)))
-		}
-		return Mix64(math.Float64bits(d.F))
-	default:
-		return Mix64(uint64(d.I))
-	}
 }

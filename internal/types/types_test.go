@@ -104,48 +104,6 @@ func TestKnownDates(t *testing.T) {
 	}
 }
 
-func TestAddYearsMonths(t *testing.T) {
-	d := ToDays(1995, 1, 1)
-	if got := AddYears(d, 1); got != ToDays(1996, 1, 1) {
-		t.Error("AddYears +1")
-	}
-	if got := AddMonths(d, 3); got != ToDays(1995, 4, 1) {
-		t.Error("AddMonths +3")
-	}
-	if got := AddMonths(ToDays(1995, 12, 15), 1); got != ToDays(1996, 1, 15) {
-		t.Error("AddMonths year wrap")
-	}
-	// leap clamp
-	if got := AddYears(ToDays(1996, 2, 29), 1); got != ToDays(1997, 2, 28) {
-		t.Error("AddYears leap clamp")
-	}
-	// month length clamp
-	if got := AddMonths(ToDays(1995, 1, 31), 1); got != ToDays(1995, 2, 28) {
-		t.Error("AddMonths day clamp")
-	}
-}
-
-func TestAddMonthsNegative(t *testing.T) {
-	if got := AddMonths(ToDays(1995, 1, 15), -1); got != ToDays(1994, 12, 15) {
-		t.Error("AddMonths -1 across year boundary")
-	}
-}
-
-func TestHashDatumConsistentWithEqual(t *testing.T) {
-	// Padded and unpadded equal chars must hash equal.
-	a, b := NewChar([]byte("xy\x00\x00")), NewString("xy")
-	if !Equal(a, b) {
-		t.Fatal("setup: values should be equal")
-	}
-	if HashDatum(a) != HashDatum(b) {
-		t.Error("equal datums hash differently")
-	}
-	// Integral float hashes like the integer (used by mixed-type group keys).
-	if HashDatum(NewFloat64(7)) != HashDatum(NewInt64(7)) {
-		t.Error("integral float should hash like int")
-	}
-}
-
 func TestMix64Distributes(t *testing.T) {
 	// Sequential keys must not collide in the low bits (bucket selection).
 	seen := map[uint64]bool{}

@@ -207,9 +207,9 @@ func NewTracer(capacity int) *Tracer { return trace.New(capacity) }
 // EdgeUoT is one pipelined edge's recorded UoT: the value the plan declared
 // (0 = the run default) and the resolved UoT, which is its declared value
 // (at least 1) or Options.UoTBlocks. An edge keeps that UoT for the whole
-// run, Options.MemoryBudget included:
+// run, whatever the worker count or the pool's spill tier:
 //
-//	res, err := uot.Execute(b, uot.Options{Workers: 8, MemoryBudget: 64 << 10})
+//	res, err := uot.Execute(b, uot.Options{Workers: 8, UoTBlocks: 4})
 //	for _, e := range res.Run.EdgeUoTs() { ... } // per-edge resolved UoT
 type EdgeUoT = stats.EdgeUoT
 

@@ -122,7 +122,7 @@ func TestSettableSurfaceIsPinned(t *testing.T) {
 		v    any
 		want int
 	}{
-		{Options{}, 15},
+		{Options{}, 14},
 		{SessionConfig{}, 13},
 		{Request{}, 9},
 		{uotctl.Config{}, 3},
