@@ -102,29 +102,55 @@ func benchBlockScan(b *testing.B, format storage.Format) {
 	_ = sum
 }
 
+// keyBlocks returns n rows (k, k) for k = 0..n-1 in 64 KiB column blocks.
+func keyBlocks(n int) []*storage.Block {
+	sch := storage.NewSchema(
+		storage.Column{Name: "k", Type: types.Int64},
+		storage.Column{Name: "v", Type: types.Int64},
+	)
+	var blocks []*storage.Block
+	for k := 0; k < n; {
+		blk := storage.NewBlock(sch, storage.ColumnStore, 64<<10)
+		for ; k < n && !blk.Full(); k++ {
+			blk.AppendRow(types.NewInt64(int64(k)), types.NewInt64(int64(k)))
+		}
+		blocks = append(blocks, blk)
+	}
+	return blocks
+}
+
 func BenchmarkHashTableInsert(b *testing.B) {
 	pay := storage.NewSchema(storage.Column{Name: "v", Type: types.Int64})
-	src := storage.NewBlock(pay, storage.RowStore, 1024)
-	src.AppendRow(types.NewInt64(7))
-	ht := hashtable.New(hashtable.Config{PayloadSchema: pay, InitialCapacity: b.N})
+	blocks := keyBlocks(1 << 16)
+	sc := &hashtable.InsertScratch{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ht.Insert(int64(i), 0, src, 0, []int{0})
+		ht := hashtable.New(hashtable.Config{PayloadSchema: pay})
+		for _, blk := range blocks {
+			ht.InsertBlock(blk, []int{0}, []int{1}, sc)
+		}
+		for _, f := range ht.Seal(1) {
+			f.Run()
+		}
 	}
 }
 
 func BenchmarkHashTableLookup(b *testing.B) {
 	pay := storage.NewSchema(storage.Column{Name: "v", Type: types.Int64})
-	src := storage.NewBlock(pay, storage.RowStore, 1024)
-	src.AppendRow(types.NewInt64(7))
-	const n = 1 << 16
-	ht := hashtable.New(hashtable.Config{PayloadSchema: pay, InitialCapacity: n})
-	for i := 0; i < n; i++ {
-		ht.Insert(int64(i), 0, src, 0, []int{0})
+	blocks := keyBlocks(1 << 16)
+	ht := hashtable.New(hashtable.Config{PayloadSchema: pay})
+	sc := &hashtable.InsertScratch{}
+	for _, blk := range blocks {
+		ht.InsertBlock(blk, []int{0}, []int{1}, sc)
 	}
+	var k0 []int64
+	var m hashtable.Matches
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ht.Lookup(int64(i%n), 0, func(*storage.Block, int) bool { return true })
+		for _, blk := range blocks {
+			k0 = blk.GatherInt64(0, k0)
+			ht.Match(k0, nil, false, &m)
+		}
 	}
 }
 

@@ -58,13 +58,19 @@ func main() {
 	// The closed-form side of the same story (Section VI-B): the hash-table
 	// size model (M/w)(c/f) and the Table II overheads.
 	fmt.Println("\nmodel check (Section VI-B):")
-	// c and f are the engine join table's bucket size (one key, as on
-	// o_orderkey) and maximum load.
+	// The engine's join table on o_orderkey, without payload: the hash kind
+	// is c = 5 B slots at f = 7/8 plus the 8 B key it keeps per entry; the
+	// dense kind is a 4 B offset per key of 1..N plus a 4 B ref per entry.
+	// The engine picks the smaller.
+	orders := d.Orders.NumRows()
 	ordersHT := uot.HashTableSize(d.Orders.UsedBytes(), d.Orders.Schema().RowWidth(),
-		hashtable.EntryBytes(1), hashtable.MaxLoad)
-	fmt.Printf("  (M/w)(c/f) for a hash table on all of orders: %.2f MiB\n", mib(ordersHT))
-	fmt.Printf("  Table II low-UoT overhead for tables of 1, %.0f, 2 MiB: %.2f MiB (all but the first stay live)\n",
-		mib(ordersHT), mib(uot.LowUoTOverhead([]int64{1 << 20, ordersHT, 2 << 20})))
+		hashtable.SlotBytes, hashtable.MaxLoad) + orders*int64(hashtable.KeyBytes(1))
+	ordersDense := uot.DenseIndexSize(orders, orders, hashtable.OffsetBytes, hashtable.RefBytes)
+	fmt.Printf("  (M/w)(c/f) + keys for a hash index on all of orders: %.2f MiB\n", mib(ordersHT))
+	fmt.Printf("  dense index on all of orders (keys 1..%d): %.2f MiB\n", orders, mib(ordersDense))
+	ordersIdx := min(ordersHT, ordersDense)
+	fmt.Printf("  Table II low-UoT overhead for tables of 1, %.2f, 2 MiB: %.2f MiB (all but the first stay live)\n",
+		mib(ordersIdx), mib(uot.LowUoTOverhead([]int64{1 << 20, ordersIdx, 2 << 20})))
 	fmt.Printf("  Table II high-UoT overhead for a 3 MiB selection output: %.2f MiB\n",
 		mib(uot.HighUoTOverhead(3<<20)))
 }

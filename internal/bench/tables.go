@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/cachesim"
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/engine"
@@ -144,21 +145,23 @@ func (h *Harness) selProjTable(id, title, opName string, baseWidth int, queries 
 // Tab2MemoryFootprint regenerates the Table II comparison on Q7's probe
 // cascade: the pipelining strategy keeps every hash table live at once; the
 // blocking strategy keeps one hash table plus the materialized selection
-// output. The (M/w)·(c/f) model predictions sit next to the measured bytes.
+// output. The model predictions of both index kinds — (M/w)·(c/f) plus keys
+// for a hash index, range·4 + n·4 for a dense one — sit next to the measured
+// bytes.
 func (h *Harness) Tab2MemoryFootprint() (*Report, error) {
 	r := &Report{
 		ID:    "TAB2",
 		Title: "Memory footprint of Q7 for low and high UoT values (MiB)",
 		Header: []string{
-			"strategy", "hash_tables_highwater", "intermediates_highwater", "model_hash_sum", "model_sel_out",
+			"strategy", "hash_tables_highwater", "intermediates_highwater", "model_hash_sum", "model_dense_sum", "model_sel_out",
 		},
 	}
 	d := h.Dataset(2<<20, storage.ColumnStore)
 
-	// Model: hash-table sizes from the (M/w)(c/f) formula over the actual
-	// build inputs, selection output from measured selectivity x
-	// projectivity.
-	var htModel int64
+	// Model: each build's index from the (M/w)(c/f) formula plus the keys a
+	// hash-indexed table keeps, and the dense alternative over the build's
+	// key range; selection output from measured selectivity x projectivity.
+	var hashModel, denseModel int64
 	b, err := tpch.Build(d, 7, tpch.QueryOpts{})
 	if err != nil {
 		return nil, err
@@ -168,14 +171,19 @@ func (h *Harness) Tab2MemoryFootprint() (*Report, error) {
 		return nil, err
 	}
 	lowRun := res.Run
-	for _, name := range []string{"build(supplier)", "build(orders)", "build(customer)"} {
-		t, ok := opTotals(lowRun, name)
+	for _, build := range []struct {
+		name string
+		base *storage.Table // keys 1..N (tpch/gen.go)
+	}{{"build(supplier)", d.Supplier}, {"build(orders)", d.Orders}, {"build(customer)", d.Customer}} {
+		t, ok := opTotals(lowRun, build.name)
 		if !ok {
-			return nil, fmt.Errorf("q7 missing %s", name)
+			return nil, fmt.Errorf("q7 missing %s", build.name)
 		}
 		// Model input: rows inserted, 16-byte payload tuples, and the
-		// engine table's own bucket size c and maximum load f.
-		htModel += memmodel.HashTableSize(t.RowsOut*16, 16, hashtable.EntryBytes(1), hashtable.MaxLoad)
+		// engine table's slot size c, maximum load f and key bytes.
+		hashModel += memmodel.HashTableSize(t.RowsOut*16, 16, hashtable.SlotBytes, hashtable.MaxLoad) +
+			t.RowsOut*int64(hashtable.KeyBytes(1))
+		denseModel += memmodel.DenseIndexSize(t.RowsOut, build.base.NumRows(), hashtable.OffsetBytes, hashtable.RefBytes)
 	}
 	selSt, selBytes, err := h.selectStats(d, 7, "select(lineitem)", tpch.LineitemSchema.RowWidth())
 	if err != nil {
@@ -198,12 +206,12 @@ func (h *Harness) Tab2MemoryFootprint() (*Report, error) {
 
 	r.AddRow("low UoT (1 block)",
 		mib(lowRun.HashTables.High()), mib(lowRun.Intermediates.High()),
-		mib(htModel), "-")
+		mib(hashModel), mib(denseModel), "-")
 	r.AddRow("high UoT (table, staged)",
 		mib(highRes.Run.HashTables.High()), mib(highRes.Run.Intermediates.High()),
-		mib(htModel), mib(selBytes))
+		mib(hashModel), mib(denseModel), mib(selBytes))
 	r.Note("Table II: low UoT must keep all cascade hash tables live; the staged high-UoT execution holds one at a time but materializes the selection output")
-	r.Note("Q7 builds its orders hash table on the whole table, so here the high-UoT strategy's materialization is the cheaper overhead — the Section VI-C point")
+	r.Note("Q7 builds its orders table on the whole table; the paper's Section VI-C point (materializing is the cheaper overhead) holds only while that table outweighs model_sel_out, and a dense index over 1..N order keys is smaller than a c/f hash table")
 	return r, nil
 }
 
@@ -222,14 +230,19 @@ func (h *Harness) Tab6Prefetching() (*Report, error) {
 	}
 	ops := []string{"select(lineitem)", "build(orders)", "probe(orders)"}
 	for _, blockBytes := range []int{128 << 10, 512 << 10, 2 << 20} {
-		// The scalability SF keeps the orders hash table well above the
-		// simulated L3, as at the paper's scale: the probe's random
-		// misses are what wasted prefetches amplify.
+		// The scalability SF and a quarter of the configured L3 keep the
+		// orders join table (about 7 MB at SF 0.2: a dense index and its
+		// payload) well above the simulated L3, as at the paper's scale
+		// (2.4 GB against 25 MB): the random misses are what wasted
+		// prefetches amplify.
 		d := h.DatasetSF(h.scaleSF(), blockBytes, storage.RowStore)
 		row := []string{blockLabel(blockBytes)}
 		cells := map[string][2]string{}
 		for i, prefetch := range []bool{true, false} {
-			sim := h.sim()
+			p := cachesim.Default()
+			p.L3Bytes = h.cfg.SimL3Bytes / 4
+			sim := cachesim.New(p)
+			sim.SetThreads(h.cfg.Workers)
 			sim.SetPrefetch(prefetch)
 			res, err := h.run(d, 7, engine.Options{
 				Workers: 1, UoTBlocks: 1, TempBlockBytes: blockBytes, Sim: sim,

@@ -372,7 +372,11 @@ func TestICTermChargesOperatorSwitches(t *testing.T) {
 		if err := Run(pipePlan(&producer{nblocks: n, rows: 2}, &consumer{}, tc.uot), ctx, 1); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := ctx.Run.TotalSim(), tc.switches*cachesim.Default().ICMiss; got != want {
+		var got int64
+		for _, op := range ctx.Run.PerOp() {
+			got += op.SimTotal
+		}
+		if want := tc.switches * cachesim.Default().ICMiss; got != want {
 			t.Errorf("uot=%d: simulated ticks = %d, want %d (%d operator switches)", tc.uot, got, want, tc.switches)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/faults"
@@ -324,5 +325,83 @@ func TestFaultScheduleReplay(t *testing.T) {
 	}
 	if s3 := run(43); reflect.DeepEqual(s1, s3) {
 		t.Fatal("different seeds fired identical schedules")
+	}
+}
+
+// TestSealFillRetryAtWorkers4: at Workers 4, a join whose build seals a
+// dense index (keys 0..299) and one whose keys lie 2³³ apart (a hash index,
+// its fill split over four work orders) return the rows of a fault-free
+// Workers 1 run while HashInsert faults at every even, then every odd,
+// consultation. A build's fills consult the site only after all of its
+// build work orders have, so one of the two schedules faults a fill's first
+// attempt; the trace must show it. A faulted fill has touched nothing, so
+// its retry leaks no block and no table byte.
+func TestSealFillRetryAtWorkers4(t *testing.T) {
+	for _, scale := range []int64{1, 1 << 33} {
+		db := NewDB(1<<10, storage.ColumnStore)
+		sch := storage.NewSchema(
+			storage.Column{Name: "k", Type: types.Int64},
+			storage.Column{Name: "v", Type: types.Int64},
+		)
+		load := func(name string, rows, keys int) *storage.Table {
+			tbl := db.CreateTable(name, sch)
+			ld := storage.NewLoader(tbl)
+			for i := 0; i < rows; i++ {
+				ld.Append(types.NewInt64(int64(i%keys)*scale), types.NewInt64(int64(i)))
+			}
+			ld.Close()
+			return tbl
+		}
+		buildTbl, probeTbl := load("b", 3000, 300), load("p", 5000, 400)
+		var buildID core.OpID
+		plan := func() *Builder {
+			b := NewBuilder()
+			scan := func(tbl *storage.Table) *Node {
+				return b.ScanSelect(exec.SelectSpec{
+					Name: "sel_" + tbl.Name(), Base: tbl,
+					Proj: []expr.Expr{expr.C(sch, "k"), expr.C(sch, "v")}, ProjNames: []string{"k", "v"},
+				})
+			}
+			bld, _ := b.Build(scan(buildTbl), exec.BuildSpec{Name: "build", KeyCols: []int{0}, Payload: []int{1}, ExpectedRows: 3000})
+			buildID = bld.ID
+			b.Collect(b.Probe(scan(probeTbl), bld, exec.ProbeSpec{
+				Name: "probe", KeyCols: []int{0}, ProbeProj: []int{1}, BuildProj: []int{0}, Rename: []string{"pv", "bv"},
+			}))
+			return b
+		}
+		base, _ := mustRows(t, plan(), Options{Workers: 1, UoTBlocks: 1, TempBlockBytes: 4 << 10}, "fault-free")
+		// Probe keys 0..199 occur 13 times, 200..299 12 times; each has 10
+		// build rows.
+		if len(base) != (200*13+100*12)*10 {
+			t.Fatalf("scale %d: fault-free join has %d rows", scale, len(base))
+		}
+		failedFills := 0
+		for parity := uint64(0); parity < 2; parity++ {
+			var schedule []faults.Event
+			for seq := parity; seq < 1<<13; seq += 2 {
+				schedule = append(schedule, faults.Event{Site: faults.HashInsert, Seq: seq, Kind: faults.KindError})
+			}
+			opts := chaosOpts(faults.Replay(schedule), 4)
+			tr := trace.New(1 << 14)
+			opts.Trace = tr
+			rows, res := mustRows(t, plan(), opts, "faulted")
+			if !sameRows(base, rows) {
+				t.Fatalf("scale %d, parity %d: Workers 4 rows differ from the fault-free Workers 1 run", scale, parity)
+			}
+			if r := res.Run.Robust(); r.LeakedBlocks+r.OutstandingRefs != 0 || r.Retries == 0 {
+				t.Fatalf("scale %d, parity %d: %+v", scale, parity, r)
+			}
+			if live := res.Run.HashTables.Live(); live != 0 {
+				t.Fatalf("scale %d, parity %d: %d table bytes live after the run", scale, parity, live)
+			}
+			for _, ev := range tr.Events() {
+				if ev.Kind == trace.KindSpan && ev.Op == int32(buildID) && ev.Batch == -1 && ev.Flags&trace.FlagFailed != 0 {
+					failedFills++
+				}
+			}
+		}
+		if failedFills == 0 {
+			t.Fatalf("scale %d: no fill attempt failed; the test exercised no fill retry", scale)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/expr"
+	"repro/internal/hashtable"
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/types"
@@ -385,7 +386,8 @@ func TestConcurrentBuildWorkOrdersWithBloom(t *testing.T) {
 		}(i, wo)
 	}
 	wg.Wait()
-	if got := op.HT().Len(); got != blocks*rowsPer {
+	runFills(t, ctx, op)
+	if got := countMatches(op, blocks*rowsPer); got != blocks*rowsPer {
 		t.Fatalf("table has %d entries, want %d", got, blocks*rowsPer)
 	}
 	var locks, batched int64
@@ -422,9 +424,42 @@ func TestConcurrentBuildWorkOrdersWithBloom(t *testing.T) {
 		}(wo)
 	}
 	wg2.Wait()
-	if got := ko.HT().Len(); got != blocks*rowsPer {
+	runFills(t, ctx, ko)
+	if got := countMatches(ko, blocks*rowsPer); got != blocks*rowsPer {
 		t.Fatalf("key-only table has %d entries, want %d", got, blocks*rowsPer)
 	}
+}
+
+// runFills runs a build's Final wave: the fills of its sealed table.
+func runFills(t *testing.T, ctx *core.ExecCtx, op *BuildHashOp) {
+	t.Helper()
+	for _, wo := range op.Final(ctx) {
+		if err := wo.Run(ctx, &core.Output{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// countMatches probes op's table with the keys 0..n-1 and counts the
+// entries found.
+func countMatches(op *BuildHashOp, n int) int {
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = int64(i)
+	}
+	var m hashtable.Matches
+	op.HT().Match(keys, nil, false, &m)
+	return len(m.Ref)
+}
+
+// denseIndexed reports whether op's sealed one-key table answers a lookup
+// of key k made with a wrong hash: a dense index does not read the hash, a
+// hash index looks in another shard and finds nothing.
+func denseIndexed(op *BuildHashOp, k int64) bool {
+	h := types.HashPairVec([]int64{k}, nil, nil)[0] ^ 1<<48
+	found := false
+	op.HT().LookupHashed(h, k, 0, func(*storage.Block, int) bool { found = true; return false })
+	return found
 }
 
 // raceEnabled is set by race_test.go in -race builds.
@@ -439,10 +474,21 @@ func TestProbeAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops items at random under -race; the Zero-alloc CI step runs this without it")
 	}
 	bs, ps := joinSchemas()
+	// Keys 0..199 make a dense index; the same keys 2³³ apart a hash index.
+	for _, dense := range []bool{true, false} {
+		scale := int64(1)
+		if !dense {
+			scale = 1 << 33
+		}
+		probeAllocs(t, bs, ps, scale, dense)
+	}
+}
+
+func probeAllocs(t *testing.T, bs, ps *storage.Schema, scale int64, dense bool) {
 	rng := rand.New(rand.NewSource(3))
 	var keys [][2]int64
 	for k := int64(0); k < 200; k++ {
-		keys = append(keys, [2]int64{k, 0})
+		keys = append(keys, [2]int64{k * scale, 0})
 	}
 	build := joinBlocks(rng, bs, []storage.Format{storage.ColumnStore}, keys[:100], 1, 100)
 	small := joinBlocks(rng, ps, []storage.Format{storage.ColumnStore}, keys, 1, 100)[0]
@@ -465,6 +511,9 @@ func TestProbeAllocs(t *testing.T) {
 		bop := NewBuildHash(spec)
 		bop.setID(20)
 		runOp(t, ctx, bop, 20, build...)
+		if got := denseIndexed(bop, build[0].Int64At(0, 0)); got != dense {
+			t.Fatalf("%s: dense index %v, want %v", jt, got, dense)
+		}
 		pspec.Build = bop
 		if residual {
 			pspec.Residual = expr.Or(expr.Lt(expr.C(ps, "pv"), expr.C2(bop.PayloadSchema(), "bv")),
@@ -488,7 +537,7 @@ func TestProbeAllocs(t *testing.T) {
 		}
 		allocs(large) // size the pooled scratch for the large block
 		if s, l := allocs(small), allocs(large); s != l {
-			t.Errorf("%s (residual %v): %v allocations for a 100-row block, %v for an 8K-row block", jt, residual, s, l)
+			t.Errorf("%s (residual %v, dense %v): %v allocations for a 100-row block, %v for an 8K-row block", jt, residual, dense, s, l)
 		}
 	}
 }

@@ -21,11 +21,14 @@ import (
 //
 // Build work orders run the block-granular insert kernel
 // (hashtable.InsertBlock): keys are gathered and hashed vectorized, and each
-// hash-table shard lock is taken once per block instead of once per row.
-// The bloom filter is populated with the same gathered key vector through
-// lock-free atomic adds, so concurrent build work orders never serialize on
-// an operator mutex. Insert scratch buffers are pooled across work orders,
-// making the steady-state build allocation-free per block.
+// table shard lock is taken once per block instead of once per row to
+// append the block's keys and payload rows. The bloom filter is populated
+// with the same gathered key vector through lock-free atomic adds, so
+// concurrent build work orders never serialize on an operator mutex. Insert
+// scratch buffers are pooled across work orders, making the steady-state
+// build allocation-free per block. Once every row is in, the Final wave
+// seals the table: it chooses the index from the entry count and key range
+// (hashtable.Seal) and fills it.
 type BuildHashOp struct {
 	core.Base
 	self       core.OpID
@@ -54,7 +57,8 @@ type BuildSpec struct {
 	// operators read from the build side). May be empty for semi/anti
 	// joins that need only existence.
 	Payload []int
-	// ExpectedRows sizes the hash table (and bloom filter).
+	// ExpectedRows sizes the bloom filter; the table sizes its index from
+	// the rows it stored.
 	ExpectedRows int
 	// BuildBloom also builds a LIP bloom filter on KeyCols[0].
 	BuildBloom bool
@@ -91,7 +95,7 @@ func (o *BuildHashOp) NumInputs() int { return 1 }
 // only the live join's table in memory — the accounting Table II of the
 // paper depends on.
 func (o *BuildHashOp) Start(ctx *core.ExecCtx) []core.WorkOrder {
-	cfg := hashtable.Config{PayloadSchema: o.paySchema, Keys: len(o.keyCols), InitialCapacity: o.expected}
+	cfg := hashtable.Config{PayloadSchema: o.paySchema, Keys: len(o.keyCols)}
 	if ctx.Run != nil {
 		cfg.Gauge = &ctx.Run.HashTables
 	}
@@ -145,7 +149,9 @@ func (w *buildWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 		}
 	}
 	if ctx.Sim != nil {
-		// Hash-table inserts are random writes against the growing table.
+		// The cache model charges each row's random write into the table
+		// here, as in the paper's engine, although this engine appends
+		// here and writes its index in the Final wave.
 		out.Sim += ctx.Sim.RandomProbes(int64(n), o.ht.UsedBytes())
 	}
 	out.RowsOut = int64(n)
@@ -191,6 +197,34 @@ func (w *buildWO) runBatch(ctx *core.ExecCtx, out *core.Output) error {
 	return nil
 }
 
+// Final implements core.Operator: build → probe is a blocking edge, so the
+// table's entries are all in. It returns the work orders that fill the
+// chosen index, one per worker for a hash index (split by shard), one for a
+// dense index.
+func (o *BuildHashOp) Final(ctx *core.ExecCtx) []core.WorkOrder {
+	fills := o.ht.Seal(ctx.Workers)
+	wos := make([]core.WorkOrder, len(fills))
+	for i, f := range fills {
+		wos[i] = &fillWO{fill: f}
+	}
+	return wos
+}
+
+// fillWO fills one part of a sealed table's index.
+type fillWO struct{ fill hashtable.Fill }
+
+func (w *fillWO) Inputs() []*storage.Block { return nil }
+
+// Run consults the fault site before the fill touches the table, so a
+// retried fill has nothing to undo.
+func (w *fillWO) Run(ctx *core.ExecCtx, _ *core.Output) error {
+	if err := ctx.FaultAt(faults.HashInsert); err != nil {
+		return err
+	}
+	w.fill.Run()
+	return nil
+}
+
 // String renders the operator.
 func (o *BuildHashOp) String() string { return fmt.Sprintf("build_hash(%s)", o.name) }
 
@@ -231,8 +265,8 @@ func (j JoinType) String() string {
 // table when it finishes.
 //
 // Probe work orders run a block at a time: the probe-side key columns are
-// gathered and hashed in one pass (types.HashPairVec), hashtable.Match
-// collects every (probe row, payload row) pair of the block, the residual
+// gathered, hashtable.Match collects every (probe row, payload row) pair of
+// the block (hashing the keys only under a hash index), the residual
 // filters the pairs through the block kernels (the columns it reads are
 // gathered for the pairs into one scratch block), and the output is
 // materialized column at a time
@@ -260,12 +294,11 @@ type ProbeOp struct {
 	scratch   sync.Pool // *probeScratch
 }
 
-// probeScratch holds one probe work order's reusable vectors: keys and
-// hashes, the table's matches, and the pairs (or rows) to emit.
+// probeScratch holds one probe work order's reusable vectors: keys, the
+// table's matches, and the pairs (or rows) to emit.
 type probeScratch struct {
 	k0 []int64
 	k1 []int64
-	h  []uint64
 	m  hashtable.Matches
 	// The pairs inner and outer joins emit: probe row, payload block (nil:
 	// zero-filled build columns) and payload row. sel is the probe-row
@@ -281,7 +314,7 @@ type probeScratch struct {
 	rsel []int32
 }
 
-// gather pulls the probe key columns of b into the scratch and hashes them.
+// gather pulls the probe key columns of b into the scratch.
 func (sc *probeScratch) gather(b *storage.Block, keyCols []int) {
 	sc.k0 = b.GatherInt64(keyCols[0], sc.k0)
 	if len(keyCols) == 2 {
@@ -289,7 +322,6 @@ func (sc *probeScratch) gather(b *storage.Block, keyCols []int) {
 	} else {
 		sc.k1 = nil
 	}
-	sc.h = types.HashPairVec(sc.k0, sc.k1, sc.h)
 }
 
 // resolve turns the matches of an n-row probe block into the pairs to emit,
@@ -487,7 +519,7 @@ func (w *probeWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	sc.gather(b, o.keyCols)
 	out.BatchedRows += int64(n)
 	existence := o.joinType == LeftSemi || o.joinType == LeftAnti
-	ht.Match(sc.h, sc.k0, sc.k1, existence && o.residual == nil, &sc.m)
+	ht.Match(sc.k0, sc.k1, existence && o.residual == nil, &sc.m)
 	if o.residual != nil {
 		sc.filter(o, ht, b, ctx.Scalars)
 	}

@@ -584,16 +584,19 @@ func zeroDatum(c storage.Column) types.Datum {
 	}
 }
 
+// probeResidual is a join residual as an expression and as its oracle.
+type probeResidual struct {
+	name  string
+	expr  func(ps, pay *storage.Schema) expr.Expr
+	holds func(p, b []types.Datum) bool
+}
+
 // probeResiduals are the residuals TestOracleProbeProperty joins under, each
 // as an expression over the probe input and the payload (bseq, bv, bc) and
 // in plain Go over a probe row (k0, k1, pv, pc, pseq) and a build row (k0,
 // k1, bv, bc, bseq). "true" is pv < bv; the others add OR, NOT, IN, LIKE and
 // a comparison of two char columns of different widths.
-var probeResiduals = []struct {
-	name  string
-	expr  func(ps, pay *storage.Schema) expr.Expr
-	holds func(p, b []types.Datum) bool
-}{
+var probeResiduals = []probeResidual{
 	{"false", nil, nil},
 	{"true", func(ps, pay *storage.Schema) expr.Expr { return expr.Lt(expr.C(ps, "pv"), expr.C2(pay, "bv")) },
 		func(p, b []types.Datum) bool { return p[2].F < b[2].F }},
@@ -620,9 +623,11 @@ var probeResiduals = []struct {
 // shard, with duplicates on both sides, misses, and row- and column-store
 // probe input: ProbeOp's output equals the nested-loop oracle's row for row,
 // in order. With two keys, each key also has a twin that shares its k0 and
-// differs only in k1, and the build grows its table several times. Two
-// probe blocks end in a miss, so rows left unmatched after a block's last
-// match are covered too.
+// differs only in k1. Two probe blocks end in a miss, so rows left
+// unmatched after a block's last match are covered too. One-key cases run
+// under both index kinds: the colliding keys span a range too sparse for a
+// dense index, and the same cases with each key replaced by its rank (a
+// range of 24) seal dense.
 func TestOracleProbeProperty(t *testing.T) {
 	bs, ps := joinSchemas()
 	for _, twoKeys := range []bool{false, true} {
@@ -638,60 +643,83 @@ func TestOracleProbeProperty(t *testing.T) {
 			}
 			keys, nBuild = twins, 32
 		}
-		rng := rand.New(rand.NewSource(29))
-		build := joinBlocks(rng, bs, []storage.Format{storage.ColumnStore}, keys[:nBuild], 3, 150)
-		probe := joinBlocks(rng, ps, []storage.Format{storage.RowStore, storage.ColumnStore}, keys, 4, 333)
-		for _, b := range probe[:2] { // a block that ends in a miss
-			miss := keys[len(keys)-1]
-			b.AppendRow(types.NewInt64(miss[0]), types.NewInt64(miss[1]),
-				types.NewFloat64(0), types.NewString("m"), types.NewInt64(-1))
+		kinds := []string{"hash"}
+		if !twoKeys {
+			kinds = append(kinds, "dense")
 		}
 		for _, jt := range []JoinType{Inner, LeftOuter, LeftSemi, LeftAnti} {
 			for _, res := range probeResiduals {
 				name := fmt.Sprintf("keys=%d/%s/residual=%s", len(keyCols), jt, res.name)
 				t.Run(name, func(t *testing.T) {
-					ctx := execCtx()
-					spec := BuildSpec{Name: "build", InputSchema: bs, KeyCols: keyCols, ExpectedRows: 64}
-					if jt == Inner || jt == LeftOuter || res.expr != nil {
-						spec.Payload = []int{4, 2, 3} // bseq, bv, bc
-					}
-					bop := NewBuildHash(spec)
-					bop.setID(20)
-					runOp(t, ctx, bop, 20, build...)
-					pspec := ProbeSpec{
-						Name: "probe", Build: bop, InputSchema: ps, KeyCols: keyCols, JoinType: jt,
-						ProbeProj: []int{4, 3, 2}, // pseq, pc, pv
-					}
-					var buildProj []int
-					if jt == Inner || jt == LeftOuter {
-						pspec.BuildProj = []int{0, 2, 1} // bseq, bc, bv of the payload
-						buildProj = []int{4, 3, 2}
-					}
-					if res.expr != nil {
-						pspec.Residual = res.expr(ps, bop.PayloadSchema())
-					}
-					pop := NewProbe(pspec)
-					pop.setID(21)
-					got := allRows(runOp(t, ctx, pop, 21, probe...))
-					want := oracleJoin(jt, build, probe, keyCols, []int{4, 3, 2}, buildProj, res.holds)
-					if len(want) == 0 {
-						t.Fatal("oracle emits nothing; the case tests nothing")
-					}
-					if !rowsEqual(got, want) {
-						for i := range got {
-							if i >= len(want) || !rowsEqual(got[i:i+1], want[i:i+1]) {
-								t.Fatalf("%d rows, oracle %d; first difference at row %d: %v vs %v", len(got), len(want), i, got[i], want[min(i, len(want)-1)])
+					for _, kind := range kinds {
+						t.Run("index="+kind, func(t *testing.T) {
+							ks := keys
+							if kind == "dense" {
+								ks = make([][2]int64, len(keys))
+								for i := range ks {
+									ks[i] = [2]int64{int64(i), 0}
+								}
 							}
-						}
-						t.Fatalf("%d rows, oracle %d", len(got), len(want))
-					}
-					pop.Cleanup(ctx)
-					if live := ctx.Run.HashTables.Live(); live != 0 {
-						t.Errorf("hash-table gauge after Cleanup = %d, want 0", live)
+							oracleProbe(t, bs, ps, ks, nBuild, keyCols, jt, res, kind == "dense")
+						})
 					}
 				})
 			}
 		}
+	}
+}
+
+// oracleProbe runs one TestOracleProbeProperty case over the given keys.
+func oracleProbe(t *testing.T, bs, ps *storage.Schema, keys [][2]int64, nBuild int, keyCols []int, jt JoinType, res probeResidual, dense bool) {
+	rng := rand.New(rand.NewSource(29))
+	build := joinBlocks(rng, bs, []storage.Format{storage.ColumnStore}, keys[:nBuild], 3, 150)
+	probe := joinBlocks(rng, ps, []storage.Format{storage.RowStore, storage.ColumnStore}, keys, 4, 333)
+	for _, b := range probe[:2] { // a block that ends in a miss
+		miss := keys[len(keys)-1]
+		b.AppendRow(types.NewInt64(miss[0]), types.NewInt64(miss[1]),
+			types.NewFloat64(0), types.NewString("m"), types.NewInt64(-1))
+	}
+	ctx := execCtx()
+	spec := BuildSpec{Name: "build", InputSchema: bs, KeyCols: keyCols, ExpectedRows: 64}
+	if jt == Inner || jt == LeftOuter || res.expr != nil {
+		spec.Payload = []int{4, 2, 3} // bseq, bv, bc
+	}
+	bop := NewBuildHash(spec)
+	bop.setID(20)
+	runOp(t, ctx, bop, 20, build...)
+	if len(keyCols) == 1 && denseIndexed(bop, keys[0][0]) != dense {
+		t.Fatalf("dense index %v, want %v", !dense, dense)
+	}
+	pspec := ProbeSpec{
+		Name: "probe", Build: bop, InputSchema: ps, KeyCols: keyCols, JoinType: jt,
+		ProbeProj: []int{4, 3, 2}, // pseq, pc, pv
+	}
+	var buildProj []int
+	if jt == Inner || jt == LeftOuter {
+		pspec.BuildProj = []int{0, 2, 1} // bseq, bc, bv of the payload
+		buildProj = []int{4, 3, 2}
+	}
+	if res.expr != nil {
+		pspec.Residual = res.expr(ps, bop.PayloadSchema())
+	}
+	pop := NewProbe(pspec)
+	pop.setID(21)
+	got := allRows(runOp(t, ctx, pop, 21, probe...))
+	want := oracleJoin(jt, build, probe, keyCols, []int{4, 3, 2}, buildProj, res.holds)
+	if len(want) == 0 {
+		t.Fatal("oracle emits nothing; the case tests nothing")
+	}
+	if !rowsEqual(got, want) {
+		for i := range got {
+			if i >= len(want) || !rowsEqual(got[i:i+1], want[i:i+1]) {
+				t.Fatalf("%d rows, oracle %d; first difference at row %d: %v vs %v", len(got), len(want), i, got[i], want[min(i, len(want)-1)])
+			}
+		}
+		t.Fatalf("%d rows, oracle %d", len(got), len(want))
+	}
+	pop.Cleanup(ctx)
+	if live := ctx.Run.HashTables.Live(); live != 0 {
+		t.Errorf("hash-table gauge after Cleanup = %d, want 0", live)
 	}
 }
 

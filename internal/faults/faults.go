@@ -29,8 +29,8 @@ type Site uint8
 
 // The named injection sites.
 const (
-	// HashInsert fires at the start of a hash-join build work order,
-	// strictly before any hash-table mutation.
+	// HashInsert fires at the start of a hash-join build work order and of
+	// each index fill work order, strictly before any join-table mutation.
 	HashInsert Site = iota
 	// BloomBuild fires before a build work order populates the LIP bloom
 	// filter (also pre-mutation).

@@ -1,0 +1,34 @@
+package hashtable
+
+// Len returns the total number of entries.
+func (t *Table) Len() int {
+	n := 0
+	for i := range t.shards {
+		n += t.shards[i].n
+	}
+	return n
+}
+
+// kinds are both index kinds, for tests that run under each.
+var kinds = []indexKind{hashIndex, denseIndex}
+
+func (k indexKind) String() string {
+	if k == denseIndex {
+		return "dense"
+	}
+	return "hash"
+}
+
+// sealAs seals t with the given index kind instead of the one Seal would
+// choose, where the table allows it (dense needs one key and a key range
+// under 2³²), runs the fills, and returns the kind sealed with.
+func sealAs(t *Table, kind indexKind) indexKind {
+	_, span, n := t.keySpan()
+	if kind == denseIndex && !t.denseFits(span, n) {
+		kind = hashIndex
+	}
+	for _, f := range t.seal(kind, 3) {
+		f.Run()
+	}
+	return t.kind
+}

@@ -1,62 +1,77 @@
-// Package hashtable implements the non-partitioned join hash table used by
-// the engine: sharded for concurrent build, with buckets in groups of eight
-// slots behind one 64-bit control word of 7-bit hash tags (the c/f memory
-// model of Section VI-B of the paper is c = EntryBytes(keys), f = MaxLoad),
-// duplicate keys returned in insertion order, and payload tuples stored in
-// row-store blocks so probe residual predicates can evaluate directly over
-// build-side rows.
+// Package hashtable implements the engine's join table: an append-only entry
+// store, sharded for concurrent build, and an index chosen once the build is
+// done.
+//
+// A build appends each row's key (or key pair) to its shard's key chunks and
+// its payload columns to the shard's row-store payload blocks, so entry i of
+// a shard is key i and payload row i; nothing is written at random. Seal then
+// picks the index from the entry count and key range it saw:
+//
+//   - dense (one-key tables only): an offset per key of [min, max] into one
+//     4-byte entry ref per row, in per-key insertion order. The key chunks
+//     are freed after the fill; a key-only table keeps only the offsets.
+//   - hash: per shard, groups of eight 5-byte slots (a 7-bit hash tag in one
+//     64-bit control word, and a 4-byte entry index), sized exactly from the
+//     shard's entry count at load MaxLoad. The store keeps the keys.
+//
+// Dense is chosen only when its bytes are no more than the hash groups', so
+// no table is larger than its hash alternative (the c/f memory model of
+// Section VI-B of the paper: c = SlotBytes plus KeyBytes(keys) per entry,
+// f = MaxLoad; dense costs OffsetBytes per key of the range and RefBytes per
+// entry). Duplicate keys come back in insertion order under either index,
+// and payload tuples stay in row-store blocks so probe residual predicates
+// evaluate directly over build-side rows.
 package hashtable
 
 import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"unsafe"
+	"sync/atomic"
 
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
 
-// entry is one bucket slot's first key and payload reference. A two-key
-// table keeps the second key in its shard's k1 array, indexed like the
-// slots, so a one-key table pays nothing for it.
-type entry struct {
-	k0  int64
-	blk uint32 // payload block index within the shard (keyOnly for none)
-	row uint32 // payload row within that block
-}
-
-// group is eight slots: a control word of one byte per slot (ctrlEmpty, or
-// the slot's 7-bit hash tag) stored beside the slots' entries, so a lookup
-// tests all eight tags with one word compare and then reads entries from
-// the same few cache lines.
+// group is eight hash slots: a control word of one byte per slot (ctrlEmpty,
+// or the slot's 7-bit hash tag) beside the slots' entry indexes, so a lookup
+// tests all eight tags with one word compare.
 type group struct {
 	ctrl uint64
-	ents [groupSlots]entry
+	idx  [groupSlots]uint32 // entry index within the shard
 }
 
 const (
 	groupSlots = 8
-	groupBytes = int64(unsafe.Sizeof(group{}))
-	// k1GroupBytes is one group's share of a two-key table's k1 array.
-	k1GroupBytes = groupSlots * 8
-	// maxLoadSlots is how many of a group's slots a shard may fill on
-	// average before it grows.
+	groupBytes = 8 + 4*groupSlots
+	// maxLoadSlots is how many of a group's slots a shard's index may fill
+	// on average.
 	maxLoadSlots = 7
 
 	ctrlEmpty = 0x80
 	lsbs      = 0x0101010101010101
 	msbs      = 0x8080808080808080
 	allEmpty  = ctrlEmpty * lsbs
-
-	// keyOnly marks an entry with no payload row.
-	keyOnly = ^uint32(0)
 )
 
-// MaxLoad is the load factor f of Section VI-B: a shard grows before more
-// than 7 of every 8 slots are full.
+// The Section VI-B costs of the two index kinds.
+const (
+	// SlotBytes is a hash slot: one control byte and a 4-byte entry index.
+	SlotBytes = groupBytes / groupSlots
+	// OffsetBytes is a dense index's cost per key of its range.
+	OffsetBytes = 4
+	// RefBytes is a dense index's cost per entry of a table with payload.
+	RefBytes = 4
+)
+
+// MaxLoad is the load factor f of Section VI-B: a hash index fills at most
+// 7 of every 8 slots.
 const MaxLoad = float64(maxLoadSlots) / groupSlots
+
+// KeyBytes is what a hash-indexed table's entry store keeps per entry besides
+// its payload: the keys.
+func KeyBytes(keys int) int { return 8 * keys }
 
 // Payload tuples live in per-shard row-store blocks. Only a shard's last
 // block has free rows, so a shard leaves less than one block unused: the
@@ -67,47 +82,90 @@ const (
 	payloadBlockBytes      = 16 << 10
 )
 
-const numShards = 64
+// Keys live in per-shard chunks of chunkKeys. A shard's first chunk starts
+// at firstChunkKeys and doubles until it is full size, so a shard with a
+// handful of entries pays for a handful of keys; every later chunk is
+// allocated at full size and never copied. The gauge counts every chunk.
+const (
+	chunkShift     = 9
+	chunkKeys      = 1 << chunkShift
+	chunkMask      = chunkKeys - 1
+	firstChunkKeys = 16
+)
+
+const (
+	numShards = 64
+	// A Ref packs the shard into its top refShardBits and the entry index
+	// into the rest, which bounds a shard's entries.
+	refShardBits    = 6
+	refIdxBits      = 32 - refShardBits
+	maxShardEntries = 1 << refIdxBits
+)
 
 type shard struct {
-	mu      sync.Mutex
-	groups  []group
-	k1      []int64 // two-key tables: the second key of slot g*groupSlots+i; nil for one key
-	mask    uint64  // len(groups) - 1
-	count   int
-	payload []*storage.Block
+	mu       sync.Mutex
+	n        int
+	min, max int64     // over first keys; valid when n > 0
+	k0, k1   [][]int64 // key chunks; k1 nil in a one-key table
+	payload  []*storage.Block
+	// The hash index, written by its fill: nil for an empty shard or a
+	// dense table.
+	groups []group
+	mask   uint64 // len(groups) - 1
 }
 
-// Table is a concurrent join hash table keyed by one or two 64-bit integers.
+// indexKind is the index a table is sealed with.
+type indexKind uint8
+
+const (
+	hashIndex indexKind = iota
+	denseIndex
+)
+
+// Table is a concurrent join table keyed by one or two 64-bit integers. It
+// is built with InsertBlock or InsertBlockKeyOnly, sealed once with Seal (or
+// on its first lookup), then probed.
 type Table struct {
-	shards      [numShards]shard
-	keys        int // 1 or 2
-	payloadSch  *storage.Schema
-	gauge       *stats.MemGauge // may be nil
+	shards     [numShards]shard
+	keys       int // 1 or 2
+	keyOnly    bool
+	payloadSch *storage.Schema
+	// Rows per payload block: the first block, then every later one.
+	firstRows, rows uint32
+	gauge           *stats.MemGauge // may be nil
+
+	sealOnce sync.Once // Seal's choice of kind
+	lazyOnce sync.Once // the seal and fills of a table probed unsealed
+	ready    atomic.Bool
+	kind     indexKind
+	// The dense index: the entries of key min+j are refs[offsets[j]:
+	// offsets[j+1]] (a key-only table keeps no refs).
+	min     int64
+	offsets []uint32
+	refs    []Ref
+
 	releaseOnce sync.Once
 }
 
 // Config parameterizes a table.
 type Config struct {
-	// PayloadSchema describes the build-side columns stored per entry.
+	// PayloadSchema describes the build-side columns stored per entry; a
+	// table whose schema has no columns is key-only.
 	PayloadSchema *storage.Schema
 	// Keys is the number of key columns, 1 or 2; zero means 1. A one-key
 	// table stores no second key, so inserting one panics.
 	Keys int
-	// InitialCapacity is a hint of total entries. Defaults to 1024.
+	// InitialCapacity is unused: the index is sized from the entries the
+	// build stored. Declared only because benchmark/kernels.go sets it;
+	// drop both in the next [benchmark] PR.
 	InitialCapacity int
 	// Gauge, if non-nil, tracks the table's live bytes.
 	Gauge *stats.MemGauge
 }
 
-// New returns an empty table in which each shard has the fewest groups that
-// give one slot per entry of its share of InitialCapacity, plus one. Sizing
-// by slots, not by MaxLoad, keeps an overestimated build from starting with
-// groups it never fills; an exact estimate grows its shards once.
+// New returns an empty table. It allocates nothing: key chunks and payload
+// blocks come with the rows, the index with Seal.
 func New(cfg Config) *Table {
-	if cfg.InitialCapacity <= 0 {
-		cfg.InitialCapacity = 1024
-	}
 	switch cfg.Keys {
 	case 0:
 		cfg.Keys = 1
@@ -116,47 +174,14 @@ func New(cfg Config) *Table {
 		panic("hashtable: a table has 1 or 2 keys")
 	}
 	t := &Table{keys: cfg.Keys, payloadSch: cfg.PayloadSchema, gauge: cfg.Gauge}
-	groups := nextPow2((cfg.InitialCapacity/numShards + groupSlots) / groupSlots)
-	for i := range t.shards {
-		t.shards[i].setGroups(groups, t.keys == 2)
-	}
-	if t.gauge != nil {
-		t.gauge.Add(numShards * int64(groups) * t.perGroup())
+	t.keyOnly = cfg.PayloadSchema == nil || cfg.PayloadSchema.NumCols() == 0
+	if !t.keyOnly {
+		// The capacity storage.NewBlock gives a row-store block.
+		w := cfg.PayloadSchema.RowWidth()
+		t.firstRows = uint32(max(1, payloadBlockBytesFirst/w))
+		t.rows = uint32(max(1, payloadBlockBytes/w))
 	}
 	return t
-}
-
-// perGroup is the bytes one group costs: its control word and entries, plus
-// its second keys in a two-key table.
-func (t *Table) perGroup() int64 { return int64(EntryBytes(t.keys)) * groupSlots }
-
-// setGroups replaces the shard's groups (and, with twoKeys, its k1 array)
-// with n empty ones.
-func (s *shard) setGroups(n int, twoKeys bool) {
-	s.groups = make([]group, n)
-	for i := range s.groups {
-		s.groups[i].ctrl = allEmpty
-	}
-	s.k1 = nil
-	if twoKeys {
-		s.k1 = make([]int64, n*groupSlots)
-	}
-	s.mask = uint64(n - 1)
-}
-
-// key1 returns the second key of slot i of group g: 0 in a one-key table.
-func (s *shard) key1(g uint64, i int) int64 {
-	if s.k1 == nil {
-		return 0
-	}
-	return s.k1[g*groupSlots+uint64(i)]
-}
-
-// checkKey1 panics on a second key a one-key table cannot store.
-func (t *Table) checkKey1(k1 int64) {
-	if t.keys == 1 && k1 != 0 {
-		panic("hashtable: two-key insert into a one-key table")
-	}
 }
 
 // hashKey produces the hash of (k0, k1), identical to types.HashPairVec's.
@@ -186,64 +211,6 @@ func matchTag(ctrl, tag uint64) uint64 {
 
 // slotOf turns the lowest flagged byte of a match word into a slot index.
 func slotOf(m uint64) int { return bits.TrailingZeros64(m) >> 3 }
-
-// reserve grows s until it holds n more entries within MaxLoad; caller holds
-// the shard lock.
-func (t *Table) reserve(s *shard, n int) {
-	for s.count+n > len(s.groups)*maxLoadSlots {
-		t.grow(s)
-	}
-}
-
-// put stores e, and k1 in a two-key table, in the first free slot of h's
-// group sequence. Groups fill slot 0 first and nothing is deleted, so the
-// order of (group, slot) along a sequence is insertion order. Caller holds
-// the lock and has reserved room.
-func (s *shard) put(h uint64, e entry, k1 int64) {
-	g := (h >> 7) & s.mask
-	for {
-		grp := &s.groups[g]
-		if free := grp.ctrl & msbs; free != 0 {
-			i := slotOf(free)
-			grp.ctrl ^= (ctrlEmpty ^ h&0x7f) << (8 * i)
-			grp.ents[i] = e
-			if s.k1 != nil {
-				s.k1[g*groupSlots+uint64(i)] = k1
-			}
-			s.count++
-			return
-		}
-		g = (g + 1) & s.mask
-	}
-}
-
-// Insert adds one entry whose payload is the projection projIdx of row
-// srcRow of src. It is safe for concurrent use.
-func (t *Table) Insert(k0, k1 int64, src *storage.Block, srcRow int, projIdx []int) {
-	t.checkKey1(k1)
-	h := hashKey(k0, k1)
-	s := &t.shards[shardOf(h)]
-	s.mu.Lock()
-	pb := t.payloadBlock(s)
-	prow := pb.NumRows()
-	pb.AppendFrom(src, srcRow, projIdx)
-	t.reserve(s, 1)
-	s.put(h, entry{k0: k0, blk: uint32(len(s.payload) - 1), row: uint32(prow)}, k1)
-	s.mu.Unlock()
-}
-
-// InsertKeyOnly adds an entry with no payload columns (semi/anti join builds
-// that need only key existence). PayloadSchema must still be non-nil; a
-// zero-column schema is fine.
-func (t *Table) InsertKeyOnly(k0, k1 int64) {
-	t.checkKey1(k1)
-	h := hashKey(k0, k1)
-	s := &t.shards[shardOf(h)]
-	s.mu.Lock()
-	t.reserve(s, 1)
-	s.put(h, entry{k0: k0, blk: keyOnly}, k1)
-	s.mu.Unlock()
-}
 
 // InsertScratch holds the reusable buffers of the block-granular insert
 // kernels: gathered key columns, the hash vector, and the shard-partitioned
@@ -278,8 +245,7 @@ func (sc *InsertScratch) gather(b *storage.Block, keyCols []int) {
 }
 
 // partition counting-sorts row indexes 0..n-1 by destination shard. Within a
-// shard, rows keep block order, so a batched build lays payloads out exactly
-// like the row-at-a-time reference path.
+// shard, rows keep block order, so entries are stored in input order.
 func (sc *InsertScratch) partition() {
 	n := len(sc.hashes)
 	if cap(sc.rows) < n {
@@ -305,26 +271,28 @@ func (sc *InsertScratch) partition() {
 	}
 }
 
-// InsertBlock adds every row of b in one block-granular pass: the key
+// InsertBlock appends every row of b in one block-granular pass: the key
 // columns are gathered and hashed vectorized (types.HashPairVec), row
 // indexes are partitioned by shard, and each touched shard's lock is taken
 // once for the whole block — 64 acquisitions per 64K rows instead of 64K —
-// with payload rows and slots bulk-appended under it. The result is
-// identical to calling Insert per row in block order (same payload layout,
-// same slot placement, same TotalBytes). It is safe for concurrent use with
-// other inserts; sc must be private to the caller (pass a pooled scratch).
-// It returns the number of shard-lock acquisitions performed.
+// with keys and payload rows bulk-appended under it. It is safe for
+// concurrent use with other inserts; sc must be private to the caller (pass
+// a pooled scratch). It returns the number of shard-lock acquisitions
+// performed.
 func (t *Table) InsertBlock(b *storage.Block, keyCols []int, projIdx []int, sc *InsertScratch) int {
-	return t.insertBlock(b, keyCols, projIdx, sc, false)
+	return t.insertBlock(b, keyCols, projIdx, sc)
 }
 
-// InsertBlockKeyOnly is InsertBlock for key-only entries (semi/anti builds):
-// no payload rows are stored, only key existence.
+// InsertBlockKeyOnly is InsertBlock for a key-only table (semi/anti builds):
+// no payload rows are stored, only the keys.
 func (t *Table) InsertBlockKeyOnly(b *storage.Block, keyCols []int, sc *InsertScratch) int {
-	return t.insertBlock(b, keyCols, nil, sc, true)
+	if !t.keyOnly {
+		panic("hashtable: key-only insert into a table with payload columns")
+	}
+	return t.insertBlock(b, keyCols, nil, sc)
 }
 
-func (t *Table) insertBlock(b *storage.Block, keyCols []int, projIdx []int, sc *InsertScratch, noPayload bool) int {
+func (t *Table) insertBlock(b *storage.Block, keyCols []int, projIdx []int, sc *InsertScratch) int {
 	if len(keyCols) != t.keys {
 		panic(fmt.Sprintf("hashtable: %d-key insert into a %d-key table", len(keyCols), t.keys))
 	}
@@ -346,43 +314,79 @@ func (t *Table) insertBlock(b *storage.Block, keyCols []int, projIdx []int, sc *
 		s := &t.shards[sIdx]
 		s.mu.Lock()
 		locks++
-		// Size the shard for the whole batch: the same final size as
-		// growing row-at-a-time, but at most log2 resizes under one lock.
-		t.reserve(s, int(cnt))
-		if noPayload {
-			for _, r := range rows {
-				sc.put(s, r, keyOnly, 0)
-			}
-		} else {
+		if s.n+len(rows) > maxShardEntries {
+			s.mu.Unlock()
+			panic("hashtable: a shard holds at most 2^26 entries")
+		}
+		t.appendKeys(s, &s.k0, sc.k0, rows)
+		if sc.k1 != nil {
+			t.appendKeys(s, &s.k1, sc.k1, rows)
+		}
+		if s.n == 0 {
+			s.min, s.max = sc.k0[rows[0]], sc.k0[rows[0]]
+		}
+		for _, r := range rows {
+			s.min, s.max = min(s.min, sc.k0[r]), max(s.max, sc.k0[r])
+		}
+		if !t.keyOnly {
 			// Bulk-copy payload rows block-at-a-time (AppendFromMany
 			// resolves column layouts once per payload block, not once per
-			// cell), then write the slots for the rows that landed there.
-			pos := 0
-			for pos < len(rows) {
-				pb := t.payloadBlock(s)
-				base := pb.NumRows()
-				took := pb.AppendFromMany(b, rows[pos:], projIdx)
-				blk := uint32(len(s.payload) - 1)
-				for j := 0; j < took; j++ {
-					sc.put(s, rows[pos+j], blk, uint32(base+j))
-				}
-				pos += took
+			// cell).
+			for pos := 0; pos < len(rows); {
+				pos += t.payloadBlock(s).AppendFromMany(b, rows[pos:], projIdx)
 			}
 		}
+		s.n += len(rows)
 		s.mu.Unlock()
 	}
 	return locks
 }
 
-// put stores the entry of scratch row r in s; caller holds the shard lock
-// and has reserved room for the batch.
-func (sc *InsertScratch) put(s *shard, r int32, blk, prow uint32) {
-	var k1 int64
-	if sc.k1 != nil {
-		k1 = sc.k1[r]
+// appendKeys appends src[r] for the given rows to the key chunks *dst, whose
+// first s.n keys are in use; caller holds the shard lock.
+func (t *Table) appendKeys(s *shard, dst *[][]int64, src []int64, rows []int32) {
+	i := s.n
+	for len(rows) > 0 {
+		c, off := i>>chunkShift, i&chunkMask
+		if c == len(*dst) || off == len((*dst)[c]) {
+			t.growChunk(dst, c, off+len(rows))
+		}
+		ch := (*dst)[c][off:]
+		m := min(len(rows), len(ch))
+		for j, r := range rows[:m] {
+			ch[j] = src[r]
+		}
+		rows = rows[m:]
+		i += m
 	}
-	s.put(sc.hashes[r], entry{k0: sc.k0[r], blk: blk, row: prow}, k1)
 }
+
+// growChunk makes room in chunk c for keys up to need: a new chunk after
+// the first is full size, and the first chunk is the power of two from
+// firstChunkKeys up that holds need (copied when it grows). A chunk's size
+// depends only on the entries it holds, not on how they were batched.
+func (t *Table) growChunk(dst *[][]int64, c, need int) {
+	size := chunkKeys
+	if c == 0 {
+		size = firstChunkKeys
+		for size < min(need, chunkKeys) {
+			size <<= 1
+		}
+	}
+	grown, old := make([]int64, size), 0
+	if c == len(*dst) {
+		*dst = append(*dst, grown)
+	} else {
+		old = len((*dst)[c])
+		copy(grown, (*dst)[c])
+		(*dst)[c] = grown
+	}
+	t.gaugeAdd(8 * int64(size-old))
+}
+
+// key0 and key1 return the keys of entry i of s.
+func (s *shard) key0(i uint32) int64 { return s.k0[i>>chunkShift][i&chunkMask] }
+func (s *shard) key1(i uint32) int64 { return s.k1[i>>chunkShift][i&chunkMask] }
 
 // payloadBlock returns the shard's current non-full payload block,
 // allocating a new one if needed; caller holds the shard lock.
@@ -396,69 +400,280 @@ func (t *Table) payloadBlock(s *shard) *storage.Block {
 	}
 	pb := storage.NewBlock(t.payloadSch, storage.RowStore, size)
 	s.payload = append(s.payload, pb)
-	if t.gauge != nil {
-		t.gauge.Add(int64(pb.AllocBytes()))
-	}
+	t.gaugeAdd(int64(pb.AllocBytes()))
 	return pb
 }
 
-// grow doubles a shard's groups; caller holds the shard lock. Old groups are
-// rehashed in sequence order starting just past a group with a free slot. No
-// group sequence runs through a free slot, so every sequence is re-inserted
-// front to back and duplicates keep their insertion order.
-func (t *Table) grow(s *shard) {
-	old, oldK1 := s.groups, s.k1
-	start := 0
-	for i := range old {
-		if old[i].ctrl&msbs != 0 {
-			start = i + 1
-			break
+func (t *Table) gaugeAdd(n int64) {
+	if t.gauge != nil {
+		t.gauge.Add(n)
+	}
+}
+
+// Fill is one work order's share of filling a sealed table's index.
+type Fill struct {
+	t      *Table
+	lo, hi int // hash: the shards [lo, hi) to index
+}
+
+// Seal chooses the table's index from the entries stored and returns the
+// fills that build it. Each fill may run on its own goroutine and must run
+// exactly once: a caller that can fail an attempt (the engine's fault
+// sites) fails it before calling Run, so a retry has nothing to undo. The
+// table may be probed once every fill has run. Seal must not run
+// concurrently with inserts, and only its first call returns fills.
+func (t *Table) Seal(parts int) []Fill {
+	return t.seal(t.choose(), parts)
+}
+
+// seal seals the table with the given index kind.
+func (t *Table) seal(kind indexKind, parts int) []Fill {
+	var fills []Fill
+	t.sealOnce.Do(func() {
+		t.kind = kind
+		if t.kind == denseIndex {
+			fills = []Fill{{t: t}}
+			return
+		}
+		parts = max(1, min(parts, numShards))
+		for p := 0; p < parts; p++ {
+			lo, hi := p*numShards/parts, (p+1)*numShards/parts
+			for i := lo; i < hi; i++ {
+				if t.shards[i].n > 0 {
+					fills = append(fills, Fill{t: t, lo: lo, hi: hi})
+					break
+				}
+			}
+		}
+	})
+	return fills
+}
+
+// sealed seals a table nobody sealed and runs its fills in place, once,
+// while concurrent lookups wait; lookups call it, so a table probed straight
+// after its build answers correctly. A table Seal already sealed is taken
+// as filled: its caller runs every fill before probing.
+func (t *Table) sealed() {
+	if t.ready.Load() {
+		return
+	}
+	t.lazyOnce.Do(func() {
+		for _, f := range t.Seal(1) {
+			f.Run()
+		}
+		t.ready.Store(true)
+	})
+}
+
+// keySpan returns the least first key, the distance to the greatest
+// (computed in uint64, so no key range overflows) and the entry count.
+func (t *Table) keySpan() (lo int64, span uint64, n int) {
+	var hi int64
+	for i := range t.shards {
+		s := &t.shards[i]
+		if s.n == 0 {
+			continue
+		}
+		if n == 0 {
+			lo, hi = s.min, s.max
+		}
+		lo, hi = min(lo, s.min), max(hi, s.max)
+		n += s.n
+	}
+	return lo, uint64(hi) - uint64(lo), n
+}
+
+// choose picks the dense index for a one-key table whose key range is below
+// 2³² when its offsets and refs take no more bytes than the hash groups for
+// the same entries, and the hash index otherwise (two keys, an empty build,
+// or a sparse range).
+func (t *Table) choose() indexKind {
+	_, span, n := t.keySpan()
+	if !t.denseFits(span, n) {
+		return hashIndex
+	}
+	var hash uint64
+	for i := range t.shards {
+		hash += groupBytes * uint64(groupsFor(t.shards[i].n))
+	}
+	if t.denseBytes(span, n) <= hash {
+		return denseIndex
+	}
+	return hashIndex
+}
+
+// denseFits reports whether a dense index can hold n entries over a key
+// span: one key, some entries, and a range and count its 32-bit offsets
+// address.
+func (t *Table) denseFits(span uint64, n int) bool {
+	return t.keys == 1 && n > 0 && span < 1<<32-1 && uint64(n) < 1<<32-1
+}
+
+// denseBytes is the dense index's size over a key span and n entries.
+func (t *Table) denseBytes(span uint64, n int) uint64 {
+	b := OffsetBytes * (span + 2)
+	if !t.keyOnly {
+		b += RefBytes * uint64(n)
+	}
+	return b
+}
+
+// groupsFor is the hash groups a shard of n entries needs: the fewest, and a
+// power of two, that keep the load within MaxLoad (none for no entries).
+func groupsFor(n int) int {
+	if n == 0 {
+		return 0
+	}
+	g := 1
+	for g*maxLoadSlots < n {
+		g <<= 1
+	}
+	return g
+}
+
+// Run fills the fill's part of the index.
+func (f Fill) Run() {
+	t := f.t
+	if t.kind == denseIndex {
+		t.fillDense()
+		return
+	}
+	for i := f.lo; i < f.hi; i++ {
+		t.fillHash(&t.shards[i])
+	}
+}
+
+// fillHash indexes every entry of s in entry order. Groups fill slot 0
+// first, so along each group sequence the entries of a key lie in insertion
+// order.
+func (t *Table) fillHash(s *shard) {
+	g := groupsFor(s.n)
+	if g == 0 {
+		return
+	}
+	s.groups = make([]group, g)
+	for i := range s.groups {
+		s.groups[i].ctrl = allEmpty
+	}
+	s.mask = uint64(g - 1)
+	t.gaugeAdd(groupBytes * int64(g))
+	for i := 0; i < s.n; i++ {
+		k0, k1 := s.k0[i>>chunkShift][i&chunkMask], int64(0)
+		if s.k1 != nil {
+			k1 = s.k1[i>>chunkShift][i&chunkMask]
+		}
+		h := hashKey(k0, k1)
+		for gi := (h >> 7) & s.mask; ; gi = (gi + 1) & s.mask {
+			grp := &s.groups[gi]
+			if free := grp.ctrl & msbs; free != 0 {
+				j := slotOf(free)
+				grp.ctrl ^= (ctrlEmpty ^ h&0x7f) << (8 * j)
+				grp.idx[j] = uint32(i)
+				break
+			}
 		}
 	}
-	s.setGroups(2*len(old), oldK1 != nil)
-	s.count = 0
-	for j := range old {
-		g := (start + j) % len(old)
-		grp := &old[g]
-		for full := ^grp.ctrl & msbs; full != 0; full &= full - 1 {
-			i := slotOf(full)
-			var k1 int64
-			if oldK1 != nil {
-				k1 = oldK1[g*groupSlots+i]
+}
+
+// fillDense builds the offsets by counting each key's entries, then (with
+// payload) places every entry's ref at its key's cursor, shard by shard in
+// entry order; a key's entries all live in one shard, so they land in
+// insertion order. The key chunks are freed after.
+func (t *Table) fillDense() {
+	lo, span, n := t.keySpan()
+	t.min = lo
+	off := make([]uint32, span+2)
+	t.gaugeAdd(int64(t.denseBytes(span, n)))
+	for i := range t.shards {
+		s := &t.shards[i]
+		for c, ch := range s.k0 {
+			for _, k := range ch[:min(len(ch), s.n-c<<chunkShift)] {
+				off[uint64(k-lo)+1]++
 			}
-			s.put(hashKey(grp.ents[i].k0, k1), grp.ents[i], k1)
 		}
+	}
+	for j := 1; j < len(off); j++ {
+		off[j] += off[j-1]
+	}
+	if !t.keyOnly {
+		// off[j] is the cursor of key lo+j; after placement it is the end of
+		// key j, which is the start of key j+1, so shift back by one.
+		t.refs = make([]Ref, n)
+		for i := range t.shards {
+			s := &t.shards[i]
+			for e := 0; e < s.n; e++ {
+				j := uint64(s.key0(uint32(e)) - lo)
+				t.refs[off[j]] = Ref(i<<refIdxBits | e)
+				off[j]++
+			}
+		}
+		copy(off[1:], off[:len(off)-1])
+		off[0] = 0
+	}
+	t.offsets = off
+	var keyBytes int64
+	for i := range t.shards {
+		s := &t.shards[i]
+		keyBytes += s.keyBytes()
+		s.k0, s.k1 = nil, nil
 	}
 	if t.gauge != nil {
-		t.gauge.Add(int64(len(old)) * t.perGroup()) // net growth = old size
+		t.gauge.Sub(keyBytes)
 	}
 }
 
-// Lookup calls fn for every entry matching (k0, k1), in insertion order,
-// passing the payload block and row (nil block for key-only entries). fn
-// returns false to stop early (semi-join existence checks). Lookup is safe
-// for concurrent use with other lookups; the table must not be built
-// concurrently with probing — the scheduler's blocking build→probe edge
-// guarantees that.
-func (t *Table) Lookup(k0, k1 int64, fn func(pb *storage.Block, row int) bool) {
-	t.LookupHashed(hashKey(k0, k1), k0, k1, fn)
+// keyBytes is the shard's key chunks' allocation.
+func (s *shard) keyBytes() int64 {
+	var n int64
+	for _, ch := range s.k0 {
+		n += 8 * int64(len(ch))
+	}
+	for _, ch := range s.k1 {
+		n += 8 * int64(len(ch))
+	}
+	return n
 }
 
-// LookupHashed is Lookup with the key hash precomputed (h must come from the
-// same hash family, i.e. types.HashPairVec or HashPair forced non-zero).
-// It is the row-at-a-time reference for Match.
+// LookupHashed calls fn for every entry matching (k0, k1), in insertion
+// order, passing the payload block and row (nil block for a key-only
+// table); fn returns false to stop early. h must be hashKey's hash of the
+// keys (types.HashPairVec or HashPair forced non-zero); a dense table does
+// not read it. It seals an unsealed table first, and is safe for concurrent
+// use with other lookups; the table must not be built concurrently with
+// probing — the scheduler's blocking build→probe edge guarantees that. It is
+// the row-at-a-time reference for Match.
 func (t *Table) LookupHashed(h uint64, k0, k1 int64, fn func(pb *storage.Block, row int) bool) {
-	s := &t.shards[shardOf(h)]
-	if s.k1 == nil && k1 != 0 {
+	t.sealed()
+	if t.keys == 1 && k1 != 0 {
 		return // a one-key table holds no second key
+	}
+	if t.kind == denseIndex {
+		j := uint64(k0 - t.min)
+		if j >= uint64(len(t.offsets)-1) {
+			return
+		}
+		for e := t.offsets[j]; e < t.offsets[j+1]; e++ {
+			var ref Ref
+			if t.refs != nil {
+				ref = t.refs[e]
+			}
+			if !fn(t.Payload(ref)) {
+				return
+			}
+		}
+		return
+	}
+	sIdx := shardOf(h)
+	s := &t.shards[sIdx]
+	if s.groups == nil {
+		return
 	}
 	tag := tagOf(h)
 	for g := (h >> 7) & s.mask; ; g = (g + 1) & s.mask {
 		grp := &s.groups[g]
 		for m := matchTag(grp.ctrl, tag); m != 0; m &= m - 1 {
-			i := slotOf(m)
-			e := &grp.ents[i]
-			if e.k0 == k0 && s.key1(g, i) == k1 && !fn(s.block(e.blk), int(e.row)) {
+			e := grp.idx[slotOf(m)]
+			if s.key0(e) == k0 && (s.k1 == nil || s.key1(e) == k1) && !fn(t.Payload(makeRef(sIdx, e))) {
 				return
 			}
 		}
@@ -468,21 +683,11 @@ func (t *Table) LookupHashed(h uint64, k0, k1 int64, fn func(pb *storage.Block, 
 	}
 }
 
-// block resolves a payload block index (nil for key-only entries).
-func (s *shard) block(blk uint32) *storage.Block {
-	if blk == keyOnly {
-		return nil
-	}
-	return s.payload[blk]
-}
+// Ref locates one matched entry: its shard and its index in the shard,
+// packed in 32 bits.
+type Ref uint32
 
-// Ref locates one matched entry's payload row by index: shard, payload
-// block within the shard, row within the block.
-type Ref struct {
-	Shard uint32
-	Blk   uint32
-	Row   uint32
-}
+func makeRef(shard uint64, e uint32) Ref { return Ref(uint32(shard)<<refIdxBits | e) }
 
 // Matches is the output of Match: the i-th match pairs probe row Probe[i]
 // with the entry at Ref[i]. It holds indexes, not blocks, so a pooled
@@ -492,36 +697,64 @@ type Matches struct {
 	Ref   []Ref
 }
 
-// Match probes the table with a block of pre-hashed keys (k1 nil for
-// single-key tables) and fills m with every matching entry, ordered by probe
-// row and, within a row, by insertion — the pairs LookupHashed would report
-// row by row. With firstOnly it stops at each row's first match (existence
-// probes). m's vectors are reused across calls.
-func (t *Table) Match(hashes []uint64, k0, k1 []int64, firstOnly bool, m *Matches) {
+// Match probes the table with a block of keys (k1 nil for single-key
+// tables) and fills m with every matching entry, ordered by probe row and,
+// within a row, by insertion — the pairs LookupHashed would report row by
+// row. A hash index hashes the keys itself; a dense one does not hash. With
+// firstOnly it stops at each row's first match (existence probes). m's
+// vectors are reused across calls. It seals an unsealed table first.
+func (t *Table) Match(k0, k1 []int64, firstOnly bool, m *Matches) {
+	t.sealed()
 	m.Probe, m.Ref = m.Probe[:0], m.Ref[:0]
+	if t.kind == denseIndex {
+		off, lo, span := t.offsets, t.min, uint64(len(t.offsets)-1)
+		for r, k := range k0 {
+			j := uint64(k - lo)
+			if j >= span || k1 != nil && k1[r] != 0 {
+				continue // out of range, or a second key a one-key table cannot hold
+			}
+			b, e := off[j], off[j+1]
+			if b < e && firstOnly {
+				e = b + 1
+			}
+			for i := b; i < e; i++ {
+				m.Probe = append(m.Probe, int32(r))
+			}
+			if t.refs != nil {
+				m.Ref = append(m.Ref, t.refs[b:e]...)
+			} else {
+				for range e - b {
+					m.Ref = append(m.Ref, 0)
+				}
+			}
+		}
+		return
+	}
 rows:
-	for r, h := range hashes {
-		a := k0[r]
+	for r, a := range k0 {
 		var b int64
 		if k1 != nil {
 			b = k1[r]
 		}
+		if b != 0 && t.keys == 1 {
+			continue // a one-key table holds no second key
+		}
+		h := hashKey(a, b)
 		sIdx := shardOf(h)
 		s := &t.shards[sIdx]
-		if s.k1 == nil && b != 0 {
-			continue // a one-key table holds no second key
+		if s.groups == nil {
+			continue
 		}
 		tag := tagOf(h)
 		for g := (h >> 7) & s.mask; ; g = (g + 1) & s.mask {
 			grp := &s.groups[g]
 			for hit := matchTag(grp.ctrl, tag); hit != 0; hit &= hit - 1 {
-				i := slotOf(hit)
-				e := &grp.ents[i]
-				if e.k0 != a || s.key1(g, i) != b {
+				e := grp.idx[slotOf(hit)]
+				if s.key0(e) != a || (s.k1 != nil && s.key1(e) != b) {
 					continue
 				}
 				m.Probe = append(m.Probe, int32(r))
-				m.Ref = append(m.Ref, Ref{Shard: uint32(sIdx), Blk: e.blk, Row: e.row})
+				m.Ref = append(m.Ref, makeRef(sIdx, e))
 				if firstOnly {
 					continue rows
 				}
@@ -534,53 +767,42 @@ rows:
 }
 
 // Payload resolves a Ref from Match to its payload block and row (nil block
-// for key-only entries).
+// for a key-only table). Entry i of a shard is payload row i, so the block
+// and row follow from the blocks' row capacities.
 func (t *Table) Payload(r Ref) (*storage.Block, int) {
-	return t.shards[r.Shard].block(r.Blk), int(r.Row)
-}
-
-// Contains reports whether any entry matches (k0, k1).
-func (t *Table) Contains(k0, k1 int64) bool {
-	found := false
-	t.Lookup(k0, k1, func(*storage.Block, int) bool {
-		found = true
-		return false
-	})
-	return found
-}
-
-// Len returns the total number of entries.
-func (t *Table) Len() int {
-	n := 0
-	for i := range t.shards {
-		t.shards[i].mu.Lock()
-		n += t.shards[i].count
-		t.shards[i].mu.Unlock()
+	if t.keyOnly {
+		return nil, 0
 	}
-	return n
+	s := &t.shards[r>>refIdxBits]
+	e := uint32(r) & (maxShardEntries - 1)
+	if e < t.firstRows {
+		return s.payload[0], int(e)
+	}
+	e -= t.firstRows
+	return s.payload[1+e/t.rows], int(e % t.rows)
 }
 
-// TotalBytes returns the table's current memory footprint: bucket groups
-// (with a two-key table's k1 arrays) plus payload blocks. This is the |H| of
-// Section VI; the gauge holds the same sum.
+// TotalBytes returns the table's current memory footprint: key chunks, the
+// index and payload blocks. This is the |H| of Section VI; the gauge holds
+// the same sum.
 func (t *Table) TotalBytes() int64 {
 	return t.bytes((*storage.Block).AllocBytes)
 }
 
-// UsedBytes returns the table's randomly-accessed working set: bucket groups
-// (and k1 arrays) plus payload bytes actually occupied by tuples. The cache
-// model sizes probe-miss probabilities with this (allocation slack in
-// payload blocks is never touched by probes).
+// UsedBytes returns the table's randomly-accessed working set: key chunks,
+// the index, and payload bytes actually occupied by tuples. The cache model
+// sizes probe-miss probabilities with this (allocation slack in payload
+// blocks is never touched by probes).
 func (t *Table) UsedBytes() int64 {
 	return t.bytes((*storage.Block).UsedBytes)
 }
 
 func (t *Table) bytes(payloadBytes func(*storage.Block) int) int64 {
-	var n int64
+	n := int64(OffsetBytes*len(t.offsets) + RefBytes*len(t.refs))
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		n += int64(len(s.groups)) * t.perGroup()
+		n += s.keyBytes() + groupBytes*int64(len(s.groups))
 		for _, pb := range s.payload {
 			n += int64(payloadBytes(pb))
 		}
@@ -602,22 +824,3 @@ func (t *Table) Release() {
 
 // PayloadSchema returns the build-side payload schema.
 func (t *Table) PayloadSchema() *storage.Schema { return t.payloadSch }
-
-// EntryBytes returns the bucket size c of Section VI-B for a table with the
-// given number of keys: one control byte plus one 16-byte entry (17 B), plus
-// the 8-byte second key of a two-key table (25 B).
-func EntryBytes(keys int) int {
-	c := groupBytes / groupSlots
-	if keys == 2 {
-		c += k1GroupBytes / groupSlots
-	}
-	return int(c)
-}
-
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}

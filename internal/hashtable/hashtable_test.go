@@ -1,6 +1,8 @@
 package hashtable
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -20,175 +22,6 @@ func payloadSchema() *storage.Schema {
 	)
 }
 
-func srcBlock(rows int) *storage.Block {
-	b := storage.NewBlock(payloadSchema(), storage.ColumnStore, rows*16+64)
-	for i := 0; i < rows; i++ {
-		b.AppendRow(types.NewInt64(int64(i*10)), types.NewFloat64(float64(i)+0.5))
-	}
-	return b
-}
-
-func TestInsertLookup(t *testing.T) {
-	ht := New(Config{PayloadSchema: payloadSchema()})
-	src := srcBlock(10)
-	for i := 0; i < 10; i++ {
-		ht.Insert(int64(i), 0, src, i, []int{0, 1})
-	}
-	if ht.Len() != 10 {
-		t.Fatalf("Len = %d", ht.Len())
-	}
-	for i := 0; i < 10; i++ {
-		var got int64 = -1
-		ht.Lookup(int64(i), 0, func(pb *storage.Block, row int) bool {
-			got = pb.Int64At(0, row)
-			return true
-		})
-		if got != int64(i*10) {
-			t.Errorf("key %d payload = %d", i, got)
-		}
-	}
-	if ht.Contains(99, 0) {
-		t.Error("phantom key")
-	}
-}
-
-func TestDuplicateKeys(t *testing.T) {
-	ht := New(Config{PayloadSchema: payloadSchema()})
-	src := srcBlock(5)
-	for i := 0; i < 5; i++ {
-		ht.Insert(7, 0, src, i, []int{0, 1})
-	}
-	var vals []int64
-	ht.Lookup(7, 0, func(pb *storage.Block, row int) bool {
-		vals = append(vals, pb.Int64At(0, row))
-		return true
-	})
-	if len(vals) != 5 {
-		t.Fatalf("got %d duplicates, want 5", len(vals))
-	}
-	seen := map[int64]bool{}
-	for _, v := range vals {
-		seen[v] = true
-	}
-	if len(seen) != 5 {
-		t.Fatalf("duplicate payloads collapsed: %v", vals)
-	}
-	// Early stop: fn returning false.
-	n := 0
-	ht.Lookup(7, 0, func(*storage.Block, int) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("early stop visited %d", n)
-	}
-}
-
-func TestCompositeKeys(t *testing.T) {
-	ht := New(Config{PayloadSchema: payloadSchema(), Keys: 2})
-	src := srcBlock(2)
-	ht.Insert(1, 2, src, 0, []int{0, 1})
-	ht.Insert(2, 1, src, 1, []int{0, 1})
-	if !ht.Contains(1, 2) || !ht.Contains(2, 1) {
-		t.Fatal("composite keys missing")
-	}
-	if ht.Contains(1, 1) || ht.Contains(2, 2) {
-		t.Fatal("composite key confusion")
-	}
-	// Keys that share k0 and differ only in k1, probed with one key's hash
-	// and the other's k1: the probe reaches the stored entry's slot, so
-	// only the k1 compare can reject it.
-	ht.Insert(1, 3, src, 1, []int{0, 1})
-	h := hashKey(1, 2)
-	n := 0
-	ht.LookupHashed(h, 1, 3, func(*storage.Block, int) bool { n++; return true })
-	var m Matches
-	ht.Match([]uint64{h, h}, []int64{1, 1}, []int64{3, 2}, false, &m)
-	if n != 0 || !reflect.DeepEqual(m.Probe, []int32{1}) {
-		t.Fatalf("(1, 3) probed on (1, 2)'s hash: LookupHashed found %d, Match rows %v; want 0 and [1]", n, m.Probe)
-	}
-}
-
-func TestKeyOnlyEntries(t *testing.T) {
-	ht := New(Config{PayloadSchema: storage.NewSchema()})
-	ht.InsertKeyOnly(5, 0)
-	if !ht.Contains(5, 0) || ht.Contains(6, 0) {
-		t.Fatal("key-only insert broken")
-	}
-	ht.Lookup(5, 0, func(pb *storage.Block, _ int) bool {
-		if pb != nil {
-			t.Error("key-only entry should have nil payload block")
-		}
-		return true
-	})
-}
-
-func TestGrowthPreservesEntries(t *testing.T) {
-	ht := New(Config{PayloadSchema: payloadSchema(), InitialCapacity: 64})
-	src := srcBlock(100)
-	const n = 50000
-	for i := 0; i < n; i++ {
-		ht.Insert(int64(i), 0, src, i%100, []int{0, 1})
-	}
-	if ht.Len() != n {
-		t.Fatalf("Len = %d", ht.Len())
-	}
-	for i := 0; i < n; i += 97 {
-		if !ht.Contains(int64(i), 0) {
-			t.Fatalf("key %d lost after growth", i)
-		}
-	}
-	if ht.Contains(n+1, 0) {
-		t.Fatal("phantom after growth")
-	}
-}
-
-func TestConcurrentBuild(t *testing.T) {
-	ht := New(Config{PayloadSchema: payloadSchema()})
-	src := srcBlock(100)
-	const workers, per = 8, 5000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				ht.Insert(int64(w*per+i), 0, src, i%100, []int{0, 1})
-			}
-		}(w)
-	}
-	wg.Wait()
-	if ht.Len() != workers*per {
-		t.Fatalf("Len = %d, want %d", ht.Len(), workers*per)
-	}
-	for w := 0; w < workers; w++ {
-		for i := 0; i < per; i += 501 {
-			if !ht.Contains(int64(w*per+i), 0) {
-				t.Fatalf("missing key %d", w*per+i)
-			}
-		}
-	}
-}
-
-func TestMemoryAccounting(t *testing.T) {
-	var g stats.MemGauge
-	ht := New(Config{PayloadSchema: payloadSchema(), Gauge: &g})
-	if g.Live() <= 0 {
-		t.Fatal("initial slots should be accounted")
-	}
-	src := srcBlock(100)
-	for i := 0; i < 10000; i++ {
-		ht.Insert(int64(i), 0, src, i%100, []int{0, 1})
-	}
-	if g.Live() != ht.TotalBytes() {
-		t.Fatalf("gauge %d != TotalBytes %d", g.Live(), ht.TotalBytes())
-	}
-	ht.Release()
-	if g.Live() != 0 {
-		t.Fatalf("after release live = %d", g.Live())
-	}
-	if g.High() != ht.TotalBytes() {
-		t.Fatalf("high water %d != %d", g.High(), ht.TotalBytes())
-	}
-}
-
 // keyedSchema is a build-input schema: two key columns plus two payload
 // columns, mimicking what a build operator feeds the table.
 func keyedSchema() *storage.Schema {
@@ -198,6 +31,259 @@ func keyedSchema() *storage.Schema {
 		storage.Column{Name: "v", Type: types.Int64},
 		storage.Column{Name: "f", Type: types.Float64},
 	)
+}
+
+// payIdx projects keyedSchema onto payloadSchema.
+var payIdx = []int{2, 3}
+
+// keysBlock returns a keyedSchema block of rows (keys[i], v = vals[i]).
+func keysBlock(keys [][2]int64, vals []int64) *storage.Block {
+	b := storage.NewBlock(keyedSchema(), storage.ColumnStore, (len(keys)+1)*32)
+	for i, k := range keys {
+		b.AppendRow(types.NewInt64(k[0]), types.NewInt64(k[1]), types.NewInt64(vals[i]), types.NewFloat64(float64(vals[i])+0.5))
+	}
+	return b
+}
+
+// oneKey returns the keys (k, 0) for each k.
+func oneKey(ks ...int64) [][2]int64 {
+	keys := make([][2]int64, len(ks))
+	for i, k := range ks {
+		keys[i] = [2]int64{k, 0}
+	}
+	return keys
+}
+
+// iota64 returns 0, 1, …, n-1 scaled by m.
+func iota64(n int, m int64) []int64 {
+	v := make([]int64, n)
+	for i := range v {
+		v[i] = int64(i) * m
+	}
+	return v
+}
+
+// insert adds the rows to ht in one InsertBlock call (key-only tables
+// through InsertBlockKeyOnly).
+func insert(ht *Table, keys [][2]int64, vals []int64) {
+	b := keysBlock(keys, vals)
+	keyCols := []int{0, 1}[:ht.keys]
+	if ht.keyOnly {
+		ht.InsertBlockKeyOnly(b, keyCols, &InsertScratch{})
+	} else {
+		ht.InsertBlock(b, keyCols, payIdx, &InsertScratch{})
+	}
+}
+
+// lookupPayloads returns every payload v of (k0, k1) through LookupHashed,
+// in the order reported (-1 for a key-only entry).
+func lookupPayloads(t *testing.T, ht *Table, k0, k1 int64) []int64 {
+	t.Helper()
+	var vals []int64
+	ht.LookupHashed(hashKey(k0, k1), k0, k1, func(pb *storage.Block, row int) bool {
+		if pb == nil {
+			vals = append(vals, -1) // key-only marker
+		} else {
+			vals = append(vals, pb.Int64At(0, row))
+		}
+		return true
+	})
+	return vals
+}
+
+func contains(ht *Table, k0, k1 int64) bool {
+	found := false
+	ht.LookupHashed(hashKey(k0, k1), k0, k1, func(*storage.Block, int) bool {
+		found = true
+		return false
+	})
+	return found
+}
+
+func TestInsertLookup(t *testing.T) {
+	for _, kind := range kinds {
+		ht := New(Config{PayloadSchema: payloadSchema()})
+		insert(ht, oneKey(iota64(10, 1)...), iota64(10, 10))
+		if ht.Len() != 10 {
+			t.Fatalf("Len = %d", ht.Len())
+		}
+		if got := sealAs(ht, kind); got != kind {
+			t.Fatalf("sealed %v, want %v", got, kind)
+		}
+		for i := 0; i < 10; i++ {
+			if got := lookupPayloads(t, ht, int64(i), 0); !reflect.DeepEqual(got, []int64{int64(i * 10)}) {
+				t.Errorf("%v: key %d payloads = %v", kind, i, got)
+			}
+		}
+		if contains(ht, 99, 0) || contains(ht, -1, 0) {
+			t.Errorf("%v: phantom key", kind)
+		}
+	}
+}
+
+func TestDuplicateKeys(t *testing.T) {
+	for _, kind := range kinds {
+		ht := New(Config{PayloadSchema: payloadSchema()})
+		insert(ht, oneKey(7, 7, 7, 7, 7), iota64(5, 10))
+		sealAs(ht, kind)
+		if vals := lookupPayloads(t, ht, 7, 0); !reflect.DeepEqual(vals, iota64(5, 10)) {
+			t.Fatalf("%v: duplicates %v, want all five in insertion order", kind, vals)
+		}
+		// Early stop: fn returning false.
+		n := 0
+		ht.LookupHashed(hashKey(7, 0), 7, 0, func(*storage.Block, int) bool { n++; return false })
+		if n != 1 {
+			t.Fatalf("%v: early stop visited %d", kind, n)
+		}
+	}
+}
+
+func TestCompositeKeys(t *testing.T) {
+	ht := New(Config{PayloadSchema: payloadSchema(), Keys: 2})
+	insert(ht, [][2]int64{{1, 2}, {2, 1}, {1, 3}}, []int64{0, 10, 20})
+	if got := sealAs(ht, denseIndex); got != hashIndex {
+		t.Fatalf("a two-key table sealed %v", got)
+	}
+	if !contains(ht, 1, 2) || !contains(ht, 2, 1) || !contains(ht, 1, 3) {
+		t.Fatal("composite keys missing")
+	}
+	if contains(ht, 1, 1) || contains(ht, 2, 2) {
+		t.Fatal("composite key confusion")
+	}
+	// Keys that share k0 and differ only in k1, probed with one key's hash
+	// and the other's k1: the probe reaches the stored entry's slot, so
+	// only the k1 compare can reject it.
+	n := 0
+	ht.LookupHashed(hashKey(1, 2), 1, 4, func(*storage.Block, int) bool { n++; return true })
+	var m Matches
+	ht.Match([]int64{1, 1, 1}, []int64{3, 4, 2}, false, &m)
+	if n != 0 || !reflect.DeepEqual(m.Probe, []int32{0, 2}) {
+		t.Fatalf("(1, 4) probed on (1, 2)'s hash found %d; Match rows %v, want [0 2]", n, m.Probe)
+	}
+	// Match hashes the keys itself, so probe it with a second key whose own
+	// hash has (1, 2)'s shard, tag and home group.
+	h := hashKey(1, 2)
+	s := &ht.shards[shardOf(h)]
+	x := int64(5)
+	for hx := hashKey(1, x); shardOf(hx) != shardOf(h) || hx&0x7f != h&0x7f || (hx>>7)&s.mask != (h>>7)&s.mask; hx = hashKey(1, x) {
+		x++
+	}
+	ht.Match([]int64{1}, []int64{x}, false, &m)
+	if len(m.Probe) != 0 {
+		t.Fatalf("(1, %d), colliding with (1, 2), matched %d entries", x, len(m.Probe))
+	}
+}
+
+func TestKeyOnlyEntries(t *testing.T) {
+	for _, kind := range kinds {
+		ht := New(Config{PayloadSchema: storage.NewSchema()})
+		insert(ht, oneKey(5, 9), []int64{0, 0})
+		sealAs(ht, kind)
+		if !contains(ht, 5, 0) || contains(ht, 6, 0) {
+			t.Fatalf("%v: key-only insert broken", kind)
+		}
+		if got := lookupPayloads(t, ht, 5, 0); !reflect.DeepEqual(got, []int64{-1}) {
+			t.Errorf("%v: key-only entry payloads %v, want one nil block", kind, got)
+		}
+	}
+}
+
+// TestGrowthPreservesEntries: 50 000 entries grow every shard's key store
+// from its small first chunk through many full chunks; under either index
+// every key is found once and an absent key is not.
+func TestGrowthPreservesEntries(t *testing.T) {
+	const n = 50000
+	for _, kind := range kinds {
+		ht := New(Config{PayloadSchema: payloadSchema()})
+		for lo := 0; lo < n; lo += 1000 {
+			keys := make([]int64, 1000)
+			for i := range keys {
+				keys[i] = int64(lo + i)
+			}
+			insert(ht, oneKey(keys...), keys)
+		}
+		if ht.Len() != n {
+			t.Fatalf("Len = %d", ht.Len())
+		}
+		sealAs(ht, kind)
+		for i := 0; i < n; i += 97 {
+			if got := lookupPayloads(t, ht, int64(i), 0); !reflect.DeepEqual(got, []int64{int64(i)}) {
+				t.Fatalf("%v: key %d payloads %v", kind, i, got)
+			}
+		}
+		if contains(ht, n+1, 0) {
+			t.Fatalf("%v: phantom after growth", kind)
+		}
+	}
+}
+
+func TestConcurrentBuild(t *testing.T) {
+	const workers, per = 8, 5000
+	for _, kind := range kinds {
+		ht := New(Config{PayloadSchema: payloadSchema()})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				sc := &InsertScratch{}
+				for lo := 0; lo < per; lo += 500 {
+					keys := make([]int64, 500)
+					for i := range keys {
+						keys[i] = int64(w*per + lo + i)
+					}
+					ht.InsertBlock(keysBlock(oneKey(keys...), keys), []int{0}, payIdx, sc)
+				}
+			}(w)
+		}
+		wg.Wait()
+		if ht.Len() != workers*per {
+			t.Fatalf("Len = %d, want %d", ht.Len(), workers*per)
+		}
+		sealAs(ht, kind)
+		for k := 0; k < workers*per; k += 501 {
+			if !contains(ht, int64(k), 0) {
+				t.Fatalf("%v: missing key %d", kind, k)
+			}
+		}
+	}
+}
+
+// TestMemoryAccounting: New allocates nothing; the gauge holds TotalBytes
+// after the build and after the seal (a dense seal frees the keys, so its
+// high-water is the moment of the fill), and Release returns it all.
+func TestMemoryAccounting(t *testing.T) {
+	for _, kind := range kinds {
+		var g stats.MemGauge
+		ht := New(Config{PayloadSchema: payloadSchema(), Gauge: &g})
+		if g.Live() != 0 || ht.TotalBytes() != 0 {
+			t.Fatalf("%v: an empty table holds %d B (gauge %d)", kind, ht.TotalBytes(), g.Live())
+		}
+		insert(ht, oneKey(iota64(10000, 1)...), iota64(10000, 1))
+		if g.Live() != ht.TotalBytes() {
+			t.Fatalf("%v: built: gauge %d != TotalBytes %d", kind, g.Live(), ht.TotalBytes())
+		}
+		built := ht.TotalBytes()
+		sealAs(ht, kind)
+		if g.Live() != ht.TotalBytes() {
+			t.Fatalf("%v: sealed: gauge %d != TotalBytes %d", kind, g.Live(), ht.TotalBytes())
+		}
+		sealed := ht.TotalBytes()
+		ht.Release()
+		if g.Live() != 0 {
+			t.Fatalf("%v: after release live = %d", kind, g.Live())
+		}
+		switch kind {
+		case hashIndex:
+			if g.High() != sealed {
+				t.Fatalf("hash: high water %d != sealed %d", g.High(), sealed)
+			}
+		case denseIndex:
+			if g.High() <= sealed || g.High() <= built || sealed >= built {
+				t.Fatalf("dense: high water %d, built %d, sealed %d: the fill must add the index and then free more keys than it added", g.High(), built, sealed)
+			}
+		}
+	}
 }
 
 // randKeyedBlock fills a block with n rows of random keys drawn from a small
@@ -215,35 +301,23 @@ func randKeyedBlock(rng *rand.Rand, n, keyDomain int) *storage.Block {
 	return b
 }
 
-// lookupState snapshots everything observable about one key: the multiset of
-// payload values and the entry count.
-func lookupPayloads(t *testing.T, ht *Table, k0, k1 int64) []int64 {
-	t.Helper()
-	var vals []int64
-	ht.Lookup(k0, k1, func(pb *storage.Block, row int) bool {
-		if pb == nil {
-			vals = append(vals, -1) // key-only marker
-		} else {
-			vals = append(vals, pb.Int64At(0, row))
-		}
-		return true
-	})
-	return vals
+// rowBlocks splits b into one-row blocks.
+func rowBlocks(b *storage.Block) []*storage.Block {
+	out := make([]*storage.Block, b.NumRows())
+	for r := range out {
+		out[r] = storage.NewBlock(b.Schema(), storage.ColumnStore, b.Schema().RowWidth())
+		out[r].AppendFrom(b, r, []int{0, 1, 2, 3})
+	}
+	return out
 }
 
-// TestInsertBlockEquivalence proves the batch kernel is a drop-in for the
-// row-at-a-time reference path: identical Lookup results (duplicates in the
-// same order), Len, TotalBytes and slot placement — every group's control
-// word and entries, and a two-key table's k1 array — on randomized blocks
-// with duplicate keys, for single-key, two-key, and key-only tables. The
-// two-key blocks hold pairs that share k0 and differ only in k1, and every
-// table grows several times.
+// TestInsertBlockEquivalence: how rows are batched into blocks does not
+// matter. A table built a block at a time and one built a row at a time
+// (one-row blocks) hold the same entries, keys, payload rows and bytes, and
+// after sealing the same index and lookups (duplicates in the same order),
+// for single-key, two-key, and key-only tables; the one-key tables seal
+// dense, the two-key ones hash.
 func TestInsertBlockEquivalence(t *testing.T) {
-	paySch := storage.NewSchema(
-		storage.Column{Name: "v", Type: types.Int64},
-		storage.Column{Name: "f", Type: types.Float64},
-	)
-	projIdx := []int{2, 3}
 	cases := []struct {
 		name    string
 		keyCols []int
@@ -252,66 +326,82 @@ func TestInsertBlockEquivalence(t *testing.T) {
 		{"single-key", []int{0}, false},
 		{"two-key", []int{0, 1}, false},
 		{"key-only", []int{0, 1}, true},
+		{"key-only-one-key", []int{0}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
-			sch := paySch
+			sch := payloadSchema()
 			if tc.keyOnly {
 				sch = storage.NewSchema()
 			}
-			cfg := Config{PayloadSchema: sch, Keys: len(tc.keyCols), InitialCapacity: 16}
-			ref, bat := New(cfg), New(cfg)
-			sc := &InsertScratch{}
+			cfg := Config{PayloadSchema: sch, Keys: len(tc.keyCols)}
+			var blocks []*storage.Block
 			for blk := 0; blk < 8; blk++ {
-				b := randKeyedBlock(rng, 100+rng.Intn(400), 50)
-				// Reference: row-at-a-time in block order.
-				for r := 0; r < b.NumRows(); r++ {
-					k0 := b.Int64At(tc.keyCols[0], r)
-					var k1 int64
-					if len(tc.keyCols) == 2 {
-						k1 = b.Int64At(tc.keyCols[1], r)
+				blocks = append(blocks, randKeyedBlock(rng, 100+rng.Intn(400), 50))
+			}
+			build := func(split bool) *Table {
+				ht := New(cfg)
+				sc := &InsertScratch{}
+				for _, b := range blocks {
+					parts := []*storage.Block{b}
+					if split {
+						parts = rowBlocks(b)
 					}
-					if tc.keyOnly {
-						ref.InsertKeyOnly(k0, k1)
-					} else {
-						ref.Insert(k0, k1, b, r, projIdx)
-					}
-				}
-				// Batched: one kernel call per block, reusing one scratch.
-				if tc.keyOnly {
-					bat.InsertBlockKeyOnly(b, tc.keyCols, sc)
-				} else {
-					if locks := bat.InsertBlock(b, tc.keyCols, projIdx, sc); locks < 1 || locks > 64 {
-						t.Fatalf("InsertBlock locks = %d", locks)
+					for _, p := range parts {
+						if tc.keyOnly {
+							ht.InsertBlockKeyOnly(p, tc.keyCols, sc)
+						} else if locks := ht.InsertBlock(p, tc.keyCols, payIdx, sc); locks < 1 || locks > 64 {
+							t.Fatalf("InsertBlock locks = %d", locks)
+						}
 					}
 				}
+				return ht
 			}
-			if ref.Len() != bat.Len() {
-				t.Fatalf("Len: ref %d, batch %d", ref.Len(), bat.Len())
+			ref, bat := build(true), build(false)
+			if ref.Len() != bat.Len() || ref.TotalBytes() != bat.TotalBytes() || ref.UsedBytes() != bat.UsedBytes() {
+				t.Fatalf("Len %d/%d, TotalBytes %d/%d, UsedBytes %d/%d (rows/blocks)",
+					ref.Len(), bat.Len(), ref.TotalBytes(), bat.TotalBytes(), ref.UsedBytes(), bat.UsedBytes())
 			}
-			if ref.TotalBytes() != bat.TotalBytes() {
-				t.Fatalf("TotalBytes: ref %d, batch %d", ref.TotalBytes(), bat.TotalBytes())
+			for i := range ref.shards {
+				rs, bs := &ref.shards[i], &bat.shards[i]
+				if !reflect.DeepEqual(rs.k0, bs.k0) || !reflect.DeepEqual(rs.k1, bs.k1) || rs.min != bs.min || rs.max != bs.max {
+					t.Fatalf("shard %d: key store differs", i)
+				}
+				if (rs.k1 != nil) != (len(tc.keyCols) == 2 && rs.n > 0) {
+					t.Fatalf("shard %d: k1 chunks %v for %d keys", i, rs.k1 != nil, len(tc.keyCols))
+				}
+				for j := range rs.payload {
+					if !reflect.DeepEqual(rs.payload[j].GatherInt64(0, nil), bs.payload[j].GatherInt64(0, nil)) {
+						t.Fatalf("shard %d: payload block %d differs", i, j)
+					}
+				}
 			}
-			if ref.UsedBytes() != bat.UsedBytes() {
-				t.Fatalf("UsedBytes: ref %d, batch %d", ref.UsedBytes(), bat.UsedBytes())
+			// The index does not depend on how the fill is split either.
+			for _, f := range ref.Seal(2) {
+				f.Run()
+			}
+			for _, f := range bat.Seal(5) {
+				f.Run()
+			}
+			if (bat.kind == denseIndex) != (len(tc.keyCols) == 1) {
+				t.Fatalf("%d keys sealed %v", len(tc.keyCols), bat.kind)
+			}
+			for i := range ref.shards {
+				if !reflect.DeepEqual(ref.shards[i].groups, bat.shards[i].groups) {
+					t.Fatalf("shard %d: index differs", i)
+				}
+			}
+			if !reflect.DeepEqual(ref.offsets, bat.offsets) || !reflect.DeepEqual(ref.refs, bat.refs) {
+				t.Fatal("dense index differs")
 			}
 			for k0 := int64(0); k0 < 50; k0++ {
 				for k1 := int64(0); k1 < 3; k1++ {
 					rv := lookupPayloads(t, ref, k0, k1)
 					bv := lookupPayloads(t, bat, k0, k1)
 					if !reflect.DeepEqual(rv, bv) {
-						t.Fatalf("key (%d,%d): ref payloads %v, batch %v", k0, k1, rv, bv)
+						t.Fatalf("key (%d,%d): row-built payloads %v, block-built %v", k0, k1, rv, bv)
 					}
-				}
-			}
-			for i := range ref.shards {
-				rs, bs := &ref.shards[i], &bat.shards[i]
-				if !reflect.DeepEqual(rs.groups, bs.groups) || !reflect.DeepEqual(rs.k1, bs.k1) {
-					t.Fatalf("shard %d: slot placement differs", i)
-				}
-				if (rs.k1 != nil) != (len(tc.keyCols) == 2) {
-					t.Fatalf("shard %d: k1 array %v for %d keys", i, rs.k1 != nil, len(tc.keyCols))
 				}
 			}
 		})
@@ -321,10 +411,7 @@ func TestInsertBlockEquivalence(t *testing.T) {
 // TestInsertBlockConcurrent builds one table from many goroutines, each
 // running the batch kernel with its own scratch (run under -race).
 func TestInsertBlockConcurrent(t *testing.T) {
-	ht := New(Config{PayloadSchema: storage.NewSchema(
-		storage.Column{Name: "v", Type: types.Int64},
-		storage.Column{Name: "f", Type: types.Float64},
-	), InitialCapacity: 64})
+	ht := New(Config{PayloadSchema: payloadSchema()})
 	const workers, blocksPer, rowsPer = 8, 6, 512
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -341,7 +428,7 @@ func TestInsertBlockConcurrent(t *testing.T) {
 					b.AppendRow(types.NewInt64(k), types.NewInt64(0),
 						types.NewInt64(int64(rng.Intn(1000))), types.NewFloat64(1.5))
 				}
-				ht.InsertBlock(b, []int{0}, []int{2, 3}, sc)
+				ht.InsertBlock(b, []int{0}, payIdx, sc)
 			}
 		}(w)
 	}
@@ -351,25 +438,24 @@ func TestInsertBlockConcurrent(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", ht.Len(), want)
 	}
 	for k := 0; k < want; k += 997 {
-		if !ht.Contains(int64(k), 0) {
+		if !contains(ht, int64(k), 0) {
 			t.Fatalf("missing key %d", k)
 		}
 	}
 }
 
-// TestLookupHashed checks the pre-hashed probe entry point against Lookup.
+// TestLookupHashed checks the pre-hashed probe entry point with hashes from
+// types.HashPairVec.
 func TestLookupHashed(t *testing.T) {
 	ht := New(Config{PayloadSchema: payloadSchema(), Keys: 2})
-	src := srcBlock(10)
-	for i := 0; i < 10; i++ {
-		ht.Insert(int64(i), int64(i%2), src, i, []int{0, 1})
-	}
-	k0s := make([]int64, 10)
+	k0s := iota64(10, 1)
 	k1s := make([]int64, 10)
+	keys := make([][2]int64, 10)
 	for i := range k0s {
-		k0s[i] = int64(i)
 		k1s[i] = int64(i % 2)
+		keys[i] = [2]int64{k0s[i], k1s[i]}
 	}
+	insert(ht, keys, iota64(10, 10))
 	hashes := types.HashPairVec(k0s, k1s, nil)
 	for i := range k0s {
 		var got int64 = -1
@@ -383,27 +469,34 @@ func TestLookupHashed(t *testing.T) {
 	}
 }
 
-// Property: a table agrees with a reference map for arbitrary key multisets.
+// Property: a table agrees with a reference map for arbitrary key
+// multisets, under either index.
 func TestLookupMatchesReferenceProperty(t *testing.T) {
 	f := func(seed int64, nKeys uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nKeys%2000) + 1
-		ht := New(Config{PayloadSchema: payloadSchema(), InitialCapacity: 16})
 		ref := map[int64]int{}
-		src := srcBlock(1)
-		for i := 0; i < n; i++ {
-			k := int64(rng.Intn(200)) // force duplicates
-			ht.Insert(k, 0, src, 0, []int{0, 1})
-			ref[k]++
+		keys := make([]int64, n)
+		for i := range keys {
+			keys[i] = int64(rng.Intn(200)) // force duplicates
+			ref[keys[i]]++
 		}
-		for k := int64(0); k < 200; k++ {
-			count := 0
-			ht.Lookup(k, 0, func(*storage.Block, int) bool { count++; return true })
-			if count != ref[k] {
+		for _, kind := range kinds {
+			ht := New(Config{PayloadSchema: payloadSchema()})
+			insert(ht, oneKey(keys...), keys)
+			sealAs(ht, kind)
+			for k := int64(-1); k <= 200; k++ {
+				count := 0
+				ht.LookupHashed(hashKey(k, 0), k, 0, func(*storage.Block, int) bool { count++; return true })
+				if count != ref[k] {
+					return false
+				}
+			}
+			if ht.Len() != n {
 				return false
 			}
 		}
-		return ht.Len() == n
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -411,9 +504,9 @@ func TestLookupMatchesReferenceProperty(t *testing.T) {
 }
 
 // TestDuplicatesInInsertionOrder: every key's duplicates come back in the
-// order they were inserted, both in a table that never grew and in one that
-// grew many times, through Insert and through InsertBlock. Join output order
-// (and so the float sums downstream) depends on it.
+// order they were inserted, under either index, whether the rows went in as
+// one block or a row at a time. Join output order (and so the float sums
+// downstream) depends on it.
 func TestDuplicatesInInsertionOrder(t *testing.T) {
 	const keys, dups = 40, 25
 	// Build-input rows: key i%keys, payload value i, so a key's payloads
@@ -423,22 +516,26 @@ func TestDuplicatesInInsertionOrder(t *testing.T) {
 		b.AppendRow(types.NewInt64(int64(i%keys)), types.NewInt64(0),
 			types.NewInt64(int64(i)), types.NewFloat64(0))
 	}
-	for _, initial := range []int{keys * dups, 1} {
-		perRow := New(Config{PayloadSchema: payloadSchema(), InitialCapacity: initial})
-		for r := 0; r < b.NumRows(); r++ {
-			perRow.Insert(b.Int64At(0, r), 0, b, r, []int{2, 3})
-		}
-		batch := New(Config{PayloadSchema: payloadSchema(), InitialCapacity: initial})
-		batch.InsertBlock(b, []int{0}, []int{2, 3}, &InsertScratch{})
-		for name, ht := range map[string]*Table{"Insert": perRow, "InsertBlock": batch} {
+	for _, kind := range kinds {
+		for _, split := range []bool{false, true} {
+			ht := New(Config{PayloadSchema: payloadSchema()})
+			parts := []*storage.Block{b}
+			if split {
+				parts = rowBlocks(b)
+			}
+			sc := &InsertScratch{}
+			for _, p := range parts {
+				ht.InsertBlock(p, []int{0}, payIdx, sc)
+			}
+			sealAs(ht, kind)
 			for k := int64(0); k < keys; k++ {
 				got := lookupPayloads(t, ht, k, 0)
 				if len(got) != dups {
-					t.Fatalf("%s, capacity %d: key %d has %d entries, want %d", name, initial, k, len(got), dups)
+					t.Fatalf("%v, rows %v: key %d has %d entries, want %d", kind, split, k, len(got), dups)
 				}
 				for j, v := range got {
 					if want := k + int64(j*keys); v != want {
-						t.Fatalf("%s, capacity %d: key %d duplicate %d = %d, want %d (got %v)", name, initial, k, j, v, want, got)
+						t.Fatalf("%v, rows %v: key %d duplicate %d = %d, want %d (got %v)", kind, split, k, j, v, want, got)
 					}
 				}
 			}
@@ -446,58 +543,45 @@ func TestDuplicatesInInsertionOrder(t *testing.T) {
 	}
 }
 
-// TestDuplicatesKeepOrderAcrossWrap fills one small shard so a key's group
-// sequence wraps from the last group to the first, then grows it: the
+// TestDuplicatesKeepOrderAcrossWrap fills one shard's hash index so two
+// keys' group sequences start at its last group and wrap to the first: the
 // duplicates must still come back in insertion order. The one-key table
-// alternates k0; the two-key table keeps k0 fixed and alternates k1, so
-// only the k1 array tells its two keys apart.
+// alternates two keys; the two-key table keeps k0 fixed and alternates k1,
+// so only the k1 compare tells its two keys apart.
 func TestDuplicatesKeepOrderAcrossWrap(t *testing.T) {
+	const n = 20 // groupsFor(20) = 4 groups; 8 slots per group
 	for _, keys := range []int{1, 2} {
-		key := func(i int) (k0, k1 int64) {
+		// Two keys whose hashes land in shard 0 with home group 3 of 4.
+		var pair [][2]int64
+		for c := int64(1); len(pair) < 2; c++ {
+			k := [2]int64{c, 0}
 			if keys == 2 {
-				return 7, int64(i % 2)
+				k = [2]int64{7, c}
 			}
-			return int64(i % 2), 0
-		}
-		var s shard
-		s.setGroups(4, keys == 2)
-		tb := &Table{keys: keys}
-		last := uint64(3) << 7 // home group 3, the last one
-		for i := 0; i < 20; i++ {
-			h := last | uint64(i%2) // two tags, one sequence
-			k0, k1 := key(i)
-			tb.reserve(&s, 1)
-			s.put(h, entry{k0: k0, row: uint32(i)}, k1)
-		}
-		// Rows 0–7 filled group 3; the sequence wrapped into groups 0 and 1.
-		if s.count != 20 || s.groups[0].ents[0].row != 8 {
-			t.Fatalf("keys %d set-up: %d entries, group 0 starts at row %d", keys, s.count, s.groups[0].ents[0].row)
-		}
-		// grow re-inserts by the real hash: each key's rows must stay
-		// ascending.
-		tb.grow(&s)
-		for i := 0; i < 2; i++ {
-			k0, k1 := key(i)
-			h := hashKey(k0, k1)
-			var rows []int
-			for g := (h >> 7) & s.mask; ; g = (g + 1) & s.mask {
-				grp := &s.groups[g]
-				for m := matchTag(grp.ctrl, tagOf(h)); m != 0; m &= m - 1 {
-					j := slotOf(m)
-					if grp.ents[j].k0 == k0 && s.key1(g, j) == k1 {
-						rows = append(rows, int(grp.ents[j].row))
-					}
-				}
-				if grp.ctrl&msbs != 0 {
-					break
-				}
+			if h := hashKey(k[0], k[1]); shardOf(h) == 0 && (h>>7)&3 == 3 {
+				pair = append(pair, k)
 			}
-			if len(rows) != 10 {
-				t.Fatalf("keys %d, key (%d,%d): %d rows after grow, want 10", keys, k0, k1, len(rows))
+		}
+		rows := make([][2]int64, n)
+		for i := range rows {
+			rows[i] = pair[i%2]
+		}
+		ht := New(Config{PayloadSchema: payloadSchema(), Keys: keys})
+		insert(ht, rows, iota64(n, 1))
+		sealAs(ht, hashIndex)
+		s := &ht.shards[0]
+		// Entries 0–7 filled group 3; the sequence wrapped into groups 0 and 1.
+		if len(s.groups) != 4 || s.groups[0].idx[0] != 8 {
+			t.Fatalf("keys %d set-up: %d groups, group 0 starts at entry %d", keys, len(s.groups), s.groups[0].idx[0])
+		}
+		for i, k := range pair {
+			got := lookupPayloads(t, ht, k[0], k[1])
+			if len(got) != n/2 {
+				t.Fatalf("keys %d, key %v: %d rows, want %d", keys, k, len(got), n/2)
 			}
-			for j, r := range rows {
-				if r != i+2*j {
-					t.Fatalf("keys %d, key (%d,%d): rows %v, want ascending from %d", keys, k0, k1, rows, i)
+			for j, v := range got {
+				if v != int64(i+2*j) {
+					t.Fatalf("keys %d, key %v: rows %v, want ascending from %d", keys, k, got, i)
 				}
 			}
 		}
@@ -521,93 +605,101 @@ func matchByLookup(ht *Table, hashes []uint64, k0, k1 []int64, firstOnly bool) (
 }
 
 // TestMatchEqualsLookupHashed: the block probe reports exactly the pairs,
-// in exactly the order, that per-row LookupHashed does — for one and two
-// keys, with and without firstOnly, on a table with duplicates and misses.
+// in exactly the order, that per-row LookupHashed does — for one key under
+// both indexes and two keys, with and without firstOnly, on a table with
+// duplicates and misses.
 func TestMatchEqualsLookupHashed(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
 	for _, keyCols := range [][]int{{0}, {0, 1}} {
-		ht := New(Config{PayloadSchema: payloadSchema(), Keys: len(keyCols), InitialCapacity: 16})
-		sc := &InsertScratch{}
-		for i := 0; i < 6; i++ {
-			ht.InsertBlock(randKeyedBlock(rng, 300, 120), keyCols, []int{2, 3}, sc)
-		}
-		probe := randKeyedBlock(rng, 700, 200) // keys 120..199 miss
-		k0 := probe.GatherInt64(0, nil)
-		var k1 []int64
-		if len(keyCols) == 2 {
-			k1 = probe.GatherInt64(1, nil)
-		}
-		hashes := types.HashPairVec(k0, k1, nil)
-		var m Matches
-		for _, firstOnly := range []bool{false, true} {
-			ht.Match(hashes, k0, k1, firstOnly, &m)
-			wantProbe, wantVals := matchByLookup(ht, hashes, k0, k1, firstOnly)
-			if len(wantProbe) == 0 {
-				t.Fatalf("keys %v: no matches; the test probes nothing", keyCols)
+		for _, kind := range kinds {
+			rng := rand.New(rand.NewSource(7))
+			ht := New(Config{PayloadSchema: payloadSchema(), Keys: len(keyCols)})
+			sc := &InsertScratch{}
+			for i := 0; i < 6; i++ {
+				ht.InsertBlock(randKeyedBlock(rng, 300, 120), keyCols, payIdx, sc)
 			}
-			if !reflect.DeepEqual(m.Probe, wantProbe) {
-				t.Fatalf("keys %v firstOnly %v: probe rows differ (%d vs %d matches)", keyCols, firstOnly, len(m.Probe), len(wantProbe))
+			sealed := sealAs(ht, kind)
+			probe := randKeyedBlock(rng, 700, 200) // keys 120..199 miss
+			k0 := probe.GatherInt64(0, nil)
+			k0[0], k0[1] = -5, math.MaxInt64 // below and far above the range
+			var k1 []int64
+			if len(keyCols) == 2 {
+				k1 = probe.GatherInt64(1, nil)
 			}
-			for i, ref := range m.Ref {
-				pb, row := ht.Payload(ref)
-				if v := pb.Int64At(0, row); v != wantVals[i] {
-					t.Fatalf("keys %v firstOnly %v: match %d payload %d, want %d", keyCols, firstOnly, i, v, wantVals[i])
+			hashes := types.HashPairVec(k0, k1, nil)
+			var m Matches
+			for _, firstOnly := range []bool{false, true} {
+				ht.Match(k0, k1, firstOnly, &m)
+				wantProbe, wantVals := matchByLookup(ht, hashes, k0, k1, firstOnly)
+				if len(wantProbe) == 0 {
+					t.Fatalf("keys %v %v: no matches; the test probes nothing", keyCols, sealed)
+				}
+				if !reflect.DeepEqual(m.Probe, wantProbe) {
+					t.Fatalf("keys %v %v firstOnly %v: probe rows differ (%d vs %d matches)", keyCols, sealed, firstOnly, len(m.Probe), len(wantProbe))
+				}
+				for i, ref := range m.Ref {
+					pb, row := ht.Payload(ref)
+					if v := pb.Int64At(0, row); v != wantVals[i] {
+						t.Fatalf("keys %v %v firstOnly %v: match %d payload %d, want %d", keyCols, sealed, firstOnly, i, v, wantVals[i])
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestLayoutConstants pins c and f of the memory model and the sizing rule:
-// each shard starts with the fewest groups that give one slot per entry of
-// its share of the capacity hint, plus one.
+// TestLayoutConstants pins the memory model's constants — a hash slot is
+// c = 5 B at f = 7/8 plus 8 B of key per entry (16 B for two keys); a dense
+// index 4 B per key of the range and 4 B per entry — and the sizing rule:
+// a shard's hash index has the fewest power-of-two groups that keep it
+// within MaxLoad, and an empty table holds nothing.
 func TestLayoutConstants(t *testing.T) {
-	if EntryBytes(1) != 17 || EntryBytes(2) != 25 || MaxLoad != 0.875 {
-		t.Fatalf("c = %d B (one key), %d B (two keys), f = %v; want 17 B, 25 B, 7/8", EntryBytes(1), EntryBytes(2), MaxLoad)
+	if SlotBytes != 5 || OffsetBytes != 4 || RefBytes != 4 || KeyBytes(1) != 8 || KeyBytes(2) != 16 || MaxLoad != 0.875 {
+		t.Fatalf("c = %d B, dense %d + %d B, keys %d/%d B, f = %v", SlotBytes, OffsetBytes, RefBytes, KeyBytes(1), KeyBytes(2), MaxLoad)
 	}
-	if n := unsafe.Sizeof(entry{}); n != 16 {
-		t.Fatalf("entry is %d B, want 16", n)
+	if n := unsafe.Sizeof(group{}); n != groupBytes || groupBytes != SlotBytes*groupSlots {
+		t.Fatalf("group is %d B, want %d", n, groupBytes)
 	}
-	for keys, per := range map[int]int64{1: 8 * 17, 2: 8 * 25} {
-		ht := New(Config{PayloadSchema: storage.NewSchema(), Keys: keys, InitialCapacity: 1})
-		if got := ht.TotalBytes(); got != numShards*per {
-			t.Errorf("%d keys: empty table holds %d B, want %d", keys, got, numShards*per)
+	for keys := 1; keys <= 2; keys++ {
+		if got := New(Config{PayloadSchema: payloadSchema(), Keys: keys}).TotalBytes(); got != 0 {
+			t.Errorf("%d keys: empty table holds %d B", keys, got)
 		}
 	}
-	for _, n := range []int{1, 64 * 7, 64*7 + 64, 64 * 56, 100000} {
-		ht := New(Config{PayloadSchema: storage.NewSchema(), InitialCapacity: n})
-		slots := groupSlots * len(ht.shards[0].groups)
-		need := n/numShards + 1
-		if slots < need || (slots > groupSlots && slots/2 >= need) {
-			t.Errorf("capacity %d: %d slots per shard for %d entries", n, slots, need)
+	for _, n := range []int{0, 1, 7, 8, 56, 57, 448, 4700} {
+		g := groupsFor(n)
+		if g*maxLoadSlots < n || (g > 1 && (g/2)*maxLoadSlots >= n) || (n == 0) != (g == 0) || g&(g-1) != 0 {
+			t.Errorf("%d entries: %d groups", n, g)
 		}
 	}
 }
 
-// FuzzHashTable: random inserts over one or two keys (Insert and
-// InsertBlock mixed) against a map oracle; every key's lookups return its
-// payloads in insertion order, and absent keys return nothing. Two-key
-// inputs map bytes to (b%61, b/61), so many keys share k0 and differ only
-// in k1.
+// FuzzHashTable: random inserts over one or two keys (one-row blocks and
+// one block mixed) against a map oracle, sealed under each index kind; every
+// key's lookups and Match return its payloads in insertion order, and
+// absent keys return nothing. Two-key inputs map bytes to (b%61, b/61), so
+// many keys share k0 and differ only in k1; shift moves the one-key range
+// (negative, or next to MinInt64).
 func FuzzHashTable(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 1, 2, 3}, false, uint8(4))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 255, 128}, true, uint8(1))
 	// Keys sharing k0 = 5 and differing only in k1, enough of them that a
-	// shard grows.
+	// shard's index has several groups.
 	twins := make([]byte, 48)
 	for i := range twins {
 		twins[i] = byte(5 + 61*(i%4))
 	}
 	f.Add(twins, true, uint8(1))
-	f.Fuzz(func(t *testing.T, ops []byte, twoKeys bool, initial uint8) {
-		cfg := Config{PayloadSchema: payloadSchema(), Keys: 1, InitialCapacity: int(initial)}
+	f.Fuzz(func(t *testing.T, ops []byte, twoKeys bool, shift uint8) {
+		keys := 1
 		if twoKeys {
-			cfg.Keys = 2
+			keys = 2
 		}
-		ht := New(cfg)
+		base := int64(shift) - 128
+		if shift == 255 {
+			base = math.MinInt64
+		}
 		oracle := map[[2]int64][]int{}
 		key := func(b byte) [2]int64 {
-			k := [2]int64{int64(b % 61), 0}
+			k := [2]int64{base + int64(b%61), 0}
 			if twoKeys {
 				k[1] = int64(b / 61)
 			}
@@ -617,81 +709,100 @@ func FuzzHashTable(f *testing.F) {
 		for i, op := range ops {
 			k := key(op)
 			src.AppendRow(types.NewInt64(k[0]), types.NewInt64(k[1]), types.NewInt64(int64(i)), types.NewFloat64(0))
+			oracle[k] = append(oracle[k], i)
 		}
-		keyCols := []int{0}
-		if twoKeys {
-			keyCols = []int{0, 1}
-		}
-		// The first half goes in row at a time, the rest as one block.
-		half := len(ops) / 2
-		for r := 0; r < half; r++ {
-			k := key(ops[r])
-			ht.Insert(k[0], k[1], src, r, []int{2, 3})
-			oracle[k] = append(oracle[k], r)
-		}
-		rest := storage.NewBlock(keyedSchema(), storage.ColumnStore, (len(ops)-half+1)*32)
-		for r := half; r < len(ops); r++ {
-			rest.AppendFrom(src, r, []int{0, 1, 2, 3})
-			k := key(ops[r])
-			oracle[k] = append(oracle[k], r)
-		}
-		ht.InsertBlock(rest, keyCols, []int{2, 3}, &InsertScratch{})
-		if ht.Len() != len(ops) {
-			t.Fatalf("Len = %d, want %d", ht.Len(), len(ops))
-		}
-		for b := 0; b < 256; b++ {
-			k := key(byte(b))
-			got := lookupPayloads(t, ht, k[0], k[1])
-			want := oracle[k]
-			if len(got) != len(want) {
-				t.Fatalf("key %v: %d entries, want %d", k, len(got), len(want))
+		keyCols := []int{0, 1}[:keys]
+		for _, kind := range kinds {
+			ht := New(Config{PayloadSchema: payloadSchema(), Keys: keys})
+			// The first half goes in row at a time, the rest as one block.
+			half := len(ops) / 2
+			sc := &InsertScratch{}
+			for _, b := range rowBlocks(src)[:half] {
+				ht.InsertBlock(b, keyCols, payIdx, sc)
 			}
-			for i := range want {
-				if got[i] != int64(want[i]) {
-					t.Fatalf("key %v: payloads %v, want %v", k, got, want)
+			rest := storage.NewBlock(keyedSchema(), storage.ColumnStore, (len(ops)-half+1)*32)
+			for r := half; r < len(ops); r++ {
+				rest.AppendFrom(src, r, []int{0, 1, 2, 3})
+			}
+			ht.InsertBlock(rest, keyCols, payIdx, sc)
+			if ht.Len() != len(ops) {
+				t.Fatalf("Len = %d, want %d", ht.Len(), len(ops))
+			}
+			sealed := sealAs(ht, kind)
+			var k0s, k1s []int64
+			var want []int64
+			for b := 0; b < 256; b++ {
+				k := key(byte(b))
+				got := lookupPayloads(t, ht, k[0], k[1])
+				if len(got) != len(oracle[k]) {
+					t.Fatalf("%v: key %v: %d entries, want %d", sealed, k, len(got), len(oracle[k]))
+				}
+				for i, r := range oracle[k] {
+					if got[i] != int64(r) {
+						t.Fatalf("%v: key %v: payloads %v, want %v", sealed, k, got, oracle[k])
+					}
+				}
+				if contains(ht, k[0]+1000, k[1]) || contains(ht, k[0]-1000, k[1]) {
+					t.Fatalf("%v: phantom key near %v", sealed, k)
+				}
+				k0s, k1s = append(k0s, k[0]), append(k1s, k[1])
+				for _, r := range oracle[k] {
+					want = append(want, int64(r))
 				}
 			}
-			if ht.Contains(k[0]+1000, k[1]) {
-				t.Fatalf("phantom key %v", k)
+			if !twoKeys {
+				k1s = nil
+			}
+			var m Matches
+			ht.Match(k0s, k1s, false, &m)
+			if len(m.Ref) != len(want) {
+				t.Fatalf("%v: Match found %d, want %d", sealed, len(m.Ref), len(want))
+			}
+			for i, ref := range m.Ref {
+				if pb, row := ht.Payload(ref); pb.Int64At(0, row) != want[i] {
+					t.Fatalf("%v: match %d payload %d, want %d", sealed, i, pb.Int64At(0, row), want[i])
+				}
 			}
 		}
 	})
 }
 
 // TestMatchAllocs: with warm match vectors, probing a block allocates
-// nothing.
+// nothing, under either index.
 func TestMatchAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	ht := New(Config{PayloadSchema: payloadSchema(), InitialCapacity: 16})
-	ht.InsertBlock(randKeyedBlock(rng, 500, 100), []int{0}, []int{2, 3}, &InsertScratch{})
-	k0 := randKeyedBlock(rng, 4096, 200).GatherInt64(0, nil)
-	hashes := types.HashPairVec(k0, nil, nil)
-	var m Matches
-	for _, firstOnly := range []bool{false, true} {
-		if n := testing.AllocsPerRun(20, func() { ht.Match(hashes, k0, nil, firstOnly, &m) }); n != 0 {
-			t.Errorf("firstOnly %v: Match allocated %v times per block", firstOnly, n)
+	for _, kind := range kinds {
+		rng := rand.New(rand.NewSource(5))
+		ht := New(Config{PayloadSchema: payloadSchema()})
+		ht.InsertBlock(randKeyedBlock(rng, 500, 100), []int{0}, payIdx, &InsertScratch{})
+		sealAs(ht, kind)
+		k0 := randKeyedBlock(rng, 4096, 200).GatherInt64(0, nil)
+		var m Matches
+		for _, firstOnly := range []bool{false, true} {
+			if n := testing.AllocsPerRun(20, func() { ht.Match(k0, nil, firstOnly, &m) }); n != 0 {
+				t.Errorf("%v firstOnly %v: Match allocated %v times per block", kind, firstOnly, n)
+			}
 		}
 	}
 }
 
 // TestKeyCountIsEnforced: a one-key table stores no second key, so a
-// two-key insert into it panics (row, key-only and block paths), a block
-// insert must bring as many key columns as the table has, and a lookup of a
-// second key a one-key table cannot hold finds nothing.
+// two-key insert into it panics, a block insert must bring as many key
+// columns as the table has, a key-only insert needs a key-only table, and a
+// lookup of a second key a one-key table cannot hold finds nothing.
 func TestKeyCountIsEnforced(t *testing.T) {
 	b := storage.NewBlock(keyedSchema(), storage.ColumnStore, 4*32)
 	b.AppendRow(types.NewInt64(1), types.NewInt64(0), types.NewInt64(10), types.NewFloat64(0))
 	one := func() *Table { return New(Config{PayloadSchema: payloadSchema()}) }
 	two := func() *Table { return New(Config{PayloadSchema: payloadSchema(), Keys: 2}) }
+	keyOnly := func() *Table { return New(Config{PayloadSchema: storage.NewSchema()}) }
 	for name, insert := range map[string]func(){
-		"Insert":               func() { one().Insert(1, 2, b, 0, []int{2, 3}) },
-		"InsertKeyOnly":        func() { one().InsertKeyOnly(1, 2) },
-		"InsertBlock two keys": func() { one().InsertBlock(b, []int{0, 1}, []int{2, 3}, &InsertScratch{}) },
-		"InsertBlockKeyOnly":   func() { one().InsertBlockKeyOnly(b, []int{0, 1}, &InsertScratch{}) },
-		"InsertBlock one key":  func() { two().InsertBlock(b, []int{0}, []int{2, 3}, &InsertScratch{}) },
-		"New with three keys":  func() { New(Config{PayloadSchema: payloadSchema(), Keys: 3}) },
-		"InsertBlock empty block": func() {
-			one().InsertBlock(storage.NewBlock(keyedSchema(), storage.ColumnStore, 64), []int{0, 1}, []int{2, 3}, &InsertScratch{})
+		"InsertBlock two keys":            func() { one().InsertBlock(b, []int{0, 1}, payIdx, &InsertScratch{}) },
+		"InsertBlockKeyOnly two keys":     func() { keyOnly().InsertBlockKeyOnly(b, []int{0, 1}, &InsertScratch{}) },
+		"InsertBlockKeyOnly with payload": func() { one().InsertBlockKeyOnly(b, []int{0}, &InsertScratch{}) },
+		"InsertBlock one key":             func() { two().InsertBlock(b, []int{0}, payIdx, &InsertScratch{}) },
+		"New with three keys":             func() { New(Config{PayloadSchema: payloadSchema(), Keys: 3}) },
+		"InsertBlock empty block, two keys": func() {
+			one().InsertBlock(storage.NewBlock(keyedSchema(), storage.ColumnStore, 64), []int{0, 1}, payIdx, &InsertScratch{})
 		},
 	} {
 		func() {
@@ -703,24 +814,28 @@ func TestKeyCountIsEnforced(t *testing.T) {
 			insert()
 		}()
 	}
-	ht := one()
-	ht.Insert(1, 0, b, 0, []int{2, 3})
-	if !ht.Contains(1, 0) || ht.Contains(1, 5) {
-		t.Fatal("one-key table: (1, 0) must match and (1, 5) must not")
-	}
-	var m Matches
-	k0, k1 := []int64{1, 1}, []int64{0, 5}
-	ht.Match(types.HashPairVec(k0, k1, nil), k0, k1, false, &m)
-	if !reflect.DeepEqual(m.Probe, []int32{0}) {
-		t.Fatalf("one-key table probed with second keys: matches %v, want [0]", m.Probe)
+	for _, kind := range kinds {
+		ht := one()
+		ht.InsertBlock(b, []int{0}, payIdx, &InsertScratch{})
+		sealAs(ht, kind)
+		if !contains(ht, 1, 0) || contains(ht, 1, 5) {
+			t.Fatalf("%v: one-key table: (1, 0) must match and (1, 5) must not", kind)
+		}
+		var m Matches
+		ht.Match([]int64{1, 1}, []int64{0, 5}, false, &m)
+		if !reflect.DeepEqual(m.Probe, []int32{0}) {
+			t.Fatalf("%v: one-key table probed with second keys: matches %v, want [0]", kind, m.Probe)
+		}
 	}
 }
 
 // TestPayloadSlackAndAccounting builds tables of 0 to 300k rows with payload
 // rows of 1 to 133 bytes, one and two keys. In every shard only the last
-// payload block may have free rows, so allocated minus used payload bytes
-// stays under one 16 KB block; and the gauge holds exactly TotalBytes, which is
-// the groups, the k1 arrays and the payload blocks.
+// payload block and the last key chunk may have free room, so allocated
+// minus used payload bytes stays under one 16 KB block; Payload finds entry
+// i of a shard at payload row i; and the gauge holds exactly TotalBytes,
+// which is the key chunks, the index and the payload blocks, before and
+// after the seal.
 func TestPayloadSlackAndAccounting(t *testing.T) {
 	sizes := []int{0, 1, 100, 4097, 30000, 300000}
 	if testing.Short() {
@@ -736,45 +851,189 @@ func TestPayloadSlackAndAccounting(t *testing.T) {
 				)
 				pay := in.Project([]int{2})
 				var g stats.MemGauge
-				ht := New(Config{PayloadSchema: pay, Keys: keys, InitialCapacity: n / 2, Gauge: &g})
+				ht := New(Config{PayloadSchema: pay, Keys: keys, Gauge: &g})
 				sc := &InsertScratch{}
 				keyCols := []int{0, 1}[:keys]
 				cell := make([]byte, width)
 				for lo := 0; lo < n; lo += 8192 {
 					b := storage.NewBlock(in, storage.ColumnStore, 8192*in.RowWidth())
 					for r := lo; r < min(n, lo+8192); r++ {
+						cell[0] = byte(r)
 						b.AppendRow(types.NewInt64(int64(r/3)), types.NewInt64(int64(r%3*(keys-1))), types.NewChar(cell))
 					}
 					ht.InsertBlock(b, keyCols, []int{2}, sc)
 				}
+				name := func() string { return fmt.Sprintf("width %d, %d keys, %d rows", width, keys, n) }
 				if ht.Len() != n {
-					t.Fatalf("width %d, %d keys, %d rows: Len = %d", width, keys, n, ht.Len())
+					t.Fatalf("%s: Len = %d", name(), ht.Len())
 				}
 				var want int64
 				for i := range ht.shards {
 					s := &ht.shards[i]
-					want += int64(len(s.groups))*groupBytes + int64(len(s.k1))*8
+					for c, ch := range s.k0 {
+						if c < len(s.k0)-1 && len(ch) != chunkKeys {
+							t.Fatalf("%s, shard %d: key chunk %d of %d holds %d keys", name(), i, c, len(s.k0), len(ch))
+						}
+					}
+					want += s.keyBytes()
 					alloc, used := 0, 0
 					for j, pb := range s.payload {
 						if j < len(s.payload)-1 && !pb.Full() {
-							t.Fatalf("width %d, %d keys, %d rows, shard %d: block %d of %d is not full", width, keys, n, i, j, len(s.payload))
+							t.Fatalf("%s, shard %d: block %d of %d is not full", name(), i, j, len(s.payload))
 						}
 						alloc += pb.AllocBytes()
 						used += pb.UsedBytes()
 					}
 					if alloc-used > 16<<10 {
-						t.Fatalf("width %d, %d keys, %d rows, shard %d: %d payload bytes allocated for %d used", width, keys, n, i, alloc, used)
+						t.Fatalf("%s, shard %d: %d payload bytes allocated for %d used", name(), i, alloc, used)
 					}
 					want += int64(alloc)
+					// Entry e of the shard is its e-th payload row.
+					e := 0
+					for _, pb := range s.payload {
+						for r := 0; r < pb.NumRows(); r++ {
+							if gb, gr := ht.Payload(makeRef(uint64(i), uint32(e))); gb != pb || gr != r {
+								t.Fatalf("%s, shard %d: entry %d resolves to another row", name(), i, e)
+							}
+							e++
+						}
+					}
 				}
 				if got := ht.TotalBytes(); got != want || g.Live() != got {
-					t.Fatalf("width %d, %d keys, %d rows: TotalBytes %d, gauge %d, groups + k1 + payload %d", width, keys, n, got, g.Live(), want)
+					t.Fatalf("%s: TotalBytes %d, gauge %d, keys + payload %d", name(), got, g.Live(), want)
+				}
+				for _, f := range ht.Seal(4) {
+					f.Run()
+				}
+				if got := ht.TotalBytes(); g.Live() != got {
+					t.Fatalf("%s: sealed: TotalBytes %d, gauge %d", name(), got, g.Live())
 				}
 				ht.Release()
 				if g.Live() != 0 {
-					t.Fatalf("width %d, %d keys, %d rows: gauge %d after Release", width, keys, n, g.Live())
+					t.Fatalf("%s: gauge %d after Release", name(), g.Live())
 				}
 			}
+		}
+	}
+}
+
+// TestIndexKindChoice: the index follows the data. One-key tables over a
+// small range are dense, whether keys are unique, duplicated or negative,
+// or sit next to MinInt64 or MaxInt64; sparse keys, a range wider than 2³²
+// (including MinInt64..MaxInt64, whose span overflows int64), two keys and
+// an empty build fall back to hash. Lookups answer right under each, and a
+// dense table never takes more bytes than its hash alternative.
+func TestIndexKindChoice(t *testing.T) {
+	span := func(lo int64, n int, step int64) []int64 {
+		ks := make([]int64, n)
+		for i := range ks {
+			ks[i] = lo + int64(i)*step
+		}
+		return ks
+	}
+	dups := make([]int64, 0, 3000)
+	for i := 0; i < 3000; i++ {
+		dups = append(dups, int64(1+i%1000))
+	}
+	cases := []struct {
+		name    string
+		keys    [][2]int64
+		twoKeys bool
+		keyOnly bool
+		want    indexKind
+	}{
+		{"unique dense", oneKey(span(1, 5000, 1)...), false, false, denseIndex},
+		{"duplicate dense", oneKey(dups...), false, false, denseIndex},
+		{"duplicate dense key-only", oneKey(dups...), false, true, denseIndex},
+		{"sparse", oneKey(span(1, 5000, 1000)...), false, false, hashIndex},
+		{"negative", oneKey(span(-5000, 5000, 1)...), false, false, denseIndex},
+		{"near MinInt64", oneKey(span(math.MinInt64, 2000, 1)...), false, false, denseIndex},
+		{"near MaxInt64", oneKey(span(math.MaxInt64-1999, 2000, 1)...), false, false, denseIndex},
+		{"MinInt64 and MaxInt64", oneKey(append(span(1, 2000, 1), math.MinInt64, math.MaxInt64)...), false, false, hashIndex},
+		{"range 2^32", oneKey(append(span(1, 2000, 1), 1+1<<32)...), false, false, hashIndex},
+		{"two keys", [][2]int64{{1, 1}, {2, 1}, {3, 2}}, true, false, hashIndex},
+		{"empty", nil, false, false, hashIndex},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{PayloadSchema: payloadSchema()}
+			if tc.twoKeys {
+				cfg.Keys = 2
+			}
+			if tc.keyOnly {
+				cfg.PayloadSchema = storage.NewSchema()
+			}
+			ht := New(cfg)
+			vals := iota64(len(tc.keys), 1)
+			if len(tc.keys) > 0 {
+				insert(ht, tc.keys, vals)
+			}
+			_, sp, n := ht.keySpan()
+			var hashBytes uint64
+			for i := range ht.shards {
+				hashBytes += groupBytes * uint64(groupsFor(ht.shards[i].n))
+			}
+			for _, f := range ht.Seal(2) {
+				f.Run()
+			}
+			if ht.kind != tc.want {
+				t.Fatalf("sealed %v, want %v (span %d, %d entries)", ht.kind, tc.want, sp, n)
+			}
+			if ht.kind == denseIndex && ht.denseBytes(sp, n) > hashBytes {
+				t.Fatalf("dense index %d B above its hash alternative %d B", ht.denseBytes(sp, n), hashBytes)
+			}
+			if tc.name == "empty" && ht.TotalBytes() != 0 {
+				t.Fatalf("an empty build holds %d B", ht.TotalBytes())
+			}
+			want := map[[2]int64][]int64{}
+			for i, k := range tc.keys {
+				v := vals[i]
+				if tc.keyOnly {
+					v = -1
+				}
+				want[k] = append(want[k], v)
+			}
+			for k, vs := range want {
+				if got := lookupPayloads(t, ht, k[0], k[1]); !reflect.DeepEqual(got, vs) {
+					t.Fatalf("key %v: payloads %v, want %v", k, got, vs)
+				}
+			}
+			for _, k := range [][2]int64{{0, 0}, {-5001, 0}, {math.MinInt64 + 2000, 0}, {math.MaxInt64 - 2000, 0}, {2, 0}, {1 << 32, 0}} {
+				if _, ok := want[k]; !ok && contains(ht, k[0], k[1]) {
+					t.Fatalf("phantom key %v", k)
+				}
+			}
+		})
+	} // A range of 2³² keys or more is never dense, whatever the bytes.
+	one := New(Config{PayloadSchema: payloadSchema()})
+	if one.denseFits(1<<32-1, 10) || !one.denseFits(1<<32-2, 10) || one.denseFits(5, 0) {
+		t.Fatal("denseFits: want spans below 2³² − 1 and at least one entry")
+	}
+}
+
+// TestLazySealConcurrentLookups: lookups racing on a table nobody sealed
+// all wait for one seal and its fills, so every one of them finds every key
+// (run under -race), under either index the data picks.
+func TestLazySealConcurrentLookups(t *testing.T) {
+	for _, step := range []int64{1, 1 << 33} {
+		keys := iota64(20000, step)
+		ht := New(Config{PayloadSchema: payloadSchema()})
+		insert(ht, oneKey(keys...), keys)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var m Matches
+				ht.Match(keys, nil, false, &m)
+				if len(m.Ref) != len(keys) {
+					t.Errorf("step %d: a concurrent first Match found %d of %d keys", step, len(m.Ref), len(keys))
+				}
+			}()
+		}
+		wg.Wait()
+		if want := map[int64]indexKind{1: denseIndex, 1 << 33: hashIndex}[step]; ht.kind != want {
+			t.Errorf("step %d: sealed %v, want %v", step, ht.kind, want)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package memmodel implements the paper's memory-footprint analysis
 // (Section VI): the Table II comparison between the two UoT extremes for a
 // selection→probe-cascade plan fragment, the (M/w)·(c/f) hash-table size
-// model, and the selectivity/projectivity accounting behind Tables III
+// model and its dense-index alternative, and the selectivity/projectivity accounting behind Tables III
 // and IV.
 package memmodel
 
@@ -33,6 +33,14 @@ func HashTableSize(inputBytes int64, tupleWidth int, bucketBytes int, loadFactor
 	}
 	entries := float64(inputBytes) / float64(tupleWidth)
 	return int64(entries * float64(bucketBytes) / loadFactor)
+}
+
+// DenseIndexSize is the Section VI-B cost of a dense join index, the
+// alternative to c/f buckets when a table's one key spans a small range: an
+// o-byte offset per key of the range plus an e-byte entry ref per entry,
+// keyRange·o + entries·e bytes.
+func DenseIndexSize(entries, keyRange int64, offsetBytes, refBytes int) int64 {
+	return keyRange*int64(offsetBytes) + entries*int64(refBytes)
 }
 
 // SelectStats captures how a selection shrinks its input (Section VI-A).

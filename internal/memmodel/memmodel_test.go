@@ -47,6 +47,26 @@ func TestHashTableSizeModel(t *testing.T) {
 	}
 }
 
+// TestDenseIndexSizeModel: 75 000 orders keyed 1..75 000 with payload cost
+// 4 B per key plus 4 B per entry; a key-only index (no refs) only the
+// offsets. The dense index beats 5 B slots at f = 7/8 plus 8 B keys when the
+// range is dense and loses when it is sparse.
+func TestDenseIndexSizeModel(t *testing.T) {
+	if got := DenseIndexSize(75000, 75000, 4, 4); got != 600000 {
+		t.Fatalf("dense index = %d, want 600000", got)
+	}
+	if got := DenseIndexSize(75000, 7499, 4, 0); got != 29996 {
+		t.Fatalf("key-only dense index = %d, want 29996", got)
+	}
+	hash := HashTableSize(75000*16, 16, 5, 0.875) + 75000*8
+	if dense := DenseIndexSize(75000, 75000, 4, 4); dense >= hash {
+		t.Fatalf("dense %d should undercut hash %d on a 1..n range", dense, hash)
+	}
+	if sparse := DenseIndexSize(75000, 75000*32, 4, 4); sparse <= hash {
+		t.Fatalf("dense %d over a 32x sparse range should exceed hash %d", sparse, hash)
+	}
+}
+
 func TestMeasureAndTotal(t *testing.T) {
 	// Paper Table III, Q03 on lineitem: s=53.9%, p=13.1%, total 7.0%.
 	s := SelectStats{Selectivity: 0.539, Projectivity: 0.131}

@@ -247,29 +247,6 @@ func (c *Cache) dropLocked(e *entry, counter *int64) {
 	*counter++
 }
 
-// Invalidate drops every entry whose subtree read the given base table.
-// (Version bumps invalidate lazily at Lookup; this is the eager path for
-// callers that know a table changed.)
-func (c *Cache) Invalidate(t *storage.Table) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, e := range c.entries {
-		for _, d := range e.deps {
-			if d.Table == t {
-				if e.pins > 0 {
-					// A pinned entry is being read by a live run that
-					// started against the old version — let it finish;
-					// the version check drops the entry at its next
-					// Lookup.
-					break
-				}
-				c.dropLocked(e, &c.ctr.Invalidations)
-				break
-			}
-		}
-	}
-}
-
 // Flight begins or joins the single-flight computation for fp. The first
 // caller since the last completion becomes the leader (wait == nil) and
 // must call done() when its fill attempt is over, successful or not; other

@@ -180,13 +180,16 @@ func TestCacheInvalidation(t *testing.T) {
 	if got := c.Counters().Invalidations; got != 1 {
 		t.Errorf("Invalidations = %d, want 1", got)
 	}
-	// Eager: Invalidate drops matching entries immediately.
+	// An entry admitted against the new version is dropped by the next bump.
 	if !admit(c, fpN(2), mkTable(t, "r2", 5), depsOf(base), 0, 1) {
 		t.Fatal("re-admit rejected")
 	}
-	c.Invalidate(base)
-	if c.Has(fpN(2)) {
-		t.Error("eager invalidation left the entry")
+	base.BumpVersion()
+	if c.Lookup(fpN(2)) != nil || c.Has(fpN(2)) {
+		t.Error("entry served or kept after its table's second version bump")
+	}
+	if got := c.Counters().Invalidations; got != 2 {
+		t.Errorf("Invalidations = %d, want 2", got)
 	}
 	// Admission itself rejects when a dep moved between fingerprint and fill.
 	deps := depsOf(base)

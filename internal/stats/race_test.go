@@ -53,7 +53,7 @@ func TestConcurrentSnapshotNoTornReads(t *testing.T) {
 				t.Error("gauge live exceeded high-water mark")
 				return
 			}
-			_ = r.TotalSim()
+			_ = r.PerOp()
 			_ = r.Kernels()
 		}
 	}()

@@ -372,15 +372,6 @@ func (r *Run) Op(opID int) OpTotals {
 	return OpTotals{OpID: opID}
 }
 
-// TotalSim returns the sum of simulated ticks across all work orders.
-func (r *Run) TotalSim() int64 {
-	var s int64
-	for _, t := range r.PerOp() {
-		s += t.SimTotal
-	}
-	return s
-}
-
 // Kernels sums the kernel counters across all work orders.
 func (r *Run) Kernels() Kernel {
 	r.mu.Lock()

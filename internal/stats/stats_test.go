@@ -102,8 +102,12 @@ func TestRunAggregation(t *testing.T) {
 	if got := r.Op(99); got.Count != 0 {
 		t.Fatalf("missing op should be zero: %+v", got)
 	}
-	if r.TotalSim() != 350 {
-		t.Fatalf("total sim = %d", r.TotalSim())
+	var sim int64
+	for _, op := range r.PerOp() {
+		sim += op.SimTotal
+	}
+	if sim != 350 {
+		t.Fatalf("total sim = %d", sim)
 	}
 	if r.WallTime() <= 0 {
 		t.Fatal("wall time should be positive")

@@ -258,6 +258,8 @@ func NewCostModel(B int64, T int) CostModel { return costmodel.Default(B, T) }
 var (
 	// HashTableSize is the (M/w)·(c/f) model.
 	HashTableSize = memmodel.HashTableSize
+	// DenseIndexSize is the dense join index's keyRange·o + entries·e.
+	DenseIndexSize = memmodel.DenseIndexSize
 	// LowUoTOverhead is Σ|H_i| for i ≥ 2 (Table II).
 	LowUoTOverhead = memmodel.LowUoTOverhead
 	// HighUoTOverhead is |σ(R)| (Table II).

@@ -103,6 +103,9 @@ func TestFacadeModels(t *testing.T) {
 	if HashTableSize(1e6, 10, 40, 0.5) != 8e6 {
 		t.Fatal("hash table model wrong through facade")
 	}
+	if DenseIndexSize(10, 100, 4, 4) != 440 {
+		t.Fatal("dense index model wrong through facade")
+	}
 	if LowUoTOverhead([]int64{1, 2, 3}) != 5 || HighUoTOverhead(7) != 7 {
 		t.Fatal("Table II helpers wrong through facade")
 	}
