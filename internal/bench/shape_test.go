@@ -1,8 +1,12 @@
 package bench
 
 import (
+	"math"
 	"strconv"
 	"testing"
+
+	"repro/internal/ssb"
+	"repro/internal/storage"
 )
 
 // Shape tests: these assert the qualitative results the paper reports — who
@@ -61,16 +65,17 @@ func TestShapeSec5CPipeliningWinsOnDisk(t *testing.T) {
 }
 
 func TestShapeSSBInversion(t *testing.T) {
-	h := tiny()
+	// SF 0.01 is the smallest scale at which the fact pipeline spans several
+	// blocks; TestShapeSSBTiesAtTinyScale covers SF 0.005.
+	h := New(Config{SF: 0.01, Workers: 4, Runs: 1, Best: 1})
 	r, err := h.Sec6BSSBFootprint()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Low-UoT temp never exceeds high-UoT temp, and is strictly lower for
 	// the join-heavy flights (pipelining wins the memory comparison when
-	// hash tables are small). At tiny scale q1.1's intermediate is a
-	// couple of blocks either way, so strictness is only required of the
-	// majority.
+	// hash tables are small). q1.1's intermediate is a couple of blocks
+	// either way, so strictness is only required of the majority.
 	strict := 0
 	for i, row := range r.Rows {
 		lowTemp, highTemp := cell(t, r, i, 2), cell(t, r, i, 4)
@@ -83,6 +88,39 @@ func TestShapeSSBInversion(t *testing.T) {
 	}
 	if strict < len(r.Rows)/2 {
 		t.Errorf("inversion visible on only %d of %d SSB queries", strict, len(r.Rows))
+	}
+}
+
+// TestShapeSSBTiesAtTinyScale: at SF 0.005 the fact scans emit views (4
+// bytes a row), so the high end buffers only the probes' outputs whole, a
+// block or two. Both ends then hold at most one 128 KiB output block per
+// operator, and they differ by less than one block: neither wins the
+// memory comparison at this scale. A scan that copied its projection again
+// would put the high end a block or more above the low end.
+func TestShapeSSBTiesAtTinyScale(t *testing.T) {
+	h := tiny()
+	r, err := h.Sec6BSSBFootprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const block = 128.0 / 1024 // MiB
+	const rounding = 0.01      // the report prints MiB to two decimals
+	d := ssb.Load(0.005, 128<<10, storage.ColumnStore)
+	for i, row := range r.Rows {
+		b, err := ssb.Build(d, row[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := float64(len(b.Plan().Ops))
+		lowTemp, highTemp := cell(t, r, i, 2), cell(t, r, i, 4)
+		for _, temp := range []float64{lowTemp, highTemp} {
+			if temp > ops*block+rounding {
+				t.Errorf("%s: temp %v MiB exceeds one block for each of %v operators", row[0], temp, ops)
+			}
+		}
+		if math.Abs(lowTemp-highTemp) > block+rounding {
+			t.Errorf("%s: low temp %v and high temp %v differ by more than one block", row[0], lowTemp, highTemp)
+		}
 	}
 }
 

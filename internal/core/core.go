@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/cachesim"
 	"repro/internal/faults"
@@ -103,7 +104,9 @@ type ExecCtx struct {
 }
 
 // Canceled returns the run-level cancellation error, if the context was
-// canceled, else nil.
+// canceled or its deadline has passed, else nil. The deadline is read off
+// the clock: the runtime's timer may close Done late on a loaded host, late
+// enough for a short run to finish past its deadline.
 func (c *ExecCtx) Canceled() error {
 	if c.Ctx == nil {
 		return nil
@@ -112,8 +115,11 @@ func (c *ExecCtx) Canceled() error {
 	case <-c.Ctx.Done():
 		return c.Ctx.Err()
 	default:
-		return nil
 	}
+	if dl, ok := c.Ctx.Deadline(); ok && !time.Now().Before(dl) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // FaultAt consults the fault injector at a named site; nil without an
@@ -318,6 +324,7 @@ type Emitter struct {
 	out     *Output
 	owner   int
 	schema  *storage.Schema
+	proj    []int // set by AppendView: the emitter fills views projecting proj
 	cur     *storage.Block
 	curBase int // rows already in cur when it was checked out
 	sealed  []sealedBlock
@@ -342,7 +349,11 @@ func NewEmitter(ctx *ExecCtx, out *Output, owner OpID, schema *storage.Schema) *
 func (e *Emitter) ensure() *storage.Block {
 	if e.cur == nil {
 		e.interrupt()
-		e.cur = e.ctx.Pool.CheckOut(e.owner, e.schema, e.ctx.TempFormat, e.ctx.TempBlockBytes)
+		if e.proj != nil {
+			e.cur = e.ctx.Pool.CheckOutView(e.owner, e.schema, e.proj, e.ctx.TempFormat, e.ctx.TempBlockBytes)
+		} else {
+			e.cur = e.ctx.Pool.CheckOut(e.owner, e.schema, e.ctx.TempFormat, e.ctx.TempBlockBytes)
+		}
 		e.curBase = e.cur.NumRows()
 	}
 	return e.cur
@@ -398,6 +409,25 @@ func (e *Emitter) AppendFrom(src *storage.Block, srcRow int, projIdx []int) {
 func (e *Emitter) AppendMany(src *storage.Block, rows []int32, projIdx []int) {
 	for len(rows) > 0 {
 		took := e.ensure().AppendFromMany(src, rows, projIdx)
+		if took == 0 {
+			e.seal()
+			continue
+		}
+		rows = rows[took:]
+		e.out.RowsOut += int64(took)
+	}
+}
+
+// AppendView appends the given rows of base-table block src, projected
+// through proj, as rows of views (see Pool.CheckOutView): the select's
+// output when it only renames base columns. Views hold as many rows as the
+// temp blocks AppendMany fills and seal at the same rows, so the blocks,
+// deliveries and work orders downstream are the same; they copy no cells.
+// An emitter appends only views once it has appended one.
+func (e *Emitter) AppendView(src *storage.Block, rows []int32, proj []int) {
+	e.proj = proj
+	for len(rows) > 0 {
+		took := e.ensure().AppendView(src, rows)
 		if took == 0 {
 			e.seal()
 			continue

@@ -485,3 +485,25 @@ func (m *multiEmit) Start(*ExecCtx) []WorkOrder {
 	}
 	return wos
 }
+
+// lateTimerCtx has a deadline but never closes Done, as a context whose
+// timer the runtime has not fired yet.
+type lateTimerCtx struct {
+	context.Context
+	dl time.Time
+}
+
+func (c lateTimerCtx) Deadline() (time.Time, bool) { return c.dl, true }
+
+// TestCanceledReadsTheDeadlineOffTheClock: a run sees its deadline pass
+// even while the context's timer has not closed Done.
+func TestCanceledReadsTheDeadlineOffTheClock(t *testing.T) {
+	past := &ExecCtx{Ctx: lateTimerCtx{context.Background(), time.Now().Add(-time.Millisecond)}}
+	if err := past.Canceled(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("passed deadline: Canceled() = %v", err)
+	}
+	future := &ExecCtx{Ctx: lateTimerCtx{context.Background(), time.Now().Add(time.Hour)}}
+	if err := future.Canceled(); err != nil {
+		t.Fatalf("future deadline: Canceled() = %v", err)
+	}
+}

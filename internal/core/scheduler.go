@@ -585,6 +585,12 @@ func (s *sched) emit(st *opState, blocks []*storage.Block) {
 	evicted := 0
 	var evictedBytes int64
 	for _, b := range blocks {
+		if adopts || refs > 1 {
+			// Only a sole, non-adopting consumer reads a view in place:
+			// an adopter keeps its blocks past the run, and a consumer
+			// that materializes a view would change it under the others.
+			s.ctx.Pool.Materialize(b, s.ctx.TempBlockBytes)
+		}
 		if refs > 0 {
 			s.rc[b] = refs
 		}

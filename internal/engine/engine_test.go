@@ -62,6 +62,17 @@ func buildJoinAggPlan(fact, dim *storage.Table) *Builder {
 // buildJoinAggPlanBloom is buildJoinAggPlan with the build optionally
 // populating a LIP bloom filter (so the BloomBuild fault site is consulted).
 func buildJoinAggPlanBloom(fact, dim *storage.Table, bloom bool) *Builder {
+	return joinAggPlan(fact, dim, bloom, expr.C(fact.Schema(), "v"))
+}
+
+// buildJoinAggPlanCopied is buildJoinAggPlan with the fact scan computing its
+// v projection (v * 1), so that it emits temp blocks, not views of the fact
+// table: the spill tier then has the scan's output to evict.
+func buildJoinAggPlanCopied(fact, dim *storage.Table) *Builder {
+	return joinAggPlan(fact, dim, false, expr.MulE(expr.C(fact.Schema(), "v"), expr.Float(1)))
+}
+
+func joinAggPlan(fact, dim *storage.Table, bloom bool, v expr.Expr) *Builder {
 	b := NewBuilder()
 	fs, ds := fact.Schema(), dim.Schema()
 
@@ -77,7 +88,7 @@ func buildJoinAggPlanBloom(fact, dim *storage.Table, bloom bool) *Builder {
 	selFact := b.ScanSelect(exec.SelectSpec{
 		Name: "sel_fact", Base: fact,
 		Pred:      expr.Ge(expr.C(fs, "v"), expr.Float(10)),
-		Proj:      []expr.Expr{expr.C(fs, "k"), expr.C(fs, "grp"), expr.C(fs, "v")},
+		Proj:      []expr.Expr{expr.C(fs, "k"), expr.C(fs, "grp"), v},
 		ProjNames: []string{"k", "grp", "v"},
 	})
 	probe := b.Probe(selFact, bld, exec.ProbeSpec{
@@ -460,5 +471,42 @@ func TestEmptyInputsProduceEmptyOrZeroResults(t *testing.T) {
 	rows := Rows(res.Table)
 	if len(rows) != 1 || rows[0][0].I != 0 {
 		t.Fatalf("scalar agg over empty input = %v, want one zero row", rows)
+	}
+}
+
+// TestCollectedScanIsMaterialized collects a scan that only renames base
+// columns. The scan emits views; the result sink adopts its blocks past the
+// run, so they leave it materialized, holding the rows themselves.
+func TestCollectedScanIsMaterialized(t *testing.T) {
+	_, fact, _ := fixture(t, storage.ColumnStore, 4<<10)
+	fs := fact.Schema()
+	for _, uot := range []int{1, core.UoTTable} {
+		b := NewBuilder()
+		b.Collect(b.ScanSelect(exec.SelectSpec{
+			Name: "sel_fact", Base: fact,
+			Pred:      expr.Ge(expr.C(fs, "v"), expr.Float(10)),
+			Proj:      []expr.Expr{expr.C(fs, "v"), expr.C(fs, "k")},
+			ProjNames: []string{"v", "k"},
+		}))
+		res, err := Execute(b, Options{Workers: 1, UoTBlocks: uot, TempBlockBytes: 4 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, blk := range res.Table.Blocks() {
+			if blk.IsView() {
+				t.Fatalf("uot=%d: a result block is a view", uot)
+			}
+			for r := range blk.NumRows() {
+				i := 100 + n
+				if blk.Float64At(0, r) != float64(i)/10 || blk.Int64At(1, r) != int64(i%100) {
+					t.Fatalf("uot=%d: result row %d = (%v, %v)", uot, n, blk.Float64At(0, r), blk.Int64At(1, r))
+				}
+				n++
+			}
+		}
+		if n != 900 {
+			t.Fatalf("uot=%d: %d result rows, want 900", uot, n)
+		}
 	}
 }

@@ -214,9 +214,13 @@ func (w *selectWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 		}
 		sel = kept
 	}
-	if o.projIdx != nil {
+	switch {
+	case o.projIdx != nil && w.isBase:
+		// Base blocks outlive the run: pass the rows on as a view.
+		em.AppendView(b, sel, o.projIdx)
+	case o.projIdx != nil:
 		em.AppendMany(b, sel, o.projIdx)
-	} else {
+	default:
 		em.AppendColumns(sp.project(o.projExprs, &ec), sel)
 		clear(sp.srcs) // a pooled scratch keeps no block alive
 	}

@@ -150,9 +150,12 @@ func (o *SortOp) OutSchema() *storage.Schema { return o.schema }
 // production. Run work orders report nil Inputs: the scheduler keeps the fed
 // blocks held until the operator finishes, which is exactly the lifetime the
 // merge work orders need.
-func (o *SortOp) Feed(_ *core.ExecCtx, _ int, blocks []*storage.Block) []core.WorkOrder {
+func (o *SortOp) Feed(ctx *core.ExecCtx, _ int, blocks []*storage.Block) []core.WorkOrder {
 	wos := make([]core.WorkOrder, len(blocks))
 	for i, b := range blocks {
+		// The merge gathers from the held runs in place, so a view becomes
+		// the block it stands for before any run reads it.
+		ctx.Pool.Materialize(b, ctx.TempBlockBytes)
 		o.mu.Lock()
 		seq := len(o.blocks)
 		o.blocks = append(o.blocks, b)

@@ -127,7 +127,7 @@ func (v *Vectors) refine(pred Expr, c *Ctx, sel []int32) []int32 {
 	case *NotExpr:
 		return minus(sel, v.refine(p.X, c, v.copySel(sel)))
 	case *CmpExpr:
-		if out, ok := refineCmp(p, c.B, c.Scalars, sel); ok {
+		if out, ok := v.refineCmp(p, c, sel); ok {
 			return out
 		}
 		return v.cmpValues(p, c, sel)
@@ -178,12 +178,12 @@ func minus(a, b []int32) []int32 {
 // otherwise. A column and a value of its own kind, or two columns of one
 // kind, get a typed loop per op (kernels.go); the other numeric pairings
 // share one loop. It reports false for any other shape.
-func refineCmp(p *CmpExpr, b *storage.Block, scalars []types.Datum, sel []int32) ([]int32, bool) {
+func (v *Vectors) refineCmp(p *CmpExpr, c *Ctx, sel []int32) ([]int32, bool) {
 	l, ok := AsPrimaryColRef(p.L)
 	if !ok {
 		return nil, false
 	}
-	lv := b.View(l.Col)
+	lv := v.view(l, c)
 	// The right side is the datum k, or the column rv when rcol is set.
 	var k types.Datum
 	var rv storage.ColView
@@ -192,12 +192,12 @@ func refineCmp(p *CmpExpr, b *storage.Block, scalars []types.Datum, sel []int32)
 	case *ConstExpr:
 		k = r.D
 	case *ScalarParam:
-		k = scalars[r.Slot]
+		k = c.Scalars[r.Slot]
 	case *ColRef:
 		if r.S != Primary {
 			return nil, false
 		}
-		rv, rcol = b.View(r.Col), true
+		rv, rcol = v.view(r, c), true
 		if (lv.Type == types.Char) != (rv.Type == types.Char) {
 			return nil, false
 		}
@@ -275,7 +275,7 @@ func (v *Vectors) refineIn(p *InExpr, c *Ctx, sel []int32) []int32 {
 func (v *Vectors) floats(e Expr, c *Ctx, dst []float64) {
 	switch x := e.(type) {
 	case *ColRef:
-		if v.view(x, c).Type == types.Float64 {
+		if colType(x, c) == types.Float64 {
 			c.B.GatherFloat64(x.Col, dst)
 			return
 		}
@@ -323,7 +323,7 @@ func (v *Vectors) floats(e Expr, c *Ctx, dst []float64) {
 func (v *Vectors) ints(e Expr, c *Ctx, dst []int64) {
 	switch x := e.(type) {
 	case *ColRef:
-		switch v.view(x, c).Type {
+		switch colType(x, c) {
 		case types.Int64:
 			c.B.GatherInt64(x.Col, dst)
 		case types.Date:
@@ -397,8 +397,8 @@ func (v *Vectors) holds(pred Expr, c *Ctx) []int32 {
 func (v *Vectors) bytes(e Expr, c *Ctx) storage.ColView {
 	switch x := e.(type) {
 	case *ColRef:
-		if col := v.view(x, c); col.Type == types.Char {
-			return col
+		if colType(x, c) == types.Char {
+			return v.view(x, c)
 		}
 	case *ConstExpr:
 		return storage.CharView(x.D.B, 0, len(x.D.B))
@@ -440,12 +440,23 @@ func (v *Vectors) bytes(e Expr, c *Ctx) storage.ColView {
 	return storage.CharView(nil, 0, 0)
 }
 
-// view returns the in-place view of the column x reads.
+// view returns the cells of the column x reads: in place, or for a view
+// block (storage.Block.IsView) gathered onto the byte stack, so that one
+// kernel loop serves both.
 func (v *Vectors) view(x *ColRef, c *Ctx) storage.ColView {
+	colType(x, c) // rejects a build-side column
+	if !c.B.IsView() {
+		return c.B.View(x.Col)
+	}
+	return c.B.ViewInto(x.Col, push(&v.b, &v.d.b, c.B.NumRows()*c.B.Schema().ColWidth(x.Col)))
+}
+
+// colType returns the type of the block column x reads.
+func colType(x *ColRef, c *Ctx) types.TypeID {
 	if x.S != Primary {
 		panic("expr: block evaluation of a build-side column; rebind the residual first")
 	}
-	return c.B.View(x.Col)
+	return c.B.Schema().Col(x.Col).Type
 }
 
 // push hands out the next free vector of a Vectors stack, sized n; the

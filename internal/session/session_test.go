@@ -393,7 +393,7 @@ func TestExecuteMatchesSessionSchedule(t *testing.T) {
 	}
 	// ScratchHits counts sync.Pool reuse, which the runtime may drop at any
 	// time (always under -race): not a property of the schedule.
-	d, v := direct.Run.Kernels(), served.Run.Kernels()
+	d, v := sumKernels(direct.Run), sumKernels(served.Run)
 	d.ScratchHits, v.ScratchHits = 0, 0
 	if d != v {
 		t.Errorf("kernel counters differ:\n  execute: %+v\n  session: %+v", d, v)
@@ -403,4 +403,13 @@ func TestExecuteMatchesSessionSchedule(t *testing.T) {
 			t.Errorf("%s: %d intermediate bytes live after success, want 0", name, live)
 		}
 	}
+}
+
+// sumKernels is the run-wide kernel total: PerOp's, summed.
+func sumKernels(r *stats.Run) stats.Kernel {
+	var k stats.Kernel
+	for _, op := range r.PerOp() {
+		k.Add(op.Kernel)
+	}
+	return k
 }

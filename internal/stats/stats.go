@@ -371,14 +371,3 @@ func (r *Run) Op(opID int) OpTotals {
 	}
 	return OpTotals{OpID: opID}
 }
-
-// Kernels sums the kernel counters across all work orders.
-func (r *Run) Kernels() Kernel {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var k Kernel
-	for i := range r.orders {
-		k.Add(r.orders[i].Kernel)
-	}
-	return k
-}

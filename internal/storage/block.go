@@ -32,13 +32,31 @@ func (f Format) String() string {
 // UoT value — of inter-operator transfer. Blocks are not internally
 // synchronized: the scheduler guarantees a block is written by at most one
 // work order at a time (Section III-A).
+//
+// A block may instead be a view (Pool.CheckOutView): a selection of rows of
+// base-table blocks, which outlive every run, projected through proj. A view
+// stores no cells: its row r is row rows[r] of the base block of the segment
+// holding r, and data is the rows buffer. Every read accessor gives what it
+// gives on the view's Materialize, and the batch kernels resolve a base
+// block's layout once per segment; appending cells to a view panics.
 type Block struct {
 	schema   *Schema
 	format   Format
 	capacity int    // max rows
 	n        int    // current rows
-	data     []byte // one allocation of size >= capacity*rowWidth
+	data     []byte // one allocation of size >= capacity*rowWidth (a view's rows buffer)
 	colOff   []int  // ColumnStore: start of each column region in data
+
+	proj []int     // a view's column i is column proj[i] of its base blocks; nil for a block
+	rows []int32   // a view's base rows, aliasing data
+	segs []viewSeg // a view's base blocks, in row order
+}
+
+// viewSeg is one base block of a view: rows [previous end, end) of the view
+// are rows of base.
+type viewSeg struct {
+	base *Block
+	end  int
 }
 
 // NewBlock allocates a block with the given byte budget. Capacity is
@@ -89,13 +107,16 @@ func (b *Block) Capacity() int { return b.capacity }
 func (b *Block) Full() bool { return b.n >= b.capacity }
 
 // Reset empties the block for reuse without freeing its allocation.
-func (b *Block) Reset() { b.n = 0 }
+func (b *Block) Reset() { b.Truncate(0) }
+
+// IsView reports whether the block is a view over base blocks.
+func (b *Block) IsView() bool { return b.proj != nil }
 
 // Truncate drops rows from the end so the block holds exactly n rows (no-op
 // if it already holds fewer). Cell bytes beyond n are left in place and are
 // overwritten by subsequent appends; the scheduler uses this to roll a
 // resumed partial block back to its pre-attempt length after a failed work
-// order.
+// order. A view also drops the segments past row n.
 func (b *Block) Truncate(n int) {
 	if n < 0 {
 		n = 0
@@ -103,17 +124,53 @@ func (b *Block) Truncate(n int) {
 	if b.n > n {
 		b.n = n
 	}
+	for k := len(b.segs) - 1; k >= 0 && b.segStart(k) >= n; k-- {
+		b.segs = b.segs[:k]
+	}
+	if k := len(b.segs) - 1; k >= 0 {
+		b.segs[k].end = min(b.segs[k].end, n)
+	}
 }
 
-// AllocBytes returns the size of the block's data allocation.
+// segStart returns the first view row of segment k.
+func (b *Block) segStart(k int) int {
+	if k == 0 {
+		return 0
+	}
+	return b.segs[k-1].end
+}
+
+// segOf returns the segment holding view row r.
+func (b *Block) segOf(r int) int {
+	lo, hi := 0, len(b.segs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if b.segs[m].end <= r {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == len(b.segs) {
+		panic("storage: view row out of range")
+	}
+	return lo
+}
+
+// AllocBytes returns the size of the block's data allocation: a view's rows
+// buffer, 4 bytes a row.
 func (b *Block) AllocBytes() int { return len(b.data) }
 
 // UsedBytes returns the bytes occupied by live tuples (n * rowWidth); this is
-// what the Section VI memory model counts for materialized intermediates.
+// what the Section VI memory model counts for materialized intermediates. A
+// view reports what its Materialize holds.
 func (b *Block) UsedBytes() int { return b.n * b.schema.RowWidth() }
 
 // cell returns the data slice holding column col of row row.
 func (b *Block) cell(col, row int) []byte {
+	if b.proj != nil {
+		return b.segs[b.segOf(row)].base.cell(b.proj[col], int(b.rows[row]))
+	}
 	off, stride := b.colLayout(col)
 	off += row * stride
 	return b.data[off : off+b.schema.ColWidth(col)]
@@ -173,7 +230,7 @@ func (b *Block) setCell(col, row int, d types.Datum) {
 // AppendRow appends one tuple given as datums in schema order. It returns
 // false, leaving the block unchanged, if the block is full.
 func (b *Block) AppendRow(vals ...types.Datum) bool {
-	if b.Full() {
+	if b.room(1) == 0 {
 		return false
 	}
 	if len(vals) != b.schema.NumCols() {
@@ -191,7 +248,7 @@ func (b *Block) AppendRow(vals ...types.Datum) bool {
 // loop of the select operator's output materialization. It returns false if
 // the block is full.
 func (b *Block) AppendFrom(src *Block, srcRow int, projIdx []int) bool {
-	if b.Full() {
+	if b.room(1) == 0 {
 		return false
 	}
 	for i, sc := range projIdx {
@@ -203,8 +260,12 @@ func (b *Block) AppendFrom(src *Block, srcRow int, projIdx []int) bool {
 
 // colLayout returns where column col's cells sit in b.data: row r's cell
 // starts at off + r*stride. Every columnar kernel resolves it once per column
-// instead of once per cell.
+// instead of once per cell. A view has no layout of its own; kernels resolve
+// its base blocks' instead.
 func (b *Block) colLayout(col int) (off, stride int) {
+	if b.proj != nil {
+		panic("storage: a view has no column layout")
+	}
 	if b.format == RowStore {
 		return b.schema.ColOffset(col), b.schema.RowWidth()
 	}
@@ -238,10 +299,28 @@ type Cells struct {
 	stride int
 }
 
-// View returns the in-place view of column col.
-func (b *Block) View(col int) ColView {
-	off, stride := b.colLayout(col)
-	return ColView{Type: b.schema.Col(col).Type, Cells: Cells{b.data[off:], stride}, width: b.schema.ColWidth(col)}
+// View returns the in-place view of column col. A view block's column has
+// no place, so it is gathered into a new buffer (ViewInto reuses one).
+func (b *Block) View(col int) ColView { return b.ViewInto(col, nil) }
+
+// ViewInto is View, gathering a view block's column into buf, reused when
+// large enough; the result aliases the block or buf.
+func (b *Block) ViewInto(col int, buf []byte) ColView {
+	v := ColView{Type: b.schema.Col(col).Type, width: b.schema.ColWidth(col)}
+	if b.proj == nil {
+		off, stride := b.colLayout(col)
+		v.Cells = Cells{b.data[off:], stride}
+		return v
+	}
+	buf = sized(buf, b.n*v.width)
+	lo := 0
+	for _, sg := range b.segs {
+		off, stride := sg.base.colLayout(b.proj[col])
+		copyCells(v.width, buf, lo*v.width, v.width, sg.base.data, off, stride, sg.base.capacity, b.rows[lo:sg.end])
+		lo = sg.end
+	}
+	v.Cells = Cells{buf, v.width}
+	return v
 }
 
 // CharView is a char vector laid out like a column: row r's value is
@@ -290,15 +369,33 @@ func (c Cells) Float64(r int) float64 {
 
 // GatherInt64 copies every row of 8-byte integer column col into dst,
 // reusing dst's backing array when large enough: the batch kernels' key-column
-// load, a tight strided loop instead of n cell() calls. The column must be 8
-// bytes wide (Int64/Float64 bits), as with Int64At.
+// load, one typed strided loop (one copy for a column-store column) instead
+// of n cell() calls. The column must be 8 bytes wide (Int64/Float64 bits), as
+// with Int64At.
 func (b *Block) GatherInt64(col int, dst []int64) []int64 {
-	off, stride := b.fixedLayout(col, 8, "GatherInt64")
 	dst = sized(dst, b.n)
-	for r := range dst {
-		dst[r] = int64(binary.LittleEndian.Uint64(b.data[off+r*stride:]))
-	}
+	b.eachSource(col, 8, "GatherInt64", func(lo, hi int, data []byte, off, stride, lim int, rows []int32) {
+		gather64(dst[lo:hi], data, off, stride, lim, rows)
+	})
 	return dst
+}
+
+// eachSource resolves where the cells of column col of every row lie: once
+// for a block (rows nil: row r's cell is the layout's row r), once per
+// segment for a view, whose rows [lo, hi) are base rows rows of data. The
+// column must be width bytes wide.
+func (b *Block) eachSource(col, width int, kernel string, fn func(lo, hi int, data []byte, off, stride, lim int, rows []int32)) {
+	if b.proj == nil {
+		off, stride := b.fixedLayout(col, width, kernel)
+		fn(0, b.n, b.data, off, stride, b.capacity, nil)
+		return
+	}
+	lo := 0
+	for _, sg := range b.segs {
+		off, stride := sg.base.fixedLayout(b.proj[col], width, kernel)
+		fn(lo, sg.end, sg.base.data, off, stride, sg.base.capacity, b.rows[lo:sg.end])
+		lo = sg.end
+	}
 }
 
 // GatherDate widens every row of a 4-byte Date column into dst as int64 day
@@ -306,11 +403,10 @@ func (b *Block) GatherInt64(col int, dst []int64) []int64 {
 // GatherInt64 this covers the fixed-width group-key types of the vectorized
 // aggregation path (date keys hash and compare as their day count).
 func (b *Block) GatherDate(col int, dst []int64) []int64 {
-	off, stride := b.fixedLayout(col, 4, "GatherDate")
 	dst = sized(dst, b.n)
-	for r := range dst {
-		dst[r] = int64(int32(binary.LittleEndian.Uint32(b.data[off+r*stride:])))
-	}
+	b.eachSource(col, 4, "GatherDate", func(lo, hi int, data []byte, off, stride, lim int, rows []int32) {
+		gatherDate(dst[lo:hi], data, off, stride, lim, rows)
+	})
 	return dst
 }
 
@@ -318,11 +414,10 @@ func (b *Block) GatherDate(col int, dst []int64) []int64 {
 // reusing dst's backing array when large enough — the aggregate-argument
 // load of the columnar accumulate kernels.
 func (b *Block) GatherFloat64(col int, dst []float64) []float64 {
-	off, stride := b.fixedLayout(col, 8, "GatherFloat64")
 	dst = sized(dst, b.n)
-	for r := range dst {
-		dst[r] = float64frombits(binary.LittleEndian.Uint64(b.data[off+r*stride:]))
-	}
+	b.eachSource(col, 8, "GatherFloat64", func(lo, hi int, data []byte, off, stride, lim int, rows []int32) {
+		gather64(dst[lo:hi], data, off, stride, lim, rows)
+	})
 	return dst
 }
 
@@ -336,51 +431,106 @@ func sized[T any](s []T, n int) []T {
 
 // AppendFromMany appends the projection projIdx of the given src rows (in
 // order), stopping when the block fills, and returns how many rows were
-// appended. Column layouts are resolved once per column, not once per cell,
-// and 8- and 4-byte cells move as one word load and store each — the select
+// appended. Column layouts are resolved once per column, not once per cell
+// (for a view src, once per run of rows in one base block), and 8- and
+// 4-byte cells move as one word load and store each — the select
 // operator's and the batch insert kernel's bulk materialization.
 func (b *Block) AppendFromMany(src *Block, rows []int32, projIdx []int) int {
 	take := rows[:b.room(len(rows))]
 	if len(take) == 0 {
 		return 0
 	}
-	for ci, sc := range projIdx {
-		b.copyColumn(ci, src, sc, take)
-	}
+	b.copyColumns(src, take, projIdx)
 	b.n += len(take)
 	return len(take)
 }
 
 // room returns how many of n rows still fit in the block.
 func (b *Block) room(n int) int {
+	if b.proj != nil {
+		panic("storage: appending cells to a view")
+	}
 	return max(0, min(n, b.capacity-b.n))
 }
 
-// copyColumn writes column sc of the given src rows into column ci of the
-// rows after the block's last one.
-func (b *Block) copyColumn(ci int, src *Block, sc int, rows []int32) {
-	w := b.schema.ColWidth(ci)
-	d, dStride := b.colLayout(ci)
-	d += b.n * dStride
-	sOff, sStride := src.colLayout(sc)
-	switch w {
-	case 8:
-		for _, r := range rows {
-			binary.LittleEndian.PutUint64(b.data[d:], binary.LittleEndian.Uint64(src.data[sOff+int(r)*sStride:]))
-			d += dStride
+// copyColumns writes the projection projIdx of the given src rows into the
+// block's first columns, in the rows after its last one.
+func (b *Block) copyColumns(src *Block, rows []int32, projIdx []int) {
+	if src.proj == nil {
+		for ci, sc := range projIdx {
+			d, dStride := b.colLayout(ci)
+			sOff, sStride := src.colLayout(sc)
+			copyCells(b.schema.ColWidth(ci), b.data, d+b.n*dStride, dStride, src.data, sOff, sStride, src.capacity, rows)
 		}
-	case 4:
-		for _, r := range rows {
-			binary.LittleEndian.PutUint32(b.data[d:], binary.LittleEndian.Uint32(src.data[sOff+int(r)*sStride:]))
-			d += dStride
-		}
-	default:
-		for _, r := range rows {
-			s := sOff + int(r)*sStride
-			copy(b.data[d:d+w], src.data[s:s+w])
-			d += dStride
+		return
+	}
+	var it baseRuns
+	it.v, it.rows = src, rows
+	for it.next() {
+		for ci, sc := range projIdx {
+			d, dStride := b.colLayout(ci)
+			sOff, sStride := it.base.colLayout(src.proj[sc])
+			copyCells(b.schema.ColWidth(ci), b.data, d+(b.n+it.at)*dStride, dStride, it.base.data, sOff, sStride, it.base.capacity, it.buf[:it.n])
 		}
 	}
+}
+
+// baseRuns walks rows of view v as runs of base rows: each run lies in one
+// base block and is at most len(buf) long. The runs follow rows' order;
+// ascending rows resolve their segment without a search.
+type baseRuns struct {
+	v    *Block
+	rows []int32
+	// The current run: its base block, where it starts in rows, and its n
+	// base rows in buf.
+	base  *Block
+	at, n int
+	next0 int // start of the next run in rows
+	k     int // segment of the current run
+	buf   [256]int32
+}
+
+func (it *baseRuns) next() bool {
+	if it.next0 >= len(it.rows) {
+		return false
+	}
+	v := it.v
+	it.at = it.next0
+	if r := int(it.rows[it.at]); it.base == nil || r < v.segStart(it.k) || r >= v.segs[it.k].end {
+		it.k = v.segOf(r)
+	}
+	lo, hi := v.segStart(it.k), v.segs[it.k].end
+	m := 0
+	for _, r := range it.rows[it.at:] {
+		if int(r) < lo || int(r) >= hi || m == len(it.buf) {
+			break
+		}
+		it.buf[m] = v.rows[r]
+		m++
+	}
+	it.base, it.n = v.segs[it.k].base, m
+	it.next0 = it.at + m
+	return true
+}
+
+// AppendView appends the given rows of base block base to the view, stopping
+// when it fills, and returns how many rows were appended.
+func (b *Block) AppendView(base *Block, rows []int32) int {
+	if b.proj == nil || base.proj != nil {
+		panic("storage: AppendView needs a view over a block")
+	}
+	take := rows[:max(0, min(len(rows), b.capacity-b.n))]
+	if len(take) == 0 {
+		return 0
+	}
+	copy(b.rows[b.n:], take)
+	b.n += len(take)
+	if k := len(b.segs) - 1; k >= 0 && b.segs[k].base == base {
+		b.segs[k].end = b.n
+	} else {
+		b.segs = append(b.segs, viewSeg{base: base, end: b.n})
+	}
+	return len(take)
 }
 
 // AppendPairs appends joined tuples, column at a time: tuple i is the
@@ -394,33 +544,11 @@ func (b *Block) AppendPairs(left *Block, lrows []int32, lproj []int, rights []*B
 		return 0
 	}
 	lrows, rights, rrows = lrows[:n], rights[:n], rrows[:n]
-	for ci, sc := range lproj {
-		b.copyColumn(ci, left, sc, lrows)
-	}
+	b.copyColumns(left, lrows, lproj)
 	for j, sc := range rproj {
 		ci := len(lproj) + j
-		w := b.schema.ColWidth(ci)
 		d, dStride := b.colLayout(ci)
-		d += b.n * dStride
-		var cur *Block
-		var sOff, sStride int
-		for i, r := range rrows {
-			if src := rights[i]; src == nil {
-				clear(b.data[d : d+w])
-			} else {
-				if src != cur {
-					cur = src
-					sOff, sStride = src.colLayout(sc)
-				}
-				s := sOff + int(r)*sStride
-				if w == 8 {
-					binary.LittleEndian.PutUint64(b.data[d:], binary.LittleEndian.Uint64(src.data[s:]))
-				} else {
-					copy(b.data[d:d+w], src.data[s:s+w])
-				}
-			}
-			d += dStride
-		}
+		pairCells(b.schema.ColWidth(ci), b.data, d+b.n*dStride, dStride, rights, sc, rrows)
 	}
 	b.n += n
 	return n

@@ -415,3 +415,81 @@ func TestColViewMatchesDatumAt(t *testing.T) {
 		}
 	}
 }
+
+// kernelBlock fills a 128 KiB block of a lineitem-like projection (four
+// 8-byte columns, a date, a one-byte char) with deterministic rows.
+func kernelBlock(format Format) *Block {
+	s := NewSchema(
+		Column{Name: "a", Type: types.Int64}, Column{Name: "b", Type: types.Int64},
+		Column{Name: "c", Type: types.Float64}, Column{Name: "d", Type: types.Float64},
+		Column{Name: "e", Type: types.Date}, Column{Name: "f", Type: types.Char, Width: 1},
+	)
+	b := NewBlock(s, format, 128<<10)
+	for i := 0; !b.Full(); i++ {
+		b.AppendRow(types.NewInt64(int64(i)), types.NewInt64(int64(i*7)), types.NewFloat64(float64(i)/3),
+			types.NewFloat64(float64(i)/5), types.NewDate(int32(i%2000)), types.NewString("AR"[i%2:i%2+1]))
+	}
+	return b
+}
+
+// BenchmarkAppendFromMany is the select's copy: half of a block's rows,
+// every column, into temp blocks of the same format.
+func BenchmarkAppendFromMany(b *testing.B) {
+	for _, f := range []Format{ColumnStore, RowStore} {
+		b.Run(f.String(), func(b *testing.B) {
+			src := kernelBlock(f)
+			var sel []int32
+			for r := 0; r < src.NumRows(); r += 2 {
+				sel = append(sel, int32(r))
+			}
+			proj := []int{0, 1, 2, 3, 4, 5}
+			dst := NewBlock(src.Schema(), f, 128<<10)
+			b.SetBytes(int64(len(sel) * src.Schema().RowWidth()))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst.Reset()
+				dst.AppendFromMany(src, sel, proj)
+			}
+		})
+	}
+}
+
+// BenchmarkGatherInt64 loads one 8-byte column of a full block.
+func BenchmarkGatherInt64(b *testing.B) {
+	for _, f := range []Format{ColumnStore, RowStore} {
+		b.Run(f.String(), func(b *testing.B) {
+			src := kernelBlock(f)
+			var dst []int64
+			b.SetBytes(int64(8 * src.NumRows()))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = src.GatherInt64(1, dst)
+			}
+		})
+	}
+}
+
+// BenchmarkAppendPairs is the probe's emit: every row of a block paired with
+// a row of one of 8 payload blocks.
+func BenchmarkAppendPairs(b *testing.B) {
+	left := kernelBlock(ColumnStore)
+	var rights []*Block
+	for i := 0; i < 8; i++ {
+		rights = append(rights, kernelBlock(RowStore))
+	}
+	n := left.NumRows()
+	lrows, rrows, rbs := make([]int32, n), make([]int32, n), make([]*Block, n)
+	for i := range lrows {
+		lrows[i], rrows[i], rbs[i] = int32(i), int32((i*37)%n), rights[(i*13)%8]
+	}
+	out := NewSchema(
+		Column{Name: "l0", Type: types.Int64}, Column{Name: "l1", Type: types.Int64}, Column{Name: "l2", Type: types.Float64},
+		Column{Name: "r0", Type: types.Int64}, Column{Name: "r1", Type: types.Int64},
+	)
+	dst := NewBlock(out, ColumnStore, 256<<10)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst.Reset()
+		dst.AppendPairs(left, lrows, []int{0, 1, 2}, rbs, rrows, []int{0, 1})
+	}
+}

@@ -83,6 +83,9 @@ func EncodedLen(b *Block) int {
 // returns the encoded bytes. The encoding is self-describing — schema,
 // format, row count, capacity, checksum — so a decoder needs no side channel.
 func EncodeBlock(b *Block, buf []byte) []byte {
+	if b.proj != nil {
+		panic("storage: encoding a view; materialize it first")
+	}
 	need := EncodedLen(b)
 	if cap(buf) < need {
 		buf = make([]byte, need)

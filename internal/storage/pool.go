@@ -3,6 +3,7 @@ package storage
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/stats"
 )
@@ -154,26 +155,94 @@ func (p *Pool) subLive(n int64) {
 // block of that owner if one exists, else a new block laid over a recycled
 // allocation of that budget, else over a fresh one.
 func (p *Pool) CheckOut(owner int, schema *Schema, format Format, blockBytes int) *Block {
+	if b := p.resume(owner); b != nil {
+		return b
+	}
+	b := newBlockOver(schema, format, blockBytes, p.takeBuf(bufKey(schema, blockBytes)))
+	p.charge(b)
+	return b
+}
+
+// CheckOutView is CheckOut for a view (Block.AppendView) whose column i is
+// column proj[i] of its base blocks: a checked-in partial view of owner, else
+// an empty view holding as many rows as a blockBytes temp block of schema,
+// with a rows buffer of 4 bytes a row from the freelist. The base blocks
+// belong to their tables and outlive the run, so only the rows buffer is
+// charged.
+func (p *Pool) CheckOutView(owner int, schema *Schema, proj []int, format Format, blockBytes int) *Block {
+	if b := p.resume(owner); b != nil {
+		return b
+	}
+	cap := max(1, blockBytes/schema.RowWidth())
+	buf := p.takeBuf(4 * cap)[:4*cap]
+	b := &Block{
+		schema: schema, format: format, capacity: cap, data: buf,
+		proj: proj, rows: unsafe.Slice((*int32)(unsafe.Pointer(&buf[0])), cap),
+	}
+	p.charge(b)
+	return b
+}
+
+// resume counts a checkout and pops owner's last checked-in partial block,
+// if any.
+func (p *Pool) resume(owner int) *Block {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.checkouts != nil {
+		p.checkouts()
+	}
+	ps := p.partial[owner]
+	if len(ps) == 0 {
+		return nil
+	}
+	b := ps[len(ps)-1]
+	p.partial[owner] = ps[:len(ps)-1]
+	return b
+}
+
+// charge credits a fresh allocation to the live gauges. It is the
+// allocation edge that can push the pool over its RAM threshold, so the
+// spill tier sheds cold blocks right here, on the worker's stack, rather
+// than waiting for the scheduler's next cool.
+func (p *Pool) charge(b *Block) {
+	p.addLive(int64(b.AllocBytes()))
+	if t := p.root().spill.Load(); t != nil {
+		t.balance()
+	}
+}
+
+// Materialize turns view b, in place, into the temp block its rows make:
+// the cells are copied out of the base blocks into an allocation of
+// blockBytes, the budget the view was checked out with, charged to p like a checkout's and counted as one, and the
+// rows buffer goes back to the freelist. The block keeps its identity, so
+// whoever owned the view owns the block. A block that is not a view is left
+// alone. Only the view's one reader may call it: the view changes under any
+// other.
+func (p *Pool) Materialize(b *Block, blockBytes int) {
+	if b.proj == nil {
+		return
+	}
 	p.mu.Lock()
 	if p.checkouts != nil {
 		p.checkouts()
 	}
-	if ps := p.partial[owner]; len(ps) > 0 {
-		b := ps[len(ps)-1]
-		p.partial[owner] = ps[:len(ps)-1]
-		p.mu.Unlock()
-		return b
-	}
 	p.mu.Unlock()
-	b := newBlockOver(schema, format, blockBytes, p.takeBuf(bufKey(schema, blockBytes)))
-	p.addLive(int64(b.AllocBytes()))
-	// A fresh checkout is the allocation edge that can push the pool over
-	// its RAM threshold; let the spill tier shed cold blocks right here, on
-	// the worker's stack, rather than waiting for the scheduler's next cool.
-	if t := p.root().spill.Load(); t != nil {
-		t.balance()
+	m := newBlockOver(b.schema, b.format, blockBytes, p.takeBuf(bufKey(b.schema, blockBytes)))
+	lo := 0
+	for _, sg := range b.segs {
+		for ci, sc := range b.proj {
+			d, dStride := m.colLayout(ci)
+			off, stride := sg.base.colLayout(sc)
+			copyCells(m.schema.ColWidth(ci), m.data, d+lo*dStride, dStride, sg.base.data, off, stride, sg.base.capacity, b.rows[lo:sg.end])
+		}
+		lo = sg.end
 	}
-	return b
+	m.n = b.n
+	rows := b.data
+	*b = *m
+	p.charge(b)
+	p.subLive(int64(len(rows)))
+	p.putBuf(rows)
 }
 
 // CheckIn returns a partially-filled block to the pool for later resumption
@@ -241,6 +310,6 @@ func (p *Pool) Release(b *Block) {
 	}
 	p.subLive(int64(b.AllocBytes()))
 	buf := b.data
-	b.data = nil
+	b.data, b.rows, b.segs = nil, nil, nil
 	p.putBuf(buf)
 }

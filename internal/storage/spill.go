@@ -219,6 +219,9 @@ func (t *spillTier) cool(view *Pool, b *Block) {
 	if _, ok := t.entries[b]; ok {
 		return // already tracked (block re-emitted after a rollback)
 	}
+	if b.proj != nil {
+		return // a view is 4 bytes a row and its base blocks never leave RAM
+	}
 	ent := &spillEntry{view: view, alloc: int64(b.AllocBytes()), bufCap: cap(b.data)}
 	ent.elem = t.lru.PushBack(b)
 	t.entries[b] = ent
