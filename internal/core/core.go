@@ -312,7 +312,8 @@ func (p *Plan) AddScalar(op OpID) int {
 
 // Emitter materializes an operator's output into temporary blocks via the
 // pool, sealing full blocks into the work order's Output and checking
-// partial blocks back in for the next work order of the same operator.
+// partial blocks back in for the next work order of the same operator (or
+// sealing them too, see Seal). It is the only writer of work-order output.
 //
 // The emitter tracks what the current attempt acquired — the row count of
 // the resumed block at checkout, plus every block it sealed — so a failed
@@ -383,39 +384,41 @@ func (e *Emitter) seal() {
 	}
 }
 
-// AppendRow appends a materialized row, sealing and replacing full blocks.
-// Like every appender it retries until the row lands: a resumed partial from
-// the pool may itself be exactly full (Close checks it in as a partial), so
-// one seal-and-retry is not enough.
-func (e *Emitter) AppendRow(vals ...types.Datum) {
-	for !e.ensure().AppendRow(vals...) {
-		e.seal()
-	}
-	e.out.RowsOut++
-}
-
-// AppendFrom appends a projection of a source row (see Block.AppendFrom).
-func (e *Emitter) AppendFrom(src *storage.Block, srcRow int, projIdx []int) {
-	for !e.ensure().AppendFrom(src, srcRow, projIdx) {
-		e.seal()
-	}
-	e.out.RowsOut++
-}
-
-// AppendMany bulk-appends the projection projIdx of the given src rows,
-// sealing and replacing full blocks exactly where per-row AppendFrom would
-// (the select operator's materialization; see Block.AppendFromMany for the
-// projection contract).
-func (e *Emitter) AppendMany(src *storage.Block, rows []int32, projIdx []int) {
-	for len(rows) > 0 {
-		took := e.ensure().AppendFromMany(src, rows, projIdx)
+// fill appends the caller's n rows through app, which appends them from
+// row at onward to b and returns how many it took — zero when b is full. It
+// seals and replaces full blocks until every row lands: a resumed partial
+// from the pool may itself be exactly full (Close checks it in as a
+// partial), so one seal-and-retry is not enough. Every appender runs this
+// one loop, so each seals exactly where appending rows one at a time would.
+func (e *Emitter) fill(n int, app func(b *storage.Block, at int) int) {
+	for at := 0; at < n; {
+		took := app(e.ensure(), at)
 		if took == 0 {
 			e.seal()
 			continue
 		}
-		rows = rows[took:]
+		at += took
 		e.out.RowsOut += int64(took)
 	}
+}
+
+// AppendRow appends a materialized row.
+func (e *Emitter) AppendRow(vals ...types.Datum) {
+	e.fill(1, func(b *storage.Block, _ int) int {
+		if b.AppendRow(vals...) {
+			return 1
+		}
+		return 0
+	})
+}
+
+// AppendMany bulk-appends the projection projIdx of the given src rows (the
+// select operator's materialization; see Block.AppendFromMany for the
+// projection contract).
+func (e *Emitter) AppendMany(src *storage.Block, rows []int32, projIdx []int) {
+	e.fill(len(rows), func(b *storage.Block, at int) int {
+		return b.AppendFromMany(src, rows[at:], projIdx)
+	})
 }
 
 // AppendView appends the given rows of base-table block src, projected
@@ -426,44 +429,41 @@ func (e *Emitter) AppendMany(src *storage.Block, rows []int32, projIdx []int) {
 // An emitter appends only views once it has appended one.
 func (e *Emitter) AppendView(src *storage.Block, rows []int32, proj []int) {
 	e.proj = proj
-	for len(rows) > 0 {
-		took := e.ensure().AppendView(src, rows)
-		if took == 0 {
-			e.seal()
-			continue
-		}
-		rows = rows[took:]
-		e.out.RowsOut += int64(took)
-	}
+	e.fill(len(rows), func(b *storage.Block, at int) int {
+		return b.AppendView(src, rows[at:])
+	})
 }
 
-// AppendPairs bulk-appends joined tuples (see Block.AppendPairs), sealing
-// and replacing full blocks exactly where appending them one at a time
-// would.
+// AppendPairs bulk-appends joined tuples (see Block.AppendPairs).
 func (e *Emitter) AppendPairs(l *storage.Block, lrows []int32, lproj []int, rs []*storage.Block, rrows []int32, rproj []int) {
-	for len(lrows) > 0 {
-		took := e.ensure().AppendPairs(l, lrows, lproj, rs, rrows, rproj)
-		if took == 0 {
-			e.seal()
-			continue
-		}
-		lrows, rs, rrows = lrows[took:], rs[took:], rrows[took:]
-		e.out.RowsOut += int64(took)
-	}
+	e.fill(len(lrows), func(b *storage.Block, at int) int {
+		return b.AppendPairs(l, lrows[at:], lproj, rs[at:], rrows[at:], rproj)
+	})
+}
+
+// AppendRows bulk-appends rows gathered from many source blocks (see
+// Block.AppendRows): the sort merge's output.
+func (e *Emitter) AppendRows(srcs []*storage.Block, rows []int32, proj []int) {
+	e.fill(len(rows), func(b *storage.Block, at int) int {
+		return b.AppendRows(srcs[at:], rows[at:], proj)
+	})
 }
 
 // AppendColumns bulk-appends the given rows of computed columns (see
-// Block.AppendColumns), sealing and replacing full blocks exactly where
-// appending them one at a time would.
+// Block.AppendColumns).
 func (e *Emitter) AppendColumns(srcs []storage.ColSource, rows []int32) {
-	for len(rows) > 0 {
-		took := e.ensure().AppendColumns(srcs, rows)
-		if took == 0 {
-			e.seal()
-			continue
-		}
-		rows = rows[took:]
-		e.out.RowsOut += int64(took)
+	e.fill(len(rows), func(b *storage.Block, at int) int {
+		return b.AppendColumns(srcs, rows[at:])
+	})
+}
+
+// Seal seals the current partial block into the work order's Output instead
+// of leaving it for Close to check in, so no later work order of the
+// operator appends to it: the sort merge's range partitions each end with
+// their own last block and reach the out-edges in partition order.
+func (e *Emitter) Seal() {
+	if e.cur != nil {
+		e.seal()
 	}
 }
 

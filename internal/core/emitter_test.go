@@ -102,6 +102,9 @@ func TestEmitterCloseWithNoRowsReleasesBlock(t *testing.T) {
 	}
 }
 
+// TestEmitterAppendVariantsRoundTrip: each bulk appender lands its row, and
+// Seal seals the partial block into the output where Close would have
+// checked it in, leaving Close nothing to check in.
 func TestEmitterAppendVariantsRoundTrip(t *testing.T) {
 	twoCol := storage.NewSchema(
 		storage.Column{Name: "a", Type: types.Int64},
@@ -114,21 +117,24 @@ func TestEmitterAppendVariantsRoundTrip(t *testing.T) {
 	ctx.TempBlockBytes = 1 << 10
 	out := &Output{}
 	em := NewEmitter(ctx, out, 5, twoCol)
-	em.AppendFrom(src, 0, []int{0, 1})
+	em.AppendMany(src, []int32{0}, []int{0, 1})
 	em.AppendPairs(src, []int32{0}, []int{1}, []*storage.Block{src}, []int32{0}, []int{0})
+	em.AppendRows([]*storage.Block{src, nil}, []int32{0, 0}, []int{1, 0})
+	em.Seal()
 	em.Close()
-	parts := ctx.Pool.TakePartials(5)
-	if len(parts) != 1 || parts[0].NumRows() != 2 {
-		t.Fatalf("partials = %v", parts)
+	if parts := ctx.Pool.TakePartials(5); len(parts) != 0 {
+		t.Fatalf("partials after Seal = %d", len(parts))
 	}
-	b := parts[0]
-	if b.Int64At(0, 0) != 1 || b.Int64At(1, 0) != 2 {
-		t.Fatal("AppendFrom row wrong")
+	if len(out.Blocks) != 1 || out.Blocks[0].NumRows() != 4 {
+		t.Fatalf("sealed = %v", out.Blocks)
 	}
-	if b.Int64At(0, 1) != 2 || b.Int64At(1, 1) != 1 {
-		t.Fatal("AppendPairs row wrong")
+	b := out.Blocks[0]
+	for i, want := range [][2]int64{{1, 2}, {2, 1}, {2, 1}, {0, 0}} {
+		if got := [2]int64{b.Int64At(0, i), b.Int64At(1, i)}; got != want {
+			t.Errorf("row %d = %v, want %v", i, got, want)
+		}
 	}
-	if out.RowsOut != 2 {
+	if out.RowsOut != 4 {
 		t.Fatalf("rows out = %d", out.RowsOut)
 	}
 }
@@ -144,7 +150,10 @@ func TestEmitterOverflowIntoFullPartialKeepsRow(t *testing.T) {
 	src.AppendRow(types.NewInt64(-1))
 	appenders := map[string]func(*Emitter, int64){
 		"AppendRow":  func(e *Emitter, v int64) { e.AppendRow(types.NewInt64(v)) },
-		"AppendFrom": func(e *Emitter, _ int64) { e.AppendFrom(src, 0, []int{0}) },
+		"AppendRows": func(e *Emitter, _ int64) { e.AppendRows([]*storage.Block{src}, []int32{0}, []int{0}) },
+		"AppendColumns": func(e *Emitter, v int64) {
+			e.AppendColumns([]storage.ColSource{{I: []int64{v}}}, []int32{0})
+		},
 		"AppendMany": func(e *Emitter, _ int64) { e.AppendMany(src, []int32{0}, []int{0}) },
 		"AppendPairs": func(e *Emitter, _ int64) {
 			e.AppendPairs(src, []int32{0}, []int{0}, []*storage.Block{nil}, []int32{0}, nil)

@@ -261,6 +261,72 @@ func TestRetryRecoversPreMutationFaults(t *testing.T) {
 	}
 }
 
+// TestSortMergeRecoversBlockMaterializeFaults: the sort's merge writes its
+// output through an emitter, so it consults the block_materialize site and
+// a faulted merge — error, panic or allocation failure — is rolled back and
+// retried on the sort operator itself. Workers 1 and a fixed seed make the
+// schedule deterministic; 8 KiB blocks keep the merge to three of them, so
+// an attempt survives with probability 0.75^3 at rate 0.25.
+func TestSortMergeRecoversBlockMaterializeFaults(t *testing.T) {
+	_, fact, _ := fixture(t, storage.ColumnStore, 512)
+	build := func() *Builder {
+		b := NewBuilder()
+		fs := fact.Schema()
+		sel := b.ScanSelect(exec.SelectSpec{
+			Name: "sel_fact", Base: fact,
+			Proj:      []expr.Expr{expr.C(fs, "k"), expr.C(fs, "grp"), expr.C(fs, "v")},
+			ProjNames: []string{"k", "grp", "v"},
+		})
+		b.Collect(b.Sort(sel, exec.SortSpec{
+			Name:  "sort",
+			Terms: []exec.SortTerm{{Key: expr.C(sel.Schema, "v"), Desc: true}},
+		}))
+		return b
+	}
+	opts := func(inj *faults.Injector, live *stats.MemGauge) Options {
+		return Options{
+			Workers: 1, UoTBlocks: 1, TempBlockBytes: 8 << 10,
+			Faults: inj, Pool: storage.NewPool(live, nil),
+		}
+	}
+	base, err := Execute(build(), opts(nil, new(stats.MemGauge)))
+	if err != nil {
+		t.Fatalf("fault-free: %v", err)
+	}
+	want := Rows(base.Table) // v is distinct, so the order is total
+	for _, kind := range []faults.Kind{faults.KindError, faults.KindPanic, faults.KindAlloc} {
+		t.Run(kind.String(), func(t *testing.T) {
+			var live stats.MemGauge
+			res, err := Execute(build(), opts(faults.New(faults.Config{
+				Seed:  11,
+				Rates: map[faults.Site]float64{faults.BlockMaterialize: 0.25},
+				Kinds: []faults.Kind{kind},
+			}), &live))
+			if err != nil {
+				t.Fatalf("faulted: %v", err)
+			}
+			if !reflect.DeepEqual(Rows(res.Table), want) {
+				t.Fatal("retried run's rows differ from the fault-free run's")
+			}
+			if r := res.Run.Robust(); r.LeakedBlocks+r.OutstandingRefs != 0 {
+				t.Fatalf("leaks after retried run: %+v", r)
+			}
+			if live.Live() != 0 {
+				t.Fatalf("retried run left %d live temp bytes", live.Live())
+			}
+			failed := 0
+			for _, op := range res.Run.PerOp() {
+				if op.Name == "sort" {
+					failed = op.FailedAttempts
+				}
+			}
+			if failed == 0 {
+				t.Fatal("the sort operator shows no failed attempt: the merge consults no fault site")
+			}
+		})
+	}
+}
+
 // TestPersistentFaultFailsTyped: a site that always faults fails the query
 // with the typed exhaustion error after exactly 8 attempts — there
 // is no second kernel to finish on. Execute returns no Result on failure, so

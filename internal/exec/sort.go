@@ -26,7 +26,7 @@ const (
 	// it extra partitions cost more in splitter overhead than they win.
 	sortMinMergeRows = 4096
 	// sortGatherBatch is how many merged rows are staged before a columnar
-	// gather into the output block.
+	// gather into the output blocks.
 	sortGatherBatch = 1024
 )
 
@@ -357,9 +357,11 @@ func (o *SortOp) Final(ctx *core.ExecCtx) []core.WorkOrder {
 	return wos
 }
 
-// sortMergeWO merges one key range of every run and materializes it into
-// temporary blocks via the columnar gather kernel. As a Final work order its
-// blocks reach the out-edges in partition order.
+// sortMergeWO merges one key range of every run and appends it, a batch of
+// merged rows at a time, through an emitter (Block.AppendRows gathers it
+// column at a time). It seals its last partial block rather than checking
+// it in, so as a Final work order its blocks reach the out-edges in
+// partition order.
 type sortMergeWO struct {
 	op     *SortOp
 	lo, hi []uint64 // partition bounds as key tuples; nil = open end
@@ -389,20 +391,13 @@ func (w *sortMergeWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	for i := range proj {
 		proj[i] = i
 	}
-	var blocks []*storage.Block
-	abort := func(err error) error {
-		for _, b := range blocks {
-			ctx.Pool.Release(b)
-		}
-		return err
-	}
 	remaining := -1
 	if o.limit > 0 {
 		remaining = o.limit // single partition when limited, so this is global
 	}
-	var srcBuf, rowBuf [sortGatherBatch]int32
-	var cur *storage.Block
-	rows := int64(0)
+	em := core.NewEmitter(ctx, out, o.self, o.schema)
+	var srcBuf [sortGatherBatch]*storage.Block
+	var rowBuf [sortGatherBatch]int32
 	for {
 		bn := 0
 		for bn < sortGatherBatch && remaining != 0 {
@@ -410,7 +405,7 @@ func (w *sortMergeWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 			if !ok {
 				break
 			}
-			srcBuf[bn], rowBuf[bn] = int32(run), row
+			srcBuf[bn], rowBuf[bn] = o.blocks[run], row
 			bn++
 			if remaining > 0 {
 				remaining--
@@ -419,31 +414,10 @@ func (w *sortMergeWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 		if bn == 0 {
 			break
 		}
-		rows += int64(bn)
-		at := 0
-		for at < bn {
-			if cur == nil {
-				if err := ctx.Canceled(); err != nil {
-					return abort(err)
-				}
-				cur = ctx.Pool.CheckOut(int(o.self), o.schema, ctx.TempFormat, ctx.TempBlockBytes)
-				blocks = append(blocks, cur)
-			}
-			at += cur.AppendGather(o.blocks, srcBuf[at:bn], rowBuf[at:bn], proj)
-			if cur.Full() {
-				if ctx.Sim != nil {
-					out.Sim += ctx.Sim.Produced(cur, int64(cur.UsedBytes()))
-				}
-				cur = nil
-			}
-		}
+		em.AppendRows(srcBuf[:bn], rowBuf[:bn], proj)
 	}
-	if cur != nil && ctx.Sim != nil {
-		out.Sim += ctx.Sim.Produced(cur, int64(cur.UsedBytes()))
-	}
-	out.BatchedRows += rows
-	out.RowsOut += rows
-	out.Blocks = append(out.Blocks, blocks...)
+	em.Seal()
+	out.BatchedRows += out.RowsOut
 	return nil
 }
 

@@ -306,7 +306,7 @@ func rowBlocks(b *storage.Block) []*storage.Block {
 	out := make([]*storage.Block, b.NumRows())
 	for r := range out {
 		out[r] = storage.NewBlock(b.Schema(), storage.ColumnStore, b.Schema().RowWidth())
-		out[r].AppendFrom(b, r, []int{0, 1, 2, 3})
+		out[r].AppendRow(b.Row(r)...)
 	}
 	return out
 }
@@ -722,7 +722,7 @@ func FuzzHashTable(f *testing.F) {
 			}
 			rest := storage.NewBlock(keyedSchema(), storage.ColumnStore, (len(ops)-half+1)*32)
 			for r := half; r < len(ops); r++ {
-				rest.AppendFrom(src, r, []int{0, 1, 2, 3})
+				rest.AppendRow(src.Row(r)...)
 			}
 			ht.InsertBlock(rest, keyCols, payIdx, sc)
 			if ht.Len() != len(ops) {

@@ -45,7 +45,7 @@ type Config struct {
 	// BlockBytes is the temporary-block size (default 128 KB). Temp blocks
 	// use the row store.
 	BlockBytes int
-	// UoTBlocks is the default unit of transfer (default 1).
+	// UoTBlocks is every query's unit of transfer, in blocks (default 1).
 	UoTBlocks int
 	// Trace, if non-nil, records every query into its own concurrent trace
 	// section, span-labelled with the query id.
@@ -133,12 +133,6 @@ type Request struct {
 	// spill tier are the memory caps. ROADMAP item 1(i) deletes the field
 	// together with the benchmark driver's one assignment to it.
 	MemoryBudget int64
-	// Workers overrides the per-query in-flight cap (0 = config default).
-	// Values above 1 trade the bit-identical-schedule guarantee for
-	// intra-query parallelism.
-	Workers int
-	// UoTBlocks overrides the default unit of transfer (0 = config default).
-	UoTBlocks int
 	// Faults passes through to the engine (see engine.Options).
 	Faults *faults.Injector
 }
@@ -236,8 +230,8 @@ func (s *Session) Submit(req Request) (*Response, error) {
 	b := req.Build()
 
 	opts := engine.Options{
-		Workers:        req.Workers,
-		UoTBlocks:      req.UoTBlocks,
+		Workers:        s.cfg.PerQueryWorkers,
+		UoTBlocks:      s.cfg.UoTBlocks,
 		TempBlockBytes: s.cfg.BlockBytes,
 		TempFormat:     storage.RowStore,
 		Faults:         req.Faults,
@@ -246,12 +240,6 @@ func (s *Session) Submit(req Request) (*Response, error) {
 		Exec:           s.pool,
 		Pool:           s.blocks,
 		Priority:       req.Priority,
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = s.cfg.PerQueryWorkers
-	}
-	if opts.UoTBlocks <= 0 {
-		opts.UoTBlocks = s.cfg.UoTBlocks
 	}
 	// The estimate prices edge buffers at the UoT the run will start them at.
 	// With a spill tier it splits: the RAM-resident share competes for the

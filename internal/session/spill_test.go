@@ -75,10 +75,9 @@ func TestSpillAdmitsOverRAMQuery(t *testing.T) {
 	// A budget the resident share fits but the undivided estimate does not.
 	budget := ram + spillable/2
 
-	ramOnly := Open(Config{Workers: 2, MemoryBudget: budget, BlockBytes: blockBytes})
+	ramOnly := Open(Config{Workers: 2, MemoryBudget: budget, BlockBytes: blockBytes, UoTBlocks: uot})
 	_, err = ramOnly.Submit(Request{
-		Build:     func() *engine.Builder { return joinAggPlan(fact, dim) },
-		UoTBlocks: uot,
+		Build: func() *engine.Builder { return joinAggPlan(fact, dim) },
 	})
 	ramOnly.Close()
 	if !errors.Is(err, ErrAdmissionRejected) || !errors.Is(err, core.ErrMemoryBudget) {
@@ -86,13 +85,12 @@ func TestSpillAdmitsOverRAMQuery(t *testing.T) {
 	}
 
 	spilly := Open(Config{
-		Workers: 2, MemoryBudget: budget, BlockBytes: blockBytes,
+		Workers: 2, MemoryBudget: budget, BlockBytes: blockBytes, UoTBlocks: uot,
 		SpillDir: t.TempDir(),
 	})
 	defer spilly.Close()
 	resp, err := spilly.Submit(Request{
-		Build:     func() *engine.Builder { return joinAggPlan(fact, dim) },
-		UoTBlocks: uot,
+		Build: func() *engine.Builder { return joinAggPlan(fact, dim) },
 	})
 	if err != nil {
 		t.Fatalf("spill session shed the query the disk budget should cover: %v", err)

@@ -243,21 +243,6 @@ func (b *Block) AppendRow(vals ...types.Datum) bool {
 	return true
 }
 
-// AppendFrom appends the projection projIdx of row srcRow of src. Schemas
-// must line up (dst column i == src column projIdx[i]); this is the inner
-// loop of the select operator's output materialization. It returns false if
-// the block is full.
-func (b *Block) AppendFrom(src *Block, srcRow int, projIdx []int) bool {
-	if b.room(1) == 0 {
-		return false
-	}
-	for i, sc := range projIdx {
-		copy(b.cell(i, b.n), src.cell(sc, srcRow))
-	}
-	b.n++
-	return true
-}
-
 // colLayout returns where column col's cells sit in b.data: row r's cell
 // starts at off + r*stride. Every columnar kernel resolves it once per column
 // instead of once per cell. A view has no layout of its own; kernels resolve
@@ -545,13 +530,35 @@ func (b *Block) AppendPairs(left *Block, lrows []int32, lproj []int, rights []*B
 	}
 	lrows, rights, rrows = lrows[:n], rights[:n], rrows[:n]
 	b.copyColumns(left, lrows, lproj)
-	for j, sc := range rproj {
-		ci := len(lproj) + j
-		d, dStride := b.colLayout(ci)
-		pairCells(b.schema.ColWidth(ci), b.data, d+b.n*dStride, dStride, rights, sc, rrows)
-	}
+	b.pairColumns(len(lproj), rights, rrows, rproj)
 	b.n += n
 	return n
+}
+
+// AppendRows appends rows gathered from many source blocks, column at a
+// time: row i is the projection proj of row rows[i] of srcs[i], or zeros
+// where srcs[i] is nil. It stops when the block fills and returns how many
+// rows were appended. All non-nil sources must share one schema and be
+// blocks, not views — the sort merge's output kernel, whose consecutive rows
+// mostly come from one run.
+func (b *Block) AppendRows(srcs []*Block, rows []int32, proj []int) int {
+	n := b.room(len(rows))
+	if n == 0 {
+		return 0
+	}
+	b.pairColumns(0, srcs[:n], rows[:n], proj)
+	b.n += n
+	return n
+}
+
+// pairColumns writes column proj[j] of row rows[i] of srcs[i] (zeros where
+// srcs[i] is nil) to column first+j of the block's row b.n+i.
+func (b *Block) pairColumns(first int, srcs []*Block, rows []int32, proj []int) {
+	for j, sc := range proj {
+		ci := first + j
+		d, dStride := b.colLayout(ci)
+		pairCells(b.schema.ColWidth(ci), b.data, d+b.n*dStride, dStride, srcs, sc, rows)
+	}
 }
 
 // ColSource is one column of computed values for AppendColumns: I for an
@@ -597,42 +604,6 @@ func (b *Block) AppendColumns(srcs []ColSource, rows []int32) int {
 				clear(cell[copy(cell, s.C.Bytes(int(r))):])
 				d += stride
 			}
-		}
-	}
-	b.n += len(take)
-	return len(take)
-}
-
-// AppendGather appends rows gathered from multiple source blocks — row i of
-// the batch is row rows[i] of srcs[srcIdx[i]] — stopping when the block
-// fills, and returns how many rows were appended. All sources must share a
-// schema; projIdx maps destination columns to source columns. Like
-// AppendFromMany, layouts resolve once per (column, source-switch), so a
-// merged sort stream whose consecutive rows mostly come from the same run
-// copies in tight offset-stride segments; this is the sort emit kernel that
-// replaces per-row AppendFrom.
-func (b *Block) AppendGather(srcs []*Block, srcIdx []int32, rows []int32, projIdx []int) int {
-	take := rows[:b.room(len(rows))]
-	if len(take) == 0 {
-		return 0
-	}
-	idx := srcIdx[:len(take)]
-	for ci, sc := range projIdx {
-		w := b.schema.ColWidth(ci)
-		d, dStride := b.colLayout(ci)
-		d += b.n * dStride
-		cur := int32(-1)
-		var src *Block
-		var sOff, sStride int
-		for i, r := range take {
-			if idx[i] != cur {
-				cur = idx[i]
-				src = srcs[cur]
-				sOff, sStride = src.colLayout(sc)
-			}
-			s := sOff + int(r)*sStride
-			copy(b.data[d:d+w], src.data[s:s+w])
-			d += dStride
 		}
 	}
 	b.n += len(take)

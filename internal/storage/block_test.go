@@ -131,8 +131,8 @@ func TestAppendFromProjection(t *testing.T) {
 
 	dstSchema := s.Project([]int{3, 1})
 	dst := NewBlock(dstSchema, RowStore, 4096)
-	if !dst.AppendFrom(src, 0, []int{3, 1}) {
-		t.Fatal("AppendFrom failed")
+	if dst.AppendFromMany(src, []int32{0}, []int{3, 1}) != 1 {
+		t.Fatal("AppendFromMany failed")
 	}
 	if got := string(types.TrimPad(dst.BytesAt(0, 0))); got != "hello" {
 		t.Errorf("projected char = %q", got)
@@ -184,6 +184,105 @@ func TestAppendPairsJoinRows(t *testing.T) {
 			t.Errorf("%s: appended into a full block", format)
 		}
 	}
+}
+
+// projectRow is row r of src projected through proj: the oracle the bulk
+// appends are checked against, one AppendRow at a time.
+func projectRow(src *Block, r int, proj []int) []types.Datum {
+	row := src.Row(r)
+	out := make([]types.Datum, len(proj))
+	for i, c := range proj {
+		out[i] = row[c]
+	}
+	return out
+}
+
+// randomRows fills b with random rows of testSchema.
+func randomRows(rng *rand.Rand, b *Block) *Block {
+	for !b.Full() {
+		str := make([]byte, rng.Intn(11))
+		for j := range str {
+			str[j] = byte('a' + rng.Intn(26))
+		}
+		b.AppendRow(
+			types.NewInt64(rng.Int63()-rng.Int63()),
+			types.NewFloat64(rng.NormFloat64()),
+			types.NewDate(int32(rng.Int31()-rng.Int31())),
+			types.NewChar(str),
+		)
+	}
+	return b
+}
+
+// TestAppendRowsMatchesAppendRow: AppendRows writes what per-row AppendRow
+// of each source row's projection writes — char, 8-byte and 4-byte cells,
+// from sources of either layout that change from row to row — zero-fills
+// the rows whose source is nil, stops where the block fills, and panics on
+// a view source.
+func TestAppendRowsMatchesAppendRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	srcs := []*Block{
+		randomRows(rng, NewBlock(testSchema(), RowStore, 1024)),
+		randomRows(rng, NewBlock(testSchema(), ColumnStore, 1024)),
+		randomRows(rng, NewBlock(testSchema(), ColumnStore, 512)),
+	}
+	proj := []int{3, 0, 2, 1} // Char, Int64, Date, Float64
+	zero := []types.Datum{types.NewChar(nil), types.NewInt64(0), types.NewDate(0), types.NewFloat64(0)}
+	dstSch := testSchema().Project(proj)
+	var from []*Block
+	var rows []int32
+	for i := 0; i < 300; i++ {
+		var src *Block
+		if rng.Intn(6) > 0 {
+			src = srcs[rng.Intn(len(srcs))]
+		}
+		from = append(from, src)
+		if src == nil {
+			rows = append(rows, int32(rng.Intn(1<<20)))
+		} else {
+			rows = append(rows, int32(rng.Intn(src.NumRows())))
+		}
+	}
+	for _, format := range []Format{RowStore, ColumnStore} {
+		want := NewBlock(dstSch, format, 4096)
+		for i, r := range rows {
+			row := zero
+			if from[i] != nil {
+				row = projectRow(from[i], int(r), proj)
+			}
+			if !want.AppendRow(row...) {
+				break
+			}
+		}
+		got := NewBlock(dstSch, format, 4096)
+		for !got.Full() { // stale cells a zero fill must overwrite
+			got.AppendRow(types.NewString("stale"), types.NewInt64(9), types.NewDate(9), types.NewFloat64(9))
+		}
+		got.Reset()
+		n := got.AppendRows(from[:7], rows[:7], proj)
+		n += got.AppendRows(from[n:], rows[n:], proj)
+		if n != want.NumRows() || n != got.Capacity() {
+			t.Fatalf("%v: AppendRows appended %d rows, per-row path %d, capacity %d", format, n, want.NumRows(), got.Capacity())
+		}
+		for r := 0; r < n; r++ {
+			for c := 0; c < dstSch.NumCols(); c++ {
+				if !types.Equal(got.DatumAt(c, r), want.DatumAt(c, r)) {
+					t.Fatalf("%v row %d col %d: got %v want %v", format, r, c, got.DatumAt(c, r), want.DatumAt(c, r))
+				}
+			}
+		}
+		if got.AppendRows(from[n:], rows[n:], proj) != 0 {
+			t.Errorf("%v: appended into a full block", format)
+		}
+	}
+	v := NewPool(nil, nil).CheckOutView(0, dstSch, proj, ColumnStore, 4096)
+	v.AppendView(srcs[0], []int32{0})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AppendRows from a view did not panic")
+		}
+	}()
+	NewBlock(dstSch, RowStore, 4096).AppendRows([]*Block{v}, []int32{0}, []int{0, 1, 2, 3})
 }
 
 // Property: for any sequence of rows, row-store and column-store blocks
@@ -273,21 +372,11 @@ func TestGatherInt64MatchesInt64At(t *testing.T) {
 	}
 }
 
+// TestAppendFromManyMatchesAppendFrom: AppendFromMany writes what appending
+// each source row's projection with AppendRow writes, in scattered row
+// order, and resumes where a full block stopped it.
 func TestAppendFromManyMatchesAppendFrom(t *testing.T) {
-	src := NewBlock(testSchema(), ColumnStore, 8192)
-	rng := rand.New(rand.NewSource(12))
-	for !src.Full() {
-		str := make([]byte, rng.Intn(11))
-		for j := range str {
-			str[j] = byte('a' + rng.Intn(26))
-		}
-		src.AppendRow(
-			types.NewInt64(rng.Int63()-rng.Int63()),
-			types.NewFloat64(rng.NormFloat64()),
-			types.NewDate(int32(rng.Int31()-rng.Int31())),
-			types.NewChar(str),
-		)
-	}
+	src := randomRows(rand.New(rand.NewSource(12)), NewBlock(testSchema(), ColumnStore, 8192))
 	proj := []int{3, 0, 2} // Char, Int64 and Date cells (memmove, 8- and 4-byte words), out of order
 	dstSch := src.Schema().Project(proj)
 	rows := make([]int32, 0, src.NumRows())
@@ -297,7 +386,7 @@ func TestAppendFromManyMatchesAppendFrom(t *testing.T) {
 	for _, format := range []Format{RowStore, ColumnStore} {
 		want := NewBlock(dstSch, format, 2048)
 		for _, r := range rows {
-			if !want.AppendFrom(src, int(r), proj) {
+			if !want.AppendRow(projectRow(src, int(r), proj)...) {
 				break
 			}
 		}

@@ -56,8 +56,8 @@ func copyCells(w int, dst []byte, d, dStride int, src []byte, s, sStride, lim in
 
 // pairCells writes the w-byte cells of column sc of row rows[i] of srcs[i]
 // to consecutive destination cells from d, dStride apart, and zeros where
-// srcs[i] is nil: the build side of a join's output, whose source block may
-// change from row to row. A source's layout resolves when the block changes.
+// srcs[i] is nil: the build side of a join's output and a sort merge's
+// output, whose source block may change from row to row. A source's layout resolves when the block changes.
 func pairCells(w int, dst []byte, d, dStride int, srcs []*Block, sc int, rows []int32) {
 	if len(rows) == 0 {
 		return

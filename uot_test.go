@@ -127,7 +127,7 @@ func TestSettableSurfaceIsPinned(t *testing.T) {
 	}{
 		{Options{}, 14},
 		{SessionConfig{}, 13},
-		{Request{}, 9},
+		{Request{}, 7},
 		{uotctl.Config{}, 3},
 		{ReuseConfig{}, 1},
 	} {
