@@ -143,7 +143,7 @@ type Output struct {
 	RowsOut int64
 
 	// Kernel is bumped by operator code through the promoted fields
-	// (out.ShardLocks++, out.AggFastRows += n, ...).
+	// (out.BatchedRows += n, out.AggFastRows += n, ...).
 	stats.Kernel
 
 	// emitters registers every Emitter the work order created, so Finish

@@ -20,9 +20,9 @@ import (
 // over the first key column for LIP consumers.
 //
 // Build work orders run the block-granular insert kernel
-// (hashtable.InsertBlock): keys are gathered and hashed vectorized, and each
-// table shard lock is taken once per block instead of once per row to
-// append the block's keys and payload rows. The bloom filter is populated
+// (hashtable.InsertBlock): keys are gathered and hashed vectorized, and the
+// block's keys and payload rows are appended to one writer shard of the
+// table under one lock acquisition. The bloom filter is populated
 // with the same gathered key vector through lock-free atomic adds, so
 // concurrent build work orders never serialize on an operator mutex. Insert
 // scratch buffers are pooled across work orders, making the steady-state
@@ -179,13 +179,11 @@ func (w *buildWO) runBatch(ctx *core.ExecCtx, out *core.Output) error {
 	} else {
 		sc = &hashtable.InsertScratch{}
 	}
-	var locks int
 	if o.keyOnly {
-		locks = o.ht.InsertBlockKeyOnly(b, o.keyCols, sc)
+		o.ht.InsertBlockKeyOnly(b, o.keyCols, sc)
 	} else {
-		locks = o.ht.InsertBlock(b, o.keyCols, o.payloadIdx, sc)
+		o.ht.InsertBlock(b, o.keyCols, o.payloadIdx, sc)
 	}
-	out.ShardLocks += int64(locks)
 	out.BatchedRows += int64(b.NumRows())
 	if o.filter != nil {
 		// Reuse the kernel's gathered key column; atomic adds need no
@@ -199,8 +197,8 @@ func (w *buildWO) runBatch(ctx *core.ExecCtx, out *core.Output) error {
 
 // Final implements core.Operator: build → probe is a blocking edge, so the
 // table's entries are all in. It returns the work orders that fill the
-// chosen index, one per worker for a hash index (split by shard), one for a
-// dense index.
+// chosen index, one per worker for a hash index (split by index
+// partition), one for a dense index.
 func (o *BuildHashOp) Final(ctx *core.ExecCtx) []core.WorkOrder {
 	fills := o.ht.Seal(ctx.Workers)
 	wos := make([]core.WorkOrder, len(fills))

@@ -1,18 +1,22 @@
 // Package hashtable implements the engine's join table: an append-only entry
-// store, sharded for concurrent build, and an index chosen once the build is
-// done.
+// store, split into writer shards for concurrent build, and an index chosen
+// once the build is done.
 //
-// A build appends each row's key (or key pair) to its shard's key chunks and
-// its payload columns to the shard's row-store payload blocks, so entry i of
-// a shard is key i and payload row i; nothing is written at random. Seal then
-// picks the index from the entry count and key range it saw:
+// A build appends a whole block to one writer shard, the one its call holds:
+// each row's key (or key pair) goes to the shard's key chunks and its payload
+// columns to the shard's row-store payload blocks, so entry i of a shard is
+// key i and payload row i; nothing is written at random. One writer fills
+// shard 0 alone, in insertion order; W concurrent writers use at most W
+// shards. Seal then picks the index from the entry count and key range it
+// saw:
 //
 //   - dense (one-key tables only): an offset per key of [min, max] into one
 //     4-byte entry ref per row, in per-key insertion order. The key chunks
 //     are freed after the fill; a key-only table keeps only the offsets.
-//   - hash: per shard, groups of eight 5-byte slots (a 7-bit hash tag in one
-//     64-bit control word, and a 4-byte entry index), sized exactly from the
-//     shard's entry count at load MaxLoad. The store keeps the keys.
+//   - hash: 64 index partitions chosen by hash bits, each groups of eight
+//     5-byte slots (a 7-bit hash tag in one 64-bit control word, and a
+//     4-byte Ref: writer shard and entry index), sized exactly from the
+//     partition's entry count at load MaxLoad. The store keeps the keys.
 //
 // Dense is chosen only when its bytes are no more than the hash groups', so
 // no table is larger than its hash alternative (the c/f memory model of
@@ -35,18 +39,18 @@ import (
 )
 
 // group is eight hash slots: a control word of one byte per slot (ctrlEmpty,
-// or the slot's 7-bit hash tag) beside the slots' entry indexes, so a lookup
-// tests all eight tags with one word compare.
+// or the slot's 7-bit hash tag) beside the slots' entries, so a lookup tests
+// all eight tags with one word compare.
 type group struct {
 	ctrl uint64
-	idx  [groupSlots]uint32 // entry index within the shard
+	refs [groupSlots]Ref
 }
 
 const (
 	groupSlots = 8
 	groupBytes = 8 + 4*groupSlots
-	// maxLoadSlots is how many of a group's slots a shard's index may fill
-	// on average.
+	// maxLoadSlots is how many of a group's slots an index partition may
+	// fill on average.
 	maxLoadSlots = 7
 
 	ctrlEmpty = 0x80
@@ -57,7 +61,7 @@ const (
 
 // The Section VI-B costs of the two index kinds.
 const (
-	// SlotBytes is a hash slot: one control byte and a 4-byte entry index.
+	// SlotBytes is a hash slot: one control byte and a 4-byte Ref.
 	SlotBytes = groupBytes / groupSlots
 	// OffsetBytes is a dense index's cost per key of its range.
 	OffsetBytes = 4
@@ -74,7 +78,8 @@ const MaxLoad = float64(maxLoadSlots) / groupSlots
 func KeyBytes(keys int) int { return 8 * keys }
 
 // Payload tuples live in per-shard row-store blocks. Only a shard's last
-// block has free rows, so a shard leaves less than one block unused: the
+// block has free rows, so a shard leaves less than one block unused, and a
+// table one writer built less than one in all: the
 // first block is small so tiny dimension tables stay cheap, later blocks are
 // a little larger so big builds allocate less often.
 const (
@@ -94,22 +99,30 @@ const (
 )
 
 const (
+	// numShards is both the writer shards and the hash index partitions.
 	numShards = 64
-	// A Ref packs the shard into its top refShardBits and the entry index
-	// into the rest, which bounds a shard's entries.
+	// A Ref packs the writer shard into its top refShardBits and the entry
+	// index into the rest, which bounds a shard's entries.
 	refShardBits    = 6
 	refIdxBits      = 32 - refShardBits
 	maxShardEntries = 1 << refIdxBits
 )
 
+// shard is a writer shard: the entries appended by the inserts that held its
+// lock, in the order they held it.
 type shard struct {
 	mu       sync.Mutex
 	n        int
 	min, max int64     // over first keys; valid when n > 0
 	k0, k1   [][]int64 // key chunks; k1 nil in a one-key table
 	payload  []*storage.Block
-	// The hash index, written by its fill: nil for an empty shard or a
-	// dense table.
+	// partCount counts the shard's entries per hash index partition.
+	partCount [numShards]int32
+}
+
+// part is one partition of the hash index, written by its fill: nil groups
+// for an empty partition or a dense table.
+type part struct {
 	groups []group
 	mask   uint64 // len(groups) - 1
 }
@@ -127,6 +140,7 @@ const (
 // on its first lookup), then probed.
 type Table struct {
 	shards     [numShards]shard
+	parts      [numShards]part
 	keys       int // 1 or 2
 	keyOnly    bool
 	payloadSch *storage.Schema
@@ -193,10 +207,10 @@ func hashKey(k0, k1 int64) uint64 {
 	return h
 }
 
-// shardOf selects the destination shard: hash bits 48–53, independent of the
-// tag (bits 0–6), the group index (bits 7 and up, masked far below 48 in
+// partOf selects the hash index partition: hash bits 48–53, independent of
+// the tag (bits 0–6), the group index (bits 7 and up, masked far below 48 in
 // practice) and the aggregation radix's top bits.
-func shardOf(h uint64) uint64 { return (h >> 48) & (numShards - 1) }
+func partOf(h uint64) uint64 { return (h >> 48) & (numShards - 1) }
 
 // tagOf returns h's 7-bit control tag broadcast to all eight bytes.
 func tagOf(h uint64) uint64 { return (h & 0x7f) * lsbs }
@@ -213,17 +227,16 @@ func matchTag(ctrl, tag uint64) uint64 {
 func slotOf(m uint64) int { return bits.TrailingZeros64(m) >> 3 }
 
 // InsertScratch holds the reusable buffers of the block-granular insert
-// kernels: gathered key columns, the hash vector, and the shard-partitioned
-// row-index permutation. One scratch serves any number of sequential
-// InsertBlock calls; operators pool scratches across work orders so the
-// steady state allocates nothing per block. A scratch must not be used by
-// two goroutines at once.
+// kernels: gathered key columns, the hash vector, and the row indexes of a
+// whole block. One scratch serves any number of sequential InsertBlock
+// calls; operators pool scratches across work orders so the steady state
+// allocates nothing per block. A scratch must not be used by two goroutines
+// at once.
 type InsertScratch struct {
 	k0     []int64
 	k1     []int64
 	hashes []uint64
-	rows   []int32 // row indexes grouped by shard (counting sort)
-	counts [numShards]int32
+	seq    []int32 // 0, 1, 2, …
 }
 
 // Keys returns the key columns gathered by the last InsertBlock /
@@ -244,119 +257,102 @@ func (sc *InsertScratch) gather(b *storage.Block, keyCols []int) {
 	sc.hashes = types.HashPairVec(sc.k0, sc.k1, sc.hashes)
 }
 
-// partition counting-sorts row indexes 0..n-1 by destination shard. Within a
-// shard, rows keep block order, so entries are stored in input order.
-func (sc *InsertScratch) partition() {
-	n := len(sc.hashes)
-	if cap(sc.rows) < n {
-		sc.rows = make([]int32, n)
+// rows returns the row indexes 0..n-1.
+func (sc *InsertScratch) rows(n int) []int32 {
+	for i := len(sc.seq); i < n; i++ {
+		sc.seq = append(sc.seq, int32(i))
 	}
-	sc.rows = sc.rows[:n]
-	for i := range sc.counts {
-		sc.counts[i] = 0
-	}
-	for _, h := range sc.hashes {
-		sc.counts[shardOf(h)]++
-	}
-	var offs [numShards]int32
-	var sum int32
-	for i, c := range sc.counts {
-		offs[i] = sum
-		sum += c
-	}
-	for r, h := range sc.hashes {
-		s := shardOf(h)
-		sc.rows[offs[s]] = int32(r)
-		offs[s]++
-	}
+	return sc.seq[:n]
 }
 
-// InsertBlock appends every row of b in one block-granular pass: the key
-// columns are gathered and hashed vectorized (types.HashPairVec), row
-// indexes are partitioned by shard, and each touched shard's lock is taken
-// once for the whole block — 64 acquisitions per 64K rows instead of 64K —
-// with keys and payload rows bulk-appended under it. It is safe for
+// InsertBlock appends every row of b to one writer shard under one lock
+// acquisition: the key columns are gathered and hashed vectorized
+// (types.HashPairVec; the hashes only count each index partition's
+// entries), the keys are copied to the shard's key chunks and the payload
+// rows to its blocks, one AppendFromMany per payload block. It is safe for
 // concurrent use with other inserts; sc must be private to the caller (pass
-// a pooled scratch). It returns the number of shard-lock acquisitions
-// performed.
-func (t *Table) InsertBlock(b *storage.Block, keyCols []int, projIdx []int, sc *InsertScratch) int {
-	return t.insertBlock(b, keyCols, projIdx, sc)
+// a pooled scratch).
+func (t *Table) InsertBlock(b *storage.Block, keyCols []int, projIdx []int, sc *InsertScratch) {
+	t.insertBlock(b, keyCols, projIdx, sc)
 }
 
 // InsertBlockKeyOnly is InsertBlock for a key-only table (semi/anti builds):
 // no payload rows are stored, only the keys.
-func (t *Table) InsertBlockKeyOnly(b *storage.Block, keyCols []int, sc *InsertScratch) int {
+func (t *Table) InsertBlockKeyOnly(b *storage.Block, keyCols []int, sc *InsertScratch) {
 	if !t.keyOnly {
 		panic("hashtable: key-only insert into a table with payload columns")
 	}
-	return t.insertBlock(b, keyCols, nil, sc)
+	t.insertBlock(b, keyCols, nil, sc)
 }
 
-func (t *Table) insertBlock(b *storage.Block, keyCols []int, projIdx []int, sc *InsertScratch) int {
+func (t *Table) insertBlock(b *storage.Block, keyCols []int, projIdx []int, sc *InsertScratch) {
 	if len(keyCols) != t.keys {
 		panic(fmt.Sprintf("hashtable: %d-key insert into a %d-key table", len(keyCols), t.keys))
 	}
 	n := b.NumRows()
 	if n == 0 {
-		return 0
+		return
 	}
 	sc.gather(b, keyCols)
-	sc.partition()
-	locks := 0
-	start := int32(0)
-	for sIdx := 0; sIdx < numShards; sIdx++ {
-		cnt := sc.counts[sIdx]
-		if cnt == 0 {
-			continue
-		}
-		rows := sc.rows[start : start+cnt]
-		start += cnt
-		s := &t.shards[sIdx]
-		s.mu.Lock()
-		locks++
-		if s.n+len(rows) > maxShardEntries {
-			s.mu.Unlock()
-			panic("hashtable: a shard holds at most 2^26 entries")
-		}
-		t.appendKeys(s, &s.k0, sc.k0, rows)
-		if sc.k1 != nil {
-			t.appendKeys(s, &s.k1, sc.k1, rows)
-		}
-		if s.n == 0 {
-			s.min, s.max = sc.k0[rows[0]], sc.k0[rows[0]]
-		}
-		for _, r := range rows {
-			s.min, s.max = min(s.min, sc.k0[r]), max(s.max, sc.k0[r])
-		}
-		if !t.keyOnly {
-			// Bulk-copy payload rows block-at-a-time (AppendFromMany
-			// resolves column layouts once per payload block, not once per
-			// cell).
-			for pos := 0; pos < len(rows); {
-				pos += t.payloadBlock(s).AppendFromMany(b, rows[pos:], projIdx)
-			}
-		}
-		s.n += len(rows)
-		s.mu.Unlock()
+	s := t.writer(n)
+	t.appendKeys(s, &s.k0, sc.k0)
+	if sc.k1 != nil {
+		t.appendKeys(s, &s.k1, sc.k1)
 	}
-	return locks
+	if s.n == 0 {
+		s.min, s.max = sc.k0[0], sc.k0[0]
+	}
+	for _, k := range sc.k0 {
+		s.min, s.max = min(s.min, k), max(s.max, k)
+	}
+	for _, h := range sc.hashes {
+		s.partCount[partOf(h)]++
+	}
+	if !t.keyOnly {
+		// Bulk-copy payload rows block-at-a-time: AppendFromMany resolves
+		// column layouts, and a view's segments, once per payload block.
+		rows := sc.rows(n)
+		for pos := 0; pos < n; {
+			pos += t.payloadBlock(s).AppendFromMany(b, rows[pos:], projIdx)
+		}
+	}
+	s.n += n
+	s.mu.Unlock()
 }
 
-// appendKeys appends src[r] for the given rows to the key chunks *dst, whose
-// first s.n keys are in use; caller holds the shard lock.
-func (t *Table) appendKeys(s *shard, dst *[][]int64, src []int64, rows []int32) {
+// writer locks and returns the shard a block of n entries is appended to:
+// the lowest-numbered one whose lock is free and that has room for all n;
+// when every shard with room is busy, the lowest with room, once its lock is
+// free. A lone writer always gets shard 0 while it has room.
+func (t *Table) writer(n int) *shard {
+	for _, wait := range [2]bool{false, true} {
+		for i := range t.shards {
+			s := &t.shards[i]
+			if wait {
+				s.mu.Lock()
+			} else if !s.mu.TryLock() {
+				continue
+			}
+			if s.n+n <= maxShardEntries {
+				return s
+			}
+			s.mu.Unlock()
+		}
+	}
+	panic("hashtable: a table holds at most 64 shards of 2^26 entries")
+}
+
+// appendKeys appends src to the key chunks *dst, whose first s.n keys are in
+// use; caller holds the shard lock.
+func (t *Table) appendKeys(s *shard, dst *[][]int64, src []int64) {
 	i := s.n
-	for len(rows) > 0 {
+	for len(src) > 0 {
 		c, off := i>>chunkShift, i&chunkMask
 		if c == len(*dst) || off == len((*dst)[c]) {
-			t.growChunk(dst, c, off+len(rows))
+			t.growChunk(dst, c, off+len(src))
 		}
-		ch := (*dst)[c][off:]
-		m := min(len(rows), len(ch))
-		for j, r := range rows[:m] {
-			ch[j] = src[r]
-		}
-		rows = rows[m:]
+		m := copy((*dst)[c][off:], src)
+		src = src[m:]
 		i += m
 	}
 }
@@ -388,6 +384,18 @@ func (t *Table) growChunk(dst *[][]int64, c, need int) {
 func (s *shard) key0(i uint32) int64 { return s.k0[i>>chunkShift][i&chunkMask] }
 func (s *shard) key1(i uint32) int64 { return s.k1[i>>chunkShift][i&chunkMask] }
 
+// entry returns the writer shard and entry index r packs.
+func (t *Table) entry(r Ref) (*shard, uint32) {
+	return &t.shards[r>>refIdxBits], uint32(r) & (maxShardEntries - 1)
+}
+
+// holds reports whether the entry at r has the keys (k0, k1); a one-key
+// table compares k0 only.
+func (t *Table) holds(r Ref, k0, k1 int64) bool {
+	s, e := t.entry(r)
+	return s.key0(e) == k0 && (t.keys == 1 || s.key1(e) == k1)
+}
+
 // payloadBlock returns the shard's current non-full payload block,
 // allocating a new one if needed; caller holds the shard lock.
 func (t *Table) payloadBlock(s *shard) *storage.Block {
@@ -413,7 +421,7 @@ func (t *Table) gaugeAdd(n int64) {
 // Fill is one work order's share of filling a sealed table's index.
 type Fill struct {
 	t      *Table
-	lo, hi int // hash: the shards [lo, hi) to index
+	lo, hi int // hash: the index partitions [lo, hi) to fill
 }
 
 // Seal chooses the table's index from the entries stored and returns the
@@ -435,11 +443,12 @@ func (t *Table) seal(kind indexKind, parts int) []Fill {
 			fills = []Fill{{t: t}}
 			return
 		}
+		counts := t.partCounts()
 		parts = max(1, min(parts, numShards))
 		for p := 0; p < parts; p++ {
 			lo, hi := p*numShards/parts, (p+1)*numShards/parts
 			for i := lo; i < hi; i++ {
-				if t.shards[i].n > 0 {
+				if counts[i] > 0 {
 					fills = append(fills, Fill{t: t, lo: lo, hi: hi})
 					break
 				}
@@ -493,8 +502,8 @@ func (t *Table) choose() indexKind {
 		return hashIndex
 	}
 	var hash uint64
-	for i := range t.shards {
-		hash += groupBytes * uint64(groupsFor(t.shards[i].n))
+	for _, c := range t.partCounts() {
+		hash += groupBytes * uint64(groupsFor(c))
 	}
 	if t.denseBytes(span, n) <= hash {
 		return denseIndex
@@ -518,8 +527,19 @@ func (t *Table) denseBytes(span uint64, n int) uint64 {
 	return b
 }
 
-// groupsFor is the hash groups a shard of n entries needs: the fewest, and a
-// power of two, that keep the load within MaxLoad (none for no entries).
+// partCounts sums the writer shards' entry counts per index partition.
+func (t *Table) partCounts() (counts [numShards]int) {
+	for i := range t.shards {
+		for p, c := range t.shards[i].partCount {
+			counts[p] += int(c)
+		}
+	}
+	return counts
+}
+
+// groupsFor is the hash groups a partition of n entries needs: the fewest,
+// and a power of two, that keep the load within MaxLoad (none for no
+// entries).
 func groupsFor(n int) int {
 	if n == 0 {
 		return 0
@@ -533,43 +553,58 @@ func groupsFor(n int) int {
 
 // Run fills the fill's part of the index.
 func (f Fill) Run() {
-	t := f.t
-	if t.kind == denseIndex {
-		t.fillDense()
+	if f.t.kind == denseIndex {
+		f.t.fillDense()
 		return
 	}
-	for i := f.lo; i < f.hi; i++ {
-		t.fillHash(&t.shards[i])
-	}
+	f.t.fillHash(f.lo, f.hi)
 }
 
-// fillHash indexes every entry of s in entry order. Groups fill slot 0
-// first, so along each group sequence the entries of a key lie in insertion
-// order.
-func (t *Table) fillHash(s *shard) {
-	g := groupsFor(s.n)
-	if g == 0 {
-		return
-	}
-	s.groups = make([]group, g)
-	for i := range s.groups {
-		s.groups[i].ctrl = allEmpty
-	}
-	s.mask = uint64(g - 1)
-	t.gaugeAdd(groupBytes * int64(g))
-	for i := 0; i < s.n; i++ {
-		k0, k1 := s.k0[i>>chunkShift][i&chunkMask], int64(0)
-		if s.k1 != nil {
-			k1 = s.k1[i>>chunkShift][i&chunkMask]
+// fillHash sizes the index partitions [lo, hi) from their entry counts and
+// indexes their entries: it scans the writer shards in shard and then entry
+// order, hashing each entry a chunk at a time and placing those of its
+// partitions. Groups fill slot 0 first, so along each group sequence a
+// key's entries lie in that order — insertion order when one writer built
+// the table.
+func (t *Table) fillHash(lo, hi int) {
+	counts := t.partCounts()
+	for p := lo; p < hi; p++ {
+		g := groupsFor(counts[p])
+		if g == 0 {
+			continue
 		}
-		h := hashKey(k0, k1)
-		for gi := (h >> 7) & s.mask; ; gi = (gi + 1) & s.mask {
-			grp := &s.groups[gi]
-			if free := grp.ctrl & msbs; free != 0 {
-				j := slotOf(free)
-				grp.ctrl ^= (ctrlEmpty ^ h&0x7f) << (8 * j)
-				grp.idx[j] = uint32(i)
-				break
+		pt := &t.parts[p]
+		pt.groups = make([]group, g)
+		for i := range pt.groups {
+			pt.groups[i].ctrl = allEmpty
+		}
+		pt.mask = uint64(g - 1)
+		t.gaugeAdd(groupBytes * int64(g))
+	}
+	var hashes [chunkKeys]uint64
+	for si := range t.shards {
+		s := &t.shards[si]
+		for c, k0 := range s.k0 {
+			k0 = k0[:min(len(k0), s.n-c<<chunkShift)]
+			var k1 []int64
+			if s.k1 != nil {
+				k1 = s.k1[c][:len(k0)]
+			}
+			for j, h := range types.HashPairVec(k0, k1, hashes[:0]) {
+				p := int(partOf(h))
+				if p < lo || p >= hi {
+					continue
+				}
+				pt := &t.parts[p]
+				for gi := (h >> 7) & pt.mask; ; gi = (gi + 1) & pt.mask {
+					grp := &pt.groups[gi]
+					if free := grp.ctrl & msbs; free != 0 {
+						slot := slotOf(free)
+						grp.ctrl ^= (ctrlEmpty ^ h&0x7f) << (8 * slot)
+						grp.refs[slot] = makeRef(uint64(si), uint32(c<<chunkShift+j))
+						break
+					}
+				}
 			}
 		}
 	}
@@ -577,8 +612,8 @@ func (t *Table) fillHash(s *shard) {
 
 // fillDense builds the offsets by counting each key's entries, then (with
 // payload) places every entry's ref at its key's cursor, shard by shard in
-// entry order; a key's entries all live in one shard, so they land in
-// insertion order. The key chunks are freed after.
+// entry order — insertion order when one writer built the table. The key
+// chunks are freed after.
 func (t *Table) fillDense() {
 	lo, span, n := t.keySpan()
 	t.min = lo
@@ -603,7 +638,7 @@ func (t *Table) fillDense() {
 			s := &t.shards[i]
 			for e := 0; e < s.n; e++ {
 				j := uint64(s.key0(uint32(e)) - lo)
-				t.refs[off[j]] = Ref(i<<refIdxBits | e)
+				t.refs[off[j]] = makeRef(uint64(i), uint32(e))
 				off[j]++
 			}
 		}
@@ -663,17 +698,15 @@ func (t *Table) LookupHashed(h uint64, k0, k1 int64, fn func(pb *storage.Block, 
 		}
 		return
 	}
-	sIdx := shardOf(h)
-	s := &t.shards[sIdx]
-	if s.groups == nil {
+	pt := &t.parts[partOf(h)]
+	if pt.groups == nil {
 		return
 	}
 	tag := tagOf(h)
-	for g := (h >> 7) & s.mask; ; g = (g + 1) & s.mask {
-		grp := &s.groups[g]
+	for g := (h >> 7) & pt.mask; ; g = (g + 1) & pt.mask {
+		grp := &pt.groups[g]
 		for m := matchTag(grp.ctrl, tag); m != 0; m &= m - 1 {
-			e := grp.idx[slotOf(m)]
-			if s.key0(e) == k0 && (s.k1 == nil || s.key1(e) == k1) && !fn(t.Payload(makeRef(sIdx, e))) {
+			if ref := grp.refs[slotOf(m)]; t.holds(ref, k0, k1) && !fn(t.Payload(ref)) {
 				return
 			}
 		}
@@ -683,8 +716,8 @@ func (t *Table) LookupHashed(h uint64, k0, k1 int64, fn func(pb *storage.Block, 
 	}
 }
 
-// Ref locates one matched entry: its shard and its index in the shard,
-// packed in 32 bits.
+// Ref locates one entry: its writer shard and its index in the shard, packed
+// in 32 bits. Hash slots and dense refs hold it; Match reports it.
 type Ref uint32
 
 func makeRef(shard uint64, e uint32) Ref { return Ref(uint32(shard)<<refIdxBits | e) }
@@ -740,21 +773,20 @@ rows:
 			continue // a one-key table holds no second key
 		}
 		h := hashKey(a, b)
-		sIdx := shardOf(h)
-		s := &t.shards[sIdx]
-		if s.groups == nil {
+		pt := &t.parts[partOf(h)]
+		if pt.groups == nil {
 			continue
 		}
 		tag := tagOf(h)
-		for g := (h >> 7) & s.mask; ; g = (g + 1) & s.mask {
-			grp := &s.groups[g]
+		for g := (h >> 7) & pt.mask; ; g = (g + 1) & pt.mask {
+			grp := &pt.groups[g]
 			for hit := matchTag(grp.ctrl, tag); hit != 0; hit &= hit - 1 {
-				e := grp.idx[slotOf(hit)]
-				if s.key0(e) != a || (s.k1 != nil && s.key1(e) != b) {
+				ref := grp.refs[slotOf(hit)]
+				if !t.holds(ref, a, b) {
 					continue
 				}
 				m.Probe = append(m.Probe, int32(r))
-				m.Ref = append(m.Ref, makeRef(sIdx, e))
+				m.Ref = append(m.Ref, ref)
 				if firstOnly {
 					continue rows
 				}
@@ -773,8 +805,7 @@ func (t *Table) Payload(r Ref) (*storage.Block, int) {
 	if t.keyOnly {
 		return nil, 0
 	}
-	s := &t.shards[r>>refIdxBits]
-	e := uint32(r) & (maxShardEntries - 1)
+	s, e := t.entry(r)
 	if e < t.firstRows {
 		return s.payload[0], int(e)
 	}
@@ -799,10 +830,13 @@ func (t *Table) UsedBytes() int64 {
 
 func (t *Table) bytes(payloadBytes func(*storage.Block) int) int64 {
 	n := int64(OffsetBytes*len(t.offsets) + RefBytes*len(t.refs))
+	for i := range t.parts {
+		n += groupBytes * int64(len(t.parts[i].groups))
+	}
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		n += s.keyBytes() + groupBytes*int64(len(s.groups))
+		n += s.keyBytes()
 		for _, pb := range s.payload {
 			n += int64(payloadBytes(pb))
 		}

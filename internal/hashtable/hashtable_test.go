@@ -161,11 +161,11 @@ func TestCompositeKeys(t *testing.T) {
 		t.Fatalf("(1, 4) probed on (1, 2)'s hash found %d; Match rows %v, want [0 2]", n, m.Probe)
 	}
 	// Match hashes the keys itself, so probe it with a second key whose own
-	// hash has (1, 2)'s shard, tag and home group.
+	// hash has (1, 2)'s index partition, tag and home group.
 	h := hashKey(1, 2)
-	s := &ht.shards[shardOf(h)]
+	pt := &ht.parts[partOf(h)]
 	x := int64(5)
-	for hx := hashKey(1, x); shardOf(hx) != shardOf(h) || hx&0x7f != h&0x7f || (hx>>7)&s.mask != (h>>7)&s.mask; hx = hashKey(1, x) {
+	for hx := hashKey(1, x); partOf(hx) != partOf(h) || hx&0x7f != h&0x7f || (hx>>7)&pt.mask != (h>>7)&pt.mask; hx = hashKey(1, x) {
 		x++
 	}
 	ht.Match([]int64{1}, []int64{x}, false, &m)
@@ -188,8 +188,8 @@ func TestKeyOnlyEntries(t *testing.T) {
 	}
 }
 
-// TestGrowthPreservesEntries: 50 000 entries grow every shard's key store
-// from its small first chunk through many full chunks; under either index
+// TestGrowthPreservesEntries: 50 000 entries grow the writer shard's key
+// store from its small first chunk through many full chunks; under either index
 // every key is found once and an absent key is not.
 func TestGrowthPreservesEntries(t *testing.T) {
 	const n = 50000
@@ -351,8 +351,8 @@ func TestInsertBlockEquivalence(t *testing.T) {
 					for _, p := range parts {
 						if tc.keyOnly {
 							ht.InsertBlockKeyOnly(p, tc.keyCols, sc)
-						} else if locks := ht.InsertBlock(p, tc.keyCols, payIdx, sc); locks < 1 || locks > 64 {
-							t.Fatalf("InsertBlock locks = %d", locks)
+						} else {
+							ht.InsertBlock(p, tc.keyCols, payIdx, sc)
 						}
 					}
 				}
@@ -371,6 +371,9 @@ func TestInsertBlockEquivalence(t *testing.T) {
 				if (rs.k1 != nil) != (len(tc.keyCols) == 2 && rs.n > 0) {
 					t.Fatalf("shard %d: k1 chunks %v for %d keys", i, rs.k1 != nil, len(tc.keyCols))
 				}
+				if rs.partCount != bs.partCount {
+					t.Fatalf("shard %d: partition counts differ", i)
+				}
 				for j := range rs.payload {
 					if !reflect.DeepEqual(rs.payload[j].GatherInt64(0, nil), bs.payload[j].GatherInt64(0, nil)) {
 						t.Fatalf("shard %d: payload block %d differs", i, j)
@@ -387,9 +390,9 @@ func TestInsertBlockEquivalence(t *testing.T) {
 			if (bat.kind == denseIndex) != (len(tc.keyCols) == 1) {
 				t.Fatalf("%d keys sealed %v", len(tc.keyCols), bat.kind)
 			}
-			for i := range ref.shards {
-				if !reflect.DeepEqual(ref.shards[i].groups, bat.shards[i].groups) {
-					t.Fatalf("shard %d: index differs", i)
+			for i := range ref.parts {
+				if !reflect.DeepEqual(ref.parts[i].groups, bat.parts[i].groups) {
+					t.Fatalf("partition %d: index differs", i)
 				}
 			}
 			if !reflect.DeepEqual(ref.offsets, bat.offsets) || !reflect.DeepEqual(ref.refs, bat.refs) {
@@ -409,39 +412,75 @@ func TestInsertBlockEquivalence(t *testing.T) {
 }
 
 // TestInsertBlockConcurrent builds one table from many goroutines, each
-// running the batch kernel with its own scratch (run under -race).
+// running the batch kernel with its own scratch (run under -race). The
+// writers use at most one shard each, and the table matches the same blocks
+// inserted by one writer as a multiset of (key, payload) pairs, under either
+// index.
 func TestInsertBlockConcurrent(t *testing.T) {
-	ht := New(Config{PayloadSchema: payloadSchema()})
 	const workers, blocksPer, rowsPer = 8, 6, 512
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			sc := &InsertScratch{}
-			sch := keyedSchema()
-			for bi := 0; bi < blocksPer; bi++ {
-				b := storage.NewBlock(sch, storage.ColumnStore, rowsPer*32+64)
-				for i := 0; i < rowsPer; i++ {
-					k := int64(w*blocksPer*rowsPer + bi*rowsPer + i)
-					b.AppendRow(types.NewInt64(k), types.NewInt64(0),
-						types.NewInt64(int64(rng.Intn(1000))), types.NewFloat64(1.5))
-				}
-				ht.InsertBlock(b, []int{0}, payIdx, sc)
-			}
-		}(w)
-	}
-	wg.Wait()
-	want := workers * blocksPer * rowsPer
-	if ht.Len() != want {
-		t.Fatalf("Len = %d, want %d", ht.Len(), want)
-	}
-	for k := 0; k < want; k += 997 {
-		if !contains(ht, int64(k), 0) {
-			t.Fatalf("missing key %d", k)
+	rng := rand.New(rand.NewSource(3))
+	blocks := make([][]*storage.Block, workers)
+	for w := range blocks {
+		for bi := 0; bi < blocksPer; bi++ {
+			blocks[w] = append(blocks[w], randKeyedBlock(rng, rowsPer, 2000))
 		}
 	}
+	for _, kind := range kinds {
+		seq := New(Config{PayloadSchema: payloadSchema()})
+		sc := &InsertScratch{}
+		for _, bs := range blocks {
+			for _, b := range bs {
+				seq.InsertBlock(b, []int{0}, payIdx, sc)
+			}
+		}
+		ht := New(Config{PayloadSchema: payloadSchema()})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				sc := &InsertScratch{}
+				for _, b := range blocks[w] {
+					ht.InsertBlock(b, []int{0}, payIdx, sc)
+				}
+			}(w)
+		}
+		wg.Wait()
+		want := workers * blocksPer * rowsPer
+		if ht.Len() != want {
+			t.Fatalf("%v: Len = %d, want %d", kind, ht.Len(), want)
+		}
+		used := 0
+		for i := range ht.shards {
+			if ht.shards[i].n > 0 {
+				used++
+			}
+		}
+		if used < 1 || used > workers {
+			t.Fatalf("%v: %d writers used %d shards", kind, workers, used)
+		}
+		sealAs(seq, kind)
+		if got := sealAs(ht, kind); got != kind {
+			t.Fatalf("sealed %v, want %v", got, kind)
+		}
+		keys := iota64(2001, 1)
+		if a, b := matchMultiset(ht, keys), matchMultiset(seq, keys); !reflect.DeepEqual(a, b) || len(a) == 0 {
+			t.Fatalf("%v: concurrent build matches %d (key, payload) pairs, sequential %d, or they differ", kind, len(a), len(b))
+		}
+	}
+}
+
+// matchMultiset probes ht with keys and counts each matched (key, payload v)
+// pair.
+func matchMultiset(ht *Table, keys []int64) map[[2]int64]int {
+	var m Matches
+	ht.Match(keys, nil, false, &m)
+	pairs := map[[2]int64]int{}
+	for i, ref := range m.Ref {
+		pb, row := ht.Payload(ref)
+		pairs[[2]int64{keys[m.Probe[i]], pb.Int64At(0, row)}]++
+	}
+	return pairs
 }
 
 // TestLookupHashed checks the pre-hashed probe entry point with hashes from
@@ -543,7 +582,7 @@ func TestDuplicatesInInsertionOrder(t *testing.T) {
 	}
 }
 
-// TestDuplicatesKeepOrderAcrossWrap fills one shard's hash index so two
+// TestDuplicatesKeepOrderAcrossWrap fills one hash index partition so two
 // keys' group sequences start at its last group and wrap to the first: the
 // duplicates must still come back in insertion order. The one-key table
 // alternates two keys; the two-key table keeps k0 fixed and alternates k1,
@@ -551,14 +590,14 @@ func TestDuplicatesInInsertionOrder(t *testing.T) {
 func TestDuplicatesKeepOrderAcrossWrap(t *testing.T) {
 	const n = 20 // groupsFor(20) = 4 groups; 8 slots per group
 	for _, keys := range []int{1, 2} {
-		// Two keys whose hashes land in shard 0 with home group 3 of 4.
+		// Two keys whose hashes land in partition 0 with home group 3 of 4.
 		var pair [][2]int64
 		for c := int64(1); len(pair) < 2; c++ {
 			k := [2]int64{c, 0}
 			if keys == 2 {
 				k = [2]int64{7, c}
 			}
-			if h := hashKey(k[0], k[1]); shardOf(h) == 0 && (h>>7)&3 == 3 {
+			if h := hashKey(k[0], k[1]); partOf(h) == 0 && (h>>7)&3 == 3 {
 				pair = append(pair, k)
 			}
 		}
@@ -569,10 +608,10 @@ func TestDuplicatesKeepOrderAcrossWrap(t *testing.T) {
 		ht := New(Config{PayloadSchema: payloadSchema(), Keys: keys})
 		insert(ht, rows, iota64(n, 1))
 		sealAs(ht, hashIndex)
-		s := &ht.shards[0]
+		pt := &ht.parts[0]
 		// Entries 0–7 filled group 3; the sequence wrapped into groups 0 and 1.
-		if len(s.groups) != 4 || s.groups[0].idx[0] != 8 {
-			t.Fatalf("keys %d set-up: %d groups, group 0 starts at entry %d", keys, len(s.groups), s.groups[0].idx[0])
+		if len(pt.groups) != 4 || pt.groups[0].refs[0] != makeRef(0, 8) {
+			t.Fatalf("keys %d set-up: %d groups, group 0 starts at ref %#x", keys, len(pt.groups), pt.groups[0].refs[0])
 		}
 		for i, k := range pair {
 			got := lookupPayloads(t, ht, k[0], k[1])
@@ -650,7 +689,7 @@ func TestMatchEqualsLookupHashed(t *testing.T) {
 // TestLayoutConstants pins the memory model's constants — a hash slot is
 // c = 5 B at f = 7/8 plus 8 B of key per entry (16 B for two keys); a dense
 // index 4 B per key of the range and 4 B per entry — and the sizing rule:
-// a shard's hash index has the fewest power-of-two groups that keep it
+// a hash index partition has the fewest power-of-two groups that keep it
 // within MaxLoad, and an empty table holds nothing.
 func TestLayoutConstants(t *testing.T) {
 	if SlotBytes != 5 || OffsetBytes != 4 || RefBytes != 4 || KeyBytes(1) != 8 || KeyBytes(2) != 16 || MaxLoad != 0.875 {
@@ -830,12 +869,12 @@ func TestKeyCountIsEnforced(t *testing.T) {
 }
 
 // TestPayloadSlackAndAccounting builds tables of 0 to 300k rows with payload
-// rows of 1 to 133 bytes, one and two keys. In every shard only the last
-// payload block and the last key chunk may have free room, so allocated
-// minus used payload bytes stays under one 16 KB block; Payload finds entry
-// i of a shard at payload row i; and the gauge holds exactly TotalBytes,
-// which is the key chunks, the index and the payload blocks, before and
-// after the seal.
+// rows of 1 to 133 bytes, one and two keys. Per table, only the last payload
+// block and the last key chunk may have free room, so allocated minus used
+// payload bytes stays under one 16 KB block; Payload finds entry i of a
+// shard at its payload row i; and the gauge holds exactly TotalBytes, which
+// is the key chunks, the index and the payload blocks, before and after the
+// seal.
 func TestPayloadSlackAndAccounting(t *testing.T) {
 	sizes := []int{0, 1, 100, 4097, 30000, 300000}
 	if testing.Short() {
@@ -868,26 +907,14 @@ func TestPayloadSlackAndAccounting(t *testing.T) {
 					t.Fatalf("%s: Len = %d", name(), ht.Len())
 				}
 				var want int64
+				alloc, used := 0, 0
 				for i := range ht.shards {
 					s := &ht.shards[i]
-					for c, ch := range s.k0 {
-						if c < len(s.k0)-1 && len(ch) != chunkKeys {
-							t.Fatalf("%s, shard %d: key chunk %d of %d holds %d keys", name(), i, c, len(s.k0), len(ch))
-						}
-					}
 					want += s.keyBytes()
-					alloc, used := 0, 0
-					for j, pb := range s.payload {
-						if j < len(s.payload)-1 && !pb.Full() {
-							t.Fatalf("%s, shard %d: block %d of %d is not full", name(), i, j, len(s.payload))
-						}
+					for _, pb := range s.payload {
 						alloc += pb.AllocBytes()
 						used += pb.UsedBytes()
 					}
-					if alloc-used > 16<<10 {
-						t.Fatalf("%s, shard %d: %d payload bytes allocated for %d used", name(), i, alloc, used)
-					}
-					want += int64(alloc)
 					// Entry e of the shard is its e-th payload row.
 					e := 0
 					for _, pb := range s.payload {
@@ -899,6 +926,10 @@ func TestPayloadSlackAndAccounting(t *testing.T) {
 						}
 					}
 				}
+				if slack := tableSlack(ht); slack.payload >= payloadBlockBytes || slack.keys >= chunkKeys*keys {
+					t.Fatalf("%s: %d payload bytes and %d key slots allocated and unused", name(), slack.payload, slack.keys)
+				}
+				want += int64(alloc)
 				if got := ht.TotalBytes(); got != want || g.Live() != got {
 					t.Fatalf("%s: TotalBytes %d, gauge %d, keys + payload %d", name(), got, g.Live(), want)
 				}
@@ -911,6 +942,75 @@ func TestPayloadSlackAndAccounting(t *testing.T) {
 				ht.Release()
 				if g.Live() != 0 {
 					t.Fatalf("%s: gauge %d after Release", name(), g.Live())
+				}
+			}
+		}
+	}
+}
+
+// slack is what a table allocated and does not use: payload bytes, and key
+// slots summed over its key columns.
+type slack struct{ payload, keys int }
+
+func tableSlack(ht *Table) slack {
+	var sl slack
+	for i := range ht.shards {
+		s := &ht.shards[i]
+		for _, pb := range s.payload {
+			sl.payload += pb.AllocBytes() - pb.UsedBytes()
+		}
+		sl.keys += int(s.keyBytes()/8) - s.n*ht.keys
+	}
+	return sl
+}
+
+// viewOver returns a keyedSchema view of every other row of each block.
+func viewOver(bases []*storage.Block) *storage.Block {
+	rows := 0
+	for _, b := range bases {
+		rows += (b.NumRows() + 1) / 2
+	}
+	sch := keyedSchema()
+	v := storage.NewPool(nil, nil).CheckOutView(0, sch, []int{0, 1, 2, 3}, storage.ColumnStore, rows*sch.RowWidth())
+	for _, b := range bases {
+		var sel []int32
+		for r := 0; r < b.NumRows(); r += 2 {
+			sel = append(sel, int32(r))
+		}
+		v.AppendView(b, sel)
+	}
+	return v
+}
+
+// TestSequentialInsertFillsOneShard: one writer inserting blocks, or views
+// over several base blocks, appends every entry to shard 0 in insertion
+// order. The table leaves less than one payload block and one key chunk per
+// key column unused, and Payload resolves each entry to its row.
+func TestSequentialInsertFillsOneShard(t *testing.T) {
+	for _, keys := range []int{1, 2} {
+		for _, view := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(int64(keys)))
+			ht := New(Config{PayloadSchema: payloadSchema(), Keys: keys})
+			sc := &InsertScratch{}
+			var vals []int64 // payload v of each entry, in insertion order
+			for i := 0; i < 7; i++ {
+				b := randKeyedBlock(rng, 300+rng.Intn(900), 5000)
+				if view {
+					b = viewOver([]*storage.Block{b, randKeyedBlock(rng, 200, 5000), randKeyedBlock(rng, 511, 5000)})
+				}
+				vals = append(vals, b.GatherInt64(2, nil)...)
+				ht.InsertBlock(b, []int{0, 1}[:keys], payIdx, sc)
+			}
+			name := fmt.Sprintf("%d keys, view %v", keys, view)
+			if s := &ht.shards[0]; s.n != len(vals) || ht.Len() != len(vals) {
+				t.Fatalf("%s: shard 0 holds %d of %d entries", name, s.n, ht.Len())
+			}
+			if sl := tableSlack(ht); sl.payload >= payloadBlockBytes || sl.keys >= chunkKeys*keys {
+				t.Fatalf("%s: %d payload bytes and %d key slots allocated and unused", name, sl.payload, sl.keys)
+			}
+			for e, v := range vals {
+				if pb, row := ht.Payload(makeRef(0, uint32(e))); pb.Int64At(0, row) != v {
+					t.Fatalf("%s: entry %d has payload %d, want %d", name, e, pb.Int64At(0, row), v)
 				}
 			}
 		}
@@ -970,8 +1070,8 @@ func TestIndexKindChoice(t *testing.T) {
 			}
 			_, sp, n := ht.keySpan()
 			var hashBytes uint64
-			for i := range ht.shards {
-				hashBytes += groupBytes * uint64(groupsFor(ht.shards[i].n))
+			for _, c := range ht.partCounts() {
+				hashBytes += groupBytes * uint64(groupsFor(c))
 			}
 			for _, f := range ht.Seal(2) {
 				f.Run()
@@ -1034,6 +1134,83 @@ func TestLazySealConcurrentLookups(t *testing.T) {
 		wg.Wait()
 		if want := map[int64]indexKind{1: denseIndex, 1 << 33: hashIndex}[step]; ht.kind != want {
 			t.Errorf("step %d: sealed %v, want %v", step, ht.kind, want)
+		}
+	}
+}
+
+// BenchmarkInsertBlock times InsertBlock of 16 blocks of 2048 rows into a
+// fresh table, from plain blocks and from views that select every other row
+// of four 1024-row base blocks each.
+func BenchmarkInsertBlock(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var plain, views []*storage.Block
+	for i := 0; i < 16; i++ {
+		plain = append(plain, randKeyedBlock(rng, 2048, 1<<20))
+		var bases []*storage.Block
+		for j := 0; j < 4; j++ {
+			bases = append(bases, randKeyedBlock(rng, 1024, 1<<20))
+		}
+		views = append(views, viewOver(bases))
+	}
+	for _, bc := range []struct {
+		name   string
+		blocks []*storage.Block
+	}{{"plain", plain}, {"view", views}} {
+		b.Run(bc.name, func(b *testing.B) {
+			sc := &InsertScratch{}
+			for i := 0; i < b.N; i++ {
+				ht := New(Config{PayloadSchema: payloadSchema()})
+				for _, blk := range bc.blocks {
+					ht.InsertBlock(blk, []int{0}, payIdx, sc)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*16*2048), "ns/row")
+		})
+	}
+}
+
+// BenchmarkSealFill times Seal(parts) and its fills, run on parts
+// goroutines, over a freshly built table: a two-key table that seals hash
+// and a one-key table over a dense key range, each built by one writer.
+func BenchmarkSealFill(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	var hashBlocks, denseBlocks []*storage.Block
+	for i := 0; i < 40; i++ {
+		hb := storage.NewBlock(keyedSchema(), storage.ColumnStore, 1024*32)
+		db := storage.NewBlock(keyedSchema(), storage.ColumnStore, 1024*32)
+		for r := 0; r < 1024; r++ {
+			k := int64(i*1024 + r)
+			hb.AppendRow(types.NewInt64(k/4), types.NewInt64(rng.Int63n(1000)), types.NewInt64(k), types.NewFloat64(0))
+			db.AppendRow(types.NewInt64(rng.Int63n(20000)), types.NewInt64(0), types.NewInt64(k), types.NewFloat64(0))
+		}
+		hashBlocks, denseBlocks = append(hashBlocks, hb), append(denseBlocks, db)
+	}
+	for _, bc := range []struct {
+		name   string
+		keys   int
+		blocks []*storage.Block
+	}{{"hash", 2, hashBlocks}, {"dense", 1, denseBlocks}} {
+		for _, parts := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%s/parts=%d", bc.name, parts), func(b *testing.B) {
+				sc := &InsertScratch{}
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					ht := New(Config{PayloadSchema: payloadSchema(), Keys: bc.keys})
+					for _, blk := range bc.blocks {
+						ht.InsertBlock(blk, []int{0, 1}[:bc.keys], payIdx, sc)
+					}
+					b.StartTimer()
+					var wg sync.WaitGroup
+					for _, f := range ht.Seal(parts) {
+						wg.Add(1)
+						go func(f Fill) {
+							defer wg.Done()
+							f.Run()
+						}(f)
+					}
+					wg.Wait()
+				}
+			})
 		}
 	}
 }

@@ -12,10 +12,6 @@ package stats
 // A rolled-back attempt reports all zeros (core.Output.Finish clears them),
 // so sums over attempts need no failed/succeeded case split.
 type Kernel struct {
-	// ShardLocks counts hash-table shard-lock acquisitions performed by the
-	// work order (the batch insert kernels take each shard lock once per
-	// block instead of once per row).
-	ShardLocks int64 `json:"shard_locks,omitempty"`
 	// BatchedRows counts rows that went through a block-granular batch
 	// kernel (InsertBlock, AddMany, vectorized probe) rather than a
 	// row-at-a-time reference path.
@@ -63,7 +59,6 @@ type KernelCounter struct {
 // Prometheus counters, in Kernel field order. A reflection test fails if a
 // Kernel field is missing here or in Add.
 var KernelCounters = []KernelCounter{
-	{"shard_locks", "Hash-table shard-lock acquisitions per operator.", func(k *Kernel) *int64 { return &k.ShardLocks }},
 	{"batched_rows", "Rows through block-granular batch kernels per operator.", func(k *Kernel) *int64 { return &k.BatchedRows }},
 	{"scratch_hits", "Scratch-buffer pool reuse hits per operator.", func(k *Kernel) *int64 { return &k.ScratchHits }},
 	{"agg_partials", "Thread-local partial aggregation tables created per operator.", func(k *Kernel) *int64 { return &k.AggPartials }},
@@ -79,7 +74,6 @@ var KernelCounters = []KernelCounter{
 // KernelCounters: an accessor call through the table would move o to the
 // heap, and the tracer's recording path must stay allocation-free.
 func (k *Kernel) Add(o Kernel) {
-	k.ShardLocks += o.ShardLocks
 	k.BatchedRows += o.BatchedRows
 	k.ScratchHits += o.ScratchHits
 	k.AggPartials += o.AggPartials

@@ -260,7 +260,7 @@ func kernelFixture() *Tracer {
 		tr.RegisterOpIn(h, id, name)
 	}
 	tr.RegisterEdgeIn(h, 0, EdgeInfo{From: 1, To: 2, FromName: "agg(lineitem)", ToName: "sort", Pipelined: true, UoT: 1})
-	tr.SpanIn(h, Event{Op: 0, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{ShardLocks: 3, BatchedRows: 100}})
+	tr.SpanIn(h, Event{Op: 0, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{ScratchHits: 3, BatchedRows: 100}})
 	tr.SpanIn(h, Event{Op: 1, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{AggFastRows: 40, AggPartials: 2}})
 	tr.SpanIn(h, Event{Op: 1, StartNS: 2, EndNS: 3, Flags: FlagFailed})
 	tr.SpanIn(h, Event{Op: 2, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{SortRuns: 4, TopKPruned: 9}})
@@ -289,14 +289,14 @@ func TestKernelCountersReachBothExports(t *testing.T) {
 		t.Fatal(err)
 	}
 	build, agg := ops.Runs[0].Ops[0], ops.Runs[0].Ops[1]
-	if build["shard_locks"] != 3.0 || agg["agg_fast_rows"] != 40.0 {
+	if build["scratch_hits"] != 3.0 || agg["agg_fast_rows"] != 40.0 {
 		t.Fatalf("JSON ops: build=%v agg=%v", build, agg)
 	}
 	if _, ok := build["agg_fast_rows"]; ok {
 		t.Error("zero kernel counter not omitted from JSON")
 	}
 	for _, want := range []string{
-		`uot_shard_locks_total{run="q",op="build(orders)"} 3`,
+		`uot_scratch_hits_total{run="q",op="build(orders)"} 3`,
 		`uot_agg_fast_rows_total{run="q",op="agg(lineitem)"} 40`,
 		// The two families that predate the name table, help text included.
 		"# HELP uot_sort_runs_total Sorted runs generated per operator.\n# TYPE uot_sort_runs_total counter\n" +
@@ -310,7 +310,7 @@ func TestKernelCountersReachBothExports(t *testing.T) {
 			t.Errorf("Prometheus text missing %q", want)
 		}
 	}
-	if strings.Contains(prom.String(), `uot_shard_locks_total{run="q",op="sort"}`) {
+	if strings.Contains(prom.String(), `uot_scratch_hits_total{run="q",op="sort"}`) {
 		t.Error("operator with a zero kernel counter still emits a sample")
 	}
 }
