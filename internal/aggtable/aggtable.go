@@ -186,9 +186,6 @@ func (t *Table) Key(g int) (k0, k1 int64) {
 // slice aliases the arena; it stays valid until the next upsert.
 func (t *Table) KeyBytes(g int) []byte { return t.arena[t.offs[g]:t.offs[g+1]] }
 
-// Hash returns group g's hash (for radix partitioning).
-func (t *Table) Hash(g int) uint64 { return t.hashes[g] }
-
 // CellAt returns the accumulator of group g, aggregate column j.
 func (t *Table) CellAt(g int32, j int) *Cell { return &t.cells[int(g)*t.nAggs+j] }
 

@@ -226,6 +226,15 @@ type Operator interface {
 	// recycling: they outlive a successful run, and cleanup releases them
 	// after a failed one.
 	AdoptsInputs() bool
+	// HoldsInputs reports whether the operator still reads the blocks fed
+	// to it once their work orders are done (a join build indexes them).
+	// The scheduler asks when each work order completes and when the
+	// operator finishes. While the answer is yes it keeps the operator's
+	// input refs, and releases them once the operator and every operator
+	// behind its blocking edges have finished; a block the operator is the
+	// last reader of moves to the run's HashTables gauge once its work
+	// order on it completes.
+	HoldsInputs() bool
 	// Cleanup releases operator-owned resources; called when the operator
 	// and all work orders are finished.
 	Cleanup(ctx *ExecCtx)
@@ -251,6 +260,9 @@ func (Base) ScalarValue() (types.Datum, bool) { return types.Datum{}, false }
 
 // AdoptsInputs implements Operator.
 func (Base) AdoptsInputs() bool { return false }
+
+// HoldsInputs implements Operator.
+func (Base) HoldsInputs() bool { return false }
 
 // Cleanup implements Operator.
 func (Base) Cleanup(*ExecCtx) {}

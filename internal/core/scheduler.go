@@ -519,11 +519,15 @@ func (s *sched) onComplete(r wres) {
 		s.fail(err)
 	}
 	// Release consumed intermediate blocks (kept until now so retried
-	// attempts could re-read them).
-	for _, b := range r.wo.Inputs() {
-		if _, ok := st.held[b]; ok {
-			delete(st.held, b)
-			s.decRef(b)
+	// attempts could re-read them), unless the operator reads them on.
+	if st.op.HoldsInputs() {
+		s.keep(st, r.wo.Inputs())
+	} else {
+		for _, b := range r.wo.Inputs() {
+			if _, ok := st.held[b]; ok {
+				delete(st.held, b)
+				s.decRef(b)
+			}
 		}
 	}
 	switch {
@@ -539,6 +543,22 @@ func (s *sched) onComplete(r wres) {
 		s.emit(st, r.out.Blocks)
 	}
 	s.check(st)
+}
+
+// keep moves the blocks an operator that holds its inputs has just read,
+// and is the last reader of, from the pool's live bytes to the run's
+// HashTables gauge: the blocks are now part of its table.
+func (s *sched) keep(st *opState, blocks []*storage.Block) {
+	if s.ctx.Run == nil {
+		return // no gauges to move between
+	}
+	for _, b := range blocks {
+		_, held := st.held[b]
+		_, shared := s.adopted[b]
+		if held && s.rc[b] == 1 && !shared {
+			s.ctx.Pool.Keep(b, &s.ctx.Run.HashTables)
+		}
+	}
 }
 
 // emitFinal parks a completed Final work order's output in its issue slot and
@@ -563,15 +583,17 @@ func (s *sched) emit(st *opState, blocks []*storage.Block) {
 	}
 	// Reference count = number of non-adopting pipelined consumers; one
 	// adopting consumer makes the blocks adopted.
-	pipes, refs, adopts := 0, 0, false
+	pipes, refs, adopts, holds := 0, 0, false, false
 	for _, es := range st.out {
 		if es.e.Kind == Pipelined {
 			pipes++
-			if s.states[es.e.To].op.AdoptsInputs() {
+			c := s.states[es.e.To].op
+			if c.AdoptsInputs() {
 				adopts = true
 			} else {
 				refs++
 			}
+			holds = holds || c.HoldsInputs()
 		}
 	}
 	if pipes == 0 {
@@ -590,6 +612,11 @@ func (s *sched) emit(st *opState, blocks []*storage.Block) {
 			// an adopter keeps its blocks past the run, and a consumer
 			// that materializes a view would change it under the others.
 			s.ctx.Pool.Materialize(b, s.ctx.TempBlockBytes)
+		}
+		if holds {
+			// A consumer keeps the block past its work orders: a partial
+			// one should not pin a whole budget meanwhile.
+			s.ctx.Pool.Cut(b)
 		}
 		if refs > 0 {
 			s.rc[b] = refs
@@ -841,7 +868,31 @@ func (s *sched) finish(st *opState) {
 		}
 	}
 
-	// Blocks this operator buffered but never consumed through work orders.
+	// Blocks this operator buffered but never consumed through work orders,
+	// or kept past them; and the kept blocks of a producer whose blocking
+	// consumers are now all done.
+	s.releaseHeld(st)
+	for _, es := range s.edges {
+		if es.e.Kind == Blocking && es.e.To == st.id {
+			s.releaseHeld(s.states[es.e.From])
+		}
+	}
+}
+
+// releaseHeld drops a finished operator's input refs, unless it still reads
+// them (HoldsInputs) and an operator behind one of its blocking edges has
+// not finished yet.
+func (s *sched) releaseHeld(st *opState) {
+	if !st.done || len(st.held) == 0 {
+		return
+	}
+	if st.op.HoldsInputs() {
+		for _, es := range st.out {
+			if es.e.Kind == Blocking && !s.states[es.e.To].done {
+				return
+			}
+		}
+	}
 	for b := range st.held {
 		delete(st.held, b)
 		s.decRef(b)

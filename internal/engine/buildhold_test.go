@@ -1,0 +1,326 @@
+package engine
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/exec"
+	"repro/internal/expr"
+	"repro/internal/faults"
+	"repro/internal/hashtable"
+	"repro/internal/stats"
+	"repro/internal/storage"
+)
+
+// factBuildPlan joins dim (probe side) to the fact rows with v >= 10 (build
+// side): the build's input is a select over fact, which emits views of the
+// fact blocks unless copied computes v (v * 1), and then emits temp blocks.
+// The build keys on k and carries (v, grp), which a view holds in base
+// columns 2 and 1; the probe keeps the pairs with v >= 20 through a residual
+// over the payload and emits (w, v, grp), summed per grp. It returns the
+// builder, the build operator and the build's input node.
+func factBuildPlan(fact, dim *storage.Table, copied bool) (*Builder, *exec.BuildHashOp, *Node) {
+	b := NewBuilder()
+	fs, ds := fact.Schema(), dim.Schema()
+	var v expr.Expr = expr.C(fs, "v")
+	if copied {
+		v = expr.MulE(v, expr.Float(1))
+	}
+	selFact := b.ScanSelect(exec.SelectSpec{
+		Name: "sel_fact", Base: fact,
+		Pred:      expr.Ge(expr.C(fs, "v"), expr.Float(10)),
+		Proj:      []expr.Expr{expr.C(fs, "grp"), expr.C(fs, "k"), v},
+		ProjNames: []string{"grp", "k", "v"},
+	})
+	bld, bop := b.Build(selFact, exec.BuildSpec{
+		Name: "build_fact", KeyCols: []int{1}, Payload: []int{2, 0}, ExpectedRows: 900,
+	})
+	selDim := b.ScanSelect(exec.SelectSpec{
+		Name: "sel_dim", Base: dim,
+		Proj:      []expr.Expr{expr.C(ds, "k"), expr.C(ds, "w")},
+		ProjNames: []string{"k", "w"},
+	})
+	probe := b.Probe(selDim, bld, exec.ProbeSpec{
+		Name: "probe_fact", KeyCols: []int{0},
+		Residual:  expr.Ge(expr.C2(bop.PayloadSchema(), "v"), expr.Float(20)),
+		ProbeProj: []int{1}, BuildProj: []int{0, 1},
+	})
+	agg := b.Agg(probe, exec.AggOpSpec{
+		Name:         "agg",
+		GroupBy:      []expr.Expr{expr.C(probe.Schema, "grp")},
+		GroupByNames: []string{"grp"},
+		Aggs: []exec.AggSpec{
+			{Func: exec.Count, Name: "cnt"},
+			{Func: exec.Sum, Arg: expr.C(probe.Schema, "v"), Name: "sv"},
+			{Func: exec.Sum, Arg: expr.C(probe.Schema, "w"), Name: "sw"},
+		},
+	})
+	b.Collect(b.Sort(agg, exec.SortSpec{Name: "sort", Terms: []exec.SortTerm{{Key: expr.C(agg.Schema, "grp")}}}))
+	return b, bop, selFact
+}
+
+// wantFactBuild is factBuildPlan's result, per grp: count, sum(v), sum(w).
+func wantFactBuild() string {
+	var out [5][3]float64
+	for i := 200; i < 1000; i++ { // v = i/10 >= 20
+		if k := i % 100; k < 50 {
+			e := &out[i%5]
+			e[0]++
+			e[1] += float64(i) / 10
+			e[2] += float64(2 * k)
+		}
+	}
+	return fmt.Sprintf("%.6f", out)
+}
+
+// gotFactBuild renders a factBuildPlan result like wantFactBuild.
+func gotFactBuild(t *testing.T, res *storage.Table) string {
+	t.Helper()
+	var out [5][3]float64
+	for _, r := range Rows(res) {
+		out[r[0].I] = [3]float64{r[1].Float(), r[2].Float(), r[3].Float()}
+	}
+	return fmt.Sprintf("%.6f", out)
+}
+
+// checkResolvesTo probes the build's table with every fact key and checks
+// each match resolves to a row of one of the given blocks holding that key
+// (fact's column 0 in a base block, column 1 in a temp block).
+func checkResolvesTo(t *testing.T, bop *exec.BuildHashOp, blocks []*storage.Block, keyCol int) {
+	t.Helper()
+	ht := bop.HT()
+	keys := make([]int64, 100)
+	for k := range keys {
+		keys[k] = int64(k)
+	}
+	var m hashtable.Matches
+	ht.Match(keys, nil, false, &m)
+	if len(m.Ref) != 900 {
+		t.Fatalf("%d matches, want the 900 build rows", len(m.Ref))
+	}
+	for i, ref := range m.Ref {
+		pb, row := ht.Payload(ref)
+		if !slices.Contains(blocks, pb) || pb.Int64At(keyCol, row) != keys[m.Probe[i]] {
+			t.Fatalf("match %d (key %d) resolves to row %d of a block that is not its input, or holds another key", i, keys[m.Probe[i]], row)
+		}
+	}
+}
+
+// TestBuildHoldsBaseSelectViews: a build fed by a base-table select keeps
+// the select's views. Nothing on that edge is materialized: every entry of
+// the table resolves to its base row in a fact block, and the payload and
+// residual columns are read there through the view's projection. The join
+// is right, and the run ends with no live pool or hash-table bytes and no
+// leaks.
+func TestBuildHoldsBaseSelectViews(t *testing.T) {
+	_, fact, dim := fixture(t, storage.ColumnStore, 4<<10)
+	for _, workers := range []int{1, 4} {
+		for _, uot := range []int{1, core.UoTTable} {
+			var live stats.MemGauge
+			b, bop, _ := factBuildPlan(fact, dim, false)
+			res, err := Execute(b, Options{Workers: workers, UoTBlocks: uot, TempBlockBytes: 4 << 10, Pool: storage.NewPool(&live, nil)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("workers %d, uot %d", workers, uot)
+			if got, want := gotFactBuild(t, res.Table), wantFactBuild(); got != want {
+				t.Fatalf("%s: result %s, want %s", name, got, want)
+			}
+			checkResolvesTo(t, bop, fact.Blocks(), 0)
+			if r := res.Run.Robust(); live.Live() != 0 || res.Run.HashTables.Live() != 0 || r.LeakedBlocks != 0 || r.OutstandingRefs != 0 {
+				t.Fatalf("%s: %d live pool bytes, %d live hash-table bytes, leaks %+v", name, live.Live(), res.Run.HashTables.Live(), r)
+			}
+			if res.Run.HashTables.High() == 0 {
+				t.Fatalf("%s: the held views never counted as hash-table bytes", name)
+			}
+		}
+	}
+}
+
+// TestTappedBuildInputIsMaterialized: a build input a collector also adopts
+// (a reuse tap) is materialized for the collector, so the table indexes the
+// tapped temp blocks, not the fact blocks. The join is right, and after the
+// build released its refs the tap still holds every row, and the pool only
+// the tap's blocks.
+func TestTappedBuildInputIsMaterialized(t *testing.T) {
+	_, fact, dim := fixture(t, storage.ColumnStore, 4<<10)
+	for _, uot := range []int{1, core.UoTTable} {
+		var live stats.MemGauge
+		b, bop, sel := factBuildPlan(fact, dim, false)
+		tap := exec.NewCollect(sel.Schema, 4<<10, storage.ColumnStore)
+		b.plan.Pipe(sel.ID, exec.AddOp(b.plan, tap), 0, 1)
+		res, err := Execute(b, Options{Workers: 1, UoTBlocks: uot, TempBlockBytes: 4 << 10, Pool: storage.NewPool(&live, nil)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := gotFactBuild(t, res.Table), wantFactBuild(); got != want {
+			t.Fatalf("uot %d: result %s, want %s", uot, got, want)
+		}
+		tapped := tap.Result().Blocks()
+		checkResolvesTo(t, bop, tapped, 1)
+		n := 0
+		for _, blk := range tapped {
+			if blk.IsView() {
+				t.Fatalf("uot %d: the tap holds a view", uot)
+			}
+			for r := range blk.NumRows() {
+				i := 100 + n
+				if blk.Int64At(0, r) != int64(i%5) || blk.Int64At(1, r) != int64(i%100) || blk.Float64At(2, r) != float64(i)/10 {
+					t.Fatalf("uot %d: tapped row %d is (%v, %v, %v)", uot, n, blk.Int64At(0, r), blk.Int64At(1, r), blk.Float64At(2, r))
+				}
+				n++
+			}
+		}
+		if n != 900 || live.Live() != tap.Result().AllocBytes() {
+			t.Fatalf("uot %d: the tap holds %d rows; %d live pool bytes for a tap of %d", uot, n, live.Live(), tap.Result().AllocBytes())
+		}
+	}
+}
+
+// cancelAfterPolls is a context canceled by the n-th poll of its Done
+// channel: the scheduler polls at every dispatch step, work-order start and
+// block checkout, so sweeping n cancels a run at each of those points.
+type cancelAfterPolls struct {
+	context.Context
+	polls  atomic.Int64
+	n      int64
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfterPolls) Done() <-chan struct{} {
+	if c.polls.Add(1) == c.n {
+		c.cancel()
+	}
+	return c.Context.Done()
+}
+
+// runCounted runs a plan through core.Run, as Execute does, and returns the
+// run's stats even when it fails, so a failed run's leak counts can be read.
+func runCounted(cx context.Context, b *Builder, pool *storage.Pool, workers, uot int) (*stats.Run, error) {
+	run := stats.NewRun()
+	err := core.Run(b.plan, &core.ExecCtx{
+		Pool: pool.Subpool(&run.Intermediates, nil), Run: run, Workers: workers,
+		TempBlockBytes: 4 << 10, TempFormat: storage.ColumnStore, Ctx: cx,
+	}, uot)
+	return run, err
+}
+
+// TestHeldBuildInputsLeakNothing: the zero-leak invariant holds while builds
+// hold their inputs until their probes end, over views and over temp blocks:
+// under HashInsert faults at rate 0.25 the join is right; a cancellation at
+// every point of the run, mid-probe included, ends with no live pool bytes,
+// no leaked block and no outstanding ref; and with a RAM tier at 1/8 of the
+// temp peak the spill tier evicts and faults blocks in but never a block a
+// reader holds.
+func TestHeldBuildInputsLeakNothing(t *testing.T) {
+	_, fact, dim := fixture(t, storage.ColumnStore, 4<<10)
+	want := wantFactBuild()
+	clean := func(t *testing.T, name string, live *stats.MemGauge, run *stats.Run) {
+		t.Helper()
+		if r := run.Robust(); live.Live() != 0 || r.LeakedBlocks != 0 || r.OutstandingRefs != 0 {
+			t.Fatalf("%s: %d live pool bytes, leaks %+v", name, live.Live(), r)
+		}
+	}
+	t.Run("HashInsert faults", func(t *testing.T) {
+		var injected int64
+		for _, copied := range []bool{false, true} {
+			for _, workers := range []int{1, 4} {
+				for _, uot := range []int{1, core.UoTTable} {
+					for seed := uint64(1); seed <= 3; seed++ {
+						var live stats.MemGauge
+						inj := faults.New(faults.Config{Seed: seed, Rates: map[faults.Site]float64{faults.HashInsert: 0.25}})
+						b, _, _ := factBuildPlan(fact, dim, copied)
+						res, err := Execute(b, Options{Workers: workers, UoTBlocks: uot, TempBlockBytes: 4 << 10, Faults: inj, Pool: storage.NewPool(&live, nil)})
+						name := fmt.Sprintf("copied %v, workers %d, uot %d, seed %d", copied, workers, uot, seed)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if got := gotFactBuild(t, res.Table); got != want {
+							t.Fatalf("%s: result %s, want %s", name, got, want)
+						}
+						clean(t, name, &live, res.Run)
+						injected += inj.Injected()
+					}
+				}
+			}
+		}
+		if injected == 0 {
+			t.Fatal("no fault fired; the test is vacuous")
+		}
+	})
+	t.Run("cancel", func(t *testing.T) {
+		for _, copied := range []bool{false, true} {
+			midProbe := 0
+			for n := int64(1); ; n++ {
+				var live stats.MemGauge
+				cx, cancel := context.WithCancel(context.Background())
+				b, _, _ := factBuildPlan(fact, dim, copied)
+				pool := storage.NewPool(&live, nil)
+				run, err := runCounted(&cancelAfterPolls{Context: cx, n: n, cancel: cancel}, b, pool, 1, 1)
+				cancel()
+				if err == nil {
+					pool.Disown(b.collect.Result().AllocBytes()) // the client's, as Execute hands it over
+				}
+				name := fmt.Sprintf("copied %v, canceled at poll %d", copied, n)
+				clean(t, name, &live, run)
+				if err == nil {
+					break // the run finished before the n-th poll
+				}
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s: %v, want a cancellation", name, err)
+				}
+				probed, built := false, false
+				for _, o := range run.PerOp() {
+					probed = probed || o.Name == "probe_fact" && o.Count > 0
+					built = built || o.Name == "build_fact" && o.Count > 0
+				}
+				if built && probed {
+					midProbe++
+				}
+			}
+			if midProbe == 0 {
+				t.Fatalf("copied %v: no cancellation landed while the probe ran", copied)
+			}
+		}
+	})
+	t.Run("RAM tier at 1/8", func(t *testing.T) {
+		for _, workers := range []int{1, 4} {
+			var live stats.MemGauge
+			b, _, _ := factBuildPlan(fact, dim, true)
+			base, err := Execute(b, Options{Workers: 1, UoTBlocks: core.UoTTable, TempBlockBytes: 4 << 10, Pool: storage.NewPool(&live, nil)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool, dir := spillPool(t, nil)
+			if err := pool.CloseSpill(); err != nil {
+				t.Fatal(err)
+			}
+			if err := pool.EnableSpill(storage.SpillConfig{Dir: dir, Threshold: base.Run.Intermediates.High() / 8}); err != nil {
+				t.Fatal(err)
+			}
+			b, _, _ = factBuildPlan(fact, dim, true)
+			run, err := runCounted(context.Background(), b, pool, workers, core.UoTTable)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("workers %d", workers)
+			sp := pool.SpillCounters()
+			if got := gotFactBuild(t, b.collect.Result()); got != want {
+				t.Fatalf("%s: result %s, want %s", name, got, want)
+			}
+			if sp.BadEvicts != 0 || sp.BlocksOut == 0 || sp.BlocksIn == 0 || sp.Outstanding != 0 {
+				t.Fatalf("%s: spill counters %+v: want traffic both ways, no bad evict, nothing tracked after", name, sp)
+			}
+			pool.Disown(b.collect.Result().AllocBytes())
+			if r := run.Robust(); pool.Live() != 0 || r.LeakedBlocks != 0 || r.OutstandingRefs != 0 {
+				t.Fatalf("%s: %d live pool bytes, leaks %+v", name, pool.Live(), r)
+			}
+			closeTier(t, pool, dir)
+		}
+	})
+}

@@ -17,7 +17,7 @@ import (
 // say why in the change's notes.
 var intermediatesHigh = map[int][2]int64{
 	1:  {262020, 1187340},
-	2:  {262062, 305824},
+	2:  {273762, 317524},
 	3:  {299568, 786360},
 	4:  {262108, 786432},
 	5:  {425900, 1343448},

@@ -15,19 +15,21 @@ import (
 )
 
 // BuildHashOp consumes its input and builds a join hash table keyed on one
-// or two integer columns, storing a projection of the build side as the
-// per-entry payload. With BuildBloom set it also populates a bloom filter
-// over the first key column for LIP consumers.
+// or two integer columns over it: the table indexes the blocks it is fed,
+// views included, and a projection of the build side is each entry's
+// payload. With BuildBloom set it also populates a bloom filter over the
+// first key column for LIP consumers.
 //
 // Build work orders run the block-granular insert kernel
 // (hashtable.InsertBlock): keys are gathered and hashed vectorized, and the
-// block's keys and payload rows are appended to one writer shard of the
-// table under one lock acquisition. The bloom filter is populated
-// with the same gathered key vector through lock-free atomic adds, so
-// concurrent build work orders never serialize on an operator mutex. Insert
-// scratch buffers are pooled across work orders, making the steady-state
-// build allocation-free per block. Once every row is in, the Final wave
-// seals the table: it chooses the index from the entry count and key range
+// block is recorded in the table, nothing copied. The operator holds its
+// inputs (HoldsInputs), so the scheduler keeps every fed block until the
+// probes behind the build are done. The bloom filter is populated with the
+// same gathered key vector through lock-free atomic adds, so concurrent
+// build work orders never serialize on an operator mutex. Insert scratch
+// buffers are pooled across work orders, making the steady-state build
+// allocation-free per block. Once every row is in, the Final wave seals the
+// table: it chooses the index from the entry count and key range
 // (hashtable.Seal) and fills it.
 type BuildHashOp struct {
 	core.Base
@@ -118,6 +120,11 @@ func (o *BuildHashOp) Bloom() *bloom.Filter { return o.filter }
 
 // PayloadSchema returns the schema of per-entry payload tuples.
 func (o *BuildHashOp) PayloadSchema() *storage.Schema { return o.paySchema }
+
+// HoldsInputs implements core.Operator: the table reads its entries in the
+// fed blocks until it is released, except a key-only table sealed dense,
+// which keeps only its offsets.
+func (o *BuildHashOp) HoldsInputs() bool { return o.ht == nil || o.ht.ReadsInputs() }
 
 // Feed implements core.Operator.
 func (o *BuildHashOp) Feed(_ *core.ExecCtx, _ int, blocks []*storage.Block) []core.WorkOrder {
@@ -263,14 +270,17 @@ func (j JoinType) String() string {
 // table when it finishes.
 //
 // Probe work orders run a block at a time: the probe-side key columns are
-// gathered, hashtable.Match collects every (probe row, payload row) pair of
+// gathered, hashtable.Match collects every (probe row, build row) pair of
 // the block (hashing the keys only under a hash index), the residual
 // filters the pairs through the block kernels (the columns it reads are
 // gathered for the pairs into one scratch block), and the output is
 // materialized column at a time
 // (Emitter.AppendPairs for inner and outer joins, Emitter.AppendMany over a
-// selection vector for semi and anti joins). All vectors live in a pooled
-// scratch, so the steady state allocates nothing per block.
+// selection vector for semi and anti joins). A build row is read in the
+// block the build was fed (a view's, in its base block), so the build
+// columns are mapped through the table's hashtable.SourceCols once per
+// block. All vectors live in a pooled scratch, so the steady state
+// allocates nothing per block.
 type ProbeOp struct {
 	core.Base
 	self      core.OpID
@@ -298,8 +308,11 @@ type probeScratch struct {
 	k0 []int64
 	k1 []int64
 	m  hashtable.Matches
-	// The pairs inner and outer joins emit: probe row, payload block (nil:
-	// zero-filled build columns) and payload row. sel is the probe-row
+	// BuildProj and the residual's payload columns, as the columns of the
+	// blocks the table's entries lie in.
+	buildCols, resCols []int
+	// The pairs inner and outer joins emit: probe row, build block (nil:
+	// zero-filled build columns) and build row. sel is the probe-row
 	// selection semi and anti joins emit.
 	lrows []int32
 	rbs   []*storage.Block
@@ -515,6 +528,8 @@ func (w *probeWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 		sc = &probeScratch{}
 	}
 	sc.gather(b, o.keyCols)
+	sc.buildCols = ht.SourceCols(sc.buildCols[:0], o.buildProj)
+	sc.resCols = ht.SourceCols(sc.resCols[:0], o.resBuild)
 	out.BatchedRows += int64(n)
 	existence := o.joinType == LeftSemi || o.joinType == LeftAnti
 	ht.Match(sc.k0, sc.k1, existence && o.residual == nil, &sc.m)
@@ -527,7 +542,7 @@ func (w *probeWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 		em.AppendMany(b, sc.sel, o.probeProj)
 	} else {
 		sc.resolve(ht, n, o.joinType == LeftOuter)
-		em.AppendPairs(b, sc.lrows, o.probeProj, sc.rbs, sc.rrows, o.buildProj)
+		em.AppendPairs(b, sc.lrows, o.probeProj, sc.rbs, sc.rrows, sc.buildCols)
 	}
 	sc.reset()
 	o.scratch.Put(sc)
@@ -555,7 +570,7 @@ func (sc *probeScratch) filter(o *ProbeOp, ht *hashtable.Table, b *storage.Block
 			sc.rbs, sc.rrows = append(sc.rbs, pb), append(sc.rrows, int32(prow))
 		}
 		sc.res.Reset()
-		sc.res.AppendPairs(b, m.Probe[lo:hi], o.resProbe, sc.rbs, sc.rrows, o.resBuild)
+		sc.res.AppendPairs(b, m.Probe[lo:hi], o.resProbe, sc.rbs, sc.rrows, sc.resCols)
 		sc.rbs, sc.rrows = sc.rbs[:0], sc.rrows[:0]
 		sc.rsel = sc.vec.Filter(o.resPred, &ec, sc.rsel)
 		for _, i := range sc.rsel {

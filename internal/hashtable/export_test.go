@@ -1,13 +1,7 @@
 package hashtable
 
 // Len returns the total number of entries.
-func (t *Table) Len() int {
-	n := 0
-	for i := range t.shards {
-		n += t.shards[i].n
-	}
-	return n
-}
+func (t *Table) Len() int { return t.n }
 
 // kinds are both index kinds, for tests that run under each.
 var kinds = []indexKind{hashIndex, denseIndex}

@@ -1,30 +1,34 @@
-// Package hashtable implements the engine's join table: an append-only entry
-// store, split into writer shards for concurrent build, and an index chosen
-// once the build is done.
+// Package hashtable implements the engine's join table: an index over the
+// blocks its build was fed, chosen once the build is done.
 //
-// A build appends a whole block to one writer shard, the one its call holds:
-// each row's key (or key pair) goes to the shard's key chunks and its payload
-// columns to the shard's row-store payload blocks, so entry i of a shard is
-// key i and payload row i; nothing is written at random. One writer fills
-// shard 0 alone, in insertion order; W concurrent writers use at most W
-// shards. Seal then picks the index from the entry count and key range it
-// saw:
+// A build copies nothing. It records each block it is fed as sources: a
+// block is one source, rows 0..n-1; a view is one source per segment, its
+// base block and base rows, so a lookup never searches a view's segments.
+// An entry is (source, row), in the order the blocks went in, and its keys
+// and payload stay where they are: payload column c of an entry is column
+// SourceCols(c) of its source block. The build widens the key range and
+// counts each index partition's entries; Seal then picks the index from the
+// entry count and key range it saw:
 //
 //   - dense (one-key tables only): an offset per key of [min, max] into one
-//     4-byte entry ref per row, in per-key insertion order. The key chunks
-//     are freed after the fill; a key-only table keeps only the offsets.
+//     4-byte entry ref per row, in per-key insertion order. A dense table
+//     keeps no keys, and a key-only one no refs either: only the offsets.
 //   - hash: 64 index partitions chosen by hash bits, each groups of eight
 //     5-byte slots (a 7-bit hash tag in one 64-bit control word, and a
-//     4-byte Ref: writer shard and entry index), sized exactly from the
-//     partition's entry count at load MaxLoad. The store keeps the keys.
+//     4-byte Ref: source and row), sized exactly from the partition's entry
+//     count at load MaxLoad. On a tag hit a lookup reads the entry's keys
+//     from its source.
 //
-// Dense is chosen only when its bytes are no more than the hash groups', so
-// no table is larger than its hash alternative (the c/f memory model of
-// Section VI-B of the paper: c = SlotBytes plus KeyBytes(keys) per entry,
-// f = MaxLoad; dense costs OffsetBytes per key of the range and RefBytes per
-// entry). Duplicate keys come back in insertion order under either index,
-// and payload tuples stay in row-store blocks so probe residual predicates
-// evaluate directly over build-side rows.
+// Both fills read the keys from the sources a chunk at a time, so a seal
+// never holds a whole-table key array. Dense is chosen only when its bytes
+// are no more than the hash groups', so no index is larger than its hash
+// alternative (the c/f memory model of Section VI-B of the paper: c =
+// SlotBytes per entry, f = MaxLoad; dense costs OffsetBytes per key of the
+// range and RefBytes per entry). The table's own bytes are its index; the
+// blocks it indexes stay the build's inputs, which the engine keeps until
+// the table is released. Duplicate keys come back in insertion order under
+// either index, and payload tuples are read in place, so probe residual
+// predicates evaluate directly over build-side rows.
 package hashtable
 
 import (
@@ -73,51 +77,51 @@ const (
 // 7 of every 8 slots.
 const MaxLoad = float64(maxLoadSlots) / groupSlots
 
-// KeyBytes is what a hash-indexed table's entry store keeps per entry besides
-// its payload: the keys.
+// KeyBytes is the width of an entry's keys, which a hash index compares on a
+// tag hit; they live in the entry's source block.
 func KeyBytes(keys int) int { return 8 * keys }
 
-// Payload tuples live in per-shard row-store blocks. Only a shard's last
-// block has free rows, so a shard leaves less than one block unused, and a
-// table one writer built less than one in all: the
-// first block is small so tiny dimension tables stay cheap, later blocks are
-// a little larger so big builds allocate less often.
 const (
-	payloadBlockBytesFirst = 4 << 10
-	payloadBlockBytes      = 16 << 10
+	// numParts is the hash index partitions.
+	numParts = 64
+	// minFillEntries is the fewest entries a hash fill is given: every fill
+	// reads the keys of every entry and places only its own partitions',
+	// so splitting a small table's fill only repeats that read.
+	minFillEntries = 1 << 16
+	// fillChunk is how many entries a fill reads keys for at a time.
+	fillChunk = 512
 )
 
-// Keys live in per-shard chunks of chunkKeys. A shard's first chunk starts
-// at firstChunkKeys and doubles until it is full size, so a shard with a
-// handful of entries pays for a handful of keys; every later chunk is
-// allocated at full size and never copied. The gauge counts every chunk.
-const (
-	chunkShift     = 9
-	chunkKeys      = 1 << chunkShift
-	chunkMask      = chunkKeys - 1
-	firstChunkKeys = 16
-)
+// source is a run of entries that lie in one block with a layout: a fed
+// block's rows, or one segment of a fed view.
+type source struct {
+	b    *storage.Block
+	rows []int32 // a view segment's base rows; nil: rows 0..n-1 of b
+	n    int
+	// The key columns' cells in b (k1 unset in a one-key table).
+	k0, k1 storage.Cells
+}
 
-const (
-	// numShards is both the writer shards and the hash index partitions.
-	numShards = 64
-	// A Ref packs the writer shard into its top refShardBits and the entry
-	// index into the rest, which bounds a shard's entries.
-	refShardBits    = 6
-	refIdxBits      = 32 - refShardBits
-	maxShardEntries = 1 << refIdxBits
-)
-
-// shard is a writer shard: the entries appended by the inserts that held its
-// lock, in the order they held it.
-type shard struct {
-	mu       sync.Mutex
-	n        int
-	min, max int64     // over first keys; valid when n > 0
-	k0, k1   [][]int64 // key chunks; k1 nil in a one-key table
-	payload  []*storage.Block
-	// partCount counts the shard's entries per hash index partition.
-	partCount [numShards]int32
+// load reads the rows and keys of the source's entries from at on, at most
+// fillChunk of them, and returns how many it read.
+func (s *source) load(at, keys int, rows *[fillChunk]int32, k0, k1 *[fillChunk]int64) int {
+	m := min(fillChunk, s.n-at)
+	if s.rows != nil {
+		copy(rows[:m], s.rows[at:])
+	} else {
+		for j := range m {
+			rows[j] = int32(at + j)
+		}
+	}
+	for j, r := range rows[:m] {
+		k0[j] = s.k0.Int64(int(r))
+	}
+	if keys == 2 {
+		for j, r := range rows[:m] {
+			k1[j] = s.k1.Int64(int(r))
+		}
+	}
+	return m
 }
 
 // part is one partition of the hash index, written by its fill: nil groups
@@ -137,24 +141,33 @@ const (
 
 // Table is a concurrent join table keyed by one or two 64-bit integers. It
 // is built with InsertBlock or InsertBlockKeyOnly, sealed once with Seal (or
-// on its first lookup), then probed.
+// on its first lookup), then probed. The blocks it is fed must stay
+// unchanged and alive until the last lookup.
 type Table struct {
-	shards     [numShards]shard
-	parts      [numShards]part
+	// mu guards the build: the sources, the entry count, the key range,
+	// the partition counts and the payload column map.
+	mu       sync.Mutex
+	srcs     []source
+	n        int
+	min, max int64 // over first keys; valid when n > 0
+	counts   [numParts]int
+	cols     []int // payload column c is column cols[c] of every source
+	maxRows  int   // the most rows of any source block
+
+	parts      [numParts]part
 	keys       int // 1 or 2
 	keyOnly    bool
 	payloadSch *storage.Schema
-	// Rows per payload block: the first block, then every later one.
-	firstRows, rows uint32
-	gauge           *stats.MemGauge // may be nil
+	gauge      *stats.MemGauge // may be nil
 
 	sealOnce sync.Once // Seal's choice of kind
 	lazyOnce sync.Once // the seal and fills of a table probed unsealed
 	ready    atomic.Bool
 	kind     indexKind
+	// A Ref is source<<rowBits | row, the split fixed at seal.
+	rowBits uint
 	// The dense index: the entries of key min+j are refs[offsets[j]:
 	// offsets[j+1]] (a key-only table keeps no refs).
-	min     int64
 	offsets []uint32
 	refs    []Ref
 
@@ -163,22 +176,22 @@ type Table struct {
 
 // Config parameterizes a table.
 type Config struct {
-	// PayloadSchema describes the build-side columns stored per entry; a
+	// PayloadSchema describes the build-side columns each entry carries; a
 	// table whose schema has no columns is key-only.
 	PayloadSchema *storage.Schema
 	// Keys is the number of key columns, 1 or 2; zero means 1. A one-key
-	// table stores no second key, so inserting one panics.
+	// table holds no second key, so inserting one panics.
 	Keys int
 	// InitialCapacity is unused: the index is sized from the entries the
-	// build stored. Declared only because benchmark/kernels.go sets it;
+	// build recorded. Declared only because benchmark/kernels.go sets it;
 	// drop both in the next [benchmark] PR.
 	InitialCapacity int
-	// Gauge, if non-nil, tracks the table's live bytes.
+	// Gauge, if non-nil, tracks the table's live bytes: its index.
 	Gauge *stats.MemGauge
 }
 
-// New returns an empty table. It allocates nothing: key chunks and payload
-// blocks come with the rows, the index with Seal.
+// New returns an empty table. It allocates nothing: the index comes with
+// Seal.
 func New(cfg Config) *Table {
 	switch cfg.Keys {
 	case 0:
@@ -189,12 +202,6 @@ func New(cfg Config) *Table {
 	}
 	t := &Table{keys: cfg.Keys, payloadSch: cfg.PayloadSchema, gauge: cfg.Gauge}
 	t.keyOnly = cfg.PayloadSchema == nil || cfg.PayloadSchema.NumCols() == 0
-	if !t.keyOnly {
-		// The capacity storage.NewBlock gives a row-store block.
-		w := cfg.PayloadSchema.RowWidth()
-		t.firstRows = uint32(max(1, payloadBlockBytesFirst/w))
-		t.rows = uint32(max(1, payloadBlockBytes/w))
-	}
 	return t
 }
 
@@ -210,7 +217,7 @@ func hashKey(k0, k1 int64) uint64 {
 // partOf selects the hash index partition: hash bits 48–53, independent of
 // the tag (bits 0–6), the group index (bits 7 and up, masked far below 48 in
 // practice) and the aggregation radix's top bits.
-func partOf(h uint64) uint64 { return (h >> 48) & (numShards - 1) }
+func partOf(h uint64) uint64 { return (h >> 48) & (numParts - 1) }
 
 // tagOf returns h's 7-bit control tag broadcast to all eight bytes.
 func tagOf(h uint64) uint64 { return (h & 0x7f) * lsbs }
@@ -227,16 +234,14 @@ func matchTag(ctrl, tag uint64) uint64 {
 func slotOf(m uint64) int { return bits.TrailingZeros64(m) >> 3 }
 
 // InsertScratch holds the reusable buffers of the block-granular insert
-// kernels: gathered key columns, the hash vector, and the row indexes of a
-// whole block. One scratch serves any number of sequential InsertBlock
-// calls; operators pool scratches across work orders so the steady state
-// allocates nothing per block. A scratch must not be used by two goroutines
-// at once.
+// kernels: gathered key columns and the hash vector. One scratch serves any
+// number of sequential InsertBlock calls; operators pool scratches across
+// work orders so the steady state allocates nothing per block. A scratch
+// must not be used by two goroutines at once.
 type InsertScratch struct {
 	k0     []int64
 	k1     []int64
 	hashes []uint64
-	seq    []int32 // 0, 1, 2, …
 }
 
 // Keys returns the key columns gathered by the last InsertBlock /
@@ -257,19 +262,12 @@ func (sc *InsertScratch) gather(b *storage.Block, keyCols []int) {
 	sc.hashes = types.HashPairVec(sc.k0, sc.k1, sc.hashes)
 }
 
-// rows returns the row indexes 0..n-1.
-func (sc *InsertScratch) rows(n int) []int32 {
-	for i := len(sc.seq); i < n; i++ {
-		sc.seq = append(sc.seq, int32(i))
-	}
-	return sc.seq[:n]
-}
-
-// InsertBlock appends every row of b to one writer shard under one lock
-// acquisition: the key columns are gathered and hashed vectorized
-// (types.HashPairVec; the hashes only count each index partition's
-// entries), the keys are copied to the shard's key chunks and the payload
-// rows to its blocks, one AppendFromMany per payload block. It is safe for
+// InsertBlock records every row of b as an entry, in row order, without
+// copying it: b (a view: each of its segments) becomes a source of the
+// table. The key columns are gathered and hashed vectorized
+// (types.HashPairVec) to widen the key range and count each index
+// partition's entries; projIdx names b's payload columns, which must lie in
+// the same source columns for every block of the table. It is safe for
 // concurrent use with other inserts; sc must be private to the caller (pass
 // a pooled scratch).
 func (t *Table) InsertBlock(b *storage.Block, keyCols []int, projIdx []int, sc *InsertScratch) {
@@ -277,7 +275,7 @@ func (t *Table) InsertBlock(b *storage.Block, keyCols []int, projIdx []int, sc *
 }
 
 // InsertBlockKeyOnly is InsertBlock for a key-only table (semi/anti builds):
-// no payload rows are stored, only the keys.
+// the entries carry no payload, only their keys.
 func (t *Table) InsertBlockKeyOnly(b *storage.Block, keyCols []int, sc *InsertScratch) {
 	if !t.keyOnly {
 		panic("hashtable: key-only insert into a table with payload columns")
@@ -294,122 +292,77 @@ func (t *Table) insertBlock(b *storage.Block, keyCols []int, projIdx []int, sc *
 		return
 	}
 	sc.gather(b, keyCols)
-	s := t.writer(n)
-	t.appendKeys(s, &s.k0, sc.k0)
-	if sc.k1 != nil {
-		t.appendKeys(s, &s.k1, sc.k1)
-	}
-	if s.n == 0 {
-		s.min, s.max = sc.k0[0], sc.k0[0]
-	}
+	lo, hi := sc.k0[0], sc.k0[0]
 	for _, k := range sc.k0 {
-		s.min, s.max = min(s.min, k), max(s.max, k)
+		lo, hi = min(lo, k), max(hi, k)
 	}
+	var counts [numParts]int32
 	for _, h := range sc.hashes {
-		s.partCount[partOf(h)]++
+		counts[partOf(h)]++
 	}
-	if !t.keyOnly {
-		// Bulk-copy payload rows block-at-a-time: AppendFromMany resolves
-		// column layouts, and a view's segments, once per payload block.
-		rows := sc.rows(n)
-		for pos := 0; pos < n; {
-			pos += t.payloadBlock(s).AppendFromMany(b, rows[pos:], projIdx)
+	kc0, kc1 := b.BaseCol(keyCols[0]), -1
+	if t.keys == 2 {
+		kc1 = b.BaseCol(keyCols[1])
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.bindCols(b, projIdx)
+	b.Sources(func(src *storage.Block, rows []int32) {
+		s := source{b: src, rows: rows, n: len(rows), k0: src.View(kc0).Cells}
+		if rows == nil {
+			s.n = src.NumRows()
+		}
+		if kc1 >= 0 {
+			s.k1 = src.View(kc1).Cells
+		}
+		t.srcs = append(t.srcs, s)
+		t.maxRows = max(t.maxRows, src.NumRows())
+	})
+	if t.n == 0 {
+		t.min, t.max = lo, hi
+	}
+	t.min, t.max = min(t.min, lo), max(t.max, hi)
+	t.n += n
+	for p, c := range counts {
+		t.counts[p] += int(c)
+	}
+}
+
+// bindCols maps the payload columns to the source columns of b that hold
+// them (a view's base columns) on the first insert, and checks every later
+// block maps them the same way; caller holds mu.
+func (t *Table) bindCols(b *storage.Block, projIdx []int) {
+	if t.keyOnly {
+		return
+	}
+	if len(projIdx) != t.payloadSch.NumCols() {
+		panic(fmt.Sprintf("hashtable: %d payload columns into a table of %d", len(projIdx), t.payloadSch.NumCols()))
+	}
+	if t.cols == nil {
+		t.cols = make([]int, len(projIdx))
+		for c, p := range projIdx {
+			t.cols[c] = b.BaseCol(p)
+		}
+		return
+	}
+	for c, p := range projIdx {
+		if b.BaseCol(p) != t.cols[c] {
+			panic("hashtable: a block holds the payload in other source columns than the table's first block")
 		}
 	}
-	s.n += n
-	s.mu.Unlock()
 }
 
-// writer locks and returns the shard a block of n entries is appended to:
-// the lowest-numbered one whose lock is free and that has room for all n;
-// when every shard with room is busy, the lowest with room, once its lock is
-// free. A lone writer always gets shard 0 while it has room.
-func (t *Table) writer(n int) *shard {
-	for _, wait := range [2]bool{false, true} {
-		for i := range t.shards {
-			s := &t.shards[i]
-			if wait {
-				s.mu.Lock()
-			} else if !s.mu.TryLock() {
-				continue
-			}
-			if s.n+n <= maxShardEntries {
-				return s
-			}
-			s.mu.Unlock()
+// SourceCols appends to dst, for each payload column c, the column of
+// Payload's blocks that holds it. A table with no entries maps each column
+// to itself.
+func (t *Table) SourceCols(dst, payload []int) []int {
+	for _, c := range payload {
+		if t.cols != nil {
+			c = t.cols[c]
 		}
+		dst = append(dst, c)
 	}
-	panic("hashtable: a table holds at most 64 shards of 2^26 entries")
-}
-
-// appendKeys appends src to the key chunks *dst, whose first s.n keys are in
-// use; caller holds the shard lock.
-func (t *Table) appendKeys(s *shard, dst *[][]int64, src []int64) {
-	i := s.n
-	for len(src) > 0 {
-		c, off := i>>chunkShift, i&chunkMask
-		if c == len(*dst) || off == len((*dst)[c]) {
-			t.growChunk(dst, c, off+len(src))
-		}
-		m := copy((*dst)[c][off:], src)
-		src = src[m:]
-		i += m
-	}
-}
-
-// growChunk makes room in chunk c for keys up to need: a new chunk after
-// the first is full size, and the first chunk is the power of two from
-// firstChunkKeys up that holds need (copied when it grows). A chunk's size
-// depends only on the entries it holds, not on how they were batched.
-func (t *Table) growChunk(dst *[][]int64, c, need int) {
-	size := chunkKeys
-	if c == 0 {
-		size = firstChunkKeys
-		for size < min(need, chunkKeys) {
-			size <<= 1
-		}
-	}
-	grown, old := make([]int64, size), 0
-	if c == len(*dst) {
-		*dst = append(*dst, grown)
-	} else {
-		old = len((*dst)[c])
-		copy(grown, (*dst)[c])
-		(*dst)[c] = grown
-	}
-	t.gaugeAdd(8 * int64(size-old))
-}
-
-// key0 and key1 return the keys of entry i of s.
-func (s *shard) key0(i uint32) int64 { return s.k0[i>>chunkShift][i&chunkMask] }
-func (s *shard) key1(i uint32) int64 { return s.k1[i>>chunkShift][i&chunkMask] }
-
-// entry returns the writer shard and entry index r packs.
-func (t *Table) entry(r Ref) (*shard, uint32) {
-	return &t.shards[r>>refIdxBits], uint32(r) & (maxShardEntries - 1)
-}
-
-// holds reports whether the entry at r has the keys (k0, k1); a one-key
-// table compares k0 only.
-func (t *Table) holds(r Ref, k0, k1 int64) bool {
-	s, e := t.entry(r)
-	return s.key0(e) == k0 && (t.keys == 1 || s.key1(e) == k1)
-}
-
-// payloadBlock returns the shard's current non-full payload block,
-// allocating a new one if needed; caller holds the shard lock.
-func (t *Table) payloadBlock(s *shard) *storage.Block {
-	if n := len(s.payload); n > 0 && !s.payload[n-1].Full() {
-		return s.payload[n-1]
-	}
-	size := payloadBlockBytes
-	if len(s.payload) == 0 {
-		size = payloadBlockBytesFirst
-	}
-	pb := storage.NewBlock(t.payloadSch, storage.RowStore, size)
-	s.payload = append(s.payload, pb)
-	t.gaugeAdd(int64(pb.AllocBytes()))
-	return pb
+	return dst
 }
 
 func (t *Table) gaugeAdd(n int64) {
@@ -424,38 +377,43 @@ type Fill struct {
 	lo, hi int // hash: the index partitions [lo, hi) to fill
 }
 
-// Seal chooses the table's index from the entries stored and returns the
-// fills that build it. Each fill may run on its own goroutine and must run
-// exactly once: a caller that can fail an attempt (the engine's fault
-// sites) fails it before calling Run, so a retry has nothing to undo. The
-// table may be probed once every fill has run. Seal must not run
-// concurrently with inserts, and only its first call returns fills.
-func (t *Table) Seal(parts int) []Fill {
-	return t.seal(t.choose(), parts)
+// Seal chooses the table's index from the entries recorded and returns the
+// fills that build it: one for a dense index; for a hash index at most
+// fills, and no more than give each minFillEntries entries. Each fill may
+// run on its own goroutine and must run exactly once: a caller that can
+// fail an attempt (the engine's fault sites) fails it before calling Run,
+// so a retry has nothing to undo. The table may be probed once every fill
+// has run. Seal must not run concurrently with inserts, and only its first
+// call returns fills.
+func (t *Table) Seal(fills int) []Fill {
+	return t.seal(t.choose(), fills)
 }
 
 // seal seals the table with the given index kind.
-func (t *Table) seal(kind indexKind, parts int) []Fill {
-	var fills []Fill
+func (t *Table) seal(kind indexKind, fills int) []Fill {
+	var out []Fill
 	t.sealOnce.Do(func() {
 		t.kind = kind
-		if t.kind == denseIndex {
-			fills = []Fill{{t: t}}
+		t.rowBits = uint(bits.Len(uint(t.maxRows)))
+		if uint64(len(t.srcs)) > 1<<(32-t.rowBits) {
+			panic(fmt.Sprintf("hashtable: %d sources of up to %d rows overflow a 4-byte Ref", len(t.srcs), t.maxRows))
+		}
+		if kind == denseIndex {
+			out = []Fill{{t: t}}
 			return
 		}
-		counts := t.partCounts()
-		parts = max(1, min(parts, numShards))
-		for p := 0; p < parts; p++ {
-			lo, hi := p*numShards/parts, (p+1)*numShards/parts
-			for i := lo; i < hi; i++ {
-				if counts[i] > 0 {
-					fills = append(fills, Fill{t: t, lo: lo, hi: hi})
+		fills = max(1, min(fills, numParts, t.n/minFillEntries))
+		for f := 0; f < fills; f++ {
+			lo, hi := f*numParts/fills, (f+1)*numParts/fills
+			for p := lo; p < hi; p++ {
+				if t.counts[p] > 0 {
+					out = append(out, Fill{t: t, lo: lo, hi: hi})
 					break
 				}
 			}
 		}
 	})
-	return fills
+	return out
 }
 
 // sealed seals a table nobody sealed and runs its fills in place, once,
@@ -477,19 +435,7 @@ func (t *Table) sealed() {
 // keySpan returns the least first key, the distance to the greatest
 // (computed in uint64, so no key range overflows) and the entry count.
 func (t *Table) keySpan() (lo int64, span uint64, n int) {
-	var hi int64
-	for i := range t.shards {
-		s := &t.shards[i]
-		if s.n == 0 {
-			continue
-		}
-		if n == 0 {
-			lo, hi = s.min, s.max
-		}
-		lo, hi = min(lo, s.min), max(hi, s.max)
-		n += s.n
-	}
-	return lo, uint64(hi) - uint64(lo), n
+	return t.min, uint64(t.max) - uint64(t.min), t.n
 }
 
 // choose picks the dense index for a one-key table whose key range is below
@@ -502,7 +448,7 @@ func (t *Table) choose() indexKind {
 		return hashIndex
 	}
 	var hash uint64
-	for _, c := range t.partCounts() {
+	for _, c := range t.counts {
 		hash += groupBytes * uint64(groupsFor(c))
 	}
 	if t.denseBytes(span, n) <= hash {
@@ -525,16 +471,6 @@ func (t *Table) denseBytes(span uint64, n int) uint64 {
 		b += RefBytes * uint64(n)
 	}
 	return b
-}
-
-// partCounts sums the writer shards' entry counts per index partition.
-func (t *Table) partCounts() (counts [numShards]int) {
-	for i := range t.shards {
-		for p, c := range t.shards[i].partCount {
-			counts[p] += int(c)
-		}
-	}
-	return counts
 }
 
 // groupsFor is the hash groups a partition of n entries needs: the fewest,
@@ -561,15 +497,13 @@ func (f Fill) Run() {
 }
 
 // fillHash sizes the index partitions [lo, hi) from their entry counts and
-// indexes their entries: it scans the writer shards in shard and then entry
-// order, hashing each entry a chunk at a time and placing those of its
-// partitions. Groups fill slot 0 first, so along each group sequence a
-// key's entries lie in that order — insertion order when one writer built
-// the table.
+// indexes their entries: it reads the sources in insertion order, a chunk
+// of keys at a time, hashes them and places the entries of its partitions.
+// Groups fill slot 0 first, so along each group sequence a key's entries
+// lie in insertion order.
 func (t *Table) fillHash(lo, hi int) {
-	counts := t.partCounts()
 	for p := lo; p < hi; p++ {
-		g := groupsFor(counts[p])
+		g := groupsFor(t.counts[p])
 		if g == 0 {
 			continue
 		}
@@ -581,16 +515,21 @@ func (t *Table) fillHash(lo, hi int) {
 		pt.mask = uint64(g - 1)
 		t.gaugeAdd(groupBytes * int64(g))
 	}
-	var hashes [chunkKeys]uint64
-	for si := range t.shards {
-		s := &t.shards[si]
-		for c, k0 := range s.k0 {
-			k0 = k0[:min(len(k0), s.n-c<<chunkShift)]
-			var k1 []int64
-			if s.k1 != nil {
-				k1 = s.k1[c][:len(k0)]
+	var (
+		rows   [fillChunk]int32
+		k0, k1 [fillChunk]int64
+		hashes [fillChunk]uint64
+	)
+	for si := range t.srcs {
+		s := &t.srcs[si]
+		for at := 0; at < s.n; {
+			m := s.load(at, t.keys, &rows, &k0, &k1)
+			at += m
+			var second []int64
+			if t.keys == 2 {
+				second = k1[:m]
 			}
-			for j, h := range types.HashPairVec(k0, k1, hashes[:0]) {
+			for j, h := range types.HashPairVec(k0[:m], second, hashes[:0]) {
 				p := int(partOf(h))
 				if p < lo || p >= hi {
 					continue
@@ -601,7 +540,7 @@ func (t *Table) fillHash(lo, hi int) {
 					if free := grp.ctrl & msbs; free != 0 {
 						slot := slotOf(free)
 						grp.ctrl ^= (ctrlEmpty ^ h&0x7f) << (8 * slot)
-						grp.refs[slot] = makeRef(uint64(si), uint32(c<<chunkShift+j))
+						grp.refs[slot] = t.makeRef(si, rows[j])
 						break
 					}
 				}
@@ -611,18 +550,22 @@ func (t *Table) fillHash(lo, hi int) {
 }
 
 // fillDense builds the offsets by counting each key's entries, then (with
-// payload) places every entry's ref at its key's cursor, shard by shard in
-// entry order — insertion order when one writer built the table. The key
-// chunks are freed after.
+// payload) places every entry's ref at its key's cursor, in insertion
+// order. Each pass reads the keys from the sources a chunk at a time.
 func (t *Table) fillDense() {
 	lo, span, n := t.keySpan()
-	t.min = lo
 	off := make([]uint32, span+2)
 	t.gaugeAdd(int64(t.denseBytes(span, n)))
-	for i := range t.shards {
-		s := &t.shards[i]
-		for c, ch := range s.k0 {
-			for _, k := range ch[:min(len(ch), s.n-c<<chunkShift)] {
+	var (
+		rows   [fillChunk]int32
+		k0, k1 [fillChunk]int64
+	)
+	for si := range t.srcs {
+		s := &t.srcs[si]
+		for at := 0; at < s.n; {
+			m := s.load(at, 1, &rows, &k0, &k1)
+			at += m
+			for _, k := range k0[:m] {
 				off[uint64(k-lo)+1]++
 			}
 		}
@@ -634,49 +577,46 @@ func (t *Table) fillDense() {
 		// off[j] is the cursor of key lo+j; after placement it is the end of
 		// key j, which is the start of key j+1, so shift back by one.
 		t.refs = make([]Ref, n)
-		for i := range t.shards {
-			s := &t.shards[i]
-			for e := 0; e < s.n; e++ {
-				j := uint64(s.key0(uint32(e)) - lo)
-				t.refs[off[j]] = makeRef(uint64(i), uint32(e))
-				off[j]++
+		for si := range t.srcs {
+			s := &t.srcs[si]
+			for at := 0; at < s.n; {
+				m := s.load(at, 1, &rows, &k0, &k1)
+				at += m
+				for j, k := range k0[:m] {
+					c := uint64(k - lo)
+					t.refs[off[c]] = t.makeRef(si, rows[j])
+					off[c]++
+				}
 			}
 		}
 		copy(off[1:], off[:len(off)-1])
 		off[0] = 0
 	}
 	t.offsets = off
-	var keyBytes int64
-	for i := range t.shards {
-		s := &t.shards[i]
-		keyBytes += s.keyBytes()
-		s.k0, s.k1 = nil, nil
-	}
-	if t.gauge != nil {
-		t.gauge.Sub(keyBytes)
-	}
 }
 
-// keyBytes is the shard's key chunks' allocation.
-func (s *shard) keyBytes() int64 {
-	var n int64
-	for _, ch := range s.k0 {
-		n += 8 * int64(len(ch))
-	}
-	for _, ch := range s.k1 {
-		n += 8 * int64(len(ch))
-	}
-	return n
+// entry returns the source and row r packs.
+func (t *Table) entry(r Ref) (*source, int) {
+	return &t.srcs[r>>t.rowBits], int(r & (1<<t.rowBits - 1))
+}
+
+// holds reports whether the entry at r has the keys (k0, k1); a one-key
+// table compares k0 only.
+func (t *Table) holds(r Ref, k0, k1 int64) bool {
+	s, row := t.entry(r)
+	return s.k0.Int64(row) == k0 && (t.keys == 1 || s.k1.Int64(row) == k1)
 }
 
 // LookupHashed calls fn for every entry matching (k0, k1), in insertion
-// order, passing the payload block and row (nil block for a key-only
-// table); fn returns false to stop early. h must be hashKey's hash of the
-// keys (types.HashPairVec or HashPair forced non-zero); a dense table does
-// not read it. It seals an unsealed table first, and is safe for concurrent
-// use with other lookups; the table must not be built concurrently with
-// probing — the scheduler's blocking build→probe edge guarantees that. It is
-// the row-at-a-time reference for Match.
+// order, passing the block and row the entry lies in (a view's entries in
+// their base block; nil block for a key-only table), whose columns are the
+// source columns SourceCols names; fn returns false to stop early. h must
+// be hashKey's hash of the keys (types.HashPairVec or HashPair forced
+// non-zero); a dense table does not read it. It seals an unsealed table
+// first, and is safe for concurrent use with other lookups; the table must
+// not be built concurrently with probing — the scheduler's blocking
+// build→probe edge guarantees that. It is the row-at-a-time reference for
+// Match.
 func (t *Table) LookupHashed(h uint64, k0, k1 int64, fn func(pb *storage.Block, row int) bool) {
 	t.sealed()
 	if t.keys == 1 && k1 != 0 {
@@ -716,11 +656,12 @@ func (t *Table) LookupHashed(h uint64, k0, k1 int64, fn func(pb *storage.Block, 
 	}
 }
 
-// Ref locates one entry: its writer shard and its index in the shard, packed
-// in 32 bits. Hash slots and dense refs hold it; Match reports it.
+// Ref locates one entry: its source and its row in the source's block,
+// packed in 32 bits at a split Seal fixes from the largest source block.
+// Hash slots and dense refs hold it; Match reports it.
 type Ref uint32
 
-func makeRef(shard uint64, e uint32) Ref { return Ref(uint32(shard)<<refIdxBits | e) }
+func (t *Table) makeRef(src int, row int32) Ref { return Ref(uint32(src)<<t.rowBits | uint32(row)) }
 
 // Matches is the output of Match: the i-th match pairs probe row Probe[i]
 // with the entry at Ref[i]. It holds indexes, not blocks, so a pooled
@@ -798,51 +739,49 @@ rows:
 	}
 }
 
-// Payload resolves a Ref from Match to its payload block and row (nil block
-// for a key-only table). Entry i of a shard is payload row i, so the block
-// and row follow from the blocks' row capacities.
+// ReadsInputs reports whether the table reads the blocks it was fed: every
+// table does but a sealed key-only dense one, whose offsets are all it
+// keeps.
+func (t *Table) ReadsInputs() bool { return !(t.keyOnly && t.kind == denseIndex) }
+
+// Payload resolves a Ref from Match to the block and row its entry lies in
+// (nil block for a key-only table): payload column c is column SourceCols(c)
+// of the block.
 func (t *Table) Payload(r Ref) (*storage.Block, int) {
 	if t.keyOnly {
 		return nil, 0
 	}
-	s, e := t.entry(r)
-	if e < t.firstRows {
-		return s.payload[0], int(e)
-	}
-	e -= t.firstRows
-	return s.payload[1+e/t.rows], int(e % t.rows)
+	s, row := t.entry(r)
+	return s.b, row
 }
 
-// TotalBytes returns the table's current memory footprint: key chunks, the
-// index and payload blocks. This is the |H| of Section VI; the gauge holds
-// the same sum.
+// TotalBytes returns the table's own memory footprint, its index: the |H|
+// of Section VI beside the blocks it indexes, which stay the build's inputs.
+// The gauge holds the same sum.
 func (t *Table) TotalBytes() int64 {
-	return t.bytes((*storage.Block).AllocBytes)
-}
-
-// UsedBytes returns the table's randomly-accessed working set: key chunks,
-// the index, and payload bytes actually occupied by tuples. The cache model
-// sizes probe-miss probabilities with this (allocation slack in payload
-// blocks is never touched by probes).
-func (t *Table) UsedBytes() int64 {
-	return t.bytes((*storage.Block).UsedBytes)
-}
-
-func (t *Table) bytes(payloadBytes func(*storage.Block) int) int64 {
 	n := int64(OffsetBytes*len(t.offsets) + RefBytes*len(t.refs))
 	for i := range t.parts {
 		n += groupBytes * int64(len(t.parts[i].groups))
 	}
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		n += s.keyBytes()
-		for _, pb := range s.payload {
-			n += int64(payloadBytes(pb))
-		}
-		s.mu.Unlock()
-	}
 	return n
+}
+
+// UsedBytes returns the table's randomly-accessed working set: the index,
+// and each entry's payload (and, under a hash index or before the seal, its
+// keys) in the blocks it indexes. The cache model sizes probe-miss
+// probabilities with this.
+func (t *Table) UsedBytes() int64 {
+	w := 0
+	if !t.keyOnly {
+		w = t.payloadSch.RowWidth()
+	}
+	if t.kind == hashIndex {
+		w += KeyBytes(t.keys)
+	}
+	t.mu.Lock()
+	n := t.n
+	t.mu.Unlock()
+	return t.TotalBytes() + int64(n*w)
 }
 
 // Release returns the table's bytes to the gauge; call when the table's

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -75,6 +76,13 @@ func insert(ht *Table, keys [][2]int64, vals []int64) {
 	}
 }
 
+// vOf returns payload column 0 (v) of the entry at row of pb, a block
+// Payload or LookupHashed reported: the column of pb that SourceCols maps
+// payload column 0 to.
+func vOf(ht *Table, pb *storage.Block, row int) int64 {
+	return pb.Int64At(ht.SourceCols(nil, []int{0})[0], row)
+}
+
 // lookupPayloads returns every payload v of (k0, k1) through LookupHashed,
 // in the order reported (-1 for a key-only entry).
 func lookupPayloads(t *testing.T, ht *Table, k0, k1 int64) []int64 {
@@ -84,7 +92,7 @@ func lookupPayloads(t *testing.T, ht *Table, k0, k1 int64) []int64 {
 		if pb == nil {
 			vals = append(vals, -1) // key-only marker
 		} else {
-			vals = append(vals, pb.Int64At(0, row))
+			vals = append(vals, vOf(ht, pb, row))
 		}
 		return true
 	})
@@ -188,9 +196,8 @@ func TestKeyOnlyEntries(t *testing.T) {
 	}
 }
 
-// TestGrowthPreservesEntries: 50 000 entries grow the writer shard's key
-// store from its small first chunk through many full chunks; under either index
-// every key is found once and an absent key is not.
+// TestGrowthPreservesEntries: 50 000 entries in 50 blocks; under either
+// index every key is found once and an absent key is not.
 func TestGrowthPreservesEntries(t *testing.T) {
 	const n = 50000
 	for _, kind := range kinds {
@@ -249,9 +256,10 @@ func TestConcurrentBuild(t *testing.T) {
 	}
 }
 
-// TestMemoryAccounting: New allocates nothing; the gauge holds TotalBytes
-// after the build and after the seal (a dense seal frees the keys, so its
-// high-water is the moment of the fill), and Release returns it all.
+// TestMemoryAccounting: New and the build allocate nothing the gauge
+// counts, since the table copies none of its input; the seal adds the index,
+// which is the high-water, the gauge holds TotalBytes throughout, and
+// Release returns it all.
 func TestMemoryAccounting(t *testing.T) {
 	for _, kind := range kinds {
 		var g stats.MemGauge
@@ -260,28 +268,17 @@ func TestMemoryAccounting(t *testing.T) {
 			t.Fatalf("%v: an empty table holds %d B (gauge %d)", kind, ht.TotalBytes(), g.Live())
 		}
 		insert(ht, oneKey(iota64(10000, 1)...), iota64(10000, 1))
-		if g.Live() != ht.TotalBytes() {
-			t.Fatalf("%v: built: gauge %d != TotalBytes %d", kind, g.Live(), ht.TotalBytes())
+		if g.Live() != 0 || ht.TotalBytes() != 0 {
+			t.Fatalf("%v: built: gauge %d, TotalBytes %d, want 0", kind, g.Live(), ht.TotalBytes())
 		}
-		built := ht.TotalBytes()
 		sealAs(ht, kind)
-		if g.Live() != ht.TotalBytes() {
-			t.Fatalf("%v: sealed: gauge %d != TotalBytes %d", kind, g.Live(), ht.TotalBytes())
-		}
 		sealed := ht.TotalBytes()
+		if g.Live() != sealed || g.High() != sealed || sealed == 0 {
+			t.Fatalf("%v: sealed: gauge %d (high %d), TotalBytes %d", kind, g.Live(), g.High(), sealed)
+		}
 		ht.Release()
 		if g.Live() != 0 {
 			t.Fatalf("%v: after release live = %d", kind, g.Live())
-		}
-		switch kind {
-		case hashIndex:
-			if g.High() != sealed {
-				t.Fatalf("hash: high water %d != sealed %d", g.High(), sealed)
-			}
-		case denseIndex:
-			if g.High() <= sealed || g.High() <= built || sealed >= built {
-				t.Fatalf("dense: high water %d, built %d, sealed %d: the fill must add the index and then free more keys than it added", g.High(), built, sealed)
-			}
 		}
 	}
 }
@@ -313,10 +310,11 @@ func rowBlocks(b *storage.Block) []*storage.Block {
 
 // TestInsertBlockEquivalence: how rows are batched into blocks does not
 // matter. A table built a block at a time and one built a row at a time
-// (one-row blocks) hold the same entries, keys, payload rows and bytes, and
-// after sealing the same index and lookups (duplicates in the same order),
-// for single-key, two-key, and key-only tables; the one-key tables seal
-// dense, the two-key ones hash.
+// (one-row blocks) hold the same entry count, key range, partition counts
+// and bytes, and after sealing the same index shape and lookups (duplicates
+// in the same order), for single-key, two-key, and key-only tables; the
+// one-key tables seal dense, the two-key ones hash. A hash index filled in
+// one range of partitions equals one filled in several.
 func TestInsertBlockEquivalence(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -363,39 +361,35 @@ func TestInsertBlockEquivalence(t *testing.T) {
 				t.Fatalf("Len %d/%d, TotalBytes %d/%d, UsedBytes %d/%d (rows/blocks)",
 					ref.Len(), bat.Len(), ref.TotalBytes(), bat.TotalBytes(), ref.UsedBytes(), bat.UsedBytes())
 			}
-			for i := range ref.shards {
-				rs, bs := &ref.shards[i], &bat.shards[i]
-				if !reflect.DeepEqual(rs.k0, bs.k0) || !reflect.DeepEqual(rs.k1, bs.k1) || rs.min != bs.min || rs.max != bs.max {
-					t.Fatalf("shard %d: key store differs", i)
-				}
-				if (rs.k1 != nil) != (len(tc.keyCols) == 2 && rs.n > 0) {
-					t.Fatalf("shard %d: k1 chunks %v for %d keys", i, rs.k1 != nil, len(tc.keyCols))
-				}
-				if rs.partCount != bs.partCount {
-					t.Fatalf("shard %d: partition counts differ", i)
-				}
-				for j := range rs.payload {
-					if !reflect.DeepEqual(rs.payload[j].GatherInt64(0, nil), bs.payload[j].GatherInt64(0, nil)) {
-						t.Fatalf("shard %d: payload block %d differs", i, j)
-					}
-				}
+			if ref.min != bat.min || ref.max != bat.max || ref.counts != bat.counts || len(bat.srcs) != len(blocks) {
+				t.Fatalf("key range [%d, %d]/[%d, %d], partition counts equal %v, %d sources for %d blocks",
+					ref.min, ref.max, bat.min, bat.max, ref.counts == bat.counts, len(bat.srcs), len(blocks))
 			}
-			// The index does not depend on how the fill is split either.
-			for _, f := range ref.Seal(2) {
+			// A hash index filled over one partition range equals one filled
+			// over three; the sealed shapes agree with the row-built table's.
+			split := build(false)
+			for _, f := range ref.Seal(1) {
 				f.Run()
 			}
-			for _, f := range bat.Seal(5) {
+			for _, f := range bat.Seal(1) {
 				f.Run()
 			}
-			if (bat.kind == denseIndex) != (len(tc.keyCols) == 1) {
-				t.Fatalf("%d keys sealed %v", len(tc.keyCols), bat.kind)
+			if split.seal(split.choose(), 1); split.kind == denseIndex {
+				Fill{t: split}.Run()
+			} else {
+				for _, r := range [][2]int{{0, 5}, {5, 40}, {40, numParts}} {
+					Fill{t: split, lo: r[0], hi: r[1]}.Run()
+				}
 			}
-			for i := range ref.parts {
-				if !reflect.DeepEqual(ref.parts[i].groups, bat.parts[i].groups) {
+			if (bat.kind == denseIndex) != (len(tc.keyCols) == 1) || ref.kind != bat.kind {
+				t.Fatalf("%d keys sealed %v (row-built %v)", len(tc.keyCols), bat.kind, ref.kind)
+			}
+			for i := range bat.parts {
+				if !reflect.DeepEqual(split.parts[i].groups, bat.parts[i].groups) || len(ref.parts[i].groups) != len(bat.parts[i].groups) {
 					t.Fatalf("partition %d: index differs", i)
 				}
 			}
-			if !reflect.DeepEqual(ref.offsets, bat.offsets) || !reflect.DeepEqual(ref.refs, bat.refs) {
+			if len(ref.offsets) != len(bat.offsets) || len(ref.refs) != len(bat.refs) || ref.TotalBytes() != bat.TotalBytes() {
 				t.Fatal("dense index differs")
 			}
 			for k0 := int64(0); k0 < 50; k0++ {
@@ -412,10 +406,10 @@ func TestInsertBlockEquivalence(t *testing.T) {
 }
 
 // TestInsertBlockConcurrent builds one table from many goroutines, each
-// running the batch kernel with its own scratch (run under -race). The
-// writers use at most one shard each, and the table matches the same blocks
-// inserted by one writer as a multiset of (key, payload) pairs, under either
-// index.
+// running the batch kernel with its own scratch (run under -race). Every
+// block becomes exactly one source, whole, and the table matches the same
+// blocks inserted by one writer as a multiset of (key, payload) pairs, under
+// either index.
 func TestInsertBlockConcurrent(t *testing.T) {
 	const workers, blocksPer, rowsPer = 8, 6, 512
 	rng := rand.New(rand.NewSource(3))
@@ -450,14 +444,15 @@ func TestInsertBlockConcurrent(t *testing.T) {
 		if ht.Len() != want {
 			t.Fatalf("%v: Len = %d, want %d", kind, ht.Len(), want)
 		}
-		used := 0
-		for i := range ht.shards {
-			if ht.shards[i].n > 0 {
-				used++
+		fed := map[*storage.Block]bool{}
+		for _, s := range ht.srcs {
+			if s.rows != nil || s.n != s.b.NumRows() || fed[s.b] {
+				t.Fatalf("%v: a source holds %d of its block's %d rows, or a block is two sources", kind, s.n, s.b.NumRows())
 			}
+			fed[s.b] = true
 		}
-		if used < 1 || used > workers {
-			t.Fatalf("%v: %d writers used %d shards", kind, workers, used)
+		if len(fed) != workers*blocksPer {
+			t.Fatalf("%v: %d sources for %d blocks", kind, len(fed), workers*blocksPer)
 		}
 		sealAs(seq, kind)
 		if got := sealAs(ht, kind); got != kind {
@@ -478,7 +473,7 @@ func matchMultiset(ht *Table, keys []int64) map[[2]int64]int {
 	pairs := map[[2]int64]int{}
 	for i, ref := range m.Ref {
 		pb, row := ht.Payload(ref)
-		pairs[[2]int64{keys[m.Probe[i]], pb.Int64At(0, row)}]++
+		pairs[[2]int64{keys[m.Probe[i]], vOf(ht, pb, row)}]++
 	}
 	return pairs
 }
@@ -499,7 +494,7 @@ func TestLookupHashed(t *testing.T) {
 	for i := range k0s {
 		var got int64 = -1
 		ht.LookupHashed(hashes[i], k0s[i], k1s[i], func(pb *storage.Block, row int) bool {
-			got = pb.Int64At(0, row)
+			got = vOf(ht, pb, row)
 			return true
 		})
 		if got != int64(i*10) {
@@ -610,7 +605,7 @@ func TestDuplicatesKeepOrderAcrossWrap(t *testing.T) {
 		sealAs(ht, hashIndex)
 		pt := &ht.parts[0]
 		// Entries 0–7 filled group 3; the sequence wrapped into groups 0 and 1.
-		if len(pt.groups) != 4 || pt.groups[0].refs[0] != makeRef(0, 8) {
+		if len(pt.groups) != 4 || pt.groups[0].refs[0] != ht.makeRef(0, 8) {
 			t.Fatalf("keys %d set-up: %d groups, group 0 starts at ref %#x", keys, len(pt.groups), pt.groups[0].refs[0])
 		}
 		for i, k := range pair {
@@ -636,7 +631,7 @@ func matchByLookup(ht *Table, hashes []uint64, k0, k1 []int64, firstOnly bool) (
 		}
 		ht.LookupHashed(h, k0[r], b, func(pb *storage.Block, row int) bool {
 			probe = append(probe, int32(r))
-			vals = append(vals, pb.Int64At(0, row))
+			vals = append(vals, vOf(ht, pb, row))
 			return !firstOnly
 		})
 	}
@@ -677,7 +672,7 @@ func TestMatchEqualsLookupHashed(t *testing.T) {
 				}
 				for i, ref := range m.Ref {
 					pb, row := ht.Payload(ref)
-					if v := pb.Int64At(0, row); v != wantVals[i] {
+					if v := vOf(ht, pb, row); v != wantVals[i] {
 						t.Fatalf("keys %v %v firstOnly %v: match %d payload %d, want %d", keyCols, sealed, firstOnly, i, v, wantVals[i])
 					}
 				}
@@ -720,8 +715,8 @@ func TestLayoutConstants(t *testing.T) {
 func FuzzHashTable(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 1, 2, 3}, false, uint8(4))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 255, 128}, true, uint8(1))
-	// Keys sharing k0 = 5 and differing only in k1, enough of them that a
-	// shard's index has several groups.
+	// Keys sharing k0 = 5 and differing only in k1, enough of them that an
+	// index partition has several groups.
 	twins := make([]byte, 48)
 	for i := range twins {
 		twins[i] = byte(5 + 61*(i%4))
@@ -798,8 +793,8 @@ func FuzzHashTable(f *testing.F) {
 				t.Fatalf("%v: Match found %d, want %d", sealed, len(m.Ref), len(want))
 			}
 			for i, ref := range m.Ref {
-				if pb, row := ht.Payload(ref); pb.Int64At(0, row) != want[i] {
-					t.Fatalf("%v: match %d payload %d, want %d", sealed, i, pb.Int64At(0, row), want[i])
+				if pb, row := ht.Payload(ref); vOf(ht, pb, row) != want[i] {
+					t.Fatalf("%v: match %d payload %d, want %d", sealed, i, vOf(ht, pb, row), want[i])
 				}
 			}
 		}
@@ -868,14 +863,12 @@ func TestKeyCountIsEnforced(t *testing.T) {
 	}
 }
 
-// TestPayloadSlackAndAccounting builds tables of 0 to 300k rows with payload
-// rows of 1 to 133 bytes, one and two keys. Per table, only the last payload
-// block and the last key chunk may have free room, so allocated minus used
-// payload bytes stays under one 16 KB block; Payload finds entry i of a
-// shard at its payload row i; and the gauge holds exactly TotalBytes, which
-// is the key chunks, the index and the payload blocks, before and after the
-// seal.
-func TestPayloadSlackAndAccounting(t *testing.T) {
+// TestPayloadInPlaceAndAccounting builds tables of 0 to 300k rows with
+// payload rows of 1 to 133 bytes, one and two keys, and copies none of them:
+// the gauge holds exactly TotalBytes, which is nothing before the seal and
+// the index after it, and every match resolves to the block and row it was
+// fed at, whose payload column holds the row's bytes.
+func TestPayloadInPlaceAndAccounting(t *testing.T) {
 	sizes := []int{0, 1, 100, 4097, 30000, 300000}
 	if testing.Short() {
 		sizes = sizes[:5]
@@ -894,6 +887,7 @@ func TestPayloadSlackAndAccounting(t *testing.T) {
 				sc := &InsertScratch{}
 				keyCols := []int{0, 1}[:keys]
 				cell := make([]byte, width)
+				first := map[*storage.Block]int{} // each fed block's first row
 				for lo := 0; lo < n; lo += 8192 {
 					b := storage.NewBlock(in, storage.ColumnStore, 8192*in.RowWidth())
 					for r := lo; r < min(n, lo+8192); r++ {
@@ -901,43 +895,41 @@ func TestPayloadSlackAndAccounting(t *testing.T) {
 						b.AppendRow(types.NewInt64(int64(r/3)), types.NewInt64(int64(r%3*(keys-1))), types.NewChar(cell))
 					}
 					ht.InsertBlock(b, keyCols, []int{2}, sc)
+					first[b] = lo
 				}
 				name := func() string { return fmt.Sprintf("width %d, %d keys, %d rows", width, keys, n) }
-				if ht.Len() != n {
-					t.Fatalf("%s: Len = %d", name(), ht.Len())
+				if ht.Len() != n || len(ht.srcs) != len(first) {
+					t.Fatalf("%s: Len = %d, %d sources for %d blocks", name(), ht.Len(), len(ht.srcs), len(first))
 				}
-				var want int64
-				alloc, used := 0, 0
-				for i := range ht.shards {
-					s := &ht.shards[i]
-					want += s.keyBytes()
-					for _, pb := range s.payload {
-						alloc += pb.AllocBytes()
-						used += pb.UsedBytes()
-					}
-					// Entry e of the shard is its e-th payload row.
-					e := 0
-					for _, pb := range s.payload {
-						for r := 0; r < pb.NumRows(); r++ {
-							if gb, gr := ht.Payload(makeRef(uint64(i), uint32(e))); gb != pb || gr != r {
-								t.Fatalf("%s, shard %d: entry %d resolves to another row", name(), i, e)
-							}
-							e++
-						}
-					}
-				}
-				if slack := tableSlack(ht); slack.payload >= payloadBlockBytes || slack.keys >= chunkKeys*keys {
-					t.Fatalf("%s: %d payload bytes and %d key slots allocated and unused", name(), slack.payload, slack.keys)
-				}
-				want += int64(alloc)
-				if got := ht.TotalBytes(); got != want || g.Live() != got {
-					t.Fatalf("%s: TotalBytes %d, gauge %d, keys + payload %d", name(), got, g.Live(), want)
+				if ht.TotalBytes() != 0 || g.Live() != 0 {
+					t.Fatalf("%s: built: TotalBytes %d, gauge %d, want 0", name(), ht.TotalBytes(), g.Live())
 				}
 				for _, f := range ht.Seal(4) {
 					f.Run()
 				}
 				if got := ht.TotalBytes(); g.Live() != got {
 					t.Fatalf("%s: sealed: TotalBytes %d, gauge %d", name(), got, g.Live())
+				}
+				col := ht.SourceCols(nil, []int{0})[0]
+				var k0, k1 []int64
+				for r := 0; r < n; r += 7 {
+					k0, k1 = append(k0, int64(r/3)), append(k1, int64(r%3*(keys-1)))
+				}
+				if keys == 1 {
+					k1 = nil
+				}
+				var m Matches
+				ht.Match(k0, k1, false, &m)
+				for i, ref := range m.Ref {
+					pb, row := ht.Payload(ref)
+					lo, fed := first[pb]
+					r := lo + row
+					if !fed || int64(r/3) != k0[m.Probe[i]] || pb.BytesAt(col, row)[0] != byte(r) {
+						t.Fatalf("%s: probe %d resolves to row %d of a block fed %v", name(), m.Probe[i], row, fed)
+					}
+				}
+				if want := (n + 6) / 7; len(m.Ref) < want {
+					t.Fatalf("%s: %d matches for %d probes", name(), len(m.Ref), want)
 				}
 				ht.Release()
 				if g.Live() != 0 {
@@ -946,22 +938,6 @@ func TestPayloadSlackAndAccounting(t *testing.T) {
 			}
 		}
 	}
-}
-
-// slack is what a table allocated and does not use: payload bytes, and key
-// slots summed over its key columns.
-type slack struct{ payload, keys int }
-
-func tableSlack(ht *Table) slack {
-	var sl slack
-	for i := range ht.shards {
-		s := &ht.shards[i]
-		for _, pb := range s.payload {
-			sl.payload += pb.AllocBytes() - pb.UsedBytes()
-		}
-		sl.keys += int(s.keyBytes()/8) - s.n*ht.keys
-	}
-	return sl
 }
 
 // viewOver returns a keyedSchema view of every other row of each block.
@@ -982,35 +958,88 @@ func viewOver(bases []*storage.Block) *storage.Block {
 	return v
 }
 
-// TestSequentialInsertFillsOneShard: one writer inserting blocks, or views
-// over several base blocks, appends every entry to shard 0 in insertion
-// order. The table leaves less than one payload block and one key chunk per
-// key column unused, and Payload resolves each entry to its row.
-func TestSequentialInsertFillsOneShard(t *testing.T) {
+// TestSequentialInsertKeepsSources: one writer inserting blocks, or views
+// over several base blocks, records one source per block and per view
+// segment, in insertion order, and copies nothing. A view's sources are its
+// base blocks and base rows, read through the view's projection (the base
+// blocks carry an extra leading column), so every entry resolves to its base
+// row, and SourceCols to its base column, under either index.
+func TestSequentialInsertKeepsSources(t *testing.T) {
+	cols := []storage.Column{{Name: "x", Type: types.Int64}}
+	for i := 0; i < keyedSchema().NumCols(); i++ {
+		cols = append(cols, keyedSchema().Col(i))
+	}
+	wide := storage.NewSchema(cols...)
+	wideBlock := func(rng *rand.Rand, n int) *storage.Block {
+		b := storage.NewBlock(wide, storage.RowStore, n*wide.RowWidth())
+		for i := 0; i < n; i++ {
+			b.AppendRow(types.NewInt64(-1), types.NewInt64(int64(rng.Intn(5000))), types.NewInt64(int64(rng.Intn(3))),
+				types.NewInt64(rng.Int63()), types.NewFloat64(0))
+		}
+		return b
+	}
+	type src struct {
+		b    *storage.Block
+		rows []int32
+	}
 	for _, keys := range []int{1, 2} {
 		for _, view := range []bool{false, true} {
-			rng := rand.New(rand.NewSource(int64(keys)))
-			ht := New(Config{PayloadSchema: payloadSchema(), Keys: keys})
-			sc := &InsertScratch{}
-			var vals []int64 // payload v of each entry, in insertion order
-			for i := 0; i < 7; i++ {
-				b := randKeyedBlock(rng, 300+rng.Intn(900), 5000)
-				if view {
-					b = viewOver([]*storage.Block{b, randKeyedBlock(rng, 200, 5000), randKeyedBlock(rng, 511, 5000)})
+			for _, kind := range kinds {
+				rng := rand.New(rand.NewSource(int64(keys)))
+				ht := New(Config{PayloadSchema: payloadSchema(), Keys: keys})
+				sc := &InsertScratch{}
+				var want []src
+				var vals []int64 // payload v of each entry, in insertion order
+				for i := 0; i < 7; i++ {
+					b := randKeyedBlock(rng, 300+rng.Intn(900), 5000)
+					if view {
+						b = storage.NewPool(nil, nil).CheckOutView(0, keyedSchema(), []int{1, 2, 3, 4}, storage.ColumnStore, 1<<20)
+						for j := 0; j < 3; j++ {
+							base := wideBlock(rng, 200+rng.Intn(400))
+							var sel []int32
+							for r := rng.Intn(2); r < base.NumRows(); r += 2 {
+								sel = append(sel, int32(r))
+							}
+							b.AppendView(base, sel)
+							want = append(want, src{base, sel})
+						}
+					} else {
+						want = append(want, src{b, nil})
+					}
+					vals = append(vals, b.GatherInt64(2, nil)...)
+					ht.InsertBlock(b, []int{0, 1}[:keys], payIdx, sc)
 				}
-				vals = append(vals, b.GatherInt64(2, nil)...)
-				ht.InsertBlock(b, []int{0, 1}[:keys], payIdx, sc)
-			}
-			name := fmt.Sprintf("%d keys, view %v", keys, view)
-			if s := &ht.shards[0]; s.n != len(vals) || ht.Len() != len(vals) {
-				t.Fatalf("%s: shard 0 holds %d of %d entries", name, s.n, ht.Len())
-			}
-			if sl := tableSlack(ht); sl.payload >= payloadBlockBytes || sl.keys >= chunkKeys*keys {
-				t.Fatalf("%s: %d payload bytes and %d key slots allocated and unused", name, sl.payload, sl.keys)
-			}
-			for e, v := range vals {
-				if pb, row := ht.Payload(makeRef(0, uint32(e))); pb.Int64At(0, row) != v {
-					t.Fatalf("%s: entry %d has payload %d, want %d", name, e, pb.Int64At(0, row), v)
+				name := fmt.Sprintf("%d keys, view %v, %v", keys, view, kind)
+				if len(ht.srcs) != len(want) || ht.Len() != len(vals) || ht.TotalBytes() != 0 {
+					t.Fatalf("%s: %d sources, want %d; %d entries, want %d; %d B", name, len(ht.srcs), len(want), ht.Len(), len(vals), ht.TotalBytes())
+				}
+				sealAs(ht, kind)
+				if col := ht.SourceCols(nil, []int{0, 1}); view != (col[0] == 3) {
+					t.Fatalf("%s: payload in source columns %v", name, col)
+				}
+				e := 0
+				for si, w := range want {
+					s := &ht.srcs[si]
+					if s.b != w.b || !reflect.DeepEqual(s.rows, w.rows) {
+						t.Fatalf("%s: source %d is not the fed block or view segment", name, si)
+					}
+					for i := 0; i < s.n; i++ {
+						row := int32(i)
+						if w.rows != nil {
+							row = w.rows[i]
+						}
+						if pb, r := ht.Payload(ht.makeRef(si, row)); pb != w.b || r != int(row) || vOf(ht, pb, r) != vals[e] {
+							t.Fatalf("%s: entry %d resolves to another row", name, e)
+						}
+						e++
+					}
+				}
+				for k := int64(0); k < 5000; k += 37 {
+					for _, pv := range lookupPayloads(t, ht, k, 0) {
+						if !slices.Contains(vals, pv) {
+							t.Fatalf("%s: key %d resolves to payload %d nobody inserted", name, k, pv)
+						}
+					}
 				}
 			}
 		}
@@ -1070,7 +1099,7 @@ func TestIndexKindChoice(t *testing.T) {
 			}
 			_, sp, n := ht.keySpan()
 			var hashBytes uint64
-			for _, c := range ht.partCounts() {
+			for _, c := range ht.counts {
 				hashBytes += groupBytes * uint64(groupsFor(c))
 			}
 			for _, f := range ht.Seal(2) {
@@ -1212,5 +1241,43 @@ func BenchmarkSealFill(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkMatch times Match over a hash-indexed two-key table of 65 536
+// entries built from plain blocks and from views selecting every other row
+// of their base blocks: every probe key hits, so each match compares the
+// entry's keys where the table keeps them.
+func BenchmarkMatch(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	var plain, views []*storage.Block
+	for i := 0; i < 32; i++ {
+		plain = append(plain, randKeyedBlock(rng, 2048, 1<<30))
+		views = append(views, viewOver([]*storage.Block{randKeyedBlock(rng, 2048, 1<<30), randKeyedBlock(rng, 2048, 1<<30)}))
+	}
+	for _, bc := range []struct {
+		name   string
+		blocks []*storage.Block
+	}{{"plain", plain}, {"view", views}} {
+		b.Run(bc.name, func(b *testing.B) {
+			ht := New(Config{PayloadSchema: payloadSchema(), Keys: 2})
+			sc := &InsertScratch{}
+			var k0, k1 []int64
+			for _, blk := range bc.blocks {
+				ht.InsertBlock(blk, []int{0, 1}, payIdx, sc)
+				k0 = append(k0, blk.GatherInt64(0, nil)...)
+				k1 = append(k1, blk.GatherInt64(1, nil)...)
+			}
+			rng.Shuffle(len(k0), func(i, j int) { k0[i], k0[j], k1[i], k1[j] = k0[j], k0[i], k1[j], k1[i] })
+			var m Matches
+			ht.Match(k0[:1], k1[:1], false, &m) // seal
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for lo := 0; lo < len(k0); lo += 4096 {
+					ht.Match(k0[lo:lo+4096], k1[lo:lo+4096], false, &m)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(k0)), "ns/probe")
+		})
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 
+	"repro/internal/stats"
 	"repro/internal/types"
 )
 
@@ -50,6 +52,12 @@ type Block struct {
 	proj []int     // a view's column i is column proj[i] of its base blocks; nil for a block
 	rows []int32   // a view's base rows, aliasing data
 	segs []viewSeg // a view's base blocks, in row order
+
+	// Set by Pool.Keep: the gauge the block's bytes moved to. Set by
+	// Pool.Cut: data holds the block's rows exactly, so the freelist, whose
+	// sizes are budgets, must not take it.
+	keptIn *stats.MemGauge
+	cut    bool
 }
 
 // viewSeg is one base block of a view: rows [previous end, end) of the view
@@ -155,6 +163,62 @@ func (b *Block) segOf(r int) int {
 		panic("storage: view row out of range")
 	}
 	return lo
+}
+
+// Sources calls fn for each stretch of the block's rows that lies in one
+// block with a layout, in row order: a block's rows as (b, nil), a view's
+// segments as their base block and base rows (aliasing the view's rows
+// buffer). Column c of the block is column BaseCol(c) of every source.
+func (b *Block) Sources(fn func(src *Block, rows []int32)) {
+	if b.proj == nil {
+		fn(b, nil)
+		return
+	}
+	lo := 0
+	for _, sg := range b.segs {
+		fn(sg.base, b.rows[lo:sg.end])
+		lo = sg.end
+	}
+}
+
+// BaseCol returns the column of the block's sources (see Sources) that
+// holds its column c: c itself for a block, the projected base column for a
+// view.
+func (b *Block) BaseCol(c int) int {
+	if b.proj == nil {
+		return c
+	}
+	return b.proj[c]
+}
+
+// cutToRows moves the block's cells into an allocation of exactly its rows,
+// laid out for a capacity of its row count, and returns the old allocation.
+// A full block is left alone (nil).
+func (b *Block) cutToRows() []byte {
+	if b.n >= b.capacity {
+		return nil
+	}
+	old := b.data
+	if b.proj != nil {
+		buf := make([]byte, 4*b.n)
+		copy(buf, old)
+		b.rows = unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(buf))), b.n)
+		b.data = buf
+	} else {
+		rw := b.schema.RowWidth()
+		m := newBlockOver(b.schema, b.format, max(b.n, 1)*rw, nil)
+		if b.format == RowStore {
+			copy(m.data, old[:b.n*rw])
+		} else {
+			for c, off := range b.colOff {
+				w := b.schema.ColWidth(c)
+				copy(m.data[m.colOff[c]:], old[off:off+b.n*w])
+			}
+		}
+		b.data, b.colOff = m.data, m.colOff
+	}
+	b.capacity, b.cut = b.n, true
+	return old
 }
 
 // AllocBytes returns the size of the block's data allocation: a view's rows

@@ -38,7 +38,7 @@ func TestSchemaProject(t *testing.T) {
 	s := testSchema()
 	p := s.Project([]int{3, 0})
 	if p.NumCols() != 2 || p.Col(0).Name != "s" || p.Col(1).Name != "k" {
-		t.Fatalf("projection wrong: %v", p.Names())
+		t.Fatalf("projection wrong: %v", p)
 	}
 	if p.RowWidth() != 18 {
 		t.Fatalf("projected row width = %d", p.RowWidth())

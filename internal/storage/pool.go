@@ -295,21 +295,57 @@ func (p *Pool) Live() int64 {
 // client. The blocks themselves stay valid and are never reused.
 func (p *Pool) Disown(n int64) { p.subLive(n) }
 
+// Cut moves sealed block b, whose reader will keep it (a join build
+// indexes the blocks it is fed until its table is released), into an
+// allocation of exactly its rows, so a partial block does not pin a whole
+// budget. Call it before any reader sees b. The old allocation goes back to
+// the freelist; the cut one, whose size is no budget, goes to the GC at
+// Release. A full block is left alone.
+func (p *Pool) Cut(b *Block) {
+	before := int64(b.AllocBytes())
+	if old := b.cutToRows(); old != nil {
+		p.putBuf(old)
+		p.subLive(before - int64(b.AllocBytes()))
+	}
+}
+
+// Keep hands block b to its last reader, which keeps it past its work
+// orders: the spill tier stops tracking it, and its bytes move from this
+// view's live gauge to g until Release takes them off g. Keeping a block
+// twice is a no-op.
+func (p *Pool) Keep(b *Block, g *stats.MemGauge) {
+	if b.keptIn != nil {
+		return
+	}
+	p.Forget(b)
+	n := int64(b.AllocBytes())
+	p.subLive(n)
+	g.Add(n)
+	b.keptIn = g
+}
+
 // Release ends a block whose contents are no longer needed (its consumer
 // operator finished). Its allocation goes back to the freelist and no longer
-// counts as live intermediate memory; the block itself is dead — its data is
-// nil'd, so a stale reader panics instead of reading the rows of whichever
-// block is laid over the allocation next. A block the spill tier evicted has
-// no RAM allocation and was uncredited at eviction time, so only its disk
-// record is reclaimed.
+// counts as live intermediate memory (a kept block's, as live bytes of the
+// gauge Keep moved it to); the block itself is dead — its data is nil'd, so
+// a stale reader panics instead of reading the rows of whichever block is
+// laid over the allocation next. A block the spill tier evicted has no RAM
+// allocation and was uncredited at eviction time, so only its disk record
+// is reclaimed.
 func (p *Pool) Release(b *Block) {
 	if t := p.root().spill.Load(); t != nil {
 		if t.drop(b) {
 			return // spilled: gauge already settled, data lives on disk only
 		}
 	}
-	p.subLive(int64(b.AllocBytes()))
+	if b.keptIn != nil {
+		b.keptIn.Sub(int64(b.AllocBytes()))
+	} else {
+		p.subLive(int64(b.AllocBytes()))
+	}
 	buf := b.data
 	b.data, b.rows, b.segs = nil, nil, nil
-	p.putBuf(buf)
+	if !b.cut {
+		p.putBuf(buf)
+	}
 }

@@ -96,15 +96,6 @@ func (s *Schema) Project(idxs []int) *Schema {
 	return NewSchema(cols...)
 }
 
-// Names returns the column names in order.
-func (s *Schema) Names() []string {
-	ns := make([]string, len(s.cols))
-	for i, c := range s.cols {
-		ns[i] = c.Name
-	}
-	return ns
-}
-
 // String renders the schema as "(name TYPE, ...)".
 func (s *Schema) String() string {
 	out := "("

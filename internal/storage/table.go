@@ -183,14 +183,3 @@ func (c *Catalog) MustGet(name string) *Table {
 	}
 	return t
 }
-
-// Names returns all registered table names (unordered).
-func (c *Catalog) Names() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.tables))
-	for n := range c.tables {
-		out = append(out, n)
-	}
-	return out
-}

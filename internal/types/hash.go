@@ -93,15 +93,12 @@ func NewPartitioner(parts int) Partitioner {
 	return Partitioner{bits: bits, mask: 1<<bits - 1}
 }
 
-// Of returns the partition of hash value h: its top Bits() bits. Consistent
-// with Radix(h, p.Bits()).
+// Of returns the partition of hash value h: its top log2(Parts()) bits.
+// Consistent with Radix(h, PartitionBits(parts)).
 func (p Partitioner) Of(h uint64) int { return int((h >> (64 - p.bits)) & p.mask) }
 
 // Parts returns the effective (power-of-two) partition count.
 func (p Partitioner) Parts() int { return 1 << p.bits }
-
-// Bits returns the number of top hash bits the partitioner consumes.
-func (p Partitioner) Bits() uint { return p.bits }
 
 // HashBytes hashes a byte string (FNV-1a folded through Mix64).
 func HashBytes(b []byte) uint64 {

@@ -60,8 +60,8 @@ func TestPartitionerMatchesRadix(t *testing.T) {
 // which is what merge kernels rely on to mean "all partitions".
 func TestPartitionerZeroValue(t *testing.T) {
 	var p Partitioner
-	if p.Parts() != 1 || p.Bits() != 0 {
-		t.Fatalf("zero Partitioner: Parts=%d Bits=%d, want 1/0", p.Parts(), p.Bits())
+	if p.Parts() != 1 || p != NewPartitioner(1) {
+		t.Fatalf("zero Partitioner: Parts=%d, or it differs from NewPartitioner(1)", p.Parts())
 	}
 	for _, h := range []uint64{0, 1, ^uint64(0), 0x8000000000000000} {
 		if p.Of(h) != 0 {
