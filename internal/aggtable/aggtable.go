@@ -1,16 +1,20 @@
 // Package aggtable implements the aggregation hash table behind exec.AggOp:
-// an open-addressing table that maps group keys to dense group ids, with the
-// groups' accumulators stored densely so accumulation, merging, and result
-// emission run tight columnar loops over fixed-width cells.
+// an open-addressing table that maps group keys to dense group ids, with
+// each aggregate's state in its own typed column indexed by group id, so
+// accumulation, merging, and result emission run tight columnar loops and a
+// group costs only the state its aggregates keep.
 //
-// Every aggregation runs through this one table; only the key layout varies,
-// and the operator picks it once at plan time. New keeps one or two 64-bit
-// words inline (int64, date, and float64-by-bits keys — the common case
-// across the TPC-H/SSB plans); NewBytes keeps each group's serialized key
-// tuple in a byte arena (char keys, three or more keys). Slots, hashes,
-// cells, growth, and MergePartition are shared by both layouts. Aggregates
-// whose state is not fixed-width (char min/max, count distinct) keep it in a
-// side array parallel to the cells, allocated only by WithSide.
+// Every aggregation runs through this one table; the key layout and the
+// column layout vary, and the operator picks both once at plan time. New
+// keeps one or two 64-bit words inline (int64, date, and float64-by-bits
+// keys — the common case across the TPC-H/SSB plans); NewBytes keeps each
+// group's serialized key tuple in a byte arena (char keys, three or more
+// keys). Layout gives each aggregate a column that holds only what its
+// function needs: 8 bytes a group for SUM, COUNT, MIN and MAX, 16 for AVG
+// (a float sum and a row count), and a pointer to out-of-line state for a
+// char MIN/MAX (an owned copy of the running value) or a COUNT(DISTINCT)
+// (the set of values seen). Slots, hashes, columns, growth, and
+// MergePartition are shared by both key layouts.
 //
 // The table is deliberately not internally synchronized. Aggregation work
 // orders each own a thread-local partial table; the operator's Final fans
@@ -21,6 +25,7 @@ package aggtable
 
 import (
 	"bytes"
+	"slices"
 
 	"repro/internal/types"
 )
@@ -35,71 +40,122 @@ const (
 	Avg
 	Min
 	Max
-	// CountDistinct counts distinct argument values; the set lives in the
-	// group's Side.
+	// CountDistinct counts distinct argument values.
 	CountDistinct
 )
 
-// Agg describes one accumulator column: its function and whether the
-// argument (and therefore the min/max comparison and the sum that the result
-// is read from) is float-valued or, for char min/max, a byte string whose
-// running value lives in the group's Side.
+// Agg describes one accumulator column: its function, whether it holds
+// floats (a float argument, or an integer one whose SUM is read as a float),
+// and, for a char MIN/MAX, that its running value is a byte string.
 type Agg struct {
 	Kind  Kind
 	Float bool
 	Bytes bool
 }
 
-// side reports whether the aggregate keeps state outside its Cell.
-func (a Agg) side() bool { return a.Bytes || a.Kind == CountDistinct }
+// colKind is a column's layout, picked once from its Agg.
+type colKind uint8
 
-// Cell is one group's fixed-width accumulator for one aggregate: Count
-// counts rows, SumI/SumF accumulate the integer and float views of the
-// argument, MMI/MMF hold the running min/max, Set marks a seen value.
-type Cell struct {
-	Count int64
-	SumI  int64
-	SumF  float64
-	MMI   int64
-	MMF   float64
-	Set   bool
-}
-
-// Side is one group's out-of-line state for one aggregate: the running char
-// min/max (an owned, pad-trimmed copy) or the distinct-value set of a
-// CountDistinct. Only tables built WithSide carry a side array.
-type Side struct {
-	MM       []byte
-	Distinct map[string]struct{}
-}
-
-// cellBytes is the in-memory size of one Cell (48 = 5×8 bytes + flag,
-// rounded to alignment); slotBytes is one bucket slot (hash + dense index);
-// sideBytes one Side (slice header + map pointer); distinctEntryBytes the
-// per-entry overhead Bytes charges a distinct set on top of the value bytes
-// (string header + its share of a map bucket).
 const (
-	cellBytes          = 48
-	slotBytes          = 16
-	sideBytes          = 32
+	countCol    colKind = iota // ints: rows seen
+	sumIntCol                  // ints: the sum
+	sumFloatCol                // floats: the sum (of float64(v) for integer arguments)
+	avgCol                     // floats: the sum as sumFloatCol; ints: rows seen
+	minIntCol                  // ints: the running value
+	maxIntCol
+	minFloatCol // floats: the running value
+	maxFloatCol
+	minBytesCol // strs: an owned, pad-trimmed copy of the running value
+	maxBytesCol
+	distinctCol // sets: the values seen, serialized by the caller
+)
+
+func kindOf(a Agg) colKind {
+	switch {
+	case a.Kind == Count:
+		return countCol
+	case a.Kind == Avg:
+		return avgCol
+	case a.Kind == CountDistinct:
+		return distinctCol
+	case a.Kind == Sum && a.Float:
+		return sumFloatCol
+	case a.Kind == Sum:
+		return sumIntCol
+	case a.Bytes:
+		return minBytesCol + colKind(a.Kind-Min)
+	case a.Float:
+		return minFloatCol + colKind(a.Kind-Min)
+	}
+	return minIntCol + colKind(a.Kind-Min)
+}
+
+// column is one aggregate's state for every group, indexed by group id.
+// Only the slices its kind names are ever appended to.
+type column struct {
+	kind   colKind
+	ints   []int64
+	floats []float64
+	strs   [][]byte
+	sets   []map[string]struct{}
+	// seen is, for a MIN/MAX, how many leading groups hold a value. Groups
+	// are numbered in the order their first row arrives, and accumulation
+	// and merging visit rows in that order, so group g holds a value exactly
+	// when g < seen and the first value a group meets is simply taken. A
+	// group past seen reads as the zero value, which is what a scalar
+	// aggregate over empty input returns.
+	seen int
+}
+
+// add appends a new group's zero state.
+func (c *column) add() {
+	switch c.kind {
+	case sumFloatCol, minFloatCol, maxFloatCol:
+		c.floats = append(c.floats, 0)
+	case avgCol:
+		c.floats = append(c.floats, 0)
+		c.ints = append(c.ints, 0)
+	case minBytesCol, maxBytesCol:
+		c.strs = append(c.strs, nil)
+	case distinctCol:
+		c.sets = append(c.sets, nil)
+	default:
+		c.ints = append(c.ints, 0)
+	}
+}
+
+// slotBytes is one bucket slot (hash tag + dense index); strBytes one char
+// MIN/MAX value's slice header; setBytes one COUNT(DISTINCT) set's map
+// pointer; distinctEntryBytes the per-entry overhead Bytes charges a
+// distinct set on top of the value bytes (string header + its share of a
+// map bucket).
+const (
+	slotBytes          = 8
+	strBytes           = 24
+	setBytes           = 8
 	distinctEntryBytes = 24
 )
 
 // loadFactor is the occupancy threshold that doubles the slot array.
 const loadFactor = 0.7
 
-// slot is one open-addressing bucket: the group hash (0 = empty; hashes come
-// from types.HashPairVec, which never emits 0) and the dense group index.
-type slot struct {
-	h   uint64
-	idx int32
-}
+// slot is one open-addressing bucket: 0 when empty, else the group hash's
+// high 32 bits (its tag; the low bits pick the bucket) over the dense group
+// index plus one. A tag match is confirmed by comparing keys.
+type slot uint64
+
+const tagBits uint64 = 0xffffffff << 32
+
+func newSlot(h uint64, idx int32) slot { return slot(h&tagBits | uint64(idx+1)) }
+
+// idx is the dense group index of a non-empty slot.
+func (s slot) idx() int32 { return int32(uint32(s)) - 1 }
 
 // Table accumulates groups keyed by one or two inline int64 words or by a
-// serialized byte tuple. Group state lives in dense parallel arrays (keys,
-// hashes, cells, optional sides) indexed by insertion order; the slot array
-// only maps hashes to dense indexes, so growth rehashes 16 bytes per group
-// and never moves accumulator state.
+// serialized byte tuple. Group state lives in dense arrays (keys, hashes,
+// one column per aggregate) indexed by insertion order; the slot array only
+// maps hash tags to dense indexes, so growth rehashes 8 bytes per group
+// from the hash column and never moves accumulator state.
 type Table struct {
 	slots   []slot
 	mask    uint64
@@ -108,26 +164,25 @@ type Table struct {
 
 	twoKeys  bool
 	byteKeys bool
-	nAggs    int
 
 	k0     []int64 // inline keys
 	k1     []int64 // nil unless twoKeys
 	arena  []byte  // byte keys: group g's tuple is arena[offs[g]:offs[g+1]]
 	offs   []int   // nil unless byteKeys
 	hashes []uint64
-	cells  []Cell // nGroups * nAggs, group-major
-	side   []Side // parallel to cells; stays empty unless WithSide
-	// sideHeap is the bytes the sides own outside the side array: min/max
+	aggs   []Agg    // the layout
+	cols   []column // one per aggregate
+	// heap is the bytes the columns own outside their arrays: char MIN/MAX
 	// values and distinct-set entries.
-	sideHeap int64
+	heap int64
 
-	zero     []Cell // nAggs zero cells, appended per new group
-	zeroSide []Side // nAggs zero sides (nil unless WithSide), likewise
+	// mergeSrc/mergeDst pair the groups of one MergePartition call.
+	mergeSrc, mergeDst []int32
 }
 
-// New returns an empty table with one or two inline 64-bit keys for nAggs
-// accumulator columns. capHint sizes the initial slot array (in expected
-// groups).
+// New returns an empty table with one or two inline 64-bit keys and nAggs
+// float SUM columns; Layout lays out others. capHint sizes the initial slot
+// array (in expected groups).
 func New(nAggs int, twoKeys bool, capHint int) *Table {
 	if capHint < 16 {
 		capHint = 16
@@ -136,38 +191,45 @@ func New(nAggs int, twoKeys bool, capHint int) *Table {
 	for float64(n)*loadFactor < float64(capHint) {
 		n <<= 1
 	}
-	return &Table{
+	t := &Table{
 		slots:   make([]slot, n),
 		mask:    uint64(n - 1),
 		growAt:  int(loadFactor * float64(n)),
 		twoKeys: twoKeys,
-		nAggs:   nAggs,
-		zero:    make([]Cell, nAggs),
 	}
+	aggs := make([]Agg, nAggs)
+	for j := range aggs {
+		aggs[j] = Agg{Kind: Sum, Float: true}
+	}
+	return t.Layout(aggs)
 }
 
-// NewBytes returns an empty table keyed by serialized byte tuples.
+// NewBytes returns an empty table keyed by serialized byte tuples, with
+// nAggs float SUM columns.
 func NewBytes(nAggs, capHint int) *Table {
 	t := New(nAggs, false, capHint)
 	t.byteKeys, t.offs = true, []int{0}
 	return t
 }
 
-// WithSide gives every accumulator a Side and returns t. Call it on an empty
-// table whose aggregates include a char min/max or a CountDistinct.
-func (t *Table) WithSide() *Table {
-	t.zeroSide = make([]Side, t.nAggs)
+// Layout gives the empty table t one column per aggregate of aggs, each
+// holding only the state its function needs, and returns t.
+func (t *Table) Layout(aggs []Agg) *Table {
+	t.aggs = aggs
+	t.cols = make([]column, len(aggs))
+	for j, a := range aggs {
+		t.cols[j].kind = kindOf(a)
+	}
 	return t
 }
 
-// NewLike returns an empty table with t's key layout, accumulator count, and
-// side array (the merge destination for tables like t).
+// NewLike returns an empty table with t's key and column layout (the merge
+// destination for tables like t).
 func (t *Table) NewLike(capHint int) *Table {
-	n := New(t.nAggs, t.twoKeys, capHint)
+	n := New(0, t.twoKeys, capHint).Layout(t.aggs)
 	if t.byteKeys {
 		n.byteKeys, n.offs = true, []int{0}
 	}
-	n.zeroSide = t.zeroSide
 	return n
 }
 
@@ -186,34 +248,30 @@ func (t *Table) Key(g int) (k0, k1 int64) {
 // slice aliases the arena; it stays valid until the next upsert.
 func (t *Table) KeyBytes(g int) []byte { return t.arena[t.offs[g]:t.offs[g+1]] }
 
-// CellAt returns the accumulator of group g, aggregate column j.
-func (t *Table) CellAt(g int32, j int) *Cell { return &t.cells[int(g)*t.nAggs+j] }
-
-// SideAt returns the out-of-line state of group g, aggregate column j (tables
-// built WithSide only).
-func (t *Table) SideAt(g int32, j int) *Side { return &t.side[int(g)*t.nAggs+j] }
-
-// Bytes returns the table's approximate memory footprint: slot array plus the
-// dense group arrays (keys or key arena, hashes, cells, sides) at their
-// allocated capacities, plus what the sides own.
+// Bytes returns the table's memory footprint: the slot array plus the dense
+// group arrays (keys or key arena, hashes, columns) at their allocated
+// capacities, plus what the columns own outside them.
 func (t *Table) Bytes() int64 {
 	n := int64(len(t.slots)) * slotBytes
-	n += int64(cap(t.k0)+cap(t.k1))*8 + int64(cap(t.hashes))*8
-	n += int64(cap(t.arena)) + int64(cap(t.offs))*8
-	n += int64(cap(t.cells)) * cellBytes
-	n += int64(cap(t.side))*sideBytes + t.sideHeap
-	return n
+	n += int64(cap(t.k0)+cap(t.k1)+cap(t.hashes)+cap(t.offs)) * 8
+	n += int64(cap(t.arena))
+	for j := range t.cols {
+		c := &t.cols[j]
+		n += int64(cap(c.ints)+cap(c.floats))*8 + int64(cap(c.strs))*strBytes + int64(cap(c.sets))*setBytes
+	}
+	return n + t.heap
 }
 
-// addGroup claims slot i for a new group with hash h and appends its hash,
-// zero cells, and zero sides; the caller appends the key.
+// addGroup claims slot i for a new group with hash h and appends its hash
+// and one zero per column; the caller appends the key.
 func (t *Table) addGroup(i, h uint64) int32 {
 	idx := int32(t.nGroups)
-	t.slots[i] = slot{h: h, idx: idx}
+	t.slots[i] = newSlot(h, idx)
 	t.nGroups++
 	t.hashes = append(t.hashes, h)
-	t.cells = append(t.cells, t.zero...)
-	t.side = append(t.side, t.zeroSide...)
+	for j := range t.cols {
+		t.cols[j].add()
+	}
 	return idx
 }
 
@@ -223,18 +281,20 @@ func (t *Table) upsert(h uint64, a, b int64) int32 {
 	if t.nGroups >= t.growAt {
 		t.grow()
 	}
-	i := h & t.mask
+	i, tag := h&t.mask, h&tagBits
 	for {
 		s := t.slots[i]
-		if s.h == 0 {
+		if s == 0 {
 			t.k0 = append(t.k0, a)
 			if t.twoKeys {
 				t.k1 = append(t.k1, b)
 			}
 			return t.addGroup(i, h)
 		}
-		if s.h == h && t.k0[s.idx] == a && (!t.twoKeys || t.k1[s.idx] == b) {
-			return s.idx
+		if uint64(s)&tagBits == tag {
+			if g := s.idx(); t.k0[g] == a && (!t.twoKeys || t.k1[g] == b) {
+				return g
+			}
 		}
 		i = (i + 1) & t.mask
 	}
@@ -247,16 +307,16 @@ func (t *Table) UpsertBytes(h uint64, key []byte) int32 {
 	if t.nGroups >= t.growAt {
 		t.grow()
 	}
-	i := h & t.mask
+	i, tag := h&t.mask, h&tagBits
 	for {
 		s := t.slots[i]
-		if s.h == 0 {
+		if s == 0 {
 			t.arena = append(t.arena, key...)
 			t.offs = append(t.offs, len(t.arena))
 			return t.addGroup(i, h)
 		}
-		if s.h == h && bytes.Equal(t.KeyBytes(int(s.idx)), key) {
-			return s.idx
+		if uint64(s)&tagBits == tag && bytes.Equal(t.KeyBytes(int(s.idx())), key) {
+			return s.idx()
 		}
 		i = (i + 1) & t.mask
 	}
@@ -268,10 +328,10 @@ func (t *Table) grow() {
 	mask := uint64(len(ns) - 1)
 	for idx, h := range t.hashes {
 		i := h & mask
-		for ns[i].h != 0 {
+		for ns[i] != 0 {
 			i = (i + 1) & mask
 		}
-		ns[i] = slot{h: h, idx: int32(idx)}
+		ns[i] = newSlot(h, int32(idx))
 	}
 	t.slots = ns
 	t.mask = mask
@@ -300,157 +360,187 @@ func (t *Table) UpsertBlock(k0, k1 []int64, hashes []uint64, dst []int32) []int3
 	return dst
 }
 
-// AccumCount bumps aggregate column j's row count for each row's group (the
-// COUNT(*) kernel: no argument column to read).
+// AccumCount bumps column j's row count for each row's group: the COUNT(*)
+// kernel, with no argument column to read. Column j is a COUNT, or an AVG
+// without an argument.
 func (t *Table) AccumCount(j int, groups []int32) {
-	cells, na := t.cells, t.nAggs
+	n := t.cols[j].ints
 	for _, g := range groups {
-		cells[int(g)*na+j].Count++
+		n[g]++
 	}
 }
 
 // AccumInt folds an integer argument column (int64 or widened date) into
-// aggregate column j. Sum/Avg accumulate both the integer and float views.
-func (t *Table) AccumInt(j int, a Agg, groups []int32, vals []int64) {
-	cells, na := t.cells, t.nAggs
-	switch a.Kind {
-	case Sum, Avg:
+// column j, groups[r] being row r's group. The groups must cover every row
+// of the block that created them, in row order.
+func (t *Table) AccumInt(j int, groups []int32, vals []int64) {
+	c := &t.cols[j]
+	switch c.kind {
+	case sumIntCol:
+		s := c.ints
 		for r, g := range groups {
-			c := &cells[int(g)*na+j]
-			v := vals[r]
-			c.Count++
-			c.SumI += v
-			c.SumF += float64(v)
+			s[g] += vals[r]
 		}
-	case Min:
+	case sumFloatCol:
+		s := c.floats
 		for r, g := range groups {
-			c := &cells[int(g)*na+j]
-			c.Count++
-			if v := vals[r]; !c.Set || v < c.MMI {
-				c.MMI = v
-				c.Set = true
-			}
+			s[g] += float64(vals[r])
 		}
-	case Max:
+	case avgCol:
+		s, n := c.floats, c.ints
 		for r, g := range groups {
-			c := &cells[int(g)*na+j]
-			c.Count++
-			if v := vals[r]; !c.Set || v > c.MMI {
-				c.MMI = v
-				c.Set = true
-			}
+			s[g] += float64(vals[r])
+			n[g]++
 		}
-	default: // Count with an (ignored) argument
+	case minIntCol:
+		c.seen = foldMin(c.ints, c.seen, groups, vals)
+	case maxIntCol:
+		c.seen = foldMax(c.ints, c.seen, groups, vals)
+	default: // COUNT with an (ignored) argument
 		t.AccumCount(j, groups)
 	}
 }
 
-// AccumFloat folds a float argument column into aggregate column j. The
-// integer sum stays untouched.
-func (t *Table) AccumFloat(j int, a Agg, groups []int32, vals []float64) {
-	cells, na := t.cells, t.nAggs
-	switch a.Kind {
-	case Sum, Avg:
+// AccumFloat folds a float argument column into column j, like AccumInt.
+func (t *Table) AccumFloat(j int, groups []int32, vals []float64) {
+	c := &t.cols[j]
+	switch c.kind {
+	case sumFloatCol:
+		s := c.floats
 		for r, g := range groups {
-			c := &cells[int(g)*na+j]
-			c.Count++
-			c.SumF += vals[r]
+			s[g] += vals[r]
 		}
-	case Min:
+	case avgCol:
+		s, n := c.floats, c.ints
 		for r, g := range groups {
-			c := &cells[int(g)*na+j]
-			c.Count++
-			if v := vals[r]; !c.Set || v < c.MMF {
-				c.MMF = v
-				c.Set = true
-			}
+			s[g] += vals[r]
+			n[g]++
 		}
-	case Max:
-		for r, g := range groups {
-			c := &cells[int(g)*na+j]
-			c.Count++
-			if v := vals[r]; !c.Set || v > c.MMF {
-				c.MMF = v
-				c.Set = true
-			}
-		}
+	case minFloatCol:
+		c.seen = foldMin(c.floats, c.seen, groups, vals)
+	case maxFloatCol:
+		c.seen = foldMax(c.floats, c.seen, groups, vals)
 	default:
 		t.AccumCount(j, groups)
 	}
 }
 
-// UpdateBytes folds one char value (padding already trimmed) into group g's
-// min/max aggregate j: the running value is an owned copy in the Side.
-func (t *Table) UpdateBytes(g int32, j int, a Agg, v []byte) {
-	i := int(g)*t.nAggs + j
-	c := &t.cells[i]
-	c.Count++
-	t.takeBytes(c, &t.side[i], a, v)
+// foldMin folds vals into the running minimums m, of which the first seen
+// groups hold a value, and returns the new count. A group's first value is
+// taken whatever it is (a NaN then stays, as no value compares below it).
+func foldMin[T int64 | float64](m []T, seen int, groups []int32, vals []T) int {
+	for r, g := range groups {
+		if v := vals[r]; int(g) >= seen {
+			m[g], seen = v, int(g)+1
+		} else if v < m[g] {
+			m[g] = v
+		}
+	}
+	return seen
 }
 
-// takeBytes replaces the running char min/max with v when v is better.
-func (t *Table) takeBytes(c *Cell, s *Side, a Agg, v []byte) {
-	cmp := bytes.Compare(v, s.MM)
-	if better := !c.Set || (a.Kind == Min && cmp < 0) || (a.Kind == Max && cmp > 0); !better {
-		return
+// foldMax is foldMin for maximums.
+func foldMax[T int64 | float64](m []T, seen int, groups []int32, vals []T) int {
+	for r, g := range groups {
+		if v := vals[r]; int(g) >= seen {
+			m[g], seen = v, int(g)+1
+		} else if v > m[g] {
+			m[g] = v
+		}
 	}
-	t.sideHeap -= int64(cap(s.MM))
-	s.MM = append(s.MM[:0], v...)
-	t.sideHeap += int64(cap(s.MM))
-	c.Set = true
+	return seen
+}
+
+// UpdateBytes folds one char value (padding already trimmed) into group g's
+// char MIN/MAX column j: the running value, an owned copy, becomes v when v
+// is better or g holds no value yet. Rows reach it in row order, like the
+// Accum kernels'.
+func (t *Table) UpdateBytes(g int32, j int, v []byte) {
+	c := &t.cols[j]
+	if int(g) < c.seen {
+		cmp := bytes.Compare(v, c.strs[g])
+		if (c.kind == minBytesCol && cmp >= 0) || (c.kind == maxBytesCol && cmp <= 0) {
+			return
+		}
+	} else {
+		c.seen = int(g) + 1
+	}
+	s := &c.strs[g]
+	t.heap -= int64(cap(*s))
+	*s = append((*s)[:0], v...)
+	t.heap += int64(cap(*s))
 }
 
 // AddDistinct records one argument value, serialized by the caller so equal
-// values are equal byte strings, in group g's CountDistinct aggregate j.
+// values are equal byte strings, in group g's COUNT(DISTINCT) column j.
 func (t *Table) AddDistinct(g int32, j int, v []byte) {
-	i := int(g)*t.nAggs + j
-	t.cells[i].Count++
-	s := &t.side[i]
-	if _, ok := s.Distinct[string(v)]; !ok { // no string is allocated for a hit
+	s := &t.cols[j].sets[g]
+	if _, ok := (*s)[string(v)]; !ok { // no string is allocated for a hit
 		t.addDistinct(s, string(v))
 	}
 }
 
-// addDistinct inserts v, which is not yet in s's set.
-func (t *Table) addDistinct(s *Side, v string) {
-	if s.Distinct == nil {
-		s.Distinct = make(map[string]struct{})
+// addDistinct inserts v, which is not yet in *s.
+func (t *Table) addDistinct(s *map[string]struct{}, v string) {
+	if *s == nil {
+		*s = make(map[string]struct{})
 	}
-	s.Distinct[v] = struct{}{}
-	t.sideHeap += int64(len(v)) + distinctEntryBytes
+	(*s)[v] = struct{}{}
+	t.heap += int64(len(v)) + distinctEntryBytes
 }
 
-// MergeCell folds src into dst (partial-table merge).
-func MergeCell(dst, src *Cell, a Agg) {
-	dst.Count += src.Count
-	dst.SumI += src.SumI
-	dst.SumF += src.SumF
-	if !src.Set {
-		return
-	}
-	if !dst.Set {
-		dst.MMI, dst.MMF, dst.Set = src.MMI, src.MMF, true
-		return
-	}
-	var take bool
-	if a.Float {
-		take = (a.Kind == Min && src.MMF < dst.MMF) || (a.Kind == Max && src.MMF > dst.MMF)
-	} else {
-		take = (a.Kind == Min && src.MMI < dst.MMI) || (a.Kind == Max && src.MMI > dst.MMI)
-	}
-	if take {
-		dst.MMI, dst.MMF = src.MMI, src.MMF
+// Finish writes column j's results for groups lo, lo+1, ..., lo+len(dst)-1
+// into dst, each typed ty, the output column's type: a count or integer sum
+// as int64, a float sum, an average or a float min/max as float64, an
+// integer min/max as ty, a char min/max as char, and a COUNT(DISTINCT) as the
+// set's size. A MIN/MAX group that holds no value reads as ty's zero.
+func (t *Table) Finish(j, lo int, ty types.TypeID, dst []types.Datum) {
+	c := &t.cols[j]
+	hi := lo + len(dst)
+	switch c.kind {
+	case countCol, sumIntCol:
+		for i, v := range c.ints[lo:hi] {
+			dst[i] = types.NewInt64(v)
+		}
+	case sumFloatCol, minFloatCol, maxFloatCol:
+		for i, v := range c.floats[lo:hi] {
+			dst[i] = types.NewFloat64(v)
+		}
+	case avgCol:
+		n := c.ints[lo:hi]
+		for i, s := range c.floats[lo:hi] {
+			dst[i] = types.NewFloat64(0)
+			if n[i] != 0 {
+				dst[i].F = s / float64(n[i])
+			}
+		}
+	case minIntCol, maxIntCol:
+		for i, v := range c.ints[lo:hi] {
+			dst[i] = types.Datum{Ty: ty, I: v}
+		}
+	case minBytesCol, maxBytesCol:
+		for i, v := range c.strs[lo:hi] {
+			dst[i] = types.NewChar(v)
+		}
+	case distinctCol:
+		for i, s := range c.sets[lo:hi] {
+			dst[i] = types.NewInt64(int64(len(s)))
+		}
 	}
 }
 
 // MergePartition folds every src group whose hash falls in radix partition
-// part of pr (see types.Partitioner) into dst. Partitions are disjoint by
+// part of pr (see types.Partitioner) into t. Partitions are disjoint by
 // construction, so concurrent merge work orders over distinct partitions
 // share nothing; a single-partition pr (types.NewPartitioner(1)) with part 0
-// folds every group.
+// folds every group. aggs is src's layout; t takes it if it is still empty,
+// so a table New made merges any layout. Sums add in src's group order.
 func (t *Table) MergePartition(src *Table, part int, pr types.Partitioner, aggs []Agg) {
-	for g := 0; g < src.nGroups; g++ {
-		h := src.hashes[g]
+	if t.nGroups == 0 && !slices.Equal(t.aggs, aggs) {
+		t.Layout(aggs)
+	}
+	sg, dg := t.mergeSrc[:0], t.mergeDst[:0]
+	for g, h := range src.hashes[:src.nGroups] {
 		if pr.Of(h) != part {
 			continue
 		}
@@ -463,25 +553,85 @@ func (t *Table) MergePartition(src *Table, part int, pr types.Partitioner, aggs 
 		default:
 			idx = t.upsert(h, src.k0[g], 0)
 		}
-		for j, a := range aggs {
-			di, si := int(idx)*t.nAggs+j, g*src.nAggs+j
-			if a.side() {
-				t.mergeSide(&t.cells[di], &t.side[di], &src.cells[si], &src.side[si], a)
+		sg, dg = append(sg, int32(g)), append(dg, idx)
+	}
+	t.mergeSrc, t.mergeDst = sg, dg
+	for j := range t.cols {
+		t.mergeColumn(j, &src.cols[j], sg, dg)
+	}
+}
+
+// mergeColumn folds src column s into t's column j: src group sg[k] into
+// group dg[k].
+func (t *Table) mergeColumn(j int, s *column, sg, dg []int32) {
+	d := &t.cols[j]
+	switch d.kind {
+	case countCol, sumIntCol:
+		addInto(d.ints, s.ints, sg, dg)
+	case sumFloatCol:
+		addInto(d.floats, s.floats, sg, dg)
+	case avgCol:
+		addInto(d.floats, s.floats, sg, dg)
+		addInto(d.ints, s.ints, sg, dg)
+	case minIntCol:
+		d.seen = mergeMin(d.ints, s.ints, d.seen, s.seen, sg, dg)
+	case maxIntCol:
+		d.seen = mergeMax(d.ints, s.ints, d.seen, s.seen, sg, dg)
+	case minFloatCol:
+		d.seen = mergeMin(d.floats, s.floats, d.seen, s.seen, sg, dg)
+	case maxFloatCol:
+		d.seen = mergeMax(d.floats, s.floats, d.seen, s.seen, sg, dg)
+	case minBytesCol, maxBytesCol:
+		for k, si := range sg {
+			if int(si) < s.seen {
+				t.UpdateBytes(dg[k], j, s.strs[si])
 			}
-			MergeCell(&t.cells[di], &src.cells[si], a)
+		}
+	case distinctCol:
+		for k, si := range sg {
+			ds := &d.sets[dg[k]]
+			for v := range s.sets[si] {
+				if _, ok := (*ds)[v]; !ok {
+					t.addDistinct(ds, v)
+				}
+			}
 		}
 	}
 }
 
-// mergeSide folds src's out-of-line state into dst's; it runs before
-// MergeCell so dst's Set flag still describes dst alone.
-func (t *Table) mergeSide(dc *Cell, ds *Side, sc *Cell, ss *Side, a Agg) {
-	if a.Bytes && sc.Set {
-		t.takeBytes(dc, ds, a, ss.MM)
+func addInto[T int64 | float64](d, s []T, sg, dg []int32) {
+	for k, si := range sg {
+		d[dg[k]] += s[si]
 	}
-	for v := range ss.Distinct {
-		if _, ok := ds.Distinct[v]; !ok {
-			t.addDistinct(ds, v)
+}
+
+// mergeMin folds the src minimums s of src's first sseen groups into d, of
+// which the first seen groups hold a value, and returns the new count.
+func mergeMin[T int64 | float64](d, s []T, seen, sseen int, sg, dg []int32) int {
+	for k, si := range sg {
+		if int(si) >= sseen {
+			continue
+		}
+		if v, di := s[si], dg[k]; int(di) >= seen {
+			d[di], seen = v, int(di)+1
+		} else if v < d[di] {
+			d[di] = v
 		}
 	}
+	return seen
+}
+
+// mergeMax is mergeMin for maximums.
+func mergeMax[T int64 | float64](d, s []T, seen, sseen int, sg, dg []int32) int {
+	for k, si := range sg {
+		if int(si) >= sseen {
+			continue
+		}
+		if v, di := s[si], dg[k]; int(di) >= seen {
+			d[di], seen = v, int(di)+1
+		} else if v > d[di] {
+			d[di] = v
+		}
+	}
+	return seen
 }

@@ -324,3 +324,61 @@ func TestHeldBuildInputsLeakNothing(t *testing.T) {
 		}
 	})
 }
+
+// gaugeOp is an operator with no input and no work: its Start reads the
+// run's live hash-table bytes.
+type gaugeOp struct {
+	core.Base
+	live int64
+}
+
+func (g *gaugeOp) Name() string   { return "gauge" }
+func (g *gaugeOp) NumInputs() int { return 0 }
+func (g *gaugeOp) Start(ctx *core.ExecCtx) []core.WorkOrder {
+	g.live = ctx.Run.HashTables.Live()
+	return nil
+}
+
+// TestSharedTableCountsUntilLastProbe: two probes read one join table (Q20's
+// build(part) does), the second starting only once the first has finished.
+// Between them the table still counts in HashTables, index and held inputs
+// both, at the build's peak; it leaves the gauge when the second ends.
+func TestSharedTableCountsUntilLastProbe(t *testing.T) {
+	_, fact, dim := fixture(t, storage.ColumnStore, 4<<10)
+	b := NewBuilder()
+	fs, ds := fact.Schema(), dim.Schema()
+	bld, bop := b.Build(b.ScanSelect(exec.SelectSpec{
+		Name: "sel_fact", Base: fact,
+		Proj:      []expr.Expr{expr.C(fs, "grp"), expr.C(fs, "k")},
+		ProjNames: []string{"grp", "k"},
+	}), exec.BuildSpec{Name: "build_fact", KeyCols: []int{1}, Payload: []int{0}, ExpectedRows: 1000})
+	probe := func(name string) (*Node, *Node) {
+		sel := b.ScanSelect(exec.SelectSpec{Name: "sel_" + name, Base: dim,
+			Proj: []expr.Expr{expr.C(ds, "k")}, ProjNames: []string{"k"}})
+		return sel, b.Probe(sel, bld, exec.ProbeSpec{Name: name, KeyCols: []int{0}, ProbeProj: []int{0}, BuildProj: []int{0}})
+	}
+	// The first probe's rows end in a sort, which keeps no hash table, so
+	// the table and its held inputs are all HashTables ever holds.
+	_, first := probe("probe1")
+	sorted := b.Sort(first, exec.SortSpec{Name: "sort", Terms: []exec.SortTerm{{Key: expr.C(first.Schema, "k")}}})
+	gauge := &gaugeOp{}
+	between := &Node{ID: exec.AddOp(b.plan, gauge)}
+	b.Gate(sorted, between)
+	sel2, second := probe("probe2")
+	b.Gate(between, sel2)
+	b.Collect(second)
+	res, err := Execute(b, Options{Workers: 1, UoTBlocks: 1, TempBlockBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(Rows(res.Table)); got != 500 {
+		t.Fatalf("second probe: %d rows, want 500", got)
+	}
+	index := bop.HT().TotalBytes()
+	if high := res.Run.HashTables.High(); gauge.live != high || index == 0 {
+		t.Fatalf("between the probes HashTables holds %d bytes, want the build's peak %d (its index is %d)", gauge.live, high, index)
+	}
+	if r := res.Run.Robust(); res.Run.HashTables.Live() != 0 || r.LeakedBlocks != 0 || r.OutstandingRefs != 0 {
+		t.Fatalf("after the run: %d live hash-table bytes, leaks %+v", res.Run.HashTables.Live(), r)
+	}
+}

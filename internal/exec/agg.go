@@ -55,8 +55,9 @@ var aggPartitioner = types.NewPartitioner(aggParts)
 // AggOp is a hash aggregation operator. Every spec runs one pipeline: each
 // work order checks a thread-local partial out of a free-list, resolves the
 // block's rows to dense group ids in the partial's aggtable.Table, and folds
-// each aggregate's argument vector into the table's fixed-width cells with a
-// columnar kernel — no per-row map lookups, no Datum-boxed accumulators.
+// each aggregate's argument vector into that aggregate's typed column of the
+// table with a columnar kernel — no per-row map lookups, no Datum-boxed
+// accumulators.
 // Partials persist across work orders, and Final fans out one merge work
 // order per radix partition of the group-hash space, so the merge
 // parallelizes across the scheduler's workers instead of serializing on an
@@ -68,7 +69,8 @@ var aggPartitioner = types.NewPartitioner(aggParts)
 // zero-padded to its width — packed into the table's one or two inline
 // words and hashed in one vectorized pass), or a wider tuple (serialized
 // into the table's byte arena, one key column at a time). Argument loading
-// is likewise compiled per aggregate. Keys and arguments are evaluated a
+// and each aggregate's column (aggtable.Table.Layout) are likewise chosen
+// once per aggregate. Keys and arguments are evaluated a
 // block at a time by expr.Vectors: a columnar gather or an in-place char
 // view for plain column references, vector kernels for computed ones.
 type AggOp struct {
@@ -87,7 +89,7 @@ type AggOp struct {
 	// Plan, compiled by NewAgg.
 	keys  aggKeys
 	args  []aggArg
-	descs []aggtable.Agg  // args' accumulator descriptors, for merges
+	descs []aggtable.Agg  // the aggregates' column layout
 	proto *aggtable.Table // empty table of the plan's layout; partials and merges clone it
 
 	// Runtime state: the free-list of thread-local partials. pall tracks
@@ -130,10 +132,8 @@ const (
 	loadDistinct                // CountDistinct: encoded values → AddDistinct
 )
 
-// aggArg is one aggregate's plan: the accumulator descriptor and how the
-// argument is loaded.
+// aggArg is one aggregate's plan: how its argument is loaded.
 type aggArg struct {
-	desc aggtable.Agg
 	load aggLoad
 	arg  expr.Expr
 }
@@ -199,37 +199,38 @@ func NewAgg(spec AggOpSpec) *AggOp {
 	}
 	op.readCols = expr.PrimaryCols(all...)
 
-	wk := newWordKeys(spec.GroupBy)
-	switch {
-	case len(spec.GroupBy) == 0:
-		op.keys, op.proto = scalarKeys{}, aggtable.New(len(spec.Aggs), false, 1)
-	case wk.width > 16:
-		op.keys, op.proto = byteKeys(spec.GroupBy), aggtable.NewBytes(len(spec.Aggs), 1)
-	default:
-		op.keys, op.proto = wk, aggtable.New(len(spec.Aggs), wk.width > 8, 1)
-	}
-
 	kinds := [...]aggtable.Kind{Sum: aggtable.Sum, Count: aggtable.Count, Avg: aggtable.Avg,
 		Min: aggtable.Min, Max: aggtable.Max, CountDistinct: aggtable.CountDistinct}
 	for _, a := range spec.Aggs {
-		arg := aggArg{desc: aggtable.Agg{Kind: kinds[a.Func]}, arg: a.Arg}
+		arg, desc := aggArg{arg: a.Arg}, aggtable.Agg{Kind: kinds[a.Func]}
 		switch {
 		case a.Func == Count || a.Arg == nil:
 		case a.Func == CountDistinct:
 			arg.load = loadDistinct
 		case a.Arg.Type() == types.Char:
-			arg.load, arg.desc.Bytes = loadBytes, true
+			arg.load, desc.Bytes = loadBytes, true
 		case a.Arg.Type() == types.Float64:
-			arg.load, arg.desc.Float = loadFloat, true
+			arg.load, desc.Float = loadFloat, true
 		default:
-			arg.load = loadInt
-		}
-		if arg.load == loadBytes || arg.load == loadDistinct {
-			op.proto.WithSide()
+			// A SUM of dates is read as a float, so it accumulates one.
+			arg.load, desc.Float = loadInt, a.Func == Sum && aggType(a) == types.Float64
 		}
 		op.args = append(op.args, arg)
-		op.descs = append(op.descs, arg.desc)
+		op.descs = append(op.descs, desc)
 	}
+
+	// The table's layout: its keys, and one column per aggregate holding
+	// only that function's state.
+	wk := newWordKeys(spec.GroupBy)
+	switch {
+	case len(spec.GroupBy) == 0:
+		op.keys, op.proto = scalarKeys{}, aggtable.New(0, false, 1)
+	case wk.width > 16:
+		op.keys, op.proto = byteKeys(spec.GroupBy), aggtable.NewBytes(0, 1)
+	default:
+		op.keys, op.proto = wk, aggtable.New(0, wk.width > 8, 1)
+	}
+	op.proto.Layout(op.descs)
 	return op
 }
 
@@ -368,14 +369,14 @@ func (w *aggWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 			p.tab.AccumCount(j, p.groupIdx)
 		case loadInt:
 			p.argI = p.vec.Ints(a.arg, &ec, p.argI)
-			p.tab.AccumInt(j, a.desc, p.groupIdx, p.argI)
+			p.tab.AccumInt(j, p.groupIdx, p.argI)
 		case loadFloat:
 			p.argF = p.vec.Floats(a.arg, &ec, p.argF)
-			p.tab.AccumFloat(j, a.desc, p.groupIdx, p.argF)
+			p.tab.AccumFloat(j, p.groupIdx, p.argF)
 		case loadBytes:
 			v := p.vec.Bytes(a.arg, &ec)
 			for r, g := range p.groupIdx {
-				p.tab.UpdateBytes(g, j, a.desc, types.TrimPad(v.Bytes(r)))
+				p.tab.UpdateBytes(g, j, types.TrimPad(v.Bytes(r)))
 			}
 		case loadDistinct:
 			p.addDistinct(j, a.arg, &ec)
@@ -681,18 +682,14 @@ func (w *aggMergeWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 		// each merge work order emits a dense slice of its groups.
 		t := tabs[0]
 		lo, hi := denseRange(w.part, w.pr.Parts(), t.Len())
-		for g := lo; g < hi; g++ {
-			o.emitGroup(&e, t, g)
-		}
+		o.emitGroups(&e, t, lo, hi)
 		return nil
 	}
 	dst := o.proto.NewLike(groupsHint/w.pr.Parts() + 16)
 	for _, t := range tabs {
 		dst.MergePartition(t, w.part, w.pr, o.descs)
 	}
-	for g := 0; g < dst.Len(); g++ {
-		o.emitGroup(&e, dst, g)
-	}
+	o.emitGroups(&e, dst, 0, dst.Len())
 	return nil
 }
 
@@ -702,6 +699,9 @@ func denseRange(part, parts, n int) (lo, hi int) {
 	return part * n / parts, (part + 1) * n / parts
 }
 
+// emitChunk is how many groups emitGroups finishes a column at a time.
+const emitChunk = 256
+
 // groupEmitter is one merge work order's output and its reused buffers.
 type groupEmitter struct {
 	em  *core.Emitter
@@ -710,51 +710,35 @@ type groupEmitter struct {
 	key [16]byte
 }
 
-// emitGroup materializes one merged group as an output row; a scalar
-// aggregate also publishes its first value.
-func (o *AggOp) emitGroup(e *groupEmitter, t *aggtable.Table, g int) {
-	row, out := e.row, e.out
-	o.keys.datums(t, g, row, &e.key)
+// emitGroups materializes groups [lo, hi) of t as output rows, a chunk at a
+// time: each aggregate column's results with one typed loop
+// (aggtable.Table.Finish), then each group's row. A scalar aggregate also
+// publishes its first value.
+func (o *AggOp) emitGroups(e *groupEmitter, t *aggtable.Table, lo, hi int) {
+	if lo >= hi {
+		return
+	}
 	nk := len(o.groupBy)
-	for j, a := range o.args {
-		row[nk+j] = finishCell(o.out.Col(nk+j).Type, a, t, int32(g), j)
+	vals := make([][]types.Datum, len(o.args)) // per aggregate, one chunk's results
+	for j := range vals {
+		vals[j] = make([]types.Datum, min(emitChunk, hi-lo))
 	}
-	e.em.AppendRow(row...)
-	out.RowsIn++
+	for ; lo < hi; lo += emitChunk {
+		n := min(emitChunk, hi-lo)
+		for j, v := range vals {
+			t.Finish(j, lo, o.out.Col(nk+j).Type, v[:n])
+		}
+		for i := range n {
+			o.keys.datums(t, lo+i, e.row, &e.key)
+			for j, v := range vals {
+				e.row[nk+j] = v[i]
+			}
+			e.em.AppendRow(e.row...)
+		}
+		e.out.RowsIn += int64(n)
+	}
 	if nk == 0 {
-		o.scalarVal, o.hasScalar = row[0], true
-	}
-}
-
-// finishCell converts group g's accumulator j into the result datum of the
-// output column's type ty.
-func finishCell(ty types.TypeID, a aggArg, t *aggtable.Table, g int32, j int) types.Datum {
-	c := t.CellAt(g, j)
-	switch a.desc.Kind {
-	case aggtable.Count:
-		return types.NewInt64(c.Count)
-	case aggtable.CountDistinct:
-		return types.NewInt64(int64(len(t.SideAt(g, j).Distinct)))
-	case aggtable.Avg:
-		if c.Count == 0 {
-			return types.NewFloat64(0)
-		}
-		return types.NewFloat64(c.SumF / float64(c.Count))
-	case aggtable.Sum:
-		if ty == types.Int64 {
-			return types.NewInt64(c.SumI)
-		}
-		return types.NewFloat64(c.SumF)
-	default: // Min, Max
-		switch {
-		case !c.Set:
-			return types.Datum{Ty: ty}
-		case a.desc.Bytes:
-			return types.NewChar(t.SideAt(g, j).MM)
-		case a.desc.Float:
-			return types.NewFloat64(c.MMF)
-		}
-		return types.Datum{Ty: ty, I: c.MMI}
+		o.scalarVal, o.hasScalar = e.row[0], true
 	}
 }
 

@@ -46,6 +46,11 @@ type BuildHashOp struct {
 	filter   *bloom.Filter
 	scratch  sync.Pool // *hashtable.InsertScratch
 	readCols []int
+
+	// probes is how many probes read the table (NewProbe counts them), and
+	// open how many of them have not finished in this run (Start resets
+	// it): the last one releases the table.
+	probes, open int
 }
 
 // BuildSpec configures NewBuildHash.
@@ -102,6 +107,7 @@ func (o *BuildHashOp) Start(ctx *core.ExecCtx) []core.WorkOrder {
 		cfg.Gauge = &ctx.Run.HashTables
 	}
 	o.ht = hashtable.New(cfg)
+	o.open = o.probes
 	if o.buildBloom {
 		n := o.expected
 		if n < 1024 {
@@ -439,6 +445,8 @@ func NewProbe(spec ProbeSpec) *ProbeOp {
 		buildProj: spec.BuildProj,
 		out:       storage.NewSchema(cols...),
 	}
+	spec.Build.probes++
+	spec.Build.open++
 	op.readCols = append(append([]int{}, spec.KeyCols...), spec.ProbeProj...)
 	op.readCols = append(op.readCols, expr.PrimaryCols(spec.Residual)...)
 	if spec.Residual != nil {
@@ -501,9 +509,15 @@ func (o *ProbeOp) Feed(_ *core.ExecCtx, _ int, blocks []*storage.Block) []core.W
 	return wos
 }
 
-// Cleanup implements core.Operator: the probe is the hash table's consumer
-// and releases its memory.
-func (o *ProbeOp) Cleanup(*core.ExecCtx) { o.build.HT().Release() }
+// Cleanup implements core.Operator: the last of the hash table's probes to
+// finish releases its memory, so a table several probes share counts until
+// none reads it.
+func (o *ProbeOp) Cleanup(*core.ExecCtx) {
+	b := o.build
+	if b.open--; b.open == 0 {
+		b.ht.Release()
+	}
+}
 
 type probeWO struct {
 	op    *ProbeOp

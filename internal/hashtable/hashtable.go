@@ -103,16 +103,21 @@ type source struct {
 }
 
 // load reads the rows and keys of the source's entries from at on, at most
-// fillChunk of them, and returns how many it read.
+// fillChunk of them, and returns how many it read. A block's keys are read
+// as a run of its key columns, a view segment's row by row.
 func (s *source) load(at, keys int, rows *[fillChunk]int32, k0, k1 *[fillChunk]int64) int {
 	m := min(fillChunk, s.n-at)
-	if s.rows != nil {
-		copy(rows[:m], s.rows[at:])
-	} else {
+	if s.rows == nil {
 		for j := range m {
 			rows[j] = int32(at + j)
 		}
+		s.k0.Int64s(at, k0[:m])
+		if keys == 2 {
+			s.k1.Int64s(at, k1[:m])
+		}
+		return m
 	}
+	copy(rows[:m], s.rows[at:])
 	for j, r := range rows[:m] {
 		k0[j] = s.k0.Int64(int(r))
 	}
@@ -784,9 +789,8 @@ func (t *Table) UsedBytes() int64 {
 	return t.TotalBytes() + int64(n*w)
 }
 
-// Release returns the table's bytes to the gauge; call when the table's
-// consumer operator finishes. Release is idempotent, so plans in which
-// several probes share one hash table release it safely.
+// Release returns the table's bytes to the gauge; call when the last of the
+// table's probes finishes. Release is idempotent.
 func (t *Table) Release() {
 	t.releaseOnce.Do(func() {
 		if t.gauge != nil {

@@ -406,6 +406,13 @@ func (v ColView) Width() int { return v.width }
 // Int64 returns row r of an Int64 column.
 func (c Cells) Int64(r int) int64 { return int64(binary.LittleEndian.Uint64(c.data[r*c.stride:])) }
 
+// Int64s copies rows lo, lo+1, ..., lo+len(dst)-1 of an 8-byte column into
+// dst: one copy when the cells are contiguous (a column-store column), else
+// one strided loop.
+func (c Cells) Int64s(lo int, dst []int64) {
+	gather64(dst, c.data, lo*c.stride, c.stride, len(dst), nil)
+}
+
 // Date returns row r of a Date column as its day count.
 func (c Cells) Date(r int) int64 {
 	return int64(int32(binary.LittleEndian.Uint32(c.data[r*c.stride:])))

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -361,6 +362,12 @@ func TestGatherInt64MatchesInt64At(t *testing.T) {
 				if want := b.Int64At(col, r); v != want {
 					t.Fatalf("%v col %d row %d: got %d want %d", format, col, r, v, want)
 				}
+			}
+			// Cells.Int64s reads a run of rows, here 100 from row 7.
+			run := make([]int64, 100)
+			b.View(col).Int64s(7, run)
+			if !slices.Equal(run, dst[7:107]) {
+				t.Fatalf("%v col %d: Int64s(7) read %v, want %v", format, col, run[:3], dst[7:10])
 			}
 		}
 		// Reuse: a large-enough dst must be reused, not reallocated.
