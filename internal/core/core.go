@@ -143,7 +143,7 @@ type Output struct {
 	RowsOut int64
 
 	// Kernel is bumped by operator code through the promoted fields
-	// (out.BatchedRows += n, out.AggFastRows += n, ...).
+	// (out.AggFastRows += n, out.ScratchHits++, ...).
 	stats.Kernel
 
 	// emitters registers every Emitter the work order created, so Finish
@@ -204,10 +204,6 @@ type WorkOrder interface {
 type Operator interface {
 	// Name returns a short display name ("select(lineitem)").
 	Name() string
-	// NumInputs returns the number of pipelined input edges.
-	NumInputs() int
-	// Init prepares operator state (hash tables, accumulators).
-	Init(ctx *ExecCtx)
 	// Start is called once, when every blocking dependency of the operator
 	// has resolved; leaf operators return their full set of work orders.
 	Start(ctx *ExecCtx) []WorkOrder
@@ -222,9 +218,10 @@ type Operator interface {
 	// (valid only after the operator is done).
 	ScalarValue() (types.Datum, bool)
 	// AdoptsInputs reports whether the operator takes ownership of fed
-	// blocks (result collectors). The scheduler then keeps the blocks out of
-	// recycling: they outlive a successful run, and cleanup releases them
-	// after a failed one.
+	// blocks (result collectors), in Feed and without work orders. The
+	// scheduler counts its ref on a fed block like any consumer's but never
+	// drops it, so the block is never recycled: a successful run hands it
+	// over, and cleanup releases it after a failed one.
 	AdoptsInputs() bool
 	// HoldsInputs reports whether the operator still reads the blocks fed
 	// to it once their work orders are done (a join build indexes them).
@@ -242,9 +239,6 @@ type Operator interface {
 
 // Base provides default implementations of the optional Operator methods.
 type Base struct{}
-
-// Init implements Operator.
-func (Base) Init(*ExecCtx) {}
 
 // Start implements Operator.
 func (Base) Start(*ExecCtx) []WorkOrder { return nil }

@@ -37,8 +37,7 @@ func newWaveSrc(n int) *waveSrc {
 	return s
 }
 
-func (s *waveSrc) Name() string   { return "wave" }
-func (s *waveSrc) NumInputs() int { return 0 }
+func (s *waveSrc) Name() string { return "wave" }
 
 func (s *waveSrc) Final(*ExecCtx) []WorkOrder {
 	wos := make([]WorkOrder, s.n)
@@ -89,8 +88,7 @@ type orderSink struct {
 	vals []int64
 }
 
-func (c *orderSink) Name() string   { return "ordersink" }
-func (c *orderSink) NumInputs() int { return 1 }
+func (c *orderSink) Name() string { return "ordersink" }
 
 func (c *orderSink) Feed(_ *ExecCtx, _ int, blocks []*storage.Block) []WorkOrder {
 	c.mu.Lock()

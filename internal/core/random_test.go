@@ -18,8 +18,7 @@ type passthrough struct {
 	rowsIn atomic.Int64
 }
 
-func (p *passthrough) Name() string   { return p.name }
-func (p *passthrough) NumInputs() int { return 1 }
+func (p *passthrough) Name() string { return p.name }
 
 func (p *passthrough) Feed(_ *ExecCtx, _ int, blocks []*storage.Block) []WorkOrder {
 	wos := make([]WorkOrder, len(blocks))
@@ -51,13 +50,11 @@ func (w *passWO) Run(_ *ExecCtx, out *Output) error {
 // sink counts rows without re-emitting.
 type sink struct {
 	Base
-	name   string
-	inputs int
-	rows   atomic.Int64
+	name string
+	rows atomic.Int64
 }
 
-func (s *sink) Name() string   { return s.name }
-func (s *sink) NumInputs() int { return s.inputs }
+func (s *sink) Name() string { return s.name }
 
 func (s *sink) Feed(_ *ExecCtx, _ int, blocks []*storage.Block) []WorkOrder {
 	wos := make([]WorkOrder, len(blocks))
@@ -147,7 +144,6 @@ func TestRandomDAGsConserveRows(t *testing.T) {
 				input++
 				sinkWant += rowsOut[id]
 			}
-			snk.inputs = input
 
 			// Random blocking edges from earlier to later ops (keeps the
 			// graph acyclic).

@@ -30,8 +30,7 @@ type flaky struct {
 	rows  int
 }
 
-func (f *flaky) Name() string   { return "flaky" }
-func (f *flaky) NumInputs() int { return 0 }
+func (f *flaky) Name() string { return "flaky" }
 
 func (f *flaky) Start(*ExecCtx) []WorkOrder {
 	return []WorkOrder{&flakyWO{f: f}}
@@ -75,8 +74,8 @@ func TestTransientFailureRetriesUntilSuccess(t *testing.T) {
 	if r.Retries != 3 || r.FailedAttempts != 3 {
 		t.Fatalf("retries=%d failedAttempts=%d, want 3/3", r.Retries, r.FailedAttempts)
 	}
-	per := ctx.Run.Op(int(fid))
-	if per.Count != 4 || per.FailedAttempts != 3 {
+	per := ctx.Run.PerOp()[fid] // both operators ran, so PerOp is indexed by ID
+	if per.OpID != int(fid) || per.Count != 4 || per.FailedAttempts != 3 {
 		t.Fatalf("flaky op totals: count=%d failed=%d, want 4/3", per.Count, per.FailedAttempts)
 	}
 	if got := r.LeakedBlocks + r.OutstandingRefs; got != 0 {
@@ -222,8 +221,7 @@ type emitN struct {
 	rows int
 }
 
-func (e *emitN) Name() string   { return "emitN" }
-func (e *emitN) NumInputs() int { return 0 }
+func (e *emitN) Name() string { return "emitN" }
 func (e *emitN) Start(*ExecCtx) []WorkOrder {
 	return []WorkOrder{&emitNWO{op: e}}
 }
@@ -248,7 +246,6 @@ type adopter struct {
 }
 
 func (a *adopter) Name() string       { return "adopter" }
-func (a *adopter) NumInputs() int     { return 1 }
 func (a *adopter) AdoptsInputs() bool { return true }
 func (a *adopter) Feed(_ *ExecCtx, _ int, blocks []*storage.Block) []WorkOrder {
 	a.blocks = append(a.blocks, blocks...)
@@ -258,13 +255,14 @@ func (a *adopter) Feed(_ *ExecCtx, _ int, blocks []*storage.Block) []WorkOrder {
 // TestAdoptedBlocksOutliveTheirOtherConsumer: a producer feeds a refcounting
 // consumer and an adopting sink the same blocks. When the consumer drops its
 // last reference the blocks stay with the adopter, live and unrecycled, past
-// a successful run; when the consumer fails, cleanup releases the adopted set
-// and the pool drains to zero.
+// a successful run. When the run fails — in the consumer, or in an operator
+// that starts only after the adopter was fed every block — cleanup releases
+// the adopter's blocks and the pool drains to zero.
 func TestAdoptedBlocksOutliveTheirOtherConsumer(t *testing.T) {
-	for _, fail := range []bool{false, true} {
+	for _, fail := range []string{"", "consumer", "after feed"} {
 		e := &emitN{rows: 40}
 		var c Operator = &consumer{}
-		if fail {
+		if fail == "consumer" {
 			c = &failingConsumer{}
 		}
 		a := &adopter{}
@@ -272,17 +270,23 @@ func TestAdoptedBlocksOutliveTheirOtherConsumer(t *testing.T) {
 		e.self = plan.AddOp(e)
 		plan.Pipe(e.self, plan.AddOp(c), 0, 1)
 		plan.Pipe(e.self, plan.AddOp(a), 0, 1)
+		if fail == "after feed" {
+			plan.Block(e.self, plan.AddOp(&flaky{failN: 1, fatal: errors.New("late failure")}))
+		}
 		ctx := newCtx(1)
 		err := Run(plan, ctx, 1)
 		if r := ctx.Run.Robust(); r.LeakedBlocks+r.OutstandingRefs != 0 {
-			t.Fatalf("fail=%v: leak counters nonzero: %+v", fail, r)
+			t.Fatalf("fail=%q: leak counters nonzero: %+v", fail, r)
 		}
-		if fail {
+		if fail != "" {
 			if err == nil {
-				t.Fatal("run with a failing consumer succeeded")
+				t.Fatalf("fail=%q: run succeeded", fail)
+			}
+			if fail == "after feed" && len(a.blocks) < 2 {
+				t.Fatalf("the run failed before the adopter was fed (%d blocks)", len(a.blocks))
 			}
 			if n := ctx.Pool.Live(); n != 0 {
-				t.Fatalf("failed run left %d live bytes after adopting %d blocks", n, len(a.blocks))
+				t.Fatalf("fail=%q: failed run left %d live bytes after adopting %d blocks", fail, n, len(a.blocks))
 			}
 			continue
 		}
@@ -294,8 +298,8 @@ func TestAdoptedBlocksOutliveTheirOtherConsumer(t *testing.T) {
 			bytes += int64(b.AllocBytes())
 			rows += int64(b.NumRows())
 		}
-		if len(a.blocks) < 2 || rows != 40 {
-			t.Fatalf("adopter holds %d blocks, %d rows; want several blocks, 40 rows", len(a.blocks), rows)
+		if len(a.blocks) < 2 || rows != 40 || bytes == 0 {
+			t.Fatalf("adopter holds %d blocks, %d rows, %d B; want several blocks, 40 rows and their bytes", len(a.blocks), rows, bytes)
 		}
 		if n := ctx.Pool.Live(); n != bytes {
 			t.Fatalf("pool counts %d live bytes, the adopted blocks hold %d (recycled under the adopter?)", n, bytes)
@@ -476,8 +480,7 @@ type multiEmit struct {
 	n  int
 }
 
-func (m *multiEmit) Name() string   { return "multiEmit" }
-func (m *multiEmit) NumInputs() int { return 0 }
+func (m *multiEmit) Name() string { return "multiEmit" }
 func (m *multiEmit) Start(*ExecCtx) []WorkOrder {
 	wos := make([]WorkOrder, m.n)
 	for i := range wos {

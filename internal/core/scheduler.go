@@ -121,11 +121,10 @@ type sched struct {
 	// counts them all.
 	levels [][]job
 	queued int
-	rc     map[*storage.Block]int
-	// adopted holds every block routed to an adopting consumer. Such a block
-	// is never recycled when its refcount drains: it outlives a successful
-	// run with its adopter, and cleanup releases it after a failed one.
-	adopted  map[*storage.Block]struct{}
+	// rc counts each emitted block's pipelined consumers that have not
+	// dropped it yet. An adopting consumer never drops its ref: a successful
+	// run hands its blocks over in cleanup, and a failed one releases them.
+	rc       map[*storage.Block]int
 	doneOps  int
 	inflight int
 	runErr   error
@@ -139,7 +138,6 @@ type sched struct {
 func newSched(plan *Plan, ctx *ExecCtx, defaultUoT int) *sched {
 	s := &sched{plan: plan, ctx: ctx}
 	s.rc = make(map[*storage.Block]int)
-	s.adopted = make(map[*storage.Block]struct{})
 	s.done = make(chan struct{})
 	s.states = make([]*opState, len(s.plan.Ops))
 	for i, op := range s.plan.Ops {
@@ -240,9 +238,6 @@ func (s *sched) run() error {
 		s.ctx.Scalars = make([]types.Datum, n)
 	}
 	s.mu.Lock()
-	for _, st := range s.states {
-		st.op.Init(s.ctx)
-	}
 	for _, st := range s.states {
 		if st.deps == 0 {
 			s.startOp(st)
@@ -553,9 +548,7 @@ func (s *sched) keep(st *opState, blocks []*storage.Block) {
 		return // no gauges to move between
 	}
 	for _, b := range blocks {
-		_, held := st.held[b]
-		_, shared := s.adopted[b]
-		if held && s.rc[b] == 1 && !shared {
+		if _, held := st.held[b]; held && s.rc[b] == 1 {
 			s.ctx.Pool.Keep(b, &s.ctx.Run.HashTables)
 		}
 	}
@@ -581,22 +574,17 @@ func (s *sched) emit(st *opState, blocks []*storage.Block) {
 	if len(blocks) == 0 {
 		return
 	}
-	// Reference count = number of non-adopting pipelined consumers; one
-	// adopting consumer makes the blocks adopted.
-	pipes, refs, adopts, holds := 0, 0, false, false
+	// Reference count = number of pipelined consumers, adopters included.
+	refs, adopts, holds := 0, false, false
 	for _, es := range st.out {
 		if es.e.Kind == Pipelined {
-			pipes++
+			refs++
 			c := s.states[es.e.To].op
-			if c.AdoptsInputs() {
-				adopts = true
-			} else {
-				refs++
-			}
+			adopts = adopts || c.AdoptsInputs()
 			holds = holds || c.HoldsInputs()
 		}
 	}
-	if pipes == 0 {
+	if refs == 0 {
 		// Output of an operator with only blocking/gate consumers (e.g. a
 		// scalar provider, whose value travels via ScalarValue, not blocks).
 		for _, b := range blocks {
@@ -618,12 +606,7 @@ func (s *sched) emit(st *opState, blocks []*storage.Block) {
 			// one should not pin a whole budget meanwhile.
 			s.ctx.Pool.Cut(b)
 		}
-		if refs > 0 {
-			s.rc[b] = refs
-		}
-		if adopts {
-			s.adopted[b] = struct{}{}
-		}
+		s.rc[b] = refs
 		for _, es := range st.out {
 			if es.e.Kind == Pipelined {
 				es.buf = append(es.buf, b)
@@ -737,8 +720,7 @@ func (s *sched) sampleEdge(es *edgeState, delivered int, stallNS int64) {
 // back in synchronously — the read-through stall the delivery path pays in
 // the Section V-C persistent-store regime. A fault-in that fails past the
 // retry bound abandons the whole delivery: the consumer never sees the chunk,
-// and cleanup reclaims it (every delivered block is refcounted, adopted, or
-// both).
+// and cleanup reclaims it (every delivered block is refcounted).
 func (s *sched) deliver(c *opState, es *edgeState, blocks []*storage.Block) {
 	faulted := 0
 	var faultBytes, faultStall int64
@@ -761,17 +743,13 @@ func (s *sched) deliver(c *opState, es *edgeState, blocks []*storage.Block) {
 			StartNS: s.ctx.Trace.Now(),
 		})
 	}
-	if c.op.AdoptsInputs() {
-		// Ownership leaves the pool with the Feed; the tier must not keep
-		// tracking blocks it can no longer see released.
-		for _, b := range blocks {
+	adopts := c.op.AdoptsInputs()
+	for _, b := range blocks {
+		c.held[b] = struct{}{}
+		if adopts {
+			// Ownership leaves the pool with the Feed; the tier must not
+			// keep tracking blocks it can no longer see released.
 			s.ctx.Pool.Forget(b)
-		}
-	} else {
-		for _, b := range blocks {
-			if _, ok := s.rc[b]; ok {
-				c.held[b] = struct{}{}
-			}
 		}
 	}
 	es.batches++
@@ -879,11 +857,11 @@ func (s *sched) finish(st *opState) {
 	}
 }
 
-// releaseHeld drops a finished operator's input refs, unless it still reads
-// them (HoldsInputs) and an operator behind one of its blocking edges has
-// not finished yet.
+// releaseHeld drops a finished operator's input refs, unless it adopted them
+// (cleanup settles those) or still reads them (HoldsInputs) and an operator
+// behind one of its blocking edges has not finished yet.
 func (s *sched) releaseHeld(st *opState) {
-	if !st.done || len(st.held) == 0 {
+	if !st.done || len(st.held) == 0 || st.op.AdoptsInputs() {
 		return
 	}
 	if st.op.HoldsInputs() {
@@ -899,15 +877,24 @@ func (s *sched) releaseHeld(st *opState) {
 	}
 }
 
-// cleanup is the one place an aborted run's blocks are reclaimed: refcounted
-// blocks, blocks buffered on edges awaiting delivery, partial blocks still
-// checked into the pool, a Final wave's parked outputs, and the adopted
-// set — a partial result is meaningless, and under a shared pool every block
-// of a failed query must return to the global accounting. Successful runs
-// release everything through the normal flow and hand the adopted set over
-// untouched, so this is a no-op for them.
+// cleanup settles the adopters' refs and is the one place an aborted run's
+// blocks are reclaimed: refcounted blocks (adopted ones included), blocks
+// buffered on edges awaiting delivery, partial blocks still checked into the
+// pool and a Final wave's parked outputs — a partial result is meaningless,
+// and under a shared pool every block of a failed query must return to the
+// global accounting. A successful run has released everything else through
+// the normal flow, and hands each adopter's blocks over by dropping its refs
+// without releasing them.
 func (s *sched) cleanup() {
 	if s.runErr == nil {
+		for _, st := range s.states {
+			if st.op.AdoptsInputs() {
+				for b := range st.held {
+					delete(st.held, b)
+					s.unref(b)
+				}
+			}
+		}
 		return
 	}
 	released := make(map[*storage.Block]struct{})
@@ -942,10 +929,6 @@ func (s *sched) cleanup() {
 		}
 		st.finalOut = nil
 	}
-	for b := range s.adopted {
-		release(b)
-		delete(s.adopted, b)
-	}
 }
 
 // checkInvariants verifies the zero-leak invariants after every run — no
@@ -973,21 +956,25 @@ func (s *sched) checkInvariants() {
 	}
 }
 
+// decRef drops one of b's refs and releases b with its last.
 func (s *sched) decRef(b *storage.Block) {
+	if s.unref(b) {
+		s.release(b)
+	}
+}
+
+// unref drops one of b's refs and reports whether it was the last.
+func (s *sched) unref(b *storage.Block) bool {
 	n, ok := s.rc[b]
 	if !ok {
-		return
+		return false
 	}
-	n--
-	if n > 0 {
-		s.rc[b] = n
-		return
+	if n > 1 {
+		s.rc[b] = n - 1
+		return false
 	}
 	delete(s.rc, b)
-	if _, ok := s.adopted[b]; ok {
-		return // the block stays with its adopter
-	}
-	s.release(b)
+	return true
 }
 
 // release is the one way a block leaves the run: back to the pool, and out of

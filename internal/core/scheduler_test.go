@@ -35,8 +35,7 @@ type producer struct {
 	perWO   int // blocks per work order (default 1)
 }
 
-func (p *producer) Name() string   { return "producer" }
-func (p *producer) NumInputs() int { return 0 }
+func (p *producer) Name() string { return "producer" }
 
 func (p *producer) Start(*ExecCtx) []WorkOrder {
 	per := p.perWO
@@ -82,8 +81,7 @@ type consumer struct {
 	finalAt   time.Time
 }
 
-func (c *consumer) Name() string   { return "consumer" }
-func (c *consumer) NumInputs() int { return 1 }
+func (c *consumer) Name() string { return "consumer" }
 
 func (c *consumer) Start(*ExecCtx) []WorkOrder {
 	c.started = time.Now()
@@ -197,8 +195,7 @@ type gated struct {
 	startedAt atomic.Int64
 }
 
-func (g *gated) Name() string   { return "gated" }
-func (g *gated) NumInputs() int { return 0 }
+func (g *gated) Name() string { return "gated" }
 func (g *gated) Start(*ExecCtx) []WorkOrder {
 	g.startedAt.Store(time.Now().UnixNano())
 	return nil
@@ -246,7 +243,6 @@ type scalarProvider struct {
 }
 
 func (s *scalarProvider) Name() string                     { return "scalar" }
-func (s *scalarProvider) NumInputs() int                   { return 0 }
 func (s *scalarProvider) ScalarValue() (types.Datum, bool) { return s.v, true }
 
 // scalarReader asserts the scalar is visible when it starts.
@@ -256,8 +252,7 @@ type scalarReader struct {
 	got  types.Datum
 }
 
-func (s *scalarReader) Name() string   { return "reader" }
-func (s *scalarReader) NumInputs() int { return 0 }
+func (s *scalarReader) Name() string { return "reader" }
 func (s *scalarReader) Start(ctx *ExecCtx) []WorkOrder {
 	s.got = ctx.Scalars[s.slot]
 	return nil
@@ -295,8 +290,7 @@ func TestCycleReportsStall(t *testing.T) {
 
 type panicOp struct{ Base }
 
-func (p *panicOp) Name() string   { return "panic" }
-func (p *panicOp) NumInputs() int { return 0 }
+func (p *panicOp) Name() string { return "panic" }
 func (p *panicOp) Start(*ExecCtx) []WorkOrder {
 	return []WorkOrder{panicWO{}}
 }
@@ -389,7 +383,6 @@ func TestICTermChargesOperatorSwitches(t *testing.T) {
 type tagOp struct {
 	Base
 	name     string
-	inputs   int
 	start    []int64
 	feedBase int64
 	fed      int64
@@ -398,8 +391,7 @@ type tagOp struct {
 	failed   bool
 }
 
-func (o *tagOp) Name() string   { return o.name }
-func (o *tagOp) NumInputs() int { return o.inputs }
+func (o *tagOp) Name() string { return o.name }
 
 func (o *tagOp) Start(*ExecCtx) []WorkOrder {
 	wos := make([]WorkOrder, len(o.start))
@@ -448,9 +440,9 @@ func (w *tagWO) Run(_ *ExecCtx, out *Output) error {
 // re-queues behind q's start work orders, already queued at depth 1.
 func TestPickJobDeepestFirstInQueueOrder(t *testing.T) {
 	p := &tagOp{name: "p", start: []int64{1, 2}, emits: true}
-	u := &tagOp{name: "u", inputs: 1, start: []int64{30}, feedBase: 40, failTag: 30}
-	q := &tagOp{name: "q", inputs: 1, start: []int64{10, 11}, feedBase: 20, emits: true}
-	r := &tagOp{name: "r", inputs: 1, start: []int64{50}, feedBase: 60}
+	u := &tagOp{name: "u", start: []int64{30}, feedBase: 40, failTag: 30}
+	q := &tagOp{name: "q", start: []int64{10, 11}, feedBase: 20, emits: true}
+	r := &tagOp{name: "r", start: []int64{50}, feedBase: 60}
 	plan := &Plan{}
 	pid, uid, qid, rid := plan.AddOp(p), plan.AddOp(u), plan.AddOp(q), plan.AddOp(r)
 	plan.Pipe(pid, qid, 0, 1)

@@ -129,11 +129,11 @@ func (p Params) LowRegime() Params {
 	return p
 }
 
-// DefaultStatefulBytes is the admission estimator's default footprint for
-// one stateful operator (hash-table build, aggregation, sort) when nothing
-// better is known. Deliberately conservative for the small-to-medium scale
-// factors the serving experiments run at; callers with cardinality knowledge
-// pass their own figure (memmodel.HashTableSize is the Section VI model).
+// DefaultStatefulBytes is the admission estimator's footprint for one
+// stateful operator (hash-table build, aggregation, sort). The estimator has
+// no cardinality model (memmodel.HashTableSize is the Section VI one), so the
+// figure is fixed, and deliberately conservative for the small-to-medium
+// scale factors the serving experiments run at.
 const DefaultStatefulBytes = 4 << 20
 
 // maxEstimatedUoT clamps per-edge UoT values in the admission estimate: an
@@ -151,17 +151,13 @@ const maxEstimatedUoT = 64
 // edgeUoTs are the resolved per-edge UoT thresholds in blocks (see
 // core.ResolveUoT); workers is the query's in-flight work-order cap;
 // blockBytes the temp-block size; statefulOps the count of state-keeping
-// operators and statefulBytes the per-operator state estimate (0 means
-// DefaultStatefulBytes).
-func QueryMemory(edgeUoTs []int, workers int, blockBytes int64, statefulOps int, statefulBytes int64) int64 {
+// operators, each charged DefaultStatefulBytes.
+func QueryMemory(edgeUoTs []int, workers int, blockBytes int64, statefulOps int) int64 {
 	if workers < 1 {
 		workers = 1
 	}
 	if blockBytes <= 0 {
 		blockBytes = 128 << 10
-	}
-	if statefulBytes <= 0 {
-		statefulBytes = DefaultStatefulBytes
 	}
 	buffered := int64(0)
 	for _, u := range edgeUoTs {
@@ -173,7 +169,7 @@ func QueryMemory(edgeUoTs []int, workers int, blockBytes int64, statefulOps int,
 		}
 		buffered += int64(u)
 	}
-	return (buffered+int64(workers))*blockBytes + int64(statefulOps)*statefulBytes
+	return (buffered+int64(workers))*blockBytes + int64(statefulOps)*DefaultStatefulBytes
 }
 
 // SpillRAMClamp is the per-edge UoT clamp of the RAM-resident share of a
@@ -193,7 +189,7 @@ const SpillRAMClamp = 4
 // the memory budget and spillable against the disk budget, fixing the
 // double-count where a spilling query was shed because its full 64-block
 // UoT clamp was held against RAM it will never occupy.
-func QueryMemorySplit(edgeUoTs []int, workers int, blockBytes int64, statefulOps int, statefulBytes int64) (ram, spillable int64) {
+func QueryMemorySplit(edgeUoTs []int, workers int, blockBytes int64, statefulOps int) (ram, spillable int64) {
 	if blockBytes <= 0 {
 		blockBytes = 128 << 10
 	}
@@ -208,7 +204,7 @@ func QueryMemorySplit(edgeUoTs []int, workers int, blockBytes int64, statefulOps
 			spillable += int64(u-SpillRAMClamp) * blockBytes
 		}
 	}
-	total := QueryMemory(edgeUoTs, workers, blockBytes, statefulOps, statefulBytes)
+	total := QueryMemory(edgeUoTs, workers, blockBytes, statefulOps)
 	return total - spillable, spillable
 }
 

@@ -103,22 +103,22 @@ func TestRegimePresets(t *testing.T) {
 func TestQueryMemory(t *testing.T) {
 	blk := int64(128 << 10)
 	// Two unit-UoT edges, one worker, no stateful ops: 3 blocks live at peak.
-	if got := QueryMemory([]int{1, 1}, 1, blk, 0, 0); got != 3*blk {
+	if got := QueryMemory([]int{1, 1}, 1, blk, 0); got != 3*blk {
 		t.Fatalf("QueryMemory = %d, want %d", got, 3*blk)
 	}
 	// UoTTable edges clamp instead of overflowing.
-	huge := QueryMemory([]int{1 << 30}, 4, blk, 0, 0)
+	huge := QueryMemory([]int{1 << 30}, 4, blk, 0)
 	if huge <= 0 || huge > 1<<30 {
 		t.Fatalf("clamped estimate out of range: %d", huge)
 	}
-	// Stateful operators add DefaultStatefulBytes each when unsized.
-	base := QueryMemory([]int{1}, 1, blk, 0, 0)
-	withState := QueryMemory([]int{1}, 1, blk, 2, 0)
+	// Stateful operators add DefaultStatefulBytes each.
+	base := QueryMemory([]int{1}, 1, blk, 0)
+	withState := QueryMemory([]int{1}, 1, blk, 2)
 	if withState-base != 2*DefaultStatefulBytes {
 		t.Fatalf("stateful delta = %d, want %d", withState-base, int64(2*DefaultStatefulBytes))
 	}
 	// Monotone in workers.
-	if QueryMemory([]int{1}, 8, blk, 0, 0) <= QueryMemory([]int{1}, 1, blk, 0, 0) {
+	if QueryMemory([]int{1}, 8, blk, 0) <= QueryMemory([]int{1}, 1, blk, 0) {
 		t.Fatal("estimate must grow with the in-flight cap")
 	}
 }
@@ -129,7 +129,7 @@ func TestQueryMemorySplit(t *testing.T) {
 	// against RAM even though a spilling query keeps only the pin window
 	// resident. The split pins both figures: 4 resident blocks for the edge
 	// plus 2 worker output blocks, and the other 60 clamp blocks spillable.
-	ram, spill := QueryMemorySplit([]int{1 << 30}, 2, blk, 0, 0)
+	ram, spill := QueryMemorySplit([]int{1 << 30}, 2, blk, 0)
 	if want := (4 + 2) * blk; ram != want {
 		t.Fatalf("ram = %d, want %d", ram, want)
 	}
@@ -137,7 +137,7 @@ func TestQueryMemorySplit(t *testing.T) {
 		t.Fatalf("spillable = %d, want %d", spill, want)
 	}
 	// Edges at or under the clamp spill nothing.
-	ram, spill = QueryMemorySplit([]int{1, 4}, 1, blk, 1, 0)
+	ram, spill = QueryMemorySplit([]int{1, 4}, 1, blk, 1)
 	if spill != 0 {
 		t.Fatalf("small edges: spillable = %d, want 0", spill)
 	}
@@ -156,8 +156,8 @@ func TestQueryMemorySplit(t *testing.T) {
 		{nil, 4, 0},
 	}
 	for _, c := range cases {
-		ram, spill := QueryMemorySplit(c.uots, c.workers, blk, c.stateful, 0)
-		if total := QueryMemory(c.uots, c.workers, blk, c.stateful, 0); ram+spill != total {
+		ram, spill := QueryMemorySplit(c.uots, c.workers, blk, c.stateful)
+		if total := QueryMemory(c.uots, c.workers, blk, c.stateful); ram+spill != total {
 			t.Fatalf("%v: ram %d + spillable %d != total %d", c.uots, ram, spill, total)
 		}
 		if ram <= 0 || spill < 0 {

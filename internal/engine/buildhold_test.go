@@ -199,17 +199,6 @@ func (c *cancelAfterPolls) Done() <-chan struct{} {
 	return c.Context.Done()
 }
 
-// runCounted runs a plan through core.Run, as Execute does, and returns the
-// run's stats even when it fails, so a failed run's leak counts can be read.
-func runCounted(cx context.Context, b *Builder, pool *storage.Pool, workers, uot int) (*stats.Run, error) {
-	run := stats.NewRun()
-	err := core.Run(b.plan, &core.ExecCtx{
-		Pool: pool.Subpool(&run.Intermediates, nil), Run: run, Workers: workers,
-		TempBlockBytes: 4 << 10, TempFormat: storage.ColumnStore, Ctx: cx,
-	}, uot)
-	return run, err
-}
-
 // TestHeldBuildInputsLeakNothing: the zero-leak invariant holds while builds
 // hold their inputs until their probes end, over views and over temp blocks:
 // under HashInsert faults at rate 0.25 the join is right; a cancellation at
@@ -260,14 +249,11 @@ func TestHeldBuildInputsLeakNothing(t *testing.T) {
 				var live stats.MemGauge
 				cx, cancel := context.WithCancel(context.Background())
 				b, _, _ := factBuildPlan(fact, dim, copied)
-				pool := storage.NewPool(&live, nil)
-				run, err := runCounted(&cancelAfterPolls{Context: cx, n: n, cancel: cancel}, b, pool, 1, 1)
+				res, err := Execute(b, Options{Workers: 1, UoTBlocks: 1, TempBlockBytes: 4 << 10, TempFormat: storage.ColumnStore,
+					Context: &cancelAfterPolls{Context: cx, n: n, cancel: cancel}, Pool: storage.NewPool(&live, nil)})
 				cancel()
-				if err == nil {
-					pool.Disown(b.collect.Result().AllocBytes()) // the client's, as Execute hands it over
-				}
 				name := fmt.Sprintf("copied %v, canceled at poll %d", copied, n)
-				clean(t, name, &live, run)
+				clean(t, name, &live, res.Run)
 				if err == nil {
 					break // the run finished before the n-th poll
 				}
@@ -275,7 +261,7 @@ func TestHeldBuildInputsLeakNothing(t *testing.T) {
 					t.Fatalf("%s: %v, want a cancellation", name, err)
 				}
 				probed, built := false, false
-				for _, o := range run.PerOp() {
+				for _, o := range res.Run.PerOp() {
 					probed = probed || o.Name == "probe_fact" && o.Count > 0
 					built = built || o.Name == "build_fact" && o.Count > 0
 				}
@@ -304,20 +290,19 @@ func TestHeldBuildInputsLeakNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			b, _, _ = factBuildPlan(fact, dim, true)
-			run, err := runCounted(context.Background(), b, pool, workers, core.UoTTable)
+			res, err := Execute(b, Options{Workers: workers, UoTBlocks: core.UoTTable, TempBlockBytes: 4 << 10, TempFormat: storage.ColumnStore, Pool: pool})
 			if err != nil {
 				t.Fatal(err)
 			}
 			name := fmt.Sprintf("workers %d", workers)
 			sp := pool.SpillCounters()
-			if got := gotFactBuild(t, b.collect.Result()); got != want {
+			if got := gotFactBuild(t, res.Table); got != want {
 				t.Fatalf("%s: result %s, want %s", name, got, want)
 			}
 			if sp.BadEvicts != 0 || sp.BlocksOut == 0 || sp.BlocksIn == 0 || sp.Outstanding != 0 {
 				t.Fatalf("%s: spill counters %+v: want traffic both ways, no bad evict, nothing tracked after", name, sp)
 			}
-			pool.Disown(b.collect.Result().AllocBytes())
-			if r := run.Robust(); pool.Live() != 0 || r.LeakedBlocks != 0 || r.OutstandingRefs != 0 {
+			if r := res.Run.Robust(); pool.Live() != 0 || r.LeakedBlocks != 0 || r.OutstandingRefs != 0 {
 				t.Fatalf("%s: %d live pool bytes, leaks %+v", name, pool.Live(), r)
 			}
 			closeTier(t, pool, dir)
@@ -332,8 +317,7 @@ type gaugeOp struct {
 	live int64
 }
 
-func (g *gaugeOp) Name() string   { return "gauge" }
-func (g *gaugeOp) NumInputs() int { return 0 }
+func (g *gaugeOp) Name() string { return "gauge" }
 func (g *gaugeOp) Start(ctx *core.ExecCtx) []core.WorkOrder {
 	g.live = ctx.Run.HashTables.Live()
 	return nil

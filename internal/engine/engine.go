@@ -101,11 +101,17 @@ func (o Options) withDefaults() Options {
 
 // Result is the outcome of one execution.
 type Result struct {
+	// Table is the collected result; nil after a failed run.
 	Table *storage.Table
-	Run   *stats.Run
+	// Run is the run's stats, a failed run's leak counters included.
+	Run *stats.Run
 }
 
-// Execute runs a built plan and returns the collected result.
+// Execute runs a built plan and returns the collected result. A run that
+// fails returns its error together with a Result whose Table is nil and
+// whose Run holds what the run recorded, so a caller can check that the
+// failed run released every block; only a plan that cannot start (no Collect
+// sink) returns a nil Result.
 func Execute(b *Builder, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if b.collect == nil {
@@ -155,7 +161,7 @@ func Execute(b *Builder, opts Options) (*Result, error) {
 		rs.finalize(b, pool, run, opts.Trace, traceRun, err == nil)
 	}
 	if err != nil {
-		return nil, err
+		return &Result{Run: run}, err
 	}
 	// The result table's blocks leave the pool with the client: stop counting
 	// them as live intermediates, or a shared pool's memory picture grows by

@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/expr"
+	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
@@ -508,5 +511,30 @@ func TestCollectedScanIsMaterialized(t *testing.T) {
 		if n != 900 {
 			t.Fatalf("uot=%d: %d result rows, want 900", uot, n)
 		}
+	}
+}
+
+// TestCanceledExecuteReturnsItsRun: a run canceled midway returns its error
+// with a Result that has no table but does have the run's stats, and those
+// show the canceled run released every block: no leaked block, no
+// outstanding ref and no live pool bytes.
+func TestCanceledExecuteReturnsItsRun(t *testing.T) {
+	_, fact, dim := fixture(t, storage.ColumnStore, 4<<10)
+	var live stats.MemGauge
+	cx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	res, err := Execute(buildJoinAggPlan(fact, dim), Options{Workers: 1, UoTBlocks: 1, TempBlockBytes: 512,
+		Context: &cancelAfterPolls{Context: cx, n: 20, cancel: cancel}, Pool: storage.NewPool(&live, nil)})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want a cancellation", err)
+	}
+	if res == nil || res.Run == nil || res.Table != nil {
+		t.Fatalf("a canceled run returned %+v, want its Run and no Table", res)
+	}
+	if len(res.Run.PerOp()) == 0 || res.Run.Intermediates.High() == 0 {
+		t.Fatal("the run was canceled before it made a block; the test is vacuous")
+	}
+	if r := res.Run.Robust(); r.LeakedBlocks != 0 || r.OutstandingRefs != 0 || live.Live() != 0 {
+		t.Fatalf("canceled run: %d live pool bytes, leaks %+v", live.Live(), r)
 	}
 }

@@ -34,7 +34,6 @@ type prunedOp struct {
 }
 
 func (o *prunedOp) Name() string                     { return o.name }
-func (o *prunedOp) NumInputs() int                   { return 0 }
 func (o *prunedOp) ScalarValue() (types.Datum, bool) { return types.NewInt64(0), true }
 
 // outSchemer is the operator output-schema hook (Select/Probe/Agg/Sort).

@@ -237,7 +237,13 @@ func TestReuseTapAddsNoCheckouts(t *testing.T) {
 			t.Fatalf("entry block %d is not the block the aggregation emitted", i)
 		}
 	}
-	if rows := cold.Run.Op(int(aggID)).RowsOut; entry.Rows() != rows {
+	rows := int64(-1) // stays -1 if the aggregation recorded no work order
+	for _, op := range cold.Run.PerOp() {
+		if op.OpID == int(aggID) {
+			rows = op.RowsOut
+		}
+	}
+	if entry.Rows() != rows {
 		t.Errorf("entry holds %d rows, the aggregation emitted %d", entry.Rows(), rows)
 	}
 }

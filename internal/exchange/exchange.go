@@ -90,6 +90,10 @@ func New(spec Spec) *Op {
 // SetID sets the ID the exchange's pool owner keys derive from.
 func (o *Op) SetID(id core.OpID) { o.self = id }
 
+// Init does nothing: the exchange keeps no state to prepare. It stays only
+// for the fixed benchmark, which calls it before feeding blocks.
+func (o *Op) Init(*core.ExecCtx) {}
+
 // owner is the temp-block pool key partition part's partial blocks live
 // under. Keys are negative, so they never collide with plan operator IDs.
 func (o *Op) owner(part int) core.OpID {
@@ -214,7 +218,6 @@ func (w *repartWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 		em.AppendMany(b, sc.rows[start:start+cnt], o.proj)
 		start += cnt
 	}
-	out.BatchedRows += int64(n)
 	o.scratch.Put(sc)
 	return nil
 }

@@ -84,7 +84,7 @@ func runScatter(t *testing.T, ctx *core.ExecCtx, op *Op, blocks []*storage.Block
 		for _, b := range out.Blocks {
 			collect(scalarPart(op, b, 0), b)
 		}
-		agg.BatchedRows += out.BatchedRows
+		agg.RowsIn += out.RowsIn
 		agg.ScratchHits += out.ScratchHits
 	}
 	for p := 0; p < op.pr.Parts(); p++ {
@@ -102,7 +102,6 @@ func TestScatterMatchesPartitioner(t *testing.T) {
 	op := New(Spec{Name: "t", InputSchema: scatterSchema, KeyCols: []int{0}, Partitions: 4})
 	op.SetID(0)
 	ctx := newCtx(1)
-	op.Init(ctx)
 	const nblocks, rows = 8, 37
 	blocks := makeBlocks(nblocks, rows, func(r int) int64 { return int64(r % 101) })
 	got, out := runScatter(t, ctx, op, blocks)
@@ -118,8 +117,8 @@ func TestScatterMatchesPartitioner(t *testing.T) {
 	if total != nblocks*rows {
 		t.Fatalf("scattered %d rows, want %d", total, nblocks*rows)
 	}
-	if out.BatchedRows != int64(nblocks*rows) {
-		t.Fatalf("BatchedRows = %d, want %d", out.BatchedRows, nblocks*rows)
+	if out.RowsIn != int64(nblocks*rows) {
+		t.Fatalf("RowsIn = %d, want %d", out.RowsIn, nblocks*rows)
 	}
 }
 
@@ -142,13 +141,12 @@ func TestRetriedScatterMatchesScalarOracle(t *testing.T) {
 
 	ctx := newCtx(1)
 	ctx.Faults = faults.Replay([]faults.Event{{Site: faults.Repartition, Seq: 0, Kind: faults.KindError}})
-	op.Init(ctx)
 	got, out := runScatter(t, ctx, op, blocks)
 	if ctx.Faults.Injected() != 1 {
 		t.Fatalf("%d faults fired, want 1", ctx.Faults.Injected())
 	}
-	if out.BatchedRows != nblocks*rows {
-		t.Fatalf("BatchedRows = %d, want %d (a rolled-back attempt must not count)", out.BatchedRows, nblocks*rows)
+	if out.RowsIn != nblocks*rows {
+		t.Fatalf("RowsIn = %d, want %d (a rolled-back attempt must not count)", out.RowsIn, nblocks*rows)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("scatter produced %d distinct placements, oracle %d", len(got), len(want))

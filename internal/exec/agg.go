@@ -262,9 +262,6 @@ func (o *AggOp) setID(id core.OpID) { o.self = id }
 // Name implements core.Operator.
 func (o *AggOp) Name() string { return o.name }
 
-// NumInputs implements core.Operator.
-func (o *AggOp) NumInputs() int { return 1 }
-
 // OutSchema returns the result schema: group columns then aggregates.
 func (o *AggOp) OutSchema() *storage.Schema { return o.out }
 
@@ -385,7 +382,6 @@ func (w *aggWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	o.accountGrowth(ctx, p, p.tab.Bytes())
 	o.putPartial(p)
 	out.AggFastRows += int64(n)
-	out.BatchedRows += int64(n)
 	if ctx.Sim != nil {
 		out.Sim += ctx.Sim.RandomProbes(int64(n), atomic.LoadInt64(&o.memBytes)+1)
 	}
@@ -688,6 +684,13 @@ func (w *aggMergeWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	dst := o.proto.NewLike(groupsHint/w.pr.Parts() + 16)
 	for _, t := range tabs {
 		dst.MergePartition(t, w.part, w.pr, o.descs)
+	}
+	if ctx.Run != nil {
+		// The merged table is hash-table memory beside the partials until
+		// its groups are emitted, or the attempt aborts.
+		n := dst.Bytes()
+		ctx.Run.HashTables.Add(n)
+		defer ctx.Run.HashTables.Sub(n)
 	}
 	o.emitGroups(&e, dst, 0, dst.Len())
 	return nil

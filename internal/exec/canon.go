@@ -86,7 +86,7 @@ func (o *SelectOp) BaseTable() *storage.Table { return o.base }
 // knobs with no effect on join results, so they are excluded.
 func (o *BuildHashOp) Canon() string {
 	return fmt.Sprintf("build|keys=%s|payload=%s|keyonly=%t",
-		canonInts(o.keyCols), canonInts(o.payloadIdx), o.keyOnly)
+		canonInts(o.keyCols), canonInts(o.payloadIdx), len(o.payloadIdx) == 0)
 }
 
 // Canon implements Canonical. The build side's content is hashed through

@@ -24,9 +24,6 @@ func NewCollect(schema *storage.Schema, blockBytes int, format storage.Format) *
 // Name implements core.Operator.
 func (o *CollectOp) Name() string { return "collect" }
 
-// NumInputs implements core.Operator.
-func (o *CollectOp) NumInputs() int { return 1 }
-
 // AdoptsInputs implements core.Operator.
 func (o *CollectOp) AdoptsInputs() bool { return true }
 

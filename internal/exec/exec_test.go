@@ -44,7 +44,6 @@ func inputBlock(vals ...float64) (*storage.Schema, *storage.Block) {
 // final work orders; returns all emitted blocks.
 func runOp(t *testing.T, ctx *core.ExecCtx, op core.Operator, id core.OpID, blocks ...*storage.Block) []*storage.Block {
 	t.Helper()
-	op.Init(ctx)
 	var emitted []*storage.Block
 	runWOs := func(wos []core.WorkOrder) {
 		for _, wo := range wos {
@@ -168,7 +167,6 @@ func TestAggCharGroupKeysCopied(t *testing.T) {
 	})
 	op.setID(3)
 	ctx := execCtx()
-	op.Init(ctx)
 	for _, wo := range op.Feed(ctx, 0, []*storage.Block{b}) {
 		out := &core.Output{}
 		out.Finish(wo.Run(ctx, out))
@@ -292,7 +290,6 @@ func TestSelectBaseTableGeneratesWorkOrderPerBlock(t *testing.T) {
 	})
 	op.setID(9)
 	ctx := execCtx()
-	op.Init(ctx)
 	wos := op.Start(ctx)
 	if len(wos) != tbl.NumBlocks() {
 		t.Fatalf("work orders = %d, blocks = %d", len(wos), tbl.NumBlocks())
@@ -369,7 +366,6 @@ func TestConcurrentBuildWorkOrdersWithBloom(t *testing.T) {
 		ExpectedRows: blocks * rowsPer, BuildBloom: true,
 	})
 	ctx := execCtx()
-	op.Init(ctx)
 	op.Start(ctx)
 	wos := op.Feed(ctx, 0, in)
 	if len(wos) != blocks {
@@ -390,12 +386,12 @@ func TestConcurrentBuildWorkOrdersWithBloom(t *testing.T) {
 	if got := countMatches(op, blocks*rowsPer); got != blocks*rowsPer {
 		t.Fatalf("table has %d entries, want %d", got, blocks*rowsPer)
 	}
-	var batched int64
+	var rowsIn int64
 	for _, o := range outs {
-		batched += o.BatchedRows
+		rowsIn += o.RowsIn
 	}
-	if batched != blocks*rowsPer {
-		t.Fatalf("batched rows = %d, want %d", batched, blocks*rowsPer)
+	if rowsIn != blocks*rowsPer {
+		t.Fatalf("rows in = %d, want %d", rowsIn, blocks*rowsPer)
 	}
 	flt := op.Bloom()
 	for k := 0; k < blocks*rowsPer; k++ {
@@ -407,7 +403,6 @@ func TestConcurrentBuildWorkOrdersWithBloom(t *testing.T) {
 	ko := NewBuildHash(BuildSpec{
 		Name: "ko", InputSchema: s, KeyCols: []int{0}, ExpectedRows: blocks * rowsPer,
 	})
-	ko.Init(ctx)
 	ko.Start(ctx)
 	var wg2 sync.WaitGroup
 	for _, wo := range ko.Feed(ctx, 0, in) {
@@ -516,7 +511,6 @@ func probeAllocs(t *testing.T, bs, ps *storage.Schema, scale int64, dense bool) 
 		}
 		pop := NewProbe(pspec)
 		pop.setID(21)
-		pop.Init(ctx)
 		allocs := func(b *storage.Block) float64 {
 			wo := pop.Feed(ctx, 0, []*storage.Block{b})[0]
 			return testing.AllocsPerRun(50, func() {
@@ -626,5 +620,57 @@ func TestAggDenseRangesCoverEveryGroupOnce(t *testing.T) {
 				t.Fatalf("n=%d: group %d counted %d rows, want 3", n, g, got[g])
 			}
 		}
+	}
+}
+
+// TestAggMergeTableCountsInHashTables: with two partials every merge work
+// order builds a merged table, and the run's HashTables gauge counts it
+// beside the partials while the work order runs: the high-water exceeds the
+// partials' bytes, and once the merge wave is done the gauge holds the
+// partials alone again.
+func TestAggMergeTableCountsInHashTables(t *testing.T) {
+	s, _ := inputBlock()
+	block := func() *storage.Block {
+		b := storage.NewBlock(s, storage.ColumnStore, 64<<10)
+		for g := 0; g < 2000; g++ {
+			b.AppendRow(types.NewInt64(int64(g)), types.NewFloat64(1), types.NewString("a"))
+		}
+		return b
+	}
+	op := NewAgg(AggOpSpec{Name: "agg", InputSchema: s,
+		GroupBy: []expr.Expr{expr.C(s, "g")}, GroupByNames: []string{"g"},
+		Aggs: []AggSpec{{Func: Sum, Arg: expr.C(s, "v"), Name: "s"}}})
+	op.setID(4)
+	ctx := execCtx()
+	run := func(wos []core.WorkOrder) (rows int) {
+		for _, wo := range wos {
+			out := &core.Output{}
+			if err := wo.Run(ctx, out); err != nil {
+				t.Fatal(err)
+			}
+			out.Finish(nil)
+			rows += int(out.RowsOut)
+		}
+		return rows
+	}
+	op.Start(ctx)
+	// Hold one partial while the first block's work order runs, so it checks
+	// out a second one; the second block then fills the held partial.
+	held := op.getPartial(&core.Output{})
+	run(op.Feed(ctx, 0, []*storage.Block{block()}))
+	op.putPartial(held)
+	run(op.Feed(ctx, 0, []*storage.Block{block()}))
+	if len(op.pall) != 2 || op.pall[0].tab == nil || op.pall[1].tab == nil {
+		t.Fatalf("%d partials, want two filled ones", len(op.pall))
+	}
+	partials := op.MemBytes()
+	if rows := run(op.Final(ctx)); rows != 2000 {
+		t.Fatalf("merge emitted %d groups, want 2000", rows)
+	}
+	if high := ctx.Run.HashTables.High(); high <= partials {
+		t.Fatalf("HashTables high-water %d B, the partials alone hold %d B: the merged tables went uncounted", high, partials)
+	}
+	if live := ctx.Run.HashTables.Live(); live != partials {
+		t.Fatalf("HashTables after the merge wave = %d B, want the partials' %d B", live, partials)
 	}
 }

@@ -40,7 +40,6 @@ type BuildHashOp struct {
 	paySchema  *storage.Schema
 	expected   int
 	buildBloom bool
-	keyOnly    bool
 
 	ht       *hashtable.Table
 	filter   *bloom.Filter
@@ -83,7 +82,6 @@ func NewBuildHash(spec BuildSpec) *BuildHashOp {
 		paySchema:  spec.InputSchema.Project(spec.Payload),
 		expected:   spec.ExpectedRows,
 		buildBloom: spec.BuildBloom,
-		keyOnly:    len(spec.Payload) == 0,
 	}
 	op.readCols = append(append([]int{}, spec.KeyCols...), spec.Payload...)
 	return op
@@ -93,9 +91,6 @@ func (o *BuildHashOp) setID(id core.OpID) { o.self = id }
 
 // Name implements core.Operator.
 func (o *BuildHashOp) Name() string { return o.name }
-
-// NumInputs implements core.Operator.
-func (o *BuildHashOp) NumInputs() int { return 1 }
 
 // Start implements core.Operator: the hash table is allocated lazily when
 // the operator is unblocked, so staged ("one join at a time") plans hold
@@ -192,12 +187,7 @@ func (w *buildWO) runBatch(ctx *core.ExecCtx, out *core.Output) error {
 	} else {
 		sc = &hashtable.InsertScratch{}
 	}
-	if o.keyOnly {
-		o.ht.InsertBlockKeyOnly(b, o.keyCols, sc)
-	} else {
-		o.ht.InsertBlock(b, o.keyCols, o.payloadIdx, sc)
-	}
-	out.BatchedRows += int64(b.NumRows())
+	o.ht.InsertBlock(b, o.keyCols, o.payloadIdx, sc)
 	if o.filter != nil {
 		// Reuse the kernel's gathered key column; atomic adds need no
 		// operator-level lock.
@@ -494,9 +484,6 @@ func (o *ProbeOp) setID(id core.OpID) { o.self = id }
 // Name implements core.Operator.
 func (o *ProbeOp) Name() string { return o.name }
 
-// NumInputs implements core.Operator.
-func (o *ProbeOp) NumInputs() int { return 1 }
-
 // OutSchema returns the joined output schema.
 func (o *ProbeOp) OutSchema() *storage.Schema { return o.out }
 
@@ -544,7 +531,6 @@ func (w *probeWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	sc.gather(b, o.keyCols)
 	sc.buildCols = ht.SourceCols(sc.buildCols[:0], o.buildProj)
 	sc.resCols = ht.SourceCols(sc.resCols[:0], o.resBuild)
-	out.BatchedRows += int64(n)
 	existence := o.joinType == LeftSemi || o.joinType == LeftAnti
 	ht.Match(sc.k0, sc.k1, existence && o.residual == nil, &sc.m)
 	if o.residual != nil {

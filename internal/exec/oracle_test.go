@@ -243,7 +243,6 @@ func requireAggMatchesOracle(t *testing.T, spec AggOpSpec, blocks []*storage.Blo
 // failed work order fails the test.
 func runOpConcurrent(t *testing.T, ctx *core.ExecCtx, op core.Operator, id core.OpID, blocks []*storage.Block, workers int) ([]*storage.Block, []core.Output) {
 	t.Helper()
-	op.Init(ctx)
 	var emitted []*storage.Block
 	var outs []core.Output
 	runWave := func(wos []core.WorkOrder) {

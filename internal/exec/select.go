@@ -125,14 +125,6 @@ func (o *SelectOp) setID(id core.OpID) { o.self = id }
 // Name implements core.Operator.
 func (o *SelectOp) Name() string { return o.name }
 
-// NumInputs implements core.Operator.
-func (o *SelectOp) NumInputs() int {
-	if o.base != nil {
-		return 0
-	}
-	return 1
-}
-
 // OutSchema returns the schema of the operator's output blocks.
 func (o *SelectOp) OutSchema() *storage.Schema { return o.out }
 
@@ -224,7 +216,6 @@ func (w *selectWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 		em.AppendColumns(sp.project(o.projExprs, &ec), sel)
 		clear(sp.srcs) // a pooled scratch keeps no block alive
 	}
-	out.BatchedRows += int64(n)
 	sp.sel = sel[:0] // keep the (possibly re-grown) backing array
 	o.scratch.Put(sp)
 	if ctx.Sim != nil && lipProbes > 0 && len(o.lips) > 0 {

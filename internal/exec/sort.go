@@ -111,10 +111,8 @@ func NewSort(spec SortSpec) *SortOp {
 	for i, t := range spec.Terms {
 		st := sorter.Term{Desc: t.Desc}
 		switch t.Key.Type() {
-		case types.Int64:
+		case types.Int64, types.Date:
 			st.Type = sorter.Int64
-		case types.Date:
-			st.Type = sorter.Date
 		case types.Float64:
 			st.Type = sorter.Float64
 		case types.Char:
@@ -138,9 +136,6 @@ func (o *SortOp) setID(id core.OpID) { o.self = id }
 
 // Name implements core.Operator.
 func (o *SortOp) Name() string { return o.name }
-
-// NumInputs implements core.Operator.
-func (o *SortOp) NumInputs() int { return 1 }
 
 // OutSchema returns the output schema (same as input).
 func (o *SortOp) OutSchema() *storage.Schema { return o.schema }
@@ -222,14 +217,14 @@ func (o *SortOp) encodeBlock(ec *expr.Ctx, sc *sortScratch, n int) []uint64 {
 	keys := sc.keys[:n*words]
 	for t, term := range o.terms {
 		switch o.layout.Terms[t].Type {
-		case sorter.Int64, sorter.Date:
+		case sorter.Int64:
 			sc.i64 = sc.vec.Ints(term.Key, ec, sc.i64)
-			o.layout.EncodeInt64(t, sc.i64, nil, keys)
+			o.layout.EncodeInt64(t, sc.i64, keys)
 		case sorter.Float64:
 			sc.f64 = sc.vec.Floats(term.Key, ec, sc.f64)
-			o.layout.EncodeFloat64(t, sc.f64, nil, keys)
+			o.layout.EncodeFloat64(t, sc.f64, keys)
 		case sorter.Bytes:
-			o.layout.EncodeBytes(t, n, sc.vec.Bytes(term.Key, ec).Bytes, nil, keys)
+			o.layout.EncodeBytes(t, n, sc.vec.Bytes(term.Key, ec).Bytes, keys)
 		}
 	}
 	return keys
@@ -321,7 +316,6 @@ func (w *sortRunWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	o.mu.Unlock()
 	out.SortRuns++
 	out.SortFastRows += int64(n)
-	out.BatchedRows += int64(n)
 	return nil
 }
 
@@ -417,7 +411,6 @@ func (w *sortMergeWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 		em.AppendRows(srcBuf[:bn], rowBuf[:bn], proj)
 	}
 	em.Seal()
-	out.BatchedRows += out.RowsOut
 	return nil
 }
 

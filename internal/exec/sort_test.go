@@ -180,7 +180,6 @@ func testSortFaultedRunRetries(t *testing.T, s *storage.Schema, blocks []*storag
 	ctx.Faults = faults.Replay([]faults.Event{{Site: faults.SortRun, Seq: 2, Kind: faults.KindError}})
 	op := NewSort(SortSpec{Name: "fast", InputSchema: s, Terms: terms})
 	op.setID(1)
-	op.Init(ctx)
 	faulted := 0
 	for _, wo := range op.Feed(ctx, 0, blocks) {
 		out := &core.Output{}
@@ -240,7 +239,6 @@ func TestSortCounters(t *testing.T) {
 	})
 	op.setID(4)
 	ctx := execCtx()
-	op.Init(ctx)
 	var runs, fastRows, pruned, fanout, rowsOut int64
 	drive := func(wos []core.WorkOrder) {
 		for _, wo := range wos {

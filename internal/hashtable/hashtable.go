@@ -145,9 +145,9 @@ const (
 )
 
 // Table is a concurrent join table keyed by one or two 64-bit integers. It
-// is built with InsertBlock or InsertBlockKeyOnly, sealed once with Seal (or
-// on its first lookup), then probed. The blocks it is fed must stay
-// unchanged and alive until the last lookup.
+// is built with InsertBlock, sealed once with Seal (or on its first lookup),
+// then probed. The blocks it is fed must stay unchanged and alive until the
+// last lookup.
 type Table struct {
 	// mu guards the build: the sources, the entry count, the key range,
 	// the partition counts and the payload column map.
@@ -249,10 +249,10 @@ type InsertScratch struct {
 	hashes []uint64
 }
 
-// Keys returns the key columns gathered by the last InsertBlock /
-// InsertBlockKeyOnly call (k1 is nil for single-key tables). Callers reuse
-// them to feed sibling per-key structures — the LIP bloom filter build reads
-// k0 instead of re-gathering the column. Valid until the next kernel call.
+// Keys returns the key columns gathered by the last InsertBlock call (k1 is
+// nil for single-key tables). Callers reuse them to feed sibling per-key
+// structures — the LIP bloom filter build reads k0 instead of re-gathering
+// the column. Valid until the next kernel call.
 func (sc *InsertScratch) Keys() (k0, k1 []int64) { return sc.k0, sc.k1 }
 
 // gather pulls the key columns of b into the scratch (one strided
@@ -272,23 +272,10 @@ func (sc *InsertScratch) gather(b *storage.Block, keyCols []int) {
 // table. The key columns are gathered and hashed vectorized
 // (types.HashPairVec) to widen the key range and count each index
 // partition's entries; projIdx names b's payload columns, which must lie in
-// the same source columns for every block of the table. It is safe for
-// concurrent use with other inserts; sc must be private to the caller (pass
-// a pooled scratch).
+// the same source columns for every block of the table (none for a key-only
+// table: semi/anti builds). It is safe for concurrent use with other inserts;
+// sc must be private to the caller (pass a pooled scratch).
 func (t *Table) InsertBlock(b *storage.Block, keyCols []int, projIdx []int, sc *InsertScratch) {
-	t.insertBlock(b, keyCols, projIdx, sc)
-}
-
-// InsertBlockKeyOnly is InsertBlock for a key-only table (semi/anti builds):
-// the entries carry no payload, only their keys.
-func (t *Table) InsertBlockKeyOnly(b *storage.Block, keyCols []int, sc *InsertScratch) {
-	if !t.keyOnly {
-		panic("hashtable: key-only insert into a table with payload columns")
-	}
-	t.insertBlock(b, keyCols, nil, sc)
-}
-
-func (t *Table) insertBlock(b *storage.Block, keyCols []int, projIdx []int, sc *InsertScratch) {
 	if len(keyCols) != t.keys {
 		panic(fmt.Sprintf("hashtable: %d-key insert into a %d-key table", len(keyCols), t.keys))
 	}

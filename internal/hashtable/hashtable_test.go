@@ -64,16 +64,14 @@ func iota64(n int, m int64) []int64 {
 	return v
 }
 
-// insert adds the rows to ht in one InsertBlock call (key-only tables
-// through InsertBlockKeyOnly).
+// insert adds the rows to ht in one InsertBlock call (with no payload
+// columns for a key-only table).
 func insert(ht *Table, keys [][2]int64, vals []int64) {
-	b := keysBlock(keys, vals)
-	keyCols := []int{0, 1}[:ht.keys]
+	proj := payIdx
 	if ht.keyOnly {
-		ht.InsertBlockKeyOnly(b, keyCols, &InsertScratch{})
-	} else {
-		ht.InsertBlock(b, keyCols, payIdx, &InsertScratch{})
+		proj = nil
 	}
+	ht.InsertBlock(keysBlock(keys, vals), []int{0, 1}[:ht.keys], proj, &InsertScratch{})
 }
 
 // vOf returns payload column 0 (v) of the entry at row of pb, a block
@@ -329,9 +327,9 @@ func TestInsertBlockEquivalence(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
-			sch := payloadSchema()
+			sch, proj := payloadSchema(), payIdx
 			if tc.keyOnly {
-				sch = storage.NewSchema()
+				sch, proj = storage.NewSchema(), nil
 			}
 			cfg := Config{PayloadSchema: sch, Keys: len(tc.keyCols)}
 			var blocks []*storage.Block
@@ -347,11 +345,7 @@ func TestInsertBlockEquivalence(t *testing.T) {
 						parts = rowBlocks(b)
 					}
 					for _, p := range parts {
-						if tc.keyOnly {
-							ht.InsertBlockKeyOnly(p, tc.keyCols, sc)
-						} else {
-							ht.InsertBlock(p, tc.keyCols, payIdx, sc)
-						}
+						ht.InsertBlock(p, tc.keyCols, proj, sc)
 					}
 				}
 				return ht
@@ -821,7 +815,7 @@ func TestMatchAllocs(t *testing.T) {
 
 // TestKeyCountIsEnforced: a one-key table stores no second key, so a
 // two-key insert into it panics, a block insert must bring as many key
-// columns as the table has, a key-only insert needs a key-only table, and a
+// columns and payload columns as the table has, and a
 // lookup of a second key a one-key table cannot hold finds nothing.
 func TestKeyCountIsEnforced(t *testing.T) {
 	b := storage.NewBlock(keyedSchema(), storage.ColumnStore, 4*32)
@@ -830,11 +824,11 @@ func TestKeyCountIsEnforced(t *testing.T) {
 	two := func() *Table { return New(Config{PayloadSchema: payloadSchema(), Keys: 2}) }
 	keyOnly := func() *Table { return New(Config{PayloadSchema: storage.NewSchema()}) }
 	for name, insert := range map[string]func(){
-		"InsertBlock two keys":            func() { one().InsertBlock(b, []int{0, 1}, payIdx, &InsertScratch{}) },
-		"InsertBlockKeyOnly two keys":     func() { keyOnly().InsertBlockKeyOnly(b, []int{0, 1}, &InsertScratch{}) },
-		"InsertBlockKeyOnly with payload": func() { one().InsertBlockKeyOnly(b, []int{0}, &InsertScratch{}) },
-		"InsertBlock one key":             func() { two().InsertBlock(b, []int{0}, payIdx, &InsertScratch{}) },
-		"New with three keys":             func() { New(Config{PayloadSchema: payloadSchema(), Keys: 3}) },
+		"InsertBlock two keys":           func() { one().InsertBlock(b, []int{0, 1}, payIdx, &InsertScratch{}) },
+		"InsertBlock key-only, two keys": func() { keyOnly().InsertBlock(b, []int{0, 1}, nil, &InsertScratch{}) },
+		"InsertBlock without payload":    func() { one().InsertBlock(b, []int{0}, nil, &InsertScratch{}) },
+		"InsertBlock one key":            func() { two().InsertBlock(b, []int{0}, payIdx, &InsertScratch{}) },
+		"New with three keys":            func() { New(Config{PayloadSchema: payloadSchema(), Keys: 3}) },
 		"InsertBlock empty block, two keys": func() {
 			one().InsertBlock(storage.NewBlock(keyedSchema(), storage.ColumnStore, 64), []int{0, 1}, payIdx, &InsertScratch{})
 		},

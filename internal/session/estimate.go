@@ -14,7 +14,7 @@ import (
 // costmodel.QueryMemory for the formula.
 func EstimateBuilder(b *engine.Builder, workers, uotDefault int, blockBytes int64) int64 {
 	uots, stateful := planShape(b, uotDefault)
-	return costmodel.QueryMemory(uots, workers, blockBytes, stateful, 0)
+	return costmodel.QueryMemory(uots, workers, blockBytes, stateful)
 }
 
 // EstimateBuilderSplit is EstimateBuilder for sessions with a spill tier: the
@@ -23,7 +23,7 @@ func EstimateBuilder(b *engine.Builder, workers, uotDefault int, blockBytes int6
 // disk, charged against the disk budget). See costmodel.QueryMemorySplit.
 func EstimateBuilderSplit(b *engine.Builder, workers, uotDefault int, blockBytes int64) (ram, spillable int64) {
 	uots, stateful := planShape(b, uotDefault)
-	return costmodel.QueryMemorySplit(uots, workers, blockBytes, stateful, 0)
+	return costmodel.QueryMemorySplit(uots, workers, blockBytes, stateful)
 }
 
 func planShape(b *engine.Builder, uotDefault int) (uots []int, stateful int) {

@@ -5,10 +5,10 @@
 // and a bounded top-k heap for ORDER BY ... LIMIT.
 //
 // The normalized-key idea (see "Fine-Tuning Data Structures for Analytical
-// Query Processing") is to encode every ORDER BY term into one or two uint64
-// words whose unsigned comparison matches the term's value order — including
-// descending terms (bitwise inversion) and NULLs (a leading validity word).
-// Sorting then touches only (word..., rowID) pairs: no Datum boxing, no
+// Query Processing") is to encode every ORDER BY term into one uint64 word
+// whose unsigned comparison matches the term's value order, descending terms
+// by bitwise inversion. The engine has no NULLs, so no term needs a validity
+// word. Sorting then touches only (word..., rowID) pairs: no Datum boxing, no
 // per-comparison type dispatch, and ties resolve by row id, which makes every
 // sort in this package a deterministic total order.
 //
@@ -26,10 +26,8 @@ type TermType uint8
 
 // Term value types.
 const (
-	// Int64 is a signed 64-bit integer term.
+	// Int64 is a signed 64-bit integer term; a date term is its day count.
 	Int64 TermType = iota
-	// Date is a day-count term (widened to int64 before encoding).
-	Date
 	// Float64 is an IEEE-754 double term.
 	Float64
 	// Bytes is a fixed-width byte-string term; Width > 8 makes the term
@@ -43,36 +41,25 @@ type Term struct {
 	Desc bool
 	// Width is the fixed column width of a Bytes term.
 	Width int
-	// Nullable terms are encoded with a leading validity word, so NULLs
-	// order exactly (first ascending, last descending) without stealing a
-	// value bit.
-	Nullable bool
 }
 
-// Layout is the compiled normalized-key layout of a term list: how many
-// uint64 words one row's key occupies and where each term's words start.
+// Layout is the compiled normalized-key layout of a term list: term t is word
+// t of a row's key.
 type Layout struct {
 	Terms []Term
-	// Words is the key width in uint64 words per row.
+	// Words is the key width in uint64 words per row, one per term.
 	Words int
 	// Exact reports that word comparison alone is the full term order (no
 	// approximate byte-string prefixes).
 	Exact bool
 
-	starts []int
 	approx []bool
 }
 
 // NewLayout compiles a term list.
 func NewLayout(terms []Term) Layout {
-	l := Layout{Terms: terms, Exact: true,
-		starts: make([]int, len(terms)), approx: make([]bool, len(terms))}
+	l := Layout{Terms: terms, Words: len(terms), Exact: true, approx: make([]bool, len(terms))}
 	for i, t := range terms {
-		l.starts[i] = l.Words
-		l.Words++
-		if t.Nullable {
-			l.Words++ // validity word precedes the value word
-		}
 		if t.Type == Bytes && t.Width > 8 {
 			l.approx[i] = true
 			l.Exact = false
@@ -112,54 +99,36 @@ func NormBytes(b []byte) uint64 {
 	return w
 }
 
-// put writes term t's words for one row into keys at the row's stride slot,
-// applying null and descending transforms.
-func (l *Layout) put(t, row int, value uint64, null bool, keys []uint64) {
-	term := l.Terms[t]
-	at := row*l.Words + l.starts[t]
-	if term.Nullable {
-		valid := uint64(1)
-		if null {
-			valid, value = 0, 0
-		}
-		if term.Desc {
-			valid = ^valid
-		}
-		keys[at] = valid
-		at++
-	}
-	if term.Desc {
+// put writes term t's word for one row into keys at the row's stride slot,
+// inverting it for a descending term.
+func (l *Layout) put(t, row int, value uint64, keys []uint64) {
+	if l.Terms[t].Desc {
 		value = ^value
 	}
-	keys[at] = value
+	keys[row*l.Words+t] = value
 }
 
 // EncodeInt64 writes term t's normalized words for src (one value per row)
-// into the row-major key array keys (stride Layout.Words). nulls may be nil;
-// a true entry encodes NULL regardless of the source value. Date terms
-// encode their widened day counts the same way.
-func (l *Layout) EncodeInt64(t int, src []int64, nulls []bool, keys []uint64) {
+// into the row-major key array keys (stride Layout.Words). Date columns
+// encode their widened day counts here too.
+func (l *Layout) EncodeInt64(t int, src []int64, keys []uint64) {
 	for i, v := range src {
-		l.put(t, i, NormInt64(v), nulls != nil && nulls[i], keys)
+		l.put(t, i, NormInt64(v), keys)
 	}
 }
 
 // EncodeFloat64 writes term t's normalized words for a float64 column.
-func (l *Layout) EncodeFloat64(t int, src []float64, nulls []bool, keys []uint64) {
+func (l *Layout) EncodeFloat64(t int, src []float64, keys []uint64) {
 	for i, v := range src {
-		l.put(t, i, NormFloat64(v), nulls != nil && nulls[i], keys)
+		l.put(t, i, NormFloat64(v), keys)
 	}
 }
 
 // EncodeBytes writes term t's normalized prefix words for a byte-string
 // column; src returns row i's raw fixed-width bytes.
-func (l *Layout) EncodeBytes(t int, n int, src func(row int) []byte, nulls []bool, keys []uint64) {
+func (l *Layout) EncodeBytes(t int, n int, src func(row int) []byte, keys []uint64) {
 	for i := 0; i < n; i++ {
-		if nulls != nil && nulls[i] {
-			l.put(t, i, 0, true, keys)
-			continue
-		}
-		l.put(t, i, NormBytes(src(i)), false, keys)
+		l.put(t, i, NormBytes(src(i)), keys)
 	}
 }
 
@@ -190,19 +159,12 @@ func (l *Layout) CompareRowKeys(keysA []uint64, ka int, runA int, rowA int32,
 		return 0
 	}
 	for t := range l.Terms {
-		w0 := l.starts[t]
-		wn := l.Words
-		if t+1 < len(l.Terms) {
-			wn = l.starts[t+1]
-		}
-		for w := w0; w < wn; w++ {
-			a, b := keysA[ka+w], keysB[kb+w]
-			if a != b {
-				if a < b {
-					return -1
-				}
-				return 1
+		a, b := keysA[ka+t], keysB[kb+t]
+		if a != b {
+			if a < b {
+				return -1
 			}
+			return 1
 		}
 		if l.approx[t] {
 			if c := tie.Compare(t, runA, rowA, runB, rowB); c != 0 {

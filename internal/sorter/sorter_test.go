@@ -55,53 +55,41 @@ func TestNormBytesOrder(t *testing.T) {
 	}
 }
 
-// TestLayoutDescNulls: a nullable descending int64 term must order
-// non-null descending with NULLs last; ascending NULLs come first.
-func TestLayoutDescNulls(t *testing.T) {
-	type row struct {
-		v    int64
-		null bool
-	}
-	rows := []row{{5, false}, {0, true}, {-3, false}, {9, false}, {0, true}, {1, false}}
-	for _, desc := range []bool{false, true} {
-		l := NewLayout([]Term{{Type: Int64, Desc: desc, Nullable: true}})
-		if !l.Exact || l.Words != 2 {
-			t.Fatalf("layout: exact=%v words=%d", l.Exact, l.Words)
-		}
-		src := make([]int64, len(rows))
-		nulls := make([]bool, len(rows))
-		for i, r := range rows {
-			src[i], nulls[i] = r.v, r.null
-		}
-		keys := make([]uint64, len(rows)*l.Words)
-		l.EncodeInt64(0, src, nulls, keys)
-		ids := make([]int32, len(rows))
-		for i := range ids {
-			ids[i] = int32(i)
-		}
-		SortRows(&l, keys, ids, 0, nil)
-
-		// Reference order: NULLS FIRST ascending, NULLS LAST descending,
-		// ties by arrival.
-		want := make([]int32, len(rows))
-		for i := range want {
-			want[i] = int32(i)
-		}
-		sort.SliceStable(want, func(i, j int) bool {
-			a, b := rows[want[i]], rows[want[j]]
-			if a.null != b.null {
-				return a.null != desc // nulls first iff ascending
+// TestLayoutAscDesc: an int64 term and a float64 term, each ascending and
+// descending, order rows by value with ties in arrival order; a descending
+// term is exactly the ascending order reversed among distinct values.
+func TestLayoutAscDesc(t *testing.T) {
+	ints := []int64{5, -3, 9, 0, 5, -3, 1, math.MinInt64, math.MaxInt64}
+	floats := []float64{2.5, -1, 0, 2.5, -7.25, 1e9, -1, 3, 0.5}
+	for _, typ := range []TermType{Int64, Float64} {
+		for _, desc := range []bool{false, true} {
+			l := NewLayout([]Term{{Type: typ, Desc: desc}})
+			if !l.Exact || l.Words != 1 {
+				t.Fatalf("layout: exact=%v words=%d", l.Exact, l.Words)
 			}
-			if a.null {
-				return false
+			keys := make([]uint64, len(ints))
+			less := func(a, b int32) bool { return ints[a] < ints[b] }
+			if typ == Float64 {
+				l.EncodeFloat64(0, floats, keys)
+				less = func(a, b int32) bool { return floats[a] < floats[b] }
+			} else {
+				l.EncodeInt64(0, ints, keys)
 			}
-			if desc {
-				return a.v > b.v
+			ids := make([]int32, len(keys))
+			want := make([]int32, len(keys))
+			for i := range ids {
+				ids[i], want[i] = int32(i), int32(i)
 			}
-			return a.v < b.v
-		})
-		if !reflect.DeepEqual(ids, want) {
-			t.Fatalf("desc=%v: got %v want %v", desc, ids, want)
+			SortRows(&l, keys, ids, 0, nil)
+			sort.SliceStable(want, func(i, j int) bool {
+				if desc {
+					return less(want[j], want[i])
+				}
+				return less(want[i], want[j])
+			})
+			if !reflect.DeepEqual(ids, want) {
+				t.Fatalf("type=%v desc=%v: got %v want %v", typ, desc, ids, want)
+			}
 		}
 	}
 }
@@ -176,8 +164,8 @@ func TestSortRowsApproximateTieBreak(t *testing.T) {
 	}
 	ints := []int64{1, 2, 0}
 	keys := make([]uint64, len(strs)*l.Words)
-	l.EncodeBytes(0, len(strs), func(i int) []byte { return strs[i] }, nil, keys)
-	l.EncodeInt64(1, ints, nil, keys)
+	l.EncodeBytes(0, len(strs), func(i int) []byte { return strs[i] }, keys)
+	l.EncodeInt64(1, ints, keys)
 	ids := []int32{0, 1, 2}
 	tie := &byteTie{rows: strs}
 	SortRows(&l, keys, ids, 0, tie)
@@ -205,7 +193,7 @@ func buildRuns(t *testing.T, r *rand.Rand, l *Layout, nRuns, maxRows, keySpace i
 			all = append(all, item{src[i], int32(rn), int32(i)})
 		}
 		keys := make([]uint64, n*l.Words)
-		l.EncodeInt64(0, src, nil, keys)
+		l.EncodeInt64(0, src, keys)
 		ids := make([]int32, n)
 		for i := range ids {
 			ids[i] = int32(i)
@@ -304,7 +292,7 @@ func TestTopKMatchesSortTruncate(t *testing.T) {
 			src[i] = int64(r.Intn(20)) // heavy duplicates
 		}
 		keys := make([]uint64, n*l.Words)
-		l.EncodeInt64(0, src, nil, keys)
+		l.EncodeInt64(0, src, keys)
 		for _, k := range []int{1, 3, n, n + 10} {
 			tk := NewTopK(k, &l, 0, nil)
 			pruned := 0
@@ -342,7 +330,7 @@ func TestTopKStabilityOnBoundary(t *testing.T) {
 	l := NewLayout([]Term{{Type: Int64}})
 	n, k := 10, 4
 	keys := make([]uint64, n*l.Words)
-	l.EncodeInt64(0, make([]int64, n), nil, keys)
+	l.EncodeInt64(0, make([]int64, n), keys)
 	tk := NewTopK(k, &l, 0, nil)
 	for i := 0; i < n; i++ {
 		tk.Offer(keys[i*l.Words:(i+1)*l.Words], int32(i))
@@ -359,7 +347,7 @@ func TestMergeSeqTieBreak(t *testing.T) {
 	l := NewLayout([]Term{{Type: Int64}})
 	mk := func(seq int32, n int) Run {
 		keys := make([]uint64, n*l.Words)
-		l.EncodeInt64(0, make([]int64, n), nil, keys)
+		l.EncodeInt64(0, make([]int64, n), keys)
 		ids := make([]int32, n)
 		for i := range ids {
 			ids[i] = int32(i)

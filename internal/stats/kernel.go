@@ -12,10 +12,6 @@ package stats
 // A rolled-back attempt reports all zeros (core.Output.Finish clears them),
 // so sums over attempts need no failed/succeeded case split.
 type Kernel struct {
-	// BatchedRows counts rows that went through a block-granular batch
-	// kernel (InsertBlock, AddMany, vectorized probe) rather than a
-	// row-at-a-time reference path.
-	BatchedRows int64 `json:"batched_rows,omitempty"`
 	// ScratchHits counts scratch-buffer pool hits: work orders that reused
 	// a previous work order's buffers instead of allocating fresh ones.
 	ScratchHits int64 `json:"scratch_hits,omitempty"`
@@ -59,7 +55,6 @@ type KernelCounter struct {
 // Prometheus counters, in Kernel field order. A reflection test fails if a
 // Kernel field is missing here or in Add.
 var KernelCounters = []KernelCounter{
-	{"batched_rows", "Rows through block-granular batch kernels per operator.", func(k *Kernel) *int64 { return &k.BatchedRows }},
 	{"scratch_hits", "Scratch-buffer pool reuse hits per operator.", func(k *Kernel) *int64 { return &k.ScratchHits }},
 	{"agg_partials", "Thread-local partial aggregation tables created per operator.", func(k *Kernel) *int64 { return &k.AggPartials }},
 	{"agg_merge_fanout", "Radix-partition aggregation merge work orders per operator.", func(k *Kernel) *int64 { return &k.AggMergeFanout }},
@@ -74,7 +69,6 @@ var KernelCounters = []KernelCounter{
 // KernelCounters: an accessor call through the table would move o to the
 // heap, and the tracer's recording path must stay allocation-free.
 func (k *Kernel) Add(o Kernel) {
-	k.BatchedRows += o.BatchedRows
 	k.ScratchHits += o.ScratchHits
 	k.AggPartials += o.AggPartials
 	k.AggMergeFanout += o.AggMergeFanout

@@ -14,8 +14,8 @@ func TestKernelTableCoversEveryField(t *testing.T) {
 	typ := reflect.TypeOf(Kernel{})
 	// Every counter is an exported name (a JSON key and a Prometheus
 	// family), so the count only moves on purpose.
-	if typ.NumField() != 9 {
-		t.Fatalf("Kernel has %d fields, want 9", typ.NumField())
+	if typ.NumField() != 8 {
+		t.Fatalf("Kernel has %d fields, want 8", typ.NumField())
 	}
 	if len(KernelCounters) != typ.NumField() {
 		t.Fatalf("KernelCounters has %d rows, Kernel has %d fields", len(KernelCounters), typ.NumField())
@@ -77,8 +77,8 @@ func TestPerOpSumsKernelAcrossAttempts(t *testing.T) {
 	r.Record(WorkOrder{OpID: 1, OpName: "agg", Rows: 10, RowsOut: 2, Kernel: Kernel{AggFastRows: 10, AggPartials: 3}})
 	r.Record(WorkOrder{OpID: 1, OpName: "agg", Rows: 99, Failed: true})
 	r.Record(WorkOrder{OpID: 2, OpName: "sort", Rows: 5, Kernel: Kernel{SortRuns: 1}})
-	op := r.Op(1)
-	if op.Rows != 10 || op.FailedAttempts != 1 || op.AggFastRows != 10 || op.AggPartials != 3 {
+	op := r.PerOp()[0]
+	if op.OpID != 1 || op.Rows != 10 || op.FailedAttempts != 1 || op.AggFastRows != 10 || op.AggPartials != 3 {
 		t.Fatalf("op totals = %+v", op)
 	}
 	if k := sumKernels(r); k != (Kernel{AggFastRows: 10, AggPartials: 3, SortRuns: 1}) {

@@ -361,13 +361,3 @@ func (r *Run) PerOp() []OpTotals {
 	sort.Slice(out, func(i, j int) bool { return out[i].OpID < out[j].OpID })
 	return out
 }
-
-// Op returns the totals for one operator ID (zero value if it never ran).
-func (r *Run) Op(opID int) OpTotals {
-	for _, t := range r.PerOp() {
-		if t.OpID == opID {
-			return t
-		}
-	}
-	return OpTotals{OpID: opID}
-}

@@ -96,11 +96,8 @@ func TestRunAggregation(t *testing.T) {
 	if sel.SimTotal != 300 || sel.AvgSim() != 150 {
 		t.Fatalf("select sim: %d avg %d", sel.SimTotal, sel.AvgSim())
 	}
-	if got := r.Op(2); got.Count != 1 {
-		t.Fatalf("Op(2) = %+v", got)
-	}
-	if got := r.Op(99); got.Count != 0 {
-		t.Fatalf("missing op should be zero: %+v", got)
+	if got := per[1]; got.OpID != 2 || got.Count != 1 {
+		t.Fatalf("op 2 totals: %+v", got)
 	}
 	var sim int64
 	for _, op := range r.PerOp() {

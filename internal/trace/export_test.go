@@ -260,11 +260,11 @@ func kernelFixture() *Tracer {
 		tr.RegisterOpIn(h, id, name)
 	}
 	tr.RegisterEdgeIn(h, 0, EdgeInfo{From: 1, To: 2, FromName: "agg(lineitem)", ToName: "sort", Pipelined: true, UoT: 1})
-	tr.SpanIn(h, Event{Op: 0, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{ScratchHits: 3, BatchedRows: 100}})
+	tr.SpanIn(h, Event{Op: 0, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{ScratchHits: 3}})
 	tr.SpanIn(h, Event{Op: 1, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{AggFastRows: 40, AggPartials: 2}})
 	tr.SpanIn(h, Event{Op: 1, StartNS: 2, EndNS: 3, Flags: FlagFailed})
-	tr.SpanIn(h, Event{Op: 2, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{SortRuns: 4, TopKPruned: 9}})
-	tr.SpanIn(h, Event{Op: 3, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{BatchedRows: 50, ScratchHits: 1}})
+	tr.SpanIn(h, Event{Op: 2, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{SortRuns: 4, SortFastRows: 50, TopKPruned: 9}})
+	tr.SpanIn(h, Event{Op: 3, StartNS: 1, EndNS: 2, Kernel: stats.Kernel{ScratchHits: 1}})
 	tr.EndRunIn(h, false)
 	return tr
 }
@@ -303,7 +303,7 @@ func TestKernelCountersReachBothExports(t *testing.T) {
 			`uot_sort_runs_total{run="q",op="sort"} 4`,
 		"# HELP uot_topk_pruned_total Rows pruned by the bounded top-k heap per operator.\n# TYPE uot_topk_pruned_total counter\n" +
 			`uot_topk_pruned_total{run="q",op="sort"} 9`,
-		`uot_batched_rows_total{run="q",op="probe"} 50`,
+		`uot_sort_fast_rows_total{run="q",op="sort"} 50`,
 		`uot_scratch_hits_total{run="q",op="probe"} 1`,
 	} {
 		if !strings.Contains(prom.String(), want) {

@@ -145,7 +145,8 @@ func NewBuilder() *Builder { return engine.NewBuilder() }
 // NewSchema builds a schema from columns.
 func NewSchema(cols ...Column) *Schema { return storage.NewSchema(cols...) }
 
-// Execute runs a built plan.
+// Execute runs a built plan. A failed run returns its error with a Result
+// that holds the run's statistics and no table.
 func Execute(b *Builder, opts Options) (*Result, error) { return engine.Execute(b, opts) }
 
 // ExecuteMonetStyle runs a built plan on the MonetDB-style operator-at-a-time
