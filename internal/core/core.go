@@ -191,10 +191,10 @@ type WorkOrder interface {
 	// fault-injection sites fire first, and emitter output is rolled back
 	// by Output.Finish.
 	Run(ctx *ExecCtx, out *Output) error
-	// Inputs returns the intermediate blocks this work order consumes, for
-	// reference-counted release; nil for base-table inputs. Inputs are
-	// released only when the work order succeeds (or the run aborts), so a
-	// retried attempt re-reads them.
+	// Inputs returns the fed blocks this work order reads; nil for
+	// base-table inputs. They are released when it succeeds (or the run
+	// aborts), never earlier, so a retried attempt re-reads them; later if
+	// its operator Keeps them longer.
 	Inputs() []*storage.Block
 }
 
@@ -217,25 +217,37 @@ type Operator interface {
 	// ScalarValue returns the operator's scalar result, if it provides one
 	// (valid only after the operator is done).
 	ScalarValue() (types.Datum, bool)
-	// AdoptsInputs reports whether the operator takes ownership of fed
-	// blocks (result collectors), in Feed and without work orders. The
-	// scheduler counts its ref on a fed block like any consumer's but never
-	// drops it, so the block is never recycled: a successful run hands it
-	// over, and cleanup releases it after a failed one.
-	AdoptsInputs() bool
-	// HoldsInputs reports whether the operator still reads the blocks fed
-	// to it once their work orders are done (a join build indexes them).
-	// The scheduler asks when each work order completes and when the
-	// operator finishes. While the answer is yes it keeps the operator's
-	// input refs, and releases them once the operator and every operator
-	// behind its blocking edges have finished; a block the operator is the
-	// last reader of moves to the run's HashTables gauge once its work
-	// order on it completes.
-	HoldsInputs() bool
+	// Keeps says how long the operator reads a block fed to it; the
+	// scheduler alone acts on the answer (see Keep).
+	Keeps() Keep
 	// Cleanup releases operator-owned resources; called when the operator
 	// and all work orders are finished.
 	Cleanup(ctx *ExecCtx)
 }
+
+// Keep is how long an operator reads a block fed to it: when the scheduler
+// drops the operator's ref on the block, and what it does to the block
+// before.
+type Keep uint8
+
+const (
+	// KeepWorkOrder: until the work order that lists it in Inputs succeeds.
+	KeepWorkOrder Keep = iota
+	// KeepUntilDone: until the operator finishes. A sort merges out of its
+	// fed blocks in place, so a view is materialized for it.
+	KeepUntilDone
+	// KeepForReaders: until the operator and every operator behind its
+	// blocking edges finish (a join build's table indexes its fed blocks,
+	// views included, for its probes). A partial block is cut to its rows,
+	// and one the operator alone reads counts in the run's HashTables once
+	// its work order completes. A key-only table sealed dense reads none.
+	KeepForReaders
+	// KeepAdopted: past the run (the result sink and reuse taps take blocks
+	// in Feed, without work orders). A view is materialized for it; a
+	// successful run hands the block out of the pool, a failed one releases
+	// it.
+	KeepAdopted
+)
 
 // Base provides default implementations of the optional Operator methods.
 type Base struct{}
@@ -252,11 +264,8 @@ func (Base) Final(*ExecCtx) []WorkOrder { return nil }
 // ScalarValue implements Operator.
 func (Base) ScalarValue() (types.Datum, bool) { return types.Datum{}, false }
 
-// AdoptsInputs implements Operator.
-func (Base) AdoptsInputs() bool { return false }
-
-// HoldsInputs implements Operator.
-func (Base) HoldsInputs() bool { return false }
+// Keeps implements Operator.
+func (Base) Keeps() Keep { return KeepWorkOrder }
 
 // Cleanup implements Operator.
 func (Base) Cleanup(*ExecCtx) {}

@@ -122,8 +122,9 @@ type sched struct {
 	levels [][]job
 	queued int
 	// rc counts each emitted block's pipelined consumers that have not
-	// dropped it yet. An adopting consumer never drops its ref: a successful
-	// run hands its blocks over in cleanup, and a failed one releases them.
+	// dropped it yet; each consumer's Keeps says when it drops its ref. A
+	// KeepAdopted consumer never does: a successful run hands its blocks
+	// over in cleanup, and a failed one releases them.
 	rc       map[*storage.Block]int
 	doneOps  int
 	inflight int
@@ -515,13 +516,19 @@ func (s *sched) onComplete(r wres) {
 	}
 	// Release consumed intermediate blocks (kept until now so retried
 	// attempts could re-read them), unless the operator reads them on.
-	if st.op.HoldsInputs() {
-		s.keep(st, r.wo.Inputs())
-	} else {
+	switch st.op.Keeps() {
+	case KeepWorkOrder:
 		for _, b := range r.wo.Inputs() {
 			if _, ok := st.held[b]; ok {
 				delete(st.held, b)
 				s.decRef(b)
+			}
+		}
+	case KeepForReaders:
+		// A block the operator alone reads is now part of its table.
+		for _, b := range r.wo.Inputs() {
+			if _, ok := st.held[b]; ok && s.rc[b] == 1 && s.ctx.Run != nil {
+				s.ctx.Pool.Keep(b, &s.ctx.Run.HashTables)
 			}
 		}
 	}
@@ -538,20 +545,6 @@ func (s *sched) onComplete(r wres) {
 		s.emit(st, r.out.Blocks)
 	}
 	s.check(st)
-}
-
-// keep moves the blocks an operator that holds its inputs has just read,
-// and is the last reader of, from the pool's live bytes to the run's
-// HashTables gauge: the blocks are now part of its table.
-func (s *sched) keep(st *opState, blocks []*storage.Block) {
-	if s.ctx.Run == nil {
-		return // no gauges to move between
-	}
-	for _, b := range blocks {
-		if _, held := st.held[b]; held && s.rc[b] == 1 {
-			s.ctx.Pool.Keep(b, &s.ctx.Run.HashTables)
-		}
-	}
 }
 
 // emitFinal parks a completed Final work order's output in its issue slot and
@@ -575,15 +568,22 @@ func (s *sched) emit(st *opState, blocks []*storage.Block) {
 		return
 	}
 	// Reference count = number of pipelined consumers, adopters included.
-	refs, adopts, holds := 0, false, false
+	// Only a sole consumer that drops or indexes a view reads it in place:
+	// a sort's merge and an adopter need the cells themselves, and a
+	// consumer that materializes a view would change it under the others.
+	refs, materialize, cut := 0, false, false
 	for _, es := range st.out {
 		if es.e.Kind == Pipelined {
 			refs++
-			c := s.states[es.e.To].op
-			adopts = adopts || c.AdoptsInputs()
-			holds = holds || c.HoldsInputs()
+			switch s.states[es.e.To].op.Keeps() {
+			case KeepUntilDone, KeepAdopted:
+				materialize = true
+			case KeepForReaders:
+				cut = true
+			}
 		}
 	}
+	materialize = materialize || refs > 1
 	if refs == 0 {
 		// Output of an operator with only blocking/gate consumers (e.g. a
 		// scalar provider, whose value travels via ScalarValue, not blocks).
@@ -595,13 +595,10 @@ func (s *sched) emit(st *opState, blocks []*storage.Block) {
 	evicted := 0
 	var evictedBytes int64
 	for _, b := range blocks {
-		if adopts || refs > 1 {
-			// Only a sole, non-adopting consumer reads a view in place:
-			// an adopter keeps its blocks past the run, and a consumer
-			// that materializes a view would change it under the others.
+		if materialize {
 			s.ctx.Pool.Materialize(b, s.ctx.TempBlockBytes)
 		}
-		if holds {
+		if cut {
 			// A consumer keeps the block past its work orders: a partial
 			// one should not pin a whole budget meanwhile.
 			s.ctx.Pool.Cut(b)
@@ -743,14 +740,8 @@ func (s *sched) deliver(c *opState, es *edgeState, blocks []*storage.Block) {
 			StartNS: s.ctx.Trace.Now(),
 		})
 	}
-	adopts := c.op.AdoptsInputs()
 	for _, b := range blocks {
 		c.held[b] = struct{}{}
-		if adopts {
-			// Ownership leaves the pool with the Feed; the tier must not
-			// keep tracking blocks it can no longer see released.
-			s.ctx.Pool.Forget(b)
-		}
 	}
 	es.batches++
 	s.enqueueBatch(c, c.op.Feed(s.ctx, es.e.ToInput, blocks), es.batches-1, false)
@@ -858,13 +849,13 @@ func (s *sched) finish(st *opState) {
 }
 
 // releaseHeld drops a finished operator's input refs, unless it adopted them
-// (cleanup settles those) or still reads them (HoldsInputs) and an operator
-// behind one of its blocking edges has not finished yet.
+// (cleanup settles those) or keeps them for an operator behind one of its
+// blocking edges that has not finished yet.
 func (s *sched) releaseHeld(st *opState) {
-	if !st.done || len(st.held) == 0 || st.op.AdoptsInputs() {
+	if !st.done || len(st.held) == 0 || st.op.Keeps() == KeepAdopted {
 		return
 	}
-	if st.op.HoldsInputs() {
+	if st.op.Keeps() == KeepForReaders {
 		for _, es := range st.out {
 			if es.e.Kind == Blocking && !s.states[es.e.To].done {
 				return
@@ -883,15 +874,18 @@ func (s *sched) releaseHeld(st *opState) {
 // pool and a Final wave's parked outputs — a partial result is meaningless,
 // and under a shared pool every block of a failed query must return to the
 // global accounting. A successful run has released everything else through
-// the normal flow, and hands each adopter's blocks over by dropping its refs
-// without releasing them.
+// the normal flow, and hands each adopted block out of the pool with its
+// last ref: the spill tier stops tracking it and the live gauges stop
+// counting it, so a later Release only recycles its allocation.
 func (s *sched) cleanup() {
 	if s.runErr == nil {
 		for _, st := range s.states {
-			if st.op.AdoptsInputs() {
+			if st.op.Keeps() == KeepAdopted {
 				for b := range st.held {
 					delete(st.held, b)
-					s.unref(b)
+					if s.unref(b) {
+						s.ctx.Pool.Keep(b, nil)
+					}
 				}
 			}
 		}
@@ -977,8 +971,8 @@ func (s *sched) unref(b *storage.Block) bool {
 	return true
 }
 
-// release is the one way a block leaves the run: back to the pool, and out of
-// the cache model.
+// release is the one way a block ends: back to the pool, and out of the cache
+// model. (An adopted block outlives the run; cleanup hands it over.)
 func (s *sched) release(b *storage.Block) {
 	s.ctx.Pool.Release(b)
 	if s.ctx.Sim != nil {

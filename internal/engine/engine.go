@@ -163,11 +163,6 @@ func Execute(b *Builder, opts Options) (*Result, error) {
 	if err != nil {
 		return &Result{Run: run}, err
 	}
-	// The result table's blocks leave the pool with the client: stop counting
-	// them as live intermediates, or a shared pool's memory picture grows by
-	// every result ever returned. (Failed runs instead release adopted blocks
-	// in cleanup.)
-	pool.Disown(b.collect.Result().AllocBytes())
 	return &Result{Table: b.collect.Result(), Run: run}, nil
 }
 

@@ -41,8 +41,8 @@ type outSchemer interface{ OutSchema() *storage.Schema }
 
 // reuseTap records one collector attached to a fingerprinted interior node as
 // an extra pipelined consumer. It adopts the node's own output blocks, which
-// the scheduler then keeps out of recycling, and finalize offers them to the
-// cache after a successful run.
+// a successful run hands out of the pool, and finalize offers them to the
+// cache.
 type reuseTap struct {
 	op   *exec.CollectOp
 	fp   reuse.Fingerprint
@@ -233,10 +233,11 @@ func spliceCachedScan(p *core.Plan, a *reuse.Plan, id core.OpID, t *storage.Tabl
 
 // finalize settles the run's reuse bookkeeping: pinned hit entries are
 // released, and on success the taps' and the root's adopted results are
-// offered to the cache. An admitted tap result leaves the run's pool
-// accounting (Disown); a rejected one is released back to it block by block.
-// (The root result goes to the client either way; Execute disowns it.) After
-// a failed run the scheduler has already released every adopted block.
+// offered to the cache. The scheduler handed every adopted block out of the
+// run's pool accounting; a tap result the cache rejects only goes back to
+// the freelist, block by block. (The root result goes to the client either
+// way.) After a failed run the scheduler has already released every adopted
+// block.
 // Entries the offers evicted are marked in this run's trace section
 // (traceRun): the cache is shared across queries and cannot know whose
 // section is whose.
@@ -257,7 +258,6 @@ func (rs *reuseState) finalize(b *Builder, pool *storage.Pool, run *stats.Run, t
 		for _, tp := range rs.taps {
 			t := tp.op.Result()
 			if admit(tp.fp, t, tp.deps, tp.ops) {
-				pool.Disown(t.AllocBytes())
 				u.Captured++
 				u.BytesPinned += t.AllocBytes()
 			} else {

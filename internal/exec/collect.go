@@ -5,10 +5,10 @@ import (
 	"repro/internal/storage"
 )
 
-// CollectOp is an adopting sink: it appends every block fed to it to a result
-// table, under the run's lock and without work orders. The scheduler
-// never recycles adopted blocks, so the result stays valid after a
-// successful run; after a failed one the scheduler has released them and the
+// CollectOp is an adopting sink (core.KeepAdopted): it appends every block
+// fed to it to a result table, under the run's lock and without work orders.
+// A successful run hands the blocks out of the pool, so the result stays
+// valid after it; after a failed one the scheduler has released them and the
 // table must not be read. It is the plan's result sink and, wired to an
 // interior node, the reuse cache's tap.
 type CollectOp struct {
@@ -24,8 +24,8 @@ func NewCollect(schema *storage.Schema, blockBytes int, format storage.Format) *
 // Name implements core.Operator.
 func (o *CollectOp) Name() string { return "collect" }
 
-// AdoptsInputs implements core.Operator.
-func (o *CollectOp) AdoptsInputs() bool { return true }
+// Keeps implements core.Operator.
+func (o *CollectOp) Keeps() core.Keep { return core.KeepAdopted }
 
 // Feed implements core.Operator.
 func (o *CollectOp) Feed(_ *core.ExecCtx, _ int, blocks []*storage.Block) []core.WorkOrder {

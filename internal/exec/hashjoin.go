@@ -22,15 +22,15 @@ import (
 //
 // Build work orders run the block-granular insert kernel
 // (hashtable.InsertBlock): keys are gathered and hashed vectorized, and the
-// block is recorded in the table, nothing copied. The operator holds its
-// inputs (HoldsInputs), so the scheduler keeps every fed block until the
-// probes behind the build are done. The bloom filter is populated with the
-// same gathered key vector through lock-free atomic adds, so concurrent
-// build work orders never serialize on an operator mutex. Insert scratch
-// buffers are pooled across work orders, making the steady-state build
-// allocation-free per block. Once every row is in, the Final wave seals the
-// table: it chooses the index from the entry count and key range
-// (hashtable.Seal) and fills it.
+// block is recorded in the table, nothing copied. The operator keeps its
+// inputs for its readers (core.KeepForReaders), so the scheduler holds every
+// fed block until the probes behind the build are done. The bloom filter is
+// populated with the same gathered key vector through lock-free atomic adds,
+// so concurrent build work orders never serialize on an operator mutex.
+// Insert scratch buffers are pooled across work orders, making the
+// steady-state build allocation-free per block. Once every row is in, the
+// Final wave seals the table: it chooses the index from the entry count and
+// key range (hashtable.Seal) and fills it.
 type BuildHashOp struct {
 	core.Base
 	self       core.OpID
@@ -122,10 +122,15 @@ func (o *BuildHashOp) Bloom() *bloom.Filter { return o.filter }
 // PayloadSchema returns the schema of per-entry payload tuples.
 func (o *BuildHashOp) PayloadSchema() *storage.Schema { return o.paySchema }
 
-// HoldsInputs implements core.Operator: the table reads its entries in the
-// fed blocks until it is released, except a key-only table sealed dense,
-// which keeps only its offsets.
-func (o *BuildHashOp) HoldsInputs() bool { return o.ht == nil || o.ht.ReadsInputs() }
+// Keeps implements core.Operator: the table reads its entries in the fed
+// blocks until it is released, except a key-only table sealed dense, which
+// keeps only its offsets.
+func (o *BuildHashOp) Keeps() core.Keep {
+	if o.ht == nil || o.ht.ReadsInputs() {
+		return core.KeepForReaders
+	}
+	return core.KeepWorkOrder
+}
 
 // Feed implements core.Operator.
 func (o *BuildHashOp) Feed(_ *core.ExecCtx, _ int, blocks []*storage.Block) []core.WorkOrder {

@@ -140,17 +140,17 @@ func (o *SortOp) Name() string { return o.name }
 // OutSchema returns the output schema (same as input).
 func (o *SortOp) OutSchema() *storage.Schema { return o.schema }
 
+// Keeps implements core.Operator: the merge gathers rows out of every fed
+// block in place, so the scheduler holds them, materialized, until the
+// operator finishes.
+func (o *SortOp) Keeps() core.Keep { return core.KeepUntilDone }
+
 // Feed implements core.Operator: it buffers each block and issues one
 // run-generation work order for it, so run sorting overlaps with upstream
-// production. Run work orders report nil Inputs: the scheduler keeps the fed
-// blocks held until the operator finishes, which is exactly the lifetime the
-// merge work orders need.
-func (o *SortOp) Feed(ctx *core.ExecCtx, _ int, blocks []*storage.Block) []core.WorkOrder {
+// production.
+func (o *SortOp) Feed(_ *core.ExecCtx, _ int, blocks []*storage.Block) []core.WorkOrder {
 	wos := make([]core.WorkOrder, len(blocks))
 	for i, b := range blocks {
-		// The merge gathers from the held runs in place, so a view becomes
-		// the block it stands for before any run reads it.
-		ctx.Pool.Materialize(b, ctx.TempBlockBytes)
 		o.mu.Lock()
 		seq := len(o.blocks)
 		o.blocks = append(o.blocks, b)
@@ -238,9 +238,7 @@ type sortRunWO struct {
 	seq   int
 }
 
-// Inputs returns nil: the fed block must outlive this work order (the merge
-// reads it), so it stays held by the scheduler until the operator finishes.
-func (w *sortRunWO) Inputs() []*storage.Block { return nil }
+func (w *sortRunWO) Inputs() []*storage.Block { return []*storage.Block{w.block} }
 
 func (w *sortRunWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	o := w.op
@@ -361,7 +359,7 @@ type sortMergeWO struct {
 	lo, hi []uint64 // partition bounds as key tuples; nil = open end
 }
 
-func (w *sortMergeWO) Inputs() []*storage.Block { return nil }
+func (w *sortMergeWO) Inputs() []*storage.Block { return w.op.blocks }
 
 func (w *sortMergeWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	o := w.op

@@ -101,7 +101,7 @@ func Analyze(p *core.Plan) *Plan {
 		a.visit(core.OpID(id), state)
 	}
 	for id, op := range p.Ops {
-		if op.AdoptsInputs() {
+		if op.Keeps() == core.KeepAdopted {
 			if in := a.inPipe[core.OpID(id)]; len(in) == 1 {
 				a.Root = p.Edges[in[0]].From
 				_, a.RootOK = a.FP[a.Root]

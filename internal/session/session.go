@@ -63,9 +63,9 @@ type Config struct {
 	// SpillThreshold is the live-byte level above which eviction runs
 	// (default: MemoryBudget).
 	SpillThreshold int64
-	// SpillFaults, if non-nil, is consulted at the spill_write/spill_read
+	// spillFaults, if non-nil, is consulted at the spill_write/spill_read
 	// sites (deterministic chaos testing of the spill tier).
-	SpillFaults *faults.Injector
+	spillFaults *faults.Injector
 
 	// Reuse attaches a cross-query result cache (see internal/reuse) to the
 	// session: every submitted plan is fingerprint-probed before execution,
@@ -195,7 +195,7 @@ func Open(cfg Config) *Session {
 	var diskBudget int64
 	if cfg.SpillDir != "" {
 		scfg := storage.SpillConfig{Dir: cfg.SpillDir, Threshold: cfg.SpillThreshold}
-		if inj := cfg.SpillFaults; inj != nil {
+		if inj := cfg.spillFaults; inj != nil {
 			scfg.WriteFault = func() error { return inj.At(faults.SpillWrite) }
 			scfg.ReadFault = func() error { return inj.At(faults.SpillRead) }
 		}

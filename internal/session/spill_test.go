@@ -3,13 +3,16 @@ package session
 import (
 	"errors"
 	"os"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/faults"
+	"repro/internal/storage"
 )
 
 // admitSpillAsync parks an admit call carrying a spillable share on a
@@ -218,8 +221,8 @@ func TestSpillSessionFaultsAndClose(t *testing.T) {
 	parent := t.TempDir()
 	s := Open(Config{
 		Workers: 4, MaxConcurrent: 4, BlockBytes: 4 << 10,
-		SpillDir: parent, SpillThreshold: 1, SpillFaults: inj,
-	})
+		SpillDir: parent, SpillThreshold: 1,
+	}.withSpillFaults(inj))
 
 	var wg sync.WaitGroup
 	for c := 0; c < 4; c++ {
@@ -257,5 +260,114 @@ func TestSpillSessionFaultsAndClose(t *testing.T) {
 	}
 	if len(entries) != 0 {
 		t.Fatalf("spill files leaked past Close under faults: %d entries", len(entries))
+	}
+}
+
+// errLate is failOp's error.
+var errLate = errors.New("late failure")
+
+// failOp fails the run in its one work order.
+type failOp struct{ core.Base }
+
+type failWO struct{}
+
+func (failOp) Name() string                          { return "fail" }
+func (failOp) Start(*core.ExecCtx) []core.WorkOrder  { return []core.WorkOrder{failWO{}} }
+func (failWO) Inputs() []*storage.Block              { return nil }
+func (failWO) Run(*core.ExecCtx, *core.Output) error { return errLate }
+
+// failAfterSort gates a failOp behind joinAggPlan's sort: the run fails once
+// the sort has fed the result sink every row and the agg has fed its reuse
+// tap.
+func failAfterSort(b *engine.Builder) *engine.Builder {
+	p := b.Plan()
+	for i, op := range p.Ops {
+		if op.Name() == "sort" {
+			p.Block(core.OpID(i), p.AddOp(failOp{}))
+			return b
+		}
+	}
+	panic("no sort in the plan")
+}
+
+// TestAdoptedBlocksLeaveThePoolOnce: the result sink and a reuse tap adopt
+// blocks that a RAM tier of 1 byte evicts and faults back in. A successful
+// run hands them out of the pool once, whether the cache admits the tap or
+// rejects it (its blocks then go back to the freelist), and a run that
+// fails after the sink and the tap were fed releases them. After each run
+// the tier tracks no block and the session counts no live byte, and a
+// monitor polling the session's gauge throughout never reads it below zero.
+func TestAdoptedBlocksLeaveThePoolOnce(t *testing.T) {
+	fact, dim := serveFixture()
+	golden := func() string {
+		res, err := engine.Execute(joinAggPlan(fact, dim), engine.Options{Workers: 1, UoTBlocks: 1})
+		if err != nil {
+			t.Fatalf("golden run: %v", err)
+		}
+		return tableKey(res.Table)
+	}()
+	// A 1-byte cache budget rejects every result; the default admits them.
+	for _, budget := range []int64{0, 1} {
+		s := Open(Config{
+			Workers: 2, BlockBytes: 4 << 10, SpillDir: t.TempDir(), SpillThreshold: 1,
+			Reuse: true, ReuseBudget: budget,
+		})
+		var low atomic.Int64
+		stop, stopped := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(stopped)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if v := s.Live(); v < low.Load() {
+					low.Store(v)
+				}
+				runtime.Gosched()
+			}
+		}()
+		settled := func(name string) {
+			t.Helper()
+			if sc := s.SpillStats(); sc.Outstanding != 0 || sc.BadEvicts != 0 {
+				t.Fatalf("budget %d, %s: spill counters %+v: want nothing tracked, no bad evict", budget, name, sc)
+			}
+			if n := s.Live(); n != 0 {
+				t.Fatalf("budget %d, %s: the session counts %d live bytes", budget, name, n)
+			}
+		}
+
+		_, err := s.Submit(Request{Build: func() *engine.Builder { return failAfterSort(joinAggPlan(fact, dim)) }})
+		if !errors.Is(err, errLate) {
+			t.Fatalf("budget %d: the gated run returned %v, want the late failure", budget, err)
+		}
+		settled("failed run")
+
+		r, err := s.Submit(Request{Build: func() *engine.Builder { return joinAggPlan(fact, dim) }})
+		if err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		if tableKey(r.Table) != golden {
+			t.Fatalf("budget %d: wrong rows", budget)
+		}
+		u := r.Run.Reuse()
+		if admitted := u.Captured == 2 && u.CaptureRej == 0; admitted != (budget == 0) || u.Captured+u.CaptureRej != 2 {
+			t.Fatalf("budget %d: %d results admitted, %d rejected; want the tap and the root offered, and admitted only under the default budget", budget, u.Captured, u.CaptureRej)
+		}
+		if r.Run.Intermediates.Live() != 0 || r.Run.HashTables.Live() != 0 {
+			t.Fatalf("budget %d: the run counts %d live temp bytes and %d live hash-table bytes", budget, r.Run.Intermediates.Live(), r.Run.HashTables.Live())
+		}
+		settled("successful run")
+
+		close(stop)
+		<-stopped
+		if sc := s.SpillStats(); sc.BlocksOut == 0 || sc.BlocksIn == 0 {
+			t.Fatalf("budget %d: spill counters %+v: want traffic both ways", budget, sc)
+		}
+		if v := low.Load(); v < 0 {
+			t.Fatalf("budget %d: the session's gauge read %d", budget, v)
+		}
+		s.Close()
 	}
 }

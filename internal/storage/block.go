@@ -53,9 +53,10 @@ type Block struct {
 	rows []int32   // a view's base rows, aliasing data
 	segs []viewSeg // a view's base blocks, in row order
 
-	// Set by Pool.Keep: the gauge the block's bytes moved to. Set by
-	// Pool.Cut: data holds the block's rows exactly, so the freelist, whose
-	// sizes are budgets, must not take it.
+	// Set by Pool.Keep: the block left the live gauges, for keptIn if
+	// non-nil. Set by Pool.Cut: data holds the block's rows exactly, so the
+	// freelist, whose sizes are budgets, must not take it.
+	kept   bool
 	keptIn *stats.MemGauge
 	cut    bool
 }

@@ -213,11 +213,11 @@ func (p *Pool) charge(b *Block) {
 
 // Materialize turns view b, in place, into the temp block its rows make:
 // the cells are copied out of the base blocks into an allocation of
-// blockBytes, the budget the view was checked out with, charged to p like a checkout's and counted as one, and the
-// rows buffer goes back to the freelist. The block keeps its identity, so
-// whoever owned the view owns the block. A block that is not a view is left
-// alone. Only the view's one reader may call it: the view changes under any
-// other.
+// blockBytes, the budget the view was checked out with, charged to p like a
+// checkout's and counted as one, and the rows buffer goes back to the
+// freelist. The block keeps its identity, so whoever owned the view owns the
+// block. A block that is not a view is left alone. Call it before any reader
+// sees b: the view changes under it.
 func (p *Pool) Materialize(b *Block, blockBytes int) {
 	if b.proj == nil {
 		return
@@ -289,12 +289,6 @@ func (p *Pool) Live() int64 {
 	return p.gauge.Live()
 }
 
-// Disown removes n bytes from this view's live accounting (and the root's,
-// for a Subpool) without recycling anything: ownership of the blocks moved
-// outside the pool — e.g. a completed query's result table handed to the
-// client. The blocks themselves stay valid and are never reused.
-func (p *Pool) Disown(n int64) { p.subLive(n) }
-
 // Cut moves sealed block b, whose reader will keep it (a join build
 // indexes the blocks it is fed until its table is released), into an
 // allocation of exactly its rows, so a partial block does not pin a whole
@@ -309,27 +303,28 @@ func (p *Pool) Cut(b *Block) {
 	}
 }
 
-// Keep hands block b to its last reader, which keeps it past its work
-// orders: the spill tier stops tracking it, and its bytes move from this
-// view's live gauge to g until Release takes them off g. Keeping a block
-// twice is a no-op.
+// Keep hands pinned block b to a reader that keeps it past its work orders,
+// once: the spill tier stops tracking it, and its bytes leave this view's
+// live gauges for g, until Release takes them off g, or, with a nil g, for
+// good (an adopted block left the run), and Release only recycles it.
 func (p *Pool) Keep(b *Block, g *stats.MemGauge) {
-	if b.keptIn != nil {
-		return
+	if t := p.root().spill.Load(); t != nil {
+		t.drop(b)
 	}
-	p.Forget(b)
 	n := int64(b.AllocBytes())
 	p.subLive(n)
-	g.Add(n)
-	b.keptIn = g
+	if g != nil {
+		g.Add(n)
+	}
+	b.kept, b.keptIn = true, g
 }
 
 // Release ends a block whose contents are no longer needed (its consumer
 // operator finished). Its allocation goes back to the freelist and no longer
 // counts as live intermediate memory (a kept block's, as live bytes of the
-// gauge Keep moved it to); the block itself is dead — its data is nil'd, so
-// a stale reader panics instead of reading the rows of whichever block is
-// laid over the allocation next. A block the spill tier evicted has no RAM
+// gauge Keep moved it to, if any); the block itself is dead — its data is
+// nil'd, so a stale reader panics instead of reading the rows of whichever
+// block is laid over the allocation next. A block the spill tier evicted has no RAM
 // allocation and was uncredited at eviction time, so only its disk record
 // is reclaimed.
 func (p *Pool) Release(b *Block) {
@@ -338,9 +333,10 @@ func (p *Pool) Release(b *Block) {
 			return // spilled: gauge already settled, data lives on disk only
 		}
 	}
-	if b.keptIn != nil {
+	switch {
+	case b.keptIn != nil:
 		b.keptIn.Sub(int64(b.AllocBytes()))
-	} else {
+	case !b.kept:
 		p.subLive(int64(b.AllocBytes()))
 	}
 	buf := b.data

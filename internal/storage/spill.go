@@ -190,7 +190,7 @@ func (p *Pool) Cool(b *Block) (evictedBlocks int, evictedBytes int64) {
 
 // Pin marks b about to be handed to a consumer: it becomes ineligible for
 // eviction and, if currently spilled, is faulted back in before Pin returns.
-// A block the tier does not track (result blocks, spill disabled) is a
+// A block the tier does not track (a view, spill disabled) is a
 // no-op. The error is the read fault that persisted past the retry bound;
 // the caller must then abandon the delivery.
 func (p *Pool) Pin(b *Block) (PinResult, error) {
@@ -199,15 +199,6 @@ func (p *Pool) Pin(b *Block) (PinResult, error) {
 		return PinResult{}, nil
 	}
 	return t.pin(b)
-}
-
-// Forget drops the tier's tracking of b without touching gauges: ownership
-// is moving outside the pool (adopted result blocks). The caller must have
-// pinned b first so its contents are resident.
-func (p *Pool) Forget(b *Block) {
-	if t := p.root().spill.Load(); t != nil {
-		t.drop(b)
-	}
 }
 
 func (t *spillTier) cool(view *Pool, b *Block) {

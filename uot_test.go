@@ -126,7 +126,7 @@ func TestSettableSurfaceIsPinned(t *testing.T) {
 		want int
 	}{
 		{Options{}, 14},
-		{SessionConfig{}, 13},
+		{SessionConfig{}, 12},
 		{Request{}, 7},
 		{uotctl.Config{}, 3},
 		{ReuseConfig{}, 1},
