@@ -70,7 +70,7 @@ func buildPlan(sales, products *uot.Table) *uot.Builder {
 	})
 	buildProd, _ := b.Build(selProd, uot.BuildSpec{
 		Name:    "build(products)",
-		KeyCols: []int{0}, Payload: []int{1}, ExpectedRows: 256,
+		KeyCols: []int{0}, Payload: []int{1},
 	})
 
 	selSales := b.ScanSelect(uot.SelectSpec{

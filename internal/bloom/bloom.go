@@ -68,11 +68,11 @@ func (f *Filter) Add(key int64) {
 	}
 }
 
-// AddMany inserts a batch of keys (the build operator hands over a whole
-// block's gathered key column at once). Bits landing in the same word of a
-// key's cache-line block are coalesced into one atomic OR, so a k=6 add
-// issues at most 6 — typically fewer — atomics per key and zero when the
-// block is already saturated.
+// AddMany inserts a batch of keys (a join build's bloom work order hands
+// over a chunk of its table source's first keys at once). Bits landing in
+// the same word of a key's cache-line block are coalesced into one atomic
+// OR, so a k=6 add issues at most 6 — typically fewer — atomics per key and
+// zero when the block is already saturated.
 func (f *Filter) AddMany(keys []int64) {
 	words, mask, k := f.blocks, f.mask, f.k
 	for _, key := range keys {

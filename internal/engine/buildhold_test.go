@@ -40,7 +40,7 @@ func factBuildPlan(fact, dim *storage.Table, copied bool) (*Builder, *exec.Build
 		ProjNames: []string{"grp", "k", "v"},
 	})
 	bld, bop := b.Build(selFact, exec.BuildSpec{
-		Name: "build_fact", KeyCols: []int{1}, Payload: []int{2, 0}, ExpectedRows: 900,
+		Name: "build_fact", KeyCols: []int{1}, Payload: []int{2, 0},
 	})
 	selDim := b.ScanSelect(exec.SelectSpec{
 		Name: "sel_dim", Base: dim,
@@ -337,7 +337,7 @@ func TestSharedTableCountsUntilLastProbe(t *testing.T) {
 		Name: "sel_fact", Base: fact,
 		Proj:      []expr.Expr{expr.C(fs, "grp"), expr.C(fs, "k")},
 		ProjNames: []string{"grp", "k"},
-	}), exec.BuildSpec{Name: "build_fact", KeyCols: []int{1}, Payload: []int{0}, ExpectedRows: 1000})
+	}), exec.BuildSpec{Name: "build_fact", KeyCols: []int{1}, Payload: []int{0}})
 	probe := func(name string) (*Node, *Node) {
 		sel := b.ScanSelect(exec.SelectSpec{Name: "sel_" + name, Base: dim,
 			Proj: []expr.Expr{expr.C(ds, "k")}, ProjNames: []string{"k"}})

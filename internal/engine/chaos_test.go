@@ -428,7 +428,7 @@ func TestSealFillRetryAtWorkers4(t *testing.T) {
 					Proj: []expr.Expr{expr.C(sch, "k"), expr.C(sch, "v")}, ProjNames: []string{"k", "v"},
 				})
 			}
-			bld, _ := b.Build(scan(buildTbl), exec.BuildSpec{Name: "build", KeyCols: []int{0}, Payload: []int{1}, ExpectedRows: 3000})
+			bld, _ := b.Build(scan(buildTbl), exec.BuildSpec{Name: "build", KeyCols: []int{0}, Payload: []int{1}})
 			buildID = bld.ID
 			b.Collect(b.Probe(scan(probeTbl), bld, exec.ProbeSpec{
 				Name: "probe", KeyCols: []int{0}, ProbeProj: []int{1}, BuildProj: []int{0}, Rename: []string{"pv", "bv"},

@@ -62,8 +62,9 @@ func buildJoinAggPlan(fact, dim *storage.Table) *Builder {
 	return buildJoinAggPlanBloom(fact, dim, false)
 }
 
-// buildJoinAggPlanBloom is buildJoinAggPlan with the build optionally
-// populating a LIP bloom filter (so the BloomBuild fault site is consulted).
+// buildJoinAggPlanBloom is buildJoinAggPlan with sel_fact optionally
+// reading build_dim's LIP filter, so the build makes one and consults the
+// BloomBuild fault site.
 func buildJoinAggPlanBloom(fact, dim *storage.Table, bloom bool) *Builder {
 	return joinAggPlan(fact, dim, bloom, expr.C(fact.Schema(), "v"))
 }
@@ -84,16 +85,19 @@ func joinAggPlan(fact, dim *storage.Table, bloom bool, v expr.Expr) *Builder {
 		Proj:      []expr.Expr{expr.C(ds, "k"), expr.C(ds, "w")},
 		ProjNames: []string{"k", "w"},
 	})
-	bld, _ := b.Build(selDim, exec.BuildSpec{
-		Name: "build_dim", KeyCols: []int{0}, Payload: []int{1}, ExpectedRows: 50,
-		BuildBloom: bloom,
+	bld, bop := b.Build(selDim, exec.BuildSpec{
+		Name: "build_dim", KeyCols: []int{0}, Payload: []int{1},
 	})
-	selFact := b.ScanSelect(exec.SelectSpec{
+	factSpec := exec.SelectSpec{
 		Name: "sel_fact", Base: fact,
 		Pred:      expr.Ge(expr.C(fs, "v"), expr.Float(10)),
 		Proj:      []expr.Expr{expr.C(fs, "k"), expr.C(fs, "grp"), v},
 		ProjNames: []string{"k", "grp", "v"},
-	})
+	}
+	if bloom {
+		factSpec.LIPs = []exec.LIPRef{{Build: bop, KeyCol: fs.MustColIndex("k")}}
+	}
+	selFact := b.ScanSelect(factSpec)
 	probe := b.Probe(selFact, bld, exec.ProbeSpec{
 		Name: "probe_dim", KeyCols: []int{0},
 		ProbeProj: []int{1, 2}, BuildProj: []int{0},
@@ -175,7 +179,7 @@ func joinTypePlan(fact, dim *storage.Table, jt exec.JoinType) *Builder {
 		rename = []string{"k", "grp", "dk"}
 	}
 	bld, _ := b.Build(selDim, exec.BuildSpec{
-		Name: "build_dim", KeyCols: []int{0}, Payload: payload, ExpectedRows: 50,
+		Name: "build_dim", KeyCols: []int{0}, Payload: payload,
 	})
 	selFact := b.ScanSelect(exec.SelectSpec{
 		Name: "sel_fact", Base: fact,
@@ -254,7 +258,7 @@ func TestResidualPredicate(t *testing.T) {
 		Name: "s1", Base: dim,
 		Proj: []expr.Expr{expr.C(ds, "k"), expr.C(ds, "w")}, ProjNames: []string{"k", "w"},
 	})
-	bld, bop := b.Build(sel1, exec.BuildSpec{Name: "b1", KeyCols: []int{0}, Payload: []int{1}, ExpectedRows: 50})
+	bld, bop := b.Build(sel1, exec.BuildSpec{Name: "b1", KeyCols: []int{0}, Payload: []int{1}})
 	sel2 := b.ScanSelect(exec.SelectSpec{
 		Name: "s2", Base: dim,
 		Proj: []expr.Expr{expr.C(ds, "k")}, ProjNames: []string{"k"},
@@ -313,41 +317,51 @@ func TestScalarSubquery(t *testing.T) {
 	}
 }
 
+// lipJoinPlan joins fact to dim on k, sel_fact optionally reading
+// build_dim's LIP filter. The build's spec says nothing of a filter: the
+// select's reference alone makes the build keep one.
+func lipJoinPlan(fact, dim *storage.Table, useLIP bool) *Builder {
+	fs, ds := fact.Schema(), dim.Schema()
+	b := NewBuilder()
+	selDim := b.ScanSelect(exec.SelectSpec{
+		Name: "sel_dim", Base: dim,
+		Proj: []expr.Expr{expr.C(ds, "k"), expr.C(ds, "w")}, ProjNames: []string{"k", "w"},
+	})
+	bld, bop := b.Build(selDim, exec.BuildSpec{Name: "build_dim", KeyCols: []int{0}, Payload: []int{1}})
+	spec := exec.SelectSpec{
+		Name: "sel_fact", Base: fact,
+		Proj: []expr.Expr{expr.C(fs, "k"), expr.C(fs, "v")}, ProjNames: []string{"k", "v"},
+	}
+	if useLIP {
+		spec.LIPs = []exec.LIPRef{{Build: bop, KeyCol: fs.MustColIndex("k")}}
+	}
+	selFact := b.ScanSelect(spec)
+	probe := b.Probe(selFact, bld, exec.ProbeSpec{
+		Name: "probe", KeyCols: []int{0},
+		ProbeProj: []int{0, 1}, BuildProj: []int{0}, Rename: []string{"k", "v", "w"},
+	})
+	b.Collect(probe)
+	return b
+}
+
+// opRowsOut returns the rows the named operator emitted, -1 if the run has
+// no such operator.
+func opRowsOut(r *Result, name string) int64 {
+	for _, op := range r.Run.PerOp() {
+		if op.Name == name {
+			return op.RowsOut
+		}
+	}
+	return -1
+}
+
 func TestLIPFilterPrunesBeforeMaterialization(t *testing.T) {
 	_, fact, dim := fixture(t, storage.ColumnStore, 512)
-	fs, ds := fact.Schema(), dim.Schema()
-
-	run := func(useLIP bool) (*Result, error) {
-		b := NewBuilder()
-		selDim := b.ScanSelect(exec.SelectSpec{
-			Name: "sel_dim", Base: dim,
-			Proj: []expr.Expr{expr.C(ds, "k"), expr.C(ds, "w")}, ProjNames: []string{"k", "w"},
-		})
-		bld, bop := b.Build(selDim, exec.BuildSpec{
-			Name: "build_dim", KeyCols: []int{0}, Payload: []int{1},
-			ExpectedRows: 50, BuildBloom: useLIP,
-		})
-		spec := exec.SelectSpec{
-			Name: "sel_fact", Base: fact,
-			Proj: []expr.Expr{expr.C(fs, "k"), expr.C(fs, "v")}, ProjNames: []string{"k", "v"},
-		}
-		if useLIP {
-			spec.LIPs = []exec.LIPRef{{Build: bop, KeyCol: fs.MustColIndex("k")}}
-		}
-		selFact := b.ScanSelect(spec)
-		probe := b.Probe(selFact, bld, exec.ProbeSpec{
-			Name: "probe", KeyCols: []int{0},
-			ProbeProj: []int{0, 1}, BuildProj: []int{0}, Rename: []string{"k", "v", "w"},
-		})
-		b.Collect(probe)
-		return Execute(b, Options{Workers: 2})
-	}
-
-	plain, err := run(false)
+	plain, err := Execute(lipJoinPlan(fact, dim, false), Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lip, err := run(true)
+	lip, err := Execute(lipJoinPlan(fact, dim, true), Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,16 +370,38 @@ func TestLIPFilterPrunesBeforeMaterialization(t *testing.T) {
 	}
 	// The select feeding the probe must emit ~half the rows with LIP on
 	// (keys 50..99 dropped, modulo bloom false positives).
-	selOut := func(r *Result) int64 {
-		for _, op := range r.Run.PerOp() {
-			if op.Name == "sel_fact" {
-				return op.RowsOut
-			}
-		}
-		return -1
-	}
-	if plainOut, lipOut := selOut(plain), selOut(lip); lipOut > plainOut*6/10 {
+	if plainOut, lipOut := opRowsOut(plain, "sel_fact"), opRowsOut(lip, "sel_fact"); lipOut > plainOut*6/10 {
 		t.Fatalf("LIP select emitted %d rows, plain %d — filter not pruning", lipOut, plainOut)
+	}
+}
+
+// TestLIPFilterFromUndeclaredBuild: a select's LIP reference to a build
+// whose spec declares no filter makes the build keep one, at every worker
+// count and unit of transfer: the rows equal the plan without LIP, the
+// select emits fewer rows, and nothing leaks.
+func TestLIPFilterFromUndeclaredBuild(t *testing.T) {
+	_, fact, dim := fixture(t, storage.ColumnStore, 512)
+	for _, workers := range []int{1, 4} {
+		for _, uot := range []int{1, core.UoTTable} {
+			name := fmt.Sprintf("workers=%d/uot=%d", workers, uot)
+			if uot == core.UoTTable {
+				name = fmt.Sprintf("workers=%d/uot=table", workers)
+			}
+			t.Run(name, func(t *testing.T) {
+				opts := Options{Workers: workers, UoTBlocks: uot, TempBlockBytes: 512}
+				want, plain := mustRows(t, lipJoinPlan(fact, dim, false), opts, "plain")
+				got, lip := mustRows(t, lipJoinPlan(fact, dim, true), opts, "lip")
+				if !sameRows(want, got) {
+					t.Fatalf("LIP changed the result: %d rows, want %d", len(got), len(want))
+				}
+				if plainOut, lipOut := opRowsOut(plain, "sel_fact"), opRowsOut(lip, "sel_fact"); lipOut >= plainOut {
+					t.Fatalf("LIP select emitted %d rows, plain %d", lipOut, plainOut)
+				}
+				if r := lip.Run.Robust(); r.LeakedBlocks+r.OutstandingRefs != 0 {
+					t.Fatalf("leaks after LIP run: %+v", r)
+				}
+			})
+		}
 	}
 }
 

@@ -202,7 +202,7 @@ func (s *mmSpec) build() *engine.Builder {
 			jt = exec.LeftAnti
 		}
 		bspec := exec.BuildSpec{
-			Name: "mm_build", KeyCols: []int{0}, Payload: payload, ExpectedRows: s.dimKeys,
+			Name: "mm_build", KeyCols: []int{0}, Payload: payload,
 		}
 		pspec := exec.ProbeSpec{
 			Name: "mm_probe", KeyCols: []int{0}, JoinType: jt,

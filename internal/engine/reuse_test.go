@@ -79,16 +79,17 @@ func TestReuseWarmGoldenTPCH(t *testing.T) {
 }
 
 func reuseBaseTable(rows int) *storage.Table {
-	db := engine.NewDB(4<<10, storage.ColumnStore)
+	const format, blockBytes = storage.ColumnStore, 4 << 10
+	db := engine.NewDB(blockBytes, format)
 	tab := db.CreateTable("t", storage.NewSchema(
 		storage.Column{Name: "a", Type: types.Int64},
 		storage.Column{Name: "b", Type: types.Int64},
 	))
-	blk := storage.NewBlock(tab.Schema(), tab.Format(), tab.BlockBytes())
+	blk := storage.NewBlock(tab.Schema(), format, blockBytes)
 	for i := 0; i < rows; i++ {
 		if !blk.AppendRow(types.NewInt64(int64(i%13)), types.NewInt64(int64(i))) {
 			tab.Append(blk)
-			blk = storage.NewBlock(tab.Schema(), tab.Format(), tab.BlockBytes())
+			blk = storage.NewBlock(tab.Schema(), format, blockBytes)
 			blk.AppendRow(types.NewInt64(int64(i%13)), types.NewInt64(int64(i)))
 		}
 	}

@@ -18,8 +18,10 @@ import (
 //     base scans the scanned table's identity and data version.
 //   - Canon() must NOT capture anything the golden harness proves
 //     result-invariant: UoT values, worker counts, block sizes/formats,
-//     expected-row hints, bloom/LIP sizing,
-//     fast-path-vs-reference switches, or display names.
+//     fast-path-vs-reference switches, or display names. A build's LIP
+//     filter has no setting to capture: it exists because a select reads
+//     it, and it is sized from the entries the build indexed, so the
+//     build's subtree fixes it.
 //
 // Operators that don't implement Canon (collect sinks, reuse taps included)
 // make their subtree unfingerprintable, which the reuse layer treats as
@@ -64,7 +66,8 @@ func (o *SelectOp) Canon() string {
 	if len(o.lips) > 0 {
 		// LIP filters prune this operator's own output, so they are
 		// semantic here; the referenced build's subtree is hashed through
-		// its blocking edge, the key column is recorded in place.
+		// its blocking edge, and it fixes the filter's keys and size; the
+		// key column is recorded in place.
 		sb.WriteString("|lip=")
 		for i, l := range o.lips {
 			if i > 0 {
@@ -82,8 +85,9 @@ func (o *SelectOp) Canon() string {
 // reuse layer collects these as a cached entry's invalidation dependencies.
 func (o *SelectOp) BaseTable() *storage.Table { return o.base }
 
-// Canon implements Canonical. ExpectedRows and BuildBloom are sizing/perf
-// knobs with no effect on join results, so they are excluded.
+// Canon implements Canonical. Whether the build makes a LIP filter is up to
+// its readers, and the filter's size follows from its entries, so neither
+// is encoded; a select records the LIPs it reads in its own encoding.
 func (o *BuildHashOp) Canon() string {
 	return fmt.Sprintf("build|keys=%s|payload=%s|keyonly=%t",
 		canonInts(o.keyCols), canonInts(o.payloadIdx), len(o.payloadIdx) == 0)

@@ -343,10 +343,11 @@ func TestJoinTypeStrings(t *testing.T) {
 	}
 }
 
-// TestConcurrentBuildWorkOrdersWithBloom drives one build operator with many
-// concurrent work orders over a bloom-enabled build (run under -race): the
-// per-row operator mutex was replaced by the lock-free atomic bloom build
-// plus the block-granular insert kernel, and no races may remain.
+// TestConcurrentBuildWorkOrdersWithBloom drives one build operator that a
+// select reads as a LIP filter with many concurrent work orders, then runs
+// its Final wave — the index fill beside one bloom work order per fed
+// block — concurrently too (run under -race): the block-granular insert
+// kernel and the lock-free atomic bloom adds leave no race.
 func TestConcurrentBuildWorkOrdersWithBloom(t *testing.T) {
 	s := storage.NewSchema(
 		storage.Column{Name: "k", Type: types.Int64},
@@ -363,7 +364,10 @@ func TestConcurrentBuildWorkOrdersWithBloom(t *testing.T) {
 	}
 	op := NewBuildHash(BuildSpec{
 		Name: "build", InputSchema: s, KeyCols: []int{0}, Payload: []int{1},
-		ExpectedRows: blocks * rowsPer, BuildBloom: true,
+	})
+	NewSelect(SelectSpec{
+		Name: "lip", InputSchema: s, Proj: []expr.Expr{expr.C(s, "k")}, ProjNames: []string{"k"},
+		LIPs: []LIPRef{{Build: op, KeyCol: 0}},
 	})
 	ctx := execCtx()
 	op.Start(ctx)
@@ -382,7 +386,20 @@ func TestConcurrentBuildWorkOrdersWithBloom(t *testing.T) {
 		}(i, wo)
 	}
 	wg.Wait()
-	runFills(t, ctx, op)
+	final := op.Final(ctx)
+	if len(final) != 1+blocks {
+		t.Fatalf("final work orders = %d, want a fill and %d bloom work orders", len(final), blocks)
+	}
+	for _, wo := range final {
+		wg.Add(1)
+		go func(wo core.WorkOrder) {
+			defer wg.Done()
+			if err := wo.Run(ctx, &core.Output{}); err != nil {
+				t.Error(err)
+			}
+		}(wo)
+	}
+	wg.Wait()
 	if got := countMatches(op, blocks*rowsPer); got != blocks*rowsPer {
 		t.Fatalf("table has %d entries, want %d", got, blocks*rowsPer)
 	}
@@ -401,7 +418,7 @@ func TestConcurrentBuildWorkOrdersWithBloom(t *testing.T) {
 	}
 	// Key-only builds take the same batched path.
 	ko := NewBuildHash(BuildSpec{
-		Name: "ko", InputSchema: s, KeyCols: []int{0}, ExpectedRows: blocks * rowsPer,
+		Name: "ko", InputSchema: s, KeyCols: []int{0},
 	})
 	ko.Start(ctx)
 	var wg2 sync.WaitGroup
@@ -488,7 +505,7 @@ func probeAllocs(t *testing.T, bs, ps *storage.Schema, scale int64, dense bool) 
 	for i, jt := range []JoinType{Inner, LeftSemi, LeftAnti, Inner} {
 		ctx := execCtx()
 		ctx.TempBlockBytes = 1 << 20 // an 8K-row block's output fits one block
-		spec := BuildSpec{Name: "build", InputSchema: bs, KeyCols: []int{0}, ExpectedRows: 100}
+		spec := BuildSpec{Name: "build", InputSchema: bs, KeyCols: []int{0}}
 		pspec := ProbeSpec{Name: "probe", InputSchema: ps, KeyCols: []int{0}, JoinType: jt, ProbeProj: []int{4, 2}}
 		if jt == Inner {
 			spec.Payload = []int{4, 2}

@@ -17,20 +17,21 @@ import (
 // BuildHashOp consumes its input and builds a join hash table keyed on one
 // or two integer columns over it: the table indexes the blocks it is fed,
 // views included, and a projection of the build side is each entry's
-// payload. With BuildBloom set it also populates a bloom filter over the
-// first key column for LIP consumers.
+// payload.
 //
 // Build work orders run the block-granular insert kernel
 // (hashtable.InsertBlock): keys are gathered and hashed vectorized, and the
 // block is recorded in the table, nothing copied. The operator keeps its
 // inputs for its readers (core.KeepForReaders), so the scheduler holds every
-// fed block until the probes behind the build are done. The bloom filter is
-// populated with the same gathered key vector through lock-free atomic adds,
-// so concurrent build work orders never serialize on an operator mutex.
-// Insert scratch buffers are pooled across work orders, making the
-// steady-state build allocation-free per block. Once every row is in, the
-// Final wave seals the table: it chooses the index from the entry count and
-// key range (hashtable.Seal) and fills it.
+// fed block until the probes behind the build are done. Insert scratch
+// buffers are pooled across work orders, making the steady-state build
+// allocation-free per block. Once every row is in, the Final wave seals the
+// table: it chooses the index from the entry count and key range
+// (hashtable.Seal) and fills it. A build that a select reads as a LIP filter
+// (NewSelect counts them) also makes that filter in its Final wave, sized
+// from the table's entry count at 10 bits an entry, and fills it with one
+// work order per table source, each adding the source's first keys through
+// lock-free atomic adds.
 type BuildHashOp struct {
 	core.Base
 	self       core.OpID
@@ -38,8 +39,6 @@ type BuildHashOp struct {
 	keyCols    []int
 	payloadIdx []int
 	paySchema  *storage.Schema
-	expected   int
-	buildBloom bool
 
 	ht       *hashtable.Table
 	filter   *bloom.Filter
@@ -50,6 +49,9 @@ type BuildHashOp struct {
 	// open how many of them have not finished in this run (Start resets
 	// it): the last one releases the table.
 	probes, open int
+	// lipReaders is how many selects read the build's LIP filter
+	// (NewSelect counts them); with none the build makes no filter.
+	lipReaders int
 }
 
 // BuildSpec configures NewBuildHash.
@@ -63,11 +65,6 @@ type BuildSpec struct {
 	// operators read from the build side). May be empty for semi/anti
 	// joins that need only existence.
 	Payload []int
-	// ExpectedRows sizes the bloom filter; the table sizes its index from
-	// the rows it stored.
-	ExpectedRows int
-	// BuildBloom also builds a LIP bloom filter on KeyCols[0].
-	BuildBloom bool
 }
 
 // NewBuildHash builds a hash-table build operator.
@@ -80,8 +77,6 @@ func NewBuildHash(spec BuildSpec) *BuildHashOp {
 		keyCols:    spec.KeyCols,
 		payloadIdx: spec.Payload,
 		paySchema:  spec.InputSchema.Project(spec.Payload),
-		expected:   spec.ExpectedRows,
-		buildBloom: spec.BuildBloom,
 	}
 	op.readCols = append(append([]int{}, spec.KeyCols...), spec.Payload...)
 	return op
@@ -103,20 +98,14 @@ func (o *BuildHashOp) Start(ctx *core.ExecCtx) []core.WorkOrder {
 	}
 	o.ht = hashtable.New(cfg)
 	o.open = o.probes
-	if o.buildBloom {
-		n := o.expected
-		if n < 1024 {
-			n = 1024
-		}
-		o.filter = bloom.New(n, 10)
-	}
 	return nil
 }
 
 // HT returns the hash table (valid for probing once this operator is done).
 func (o *BuildHashOp) HT() *hashtable.Table { return o.ht }
 
-// Bloom returns the LIP filter (nil unless BuildBloom was set).
+// Bloom returns the LIP filter: nil unless a select reads it, and complete
+// once the build is done.
 func (o *BuildHashOp) Bloom() *bloom.Filter { return o.filter }
 
 // PayloadSchema returns the schema of per-entry payload tuples.
@@ -148,6 +137,9 @@ type buildWO struct {
 
 func (w *buildWO) Inputs() []*storage.Block { return []*storage.Block{w.block} }
 
+// Run inserts the block through the vectorized kernels. The fault site is
+// consulted strictly before the first shared-state mutation, so a faulted
+// attempt has zero side effects to undo before the scheduler retries it.
 func (w *buildWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	o := w.op
 	b := w.block
@@ -157,9 +149,17 @@ func (w *buildWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 		out.Sim += ctx.Sim.ConsumedSeq(b, readBytes(b, o.readCols))
 	}
 	if n > 0 {
-		if err := w.runBatch(ctx, out); err != nil {
+		if err := ctx.FaultAt(faults.HashInsert); err != nil {
 			return err
 		}
+		sc, _ := o.scratch.Get().(*hashtable.InsertScratch)
+		if sc != nil {
+			out.ScratchHits++
+		} else {
+			sc = &hashtable.InsertScratch{}
+		}
+		o.ht.InsertBlock(b, o.keyCols, o.payloadIdx, sc)
+		o.scratch.Put(sc)
 	}
 	if ctx.Sim != nil {
 		// The cache model charges each row's random write into the table
@@ -171,47 +171,24 @@ func (w *buildWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	return nil
 }
 
-// runBatch inserts the block through the vectorized kernels. Both fault
-// sites are consulted up front, strictly before the first shared-state
-// mutation, so a faulted attempt has zero side effects to undo before the
-// scheduler retries it.
-func (w *buildWO) runBatch(ctx *core.ExecCtx, out *core.Output) error {
-	o := w.op
-	b := w.block
-	if err := ctx.FaultAt(faults.HashInsert); err != nil {
-		return err
-	}
-	if o.filter != nil {
-		if err := ctx.FaultAt(faults.BloomBuild); err != nil {
-			return err
-		}
-	}
-	sc, _ := o.scratch.Get().(*hashtable.InsertScratch)
-	if sc != nil {
-		out.ScratchHits++
-	} else {
-		sc = &hashtable.InsertScratch{}
-	}
-	o.ht.InsertBlock(b, o.keyCols, o.payloadIdx, sc)
-	if o.filter != nil {
-		// Reuse the kernel's gathered key column; atomic adds need no
-		// operator-level lock.
-		k0, _ := sc.Keys()
-		o.filter.AddMany(k0)
-	}
-	o.scratch.Put(sc)
-	return nil
-}
-
 // Final implements core.Operator: build → probe is a blocking edge, so the
 // table's entries are all in. It returns the work orders that fill the
 // chosen index, one per worker for a hash index (split by index
-// partition), one for a dense index.
+// partition), one for a dense index; and, when a select reads the build's
+// LIP filter, one per table source that adds the source's first keys to
+// it. The scheduler holds the fed blocks until the build finishes, so
+// every work order of the wave reads its sources in place.
 func (o *BuildHashOp) Final(ctx *core.ExecCtx) []core.WorkOrder {
 	fills := o.ht.Seal(ctx.Workers)
 	wos := make([]core.WorkOrder, len(fills))
 	for i, f := range fills {
 		wos[i] = &fillWO{fill: f}
+	}
+	if o.lipReaders > 0 {
+		o.filter = bloom.New(o.ht.Entries(), 10)
+		for i := range o.ht.Sources() {
+			wos = append(wos, &bloomWO{op: o, src: i})
+		}
 	}
 	return wos
 }
@@ -228,6 +205,25 @@ func (w *fillWO) Run(ctx *core.ExecCtx, _ *core.Output) error {
 		return err
 	}
 	w.fill.Run()
+	return nil
+}
+
+// bloomWO adds one table source's first keys to the build's LIP filter.
+type bloomWO struct {
+	op  *BuildHashOp
+	src int
+}
+
+func (w *bloomWO) Inputs() []*storage.Block { return nil }
+
+// Run consults the fault site before the first add, so a retried work
+// order has nothing to undo; the adds are atomic ORs, so the work orders
+// need no lock between them.
+func (w *bloomWO) Run(ctx *core.ExecCtx, _ *core.Output) error {
+	if err := ctx.FaultAt(faults.BloomBuild); err != nil {
+		return err
+	}
+	w.op.ht.FirstKeys(w.src, w.op.filter.AddMany)
 	return nil
 }
 

@@ -679,7 +679,7 @@ func oracleProbe(t *testing.T, bs, ps *storage.Schema, keys [][2]int64, nBuild i
 			types.NewFloat64(0), types.NewString("m"), types.NewInt64(-1))
 	}
 	ctx := execCtx()
-	spec := BuildSpec{Name: "build", InputSchema: bs, KeyCols: keyCols, ExpectedRows: 64}
+	spec := BuildSpec{Name: "build", InputSchema: bs, KeyCols: keyCols}
 	if jt == Inner || jt == LeftOuter || res.expr != nil {
 		spec.Payload = []int{4, 2, 3} // bseq, bv, bc
 	}

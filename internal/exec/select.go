@@ -12,9 +12,11 @@ import (
 
 // LIPRef attaches a lookahead-information-passing bloom filter to a select
 // operator: tuples whose key column misses the filter of a downstream join's
-// build side are dropped before materialization [Zhu et al.]. The referenced
-// build operator must be connected to the select with a blocking edge so the
-// filter is complete before the scan starts.
+// build side are dropped before materialization [Zhu et al.]. The reference
+// is what makes the build keep a filter: NewSelect counts it, and the build
+// makes the filter in its Final wave, over the first keys it indexed. The
+// referenced build operator must be connected to the select with a blocking
+// edge so the filter is complete before the scan starts.
 type LIPRef struct {
 	Build  *BuildHashOp
 	KeyCol int
@@ -116,6 +118,7 @@ func NewSelect(spec SelectSpec) *SelectOp {
 	op.readCols = expr.PrimaryCols(all...)
 	for _, l := range spec.LIPs {
 		op.readCols = append(op.readCols, l.KeyCol)
+		l.Build.lipReaders++
 	}
 	return op
 }
@@ -194,10 +197,12 @@ func (w *selectWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	} else {
 		sel = expr.SelectAll(b, sp.sel)
 	}
-	var lipProbes int64
 	for _, l := range o.lips {
-		lipProbes += int64(len(sel))
 		flt := l.Build.Bloom()
+		if ctx.Sim != nil && len(sel) > 0 {
+			// Each filter's probes are charged at that filter's size.
+			out.Sim += ctx.Sim.RandomProbes(int64(len(sel)), flt.Bytes())
+		}
 		kept := sel[:0]
 		for _, r := range sel {
 			if flt.MayContain(b.Int64At(l.KeyCol, int(r))) {
@@ -218,10 +223,6 @@ func (w *selectWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 	}
 	sp.sel = sel[:0] // keep the (possibly re-grown) backing array
 	o.scratch.Put(sp)
-	if ctx.Sim != nil && lipProbes > 0 && len(o.lips) > 0 {
-		// Bloom filters are small; probes are effectively L3-resident.
-		out.Sim += ctx.Sim.RandomProbes(lipProbes, o.lips[0].Build.Bloom().Bytes())
-	}
 	return nil
 }
 

@@ -32,8 +32,10 @@ const (
 	// HashInsert fires at the start of a hash-join build work order and of
 	// each index fill work order, strictly before any join-table mutation.
 	HashInsert Site = iota
-	// BloomBuild fires before a build work order populates the LIP bloom
-	// filter (also pre-mutation).
+	// BloomBuild fires at the start of each bloom work order of a join
+	// build's Final wave, before it adds its table source's first keys to
+	// the LIP filter (also pre-mutation). Only a build a select reads as a
+	// LIP filter has such work orders.
 	BloomBuild
 	// AggUpsert fires at the start of a vectorized aggregation work order,
 	// before the thread-local partial table is touched.

@@ -1,8 +1,5 @@
 package hashtable
 
-// Len returns the total number of entries.
-func (t *Table) Len() int { return t.n }
-
 // kinds are both index kinds, for tests that run under each.
 var kinds = []indexKind{hashIndex, denseIndex}
 

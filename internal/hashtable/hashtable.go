@@ -249,12 +249,6 @@ type InsertScratch struct {
 	hashes []uint64
 }
 
-// Keys returns the key columns gathered by the last InsertBlock call (k1 is
-// nil for single-key tables). Callers reuse them to feed sibling per-key
-// structures — the LIP bloom filter build reads k0 instead of re-gathering
-// the column. Valid until the next kernel call.
-func (sc *InsertScratch) Keys() (k0, k1 []int64) { return sc.k0, sc.k1 }
-
 // gather pulls the key columns of b into the scratch (one strided
 // GatherInt64 pass per column, not n cell lookups) and hashes them.
 func (sc *InsertScratch) gather(b *storage.Block, keyCols []int) {
@@ -728,6 +722,31 @@ rows:
 				continue rows
 			}
 		}
+	}
+}
+
+// Entries returns how many entries the build recorded; call it once no
+// insert runs.
+func (t *Table) Entries() int { return t.n }
+
+// Sources returns how many sources the build recorded, one per fed block
+// and one per segment of a fed view; call it once no insert runs.
+func (t *Table) Sources() int { return len(t.srcs) }
+
+// FirstKeys calls fn with the first keys of source i's entries, in order, a
+// chunk at a time; fn must not keep the slice. It reads only the source, so
+// it may run concurrently with the fills and with other FirstKeys calls once
+// no insert runs.
+func (t *Table) FirstKeys(i int, fn func(k0 []int64)) {
+	var (
+		rows   [fillChunk]int32
+		k0, k1 [fillChunk]int64
+	)
+	s := &t.srcs[i]
+	for at := 0; at < s.n; {
+		m := s.load(at, 1, &rows, &k0, &k1)
+		at += m
+		fn(k0[:m])
 	}
 }
 

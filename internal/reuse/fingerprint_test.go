@@ -21,12 +21,13 @@ import (
 )
 
 func testTable(name string) *storage.Table {
-	db := engine.NewDB(4<<10, storage.ColumnStore)
+	const format, blockBytes = storage.ColumnStore, 4 << 10
+	db := engine.NewDB(blockBytes, format)
 	tab := db.CreateTable(name, storage.NewSchema(
 		storage.Column{Name: "a", Type: types.Int64},
 		storage.Column{Name: "b", Type: types.Int64},
 	))
-	blk := storage.NewBlock(tab.Schema(), tab.Format(), tab.BlockBytes())
+	blk := storage.NewBlock(tab.Schema(), format, blockBytes)
 	for i := 0; i < 100; i++ {
 		blk.AppendRow(types.NewInt64(int64(i%7)), types.NewInt64(int64(i)))
 	}

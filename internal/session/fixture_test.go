@@ -49,7 +49,7 @@ func joinAggPlan(fact, dim *storage.Table) *engine.Builder {
 		ProjNames: []string{"k", "w"},
 	})
 	bld, _ := b.Build(selDim, exec.BuildSpec{
-		Name: "build_dim", KeyCols: []int{0}, Payload: []int{1}, ExpectedRows: 50,
+		Name: "build_dim", KeyCols: []int{0}, Payload: []int{1},
 	})
 	selFact := b.ScanSelect(exec.SelectSpec{
 		Name: "sel_fact", Base: fact,

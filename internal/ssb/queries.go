@@ -66,9 +66,7 @@ func q11(d *Dataset) *engine.Builder {
 	b := engine.NewBuilder()
 	ds := d.Date.Schema()
 	selDate := scan(b, d.Date, expr.Eq(expr.C(ds, "d_year"), expr.Int(1993)), "d_datekey")
-	buildD, _ := b.Build(selDate, exec.BuildSpec{
-		Name: "build(date)", KeyCols: idx(selDate, "d_datekey"), ExpectedRows: 366,
-	})
+	buildD, _ := b.Build(selDate, exec.BuildSpec{Name: "build(date)", KeyCols: idx(selDate, "d_datekey")})
 
 	ls := d.Lineorder.Schema()
 	selLO := scan(b, d.Lineorder,
@@ -103,19 +101,18 @@ func q21(d *Dataset) *engine.Builder {
 		expr.Eq(expr.C(ps, "p_category"), expr.Str("MFGR#12")), "p_partkey", "p_brand1")
 	buildP, _ := b.Build(selPart, exec.BuildSpec{
 		Name: "build(part)", KeyCols: idx(selPart, "p_partkey"),
-		Payload: idx(selPart, "p_brand1"), ExpectedRows: d.numParts() / 25,
+		Payload: idx(selPart, "p_brand1"),
 	})
 	ss := d.Supplier.Schema()
 	selSupp := scan(b, d.Supplier,
 		expr.Eq(expr.C(ss, "s_region"), expr.Str("AMERICA")), "s_suppkey")
 	buildS, _ := b.Build(selSupp, exec.BuildSpec{
 		Name: "build(supplier)", KeyCols: idx(selSupp, "s_suppkey"),
-		ExpectedRows: d.numSuppliers() / 5,
 	})
 	selDate := scan(b, d.Date, nil, "d_datekey", "d_year")
 	buildD, _ := b.Build(selDate, exec.BuildSpec{
 		Name: "build(date)", KeyCols: idx(selDate, "d_datekey"),
-		Payload: idx(selDate, "d_year"), ExpectedRows: 2600,
+		Payload: idx(selDate, "d_year"),
 	})
 
 	ls := d.Lineorder.Schema()
@@ -161,14 +158,14 @@ func q31(d *Dataset) *engine.Builder {
 		expr.Eq(expr.C(cs, "c_region"), expr.Str("ASIA")), "c_custkey", "c_nation")
 	buildC, _ := b.Build(selCust, exec.BuildSpec{
 		Name: "build(customer)", KeyCols: idx(selCust, "c_custkey"),
-		Payload: idx(selCust, "c_nation"), ExpectedRows: d.numCustomers() / 5,
+		Payload: idx(selCust, "c_nation"),
 	})
 	ss := d.Supplier.Schema()
 	selSupp := scan(b, d.Supplier,
 		expr.Eq(expr.C(ss, "s_region"), expr.Str("ASIA")), "s_suppkey", "s_nation")
 	buildS, _ := b.Build(selSupp, exec.BuildSpec{
 		Name: "build(supplier)", KeyCols: idx(selSupp, "s_suppkey"),
-		Payload: idx(selSupp, "s_nation"), ExpectedRows: d.numSuppliers() / 5,
+		Payload: idx(selSupp, "s_nation"),
 	})
 	dsch := d.Date.Schema()
 	selDate := scan(b, d.Date,
@@ -176,7 +173,7 @@ func q31(d *Dataset) *engine.Builder {
 		"d_datekey", "d_year")
 	buildD, _ := b.Build(selDate, exec.BuildSpec{
 		Name: "build(date)", KeyCols: idx(selDate, "d_datekey"),
-		Payload: idx(selDate, "d_year"), ExpectedRows: 2300,
+		Payload: idx(selDate, "d_year"),
 	})
 
 	selLO := scan(b, d.Lineorder, nil, "lo_custkey", "lo_suppkey", "lo_orderdate", "lo_revenue")
@@ -221,26 +218,22 @@ func q41(d *Dataset) *engine.Builder {
 		expr.Eq(expr.C(cs, "c_region"), expr.Str("AMERICA")), "c_custkey", "c_nation")
 	buildC, _ := b.Build(selCust, exec.BuildSpec{
 		Name: "build(customer)", KeyCols: idx(selCust, "c_custkey"),
-		Payload: idx(selCust, "c_nation"), ExpectedRows: d.numCustomers() / 5,
+		Payload: idx(selCust, "c_nation"),
 	})
 	ss := d.Supplier.Schema()
 	selSupp := scan(b, d.Supplier,
 		expr.Eq(expr.C(ss, "s_region"), expr.Str("AMERICA")), "s_suppkey")
 	buildS, _ := b.Build(selSupp, exec.BuildSpec{
 		Name: "build(supplier)", KeyCols: idx(selSupp, "s_suppkey"),
-		ExpectedRows: d.numSuppliers() / 5,
 	})
 	ps := d.Part.Schema()
 	selPart := scan(b, d.Part,
 		expr.InStrings(expr.C(ps, "p_mfgr"), "MFGR#1", "MFGR#2"), "p_partkey")
-	buildP, _ := b.Build(selPart, exec.BuildSpec{
-		Name: "build(part)", KeyCols: idx(selPart, "p_partkey"),
-		ExpectedRows: d.numParts() * 2 / 5,
-	})
+	buildP, _ := b.Build(selPart, exec.BuildSpec{Name: "build(part)", KeyCols: idx(selPart, "p_partkey")})
 	selDate := scan(b, d.Date, nil, "d_datekey", "d_year")
 	buildD, _ := b.Build(selDate, exec.BuildSpec{
 		Name: "build(date)", KeyCols: idx(selDate, "d_datekey"),
-		Payload: idx(selDate, "d_year"), ExpectedRows: 2600,
+		Payload: idx(selDate, "d_year"),
 	})
 
 	selLO := scan(b, d.Lineorder, nil,

@@ -55,12 +55,6 @@ func (t *Table) BumpVersion() { t.version.Add(1) }
 // Schema returns the table schema.
 func (t *Table) Schema() *Schema { return t.schema }
 
-// Format returns the tuple layout of the table's blocks.
-func (t *Table) Format() Format { return t.format }
-
-// BlockBytes returns the per-block byte budget.
-func (t *Table) BlockBytes() int { return t.blockBytes }
-
 // Append adds a filled block to the table.
 func (t *Table) Append(b *Block) {
 	t.mu.Lock()

@@ -60,7 +60,6 @@ func q03(d *Dataset, o QueryOpts) *engine.Builder {
 		"c_custkey")
 	buildC, _ := b.Build(selCust, exec.BuildSpec{
 		Name: "build(customer)", KeyCols: idx(selCust, "c_custkey"),
-		ExpectedRows: d.numCustomers() / 5,
 	})
 
 	selOrd := scan(b, d.Orders,
@@ -72,9 +71,7 @@ func q03(d *Dataset, o QueryOpts) *engine.Builder {
 	})
 	buildO, buildOp := b.Build(probeC, exec.BuildSpec{
 		Name: "build(orders)", KeyCols: idx(probeC, "o_orderkey"),
-		Payload:      idx(probeC, "o_orderdate", "o_shippriority"),
-		ExpectedRows: d.numOrders() / 10,
-		BuildBloom:   o.LIP,
+		Payload: idx(probeC, "o_orderdate", "o_shippriority"),
 	})
 
 	ls := d.Lineitem.Schema()
@@ -122,7 +119,6 @@ func q04(d *Dataset, _ QueryOpts) *engine.Builder {
 		"l_orderkey")
 	buildL, _ := b.Build(selLine, exec.BuildSpec{
 		Name: "build(lineitem)", KeyCols: idx(selLine, "l_orderkey"),
-		ExpectedRows: d.numOrders() * 4,
 	})
 
 	os := d.Orders.Schema()
@@ -158,9 +154,7 @@ func q05(d *Dataset, o QueryOpts) *engine.Builder {
 
 	selReg := scan(b, d.Region,
 		expr.Eq(expr.C(d.Region.Schema(), "r_name"), expr.Str("ASIA")), "r_regionkey")
-	buildR, _ := b.Build(selReg, exec.BuildSpec{
-		Name: "build(region)", KeyCols: idx(selReg, "r_regionkey"), ExpectedRows: 1,
-	})
+	buildR, _ := b.Build(selReg, exec.BuildSpec{Name: "build(region)", KeyCols: idx(selReg, "r_regionkey")})
 
 	selNat := scan(b, d.Nation, nil, "n_regionkey", "n_nationkey", "n_name")
 	natAsia := b.Probe(selNat, buildR, exec.ProbeSpec{
@@ -169,7 +163,7 @@ func q05(d *Dataset, o QueryOpts) *engine.Builder {
 	})
 	buildN, _ := b.Build(natAsia, exec.BuildSpec{
 		Name: "build(nation)", KeyCols: idx(natAsia, "n_nationkey"),
-		Payload: idx(natAsia, "n_name"), ExpectedRows: 5,
+		Payload: idx(natAsia, "n_name"),
 	})
 
 	selCust := scan(b, d.Customer, nil, "c_custkey", "c_nationkey")
@@ -179,8 +173,7 @@ func q05(d *Dataset, o QueryOpts) *engine.Builder {
 	})
 	buildC, _ := b.Build(custAsia, exec.BuildSpec{
 		Name: "build(customer)", KeyCols: idx(custAsia, "c_custkey"),
-		Payload:      idx(custAsia, "c_nationkey", "n_name"),
-		ExpectedRows: d.numCustomers() / 5,
+		Payload: idx(custAsia, "c_nationkey", "n_name"),
 	})
 
 	os := d.Orders.Schema()
@@ -196,15 +189,12 @@ func q05(d *Dataset, o QueryOpts) *engine.Builder {
 	})
 	buildO, buildOp := b.Build(ordAsia, exec.BuildSpec{
 		Name: "build(orders)", KeyCols: idx(ordAsia, "o_orderkey"),
-		Payload:      idx(ordAsia, "c_nationkey", "n_name"),
-		ExpectedRows: d.numOrders() / 35,
-		BuildBloom:   o.LIP,
+		Payload: idx(ordAsia, "c_nationkey", "n_name"),
 	})
 
 	selSupp := scan(b, d.Supplier, nil, "s_suppkey", "s_nationkey")
 	buildS, _ := b.Build(selSupp, exec.BuildSpec{
 		Name: "build(supplier)", KeyCols: idx(selSupp, "s_suppkey", "s_nationkey"),
-		ExpectedRows: d.numSuppliers(),
 	})
 
 	ls := d.Lineitem.Schema()
@@ -276,7 +266,7 @@ func q07(d *Dataset, o QueryOpts) *engine.Builder {
 	selNat1 := scan(b, d.Nation, natPred, "n_nationkey", "n_name")
 	buildN1, _ := b.Build(selNat1, exec.BuildSpec{
 		Name: "build(nation1)", KeyCols: idx(selNat1, "n_nationkey"),
-		Payload: idx(selNat1, "n_name"), ExpectedRows: 2,
+		Payload: idx(selNat1, "n_name"),
 	})
 	selSupp := scan(b, d.Supplier, nil, "s_suppkey", "s_nationkey")
 	suppNat := b.Probe(selSupp, buildN1, exec.ProbeSpec{
@@ -286,14 +276,13 @@ func q07(d *Dataset, o QueryOpts) *engine.Builder {
 	})
 	buildS, buildSOp := b.Build(suppNat, exec.BuildSpec{
 		Name: "build(supplier)", KeyCols: idx(suppNat, "s_suppkey"),
-		Payload: idx(suppNat, "supp_nation"), ExpectedRows: d.numSuppliers() / 12,
-		BuildBloom: o.LIP,
+		Payload: idx(suppNat, "supp_nation"),
 	})
 
 	selNat2 := scan(b, d.Nation, natPred, "n_nationkey", "n_name")
 	buildN2, _ := b.Build(selNat2, exec.BuildSpec{
 		Name: "build(nation2)", KeyCols: idx(selNat2, "n_nationkey"),
-		Payload: idx(selNat2, "n_name"), ExpectedRows: 2,
+		Payload: idx(selNat2, "n_name"),
 	})
 	selCust := scan(b, d.Customer, nil, "c_custkey", "c_nationkey")
 	custNat := b.Probe(selCust, buildN2, exec.ProbeSpec{
@@ -303,7 +292,7 @@ func q07(d *Dataset, o QueryOpts) *engine.Builder {
 	})
 	buildC, buildCOp := b.Build(custNat, exec.BuildSpec{
 		Name: "build(customer)", KeyCols: idx(custNat, "c_custkey"),
-		Payload: idx(custNat, "cust_nation"), ExpectedRows: d.numCustomers() / 12,
+		Payload: idx(custNat, "cust_nation"),
 	})
 
 	// The orders hash table is deliberately built on the ENTIRE table,
@@ -312,7 +301,7 @@ func q07(d *Dataset, o QueryOpts) *engine.Builder {
 	selOrd := scan(b, d.Orders, nil, "o_orderkey", "o_custkey")
 	buildO, _ := b.Build(selOrd, exec.BuildSpec{
 		Name: "build(orders)", KeyCols: idx(selOrd, "o_orderkey"),
-		Payload: idx(selOrd, "o_custkey"), ExpectedRows: d.numOrders(),
+		Payload: idx(selOrd, "o_custkey"),
 	})
 
 	ls := d.Lineitem.Schema()
@@ -394,26 +383,21 @@ func q08(d *Dataset, o QueryOpts) *engine.Builder {
 
 	selReg := scan(b, d.Region,
 		expr.Eq(expr.C(d.Region.Schema(), "r_name"), expr.Str("AMERICA")), "r_regionkey")
-	buildR, _ := b.Build(selReg, exec.BuildSpec{
-		Name: "build(region)", KeyCols: idx(selReg, "r_regionkey"), ExpectedRows: 1,
-	})
+	buildR, _ := b.Build(selReg, exec.BuildSpec{Name: "build(region)", KeyCols: idx(selReg, "r_regionkey")})
 	selNatAm := scan(b, d.Nation, nil, "n_regionkey", "n_nationkey")
 	natAm := b.Probe(selNatAm, buildR, exec.ProbeSpec{
 		Name: "probe(region)", KeyCols: idx(selNatAm, "n_regionkey"), JoinType: exec.LeftSemi,
 		ProbeProj: idx(selNatAm, "n_nationkey"),
 	})
 	buildNAm, _ := b.Build(natAm, exec.BuildSpec{
-		Name: "build(nation_am)", KeyCols: idx(natAm, "n_nationkey"), ExpectedRows: 5,
+		Name: "build(nation_am)", KeyCols: idx(natAm, "n_nationkey"),
 	})
 	selCust := scan(b, d.Customer, nil, "c_nationkey", "c_custkey")
 	custAm := b.Probe(selCust, buildNAm, exec.ProbeSpec{
 		Name: "probe(nation_am)", KeyCols: idx(selCust, "c_nationkey"), JoinType: exec.LeftSemi,
 		ProbeProj: idx(selCust, "c_custkey"),
 	})
-	buildC, _ := b.Build(custAm, exec.BuildSpec{
-		Name: "build(customer)", KeyCols: idx(custAm, "c_custkey"),
-		ExpectedRows: d.numCustomers() / 5,
-	})
+	buildC, _ := b.Build(custAm, exec.BuildSpec{Name: "build(customer)", KeyCols: idx(custAm, "c_custkey")})
 
 	os := d.Orders.Schema()
 	selOrd := scan(b, d.Orders,
@@ -425,14 +409,13 @@ func q08(d *Dataset, o QueryOpts) *engine.Builder {
 	})
 	buildO, buildOOp := b.Build(ordAm, exec.BuildSpec{
 		Name: "build(orders)", KeyCols: idx(ordAm, "o_orderkey"),
-		Payload: idx(ordAm, "o_orderdate"), ExpectedRows: d.numOrders() / 12,
-		BuildBloom: o.LIP,
+		Payload: idx(ordAm, "o_orderdate"),
 	})
 
 	selNatAll := scan(b, d.Nation, nil, "n_nationkey", "n_name")
 	buildNAll, _ := b.Build(selNatAll, exec.BuildSpec{
 		Name: "build(nation_all)", KeyCols: idx(selNatAll, "n_nationkey"),
-		Payload: idx(selNatAll, "n_name"), ExpectedRows: 25,
+		Payload: idx(selNatAll, "n_name"),
 	})
 	selSupp := scan(b, d.Supplier, nil, "s_suppkey", "s_nationkey")
 	suppNat := b.Probe(selSupp, buildNAll, exec.ProbeSpec{
@@ -441,7 +424,7 @@ func q08(d *Dataset, o QueryOpts) *engine.Builder {
 	})
 	buildS, _ := b.Build(suppNat, exec.BuildSpec{
 		Name: "build(supplier)", KeyCols: idx(suppNat, "s_suppkey"),
-		Payload: idx(suppNat, "n_name"), ExpectedRows: d.numSuppliers(),
+		Payload: idx(suppNat, "n_name"),
 	})
 
 	ps0 := d.Part.Schema()
@@ -449,7 +432,6 @@ func q08(d *Dataset, o QueryOpts) *engine.Builder {
 		expr.Eq(expr.C(ps0, "p_type"), expr.Str("ECONOMY ANODIZED STEEL")), "p_partkey")
 	buildP, buildPOp := b.Build(selPart, exec.BuildSpec{
 		Name: "build(part)", KeyCols: idx(selPart, "p_partkey"),
-		ExpectedRows: d.numParts() / 150, BuildBloom: o.LIP,
 	})
 
 	ls := d.Lineitem.Schema()

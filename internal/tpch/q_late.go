@@ -25,7 +25,7 @@ func q10(d *Dataset, o QueryOpts) *engine.Builder {
 	selNat := scan(b, d.Nation, nil, "n_nationkey", "n_name")
 	buildN, _ := b.Build(selNat, exec.BuildSpec{
 		Name: "build(nation)", KeyCols: idx(selNat, "n_nationkey"),
-		Payload: idx(selNat, "n_name"), ExpectedRows: 25,
+		Payload: idx(selNat, "n_name"),
 	})
 	selCust := scan(b, d.Customer, nil,
 		"c_nationkey", "c_custkey", "c_name", "c_acctbal", "c_phone", "c_address", "c_comment")
@@ -41,7 +41,6 @@ func q10(d *Dataset, o QueryOpts) *engine.Builder {
 		KeyCols: idx(custNat, "c_custkey"),
 		Payload: idx(custNat,
 			"c_custkey", "c_name", "c_acctbal", "c_phone", "c_address", "c_comment", "n_name"),
-		ExpectedRows: d.numCustomers(),
 	})
 
 	os := d.Orders.Schema()
@@ -61,8 +60,6 @@ func q10(d *Dataset, o QueryOpts) *engine.Builder {
 		KeyCols: idx(ordCust, "o_orderkey"),
 		Payload: idx(ordCust,
 			"c_custkey", "c_name", "c_acctbal", "c_phone", "c_address", "c_comment", "n_name"),
-		ExpectedRows: d.numOrders() / 25,
-		BuildBloom:   o.LIP,
 	})
 
 	ls := d.Lineitem.Schema()
@@ -117,7 +114,7 @@ func q13(d *Dataset, _ QueryOpts) *engine.Builder {
 	})
 	buildA, _ := b.Build(aggOrd, exec.BuildSpec{
 		Name: "build(ordcount)", KeyCols: idx(aggOrd, "o_custkey"),
-		Payload: idx(aggOrd, "c_count"), ExpectedRows: d.numCustomers(),
+		Payload: idx(aggOrd, "c_count"),
 	})
 
 	selCust := scan(b, d.Customer, nil, "c_custkey")
@@ -148,7 +145,7 @@ func q14(d *Dataset, _ QueryOpts) *engine.Builder {
 	selPart := scan(b, d.Part, nil, "p_partkey", "p_type")
 	buildP, _ := b.Build(selPart, exec.BuildSpec{
 		Name: "build(part)", KeyCols: idx(selPart, "p_partkey"),
-		Payload: idx(selPart, "p_type"), ExpectedRows: d.numParts(),
+		Payload: idx(selPart, "p_type"),
 	})
 
 	ls := d.Lineitem.Schema()
@@ -222,7 +219,7 @@ func q15(d *Dataset, _ QueryOpts) *engine.Builder {
 	b.Gate(maxRev, top)
 	buildT, _ := b.Build(top, exec.BuildSpec{
 		Name: "build(top)", KeyCols: idx(top, "supplier_no"),
-		Payload: idx(top, "total_revenue"), ExpectedRows: 16,
+		Payload: idx(top, "total_revenue"),
 	})
 
 	selSupp := scan(b, d.Supplier, nil, "s_suppkey", "s_name", "s_address", "s_phone")
@@ -248,10 +245,9 @@ func q19(d *Dataset, o QueryOpts) *engine.Builder {
 		expr.Between(expr.C(ps, "p_size"), expr.Int(1), expr.Int(15)),
 		"p_partkey", "p_brand", "p_container", "p_size")
 	buildP, buildPOp := b.Build(selPart, exec.BuildSpec{
-		Name:         "build(part)",
-		KeyCols:      idx(selPart, "p_partkey"),
-		Payload:      idx(selPart, "p_brand", "p_container", "p_size"),
-		ExpectedRows: d.numParts() / 3, BuildBloom: o.LIP,
+		Name:    "build(part)",
+		KeyCols: idx(selPart, "p_partkey"),
+		Payload: idx(selPart, "p_brand", "p_container", "p_size"),
 	})
 
 	ls := d.Lineitem.Schema()
@@ -306,9 +302,7 @@ func q21(d *Dataset, o QueryOpts) *engine.Builder {
 	selNat := scan(b, d.Nation,
 		expr.Eq(expr.C(d.Nation.Schema(), "n_name"), expr.Str("SAUDI ARABIA")),
 		"n_nationkey")
-	buildN, _ := b.Build(selNat, exec.BuildSpec{
-		Name: "build(nation)", KeyCols: idx(selNat, "n_nationkey"), ExpectedRows: 1,
-	})
+	buildN, _ := b.Build(selNat, exec.BuildSpec{Name: "build(nation)", KeyCols: idx(selNat, "n_nationkey")})
 	selSupp := scan(b, d.Supplier, nil, "s_nationkey", "s_suppkey", "s_name")
 	suppSA := b.Probe(selSupp, buildN, exec.ProbeSpec{
 		Name: "probe(nation)", KeyCols: idx(selSupp, "s_nationkey"), JoinType: exec.LeftSemi,
@@ -316,17 +310,13 @@ func q21(d *Dataset, o QueryOpts) *engine.Builder {
 	})
 	buildS, buildSOp := b.Build(suppSA, exec.BuildSpec{
 		Name: "build(supplier)", KeyCols: idx(suppSA, "s_suppkey"),
-		Payload: idx(suppSA, "s_name"), ExpectedRows: d.numSuppliers() / 25,
-		BuildBloom: o.LIP,
+		Payload: idx(suppSA, "s_name"),
 	})
 
 	selOrd := scan(b, d.Orders,
 		expr.Eq(expr.C(d.Orders.Schema(), "o_orderstatus"), expr.Str("F")),
 		"o_orderkey")
-	buildO, _ := b.Build(selOrd, exec.BuildSpec{
-		Name: "build(orders)", KeyCols: idx(selOrd, "o_orderkey"),
-		ExpectedRows: d.numOrders() / 2,
-	})
+	buildO, _ := b.Build(selOrd, exec.BuildSpec{Name: "build(orders)", KeyCols: idx(selOrd, "o_orderkey")})
 
 	ls := d.Lineitem.Schema()
 	late := expr.Gt(expr.C(ls, "l_receiptdate"), expr.C(ls, "l_commitdate"))
@@ -334,12 +324,12 @@ func q21(d *Dataset, o QueryOpts) *engine.Builder {
 	l2 := scan(b, d.Lineitem, nil, "l_orderkey", "l_suppkey")
 	buildL2, buildL2Op := b.Build(l2, exec.BuildSpec{
 		Name: "build(l2)", KeyCols: idx(l2, "l_orderkey"),
-		Payload: idx(l2, "l_suppkey"), ExpectedRows: d.numOrders() * 4,
+		Payload: idx(l2, "l_suppkey"),
 	})
 	l3 := scan(b, d.Lineitem, late, "l_orderkey", "l_suppkey")
 	buildL3, buildL3Op := b.Build(l3, exec.BuildSpec{
 		Name: "build(l3)", KeyCols: idx(l3, "l_orderkey"),
-		Payload: idx(l3, "l_suppkey"), ExpectedRows: d.numOrders() * 2,
+		Payload: idx(l3, "l_suppkey"),
 	})
 
 	l1Spec := exec.SelectSpec{Name: "select(lineitem)", Base: d.Lineitem, Pred: late}
@@ -402,10 +392,7 @@ func q22(d *Dataset, _ QueryOpts) *engine.Builder {
 	slot := b.Scalar(avgBal)
 
 	selOrd := scan(b, d.Orders, nil, "o_custkey")
-	buildO, _ := b.Build(selOrd, exec.BuildSpec{
-		Name: "build(orders)", KeyCols: idx(selOrd, "o_custkey"),
-		ExpectedRows: d.numOrders(),
-	})
+	buildO, _ := b.Build(selOrd, exec.BuildSpec{Name: "build(orders)", KeyCols: idx(selOrd, "o_custkey")})
 
 	selCust := b.ScanSelect(exec.SelectSpec{
 		Name: "select(customer)", Base: d.Customer,

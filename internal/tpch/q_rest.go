@@ -23,9 +23,7 @@ func init() {
 func europeanSuppliers(b *engine.Builder, d *Dataset, cols ...string) *engine.Node {
 	selReg := scan(b, d.Region,
 		expr.Eq(expr.C(d.Region.Schema(), "r_name"), expr.Str("EUROPE")), "r_regionkey")
-	buildR, _ := b.Build(selReg, exec.BuildSpec{
-		Name: "build(region)", KeyCols: idx(selReg, "r_regionkey"), ExpectedRows: 1,
-	})
+	buildR, _ := b.Build(selReg, exec.BuildSpec{Name: "build(region)", KeyCols: idx(selReg, "r_regionkey")})
 	selNat := scan(b, d.Nation, nil, append([]string{"n_regionkey", "n_nationkey"}, natCols(cols)...)...)
 	natEU := b.Probe(selNat, buildR, exec.ProbeSpec{
 		Name: "probe(region)", KeyCols: idx(selNat, "n_regionkey"), JoinType: exec.LeftSemi,
@@ -33,7 +31,7 @@ func europeanSuppliers(b *engine.Builder, d *Dataset, cols ...string) *engine.No
 	})
 	buildN, _ := b.Build(natEU, exec.BuildSpec{
 		Name: "build(nation_eu)", KeyCols: idx(natEU, "n_nationkey"),
-		Payload: idx(natEU, natCols(cols)...), ExpectedRows: 5,
+		Payload: idx(natEU, natCols(cols)...),
 	})
 	suppCols := append([]string{"s_nationkey"}, suppColsOf(cols)...)
 	selSupp := scan(b, d.Supplier, nil, suppCols...)
@@ -83,15 +81,11 @@ func q02(d *Dataset, _ QueryOpts) *engine.Builder {
 
 	// Two hash tables over the same supplier stream: existence for the
 	// subquery's semi join, attributes for the outer join.
-	buildSK, _ := b.Build(euro, exec.BuildSpec{
-		Name: "build(supp_keys)", KeyCols: idx(euro, "s_suppkey"),
-		ExpectedRows: d.numSuppliers() / 4,
-	})
+	buildSK, _ := b.Build(euro, exec.BuildSpec{Name: "build(supp_keys)", KeyCols: idx(euro, "s_suppkey")})
 	buildSA, _ := b.Build(euro, exec.BuildSpec{
-		Name:         "build(supp_attrs)",
-		KeyCols:      idx(euro, "s_suppkey"),
-		Payload:      idx(euro, "s_name", "s_address", "s_phone", "s_acctbal", "s_comment", "n_name"),
-		ExpectedRows: d.numSuppliers() / 4,
+		Name:    "build(supp_attrs)",
+		KeyCols: idx(euro, "s_suppkey"),
+		Payload: idx(euro, "s_name", "s_address", "s_phone", "s_acctbal", "s_comment", "n_name"),
 	})
 
 	// Subquery: min supplycost per part among European suppliers.
@@ -112,7 +106,7 @@ func q02(d *Dataset, _ QueryOpts) *engine.Builder {
 	})
 	buildMC, buildMCOp := b.Build(minCost, exec.BuildSpec{
 		Name: "build(min_cost)", KeyCols: idx(minCost, "ps_partkey"),
-		Payload: idx(minCost, "min_cost"), ExpectedRows: d.numParts(),
+		Payload: idx(minCost, "min_cost"),
 	})
 
 	// Outer query: brass parts of size 15 joined to the cheapest offers.
@@ -125,7 +119,7 @@ func q02(d *Dataset, _ QueryOpts) *engine.Builder {
 		"p_partkey", "p_mfgr")
 	buildP, _ := b.Build(selPart, exec.BuildSpec{
 		Name: "build(part)", KeyCols: idx(selPart, "p_partkey"),
-		Payload: idx(selPart, "p_mfgr"), ExpectedRows: d.numParts() / 200,
+		Payload: idx(selPart, "p_mfgr"),
 	})
 
 	selPS2 := scan(b, d.Partsupp, nil, "ps_partkey", "ps_suppkey", "ps_supplycost")
@@ -164,19 +158,18 @@ func q09(d *Dataset, o QueryOpts) *engine.Builder {
 	selPart := scan(b, d.Part, expr.Like(expr.C(ps0, "p_name"), "%green%"), "p_partkey")
 	buildP, buildPOp := b.Build(selPart, exec.BuildSpec{
 		Name: "build(part)", KeyCols: idx(selPart, "p_partkey"),
-		ExpectedRows: d.numParts() / 20, BuildBloom: o.LIP,
 	})
 
 	selPS := scan(b, d.Partsupp, nil, "ps_partkey", "ps_suppkey", "ps_supplycost")
 	buildPS, _ := b.Build(selPS, exec.BuildSpec{
 		Name: "build(partsupp)", KeyCols: idx(selPS, "ps_partkey", "ps_suppkey"),
-		Payload: idx(selPS, "ps_supplycost"), ExpectedRows: d.numParts() * 4,
+		Payload: idx(selPS, "ps_supplycost"),
 	})
 
 	selNat := scan(b, d.Nation, nil, "n_nationkey", "n_name")
 	buildN, _ := b.Build(selNat, exec.BuildSpec{
 		Name: "build(nation)", KeyCols: idx(selNat, "n_nationkey"),
-		Payload: idx(selNat, "n_name"), ExpectedRows: 25,
+		Payload: idx(selNat, "n_name"),
 	})
 	selSupp := scan(b, d.Supplier, nil, "s_suppkey", "s_nationkey")
 	suppNat := b.Probe(selSupp, buildN, exec.ProbeSpec{
@@ -185,13 +178,13 @@ func q09(d *Dataset, o QueryOpts) *engine.Builder {
 	})
 	buildS, _ := b.Build(suppNat, exec.BuildSpec{
 		Name: "build(supplier)", KeyCols: idx(suppNat, "s_suppkey"),
-		Payload: idx(suppNat, "n_name"), ExpectedRows: d.numSuppliers(),
+		Payload: idx(suppNat, "n_name"),
 	})
 
 	selOrd := scan(b, d.Orders, nil, "o_orderkey", "o_orderdate")
 	buildO, _ := b.Build(selOrd, exec.BuildSpec{
 		Name: "build(orders)", KeyCols: idx(selOrd, "o_orderkey"),
-		Payload: idx(selOrd, "o_orderdate"), ExpectedRows: d.numOrders(),
+		Payload: idx(selOrd, "o_orderdate"),
 	})
 
 	ls := d.Lineitem.Schema()
@@ -249,18 +242,13 @@ func q11(d *Dataset, _ QueryOpts) *engine.Builder {
 
 	selNat := scan(b, d.Nation,
 		expr.Eq(expr.C(d.Nation.Schema(), "n_name"), expr.Str("GERMANY")), "n_nationkey")
-	buildN, _ := b.Build(selNat, exec.BuildSpec{
-		Name: "build(nation)", KeyCols: idx(selNat, "n_nationkey"), ExpectedRows: 1,
-	})
+	buildN, _ := b.Build(selNat, exec.BuildSpec{Name: "build(nation)", KeyCols: idx(selNat, "n_nationkey")})
 	selSupp := scan(b, d.Supplier, nil, "s_nationkey", "s_suppkey")
 	suppDE := b.Probe(selSupp, buildN, exec.ProbeSpec{
 		Name: "probe(nation)", KeyCols: idx(selSupp, "s_nationkey"), JoinType: exec.LeftSemi,
 		ProbeProj: idx(selSupp, "s_suppkey"),
 	})
-	buildS, _ := b.Build(suppDE, exec.BuildSpec{
-		Name: "build(supplier)", KeyCols: idx(suppDE, "s_suppkey"),
-		ExpectedRows: d.numSuppliers() / 25,
-	})
+	buildS, _ := b.Build(suppDE, exec.BuildSpec{Name: "build(supplier)", KeyCols: idx(suppDE, "s_suppkey")})
 
 	selPS := scan(b, d.Partsupp, nil, "ps_suppkey", "ps_partkey", "ps_supplycost", "ps_availqty")
 	psDE := b.Probe(selPS, buildS, exec.ProbeSpec{
@@ -307,7 +295,7 @@ func q12(d *Dataset, o QueryOpts) *engine.Builder {
 	selOrd := scan(b, d.Orders, nil, "o_orderkey", "o_orderpriority")
 	buildO, _ := b.Build(selOrd, exec.BuildSpec{
 		Name: "build(orders)", KeyCols: idx(selOrd, "o_orderkey"),
-		Payload: idx(selOrd, "o_orderpriority"), ExpectedRows: d.numOrders(),
+		Payload: idx(selOrd, "o_orderpriority"),
 	})
 
 	ls := d.Lineitem.Schema()
@@ -355,7 +343,6 @@ func q16(d *Dataset, _ QueryOpts) *engine.Builder {
 		expr.Like(expr.C(ss, "s_comment"), "%Customer%Complaints%"), "s_suppkey")
 	buildC, _ := b.Build(selComplaints, exec.BuildSpec{
 		Name: "build(complaints)", KeyCols: idx(selComplaints, "s_suppkey"),
-		ExpectedRows: d.numSuppliers() / 64,
 	})
 
 	ps0 := d.Part.Schema()
@@ -372,8 +359,7 @@ func q16(d *Dataset, _ QueryOpts) *engine.Builder {
 		"p_partkey", "p_brand", "p_type", "p_size")
 	buildP, _ := b.Build(selPart, exec.BuildSpec{
 		Name: "build(part)", KeyCols: idx(selPart, "p_partkey"),
-		Payload:      idx(selPart, "p_brand", "p_type", "p_size"),
-		ExpectedRows: d.numParts() / 6,
+		Payload: idx(selPart, "p_brand", "p_type", "p_size"),
 	})
 
 	selPS := scan(b, d.Partsupp, nil, "ps_suppkey", "ps_partkey")
@@ -420,10 +406,7 @@ func q17(d *Dataset, _ QueryOpts) *engine.Builder {
 			expr.Eq(expr.C(ps0, "p_container"), expr.Str("MED BOX")),
 		),
 		"p_partkey")
-	buildP, _ := b.Build(selPart, exec.BuildSpec{
-		Name: "build(part)", KeyCols: idx(selPart, "p_partkey"),
-		ExpectedRows: d.numParts() / 1000,
-	})
+	buildP, _ := b.Build(selPart, exec.BuildSpec{Name: "build(part)", KeyCols: idx(selPart, "p_partkey")})
 
 	selLine := scan(b, d.Lineitem, nil, "l_partkey", "l_quantity", "l_extendedprice")
 	onPart := b.Probe(selLine, buildP, exec.ProbeSpec{
@@ -441,7 +424,7 @@ func q17(d *Dataset, _ QueryOpts) *engine.Builder {
 	})
 	buildA, buildAOp := b.Build(avgQty, exec.BuildSpec{
 		Name: "build(avg_qty)", KeyCols: idx(avgQty, "l_partkey"),
-		Payload: idx(avgQty, "avg_qty"), ExpectedRows: d.numParts() / 1000,
+		Payload: idx(avgQty, "avg_qty"),
 	})
 
 	small := b.Probe(onPart, buildA, exec.ProbeSpec{
@@ -485,13 +468,13 @@ func q18(d *Dataset, _ QueryOpts) *engine.Builder {
 	})
 	buildB, _ := b.Build(big, exec.BuildSpec{
 		Name: "build(big_orders)", KeyCols: idx(big, "l_orderkey"),
-		Payload: idx(big, "sum_qty"), ExpectedRows: 1024,
+		Payload: idx(big, "sum_qty"),
 	})
 
 	selCust := scan(b, d.Customer, nil, "c_custkey", "c_name")
 	buildC, _ := b.Build(selCust, exec.BuildSpec{
 		Name: "build(customer)", KeyCols: idx(selCust, "c_custkey"),
-		Payload: idx(selCust, "c_name"), ExpectedRows: d.numCustomers(),
+		Payload: idx(selCust, "c_name"),
 	})
 
 	selOrd := scan(b, d.Orders, nil, "o_orderkey", "o_custkey", "o_orderdate", "o_totalprice")
@@ -521,10 +504,7 @@ func q20(d *Dataset, _ QueryOpts) *engine.Builder {
 
 	ps0 := d.Part.Schema()
 	selPart := scan(b, d.Part, expr.Like(expr.C(ps0, "p_name"), "forest%"), "p_partkey")
-	buildP, _ := b.Build(selPart, exec.BuildSpec{
-		Name: "build(part)", KeyCols: idx(selPart, "p_partkey"),
-		ExpectedRows: d.numParts() / 40,
-	})
+	buildP, _ := b.Build(selPart, exec.BuildSpec{Name: "build(part)", KeyCols: idx(selPart, "p_partkey")})
 
 	ls := d.Lineitem.Schema()
 	selLine := scan(b, d.Lineitem,
@@ -549,7 +529,7 @@ func q20(d *Dataset, _ QueryOpts) *engine.Builder {
 	})
 	buildQ, buildQOp := b.Build(sumQty, exec.BuildSpec{
 		Name: "build(sum_qty)", KeyCols: idx(sumQty, "l_partkey", "l_suppkey"),
-		Payload: idx(sumQty, "sum_qty"), ExpectedRows: d.numParts() / 10,
+		Payload: idx(sumQty, "sum_qty"),
 	})
 
 	selPS := scan(b, d.Partsupp, nil, "ps_partkey", "ps_suppkey", "ps_availqty")
@@ -566,14 +546,11 @@ func q20(d *Dataset, _ QueryOpts) *engine.Builder {
 	})
 	buildSK, _ := b.Build(excess, exec.BuildSpec{
 		Name: "build(supp_keys)", KeyCols: idx(excess, "ps_suppkey"),
-		ExpectedRows: d.numSuppliers() / 4,
 	})
 
 	selNat := scan(b, d.Nation,
 		expr.Eq(expr.C(d.Nation.Schema(), "n_name"), expr.Str("CANADA")), "n_nationkey")
-	buildN, _ := b.Build(selNat, exec.BuildSpec{
-		Name: "build(nation)", KeyCols: idx(selNat, "n_nationkey"), ExpectedRows: 1,
-	})
+	buildN, _ := b.Build(selNat, exec.BuildSpec{Name: "build(nation)", KeyCols: idx(selNat, "n_nationkey")})
 	selSupp := scan(b, d.Supplier, nil, "s_nationkey", "s_suppkey", "s_name", "s_address")
 	suppCA := b.Probe(selSupp, buildN, exec.ProbeSpec{
 		Name: "probe(nation)", KeyCols: idx(selSupp, "s_nationkey"), JoinType: exec.LeftSemi,
