@@ -179,8 +179,8 @@ func (h *Harness) ConcurrentChaos() (*Report, error) {
 			rb := o.resp.Run.Robust()
 			injected, retries = rb.FaultsInjected, rb.Retries
 			totalInjected += injected
-			if rb.LeakedBlocks+rb.OutstandingRefs != 0 {
-				return nil, fmt.Errorf("CCHAOS: %s leaked %d blocks/refs", o.label, rb.LeakedBlocks+rb.OutstandingRefs)
+			if rb.LeakedBlocks != 0 || rb.LeakedBytes != 0 {
+				return nil, fmt.Errorf("CCHAOS: %s leaked %d blocks, %d bytes", o.label, rb.LeakedBlocks, rb.LeakedBytes)
 			}
 		}
 		switch {

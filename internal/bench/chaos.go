@@ -25,15 +25,16 @@ const chaosSeed = 7
 // seeded fault schedule — errors, panics, latency, and allocation failures
 // at every injection site — and asserts three things per query: the result
 // is identical to the fault-free run (float aggregates within 1e-6, since
-// retries may reorder summation), nothing leaked (blocks or
-// references), and re-running at one worker with the same seed fires the
-// identical fault schedule. Any violation fails the experiment.
+// retries may reorder summation), nothing leaked (blocks, or bytes on the
+// run's pool and hash-table gauges), and re-running at one worker with the
+// same seed fires the identical fault schedule. Any violation fails the
+// experiment.
 func (h *Harness) Chaos() (*Report, error) {
 	r := &Report{
 		ID:    "CHAOS",
 		Title: "Fault injection under retry/rollback (results vs fault-free runs)",
 		Header: []string{
-			"query", "faults", "retries", "result", "replay", "leaks", "wall_ms",
+			"query", "faults", "retries", "result", "replay", "leaked_blocks", "leaked_bytes", "wall_ms",
 		},
 	}
 	d := h.Dataset(128<<10, storage.ColumnStore)
@@ -69,7 +70,6 @@ func (h *Harness) Chaos() (*Report, error) {
 		}
 
 		rb := res.Run.Robust()
-		leaks := rb.LeakedBlocks + rb.OutstandingRefs
 		totalInjected += rb.FaultsInjected
 		r.AddRow(
 			fmt.Sprintf("Q%02d", q),
@@ -77,7 +77,8 @@ func (h *Harness) Chaos() (*Report, error) {
 			fmt.Sprintf("%d", rb.Retries),
 			pass(resultOK),
 			pass(replayOK),
-			fmt.Sprintf("%d", leaks),
+			fmt.Sprintf("%d", rb.LeakedBlocks),
+			fmt.Sprintf("%d", rb.LeakedBytes),
 			fmt.Sprintf("%.2f", float64(wall)/float64(time.Millisecond)),
 		)
 		if !resultOK {
@@ -86,8 +87,8 @@ func (h *Harness) Chaos() (*Report, error) {
 		if !replayOK {
 			return nil, fmt.Errorf("CHAOS: Q%d did not replay the same fault schedule for the same seed", q)
 		}
-		if leaks != 0 {
-			return nil, fmt.Errorf("CHAOS: Q%d leaked %d blocks/refs", q, leaks)
+		if rb.LeakedBlocks != 0 || rb.LeakedBytes != 0 {
+			return nil, fmt.Errorf("CHAOS: Q%d leaked %d blocks, %d bytes", q, rb.LeakedBlocks, rb.LeakedBytes)
 		}
 	}
 	if totalInjected == 0 {

@@ -132,7 +132,7 @@ func wantIssueOrder(t *testing.T, got []int64, n int) {
 
 func wantNoLeaks(t *testing.T, ctx *ExecCtx) {
 	t.Helper()
-	if r := ctx.Run.Robust(); r.LeakedBlocks != 0 || r.OutstandingRefs != 0 {
+	if r := ctx.Run.Robust(); r.LeakedBlocks != 0 || r.LeakedBytes != 0 {
 		t.Fatalf("run leaked blocks: %+v", r)
 	}
 	if live := ctx.Run.Intermediates.Live(); live != 0 {

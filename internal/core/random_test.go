@@ -35,10 +35,10 @@ type passWO struct {
 
 func (w *passWO) Inputs() []*storage.Block { return []*storage.Block{w.b} }
 
-func (w *passWO) Run(_ *ExecCtx, out *Output) error {
+func (w *passWO) Run(ctx *ExecCtx, out *Output) error {
 	n := w.b.NumRows()
 	w.p.rowsIn.Add(int64(n))
-	nb := storage.NewBlock(testSchema, storage.RowStore, n*8+8)
+	nb := checkOut(ctx, n+1)
 	for r := 0; r < n; r++ {
 		nb.AppendRow(types.NewInt64(w.b.Int64At(0, r)))
 	}

@@ -40,7 +40,7 @@ type flakyWO struct{ f *flaky }
 
 func (w *flakyWO) Inputs() []*storage.Block { return nil }
 
-func (w *flakyWO) Run(_ *ExecCtx, out *Output) error {
+func (w *flakyWO) Run(ctx *ExecCtx, out *Output) error {
 	n := int(w.f.runs.Add(1))
 	if n <= w.f.failN {
 		if w.f.fatal != nil {
@@ -48,7 +48,7 @@ func (w *flakyWO) Run(_ *ExecCtx, out *Output) error {
 		}
 		return &transientErr{"flaky failure"}
 	}
-	b := storage.NewBlock(testSchema, storage.RowStore, w.f.rows*8)
+	b := checkOut(ctx, w.f.rows)
 	for r := 0; r < w.f.rows; r++ {
 		b.AppendRow(types.NewInt64(int64(r)))
 	}
@@ -78,7 +78,7 @@ func TestTransientFailureRetriesUntilSuccess(t *testing.T) {
 	if per.OpID != int(fid) || per.Count != 4 || per.FailedAttempts != 3 {
 		t.Fatalf("flaky op totals: count=%d failed=%d, want 4/3", per.Count, per.FailedAttempts)
 	}
-	if got := r.LeakedBlocks + r.OutstandingRefs; got != 0 {
+	if r.LeakedBlocks != 0 || r.LeakedBytes != 0 {
 		t.Fatalf("leak counters nonzero after faulty run: %+v", r)
 	}
 }
@@ -179,7 +179,7 @@ func TestMidQueryErrorCancelsQueuedWorkPromptly(t *testing.T) {
 	if r.Cancellations == 0 {
 		t.Fatal("no queued work orders were recorded as canceled")
 	}
-	if r.LeakedBlocks != 0 || r.OutstandingRefs != 0 {
+	if r.LeakedBlocks != 0 || r.LeakedBytes != 0 {
 		t.Fatalf("aborted run leaked blocks: %+v", r)
 	}
 	// Workers must exit once Run returns (the run-local pool is closed).
@@ -208,7 +208,7 @@ func TestContextCancellationDropsQueuedWork(t *testing.T) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	r := ctx.Run.Robust()
-	if r.LeakedBlocks != 0 || r.OutstandingRefs != 0 {
+	if r.LeakedBlocks != 0 || r.LeakedBytes != 0 {
 		t.Fatalf("canceled run leaked blocks: %+v", r)
 	}
 }
@@ -278,7 +278,7 @@ func TestAdoptedBlocksOutliveTheirOtherConsumer(t *testing.T) {
 		}
 		ctx := newCtx(1)
 		err := Run(plan, ctx, 1)
-		if r := ctx.Run.Robust(); r.LeakedBlocks+r.OutstandingRefs != 0 {
+		if r := ctx.Run.Robust(); r.LeakedBlocks != 0 || r.LeakedBytes != 0 {
 			t.Fatalf("fail=%q: leak counters nonzero: %+v", fail, r)
 		}
 		if fail != "" {
@@ -485,7 +485,7 @@ func TestSlowSinkDrainsProducersAtUoT1(t *testing.T) {
 		t.Fatalf("edge UoTs = %+v, want one edge at UoT 1", got)
 	}
 	r := ctx.Run.Robust()
-	if r.LeakedBlocks != 0 || r.OutstandingRefs != 0 {
+	if r.LeakedBlocks != 0 || r.LeakedBytes != 0 {
 		t.Fatalf("run leaked blocks: %+v", r)
 	}
 }
@@ -525,5 +525,47 @@ func TestCanceledReadsTheDeadlineOffTheClock(t *testing.T) {
 	future := &ExecCtx{Ctx: lateTimerCtx{context.Background(), time.Now().Add(time.Hour)}}
 	if err := future.Canceled(); err != nil {
 		t.Fatalf("future deadline: Canceled() = %v", err)
+	}
+}
+
+// tableOp charges a table's bytes to the run's HashTables when it starts
+// and takes them off in Cleanup, unless it leaks them.
+type tableOp struct {
+	Base
+	leak bool
+}
+
+func (o *tableOp) Name() string { return "table" }
+
+func (o *tableOp) Start(ctx *ExecCtx) []WorkOrder {
+	ctx.Run.HashTables.Add(100)
+	return nil
+}
+
+func (o *tableOp) Cleanup(ctx *ExecCtx) {
+	if !o.leak {
+		ctx.Run.HashTables.Sub(100)
+	}
+}
+
+// TestLeakedGaugeBytesFailTheRun: the invariant checker reads the run's
+// pool and hash-table gauges after cleanup, so a successful run that leaves
+// bytes on either fails, and records them in LeakedBytes; a run whose
+// operators give back what they charged passes.
+func TestLeakedGaugeBytesFailTheRun(t *testing.T) {
+	for _, leak := range []bool{false, true} {
+		plan := &Plan{}
+		plan.AddOp(&tableOp{leak: leak})
+		pid := plan.AddOp(&producer{nblocks: 2, rows: 3})
+		plan.Pipe(pid, plan.AddOp(&consumer{}), 0, 1)
+		ctx := newCtx(1)
+		err := Run(plan, ctx, 1)
+		r := ctx.Run.Robust()
+		if !leak && (err != nil || r.LeakedBytes != 0) {
+			t.Fatalf("no leak: err %v, leaks %+v", err, r)
+		}
+		if leak && (err == nil || !strings.Contains(err.Error(), "100 bytes left") || r.LeakedBytes != 100) {
+			t.Fatalf("leak: err %v, leaks %+v", err, r)
+		}
 	}
 }

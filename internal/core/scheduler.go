@@ -119,13 +119,8 @@ type sched struct {
 	edges  []*edgeState
 	// levels holds the queued jobs in one FIFO per operator depth; queued
 	// counts them all.
-	levels [][]job
-	queued int
-	// rc counts each emitted block's pipelined consumers that have not
-	// dropped it yet; each consumer's Keeps says when it drops its ref. A
-	// KeepAdopted consumer never does: a successful run hands its blocks
-	// over in cleanup, and a failed one releases them.
-	rc       map[*storage.Block]int
+	levels   [][]job
+	queued   int
 	doneOps  int
 	inflight int
 	runErr   error
@@ -138,7 +133,6 @@ type sched struct {
 
 func newSched(plan *Plan, ctx *ExecCtx, defaultUoT int) *sched {
 	s := &sched{plan: plan, ctx: ctx}
-	s.rc = make(map[*storage.Block]int)
 	s.done = make(chan struct{})
 	s.states = make([]*opState, len(s.plan.Ops))
 	for i, op := range s.plan.Ops {
@@ -521,13 +515,13 @@ func (s *sched) onComplete(r wres) {
 		for _, b := range r.wo.Inputs() {
 			if _, ok := st.held[b]; ok {
 				delete(st.held, b)
-				s.decRef(b)
+				s.drop(b)
 			}
 		}
 	case KeepForReaders:
 		// A block the operator alone reads is now part of its table.
 		for _, b := range r.wo.Inputs() {
-			if _, ok := st.held[b]; ok && s.rc[b] == 1 && s.ctx.Run != nil {
+			if _, ok := st.held[b]; ok && b.Refs() == 1 && s.ctx.Run != nil {
 				s.ctx.Pool.Keep(b, &s.ctx.Run.HashTables)
 			}
 		}
@@ -567,10 +561,10 @@ func (s *sched) emit(st *opState, blocks []*storage.Block) {
 	if len(blocks) == 0 {
 		return
 	}
-	// Reference count = number of pipelined consumers, adopters included.
-	// Only a sole consumer that drops or indexes a view reads it in place:
-	// a sort's merge and an adopter need the cells themselves, and a
-	// consumer that materializes a view would change it under the others.
+	// One ref per pipelined consumer, adopters included. Only a sole
+	// consumer that drops or indexes a view reads it in place: a sort's
+	// merge and an adopter need the cells themselves, and a consumer that
+	// materializes a view would change it under the others.
 	refs, materialize, cut := 0, false, false
 	for _, es := range st.out {
 		if es.e.Kind == Pipelined {
@@ -603,17 +597,16 @@ func (s *sched) emit(st *opState, blocks []*storage.Block) {
 			// one should not pin a whole budget meanwhile.
 			s.ctx.Pool.Cut(b)
 		}
-		s.rc[b] = refs
 		for _, es := range st.out {
 			if es.e.Kind == Pipelined {
 				es.buf = append(es.buf, b)
 			}
 		}
-		// The block is now sealed and parked awaiting delivery: cool it so
-		// the spill tier may evict it under memory pressure (no-op without a
-		// tier). Cool rebalances, so eviction rounds happen right here under
-		// the run's lock; mark them on the trace.
-		eb, ebytes := s.ctx.Pool.Cool(b)
+		// The block is now sealed and parked awaiting delivery, so the spill
+		// tier may evict it under memory pressure. Park rebalances, so
+		// eviction rounds happen right here under the run's lock; mark them
+		// on the trace.
+		eb, ebytes := s.ctx.Pool.Park(b, refs)
 		evicted += eb
 		evictedBytes += ebytes
 	}
@@ -711,14 +704,18 @@ func (s *sched) sampleEdge(es *edgeState, delivered int, stallNS int64) {
 	}, delivered)
 }
 
-// deliver hands one UoT group to the consumer. Every block is pinned first:
-// a pinned block is ineligible for spill eviction for as long as operator
-// code may touch its memory, and a block the tier already evicted is faulted
-// back in synchronously — the read-through stall the delivery path pays in
-// the Section V-C persistent-store regime. A fault-in that fails past the
-// retry bound abandons the whole delivery: the consumer never sees the chunk,
-// and cleanup reclaims it (every delivered block is refcounted).
+// deliver hands one UoT group to the consumer. The consumer holds every
+// block first, then every block is pinned: a pinned block is ineligible for
+// spill eviction for as long as operator code may touch its memory, and a
+// block the tier already evicted is faulted back in synchronously — the
+// read-through stall the delivery path pays in the Section V-C
+// persistent-store regime. A fault-in that fails past the retry bound
+// abandons the whole delivery: the consumer never sees the chunk, and
+// cleanup drops its refs from the consumer's held set.
 func (s *sched) deliver(c *opState, es *edgeState, blocks []*storage.Block) {
+	for _, b := range blocks {
+		c.held[b] = struct{}{}
+	}
 	faulted := 0
 	var faultBytes, faultStall int64
 	for _, b := range blocks {
@@ -739,9 +736,6 @@ func (s *sched) deliver(c *opState, es *edgeState, blocks []*storage.Block) {
 			Rows: int64(faulted), RowsOut: faultBytes, StallNS: faultStall,
 			StartNS: s.ctx.Trace.Now(),
 		})
-	}
-	for _, b := range blocks {
-		c.held[b] = struct{}{}
 	}
 	es.batches++
 	s.enqueueBatch(c, c.op.Feed(s.ctx, es.e.ToInput, blocks), es.batches-1, false)
@@ -849,7 +843,7 @@ func (s *sched) finish(st *opState) {
 }
 
 // releaseHeld drops a finished operator's input refs, unless it adopted them
-// (cleanup settles those) or keeps them for an operator behind one of its
+// (cleanup hands those out) or keeps them for an operator behind one of its
 // blocking edges that has not finished yet.
 func (s *sched) releaseHeld(st *opState) {
 	if !st.done || len(st.held) == 0 || st.op.Keeps() == KeepAdopted {
@@ -864,115 +858,93 @@ func (s *sched) releaseHeld(st *opState) {
 	}
 	for b := range st.held {
 		delete(st.held, b)
-		s.decRef(b)
+		s.drop(b)
 	}
 }
 
-// cleanup settles the adopters' refs and is the one place an aborted run's
-// blocks are reclaimed: refcounted blocks (adopted ones included), blocks
-// buffered on edges awaiting delivery, partial blocks still checked into the
-// pool and a Final wave's parked outputs — a partial result is meaningless,
-// and under a shared pool every block of a failed query must return to the
-// global accounting. A successful run has released everything else through
-// the normal flow, and hands each adopted block out of the pool with its
-// last ref: the spill tier stops tracking it and the live gauges stop
-// counting it, so a later Release only recycles its allocation.
+// cleanup hands the adopters' blocks out of a successful run and is the one
+// place an aborted run's blocks are reclaimed. Every ref on a block is an
+// edge-buffer entry or a held entry, so dropping each once releases every
+// parked or delivered block, adopted ones included; partial blocks still
+// checked into the pool and a Final wave's parked outputs are released too —
+// a partial result is meaningless, and under a shared pool every block of a
+// failed query must return to the global accounting. An operator that did
+// not finish is cleaned up here, so a table whose last probe never ran
+// leaves the run's HashTables. A successful run has released everything else
+// through the normal flow.
 func (s *sched) cleanup() {
 	if s.runErr == nil {
 		for _, st := range s.states {
 			if st.op.Keeps() == KeepAdopted {
 				for b := range st.held {
 					delete(st.held, b)
-					if s.unref(b) {
-						s.ctx.Pool.Keep(b, nil)
-					}
+					s.ctx.Pool.HandOut(b)
 				}
 			}
 		}
 		return
 	}
-	released := make(map[*storage.Block]struct{})
-	release := func(b *storage.Block) {
-		if _, ok := released[b]; ok {
-			return
-		}
-		released[b] = struct{}{}
-		s.release(b)
-	}
-	for b := range s.rc {
-		release(b)
-		delete(s.rc, b)
-	}
 	for _, es := range s.edges {
 		for _, b := range es.buf {
-			release(b)
+			s.drop(b)
 		}
 		es.buf = nil
 	}
 	for _, st := range s.states {
 		for b := range st.held {
 			delete(st.held, b)
+			s.drop(b)
 		}
 		for _, b := range s.ctx.Pool.TakePartials(int(st.id)) {
-			release(b)
+			s.release(b)
 		}
 		for _, bs := range st.finalOut {
 			for _, b := range bs {
-				release(b)
+				s.release(b)
 			}
 		}
 		st.finalOut = nil
+		if !st.done {
+			st.op.Cleanup(s.ctx)
+		}
 	}
 }
 
 // checkInvariants verifies the zero-leak invariants after every run — no
 // blocks buffered on edges, none held by operators, no partials checked into
-// the pool, no refcount entries alive — records the counts in stats, and
-// turns a violation on an otherwise successful run into an error (it means a
-// scheduler bug, and silently leaking is worse than failing).
+// the pool, no bytes left on the run's pool or hash-table gauges — records
+// them in stats, and turns a violation on an otherwise successful run into
+// an error (it means a scheduler bug, and silently leaking is worse than
+// failing).
 func (s *sched) checkInvariants() {
-	bufBlocks := 0
+	blocks := s.ctx.Pool.PendingPartials()
 	for _, es := range s.edges {
-		bufBlocks += len(es.buf)
+		blocks += len(es.buf)
 	}
-	heldBlocks := 0
 	for _, st := range s.states {
-		heldBlocks += len(st.held)
+		blocks += len(st.held)
 	}
-	partials := s.ctx.Pool.PendingPartials()
-	refs := len(s.rc)
+	leaked := s.ctx.Pool.Live()
 	if s.ctx.Run != nil {
-		s.ctx.Run.SetLeaks(int64(bufBlocks+heldBlocks+partials), int64(refs))
+		leaked += s.ctx.Run.HashTables.Live()
+		s.ctx.Run.SetLeaks(int64(blocks), leaked)
 	}
-	if s.runErr == nil && bufBlocks+heldBlocks+partials+refs > 0 {
-		s.runErr = fmt.Errorf("core: invariant violation after run: %d edge-buffered, %d held, %d partial blocks leaked, %d outstanding block refs",
-			bufBlocks, heldBlocks, partials, refs)
-	}
-}
-
-// decRef drops one of b's refs and releases b with its last.
-func (s *sched) decRef(b *storage.Block) {
-	if s.unref(b) {
-		s.release(b)
+	if s.runErr == nil && (blocks != 0 || leaked != 0) {
+		s.runErr = fmt.Errorf("core: invariant violation after run: %d blocks buffered, held or checked in, %d bytes left on the pool and hash-table gauges",
+			blocks, leaked)
 	}
 }
 
-// unref drops one of b's refs and reports whether it was the last.
-func (s *sched) unref(b *storage.Block) bool {
-	n, ok := s.rc[b]
-	if !ok {
-		return false
+// drop drops one of b's refs; the last returns b to the pool and takes it
+// out of the cache model.
+func (s *sched) drop(b *storage.Block) {
+	if s.ctx.Pool.Drop(b) && s.ctx.Sim != nil {
+		s.ctx.Sim.Evict(b)
 	}
-	if n > 1 {
-		s.rc[b] = n - 1
-		return false
-	}
-	delete(s.rc, b)
-	return true
 }
 
-// release is the one way a block ends: back to the pool, and out of the cache
-// model. (An adopted block outlives the run; cleanup hands it over.)
+// release returns a block no reader holds to the pool and takes it out of
+// the cache model.
 func (s *sched) release(b *storage.Block) {
 	s.ctx.Pool.Release(b)
 	if s.ctx.Sim != nil {

@@ -59,15 +59,22 @@ type produceWO struct {
 
 func (w *produceWO) Inputs() []*storage.Block { return nil }
 
-func (w *produceWO) Run(_ *ExecCtx, out *Output) error {
+func (w *produceWO) Run(ctx *ExecCtx, out *Output) error {
 	for b := 0; b < w.blocks; b++ {
-		blk := storage.NewBlock(testSchema, storage.RowStore, w.rows*8)
+		blk := checkOut(ctx, w.rows)
 		for r := 0; r < w.rows; r++ {
 			blk.AppendRow(types.NewInt64(int64(w.base*w.rows + b*w.rows + r)))
 		}
 		out.Blocks = append(out.Blocks, blk)
 	}
 	return nil
+}
+
+// checkOut checks a block that holds rows testSchema rows out of ctx.Pool,
+// as an emitter would, for a fixture that seals its own blocks. No fixture
+// checks a partial in, so owner -1 never resumes one.
+func checkOut(ctx *ExecCtx, rows int) *storage.Block {
+	return ctx.Pool.CheckOut(-1, testSchema, storage.RowStore, rows*testSchema.RowWidth())
 }
 
 // consumer records the size of every Feed group and counts rows via work
@@ -418,14 +425,14 @@ type tagWO struct {
 
 func (w *tagWO) Inputs() []*storage.Block { return w.in }
 
-func (w *tagWO) Run(_ *ExecCtx, out *Output) error {
+func (w *tagWO) Run(ctx *ExecCtx, out *Output) error {
 	if w.tag == w.op.failTag && !w.op.failed {
 		w.op.failed = true
 		return &transientErr{"tagged failure"}
 	}
 	out.RowsIn = w.tag
 	if w.op.emits {
-		b := storage.NewBlock(testSchema, storage.RowStore, 8)
+		b := checkOut(ctx, 1)
 		b.AppendRow(types.NewInt64(w.tag))
 		out.Blocks = append(out.Blocks, b)
 	}
@@ -465,7 +472,7 @@ func TestPickJobDeepestFirstInQueueOrder(t *testing.T) {
 	if g := strings.Join(got, " "); g != want {
 		t.Fatalf("dispatch order:\n got %s\nwant %s", g, want)
 	}
-	if r := ctx.Run.Robust(); r.LeakedBlocks != 0 || r.OutstandingRefs != 0 {
+	if r := ctx.Run.Robust(); r.LeakedBlocks != 0 || r.LeakedBytes != 0 {
 		t.Fatalf("run leaked blocks: %+v", r)
 	}
 }

@@ -134,7 +134,7 @@ func TestBuildHoldsBaseSelectViews(t *testing.T) {
 				t.Fatalf("%s: result %s, want %s", name, got, want)
 			}
 			checkResolvesTo(t, bop, fact.Blocks(), 0)
-			if r := res.Run.Robust(); live.Live() != 0 || res.Run.HashTables.Live() != 0 || r.LeakedBlocks != 0 || r.OutstandingRefs != 0 {
+			if r := res.Run.Robust(); live.Live() != 0 || res.Run.HashTables.Live() != 0 || r.LeakedBlocks != 0 || r.LeakedBytes != 0 {
 				t.Fatalf("%s: %d live pool bytes, %d live hash-table bytes, leaks %+v", name, live.Live(), res.Run.HashTables.Live(), r)
 			}
 			if res.Run.HashTables.High() == 0 {
@@ -204,8 +204,8 @@ func (c *cancelAfterPolls) Done() <-chan struct{} {
 // TestHeldBuildInputsLeakNothing: the zero-leak invariant holds while builds
 // hold their inputs until their probes end, over views and over temp blocks:
 // under HashInsert faults at rate 0.25 the join is right; a cancellation at
-// every point of the run, mid-probe included, ends with no live pool bytes,
-// no leaked block and no outstanding ref; and with a RAM tier at 1/8 of the
+// every point of the run, mid-probe included, ends with no live pool or
+// hash-table bytes and no leaked block; and with a RAM tier at 1/8 of the
 // temp peak the spill tier evicts and faults blocks in but never a block a
 // reader holds.
 func TestHeldBuildInputsLeakNothing(t *testing.T) {
@@ -213,8 +213,8 @@ func TestHeldBuildInputsLeakNothing(t *testing.T) {
 	want := wantFactBuild()
 	clean := func(t *testing.T, name string, live *stats.MemGauge, run *stats.Run) {
 		t.Helper()
-		if r := run.Robust(); live.Live() != 0 || r.LeakedBlocks != 0 || r.OutstandingRefs != 0 {
-			t.Fatalf("%s: %d live pool bytes, leaks %+v", name, live.Live(), r)
+		if r := run.Robust(); live.Live() != 0 || run.HashTables.Live() != 0 || r.LeakedBlocks != 0 || r.LeakedBytes != 0 {
+			t.Fatalf("%s: %d live pool bytes, %d live hash-table bytes, leaks %+v", name, live.Live(), run.HashTables.Live(), r)
 		}
 	}
 	t.Run("HashInsert faults", func(t *testing.T) {
@@ -304,7 +304,7 @@ func TestHeldBuildInputsLeakNothing(t *testing.T) {
 			if sp.BadEvicts != 0 || sp.BlocksOut == 0 || sp.BlocksIn == 0 || sp.Outstanding != 0 {
 				t.Fatalf("%s: spill counters %+v: want traffic both ways, no bad evict, nothing tracked after", name, sp)
 			}
-			if r := res.Run.Robust(); pool.Live() != 0 || r.LeakedBlocks != 0 || r.OutstandingRefs != 0 {
+			if r := res.Run.Robust(); pool.Live() != 0 || r.LeakedBlocks != 0 || r.LeakedBytes != 0 {
 				t.Fatalf("%s: %d live pool bytes, leaks %+v", name, pool.Live(), r)
 			}
 			closeTier(t, pool, dir)
@@ -364,7 +364,7 @@ func TestSharedTableCountsUntilLastProbe(t *testing.T) {
 	if high := res.Run.HashTables.High(); gauge.live != high || index == 0 {
 		t.Fatalf("between the probes HashTables holds %d bytes, want the build's peak %d (its index is %d)", gauge.live, high, index)
 	}
-	if r := res.Run.Robust(); res.Run.HashTables.Live() != 0 || r.LeakedBlocks != 0 || r.OutstandingRefs != 0 {
+	if r := res.Run.Robust(); res.Run.HashTables.Live() != 0 || r.LeakedBlocks != 0 || r.LeakedBytes != 0 {
 		t.Fatalf("after the run: %d live hash-table bytes, leaks %+v", res.Run.HashTables.Live(), r)
 	}
 }
@@ -470,7 +470,7 @@ func TestSortHoldsMaterializedSelectViews(t *testing.T) {
 				if n := spy.views.Load(); n != 0 {
 					t.Fatalf("%s: the sort was fed %d views", name, n)
 				}
-				if r := res.Run.Robust(); pool.Live() != 0 || r.LeakedBlocks != 0 || r.OutstandingRefs != 0 {
+				if r := res.Run.Robust(); pool.Live() != 0 || r.LeakedBlocks != 0 || r.LeakedBytes != 0 {
 					t.Fatalf("%s: %d live pool bytes, leaks %+v", name, pool.Live(), r)
 				}
 				if !tier {

@@ -136,7 +136,7 @@ func TestRetryIdempotence(t *testing.T) {
 					t.Fatalf("seed %d: chaos result differs from fault-free baseline", seed)
 				}
 				r := res.Run.Robust()
-				if r.LeakedBlocks != 0 || r.OutstandingRefs != 0 {
+				if r.LeakedBlocks != 0 || r.LeakedBytes != 0 {
 					t.Fatalf("seed %d: leaks after chaos run: %+v", seed, r)
 				}
 				if r.FaultsInjected != int64(inj.Injected()) {
@@ -253,7 +253,7 @@ func TestRetryRecoversPreMutationFaults(t *testing.T) {
 				if r.Retries == 0 {
 					t.Fatal("no work order was retried; the site never fired")
 				}
-				if r.LeakedBlocks+r.OutstandingRefs != 0 {
+				if r.LeakedBlocks != 0 || r.LeakedBytes != 0 {
 					t.Fatalf("leaks after retried run: %+v", r)
 				}
 			})
@@ -308,7 +308,7 @@ func TestSortMergeRecoversBlockMaterializeFaults(t *testing.T) {
 			if !reflect.DeepEqual(Rows(res.Table), want) {
 				t.Fatal("retried run's rows differ from the fault-free run's")
 			}
-			if r := res.Run.Robust(); r.LeakedBlocks+r.OutstandingRefs != 0 {
+			if r := res.Run.Robust(); r.LeakedBlocks != 0 || r.LeakedBytes != 0 {
 				t.Fatalf("leaks after retried run: %+v", r)
 			}
 			if live.Live() != 0 {
@@ -329,9 +329,10 @@ func TestSortMergeRecoversBlockMaterializeFaults(t *testing.T) {
 
 // TestPersistentFaultFailsTyped: a site that always faults fails the query
 // with the typed exhaustion error after exactly 8 attempts — there
-// is no second kernel to finish on. Execute returns no Result on failure, so
-// retries are read from the tracer and leaks from a caller-owned pool's root gauge
-// (which counts every block the failed run still owns).
+// is no second kernel to finish on. Retries are read from the tracer, and
+// leaks from a caller-owned pool's root gauge (which counts every block the
+// failed run still owns) and the failed run's HashTables (which count every
+// table it still holds).
 func TestPersistentFaultFailsTyped(t *testing.T) {
 	for _, sp := range preMutationSites(t) {
 		t.Run(sp.name, func(t *testing.T) {
@@ -339,7 +340,7 @@ func TestPersistentFaultFailsTyped(t *testing.T) {
 			tr := trace.New(1 << 12)
 			opts := preMutationOpts(sp.site, 1, faults.KindError)
 			opts.Pool, opts.Trace = storage.NewPool(&live, nil), tr
-			_, err := Execute(sp.build(), opts)
+			res, err := Execute(sp.build(), opts)
 			if err == nil {
 				t.Fatal("query completed although the site faults on every attempt")
 			}
@@ -358,8 +359,8 @@ func TestPersistentFaultFailsTyped(t *testing.T) {
 			if retries < 7 {
 				t.Fatalf("retries = %d, want >= 7 before giving up", retries)
 			}
-			if live.Live() != 0 {
-				t.Fatalf("failed run left %d live temp bytes", live.Live())
+			if live.Live() != 0 || res.Run.HashTables.Live() != 0 {
+				t.Fatalf("failed run left %d live temp bytes, %d live hash-table bytes", live.Live(), res.Run.HashTables.Live())
 			}
 		})
 	}
@@ -454,7 +455,7 @@ func TestSealFillRetryAtWorkers4(t *testing.T) {
 			if !sameRows(base, rows) {
 				t.Fatalf("scale %d, parity %d: Workers 4 rows differ from the fault-free Workers 1 run", scale, parity)
 			}
-			if r := res.Run.Robust(); r.LeakedBlocks+r.OutstandingRefs != 0 || r.Retries == 0 {
+			if r := res.Run.Robust(); r.LeakedBlocks != 0 || r.LeakedBytes != 0 || r.Retries == 0 {
 				t.Fatalf("scale %d, parity %d: %+v", scale, parity, r)
 			}
 			if live := res.Run.HashTables.Live(); live != 0 {

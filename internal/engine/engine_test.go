@@ -397,7 +397,7 @@ func TestLIPFilterFromUndeclaredBuild(t *testing.T) {
 				if plainOut, lipOut := opRowsOut(plain, "sel_fact"), opRowsOut(lip, "sel_fact"); lipOut >= plainOut {
 					t.Fatalf("LIP select emitted %d rows, plain %d", lipOut, plainOut)
 				}
-				if r := lip.Run.Robust(); r.LeakedBlocks+r.OutstandingRefs != 0 {
+				if r := lip.Run.Robust(); r.LeakedBlocks != 0 || r.LeakedBytes != 0 {
 					t.Fatalf("leaks after LIP run: %+v", r)
 				}
 			})
@@ -552,8 +552,8 @@ func TestCollectedScanIsMaterialized(t *testing.T) {
 
 // TestCanceledExecuteReturnsItsRun: a run canceled midway returns its error
 // with a Result that has no table but does have the run's stats, and those
-// show the canceled run released every block: no leaked block, no
-// outstanding ref and no live pool bytes.
+// show the canceled run released every block and table: no leaked block
+// and no live pool or hash-table bytes.
 func TestCanceledExecuteReturnsItsRun(t *testing.T) {
 	_, fact, dim := fixture(t, storage.ColumnStore, 4<<10)
 	var live stats.MemGauge
@@ -570,7 +570,7 @@ func TestCanceledExecuteReturnsItsRun(t *testing.T) {
 	if len(res.Run.PerOp()) == 0 || res.Run.Intermediates.High() == 0 {
 		t.Fatal("the run was canceled before it made a block; the test is vacuous")
 	}
-	if r := res.Run.Robust(); r.LeakedBlocks != 0 || r.OutstandingRefs != 0 || live.Live() != 0 {
-		t.Fatalf("canceled run: %d live pool bytes, leaks %+v", live.Live(), r)
+	if r := res.Run.Robust(); r.LeakedBlocks != 0 || r.LeakedBytes != 0 || live.Live() != 0 || res.Run.HashTables.Live() != 0 {
+		t.Fatalf("canceled run: %d live pool bytes, %d live hash-table bytes, leaks %+v", live.Live(), res.Run.HashTables.Live(), r)
 	}
 }

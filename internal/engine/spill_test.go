@@ -82,7 +82,7 @@ func TestSpillGoldenEquivalence(t *testing.T) {
 		if sp.DiskLive != 0 {
 			t.Fatalf("workers=%d: %d extent bytes still live after the run", workers, sp.DiskLive)
 		}
-		if r := res.Run.Robust(); r.LeakedBlocks != 0 || r.OutstandingRefs != 0 {
+		if r := res.Run.Robust(); r.LeakedBlocks != 0 || r.LeakedBytes != 0 {
 			t.Fatalf("workers=%d: leaks after spilled run: %+v", workers, r)
 		}
 		closeTier(t, pool, dir)
@@ -154,7 +154,7 @@ func TestSpillCrashConsistency(t *testing.T) {
 			if sp.DiskLive != 0 {
 				t.Fatalf("%d extent bytes live after the run", sp.DiskLive)
 			}
-			if r := res.Run.Robust(); r.LeakedBlocks != 0 || r.OutstandingRefs != 0 {
+			if r := res.Run.Robust(); r.LeakedBlocks != 0 || r.LeakedBytes != 0 {
 				t.Fatalf("leaks after faulted spill run: %+v", r)
 			}
 			closeTier(t, pool, dir)

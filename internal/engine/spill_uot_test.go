@@ -47,8 +47,8 @@ func TestSpillTierKeepsEdgeUoTsTPCH(t *testing.T) {
 		if err := approxEqualRows(engine.Rows(ref.Table), engine.Rows(res.Table)); err != nil {
 			t.Errorf("Q%02d: spilled Workers 2 rows differ from the in-RAM Workers 1 run: %v", q, err)
 		}
-		if rb := res.Run.Robust(); rb.LeakedBlocks != 0 || rb.OutstandingRefs != 0 {
-			t.Errorf("Q%02d: %d leaked blocks, %d outstanding refs", q, rb.LeakedBlocks, rb.OutstandingRefs)
+		if rb := res.Run.Robust(); rb.LeakedBlocks != 0 || rb.LeakedBytes != 0 {
+			t.Errorf("Q%02d: %d leaked blocks, %d leaked bytes", q, rb.LeakedBlocks, rb.LeakedBytes)
 		}
 		if sp := pool.SpillCounters(); sp.DiskLive != 0 || sp.Outstanding != 0 {
 			t.Errorf("Q%02d: spill tier not drained: %d B on disk, %d blocks tracked", q, sp.DiskLive, sp.Outstanding)

@@ -499,10 +499,11 @@ func (o *ProbeOp) Feed(_ *core.ExecCtx, _ int, blocks []*storage.Block) []core.W
 
 // Cleanup implements core.Operator: the last of the hash table's probes to
 // finish releases its memory, so a table several probes share counts until
-// none reads it.
+// none reads it. A failed run cleans up probes that never finished, whose
+// build may not have started.
 func (o *ProbeOp) Cleanup(*core.ExecCtx) {
 	b := o.build
-	if b.open--; b.open == 0 {
+	if b.open--; b.open == 0 && b.ht != nil {
 		b.ht.Release()
 	}
 }

@@ -133,6 +133,40 @@ func TestLIPFilterHoldsEveryIndexedKey(t *testing.T) {
 	}
 }
 
+// TestLIPKeyColumnReadOnce: a select that projects its LIP key column reads
+// it once, so two LIPs on that column add only their filters' probes to its
+// cost, not a second and third scan of the column.
+func TestLIPKeyColumnReadOnce(t *testing.T) {
+	s := lipSchema()
+	build := NewBuildHash(BuildSpec{Name: "build", InputSchema: s, KeyCols: []int{0}})
+	build.setID(30)
+	lipReader(s, build)
+	runOp(t, execCtx(), build, 30, lipBlocks(s, 1, 100, 1)...)
+	probe := lipBlocks(s, 1, 100, 1)[0]
+	params := cachesim.Default()
+	cost := func(lips []LIPRef) int64 {
+		op := NewSelect(SelectSpec{
+			Name: "sel", InputSchema: s, Proj: []expr.Expr{expr.C(s, "k")}, ProjNames: []string{"k"},
+			LIPs: lips,
+		})
+		op.setID(31)
+		ctx := execCtx()
+		ctx.Sim = cachesim.New(params)
+		out := &core.Output{}
+		if err := op.Feed(ctx, 0, []*storage.Block{probe})[0].Run(ctx, out); err != nil {
+			t.Fatal(err)
+		}
+		out.Finish(nil)
+		return out.Sim
+	}
+	plain := cost(nil)
+	two := cost([]LIPRef{{Build: build, KeyCol: 0}, {Build: build, KeyCol: 0}})
+	probes := 2 * cachesim.New(params).RandomProbes(int64(probe.NumRows()), build.Bloom().Bytes())
+	if got := two - plain; got != probes {
+		t.Fatalf("two LIPs on the projected key column cost %d more than none, want their probes' %d", got, probes)
+	}
+}
+
 // TestLIPProbesChargedPerFilter: a select that reads two filters of
 // different sizes charges each filter's probes at that filter's own size.
 // The filters hold every probe key, so a select reading the small filter

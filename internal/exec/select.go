@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -117,7 +118,9 @@ func NewSelect(spec SelectSpec) *SelectOp {
 	all := append([]expr.Expr{spec.Pred}, spec.Proj...)
 	op.readCols = expr.PrimaryCols(all...)
 	for _, l := range spec.LIPs {
-		op.readCols = append(op.readCols, l.KeyCol)
+		if !slices.Contains(op.readCols, l.KeyCol) {
+			op.readCols = append(op.readCols, l.KeyCol)
+		}
 		l.Build.lipReaders++
 	}
 	return op

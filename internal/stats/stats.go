@@ -191,10 +191,10 @@ type Robustness struct {
 	Cancellations int64
 	// LeakedBlocks is the invariant checker's count of blocks still
 	// buffered on edges, held by operators, or checked in as partials
-	// after the run; OutstandingRefs is its count of live refcount
-	// entries. Both must be zero.
-	LeakedBlocks    int64
-	OutstandingRefs int64
+	// after the run; LeakedBytes is what the run's pool and hash-table
+	// gauges still count. Both must be zero.
+	LeakedBlocks int64
+	LeakedBytes  int64
 }
 
 // Reuse is one run's result-cache activity: whether a cached entry was
@@ -279,10 +279,10 @@ func (r *Run) EdgeUoTs() []EdgeUoT {
 }
 
 // SetLeaks records the invariant checker's post-run leak counts.
-func (r *Run) SetLeaks(blocks, refs int64) {
+func (r *Run) SetLeaks(blocks, bytes int64) {
 	r.mu.Lock()
 	r.robust.LeakedBlocks = blocks
-	r.robust.OutstandingRefs = refs
+	r.robust.LeakedBytes = bytes
 	r.mu.Unlock()
 }
 

@@ -53,10 +53,13 @@ type Block struct {
 	rows []int32   // a view's base rows, aliasing data
 	segs []viewSeg // a view's base blocks, in row order
 
-	// Set by Pool.Keep: the block left the live gauges, for keptIn if
-	// non-nil. Set by Pool.Cut: data holds the block's rows exactly, so the
-	// freelist, whose sizes are budgets, must not take it.
-	kept   bool
+	// A temp block's lifetime (see blockState): where it is on its path
+	// through the pool, how many readers hold it once parked, and the gauge
+	// Pool.Keep moved its bytes to. Set by Pool.Cut: data holds the block's
+	// rows exactly, so the freelist, whose sizes are budgets, must not take
+	// it.
+	state  blockState
+	refs   int
 	keptIn *stats.MemGauge
 	cut    bool
 }

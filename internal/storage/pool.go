@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -150,8 +151,46 @@ func (p *Pool) subLive(n int64) {
 	}
 }
 
-// CheckOut returns a block for owner (an operator instance tag) with the
-// given schema, format, and byte budget: a previously checked-in partial
+// blockState is where a temp block is on its one path through the pool
+// (Section III-A): checked out and filled, parked in its readers' edge
+// buffers, delivered to them, released — or, before its release, kept in
+// another gauge past its readers' work orders, or handed out of the run.
+// Every Pool move below checks the states it takes a block from and panics
+// with the block's state on an illegal one. A sealed block moves only under
+// its run's scheduler lock; the spill tier keeps RAM-or-disk residency in
+// its own entry, so an eviction on a worker never touches the state.
+type blockState uint8
+
+const (
+	unowned   blockState = iota // NewBlock, DecodeBlock, a table's: no pool moves it
+	filling                     // CheckOut: appended to, or checked in as a partial
+	parked                      // Park: sealed, one ref per reader, in their edge buffers
+	delivered                   // Pin: fed to a reader, resident until its last Drop
+	kept                        // Keep: its bytes count in another gauge until its last Drop
+	handedOut                   // HandOut: out of the run; Release only recycles it
+	released                    // Release, or the last Drop: dead
+)
+
+var stateNames = [...]string{"unowned", "filling", "parked", "delivered", "kept", "handed-out", "released"}
+
+func (s blockState) String() string { return stateNames[s] }
+
+// must panics unless b is in one of the states move takes a block from.
+func (b *Block) must(move string, from ...blockState) {
+	for _, s := range from {
+		if b.state == s {
+			return
+		}
+	}
+	panic(fmt.Sprintf("storage: %s of a %s block", move, b.state))
+}
+
+// Refs returns how many readers still hold a parked, delivered or kept
+// block.
+func (b *Block) Refs() int { return b.refs }
+
+// CheckOut returns a filling block for owner (an operator instance tag) with
+// the given schema, format, and byte budget: a previously checked-in partial
 // block of that owner if one exists, else a new block laid over a recycled
 // allocation of that budget, else over a fresh one.
 func (p *Pool) CheckOut(owner int, schema *Schema, format Format, blockBytes int) *Block {
@@ -159,6 +198,7 @@ func (p *Pool) CheckOut(owner int, schema *Schema, format Format, blockBytes int
 		return b
 	}
 	b := newBlockOver(schema, format, blockBytes, p.takeBuf(bufKey(schema, blockBytes)))
+	b.state = filling
 	p.charge(b)
 	return b
 }
@@ -176,7 +216,7 @@ func (p *Pool) CheckOutView(owner int, schema *Schema, proj []int, format Format
 	cap := max(1, blockBytes/schema.RowWidth())
 	buf := p.takeBuf(4 * cap)[:4*cap]
 	b := &Block{
-		schema: schema, format: format, capacity: cap, data: buf,
+		schema: schema, format: format, capacity: cap, data: buf, state: filling,
 		proj: proj, rows: unsafe.Slice((*int32)(unsafe.Pointer(&buf[0])), cap),
 	}
 	p.charge(b)
@@ -203,7 +243,7 @@ func (p *Pool) resume(owner int) *Block {
 // charge credits a fresh allocation to the live gauges. It is the
 // allocation edge that can push the pool over its RAM threshold, so the
 // spill tier sheds cold blocks right here, on the worker's stack, rather
-// than waiting for the scheduler's next cool.
+// than waiting for the scheduler's next Park.
 func (p *Pool) charge(b *Block) {
 	p.addLive(int64(b.AllocBytes()))
 	if t := p.root().spill.Load(); t != nil {
@@ -211,14 +251,15 @@ func (p *Pool) charge(b *Block) {
 	}
 }
 
-// Materialize turns view b, in place, into the temp block its rows make:
-// the cells are copied out of the base blocks into an allocation of
+// Materialize turns filling view b, in place, into the temp block its rows
+// make: the cells are copied out of the base blocks into an allocation of
 // blockBytes, the budget the view was checked out with, charged to p like a
 // checkout's and counted as one, and the rows buffer goes back to the
 // freelist. The block keeps its identity, so whoever owned the view owns the
 // block. A block that is not a view is left alone. Call it before any reader
 // sees b: the view changes under it.
 func (p *Pool) Materialize(b *Block, blockBytes int) {
+	b.must("Materialize", filling)
 	if b.proj == nil {
 		return
 	}
@@ -237,7 +278,7 @@ func (p *Pool) Materialize(b *Block, blockBytes int) {
 		}
 		lo = sg.end
 	}
-	m.n = b.n
+	m.n, m.state = b.n, filling
 	rows := b.data
 	*b = *m
 	p.charge(b)
@@ -248,6 +289,7 @@ func (p *Pool) Materialize(b *Block, blockBytes int) {
 // CheckIn returns a partially-filled block to the pool for later resumption
 // by the same owner.
 func (p *Pool) CheckIn(owner int, b *Block) {
+	b.must("CheckIn", filling)
 	p.mu.Lock()
 	p.partial[owner] = append(p.partial[owner], b)
 	p.mu.Unlock()
@@ -289,13 +331,14 @@ func (p *Pool) Live() int64 {
 	return p.gauge.Live()
 }
 
-// Cut moves sealed block b, whose reader will keep it (a join build
+// Cut moves filling block b, whose reader will keep it (a join build
 // indexes the blocks it is fed until its table is released), into an
 // allocation of exactly its rows, so a partial block does not pin a whole
 // budget. Call it before any reader sees b. The old allocation goes back to
 // the freelist; the cut one, whose size is no budget, goes to the GC at
-// Release. A full block is left alone.
+// release. A full block is left alone.
 func (p *Pool) Cut(b *Block) {
+	b.must("Cut", filling)
 	before := int64(b.AllocBytes())
 	if old := b.cutToRows(); old != nil {
 		p.putBuf(old)
@@ -303,45 +346,111 @@ func (p *Pool) Cut(b *Block) {
 	}
 }
 
-// Keep hands pinned block b to a reader that keeps it past its work orders,
-// once: the spill tier stops tracking it, and its bytes leave this view's
-// live gauges for g, until Release takes them off g, or, with a nil g, for
-// good (an adopted block left the run), and Release only recycles it.
+// Park seals filling block b into the edge buffers of its readers, one ref
+// each, and registers it with the spill tier as an eviction candidate owned
+// by this view, then rebalances, returning the blocks and encoded bytes this
+// call evicted (so the scheduler can trace-mark its own eviction rounds;
+// worker-side CheckOut rebalances stay tier-counted only).
+func (p *Pool) Park(b *Block, readers int) (evictedBlocks int, evictedBytes int64) {
+	b.must("Park", filling)
+	b.state, b.refs = parked, readers
+	t := p.root().spill.Load()
+	if t == nil {
+		return 0, 0
+	}
+	t.cool(p, b)
+	return t.balance()
+}
+
+// Pin delivers parked block b to one of its readers: it becomes ineligible
+// for eviction and, if currently spilled, is faulted back in before Pin
+// returns. A block delivered to one reader may be pinned for the next. The
+// error is the read fault that persisted past the retry bound; the block
+// then stays parked, and the caller must abandon the delivery.
+func (p *Pool) Pin(b *Block) (PinResult, error) {
+	b.must("Pin", parked, delivered)
+	var pr PinResult
+	if t := p.root().spill.Load(); t != nil {
+		var err error
+		if pr, err = t.pin(b); err != nil {
+			return pr, err
+		}
+	}
+	b.state = delivered
+	return pr, nil
+}
+
+// Keep hands delivered block b to a reader that keeps it past its work
+// orders: the spill tier stops tracking it, and its bytes leave this view's
+// live gauges for g until its last Drop takes them off g.
 func (p *Pool) Keep(b *Block, g *stats.MemGauge) {
+	b.must("Keep", delivered)
+	g.Add(p.unlive(b))
+	b.state, b.keptIn = kept, g
+}
+
+// HandOut drops an adopting reader's ref on delivered block b and, with the
+// last, hands the block out of the run: the spill tier stops tracking it and
+// the live gauges stop counting it, so a later Release only recycles it.
+func (p *Pool) HandOut(b *Block) {
+	b.must("HandOut", delivered)
+	if b.refs--; b.refs > 0 {
+		return
+	}
+	p.unlive(b)
+	b.state = handedOut
+}
+
+// unlive takes resident block b off the spill tier and this view's live
+// gauges, returning its bytes.
+func (p *Pool) unlive(b *Block) int64 {
 	if t := p.root().spill.Load(); t != nil {
 		t.drop(b)
 	}
 	n := int64(b.AllocBytes())
 	p.subLive(n)
-	if g != nil {
-		g.Add(n)
-	}
-	b.kept, b.keptIn = true, g
+	return n
 }
 
-// Release ends a block whose contents are no longer needed (its consumer
-// operator finished). Its allocation goes back to the freelist and no longer
+// Drop drops one reader's ref on parked, delivered or kept block b and,
+// with the last, releases it, reporting whether it did.
+func (p *Pool) Drop(b *Block) bool {
+	b.must("Drop", parked, delivered, kept)
+	if b.refs--; b.refs > 0 {
+		return false
+	}
+	p.free(b)
+	return true
+}
+
+// Release ends a filling block no reader holds (an empty or rolled-back
+// checkout, an aborted run's partial) or a handed-out one.
+func (p *Pool) Release(b *Block) {
+	b.must("Release", filling, handedOut)
+	p.free(b)
+}
+
+// free ends b. Its allocation goes back to the freelist and no longer
 // counts as live intermediate memory (a kept block's, as live bytes of the
-// gauge Keep moved it to, if any); the block itself is dead — its data is
-// nil'd, so a stale reader panics instead of reading the rows of whichever
-// block is laid over the allocation next. A block the spill tier evicted has no RAM
+// gauge Keep moved it to); the block itself is dead — its data is nil'd, so
+// a stale reader panics instead of reading the rows of whichever block is
+// laid over the allocation next. A block the spill tier evicted has no RAM
 // allocation and was uncredited at eviction time, so only its disk record
 // is reclaimed.
-func (p *Pool) Release(b *Block) {
-	if t := p.root().spill.Load(); t != nil {
-		if t.drop(b) {
-			return // spilled: gauge already settled, data lives on disk only
-		}
+func (p *Pool) free(b *Block) {
+	spilled := false
+	if t := p.root().spill.Load(); t != nil && (b.state == parked || b.state == delivered) {
+		spilled = t.drop(b)
 	}
 	switch {
-	case b.keptIn != nil:
+	case spilled: // settled at eviction; the data lives on disk only
+	case b.state == kept:
 		b.keptIn.Sub(int64(b.AllocBytes()))
-	case !b.kept:
+	case b.state != handedOut:
 		p.subLive(int64(b.AllocBytes()))
 	}
-	buf := b.data
-	b.data, b.rows, b.segs = nil, nil, nil
 	if !b.cut {
-		p.putBuf(buf)
+		p.putBuf(b.data)
 	}
+	b.data, b.rows, b.segs, b.state = nil, nil, nil, released
 }

@@ -10,12 +10,12 @@ import (
 )
 
 // The spill tier sits behind the root Pool and gives temp blocks a second,
-// disk-backed home (the paper's Section V-C persistent-store regime). Sealed
-// blocks parked in edge buffers are *cooled* — registered as eviction
-// candidates on an LRU — and while the root gauge sits above the configured
-// threshold the tier encodes the coldest unpinned block (codec.go), appends
-// it to an extent file in the per-run spill directory, and drops its RAM
-// allocation. When the scheduler is about to hand a block to a consumer it
+// disk-backed home (the paper's Section V-C persistent-store regime). A
+// block parked in edge buffers (Pool.Park) is *cooled* — registered as an
+// eviction candidate on an LRU — and while the root gauge sits above the
+// configured threshold the tier encodes the coldest unpinned block
+// (codec.go), appends it to an extent file in the per-run spill directory,
+// and drops its RAM allocation. When the scheduler is about to hand a block to a consumer it
 // *pins* it, which faults spilled contents back in synchronously (the
 // read-through the delivery path blocks on) and makes the block ineligible
 // for eviction until it is released. Pin/release bracket exactly the window
@@ -174,41 +174,12 @@ func (p *Pool) SpillCounters() SpillCounters {
 	return c
 }
 
-// Cool registers a sealed block parked in an edge buffer as an eviction
-// candidate owned by this view, then rebalances, returning the blocks and
-// encoded bytes this call evicted (so the scheduler can trace-mark its own
-// eviction rounds; worker-side CheckOut rebalances stay tier-counted only).
-// No-op without a tier.
-func (p *Pool) Cool(b *Block) (evictedBlocks int, evictedBytes int64) {
-	t := p.root().spill.Load()
-	if t == nil {
-		return 0, 0
-	}
-	t.cool(p, b)
-	return t.balance()
-}
-
-// Pin marks b about to be handed to a consumer: it becomes ineligible for
-// eviction and, if currently spilled, is faulted back in before Pin returns.
-// A block the tier does not track (a view, spill disabled) is a
-// no-op. The error is the read fault that persisted past the retry bound;
-// the caller must then abandon the delivery.
-func (p *Pool) Pin(b *Block) (PinResult, error) {
-	t := p.root().spill.Load()
-	if t == nil {
-		return PinResult{}, nil
-	}
-	return t.pin(b)
-}
-
+// cool registers parked block b, owned by view, as an eviction candidate.
 func (t *spillTier) cool(view *Pool, b *Block) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return
-	}
-	if _, ok := t.entries[b]; ok {
-		return // already tracked (block re-emitted after a rollback)
 	}
 	if b.proj != nil {
 		return // a view is 4 bytes a row and its base blocks never leave RAM
@@ -220,7 +191,7 @@ func (t *spillTier) cool(view *Pool, b *Block) {
 
 // balance evicts coldest-first while the root gauge is above the threshold,
 // returning how many blocks (and encoded bytes) this call moved to disk.
-// It is called from the scheduler (Cool) and from worker-side CheckOuts, so
+// It is called from the scheduler (Park) and from worker-side CheckOuts, so
 // evictions genuinely race pins — the mutex plus the pin/LRU exclusion carry
 // the safety argument.
 func (t *spillTier) balance() (blocks int, bytes int64) {
@@ -371,9 +342,8 @@ func (t *spillTier) freeRecordLocked(ent *spillEntry) {
 }
 
 // drop removes b from the tier. It reports whether the block's bytes are on
-// disk (so Release skips the gauge and the freelist: the RAM side was
-// already uncredited at eviction and there is no allocation to recycle) and
-// whether the tier tracked the block at all.
+// disk (so a release skips the gauge and the freelist: the RAM side was
+// already uncredited at eviction and there is no allocation to recycle).
 func (t *spillTier) drop(b *Block) (wasSpilled bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

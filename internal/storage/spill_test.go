@@ -52,7 +52,7 @@ func TestSpillEvictAndFaultIn(t *testing.T) {
 		t.Fatal("no live bytes after checkouts")
 	}
 	for _, b := range blocks {
-		p.Cool(b)
+		p.Park(b, 1)
 	}
 	c := p.SpillCounters()
 	if c.BlocksOut != 3 || c.DiskLive == 0 {
@@ -81,7 +81,7 @@ func TestSpillEvictAndFaultIn(t *testing.T) {
 		t.Fatal("gauge not re-credited by fault-in")
 	}
 	for _, b := range blocks {
-		p.Release(b)
+		p.Drop(b)
 	}
 	c = p.SpillCounters()
 	if c.Outstanding != 0 || g.Live() != 0 {
@@ -95,7 +95,7 @@ func TestSpillPinnedNeverEvicted(t *testing.T) {
 
 	hot := p.CheckOut(0, schema, RowStore, 1<<10)
 	fillTestBlock(hot, 4)
-	p.Cool(hot) // evicted immediately at threshold 0
+	p.Park(hot, 1) // evicted immediately at threshold 0
 	if _, err := p.Pin(hot); err != nil {
 		t.Fatalf("pin: %v", err)
 	}
@@ -103,7 +103,7 @@ func TestSpillPinnedNeverEvicted(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		b := p.CheckOut(i, schema, RowStore, 1<<10)
 		fillTestBlock(b, 4)
-		p.Cool(b)
+		p.Park(b, 1)
 	}
 	if hot.data == nil {
 		t.Fatal("pinned block lost its data")
@@ -121,11 +121,11 @@ func TestSpillReleaseSpilledBlock(t *testing.T) {
 	p, g := newSpillPool(t, SpillConfig{Threshold: 0})
 	b := p.CheckOut(0, codecTestSchema(), ColumnStore, 1<<10)
 	fillTestBlock(b, 5)
-	p.Cool(b)
+	p.Park(b, 1)
 	if b.data != nil {
 		t.Fatal("not evicted")
 	}
-	p.Release(b) // consumer never needed it (e.g. aborted run cleanup)
+	p.Drop(b) // consumer never needed it (e.g. aborted run cleanup)
 	c := p.SpillCounters()
 	if c.Outstanding != 0 || c.DiskLive != 0 {
 		t.Fatalf("after release of spilled block: %+v", c)
@@ -154,7 +154,7 @@ func TestSpillWriteFaultDemotes(t *testing.T) {
 	b := p.CheckOut(0, codecTestSchema(), RowStore, 1<<10)
 	fillTestBlock(b, 4)
 
-	p.Cool(b) // first balance: write fault → block stays resident
+	p.Park(b, 1) // first balance: write fault → block stays resident
 	if b.data == nil {
 		t.Fatal("evicted through a write fault")
 	}
@@ -197,7 +197,7 @@ func TestSpillReadFaultRetriesThenFails(t *testing.T) {
 	fillTestBlock(b, 6)
 	want := NewBlock(schema, ColumnStore, 1<<10)
 	fillTestBlock(want, 6)
-	p.Cool(b)
+	p.Park(b, 1)
 
 	fails = 3 // transient: retries absorb it
 	if _, err := p.Pin(b); err != nil {
@@ -211,8 +211,8 @@ func TestSpillReadFaultRetriesThenFails(t *testing.T) {
 	// Persistent: a second spilled block whose reads never succeed.
 	b2 := p.CheckOut(1, schema, ColumnStore, 1<<10)
 	fillTestBlock(b2, 6)
-	p.Release(b) // make room predictable
-	p.Cool(b2)
+	p.Drop(b) // make room predictable
+	p.Park(b2, 1)
 	if b2.data != nil {
 		t.Fatal("b2 not evicted")
 	}
@@ -240,7 +240,7 @@ func TestSpillPanicHookDemotes(t *testing.T) {
 	p, _ := newSpillPool(t, cfg)
 	b := p.CheckOut(0, codecTestSchema(), RowStore, 1<<10)
 	fillTestBlock(b, 4)
-	p.Cool(b) // panic is recovered inside the tier
+	p.Park(b, 1) // panic is recovered inside the tier
 	if b.data == nil {
 		t.Fatal("evicted through a panicking hook")
 	}
@@ -261,7 +261,7 @@ func TestSpillExtentRotationAndReclaim(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		b := p.CheckOut(i, schema, RowStore, 1<<10)
 		fillTestBlock(b, 3)
-		p.Cool(b)
+		p.Park(b, 1)
 		blocks = append(blocks, b)
 	}
 	if n := spillFiles(t, p); n != 4 {
@@ -290,7 +290,7 @@ func TestSpillCloseRemovesDirWithOrphans(t *testing.T) {
 	}
 	b := p.CheckOut(0, codecTestSchema(), RowStore, 1<<10)
 	fillTestBlock(b, 4)
-	p.Cool(b)
+	p.Park(b, 1)
 	dir := p.SpillDir()
 	if dir == "" {
 		t.Fatal("no spill dir")
@@ -334,7 +334,7 @@ func TestSpillConcurrentPinEvict(t *testing.T) {
 				fillTestBlock(b, 5)
 				want := NewBlock(schema, ColumnStore, 1<<10)
 				fillTestBlock(want, 5)
-				view.Cool(b)
+				view.Park(b, 1)
 				if _, err := view.Pin(b); err != nil {
 					errc <- fmt.Errorf("worker %d pin: %w", w, err)
 					return
@@ -345,7 +345,7 @@ func TestSpillConcurrentPinEvict(t *testing.T) {
 						return
 					}
 				}
-				view.Release(b)
+				view.Drop(b)
 			}
 		}(w)
 	}
@@ -378,7 +378,7 @@ func TestSpillFaultInRecycles(t *testing.T) {
 	want := NewBlock(schema, RowStore, budget)
 	fillTestBlock(want, 5)
 	evicted := bufOf(b)
-	p.Cool(b)
+	p.Park(b, 1)
 	if b.data != nil {
 		t.Fatal("not evicted")
 	}
