@@ -53,6 +53,17 @@ type job struct {
 	// orders not born from an edge delivery).
 	enqueueNS int64
 	batch     int64
+	// input is the consumer input whose delivery fed wo; -1 for Start and
+	// Final work orders.
+	input int
+}
+
+// delivery is one block delivered on one input of its consumer, which holds
+// one ref on the block for it: a producer piped into two inputs of one
+// consumer delivers each block twice.
+type delivery struct {
+	b     *storage.Block
+	input int
 }
 
 // wres is one finished attempt of a job: the job itself (op, work order,
@@ -102,7 +113,7 @@ type opState struct {
 	finalNext   int
 	done        bool
 	out         []*edgeState
-	held        map[*storage.Block]struct{}
+	held        map[delivery]struct{}
 	scalarSlots []int
 }
 
@@ -139,7 +150,7 @@ func newSched(plan *Plan, ctx *ExecCtx, defaultUoT int) *sched {
 		s.states[i] = &opState{
 			id:   OpID(i),
 			op:   op,
-			held: make(map[*storage.Block]struct{}),
+			held: make(map[delivery]struct{}),
 		}
 	}
 	for _, e := range s.plan.Edges {
@@ -513,15 +524,16 @@ func (s *sched) onComplete(r wres) {
 	switch st.op.Keeps() {
 	case KeepWorkOrder:
 		for _, b := range r.wo.Inputs() {
-			if _, ok := st.held[b]; ok {
-				delete(st.held, b)
+			d := delivery{b, r.input}
+			if _, ok := st.held[d]; ok {
+				delete(st.held, d)
 				s.drop(b)
 			}
 		}
 	case KeepForReaders:
 		// A block the operator alone reads is now part of its table.
 		for _, b := range r.wo.Inputs() {
-			if _, ok := st.held[b]; ok && b.Refs() == 1 && s.ctx.Run != nil {
+			if _, ok := st.held[delivery{b, r.input}]; ok && b.Refs() == 1 && s.ctx.Run != nil {
 				s.ctx.Pool.Keep(b, &s.ctx.Run.HashTables)
 			}
 		}
@@ -714,7 +726,7 @@ func (s *sched) sampleEdge(es *edgeState, delivered int, stallNS int64) {
 // cleanup drops its refs from the consumer's held set.
 func (s *sched) deliver(c *opState, es *edgeState, blocks []*storage.Block) {
 	for _, b := range blocks {
-		c.held[b] = struct{}{}
+		c.held[delivery{b, es.e.ToInput}] = struct{}{}
 	}
 	faulted := 0
 	var faultBytes, faultStall int64
@@ -738,17 +750,17 @@ func (s *sched) deliver(c *opState, es *edgeState, blocks []*storage.Block) {
 		})
 	}
 	es.batches++
-	s.enqueueBatch(c, c.op.Feed(s.ctx, es.e.ToInput, blocks), es.batches-1, false)
+	s.enqueueBatch(c, c.op.Feed(s.ctx, es.e.ToInput, blocks), es.batches-1, es.e.ToInput, false)
 }
 
 func (s *sched) enqueue(st *opState, wos []WorkOrder) {
-	s.enqueueBatch(st, wos, -1, false)
+	s.enqueueBatch(st, wos, -1, -1, false)
 }
 
 // enqueueBatch queues work orders annotated with the UoT delivery batch that
 // produced them (-1 for Start/Final work orders). A Final wave's jobs carry
 // their issue index (see emitFinal).
-func (s *sched) enqueueBatch(st *opState, wos []WorkOrder, batch int64, final bool) {
+func (s *sched) enqueueBatch(st *opState, wos []WorkOrder, batch int64, input int, final bool) {
 	if s.runErr != nil {
 		return
 	}
@@ -757,7 +769,7 @@ func (s *sched) enqueueBatch(st *opState, wos []WorkOrder, batch int64, final bo
 		enq = s.ctx.Trace.Now()
 	}
 	for i, wo := range wos {
-		j := job{op: st.id, wo: wo, final: -1, enqueueNS: enq, batch: batch}
+		j := job{op: st.id, wo: wo, final: -1, enqueueNS: enq, batch: batch, input: input}
 		if final {
 			j.final = i
 		}
@@ -789,7 +801,7 @@ func (s *sched) check(st *opState) {
 		if wos := st.op.Final(s.ctx); len(wos) > 0 {
 			st.finalOut = make([][]*storage.Block, len(wos))
 			st.finalDone = make([]bool, len(wos))
-			s.enqueueBatch(st, wos, -1, true)
+			s.enqueueBatch(st, wos, -1, -1, true)
 			return
 		}
 	}
@@ -856,15 +868,15 @@ func (s *sched) releaseHeld(st *opState) {
 			}
 		}
 	}
-	for b := range st.held {
-		delete(st.held, b)
-		s.drop(b)
+	for d := range st.held {
+		delete(st.held, d)
+		s.drop(d.b)
 	}
 }
 
 // cleanup hands the adopters' blocks out of a successful run and is the one
 // place an aborted run's blocks are reclaimed. Every ref on a block is an
-// edge-buffer entry or a held entry, so dropping each once releases every
+// edge-buffer entry or a held delivery, so dropping each once releases every
 // parked or delivered block, adopted ones included; partial blocks still
 // checked into the pool and a Final wave's parked outputs are released too —
 // a partial result is meaningless, and under a shared pool every block of a
@@ -876,9 +888,9 @@ func (s *sched) cleanup() {
 	if s.runErr == nil {
 		for _, st := range s.states {
 			if st.op.Keeps() == KeepAdopted {
-				for b := range st.held {
-					delete(st.held, b)
-					s.ctx.Pool.HandOut(b)
+				for d := range st.held {
+					delete(st.held, d)
+					s.ctx.Pool.HandOut(d.b)
 				}
 			}
 		}
@@ -891,9 +903,9 @@ func (s *sched) cleanup() {
 		es.buf = nil
 	}
 	for _, st := range s.states {
-		for b := range st.held {
-			delete(st.held, b)
-			s.drop(b)
+		for d := range st.held {
+			delete(st.held, d)
+			s.drop(d.b)
 		}
 		for _, b := range s.ctx.Pool.TakePartials(int(st.id)) {
 			s.release(b)

@@ -358,6 +358,31 @@ func TestFanOutDeliversToAllConsumers(t *testing.T) {
 	}
 }
 
+// TestProducerPipedIntoTwoInputsLeaksNothing: a producer piped into both
+// inputs of one consumer delivers each block twice, so the consumer holds it
+// twice; each work order's completion drops one of those refs, and the run
+// ends with every block back in the pool.
+func TestProducerPipedIntoTwoInputsLeaksNothing(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		plan := &Plan{}
+		p := &producer{nblocks: 6, rows: 2}
+		c := &consumer{}
+		pid, cid := plan.AddOp(p), plan.AddOp(c)
+		plan.Pipe(pid, cid, 0, 1)
+		plan.Pipe(pid, cid, 1, 1)
+		ctx := newCtx(workers)
+		if err := Run(plan, ctx, 1); err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if c.rows != 24 {
+			t.Fatalf("workers %d: consumer read %d rows, want 24 (every block on both inputs)", workers, c.rows)
+		}
+		if r := ctx.Run.Robust(); r.LeakedBlocks != 0 || r.LeakedBytes != 0 || ctx.Pool.Live() != 0 {
+			t.Fatalf("workers %d: %d blocks and %d bytes leaked, pool live %d", workers, r.LeakedBlocks, r.LeakedBytes, ctx.Pool.Live())
+		}
+	}
+}
+
 // TestICTermChargesOperatorSwitches pins the Section V IC term at one worker:
 // a job is charged one instruction-cache miss when this run's previous job on
 // the same worker ran a different operator. Pipelining at UoT 1 alternates

@@ -18,14 +18,14 @@ import (
 // change's notes.
 var hashTablesHigh = map[int][2]int64{
 	1:  {4512, 4512},
-	2:  {239608, 239608},
-	3:  {213060, 213060},
+	2:  {239672, 239672},
+	3:  {222436, 222436},
 	4:  {1059276, 1059276},
-	5:  {88564, 88564},
+	5:  {97940, 97940},
 	6:  {4120, 4120},
-	7:  {918524, 918524},
-	8:  {110936, 110936},
-	9:  {1410640, 1410640},
+	7:  {919524, 919524},
+	8:  {121512, 121512},
+	9:  {1411888, 1411888},
 	10: {1057504, 1057504},
 	11: {63512, 63512},
 	12: {900004, 900004},
@@ -35,9 +35,9 @@ var hashTablesHigh = map[int][2]int64{
 	16: {342841, 342841},
 	17: {4608, 4608},
 	18: {3162112, 3162112}, // one float SUM column: 8 B slots, keys, hashes and sums at 8 B a group each
-	19: {33364, 33364},
-	20: {60832, 60832}, // typed agg columns, plus 2 560 B: build(part) counts until its second probe, probe(part2), ends
-	21: {4822128, 4822128},
+	19: {34620, 34620},
+	20: {62072, 62072}, // typed agg columns, plus 2 560 B: build(part) counts until its second probe, probe(part2), ends
+	21: {4822192, 4822192},
 	22: {330000, 330000},
 }
 

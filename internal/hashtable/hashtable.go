@@ -17,7 +17,12 @@
 //     5-byte slots (a 7-bit hash tag in one 64-bit control word, and a
 //     4-byte Ref: source and row), sized exactly from the partition's entry
 //     count at load MaxLoad. On a tag hit a lookup reads the entry's keys
-//     from its source.
+//     from its source. A one-key hash table also keeps a key bitmap, one
+//     bit per key of [min, max], when its bytes are no more than the hash
+//     groups' or keyBitsFloor (8 KiB), whichever is larger; Match tests a
+//     probe key's bit before hashing it, so a key the table lacks costs
+//     one load. LookupHashed does not read the bitmap: it stays the
+//     bitmap-free row-at-a-time reference for Match.
 //
 // Both fills read the keys from the sources a chunk at a time, so a seal
 // never holds a whole-table key array. Dense is chosen only when its bytes
@@ -90,6 +95,9 @@ const (
 	minFillEntries = 1 << 16
 	// fillChunk is how many entries a fill reads keys for at a time.
 	fillChunk = 512
+	// keyBitsFloor is the most bytes a key bitmap may take over a table
+	// whose hash groups take fewer.
+	keyBitsFloor = 8 << 10
 )
 
 // source is a run of entries that lie in one block with a layout: a fed
@@ -175,6 +183,9 @@ type Table struct {
 	// offsets[j+1]] (a key-only table keeps no refs).
 	offsets []uint32
 	refs    []Ref
+	// keyBits is a one-key hash table's key set: bit k-min is set for each
+	// key k. Nil when the range is too wide for it, or under a dense index.
+	keyBits []uint64
 
 	releaseOnce sync.Once
 }
@@ -360,12 +371,14 @@ func (t *Table) gaugeAdd(n int64) {
 // Fill is one work order's share of filling a sealed table's index.
 type Fill struct {
 	t      *Table
-	lo, hi int // hash: the index partitions [lo, hi) to fill
+	lo, hi int  // hash: the index partitions [lo, hi) to fill
+	bits   bool // hash: this fill also sets the key bitmap
 }
 
 // Seal chooses the table's index from the entries recorded and returns the
 // fills that build it: one for a dense index; for a hash index at most
-// fills, and no more than give each minFillEntries entries. Each fill may
+// fills, and no more than give each minFillEntries entries, the first of
+// which also sets the key bitmap if the table keeps one. Each fill may
 // run on its own goroutine and must run exactly once: a caller that can
 // fail an attempt (the engine's fault sites) fails it before calling Run,
 // so a retry has nothing to undo. The table may be probed once every fill
@@ -397,6 +410,9 @@ func (t *Table) seal(kind indexKind, fills int) []Fill {
 					break
 				}
 			}
+		}
+		if len(out) > 0 && t.keys == 1 {
+			out[0].bits = 8*t.keyBitsWords() <= max(t.hashBytes(), keyBitsFloor)
 		}
 	})
 	return out
@@ -433,14 +449,25 @@ func (t *Table) choose() indexKind {
 	if !t.denseFits(span, n) {
 		return hashIndex
 	}
-	var hash uint64
-	for _, c := range t.counts {
-		hash += groupBytes * uint64(groupsFor(c))
-	}
-	if t.denseBytes(span, n) <= hash {
+	if t.denseBytes(span, n) <= t.hashBytes() {
 		return denseIndex
 	}
 	return hashIndex
+}
+
+// hashBytes is the hash index's size over the entries recorded.
+func (t *Table) hashBytes() uint64 {
+	var b uint64
+	for _, c := range t.counts {
+		b += groupBytes * uint64(groupsFor(c))
+	}
+	return b
+}
+
+// keyBitsWords is the words of a key bitmap over the key range.
+func (t *Table) keyBitsWords() uint64 {
+	_, span, _ := t.keySpan()
+	return span/64 + 1
 }
 
 // denseFits reports whether a dense index can hold n entries over a key
@@ -479,15 +506,19 @@ func (f Fill) Run() {
 		f.t.fillDense()
 		return
 	}
-	f.t.fillHash(f.lo, f.hi)
+	f.t.fillHash(f.lo, f.hi, f.bits)
 }
 
 // fillHash sizes the index partitions [lo, hi) from their entry counts and
 // indexes their entries: it reads the sources in insertion order, a chunk
 // of keys at a time, hashes them and places the entries of its partitions.
 // Groups fill slot 0 first, so along each group sequence a key's entries
-// lie in insertion order.
-func (t *Table) fillHash(lo, hi int) {
+// lie in insertion order. With setBits it also sets every key's bit.
+func (t *Table) fillHash(lo, hi int, setBits bool) {
+	if setBits {
+		t.keyBits = make([]uint64, t.keyBitsWords())
+		t.gaugeAdd(8 * int64(len(t.keyBits)))
+	}
 	for p := lo; p < hi; p++ {
 		g := groupsFor(t.counts[p])
 		if g == 0 {
@@ -511,6 +542,12 @@ func (t *Table) fillHash(lo, hi int) {
 		for at := 0; at < s.n; {
 			m := s.load(at, t.keys, &rows, &k0, &k1)
 			at += m
+			if setBits {
+				for _, k := range k0[:m] {
+					j := uint64(k - t.min)
+					t.keyBits[j/64] |= 1 << (j % 64)
+				}
+			}
 			var second []int64
 			if t.keys == 2 {
 				second = k1[:m]
@@ -660,9 +697,10 @@ type Matches struct {
 // Match probes the table with a block of keys (k1 nil for single-key
 // tables) and fills m with every matching entry, ordered by probe row and,
 // within a row, by insertion — the pairs LookupHashed would report row by
-// row. A hash index hashes the keys itself; a dense one does not hash. With
-// firstOnly it stops at each row's first match (existence probes). m's
-// vectors are reused across calls. It seals an unsealed table first.
+// row. A hash index hashes the keys itself, but not a key its key bitmap
+// lacks; a dense one does not hash. With firstOnly it stops at each row's
+// first match (existence probes). m's vectors are reused across calls. It
+// seals an unsealed table first.
 func (t *Table) Match(k0, k1 []int64, firstOnly bool, m *Matches) {
 	t.sealed()
 	m.Probe, m.Ref = m.Probe[:0], m.Ref[:0]
@@ -690,6 +728,7 @@ func (t *Table) Match(k0, k1 []int64, firstOnly bool, m *Matches) {
 		}
 		return
 	}
+	keyBits, lo := t.keyBits, t.min
 rows:
 	for r, a := range k0 {
 		var b int64
@@ -698,6 +737,11 @@ rows:
 		}
 		if b != 0 && t.keys == 1 {
 			continue // a one-key table holds no second key
+		}
+		if keyBits != nil {
+			if j := uint64(a - lo); j/64 >= uint64(len(keyBits)) || keyBits[j/64]&(1<<(j%64)) == 0 {
+				continue // a key the table lacks
+			}
 		}
 		h := hashKey(a, b)
 		pt := &t.parts[partOf(h)]
@@ -766,11 +810,11 @@ func (t *Table) Payload(r Ref) (*storage.Block, int) {
 	return s.b, row
 }
 
-// TotalBytes returns the table's own memory footprint, its index: the |H|
-// of Section VI beside the blocks it indexes, which stay the build's inputs.
-// The gauge holds the same sum.
+// TotalBytes returns the table's own memory footprint, its index and key
+// bitmap: the |H| of Section VI beside the blocks it indexes, which stay the
+// build's inputs. The gauge holds the same sum.
 func (t *Table) TotalBytes() int64 {
-	n := int64(OffsetBytes*len(t.offsets) + RefBytes*len(t.refs))
+	n := int64(OffsetBytes*len(t.offsets) + RefBytes*len(t.refs) + 8*len(t.keyBits))
 	for i := range t.parts {
 		n += groupBytes * int64(len(t.parts[i].groups))
 	}

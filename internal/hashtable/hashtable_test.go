@@ -3,6 +3,7 @@ package hashtable
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -255,9 +256,9 @@ func TestConcurrentBuild(t *testing.T) {
 }
 
 // TestMemoryAccounting: New and the build allocate nothing the gauge
-// counts, since the table copies none of its input; the seal adds the index,
-// which is the high-water, the gauge holds TotalBytes throughout, and
-// Release returns it all.
+// counts, since the table copies none of its input; the seal adds the index
+// (and a hash index's key bitmap), which is the high-water, the gauge holds
+// TotalBytes throughout, and Release returns it all.
 func TestMemoryAccounting(t *testing.T) {
 	for _, kind := range kinds {
 		var g stats.MemGauge
@@ -273,6 +274,10 @@ func TestMemoryAccounting(t *testing.T) {
 		sealed := ht.TotalBytes()
 		if g.Live() != sealed || g.High() != sealed || sealed == 0 {
 			t.Fatalf("%v: sealed: gauge %d (high %d), TotalBytes %d", kind, g.Live(), g.High(), sealed)
+		}
+		// A one-key hash table counts its key bitmap beside its groups.
+		if kind == hashIndex && (ht.keyBits == nil || sealed != int64(ht.hashBytes())+8*int64(len(ht.keyBits))) {
+			t.Fatalf("hash: sealed %d B, want groups %d B + key bitmap %d B", sealed, ht.hashBytes(), 8*len(ht.keyBits))
 		}
 		ht.Release()
 		if g.Live() != 0 {
@@ -675,6 +680,181 @@ func TestMatchEqualsLookupHashed(t *testing.T) {
 	}
 }
 
+// TestKeyBitsSizingRule: a one-key hash table keeps a key bitmap when its
+// bytes are no more than its hash groups' or keyBitsFloor, whichever is
+// larger, and none one word over either bound. Sealed with or without the
+// bitmap, Match reports the same pairs in the same order, with the same refs,
+// as per-row LookupHashed does, with and without firstOnly, over hits,
+// duplicates, misses inside the range and keys below min and above max.
+func TestKeyBitsSizingRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const lo = -7
+	// keysOver returns lo and lo+span, then n keys drawn from [lo, lo+inner).
+	keysOver := func(n int, inner int64, span uint64) []int64 {
+		keys := []int64{lo, lo + int64(span)}
+		for range n {
+			keys = append(keys, lo+rng.Int63n(inner))
+		}
+		return keys
+	}
+	build := func(keys []int64) *Table {
+		ht := New(Config{PayloadSchema: payloadSchema()})
+		insert(ht, oneKey(keys...), iota64(len(keys), 1))
+		return ht
+	}
+	// spanFor is the widest span whose bitmap takes b bytes.
+	spanFor := func(b uint64) uint64 { return b/8*64 - 1 }
+	few := keysOver(100, 5000, 0)[2:]
+	many := keysOver(20000, 100000, 0)[2:]
+	groups := build(append([]int64{lo, lo + 100000}, many...)).hashBytes()
+	if groups <= keyBitsFloor {
+		t.Fatalf("set-up: %d entries take %d B of hash groups, not above the %d B floor", len(many), groups, keyBitsFloor)
+	}
+	cases := []struct {
+		name  string
+		inner []int64
+		span  uint64
+		want  bool
+	}{
+		{"at the floor", few, spanFor(keyBitsFloor), true},
+		{"a word over the floor", few, spanFor(keyBitsFloor) + 1, false},
+		{"at the hash groups' bytes", many, spanFor(groups), true},
+		{"a word over the hash groups' bytes", many, spanFor(groups) + 1, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			keys := append([]int64{lo, lo + int64(tc.span)}, tc.inner...)
+			ht, bare := build(keys), build(keys)
+			if ht.hashBytes() > keyBitsFloor && ht.hashBytes() != groups {
+				t.Fatalf("set-up: hash groups %d B, want %d B", ht.hashBytes(), groups)
+			}
+			sealAs(ht, hashIndex)
+			sealWith(bare, hashIndex, false)
+			if got := ht.keyBits != nil; got != tc.want || bare.keyBits != nil {
+				t.Fatalf("span %d over %d B of hash groups: key bitmap kept %v, want %v", tc.span, ht.hashBytes(), got, tc.want)
+			}
+			held := keys[:min(500, len(keys))]
+			probe := append([]int64{lo - 1, lo + int64(tc.span) + 1, math.MinInt64, math.MaxInt64}, held...)
+			for range 2000 {
+				probe = append(probe, lo-64+rng.Int63n(int64(tc.span)+128))
+			}
+			hashes := types.HashPairVec(probe, nil, nil)
+			for _, firstOnly := range []bool{false, true} {
+				var m, mb Matches
+				ht.Match(probe, nil, firstOnly, &m)
+				bare.Match(probe, nil, firstOnly, &mb)
+				wantProbe, wantVals := matchByLookup(ht, hashes, probe, nil, firstOnly)
+				if len(wantProbe) < len(held) || !reflect.DeepEqual(m.Probe, wantProbe) {
+					t.Fatalf("firstOnly %v: Match rows differ from LookupHashed's (%d vs %d matches)", firstOnly, len(m.Probe), len(wantProbe))
+				}
+				for i, ref := range m.Ref {
+					if pb, row := ht.Payload(ref); vOf(ht, pb, row) != wantVals[i] {
+						t.Fatalf("firstOnly %v: match %d payload %d, want %d", firstOnly, i, vOf(ht, pb, row), wantVals[i])
+					}
+				}
+				if !reflect.DeepEqual(m.Probe, mb.Probe) || !reflect.DeepEqual(m.Ref, mb.Ref) {
+					t.Fatalf("firstOnly %v: Match with the key bitmap differs from Match without it", firstOnly)
+				}
+			}
+		})
+	}
+}
+
+// TestKeyBitsRejectKeysOutsideTheRange: a one-key hash table's key bitmap
+// rejects probe keys below its least key and above its greatest, including
+// keys whose distance from the least key wraps around int64 (a table next
+// to MinInt64 probed with MaxInt64, one next to MaxInt64 probed with
+// MinInt64, whose distance lands in the bitmap's last word above the
+// range), and keys inside the range it lacks; the keys it holds match.
+func TestKeyBitsRejectKeysOutsideTheRange(t *testing.T) {
+	for _, lo := range []int64{math.MinInt64, -30, math.MaxInt64 - 60} {
+		var keys []int64
+		for k := lo; ; k += 2 {
+			keys = append(keys, k)
+			if k >= lo+60 {
+				break
+			}
+		}
+		hi := keys[len(keys)-1]
+		ht := New(Config{PayloadSchema: payloadSchema()})
+		insert(ht, oneKey(keys...), keys)
+		sealAs(ht, hashIndex)
+		if ht.keyBits == nil {
+			t.Fatalf("[%d, %d]: no key bitmap", lo, hi)
+		}
+		absent := []int64{lo - 1, hi + 1, hi + 3, lo - 1000, hi + 1000, lo + 1, hi - 1, math.MinInt64, math.MaxInt64, math.MinInt64 + 61, 0}
+		var m Matches
+		for _, k := range absent {
+			if uint64(k-lo) <= 60 && (k-lo)%2 == 0 {
+				continue // a key the table holds
+			}
+			if ht.Match([]int64{k}, nil, false, &m); len(m.Probe) != 0 {
+				t.Fatalf("[%d, %d]: absent key %d matched %d entries", lo, hi, k, len(m.Probe))
+			}
+		}
+		if ht.Match(keys, nil, false, &m); len(m.Probe) != len(keys) {
+			t.Fatalf("[%d, %d]: %d of %d held keys matched", lo, hi, len(m.Probe), len(keys))
+		}
+	}
+}
+
+// TestKeyBitsWrittenByOneFill: when Seal splits a one-key hash table's fill
+// (at least two fills' worth of entries), or its lowest partition range holds
+// no entries so another fill comes first, exactly one fill writes the key
+// bitmap. Run on concurrent goroutines (under -race), the fills set every
+// key's bit, and every key matches.
+func TestKeyBitsWrittenByOneFill(t *testing.T) {
+	const n = 2 * minFillEntries
+	var all, upper []int64 // upper: keys in the upper half of the partitions
+	for k := int64(0); len(upper) < n; k++ {
+		if len(all) < n {
+			all = append(all, k*3)
+		}
+		if partOf(hashKey(k, 0)) >= numParts/2 {
+			upper = append(upper, k)
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		keys      []int64
+		fills     int // asked of Seal
+		wantFills int
+		wantLo    int // the first fill's lowest partition
+	}{{"split fill", all, 4, 2, 0}, {"lowest range empty", upper, 2, 1, numParts / 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ht := New(Config{PayloadSchema: payloadSchema()})
+			insert(ht, oneKey(tc.keys...), tc.keys)
+			fills := ht.seal(hashIndex, tc.fills)
+			writers := 0
+			for _, f := range fills {
+				if f.bits {
+					writers++
+				}
+			}
+			if len(fills) != tc.wantFills || fills[0].lo != tc.wantLo || writers != 1 {
+				t.Fatalf("%d fills from partition %d, %d of them write the key bitmap", len(fills), fills[0].lo, writers)
+			}
+			var wg sync.WaitGroup
+			for _, f := range fills {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					f.Run()
+				}()
+			}
+			wg.Wait()
+			set := 0
+			for _, w := range ht.keyBits {
+				set += bits.OnesCount64(w)
+			}
+			var m Matches
+			if ht.Match(tc.keys, nil, true, &m); set != len(tc.keys) || len(m.Probe) != len(tc.keys) {
+				t.Fatalf("%d key bits set, %d keys matched, want %d", set, len(m.Probe), len(tc.keys))
+			}
+		})
+	}
+}
+
 // TestLayoutConstants pins the memory model's constants — a hash slot is
 // c = 5 B at f = 7/8 plus 8 B of key per entry (16 B for two keys); a dense
 // index 4 B per key of the range and 4 B per entry — and the sizing rule:
@@ -701,13 +881,16 @@ func TestLayoutConstants(t *testing.T) {
 }
 
 // FuzzHashTable: random inserts over one or two keys (one-row blocks and
-// one block mixed) against a map oracle, sealed under each index kind; every
+// one block mixed) against a map oracle, sealed under each index kind, and
+// under a hash index with and without a one-key table's key bitmap; every
 // key's lookups and Match return its payloads in insertion order, and
-// absent keys return nothing. Two-key inputs map bytes to (b%61, b/61), so
-// many keys share k0 and differ only in k1; shift moves the one-key range
-// (negative, or next to MinInt64).
+// absent keys return nothing, among them keys below and above the range and
+// keys whose distance from it wraps around int64. Two-key inputs map bytes
+// to (b%61, b/61), so many keys share k0 and differ only in k1; shift moves
+// the one-key range (negative, or next to MinInt64).
 func FuzzHashTable(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 1, 2, 3}, false, uint8(4))
+	f.Add([]byte{0, 60, 7, 7, 30}, false, uint8(255))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 255, 128}, true, uint8(1))
 	// Keys sharing k0 = 5 and differing only in k1, enough of them that an
 	// index partition has several groups.
@@ -740,7 +923,10 @@ func FuzzHashTable(f *testing.F) {
 			oracle[k] = append(oracle[k], i)
 		}
 		keyCols := []int{0, 1}[:keys]
-		for _, kind := range kinds {
+		for _, seal := range []struct {
+			kind    indexKind
+			keyBits bool
+		}{{hashIndex, true}, {hashIndex, false}, {denseIndex, true}} {
 			ht := New(Config{PayloadSchema: payloadSchema(), Keys: keys})
 			// The first half goes in row at a time, the rest as one block.
 			half := len(ops) / 2
@@ -756,7 +942,7 @@ func FuzzHashTable(f *testing.F) {
 			if ht.Entries() != len(ops) {
 				t.Fatalf("Entries = %d, want %d", ht.Entries(), len(ops))
 			}
-			sealed := sealAs(ht, kind)
+			sealed := sealWith(ht, seal.kind, seal.keyBits)
 			var k0s, k1s []int64
 			var want []int64
 			for b := 0; b < 256; b++ {
@@ -777,6 +963,11 @@ func FuzzHashTable(f *testing.F) {
 				for _, r := range oracle[k] {
 					want = append(want, int64(r))
 				}
+			}
+			// Keys outside [base, base+60], wrapping past MinInt64 or
+			// MaxInt64 for a base next to either, match nothing.
+			for _, d := range []int64{-1, 61, 63, 64, -1000, 1000, math.MinInt64, math.MaxInt64} {
+				k0s, k1s = append(k0s, base+d), append(k1s, 0)
 			}
 			if !twoKeys {
 				k1s = nil
@@ -1241,7 +1432,9 @@ func BenchmarkSealFill(b *testing.B) {
 // BenchmarkMatch times Match over a hash-indexed two-key table of 65 536
 // entries built from plain blocks and from views selecting every other row
 // of their base blocks: every probe key hits, so each match compares the
-// entry's keys where the table keeps them.
+// entry's keys where the table keeps them. "one-key-miss" is shaped like
+// TPC-H Q08's probe of part: 70 keys over a span of 10 000, probed by
+// 300 000 keys drawn uniformly from that span, so almost every probe misses.
 func BenchmarkMatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	var plain, views []*storage.Block
@@ -1263,15 +1456,45 @@ func BenchmarkMatch(b *testing.B) {
 				k1 = append(k1, blk.GatherInt64(1, nil)...)
 			}
 			rng.Shuffle(len(k0), func(i, j int) { k0[i], k0[j], k1[i], k1[j] = k0[j], k0[i], k1[j], k1[i] })
-			var m Matches
-			ht.Match(k0[:1], k1[:1], false, &m) // seal
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for lo := 0; lo < len(k0); lo += 4096 {
-					ht.Match(k0[lo:lo+4096], k1[lo:lo+4096], false, &m)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(k0)), "ns/probe")
+			benchMatch(b, ht, k0, k1)
 		})
 	}
+	b.Run("one-key-miss", func(b *testing.B) {
+		const span = 10000
+		ht := New(Config{PayloadSchema: payloadSchema()})
+		keys := make([]int64, 70)
+		for i := range keys {
+			keys[i] = 1 + rng.Int63n(span)
+		}
+		insert(ht, oneKey(keys...), keys)
+		k0 := make([]int64, 300000)
+		for i := range k0 {
+			k0[i] = 1 + rng.Int63n(span)
+		}
+		benchMatch(b, ht, k0, nil)
+		if ht.kind != hashIndex {
+			b.Fatalf("sealed %v, want hash", ht.kind)
+		}
+	})
+}
+
+// benchMatch seals ht, then times Match over the probe keys in blocks of
+// 4096 and reports the time per probe key.
+func benchMatch(b *testing.B, ht *Table, k0, k1 []int64) {
+	second := func(lo, hi int) []int64 {
+		if k1 == nil {
+			return nil
+		}
+		return k1[lo:hi]
+	}
+	var m Matches
+	ht.Match(k0[:1], second(0, 1), false, &m) // seal
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for lo := 0; lo < len(k0); lo += 4096 {
+			hi := min(lo+4096, len(k0))
+			ht.Match(k0[lo:hi], second(lo, hi), false, &m)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(k0)), "ns/probe")
 }
