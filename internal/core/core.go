@@ -340,7 +340,8 @@ type Emitter struct {
 	out     *Output
 	owner   int
 	schema  *storage.Schema
-	proj    []int // set by AppendView: the emitter fills views projecting proj
+	proj    []int // set by AppendView and AppendDense: the emitter fills views projecting proj
+	dense   bool  // set by AppendDense: the views are dense
 	cur     *storage.Block
 	curBase int // rows already in cur when it was checked out
 	sealed  []sealedBlock
@@ -366,7 +367,7 @@ func (e *Emitter) ensure() *storage.Block {
 	if e.cur == nil {
 		e.interrupt()
 		if e.proj != nil {
-			e.cur = e.ctx.Pool.CheckOutView(e.owner, e.schema, e.proj, e.ctx.TempFormat, e.ctx.TempBlockBytes)
+			e.cur = e.ctx.Pool.CheckOutView(e.owner, e.schema, e.proj, e.dense, e.ctx.TempFormat, e.ctx.TempBlockBytes)
 		} else {
 			e.cur = e.ctx.Pool.CheckOut(e.owner, e.schema, e.ctx.TempFormat, e.ctx.TempBlockBytes)
 		}
@@ -446,6 +447,18 @@ func (e *Emitter) AppendView(src *storage.Block, rows []int32, proj []int) {
 	e.proj = proj
 	e.fill(len(rows), func(b *storage.Block, at int) int {
 		return b.AppendView(src, rows[at:])
+	})
+}
+
+// AppendDense appends every row of base-table block src, projected through
+// proj, as runs of dense views (see Pool.CheckOutView): a select's output
+// when it neither filters nor computes. They split src where AppendView of
+// its every row would. An emitter appends only dense views once it has
+// appended one.
+func (e *Emitter) AppendDense(src *storage.Block, proj []int) {
+	e.proj, e.dense = proj, true
+	e.fill(src.NumRows(), func(b *storage.Block, at int) int {
+		return b.AppendDense(src, at)
 	})
 }
 

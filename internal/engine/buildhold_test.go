@@ -19,23 +19,35 @@ import (
 	"repro/internal/types"
 )
 
-// factBuildPlan joins dim (probe side) to the fact rows with v >= 10 (build
-// side): the build's input is a select over fact, which emits views of the
-// fact blocks unless copied computes v (v * 1), and then emits temp blocks.
-// The build keys on k and carries (v, grp), which a view holds in base
-// columns 2 and 1; the probe keeps the pairs with v >= 20 through a residual
-// over the payload and emits (w, v, grp), summed per grp. It returns the
-// builder, the build operator and the build's input node.
-func factBuildPlan(fact, dim *storage.Table, copied bool) (*Builder, *exec.BuildHashOp, *Node) {
+// buildInput is what factBuildPlan's select hands its build.
+type buildInput string
+
+const (
+	listedIn buildInput = "listed" // listed views of the fact rows with v >= 10
+	denseIn  buildInput = "dense"  // dense views of every fact row: no predicate
+	copiedIn buildInput = "copied" // temp blocks: the select computes v as v * 1
+)
+
+// factBuildPlan joins dim (probe side) to fact rows (build side): the
+// build's input is a select over fact, of the kind in says. The build keys
+// on k and carries (v, grp), which a view holds in base columns 2 and 1; the
+// probe keeps the pairs with v >= 20 through a residual over the payload and
+// emits (w, v, grp), summed per grp. It returns the builder, the build
+// operator and the build's input node.
+func factBuildPlan(fact, dim *storage.Table, in buildInput) (*Builder, *exec.BuildHashOp, *Node) {
 	b := NewBuilder()
 	fs, ds := fact.Schema(), dim.Schema()
 	var v expr.Expr = expr.C(fs, "v")
-	if copied {
+	if in == copiedIn {
 		v = expr.MulE(v, expr.Float(1))
+	}
+	var pred expr.Expr
+	if in != denseIn {
+		pred = expr.Ge(expr.C(fs, "v"), expr.Float(10))
 	}
 	selFact := b.ScanSelect(exec.SelectSpec{
 		Name: "sel_fact", Base: fact,
-		Pred:      expr.Ge(expr.C(fs, "v"), expr.Float(10)),
+		Pred:      pred,
 		Proj:      []expr.Expr{expr.C(fs, "grp"), expr.C(fs, "k"), v},
 		ProjNames: []string{"grp", "k", "v"},
 	})
@@ -91,9 +103,10 @@ func gotFactBuild(t *testing.T, res *storage.Table) string {
 }
 
 // checkResolvesTo probes the build's table with every fact key and checks
-// each match resolves to a row of one of the given blocks holding that key
-// (fact's column 0 in a base block, column 1 in a temp block).
-func checkResolvesTo(t *testing.T, bop *exec.BuildHashOp, blocks []*storage.Block, keyCol int) {
+// there are n matches, each resolving to a row of one of the given blocks
+// holding that key (fact's column 0 in a base block, column 1 in a temp
+// block).
+func checkResolvesTo(t *testing.T, bop *exec.BuildHashOp, blocks []*storage.Block, keyCol, n int) {
 	t.Helper()
 	ht := bop.HT()
 	keys := make([]int64, 100)
@@ -102,8 +115,8 @@ func checkResolvesTo(t *testing.T, bop *exec.BuildHashOp, blocks []*storage.Bloc
 	}
 	var m hashtable.Matches
 	ht.Match(keys, nil, false, &m)
-	if len(m.Ref) != 900 {
-		t.Fatalf("%d matches, want the 900 build rows", len(m.Ref))
+	if len(m.Ref) != n {
+		t.Fatalf("%d matches, want the %d build rows", len(m.Ref), n)
 	}
 	for i, ref := range m.Ref {
 		pb, row := ht.Payload(ref)
@@ -114,33 +127,47 @@ func checkResolvesTo(t *testing.T, bop *exec.BuildHashOp, blocks []*storage.Bloc
 }
 
 // TestBuildHoldsBaseSelectViews: a build fed by a base-table select keeps
-// the select's views. Nothing on that edge is materialized: every entry of
-// the table resolves to its base row in a fact block, and the payload and
-// residual columns are read there through the view's projection. The join
-// is right, and the run ends with no live pool or hash-table bytes and no
-// leaks.
+// the select's views, listed or dense. Nothing on that edge is
+// materialized: every entry of the table resolves to its base row in a fact
+// block, and the payload and residual columns are read there through the
+// view's projection. The join is right, and the run ends with no live pool
+// or hash-table bytes and no leaks.
 func TestBuildHoldsBaseSelectViews(t *testing.T) {
 	_, fact, dim := fixture(t, storage.ColumnStore, 4<<10)
-	for _, workers := range []int{1, 4} {
-		for _, uot := range []int{1, core.UoTTable} {
-			var live stats.MemGauge
-			b, bop, _ := factBuildPlan(fact, dim, false)
-			res, err := Execute(b, Options{Workers: workers, UoTBlocks: uot, TempBlockBytes: 4 << 10, Pool: storage.NewPool(&live, nil)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			name := fmt.Sprintf("workers %d, uot %d", workers, uot)
-			if got, want := gotFactBuild(t, res.Table), wantFactBuild(); got != want {
-				t.Fatalf("%s: result %s, want %s", name, got, want)
-			}
-			checkResolvesTo(t, bop, fact.Blocks(), 0)
-			if r := res.Run.Robust(); live.Live() != 0 || res.Run.HashTables.Live() != 0 || r.LeakedBlocks != 0 || r.LeakedBytes != 0 {
-				t.Fatalf("%s: %d live pool bytes, %d live hash-table bytes, leaks %+v", name, live.Live(), res.Run.HashTables.Live(), r)
-			}
-			if res.Run.HashTables.High() == 0 {
-				t.Fatalf("%s: the held views never counted as hash-table bytes", name)
+	for _, in := range []buildInput{listedIn, denseIn} {
+		for _, workers := range []int{1, 4} {
+			for _, uot := range []int{1, core.UoTTable} {
+				testBuildHoldsViews(t, fact, dim, in, workers, uot)
 			}
 		}
+	}
+}
+
+func testBuildHoldsViews(t *testing.T, fact, dim *storage.Table, in buildInput, workers, uot int) {
+	var live stats.MemGauge
+	b, bop, _ := factBuildPlan(fact, dim, in)
+	res, err := Execute(b, Options{Workers: workers, UoTBlocks: uot, TempBlockBytes: 4 << 10, Pool: storage.NewPool(&live, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := fmt.Sprintf("%s views, workers %d, uot %d", in, workers, uot)
+	if got, want := gotFactBuild(t, res.Table), wantFactBuild(); got != want {
+		t.Fatalf("%s: result %s, want %s", name, got, want)
+	}
+	rows := 900
+	if in == denseIn {
+		rows = 1000
+	}
+	checkResolvesTo(t, bop, fact.Blocks(), 0, rows)
+	if r := res.Run.Robust(); live.Live() != 0 || res.Run.HashTables.Live() != 0 || r.LeakedBlocks != 0 || r.LeakedBytes != 0 {
+		t.Fatalf("%s: %d live pool bytes, %d live hash-table bytes, leaks %+v", name, live.Live(), res.Run.HashTables.Live(), r)
+	}
+	held := int64(4 * rows) // a listed view's rows, cut to its rows; none in a dense view
+	if in == denseIn {
+		held = 0
+	}
+	if high, index := res.Run.HashTables.High(), bop.HT().TotalBytes(); high < index+held {
+		t.Fatalf("%s: HashTables peaked at %d B, below the index's %d B and the held views' %d B", name, high, index, held)
 	}
 }
 
@@ -153,7 +180,7 @@ func TestTappedBuildInputIsMaterialized(t *testing.T) {
 	_, fact, dim := fixture(t, storage.ColumnStore, 4<<10)
 	for _, uot := range []int{1, core.UoTTable} {
 		var live stats.MemGauge
-		b, bop, sel := factBuildPlan(fact, dim, false)
+		b, bop, sel := factBuildPlan(fact, dim, listedIn)
 		tap := exec.NewCollect(sel.Schema, 4<<10, storage.ColumnStore)
 		b.plan.Pipe(sel.ID, exec.AddOp(b.plan, tap), 0, 1)
 		res, err := Execute(b, Options{Workers: 1, UoTBlocks: uot, TempBlockBytes: 4 << 10, Pool: storage.NewPool(&live, nil)})
@@ -164,7 +191,7 @@ func TestTappedBuildInputIsMaterialized(t *testing.T) {
 			t.Fatalf("uot %d: result %s, want %s", uot, got, want)
 		}
 		tapped := tap.Result().Blocks()
-		checkResolvesTo(t, bop, tapped, 1)
+		checkResolvesTo(t, bop, tapped, 1, 900)
 		n := 0
 		for _, blk := range tapped {
 			if blk.IsView() {
@@ -202,12 +229,12 @@ func (c *cancelAfterPolls) Done() <-chan struct{} {
 }
 
 // TestHeldBuildInputsLeakNothing: the zero-leak invariant holds while builds
-// hold their inputs until their probes end, over views and over temp blocks:
-// under HashInsert faults at rate 0.25 the join is right; a cancellation at
-// every point of the run, mid-probe included, ends with no live pool or
-// hash-table bytes and no leaked block; and with a RAM tier at 1/8 of the
-// temp peak the spill tier evicts and faults blocks in but never a block a
-// reader holds.
+// hold their inputs until their probes end, over listed and dense views and
+// over temp blocks: under HashInsert faults at rate 0.25 the join is right;
+// a cancellation at every point of the run, mid-probe included, ends with no
+// live pool or hash-table bytes and no leaked block; and with a RAM tier at
+// 1/8 of the temp peak the spill tier evicts and faults blocks in but never
+// a block a reader holds.
 func TestHeldBuildInputsLeakNothing(t *testing.T) {
 	_, fact, dim := fixture(t, storage.ColumnStore, 4<<10)
 	want := wantFactBuild()
@@ -219,15 +246,15 @@ func TestHeldBuildInputsLeakNothing(t *testing.T) {
 	}
 	t.Run("HashInsert faults", func(t *testing.T) {
 		var injected int64
-		for _, copied := range []bool{false, true} {
+		for _, in := range []buildInput{listedIn, denseIn, copiedIn} {
 			for _, workers := range []int{1, 4} {
 				for _, uot := range []int{1, core.UoTTable} {
 					for seed := uint64(1); seed <= 3; seed++ {
 						var live stats.MemGauge
 						inj := faults.New(faults.Config{Seed: seed, Rates: map[faults.Site]float64{faults.HashInsert: 0.25}})
-						b, _, _ := factBuildPlan(fact, dim, copied)
+						b, _, _ := factBuildPlan(fact, dim, in)
 						res, err := Execute(b, Options{Workers: workers, UoTBlocks: uot, TempBlockBytes: 4 << 10, Faults: inj, Pool: storage.NewPool(&live, nil)})
-						name := fmt.Sprintf("copied %v, workers %d, uot %d, seed %d", copied, workers, uot, seed)
+						name := fmt.Sprintf("%s input, workers %d, uot %d, seed %d", in, workers, uot, seed)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
@@ -245,16 +272,16 @@ func TestHeldBuildInputsLeakNothing(t *testing.T) {
 		}
 	})
 	t.Run("cancel", func(t *testing.T) {
-		for _, copied := range []bool{false, true} {
+		for _, in := range []buildInput{listedIn, denseIn, copiedIn} {
 			midProbe := 0
 			for n := int64(1); ; n++ {
 				var live stats.MemGauge
 				cx, cancel := context.WithCancel(context.Background())
-				b, _, _ := factBuildPlan(fact, dim, copied)
+				b, _, _ := factBuildPlan(fact, dim, in)
 				res, err := Execute(b, Options{Workers: 1, UoTBlocks: 1, TempBlockBytes: 4 << 10, TempFormat: storage.ColumnStore,
 					Context: &cancelAfterPolls{Context: cx, n: n, cancel: cancel}, Pool: storage.NewPool(&live, nil)})
 				cancel()
-				name := fmt.Sprintf("copied %v, canceled at poll %d", copied, n)
+				name := fmt.Sprintf("%s input, canceled at poll %d", in, n)
 				clean(t, name, &live, res.Run)
 				if err == nil {
 					break // the run finished before the n-th poll
@@ -272,14 +299,14 @@ func TestHeldBuildInputsLeakNothing(t *testing.T) {
 				}
 			}
 			if midProbe == 0 {
-				t.Fatalf("copied %v: no cancellation landed while the probe ran", copied)
+				t.Fatalf("%s input: no cancellation landed while the probe ran", in)
 			}
 		}
 	})
 	t.Run("RAM tier at 1/8", func(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			var live stats.MemGauge
-			b, _, _ := factBuildPlan(fact, dim, true)
+			b, _, _ := factBuildPlan(fact, dim, copiedIn)
 			base, err := Execute(b, Options{Workers: 1, UoTBlocks: core.UoTTable, TempBlockBytes: 4 << 10, Pool: storage.NewPool(&live, nil)})
 			if err != nil {
 				t.Fatal(err)
@@ -291,7 +318,7 @@ func TestHeldBuildInputsLeakNothing(t *testing.T) {
 			if err := pool.EnableSpill(storage.SpillConfig{Dir: dir, Threshold: base.Run.Intermediates.High() / 8}); err != nil {
 				t.Fatal(err)
 			}
-			b, _, _ = factBuildPlan(fact, dim, true)
+			b, _, _ = factBuildPlan(fact, dim, copiedIn)
 			res, err := Execute(b, Options{Workers: workers, UoTBlocks: core.UoTTable, TempBlockBytes: 4 << 10, TempFormat: storage.ColumnStore, Pool: pool})
 			if err != nil {
 				t.Fatal(err)

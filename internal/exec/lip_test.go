@@ -40,7 +40,7 @@ func lipBlocks(s *storage.Schema, n, rowsPer int, scale int64) []*storage.Block 
 func lipViews(s *storage.Schema, bases []*storage.Block) []*storage.Block {
 	var out []*storage.Block
 	for i := 0; i < len(bases); i += 2 {
-		v := storage.NewPool(nil, nil).CheckOutView(0, s, []int{0, 1}, storage.ColumnStore, 1<<16)
+		v := storage.NewPool(nil, nil).CheckOutView(0, s, []int{0, 1}, false, storage.ColumnStore, 1<<16)
 		for _, b := range bases[i:min(i+2, len(bases))] {
 			var sel []int32
 			for r := 0; r < b.NumRows(); r += 2 {

@@ -35,6 +35,7 @@ type SelectOp struct {
 	pred      expr.Expr      // may be nil
 	projExprs []expr.Expr
 	projIdx   []int // fast path: all projections are plain column refs
+	dense     bool  // a base-table select with no predicate and no LIP filter, through projIdx
 	readCols  []int // referenced columns, for cache-model charging
 	lips      []LIPRef
 	out       *storage.Schema
@@ -115,6 +116,7 @@ func NewSelect(spec SelectSpec) *SelectOp {
 		out:       expr.OutputSchema(spec.Proj, spec.ProjNames),
 	}
 	op.projIdx = colRefsOnly(spec.Proj)
+	op.dense = spec.Base != nil && spec.Pred == nil && len(spec.LIPs) == 0 && op.projIdx != nil
 	all := append([]expr.Expr{spec.Pred}, spec.Proj...)
 	op.readCols = expr.PrimaryCols(all...)
 	for _, l := range spec.LIPs {
@@ -184,6 +186,12 @@ func (w *selectWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 		}
 	}
 	em := core.NewEmitter(ctx, out, o.self, o.out)
+	if o.dense {
+		// Every row of a base block, which outlives the run: pass the block
+		// on as runs of dense views.
+		em.AppendDense(b, o.projIdx)
+		return nil
+	}
 	// Build a selection vector in pooled scratch (the identity without a
 	// predicate), refine it through the LIP bloom filters, then materialize
 	// the survivors.

@@ -103,19 +103,22 @@ const (
 // source is a run of entries that lie in one block with a layout: a fed
 // block's rows, or one segment of a fed view.
 type source struct {
-	b    *storage.Block
-	rows []int32 // a view segment's base rows; nil: rows 0..n-1 of b
-	n    int
+	b     *storage.Block
+	rows  []int32 // a listed view segment's base rows; nil: rows first..first+n-1 of b
+	first int
+	n     int
 	// The key columns' cells in b (k1 unset in a one-key table).
 	k0, k1 storage.Cells
 }
 
 // load reads the rows and keys of the source's entries from at on, at most
-// fillChunk of them, and returns how many it read. A block's keys are read
-// as a run of its key columns, a view segment's row by row.
+// fillChunk of them, and returns how many it read. A run's keys (a block's,
+// a dense view segment's) are read as a run of its key columns, a listed
+// view segment's row by row.
 func (s *source) load(at, keys int, rows *[fillChunk]int32, k0, k1 *[fillChunk]int64) int {
 	m := min(fillChunk, s.n-at)
 	if s.rows == nil {
+		at += s.first
 		for j := range m {
 			rows[j] = int32(at + j)
 		}
@@ -304,11 +307,8 @@ func (t *Table) InsertBlock(b *storage.Block, keyCols []int, projIdx []int, sc *
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.bindCols(b, projIdx)
-	b.Sources(func(src *storage.Block, rows []int32) {
-		s := source{b: src, rows: rows, n: len(rows), k0: src.View(kc0).Cells}
-		if rows == nil {
-			s.n = src.NumRows()
-		}
+	b.Sources(func(src *storage.Block, first, n int, rows []int32) {
+		s := source{b: src, rows: rows, first: first, n: n, k0: src.View(kc0).Cells}
 		if kc1 >= 0 {
 			s.k1 = src.View(kc1).Cells
 		}

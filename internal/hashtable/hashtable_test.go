@@ -1132,7 +1132,7 @@ func viewOver(bases []*storage.Block) *storage.Block {
 		rows += (b.NumRows() + 1) / 2
 	}
 	sch := keyedSchema()
-	v := storage.NewPool(nil, nil).CheckOutView(0, sch, []int{0, 1, 2, 3}, storage.ColumnStore, rows*sch.RowWidth())
+	v := storage.NewPool(nil, nil).CheckOutView(0, sch, []int{0, 1, 2, 3}, false, storage.ColumnStore, rows*sch.RowWidth())
 	for _, b := range bases {
 		var sel []int32
 		for r := 0; r < b.NumRows(); r += 2 {
@@ -1143,12 +1143,13 @@ func viewOver(bases []*storage.Block) *storage.Block {
 	return v
 }
 
-// TestSequentialInsertKeepsSources: one writer inserting blocks, or views
-// over several base blocks, records one source per block and per view
-// segment, in insertion order, and copies nothing. A view's sources are its
-// base blocks and base rows, read through the view's projection (the base
-// blocks carry an extra leading column), so every entry resolves to its base
-// row, and SourceCols to its base column, under either index.
+// TestSequentialInsertKeepsSources: one writer inserting blocks, or listed
+// or dense views over several base blocks, records one source per block and
+// per view segment, in insertion order, and copies nothing. A view's sources
+// are its base blocks and base rows, listed or a run from a first row, read
+// through the view's projection (the base blocks carry an extra leading
+// column), so every entry resolves to its base row, and SourceCols to its
+// base column, under either index.
 func TestSequentialInsertKeepsSources(t *testing.T) {
 	cols := []storage.Column{{Name: "x", Type: types.Int64}}
 	for i := 0; i < keyedSchema().NumCols(); i++ {
@@ -1164,11 +1165,12 @@ func TestSequentialInsertKeepsSources(t *testing.T) {
 		return b
 	}
 	type src struct {
-		b    *storage.Block
-		rows []int32
+		b     *storage.Block
+		first int
+		rows  []int32
 	}
 	for _, keys := range []int{1, 2} {
-		for _, view := range []bool{false, true} {
+		for _, view := range []string{"", "listed", "dense"} {
 			for _, kind := range kinds {
 				rng := rand.New(rand.NewSource(int64(keys)))
 				ht := New(Config{PayloadSchema: payloadSchema(), Keys: keys})
@@ -1177,39 +1179,45 @@ func TestSequentialInsertKeepsSources(t *testing.T) {
 				var vals []int64 // payload v of each entry, in insertion order
 				for i := 0; i < 7; i++ {
 					b := randKeyedBlock(rng, 300+rng.Intn(900), 5000)
-					if view {
-						b = storage.NewPool(nil, nil).CheckOutView(0, keyedSchema(), []int{1, 2, 3, 4}, storage.ColumnStore, 1<<20)
+					if view != "" {
+						b = storage.NewPool(nil, nil).CheckOutView(0, keyedSchema(), []int{1, 2, 3, 4}, view == "dense", storage.ColumnStore, 1<<20)
 						for j := 0; j < 3; j++ {
 							base := wideBlock(rng, 200+rng.Intn(400))
+							if view == "dense" {
+								first := rng.Intn(100)
+								b.AppendDense(base, first)
+								want = append(want, src{base, first, nil})
+								continue
+							}
 							var sel []int32
 							for r := rng.Intn(2); r < base.NumRows(); r += 2 {
 								sel = append(sel, int32(r))
 							}
 							b.AppendView(base, sel)
-							want = append(want, src{base, sel})
+							want = append(want, src{base, 0, sel})
 						}
 					} else {
-						want = append(want, src{b, nil})
+						want = append(want, src{b, 0, nil})
 					}
 					vals = append(vals, b.GatherInt64(2, nil)...)
 					ht.InsertBlock(b, []int{0, 1}[:keys], payIdx, sc)
 				}
-				name := fmt.Sprintf("%d keys, view %v, %v", keys, view, kind)
+				name := fmt.Sprintf("%d keys, view %q, %v", keys, view, kind)
 				if len(ht.srcs) != len(want) || ht.Entries() != len(vals) || ht.TotalBytes() != 0 {
 					t.Fatalf("%s: %d sources, want %d; %d entries, want %d; %d B", name, len(ht.srcs), len(want), ht.Entries(), len(vals), ht.TotalBytes())
 				}
 				sealAs(ht, kind)
-				if col := ht.SourceCols(nil, []int{0, 1}); view != (col[0] == 3) {
+				if col := ht.SourceCols(nil, []int{0, 1}); (view != "") != (col[0] == 3) {
 					t.Fatalf("%s: payload in source columns %v", name, col)
 				}
 				e := 0
 				for si, w := range want {
 					s := &ht.srcs[si]
-					if s.b != w.b || !reflect.DeepEqual(s.rows, w.rows) {
+					if s.b != w.b || s.first != w.first || !reflect.DeepEqual(s.rows, w.rows) {
 						t.Fatalf("%s: source %d is not the fed block or view segment", name, si)
 					}
 					for i := 0; i < s.n; i++ {
-						row := int32(i)
+						row := int32(w.first + i)
 						if w.rows != nil {
 							row = w.rows[i]
 						}

@@ -38,9 +38,11 @@ func (f Format) String() string {
 // A block may instead be a view (Pool.CheckOutView): a selection of rows of
 // base-table blocks, which outlive every run, projected through proj. A view
 // stores no cells: its row r is row rows[r] of the base block of the segment
-// holding r, and data is the rows buffer. Every read accessor gives what it
-// gives on the view's Materialize, and the batch kernels resolve a base
-// block's layout once per segment; appending cells to a view panics.
+// holding r, and data is the rows buffer. A dense view has neither: each of
+// its segments is a run of base rows, recorded by its first row. Every read
+// accessor gives what it gives on the view's Materialize, and the batch
+// kernels resolve a base block's layout once per segment; appending cells to
+// a view panics.
 type Block struct {
 	schema   *Schema
 	format   Format
@@ -50,7 +52,7 @@ type Block struct {
 	colOff   []int  // ColumnStore: start of each column region in data
 
 	proj []int     // a view's column i is column proj[i] of its base blocks; nil for a block
-	rows []int32   // a view's base rows, aliasing data
+	rows []int32   // a listed view's base rows, aliasing data; nil in a dense view
 	segs []viewSeg // a view's base blocks, in row order
 
 	// A temp block's lifetime (see blockState): where it is on its path
@@ -65,10 +67,12 @@ type Block struct {
 }
 
 // viewSeg is one base block of a view: rows [previous end, end) of the view
-// are rows of base.
+// are rows of base, listed in the view's rows or, in a dense view, the run
+// of base rows from first (0 in a listed view).
 type viewSeg struct {
-	base *Block
-	end  int
+	base  *Block
+	first int
+	end   int
 }
 
 // NewBlock allocates a block with the given byte budget. Capacity is
@@ -170,17 +174,32 @@ func (b *Block) segOf(r int) int {
 }
 
 // Sources calls fn for each stretch of the block's rows that lies in one
-// block with a layout, in row order: a block's rows as (b, nil), a view's
-// segments as their base block and base rows (aliasing the view's rows
-// buffer). Column c of the block is column BaseCol(c) of every source.
-func (b *Block) Sources(fn func(src *Block, rows []int32)) {
+// block with a layout, in row order: n rows of src, listed in rows, or the
+// run first..first+n-1 when rows is nil. A block is the run (b, 0, n), a
+// listed view's segments are their base block and base rows (aliasing the
+// view's rows buffer), a dense view's their base block and run. Column c of
+// the block is column BaseCol(c) of every source.
+func (b *Block) Sources(fn func(src *Block, first, n int, rows []int32)) {
 	if b.proj == nil {
-		fn(b, nil)
+		fn(b, 0, b.n, nil)
 		return
 	}
+	b.eachSeg(func(lo, hi int, base *Block, first int, rows []int32) {
+		fn(base, first, hi-lo, rows)
+	})
+}
+
+// eachSeg calls fn for each segment of view b, in row order: view rows
+// [lo, hi) are base rows rows of base, or, in a dense view (rows nil), the
+// run of base rows from first.
+func (b *Block) eachSeg(fn func(lo, hi int, base *Block, first int, rows []int32)) {
 	lo := 0
 	for _, sg := range b.segs {
-		fn(sg.base, b.rows[lo:sg.end])
+		var rows []int32
+		if b.rows != nil {
+			rows = b.rows[lo:sg.end]
+		}
+		fn(lo, sg.end, sg.base, sg.first, rows)
 		lo = sg.end
 	}
 }
@@ -197,9 +216,10 @@ func (b *Block) BaseCol(c int) int {
 
 // cutToRows moves the block's cells into an allocation of exactly its rows,
 // laid out for a capacity of its row count, and returns the old allocation.
-// A full block is left alone (nil).
+// A full block, and a dense view, which has no allocation, are left alone
+// (nil).
 func (b *Block) cutToRows() []byte {
-	if b.n >= b.capacity {
+	if b.n >= b.capacity || b.proj != nil && b.rows == nil {
 		return nil
 	}
 	old := b.data
@@ -225,8 +245,8 @@ func (b *Block) cutToRows() []byte {
 	return old
 }
 
-// AllocBytes returns the size of the block's data allocation: a view's rows
-// buffer, 4 bytes a row.
+// AllocBytes returns the size of the block's data allocation: a listed
+// view's rows buffer, 4 bytes a row; 0 for a dense view.
 func (b *Block) AllocBytes() int { return len(b.data) }
 
 // UsedBytes returns the bytes occupied by live tuples (n * rowWidth); this is
@@ -237,11 +257,20 @@ func (b *Block) UsedBytes() int { return b.n * b.schema.RowWidth() }
 // cell returns the data slice holding column col of row row.
 func (b *Block) cell(col, row int) []byte {
 	if b.proj != nil {
-		return b.segs[b.segOf(row)].base.cell(b.proj[col], int(b.rows[row]))
+		k := b.segOf(row)
+		return b.segs[k].base.cell(b.proj[col], b.baseRow(k, row))
 	}
 	off, stride := b.colLayout(col)
 	off += row * stride
 	return b.data[off : off+b.schema.ColWidth(col)]
+}
+
+// baseRow returns the base row of view row r, which lies in segment k.
+func (b *Block) baseRow(k, r int) int {
+	if b.rows == nil {
+		return b.segs[k].first + r - b.segStart(k)
+	}
+	return int(b.rows[r])
 }
 
 // Int64At reads an Int64 column value.
@@ -352,12 +381,13 @@ type Cells struct {
 	stride int
 }
 
-// View returns the in-place view of column col. A view block's column has
-// no place, so it is gathered into a new buffer (ViewInto reuses one).
+// View returns the in-place view of column col. A view block's column is
+// gathered into a new buffer (ViewInto reuses one) unless it is one run.
 func (b *Block) View(col int) ColView { return b.ViewInto(col, nil) }
 
 // ViewInto is View, gathering a view block's column into buf, reused when
-// large enough; the result aliases the block or buf.
+// large enough; the result aliases the block, a dense view's one base block,
+// or buf.
 func (b *Block) ViewInto(col int, buf []byte) ColView {
 	v := ColView{Type: b.schema.Col(col).Type, width: b.schema.ColWidth(col)}
 	if b.proj == nil {
@@ -365,15 +395,30 @@ func (b *Block) ViewInto(col int, buf []byte) ColView {
 		v.Cells = Cells{b.data[off:], stride}
 		return v
 	}
-	buf = sized(buf, b.n*v.width)
-	lo := 0
-	for _, sg := range b.segs {
+	if len(b.segs) == 1 && b.rows == nil {
+		sg := b.segs[0]
 		off, stride := sg.base.colLayout(b.proj[col])
-		copyCells(v.width, buf, lo*v.width, v.width, sg.base.data, off, stride, sg.base.capacity, b.rows[lo:sg.end])
-		lo = sg.end
+		v.Cells = Cells{sg.base.data[off+sg.first*stride:], stride}
+		return v
 	}
+	buf = sized(buf, b.n*v.width)
+	b.eachSeg(func(lo, hi int, base *Block, first int, rows []int32) {
+		copySeg(v.width, buf, lo*v.width, v.width, base, b.proj[col], first, hi-lo, rows)
+	})
 	v.Cells = Cells{buf, v.width}
 	return v
+}
+
+// copySeg writes column sc of n rows of base — rows, or the run from first
+// when rows is nil — to consecutive w-byte cells of dst from d, dStride
+// apart.
+func copySeg(w int, dst []byte, d, dStride int, base *Block, sc, first, n int, rows []int32) {
+	off, stride := base.colLayout(sc)
+	if rows == nil {
+		copyRun(w, dst, d, dStride, base.data, off+first*stride, stride, n)
+		return
+	}
+	copyCells(w, dst, d, dStride, base.data, off, stride, base.capacity, rows)
 }
 
 // CharView is a char vector laid out like a column: row r's value is
@@ -442,20 +487,19 @@ func (b *Block) GatherInt64(col int, dst []int64) []int64 {
 
 // eachSource resolves where the cells of column col of every row lie: once
 // for a block (rows nil: row r's cell is the layout's row r), once per
-// segment for a view, whose rows [lo, hi) are base rows rows of data. The
-// column must be width bytes wide.
+// segment for a view, whose rows [lo, hi) are base rows rows of data, or,
+// in a dense view, the layout's rows from 0 on: its run's layout is shifted
+// to the run's first row. The column must be width bytes wide.
 func (b *Block) eachSource(col, width int, kernel string, fn func(lo, hi int, data []byte, off, stride, lim int, rows []int32)) {
 	if b.proj == nil {
 		off, stride := b.fixedLayout(col, width, kernel)
 		fn(0, b.n, b.data, off, stride, b.capacity, nil)
 		return
 	}
-	lo := 0
-	for _, sg := range b.segs {
-		off, stride := sg.base.fixedLayout(b.proj[col], width, kernel)
-		fn(lo, sg.end, sg.base.data, off, stride, sg.base.capacity, b.rows[lo:sg.end])
-		lo = sg.end
-	}
+	b.eachSeg(func(lo, hi int, base *Block, first int, rows []int32) {
+		off, stride := base.fixedLayout(b.proj[col], width, kernel)
+		fn(lo, hi, base.data, off+first*stride, stride, base.capacity-first, rows)
+	})
 }
 
 // GatherDate widens every row of a 4-byte Date column into dst as int64 day
@@ -565,7 +609,7 @@ func (it *baseRuns) next() bool {
 		if int(r) < lo || int(r) >= hi || m == len(it.buf) {
 			break
 		}
-		it.buf[m] = v.rows[r]
+		it.buf[m] = int32(v.baseRow(it.k, int(r)))
 		m++
 	}
 	it.base, it.n = v.segs[it.k].base, m
@@ -573,11 +617,11 @@ func (it *baseRuns) next() bool {
 	return true
 }
 
-// AppendView appends the given rows of base block base to the view, stopping
-// when it fills, and returns how many rows were appended.
+// AppendView appends the given rows of base block base to the listed view,
+// stopping when it fills, and returns how many rows were appended.
 func (b *Block) AppendView(base *Block, rows []int32) int {
-	if b.proj == nil || base.proj != nil {
-		panic("storage: AppendView needs a view over a block")
+	if b.proj == nil || b.rows == nil || base.proj != nil {
+		panic("storage: AppendView needs a listed view over a block")
 	}
 	take := rows[:max(0, min(len(rows), b.capacity-b.n))]
 	if len(take) == 0 {
@@ -591,6 +635,22 @@ func (b *Block) AppendView(base *Block, rows []int32) int {
 		b.segs = append(b.segs, viewSeg{base: base, end: b.n})
 	}
 	return len(take)
+}
+
+// AppendDense appends base rows from, from+1, ... of base block base to the
+// dense view as one run, stopping when it fills, and returns how many rows
+// were appended.
+func (b *Block) AppendDense(base *Block, from int) int {
+	if b.proj == nil || b.rows != nil || base.proj != nil {
+		panic("storage: AppendDense needs a dense view over a block")
+	}
+	take := max(0, min(base.n-from, b.capacity-b.n))
+	if take == 0 {
+		return 0
+	}
+	b.n += take
+	b.segs = append(b.segs, viewSeg{base: base, first: from, end: b.n})
+	return take
 }
 
 // AppendPairs appends joined tuples, column at a time: tuple i is the

@@ -276,7 +276,7 @@ func TestAppendRowsMatchesAppendRow(t *testing.T) {
 			t.Errorf("%v: appended into a full block", format)
 		}
 	}
-	v := NewPool(nil, nil).CheckOutView(0, dstSch, proj, ColumnStore, 4096)
+	v := NewPool(nil, nil).CheckOutView(0, dstSch, proj, false, ColumnStore, 4096)
 	v.AppendView(srcs[0], []int32{0})
 	defer func() {
 		if recover() == nil {

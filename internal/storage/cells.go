@@ -7,8 +7,9 @@ import (
 
 // The fixed-width cell kernels every copy and gather runs. An 8- or 4-byte
 // cell moves as one little-endian load and one store through a pointer into
-// the block's allocation; the bounds are checked once per call (and a
-// source row once per row, against the source's capacity), not per cell.
+// the block's allocation, a char cell of up to 16 bytes as two overlapping
+// ones (moveCell); the bounds are checked once per call (and a source row
+// once per row, against the source's capacity), not per cell.
 // Cells may be unaligned: a row-store row, or a column region after a char
 // column, can start at any byte. ld64/ld32/st64/st32 read and write a cell
 // through a fixed-size array, which needs no bounds check and which the
@@ -24,6 +25,46 @@ func ld32(p unsafe.Pointer) uint32    { return binary.LittleEndian.Uint32((*[4]b
 func st64(p unsafe.Pointer, v uint64) { binary.LittleEndian.PutUint64((*[8]byte)(p)[:], v) }
 func st32(p unsafe.Pointer, v uint32) { binary.LittleEndian.PutUint32((*[4]byte)(p)[:], v) }
 
+// word is a cell piece moveCell loads and stores whole.
+type word interface {
+	[1]byte | [2]byte | [4]byte | [8]byte
+}
+
+// moveCell copies the w-byte cell at sp to dp. A cell of up to 16 bytes
+// moves as two loads of the widest word that fits it, one from each end,
+// then two stores; they overlap inside the cell unless w is twice the word.
+// A wider cell moves with copy.
+func moveCell(w int, dp, sp unsafe.Pointer) {
+	switch {
+	case w > 16:
+		copy(unsafe.Slice((*byte)(dp), w), unsafe.Slice((*byte)(sp), w))
+	case w >= 8:
+		move2[[8]byte](w, dp, sp)
+	case w >= 4:
+		move2[[4]byte](w, dp, sp)
+	case w >= 2:
+		move2[[2]byte](w, dp, sp)
+	default:
+		move2[[1]byte](w, dp, sp)
+	}
+}
+
+// move2 copies the w-byte cell at sp to dp as two words W, one from each
+// end of the cell; w is at least one W and at most two.
+func move2[W word](w int, dp, sp unsafe.Pointer) {
+	k := int(unsafe.Sizeof(*new(W)))
+	a, b := *(*W)(sp), *(*W)(unsafe.Add(sp, w-k))
+	*(*W)(dp), *(*W)(unsafe.Add(dp, w-k)) = a, b
+}
+
+// moveCells is copyCells' loop for cells that move as two words W.
+func moveCells[W word](w int, dp unsafe.Pointer, dStride int, sp unsafe.Pointer, sStride, lim int, rows []int32) {
+	for i, r := range rows {
+		checkRow(r, lim)
+		move2[W](w, unsafe.Add(dp, i*dStride), unsafe.Add(sp, int(r)*sStride))
+	}
+}
+
 // copyCells writes the w-byte cells of the given source rows to consecutive
 // destination cells: source row r's cell starts at s + r*sStride in src, and
 // must lie below row lim; destination cell i starts at d + i*dStride in dst.
@@ -34,23 +75,50 @@ func copyCells(w int, dst []byte, d, dStride int, src []byte, s, sStride, lim in
 	_ = dst[d+(len(rows)-1)*dStride+w-1]
 	_ = src[s+(lim-1)*sStride+w-1]
 	dp, sp := unsafe.Pointer(&dst[d]), unsafe.Pointer(&src[s])
-	switch w {
-	case 8:
+	switch {
+	case w == 8:
 		for i, r := range rows {
 			checkRow(r, lim)
 			st64(unsafe.Add(dp, i*dStride), ld64(unsafe.Add(sp, int(r)*sStride)))
 		}
-	case 4:
+	case w == 4:
 		for i, r := range rows {
 			checkRow(r, lim)
 			st32(unsafe.Add(dp, i*dStride), ld32(unsafe.Add(sp, int(r)*sStride)))
 		}
-	default:
+	case w > 16:
 		for i, r := range rows {
 			checkRow(r, lim)
-			at := s + int(r)*sStride
-			copy(dst[d+i*dStride:][:w], src[at:at+w])
+			moveCell(w, unsafe.Add(dp, i*dStride), unsafe.Add(sp, int(r)*sStride))
 		}
+	case w > 8:
+		moveCells[[8]byte](w, dp, dStride, sp, sStride, lim, rows)
+	case w > 4:
+		moveCells[[4]byte](w, dp, dStride, sp, sStride, lim, rows)
+	case w > 1:
+		moveCells[[2]byte](w, dp, dStride, sp, sStride, lim, rows)
+	default:
+		moveCells[[1]byte](w, dp, dStride, sp, sStride, lim, rows)
+	}
+}
+
+// copyRun writes the n w-byte cells of a run of source rows to consecutive
+// destination cells: source cell i starts at s + i*sStride in src,
+// destination cell i at d + i*dStride in dst. Packed cells on both sides
+// move as one copy.
+func copyRun(w int, dst []byte, d, dStride int, src []byte, s, sStride, n int) {
+	if n == 0 {
+		return
+	}
+	if dStride == w && sStride == w {
+		copy(dst[d:d+n*w], src[s:s+n*w])
+		return
+	}
+	_ = dst[d+(n-1)*dStride+w-1]
+	_ = src[s+(n-1)*sStride+w-1]
+	dp, sp := unsafe.Pointer(&dst[d]), unsafe.Pointer(&src[s])
+	for i := range n {
+		moveCell(w, unsafe.Add(dp, i*dStride), unsafe.Add(sp, i*sStride))
 	}
 }
 
@@ -86,8 +154,7 @@ func pairCells(w int, dst []byte, d, dStride int, srcs []*Block, sc int, rows []
 		case 4:
 			st32(unsafe.Add(dp, i*dStride), ld32(unsafe.Add(sp, int(r)*sStride)))
 		default:
-			at := sOff + int(r)*sStride
-			copy(dst[d+i*dStride:][:w], cur.data[at:at+w])
+			moveCell(w, unsafe.Add(dp, i*dStride), unsafe.Add(sp, int(r)*sStride))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,15 +11,23 @@ import (
 )
 
 // inState returns a block in state s, driven there by the pool's own moves
-// from a checkout of p (NewBlock for unowned). A kept block's bytes move to
-// g.
-func inState(p *Pool, g *stats.MemGauge, s blockState) *Block {
+// from a checkout of p (NewBlock for unowned), or with dense from a dense
+// view of one row of a table's block. A kept block's bytes move to g.
+func inState(p *Pool, g *stats.MemGauge, s blockState, dense bool) *Block {
 	schema := NewSchema(Column{Name: "k", Type: types.Int64})
+	base := NewBlock(schema, RowStore, 1<<10)
+	base.AppendRow(types.NewInt64(1))
 	if s == unowned {
-		return NewBlock(schema, RowStore, 1<<10)
+		return base
 	}
-	b := p.CheckOut(0, schema, RowStore, 1<<10)
-	b.AppendRow(types.NewInt64(1))
+	var b *Block
+	if dense {
+		b = p.CheckOutView(0, schema, []int{0}, true, RowStore, 1<<10)
+		b.AppendDense(base, 0)
+	} else {
+		b = p.CheckOut(0, schema, RowStore, 1<<10)
+		b.AppendRow(types.NewInt64(1))
+	}
 	switch s {
 	case released:
 		p.Release(b)
@@ -44,6 +53,8 @@ func inState(p *Pool, g *stats.MemGauge, s blockState) *Block {
 // or Cut after Park, a Keep of a parked block and a Park of a delivered one.
 // Either way the block is then released by the move its state allows, and
 // neither the pool's gauge nor the one Keep moved bytes to counts a byte.
+// A dense view makes every move too, and until a Materialize neither gauge
+// counts a byte of it.
 func TestBlockLifetimeMoves(t *testing.T) {
 	moves := []struct {
 		name string
@@ -66,42 +77,51 @@ func TestBlockLifetimeMoves(t *testing.T) {
 	}
 	for _, m := range moves {
 		for s := unowned; s <= released; s++ {
-			t.Run(fmt.Sprintf("%s/%s", m.name, s), func(t *testing.T) {
-				var live, keptIn stats.MemGauge
-				p := NewPool(&live, nil)
-				b := inState(p, &keptIn, s)
-				allowed := false
-				for _, f := range m.from {
-					allowed = allowed || f == s
+			for _, dense := range []bool{false, true} {
+				name := fmt.Sprintf("%s/%s", m.name, s)
+				if dense {
+					name += "/dense"
 				}
-				panicked := func() (msg string) {
-					defer func() {
-						if r := recover(); r != nil {
-							msg = fmt.Sprint(r)
-						}
-					}()
-					m.do(p, &keptIn, b)
-					return ""
-				}()
-				switch {
-				case allowed && panicked != "":
-					t.Fatalf("allowed move panicked: %s", panicked)
-				case allowed && b.state != m.to:
-					t.Fatalf("move left the block %s, want %s", b.state, m.to)
-				case !allowed && !strings.Contains(panicked, "of a "+s.String()+" block"):
-					t.Fatalf("illegal move did not panic with the block's state: %q", panicked)
-				}
-				switch b.state {
-				case filling, handedOut:
-					p.Release(b)
-				case parked, delivered, kept:
-					p.Drop(b)
-				}
-				if live.Live() != 0 || keptIn.Live() != 0 {
-					t.Fatalf("after release: pool gauge %d, kept gauge %d", live.Live(), keptIn.Live())
-				}
-			})
+				t.Run(name, func(t *testing.T) { testLifetimeMove(t, m.from, m.to, m.do, s, dense) })
+			}
 		}
+	}
+}
+
+// testLifetimeMove makes one move, do, allowed from the states from and
+// leaving the block in state to, on a block (dense: a dense view) in state s.
+func testLifetimeMove(t *testing.T, from []blockState, to blockState, do func(p *Pool, g *stats.MemGauge, b *Block), s blockState, dense bool) {
+	var live, keptIn stats.MemGauge
+	p := NewPool(&live, nil)
+	b := inState(p, &keptIn, s, dense)
+	panicked := func() (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		do(p, &keptIn, b)
+		return ""
+	}()
+	allowed := slices.Contains(from, s)
+	switch {
+	case allowed && panicked != "":
+		t.Fatalf("allowed move panicked: %s", panicked)
+	case allowed && b.state != to:
+		t.Fatalf("move left the block %s, want %s", b.state, to)
+	case !allowed && !strings.Contains(panicked, "of a "+s.String()+" block"):
+		t.Fatalf("illegal move did not panic with the block's state: %q", panicked)
+	case dense && b.IsView() && (b.AllocBytes() != 0 || live.Live() != 0 || keptIn.Live() != 0):
+		t.Fatalf("a dense view holds %d B: pool gauge %d, kept gauge %d", b.AllocBytes(), live.Live(), keptIn.Live())
+	}
+	switch b.state {
+	case filling, handedOut:
+		p.Release(b)
+	case parked, delivered, kept:
+		p.Drop(b)
+	}
+	if live.Live() != 0 || keptIn.Live() != 0 {
+		t.Fatalf("after release: pool gauge %d, kept gauge %d", live.Live(), keptIn.Live())
 	}
 }
 
@@ -110,7 +130,7 @@ func TestBlockLifetimeMoves(t *testing.T) {
 func TestBlockDroppedByEveryReader(t *testing.T) {
 	var live stats.MemGauge
 	p := NewPool(&live, nil)
-	b := inState(p, nil, filling)
+	b := inState(p, nil, filling, false)
 	p.Park(b, 2)
 	for i := 0; i < 2; i++ {
 		if _, err := p.Pin(b); err != nil {

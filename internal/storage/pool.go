@@ -203,21 +203,25 @@ func (p *Pool) CheckOut(owner int, schema *Schema, format Format, blockBytes int
 	return b
 }
 
-// CheckOutView is CheckOut for a view (Block.AppendView) whose column i is
-// column proj[i] of its base blocks: a checked-in partial view of owner, else
-// an empty view holding as many rows as a blockBytes temp block of schema,
-// with a rows buffer of 4 bytes a row from the freelist. The base blocks
-// belong to their tables and outlive the run, so only the rows buffer is
-// charged.
-func (p *Pool) CheckOutView(owner int, schema *Schema, proj []int, format Format, blockBytes int) *Block {
+// CheckOutView is CheckOut for a view whose column i is column proj[i] of
+// its base blocks: a checked-in partial view of owner, else an empty view
+// holding as many rows as a blockBytes temp block of schema. A listed view
+// (Block.AppendView) has a rows buffer of 4 bytes a row from the freelist; a
+// dense one (Block.AppendDense) has none. The base blocks belong to their
+// tables and outlive the run, so only the rows buffer is charged. An owner
+// fills views of one kind: resuming the other kind panics.
+func (p *Pool) CheckOutView(owner int, schema *Schema, proj []int, dense bool, format Format, blockBytes int) *Block {
 	if b := p.resume(owner); b != nil {
+		if b.proj == nil || (b.rows == nil) != dense {
+			panic("storage: resuming a partial of another kind than the view checked out")
+		}
 		return b
 	}
 	cap := max(1, blockBytes/schema.RowWidth())
-	buf := p.takeBuf(4 * cap)[:4*cap]
-	b := &Block{
-		schema: schema, format: format, capacity: cap, data: buf, state: filling,
-		proj: proj, rows: unsafe.Slice((*int32)(unsafe.Pointer(&buf[0])), cap),
+	b := &Block{schema: schema, format: format, capacity: cap, state: filling, proj: proj}
+	if !dense {
+		buf := p.takeBuf(4 * cap)[:4*cap]
+		b.data, b.rows = buf, unsafe.Slice((*int32)(unsafe.Pointer(&buf[0])), cap)
 	}
 	p.charge(b)
 	return b
@@ -254,10 +258,10 @@ func (p *Pool) charge(b *Block) {
 // Materialize turns filling view b, in place, into the temp block its rows
 // make: the cells are copied out of the base blocks into an allocation of
 // blockBytes, the budget the view was checked out with, charged to p like a
-// checkout's and counted as one, and the rows buffer goes back to the
-// freelist. The block keeps its identity, so whoever owned the view owns the
-// block. A block that is not a view is left alone. Call it before any reader
-// sees b: the view changes under it.
+// checkout's and counted as one, and a listed view's rows buffer goes back
+// to the freelist. The block keeps its identity, so whoever owned the view
+// owns the block. A block that is not a view is left alone. Call it before
+// any reader sees b: the view changes under it.
 func (p *Pool) Materialize(b *Block, blockBytes int) {
 	b.must("Materialize", filling)
 	if b.proj == nil {
@@ -269,15 +273,12 @@ func (p *Pool) Materialize(b *Block, blockBytes int) {
 	}
 	p.mu.Unlock()
 	m := newBlockOver(b.schema, b.format, blockBytes, p.takeBuf(bufKey(b.schema, blockBytes)))
-	lo := 0
-	for _, sg := range b.segs {
+	b.eachSeg(func(lo, hi int, base *Block, first int, rows []int32) {
 		for ci, sc := range b.proj {
 			d, dStride := m.colLayout(ci)
-			off, stride := sg.base.colLayout(sc)
-			copyCells(m.schema.ColWidth(ci), m.data, d+lo*dStride, dStride, sg.base.data, off, stride, sg.base.capacity, b.rows[lo:sg.end])
+			copySeg(m.schema.ColWidth(ci), m.data, d+lo*dStride, dStride, base, sc, first, hi-lo, rows)
 		}
-		lo = sg.end
-	}
+	})
 	m.n, m.state = b.n, filling
 	rows := b.data
 	*b = *m

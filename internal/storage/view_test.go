@@ -67,8 +67,9 @@ func ascending(rng *rand.Rand, n int) []int32 {
 }
 
 // viewCase is one random view and the temp block it stands for, filled as a
-// select fills them: each base block's selection appended in turn, the view
-// checked in after every block and resumed for the next.
+// select fills them: each base block's selection (every row, for a dense
+// view) appended in turn, the view checked in after every block and resumed
+// for the next.
 type viewCase struct {
 	pool  *Pool
 	bases []*Block
@@ -78,23 +79,24 @@ type viewCase struct {
 	copy  *Block // the rows copied as the select copies them
 }
 
-func newViewCase(rng *rand.Rand) (*viewCase, error) {
+func newViewCase(rng *rand.Rand, dense bool) (*viewCase, error) {
 	s := viewBaseSchema()
 	baseFormat, viewFormat := Format(rng.Intn(2)), Format(rng.Intn(2))
 	vc := &viewCase{pool: NewPool(new(stats.MemGauge), nil)}
 	for range 1 + rng.Intn(4) {
 		vc.bases = append(vc.bases, randomBase(rng, s, baseFormat, 512+rng.Intn(1024)))
 	}
-	for range 1 + rng.Intn(2*s.NumCols()) {
-		vc.proj = append(vc.proj, rng.Intn(s.NumCols())) // columns may repeat
-	}
+	vc.proj = randomProj(rng, s)
 	out := s.Project(vc.proj)
 	budget := 256 + rng.Intn(4096)
 	vc.copy = NewBlock(out, viewFormat, budget)
 	for _, base := range vc.bases {
 		sel := ascending(rng, base.NumRows())
-		v := vc.pool.CheckOutView(0, out, vc.proj, viewFormat, budget)
-		took := v.AppendView(base, sel)
+		if dense { // every row from a random one on
+			sel = identityRows(base.NumRows())[rng.Intn(base.NumRows()):]
+		}
+		v := vc.pool.CheckOutView(0, out, vc.proj, dense, viewFormat, budget)
+		took := appendRows(v, base, sel)
 		if took != vc.copy.AppendFromMany(base, sel, vc.proj) {
 			return nil, fmt.Errorf("view took %d rows, the copy %d", took, vc.copy.NumRows())
 		}
@@ -106,27 +108,69 @@ func newViewCase(rng *rand.Rand) (*viewCase, error) {
 	}
 	vc.view = ps[0]
 	// A second view of the same rows is the one materialized in place.
-	vc.mat = vc.pool.CheckOutView(1, out, vc.proj, viewFormat, budget)
+	vc.mat = vc.pool.CheckOutView(1, out, vc.proj, dense, viewFormat, budget)
 	for _, sg := range segments(vc.view) {
-		vc.mat.AppendView(sg.base, sg.rows)
+		if dense {
+			vc.mat.AppendDense(sg.base, sg.first)
+		} else {
+			vc.mat.AppendView(sg.base, sg.rows)
+		}
 	}
 	vc.pool.Materialize(vc.mat, budget)
 	return vc, nil
 }
 
+// randomProj returns a random projection of s; columns may repeat.
+func randomProj(rng *rand.Rand, s *Schema) []int {
+	var proj []int
+	for range 1 + rng.Intn(2*s.NumCols()) {
+		proj = append(proj, rng.Intn(s.NumCols()))
+	}
+	return proj
+}
+
+// appendRows appends the ascending rows sel of base to view v, as AppendView
+// does to a listed view; a dense view takes sel's first row and the rows
+// after it. It returns how many rows v took.
+func appendRows(v, base *Block, sel []int32) int {
+	if v.rows != nil {
+		return v.AppendView(base, sel)
+	}
+	if len(sel) == 0 {
+		return 0
+	}
+	return v.AppendDense(base, int(sel[0]))
+}
+
+// segRows is one segment of a view: its base block and base rows, or, in a
+// dense view, the run from first.
 type segRows struct {
-	base *Block
-	rows []int32
+	base  *Block
+	first int
+	rows  []int32
 }
 
 // segments returns the view's base blocks and their rows, in view order.
 func segments(v *Block) []segRows {
 	var out []segRows
-	lo := 0
-	for _, sg := range v.segs {
-		out = append(out, segRows{sg.base, v.rows[lo:sg.end]})
-		lo = sg.end
-	}
+	v.eachSeg(func(_, _ int, base *Block, first int, rows []int32) {
+		out = append(out, segRows{base, first, rows})
+	})
+	return out
+}
+
+// sources lists the (block, row) of every row of b, through Sources.
+func sources(b *Block) []string {
+	var out []string
+	b.Sources(func(src *Block, first, n int, rows []int32) {
+		for i := range n {
+			r := first + i
+			if rows != nil {
+				r = int(rows[i])
+			}
+			out = append(out, fmt.Sprintf("%p:%d", src, r))
+		}
+	})
 	return out
 }
 
@@ -144,10 +188,17 @@ func dump(b *Block) string {
 // call on its Materialize and on the block the select's copy fills: Gather*,
 // View, AppendFromMany and AppendPairs with the view as source, NumRows,
 // UsedBytes and the codec.
-func TestViewMatchesMaterialize(t *testing.T) {
+func TestViewMatchesMaterialize(t *testing.T) { testViewsMatchMaterialize(t, false) }
+
+// TestDenseViewMatchesMaterialize is TestViewMatchesMaterialize over dense
+// views, which also read as a listed view of the same rows, source by
+// source, and read a one-segment view's columns in place.
+func TestDenseViewMatchesMaterialize(t *testing.T) { testViewsMatchMaterialize(t, true) }
+
+func testViewsMatchMaterialize(t *testing.T, dense bool) {
 	rng := rand.New(rand.NewSource(38))
 	for i := range 300 {
-		vc, err := newViewCase(rng)
+		vc, err := newViewCase(rng, dense)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -165,8 +216,17 @@ func (vc *viewCase) check(rng *rand.Rand) error {
 	if v.NumRows() != m.NumRows() || v.NumRows() != vc.copy.NumRows() || v.Capacity() != m.Capacity() {
 		return fmt.Errorf("rows %d/%d/%d, capacity %d/%d", v.NumRows(), m.NumRows(), vc.copy.NumRows(), v.Capacity(), m.Capacity())
 	}
-	if v.UsedBytes() != m.UsedBytes() || m.AllocBytes() != vc.copy.AllocBytes() || v.AllocBytes() != 4*v.Capacity() {
+	alloc := 4 * v.Capacity()
+	if v.rows == nil {
+		alloc = 0
+	}
+	if v.UsedBytes() != m.UsedBytes() || m.AllocBytes() != vc.copy.AllocBytes() || v.AllocBytes() != alloc {
 		return fmt.Errorf("used %d/%d, alloc %d/%d/%d", v.UsedBytes(), m.UsedBytes(), v.AllocBytes(), m.AllocBytes(), vc.copy.AllocBytes())
+	}
+	if v.rows == nil {
+		if err := vc.checkDense(); err != nil {
+			return err
+		}
 	}
 	// The resumed view kept its base blocks in order.
 	segs := segments(v)
@@ -175,12 +235,56 @@ func (vc *viewCase) check(rng *rand.Rand) error {
 			return fmt.Errorf("segment %d's base precedes segment %d's", k, k-1)
 		}
 	}
-	want := dump(vc.copy)
-	if got := dump(v); got != want {
-		return fmt.Errorf("view cells differ from the copy's")
-	}
-	if got := dump(m); got != want {
+	if dump(vc.copy) != dump(m) {
 		return fmt.Errorf("materialized cells differ from the copy's")
+	}
+	return sameReads(rng, v, m, vc.bases)
+}
+
+// checkDense checks dense view vc.view against a listed view of the same
+// rows: the same sources, row by row, and the same cells. A one-segment
+// dense view's ViewInto aliases the base column; a longer one gathers into
+// the buffer.
+func (vc *viewCase) checkDense() error {
+	v := vc.view
+	l := vc.pool.CheckOutView(2, v.Schema(), vc.proj, false, v.Format(), max(1, v.NumRows())*v.Schema().RowWidth())
+	v.Sources(func(src *Block, first, n int, rows []int32) {
+		if rows != nil {
+			panic("a dense view lists its rows")
+		}
+		l.AppendView(src, identityRows(first + n)[first:])
+	})
+	if !slices.Equal(sources(v), sources(l)) || dump(v) != dump(l) {
+		return fmt.Errorf("dense view reads other rows than the listed view of its sources")
+	}
+	vc.pool.Release(l)
+	if v.NumRows() == 0 {
+		return nil
+	}
+	sg := segments(v)[0]
+	buf := make([]byte, 16*v.NumRows())
+	for c, sc := range vc.proj {
+		at := &v.ViewInto(c, buf).Bytes(0)[0]
+		if len(v.segs) == 1 && at != &sg.base.cell(sc, sg.first)[0] {
+			return fmt.Errorf("column %d of a one-segment dense view is not read in place", c)
+		}
+		if len(v.segs) > 1 && at != &buf[0] {
+			return fmt.Errorf("column %d of a %d-segment dense view is not gathered into the buffer", c, len(v.segs))
+		}
+	}
+	return nil
+}
+
+// sameReads checks every read accessor of view v against block m holding
+// the same rows: DatumAt, Gather*, View and ViewInto, Sources' row count,
+// AppendFromMany and AppendPairs with v as source, and the codec on m.
+func sameReads(rng *rand.Rand, v, m *Block, bases []*Block) error {
+	if v.NumRows() != m.NumRows() || v.UsedBytes() != m.UsedBytes() || len(sources(v)) != v.NumRows() {
+		return fmt.Errorf("rows %d/%d, used %d/%d, %d sourced rows", v.NumRows(), m.NumRows(), v.UsedBytes(), m.UsedBytes(), len(sources(v)))
+	}
+	want := dump(m)
+	if got := dump(v); got != want {
+		return fmt.Errorf("view cells differ from the block's")
 	}
 	for c := range v.Schema().NumCols() {
 		if err := sameColumn(v, m, c); err != nil {
@@ -214,7 +318,7 @@ func (vc *viewCase) check(rng *rand.Rand) error {
 	rights := make([]*Block, len(rows))
 	rrows := make([]int32, len(rows))
 	for i := range rows {
-		if base := vc.bases[rng.Intn(len(vc.bases))]; rng.Intn(4) > 0 {
+		if base := bases[rng.Intn(len(bases))]; rng.Intn(4) > 0 {
 			rights[i], rrows[i] = base, int32(rng.Intn(base.NumRows()))
 		}
 	}
@@ -224,7 +328,7 @@ func (vc *viewCase) check(rng *rand.Rand) error {
 		cols = append(cols, v.Schema().Col(c))
 	}
 	for i, c := range rproj {
-		col := vc.bases[0].Schema().Col(c)
+		col := bases[0].Schema().Col(c)
 		col.Name = fmt.Sprintf("r%d", i)
 		cols = append(cols, col)
 	}
@@ -291,7 +395,7 @@ func TestViewRollbackAndRelease(t *testing.T) {
 	p := NewPool(g, nil)
 	proj := []int{6, 1, 3}
 	out := s.Project(proj)
-	v := p.CheckOutView(0, out, proj, ColumnStore, 4096)
+	v := p.CheckOutView(0, out, proj, false, ColumnStore, 4096)
 	if g.Live() != int64(4*v.Capacity()) || v.Capacity() != 4096/out.RowWidth() {
 		t.Fatalf("view charged %d for capacity %d", g.Live(), v.Capacity())
 	}
@@ -316,7 +420,7 @@ func TestViewRollbackAndRelease(t *testing.T) {
 		t.Fatalf("materialized: view %v, live %d, alloc %d", v.IsView(), g.Live(), v.AllocBytes())
 	}
 	p.Release(v)
-	w := p.CheckOutView(0, out, proj, ColumnStore, 4096)
+	w := p.CheckOutView(0, out, proj, false, ColumnStore, 4096)
 	p.Release(w)
 	if g.Live() != 0 {
 		t.Fatalf("live %d after release", g.Live())
@@ -327,41 +431,43 @@ func TestViewRollbackAndRelease(t *testing.T) {
 				t.Fatal("appending cells to a view did not panic")
 			}
 		}()
-		u := p.CheckOutView(0, out, proj, ColumnStore, 4096)
+		u := p.CheckOutView(0, out, proj, false, ColumnStore, 4096)
 		u.AppendFromMany(a, []int32{0}, proj)
 	}()
 }
 
-// TestViewReadAllocs: reading a view through the batch kernels allocates
-// nothing, as reading a block does.
+// TestViewReadAllocs: reading a view, listed or dense, through the batch
+// kernels allocates nothing, as reading a block does.
 func TestViewReadAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := viewBaseSchema()
 	a, b := randomBase(rng, s, ColumnStore, 2048), randomBase(rng, s, RowStore, 2048)
 	proj := []int{0, 3, 5, 2}
 	out := s.Project(proj)
-	v := NewPool(nil, nil).CheckOutView(0, out, proj, ColumnStore, 8192)
-	v.AppendView(a, ascending(rng, a.NumRows()))
-	v.AppendView(b, ascending(rng, b.NumRows()))
-	rows := identityRows(v.NumRows())
-	dst := NewBlock(out, RowStore, 8192)
-	rights := make([]*Block, len(rows))
-	var k []int64
-	var f []float64
-	var d []int64
-	buf := make([]byte, 8*v.NumRows())
-	allocs := testing.AllocsPerRun(100, func() {
-		k = v.GatherInt64(0, k)
-		d = v.GatherDate(1, d)
-		f = v.GatherFloat64(3, f)
-		v.ViewInto(2, buf)
-		dst.Reset()
-		dst.AppendFromMany(v, rows, []int{0, 1, 2, 3})
-		dst.Reset()
-		dst.AppendPairs(v, rows, []int{0, 1, 2, 3}, rights, rows, nil)
-	})
-	if allocs != 0 {
-		t.Fatalf("%.1f allocations per read", allocs)
+	for _, dense := range []bool{false, true} {
+		v := NewPool(nil, nil).CheckOutView(0, out, proj, dense, ColumnStore, 8192)
+		appendRows(v, a, ascending(rng, a.NumRows()))
+		appendRows(v, b, ascending(rng, b.NumRows()))
+		rows := identityRows(v.NumRows())
+		dst := NewBlock(out, RowStore, 8192)
+		rights := make([]*Block, len(rows))
+		var k []int64
+		var f []float64
+		var d []int64
+		buf := make([]byte, 8*v.NumRows())
+		allocs := testing.AllocsPerRun(100, func() {
+			k = v.GatherInt64(0, k)
+			d = v.GatherDate(1, d)
+			f = v.GatherFloat64(3, f)
+			v.ViewInto(2, buf)
+			dst.Reset()
+			dst.AppendFromMany(v, rows, []int{0, 1, 2, 3})
+			dst.Reset()
+			dst.AppendPairs(v, rows, []int{0, 1, 2, 3}, rights, rows, nil)
+		})
+		if allocs != 0 {
+			t.Fatalf("dense %v: %.1f allocations per read", dense, allocs)
+		}
 	}
 }
 
@@ -371,4 +477,196 @@ func identityRows(n int) []int32 {
 		rows[i] = int32(i)
 	}
 	return rows
+}
+
+// fillViews fills views of out as a select fills them from every row of each
+// base block: through AppendDense, or AppendView of every row, sealing a
+// full view and checking the partial one in after each block, so the next
+// block resumes it. It returns the sealed views and the last partial.
+func fillViews(p *Pool, bases []*Block, out *Schema, proj []int, dense bool, budget int) []*Block {
+	var views []*Block
+	var cur *Block
+	for _, base := range bases {
+		all := identityRows(base.NumRows())
+		for at := 0; at < base.NumRows(); {
+			if cur == nil {
+				cur = p.CheckOutView(0, out, proj, dense, ColumnStore, budget)
+			}
+			took := appendRows(cur, base, all[at:])
+			if took == 0 {
+				views, cur = append(views, cur), nil
+				continue
+			}
+			at += took
+		}
+		p.CheckIn(0, cur)
+		cur = nil
+	}
+	return append(views, p.TakePartials(0)...)
+}
+
+// TestDenseViewSplitsAcrossViews: dense views split a base block across two
+// views exactly where listed views of every row do, and read the same rows
+// through every accessor, while the pool charges them nothing.
+func TestDenseViewSplitsAcrossViews(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	s := viewBaseSchema()
+	splits := 0
+	for i := range 100 {
+		var bases []*Block
+		for range 1 + rng.Intn(5) {
+			bases = append(bases, randomBase(rng, s, Format(rng.Intn(2)), 256+rng.Intn(1024)))
+		}
+		proj := randomProj(rng, s)
+		out := s.Project(proj)
+		budget := out.RowWidth() * (1 + rng.Intn(40))
+		var live stats.MemGauge
+		dense := fillViews(NewPool(&live, nil), bases, out, proj, true, budget)
+		lp := NewPool(nil, nil)
+		listed := fillViews(lp, bases, out, proj, false, budget)
+		if len(dense) != len(listed) || live.Live() != 0 {
+			t.Fatalf("case %d: %d dense views, %d listed; %d live bytes", i, len(dense), len(listed), live.Live())
+		}
+		for k, v := range dense {
+			l := listed[k]
+			if v.NumRows() != l.NumRows() || v.Capacity() != l.Capacity() || v.AllocBytes() != 0 {
+				t.Fatalf("case %d view %d: %d/%d rows, capacity %d/%d, %d B", i, k, v.NumRows(), l.NumRows(), v.Capacity(), l.Capacity(), v.AllocBytes())
+			}
+			if !slices.Equal(sources(v), sources(l)) {
+				t.Fatalf("case %d view %d: reads other rows than the listed view", i, k)
+			}
+			lp.Materialize(l, budget)
+			if err := sameReads(rng, v, l, bases); err != nil {
+				t.Fatalf("case %d view %d: %v", i, k, err)
+			}
+			if segments(v)[0].first > 0 {
+				splits++
+			}
+		}
+	}
+	if splits < 10 {
+		t.Fatalf("%d views start mid-block", splits)
+	}
+}
+
+// TestDenseViewRollback truncates a resumed dense partial back to its rows
+// before an attempt, as a failed work order's rollback does, across
+// segments and mid-run. The rows appended again read as in a view that
+// never failed, and an owner's dense partial is never resumed as a listed
+// view, nor a listed one as dense.
+func TestDenseViewRollback(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	s := viewBaseSchema()
+	a, b := randomBase(rng, s, ColumnStore, 1024), randomBase(rng, s, RowStore, 1024)
+	var live stats.MemGauge
+	p := NewPool(&live, nil)
+	proj := []int{6, 1, 3}
+	out := s.Project(proj)
+	budget := (a.NumRows() + b.NumRows() + 8) * out.RowWidth()
+	v := p.CheckOutView(0, out, proj, true, ColumnStore, budget)
+	v.AppendDense(a, 0)
+	p.CheckIn(0, v)
+	if w := p.CheckOutView(0, out, proj, true, ColumnStore, budget); w != v || v.NumRows() != a.NumRows() {
+		t.Fatal("the dense partial was not resumed")
+	}
+	v.AppendDense(b, 0)
+	v.Truncate(a.NumRows()) // the failed attempt's rows of b
+	if len(v.segs) != 1 || v.NumRows() != a.NumRows() {
+		t.Fatalf("rollback left segments %+v", v.segs)
+	}
+	v.Truncate(a.NumRows() - 3) // mid-run
+	if v.AppendDense(a, a.NumRows()-3) != 3 || len(v.segs) != 2 {
+		t.Fatalf("the run's continuation left segments %+v", v.segs)
+	}
+	v.AppendDense(b, 2)
+	want := NewBlock(out, RowStore, budget)
+	want.AppendFromMany(a, identityRows(a.NumRows()), proj)
+	want.AppendFromMany(b, identityRows(b.NumRows())[2:], proj)
+	if dump(v) != dump(want) || len(v.segs) != 3 || live.Live() != 0 || v.AllocBytes() != 0 {
+		t.Fatalf("after rollback: %d segments, %d live bytes, alloc %d, cells equal %v", len(v.segs), live.Live(), v.AllocBytes(), dump(v) == dump(want))
+	}
+	p.Materialize(v, budget)
+	if dump(v) != dump(want) || live.Live() != int64(v.AllocBytes()) {
+		t.Fatalf("materialized: live %d, alloc %d", live.Live(), v.AllocBytes())
+	}
+	p.Release(v)
+	for _, dense := range []bool{false, true} {
+		u := p.CheckOutView(0, out, proj, dense, ColumnStore, budget)
+		p.CheckIn(0, u)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("a dense %v partial was resumed as a dense %v view", dense, !dense)
+				}
+			}()
+			p.CheckOutView(0, out, proj, !dense, ColumnStore, budget)
+		}()
+		p.Release(u)
+	}
+	if live.Live() != 0 {
+		t.Fatalf("live %d after release", live.Live())
+	}
+}
+
+// FuzzViewOps drives one view, listed or dense, through random appends and
+// truncates, as a select's work orders and their rollbacks do, beside a
+// temp block copying the same rows; after every op it compares every read
+// accessor of the view with the copy, and at the end materializes the view
+// and compares that too.
+func FuzzViewOps(f *testing.F) {
+	f.Add(int64(1), false, []byte{0, 0, 1, 0, 2})
+	f.Add(int64(2), true, []byte{0, 3, 0, 1, 0, 0})
+	f.Add(int64(3), true, []byte{4, 0, 7, 1, 1, 0, 9})
+	f.Fuzz(func(t *testing.T, seed int64, dense bool, ops []byte) {
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		rng := rand.New(rand.NewSource(seed))
+		s := viewBaseSchema()
+		var bases []*Block
+		for range 1 + rng.Intn(3) {
+			bases = append(bases, randomBase(rng, s, Format(rng.Intn(2)), 256+rng.Intn(1024)))
+		}
+		proj := randomProj(rng, s)
+		out := s.Project(proj)
+		budget := 256 + rng.Intn(4096)
+		var live stats.MemGauge
+		p := NewPool(&live, nil)
+		format := Format(rng.Intn(2))
+		v := p.CheckOutView(0, out, proj, dense, format, budget)
+		copied := NewBlock(out, format, budget)
+		for i, op := range ops {
+			switch op % 3 {
+			case 0, 1: // append the rows from one of a base block's rows on
+				base := bases[int(op/3)%len(bases)]
+				from := rng.Intn(base.NumRows() + 1)
+				sel := identityRows(base.NumRows())[from:]
+				if !dense {
+					sel = ascending(rng, base.NumRows())
+				}
+				if appendRows(v, base, sel) != copied.AppendFromMany(base, sel, proj) {
+					t.Fatalf("op %d: the view and the copy took different rows", i)
+				}
+			case 2: // roll back to fewer rows
+				n := rng.Intn(v.NumRows() + 1)
+				v.Truncate(n)
+				copied.Truncate(n)
+			}
+			if err := sameReads(rng, v, copied, bases); err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
+		}
+		if alloc := v.AllocBytes(); dense != (alloc == 0) || live.Live() != int64(alloc) {
+			t.Fatalf("view charges %d, alloc %d", live.Live(), alloc)
+		}
+		want := dump(copied)
+		p.Materialize(v, budget)
+		if dump(v) != want || v.IsView() || live.Live() != int64(v.AllocBytes()) {
+			t.Fatalf("materialized: %d live bytes, alloc %d, cells equal %v", live.Live(), v.AllocBytes(), dump(v) == want)
+		}
+		p.Release(v)
+		if live.Live() != 0 {
+			t.Fatalf("live %d after release", live.Live())
+		}
+	})
 }
