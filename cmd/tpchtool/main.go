@@ -32,7 +32,7 @@ func main() {
 	ssbQ := flag.String("ssbq", "", "SSB query to run (q1.1, q2.1, q3.1, q4.1)")
 	uotFlag := flag.Int("uot", 1, "unit of transfer in blocks (0 = whole table)")
 	workers := flag.Int("workers", 8, "worker threads")
-	lip := flag.Bool("lip", false, "enable LIP bloom filters (TPC-H)")
+	lip := flag.Bool("lip", false, "enable LIP: a scan probes its downstream join tables (TPC-H)")
 	staged := flag.Bool("staged", false, "staged one-join-at-a-time execution (TPC-H Q7)")
 	rows := flag.Int("rows", 10, "result rows to print")
 	flag.Parse()

@@ -55,7 +55,7 @@ func main() {
 	queue := flag.Int("queue", 8, "admission wait-queue depth")
 	budgetMB := flag.Int64("budget-mb", 256, "global temporary-block budget (MiB)")
 	uotBlocks := flag.Int("uot", 1, "default unit of transfer in blocks")
-	lip := flag.Bool("lip", false, "build plans with LIP bloom filters")
+	lip := flag.Bool("lip", false, "build plans with LIP: a scan probes its downstream join tables")
 	reuseOn := flag.Bool("reuse", false, "enable the cross-query result cache (budget: a quarter of -budget-mb)")
 	flag.Parse()
 

@@ -19,7 +19,7 @@ func main() {
 	sf := flag.Float64("sf", 0.02, "scale factor")
 	workers := flag.Int("workers", 8, "worker threads")
 	blockKB := flag.Int("block", 128, "block size in KiB")
-	lip := flag.Bool("lip", false, "enable LIP bloom filters")
+	lip := flag.Bool("lip", false, "enable LIP: a scan probes its downstream join tables")
 	flag.Parse()
 
 	fmt.Printf("loading TPC-H SF %.3g (%d KiB column-store blocks)...\n", *sf, *blockKB)

@@ -271,11 +271,11 @@ func (h *Harness) Tab6Prefetching() (*Report, error) {
 
 // Sec6CLIP regenerates the Section VI-C LIP discussion on Q7: the size of
 // the materialized lineitem-selection output and the query time with and
-// without LIP bloom filters.
+// without LIP, which probes the supplier join table from the lineitem scan.
 func (h *Harness) Sec6CLIP() (*Report, error) {
 	r := &Report{
 		ID:     "SEC6C",
-		Title:  "LIP pruning on Q7 (bloom filter on the supplier join key)",
+		Title:  "LIP pruning on Q7 (the supplier join table, probed from the lineitem scan)",
 		Header: []string{"variant", "sel_out_rows", "intermediate_MiB", "query_ms"},
 	}
 	d := h.Dataset(2<<20, storage.ColumnStore)
@@ -309,6 +309,6 @@ func (h *Harness) Sec6CLIP() (*Report, error) {
 		}
 		r.AddRow(label, fmt.Sprintf("%d", rows), mib(bytes), ms(dur))
 	}
-	r.Note("the paper's SF-100 numbers: 2.8 GB without pruning vs 224 MB with bloom-filter pruning (~12x); the fraction of lineitem surviving the supplier filter is scale-invariant")
+	r.Note("the paper's SF-100 numbers: 2.8 GB without pruning vs 224 MB with bloom-filter pruning (~12x); this engine probes the join table itself, so it prunes exactly, with no false positives; the fraction of lineitem surviving the supplier filter is scale-invariant")
 	return r, nil
 }

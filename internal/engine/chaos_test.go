@@ -175,7 +175,7 @@ func preMutationSites(t *testing.T) []sitePlan {
 		ld.Append(types.NewInt64(int64(i%50)), types.NewInt64(int64(i)))
 	}
 	ld.Close()
-	joinAgg := func() *Builder { return buildJoinAggPlanBloom(fact, dim, true) }
+	joinAgg := func() *Builder { return buildJoinAggPlanLIP(fact, dim, true) }
 	scanFact := func(b *Builder) *Node {
 		fs := fact.Schema()
 		return b.ScanSelect(exec.SelectSpec{
@@ -211,7 +211,6 @@ func preMutationSites(t *testing.T) []sitePlan {
 	}
 	return []sitePlan{
 		{"HashInsert", faults.HashInsert, joinAgg},
-		{"BloomBuild", faults.BloomBuild, joinAgg},
 		{"AggUpsert/int-key", faults.AggUpsert, joinAgg},
 		{"AggUpsert/char-key", faults.AggUpsert, charAgg},
 		{"SortRun/column", faults.SortRun, orderBy(func(s *storage.Schema) expr.Expr { return expr.C(s, "v") })},

@@ -59,14 +59,13 @@ func expectedJoinAgg() map[int64][2]float64 {
 }
 
 func buildJoinAggPlan(fact, dim *storage.Table) *Builder {
-	return buildJoinAggPlanBloom(fact, dim, false)
+	return buildJoinAggPlanLIP(fact, dim, false)
 }
 
-// buildJoinAggPlanBloom is buildJoinAggPlan with sel_fact optionally
-// reading build_dim's LIP filter, so the build makes one and consults the
-// BloomBuild fault site.
-func buildJoinAggPlanBloom(fact, dim *storage.Table, bloom bool) *Builder {
-	return joinAggPlan(fact, dim, bloom, expr.C(fact.Schema(), "v"))
+// buildJoinAggPlanLIP is buildJoinAggPlan with sel_fact optionally reading
+// build_dim's table as a LIP filter, so the table has two readers.
+func buildJoinAggPlanLIP(fact, dim *storage.Table, lip bool) *Builder {
+	return joinAggPlan(fact, dim, lip, expr.C(fact.Schema(), "v"))
 }
 
 // buildJoinAggPlanCopied is buildJoinAggPlan with the fact scan computing its
@@ -76,7 +75,7 @@ func buildJoinAggPlanCopied(fact, dim *storage.Table) *Builder {
 	return joinAggPlan(fact, dim, false, expr.MulE(expr.C(fact.Schema(), "v"), expr.Float(1)))
 }
 
-func joinAggPlan(fact, dim *storage.Table, bloom bool, v expr.Expr) *Builder {
+func joinAggPlan(fact, dim *storage.Table, lip bool, v expr.Expr) *Builder {
 	b := NewBuilder()
 	fs, ds := fact.Schema(), dim.Schema()
 
@@ -94,7 +93,7 @@ func joinAggPlan(fact, dim *storage.Table, bloom bool, v expr.Expr) *Builder {
 		Proj:      []expr.Expr{expr.C(fs, "k"), expr.C(fs, "grp"), v},
 		ProjNames: []string{"k", "grp", "v"},
 	}
-	if bloom {
+	if lip {
 		factSpec.LIPs = []exec.LIPRef{{Build: bop, KeyCol: fs.MustColIndex("k")}}
 	}
 	selFact := b.ScanSelect(factSpec)
@@ -369,16 +368,16 @@ func TestLIPFilterPrunesBeforeMaterialization(t *testing.T) {
 		t.Fatalf("LIP changed the result: %d vs %d rows", plain.Table.NumRows(), lip.Table.NumRows())
 	}
 	// The select feeding the probe must emit ~half the rows with LIP on
-	// (keys 50..99 dropped, modulo bloom false positives).
+	// (keys 50..99 dropped).
 	if plainOut, lipOut := opRowsOut(plain, "sel_fact"), opRowsOut(lip, "sel_fact"); lipOut > plainOut*6/10 {
 		t.Fatalf("LIP select emitted %d rows, plain %d — filter not pruning", lipOut, plainOut)
 	}
 }
 
 // TestLIPFilterFromUndeclaredBuild: a select's LIP reference to a build
-// whose spec declares no filter makes the build keep one, at every worker
-// count and unit of transfer: the rows equal the plan without LIP, the
-// select emits fewer rows, and nothing leaks.
+// whose spec declares nothing about it makes the select read the build's
+// table, at every worker count and unit of transfer: the rows equal the plan
+// without LIP, the select emits fewer rows, and nothing leaks.
 func TestLIPFilterFromUndeclaredBuild(t *testing.T) {
 	_, fact, dim := fixture(t, storage.ColumnStore, 512)
 	for _, workers := range []int{1, 4} {
@@ -399,6 +398,71 @@ func TestLIPFilterFromUndeclaredBuild(t *testing.T) {
 				}
 				if r := lip.Run.Robust(); r.LeakedBlocks != 0 || r.LeakedBytes != 0 {
 					t.Fatalf("leaks after LIP run: %+v", r)
+				}
+			})
+		}
+	}
+}
+
+// lipAfterProbePlan joins the fact rows with k < 30 to a semi join of dim
+// with itself: build_dim's only probe, probe_dim, feeds build_small, and
+// with useLIP sel_fact reads both tables as LIPs. sel_fact then starts only
+// once build_small is done, so probe_dim has finished before sel_fact reads
+// build_dim's table.
+func lipAfterProbePlan(fact, dim *storage.Table, useLIP bool) *Builder {
+	fs, ds := fact.Schema(), dim.Schema()
+	b := NewBuilder()
+	selDim := b.ScanSelect(exec.SelectSpec{
+		Name: "sel_dim", Base: dim,
+		Proj: []expr.Expr{expr.C(ds, "k"), expr.C(ds, "w")}, ProjNames: []string{"k", "w"},
+	})
+	bld, bop := b.Build(selDim, exec.BuildSpec{Name: "build_dim", KeyCols: []int{0}, Payload: []int{1}})
+	selSmall := b.ScanSelect(exec.SelectSpec{
+		Name: "sel_small", Base: dim, Pred: expr.Lt(expr.C(ds, "k"), expr.Int(30)),
+		Proj: []expr.Expr{expr.C(ds, "k")}, ProjNames: []string{"k"},
+	})
+	probeDim := b.Probe(selSmall, bld, exec.ProbeSpec{
+		Name: "probe_dim", KeyCols: []int{0}, JoinType: exec.LeftSemi, ProbeProj: []int{0},
+	})
+	small, sop := b.Build(probeDim, exec.BuildSpec{Name: "build_small", KeyCols: []int{0}})
+	spec := exec.SelectSpec{
+		Name: "sel_fact", Base: fact,
+		Proj: []expr.Expr{expr.C(fs, "k"), expr.C(fs, "v")}, ProjNames: []string{"k", "v"},
+	}
+	if useLIP {
+		k := fs.MustColIndex("k")
+		spec.LIPs = []exec.LIPRef{{Build: bop, KeyCol: k}, {Build: sop, KeyCol: k}}
+	}
+	b.Collect(b.Probe(b.ScanSelect(spec), small, exec.ProbeSpec{
+		Name: "probe_small", KeyCols: []int{0}, ProbeProj: []int{0, 1},
+	}))
+	return b
+}
+
+// TestLIPSelectOutlivesTheBuildsProbe: a LIP select whose build's only
+// probe finishes first still reads the build's table, at every worker count
+// and unit of transfer: the rows equal the plan without LIP, the select
+// prunes, and the run ends with no temp block and no table on its gauges.
+func TestLIPSelectOutlivesTheBuildsProbe(t *testing.T) {
+	_, fact, dim := fixture(t, storage.ColumnStore, 512)
+	for _, workers := range []int{1, 4} {
+		for _, uot := range []int{1, core.UoTTable} {
+			name := fmt.Sprintf("workers=%d/uot=%d", workers, uot)
+			if uot == core.UoTTable {
+				name = fmt.Sprintf("workers=%d/uot=table", workers)
+			}
+			t.Run(name, func(t *testing.T) {
+				opts := Options{Workers: workers, UoTBlocks: uot, TempBlockBytes: 512}
+				want, plain := mustRows(t, lipAfterProbePlan(fact, dim, false), opts, "plain")
+				got, lip := mustRows(t, lipAfterProbePlan(fact, dim, true), opts, "lip")
+				if len(want) != 300 || !sameRows(want, got) {
+					t.Fatalf("LIP changed the result: %d rows, want %d (300)", len(got), len(want))
+				}
+				if plainOut, lipOut := opRowsOut(plain, "sel_fact"), opRowsOut(lip, "sel_fact"); lipOut != 300 || plainOut != 1000 {
+					t.Fatalf("LIP select emitted %d rows, plain %d", lipOut, plainOut)
+				}
+				if i, h := lip.Run.Intermediates.Live(), lip.Run.HashTables.Live(); i != 0 || h != 0 {
+					t.Fatalf("LIP run left %d temp bytes, %d table bytes live", i, h)
 				}
 			})
 		}

@@ -85,9 +85,9 @@ func (o *SelectOp) Canon() string {
 // reuse layer collects these as a cached entry's invalidation dependencies.
 func (o *SelectOp) BaseTable() *storage.Table { return o.base }
 
-// Canon implements Canonical. Whether the build makes a LIP filter is up to
-// its readers, and the filter's size follows from its entries, so neither
-// is encoded; a select records the LIPs it reads in its own encoding.
+// Canon implements Canonical. Whether a select reads the build's table as a
+// LIP is up to the select, so it is not encoded here; a select records the
+// LIPs it reads in its own encoding.
 func (o *BuildHashOp) Canon() string {
 	return fmt.Sprintf("build|keys=%s|payload=%s|keyonly=%t",
 		canonInts(o.keyCols), canonInts(o.payloadIdx), len(o.payloadIdx) == 0)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -343,12 +344,12 @@ func TestJoinTypeStrings(t *testing.T) {
 	}
 }
 
-// TestConcurrentBuildWorkOrdersWithBloom drives one build operator that a
-// select reads as a LIP filter with many concurrent work orders, then runs
-// its Final wave — the index fill beside one bloom work order per fed
-// block — concurrently too (run under -race): the block-granular insert
-// kernel and the lock-free atomic bloom adds leave no race.
-func TestConcurrentBuildWorkOrdersWithBloom(t *testing.T) {
+// TestConcurrentBuildWorkOrdersAndLIPReads drives one build operator that a
+// select reads as a LIP with many concurrent work orders, runs its Final
+// wave — the index fill alone — and then the select's work orders
+// concurrently too (run under -race): the block-granular insert kernel and
+// the concurrent LIP probes of the sealed table leave no race.
+func TestConcurrentBuildWorkOrdersAndLIPReads(t *testing.T) {
 	s := storage.NewSchema(
 		storage.Column{Name: "k", Type: types.Int64},
 		storage.Column{Name: "v", Type: types.Float64},
@@ -365,7 +366,7 @@ func TestConcurrentBuildWorkOrdersWithBloom(t *testing.T) {
 	op := NewBuildHash(BuildSpec{
 		Name: "build", InputSchema: s, KeyCols: []int{0}, Payload: []int{1},
 	})
-	NewSelect(SelectSpec{
+	lip := NewSelect(SelectSpec{
 		Name: "lip", InputSchema: s, Proj: []expr.Expr{expr.C(s, "k")}, ProjNames: []string{"k"},
 		LIPs: []LIPRef{{Build: op, KeyCol: 0}},
 	})
@@ -387,19 +388,12 @@ func TestConcurrentBuildWorkOrdersWithBloom(t *testing.T) {
 	}
 	wg.Wait()
 	final := op.Final(ctx)
-	if len(final) != 1+blocks {
-		t.Fatalf("final work orders = %d, want a fill and %d bloom work orders", len(final), blocks)
+	if len(final) != 1 {
+		t.Fatalf("final work orders = %d, want the one fill", len(final))
 	}
-	for _, wo := range final {
-		wg.Add(1)
-		go func(wo core.WorkOrder) {
-			defer wg.Done()
-			if err := wo.Run(ctx, &core.Output{}); err != nil {
-				t.Error(err)
-			}
-		}(wo)
+	if err := final[0].Run(ctx, &core.Output{}); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
 	if got := countMatches(op, blocks*rowsPer); got != blocks*rowsPer {
 		t.Fatalf("table has %d entries, want %d", got, blocks*rowsPer)
 	}
@@ -410,11 +404,19 @@ func TestConcurrentBuildWorkOrdersWithBloom(t *testing.T) {
 	if rowsIn != blocks*rowsPer {
 		t.Fatalf("rows in = %d, want %d", rowsIn, blocks*rowsPer)
 	}
-	flt := op.Bloom()
-	for k := 0; k < blocks*rowsPer; k++ {
-		if !flt.MayContain(int64(k)) {
-			t.Fatalf("bloom lost key %d", k)
-		}
+	var kept atomic.Int64
+	for _, wo := range lip.Feed(ctx, 0, in) {
+		wg.Add(1)
+		go func(wo core.WorkOrder) {
+			defer wg.Done()
+			out := &core.Output{}
+			out.Finish(wo.Run(ctx, out))
+			kept.Add(out.RowsOut)
+		}(wo)
+	}
+	wg.Wait()
+	if got := kept.Load(); got != blocks*rowsPer {
+		t.Fatalf("LIP kept %d rows, want all %d", got, blocks*rowsPer)
 	}
 	// Key-only builds take the same batched path.
 	ko := NewBuildHash(BuildSpec{

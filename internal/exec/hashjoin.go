@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/bloom"
 	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/faults"
@@ -27,11 +26,8 @@ import (
 // buffers are pooled across work orders, making the steady-state build
 // allocation-free per block. Once every row is in, the Final wave seals the
 // table: it chooses the index from the entry count and key range
-// (hashtable.Seal) and fills it. A build that a select reads as a LIP filter
-// (NewSelect counts them) also makes that filter in its Final wave, sized
-// from the table's entry count at 10 bits an entry, and fills it with one
-// work order per table source, each adding the source's first keys through
-// lock-free atomic adds.
+// (hashtable.Seal) and fills it. The sealed table is also the LIP filter of
+// any select that reads the build: its probes ask the index itself.
 type BuildHashOp struct {
 	core.Base
 	self       core.OpID
@@ -41,17 +37,14 @@ type BuildHashOp struct {
 	paySchema  *storage.Schema
 
 	ht       *hashtable.Table
-	filter   *bloom.Filter
 	scratch  sync.Pool // *hashtable.InsertScratch
 	readCols []int
 
-	// probes is how many probes read the table (NewProbe counts them), and
-	// open how many of them have not finished in this run (Start resets
-	// it): the last one releases the table.
-	probes, open int
-	// lipReaders is how many selects read the build's LIP filter
-	// (NewSelect counts them); with none the build makes no filter.
-	lipReaders int
+	// readers is how many operators read the table (NewProbe counts each
+	// probe, NewSelect each LIPRef), and open how many of them have not
+	// finished in this run (Start resets it): the last one releases the
+	// table.
+	readers, open int
 }
 
 // BuildSpec configures NewBuildHash.
@@ -97,16 +90,12 @@ func (o *BuildHashOp) Start(ctx *core.ExecCtx) []core.WorkOrder {
 		cfg.Gauge = &ctx.Run.HashTables
 	}
 	o.ht = hashtable.New(cfg)
-	o.open = o.probes
+	o.open = o.readers
 	return nil
 }
 
 // HT returns the hash table (valid for probing once this operator is done).
 func (o *BuildHashOp) HT() *hashtable.Table { return o.ht }
-
-// Bloom returns the LIP filter: nil unless a select reads it, and complete
-// once the build is done.
-func (o *BuildHashOp) Bloom() *bloom.Filter { return o.filter }
 
 // PayloadSchema returns the schema of per-entry payload tuples.
 func (o *BuildHashOp) PayloadSchema() *storage.Schema { return o.paySchema }
@@ -174,23 +163,25 @@ func (w *buildWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 // Final implements core.Operator: build → probe is a blocking edge, so the
 // table's entries are all in. It returns the work orders that fill the
 // chosen index, one per worker for a hash index (split by index
-// partition), one for a dense index; and, when a select reads the build's
-// LIP filter, one per table source that adds the source's first keys to
-// it. The scheduler holds the fed blocks until the build finishes, so
-// every work order of the wave reads its sources in place.
+// partition), one for a dense index. The scheduler holds the fed blocks
+// until the build finishes, so every fill reads its sources in place.
 func (o *BuildHashOp) Final(ctx *core.ExecCtx) []core.WorkOrder {
 	fills := o.ht.Seal(ctx.Workers)
 	wos := make([]core.WorkOrder, len(fills))
 	for i, f := range fills {
 		wos[i] = &fillWO{fill: f}
 	}
-	if o.lipReaders > 0 {
-		o.filter = bloom.New(o.ht.Entries(), 10)
-		for i := range o.ht.Sources() {
-			wos = append(wos, &bloomWO{op: o, src: i})
-		}
-	}
 	return wos
+}
+
+// readerDone notes that one reader of the table finished (or, in a failed
+// run, never will): the last one releases the table, so a table several
+// operators read counts until none reads it. A failed run cleans up readers
+// whose build may not have started.
+func (o *BuildHashOp) readerDone() {
+	if o.open--; o.open == 0 && o.ht != nil {
+		o.ht.Release()
+	}
 }
 
 // fillWO fills one part of a sealed table's index.
@@ -205,25 +196,6 @@ func (w *fillWO) Run(ctx *core.ExecCtx, _ *core.Output) error {
 		return err
 	}
 	w.fill.Run()
-	return nil
-}
-
-// bloomWO adds one table source's first keys to the build's LIP filter.
-type bloomWO struct {
-	op  *BuildHashOp
-	src int
-}
-
-func (w *bloomWO) Inputs() []*storage.Block { return nil }
-
-// Run consults the fault site before the first add, so a retried work
-// order has nothing to undo; the adds are atomic ORs, so the work orders
-// need no lock between them.
-func (w *bloomWO) Run(ctx *core.ExecCtx, _ *core.Output) error {
-	if err := ctx.FaultAt(faults.BloomBuild); err != nil {
-		return err
-	}
-	w.op.ht.FirstKeys(w.src, w.op.filter.AddMany)
 	return nil
 }
 
@@ -263,8 +235,8 @@ func (j JoinType) String() string {
 }
 
 // ProbeOp probes a build operator's hash table with its pipelined input.
-// The plan must add a blocking edge build→probe; the probe releases the hash
-// table when it finishes.
+// The plan must add a blocking edge build→probe; the last of the table's
+// readers to finish releases it.
 //
 // Probe work orders run a block at a time: the probe-side key columns are
 // gathered, hashtable.Match collects every (probe row, build row) pair of
@@ -436,7 +408,7 @@ func NewProbe(spec ProbeSpec) *ProbeOp {
 		buildProj: spec.BuildProj,
 		out:       storage.NewSchema(cols...),
 	}
-	spec.Build.probes++
+	spec.Build.readers++
 	spec.Build.open++
 	op.readCols = append(append([]int{}, spec.KeyCols...), spec.ProbeProj...)
 	op.readCols = append(op.readCols, expr.PrimaryCols(spec.Residual)...)
@@ -497,16 +469,8 @@ func (o *ProbeOp) Feed(_ *core.ExecCtx, _ int, blocks []*storage.Block) []core.W
 	return wos
 }
 
-// Cleanup implements core.Operator: the last of the hash table's probes to
-// finish releases its memory, so a table several probes share counts until
-// none reads it. A failed run cleans up probes that never finished, whose
-// build may not have started.
-func (o *ProbeOp) Cleanup(*core.ExecCtx) {
-	b := o.build
-	if b.open--; b.open == 0 && b.ht != nil {
-		b.ht.Release()
-	}
-}
+// Cleanup implements core.Operator: the probe is done reading the table.
+func (o *ProbeOp) Cleanup(*core.ExecCtx) { o.build.readerDone() }
 
 type probeWO struct {
 	op    *ProbeOp

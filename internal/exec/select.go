@@ -7,17 +7,18 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/expr"
+	"repro/internal/hashtable"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
 
-// LIPRef attaches a lookahead-information-passing bloom filter to a select
-// operator: tuples whose key column misses the filter of a downstream join's
-// build side are dropped before materialization [Zhu et al.]. The reference
-// is what makes the build keep a filter: NewSelect counts it, and the build
-// makes the filter in its Final wave, over the first keys it indexed. The
-// referenced build operator must be connected to the select with a blocking
-// edge so the filter is complete before the scan starts.
+// LIPRef attaches a lookahead-information-passing filter to a select
+// operator: tuples whose key is not in a downstream join's build side are
+// dropped before materialization [Zhu et al.]. The filter is the build's own
+// sealed join table, probed exactly as a semi join probes it: NewSelect
+// counts the select among the table's readers, so the table outlives it.
+// The build must have one key column and be connected to the select with a
+// blocking edge, so its table is sealed before the scan starts.
 type LIPRef struct {
 	Build  *BuildHashOp
 	KeyCol int
@@ -35,7 +36,7 @@ type SelectOp struct {
 	pred      expr.Expr      // may be nil
 	projExprs []expr.Expr
 	projIdx   []int // fast path: all projections are plain column refs
-	dense     bool  // a base-table select with no predicate and no LIP filter, through projIdx
+	dense     bool  // a base-table select with no predicate and no LIP, through projIdx
 	readCols  []int // referenced columns, for cache-model charging
 	lips      []LIPRef
 	out       *storage.Schema
@@ -43,13 +44,35 @@ type SelectOp struct {
 }
 
 // selScratch is one work order's reusable vectors: the selection, the
-// predicate's intermediate vectors, and each computed projection's values,
-// so selects allocate nothing per block.
+// predicate's intermediate vectors, each computed projection's values, and
+// the LIP probes' keys and matches, so selects allocate nothing per block.
 type selScratch struct {
 	sel  []int32
 	vec  expr.Vectors
 	cols []projVec
 	srcs []storage.ColSource
+	kbuf []byte // a view's LIP key column, gathered
+	keys []int64
+	m    hashtable.Matches
+}
+
+// lip keeps the rows of sel whose key in column col the table holds: it
+// reads the column in place (a view's gathered into kbuf), finds each
+// selected row's first match, and compacts sel to the rows that have one.
+func (sp *selScratch) lip(b *storage.Block, col int, ht *hashtable.Table, sel []int32) []int32 {
+	if n := 8 * b.NumRows(); b.IsView() && cap(sp.kbuf) < n {
+		sp.kbuf = make([]byte, n)
+	}
+	v := b.ViewInto(col, sp.kbuf)
+	sp.keys = sp.keys[:0]
+	for _, r := range sel {
+		sp.keys = append(sp.keys, v.Int64(int(r)))
+	}
+	ht.Match(sp.keys, nil, true, &sp.m)
+	for j, i := range sp.m.Probe {
+		sel[j] = sel[i]
+	}
+	return sel[:len(sp.m.Probe)]
 }
 
 // projVec holds one computed projection's vector and its evaluator.
@@ -95,7 +118,7 @@ type SelectSpec struct {
 	// Proj are the output expressions, named by ProjNames.
 	Proj      []expr.Expr
 	ProjNames []string
-	// LIPs are sideways bloom filters applied after Pred.
+	// LIPs are sideways filters applied after Pred (see LIPRef).
 	LIPs []LIPRef
 }
 
@@ -120,10 +143,14 @@ func NewSelect(spec SelectSpec) *SelectOp {
 	all := append([]expr.Expr{spec.Pred}, spec.Proj...)
 	op.readCols = expr.PrimaryCols(all...)
 	for _, l := range spec.LIPs {
+		if len(l.Build.keyCols) != 1 {
+			panic("exec: a LIP reads a one-key build")
+		}
 		if !slices.Contains(op.readCols, l.KeyCol) {
 			op.readCols = append(op.readCols, l.KeyCol)
 		}
-		l.Build.lipReaders++
+		l.Build.readers++
+		l.Build.open++
 	}
 	return op
 }
@@ -135,6 +162,14 @@ func (o *SelectOp) Name() string { return o.name }
 
 // OutSchema returns the schema of the operator's output blocks.
 func (o *SelectOp) OutSchema() *storage.Schema { return o.out }
+
+// Cleanup implements core.Operator: the select is done reading its LIP
+// builds' tables.
+func (o *SelectOp) Cleanup(*core.ExecCtx) {
+	for _, l := range o.lips {
+		l.Build.readerDone()
+	}
+}
 
 // Start implements core.Operator: a base-table select emits one work order
 // per storage block of the table.
@@ -193,7 +228,7 @@ func (w *selectWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 		return nil
 	}
 	// Build a selection vector in pooled scratch (the identity without a
-	// predicate), refine it through the LIP bloom filters, then materialize
+	// predicate), refine it through the LIP builds' tables, then materialize
 	// the survivors.
 	sp, _ := o.scratch.Get().(*selScratch)
 	if sp != nil {
@@ -209,18 +244,12 @@ func (w *selectWO) Run(ctx *core.ExecCtx, out *core.Output) error {
 		sel = expr.SelectAll(b, sp.sel)
 	}
 	for _, l := range o.lips {
-		flt := l.Build.Bloom()
+		ht := l.Build.HT()
 		if ctx.Sim != nil && len(sel) > 0 {
-			// Each filter's probes are charged at that filter's size.
-			out.Sim += ctx.Sim.RandomProbes(int64(len(sel)), flt.Bytes())
+			// Each table's probes are charged at its size, as a probe's are.
+			out.Sim += ctx.Sim.RandomProbes(int64(len(sel)), ht.UsedBytes())
 		}
-		kept := sel[:0]
-		for _, r := range sel {
-			if flt.MayContain(b.Int64At(l.KeyCol, int(r))) {
-				kept = append(kept, r)
-			}
-		}
-		sel = kept
+		sel = sp.lip(b, l.KeyCol, ht, sel)
 	}
 	switch {
 	case o.projIdx != nil && w.isBase:

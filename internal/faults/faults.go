@@ -1,10 +1,10 @@
 // Package faults is a deterministic, seeded fault injector for the
 // scheduler's robustness layer. Hot-path operator code consults the injector
-// at named sites (hash-table insert, bloom build, aggregation upsert, block
-// materialize); the injector decides — as a pure function of (seed, site,
-// per-site invocation index) — whether to inject a fault there and of which
-// kind: a returned error, a panic, artificial latency, or an allocation
-// failure.
+// at named sites (hash-table insert, aggregation upsert, block materialize,
+// sort run, repartition, spill I/O); the injector decides — as a pure
+// function of (seed, site, per-site invocation index) — whether to inject a
+// fault there and of which kind: a returned error, a panic, artificial
+// latency, or an allocation failure.
 //
 // Determinism: no wall clock and no global RNG are involved. The decision for
 // the i-th consultation of a site depends only on the configured seed, so two
@@ -32,11 +32,9 @@ const (
 	// HashInsert fires at the start of a hash-join build work order and of
 	// each index fill work order, strictly before any join-table mutation.
 	HashInsert Site = iota
-	// BloomBuild fires at the start of each bloom work order of a join
-	// build's Final wave, before it adds its table source's first keys to
-	// the LIP filter (also pre-mutation). Only a build a select reads as a
-	// LIP filter has such work orders.
-	BloomBuild
+	// Site 1 is unused. A site's number seeds its fault decisions, so the
+	// sites keep their numbers, and a seed its schedule at each of them.
+	_
 	// AggUpsert fires at the start of a vectorized aggregation work order,
 	// before the thread-local partial table is touched.
 	AggUpsert
@@ -68,7 +66,7 @@ const (
 
 // Sites lists every defined site.
 func Sites() []Site {
-	return []Site{HashInsert, BloomBuild, AggUpsert, BlockMaterialize, SortRun, Repartition, SpillWrite, SpillRead}
+	return []Site{HashInsert, AggUpsert, BlockMaterialize, SortRun, Repartition, SpillWrite, SpillRead}
 }
 
 // String returns the site's name.
@@ -76,8 +74,6 @@ func (s Site) String() string {
 	switch s {
 	case HashInsert:
 		return "hash_insert"
-	case BloomBuild:
-		return "bloom_build"
 	case AggUpsert:
 		return "agg_upsert"
 	case BlockMaterialize:

@@ -123,13 +123,13 @@ func TestPerSiteRateOverride(t *testing.T) {
 	in := New(Config{
 		Seed:  11,
 		Rate:  0,
-		Rates: map[Site]float64{BloomBuild: 1},
+		Rates: map[Site]float64{AggUpsert: 1},
 		Kinds: []Kind{KindError},
 	})
 	if err := in.At(HashInsert); err != nil {
 		t.Fatalf("rate-0 site fired: %v", err)
 	}
-	if err := in.At(BloomBuild); err == nil {
+	if err := in.At(AggUpsert); err == nil {
 		t.Fatal("rate-1 site did not fire")
 	}
 }

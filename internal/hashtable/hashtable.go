@@ -769,31 +769,6 @@ rows:
 	}
 }
 
-// Entries returns how many entries the build recorded; call it once no
-// insert runs.
-func (t *Table) Entries() int { return t.n }
-
-// Sources returns how many sources the build recorded, one per fed block
-// and one per segment of a fed view; call it once no insert runs.
-func (t *Table) Sources() int { return len(t.srcs) }
-
-// FirstKeys calls fn with the first keys of source i's entries, in order, a
-// chunk at a time; fn must not keep the slice. It reads only the source, so
-// it may run concurrently with the fills and with other FirstKeys calls once
-// no insert runs.
-func (t *Table) FirstKeys(i int, fn func(k0 []int64)) {
-	var (
-		rows   [fillChunk]int32
-		k0, k1 [fillChunk]int64
-	)
-	s := &t.srcs[i]
-	for at := 0; at < s.n; {
-		m := s.load(at, 1, &rows, &k0, &k1)
-		at += m
-		fn(k0[:m])
-	}
-}
-
 // ReadsInputs reports whether the table reads the blocks it was fed: every
 // table does but a sealed key-only dense one, whose offsets are all it
 // keeps.

@@ -111,8 +111,8 @@ func TestInsertLookup(t *testing.T) {
 	for _, kind := range kinds {
 		ht := New(Config{PayloadSchema: payloadSchema()})
 		insert(ht, oneKey(iota64(10, 1)...), iota64(10, 10))
-		if ht.Entries() != 10 {
-			t.Fatalf("Entries = %d", ht.Entries())
+		if ht.n != 10 {
+			t.Fatalf("Entries = %d", ht.n)
 		}
 		if got := sealAs(ht, kind); got != kind {
 			t.Fatalf("sealed %v, want %v", got, kind)
@@ -208,8 +208,8 @@ func TestGrowthPreservesEntries(t *testing.T) {
 			}
 			insert(ht, oneKey(keys...), keys)
 		}
-		if ht.Entries() != n {
-			t.Fatalf("Entries = %d", ht.Entries())
+		if ht.n != n {
+			t.Fatalf("Entries = %d", ht.n)
 		}
 		sealAs(ht, kind)
 		for i := 0; i < n; i += 97 {
@@ -243,8 +243,8 @@ func TestConcurrentBuild(t *testing.T) {
 			}(w)
 		}
 		wg.Wait()
-		if ht.Entries() != workers*per {
-			t.Fatalf("Entries = %d, want %d", ht.Entries(), workers*per)
+		if ht.n != workers*per {
+			t.Fatalf("Entries = %d, want %d", ht.n, workers*per)
 		}
 		sealAs(ht, kind)
 		for k := 0; k < workers*per; k += 501 {
@@ -356,9 +356,9 @@ func TestInsertBlockEquivalence(t *testing.T) {
 				return ht
 			}
 			ref, bat := build(true), build(false)
-			if ref.Entries() != bat.Entries() || ref.TotalBytes() != bat.TotalBytes() || ref.UsedBytes() != bat.UsedBytes() {
+			if ref.n != bat.n || ref.TotalBytes() != bat.TotalBytes() || ref.UsedBytes() != bat.UsedBytes() {
 				t.Fatalf("Entries %d/%d, TotalBytes %d/%d, UsedBytes %d/%d (rows/blocks)",
-					ref.Entries(), bat.Entries(), ref.TotalBytes(), bat.TotalBytes(), ref.UsedBytes(), bat.UsedBytes())
+					ref.n, bat.n, ref.TotalBytes(), bat.TotalBytes(), ref.UsedBytes(), bat.UsedBytes())
 			}
 			if ref.min != bat.min || ref.max != bat.max || ref.counts != bat.counts || len(bat.srcs) != len(blocks) {
 				t.Fatalf("key range [%d, %d]/[%d, %d], partition counts equal %v, %d sources for %d blocks",
@@ -440,8 +440,8 @@ func TestInsertBlockConcurrent(t *testing.T) {
 		}
 		wg.Wait()
 		want := workers * blocksPer * rowsPer
-		if ht.Entries() != want {
-			t.Fatalf("%v: Entries = %d, want %d", kind, ht.Entries(), want)
+		if ht.n != want {
+			t.Fatalf("%v: Entries = %d, want %d", kind, ht.n, want)
 		}
 		fed := map[*storage.Block]bool{}
 		for _, s := range ht.srcs {
@@ -525,7 +525,7 @@ func TestLookupMatchesReferenceProperty(t *testing.T) {
 					return false
 				}
 			}
-			if ht.Entries() != n {
+			if ht.n != n {
 				return false
 			}
 		}
@@ -939,8 +939,8 @@ func FuzzHashTable(f *testing.F) {
 				rest.AppendRow(src.Row(r)...)
 			}
 			ht.InsertBlock(rest, keyCols, payIdx, sc)
-			if ht.Entries() != len(ops) {
-				t.Fatalf("Entries = %d, want %d", ht.Entries(), len(ops))
+			if ht.n != len(ops) {
+				t.Fatalf("Entries = %d, want %d", ht.n, len(ops))
 			}
 			sealed := sealWith(ht, seal.kind, seal.keyBits)
 			var k0s, k1s []int64
@@ -1083,8 +1083,8 @@ func TestPayloadInPlaceAndAccounting(t *testing.T) {
 					first[b] = lo
 				}
 				name := func() string { return fmt.Sprintf("width %d, %d keys, %d rows", width, keys, n) }
-				if ht.Entries() != n || len(ht.srcs) != len(first) {
-					t.Fatalf("%s: Entries = %d, %d sources for %d blocks", name(), ht.Entries(), len(ht.srcs), len(first))
+				if ht.n != n || len(ht.srcs) != len(first) {
+					t.Fatalf("%s: Entries = %d, %d sources for %d blocks", name(), ht.n, len(ht.srcs), len(first))
 				}
 				if ht.TotalBytes() != 0 || g.Live() != 0 {
 					t.Fatalf("%s: built: TotalBytes %d, gauge %d, want 0", name(), ht.TotalBytes(), g.Live())
@@ -1203,8 +1203,8 @@ func TestSequentialInsertKeepsSources(t *testing.T) {
 					ht.InsertBlock(b, []int{0, 1}[:keys], payIdx, sc)
 				}
 				name := fmt.Sprintf("%d keys, view %q, %v", keys, view, kind)
-				if len(ht.srcs) != len(want) || ht.Entries() != len(vals) || ht.TotalBytes() != 0 {
-					t.Fatalf("%s: %d sources, want %d; %d entries, want %d; %d B", name, len(ht.srcs), len(want), ht.Entries(), len(vals), ht.TotalBytes())
+				if len(ht.srcs) != len(want) || ht.n != len(vals) || ht.TotalBytes() != 0 {
+					t.Fatalf("%s: %d sources, want %d; %d entries, want %d; %d B", name, len(ht.srcs), len(want), ht.n, len(vals), ht.TotalBytes())
 				}
 				sealAs(ht, kind)
 				if col := ht.SourceCols(nil, []int{0, 1}); (view != "") != (col[0] == 3) {

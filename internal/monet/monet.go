@@ -9,7 +9,8 @@
 //     after its producer fully materialized its output (operator-at-a-time);
 //   - intermediates are column-store and allocated fresh per operator (BAT
 //     materialization — no temp-block pool reuse);
-//   - LIP bloom filters are disabled (MonetDB has no equivalent);
+//   - LIP is disabled: no scan probes a join table ahead of its join
+//     (MonetDB has no equivalent);
 //   - all workers are available to each operator in turn (MonetDB's
 //     intra-operator "mitosis" parallelization).
 //

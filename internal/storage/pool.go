@@ -194,7 +194,7 @@ func (b *Block) Refs() int { return b.refs }
 // block of that owner if one exists, else a new block laid over a recycled
 // allocation of that budget, else over a fresh one.
 func (p *Pool) CheckOut(owner int, schema *Schema, format Format, blockBytes int) *Block {
-	if b := p.resume(owner); b != nil {
+	if b := p.resume(owner, false, false); b != nil {
 		return b
 	}
 	b := newBlockOver(schema, format, blockBytes, p.takeBuf(bufKey(schema, blockBytes)))
@@ -208,13 +208,9 @@ func (p *Pool) CheckOut(owner int, schema *Schema, format Format, blockBytes int
 // holding as many rows as a blockBytes temp block of schema. A listed view
 // (Block.AppendView) has a rows buffer of 4 bytes a row from the freelist; a
 // dense one (Block.AppendDense) has none. The base blocks belong to their
-// tables and outlive the run, so only the rows buffer is charged. An owner
-// fills views of one kind: resuming the other kind panics.
+// tables and outlive the run, so only the rows buffer is charged.
 func (p *Pool) CheckOutView(owner int, schema *Schema, proj []int, dense bool, format Format, blockBytes int) *Block {
-	if b := p.resume(owner); b != nil {
-		if b.proj == nil || (b.rows == nil) != dense {
-			panic("storage: resuming a partial of another kind than the view checked out")
-		}
+	if b := p.resume(owner, true, dense); b != nil {
 		return b
 	}
 	cap := max(1, blockBytes/schema.RowWidth())
@@ -228,8 +224,11 @@ func (p *Pool) CheckOutView(owner int, schema *Schema, proj []int, dense bool, f
 }
 
 // resume counts a checkout and pops owner's last checked-in partial block,
-// if any.
-func (p *Pool) resume(owner int) *Block {
+// if any. An owner fills blocks of one kind — temp blocks, listed views or
+// dense views — so a partial of another kind than view and dense ask for is
+// a plan bug: resume panics and leaves it checked in, for the run's cleanup
+// to take and release.
+func (p *Pool) resume(owner int, view, dense bool) *Block {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.checkouts != nil {
@@ -240,6 +239,9 @@ func (p *Pool) resume(owner int) *Block {
 		return nil
 	}
 	b := ps[len(ps)-1]
+	if (b.proj != nil) != view || view && (b.rows == nil) != dense {
+		panic("storage: resuming a partial of another kind than the block checked out")
+	}
 	p.partial[owner] = ps[:len(ps)-1]
 	return b
 }

@@ -590,21 +590,57 @@ func TestDenseViewRollback(t *testing.T) {
 		t.Fatalf("materialized: live %d, alloc %d", live.Live(), v.AllocBytes())
 	}
 	p.Release(v)
-	for _, dense := range []bool{false, true} {
-		u := p.CheckOutView(0, out, proj, dense, ColumnStore, budget)
-		p.CheckIn(0, u)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("a dense %v partial was resumed as a dense %v view", dense, !dense)
-				}
-			}()
-			p.CheckOutView(0, out, proj, !dense, ColumnStore, budget)
-		}()
-		p.Release(u)
-	}
 	if live.Live() != 0 {
 		t.Fatalf("live %d after release", live.Live())
+	}
+}
+
+// TestResumeOfAnotherKindLeavesThePartial: resuming an owner's partial as
+// another kind of block — a listed view as a dense one or the reverse, a
+// view by CheckOut, a temp block by CheckOutView — panics, and the partial
+// stays checked in: TakePartials still returns it, and once it is released
+// the gauge reads 0.
+func TestResumeOfAnotherKindLeavesThePartial(t *testing.T) {
+	s := viewBaseSchema()
+	proj := []int{6, 1, 3}
+	out := s.Project(proj)
+	const budget = 4 << 10
+	view := func(dense bool) func(*Pool) *Block {
+		return func(p *Pool) *Block { return p.CheckOutView(0, out, proj, dense, ColumnStore, budget) }
+	}
+	plain := func(p *Pool) *Block { return p.CheckOut(0, out, ColumnStore, budget) }
+	for _, c := range []struct {
+		name         string
+		fill, resume func(*Pool) *Block
+	}{
+		{"listed as dense", view(false), view(true)},
+		{"dense as listed", view(true), view(false)},
+		{"listed by CheckOut", view(false), plain},
+		{"dense by CheckOut", view(true), plain},
+		{"plain by CheckOutView", plain, view(false)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var live stats.MemGauge
+			p := NewPool(&live, nil)
+			b := c.fill(p)
+			p.CheckIn(0, b)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("the partial was resumed as another kind")
+					}
+				}()
+				c.resume(p)
+			}()
+			ps := p.TakePartials(0)
+			if len(ps) != 1 || ps[0] != b {
+				t.Fatalf("the panic took the partial: %d left checked in", len(ps))
+			}
+			p.Release(b)
+			if live.Live() != 0 {
+				t.Fatalf("live %d after release", live.Live())
+			}
+		})
 	}
 }
 

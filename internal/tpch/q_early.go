@@ -310,9 +310,9 @@ func q07(d *Dataset, o QueryOpts) *engine.Builder {
 		Pred: expr.Between(expr.C(ls, "l_shipdate"), expr.Date(1995, 1, 1), expr.Date(1996, 12, 31)),
 	}
 	lineSpec.Proj, lineSpec.ProjNames = proj(ls, "l_orderkey", "l_suppkey", "l_extendedprice", "l_discount", "l_shipdate")
-	// LIP needs the supplier hash table's bloom filter before the lineitem
-	// scan, but staged execution builds that table only after the first
-	// probe — the two are incompatible, so staging wins.
+	// LIP needs the supplier hash table before the lineitem scan, but
+	// staged execution builds that table only after the first probe — the
+	// two are incompatible, so staging wins.
 	if o.LIP && !o.Staged {
 		lineSpec.LIPs = []exec.LIPRef{{Build: buildSOp, KeyCol: ls.MustColIndex("l_suppkey")}}
 	}

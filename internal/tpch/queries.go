@@ -12,10 +12,9 @@ import (
 
 // QueryOpts tunes plan construction.
 type QueryOpts struct {
-	// LIP enables lookahead-information-passing bloom filters: filtered
-	// build sides push their key sets sideways into the probe-side
-	// (usually lineitem) select, pruning tuples before materialization
-	// (Section VI-C of the paper).
+	// LIP enables lookahead information passing: the probe-side (usually
+	// lineitem) select probes the join tables of filtered build sides,
+	// pruning tuples before materialization (Section VI-C of the paper).
 	LIP bool
 	// Staged executes probe cascades "one join at a time": each hash
 	// table is built only after the previous probe finished, so at most

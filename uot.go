@@ -170,9 +170,8 @@ type (
 	// FaultConfig configures an injector: seed, global and per-site rates,
 	// fault kinds, and the maximum injected latency.
 	FaultConfig = faults.Config
-	// FaultSite names an injection point (hash insert, bloom build, agg
-	// upsert, block materialize, sort run, repartition, spill write, spill
-	// read).
+	// FaultSite names an injection point (hash insert, agg upsert, block
+	// materialize, sort run, repartition, spill write, spill read).
 	FaultSite = faults.Site
 	// FaultEvent is one fired fault in a replayable schedule.
 	FaultEvent = faults.Event
@@ -226,7 +225,8 @@ func LoadTPCH(sf float64, blockBytes int, format storage.Format) *TPCH {
 func TPCHQueries() []int { return tpch.Numbers() }
 
 // BuildTPCH constructs the plan for a TPC-H query; set lip to enable
-// lookahead-information-passing bloom filters.
+// lookahead information passing: a filtered scan probes the join tables of
+// its downstream builds.
 func BuildTPCH(d *TPCH, query int, lip bool) (*Builder, error) {
 	return tpch.Build(d, query, tpch.QueryOpts{LIP: lip})
 }
